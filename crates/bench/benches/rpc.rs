@@ -1,10 +1,11 @@
 //! RPC-layer microbenchmarks: per-call overhead on both transports,
 //! the handler-pool-width ablation (Margo tuning, DESIGN.md), the
-//! pipelined submit/wait fan-out against the blocking baseline, and
-//! the retry-layer fast-path tax (EXPERIMENTS.md: ≤2 %).
+//! pipelined submit/wait fan-out against the blocking baseline, the
+//! retry-layer fast-path tax (EXPERIMENTS.md: ≤2 %), and the frame
+//! checksum's two kernels at control-frame, small-I/O and chunk sizes.
 
 use bytes::Bytes;
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gkfs_client::DaemonRing;
 use gkfs_common::config::RetryConfig;
 use gkfs_rpc::{
@@ -201,9 +202,30 @@ fn bench_retry_fastpath(c: &mut Criterion) {
     group.finish();
 }
 
+/// The frame/WAL/SSTable checksum, both kernels, at the sizes the data
+/// path feeds it: a control frame (64 B — the folding kernel's
+/// threshold), a small-I/O payload (4 KiB), one chunk (512 KiB). On a
+/// CPU without `pclmulqdq` the two rows of a pair measure the same
+/// code.
+fn bench_crc32(c: &mut Criterion) {
+    use gkfs_common::crc::{crc32_update, crc32_update_table};
+    let mut group = c.benchmark_group("crc32");
+    for (label, len) in [("64b", 64usize), ("4k", 4 << 10), ("512k", 512 << 10)] {
+        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(format!("table_{label}"), |b| {
+            b.iter(|| crc32_update_table(0, black_box(&data)))
+        });
+        group.bench_function(format!("dispatch_{label}"), |b| {
+            b.iter(|| crc32_update(0, black_box(&data)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_inproc, bench_tcp, bench_pool_width, bench_fanout, bench_tcp_outstanding, bench_retry_fastpath
+    targets = bench_inproc, bench_tcp, bench_pool_width, bench_fanout, bench_tcp_outstanding, bench_retry_fastpath, bench_crc32
 }
 criterion_main!(benches);

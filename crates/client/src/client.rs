@@ -91,6 +91,14 @@ pub struct ClientStats {
     /// Batch-size histogram: ops per flushed frame, bucketed
     /// 1, 2–4, 5–8, 9–16, 17–32, 33+.
     pub meta_batch_hist: [AtomicU64; 6],
+    /// Write-payload bytes copied on the way from the caller's buffer
+    /// to a transport. Shared with the [`DaemonRing`], which counts at
+    /// its submission funnel whatever an endpoint's
+    /// [`Endpoint::submit_gather`] had to concatenate: zero over TCP
+    /// (segments go to the socket where they lie), one copy of every
+    /// byte over the in-process transport (which must own what it
+    /// hands to the handler thread).
+    pub write_gather_copy_bytes: Arc<AtomicU64>,
 }
 
 /// Histogram bucket for a batch of `n` ops (see
@@ -154,6 +162,28 @@ pub struct GekkoClient {
     stats: ClientStats,
 }
 
+/// One daemon's share of a write: its chunk ops and, in the same
+/// order, the sub-slices of the caller's buffer they carry.
+type NodeBatch<'a> = (Vec<ChunkOp>, Vec<&'a [u8]>);
+
+/// Add chunk-piece `p` of the write buffer `data` to `node`'s batch.
+/// Both write fan-outs build their gather lists here, so the op list
+/// and the segment list cannot disagree about what bytes an op carries.
+fn push_piece<'a>(
+    per_node: &mut HashMap<NodeId, NodeBatch<'a>>,
+    node: NodeId,
+    p: &gkfs_common::chunk::ChunkInfo,
+    data: &'a [u8],
+) {
+    let (ops, bulk) = per_node.entry(node).or_default();
+    ops.push(ChunkOp {
+        chunk_id: p.chunk_id,
+        offset: p.offset,
+        len: p.len,
+    });
+    bulk.push(&data[p.buf_offset as usize..(p.buf_offset + p.len) as usize]);
+}
+
 fn now_ns() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -196,6 +226,7 @@ impl GekkoClient {
             // One counter, two readers: the ring bumps it at its
             // submission funnel, `ClientStats` reports it.
             rpcs_issued: ring.rpc_counter(),
+            write_gather_copy_bytes: ring.gather_copy_counter(),
             ..ClientStats::default()
         };
         let client = GekkoClient {
@@ -320,14 +351,14 @@ impl GekkoClient {
     /// * below quorum, the first transport error surfaces.
     fn meta_quorum<T, F>(&self, path: &str, f: F) -> Result<T>
     where
-        F: Fn(NodeId) -> Result<ReplyFuture<T>>,
+        F: Fn(NodeId) -> Result<ReplyFuture<'static, T>>,
     {
         let set = self.meta_targets(path);
         if set.len() == 1 {
             return f(set[0])?.wait();
         }
         let deadline = self.ring.op_deadline();
-        let inflight: Vec<Result<ReplyFuture<T>>> = set.iter().map(|&n| f(n)).collect();
+        let inflight: Vec<Result<ReplyFuture<'static, T>>> = set.iter().map(|&n| f(n)).collect();
         let results: Vec<Result<T>> = inflight
             .into_iter()
             .map(|fut| fut.and_then(|fut| fut.wait_deadline(deadline)))
@@ -387,7 +418,7 @@ impl GekkoClient {
             return self.ring.batch_meta_nb(set[0], ops)?.wait();
         }
         let deadline = self.ring.op_deadline();
-        let inflight: Vec<Result<ReplyFuture<Vec<MetaOpResult>>>> = set
+        let inflight: Vec<Result<ReplyFuture<'static, Vec<MetaOpResult>>>> = set
             .iter()
             .map(|&n| self.ring.batch_meta_nb(n, ops.clone()))
             .collect();
@@ -1241,30 +1272,20 @@ impl GekkoClient {
     /// fan out in parallel, then update the file size at the metadata
     /// owner (possibly through the §IV-B cache). Expects a normalized
     /// path and counts no client ops — callers do.
+    ///
+    /// `data` is never copied here: each daemon's batch is a list of
+    /// sub-slices of it (the scatter/gather list an RDMA transport
+    /// would build), borrowed until that daemon has acknowledged.
     fn write_through(&self, path: &str, offset: u64, data: &[u8]) -> Result<()> {
-        {
-            let pieces = chunk_range(self.layout, offset, data.len() as u64);
-            if self.repl.enabled() {
-                self.fan_out_replicated(path, &pieces, data)?;
-            } else {
-                // Group chunk-pieces by their owning daemon, gathering
-                // each daemon's bulk buffer (the scatter/gather list an
-                // RDMA transport would build).
-                let mut per_node: HashMap<NodeId, (Vec<ChunkOp>, Vec<u8>)> = HashMap::new();
-                for p in &pieces {
-                    let node = self.dist.locate_chunk(path, p.chunk_id);
-                    let entry = per_node.entry(node).or_default();
-                    entry.0.push(ChunkOp {
-                        chunk_id: p.chunk_id,
-                        offset: p.offset,
-                        len: p.len,
-                    });
-                    entry.1.extend_from_slice(
-                        &data[p.buf_offset as usize..(p.buf_offset + p.len) as usize],
-                    );
-                }
-                self.fan_out_writes(path, per_node)?;
+        let pieces = chunk_range(self.layout, offset, data.len() as u64);
+        if self.repl.enabled() {
+            self.fan_out_replicated(path, &pieces, data)?;
+        } else {
+            let mut per_node: HashMap<NodeId, NodeBatch<'_>> = HashMap::new();
+            for p in &pieces {
+                push_piece(&mut per_node, self.dist.locate_chunk(path, p.chunk_id), p, data);
             }
+            self.fan_out_writes(path, per_node)?;
         }
 
         // Size update to the metadata owner(s).
@@ -1285,14 +1306,10 @@ impl GekkoClient {
         Ok(())
     }
 
-    fn fan_out_writes(
-        &self,
-        path: &str,
-        per_node: HashMap<NodeId, (Vec<ChunkOp>, Vec<u8>)>,
-    ) -> Result<()> {
+    fn fan_out_writes(&self, path: &str, per_node: HashMap<NodeId, NodeBatch<'_>>) -> Result<()> {
         if per_node.len() == 1 {
             if let Some((node, (ops, bulk))) = per_node.into_iter().next() {
-                return self.ring.write_chunks(node, path, ops, Bytes::from(bulk));
+                return self.ring.write_chunks(node, path, ops, bulk);
             }
             return Ok(());
         }
@@ -1302,9 +1319,7 @@ impl GekkoClient {
         let deadline = self.ring.op_deadline();
         let inflight = per_node
             .into_iter()
-            .map(|(node, (ops, bulk))| {
-                self.ring.write_chunks_nb(node, path, ops, Bytes::from(bulk))
-            })
+            .map(|(node, (ops, bulk))| self.ring.write_chunks_nb(node, path, ops, bulk))
             .collect::<Vec<_>>();
         for fut in inflight {
             fut?.wait_deadline(deadline)?;
@@ -1325,7 +1340,7 @@ impl GekkoClient {
         pieces: &[gkfs_common::chunk::ChunkInfo],
         data: &[u8],
     ) -> Result<()> {
-        let mut per_node: HashMap<NodeId, (Vec<ChunkOp>, Vec<u8>)> = HashMap::new();
+        let mut per_node: HashMap<NodeId, NodeBatch<'_>> = HashMap::new();
         let mut piece_sets: Vec<Vec<NodeId>> = Vec::with_capacity(pieces.len());
         // Write to the *live* set: members the detector considers dead
         // are swapped for their ring substitutes, the same nodes
@@ -1338,24 +1353,14 @@ impl GekkoClient {
             let live = live_replicas(&raw, &dead, nodes);
             let set = if live.is_empty() { raw } else { live };
             for &node in &set {
-                let entry = per_node.entry(node).or_default();
-                entry.0.push(ChunkOp {
-                    chunk_id: p.chunk_id,
-                    offset: p.offset,
-                    len: p.len,
-                });
-                entry.1.extend_from_slice(
-                    &data[p.buf_offset as usize..(p.buf_offset + p.len) as usize],
-                );
+                push_piece(&mut per_node, node, p, data);
             }
             piece_sets.push(set);
         }
         let deadline = self.ring.op_deadline();
-        let inflight: Vec<(NodeId, Result<ReplyFuture<()>>)> = per_node
+        let inflight: Vec<(NodeId, Result<ReplyFuture<'_, ()>>)> = per_node
             .into_iter()
-            .map(|(node, (ops, bulk))| {
-                (node, self.ring.write_chunks_nb(node, path, ops, Bytes::from(bulk)))
-            })
+            .map(|(node, (ops, bulk))| (node, self.ring.write_chunks_nb(node, path, ops, bulk)))
             .collect();
         let mut outcomes: HashMap<NodeId, Result<()>> = HashMap::new();
         for (node, fut) in inflight {
@@ -1395,11 +1400,13 @@ impl GekkoClient {
     /// original in-flight request as a last resort.
     fn read_scatter(&self, path: &str, offset: u64, effective: u64) -> Result<Vec<u8>> {
         let pieces = chunk_range(self.layout, offset, effective);
-        let mut per_primary: HashMap<NodeId, Vec<(u64, ChunkOp)>> = HashMap::new();
-        for p in &pieces {
+        // Each op travels with the index of its piece, which is where
+        // its bytes go in the result (pieces are in buffer order).
+        let mut per_primary: HashMap<NodeId, Vec<(usize, ChunkOp)>> = HashMap::new();
+        for (i, p) in pieces.iter().enumerate() {
             let node = self.dist.locate_chunk(path, p.chunk_id);
             per_primary.entry(node).or_default().push((
-                p.buf_offset,
+                i,
                 ChunkOp {
                     chunk_id: p.chunk_id,
                     offset: p.offset,
@@ -1408,11 +1415,9 @@ impl GekkoClient {
             ));
         }
 
-        // Holes read as zeros: pre-zero the buffer, copy what returns.
         // The gather submits one read batch per group before waiting
         // on any reply, so every daemon streams its chunks back
         // concurrently.
-        let mut out = vec![0u8; effective as usize];
         let deadline = self.ring.op_deadline();
         let nodes = self.ring.nodes();
         let inflight: Vec<_> = per_primary
@@ -1428,23 +1433,36 @@ impl GekkoClient {
                 (batch, chain, first)
             })
             .collect();
+        // What each piece resolved to: a view into the reply frame
+        // that carried it.
+        let mut found: Vec<Option<Bytes>> = vec![None; pieces.len()];
         for (batch, chain, first) in inflight {
-            self.read_chain(path, &batch, &chain, first, deadline, &mut out)?;
+            self.read_chain(path, &batch, &chain, first, deadline, &mut found)?;
+        }
+        // Assemble front to back: returned bytes are appended once into
+        // capacity reserved up front, and only what no daemon returned —
+        // holes and short tails — is zero-filled.
+        let mut out = Vec::with_capacity(effective as usize);
+        for (p, data) in pieces.iter().zip(&found) {
+            if let Some(data) = data {
+                out.extend_from_slice(data);
+            }
+            out.resize((p.buf_offset + p.len) as usize, 0);
         }
         Ok(out)
     }
 
-    /// Merge one daemon's reply into the scatter buffer: each op the
-    /// daemon holds a chunk for is copied into place at its buffer
-    /// offset and marked resolved; ops the daemon flagged *absent*
-    /// stay unresolved for the next chain member. The reply's bulk is
-    /// dense in op order regardless of resolution, so the cursor
-    /// always advances by `lens[i]`.
+    /// Merge one daemon's reply into the read's per-piece resolution:
+    /// each op the daemon holds a chunk for resolves its piece to the
+    /// view of the reply bulk that carries its bytes (a refcount, not a
+    /// copy); ops the daemon flagged *absent* stay unresolved for the
+    /// next chain member. The reply's bulk is dense in op order
+    /// regardless of resolution, so the cursor always advances by
+    /// `lens[i]`.
     fn absorb_read(
-        batch: &[(u64, ChunkOp)],
+        batch: &[(usize, ChunkOp)],
         reply: &ChunkReadReply,
-        resolved: &mut [bool],
-        out: &mut [u8],
+        found: &mut [Option<Bytes>],
     ) -> Result<()> {
         if reply.lens.len() != batch.len() {
             return Err(GkfsError::Rpc(format!(
@@ -1454,7 +1472,7 @@ impl GekkoClient {
             )));
         }
         let mut cursor = 0usize;
-        for (i, (buf_off, op)) in batch.iter().enumerate() {
+        for (i, (piece, op)) in batch.iter().enumerate() {
             let got = reply.lens[i] as usize;
             if reply.lens[i] > op.len || cursor + got > reply.bulk.len() {
                 return Err(GkfsError::Rpc(format!(
@@ -1462,10 +1480,8 @@ impl GekkoClient {
                     op.chunk_id
                 )));
             }
-            if !reply.missing[i] && !resolved[i] {
-                out[*buf_off as usize..*buf_off as usize + got]
-                    .copy_from_slice(&reply.bulk[cursor..cursor + got]);
-                resolved[i] = true;
+            if !reply.missing[i] && found[*piece].is_none() {
+                found[*piece] = Some(reply.bulk.slice(cursor..cursor + got));
             }
             cursor += got;
         }
@@ -1486,28 +1502,31 @@ impl GekkoClient {
     /// future to be driven with the full remaining deadline once the
     /// chain is exhausted.
     ///
-    /// Ops no member resolved: if every chain member answered — all
-    /// flagged the chunk absent — the hole is authoritative and the
-    /// pre-zeroed buffer stands. If any member was unreachable the
+    /// Each op resolves `found[piece]`, the slot of the piece it
+    /// reads. Ops no member resolved leave theirs `None`: if every
+    /// chain member answered — all flagged the chunk absent — the hole
+    /// is authoritative and the caller zero-fills it. If any member was
+    /// unreachable the
     /// read fails with that member's error instead: the data may live
     /// exactly there, and an error beats silently returning zeros for
     /// an acknowledged write.
     fn read_chain(
         &self,
         path: &str,
-        batch: &[(u64, ChunkOp)],
+        batch: &[(usize, ChunkOp)],
         chain: &[NodeId],
-        first: Result<ReplyFuture<ChunkReadReply>>,
+        first: Result<ReplyFuture<'_, ChunkReadReply>>,
         deadline: Deadline,
-        out: &mut [u8],
+        found: &mut [Option<Bytes>],
     ) -> Result<()> {
-        let mut resolved = vec![false; batch.len()];
         if chain.len() == 1 {
             // Replication off (or a 1-member set): the sole copy is
             // authoritative, absent simply is a hole.
             let reply = first?.wait_deadline(deadline)?;
-            return Self::absorb_read(batch, &reply, &mut resolved, out);
+            return Self::absorb_read(batch, &reply, found);
         }
+        let all_resolved =
+            |found: &[Option<Bytes>]| batch.iter().all(|(piece, _)| found[*piece].is_some());
         let hedge = self
             .repl
             .hedge_after()
@@ -1515,7 +1534,7 @@ impl GekkoClient {
         // Every hedge-expired future is kept and driven below — for
         // the authoritative-hole rule each chain member must be heard
         // from (or count as an error), not just the earliest.
-        let mut pending: Vec<ReplyFuture<ChunkReadReply>> = Vec::new();
+        let mut pending: Vec<ReplyFuture<'_, ChunkReadReply>> = Vec::new();
         let mut last_err: Option<GkfsError> = None;
         let mut fut_res = first;
         let mut idx = 0usize;
@@ -1526,14 +1545,14 @@ impl GekkoClient {
                     if last && pending.is_empty() {
                         // Nothing left to hedge to: spend the budget.
                         match fut.wait_deadline(deadline) {
-                            Ok(reply) => Self::absorb_read(batch, &reply, &mut resolved, out)?,
+                            Ok(reply) => Self::absorb_read(batch, &reply, found)?,
                             Err(e) => last_err = Some(e),
                         }
                     } else {
                         match fut.wait_hedge(hedge) {
                             Hedge::Ready(Ok(reply)) => {
-                                Self::absorb_read(batch, &reply, &mut resolved, out)?;
-                                if resolved.iter().all(|&r| r) {
+                                Self::absorb_read(batch, &reply, found)?;
+                                if all_resolved(found) {
                                     return Ok(());
                                 }
                             }
@@ -1552,27 +1571,28 @@ impl GekkoClient {
             fut_res = self.ring.read_chunks_nb(chain[idx], path, ops);
         }
         for p in pending {
-            if resolved.iter().all(|&r| r) {
+            if all_resolved(found) {
                 break;
             }
             match p.wait_deadline(deadline) {
-                Ok(reply) => Self::absorb_read(batch, &reply, &mut resolved, out)?,
+                Ok(reply) => Self::absorb_read(batch, &reply, found)?,
                 Err(e) => last_err = Some(e),
             }
         }
-        if resolved.iter().all(|&r| r) {
-            return Ok(());
-        }
         match last_err {
-            // Every member answered; the unresolved ops are holes.
-            None => Ok(()),
-            Some(e) => Err(e),
+            // A member that may hold the data never answered.
+            Some(e) if !all_resolved(found) => Err(e),
+            // All resolved, or every member answered and the
+            // unresolved ops are holes.
+            _ => Ok(()),
         }
     }
 
     /// Send one displaced or forced write-back run to the daemons.
     /// Called with no locks held — the run was taken out under the
-    /// buffer lock and the guard dropped before any RPC (GKL002).
+    /// buffer lock and the guard dropped before any RPC (GKL002). The
+    /// run is owned here and lent to the write path as it is: the
+    /// fan-out borrows sub-slices of `run.data`, it does not copy them.
     fn flush_run(&self, file: &OpenFile, run: WbRun) -> Result<()> {
         self.stats.wb_flushes.fetch_add(1, Ordering::Relaxed);
         let end = run.end();
@@ -1872,14 +1892,15 @@ impl FileHandle<'_> {
             return Err(GkfsError::IsDirectory);
         }
         c.stats.read_ops.fetch_add(1, Ordering::Relaxed);
-        // Snapshot the buffered run once: the same bytes answer the
+        // Look at the buffered run once: the same state answers the
         // EOF question and the overlay below, even if a concurrent
-        // flush empties the buffer in between.
-        let overlay = self.file.wb.lock().snapshot();
-        let size = self
-            .file
-            .cached_size()
-            .max(overlay.as_ref().map_or(0, |r| r.end()));
+        // flush empties the buffer in between. Only the bytes this
+        // read overlaps are copied out.
+        let (wb_end, overlay) = {
+            let wb = self.file.wb.lock();
+            (wb.end(), wb.snapshot(offset, len as u64))
+        };
+        let size = self.file.cached_size().max(wb_end.unwrap_or(0));
         c.stats
             .size_cache_hits
             .fetch_add(1, Ordering::Relaxed);
@@ -1889,14 +1910,11 @@ impl FileHandle<'_> {
         let effective = (len as u64).min(size - offset);
         let mut out = c.read_scatter(&self.file.path, offset, effective)?;
         if let Some(run) = overlay {
-            let lo = offset.max(run.start);
-            let hi = (offset + effective).min(run.end());
-            if lo < hi {
-                let src = (lo - run.start) as usize;
-                let dst = (lo - offset) as usize;
-                let n = (hi - lo) as usize;
-                out[dst..dst + n].copy_from_slice(&run.data[src..src + n]);
-            }
+            // Within the result: `size` covers the run's end, so the
+            // overlap with `[offset, offset + len)` ends inside
+            // `[offset, offset + effective)`.
+            let dst = (run.start - offset) as usize;
+            out[dst..dst + run.data.len()].copy_from_slice(&run.data);
         }
         c.stats
             .bytes_read

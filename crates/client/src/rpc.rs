@@ -145,13 +145,13 @@ pub struct NodeHealthSnapshot {
 /// (or terminally failed) within the hedge window, or the future is
 /// handed back still pending so the caller can race a replica.
 #[allow(clippy::large_enum_variant)] // transient stack value, consumed by the caller immediately
-pub enum Hedge<T> {
+pub enum Hedge<'a, T> {
     /// The RPC completed — decoded value or terminal error.
     Ready(Result<T>),
     /// The hedge window elapsed (or a retryable failure occurred).
     /// The carried future can still be driven to completion with
     /// [`ReplyFuture::wait_deadline`] as a last resort.
-    Pending(ReplyFuture<T>),
+    Pending(ReplyFuture<'a, T>),
 }
 
 /// A typed in-flight RPC: the nonblocking half of a [`DaemonRing`]
@@ -164,7 +164,13 @@ pub enum Hedge<T> {
 /// construction: it is carried inside the future and retried at
 /// `wait`, so fan-out call sites keep their submit-all-then-wait-all
 /// shape even while a daemon flaps.
-pub struct ReplyFuture<T> {
+///
+/// `'a` is how long the request's bulk payload is borrowed for: a
+/// chunk write sends sub-slices of the caller's buffer
+/// ([`DaemonRing::write_chunks_nb`]) and a retry sends the same slices
+/// again, so the future cannot outlive that buffer. Every other
+/// operation owns all it sends and returns `ReplyFuture<'static, _>`.
+pub struct ReplyFuture<'a, T> {
     /// Outcome of attempt 0's submission.
     state: Result<ReplyHandle>,
     timeout: Duration,
@@ -175,8 +181,8 @@ pub struct ReplyFuture<T> {
     salt: u64,
     health: Arc<NodeHealth>,
     /// Re-submission closure for attempts ≥ 1 (checks the breaker,
-    /// clones the cheap refcounted body/bulk).
-    submit: Box<dyn Fn() -> Result<ReplyHandle> + Send>,
+    /// clones the cheap refcounted body, re-borrows the bulk).
+    submit: Box<dyn Fn() -> Result<ReplyHandle> + Send + 'a>,
     /// Idempotency tolerance: maps an application error on a *retried*
     /// attempt to a success value when it proves the first attempt was
     /// applied (lost-reply semantics).
@@ -188,7 +194,7 @@ pub struct ReplyFuture<T> {
     decode: Box<dyn Fn(Response, u32) -> Result<T> + Send>,
 }
 
-impl<T> ReplyFuture<T> {
+impl<'a, T> ReplyFuture<'a, T> {
     /// Block until the reply arrives (retrying transport failures
     /// under this future's own per-operation deadline) and decode it.
     pub fn wait(self) -> Result<T> {
@@ -284,7 +290,7 @@ impl<T> ReplyFuture<T> {
     /// future can be driven to completion later with
     /// [`ReplyFuture::wait_deadline`] (which resubmits, since chunk
     /// reads are idempotent).
-    pub fn wait_hedge(mut self, window: Duration) -> Hedge<T> {
+    pub fn wait_hedge(mut self, window: Duration) -> Hedge<'a, T> {
         // Take the handle out; on a pending outcome the future is
         // handed back with a retryable state so wait_deadline
         // resubmits.
@@ -359,6 +365,10 @@ pub struct DaemonRing {
     /// through [`DaemonRing::unary_tol`], so this is the ground truth
     /// the RPC-count regression gate and `ClientStats` report.
     rpcs: Arc<AtomicU64>,
+    /// Bulk bytes copied on the way to a transport: what
+    /// [`Endpoint::submit_gather`] had to concatenate because the
+    /// endpoint could not send borrowed segments (zero over TCP).
+    gather_copies: Arc<AtomicU64>,
 }
 
 impl DaemonRing {
@@ -401,6 +411,7 @@ impl DaemonRing {
             detector,
             salts: AtomicU64::new(0),
             rpcs: Arc::new(AtomicU64::new(0)),
+            gather_copies: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -414,6 +425,12 @@ impl DaemonRing {
     /// `gkfs-cli df` can observe RPCs-per-op.
     pub fn rpc_counter(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.rpcs)
+    }
+
+    /// The shared gather-copy byte counter (see
+    /// [`crate::client::ClientStats::write_gather_copy_bytes`]).
+    pub fn gather_copy_counter(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.gather_copies)
     }
 
     /// Logical RPCs issued so far.
@@ -472,22 +489,23 @@ impl DaemonRing {
     }
 
     /// The one generic nonblocking wrapper every opcode reduces to:
-    /// encode is done by the caller (a body plus optional bulk), the
-    /// typed decode runs at [`ReplyFuture::wait`]. `tolerate` is the
+    /// encode is done by the caller (a body, plus the bulk payload as
+    /// borrowed segments in wire order — empty for none), the typed
+    /// decode runs at [`ReplyFuture::wait`]. `tolerate` is the
     /// idempotency escape hatch described on [`ReplyFuture`].
     ///
     /// Fails immediately only on a misrouted node id; a failed or
     /// breaker-denied submission is carried inside the returned future
     /// and retried (or surfaced) at wait time.
-    fn unary_tol<T>(
+    fn unary_tol<'a, T>(
         &self,
         node: NodeId,
         op: Opcode,
         body: impl Into<Bytes>,
-        bulk: Bytes,
+        bulk: Vec<&'a [u8]>,
         tolerate: Option<Tolerate<T>>,
         decode: impl Fn(Response) -> Result<T> + Send + 'static,
-    ) -> Result<ReplyFuture<T>> {
+    ) -> Result<ReplyFuture<'a, T>> {
         self.unary_attempt(node, op, body, bulk, tolerate, move |resp, _| decode(resp))
     }
 
@@ -495,15 +513,15 @@ impl DaemonRing {
     /// number. Batched operations need this: their per-op errors travel
     /// *inside* an `Ok` frame, so lost-reply tolerance must run in the
     /// decoder, not the frame-level `tolerate` hook.
-    fn unary_attempt<T>(
+    fn unary_attempt<'a, T>(
         &self,
         node: NodeId,
         op: Opcode,
         body: impl Into<Bytes>,
-        bulk: Bytes,
+        bulk: Vec<&'a [u8]>,
         tolerate: Option<Tolerate<T>>,
         decode: impl Fn(Response, u32) -> Result<T> + Send + 'static,
-    ) -> Result<ReplyFuture<T>> {
+    ) -> Result<ReplyFuture<'a, T>> {
         let ep = Arc::clone(self.ep(node)?);
         let health = Arc::clone(&self.health[node]);
         self.rpcs.fetch_add(1, Ordering::Relaxed);
@@ -511,14 +529,27 @@ impl DaemonRing {
         let body: Bytes = body.into();
         let submit = {
             let health = Arc::clone(&health);
+            let gather_copies = Arc::clone(&self.gather_copies);
             Box::new(move || {
                 if !health.breaker.allow() {
                     return Err(GkfsError::Unavailable(format!(
                         "node {node}: circuit breaker open"
                     )));
                 }
-                // Bytes clones are refcount bumps, not copies.
-                ep.submit(Request::new(op, body.clone()).with_bulk(bulk.clone()))
+                // The body clone is a refcount bump, not a copy.
+                let req = Request::new(op, body.clone());
+                if bulk.is_empty() {
+                    return ep.submit(req);
+                }
+                // Every attempt borrows the caller's buffer afresh;
+                // whatever the endpoint had to copy is on the record.
+                let before = gkfs_rpc::transport::gather_copy_bytes();
+                let handle = ep.submit_gather(req, &bulk);
+                gather_copies.fetch_add(
+                    gkfs_rpc::transport::gather_copy_bytes() - before,
+                    Ordering::Relaxed,
+                );
+                handle
             })
         };
         let state = submit();
@@ -537,14 +568,14 @@ impl DaemonRing {
 
     /// [`DaemonRing::unary_tol`] without tolerance — safe default for
     /// idempotent operations (reads, writes, stat, size updates …).
-    fn unary_nb<T>(
+    fn unary_nb<'a, T>(
         &self,
         node: NodeId,
         op: Opcode,
         body: impl Into<Bytes>,
-        bulk: Bytes,
+        bulk: Vec<&'a [u8]>,
         decode: impl Fn(Response) -> Result<T> + Send + 'static,
-    ) -> Result<ReplyFuture<T>> {
+    ) -> Result<ReplyFuture<'a, T>> {
         self.unary_tol(node, op, body, bulk, None, decode)
     }
 
@@ -556,7 +587,7 @@ impl DaemonRing {
         body: impl Into<Bytes>,
         decode: impl Fn(Response) -> Result<T> + Send + 'static,
     ) -> Result<T> {
-        self.unary_nb(node, op, body, Bytes::new(), decode)?.wait()
+        self.unary_nb(node, op, body, Vec::new(), decode)?.wait()
     }
 
     /// Submit `f(node)` to every node, then wait for all replies in
@@ -565,12 +596,12 @@ impl DaemonRing {
     /// spawns. The whole broadcast shares **one** operation deadline.
     /// Used for broadcast operations (readdir, remove, truncate,
     /// stats, fsck inventory).
-    pub fn broadcast<T, F>(&self, f: F) -> Vec<Result<T>>
+    pub fn broadcast<'a, T, F>(&self, f: F) -> Vec<Result<T>>
     where
-        F: Fn(NodeId) -> Result<ReplyFuture<T>>,
+        F: Fn(NodeId) -> Result<ReplyFuture<'a, T>>,
     {
         let deadline = self.op_deadline();
-        let inflight: Vec<Result<ReplyFuture<T>>> = (0..self.nodes()).map(f).collect();
+        let inflight: Vec<Result<ReplyFuture<'a, T>>> = (0..self.nodes()).map(f).collect();
         inflight
             .into_iter()
             .map(|fut| fut.and_then(|fut| fut.wait_deadline(deadline)))
@@ -583,8 +614,8 @@ impl DaemonRing {
     }
 
     /// Nonblocking [`DaemonRing::ping`].
-    pub fn ping_nb(&self, node: NodeId) -> Result<ReplyFuture<()>> {
-        self.unary_nb(node, Opcode::Ping, Bytes::new(), Bytes::new(), |_| Ok(()))
+    pub fn ping_nb(&self, node: NodeId) -> Result<ReplyFuture<'static, ()>> {
+        self.unary_nb(node, Opcode::Ping, Bytes::new(), Vec::new(), |_| Ok(()))
     }
 
     /// Create. Not idempotent — a lost reply leaves the entry behind —
@@ -613,7 +644,7 @@ impl DaemonRing {
         mode: u32,
         exclusive: bool,
         now_ns: u64,
-    ) -> Result<ReplyFuture<()>> {
+    ) -> Result<ReplyFuture<'static, ()>> {
         let req = CreateReq {
             path: path.to_string(),
             kind: match kind {
@@ -628,7 +659,7 @@ impl DaemonRing {
             node,
             Opcode::Create,
             req.encode(),
-            Bytes::new(),
+            Vec::new(),
             Some(Box::new(|e| {
                 matches!(e, GkfsError::Exists).then_some(())
             })),
@@ -653,12 +684,16 @@ impl DaemonRing {
 
     /// Nonblocking [`DaemonRing::remove_meta`] (metadata-replica
     /// fan-out).
-    pub fn remove_meta_nb(&self, node: NodeId, path: &str) -> Result<ReplyFuture<FileKind>> {
+    pub fn remove_meta_nb(
+        &self,
+        node: NodeId,
+        path: &str,
+    ) -> Result<ReplyFuture<'static, FileKind>> {
         self.unary_tol(
             node,
             Opcode::RemoveMeta,
             PathReq::new(path).encode(),
-            Bytes::new(),
+            Vec::new(),
             Some(Box::new(|e| {
                 matches!(e, GkfsError::NotFound).then_some(FileKind::File)
             })),
@@ -681,13 +716,13 @@ impl DaemonRing {
         path: &str,
         size: u64,
         mtime_ns: u64,
-    ) -> Result<ReplyFuture<()>> {
+    ) -> Result<ReplyFuture<'static, ()>> {
         let req = UpdateSizeReq {
             path: path.to_string(),
             size,
             mtime_ns,
         };
-        self.unary_nb(node, Opcode::UpdateSize, req.encode(), Bytes::new(), |_| {
+        self.unary_nb(node, Opcode::UpdateSize, req.encode(), Vec::new(), |_| {
             Ok(())
         })
     }
@@ -705,13 +740,13 @@ impl DaemonRing {
         path: &str,
         new_size: u64,
         mtime_ns: u64,
-    ) -> Result<ReplyFuture<()>> {
+    ) -> Result<ReplyFuture<'static, ()>> {
         let req = TruncateMetaReq {
             path: path.to_string(),
             new_size,
             mtime_ns,
         };
-        self.unary_nb(node, Opcode::TruncateMeta, req.encode(), Bytes::new(), |_| {
+        self.unary_nb(node, Opcode::TruncateMeta, req.encode(), Vec::new(), |_| {
             Ok(())
         })
     }
@@ -740,13 +775,13 @@ impl DaemonRing {
         dir: &str,
         cursor: &str,
         max_entries: u32,
-    ) -> Result<ReplyFuture<(Vec<Dirent>, String)>> {
+    ) -> Result<ReplyFuture<'static, (Vec<Dirent>, String)>> {
         let req = ReaddirReq {
             dir: dir.to_string(),
             cursor: cursor.to_string(),
             max_entries,
         };
-        self.unary_nb(node, Opcode::ReadDir, req.encode(), Bytes::new(), |resp| {
+        self.unary_nb(node, Opcode::ReadDir, req.encode(), Vec::new(), |resp| {
             let r = ReadDirResp::decode(&resp.body)?;
             let entries = r
                 .entries
@@ -779,7 +814,7 @@ impl DaemonRing {
         &self,
         node: NodeId,
         ops: Vec<MetaOp>,
-    ) -> Result<ReplyFuture<Vec<MetaOpResult>>> {
+    ) -> Result<ReplyFuture<'static, Vec<MetaOpResult>>> {
         let req = BatchMetaReq { ops };
         let body = req.encode();
         let ops = req.ops;
@@ -787,7 +822,7 @@ impl DaemonRing {
             node,
             Opcode::BatchMeta,
             body,
-            Bytes::new(),
+            Vec::new(),
             None,
             move |resp, attempt| {
                 let r = BatchMetaResp::decode(&resp.body)?;
@@ -818,27 +853,29 @@ impl DaemonRing {
         )
     }
 
-    /// Write one batch of chunks; `bulk` is the concatenated data in
-    /// op order. Chunk writes are idempotent (same data, same place),
-    /// so they retry freely.
+    /// Write one batch of chunks; `bulk`, concatenated, is the data in
+    /// op order — typically one borrowed sub-slice of the caller's
+    /// buffer per op, which a TCP endpoint sends from where it lies.
+    /// Chunk writes are idempotent (same data, same place), so they
+    /// retry freely, each attempt from the same borrowed slices.
     pub fn write_chunks(
         &self,
         node: NodeId,
         path: &str,
         ops: Vec<ChunkOp>,
-        bulk: Bytes,
+        bulk: Vec<&[u8]>,
     ) -> Result<()> {
         self.write_chunks_nb(node, path, ops, bulk)?.wait()
     }
 
     /// Nonblocking [`DaemonRing::write_chunks`] (write fan-out).
-    pub fn write_chunks_nb(
+    pub fn write_chunks_nb<'a>(
         &self,
         node: NodeId,
         path: &str,
         ops: Vec<ChunkOp>,
-        bulk: Bytes,
-    ) -> Result<ReplyFuture<()>> {
+        bulk: Vec<&'a [u8]>,
+    ) -> Result<ReplyFuture<'a, ()>> {
         let req = ChunkBatchReq {
             path: path.to_string(),
             ops,
@@ -863,13 +900,13 @@ impl DaemonRing {
         node: NodeId,
         path: &str,
         ops: Vec<ChunkOp>,
-    ) -> Result<ReplyFuture<ChunkReadReply>> {
+    ) -> Result<ReplyFuture<'static, ChunkReadReply>> {
         let n_ops = ops.len();
         let req = ChunkBatchReq {
             path: path.to_string(),
             ops,
         };
-        self.unary_nb(node, Opcode::ReadChunks, req.encode(), Bytes::new(), move |resp| {
+        self.unary_nb(node, Opcode::ReadChunks, req.encode(), Vec::new(), move |resp| {
             let r = ReadChunksResp::decode(&resp.body)?;
             if r.lens.len() != n_ops || r.missing.len() != n_ops {
                 return Err(GkfsError::Rpc(format!(
@@ -894,12 +931,12 @@ impl DaemonRing {
     }
 
     /// Nonblocking [`DaemonRing::remove_chunks`] (unlink fan-out).
-    pub fn remove_chunks_nb(&self, node: NodeId, path: &str) -> Result<ReplyFuture<()>> {
+    pub fn remove_chunks_nb(&self, node: NodeId, path: &str) -> Result<ReplyFuture<'static, ()>> {
         self.unary_nb(
             node,
             Opcode::RemoveChunks,
             PathReq::new(path).encode(),
-            Bytes::new(),
+            Vec::new(),
             |_| Ok(()),
         )
     }
@@ -923,13 +960,13 @@ impl DaemonRing {
         path: &str,
         keep_chunk: u64,
         keep_bytes: u64,
-    ) -> Result<ReplyFuture<()>> {
+    ) -> Result<ReplyFuture<'static, ()>> {
         let req = TruncateChunksReq {
             path: path.to_string(),
             keep_chunk,
             keep_bytes,
         };
-        self.unary_nb(node, Opcode::TruncateChunks, req.encode(), Bytes::new(), |_| {
+        self.unary_nb(node, Opcode::TruncateChunks, req.encode(), Vec::new(), |_| {
             Ok(())
         })
     }
@@ -940,12 +977,15 @@ impl DaemonRing {
     }
 
     /// Nonblocking [`DaemonRing::chunk_inventory`] (fsck broadcast).
-    pub fn chunk_inventory_nb(&self, node: NodeId) -> Result<ReplyFuture<Vec<(String, u64)>>> {
+    pub fn chunk_inventory_nb(
+        &self,
+        node: NodeId,
+    ) -> Result<ReplyFuture<'static, Vec<(String, u64)>>> {
         self.unary_nb(
             node,
             Opcode::ChunkInventory,
             Bytes::new(),
-            Bytes::new(),
+            Vec::new(),
             |resp| Ok(ChunkInventoryResp::decode(&resp.body)?.entries),
         )
     }
@@ -957,12 +997,12 @@ impl DaemonRing {
 
     /// Nonblocking [`DaemonRing::daemon_stats`] (cluster-stats
     /// broadcast).
-    pub fn daemon_stats_nb(&self, node: NodeId) -> Result<ReplyFuture<DaemonStatsResp>> {
+    pub fn daemon_stats_nb(&self, node: NodeId) -> Result<ReplyFuture<'static, DaemonStatsResp>> {
         self.unary_nb(
             node,
             Opcode::DaemonStats,
             Bytes::new(),
-            Bytes::new(),
+            Vec::new(),
             |resp| DaemonStatsResp::decode(&resp.body),
         )
     }
@@ -1173,6 +1213,71 @@ mod tests {
             Err(GkfsError::Exists) => {}
             other => panic!("fresh duplicate create must fail: {other:?}"),
         }
+    }
+
+    #[test]
+    fn retried_chunk_write_resends_the_borrowed_segments() {
+        // Over real TCP, a chunk write whose first reply is lost to a
+        // severed connection is sent again from the same borrowed
+        // slices: the daemon sees the identical payload twice, and no
+        // attempt copied a byte on the way to the socket.
+        use std::sync::{Mutex, OnceLock};
+        let seen = Arc::new(Mutex::new(Vec::<Vec<u8>>::new()));
+        let server_slot = Arc::new(OnceLock::<Arc<gkfs_rpc::TcpServer>>::new());
+        let mut reg = gkfs_rpc::HandlerRegistry::new();
+        {
+            let seen = Arc::clone(&seen);
+            let server_slot = Arc::clone(&server_slot);
+            reg.register_fn(Opcode::WriteChunks, move |req| {
+                let mut seen = seen.lock().unwrap();
+                seen.push(req.bulk.to_vec());
+                if seen.len() == 1 {
+                    // Applied, but the reply will find its socket gone.
+                    server_slot.get().unwrap().sever_connections();
+                }
+                gkfs_rpc::Response::ok(Bytes::new())
+            });
+        }
+        let server = gkfs_rpc::TcpServer::bind("127.0.0.1:0", reg, 1).unwrap();
+        assert!(server_slot.set(Arc::clone(&server)).is_ok());
+        let ep: Arc<dyn Endpoint> =
+            gkfs_rpc::TcpEndpoint::connect(&server.local_addr().to_string()).unwrap();
+        let ring = make_ring_of(vec![ep], test_retry(8));
+
+        let data: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
+        let ops = vec![
+            ChunkOp { chunk_id: 0, offset: 0, len: 100_000 },
+            ChunkOp { chunk_id: 2, offset: 0, len: 200_000 },
+        ];
+        ring.write_chunks(0, "/retried", ops, vec![&data[..100_000], &data[100_000..]])
+            .unwrap();
+
+        let seen = seen.lock().unwrap();
+        assert!(seen.len() >= 2, "the lost reply must force a resend");
+        for (attempt, bulk) in seen.iter().enumerate() {
+            assert!(bulk == &data, "attempt {attempt} carried different bytes");
+        }
+        assert!(ring.node_health(0).unwrap().retries() >= 1);
+        assert!(ring.reconnects(0) >= 1, "the resend used a fresh connection");
+        assert_eq!(ring.gather_copy_counter().load(Ordering::Relaxed), 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn inproc_chunk_write_copies_each_byte_once() {
+        // The control for the zero above: an endpoint that cannot send
+        // borrowed segments concatenates them, and the ring counts it.
+        let mut reg = gkfs_rpc::HandlerRegistry::new();
+        reg.register_fn(Opcode::WriteChunks, |req| {
+            gkfs_rpc::Response::ok(Bytes::new()).with_bulk(req.bulk)
+        });
+        let server = gkfs_rpc::RpcServer::new(reg, 1);
+        let ring = make_ring_of(vec![server.endpoint()], test_retry(1));
+        let data = vec![7u8; 5000];
+        let ops = vec![ChunkOp { chunk_id: 0, offset: 0, len: 5000 }];
+        ring.write_chunks(0, "/copied", ops, vec![&data[..1000], &data[1000..]])
+            .unwrap();
+        assert_eq!(ring.gather_copy_counter().load(Ordering::Relaxed), 5000);
     }
 
     #[test]

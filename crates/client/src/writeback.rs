@@ -148,10 +148,20 @@ impl WbBuf {
         self.run.take()
     }
 
-    /// Clone of the pending run, for read overlay (the run stays
-    /// buffered; reads must see buffered bytes without forcing I/O).
-    pub fn snapshot(&self) -> Option<WbRun> {
-        self.run.clone()
+    /// The part of the pending run inside `[offset, offset + len)`,
+    /// copied out for read overlay (the run stays buffered; reads must
+    /// see buffered bytes without forcing I/O). `None` when the run and
+    /// the range are disjoint — a read elsewhere in the file costs
+    /// nothing here, and one that overlaps copies only the overlap,
+    /// never the whole run.
+    pub fn snapshot(&self, offset: u64, len: u64) -> Option<WbRun> {
+        let run = self.run.as_ref()?;
+        let lo = offset.max(run.start);
+        let hi = offset.saturating_add(len).min(run.end());
+        (lo < hi).then(|| WbRun {
+            start: lo,
+            data: run.data[(lo - run.start) as usize..(hi - run.start) as usize].to_vec(),
+        })
     }
 }
 
@@ -186,12 +196,12 @@ mod tests {
         let mut b = WbBuf::new(64);
         b.offer(10, b"xxxxxxxx");
         b.offer(12, b"AB");
-        let run = b.snapshot().unwrap();
+        let run = b.snapshot(0, u64::MAX).unwrap();
         assert_eq!(run.start, 10);
         assert_eq!(run.data, b"xxABxxxx");
         // Overwrite extending past the tail grows the run.
         b.offer(16, b"tailtail");
-        assert_eq!(b.snapshot().unwrap().data, b"xxABxxtailtail");
+        assert_eq!(b.snapshot(0, u64::MAX).unwrap().data, b"xxABxxtailtail");
         assert_eq!(b.end(), Some(24));
     }
 
@@ -208,7 +218,25 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(b.snapshot().unwrap().start, 1000);
+        assert_eq!(b.snapshot(0, u64::MAX).unwrap().start, 1000);
+    }
+
+    #[test]
+    fn snapshot_returns_only_the_overlap() {
+        let mut b = WbBuf::new(64);
+        assert_eq!(b.snapshot(0, 100), None, "nothing buffered");
+        b.offer(100, b"0123456789");
+        // Disjoint on either side, including ranges that only touch.
+        assert_eq!(b.snapshot(0, 100), None);
+        assert_eq!(b.snapshot(110, 50), None);
+        assert_eq!(b.snapshot(105, 0), None);
+        // Head, middle, tail and covering overlaps.
+        let part = |off, len| b.snapshot(off, len).map(|r| (r.start, r.data));
+        assert_eq!(part(90, 13), Some((100, b"012".to_vec())));
+        assert_eq!(part(103, 4), Some((103, b"3456".to_vec())));
+        assert_eq!(part(108, 500), Some((108, b"89".to_vec())));
+        assert_eq!(part(0, u64::MAX), Some((100, b"0123456789".to_vec())));
+        assert_eq!(b.len(), 10, "the run stays buffered");
     }
 
     #[test]

@@ -261,10 +261,8 @@ impl<'a> Decoder<'a> {
 /// (and unmodified) until the call returns; the writer never stashes
 /// them.
 ///
-/// Partial writes are handled by advancing through the logical slice
-/// list (`IoSlice::advance_slices` is still unstable-adjacent in spirit;
-/// we rebuild the iovec from the current cursor instead, which also
-/// keeps the borrow local). `Interrupted` is retried.
+/// Partial writes resume from the exact byte reached; `Interrupted` is
+/// retried.
 pub struct FrameWriter<'a> {
     segments: Vec<&'a [u8]>,
     payload_len: usize,
@@ -318,43 +316,75 @@ impl<'a> FrameWriter<'a> {
         }
         let trailer = crc.to_le_bytes();
 
-        let mut slices: Vec<&[u8]> = Vec::with_capacity(self.segments.len() + 2);
-        slices.push(&header);
-        slices.extend(self.segments.iter().copied());
-        slices.push(&trailer);
+        // Header, segments, trailer as one slice list plus the iovec
+        // array handed to the kernel. Every control frame and every
+        // chunk batch of up to INLINE_SEGMENTS pieces keeps both on
+        // the stack; only wider gathers pay for two `Vec`s.
+        let n = self.segments.len() + 2;
+        if self.segments.len() <= INLINE_SEGMENTS {
+            let mut slices: [&[u8]; INLINE_SEGMENTS + 2] = [&[]; INLINE_SEGMENTS + 2];
+            slices[0] = &header;
+            slices[1..n - 1].copy_from_slice(&self.segments);
+            slices[n - 1] = &trailer;
+            let mut iov = [std::io::IoSlice::new(&[]); INLINE_SEGMENTS + 2];
+            write_all_vectored(w, &slices[..n], &mut iov[..n])
+        } else {
+            let mut slices: Vec<&[u8]> = Vec::with_capacity(n);
+            slices.push(&header);
+            slices.extend_from_slice(&self.segments);
+            slices.push(&trailer);
+            let mut iov = vec![std::io::IoSlice::new(&[]); n];
+            write_all_vectored(w, &slices, &mut iov)
+        }
+    }
+}
 
-        let mut idx = 0usize; // current slice
-        let mut off = 0usize; // bytes of slices[idx] already written
-        let mut iov: Vec<std::io::IoSlice<'_>> = Vec::with_capacity(slices.len());
-        while idx < slices.len() {
-            iov.clear();
-            iov.push(std::io::IoSlice::new(&slices[idx][off..]));
-            iov.extend(slices[idx + 1..].iter().map(|s| std::io::IoSlice::new(s)));
-            let mut n = match w.write_vectored(&iov) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "wrote zero bytes of frame",
-                    ));
-                }
-                Ok(n) => n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            while n > 0 && idx < slices.len() {
-                let rem = slices[idx].len() - off;
-                if n < rem {
-                    off += n;
-                    n = 0;
-                } else {
-                    n -= rem;
-                    idx += 1;
-                    off = 0;
-                }
+/// Segment count up to which [`FrameWriter::write_to`] builds its
+/// slice list and iovec array on the stack.
+const INLINE_SEGMENTS: usize = 8;
+
+/// Write every byte of `slices`, in order, with vectored writes. `iov`
+/// is caller-provided scratch of the same length. Partial writes are
+/// handled by advancing a (slice, offset) cursor and re-pointing the
+/// first live iovec at the unwritten rest of its slice
+/// (`IoSlice::advance_slices` would consume the array instead);
+/// `Interrupted` is retried.
+fn write_all_vectored<'s>(
+    w: &mut impl std::io::Write,
+    slices: &[&'s [u8]],
+    iov: &mut [std::io::IoSlice<'s>],
+) -> std::io::Result<()> {
+    for (v, s) in iov.iter_mut().zip(slices) {
+        *v = std::io::IoSlice::new(s);
+    }
+    let mut idx = 0usize; // current slice
+    let mut off = 0usize; // bytes of slices[idx] already written
+    while idx < slices.len() {
+        iov[idx] = std::io::IoSlice::new(&slices[idx][off..]);
+        let mut n = match w.write_vectored(&iov[idx..]) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "wrote zero bytes of frame",
+                ));
+            }
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        while n > 0 && idx < slices.len() {
+            let rem = slices[idx].len() - off;
+            if n < rem {
+                off += n;
+                n = 0;
+            } else {
+                n -= rem;
+                idx += 1;
+                off = 0;
             }
         }
-        Ok(())
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -527,6 +557,30 @@ mod tests {
             let mut w = TrickleWriter { out: Vec::new(), cap, calls: 0 };
             fw.write_to(&mut w).unwrap();
             assert_eq!(w.out, contiguous_frame(&payload), "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn frame_writer_inline_and_heap_paths_agree() {
+        // 8 segments is the last count kept on the stack, 9 the first
+        // that allocates; both, and a much wider gather, must put the
+        // contiguous image on the wire whole and under short writes.
+        let payload: Vec<u8> = (0..1000u32).map(|i| (i % 239) as u8).collect();
+        for pieces in [INLINE_SEGMENTS, INLINE_SEGMENTS + 1, 40] {
+            let mut fw = FrameWriter::new();
+            for seg in payload.chunks(payload.len().div_ceil(pieces)) {
+                fw.segment(seg);
+            }
+            let mut out = Vec::new();
+            fw.write_to(&mut out).unwrap();
+            assert_eq!(out, contiguous_frame(&payload), "{pieces} pieces");
+            let mut w = TrickleWriter {
+                out: Vec::new(),
+                cap: 7,
+                calls: 0,
+            };
+            fw.write_to(&mut w).unwrap();
+            assert_eq!(w.out, contiguous_frame(&payload), "{pieces}, trickled");
         }
     }
 }

@@ -245,13 +245,15 @@ fn run() -> Result<(), GkfsError> {
                 );
                 println!(
                     "        data: {} pool tasks, {} inline runs, fd cache \
-                     {}/{} hit/miss, {} coalesced ops, {} reply copy B",
+                     {}/{} hit/miss, {} coalesced ops, {} reply copy B, \
+                     {} request copy B",
                     s.chunk_tasks_spawned,
                     s.chunk_inline_runs,
                     s.fd_cache_hits,
                     s.fd_cache_misses,
                     s.coalesced_ops,
-                    s.read_reply_copy_bytes
+                    s.read_reply_copy_bytes,
+                    s.request_copy_bytes
                 );
                 if s.meta_batches > 0 {
                     println!(

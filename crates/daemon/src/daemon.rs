@@ -54,7 +54,13 @@ impl Daemon {
             }
         };
         let engine = crate::engine::ChunkEngine::new();
-        let backends = Arc::new(Backends { meta, data, engine, repl: Default::default() });
+        let backends = Arc::new(Backends {
+            meta,
+            data,
+            engine,
+            repl: Default::default(),
+            tcp_stats: Default::default(),
+        });
         let registry = build_registry(backends.clone());
         let rpc = RpcServer::new(registry, config.handler_threads);
         gkfs_common::gkfs_info!(
@@ -93,6 +99,9 @@ impl Daemon {
         let registry = build_registry(self.backends.clone());
         let server = TcpServer::bind(addr, registry, self.config.handler_threads)?;
         let bound = server.local_addr();
+        // First server wins: its counters are the ones `DaemonStats`
+        // reports.
+        let _ = self.backends.tcp_stats.set(server.stats_handle());
         gkfs_common::gkfs_info!("daemon listening on {bound}");
         *self.tcp.lock() = Some(server);
         Ok(bound)

@@ -26,6 +26,9 @@ pub struct Backends {
     /// Replication manager, installed by `Daemon::join_cluster` after
     /// the registry is built (empty on unreplicated daemons).
     pub repl: std::sync::OnceLock<Arc<crate::replication::ReplicationManager>>,
+    /// Counters of the daemon's TCP server, installed by
+    /// `Daemon::serve_tcp` (empty on in-process-only daemons).
+    pub tcp_stats: std::sync::OnceLock<Arc<gkfs_rpc::RpcStats>>,
 }
 
 /// Wire ops → batch ops with the running-sum buffer layout the engine
@@ -326,6 +329,10 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
                     meta_batch_ops: b.meta.batch_counters().ops.load(Relaxed),
                     meta_group_applies: b.meta.batch_counters().group_applies.load(Relaxed),
                     liveness: repl.map(|m| m.liveness_bytes()).unwrap_or_default(),
+                    request_copy_bytes: b
+                        .tcp_stats
+                        .get()
+                        .map_or(0, |s| s.request_copy_bytes.load(Relaxed)),
                 };
                 Ok(Response::ok(resp.encode()))
             })
@@ -350,6 +357,7 @@ mod tests {
             data: Arc::new(MemChunkStorage::new()),
             engine: ChunkEngine::new(),
             repl: Default::default(),
+            tcp_stats: Default::default(),
         })
     }
 

@@ -132,11 +132,19 @@ impl Request {
     /// the socket as a borrowed slice instead of being concatenated
     /// into a fresh `Vec`.
     pub fn encode_prefix(&self) -> Vec<u8> {
+        self.encode_prefix_for(self.bulk.len())
+    }
+
+    /// [`Request::encode_prefix`] announcing `bulk_len` bulk bytes
+    /// instead of `self.bulk.len()` — for a transport that sends the
+    /// bulk from borrowed segments ([`crate::Endpoint::submit_gather`])
+    /// and so never has it in `self.bulk`.
+    pub fn encode_prefix_for(&self, bulk_len: usize) -> Vec<u8> {
         let mut e = Encoder::with_capacity(self.body.len() + 32);
         e.u16(self.opcode as u16);
         e.u64(self.id);
         e.bytes(&self.body);
-        e.count(self.bulk.len());
+        e.count(bulk_len);
         e.into_vec()
     }
 
@@ -160,22 +168,6 @@ impl Request {
             id,
             body: frame.slice(body_start..body_start + body_len),
             bulk: frame.slice(bulk_start..bulk_start + bulk_len),
-        })
-    }
-
-    /// Deserialize from [`Request::encode`] output.
-    pub fn decode(buf: &[u8]) -> Result<Request> {
-        let mut d = Decoder::new(buf);
-        let opcode = Opcode::from_u16(d.u16()?)?;
-        let id = d.u64()?;
-        let body = Bytes::copy_from_slice(d.bytes()?);
-        let bulk = Bytes::copy_from_slice(d.bytes()?);
-        d.finish()?;
-        Ok(Request {
-            opcode,
-            id,
-            body,
-            bulk,
         })
     }
 }
@@ -305,28 +297,6 @@ impl Response {
             bulk: frame.slice(bulk_start..bulk_start + bulk_len),
         })
     }
-
-    /// Deserialize from [`Response::encode`] output.
-    pub fn decode(buf: &[u8]) -> Result<Response> {
-        let mut d = Decoder::new(buf);
-        let id = d.u64()?;
-        let code = d.u32()?;
-        let detail = d.str()?.to_string();
-        let status = if code == 0 {
-            Status::Ok
-        } else {
-            Status::Err(GkfsError::from_code(code, &detail))
-        };
-        let body = Bytes::copy_from_slice(d.bytes()?);
-        let bulk = Bytes::copy_from_slice(d.bytes()?);
-        d.finish()?;
-        Ok(Response {
-            id,
-            status,
-            body,
-            bulk,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -338,7 +308,7 @@ mod tests {
         let mut req = Request::new(Opcode::WriteChunks, &b"body-bytes"[..])
             .with_bulk(Bytes::from(vec![9u8; 1024]));
         req.id = 77;
-        let back = Request::decode(&req.encode()).unwrap();
+        let back = Request::decode_owned(&Bytes::from(req.encode())).unwrap();
         assert_eq!(back.opcode, Opcode::WriteChunks);
         assert_eq!(back.id, 77);
         assert_eq!(&back.body[..], b"body-bytes");
@@ -349,14 +319,14 @@ mod tests {
     fn response_roundtrip_ok_and_err() {
         let mut r = Response::ok(&b"result"[..]).with_bulk(Bytes::from_static(b"data"));
         r.id = 5;
-        let back = Response::decode(&r.encode()).unwrap();
+        let back = Response::decode_owned(&Bytes::from(r.encode())).unwrap();
         assert_eq!(back.id, 5);
         assert_eq!(back.status, Status::Ok);
         assert_eq!(&back.bulk[..], b"data");
 
         let mut r = Response::err(GkfsError::InvalidArgument("bad offset".into()));
         r.id = 6;
-        let back = Response::decode(&r.encode()).unwrap();
+        let back = Response::decode_owned(&Bytes::from(r.encode())).unwrap();
         match &back.status {
             Status::Err(GkfsError::InvalidArgument(s)) => assert_eq!(s, "bad offset"),
             other => panic!("unexpected status {other:?}"),
@@ -381,6 +351,11 @@ mod tests {
         let mut framed = req.encode_prefix();
         framed.extend_from_slice(&req.bulk);
         assert_eq!(framed, req.encode());
+        // The gather form: same prefix from a request that does not
+        // hold the bulk.
+        let mut bare = Request::new(Opcode::WriteChunks, &b"args"[..]);
+        bare.id = 42;
+        assert_eq!(bare.encode_prefix_for(777), req.encode_prefix());
 
         let mut resp = Response::ok(&b"lens"[..]).with_bulk(Bytes::from(vec![7u8; 123]));
         resp.id = 42;
@@ -396,38 +371,39 @@ mod tests {
     }
 
     #[test]
-    fn decode_owned_agrees_with_decode() {
+    fn decode_owned_slices_the_frame() {
+        // Body and bulk come back as views into the frame's own
+        // allocation — nothing is copied out.
         let mut req = Request::new(Opcode::ReadChunks, &b"body"[..])
             .with_bulk(Bytes::from(vec![5u8; 64]));
         req.id = 11;
         let frame = Bytes::from(req.encode());
-        let a = Request::decode(&frame).unwrap();
-        let b = Request::decode_owned(&frame).unwrap();
-        assert_eq!((a.opcode, a.id, &a.body[..], &a.bulk[..]), (b.opcode, b.id, &b.body[..], &b.bulk[..]));
+        let got = Request::decode_owned(&frame).unwrap();
+        assert_eq!((got.opcode, got.id), (Opcode::ReadChunks, 11));
+        assert_eq!((&got.body[..], &got.bulk[..]), (&b"body"[..], &[5u8; 64][..]));
+        assert!(frame.as_ptr_range().contains(&got.body.as_ptr()));
+        assert!(frame.as_ptr_range().contains(&got.bulk.as_ptr()));
 
         let mut resp = Response::ok(&b"res"[..]).with_bulk(Bytes::from(vec![8u8; 32]));
         resp.id = 12;
         let frame = Bytes::from(resp.encode());
-        let a = Response::decode(&frame).unwrap();
-        let b = Response::decode_owned(&frame).unwrap();
-        assert_eq!(a.status, b.status);
-        assert_eq!((a.id, &a.body[..], &a.bulk[..]), (b.id, &b.body[..], &b.bulk[..]));
-
-        // Truncated frames error instead of panicking.
-        assert!(Request::decode_owned(&Bytes::from_static(&[1, 2, 3])).is_err());
-        assert!(Response::decode_owned(&Bytes::new()).is_err());
+        let got = Response::decode_owned(&frame).unwrap();
+        assert_eq!((got.id, &got.status), (12, &Status::Ok));
+        assert_eq!((&got.body[..], &got.bulk[..]), (&b"res"[..], &[8u8; 32][..]));
+        assert!(frame.as_ptr_range().contains(&got.bulk.as_ptr()));
     }
 
     #[test]
     fn malformed_frames_error() {
-        assert!(Request::decode(&[1, 2, 3]).is_err());
-        assert!(Response::decode(&[]).is_err());
+        // Truncated frames error instead of panicking.
+        assert!(Request::decode_owned(&Bytes::from_static(&[1, 2, 3])).is_err());
+        assert!(Response::decode_owned(&Bytes::new()).is_err());
         // Unknown opcode in an otherwise well-formed frame.
         let mut req = Request::new(Opcode::Ping, &b""[..]);
         req.id = 1;
         let mut buf = req.encode();
         buf[0] = 0xFF;
         buf[1] = 0xFF;
-        assert!(Request::decode(&buf).is_err());
+        assert!(Request::decode_owned(&Bytes::from(buf)).is_err());
     }
 }

@@ -463,6 +463,10 @@ pub struct DaemonStatsResp {
     /// This daemon's liveness verdict for each peer
     /// (`gkfs_common::health::Liveness` wire form, self included).
     pub liveness: Vec<u8>,
+    /// Request body/bulk bytes this daemon's TCP server copied again
+    /// after reading them off the socket (zero while requests are
+    /// views of their received frame; zero without a TCP server).
+    pub request_copy_bytes: u64,
 }
 
 impl DaemonStatsResp {
@@ -503,6 +507,7 @@ impl DaemonStatsResp {
         for l in &self.liveness {
             e.u8(*l);
         }
+        e.u64(self.request_copy_bytes);
         e.into_vec()
     }
 
@@ -553,6 +558,7 @@ impl DaemonStatsResp {
                 }
                 v
             },
+            request_copy_bytes: d.u64()?,
         };
         d.finish()?;
         Ok(r)
@@ -1265,6 +1271,7 @@ mod tests {
             meta_batch_ops: 28,
             meta_group_applies: 29,
             liveness: vec![0, 2, 1],
+            request_copy_bytes: 30,
         };
         assert_eq!(DaemonStatsResp::decode(&r.encode()).unwrap(), r);
     }

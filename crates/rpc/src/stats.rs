@@ -16,6 +16,10 @@ pub struct RpcStats {
     pub body_bytes: AtomicU64,
     /// Bulk payload bytes moved.
     pub bulk_bytes: AtomicU64,
+    /// Request body/bulk bytes a byte-stream server copied again after
+    /// reading them off the socket — zero while requests are decoded as
+    /// views of the received frame.
+    pub request_copy_bytes: AtomicU64,
 }
 
 impl RpcStats {

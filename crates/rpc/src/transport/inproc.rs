@@ -11,12 +11,13 @@
 //!
 //! Since the vectored-TCP rework this transport is no longer the
 //! only zero-copy path: TCP reaches the same reply shape by handing
-//! the borrowed bulk to `FrameWriter` as writev segments. What stays
-//! unique here is the *request* direction (TCP must still read
-//! request bytes off the socket into a buffer; in-proc passes the
-//! client's own `Bytes` through), which is why client-write
-//! microbenchmarks on the in-process cluster run a copy cheaper than
-//! their TCP equivalents.
+//! the borrowed bulk to `FrameWriter` as writev segments, and on the
+//! request side it now does *better* for gathered writes. A request
+//! submitted here is run by a handler thread after `submit` returns,
+//! so it must own its bulk: [`Endpoint::submit_gather`]'s default
+//! concatenates the caller's borrowed segments once (the copy
+//! `ClientStats::write_gather_copy_bytes` reports), where TCP writes
+//! them to the socket as they lie and copies nothing in user space.
 
 use crate::handler::HandlerRegistry;
 use crate::message::{Request, Response};

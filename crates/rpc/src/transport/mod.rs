@@ -186,6 +186,23 @@ pub trait Endpoint: Send + Sync {
         DEFAULT_TIMEOUT
     }
 
+    /// [`Endpoint::submit`] with the bulk payload given as borrowed
+    /// pieces: the request's bulk is `segments` concatenated in order
+    /// (`req.bulk` is replaced). The segments are borrowed for the
+    /// duration of the call only — when it returns, the transport has
+    /// either put them on the wire or copied them.
+    ///
+    /// The default copies: it concatenates once ([`concat_segments`])
+    /// and calls `submit`, which is what a transport that hands the
+    /// request to another thread has to do, and what keeps decorator
+    /// endpoints that only know `submit` correct. A transport that
+    /// writes the frame before returning overrides it to send the
+    /// segments where they lie ([`tcp::TcpEndpoint`]).
+    fn submit_gather(&self, mut req: Request, segments: &[&[u8]]) -> Result<ReplyHandle> {
+        req.bulk = concat_segments(segments);
+        self.submit(req)
+    }
+
     /// Blocking convenience: `submit` + `wait` (`margo_forward`).
     fn call(&self, req: Request) -> Result<Response> {
         self.submit(req)?.wait(self.timeout())
@@ -197,6 +214,30 @@ pub trait Endpoint: Send + Sync {
     fn reconnects(&self) -> u64 {
         0
     }
+}
+
+thread_local! {
+    /// Bytes this thread has copied in [`concat_segments`].
+    static GATHER_COPY_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The one copy of the gather path: `segments` concatenated into an
+/// owned buffer, for transports that cannot send borrowed pieces. Every
+/// byte copied is counted against the calling thread
+/// ([`gather_copy_bytes`]).
+pub fn concat_segments(segments: &[&[u8]]) -> bytes::Bytes {
+    let buf = segments.concat();
+    GATHER_COPY_BYTES.with(|c| c.set(c.get() + buf.len() as u64));
+    bytes::Bytes::from(buf)
+}
+
+/// Bytes the calling thread has copied in [`concat_segments`] so far.
+/// A caller reads it before and after [`Endpoint::submit_gather`] to
+/// learn what that submission copied, whichever endpoint — decorated or
+/// not — served it; `submit_gather` runs on the caller's thread, so the
+/// difference is exact under any concurrency.
+pub fn gather_copy_bytes() -> u64 {
+    GATHER_COPY_BYTES.with(|c| c.get())
 }
 
 /// An endpoint whose target can be swapped at runtime — the client's
@@ -322,6 +363,29 @@ mod tests {
         let r = sw.submit(Request::new(Opcode::Ping, Vec::new())).unwrap();
         assert_eq!(&r.wait(Duration::from_secs(1)).unwrap().body[..], b"new");
         assert_eq!(sw.reconnects(), 1, "each swap counts as a reconnect");
+    }
+
+    #[test]
+    fn default_submit_gather_concatenates_once_and_counts_it() {
+        struct Echo;
+        impl Endpoint for Echo {
+            fn submit(&self, req: Request) -> Result<ReplyHandle> {
+                Ok(ReplyHandle::ready(Ok(Response::ok(req.body).with_bulk(req.bulk))))
+            }
+        }
+        let before = gather_copy_bytes();
+        let resp = Echo
+            .submit_gather(Request::new(Opcode::Ping, &b"b"[..]), &[b"ab", b"", b"cde"])
+            .unwrap()
+            .wait(Duration::from_secs(1))
+            .unwrap();
+        assert_eq!(&resp.bulk[..], b"abcde");
+        assert_eq!(gather_copy_bytes() - before, 5);
+        // Another thread's copies are not this thread's.
+        std::thread::spawn(|| drop(concat_segments(&[&[0u8; 100]])))
+            .join()
+            .unwrap();
+        assert_eq!(gather_copy_bytes() - before, 5);
     }
 
     #[test]

@@ -17,9 +17,19 @@
 //! no concatenation `Vec`, no separate len/payload/CRC syscalls. A
 //! `ReadChunks` reply therefore travels fd → scatter-gather buffer →
 //! socket, the TCP analogue of the in-process transport's by-reference
-//! bulk handover. Inbound, each connection reuses one scratch buffer
-//! (trimmed back to 64 KiB after oversized frames) instead of a fresh
-//! zeroed allocation per frame.
+//! bulk handover. A client write goes out the same way from the
+//! caller's own buffer ([`Endpoint::submit_gather`]): prefix plus one
+//! borrowed sub-slice per chunk piece, nothing gathered first.
+//!
+//! Inbound, both readers (a server connection, a client's reader
+//! thread) take a frame as a 4-byte header read followed by one read of
+//! payload and trailer into a single owned buffer that is reserved to
+//! size and never zeroed ([`read_frame`]). After the CRC check that
+//! buffer *is* the message: `decode_owned` hands out `body` and `bulk`
+//! as views of it, so a write payload reaches the chunk store, and a
+//! read reply the caller's result, without another copy. Each payload
+//! byte therefore costs one checksum pass and no user-space copy on the
+//! receiving side, one checksum pass and no copy on the sending side.
 //!
 //! # Failure semantics
 //!
@@ -39,6 +49,7 @@ use crate::pool::{HandlerPool, SERVER_QUEUE_PER_WORKER};
 use crate::stats::RpcStats;
 use crate::transport::{Endpoint, EndpointOptions, ReplyHandle};
 use crate::Status;
+use bytes::Bytes;
 use crossbeam::channel::{bounded, Sender};
 use gkfs_common::crc::crc32;
 use gkfs_common::lock::{rank, OrderedMutex};
@@ -55,11 +66,12 @@ use std::time::{Duration, Instant};
 /// prefixes from a confused peer.
 const MAX_FRAME: u32 = 256 * 1024 * 1024;
 
-/// Reader scratch buffers shrink back to this capacity after an
-/// oversized frame, so one 256 MiB read reply does not pin 256 MiB per
-/// connection forever. Frames at or below this size are read with zero
-/// allocation.
-const SCRATCH_TRIM: usize = 64 * 1024;
+/// Most a receiver reserves for a frame before any of it has arrived.
+/// The length prefix is only a claim: a peer that announces
+/// [`MAX_FRAME`] and hangs up must not have bought 256 MiB. Frames up
+/// to this size — every chunk batch of a default deployment — land in
+/// an exactly-sized buffer; larger ones grow with the bytes received.
+const FRAME_RESERVE_MAX: usize = 4 * 1024 * 1024;
 
 /// First re-dial backoff after a failed dial attempt; doubles per
 /// consecutive failure up to [`DIAL_BACKOFF_MAX_MS`].
@@ -69,19 +81,24 @@ const DIAL_BACKOFF_BASE_MS: u64 = 10;
 const DIAL_BACKOFF_MAX_MS: u64 = 500;
 
 /// Wire frame: `len: u32 LE` (payload bytes only), payload, then
-/// `crc32(payload): u32 LE`. The payload is given as borrowed
-/// segments (message prefix + raw bulk); [`FrameWriter`] checksums
-/// across them and emits the whole frame — header, every segment, CRC
-/// trailer — with vectored writes, one syscall in the common case and
-/// no concatenation buffer ever. I/O failures are reported as
-/// [`GkfsError::Rpc`] so they classify as retryable connection loss.
-fn write_frame_segments(stream: &mut TcpStream, segments: &[&[u8]]) -> Result<()> {
+/// `crc32(payload): u32 LE`. The payload is given as borrowed pieces —
+/// the encoded message prefix, then the raw bulk in any number of
+/// segments; [`FrameWriter`] checksums across them and emits the whole
+/// frame — header, every segment, CRC trailer — with vectored writes,
+/// one syscall in the common case and no concatenation buffer ever.
+/// I/O failures are reported as [`GkfsError::Rpc`] so they classify as
+/// retryable connection loss.
+fn write_frame_segments(stream: &mut TcpStream, prefix: &[u8], bulk: &[&[u8]]) -> Result<()> {
     let mut fw = FrameWriter::new();
-    for s in segments {
+    fw.segment(prefix);
+    for s in bulk {
         fw.segment(s);
     }
     if fw.payload_len() > MAX_FRAME as usize {
-        return Err(GkfsError::Rpc(format!("frame too large: {}", fw.payload_len())));
+        return Err(GkfsError::Rpc(format!(
+            "frame too large: {}",
+            fw.payload_len()
+        )));
     }
     fw.write_to(stream)
         .map_err(|e| GkfsError::Rpc(format!("connection lost: {e}")))
@@ -91,19 +108,27 @@ fn write_frame_segments(stream: &mut TcpStream, segments: &[&[u8]]) -> Result<()
 /// borrowed slice. A `ReadChunks` reply's scatter-gather buffer goes
 /// from here straight to the socket.
 fn write_response(stream: &mut TcpStream, resp: &Response) -> Result<()> {
-    let prefix = resp.encode_prefix();
-    write_frame_segments(stream, &[&prefix, &resp.bulk])
+    write_frame_segments(stream, &resp.encode_prefix(), &[&resp.bulk])
 }
 
-/// Counterpart of [`write_frame_segments`]: reads one frame into
-/// `scratch` (reused across frames on the connection — no fresh zeroed
-/// allocation per frame) and returns the payload length. Verifies the
-/// trailing checksum and surfaces a mismatch as
-/// [`GkfsError::Corruption`]. The caller must treat corruption as
-/// fatal for the connection — after a bad frame the stream offset can
+/// Initial capacity for the buffer receiving a frame whose header
+/// announced `len` payload bytes: room for payload and trailer, capped
+/// at [`FRAME_RESERVE_MAX`].
+fn frame_reserve(len: usize) -> usize {
+    (len + 4).min(FRAME_RESERVE_MAX)
+}
+
+/// Counterpart of [`write_frame_segments`]: read one frame and return
+/// its payload as an owned buffer. The header is one 4-byte read;
+/// payload and trailer are then read together into one `Vec` reserved
+/// by [`frame_reserve`] — spare capacity the kernel fills directly,
+/// never zeroed first. The trailing checksum is verified and cut off,
+/// and the `Vec` becomes the `Bytes` without a copy. A mismatch
+/// surfaces as [`GkfsError::Corruption`], which the caller must treat
+/// as fatal for the connection: after a bad frame the stream offset can
 /// no longer be trusted, so the only way to resynchronize is to drop
 /// the connection and reconnect.
-fn read_frame_into(stream: &mut TcpStream, scratch: &mut Vec<u8>) -> Result<usize> {
+fn read_frame(stream: &mut impl Read) -> Result<Bytes> {
     let io = |e: std::io::Error| GkfsError::Rpc(format!("connection lost: {e}"));
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf).map_err(io)?;
@@ -112,30 +137,39 @@ fn read_frame_into(stream: &mut TcpStream, scratch: &mut Vec<u8>) -> Result<usiz
         return Err(GkfsError::Rpc(format!("frame too large: {len}")));
     }
     let len = len as usize;
-    if scratch.len() < len {
-        // Grow-only: the one-time zeroing of the new tail is amortized
-        // over every later frame that fits.
-        scratch.resize(len, 0);
+    let mut frame = Vec::with_capacity(frame_reserve(len));
+    let got = stream
+        .take(len as u64 + 4)
+        .read_to_end(&mut frame)
+        .map_err(io)?;
+    if got < len + 4 {
+        return Err(GkfsError::Rpc(format!(
+            "connection lost: peer closed {got} bytes into a {len}-byte frame"
+        )));
     }
-    stream.read_exact(&mut scratch[..len]).map_err(io)?;
-    let mut crc_buf = [0u8; 4];
-    stream.read_exact(&mut crc_buf).map_err(io)?;
-    let want = u32::from_le_bytes(crc_buf);
-    let got = crc32(&scratch[..len]);
+    let (payload, trailer) = frame.split_at(len);
+    let want = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+    let got = crc32(payload);
     if got != want {
         return Err(GkfsError::Corruption(format!(
             "tcp frame crc mismatch: computed {got:#010x}, frame says {want:#010x}"
         )));
     }
-    Ok(len)
+    frame.truncate(len);
+    Ok(Bytes::from(frame))
 }
 
-/// Release an oversized scratch buffer back to [`SCRATCH_TRIM`] after
-/// the frame it carried has been decoded.
-fn trim_scratch(scratch: &mut Vec<u8>) {
-    if scratch.capacity() > SCRATCH_TRIM {
-        scratch.truncate(SCRATCH_TRIM);
-        scratch.shrink_to(SCRATCH_TRIM);
+/// Bytes of `part` that lie outside `frame`'s buffer: what a decoder
+/// copied out of a received frame instead of slicing it. Feeds
+/// [`RpcStats::request_copy_bytes`], so the zero the copy gate asserts
+/// is observed on every request, not assumed.
+fn copied_out_of(frame: &Bytes, part: &Bytes) -> usize {
+    let held = frame.as_ptr_range();
+    let view = part.as_ptr_range();
+    if part.is_empty() || (held.start <= view.start && view.end <= held.end) {
+        0
+    } else {
+        part.len()
     }
 }
 
@@ -241,6 +275,12 @@ impl TcpServer {
         &self.stats
     }
 
+    /// A shared handle to the same counters as [`TcpServer::stats`],
+    /// for a daemon that reports them in its own statistics.
+    pub fn stats_handle(&self) -> Arc<RpcStats> {
+        Arc::clone(&self.stats)
+    }
+
     /// Forcibly sever every established connection while the server
     /// keeps listening — the moral equivalent of a transient network
     /// partition or a middlebox reset. Clients see their in-flight
@@ -294,16 +334,18 @@ fn serve_connection(
         },
     ));
     let mut reader = stream;
-    let mut scratch: Vec<u8> = Vec::new();
     // A read error means peer closed, stream damaged, or checksum
     // mismatch: the stream offset is untrustworthy either way, so drop
     // the connection and let the client reconnect.
-    while let Ok(n) = read_frame_into(&mut reader, &mut scratch) {
-        let req = match Request::decode(&scratch[..n]) {
+    while let Ok(frame) = read_frame(&mut reader) {
+        let req = match Request::decode_owned(&frame) {
             Ok(r) => r,
             Err(_) => break, // unparseable frame: protocol broken, drop
         };
-        trim_scratch(&mut scratch);
+        stats.request_copy_bytes.fetch_add(
+            (copied_out_of(&frame, &req.body) + copied_out_of(&frame, &req.bulk)) as u64,
+            Ordering::Relaxed,
+        );
         if shutting_down.load(Ordering::SeqCst) {
             let mut resp = Response::err(GkfsError::ShuttingDown);
             resp.id = req.id;
@@ -394,12 +436,10 @@ fn dial(addr: &str, conn: &Arc<OrderedMutex<ConnSlot>>, gen: u64) -> Result<Live
             .name("gkfs-tcp-reader".into())
             .spawn(move || {
                 let mut reader = reader;
-                let mut scratch: Vec<u8> = Vec::new();
                 let cause = loop {
-                    match read_frame_into(&mut reader, &mut scratch) {
-                        Ok(n) => match Response::decode(&scratch[..n]) {
+                    match read_frame(&mut reader) {
+                        Ok(frame) => match Response::decode_owned(&frame) {
                             Ok(resp) => {
-                                trim_scratch(&mut scratch);
                                 if let Some(tx) = pending.lock().remove(&resp.id) {
                                     let _ = tx.send(Ok(resp));
                                 }
@@ -509,8 +549,8 @@ impl TcpEndpoint {
     }
 
     /// Register `(id → tx)` on the live connection and write the
-    /// frame — encoded prefix plus borrowed bulk, vectored — all under
-    /// the conn lock. On a write error the connection is torn down
+    /// frame — encoded prefix plus borrowed bulk segments, vectored —
+    /// all under the conn lock. On a write error the connection is torn down
     /// (the socket is broken) so the next submit re-dials immediately,
     /// and the error — retryable — is returned.
     fn send_on_live(
@@ -518,7 +558,7 @@ impl TcpEndpoint {
         s: &mut ConnSlot,
         id: u64,
         prefix: &[u8],
-        bulk: &[u8],
+        bulk: &[&[u8]],
     ) -> Result<ReplyHandle> {
         let (tx, rx) = bounded::<Result<Response>>(1);
         let Some(live) = s.live.as_mut() else {
@@ -528,7 +568,7 @@ impl TcpEndpoint {
         };
         live.pending.lock().insert(id, tx);
         let pending = Arc::clone(&live.pending);
-        if let Err(e) = write_frame_segments(&mut live.writer, &[prefix, bulk]) {
+        if let Err(e) = write_frame_segments(&mut live.writer, prefix, bulk) {
             pending.lock().remove(&id);
             // An established connection broke mid-write: clear it and
             // allow an immediate re-dial (backoff only gates dials
@@ -558,14 +598,16 @@ enum SubmitPlan {
     Backoff,
 }
 
-impl Endpoint for TcpEndpoint {
-    fn submit(&self, mut req: Request) -> Result<ReplyHandle> {
+impl TcpEndpoint {
+    /// Send `req` with `bulk` (in order) as its bulk payload; the frame
+    /// is on the socket, or the submission has failed, on return.
+    fn submit_frame(&self, mut req: Request, bulk: &[&[u8]]) -> Result<ReplyHandle> {
         req.id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let id = req.id;
         // Only the prefix (opcode, id, body, bulk length) is
-        // serialized; the bulk payload rides to the socket as a
-        // borrowed slice of `req.bulk`.
-        let prefix = req.encode_prefix();
+        // serialized; the bulk payload rides to the socket as the
+        // borrowed segments it was handed over in.
+        let prefix = req.encode_prefix_for(bulk.iter().map(|s| s.len()).sum());
 
         let plan = {
             let mut s = self.conn.lock();
@@ -585,7 +627,7 @@ impl Endpoint for TcpEndpoint {
         match plan {
             SubmitPlan::UseLive => {
                 let mut s = self.conn.lock();
-                self.send_on_live(&mut s, id, &prefix, &req.bulk)
+                self.send_on_live(&mut s, id, &prefix, bulk)
             }
             SubmitPlan::DialInProgress => Err(GkfsError::Rpc(format!(
                 "{}: reconnect in progress",
@@ -607,7 +649,7 @@ impl Endpoint for TcpEndpoint {
                         s.dial_fails = 0;
                         s.next_dial = None;
                         self.reconnects.fetch_add(1, Ordering::Relaxed);
-                        self.send_on_live(&mut s, id, &prefix, &req.bulk)
+                        self.send_on_live(&mut s, id, &prefix, bulk)
                     }
                     Err(e) => {
                         s.dial_fails = s.dial_fails.saturating_add(1);
@@ -621,6 +663,19 @@ impl Endpoint for TcpEndpoint {
                 }
             }
         }
+    }
+}
+
+impl Endpoint for TcpEndpoint {
+    fn submit(&self, mut req: Request) -> Result<ReplyHandle> {
+        let bulk = std::mem::take(&mut req.bulk);
+        self.submit_frame(req, &[&bulk])
+    }
+
+    /// The zero-copy override: the frame is written before this
+    /// returns, so the borrowed segments go to the socket as they are.
+    fn submit_gather(&self, req: Request, segments: &[&[u8]]) -> Result<ReplyHandle> {
+        self.submit_frame(req, segments)
     }
 
     fn timeout(&self) -> Duration {
@@ -679,15 +734,157 @@ mod tests {
         server.shutdown();
     }
 
+    /// `[len][payload][crc]` as one buffer — the reference wire image.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut v = (payload.len() as u32).to_le_bytes().to_vec();
+        v.extend_from_slice(payload);
+        v.extend_from_slice(&crc32(payload).to_le_bytes());
+        v
+    }
+
     #[test]
-    fn scratch_trims_after_oversized_frame() {
-        let mut scratch = vec![0u8; SCRATCH_TRIM * 4];
-        trim_scratch(&mut scratch);
-        assert!(scratch.capacity() <= SCRATCH_TRIM * 2, "scratch must shrink");
-        // Small buffers are left alone (no churn on the common path).
-        let mut small = vec![0u8; 512];
-        trim_scratch(&mut small);
-        assert_eq!(small.len(), 512);
+    fn frame_reservation_is_capped() {
+        // Small frames: exactly payload + trailer, so the one read
+        // lands in a buffer that never grows.
+        assert_eq!(frame_reserve(0), 4);
+        assert_eq!(frame_reserve(512 * 1024), 512 * 1024 + 4);
+        // A length prefix is a claim, not bytes received: the largest
+        // legal one reserves no more than the cap.
+        assert_eq!(frame_reserve(FRAME_RESERVE_MAX), FRAME_RESERVE_MAX);
+        assert_eq!(frame_reserve(MAX_FRAME as usize), FRAME_RESERVE_MAX);
+    }
+
+    #[test]
+    fn read_frame_takes_a_whole_frame_and_leaves_the_next() {
+        let mut stream = framed(b"first");
+        stream.extend_from_slice(&framed(&[7u8; 100_000]));
+        let mut r = std::io::Cursor::new(stream);
+        assert_eq!(&read_frame(&mut r).unwrap()[..], b"first");
+        assert_eq!(read_frame(&mut r).unwrap(), vec![7u8; 100_000]);
+        // Clean EOF between frames is connection loss, not corruption.
+        assert!(matches!(read_frame(&mut r), Err(GkfsError::Rpc(_))));
+    }
+
+    #[test]
+    fn read_frame_grows_past_the_reservation() {
+        let payload: Vec<u8> = (0..FRAME_RESERVE_MAX + 70_000)
+            .map(|i| (i % 253) as u8)
+            .collect();
+        let mut r = std::io::Cursor::new(framed(&payload));
+        assert_eq!(read_frame(&mut r).unwrap(), payload);
+    }
+
+    #[test]
+    fn flipped_trailer_is_corruption_and_short_frame_is_connection_loss() {
+        let mut bad = framed(b"payload");
+        *bad.last_mut().unwrap() ^= 0x40;
+        assert!(matches!(
+            read_frame(&mut std::io::Cursor::new(bad)),
+            Err(GkfsError::Corruption(_))
+        ));
+        let mut cut = framed(b"payload");
+        cut.truncate(cut.len() - 3);
+        assert!(matches!(
+            read_frame(&mut std::io::Cursor::new(cut)),
+            Err(GkfsError::Rpc(_))
+        ));
+    }
+
+    #[test]
+    fn forged_length_prefix_then_hangup_costs_nothing() {
+        let server = TcpServer::bind("127.0.0.1:0", echo_registry(), 1).unwrap();
+        let addr = server.local_addr();
+        // Claim the largest legal frame, deliver ten bytes, hang up.
+        let mut liar = TcpStream::connect(addr).unwrap();
+        liar.write_all(&MAX_FRAME.to_le_bytes()).unwrap();
+        liar.write_all(&[0xAB; 10]).unwrap();
+        drop(liar);
+        // One past the limit is refused from the header alone.
+        let mut liar = TcpStream::connect(addr).unwrap();
+        liar.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
+        let mut end = [0u8; 1];
+        assert_eq!(liar.read(&mut end).unwrap_or(0), 0, "server must hang up");
+        // The server is unharmed and still serving.
+        let ep = TcpEndpoint::connect(&addr.to_string()).unwrap();
+        let resp = ep
+            .call(Request::new(Opcode::Ping, &b"still here"[..]))
+            .unwrap();
+        assert_eq!(&resp.body[..], b"still here");
+        server.shutdown();
+    }
+
+    #[test]
+    fn frame_dribbled_one_byte_per_write_still_decodes() {
+        let server = TcpServer::bind("127.0.0.1:0", echo_registry(), 1).unwrap();
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_nodelay(true).unwrap();
+        let mut req =
+            Request::new(Opcode::Ping, &b"drip"[..]).with_bulk(Bytes::from(vec![9u8; 300]));
+        req.id = 77;
+        for byte in framed(&req.encode()) {
+            raw.write_all(&[byte]).unwrap();
+        }
+        let resp = Response::decode_owned(&read_frame(&mut raw).unwrap()).unwrap();
+        assert_eq!(resp.id, 77);
+        assert_eq!(&resp.body[..], b"drip");
+        assert_eq!(resp.bulk, vec![9u8; 300]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn submit_gather_puts_the_encode_image_on_the_wire() {
+        // A raw listener captures exactly what the endpoint wrote.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        let pieces: [&[u8]; 4] = [&data[..1], &data[1..70_000], &[], &data[70_000..]];
+        // The endpoint numbers its first request 1.
+        let mut whole =
+            Request::new(Opcode::WriteChunks, &b"ops"[..]).with_bulk(Bytes::from(data.clone()));
+        whole.id = 1;
+        let want = framed(&whole.encode());
+        let n = want.len();
+        let t = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut got = vec![0u8; n];
+            s.read_exact(&mut got).unwrap();
+            got
+        });
+        let ep = TcpEndpoint::connect(&addr).unwrap();
+        let before = crate::transport::gather_copy_bytes();
+        let _pending = ep
+            .submit_gather(Request::new(Opcode::WriteChunks, &b"ops"[..]), &pieces)
+            .unwrap();
+        assert_eq!(
+            crate::transport::gather_copy_bytes(),
+            before,
+            "tcp gathers without copying"
+        );
+        assert_eq!(t.join().unwrap(), want);
+    }
+
+    #[test]
+    fn received_requests_are_views_of_their_frame() {
+        let server = TcpServer::bind("127.0.0.1:0", echo_registry(), 2).unwrap();
+        let ep = TcpEndpoint::connect(&server.local_addr().to_string()).unwrap();
+        let bulk = vec![3u8; 1 << 20];
+        let resp = ep
+            .submit_gather(
+                Request::new(Opcode::Ping, &b"views"[..]),
+                &[&bulk[..4096], &bulk[4096..]],
+            )
+            .unwrap()
+            .wait(Duration::from_secs(10))
+            .unwrap();
+        assert_eq!(resp.bulk, bulk);
+        assert_eq!(server.stats().request_copy_bytes.load(Ordering::Relaxed), 0);
+        server.shutdown();
+        // The counter's probe does see a copy when there is one.
+        let frame = Bytes::from(vec![1u8; 64]);
+        assert_eq!(copied_out_of(&frame, &frame.slice(8..40)), 0);
+        assert_eq!(copied_out_of(&frame, &Bytes::new()), 0);
+        let copy = Bytes::copy_from_slice(&frame[8..40]);
+        assert_eq!(copied_out_of(&frame, &copy), 32);
     }
 
     #[test]

@@ -52,6 +52,16 @@ echo "==> data-plane copy-bytes gate (TCP scatter-gather replies copy zero bytes
 # this gate is noise-free like the RPC budget above.
 cargo test -p gkfs-integration --release --test copy_gate
 
+echo "==> ledger smoke (the benchmark builds offline against its stand-in crates)"
+# BENCHMARK.json's program lives outside the workspace and builds the
+# product crates against minimal stand-ins for bytes/crossbeam/
+# parking_lot (ledger/stubs; e.g. Bytes::{from(Vec), slice,
+# copy_from_slice, from_static} and no BytesMut). A product-crate change
+# that reaches for an API the stand-ins lack must fail here, at tier 1,
+# not when the benchmark is next built. The smoke runs all five
+# workloads at tiny sizes, untraced and traced.
+cargo test --offline --manifest-path ledger/Cargo.toml
+
 echo "==> kvstore release stress (optimized timing: stalls, group commit, crash recovery)"
 # The LSM concurrency tests (background flush races, write stalls,
 # group-commit fan-in, crash/reopen proptests) depend on real timing

@@ -12,9 +12,18 @@
 //! Short reads (EOF inside the batch window) legitimately compact, so
 //! the gate also checks the counter *moves* there — proving the zero
 //! on the hot path is a measured zero, not a dead counter.
+//!
+//! The write direction has the same bar: a striped `pwrite` over real
+//! TCP sends sub-slices of the caller's buffer straight to the sockets
+//! (`ClientStats::write_gather_copy_bytes == 0`) and the daemons decode
+//! each request as a view of the frame they received
+//! (`DaemonStatsResp::request_copy_bytes == 0`). The control is the
+//! in-process transport, which has to own what it hands to a handler
+//! thread and therefore copies every written byte exactly once.
 
-use gekkofs::{OpenFlags, TcpCluster};
+use gekkofs::{Cluster, OpenFlags, TcpCluster};
 use gkfs_common::ClusterConfig;
+use std::sync::atomic::Ordering;
 
 const CHUNK: u64 = 64 * 1024;
 
@@ -89,5 +98,79 @@ fn tcp_scatter_gather_read_replies_copy_zero_bytes() {
         "sparse-read control must exercise compaction (counter is live)"
     );
 
+    cluster.shutdown();
+}
+
+#[test]
+fn tcp_striped_writes_copy_zero_bytes() {
+    // 8 MiB in one call, 1 MiB in the middle of it again, and an
+    // unaligned tail: every write spans several chunks on both nodes.
+    let data: Vec<u8> = (0..8 * 1024 * 1024u32).map(|i| (i % 241) as u8).collect();
+    let writes: [(u64, &[u8]); 3] = [
+        (0, &data),
+        (3 * CHUNK + 5, &data[..1024 * 1024]),
+        (data.len() as u64 - 17, &data[..4 * CHUNK as usize + 99]),
+    ];
+    let mut model = data.clone();
+    for (off, buf) in writes {
+        let end = off as usize + buf.len();
+        model.resize(model.len().max(end), 0);
+        model[off as usize..end].copy_from_slice(buf);
+    }
+    let written: u64 = writes.iter().map(|(_, buf)| buf.len() as u64).sum();
+
+    let cluster = TcpCluster::deploy(ClusterConfig::new(2).with_chunk_size(CHUNK)).unwrap();
+    let fs = cluster.mount().unwrap();
+    let h = fs
+        .open_handle("/gate/striped", OpenFlags::RDWR.with_create())
+        .unwrap();
+    for (off, buf) in writes {
+        assert_eq!(h.pwrite(off, buf).unwrap(), buf.len());
+    }
+    h.flush().unwrap();
+    assert_eq!(h.pread(0, model.len()).unwrap(), model);
+    h.close().unwrap();
+
+    assert_eq!(
+        fs.stats().write_gather_copy_bytes.load(Ordering::Relaxed),
+        0,
+        "tcp writes must go to the socket from the caller's buffer"
+    );
+    let stats = fs.cluster_stats().unwrap();
+    assert_eq!(
+        stats.iter().map(|s| s.storage_write_bytes).sum::<u64>(),
+        written,
+        "the daemons stored what was written"
+    );
+    assert_eq!(
+        stats.iter().map(|s| s.request_copy_bytes).sum::<u64>(),
+        0,
+        "daemons must hand request payloads on as views of the received frame"
+    );
+    assert_eq!(
+        stats.iter().map(|s| s.read_reply_copy_bytes).sum::<u64>(),
+        0,
+        "and the read-back was still pure gather"
+    );
+    cluster.shutdown();
+
+    // Control: the same writes over the in-process transport cost one
+    // copy of every byte, so the client counter above is a live one.
+    let cluster = Cluster::deploy(ClusterConfig::new(2).with_chunk_size(CHUNK)).unwrap();
+    let fs = cluster.mount().unwrap();
+    let h = fs
+        .open_handle("/gate/striped", OpenFlags::RDWR.with_create())
+        .unwrap();
+    for (off, buf) in writes {
+        h.pwrite(off, buf).unwrap();
+    }
+    h.flush().unwrap();
+    assert_eq!(h.pread(0, model.len()).unwrap(), model);
+    h.close().unwrap();
+    assert_eq!(
+        fs.stats().write_gather_copy_bytes.load(Ordering::Relaxed),
+        written,
+        "in-process writes copy each byte exactly once"
+    );
     cluster.shutdown();
 }
