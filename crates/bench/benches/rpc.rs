@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gkfs_client::DaemonRing;
-use gkfs_common::config::RetryConfig;
+use gkfs_common::config::{ReplicationConfig, RetryConfig};
 use gkfs_rpc::{
     HandlerRegistry, Opcode, ReplyHandle, Request, Response, RpcServer, TcpEndpoint, TcpServer,
 };
@@ -188,16 +188,20 @@ fn bench_tcp_outstanding(c: &mut Criterion) {
 fn bench_retry_fastpath(c: &mut Criterion) {
     let make_ring = |retry: RetryConfig| {
         let server = RpcServer::new(echo_registry(), 4);
-        DaemonRing::with_retry(vec![server.endpoint() as Arc<dyn Endpoint>], retry)
+        DaemonRing::new(
+            vec![server.endpoint() as Arc<dyn Endpoint>],
+            retry,
+            &ReplicationConfig::default(),
+        )
     };
     let disabled = make_ring(RetryConfig::disabled());
     let armed = make_ring(RetryConfig::default());
     let mut group = c.benchmark_group("rpc/retry_fastpath");
     group.bench_function("ping_retry_disabled", |b| {
-        b.iter(|| disabled.ping(0).unwrap())
+        b.iter(|| disabled.ping_nb(0).unwrap().wait().unwrap())
     });
     group.bench_function("ping_retry_default", |b| {
-        b.iter(|| armed.ping(0).unwrap())
+        b.iter(|| armed.ping_nb(0).unwrap().wait().unwrap())
     });
     group.finish();
 }

@@ -2,7 +2,8 @@
 //! backends.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gkfs_storage::{BatchOp, ChunkStorage, FileChunkStorage, MemChunkStorage};
+use bytes::Bytes;
+use gkfs_storage::{BatchOp, BatchPayload, ChunkStorage, FileChunkStorage, MemChunkStorage};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -47,15 +48,14 @@ fn layout(ops: &[(u64, u64, u64)]) -> Vec<BatchOp> {
         .collect()
 }
 
-fn batch_write(s: &dyn ChunkStorage, path: &str, ops: &[(u64, u64, u64)], bulk: &[u8]) {
-    s.write_chunks_batch(path, &layout(ops), bulk).unwrap();
+fn batch_write(s: &dyn ChunkStorage, path: &str, ops: &[(u64, u64, u64)], bulk: &Bytes) {
+    s.submit_batch(path, &layout(ops), BatchPayload::Write(bulk.clone()))
+        .wait()
+        .unwrap();
 }
 
 fn batch_read(s: &dyn ChunkStorage, path: &str, ops: &[(u64, u64, u64)]) -> Vec<u8> {
-    let total: u64 = ops.iter().map(|&(_, _, len)| len).sum();
-    let mut out = vec![0u8; total as usize];
-    s.read_chunks_batch(path, &layout(ops), &mut out).unwrap();
-    out
+    s.submit_batch(path, &layout(ops), BatchPayload::Read).wait().unwrap().data
 }
 
 /// Multi-chunk batches: 1/4/16/64 chunks per request, mirroring the
@@ -65,12 +65,13 @@ fn bench_batches(c: &mut Criterion, name: &str, storage: &dyn ChunkStorage) {
     for id in 0..64u64 {
         storage.write_chunk("/bench/batch", id, 0, &chunk).unwrap();
     }
-    let bulk = vec![0x5Au8; BATCH_OP * 64];
+    let bulk = Bytes::from(vec![0x5Au8; BATCH_OP * 64]);
     for n in [1usize, 4, 16, 64] {
         let ops: Vec<(u64, u64, u64)> =
             (0..n as u64).map(|id| (id, 0, BATCH_OP as u64)).collect();
         c.bench_function(format!("storage/{name}/batch_write_{n}x64k"), |b| {
-            b.iter(|| batch_write(storage, "/bench/batch", &ops, &bulk[..n * BATCH_OP]))
+            let bulk = bulk.slice(..n * BATCH_OP);
+            b.iter(|| batch_write(storage, "/bench/batch", &ops, &bulk))
         });
         c.bench_function(format!("storage/{name}/batch_read_{n}x64k"), |b| {
             b.iter(|| black_box(batch_read(storage, "/bench/batch", &ops)))

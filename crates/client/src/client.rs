@@ -6,8 +6,10 @@
 //! file system operation"* (§III-B-a) — so there is no metadata server
 //! and no coordination:
 //!
-//! * metadata ops go to `distributor.locate_metadata(path)`;
-//! * each data chunk goes to `distributor.locate_chunk(path, id)`;
+//! * metadata ops go to the replica set of `locate_metadata(path)`,
+//!   each data chunk to the replica set of `locate_chunk(path, id)` —
+//!   as answered by the mount's [`Placement`], the only code here that
+//!   knows replica policy (a set of one when replication is off);
 //! * `readdir`, `unlink` (data), and `truncate` (data) broadcast to all
 //!   daemons, because chunks and sibling entries are spread everywhere.
 //!
@@ -18,26 +20,25 @@
 
 use crate::filemap::{FileMap, OpenFile};
 use crate::metabatch::{FlushTrigger, MetaBatchState};
+use crate::placement::Placement;
 use crate::rpc::{ChunkReadReply, DaemonRing, Hedge, ReplyFuture};
 use crate::size_cache::SizeCache;
 use crate::stat_cache::StatCache;
 use crate::writeback::{Absorb, WbRun};
 use bytes::Bytes;
 use gkfs_common::chunk::{chunk_range, ChunkLayout};
-use gkfs_common::distributor::{live_replicas, substitute, successors, Distributor, NodeId};
+use gkfs_common::distributor::NodeId;
 use gkfs_common::lock::{rank, OrderedMutex};
 use gkfs_common::path as gpath;
 use gkfs_common::retry::Deadline;
 use gkfs_common::types::Dirent;
-use gkfs_common::{
-    ClusterConfig, FileKind, GkfsError, Metadata, OpenFlags, ReplicationConfig, Result,
-};
+use gkfs_common::{ClusterConfig, FileKind, GkfsError, Metadata, OpenFlags, Result};
 use gkfs_rpc::proto::{ChunkOp, DaemonStatsResp, MetaOp, MetaOpResult};
 use gkfs_rpc::Endpoint;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Client-side operation counters.
 #[derive(Debug, Default)]
@@ -144,16 +145,14 @@ pub enum Whence {
 /// A mounted GekkoFS namespace, as seen by one client process.
 pub struct GekkoClient {
     ring: DaemonRing,
-    dist: Arc<dyn Distributor>,
+    /// Who holds a key right now: write sets, read chains, quorum.
+    placement: Placement,
     layout: ChunkLayout,
     files: FileMap,
     size_cache: SizeCache,
     stat_cache: Option<StatCache>,
     /// Per-handle write-back capacity in bytes (0 = disabled).
     wb_capacity: usize,
-    /// N-way replication knobs: replica count, write quorum, hedged
-    /// read window. `replicas == 1` keeps all paths single-copy.
-    repl: ReplicationConfig,
     /// Transparent metadata batching: per-primary op queues, present
     /// only when [`ClusterConfig::with_meta_batch`] enables it. Pure
     /// data behind the lock — batches are taken out under the guard
@@ -166,9 +165,8 @@ pub struct GekkoClient {
 /// order, the sub-slices of the caller's buffer they carry.
 type NodeBatch<'a> = (Vec<ChunkOp>, Vec<&'a [u8]>);
 
-/// Add chunk-piece `p` of the write buffer `data` to `node`'s batch.
-/// Both write fan-outs build their gather lists here, so the op list
-/// and the segment list cannot disagree about what bytes an op carries.
+/// Add chunk-piece `p` of the write buffer `data` to `node`'s batch:
+/// the op and, at the same index, the segment carrying its bytes.
 fn push_piece<'a>(
     per_node: &mut HashMap<NodeId, NodeBatch<'a>>,
     node: NodeId,
@@ -182,6 +180,18 @@ fn push_piece<'a>(
         len: p.len,
     });
     bulk.push(&data[p.buf_offset as usize..(p.buf_offset + p.len) as usize]);
+}
+
+/// One mutation in flight on the write set of a key: what
+/// [`GekkoClient::quorum_submit`] hands to [`GekkoClient::quorum_wait`].
+struct QuorumCall<'a, T> {
+    /// The key's hash-placed owner.
+    primary: NodeId,
+    /// Whether slot 0 of the set is that owner rather than another
+    /// node standing in for it while it is down.
+    primary_leads: bool,
+    /// One submission per set member, in set order.
+    inflight: Vec<Result<ReplyFuture<'a, T>>>,
 }
 
 fn now_ns() -> u64 {
@@ -221,7 +231,12 @@ impl GekkoClient {
                 config.nodes
             )));
         }
-        let ring = DaemonRing::with_config(endpoints, config.retry.clone(), &config.replication);
+        let ring = DaemonRing::new(endpoints, config.retry.clone(), &config.replication);
+        let placement = Placement::new(
+            config.make_distributor_for(local_node),
+            &config.replication,
+            Arc::clone(ring.detector()),
+        );
         let stats = ClientStats {
             // One counter, two readers: the ring bumps it at its
             // submission funnel, `ClientStats` reports it.
@@ -231,7 +246,7 @@ impl GekkoClient {
         };
         let client = GekkoClient {
             ring,
-            dist: config.make_distributor_for(local_node),
+            placement,
             layout: ChunkLayout::new(config.chunk_size),
             files: FileMap::new(),
             size_cache: SizeCache::new(config.size_cache_ops),
@@ -243,7 +258,6 @@ impl GekkoClient {
                 None
             },
             wb_capacity: config.write_back as usize,
-            repl: config.replication.clone(),
             mb: (config.meta_batch_ops > 0).then(|| {
                 OrderedMutex::new(
                     rank::CLIENT_META_BATCH,
@@ -284,10 +298,6 @@ impl GekkoClient {
         self.ring.nodes()
     }
 
-    fn meta_owner(&self, path: &str) -> NodeId {
-        self.dist.locate_metadata(path)
-    }
-
     /// Lease-style invalidation hook for the TTL stat cache: every
     /// local mutation of `path`'s metadata revokes the cached entry, so
     /// the TTL only ever bounds staleness of *remote* changes. (With
@@ -305,84 +315,73 @@ impl GekkoClient {
     // Replication plumbing
     // ---------------------------------------------------------------
 
-    /// The daemons a metadata mutation of `path` fans out to. With
-    /// replication on this is the *live* replica set — members the
-    /// failure detector considers dead are swapped for their ring
-    /// substitutes ([`live_replicas`]), so mutations keep landing on
-    /// `replicas` copies while a member is down and the substitute's
-    /// copy is later drained back by recovery. Falls back to the raw
-    /// set when everything looks dead (the detector may be stale).
-    /// Size 1 when replication is off.
-    fn meta_targets(&self, path: &str) -> Vec<NodeId> {
-        self.meta_targets_of(self.dist.locate_metadata(path))
-    }
-
-    /// Same as [`GekkoClient::meta_targets`], keyed by the primary
-    /// owner instead of the path. The replica set is a pure function
-    /// of the primary ([`successors`] on the ring), which is what lets
-    /// a whole per-primary batch share one fan-out target set.
-    fn meta_targets_of(&self, primary: NodeId) -> Vec<NodeId> {
-        if self.repl.enabled() {
-            let raw = successors(primary, self.repl.replicas, self.ring.nodes());
-            let live = live_replicas(&raw, &self.ring.detector().dead_mask(), self.ring.nodes());
-            if live.is_empty() {
-                raw
-            } else {
-                live
-            }
-        } else {
-            vec![primary]
+    /// Submit one mutation to every member of the write set of the key
+    /// owned by `primary` ([`Placement::meta_set_of`]); `f` issues it
+    /// to one member. Nothing is awaited here, so a caller with many
+    /// keys can submit them all before [`GekkoClient::quorum_wait`]ing
+    /// on any.
+    fn quorum_submit<'a, T>(
+        &self,
+        primary: NodeId,
+        f: impl Fn(NodeId) -> Result<ReplyFuture<'a, T>>,
+    ) -> QuorumCall<'a, T> {
+        let set = self.placement.meta_set_of(primary);
+        QuorumCall {
+            primary,
+            primary_leads: set.first() == Some(&primary),
+            inflight: set.into_iter().map(f).collect(),
         }
     }
 
-    /// Fan one metadata mutation out to every replica of `path`'s
-    /// metadata — submit-all, then wait-all (no early return, so every
-    /// replica sees the mutation even when one errors) — and apply
-    /// quorum semantics:
+    /// Await every member of a submitted mutation — no early return, so
+    /// every replica sees it even when one errors — and apply quorum
+    /// semantics:
     ///
     /// * the **primary's** application verdict is authoritative: if it
     ///   answered and refused (Exists, NotFound, …), that error is the
     ///   operation's result;
     /// * otherwise the operation succeeds when at least
-    ///   [`ReplicationConfig::quorum`] members *applied* it — answered
-    ///   Ok, or answered with an application error (a replica that
-    ///   already holds / already dropped the entry counts as applied:
-    ///   these RPCs are idempotent by construction);
+    ///   [`Placement::quorum`] members *applied* it — answered Ok, or
+    ///   answered with an application error (a replica that already
+    ///   holds / already dropped the entry counts as applied: these
+    ///   RPCs are idempotent by construction) — and yields the first
+    ///   `Ok` value in set order, the primary's whenever it gave one;
     /// * below quorum, the first transport error surfaces.
-    fn meta_quorum<T, F>(&self, path: &str, f: F) -> Result<T>
-    where
-        F: Fn(NodeId) -> Result<ReplyFuture<'static, T>>,
-    {
-        let set = self.meta_targets(path);
-        if set.len() == 1 {
-            return f(set[0])?.wait();
+    ///
+    /// For a `BatchMeta` frame the same rules hold at *frame*
+    /// granularity: per-op verdicts travel inside `Ok` frames, so a
+    /// frame-level error means transport trouble or a daemon that
+    /// could not apply the batch at all.
+    fn quorum_wait<T>(&self, call: QuorumCall<'_, T>, deadline: Deadline) -> Result<T> {
+        let QuorumCall {
+            primary,
+            primary_leads,
+            mut inflight,
+        } = call;
+        if inflight.len() == 1 {
+            // A set of one has nobody to out-vote: its answer is the
+            // result, whatever it is.
+            return inflight.remove(0)?.wait_deadline(deadline);
         }
-        let deadline = self.ring.op_deadline();
-        let inflight: Vec<Result<ReplyFuture<'static, T>>> = set.iter().map(|&n| f(n)).collect();
         let results: Vec<Result<T>> = inflight
             .into_iter()
             .map(|fut| fut.and_then(|fut| fut.wait_deadline(deadline)))
             .collect();
-        let applied = |r: &Result<T>| match r {
-            Ok(_) => true,
-            Err(e) => !e.is_node_down(),
-        };
+        let applied = |r: &Result<T>| !matches!(r, Err(e) if e.is_node_down());
         // Primary answered and refused: authoritative — but only when
         // slot 0 really is the hash-placed primary. When the primary
-        // is dead its slot holds a ring substitute, and a substitute
-        // that was never repaired legitimately answers NotFound for
-        // entries it missed; treating that as authoritative would fail
-        // removes on a merely-degraded cluster. Substitutes get a vote
-        // (quorum below), not a veto.
-        if set[0] == self.dist.locate_metadata(path) {
-            if let Err(e) = &results[0] {
-                if applied(&results[0]) {
-                    return Err(e.clone());
-                }
+        // is dead its slot holds a stand-in ([`Placement::meta_set_of`]),
+        // and a stand-in that was never repaired legitimately answers
+        // NotFound for entries it missed; treating that as
+        // authoritative would fail removes on a merely-degraded
+        // cluster. Stand-ins get a vote (quorum below), not a veto.
+        if primary_leads {
+            if let Some(Err(e)) = results.first().filter(|r| applied(r)) {
+                return Err(e.clone());
             }
         }
         let acks = results.iter().filter(|r| applied(r)).count();
-        let quorum = self.repl.quorum(self.ring.nodes());
+        let quorum = self.placement.quorum();
         let mut first_err = None;
         for r in results {
             match r {
@@ -392,8 +391,22 @@ impl GekkoClient {
             }
         }
         Err(first_err.unwrap_or_else(|| {
-            GkfsError::Unavailable(format!("metadata quorum {quorum} not met for {path}"))
+            GkfsError::Unavailable(format!(
+                "write quorum {quorum} not met on the replica set of node {primary}"
+            ))
         }))
+    }
+
+    /// [`GekkoClient::quorum_submit`] then [`GekkoClient::quorum_wait`]
+    /// under one fresh operation deadline: one mutation, fanned out to
+    /// its write set and judged.
+    fn quorum_call<'a, T>(
+        &self,
+        primary: NodeId,
+        f: impl Fn(NodeId) -> Result<ReplyFuture<'a, T>>,
+    ) -> Result<T> {
+        let deadline = self.ring.op_deadline();
+        self.quorum_wait(self.quorum_submit(primary, f), deadline)
     }
 
     // ---------------------------------------------------------------
@@ -404,60 +417,6 @@ impl GekkoClient {
     /// daemon-side `WriteBatch` a single frame turns into.
     const EXPLICIT_BATCH_MAX: usize = 128;
 
-    /// Fan one `BatchMeta` frame out to `primary`'s replica set under
-    /// the same quorum semantics as [`GekkoClient::meta_quorum`],
-    /// applied at *frame* granularity: per-op verdicts (`Exists`,
-    /// `NotFound`, …) travel inside `Ok` frames, so a frame-level
-    /// error means transport trouble or a daemon that could not apply
-    /// the batch at all. The true primary's frame is authoritative
-    /// when it answered; substitutes vote toward quorum but cannot
-    /// veto. Returns the verdict frame's per-op results.
-    fn batch_quorum(&self, primary: NodeId, ops: Vec<MetaOp>) -> Result<Vec<MetaOpResult>> {
-        let set = self.meta_targets_of(primary);
-        if set.len() == 1 {
-            return self.ring.batch_meta_nb(set[0], ops)?.wait();
-        }
-        let deadline = self.ring.op_deadline();
-        let inflight: Vec<Result<ReplyFuture<'static, Vec<MetaOpResult>>>> = set
-            .iter()
-            .map(|&n| self.ring.batch_meta_nb(n, ops.clone()))
-            .collect();
-        let results: Vec<Result<Vec<MetaOpResult>>> = inflight
-            .into_iter()
-            .map(|fut| fut.and_then(|fut| fut.wait_deadline(deadline)))
-            .collect();
-        let applied = |r: &Result<Vec<MetaOpResult>>| match r {
-            Ok(_) => true,
-            Err(e) => !e.is_node_down(),
-        };
-        // Primary answered with a frame-level failure: authoritative,
-        // same reasoning (and same substitute caveat) as meta_quorum.
-        if set[0] == primary {
-            if let Err(e) = &results[0] {
-                if applied(&results[0]) {
-                    return Err(e.clone());
-                }
-            }
-        }
-        let acks = results.iter().filter(|r| applied(r)).count();
-        let quorum = self.repl.quorum(self.ring.nodes());
-        let mut first_err = None;
-        // The first Ok frame is the primary's whenever the primary
-        // answered Ok (slot 0), so the verdict preference is built in.
-        for r in results {
-            match r {
-                Ok(v) if acks >= quorum => return Ok(v),
-                Ok(_) => {}
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        Err(first_err.unwrap_or_else(|| {
-            GkfsError::Unavailable(format!(
-                "metadata quorum {quorum} not met for batch on node {primary}"
-            ))
-        }))
-    }
-
     /// Send one batch and account it in the batching counters.
     fn send_batch(
         &self,
@@ -466,7 +425,8 @@ impl GekkoClient {
         trigger: FlushTrigger,
     ) -> Result<Vec<MetaOpResult>> {
         self.stats.note_meta_flush(ops.len(), trigger);
-        self.batch_quorum(primary, ops)
+        let ops: Arc<[MetaOp]> = ops.into();
+        self.quorum_call(primary, |n| self.ring.batch_meta_nb(n, Arc::clone(&ops)))
     }
 
     /// Flush one queue of transparently batched ops whose callers have
@@ -494,7 +454,7 @@ impl GekkoClient {
         let Some(mb) = self.mb.as_ref() else {
             return Err(GkfsError::Io("metadata batching disabled".into()));
         };
-        let primary = self.meta_owner(op.path());
+        let primary = self.placement.meta_primary(op.path());
         let now = Instant::now();
         let (offer, expired) = {
             let mut state = mb.lock();
@@ -525,7 +485,7 @@ impl GekkoClient {
     /// the unary protocol. A no-op when batching is disabled.
     fn meta_barrier_path(&self, path: &str) -> Result<()> {
         let Some(mb) = &self.mb else { return Ok(()) };
-        let primary = self.meta_owner(path);
+        let primary = self.placement.meta_primary(path);
         let batch = { mb.lock().take_hazard(primary, path) };
         match batch {
             Some(ops) => self.flush_meta_group(primary, ops, FlushTrigger::Hazard),
@@ -566,7 +526,7 @@ impl GekkoClient {
                 Ok(path) => {
                     self.revoke_lease(&path);
                     slots.push(Ok(()));
-                    per_primary.entry(self.meta_owner(&path)).or_default().push((
+                    per_primary.entry(self.placement.meta_primary(&path)).or_default().push((
                         i,
                         MetaOp::Create {
                             path,
@@ -597,8 +557,9 @@ impl GekkoClient {
 
     /// Stat many paths in batched frames. Frames go to each path's
     /// *primary* owner only — a read needs one answer, not a quorum.
-    /// With replication enabled a down primary degrades that frame's
-    /// paths to the unary failover stat instead of failing the call.
+    /// Where a down primary is survivable (replication on) its frame's
+    /// paths degrade to the unary chain-walking stat instead of
+    /// failing the call.
     pub fn stat_many<S: AsRef<str>>(&self, paths: &[S]) -> Result<Vec<Result<Metadata>>> {
         self.flush_meta()?;
         self.stats
@@ -623,7 +584,7 @@ impl GekkoClient {
                     // Placeholder — every entry below overwrites it.
                     slots.push(Err(GkfsError::NotFound));
                     per_primary
-                        .entry(self.meta_owner(&path))
+                        .entry(self.placement.meta_primary(&path))
                         .or_default()
                         .push((i, path));
                 }
@@ -641,7 +602,7 @@ impl GekkoClient {
                 self.stats.note_meta_flush(frame.len(), FlushTrigger::Explicit);
                 let reply = self
                     .ring
-                    .batch_meta_nb(primary, frame)
+                    .batch_meta_nb(primary, frame.into())
                     .and_then(|f| f.wait());
                 match reply {
                     Ok(results) => {
@@ -653,9 +614,9 @@ impl GekkoClient {
                             });
                         }
                     }
-                    Err(e) if self.repl.enabled() && e.is_node_down() => {
+                    Err(e) if self.placement.survivable(&e) => {
                         for (slot, path) in entries {
-                            slots[slot] = self.stat_replicated(&path).map(|m| merge(&path, m));
+                            slots[slot] = self.stat_chain(&path).map(|m| merge(&path, m));
                         }
                     }
                     Err(e) => return Err(e),
@@ -682,7 +643,7 @@ impl GekkoClient {
                     self.revoke_lease(&path);
                     slots.push(Ok(()));
                     per_primary
-                        .entry(self.meta_owner(&path))
+                        .entry(self.placement.meta_primary(&path))
                         .or_default()
                         .push((i, path));
                 }
@@ -734,7 +695,7 @@ impl GekkoClient {
             } else {
                 let chunks = self.layout.chunk_count(*size);
                 let mut t: Vec<NodeId> = (0..chunks)
-                    .flat_map(|c| self.dist.chunk_replicas(path, c, self.repl.replicas))
+                    .flat_map(|c| self.placement.raw_chunk_set(path, c))
                     .collect();
                 t.sort_unstable();
                 t.dedup();
@@ -759,7 +720,7 @@ impl GekkoClient {
                 // With replication a dead holder must not wedge the
                 // unlink: stranded chunks are orphans that fsck (or
                 // the holder's restart — volatile state) cleans up.
-                Err(e) if self.repl.enabled() && e.is_node_down() => {
+                Err(e) if self.placement.survivable(&e) => {
                     gkfs_common::gkfs_info!("unlink {path}: chunk remove skipped: {e}");
                 }
                 Err(e) => return Err(e),
@@ -768,65 +729,21 @@ impl GekkoClient {
         Ok(())
     }
 
-    /// Every node a copy of data placed on the raw replica `set` could
-    /// live on, in the order a degraded read should consult them:
-    ///
-    /// 1. the set's members the failure detector considers live (the
-    ///    nodes the writes went to — most likely to hold the data);
-    /// 2. live ring substitutes for dead members ([`live_replicas`]) —
-    ///    where re-replication parks repair copies and where clients
-    ///    divert writes while a member is down;
-    /// 3. the primary's would-be substitute even when every member
-    ///    currently looks alive — an *earlier* incident may have left
-    ///    repair copies there that have not drained back yet;
-    /// 4. the raw set itself when everything above is dead (the
-    ///    detector may simply be stale).
-    ///
-    /// The healthy path never goes past step 1; later entries are only
-    /// contacted when earlier ones fail, stall, or answer "absent".
-    fn failover_chain(&self, set: &[NodeId]) -> Vec<NodeId> {
-        let nodes = self.ring.nodes();
-        let dead = self.ring.detector().dead_mask();
-        let alive = |m: NodeId| !dead.get(m).copied().unwrap_or(false);
-        let mut chain: Vec<NodeId> = set.iter().copied().filter(|&m| alive(m)).collect();
-        for s in live_replicas(set, &dead, nodes) {
-            if !chain.contains(&s) {
-                chain.push(s);
-            }
-        }
-        let primary = set.first().copied().unwrap_or(0);
-        if let Some(sub) = substitute(primary, set, &dead, nodes) {
-            if !chain.contains(&sub) {
-                chain.push(sub);
-            }
-        }
-        if chain.is_empty() {
-            return set.to_vec();
-        }
-        chain
-    }
-
-    /// Replicated stat: walk the metadata failover chain until a
-    /// member answers. `NotFound` keeps trying the rest of the chain —
-    /// a freshly rejoined (empty) primary must not shadow a replica or
-    /// substitute that still holds the entry — and is only returned
-    /// once no member disagrees. Costs one RPC on the common healthy
-    /// path.
-    fn stat_replicated(&self, path: &str) -> Result<Metadata> {
+    /// Stat at the daemons: walk `path`'s metadata read chain
+    /// ([`Placement::read_chain`]) until a member answers. `NotFound`
+    /// keeps trying the rest of the chain — a freshly rejoined (empty)
+    /// primary must not shadow a replica or stand-in that still
+    /// holds the entry — and is only returned once no member
+    /// disagrees. Costs one RPC on the healthy path, and always when
+    /// replication is off (the chain is the owner alone).
+    fn stat_chain(&self, path: &str) -> Result<Metadata> {
         // A queued batched op on this path must land first, or the
         // stat would observe pre-batch state (read-your-writes).
         self.meta_barrier_path(path)?;
-        if !self.repl.enabled() {
-            return self.ring.stat(self.dist.locate_metadata(path), path);
-        }
-        let set = self.dist.metadata_replicas(path, self.repl.replicas);
-        if set.len() == 1 {
-            return self.ring.stat(set[0], path);
-        }
         let mut transport_err: Option<GkfsError> = None;
         let mut saw_not_found = false;
-        for n in self.failover_chain(&set) {
-            match self.ring.stat(n, path) {
+        for n in self.placement.read_chain(self.placement.meta_primary(path)) {
+            match self.ring.stat_nb(n, path).and_then(|f| f.wait()) {
                 Ok(m) => return Ok(m),
                 Err(GkfsError::NotFound) => saw_not_found = true,
                 Err(e) if e.is_node_down() => {
@@ -843,21 +760,29 @@ impl GekkoClient {
         }
     }
 
-    /// Replicated create: fan out to every metadata replica under
-    /// quorum semantics.
+    /// Create on `path`'s metadata write set under quorum semantics.
     fn create_meta(&self, path: &str, kind: FileKind, mode: u32, exclusive: bool) -> Result<()> {
         // Program order per path: a queued batched op goes first.
         self.meta_barrier_path(path)?;
         let now = now_ns();
-        self.meta_quorum(path, |n| {
+        self.quorum_call(self.placement.meta_primary(path), |n| {
             self.ring.create_nb(n, path, kind, mode, exclusive, now)
         })
     }
 
-    /// Replicated size update (the flush path of the §IV-B cache).
-    fn send_size_update(&self, path: &str, size: u64, mtime_ns: u64) -> Result<()> {
+    /// Submit a size update to `path`'s metadata write set (the flush
+    /// path of the §IV-B cache).
+    fn submit_size_update(&self, path: &str, size: u64, mtime_ns: u64) -> QuorumCall<'static, ()> {
         self.stats.size_updates_sent.fetch_add(1, Ordering::Relaxed);
-        self.meta_quorum(path, |n| self.ring.update_size_nb(n, path, size, mtime_ns))
+        self.quorum_submit(self.placement.meta_primary(path), |n| {
+            self.ring.update_size_nb(n, path, size, mtime_ns)
+        })
+    }
+
+    /// One size update, sent and awaited.
+    fn send_size_update(&self, path: &str, size: u64, mtime_ns: u64) -> Result<()> {
+        let deadline = self.ring.op_deadline();
+        self.quorum_wait(self.submit_size_update(path, size, mtime_ns), deadline)
     }
 
     // ---------------------------------------------------------------
@@ -943,11 +868,11 @@ impl GekkoClient {
             if let Some(m) = cache.get(path) {
                 return Ok(m);
             }
-            let m = self.stat_replicated(path)?;
+            let m = self.stat_chain(path)?;
             cache.put(path, m.clone());
             return Ok(m);
         }
-        self.stat_replicated(path)
+        self.stat_chain(path)
     }
 
     /// Remove a regular file: metadata from its owner, chunks from
@@ -956,11 +881,13 @@ impl GekkoClient {
         let path = gpath::normalize(path)?;
         self.stats.removes.fetch_add(1, Ordering::Relaxed);
         self.revoke_lease(&path);
-        let meta = self.stat_replicated(&path)?;
+        let meta = self.stat_chain(&path)?;
         if meta.is_dir() {
             return Err(GkfsError::IsDirectory);
         }
-        self.meta_quorum(&path, |n| self.ring.remove_meta_nb(n, &path))?;
+        self.quorum_call(self.placement.meta_primary(&path), |n| {
+            self.ring.remove_meta_nb(n, &path)
+        })?;
         // Zero-byte files (the mdtest workload) hold no chunks: skip
         // the data fan-out entirely. This is what lets removes scale
         // in §IV-A. Otherwise target exactly the daemons that can own
@@ -984,7 +911,7 @@ impl GekkoClient {
         self.flush_meta()?;
         self.stats.removes.fetch_add(1, Ordering::Relaxed);
         self.revoke_lease(&path);
-        let meta = self.stat_replicated(&path)?;
+        let meta = self.stat_chain(&path)?;
         if !meta.is_dir() {
             return Err(GkfsError::NotDirectory);
         }
@@ -1000,7 +927,9 @@ impl GekkoClient {
                 return Err(GkfsError::NotEmpty);
             }
         }
-        self.meta_quorum(&path, |n| self.ring.remove_meta_nb(n, &path))?;
+        self.quorum_call(self.placement.meta_primary(&path), |n| {
+            self.ring.remove_meta_nb(n, &path)
+        })?;
         Ok(())
     }
 
@@ -1012,7 +941,7 @@ impl GekkoClient {
         // Listings are this client's read-your-writes boundary: every
         // queued batched op lands before the scan goes out.
         self.flush_meta()?;
-        let meta = self.stat_replicated(&path)?;
+        let meta = self.stat_chain(&path)?;
         if !meta.is_dir() {
             return Err(GkfsError::NotDirectory);
         }
@@ -1039,7 +968,7 @@ impl GekkoClient {
                     }
                     // A dead daemon's entries are replicated on its ring
                     // successor, which the broadcast also asked.
-                    Err(e) if self.repl.enabled() && e.is_node_down() => {
+                    Err(e) if self.placement.survivable(&e) => {
                         gkfs_common::gkfs_info!("readdir {path}: listing skipped: {e}");
                         cursors[n] = None;
                     }
@@ -1076,7 +1005,7 @@ impl GekkoClient {
         self.size_cache.drain(&path);
         self.revoke_lease(&path);
         let now = now_ns();
-        self.meta_quorum(&path, |n| {
+        self.quorum_call(self.placement.meta_primary(&path), |n| {
             self.ring.truncate_meta_nb(n, &path, new_size, now)
         })?;
         let (keep_chunk, keep_bytes) = if new_size == 0 {
@@ -1094,7 +1023,7 @@ impl GekkoClient {
                 // A dead daemon's surviving replicas were truncated;
                 // the dead one rebuilds from them on rejoin (drain
                 // back), so the cut propagates.
-                Err(e) if self.repl.enabled() && e.is_node_down() => {
+                Err(e) if self.placement.survivable(&e) => {
                     gkfs_common::gkfs_info!("truncate {path}: chunk cut skipped: {e}");
                 }
                 Err(e) => return Err(e),
@@ -1268,25 +1197,17 @@ impl GekkoClient {
     // Data path
     // ---------------------------------------------------------------
 
-    /// The raw write path: split into chunks, group by owning daemon,
-    /// fan out in parallel, then update the file size at the metadata
-    /// owner (possibly through the §IV-B cache). Expects a normalized
-    /// path and counts no client ops — callers do.
+    /// The raw write path: split into chunks, fan every piece out to
+    /// its write set, then update the file size at the metadata owner
+    /// (possibly through the §IV-B cache). Expects a normalized path
+    /// and counts no client ops — callers do.
     ///
     /// `data` is never copied here: each daemon's batch is a list of
     /// sub-slices of it (the scatter/gather list an RDMA transport
     /// would build), borrowed until that daemon has acknowledged.
     fn write_through(&self, path: &str, offset: u64, data: &[u8]) -> Result<()> {
         let pieces = chunk_range(self.layout, offset, data.len() as u64);
-        if self.repl.enabled() {
-            self.fan_out_replicated(path, &pieces, data)?;
-        } else {
-            let mut per_node: HashMap<NodeId, NodeBatch<'_>> = HashMap::new();
-            for p in &pieces {
-                push_piece(&mut per_node, self.dist.locate_chunk(path, p.chunk_id), p, data);
-            }
-            self.fan_out_writes(path, per_node)?;
-        }
+        self.fan_out_writes(path, &pieces, data)?;
 
         // Size update to the metadata owner(s).
         let candidate = offset + data.len() as u64;
@@ -1306,35 +1227,16 @@ impl GekkoClient {
         Ok(())
     }
 
-    fn fan_out_writes(&self, path: &str, per_node: HashMap<NodeId, NodeBatch<'_>>) -> Result<()> {
-        if per_node.len() == 1 {
-            if let Some((node, (ops, bulk))) = per_node.into_iter().next() {
-                return self.ring.write_chunks(node, path, ops, bulk);
-            }
-            return Ok(());
-        }
-        // Pipelined fan-out: submit every daemon's batch, then wait
-        // for all the replies under one shared deadline — the striped
-        // write gets a single time budget, not N stacked timeouts.
-        let deadline = self.ring.op_deadline();
-        let inflight = per_node
-            .into_iter()
-            .map(|(node, (ops, bulk))| self.ring.write_chunks_nb(node, path, ops, bulk))
-            .collect::<Vec<_>>();
-        for fut in inflight {
-            fut?.wait_deadline(deadline)?;
-        }
-        Ok(())
-    }
-
-    /// The replicated write fan-out: every chunk-piece goes to **all**
-    /// members of its replica set, batched per daemon; all batches are
-    /// submitted before any reply is awaited, and every reply is
-    /// awaited before judging the outcome (no early return — a replica
-    /// must not miss bytes merely because a sibling errored first).
-    /// The write succeeds iff every piece was acknowledged by at least
-    /// [`ReplicationConfig::quorum`] of its replicas.
-    fn fan_out_replicated(
+    /// The write fan-out: every chunk-piece goes to **all** members of
+    /// its write set ([`Placement::chunk_set`]), batched per daemon;
+    /// all batches are submitted before any reply is awaited — the
+    /// striped write gets a single time budget, not N stacked timeouts
+    /// — and every reply is awaited before judging the outcome (no
+    /// early return — a replica must not miss bytes merely because a
+    /// sibling errored first). The write succeeds iff every piece was
+    /// acknowledged by at least [`Placement::quorum`] members of its
+    /// set; with replication off that is "its one owner said Ok".
+    fn fan_out_writes(
         &self,
         path: &str,
         pieces: &[gkfs_common::chunk::ChunkInfo],
@@ -1342,16 +1244,8 @@ impl GekkoClient {
     ) -> Result<()> {
         let mut per_node: HashMap<NodeId, NodeBatch<'_>> = HashMap::new();
         let mut piece_sets: Vec<Vec<NodeId>> = Vec::with_capacity(pieces.len());
-        // Write to the *live* set: members the detector considers dead
-        // are swapped for their ring substitutes, the same nodes
-        // re-replication pushes repair copies to (and recovery later
-        // drains back from). Raw set when everything looks dead.
-        let dead = self.ring.detector().dead_mask();
-        let nodes = self.ring.nodes();
         for p in pieces {
-            let raw = self.dist.chunk_replicas(path, p.chunk_id, self.repl.replicas);
-            let live = live_replicas(&raw, &dead, nodes);
-            let set = if live.is_empty() { raw } else { live };
+            let set = self.placement.chunk_set(path, p.chunk_id);
             for &node in &set {
                 push_piece(&mut per_node, node, p, data);
             }
@@ -1366,7 +1260,7 @@ impl GekkoClient {
         for (node, fut) in inflight {
             outcomes.insert(node, fut.and_then(|f| f.wait_deadline(deadline)));
         }
-        let quorum = self.repl.quorum(self.ring.nodes());
+        let quorum = self.placement.quorum();
         for (p, set) in pieces.iter().zip(&piece_sets) {
             let acks = set
                 .iter()
@@ -1393,18 +1287,16 @@ impl GekkoClient {
     ///
     /// Grouping is by **primary** node (not by whichever member a
     /// batch happens to be sent to): all chunks sharing a primary share
-    /// one replica chain, so a whole batch fails over together. With
-    /// replication enabled each batch first goes to the chain's first
-    /// live member under a hedge window; if the window expires or the
-    /// member fails, the batch moves down the chain, keeping the
-    /// original in-flight request as a last resort.
+    /// one read chain ([`Placement::read_chain`]), so a whole batch
+    /// fails over together. Each batch first goes to its chain's first
+    /// member; see [`GekkoClient::read_chain`] for how it moves on.
     fn read_scatter(&self, path: &str, offset: u64, effective: u64) -> Result<Vec<u8>> {
         let pieces = chunk_range(self.layout, offset, effective);
         // Each op travels with the index of its piece, which is where
         // its bytes go in the result (pieces are in buffer order).
         let mut per_primary: HashMap<NodeId, Vec<(usize, ChunkOp)>> = HashMap::new();
         for (i, p) in pieces.iter().enumerate() {
-            let node = self.dist.locate_chunk(path, p.chunk_id);
+            let node = self.placement.chunk_primary(path, p.chunk_id);
             per_primary.entry(node).or_default().push((
                 i,
                 ChunkOp {
@@ -1419,16 +1311,11 @@ impl GekkoClient {
         // on any reply, so every daemon streams its chunks back
         // concurrently.
         let deadline = self.ring.op_deadline();
-        let nodes = self.ring.nodes();
         let inflight: Vec<_> = per_primary
             .into_iter()
             .map(|(primary, batch)| {
                 let ops: Vec<ChunkOp> = batch.iter().map(|(_, op)| *op).collect();
-                let chain: Vec<NodeId> = if self.repl.enabled() {
-                    self.failover_chain(&successors(primary, self.repl.replicas, nodes))
-                } else {
-                    vec![primary]
-                };
+                let chain = self.placement.read_chain(primary);
                 let first = self.ring.read_chunks_nb(chain[0], path, ops);
                 (batch, chain, first)
             })
@@ -1494,13 +1381,15 @@ impl GekkoClient {
     /// rejoined-empty replica that missed the write, or a genuine
     /// hole) stay open for the next member, so an empty replica can
     /// never shadow data a sibling still holds. `first` is the
-    /// already-submitted request to `chain[0]`. Each member gets a
-    /// hedge window ([`ReplicationConfig::hedge_after`]); a window
-    /// expiry moves on to the next member *without* recording a
-    /// breaker failure against the slow node (see
-    /// [`ReplyFuture::wait_hedge`]), keeping every still-pending
-    /// future to be driven with the full remaining deadline once the
-    /// chain is exhausted.
+    /// already-submitted request to `chain[0]`. Each member but the
+    /// last gets a hedge window ([`Placement::hedge_after`]; one full
+    /// endpoint timeout when hedging is off); a window expiry moves on
+    /// to the next member *without* recording a breaker failure
+    /// against the slow node (see [`ReplyFuture::wait_hedge`]), keeping
+    /// every still-pending future to be driven with the full remaining
+    /// deadline once the chain is exhausted. The last member — the only
+    /// one, with replication off — has nobody to hedge to and spends
+    /// the whole budget.
     ///
     /// Each op resolves `found[piece]`, the slot of the piece it
     /// reads. Ops no member resolved leave theirs `None`: if every
@@ -1519,18 +1408,9 @@ impl GekkoClient {
         deadline: Deadline,
         found: &mut [Option<Bytes>],
     ) -> Result<()> {
-        if chain.len() == 1 {
-            // Replication off (or a 1-member set): the sole copy is
-            // authoritative, absent simply is a hole.
-            let reply = first?.wait_deadline(deadline)?;
-            return Self::absorb_read(batch, &reply, found);
-        }
         let all_resolved =
             |found: &[Option<Bytes>]| batch.iter().all(|(piece, _)| found[*piece].is_some());
-        let hedge = self
-            .repl
-            .hedge_after()
-            .unwrap_or_else(|| Duration::from_millis(50));
+        let hedge = self.placement.hedge_after();
         // Every hedge-expired future is kept and driven below — for
         // the authoritative-hole rule each chain member must be heard
         // from (or count as an error), not just the earliest.
@@ -1625,27 +1505,15 @@ impl GekkoClient {
                 self.flush_run(&file, run)?;
             }
         }
-        if self.repl.enabled() {
-            // Quorum accounting is per path: flush them one by one
-            // (unmount path, not hot).
-            for p in self.size_cache.drain_all() {
-                self.send_size_update(&p.path, p.size, p.mtime_ns)?;
-            }
-            return Ok(());
-        }
         let deadline = self.ring.op_deadline();
         let inflight: Vec<_> = self
             .size_cache
             .drain_all()
             .into_iter()
-            .map(|p| {
-                self.stats.size_updates_sent.fetch_add(1, Ordering::Relaxed);
-                self.ring
-                    .update_size_nb(self.meta_owner(&p.path), &p.path, p.size, p.mtime_ns)
-            })
+            .map(|p| self.submit_size_update(&p.path, p.size, p.mtime_ns))
             .collect();
-        for fut in inflight {
-            fut?.wait_deadline(deadline)?;
+        for call in inflight {
+            self.quorum_wait(call, deadline)?;
         }
         Ok(())
     }
@@ -2823,6 +2691,73 @@ mod tests {
         h.pwrite(0, b"abc").unwrap();
         h.close().unwrap();
         assert_eq!(c.stat("/op").unwrap().size, 3);
+    }
+
+    /// A daemon whose chunk reads answer `delay` late (everything else
+    /// at once), counting the reads it is asked for.
+    struct SleepyReads {
+        inner: Arc<dyn Endpoint>,
+        delay: std::time::Duration,
+        reads: Arc<AtomicU64>,
+        repliers: std::sync::Mutex<Vec<std::thread::JoinHandle<()>>>,
+    }
+
+    impl Endpoint for SleepyReads {
+        fn submit(&self, req: gkfs_rpc::Request) -> Result<gkfs_rpc::ReplyHandle> {
+            if req.opcode != gkfs_rpc::Opcode::ReadChunks {
+                return self.inner.submit(req);
+            }
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            let (tx, rx) = crossbeam::channel::bounded(1);
+            let (inner, delay) = (Arc::clone(&self.inner), self.delay);
+            self.repliers.lock().unwrap().push(std::thread::spawn(move || {
+                std::thread::sleep(delay);
+                let _ = tx.send(inner.call(req));
+            }));
+            Ok(gkfs_rpc::ReplyHandle::pending(rx))
+        }
+    }
+
+    impl Drop for SleepyReads {
+        fn drop(&mut self) {
+            for t in self.repliers.lock().unwrap().drain(..) {
+                let _ = t.join();
+            }
+        }
+    }
+
+    #[test]
+    fn hedge_after_zero_waits_the_member_out() {
+        // `hedge_after_ms: 0` is documented as "hedging off". Every
+        // daemon answers chunk reads 120 ms late — past the 50 ms
+        // window that used to be hard-wired in for this case, far
+        // inside the endpoint timeout — so a read must cost exactly one
+        // request: no second chain member may be asked.
+        let mut config = ClusterConfig::new(3).with_replicas(2);
+        config.replication.hedge_after_ms = 0;
+        let daemons: Vec<Arc<Daemon>> = (0..3)
+            .map(|_| Daemon::spawn(gkfs_common::DaemonConfig::default()).unwrap())
+            .collect();
+        let reads = Arc::new(AtomicU64::new(0));
+        let endpoints: Vec<Arc<dyn Endpoint>> = daemons
+            .iter()
+            .map(|d| {
+                Arc::new(SleepyReads {
+                    inner: d.endpoint(),
+                    delay: std::time::Duration::from_millis(120),
+                    reads: Arc::clone(&reads),
+                    repliers: Default::default(),
+                }) as Arc<dyn Endpoint>
+            })
+            .collect();
+        let c = GekkoClient::mount(endpoints, &config).unwrap();
+        let h = c.open_handle("/slow", OpenFlags::RDWR.with_create()).unwrap();
+        h.pwrite(0, b"payload").unwrap();
+        let rpc0 = c.stats().rpcs_issued.load(Ordering::Relaxed);
+        assert_eq!(h.pread(0, 7).unwrap(), b"payload");
+        assert_eq!(c.stats().rpcs_issued.load(Ordering::Relaxed) - rpc0, 1);
+        assert_eq!(reads.load(Ordering::Relaxed), 1, "a second replica was asked");
+        h.close().unwrap();
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!
 //! * [`filemap`] — the kernel-independent descriptor table.
 //! * [`rpc`] — typed wrappers over the RPC endpoints, one per opcode.
+//! * [`placement`] — [`placement::Placement`], the only code that
+//!   knows replica policy: which daemons hold a key right now, in what
+//!   order to read them, and how many must acknowledge a write.
 //! * [`size_cache`] — the client-side write-size coalescing cache the
 //!   paper adds in §IV-B to fix shared-file write throughput.
 //! * [`writeback`] — the per-handle write-back buffer coalescing small
@@ -35,6 +38,7 @@
 pub mod client;
 pub mod filemap;
 pub mod metabatch;
+pub mod placement;
 pub mod rpc;
 pub mod size_cache;
 pub mod stat_cache;
@@ -42,4 +46,5 @@ pub mod writeback;
 
 pub use client::{ClientStats, FileHandle, FsckReport, GekkoClient};
 pub use filemap::{FileMap, OpenFile};
+pub use placement::Placement;
 pub use rpc::{ChunkReadReply, DaemonRing, Hedge, NodeHealth, NodeHealthSnapshot, ReplyFuture};

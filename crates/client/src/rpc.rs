@@ -26,12 +26,12 @@
 //!   (the reply was lost, not the request). See DESIGN.md "Fault
 //!   model" for the `O_EXCL` caveat this implies.
 //!
-//! Every operation comes in two flavors built from one generic
-//! helper: the blocking wrapper (`stat`, `write_chunks`, …) and a
-//! nonblocking `_nb` sibling returning a typed [`ReplyFuture`] — the
-//! client's `margo_iforward`. Hot paths submit to every responsible
-//! daemon first and only then wait, so wide striping runs at
-//! transport speed with zero per-call thread spawns.
+//! Every operation has one shape: an `_nb` wrapper that submits and
+//! returns a typed [`ReplyFuture`] — the client's `margo_iforward` —
+//! and [`ReplyFuture::wait`] for the reply. Hot paths submit to every
+//! responsible daemon first and only then wait, so wide striping runs
+//! at transport speed with zero per-call thread spawns; a caller that
+//! wants a blocking call writes `x_nb(..)?.wait()`.
 
 use bytes::Bytes;
 use gkfs_common::distributor::NodeId;
@@ -282,6 +282,9 @@ impl<'a, T> ReplyFuture<'a, T> {
 
     /// Wait at most `window` for the reply, then hand the future back
     /// still pending instead of failing — the hedged-read primitive.
+    /// `None` is "hedging off": the node gets one full endpoint
+    /// timeout (clamped, like any window, to the operation deadline)
+    /// before the caller moves on.
     ///
     /// A window expiry records **nothing** with the node's health: a
     /// slow-but-alive primary must not accumulate breaker failures
@@ -290,7 +293,7 @@ impl<'a, T> ReplyFuture<'a, T> {
     /// future can be driven to completion later with
     /// [`ReplyFuture::wait_deadline`] (which resubmits, since chunk
     /// reads are idempotent).
-    pub fn wait_hedge(mut self, window: Duration) -> Hedge<'a, T> {
+    pub fn wait_hedge(mut self, window: Option<Duration>) -> Hedge<'a, T> {
         // Take the handle out; on a pending outcome the future is
         // handed back with a retryable state so wait_deadline
         // resubmits.
@@ -308,7 +311,7 @@ impl<'a, T> ReplyFuture<'a, T> {
             }
             Err(e) => return Hedge::Ready(Err(e)),
         };
-        match handle.wait(self.deadline.clamp(window)) {
+        match handle.wait(self.deadline.clamp(window.unwrap_or(self.timeout))) {
             Err(GkfsError::Timeout) => Hedge::Pending(self),
             Err(e) if e.is_node_down() => {
                 self.health.record_failure();
@@ -362,7 +365,7 @@ pub struct DaemonRing {
     /// Monotonic jitter-salt source (one per issued future).
     salts: AtomicU64,
     /// Logical RPCs issued (retries excluded) — every operation passes
-    /// through [`DaemonRing::unary_tol`], so this is the ground truth
+    /// through [`DaemonRing::unary_attempt`], so this is the ground truth
     /// the RPC-count regression gate and `ClientStats` report.
     rpcs: Arc<AtomicU64>,
     /// Bulk bytes copied on the way to a transport: what
@@ -372,21 +375,12 @@ pub struct DaemonRing {
 }
 
 impl DaemonRing {
-    /// New, with the default [`RetryConfig`].
-    pub fn new(endpoints: Vec<Arc<dyn Endpoint>>) -> DaemonRing {
-        Self::with_retry(endpoints, RetryConfig::default())
-    }
-
-    /// New, with an explicit fault-handling configuration
-    /// ([`RetryConfig::disabled`] restores single-attempt semantics).
-    pub fn with_retry(endpoints: Vec<Arc<dyn Endpoint>>, retry: RetryConfig) -> DaemonRing {
-        Self::with_config(endpoints, retry, &ReplicationConfig::default())
-    }
-
-    /// New, with replication knobs: the [`ReplicationConfig`]'s
-    /// suspect/dead thresholds size the client-side failure detector
-    /// that every RPC outcome feeds.
-    pub fn with_config(
+    /// A ring over `endpoints` under the given fault-handling
+    /// configuration ([`RetryConfig::disabled`] gives single-attempt
+    /// semantics). The [`ReplicationConfig`]'s suspect/dead thresholds
+    /// size the client-side failure detector that every RPC outcome
+    /// feeds.
+    pub fn new(
         endpoints: Vec<Arc<dyn Endpoint>>,
         retry: RetryConfig,
         replication: &ReplicationConfig,
@@ -492,27 +486,15 @@ impl DaemonRing {
     /// encode is done by the caller (a body, plus the bulk payload as
     /// borrowed segments in wire order — empty for none), the typed
     /// decode runs at [`ReplyFuture::wait`]. `tolerate` is the
-    /// idempotency escape hatch described on [`ReplyFuture`].
+    /// idempotency escape hatch described on [`ReplyFuture`]. The
+    /// decode also receives the attempt number: batched operations
+    /// carry their per-op errors *inside* an `Ok` frame, so their
+    /// lost-reply tolerance must run in the decoder, not the
+    /// frame-level `tolerate` hook.
     ///
     /// Fails immediately only on a misrouted node id; a failed or
     /// breaker-denied submission is carried inside the returned future
     /// and retried (or surfaced) at wait time.
-    fn unary_tol<'a, T>(
-        &self,
-        node: NodeId,
-        op: Opcode,
-        body: impl Into<Bytes>,
-        bulk: Vec<&'a [u8]>,
-        tolerate: Option<Tolerate<T>>,
-        decode: impl Fn(Response) -> Result<T> + Send + 'static,
-    ) -> Result<ReplyFuture<'a, T>> {
-        self.unary_attempt(node, op, body, bulk, tolerate, move |resp, _| decode(resp))
-    }
-
-    /// [`DaemonRing::unary_tol`] whose decode also receives the attempt
-    /// number. Batched operations need this: their per-op errors travel
-    /// *inside* an `Ok` frame, so lost-reply tolerance must run in the
-    /// decoder, not the frame-level `tolerate` hook.
     fn unary_attempt<'a, T>(
         &self,
         node: NodeId,
@@ -566,8 +548,9 @@ impl DaemonRing {
         })
     }
 
-    /// [`DaemonRing::unary_tol`] without tolerance — safe default for
-    /// idempotent operations (reads, writes, stat, size updates …).
+    /// [`DaemonRing::unary_attempt`] without tolerance and with an
+    /// attempt-blind decode — the safe default for idempotent
+    /// operations (reads, writes, stat, size updates …).
     fn unary_nb<'a, T>(
         &self,
         node: NodeId,
@@ -576,18 +559,7 @@ impl DaemonRing {
         bulk: Vec<&'a [u8]>,
         decode: impl Fn(Response) -> Result<T> + Send + 'static,
     ) -> Result<ReplyFuture<'a, T>> {
-        self.unary_tol(node, op, body, bulk, None, decode)
-    }
-
-    /// Blocking sibling of [`DaemonRing::unary_nb`].
-    fn unary<T>(
-        &self,
-        node: NodeId,
-        op: Opcode,
-        body: impl Into<Bytes>,
-        decode: impl Fn(Response) -> Result<T> + Send + 'static,
-    ) -> Result<T> {
-        self.unary_nb(node, op, body, Vec::new(), decode)?.wait()
+        self.unary_attempt(node, op, body, bulk, None, move |resp, _| decode(resp))
     }
 
     /// Submit `f(node)` to every node, then wait for all replies in
@@ -609,33 +581,15 @@ impl DaemonRing {
     }
 
     /// Liveness check used during deployment.
-    pub fn ping(&self, node: NodeId) -> Result<()> {
-        self.ping_nb(node)?.wait()
-    }
-
-    /// Nonblocking [`DaemonRing::ping`].
     pub fn ping_nb(&self, node: NodeId) -> Result<ReplyFuture<'static, ()>> {
         self.unary_nb(node, Opcode::Ping, Bytes::new(), Vec::new(), |_| Ok(()))
     }
 
-    /// Create. Not idempotent — a lost reply leaves the entry behind —
-    /// so a retried attempt tolerates `Exists` as "my first attempt
-    /// was applied". The resulting `O_EXCL` ambiguity under connection
-    /// loss is documented in DESIGN.md ("Fault model").
-    pub fn create(
-        &self,
-        node: NodeId,
-        path: &str,
-        kind: FileKind,
-        mode: u32,
-        exclusive: bool,
-        now_ns: u64,
-    ) -> Result<()> {
-        self.create_nb(node, path, kind, mode, exclusive, now_ns)?
-            .wait()
-    }
-
-    /// Nonblocking [`DaemonRing::create`] (metadata-replica fan-out).
+    /// Create (metadata-replica fan-out). Not idempotent — a lost reply
+    /// leaves the entry behind — so a retried attempt tolerates
+    /// `Exists` as "my first attempt was applied". The resulting
+    /// `O_EXCL` ambiguity under connection loss is documented in
+    /// DESIGN.md ("Fault model").
     pub fn create_nb(
         &self,
         node: NodeId,
@@ -655,7 +609,7 @@ impl DaemonRing {
             exclusive,
             now_ns,
         };
-        self.unary_tol(
+        self.unary_attempt(
             node,
             Opcode::Create,
             req.encode(),
@@ -663,33 +617,28 @@ impl DaemonRing {
             Some(Box::new(|e| {
                 matches!(e, GkfsError::Exists).then_some(())
             })),
-            |_| Ok(()),
+            |_, _| Ok(()),
         )
     }
 
     /// Stat.
-    pub fn stat(&self, node: NodeId, path: &str) -> Result<Metadata> {
-        self.unary(node, Opcode::Stat, PathReq::new(path).encode(), |resp| {
+    pub fn stat_nb(&self, node: NodeId, path: &str) -> Result<ReplyFuture<'static, Metadata>> {
+        let body = PathReq::new(path).encode();
+        self.unary_nb(node, Opcode::Stat, body, Vec::new(), |resp| {
             Metadata::decode(&resp.body)
         })
     }
 
-    /// Remove the metadata entry; returns the removed entry's kind.
-    /// Not idempotent — a retried attempt tolerates `NotFound` as "my
-    /// first attempt was applied" (the kind is unknowable then; caller
-    /// paths that retry discard it).
-    pub fn remove_meta(&self, node: NodeId, path: &str) -> Result<FileKind> {
-        self.remove_meta_nb(node, path)?.wait()
-    }
-
-    /// Nonblocking [`DaemonRing::remove_meta`] (metadata-replica
-    /// fan-out).
+    /// Remove the metadata entry (metadata-replica fan-out); returns
+    /// the removed entry's kind. Not idempotent — a retried attempt
+    /// tolerates `NotFound` as "my first attempt was applied" (the kind
+    /// is unknowable then; caller paths that retry discard it).
     pub fn remove_meta_nb(
         &self,
         node: NodeId,
         path: &str,
     ) -> Result<ReplyFuture<'static, FileKind>> {
-        self.unary_tol(
+        self.unary_attempt(
             node,
             Opcode::RemoveMeta,
             PathReq::new(path).encode(),
@@ -697,19 +646,14 @@ impl DaemonRing {
             Some(Box::new(|e| {
                 matches!(e, GkfsError::NotFound).then_some(FileKind::File)
             })),
-            |resp| match RemoveMetaResp::decode(&resp.body)?.kind {
+            |resp, _| match RemoveMetaResp::decode(&resp.body)?.kind {
                 0 => Ok(FileKind::File),
                 _ => Ok(FileKind::Directory),
             },
         )
     }
 
-    /// Update size.
-    pub fn update_size(&self, node: NodeId, path: &str, size: u64, mtime_ns: u64) -> Result<()> {
-        self.update_size_nb(node, path, size, mtime_ns)?.wait()
-    }
-
-    /// Nonblocking [`DaemonRing::update_size`] (flush fan-out).
+    /// Update size (flush fan-out).
     pub fn update_size_nb(
         &self,
         node: NodeId,
@@ -727,13 +671,7 @@ impl DaemonRing {
         })
     }
 
-    /// Truncate meta.
-    pub fn truncate_meta(&self, node: NodeId, path: &str, new_size: u64, mtime_ns: u64) -> Result<()> {
-        self.truncate_meta_nb(node, path, new_size, mtime_ns)?.wait()
-    }
-
-    /// Nonblocking [`DaemonRing::truncate_meta`] (metadata-replica
-    /// fan-out).
+    /// Truncate meta (metadata-replica fan-out).
     pub fn truncate_meta_nb(
         &self,
         node: NodeId,
@@ -749,20 +687,6 @@ impl DaemonRing {
         self.unary_nb(node, Opcode::TruncateMeta, req.encode(), Vec::new(), |_| {
             Ok(())
         })
-    }
-
-    /// Readdir: walk every page of one daemon's listing.
-    pub fn readdir(&self, node: NodeId, dir: &str) -> Result<Vec<Dirent>> {
-        let mut all = Vec::new();
-        let mut cursor = String::new();
-        loop {
-            let (page, next) = self.readdir_page_nb(node, dir, &cursor, 0)?.wait()?;
-            all.extend(page);
-            if next.is_empty() {
-                return Ok(all);
-            }
-            cursor = next;
-        }
     }
 
     /// Fetch one page of a daemon's directory listing. `max_entries: 0`
@@ -809,19 +733,17 @@ impl DaemonRing {
     /// attempt was applied" — the same lost-reply tolerance the unary
     /// wrappers use, pushed down to op granularity. A tolerated unlink
     /// reports a metadata sentinel of unknown size (`u64::MAX`) so
-    /// callers fan chunk removal out conservatively.
+    /// callers fan chunk removal out conservatively. The ops are shared,
+    /// not copied, between the replicas of one fan-out.
     pub fn batch_meta_nb(
         &self,
         node: NodeId,
-        ops: Vec<MetaOp>,
+        ops: Arc<[MetaOp]>,
     ) -> Result<ReplyFuture<'static, Vec<MetaOpResult>>> {
-        let req = BatchMetaReq { ops };
-        let body = req.encode();
-        let ops = req.ops;
         self.unary_attempt(
             node,
             Opcode::BatchMeta,
-            body,
+            BatchMetaReq::encode_ops(&ops),
             Vec::new(),
             None,
             move |resp, attempt| {
@@ -838,7 +760,7 @@ impl DaemonRing {
                 }
                 Ok(r.results
                     .into_iter()
-                    .zip(&ops)
+                    .zip(ops.iter())
                     .map(|(res, op)| match (op, res.clone().into_result()) {
                         (MetaOp::Create { .. }, Err(GkfsError::Exists)) => MetaOpResult::ok(),
                         (MetaOp::Unlink { .. }, Err(GkfsError::NotFound)) => {
@@ -853,22 +775,12 @@ impl DaemonRing {
         )
     }
 
-    /// Write one batch of chunks; `bulk`, concatenated, is the data in
-    /// op order — typically one borrowed sub-slice of the caller's
-    /// buffer per op, which a TCP endpoint sends from where it lies.
-    /// Chunk writes are idempotent (same data, same place), so they
-    /// retry freely, each attempt from the same borrowed slices.
-    pub fn write_chunks(
-        &self,
-        node: NodeId,
-        path: &str,
-        ops: Vec<ChunkOp>,
-        bulk: Vec<&[u8]>,
-    ) -> Result<()> {
-        self.write_chunks_nb(node, path, ops, bulk)?.wait()
-    }
-
-    /// Nonblocking [`DaemonRing::write_chunks`] (write fan-out).
+    /// Write one batch of chunks (write fan-out); `bulk`, concatenated,
+    /// is the data in op order — typically one borrowed sub-slice of
+    /// the caller's buffer per op, which a TCP endpoint sends from
+    /// where it lies. Chunk writes are idempotent (same data, same
+    /// place), so they retry freely, each attempt from the same
+    /// borrowed slices.
     pub fn write_chunks_nb<'a>(
         &self,
         node: NodeId,
@@ -883,18 +795,8 @@ impl DaemonRing {
         self.unary_nb(node, Opcode::WriteChunks, req.encode(), bulk, |_| Ok(()))
     }
 
-    /// Read one batch of chunks; returns per-op lengths, per-op
-    /// absent-chunk flags, and the concatenated data.
-    pub fn read_chunks(
-        &self,
-        node: NodeId,
-        path: &str,
-        ops: Vec<ChunkOp>,
-    ) -> Result<ChunkReadReply> {
-        self.read_chunks_nb(node, path, ops)?.wait()
-    }
-
-    /// Nonblocking [`DaemonRing::read_chunks`] (read gather).
+    /// Read one batch of chunks (read gather); returns per-op lengths,
+    /// per-op absent-chunk flags, and the concatenated data.
     pub fn read_chunks_nb(
         &self,
         node: NodeId,
@@ -924,13 +826,9 @@ impl DaemonRing {
         })
     }
 
-    /// Remove chunks. Idempotent by construction (removing absent
-    /// chunks is a no-op on the daemon), so it retries freely.
-    pub fn remove_chunks(&self, node: NodeId, path: &str) -> Result<()> {
-        self.remove_chunks_nb(node, path)?.wait()
-    }
-
-    /// Nonblocking [`DaemonRing::remove_chunks`] (unlink fan-out).
+    /// Remove chunks (unlink fan-out). Idempotent by construction
+    /// (removing absent chunks is a no-op on the daemon), so it retries
+    /// freely.
     pub fn remove_chunks_nb(&self, node: NodeId, path: &str) -> Result<ReplyFuture<'static, ()>> {
         self.unary_nb(
             node,
@@ -941,19 +839,7 @@ impl DaemonRing {
         )
     }
 
-    /// Truncate chunks.
-    pub fn truncate_chunks(
-        &self,
-        node: NodeId,
-        path: &str,
-        keep_chunk: u64,
-        keep_bytes: u64,
-    ) -> Result<()> {
-        self.truncate_chunks_nb(node, path, keep_chunk, keep_bytes)?
-            .wait()
-    }
-
-    /// Nonblocking [`DaemonRing::truncate_chunks`] (truncate broadcast).
+    /// Truncate chunks (truncate broadcast).
     pub fn truncate_chunks_nb(
         &self,
         node: NodeId,
@@ -971,12 +857,8 @@ impl DaemonRing {
         })
     }
 
-    /// Paths (and chunk counts) daemon `node` holds chunks for.
-    pub fn chunk_inventory(&self, node: NodeId) -> Result<Vec<(String, u64)>> {
-        self.chunk_inventory_nb(node)?.wait()
-    }
-
-    /// Nonblocking [`DaemonRing::chunk_inventory`] (fsck broadcast).
+    /// Paths (and chunk counts) daemon `node` holds chunks for (fsck
+    /// broadcast).
     pub fn chunk_inventory_nb(
         &self,
         node: NodeId,
@@ -990,13 +872,7 @@ impl DaemonRing {
         )
     }
 
-    /// Daemon stats.
-    pub fn daemon_stats(&self, node: NodeId) -> Result<DaemonStatsResp> {
-        self.daemon_stats_nb(node)?.wait()
-    }
-
-    /// Nonblocking [`DaemonRing::daemon_stats`] (cluster-stats
-    /// broadcast).
+    /// Daemon stats (cluster-stats broadcast).
     pub fn daemon_stats_nb(&self, node: NodeId) -> Result<ReplyFuture<'static, DaemonStatsResp>> {
         self.unary_nb(
             node,
@@ -1035,7 +911,7 @@ mod tests {
         }
 
         pub fn make_ring(n: usize) -> DaemonRing {
-            DaemonRing::new((0..n).map(|_| fake_daemon()).collect())
+            make_ring_of((0..n).map(|_| fake_daemon()).collect(), RetryConfig::default())
         }
 
         /// A ring over caller-supplied endpoints with explicit retry
@@ -1044,7 +920,7 @@ mod tests {
             endpoints: Vec<Arc<dyn Endpoint>>,
             retry: RetryConfig,
         ) -> DaemonRing {
-            DaemonRing::with_retry(endpoints, retry)
+            DaemonRing::new(endpoints, retry, &ReplicationConfig::default())
         }
 
         /// A ring whose Ping handlers sleep `delay_ms` — for proving
@@ -1061,11 +937,16 @@ mod tests {
                 let server = gkfs_rpc::RpcServer::new(reg, 1);
                 endpoints.push(server.endpoint());
             }
-            DaemonRing::new(endpoints)
+            make_ring_of(endpoints, RetryConfig::default())
         }
 
         #[allow(unused)]
         fn quiet(_: DaemonConfig) {}
+    }
+
+    /// The blocking call, spelled the one way the ring offers it.
+    fn ping(ring: &DaemonRing, node: NodeId) -> Result<()> {
+        ring.ping_nb(node)?.wait()
     }
 
     /// Fast deterministic retry knobs for tests.
@@ -1085,15 +966,18 @@ mod tests {
         let ring = make_ring(3);
         assert_eq!(ring.nodes(), 3);
         for n in 0..3 {
-            ring.ping(n).unwrap();
+            ping(&ring, n).unwrap();
         }
-        assert!(matches!(ring.stat(1, "/x"), Err(GkfsError::NotFound)));
+        assert!(matches!(
+            ring.stat_nb(1, "/x").unwrap().wait(),
+            Err(GkfsError::NotFound)
+        ));
     }
 
     #[test]
     fn out_of_range_node_is_rpc_error() {
         let ring = make_ring(2);
-        assert!(matches!(ring.ping(5), Err(GkfsError::Rpc(_))));
+        assert!(matches!(ping(&ring, 5), Err(GkfsError::Rpc(_))));
         assert!(ring.ping_nb(5).is_err());
         assert!(ring.node_health(5).is_err());
         assert_eq!(ring.reconnects(5), 0);
@@ -1147,7 +1031,7 @@ mod tests {
             FlakyEndpoint::new(gkfs_daemon_for_tests::fake_daemon(), 2);
         let ring = make_ring_of(vec![flaky], test_retry(4));
         for _ in 0..10 {
-            ring.ping(0).unwrap();
+            ping(&ring, 0).unwrap();
         }
         let h = ring.node_health(0).unwrap();
         assert!(h.retries() >= 5, "flaky submits must be retried: {}", h.retries());
@@ -1160,7 +1044,7 @@ mod tests {
         let flaky: Arc<dyn Endpoint> =
             FlakyEndpoint::new(gkfs_daemon_for_tests::fake_daemon(), 2);
         let ring = make_ring_of(vec![flaky], RetryConfig::disabled());
-        let outcomes: Vec<bool> = (0..6).map(|_| ring.ping(0).is_ok()).collect();
+        let outcomes: Vec<bool> = (0..6).map(|_| ping(&ring, 0).is_ok()).collect();
         assert_eq!(outcomes, vec![true, false, true, false, true, false]);
         assert_eq!(ring.node_health(0).unwrap().retries(), 0);
     }
@@ -1197,8 +1081,10 @@ mod tests {
         let flaky: Arc<dyn Endpoint> =
             FlakyEndpoint::new_reply_path(server.endpoint(), 2);
         let ring = make_ring_of(vec![flaky], test_retry(4));
-        ring.ping(0).unwrap();
-        ring.create(0, "/lost-reply", FileKind::File, 0o644, true, 1)
+        ping(&ring, 0).unwrap();
+        ring.create_nb(0, "/lost-reply", FileKind::File, 0o644, true, 1)
+            .unwrap()
+            .wait()
             .unwrap();
         assert_eq!(
             inserts.load(Ordering::Relaxed),
@@ -1209,7 +1095,8 @@ mod tests {
         // healthy endpoint) still surfaces Exists — tolerance only
         // covers retried attempts.
         let clean = make_ring_of(vec![server.endpoint()], test_retry(4));
-        match clean.create(0, "/lost-reply", FileKind::File, 0o644, true, 1) {
+        let dup = clean.create_nb(0, "/lost-reply", FileKind::File, 0o644, true, 1);
+        match dup.unwrap().wait() {
             Err(GkfsError::Exists) => {}
             other => panic!("fresh duplicate create must fail: {other:?}"),
         }
@@ -1249,7 +1136,9 @@ mod tests {
             ChunkOp { chunk_id: 0, offset: 0, len: 100_000 },
             ChunkOp { chunk_id: 2, offset: 0, len: 200_000 },
         ];
-        ring.write_chunks(0, "/retried", ops, vec![&data[..100_000], &data[100_000..]])
+        ring.write_chunks_nb(0, "/retried", ops, vec![&data[..100_000], &data[100_000..]])
+            .unwrap()
+            .wait()
             .unwrap();
 
         let seen = seen.lock().unwrap();
@@ -1275,7 +1164,9 @@ mod tests {
         let ring = make_ring_of(vec![server.endpoint()], test_retry(1));
         let data = vec![7u8; 5000];
         let ops = vec![ChunkOp { chunk_id: 0, offset: 0, len: 5000 }];
-        ring.write_chunks(0, "/copied", ops, vec![&data[..1000], &data[1000..]])
+        ring.write_chunks_nb(0, "/copied", ops, vec![&data[..1000], &data[1000..]])
+            .unwrap()
+            .wait()
             .unwrap();
         assert_eq!(ring.gather_copy_counter().load(Ordering::Relaxed), 5000);
     }
@@ -1292,14 +1183,14 @@ mod tests {
         };
         let ring = make_ring_of(vec![dead], cfg);
         for _ in 0..3 {
-            assert!(matches!(ring.ping(0), Err(GkfsError::Rpc(_))));
+            assert!(matches!(ping(&ring, 0), Err(GkfsError::Rpc(_))));
         }
         let h = ring.node_health(0).unwrap();
         assert_eq!(h.breaker_state(), BreakerState::Open);
         assert_eq!(h.consecutive_failures(), 3);
         // While open: fail fast with Unavailable, no request sent.
         let before = h.failures();
-        match ring.ping(0) {
+        match ping(&ring, 0) {
             Err(GkfsError::Unavailable(_)) => {}
             other => panic!("open breaker must fail fast: {other:?}"),
         }
@@ -1307,7 +1198,7 @@ mod tests {
         // After the cooldown one probe goes through (and fails again
         // here — the endpoint is really dead).
         std::thread::sleep(Duration::from_millis(60));
-        assert!(matches!(ring.ping(0), Err(GkfsError::Rpc(_))));
+        assert!(matches!(ping(&ring, 0), Err(GkfsError::Rpc(_))));
         assert_eq!(h.breaker_state(), BreakerState::Open, "failed probe reopens");
     }
 
@@ -1319,7 +1210,7 @@ mod tests {
         // wins the race says nothing about this node being down).
         let ring = make_sleepy_ring(1, 120);
         let fut = ring.ping_nb(0).unwrap();
-        let pending = match fut.wait_hedge(Duration::from_millis(10)) {
+        let pending = match fut.wait_hedge(Some(Duration::from_millis(10))) {
             Hedge::Pending(fut) => fut,
             Hedge::Ready(_) => panic!("120 ms handler must out-sleep a 10 ms hedge window"),
         };
@@ -1333,10 +1224,22 @@ mod tests {
     }
 
     #[test]
+    fn no_hedge_window_waits_the_node_out() {
+        // Hedging off (`None`): a 120 ms handler is simply waited for,
+        // up to the endpoint timeout — the future never comes back
+        // pending the way it does under a 10 ms window above.
+        let ring = make_sleepy_ring(1, 120);
+        match ring.ping_nb(0).unwrap().wait_hedge(None) {
+            Hedge::Ready(r) => r.unwrap(),
+            Hedge::Pending(_) => panic!("no window, yet the wait gave up on a live node"),
+        }
+    }
+
+    #[test]
     fn hedge_on_dead_node_is_a_genuine_failure() {
         let dead: Arc<dyn Endpoint> = Arc::new(DeadEndpoint);
         let ring = make_ring_of(vec![dead], test_retry(1));
-        match ring.ping_nb(0).unwrap().wait_hedge(Duration::from_millis(5)) {
+        match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(5))) {
             Hedge::Pending(_) => {}
             Hedge::Ready(r) => panic!("dead endpoint must stay pending: {:?}", r.err()),
         }
@@ -1347,7 +1250,7 @@ mod tests {
     #[test]
     fn hedge_completes_within_window() {
         let ring = make_ring(1);
-        match ring.ping_nb(0).unwrap().wait_hedge(Duration::from_millis(2_000)) {
+        match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(2_000))) {
             Hedge::Ready(r) => r.unwrap(),
             Hedge::Pending(_) => panic!("fast reply must complete inside the window"),
         }
@@ -1356,15 +1259,14 @@ mod tests {
 
     #[test]
     fn detector_sees_rpc_outcomes() {
-        use gkfs_common::ReplicationConfig;
         let dead: Arc<dyn Endpoint> = Arc::new(DeadEndpoint);
         let repl = ReplicationConfig {
             suspect_after_ms: 10,
             dead_after_ms: 30,
             ..ReplicationConfig::default()
         };
-        let ring = DaemonRing::with_config(vec![dead], test_retry(1), &repl);
-        assert!(ring.ping(0).is_err());
+        let ring = DaemonRing::new(vec![dead], test_retry(1), &repl);
+        assert!(ping(&ring, 0).is_err());
         std::thread::sleep(Duration::from_millis(40));
         assert_eq!(ring.detector().liveness(0), Liveness::Dead);
         assert_eq!(ring.health_snapshot()[0].liveness, Liveness::Dead);
@@ -1386,7 +1288,7 @@ mod tests {
         };
         let ring = make_ring_of(vec![dead], cfg);
         let t0 = std::time::Instant::now();
-        assert!(ring.ping(0).is_err());
+        assert!(ping(&ring, 0).is_err());
         let elapsed = t0.elapsed();
         assert!(
             elapsed < Duration::from_millis(400),

@@ -19,7 +19,7 @@
 //! `#[test]`s pin reproducible cases.
 
 use gkfs_client::{DaemonRing, GekkoClient};
-use gkfs_common::config::RetryConfig;
+use gkfs_common::config::{ReplicationConfig, RetryConfig};
 use gkfs_common::{ClusterConfig, FileKind, GkfsError};
 use gkfs_daemon::Daemon;
 use gkfs_rpc::proto::MetaOp;
@@ -66,7 +66,11 @@ fn to_meta_op(op: &Op) -> MetaOp {
 
 fn one_node_ring() -> (Arc<Daemon>, DaemonRing) {
     let d = Daemon::spawn(gkfs_common::DaemonConfig::default()).unwrap();
-    let ring = DaemonRing::with_retry(vec![d.endpoint()], RetryConfig::default());
+    let ring = DaemonRing::new(
+        vec![d.endpoint()],
+        RetryConfig::default(),
+        &ReplicationConfig::default(),
+    );
     (d, ring)
 }
 
@@ -75,11 +79,15 @@ fn one_node_ring() -> (Arc<Daemon>, DaemonRing) {
 fn unary_outcome(ring: &DaemonRing, op: &Op) -> Result<Option<u64>, GkfsError> {
     match *op {
         Op::Create(i) => ring
-            .create(0, &path_of(i), FileKind::File, 0o644, true, 1)
+            .create_nb(0, &path_of(i), FileKind::File, 0o644, true, 1)?
+            .wait()
             .map(|()| None),
-        Op::Stat(i) => ring.stat(0, &path_of(i)).map(|m| Some(m.size)),
-        Op::Unlink(i) => ring.remove_meta(0, &path_of(i)).map(|_| None),
-        Op::Truncate(i, size) => ring.truncate_meta(0, &path_of(i), size, 2).map(|()| None),
+        Op::Stat(i) => ring.stat_nb(0, &path_of(i))?.wait().map(|m| Some(m.size)),
+        Op::Unlink(i) => ring.remove_meta_nb(0, &path_of(i))?.wait().map(|_| None),
+        Op::Truncate(i, size) => ring
+            .truncate_meta_nb(0, &path_of(i), size, 2)?
+            .wait()
+            .map(|()| None),
     }
 }
 
@@ -90,7 +98,7 @@ fn check_batched_matches_serial(ops: &[Op]) -> Result<(), String> {
 
     let frame: Vec<MetaOp> = ops.iter().map(to_meta_op).collect();
     let batched_results = batched
-        .batch_meta_nb(0, frame)
+        .batch_meta_nb(0, frame.into())
         .and_then(|f| f.wait())
         .map_err(|e| format!("batch frame failed: {e}"))?;
 
@@ -119,8 +127,8 @@ fn check_batched_matches_serial(ops: &[Op]) -> Result<(), String> {
     // presence and size.
     for i in 0..UNIVERSE {
         let p = path_of(i);
-        let a = batched.stat(0, &p).map(|m| m.size);
-        let b = serial.stat(0, &p).map(|m| m.size);
+        let a = batched.stat_nb(0, &p).and_then(|f| f.wait()).map(|m| m.size);
+        let b = serial.stat_nb(0, &p).and_then(|f| f.wait()).map(|m| m.size);
         if a != b {
             return Err(format!("final state of {p} diverged: batched {a:?}, serial {b:?}"));
         }
@@ -149,7 +157,11 @@ fn check_batch_exactly_once(fail_every: u64, n_files: usize) -> Result<(), Strin
         .with_meta_batch(8)
         .with_retry(fast_retry(4));
     let client = GekkoClient::mount(vec![flaky], &config).map_err(|e| format!("mount: {e}"))?;
-    let clean = DaemonRing::with_retry(vec![daemon.endpoint()], fast_retry(1));
+    let clean = DaemonRing::new(
+        vec![daemon.endpoint()],
+        fast_retry(1),
+        &ReplicationConfig::default(),
+    );
 
     let paths: Vec<String> = (0..n_files).map(|i| format!("/x{i}")).collect();
     let res = client
@@ -162,7 +174,10 @@ fn check_batch_exactly_once(fail_every: u64, n_files: usize) -> Result<(), Strin
     }
     // A genuine duplicate — clean ring, first attempt answered — must
     // still fail: the replay tolerance only covers retried frames.
-    match clean.create(0, "/x0", FileKind::File, 0o644, true, 9) {
+    match clean
+        .create_nb(0, "/x0", FileKind::File, 0o644, true, 9)
+        .and_then(|f| f.wait())
+    {
         Err(GkfsError::Exists) => {}
         other => return Err(format!("genuine duplicate create must fail: {other:?}")),
     }
@@ -184,7 +199,7 @@ fn check_batch_exactly_once(fail_every: u64, n_files: usize) -> Result<(), Strin
             return Err(format!("unlink {p} under reply loss: {e}"));
         }
     }
-    match clean.remove_meta(0, "/x0") {
+    match clean.remove_meta_nb(0, "/x0").and_then(|f| f.wait()) {
         Err(GkfsError::NotFound) => {}
         other => return Err(format!("removing a removed entry must fail: {other:?}")),
     }

@@ -16,7 +16,7 @@
 //! exercised even where the full proptest crate is unavailable.
 
 use gkfs_client::DaemonRing;
-use gkfs_common::config::RetryConfig;
+use gkfs_common::config::{ReplicationConfig, RetryConfig};
 use gkfs_common::{FileKind, GkfsError};
 use gkfs_rpc::proto::{CreateReq, PathReq, RemoveMetaResp};
 use gkfs_rpc::testing::FlakyEndpoint;
@@ -57,7 +57,7 @@ fn check_deadline_bound(
             ..ChaosConfig::quiet(0xD0_0D)
         },
     );
-    let ring = DaemonRing::with_retry(
+    let ring = DaemonRing::new(
         vec![black_hole as Arc<dyn Endpoint>],
         RetryConfig {
             max_attempts,
@@ -67,9 +67,10 @@ fn check_deadline_bound(
             op_deadline_ms: deadline_ms,
             ..RetryConfig::default()
         },
+        &ReplicationConfig::default(),
     );
     let t0 = Instant::now();
-    let result = ring.ping(0);
+    let result = ring.ping_nb(0).and_then(|f| f.wait());
     let elapsed = t0.elapsed();
     if result.is_ok() {
         return Err("ping through a black hole cannot succeed".into());
@@ -159,11 +160,13 @@ fn check_exactly_once(fail_every: u64, n_ops: usize) -> Result<(), String> {
     let daemon = counting_daemon();
     let flaky: Arc<dyn Endpoint> =
         FlakyEndpoint::new_reply_path(daemon.server.endpoint(), fail_every);
-    let ring = DaemonRing::with_retry(vec![flaky], fast_retry(4));
-    let clean = DaemonRing::with_retry(vec![daemon.server.endpoint()], fast_retry(1));
+    let repl = ReplicationConfig::default();
+    let ring = DaemonRing::new(vec![flaky], fast_retry(4), &repl);
+    let clean = DaemonRing::new(vec![daemon.server.endpoint()], fast_retry(1), &repl);
 
     for i in 0..n_ops {
-        ring.create(0, &format!("/p{i}"), FileKind::File, 0o644, true, 1)
+        ring.create_nb(0, &format!("/p{i}"), FileKind::File, 0o644, true, 1)
+            .and_then(|f| f.wait())
             .map_err(|e| format!("create /p{i}: {e}"))?;
     }
     let inserts = daemon.inserts.load(Ordering::Relaxed);
@@ -175,13 +178,17 @@ fn check_exactly_once(fail_every: u64, n_ops: usize) -> Result<(), String> {
     // A genuine duplicate — first attempt answered, clean endpoint —
     // must still surface Exists: tolerance only covers retried
     // attempts of the same logical op.
-    match clean.create(0, "/p0", FileKind::File, 0o644, true, 1) {
+    match clean
+        .create_nb(0, "/p0", FileKind::File, 0o644, true, 1)
+        .and_then(|f| f.wait())
+    {
         Err(GkfsError::Exists) => {}
         other => return Err(format!("genuine duplicate create must fail: {other:?}")),
     }
 
     for i in 0..n_ops {
-        ring.remove_meta(0, &format!("/p{i}"))
+        ring.remove_meta_nb(0, &format!("/p{i}"))
+            .and_then(|f| f.wait())
             .map_err(|e| format!("remove /p{i}: {e}"))?;
     }
     let removes = daemon.removes.load(Ordering::Relaxed);
@@ -190,7 +197,7 @@ fn check_exactly_once(fail_every: u64, n_ops: usize) -> Result<(), String> {
             "removes not exactly-once: {n_ops} ops, {removes} applications"
         ));
     }
-    match clean.remove_meta(0, "/p0") {
+    match clean.remove_meta_nb(0, "/p0").and_then(|f| f.wait()) {
         Err(GkfsError::NotFound) => {}
         other => return Err(format!("removing a removed entry must fail: {other:?}")),
     }

@@ -13,7 +13,7 @@
 //! deadline arming, health counters).
 
 use gkfs_client::DaemonRing;
-use gkfs_common::config::RetryConfig;
+use gkfs_common::config::{ReplicationConfig, RetryConfig};
 use gkfs_rpc::{Endpoint, HandlerRegistry, Opcode, Response, RpcServer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,17 +22,21 @@ fn echo_ring(retry: RetryConfig) -> DaemonRing {
     let mut reg = HandlerRegistry::new();
     reg.register_fn(Opcode::Ping, |req| Response::ok(req.body));
     let server = RpcServer::new(reg, 1);
-    DaemonRing::with_retry(vec![server.endpoint() as Arc<dyn Endpoint>], retry)
+    DaemonRing::new(
+        vec![server.endpoint() as Arc<dyn Endpoint>],
+        retry,
+        &ReplicationConfig::default(),
+    )
 }
 
 fn measure(ring: &DaemonRing, iters: u64) -> f64 {
     // Warm-up.
     for _ in 0..iters / 10 {
-        ring.ping(0).unwrap();
+        ring.ping_nb(0).unwrap().wait().unwrap();
     }
     let t0 = Instant::now();
     for _ in 0..iters {
-        ring.ping(0).unwrap();
+        ring.ping_nb(0).unwrap().wait().unwrap();
     }
     t0.elapsed().as_nanos() as f64 / iters as f64
 }

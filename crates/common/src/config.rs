@@ -33,13 +33,14 @@ pub enum DistributorKind {
     WriteLocal,
 }
 
-/// Which engine drives the daemon's batch chunk I/O (the storage
-/// layer's `submit_batch` backend).
+/// Which engine drives a file chunk store's batches — the argument of
+/// `FileChunkStorage::open_with`. Daemons always open with `Auto`; the
+/// explicit variants exist for tools that compare the engines
+/// (`batch_grid`, the storage tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoBackend {
-    /// Pick the best generally-available engine: the task-pool
-    /// fan-out. io_uring stays opt-in (`Uring`) until registered
-    /// buffers land — see DESIGN.md "Zero-copy data plane".
+    /// The task-pool fan-out, or the serial engine when the store is
+    /// opened with zero I/O threads.
     #[default]
     Auto,
     /// Run every batch serially on the submitting thread.
@@ -47,10 +48,6 @@ pub enum IoBackend {
     /// Fan batch segments out over a `TaskPool` of pread/pwrite
     /// workers (the Argobots-ULT stand-in).
     Pool,
-    /// Submit whole batches to an io_uring completion ring. Probed at
-    /// startup; kernels without io_uring (or builds without the
-    /// storage crate's `uring` feature) fall back to `Pool`.
-    Uring,
 }
 
 /// Per-daemon configuration.
@@ -75,8 +72,6 @@ pub struct DaemonConfig {
     /// Bound on queued chunk tasks; at saturation the handler runs
     /// tasks inline (caller-runs degradation) instead of queuing more.
     pub chunk_queue_depth: usize,
-    /// Engine behind the chunk store's completion-based batch API.
-    pub io_backend: IoBackend,
 }
 
 impl Default for DaemonConfig {
@@ -88,7 +83,6 @@ impl Default for DaemonConfig {
             kv_wal: false,
             chunk_io_threads: 4,
             chunk_queue_depth: 64,
-            io_backend: IoBackend::Auto,
         }
     }
 }
@@ -180,8 +174,9 @@ pub struct ReplicationConfig {
     /// re-replication catches up.
     pub write_quorum: usize,
     /// Latency threshold after which a read of the primary hedges to
-    /// the next replica, in milliseconds. `0` uses the endpoint
-    /// timeout (hedging effectively off).
+    /// the next replica, in milliseconds. `0` turns hedging off: the
+    /// window is the endpoint timeout, so a replica is waited out
+    /// (under the operation deadline) before the next is asked.
     pub hedge_after_ms: u64,
     /// Idle-probe interval of the heartbeat thread, in milliseconds.
     pub heartbeat_interval_ms: u64,
@@ -458,6 +453,5 @@ mod tests {
         assert!(d.handler_threads >= 1);
         assert!(d.chunk_io_threads >= 1);
         assert!(d.chunk_queue_depth >= d.chunk_io_threads);
-        assert_eq!(d.io_backend, IoBackend::Auto);
     }
 }

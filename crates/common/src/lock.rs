@@ -135,11 +135,6 @@ pub mod rank {
     pub const DAEMON_CHUNK_QUEUE: LockRank = LockRank(156);
     /// One shard of the in-memory chunk store.
     pub const STORAGE_SHARD: LockRank = LockRank(150);
-    /// The file chunk store's io_uring submission/completion ring.
-    /// Between `STORAGE_SHARD` and `STORAGE_FD_SHARD`: batch code
-    /// resolves descriptors before locking the ring, but a holder may
-    /// still touch the fd cache underneath.
-    pub const STORAGE_URING: LockRank = LockRank(148);
     /// One shard of the file chunk store's open-fd cache. Below
     /// `STORAGE_SHARD` so a backend that layered both could resolve
     /// fds while holding a chunk shard (leaf in practice).
@@ -194,7 +189,6 @@ pub mod rank {
             162 => "CHAOS_RNG",
             156 => "DAEMON_CHUNK_QUEUE",
             150 => "STORAGE_SHARD",
-            148 => "STORAGE_URING",
             146 => "STORAGE_FD_SHARD",
             130 => "KV_THREADS",
             120 => "KV_COMPACTION",

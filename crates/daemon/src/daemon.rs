@@ -46,7 +46,7 @@ impl Daemon {
                     MetadataBackend::open_dir(root.join("metadata"), config.kv_wal)?,
                     Arc::new(FileChunkStorage::open_with(
                         root.join("data"),
-                        config.io_backend,
+                        gkfs_common::IoBackend::Auto,
                         config.chunk_io_threads.min(cores),
                         config.chunk_queue_depth,
                     )?),

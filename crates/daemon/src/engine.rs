@@ -31,7 +31,7 @@ use std::sync::Arc;
 pub const MAX_READ_BATCH_BYTES: u64 = gkfs_storage::MAX_BATCH_BYTES;
 
 /// Per-daemon batch adapter: wire-side validation plus reply-assembly
-/// counters. The I/O engine itself (task pool or io_uring) belongs to
+/// counters. The I/O engine itself (serial or task pool) belongs to
 /// the storage backend.
 #[derive(Default)]
 pub struct ChunkEngine {

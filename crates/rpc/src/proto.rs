@@ -845,9 +845,14 @@ pub struct BatchMetaReq {
 impl BatchMetaReq {
     /// Encode.
     pub fn encode(&self) -> Vec<u8> {
+        Self::encode_ops(&self.ops)
+    }
+
+    /// Encode a frame carrying `ops` without owning them.
+    pub fn encode_ops(ops: &[MetaOp]) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.count(self.ops.len());
-        for op in &self.ops {
+        e.count(ops.len());
+        for op in ops {
             op.encode_into(&mut e);
         }
         e.into_vec()

@@ -181,7 +181,9 @@ pub trait Endpoint: Send + Sync {
 
     /// The per-call timeout [`Endpoint::call`] applies, exposed so
     /// callers driving `submit`/`wait` themselves honor the endpoint's
-    /// configuration.
+    /// configuration: the client's retry layer waits this long per
+    /// attempt, and with hedging off (`hedge_after_ms: 0`) it is how
+    /// long a read waits on one replica before asking the next.
     fn timeout(&self) -> Duration {
         DEFAULT_TIMEOUT
     }

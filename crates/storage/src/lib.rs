@@ -21,8 +21,6 @@ pub mod file;
 pub mod mem;
 mod mmap;
 pub mod stats;
-#[cfg(feature = "uring")]
-pub mod uring;
 
 pub use file::FileChunkStorage;
 pub use mem::MemChunkStorage;
@@ -99,6 +97,19 @@ pub fn segment(ops: &[BatchOp], max_tasks: usize) -> Vec<(usize, usize)> {
         start = end;
     }
     segs
+}
+
+/// Bounds-check every write op's bulk window (writes don't require the
+/// dense layout — their windows just have to fit the payload).
+pub(crate) fn check_write_windows(ops: &[BatchOp], bulk_len: usize) -> Result<()> {
+    for op in ops {
+        if op.buf_offset.checked_add(op.len).is_none_or(|e| e > bulk_len as u64) {
+            return Err(GkfsError::InvalidArgument(
+                "write batch op window exceeds bulk".into(),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Direction and payload of a [`ChunkStorage::submit_batch`] call.
@@ -252,17 +263,41 @@ impl Drop for BatchCompletion {
 /// derive their own internal naming. All methods are thread-safe: the
 /// RPC handler pool calls them concurrently.
 pub trait ChunkStorage: Send + Sync {
-    /// Write `data` into chunk `chunk_id` of `path` at byte `offset`
-    /// within the chunk. Creates the chunk if missing; zero-fills any
-    /// gap between the current chunk end and `offset`.
-    fn write_chunk(&self, path: &str, chunk_id: u64, offset: u64, data: &[u8]) -> Result<()>;
+    /// Submit a batch for completion-based execution and return an
+    /// in-flight handle — the one data-I/O entry point every backend
+    /// implements. Writes pull their bytes from the payload's
+    /// refcounted buffer at each op's `buf_offset` window (the windows
+    /// only have to fit the payload); reads require the dense
+    /// running-sum layout and scatter into a zeroed buffer the returned
+    /// completion owns, leaving the tail of a short op's window zero.
+    /// Backends may coalesce ops that are contiguous in both the chunk
+    /// and the buffer, and a backend with an I/O engine overlaps the
+    /// batch's segments and completes asynchronously.
+    fn submit_batch(&self, path: &str, ops: &[BatchOp], payload: BatchPayload) -> BatchCompletion;
 
-    /// Read up to `len` bytes from chunk `chunk_id` at `offset`.
-    /// Returns the bytes actually present — a short (possibly empty)
-    /// vector if the chunk is missing or shorter than requested. The
-    /// client layer turns short reads into zero-fill or EOF based on
-    /// the file size from the metadata owner.
-    fn read_chunk(&self, path: &str, chunk_id: u64, offset: u64, len: u64) -> Result<Vec<u8>>;
+    /// Write `data` into chunk `chunk_id` of `path` at byte `offset`
+    /// within the chunk — a one-op [`ChunkStorage::submit_batch`].
+    /// Creates the chunk if missing; zero-fills any gap between the
+    /// current chunk end and `offset`.
+    fn write_chunk(&self, path: &str, chunk_id: u64, offset: u64, data: &[u8]) -> Result<()> {
+        let op = BatchOp { chunk_id, offset, len: data.len() as u64, buf_offset: 0 };
+        let payload = BatchPayload::Write(Bytes::copy_from_slice(data));
+        self.submit_batch(path, &[op], payload).wait().map(|_| ())
+    }
+
+    /// Read up to `len` bytes from chunk `chunk_id` at `offset` — a
+    /// one-op [`ChunkStorage::submit_batch`]. Returns the bytes
+    /// actually present: a short (possibly empty) vector if the chunk
+    /// is missing or shorter than requested. The client layer turns
+    /// short reads into zero-fill or EOF based on the file size from
+    /// the metadata owner. `len` is unbounded by contract, so it is
+    /// clamped to the batch cap rather than rejected by it.
+    fn read_chunk(&self, path: &str, chunk_id: u64, offset: u64, len: u64) -> Result<Vec<u8>> {
+        let op = BatchOp { chunk_id, offset, len: len.min(MAX_BATCH_BYTES), buf_offset: 0 };
+        let mut out = self.submit_batch(path, &[op], BatchPayload::Read).wait()?;
+        out.data.truncate(out.lens.first().copied().unwrap_or(0) as usize);
+        Ok(out.data)
+    }
 
     /// Remove every chunk of `path` held by this daemon. Idempotent.
     fn remove_chunks(&self, path: &str) -> Result<()>;
@@ -284,66 +319,6 @@ pub trait ChunkStorage: Send + Sync {
     /// the export manifest the re-replication driver walks when it
     /// copies a file's local chunks to a replica successor.
     fn list_chunks(&self, path: &str) -> Result<Vec<(u64, u64)>>;
-
-    /// Write a batch of chunk ops whose data lives in `bulk` at each
-    /// op's `buf_offset` window. Backends may coalesce ops that are
-    /// contiguous in both the chunk file and `bulk` into one syscall.
-    /// The caller guarantees every window lies inside `bulk`.
-    fn write_chunks_batch(&self, path: &str, ops: &[BatchOp], bulk: &[u8]) -> Result<()> {
-        for op in ops {
-            let a = op.buf_offset as usize;
-            self.write_chunk(path, op.chunk_id, op.offset, &bulk[a..a + op.len as usize])?;
-        }
-        Ok(())
-    }
-
-    /// Read a batch of chunk ops directly into `out`: each op's bytes
-    /// land at `out[op.buf_offset..op.buf_offset + actual]`, where
-    /// `actual ≤ op.len` is the per-op count returned. Bytes past
-    /// `actual` inside an op's window are left untouched (the daemon
-    /// pre-zeroes the buffer). The caller guarantees the windows are
-    /// disjoint and inside `out` — concurrent tasks may call this for
-    /// disjoint windows of one shared reply buffer.
-    fn read_chunks_batch(&self, path: &str, ops: &[BatchOp], out: &mut [u8]) -> Result<Vec<u64>> {
-        let mut lens = Vec::with_capacity(ops.len());
-        for op in ops {
-            let data = self.read_chunk(path, op.chunk_id, op.offset, op.len)?;
-            let a = op.buf_offset as usize;
-            out[a..a + data.len()].copy_from_slice(&data);
-            lens.push(data.len() as u64);
-        }
-        Ok(lens)
-    }
-
-    /// Submit a batch for completion-based execution and return an
-    /// in-flight handle. Writes pull their bytes from the payload's
-    /// refcounted buffer; reads scatter into a buffer the returned
-    /// completion owns. The default implementation runs the batch
-    /// synchronously on the calling thread; backends with an I/O
-    /// engine (task pool, io_uring) overlap the batch's segments and
-    /// complete asynchronously.
-    fn submit_batch(&self, path: &str, ops: &[BatchOp], payload: BatchPayload) -> BatchCompletion {
-        let res = (|| match payload {
-            BatchPayload::Write(bulk) => {
-                for op in ops {
-                    if op.buf_offset.checked_add(op.len).is_none_or(|e| e > bulk.len() as u64) {
-                        return Err(GkfsError::InvalidArgument(
-                            "write batch op window exceeds bulk".into(),
-                        ));
-                    }
-                }
-                self.write_chunks_batch(path, ops, &bulk)?;
-                Ok(BatchOutput::default())
-            }
-            BatchPayload::Read => {
-                let total = validate_dense_layout(ops)?;
-                let mut data = vec![0u8; total as usize];
-                let lens = self.read_chunks_batch(path, ops, &mut data)?;
-                Ok(BatchOutput { data, lens })
-            }
-        })();
-        BatchCompletion::ready(res)
-    }
 
     /// Operational counters.
     fn stats(&self) -> &StorageStats;
@@ -540,17 +515,25 @@ mod contract_tests {
         ops
     }
 
+    fn write_batch(s: &dyn ChunkStorage, path: &str, ops: &[BatchOp], bulk: &[u8]) {
+        let payload = BatchPayload::Write(Bytes::copy_from_slice(bulk));
+        s.submit_batch(path, ops, payload).wait().unwrap();
+    }
+
+    fn read_batch(s: &dyn ChunkStorage, path: &str, ops: &[BatchOp]) -> BatchOutput {
+        s.submit_batch(path, ops, BatchPayload::Read).wait().unwrap()
+    }
+
     #[test]
     fn batch_roundtrip_multi_chunk() {
         for (name, s) in storages() {
             let ops = layout_ops(&[(0, 0, 64), (1, 0, 64), (2, 0, 64), (7, 16, 32)]);
             let total: u64 = ops.iter().map(|o| o.len).sum();
             let bulk: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
-            s.write_chunks_batch("/batch", &ops, &bulk).unwrap();
-            let mut out = vec![0u8; total as usize];
-            let lens = s.read_chunks_batch("/batch", &ops, &mut out).unwrap();
-            assert_eq!(lens, vec![64, 64, 64, 32], "{name}");
-            assert_eq!(out, bulk, "{name}");
+            write_batch(&*s, "/batch", &ops, &bulk);
+            let out = read_batch(&*s, "/batch", &ops);
+            assert_eq!(out.lens, vec![64, 64, 64, 32], "{name}");
+            assert_eq!(out.data, bulk, "{name}");
             // And the single-op API sees the same bytes.
             assert_eq!(s.read_chunk("/batch", 1, 0, 64).unwrap(), &bulk[64..128], "{name}");
         }
@@ -563,11 +546,10 @@ mod contract_tests {
             // separate chunk: the file backend merges the first run.
             let ops = layout_ops(&[(3, 0, 16), (3, 16, 16), (3, 32, 16), (3, 48, 16), (4, 0, 16)]);
             let bulk: Vec<u8> = (0..80u8).collect();
-            s.write_chunks_batch("/co", &ops, &bulk).unwrap();
-            let mut out = vec![0u8; 80];
-            let lens = s.read_chunks_batch("/co", &ops, &mut out).unwrap();
-            assert_eq!(lens, vec![16, 16, 16, 16, 16], "{name}");
-            assert_eq!(out, bulk, "{name}");
+            write_batch(&*s, "/co", &ops, &bulk);
+            let out = read_batch(&*s, "/co", &ops);
+            assert_eq!(out.lens, vec![16, 16, 16, 16, 16], "{name}");
+            assert_eq!(out.data, bulk, "{name}");
             if name == "file" {
                 let (_, _, coalesced) = s.stats().engine_snapshot();
                 // 3 merges on the write pass + 3 on the read pass.
@@ -582,12 +564,11 @@ mod contract_tests {
             s.write_chunk("/sh", 0, 0, &[9u8; 24]).unwrap();
             // Op 0 is short (24 of 64), op 1 misses entirely.
             let ops = layout_ops(&[(0, 0, 64), (5, 0, 64)]);
-            let mut out = vec![0xAAu8; 128];
-            let lens = s.read_chunks_batch("/sh", &ops, &mut out).unwrap();
-            assert_eq!(lens, vec![24, 0], "{name}");
-            assert_eq!(&out[..24], &[9u8; 24], "{name}");
-            // Bytes past `actual` in each window are untouched.
-            assert!(out[24..].iter().all(|&b| b == 0xAA), "{name}");
+            let out = read_batch(&*s, "/sh", &ops);
+            assert_eq!(out.lens, vec![24, 0], "{name}");
+            assert_eq!(&out.data[..24], &[9u8; 24], "{name}");
+            // Bytes past `actual` in each window stay zero.
+            assert!(out.data[24..].iter().all(|&b| b == 0), "{name}");
         }
     }
 
@@ -598,10 +579,9 @@ mod contract_tests {
             // per-op lens 16,16,8,0 — EOF only truncates the tail.
             s.write_chunk("/shc", 0, 0, &[5u8; 40]).unwrap();
             let ops = layout_ops(&[(0, 0, 16), (0, 16, 16), (0, 32, 16), (0, 48, 16)]);
-            let mut out = vec![0u8; 64];
-            let lens = s.read_chunks_batch("/shc", &ops, &mut out).unwrap();
-            assert_eq!(lens, vec![16, 16, 8, 0], "{name}");
-            assert_eq!(&out[..40], &[5u8; 40], "{name}");
+            let out = read_batch(&*s, "/shc", &ops);
+            assert_eq!(out.lens, vec![16, 16, 8, 0], "{name}");
+            assert_eq!(&out.data[..40], &[5u8; 40], "{name}");
         }
     }
 

@@ -3,14 +3,16 @@
 //! Same contract as [`crate::FileChunkStorage`], held in a sharded map.
 //! Used by tests and by in-process clusters where exercising a real
 //! disk would only add noise. Sharding by path hash keeps concurrent
-//! writers of *different* files off each other's locks; batches for
-//! one file intentionally serialize on their shard lock (the ops are
-//! memcpys — see `write_chunks_batch`), so this store keeps the
-//! trait's serial [`ChunkStorage::submit_batch`] default: parallel
-//! fan-out and io_uring only pay off on the file backend.
+//! writers of *different* files off each other's locks; a batch runs
+//! on the calling thread under one acquisition of its file's shard
+//! lock (the ops are memcpys — re-acquiring the lock per op would cost
+//! more than it overlaps), so [`ChunkStorage::submit_batch`] completes
+//! synchronously: parallel fan-out only pays off on the file backend
+//! (see EXPERIMENTS.md).
 
 use crate::stats::StorageStats;
-use crate::{BatchOp, ChunkStorage};
+use crate::{check_write_windows, validate_dense_layout};
+use crate::{BatchCompletion, BatchOp, BatchOutput, BatchPayload, ChunkStorage};
 use gkfs_common::hash::fnv1a64;
 use gkfs_common::Result;
 use gkfs_common::lock::{rank, OrderedRwLock};
@@ -59,47 +61,10 @@ impl MemChunkStorage {
             })
             .sum()
     }
-}
 
-impl ChunkStorage for MemChunkStorage {
-    fn write_chunk(&self, path: &str, chunk_id: u64, offset: u64, data: &[u8]) -> Result<()> {
-        self.stats.record_write(data.len());
-        let mut shard = self.shard(path).write();
-        let chunk = shard
-            .entry(path.to_string())
-            .or_default()
-            .entry(chunk_id)
-            .or_default();
-        let end = (offset as usize) + data.len();
-        if chunk.len() < end {
-            chunk.resize(end, 0);
-        }
-        chunk[offset as usize..end].copy_from_slice(data);
-        Ok(())
-    }
-
-    fn read_chunk(&self, path: &str, chunk_id: u64, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let shard = self.shard(path).read();
-        let data = shard
-            .get(path)
-            .and_then(|chunks| chunks.get(&chunk_id))
-            .map(|chunk| {
-                let start = (offset as usize).min(chunk.len());
-                let end = ((offset + len) as usize).min(chunk.len());
-                chunk[start..end].to_vec()
-            })
-            .unwrap_or_default();
-        self.stats.record_read(data.len());
-        Ok(data)
-    }
-
-    fn write_chunks_batch(&self, path: &str, ops: &[BatchOp], bulk: &[u8]) -> Result<()> {
+    fn write_ops(&self, path: &str, ops: &[BatchOp], bulk: &[u8]) {
         // One shard-lock acquisition for the whole batch; all ops of a
-        // batch share `path` and therefore a shard. This deliberately
-        // serializes the engine's parallel segments for one file: the
-        // ops are memcpys, so re-acquiring the lock per run would cost
-        // more than it overlaps. Parallel-batch speedups therefore
-        // apply to the file backend only (see EXPERIMENTS.md).
+        // batch share `path` and therefore a shard.
         let mut shard = self.shard(path).write();
         let chunks = shard.entry(path.to_string()).or_default();
         for op in ops {
@@ -112,10 +77,9 @@ impl ChunkStorage for MemChunkStorage {
             let a = op.buf_offset as usize;
             chunk[op.offset as usize..end].copy_from_slice(&bulk[a..a + op.len as usize]);
         }
-        Ok(())
     }
 
-    fn read_chunks_batch(&self, path: &str, ops: &[BatchOp], out: &mut [u8]) -> Result<Vec<u64>> {
+    fn read_ops(&self, path: &str, ops: &[BatchOp], out: &mut [u8]) -> Vec<u64> {
         let shard = self.shard(path).read();
         let chunks = shard.get(path);
         let mut lens = Vec::with_capacity(ops.len());
@@ -133,7 +97,23 @@ impl ChunkStorage for MemChunkStorage {
             self.stats.record_read(n);
             lens.push(n as u64);
         }
-        Ok(lens)
+        lens
+    }
+}
+
+impl ChunkStorage for MemChunkStorage {
+    fn submit_batch(&self, path: &str, ops: &[BatchOp], payload: BatchPayload) -> BatchCompletion {
+        BatchCompletion::ready(match payload {
+            BatchPayload::Write(bulk) => check_write_windows(ops, bulk.len()).map(|()| {
+                self.write_ops(path, ops, &bulk);
+                BatchOutput::default()
+            }),
+            BatchPayload::Read => validate_dense_layout(ops).map(|total| {
+                let mut data = vec![0u8; total as usize];
+                let lens = self.read_ops(path, ops, &mut data);
+                BatchOutput { data, lens }
+            }),
+        })
     }
 
     fn remove_chunks(&self, path: &str) -> Result<()> {

@@ -16,7 +16,7 @@
 //! pages ripped out from under it. Unlink keeps a mapped inode alive
 //! by POSIX.
 //!
-//! Raw `syscall(2)` like [`crate::uring`] — no libc crate — so the
+//! Raw `syscall(2)` — no libc crate — so the
 //! fast path is gated to x86_64 Linux; other targets report "no
 //! mapping" and the caller falls back to positional reads.
 

@@ -96,4 +96,9 @@ echo "==> parallel-storage stress, release (clients x chunks x chaos seeds)"
 # the fd cache and the per-chunk task pool.
 cargo test -p gkfs-integration --release --test parallel_storage -- --include-ignored --test-threads=2
 
+echo "==> product-code line count (scripts/loc.sh; ROADMAP item 3's yardstick)"
+# Not a gate: the number a "one path per concept" PR has to beat is in
+# EXPERIMENTS.md next to the ledger tables.
+scripts/loc.sh
+
 echo "ci: all green"

@@ -27,7 +27,7 @@
 //! against the itemized baseline *and* a tighter absolute budget so
 //! regressions inside the 2x headroom still trip.
 
-use gekkofs::{Cluster, ClusterConfig, OpenFlags};
+use gekkofs::{Cluster, ClusterConfig, OpenFlags, ReplicationConfig};
 use gkfs_workloads::{
     run_mdtest_meta, run_mdtest_small, MdtestMetaConfig, MdtestSmallConfig, MetaMode,
 };
@@ -223,4 +223,73 @@ fn ior_8k_sequential_write_rpc_budget_holds() {
         (buffered as f64) / (writes as f64) <= 1.0,
         "buffered path re-grew a per-write round trip: {buffered} RPCs / {writes} writes"
     );
+}
+
+/// Round trips per operation on a healthy 3-node cluster keeping
+/// `replicas` copies, for a fixed script: create, open (stat), one
+/// single-chunk 8 KiB write, read it back, stat, truncate, close,
+/// unlink. No write-back, no size cache, and a hedge window that never
+/// fires, so every RPC is structural.
+fn replicated_script_rpcs(replicas: usize) -> [u64; 7] {
+    let cluster = Cluster::deploy(
+        ClusterConfig::new(3)
+            .with_chunk_size(64 * 1024)
+            .with_replication(ReplicationConfig {
+                replicas,
+                hedge_after_ms: 60_000,
+                ..ReplicationConfig::default()
+            }),
+    )
+    .unwrap();
+    let fs = cluster.mount().unwrap();
+    let mut last = fs.stats().rpcs_issued.load(Ordering::Relaxed);
+    let mut delta = || {
+        let now = fs.stats().rpcs_issued.load(Ordering::Relaxed);
+        std::mem::replace(&mut last, now).abs_diff(now)
+    };
+    fs.create("/budget/f", 0o644).unwrap();
+    let create = delta();
+    let h = fs.open_handle("/budget/f", OpenFlags::RDWR).unwrap();
+    let open = delta();
+    h.pwrite(0, &[0x5Au8; 8 * 1024]).unwrap();
+    let write = delta();
+    assert_eq!(h.pread(0, 8 * 1024).unwrap(), vec![0x5Au8; 8 * 1024]);
+    let read = delta();
+    assert_eq!(fs.stat("/budget/f").unwrap().size, 8 * 1024);
+    let stat = delta();
+    h.truncate(4 * 1024).unwrap();
+    let truncate = delta();
+    h.close().unwrap();
+    fs.unlink("/budget/f").unwrap();
+    let close_unlink = delta();
+    cluster.shutdown();
+    [create, open, write, read, stat, truncate, close_unlink]
+}
+
+/// Replication is a replica set, not a second protocol: every mutation
+/// leg (create, chunk write, size update, truncate-meta, remove-meta,
+/// chunk removal) reaches exactly `replicas` daemons and every
+/// stat/read leg exactly one — at `replicas == 1` that is the paper's
+/// one round trip per leg, counter for counter, and at 2 it is the
+/// same script with the mutation legs doubled. Exact totals: neither a
+/// dropped replica leg nor a sneaked-in extra round trip survives.
+#[test]
+fn replica_legs_cost_exactly_replicas_round_trips() {
+    for replicas in [1u64, 2] {
+        let r = replicas;
+        let expect = [
+            r,         // create: one per metadata replica
+            1,         // open: one stat
+            r + r,     // write: chunk batch + size update, per replica
+            1,         // read: the chain's first member answers
+            1,         // stat
+            r + 3,     // truncate: meta per replica + 3-node chunk broadcast
+            1 + r + r, // close: nothing buffered; unlink: stat + meta + one chunk's holders
+        ];
+        assert_eq!(
+            replicated_script_rpcs(replicas as usize),
+            expect,
+            "replicas = {replicas}: [create, open, write, read, stat, truncate, close+unlink]"
+        );
+    }
 }
