@@ -33,7 +33,7 @@ use gkfs_common::path as gpath;
 use gkfs_common::retry::Deadline;
 use gkfs_common::types::Dirent;
 use gkfs_common::{ClusterConfig, FileKind, GkfsError, Metadata, OpenFlags, Result};
-use gkfs_rpc::proto::{ChunkOp, DaemonStatsResp, MetaOp, MetaOpResult};
+use gkfs_rpc::proto::{ChunkOp, CreateReq, DaemonStatsResp, MetaOp, MetaOpResult, PathReq};
 use gkfs_rpc::Endpoint;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -528,13 +528,13 @@ impl GekkoClient {
                     slots.push(Ok(()));
                     per_primary.entry(self.placement.meta_primary(&path)).or_default().push((
                         i,
-                        MetaOp::Create {
+                        MetaOp::Create(CreateReq {
                             path,
-                            kind: 0,
+                            kind: FileKind::File,
                             mode,
                             exclusive: true,
                             now_ns: now,
-                        },
+                        }),
                     ));
                 }
                 Err(e) => slots.push(Err(e)),
@@ -597,7 +597,7 @@ impl GekkoClient {
                 let rest = entries.split_off(take);
                 let frame: Vec<MetaOp> = entries
                     .iter()
-                    .map(|(_, p)| MetaOp::Stat { path: p.clone() })
+                    .map(|(_, p)| MetaOp::Stat(PathReq::new(p.clone())))
                     .collect();
                 self.stats.note_meta_flush(frame.len(), FlushTrigger::Explicit);
                 let reply = self
@@ -659,7 +659,7 @@ impl GekkoClient {
                 let rest = entries.split_off(take);
                 let frame: Vec<MetaOp> = entries
                     .iter()
-                    .map(|(_, p)| MetaOp::Unlink { path: p.clone() })
+                    .map(|(_, p)| MetaOp::Unlink(PathReq::new(p.clone())))
                     .collect();
                 let results = self.send_batch(primary, frame, FlushTrigger::Explicit)?;
                 for ((slot, path), r) in entries.into_iter().zip(results) {
@@ -800,13 +800,13 @@ impl GekkoClient {
         self.stats.creates.fetch_add(1, Ordering::Relaxed);
         self.revoke_lease(&path);
         if self.mb.is_some() {
-            return self.enqueue_meta(MetaOp::Create {
+            return self.enqueue_meta(MetaOp::Create(CreateReq {
                 path,
-                kind: 0,
+                kind: FileKind::File,
                 mode,
                 exclusive: true,
                 now_ns: now_ns(),
-            });
+            }));
         }
         self.create_meta(&path, FileKind::File, mode, true)
     }
@@ -825,13 +825,13 @@ impl GekkoClient {
         self.stats.creates.fetch_add(1, Ordering::Relaxed);
         self.revoke_lease(&path);
         if self.mb.is_some() {
-            return self.enqueue_meta(MetaOp::Create {
+            return self.enqueue_meta(MetaOp::Create(CreateReq {
                 path,
-                kind: 1,
+                kind: FileKind::Directory,
                 mode,
                 exclusive: true,
                 now_ns: now_ns(),
-            });
+            }));
         }
         self.create_meta(&path, FileKind::Directory, mode, true)
     }

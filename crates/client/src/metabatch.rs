@@ -189,15 +189,17 @@ impl MetaBatchState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gkfs_common::FileKind;
+    use gkfs_rpc::proto::{CreateReq, PathReq};
 
     fn create(path: &str) -> MetaOp {
-        MetaOp::Create {
+        MetaOp::Create(CreateReq {
             path: path.into(),
-            kind: 0,
+            kind: FileKind::File,
             mode: 0o644,
             exclusive: true,
             now_ns: 0,
-        }
+        })
     }
 
     #[test]
@@ -228,7 +230,7 @@ mod tests {
         let now = Instant::now();
         s.offer(0, create("/a"), now);
         s.offer(0, create("/b"), now);
-        let o = s.offer(0, MetaOp::Unlink { path: "/a".into() }, now);
+        let o = s.offer(0, MetaOp::Unlink(PathReq::new("/a")), now);
         let displaced = o.flush_first.unwrap();
         assert_eq!(displaced.len(), 2);
         assert!(o.flush_now.is_none());

@@ -3,9 +3,11 @@
 //!
 //! [`DaemonRing`] owns the per-daemon endpoints (the client's "address
 //! book"). All placement decisions happen above, in
-//! [`crate::client::GekkoClient`]; this layer encodes, sends, decodes
-//! — and, since the retry layer, also owns **when a failed RPC is
-//! tried again**:
+//! [`crate::client::GekkoClient`]; this layer names a row of the RPC
+//! table ([`gkfs_rpc::proto::op`]) and a typed request, and
+//! [`DaemonRing::unary_attempt`] encodes, sends and decodes for every
+//! row alike — and, since the retry layer, also owns **when a failed
+//! RPC is tried again**:
 //!
 //! * Every wrapper runs under a [`RetryPolicy`] (bounded attempts,
 //!   deterministic seeded backoff) and a per-operation [`Deadline`]
@@ -42,7 +44,7 @@ use gkfs_common::{
     RetryConfig,
 };
 use gkfs_rpc::proto::*;
-use gkfs_rpc::{Endpoint, Opcode, ReplyHandle, Request, Response};
+use gkfs_rpc::{Endpoint, ReplyHandle, Response};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -482,33 +484,33 @@ impl DaemonRing {
             .ok_or_else(|| GkfsError::Rpc(format!("no endpoint for node {node}")))
     }
 
-    /// The one generic nonblocking wrapper every opcode reduces to:
-    /// encode is done by the caller (a body, plus the bulk payload as
-    /// borrowed segments in wire order — empty for none), the typed
-    /// decode runs at [`ReplyFuture::wait`]. `tolerate` is the
-    /// idempotency escape hatch described on [`ReplyFuture`]. The
-    /// decode also receives the attempt number: batched operations
-    /// carry their per-op errors *inside* an `Ok` frame, so their
-    /// lost-reply tolerance must run in the decoder, not the
+    /// The one generic nonblocking wrapper every row of the RPC table
+    /// reduces to: `req` is encoded here, once, as row `R`'s request
+    /// (plus the bulk payload as borrowed segments in wire order —
+    /// empty for none); at [`ReplyFuture::wait`] the reply is decoded as
+    /// `R`'s response and handed to `finish` with the reply's bulk.
+    /// `tolerate` is the idempotency escape hatch described on
+    /// [`ReplyFuture`]. `finish` also receives the attempt number:
+    /// batched operations carry their per-op errors *inside* an `Ok`
+    /// frame, so their lost-reply tolerance must run there, not in the
     /// frame-level `tolerate` hook.
     ///
     /// Fails immediately only on a misrouted node id; a failed or
     /// breaker-denied submission is carried inside the returned future
     /// and retried (or surfaced) at wait time.
-    fn unary_attempt<'a, T>(
+    fn unary_attempt<'a, R: Rpc, T>(
         &self,
         node: NodeId,
-        op: Opcode,
-        body: impl Into<Bytes>,
+        req: &R::Req,
         bulk: Vec<&'a [u8]>,
         tolerate: Option<Tolerate<T>>,
-        decode: impl Fn(Response, u32) -> Result<T> + Send + 'static,
+        finish: impl Fn(R::Resp, Bytes, u32) -> Result<T> + Send + 'static,
     ) -> Result<ReplyFuture<'a, T>> {
         let ep = Arc::clone(self.ep(node)?);
         let health = Arc::clone(&self.health[node]);
         self.rpcs.fetch_add(1, Ordering::Relaxed);
         let timeout = ep.timeout();
-        let body: Bytes = body.into();
+        let frame = R::request(req);
         let submit = {
             let health = Arc::clone(&health);
             let gather_copies = Arc::clone(&self.gather_copies);
@@ -518,8 +520,8 @@ impl DaemonRing {
                         "node {node}: circuit breaker open"
                     )));
                 }
-                // The body clone is a refcount bump, not a copy.
-                let req = Request::new(op, body.clone());
+                // The frame clone is a refcount bump, not a copy.
+                let req = frame.clone();
                 if bulk.is_empty() {
                     return ep.submit(req);
                 }
@@ -544,22 +546,22 @@ impl DaemonRing {
             health,
             submit,
             tolerate,
-            decode: Box::new(decode),
+            decode: Box::new(move |resp, attempt| {
+                finish(R::Resp::decode(&resp.body)?, resp.bulk, attempt)
+            }),
         })
     }
 
-    /// [`DaemonRing::unary_attempt`] without tolerance and with an
-    /// attempt-blind decode — the safe default for idempotent
-    /// operations (reads, writes, stat, size updates …).
-    fn unary_nb<'a, T>(
+    /// [`DaemonRing::unary_attempt`] without tolerance: the future
+    /// yields the row's typed response as it is — the safe default for
+    /// idempotent operations (reads, writes, stat, size updates …).
+    fn unary_nb<'a, R: Rpc>(
         &self,
         node: NodeId,
-        op: Opcode,
-        body: impl Into<Bytes>,
+        req: &R::Req,
         bulk: Vec<&'a [u8]>,
-        decode: impl Fn(Response) -> Result<T> + Send + 'static,
-    ) -> Result<ReplyFuture<'a, T>> {
-        self.unary_attempt(node, op, body, bulk, None, move |resp, _| decode(resp))
+    ) -> Result<ReplyFuture<'a, R::Resp>> {
+        self.unary_attempt::<R, _>(node, req, bulk, None, |resp, _, _| Ok(resp))
     }
 
     /// Submit `f(node)` to every node, then wait for all replies in
@@ -582,7 +584,7 @@ impl DaemonRing {
 
     /// Liveness check used during deployment.
     pub fn ping_nb(&self, node: NodeId) -> Result<ReplyFuture<'static, ()>> {
-        self.unary_nb(node, Opcode::Ping, Bytes::new(), Vec::new(), |_| Ok(()))
+        self.unary_nb::<op::Ping>(node, &(), Vec::new())
     }
 
     /// Create (metadata-replica fan-out). Not idempotent — a lost reply
@@ -601,32 +603,25 @@ impl DaemonRing {
     ) -> Result<ReplyFuture<'static, ()>> {
         let req = CreateReq {
             path: path.to_string(),
-            kind: match kind {
-                FileKind::File => 0,
-                FileKind::Directory => 1,
-            },
+            kind,
             mode,
             exclusive,
             now_ns,
         };
-        self.unary_attempt(
+        self.unary_attempt::<op::Create, _>(
             node,
-            Opcode::Create,
-            req.encode(),
+            &req,
             Vec::new(),
             Some(Box::new(|e| {
                 matches!(e, GkfsError::Exists).then_some(())
             })),
-            |_, _| Ok(()),
+            |(), _, _| Ok(()),
         )
     }
 
     /// Stat.
     pub fn stat_nb(&self, node: NodeId, path: &str) -> Result<ReplyFuture<'static, Metadata>> {
-        let body = PathReq::new(path).encode();
-        self.unary_nb(node, Opcode::Stat, body, Vec::new(), |resp| {
-            Metadata::decode(&resp.body)
-        })
+        self.unary_nb::<op::Stat>(node, &PathReq::new(path), Vec::new())
     }
 
     /// Remove the metadata entry (metadata-replica fan-out); returns
@@ -638,18 +633,14 @@ impl DaemonRing {
         node: NodeId,
         path: &str,
     ) -> Result<ReplyFuture<'static, FileKind>> {
-        self.unary_attempt(
+        self.unary_attempt::<op::RemoveMeta, _>(
             node,
-            Opcode::RemoveMeta,
-            PathReq::new(path).encode(),
+            &PathReq::new(path),
             Vec::new(),
             Some(Box::new(|e| {
                 matches!(e, GkfsError::NotFound).then_some(FileKind::File)
             })),
-            |resp, _| match RemoveMetaResp::decode(&resp.body)?.kind {
-                0 => Ok(FileKind::File),
-                _ => Ok(FileKind::Directory),
-            },
+            |resp, _, _| Ok(resp.kind),
         )
     }
 
@@ -666,9 +657,7 @@ impl DaemonRing {
             size,
             mtime_ns,
         };
-        self.unary_nb(node, Opcode::UpdateSize, req.encode(), Vec::new(), |_| {
-            Ok(())
-        })
+        self.unary_nb::<op::UpdateSize>(node, &req, Vec::new())
     }
 
     /// Truncate meta (metadata-replica fan-out).
@@ -684,9 +673,7 @@ impl DaemonRing {
             new_size,
             mtime_ns,
         };
-        self.unary_nb(node, Opcode::TruncateMeta, req.encode(), Vec::new(), |_| {
-            Ok(())
-        })
+        self.unary_nb::<op::TruncateMeta>(node, &req, Vec::new())
     }
 
     /// Fetch one page of a daemon's directory listing. `max_entries: 0`
@@ -705,22 +692,8 @@ impl DaemonRing {
             cursor: cursor.to_string(),
             max_entries,
         };
-        self.unary_nb(node, Opcode::ReadDir, req.encode(), Vec::new(), |resp| {
-            let r = ReadDirResp::decode(&resp.body)?;
-            let entries = r
-                .entries
-                .into_iter()
-                .map(|e| Dirent {
-                    name: e.name,
-                    kind: if e.kind == 0 {
-                        FileKind::File
-                    } else {
-                        FileKind::Directory
-                    },
-                    size: e.size,
-                })
-                .collect();
-            Ok((entries, r.next_cursor))
+        self.unary_attempt::<op::ReadDir, _>(node, &req, Vec::new(), None, |r, _, _| {
+            Ok((r.entries, r.next_cursor))
         })
     }
 
@@ -740,14 +713,14 @@ impl DaemonRing {
         node: NodeId,
         ops: Arc<[MetaOp]>,
     ) -> Result<ReplyFuture<'static, Vec<MetaOpResult>>> {
-        self.unary_attempt(
+        let req = BatchMetaReq { ops };
+        let ops = Arc::clone(&req.ops);
+        self.unary_attempt::<op::BatchMeta, _>(
             node,
-            Opcode::BatchMeta,
-            BatchMetaReq::encode_ops(&ops),
+            &req,
             Vec::new(),
             None,
-            move |resp, attempt| {
-                let r = BatchMetaResp::decode(&resp.body)?;
+            move |r, _, attempt| {
                 if r.results.len() != ops.len() {
                     return Err(GkfsError::Corruption(format!(
                         "batch reply arity {} != {} ops",
@@ -762,8 +735,8 @@ impl DaemonRing {
                     .into_iter()
                     .zip(ops.iter())
                     .map(|(res, op)| match (op, res.clone().into_result()) {
-                        (MetaOp::Create { .. }, Err(GkfsError::Exists)) => MetaOpResult::ok(),
-                        (MetaOp::Unlink { .. }, Err(GkfsError::NotFound)) => {
+                        (MetaOp::Create(_), Err(GkfsError::Exists)) => MetaOpResult::ok(),
+                        (MetaOp::Unlink(_), Err(GkfsError::NotFound)) => {
                             let mut unknown = Metadata::new_file(0);
                             unknown.size = u64::MAX;
                             MetaOpResult::ok_meta(unknown)
@@ -792,7 +765,7 @@ impl DaemonRing {
             path: path.to_string(),
             ops,
         };
-        self.unary_nb(node, Opcode::WriteChunks, req.encode(), bulk, |_| Ok(()))
+        self.unary_nb::<op::WriteChunks>(node, &req, bulk)
     }
 
     /// Read one batch of chunks (read gather); returns per-op lengths,
@@ -808,20 +781,18 @@ impl DaemonRing {
             path: path.to_string(),
             ops,
         };
-        self.unary_nb(node, Opcode::ReadChunks, req.encode(), Vec::new(), move |resp| {
-            let r = ReadChunksResp::decode(&resp.body)?;
-            if r.lens.len() != n_ops || r.missing.len() != n_ops {
+        self.unary_attempt::<op::ReadChunks, _>(node, &req, Vec::new(), None, move |r, bulk, _| {
+            if r.lens.len() != n_ops {
                 return Err(GkfsError::Rpc(format!(
-                    "read reply shape mismatch: {} ops, {} lens, {} missing flags",
+                    "read reply shape mismatch: {} ops, {} lens",
                     n_ops,
-                    r.lens.len(),
-                    r.missing.len()
+                    r.lens.len()
                 )));
             }
             Ok(ChunkReadReply {
                 lens: r.lens,
                 missing: r.missing,
-                bulk: resp.bulk,
+                bulk,
             })
         })
     }
@@ -830,13 +801,7 @@ impl DaemonRing {
     /// (removing absent chunks is a no-op on the daemon), so it retries
     /// freely.
     pub fn remove_chunks_nb(&self, node: NodeId, path: &str) -> Result<ReplyFuture<'static, ()>> {
-        self.unary_nb(
-            node,
-            Opcode::RemoveChunks,
-            PathReq::new(path).encode(),
-            Vec::new(),
-            |_| Ok(()),
-        )
+        self.unary_nb::<op::RemoveChunks>(node, &PathReq::new(path), Vec::new())
     }
 
     /// Truncate chunks (truncate broadcast).
@@ -852,9 +817,7 @@ impl DaemonRing {
             keep_chunk,
             keep_bytes,
         };
-        self.unary_nb(node, Opcode::TruncateChunks, req.encode(), Vec::new(), |_| {
-            Ok(())
-        })
+        self.unary_nb::<op::TruncateChunks>(node, &req, Vec::new())
     }
 
     /// Paths (and chunk counts) daemon `node` holds chunks for (fsck
@@ -863,24 +826,14 @@ impl DaemonRing {
         &self,
         node: NodeId,
     ) -> Result<ReplyFuture<'static, Vec<(String, u64)>>> {
-        self.unary_nb(
-            node,
-            Opcode::ChunkInventory,
-            Bytes::new(),
-            Vec::new(),
-            |resp| Ok(ChunkInventoryResp::decode(&resp.body)?.entries),
-        )
+        self.unary_attempt::<op::ChunkInventory, _>(node, &(), Vec::new(), None, |r, _, _| {
+            Ok(r.entries)
+        })
     }
 
     /// Daemon stats (cluster-stats broadcast).
     pub fn daemon_stats_nb(&self, node: NodeId) -> Result<ReplyFuture<'static, DaemonStatsResp>> {
-        self.unary_nb(
-            node,
-            Opcode::DaemonStats,
-            Bytes::new(),
-            Vec::new(),
-            |resp| DaemonStatsResp::decode(&resp.body),
-        )
+        self.unary_nb::<op::DaemonStats>(node, &(), Vec::new())
     }
 }
 
@@ -1062,16 +1015,12 @@ mod tests {
         {
             let created = Arc::clone(&created);
             let inserts = Arc::clone(&inserts);
-            reg.register_fn(Opcode::Create, move |req| {
-                let path = CreateReq::decode(&req.body).unwrap().path;
-                let mut set = created.lock().unwrap();
-                if set.contains(&path) {
-                    gkfs_rpc::Response::err(GkfsError::Exists)
-                } else {
-                    set.insert(path);
-                    inserts.fetch_add(1, Ordering::Relaxed);
-                    gkfs_rpc::Response::ok(bytes::Bytes::new())
+            reg.serve::<op::Create>(move |r| {
+                if !created.lock().unwrap().insert(r.path) {
+                    return Err(GkfsError::Exists);
                 }
+                inserts.fetch_add(1, Ordering::Relaxed);
+                Ok(())
             });
         }
         reg.register_fn(Opcode::Ping, |req| gkfs_rpc::Response::ok(req.body));
@@ -1100,6 +1049,31 @@ mod tests {
             Err(GkfsError::Exists) => {}
             other => panic!("fresh duplicate create must fail: {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_reply_whose_kind_byte_is_no_kind_is_corruption_not_a_directory() {
+        // The daemon validates kinds it receives; the client must do
+        // the same with kinds it is sent, not read "anything non-zero"
+        // as a directory.
+        let mut reg = gkfs_rpc::HandlerRegistry::new();
+        reg.register_fn(Opcode::RemoveMeta, |_| Response::ok(vec![7u8]));
+        reg.register_fn(Opcode::ReadDir, |_| {
+            // Empty cursor; one entry: name "x", kind 7, size 0.
+            let mut e = gkfs_common::wire::Encoder::new();
+            e.str("").count(1).str("x").u8(7).u64(0);
+            Response::ok(e.into_vec())
+        });
+        let server = gkfs_rpc::RpcServer::new(reg, 1);
+        let ring = make_ring_of(vec![server.endpoint()], test_retry(1));
+        assert!(matches!(
+            ring.remove_meta_nb(0, "/f").unwrap().wait(),
+            Err(GkfsError::Corruption(_))
+        ));
+        assert!(matches!(
+            ring.readdir_page_nb(0, "/", "", 0).unwrap().wait(),
+            Err(GkfsError::Corruption(_))
+        ));
     }
 
     #[test]

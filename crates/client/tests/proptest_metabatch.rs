@@ -22,7 +22,7 @@ use gkfs_client::{DaemonRing, GekkoClient};
 use gkfs_common::config::{ReplicationConfig, RetryConfig};
 use gkfs_common::{ClusterConfig, FileKind, GkfsError};
 use gkfs_daemon::Daemon;
-use gkfs_rpc::proto::MetaOp;
+use gkfs_rpc::proto::{CreateReq, MetaOp, PathReq, TruncateMetaReq};
 use gkfs_rpc::testing::FlakyEndpoint;
 use gkfs_rpc::Endpoint;
 use proptest::prelude::*;
@@ -47,20 +47,20 @@ fn path_of(i: usize) -> String {
 
 fn to_meta_op(op: &Op) -> MetaOp {
     match *op {
-        Op::Create(i) => MetaOp::Create {
+        Op::Create(i) => MetaOp::Create(CreateReq {
             path: path_of(i),
-            kind: 0,
+            kind: FileKind::File,
             mode: 0o644,
             exclusive: true,
             now_ns: 1,
-        },
-        Op::Stat(i) => MetaOp::Stat { path: path_of(i) },
-        Op::Unlink(i) => MetaOp::Unlink { path: path_of(i) },
-        Op::Truncate(i, size) => MetaOp::TruncateMeta {
+        }),
+        Op::Stat(i) => MetaOp::Stat(PathReq::new(path_of(i))),
+        Op::Unlink(i) => MetaOp::Unlink(PathReq::new(path_of(i))),
+        Op::Truncate(i, size) => MetaOp::TruncateMeta(TruncateMetaReq {
             path: path_of(i),
             new_size: size,
             mtime_ns: 2,
-        },
+        }),
     }
 }
 

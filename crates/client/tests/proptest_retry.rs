@@ -18,7 +18,7 @@
 use gkfs_client::DaemonRing;
 use gkfs_common::config::{ReplicationConfig, RetryConfig};
 use gkfs_common::{FileKind, GkfsError};
-use gkfs_rpc::proto::{CreateReq, PathReq, RemoveMetaResp};
+use gkfs_rpc::proto::{op, RemoveMetaResp};
 use gkfs_rpc::testing::FlakyEndpoint;
 use gkfs_rpc::{
     ChaosConfig, ChaosEndpoint, Endpoint, EndpointOptions, HandlerRegistry, Opcode, Response,
@@ -102,36 +102,23 @@ fn counting_daemon() -> CountingDaemon {
     {
         let entries = Arc::clone(&entries);
         let inserts = Arc::clone(&inserts);
-        reg.register_fn(Opcode::Create, move |req| {
-            let path = match CreateReq::decode(&req.body) {
-                Ok(r) => r.path,
-                Err(e) => return Response::err(e),
-            };
-            let mut set = entries.lock().unwrap();
-            if set.contains(&path) {
-                Response::err(GkfsError::Exists)
-            } else {
-                set.insert(path);
-                inserts.fetch_add(1, Ordering::Relaxed);
-                Response::ok(bytes::Bytes::new())
+        reg.serve::<op::Create>(move |r| {
+            if !entries.lock().unwrap().insert(r.path) {
+                return Err(GkfsError::Exists);
             }
+            inserts.fetch_add(1, Ordering::Relaxed);
+            Ok(())
         });
     }
     {
         let entries = Arc::clone(&entries);
         let removes = Arc::clone(&removes);
-        reg.register_fn(Opcode::RemoveMeta, move |req| {
-            let path = match PathReq::decode(&req.body) {
-                Ok(r) => r.path,
-                Err(e) => return Response::err(e),
-            };
-            let mut set = entries.lock().unwrap();
-            if set.remove(&path) {
-                removes.fetch_add(1, Ordering::Relaxed);
-                Response::ok(bytes::Bytes::from(RemoveMetaResp { kind: 0 }.encode()))
-            } else {
-                Response::err(GkfsError::NotFound)
+        reg.serve::<op::RemoveMeta>(move |r| {
+            if !entries.lock().unwrap().remove(&r.path) {
+                return Err(GkfsError::NotFound);
             }
+            removes.fetch_add(1, Ordering::Relaxed);
+            Ok(RemoveMetaResp { kind: FileKind::File })
         });
     }
     CountingDaemon {

@@ -7,7 +7,8 @@
 //! node-local FS enforces those) and link counts (no links).
 
 use crate::error::{GkfsError, Result};
-use crate::wire::{Decoder, Encoder};
+use crate::wire::{Decoder, Encoder, Wire};
+use crate::wire_struct;
 
 /// What kind of object a metadata record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -19,15 +20,18 @@ pub enum FileKind {
     Directory,
 }
 
-impl FileKind {
-    fn to_wire(self) -> u8 {
-        match self {
+/// One byte, `0` = file and `1` = directory; anything else fails the
+/// decode, so every message that carries a kind validates it once, here.
+impl Wire for FileKind {
+    const MIN_LEN: usize = 1;
+    fn put(&self, e: &mut Encoder) {
+        e.u8(match self {
             FileKind::File => 0,
             FileKind::Directory => 1,
-        }
+        });
     }
-    fn from_wire(v: u8) -> Result<Self> {
-        match v {
+    fn get(d: &mut Decoder<'_>) -> Result<FileKind> {
+        match d.u8()? {
             0 => Ok(FileKind::File),
             1 => Ok(FileKind::Directory),
             other => Err(GkfsError::Corruption(format!("bad file kind {other}"))),
@@ -35,23 +39,25 @@ impl FileKind {
     }
 }
 
-/// Metadata for one file-system object, as stored in the KV store and
-/// shipped over RPC.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Metadata {
-    /// File or directory.
-    pub kind: FileKind,
-    /// Logical size in bytes (0 for directories).
-    pub size: u64,
-    /// Mode bits (`rwx` style); advisory only — GekkoFS does not
-    /// enforce permissions (§III-A).
-    pub mode: u32,
-    /// Creation time, nanoseconds since an arbitrary epoch chosen by
-    /// the creating daemon. GekkoFS keeps ctime only as an ordering
-    /// hint; it is not part of the consistency contract.
-    pub ctime_ns: u64,
-    /// Last-known modification time (updated on size changes).
-    pub mtime_ns: u64,
+wire_struct! {
+    /// Metadata for one file-system object, as stored in the KV store and
+    /// shipped over RPC.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Metadata {
+        /// File or directory.
+        pub kind: FileKind,
+        /// Logical size in bytes (0 for directories).
+        pub size: u64,
+        /// Mode bits (`rwx` style); advisory only — GekkoFS does not
+        /// enforce permissions (§III-A).
+        pub mode: u32,
+        /// Creation time, nanoseconds since an arbitrary epoch chosen by
+        /// the creating daemon. GekkoFS keeps ctime only as an ordering
+        /// hint; it is not part of the consistency contract.
+        pub ctime_ns: u64,
+        /// Last-known modification time (updated on size changes).
+        pub mtime_ns: u64,
+    }
 }
 
 impl Metadata {
@@ -82,47 +88,31 @@ impl Metadata {
         self.kind == FileKind::Directory
     }
 
-    /// Serialize into the compact wire/KV representation.
+    /// Serialize into the compact wire/KV representation
+    /// ([`Wire::encode`], callable without the trait in scope).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.u8(self.kind.to_wire());
-        e.u64(self.size);
-        e.u32(self.mode);
-        e.u64(self.ctime_ns);
-        e.u64(self.mtime_ns);
-        e.into_vec()
+        Wire::encode(self)
     }
 
     /// Deserialize from [`Metadata::encode`] output.
     pub fn decode(buf: &[u8]) -> Result<Metadata> {
-        let mut d = Decoder::new(buf);
-        let kind = FileKind::from_wire(d.u8()?)?;
-        let size = d.u64()?;
-        let mode = d.u32()?;
-        let ctime_ns = d.u64()?;
-        let mtime_ns = d.u64()?;
-        d.finish()?;
-        Ok(Metadata {
-            kind,
-            size,
-            mode,
-            ctime_ns,
-            mtime_ns,
-        })
+        Wire::decode(buf)
     }
 }
 
-/// One entry returned by `readdir`: the object's name within the
-/// directory plus its kind and size (what `ls -l` needs without an
-/// extra round of stats — the daemon reads them from the same KV scan).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dirent {
-    /// Name.
-    pub name: String,
-    /// Kind.
-    pub kind: FileKind,
-    /// Size in bytes (0 for directories).
-    pub size: u64,
+wire_struct! {
+    /// One entry returned by `readdir`: the object's name within the
+    /// directory plus its kind and size (what `ls -l` needs without an
+    /// extra round of stats — the daemon reads them from the same KV scan).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Dirent {
+        /// Name.
+        pub name: String,
+        /// Kind.
+        pub kind: FileKind,
+        /// Size in bytes (0 for directories).
+        pub size: u64,
+    }
 }
 
 /// Open flags understood by the client's file map. A deliberately

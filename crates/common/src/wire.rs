@@ -8,6 +8,12 @@
 //!
 //! All integers are little-endian and fixed-width except where `varint`
 //! is used explicitly (length prefixes inside SSTable blocks).
+//!
+//! [`Encoder`]/[`Decoder`] are the byte level. One level up, [`Wire`]
+//! gives a type its single layout — both codec halves from one
+//! declaration — and [`wire_struct!`](crate::wire_struct) derives it
+//! for a struct in field order; RPC messages and `Metadata` are
+//! declared that way rather than as hand-paired encode/decode bodies.
 
 use crate::error::{GkfsError, Result};
 
@@ -94,6 +100,12 @@ impl Encoder {
     /// Length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) -> &mut Self {
         self.bytes(v.as_bytes())
+    }
+
+    /// Any [`Wire`] value, chained like the scalar writers.
+    pub fn put<T: Wire>(&mut self, v: &T) -> &mut Self {
+        v.put(self);
+        self
     }
 
     /// Raw bytes with no length prefix (caller knows the framing).
@@ -240,6 +252,195 @@ impl<'a> Decoder<'a> {
         }
         Ok(())
     }
+}
+
+/// A value with one wire layout: [`Wire::put`] and [`Wire::get`] are
+/// the two halves of the same declaration, so a message cannot list its
+/// fields in one order when encoding and another when decoding. Every
+/// RPC body, [`crate::Metadata`] and the KV store's merge operands go
+/// through this trait; [`wire_struct!`](crate::wire_struct) derives it
+/// for a plain struct in field order.
+pub trait Wire: Sized {
+    /// Fewest bytes any encoded value occupies — what bounds a
+    /// wire-supplied element count in `Vec<T>::get`.
+    const MIN_LEN: usize;
+
+    /// Append this value's encoding.
+    fn put(&self, e: &mut Encoder);
+
+    /// Decode one value from the cursor.
+    fn get(d: &mut Decoder<'_>) -> Result<Self>;
+
+    /// This value alone, as a message body.
+    fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        self.put(&mut e);
+        e.into_vec()
+    }
+
+    /// Decode a buffer holding exactly one value; trailing bytes are
+    /// corruption.
+    fn decode(buf: &[u8]) -> Result<Self> {
+        let mut d = Decoder::new(buf);
+        let v = Self::get(&mut d)?;
+        d.finish()?;
+        Ok(v)
+    }
+}
+
+impl Wire for () {
+    const MIN_LEN: usize = 0;
+    fn put(&self, _: &mut Encoder) {}
+    fn get(_: &mut Decoder<'_>) -> Result<()> {
+        Ok(())
+    }
+}
+
+impl Wire for u8 {
+    const MIN_LEN: usize = 1;
+    fn put(&self, e: &mut Encoder) {
+        e.u8(*self);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<u8> {
+        d.u8()
+    }
+}
+
+impl Wire for u32 {
+    const MIN_LEN: usize = 4;
+    fn put(&self, e: &mut Encoder) {
+        e.u32(*self);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<u32> {
+        d.u32()
+    }
+}
+
+impl Wire for u64 {
+    const MIN_LEN: usize = 8;
+    fn put(&self, e: &mut Encoder) {
+        e.u64(*self);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<u64> {
+        d.u64()
+    }
+}
+
+/// One byte; any non-zero value reads as `true`.
+impl Wire for bool {
+    const MIN_LEN: usize = 1;
+    fn put(&self, e: &mut Encoder) {
+        e.u8(*self as u8);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<bool> {
+        Ok(d.u8()? != 0)
+    }
+}
+
+impl Wire for String {
+    const MIN_LEN: usize = 4;
+    fn put(&self, e: &mut Encoder) {
+        e.str(self);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<String> {
+        Ok(d.str()?.to_string())
+    }
+}
+
+fn put_slice<T: Wire>(items: &[T], e: &mut Encoder) {
+    e.count(items.len());
+    for item in items {
+        item.put(e);
+    }
+}
+
+/// A `u32` count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, e: &mut Encoder) {
+        put_slice(self, e);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Vec<T>> {
+        const { assert!(T::MIN_LEN > 0, "a Vec element must occupy wire bytes") };
+        let n = d.u32()? as usize;
+        // The one wire-count bound: a count the rest of the frame
+        // cannot hold is corruption, not a request to allocate for.
+        if n > d.remaining() / T::MIN_LEN {
+            return Err(GkfsError::Corruption(format!(
+                "count {n} exceeds the {} bytes left in the frame",
+                d.remaining()
+            )));
+        }
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::get(d)?);
+        }
+        Ok(v)
+    }
+}
+
+/// `Vec<T>`'s layout behind a shared, immutable handle.
+impl<T: Wire> Wire for std::sync::Arc<[T]> {
+    const MIN_LEN: usize = 4;
+    fn put(&self, e: &mut Encoder) {
+        put_slice(self, e);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Self> {
+        Ok(Vec::get(d)?.into())
+    }
+}
+
+/// A presence byte, then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = 1;
+    fn put(&self, e: &mut Encoder) {
+        self.is_some().put(e);
+        if let Some(v) = self {
+            v.put(e);
+        }
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<Option<T>> {
+        Ok(if bool::get(d)? { Some(T::get(d)?) } else { None })
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    fn put(&self, e: &mut Encoder) {
+        self.0.put(e);
+        self.1.put(e);
+    }
+    fn get(d: &mut Decoder<'_>) -> Result<(A, B)> {
+        Ok((A::get(d)?, B::get(d)?))
+    }
+}
+
+/// Declare a struct and its [`Wire`] impl at once: the fields cross the
+/// wire in declaration order, each through its own `Wire` impl. Docs,
+/// derives and visibilities pass through unchanged.
+#[macro_export]
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $ty, )*
+        }
+
+        impl $crate::wire::Wire for $name {
+            const MIN_LEN: usize = 0 $( + <$ty as $crate::wire::Wire>::MIN_LEN )*;
+            fn put(&self, e: &mut $crate::wire::Encoder) {
+                $( $crate::wire::Wire::put(&self.$field, e); )*
+            }
+            fn get(d: &mut $crate::wire::Decoder<'_>) -> $crate::Result<Self> {
+                Ok($name { $( $field: $crate::wire::Wire::get(d)?, )* })
+            }
+        }
+    };
 }
 
 /// Vectored frame emitter for byte-stream transports.
@@ -468,6 +669,65 @@ mod tests {
         let v = e.into_vec();
         let mut d = Decoder::new(&v);
         assert!(matches!(d.str(), Err(GkfsError::Corruption(_))));
+    }
+
+    wire_struct! {
+        /// A struct through the macro: fields cross in declaration order.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct Sample {
+            tag: u8,
+            name: String,
+            pairs: Vec<(u32, u64)>,
+            flag: bool,
+            maybe: Option<u64>,
+            shared: std::sync::Arc<[u8]>,
+        }
+    }
+
+    #[test]
+    fn wire_struct_is_its_fields_in_order() {
+        let v = Sample {
+            tag: 7,
+            name: "n".into(),
+            pairs: vec![(1, 2), (3, 4)],
+            flag: true,
+            maybe: Some(9),
+            shared: vec![5, 6].into(),
+        };
+        let mut e = Encoder::new();
+        e.u8(7).str("n").count(2).u32(1).u64(2).u32(3).u64(4).u8(1).u8(1).u64(9);
+        e.count(2).u8(5).u8(6);
+        assert_eq!(v.encode(), e.as_slice());
+        assert_eq!(Sample::decode(&v.encode()).unwrap(), v);
+        assert_eq!(Sample::MIN_LEN, 1 + 4 + 4 + 1 + 1 + 4);
+        let none = Sample { maybe: None, ..v };
+        assert_eq!(Sample::decode(&none.encode()).unwrap(), none);
+        // `decode` owns the finish: one byte too many or too few is an error.
+        let mut long = none.encode();
+        long.push(0);
+        assert!(Sample::decode(&long).is_err());
+        long.truncate(long.len() - 2);
+        assert!(Sample::decode(&long).is_err());
+        assert_eq!(<()>::decode(&[]), Ok(()));
+        assert!(<()>::decode(&[0]).is_err());
+    }
+
+    #[test]
+    fn vec_count_is_bounded_by_the_bytes_behind_it() {
+        // u32::MAX twelve-byte elements with nothing behind the count:
+        // rejected before `with_capacity` could ask for 48 GiB.
+        let hostile = u32::MAX.to_le_bytes();
+        assert!(matches!(
+            Vec::<(u32, u64)>::decode(&hostile),
+            Err(GkfsError::Corruption(_))
+        ));
+        // The bound is exact: n elements of MIN_LEN bytes pass, n + 1 do not.
+        let mut e = Encoder::new();
+        e.count(2).u64(1).u64(2);
+        assert_eq!(Vec::<u64>::decode(e.as_slice()).unwrap(), vec![1, 2]);
+        let mut e = Encoder::new();
+        e.count(3).u64(1).u64(2);
+        assert!(matches!(Vec::<u64>::decode(e.as_slice()), Err(GkfsError::Corruption(_))));
     }
 
     #[test]

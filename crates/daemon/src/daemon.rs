@@ -173,8 +173,8 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gkfs_common::GkfsError;
-    use gkfs_rpc::proto::{CreateReq, PathReq};
+    use gkfs_common::{FileKind, GkfsError};
+    use gkfs_rpc::proto::{op, CreateReq, PathReq, Rpc};
     use gkfs_rpc::{Opcode, Request};
 
     #[test]
@@ -183,21 +183,14 @@ mod tests {
         let ep = d.endpoint();
         let create = CreateReq {
             path: "/hello".into(),
-            kind: 0,
+            kind: FileKind::File,
             mode: 0o644,
             exclusive: true,
             now_ns: 0,
         };
-        ep.call(Request::new(Opcode::Create, create.encode()))
-            .unwrap()
-            .into_result()
-            .unwrap();
-        let resp = ep
-            .call(Request::new(Opcode::Stat, PathReq::new("/hello").encode()))
-            .unwrap()
-            .into_result()
-            .unwrap();
-        assert!(!resp.body.is_empty());
+        op::Create::reply(ep.call(op::Create::request(&create)).unwrap()).unwrap();
+        let resp = ep.call(op::Stat::request(&PathReq::new("/hello"))).unwrap();
+        assert_eq!(op::Stat::reply(resp).unwrap().kind, FileKind::File);
     }
 
     #[test]
@@ -205,20 +198,14 @@ mod tests {
         let d = Daemon::spawn(DaemonConfig::default()).unwrap();
         let addr = d.serve_tcp("127.0.0.1:0").unwrap();
         let ep = gkfs_rpc::TcpEndpoint::connect(&addr.to_string()).unwrap();
-        ep.call(Request::new(
-            Opcode::Create,
-            CreateReq {
-                path: "/tcp-file".into(),
-                kind: 0,
-                mode: 0o644,
-                exclusive: true,
-                now_ns: 0,
-            }
-            .encode(),
-        ))
-        .unwrap()
-        .into_result()
-        .unwrap();
+        let create = CreateReq {
+            path: "/tcp-file".into(),
+            kind: FileKind::File,
+            mode: 0o644,
+            exclusive: true,
+            now_ns: 0,
+        };
+        op::Create::reply(ep.call(op::Create::request(&create)).unwrap()).unwrap();
         d.shutdown();
         // In-process endpoint now refuses.
         let ep2 = d.endpoint();

@@ -14,7 +14,7 @@
 
 use gkfs_common::path as gpath;
 use gkfs_common::types::Dirent;
-use gkfs_common::wire::{Decoder, Encoder};
+use gkfs_common::wire::Wire;
 use gkfs_common::{GkfsError, Metadata, Result};
 #[cfg(test)]
 use gkfs_common::FileKind;
@@ -52,17 +52,7 @@ pub struct MetaSizeMergeOperator;
 
 /// Encode a size-update operand.
 pub fn encode_size_operand(size: u64, mtime_ns: u64) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u64(size).u64(mtime_ns);
-    e.into_vec()
-}
-
-fn decode_size_operand(buf: &[u8]) -> Option<(u64, u64)> {
-    let mut d = Decoder::new(buf);
-    let size = d.u64().ok()?;
-    let mtime = d.u64().ok()?;
-    d.finish().ok()?;
-    Some((size, mtime))
+    (size, mtime_ns).encode()
 }
 
 impl MergeOperator for MetaSizeMergeOperator {
@@ -71,7 +61,7 @@ impl MergeOperator for MetaSizeMergeOperator {
             .and_then(|b| Metadata::decode(b).ok())
             .unwrap_or_else(|| Metadata::new_file(0));
         for op in operands {
-            if let Some((size, mtime)) = decode_size_operand(op) {
+            if let Ok((size, mtime)) = <(u64, u64)>::decode(op) {
                 meta.size = meta.size.max(size);
                 meta.mtime_ns = meta.mtime_ns.max(mtime);
             }
@@ -269,37 +259,21 @@ impl MetadataBackend {
                 },
             };
             let result = match op {
-                MetaOp::Create {
-                    kind,
-                    mode,
-                    exclusive,
-                    now_ns,
-                    ..
-                } => match current {
-                    Some(_) if *exclusive => MetaOpResult::err(&GkfsError::Exists),
+                MetaOp::Create(r) => match current {
+                    Some(_) if r.exclusive => MetaOpResult::err(&GkfsError::Exists),
                     Some(_) => MetaOpResult::ok(),
                     None => {
-                        let mut meta = match kind {
-                            0 => Metadata::new_file(*now_ns),
-                            1 => Metadata::new_dir(*now_ns),
-                            k => {
-                                results.push(MetaOpResult::err(&GkfsError::InvalidArgument(
-                                    format!("bad kind {k}"),
-                                )));
-                                continue;
-                            }
-                        };
-                        meta.mode = *mode;
+                        let meta = r.metadata();
                         batch.put(path.as_bytes(), &meta.encode());
                         overlay.insert(path, Some(meta));
                         MetaOpResult::ok()
                     }
                 },
-                MetaOp::Stat { .. } => match current {
+                MetaOp::Stat(_) => match current {
                     Some(m) => MetaOpResult::ok_meta(m),
                     None => MetaOpResult::err(&GkfsError::NotFound),
                 },
-                MetaOp::Unlink { .. } => match current {
+                MetaOp::Unlink(_) => match current {
                     // Batched unlink is file-only: directory removal
                     // needs the cross-daemon emptiness check, which
                     // only the unary rmdir protocol performs.
@@ -311,13 +285,11 @@ impl MetadataBackend {
                     }
                     None => MetaOpResult::err(&GkfsError::NotFound),
                 },
-                MetaOp::TruncateMeta {
-                    new_size, mtime_ns, ..
-                } => match current {
+                MetaOp::TruncateMeta(r) => match current {
                     Some(m) if m.is_dir() => MetaOpResult::err(&GkfsError::IsDirectory),
                     Some(mut m) => {
-                        m.size = *new_size;
-                        m.mtime_ns = *mtime_ns;
+                        m.size = r.new_size;
+                        m.mtime_ns = r.mtime_ns;
                         batch.put(path.as_bytes(), &m.encode());
                         overlay.insert(path, Some(m));
                         MetaOpResult::ok()
@@ -383,6 +355,7 @@ impl MetadataBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gkfs_rpc::proto::{CreateReq, PathReq, TruncateMetaReq};
 
     fn backend() -> MetadataBackend {
         MetadataBackend::open_memory().unwrap()
@@ -551,28 +524,28 @@ mod tests {
     fn apply_batch_matches_serial_execution() {
         let b = backend();
         let ops = vec![
-            MetaOp::Create {
+            MetaOp::Create(CreateReq {
                 path: "/a".into(),
-                kind: 0,
+                kind: FileKind::File,
                 mode: 0o644,
                 exclusive: true,
                 now_ns: 1,
-            },
-            MetaOp::Stat { path: "/a".into() },
-            MetaOp::Create {
+            }),
+            MetaOp::Stat(PathReq::new("/a")),
+            MetaOp::Create(CreateReq {
                 path: "/a".into(),
-                kind: 0,
+                kind: FileKind::File,
                 mode: 0o644,
                 exclusive: true,
                 now_ns: 2,
-            },
-            MetaOp::TruncateMeta {
+            }),
+            MetaOp::TruncateMeta(TruncateMetaReq {
                 path: "/a".into(),
                 new_size: 77,
                 mtime_ns: 3,
-            },
-            MetaOp::Unlink { path: "/a".into() },
-            MetaOp::Stat { path: "/a".into() },
+            }),
+            MetaOp::Unlink(PathReq::new("/a")),
+            MetaOp::Stat(PathReq::new("/a")),
         ];
         let results = b.apply_batch(&ops).unwrap();
         // Create ok; stat sees the in-batch create; duplicate excl
@@ -603,7 +576,7 @@ mod tests {
         let b = backend();
         b.create("/f", &Metadata::new_file(1), true).unwrap();
         let results = b
-            .apply_batch(&[MetaOp::Stat { path: "/f".into() }])
+            .apply_batch(&[MetaOp::Stat(PathReq::new("/f"))])
             .unwrap();
         assert!(results[0].clone().into_result().unwrap().is_some());
         assert_eq!(b.batch_counters().group_applies.load(Ordering::Relaxed), 0);
@@ -617,20 +590,20 @@ mod tests {
         b.create("/dir", &Metadata::new_dir(0), true).unwrap();
         let results = b
             .apply_batch(&[
-                MetaOp::Unlink { path: "/ghost".into() },
-                MetaOp::Create {
+                MetaOp::Unlink(PathReq::new("/ghost")),
+                MetaOp::Create(CreateReq {
                     path: "/x".into(),
-                    kind: 0,
+                    kind: FileKind::File,
                     mode: 0o600,
                     exclusive: true,
                     now_ns: 9,
-                },
-                MetaOp::TruncateMeta {
+                }),
+                MetaOp::TruncateMeta(TruncateMetaReq {
                     path: "/missing".into(),
                     new_size: 0,
                     mtime_ns: 0,
-                },
-                MetaOp::Unlink { path: "/dir".into() },
+                }),
+                MetaOp::Unlink(PathReq::new("/dir")),
             ])
             .unwrap();
         assert!(results[0].clone().into_result().is_err());
@@ -678,7 +651,7 @@ mod tests {
     #[test]
     fn operand_encoding_roundtrip() {
         let op = encode_size_operand(123, 456);
-        assert_eq!(decode_size_operand(&op), Some((123, 456)));
-        assert_eq!(decode_size_operand(b"short"), None);
+        assert_eq!(<(u64, u64)>::decode(&op), Ok((123, 456)));
+        assert!(<(u64, u64)>::decode(b"short").is_err());
     }
 }

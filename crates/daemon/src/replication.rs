@@ -33,8 +33,10 @@ use crate::handlers::Backends;
 use gkfs_common::distributor::{self, Distributor};
 use gkfs_common::lock::{rank, OrderedMutex};
 use gkfs_common::{ClusterConfig, FailureDetector, GkfsError, Liveness, Metadata, Transition};
-use gkfs_rpc::proto::{ChunkBatchReq, ChunkOp, HeartbeatReq, HeartbeatResp, ReplicaMetaReq};
-use gkfs_rpc::{Endpoint, Opcode, Request};
+use gkfs_rpc::proto::{
+    op, ChunkBatchReq, ChunkOp, HeartbeatReq, HeartbeatResp, ReplicaMetaReq, Rpc,
+};
+use gkfs_rpc::{Endpoint, Request};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -323,9 +325,8 @@ impl ReplicationManager {
             self.counters.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
             let req = HeartbeatReq { from: self.self_id as u64, seq };
             match ep
-                .call(Request::new(Opcode::Heartbeat, req.encode()))
-                .and_then(|resp| resp.into_result())
-                .and_then(|resp| HeartbeatResp::decode(&resp.body))
+                .call(op::Heartbeat::request(&req))
+                .and_then(op::Heartbeat::reply)
             {
                 Ok(hb) => {
                     gkfs_common::gkfs_debug!(
@@ -491,16 +492,13 @@ impl ReplicationManager {
     fn push_meta(&self, dst: usize, path: &str, meta: &Metadata) -> gkfs_common::Result<()> {
         let req = ReplicaMetaReq {
             path: path.to_string(),
-            kind: match meta.kind {
-                gkfs_common::FileKind::File => 0,
-                gkfs_common::FileKind::Directory => 1,
-            },
+            kind: meta.kind,
             mode: meta.mode,
             size: meta.size,
             ctime_ns: meta.ctime_ns,
             mtime_ns: meta.mtime_ns,
         };
-        self.push_rpc(dst, Request::new(Opcode::ReplicaMeta, req.encode()))
+        self.push_rpc(dst, op::ReplicaMeta::request(&req))
     }
 
     fn push_chunk(&self, dst: usize, path: &str, chunk_id: u64, len: u64) -> gkfs_common::Result<()> {
@@ -512,10 +510,7 @@ impl ReplicationManager {
             path: path.to_string(),
             ops: vec![ChunkOp { chunk_id, offset: 0, len: data.len() as u64 }],
         };
-        self.push_rpc(
-            dst,
-            Request::new(Opcode::WriteChunks, req.encode()).with_bulk(data),
-        )
+        self.push_rpc(dst, op::WriteChunks::request(&req).with_bulk(data))
     }
 
     /// Send one idempotent copy RPC with bounded retry on errors

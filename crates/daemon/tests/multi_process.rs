@@ -3,8 +3,8 @@
 //! mount over TCP, and run the file system across process boundaries.
 
 use gkfs_common::ClusterConfig;
-use gkfs_rpc::proto::{CreateReq, PathReq};
-use gkfs_rpc::{Endpoint, Opcode, Request, TcpEndpoint};
+use gkfs_rpc::proto::{op, CreateReq, PathReq, Rpc};
+use gkfs_rpc::{Endpoint, TcpEndpoint};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -96,20 +96,16 @@ fn daemon_process_persists_disk_state_across_restart() {
     let addr1 = {
         let d = DaemonProc::spawn(&["--root", &root_s, "--wal"]);
         let ep = TcpEndpoint::connect(&d.addr).unwrap();
-        ep.call(Request::new(
-            Opcode::Create,
-            CreateReq {
+        let resp = ep
+            .call(op::Create::request(&CreateReq {
                 path: "/persisted".into(),
-                kind: 0,
+                kind: gkfs_common::FileKind::File,
                 mode: 0o644,
                 exclusive: true,
                 now_ns: 77,
-            }
-            .encode(),
-        ))
-        .unwrap()
-        .into_result()
-        .unwrap();
+            }))
+            .unwrap();
+        op::Create::reply(resp).unwrap();
         let a = d.addr.clone();
         d.stop();
         a
@@ -119,12 +115,8 @@ fn daemon_process_persists_disk_state_across_restart() {
     let d = DaemonProc::spawn(&["--root", &root_s, "--wal"]);
     assert_ne!(d.addr, addr1, "fresh ephemeral port expected");
     let ep = TcpEndpoint::connect(&d.addr).unwrap();
-    let resp = ep
-        .call(Request::new(Opcode::Stat, PathReq::new("/persisted").encode()))
-        .unwrap()
-        .into_result()
-        .unwrap();
-    let meta = gkfs_common::Metadata::decode(&resp.body).unwrap();
+    let resp = ep.call(op::Stat::request(&PathReq::new("/persisted"))).unwrap();
+    let meta = op::Stat::reply(resp).unwrap();
     assert_eq!(meta.ctime_ns, 77);
     d.stop();
     std::fs::remove_dir_all(&root).unwrap();

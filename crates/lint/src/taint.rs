@@ -433,6 +433,30 @@ mod tests {
         assert!(d.is_empty(), "{d:?}");
     }
 
+    /// Every message's element count is read in one place — the
+    /// generic `Vec<T>::get` in `gkfs_common::wire` — so that one site
+    /// is the whole of what GKL008 still has to guard. The fixture is
+    /// the real file: clean as written, flagged the moment its bound
+    /// goes.
+    #[test]
+    fn the_one_wire_count_site_is_flagged_without_its_bound() {
+        let path = "crates/common/src/wire.rs";
+        let real = include_str!("../../common/src/wire.rs");
+        let gkl008 = |src: &str| -> Vec<Diagnostic> {
+            run_at(path, src).into_iter().filter(|d| d.rule == "GKL008").collect()
+        };
+        assert!(gkl008(real).is_empty(), "{:?}", gkl008(real));
+
+        let start = real
+            .find("if n > d.remaining() / T::MIN_LEN {")
+            .expect("Vec<T>::get bounds its count by remaining() / T::MIN_LEN");
+        let end = start + real[start..].find("\n        }\n").expect("end of the bound") + 10;
+        let unbounded = format!("{}{}", &real[..start], &real[end..]);
+        let d = gkl008(&unbounded);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("`n`"), "{d:?}");
+    }
+
     // ---- GKL009 ----
 
     #[test]

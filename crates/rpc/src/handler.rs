@@ -1,12 +1,17 @@
 //! Opcode dispatch — the registered-RPC table.
 //!
 //! A daemon builds a [`HandlerRegistry`] once at startup, registering
-//! one handler per [`Opcode`] (Mercury's `HG_Register`). The registry
-//! is immutable after construction and shared read-only across the
-//! handler pool, so dispatch is lock-free.
+//! one handler per [`Opcode`] (Mercury's `HG_Register`). Typed
+//! handlers go through [`HandlerRegistry::serve`]: the registry decodes
+//! the row's request type, calls the closure, and encodes its result or
+//! turns its error into an error response, so a handler never touches a
+//! codec. The registry is immutable after construction and shared
+//! read-only across the handler pool, so dispatch is lock-free.
 
 use crate::message::{Opcode, Request, Response};
-use gkfs_common::GkfsError;
+use crate::proto::{body_of, Rpc, Wire};
+use bytes::Bytes;
+use gkfs_common::{GkfsError, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -56,6 +61,32 @@ impl HandlerRegistry {
         self.register(opcode, Arc::new(HandlerFn(f)));
     }
 
+    /// Serve table row `R` with a typed closure: request body in,
+    /// response body out. A body that does not decode, or an `Err` from
+    /// `f`, becomes an error response — never a torn-down connection.
+    pub fn serve<R: Rpc>(
+        &mut self,
+        f: impl Fn(R::Req) -> Result<R::Resp> + Send + Sync + 'static,
+    ) {
+        self.serve_bulk::<R>(move |req, _| Ok((f(req)?, Bytes::new())));
+    }
+
+    /// [`HandlerRegistry::serve`] for the rows that move chunk data:
+    /// `f` also receives the request's bulk payload and returns the
+    /// reply's.
+    pub fn serve_bulk<R: Rpc>(
+        &mut self,
+        f: impl Fn(R::Req, Bytes) -> Result<(R::Resp, Bytes)> + Send + Sync + 'static,
+    ) {
+        self.register_fn(R::OP, move |req| {
+            R::Req::decode(&req.body)
+                .and_then(|typed| f(typed, req.bulk))
+                .map_or_else(Response::err, |(resp, bulk)| {
+                    Response::ok(body_of(&resp)).with_bulk(bulk)
+                })
+        });
+    }
+
     /// Dispatch a request. Unknown opcodes produce an error response
     /// (never a panic — the input crossed a trust boundary).
     pub fn dispatch(&self, req: Request) -> Response {
@@ -103,6 +134,24 @@ mod tests {
 
         let resp = reg.dispatch(Request::new(Opcode::Stat, &b"abc"[..]));
         assert_eq!(&resp.body[..], b"stat:3");
+    }
+
+    #[test]
+    fn serve_decodes_runs_and_encodes_or_answers_with_the_error() {
+        use crate::proto::{op, PathReq};
+        use gkfs_common::Metadata;
+        let mut reg = HandlerRegistry::new();
+        reg.serve::<op::Stat>(|r| match r.path.as_str() {
+            "/f" => Ok(Metadata::new_file(7)),
+            _ => Err(GkfsError::NotFound),
+        });
+        let found = reg.dispatch(op::Stat::request(&PathReq::new("/f")));
+        assert_eq!(op::Stat::reply(found).unwrap(), Metadata::new_file(7));
+        let absent = reg.dispatch(op::Stat::request(&PathReq::new("/g")));
+        assert_eq!(op::Stat::reply(absent), Err(GkfsError::NotFound));
+        // A body that is not a `PathReq` never reaches the closure.
+        let garbled = reg.dispatch(Request::new(Opcode::Stat, &[0xFFu8; 2][..]));
+        assert!(matches!(garbled.status, Status::Err(GkfsError::Corruption(_))));
     }
 
     #[test]

@@ -12,77 +12,7 @@ use bytes::Bytes;
 use gkfs_common::wire::{Decoder, Encoder};
 use gkfs_common::{GkfsError, Result};
 
-/// Registered RPC operation codes — the equivalent of Mercury's
-/// registered RPC names. One flat space shared by all daemons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u16)]
-pub enum Opcode {
-    /// Liveness / deployment handshake.
-    Ping = 0,
-    /// Create a metadata entry (file or directory).
-    Create = 1,
-    /// Fetch a metadata entry.
-    Stat = 2,
-    /// Remove a metadata entry.
-    RemoveMeta = 3,
-    /// Update (merge) the size field of a metadata entry.
-    UpdateSize = 4,
-    /// Truncate/overwrite metadata size (decrease).
-    TruncateMeta = 5,
-    /// Enumerate direct children of a directory (prefix scan).
-    ReadDir = 6,
-    /// Write one batch of chunks owned by the target daemon.
-    WriteChunks = 7,
-    /// Read one batch of chunks owned by the target daemon.
-    ReadChunks = 8,
-    /// Remove all chunks of a file held by the target daemon.
-    RemoveChunks = 9,
-    /// Truncate chunks beyond a given size on the target daemon.
-    TruncateChunks = 10,
-    /// Daemon statistics snapshot (tests/benchmarks).
-    DaemonStats = 11,
-    /// Orderly shutdown.
-    Shutdown = 12,
-    /// Inventory of paths this daemon holds chunks for (fsck).
-    ChunkInventory = 13,
-    /// Lightweight liveness probe carrying the sender's identity and
-    /// the receiver's incarnation epoch (failure detection).
-    Heartbeat = 14,
-    /// Idempotent install of a replicated metadata entry
-    /// (re-replication / drain-back; merges rather than overwrites).
-    ReplicaMeta = 15,
-    /// Apply a batch of heterogeneous metadata ops (create/stat/
-    /// unlink/truncate-meta) as one group with per-op status replies.
-    BatchMeta = 16,
-}
-
-impl Opcode {
-    /// From u16.
-    pub fn from_u16(v: u16) -> Result<Opcode> {
-        Ok(match v {
-            0 => Opcode::Ping,
-            1 => Opcode::Create,
-            2 => Opcode::Stat,
-            3 => Opcode::RemoveMeta,
-            4 => Opcode::UpdateSize,
-            5 => Opcode::TruncateMeta,
-            6 => Opcode::ReadDir,
-            7 => Opcode::WriteChunks,
-            8 => Opcode::ReadChunks,
-            9 => Opcode::RemoveChunks,
-            10 => Opcode::TruncateChunks,
-            11 => Opcode::DaemonStats,
-            12 => Opcode::Shutdown,
-            13 => Opcode::ChunkInventory,
-            14 => Opcode::Heartbeat,
-            15 => Opcode::ReplicaMeta,
-            16 => Opcode::BatchMeta,
-            other => {
-                return Err(GkfsError::Rpc(format!("unknown opcode {other}")));
-            }
-        })
-    }
-}
+pub use crate::proto::Opcode;
 
 /// One RPC request.
 #[derive(Debug, Clone)]
@@ -114,23 +44,18 @@ impl Request {
         self
     }
 
-    /// Serialize for a byte-stream transport.
+    /// Serialize for a byte-stream transport: the prefix, then the bulk.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::with_capacity(self.body.len() + self.bulk.len() + 32);
-        e.u16(self.opcode as u16);
-        e.u64(self.id);
-        e.bytes(&self.body);
-        e.bytes(&self.bulk);
-        e.into_vec()
+        let mut v = self.encode_prefix();
+        v.extend_from_slice(&self.bulk);
+        v
     }
 
     /// Serialize the frame *prefix* only: everything up to and
     /// including the bulk length word, but not the bulk bytes
-    /// themselves. Writing `encode_prefix()` followed by the raw bulk
-    /// is byte-identical to [`Request::encode`] — the transport hands
-    /// both to a vectored frame writer so a large write payload goes to
-    /// the socket as a borrowed slice instead of being concatenated
-    /// into a fresh `Vec`.
+    /// themselves. The transport hands prefix and bulk to a vectored
+    /// frame writer, so a large write payload goes to the socket as a
+    /// borrowed slice instead of being concatenated into a fresh `Vec`.
     pub fn encode_prefix(&self) -> Vec<u8> {
         self.encode_prefix_for(self.bulk.len())
     }
@@ -156,20 +81,24 @@ impl Request {
         let mut d = Decoder::new(frame);
         let opcode = Opcode::from_u16(d.u16()?)?;
         let id = d.u64()?;
-        let body_len = d.u32()? as usize;
-        let body_start = d.position();
-        d.raw(body_len)?;
-        let bulk_len = d.u32()? as usize;
-        let bulk_start = d.position();
-        d.raw(bulk_len)?;
-        d.finish()?;
-        Ok(Request {
-            opcode,
-            id,
-            body: frame.slice(body_start..body_start + body_len),
-            bulk: frame.slice(bulk_start..bulk_start + bulk_len),
-        })
+        let (body, bulk) = slice_body_bulk(frame, d)?;
+        Ok(Request { opcode, id, body, bulk })
     }
+}
+
+/// The tail both frame kinds share — length-prefixed body, then
+/// length-prefixed bulk, then nothing — as views into `frame`'s own
+/// allocation rather than copies.
+fn slice_body_bulk(frame: &Bytes, mut d: Decoder<'_>) -> Result<(Bytes, Bytes)> {
+    let body_len = d.bytes()?.len();
+    let body_end = d.position();
+    let bulk_len = d.bytes()?.len();
+    let bulk_end = d.position();
+    d.finish()?;
+    Ok((
+        frame.slice(body_end - body_len..body_end),
+        frame.slice(bulk_end - bulk_len..bulk_end),
+    ))
 }
 
 /// Response status: OK or a [`GkfsError`] wire code.
@@ -229,28 +158,15 @@ impl Response {
         }
     }
 
-    /// Serialize for a byte-stream transport.
+    /// Serialize for a byte-stream transport: the prefix, then the bulk.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::with_capacity(self.body.len() + self.bulk.len() + 32);
-        e.u64(self.id);
-        match &self.status {
-            Status::Ok => {
-                e.u32(0);
-                e.str("");
-            }
-            Status::Err(err) => {
-                e.u32(err.code());
-                e.str(err.detail());
-            }
-        }
-        e.bytes(&self.body);
-        e.bytes(&self.bulk);
-        e.into_vec()
+        let mut v = self.encode_prefix();
+        v.extend_from_slice(&self.bulk);
+        v
     }
 
     /// Serialize the frame *prefix* only — the reply analogue of
-    /// [`Request::encode_prefix`]. `encode_prefix()` + raw bulk is
-    /// byte-identical to [`Response::encode`]; a `ReadChunks` reply's
+    /// [`Request::encode_prefix`]; a `ReadChunks` reply's
     /// scatter-gather buffer is passed to the transport as a borrowed
     /// slice and never re-buffered.
     pub fn encode_prefix(&self) -> Vec<u8> {
@@ -283,19 +199,8 @@ impl Response {
         } else {
             Status::Err(GkfsError::from_code(code, &detail))
         };
-        let body_len = d.u32()? as usize;
-        let body_start = d.position();
-        d.raw(body_len)?;
-        let bulk_len = d.u32()? as usize;
-        let bulk_start = d.position();
-        d.raw(bulk_len)?;
-        d.finish()?;
-        Ok(Response {
-            id,
-            status,
-            body: frame.slice(body_start..body_start + body_len),
-            bulk: frame.slice(bulk_start..bulk_start + bulk_len),
-        })
+        let (body, bulk) = slice_body_bulk(frame, d)?;
+        Ok(Response { id, status, body, bulk })
     }
 }
 
@@ -332,15 +237,6 @@ mod tests {
             other => panic!("unexpected status {other:?}"),
         }
         assert!(back.into_result().is_err());
-    }
-
-    #[test]
-    fn all_opcodes_roundtrip() {
-        for v in 0..17u16 {
-            let op = Opcode::from_u16(v).unwrap();
-            assert_eq!(op as u16, v);
-        }
-        assert!(Opcode::from_u16(999).is_err());
     }
 
     #[test]

@@ -139,18 +139,15 @@ fn daemon_survives_malformed_rpc_bodies() {
         }
     }
     // Still alive and correct afterwards.
+    use gkfs_rpc::proto::{op, CreateReq, Rpc};
     let resp = ep
-        .call(Request::new(
-            Opcode::Create,
-            gkfs_rpc::proto::CreateReq {
-                path: "/ok".into(),
-                kind: 0,
-                mode: 0o644,
-                exclusive: true,
-                now_ns: 0,
-            }
-            .encode(),
-        ))
+        .call(op::Create::request(&CreateReq {
+            path: "/ok".into(),
+            kind: gkfs_common::FileKind::File,
+            mode: 0o644,
+            exclusive: true,
+            now_ns: 0,
+        }))
         .unwrap();
     assert!(resp.into_result().is_ok());
     daemon.shutdown();
