@@ -2708,7 +2708,7 @@ mod tests {
                 return self.inner.submit(req);
             }
             self.reads.fetch_add(1, Ordering::Relaxed);
-            let (tx, rx) = crossbeam::channel::bounded(1);
+            let (tx, rx) = std::sync::mpsc::sync_channel(1);
             let (inner, delay) = (Arc::clone(&self.inner), self.delay);
             self.repliers.lock().unwrap().push(std::thread::spawn(move || {
                 std::thread::sleep(delay);

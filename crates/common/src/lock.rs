@@ -9,10 +9,21 @@
 //! catches "two locks of the same class at once" bugs (two storage
 //! shards, two memtables) that an `<=` check would let through.
 //!
-//! The wrappers are thin over `parking_lot` and compile to plain
-//! `parking_lot` locks in release builds — no rank bookkeeping is
-//! consulted on the lock/unlock paths. In debug and test builds two
-//! validation layers run:
+//! The wrappers are thin over `std::sync` and compile to plain
+//! `std::sync` locks in release builds — no rank bookkeeping is
+//! consulted on the lock/unlock paths. This module is the only product
+//! code that names `std::sync::{Mutex, RwLock, Condvar}`; everything
+//! else takes the wrappers and the [`Condvar`] re-exported here.
+//!
+//! **No poisoning.** `std` marks a lock poisoned when a thread panics
+//! while holding it and fails every later acquisition. Every call site
+//! here was written against locks that do not do that (a panicking
+//! handler or pool job is caught and the daemon keeps serving), so the
+//! wrappers recover the guard with `PoisonError::into_inner` on every
+//! acquisition and wait: a panic under a guard leaves the lock usable
+//! and the data as the panicking thread left it.
+//!
+//! In debug and test builds two validation layers run:
 //!
 //! 1. a **thread-local held-rank stack**: each acquisition asserts the
 //!    new rank is strictly below the most recently acquired held rank
@@ -39,9 +50,9 @@
 //! holding the new active memtable may then consult frozen ones
 //! without violating strict descent.
 
-use parking_lot::Condvar;
-pub use parking_lot::WaitTimeoutResult;
 use std::sync::atomic::{AtomicU16, Ordering};
+use std::sync::PoisonError;
+pub use std::sync::{Condvar, WaitTimeoutResult};
 use std::time::Duration;
 
 /// A static rank in the global lock hierarchy. Higher ranks must be
@@ -123,15 +134,22 @@ pub mod rank {
     pub const RPC_WRITER: LockRank = LockRank(176);
     /// A TCP endpoint's pending-reply table.
     pub const RPC_PENDING: LockRank = LockRank(172);
+    /// A daemon's RPC handler pool's work queue (`TaskPool` instance
+    /// of both transports). Below the connection ranks so a submit —
+    /// which on the in-process transport enqueues here where TCP would
+    /// write to its socket — descends from the same callers; a handler
+    /// runs after its job left the queue, holding nothing.
+    pub const RPC_HANDLER_QUEUE: LockRank = LockRank(170);
     /// A chaos proxy's list of live connections (test harness).
     pub const CHAOS_CONNS: LockRank = LockRank(166);
     /// A chaos endpoint's parked never-completing replies.
     pub const CHAOS_PARKED: LockRank = LockRank(164);
     /// A chaos endpoint's/proxy's seeded PRNG state (leaf).
     pub const CHAOS_RNG: LockRank = LockRank(162);
-    /// The daemon chunk task pool's work queue. Above the storage
-    /// ranks: a pool worker takes a job off the queue and then runs
-    /// storage code, never the other way around.
+    /// The daemon chunk I/O pool's work queue (the other `TaskPool`
+    /// instance). Above the storage ranks: a pool worker takes a job
+    /// off the queue and then runs storage code, never the other way
+    /// around.
     pub const DAEMON_CHUNK_QUEUE: LockRank = LockRank(156);
     /// One shard of the in-memory chunk store.
     pub const STORAGE_SHARD: LockRank = LockRank(150);
@@ -184,6 +202,7 @@ pub mod rank {
             178 => "RPC_CONN",
             176 => "RPC_WRITER",
             172 => "RPC_PENDING",
+            170 => "RPC_HANDLER_QUEUE",
             166 => "CHAOS_CONNS",
             164 => "CHAOS_PARKED",
             162 => "CHAOS_RNG",
@@ -342,11 +361,12 @@ pub mod checker {
     }
 }
 
-/// A `parking_lot::Mutex` carrying a static [`LockRank`], validated
-/// against the global hierarchy in debug/test builds.
+/// A `std::sync::Mutex` that never poisons, carrying a static
+/// [`LockRank`] validated against the global hierarchy in debug/test
+/// builds.
 pub struct OrderedMutex<T: ?Sized> {
     rank: AtomicU16,
-    inner: parking_lot::Mutex<T>,
+    inner: std::sync::Mutex<T>,
 }
 
 impl<T> OrderedMutex<T> {
@@ -354,7 +374,7 @@ impl<T> OrderedMutex<T> {
     pub const fn new(rank: LockRank, value: T) -> OrderedMutex<T> {
         OrderedMutex {
             rank: AtomicU16::new(rank.0),
-            inner: parking_lot::Mutex::new(value),
+            inner: std::sync::Mutex::new(value),
         }
     }
 }
@@ -377,7 +397,7 @@ impl<T: ?Sized> OrderedMutex<T> {
             r
         };
         OrderedMutexGuard {
-            inner: self.inner.lock(),
+            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
             #[cfg(debug_assertions)]
             rank,
         }
@@ -403,7 +423,8 @@ impl<T: std::fmt::Debug> std::fmt::Debug for OrderedMutex<T> {
 
 /// Guard for [`OrderedMutex`]. Dereferences to the protected value.
 pub struct OrderedMutexGuard<'a, T: ?Sized> {
-    inner: parking_lot::MutexGuard<'a, T>,
+    /// `None` only while a condvar wait owns the `std` guard.
+    inner: Option<std::sync::MutexGuard<'a, T>>,
     #[cfg(debug_assertions)]
     rank: LockRank,
 }
@@ -414,25 +435,31 @@ impl<T> OrderedMutexGuard<'_, T> {
     /// is blocked, so it cannot acquire anything in between, and it
     /// holds the lock again when this returns.
     pub fn wait(&mut self, cv: &Condvar) {
-        cv.wait(&mut self.inner);
+        let guard = self.inner.take().expect("guard is present outside a wait");
+        self.inner = Some(cv.wait(guard).unwrap_or_else(PoisonError::into_inner));
     }
 
     /// Like [`wait`](Self::wait) with a timeout.
     pub fn wait_for(&mut self, cv: &Condvar, timeout: Duration) -> WaitTimeoutResult {
-        cv.wait_for(&mut self.inner, timeout)
+        let guard = self.inner.take().expect("guard is present outside a wait");
+        let (guard, result) = cv
+            .wait_timeout(guard, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        self.inner = Some(guard);
+        result
     }
 }
 
 impl<T: ?Sized> std::ops::Deref for OrderedMutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.inner
+        self.inner.as_ref().expect("guard is present outside a wait")
     }
 }
 
 impl<T: ?Sized> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
+        self.inner.as_mut().expect("guard is present outside a wait")
     }
 }
 
@@ -443,11 +470,12 @@ impl<T: ?Sized> Drop for OrderedMutexGuard<'_, T> {
     }
 }
 
-/// A `parking_lot::RwLock` carrying a static [`LockRank`], validated
-/// against the global hierarchy in debug/test builds.
+/// A `std::sync::RwLock` that never poisons, carrying a static
+/// [`LockRank`] validated against the global hierarchy in debug/test
+/// builds.
 pub struct OrderedRwLock<T: ?Sized> {
     rank: AtomicU16,
-    inner: parking_lot::RwLock<T>,
+    inner: std::sync::RwLock<T>,
 }
 
 impl<T> OrderedRwLock<T> {
@@ -455,7 +483,7 @@ impl<T> OrderedRwLock<T> {
     pub const fn new(rank: LockRank, value: T) -> OrderedRwLock<T> {
         OrderedRwLock {
             rank: AtomicU16::new(rank.0),
-            inner: parking_lot::RwLock::new(value),
+            inner: std::sync::RwLock::new(value),
         }
     }
 }
@@ -492,7 +520,7 @@ impl<T: ?Sized> OrderedRwLock<T> {
             r
         };
         OrderedRwLockReadGuard {
-            inner: self.inner.read(),
+            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
             #[cfg(debug_assertions)]
             rank,
         }
@@ -507,7 +535,7 @@ impl<T: ?Sized> OrderedRwLock<T> {
             r
         };
         OrderedRwLockWriteGuard {
-            inner: self.inner.write(),
+            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
             #[cfg(debug_assertions)]
             rank,
         }
@@ -530,7 +558,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for OrderedRwLock<T> {
 
 /// Shared guard for [`OrderedRwLock`].
 pub struct OrderedRwLockReadGuard<'a, T: ?Sized> {
-    inner: parking_lot::RwLockReadGuard<'a, T>,
+    inner: std::sync::RwLockReadGuard<'a, T>,
     #[cfg(debug_assertions)]
     rank: LockRank,
 }
@@ -551,7 +579,7 @@ impl<T: ?Sized> Drop for OrderedRwLockReadGuard<'_, T> {
 
 /// Exclusive guard for [`OrderedRwLock`].
 pub struct OrderedRwLockWriteGuard<'a, T: ?Sized> {
-    inner: parking_lot::RwLockWriteGuard<'a, T>,
+    inner: std::sync::RwLockWriteGuard<'a, T>,
     #[cfg(debug_assertions)]
     rank: LockRank,
 }
@@ -593,6 +621,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "lock order violation")]
+    #[cfg(debug_assertions)] // rank checks compile out of optimized builds
     fn ascending_acquisition_panics() {
         // A seeded A→B / B→A inversion: this thread takes B (low) then
         // A (high); the rank check fires on the second acquisition.
@@ -604,6 +633,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "lock order violation")]
+    #[cfg(debug_assertions)]
     fn equal_rank_acquisition_panics() {
         let a = OrderedMutex::new(LockRank(25), ());
         let b = OrderedMutex::new(LockRank(25), ());
@@ -670,6 +700,34 @@ mod tests {
         assert!(r.timed_out());
         *g = true;
         assert!(*g);
+    }
+
+    #[test]
+    fn a_panic_under_a_guard_does_not_poison() {
+        // `std` poisons a lock whose holder panicked; the wrappers must
+        // hand out the guard regardless, with the data as it was left.
+        let m = std::sync::Arc::new(OrderedMutex::new(LockRank(20), 0u32));
+        let rw = std::sync::Arc::new(OrderedRwLock::new(LockRank(10), 0u32));
+        let (m2, rw2) = (m.clone(), rw.clone());
+        let died = std::thread::spawn(move || {
+            let mut g = m2.lock();
+            let mut w = rw2.write();
+            *g = 1;
+            *w = 1;
+            panic!("while holding both guards");
+        })
+        .join();
+        assert!(died.is_err());
+        assert_eq!(*rw.read(), 1);
+        *rw.write() += 1;
+        assert_eq!(*rw.read(), 2);
+        let mut g = m.lock();
+        assert_eq!(*g, 1);
+        // The condvar paths re-acquire through the same recovery.
+        let cv = Condvar::new();
+        assert!(g.wait_for(&cv, Duration::from_millis(1)).timed_out());
+        *g += 1;
+        assert_eq!(*g, 2);
     }
 
     #[test]

@@ -123,6 +123,17 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Seeded Fisher–Yates shuffle over the [`splitmix64`] stream: one
+/// `seed`, one permutation, on every run and platform — what workload
+/// drivers need for a reproducible "random" access order.
+pub fn shuffle<T>(items: &mut [T], seed: u64) {
+    let mut state = seed;
+    for i in (1..items.len()).rev() {
+        state = splitmix64(state);
+        items.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+}
+
 /// An absolute time budget for one logical operation.
 ///
 /// `Deadline` is `Copy` and is threaded *down* through helpers: a
@@ -362,6 +373,24 @@ mod tests {
     use super::*;
     use crate::error::GkfsError;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn shuffle_is_a_seeded_permutation() {
+        let sorted: Vec<u32> = (0..100).collect();
+        let shuffled = |seed| {
+            let mut v = sorted.clone();
+            shuffle(&mut v, seed);
+            v
+        };
+        assert_eq!(shuffled(7), shuffled(7), "same seed, same order");
+        assert_ne!(shuffled(7), shuffled(8));
+        assert_ne!(shuffled(7), sorted, "it does shuffle");
+        let mut back = shuffled(7);
+        back.sort_unstable();
+        assert_eq!(back, sorted, "nothing lost, nothing duplicated");
+        shuffle::<u8>(&mut [], 1);
+        shuffle(&mut [1u8], 1);
+    }
 
     #[test]
     fn backoff_is_deterministic() {

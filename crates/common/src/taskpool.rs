@@ -1,17 +1,31 @@
-//! Bounded I/O task pool — the stand-in for Argobots ULT dispatch.
+//! The worker pool — the stand-in for an Argobots pool.
 //!
-//! Paper §III-B: the daemon hands each chunk of a request to an
-//! Argobots user-level thread so per-chunk I/O overlaps. We model that
-//! with a small pool of OS threads behind a bounded queue. The
-//! saturation policy mirrors the RPC server's (PR 3): [`TaskPool`]
-//! never blocks a submitter — when the queue is full (or the pool has
-//! no workers at all) `try_submit` hands the job back and the caller
-//! runs it inline on its own thread. Under overload the system thus
-//! degrades to exactly the serial execution it had before the pool
-//! existed, instead of queuing unboundedly.
+//! Paper §III-B: Margo hands both kinds of daemon work to Argobots —
+//! each RPC to a handler ULT, each chunk of a request to an I/O
+//! tasklet — so requests are served concurrently and per-chunk I/O
+//! overlaps. We model an Argobots pool with a small set of OS threads
+//! behind a bounded FIFO queue, and the workspace has exactly this one
+//! implementation of it. It has two instances per daemon, which differ
+//! only in what a submitter does when the queue is full:
+//!
+//! * the **RPC handler pool** (`gkfs-rpc`, both transports) calls
+//!   [`TaskPool::submit`], which *blocks* until a worker makes room.
+//!   The submitter there is a connection's reader thread (or an
+//!   in-process client): stalling it is the point — the socket stops
+//!   being read, TCP flow control pushes back to the peer, and a
+//!   daemon's memory under overload is bounded by the queue depth.
+//! * the **chunk I/O pool** (`gkfs-storage`) calls
+//!   [`TaskPool::try_submit`], which *bounces*: a full queue hands the
+//!   job back and the caller — already a handler thread with the data
+//!   in hand — runs it inline. Under overload chunk I/O degrades to
+//!   the serial execution it had before the pool existed.
+//!
+//! Either way a job is never dropped: with no live worker (a pool of
+//! zero threads, every spawn failed, shut down) both calls fall back to
+//! caller-runs. Jobs are panic-isolated — a job that unwinds is counted
+//! and the worker survives — and the protocol is model-checked below.
 
-use crate::lock::{rank, OrderedMutex};
-use parking_lot::Condvar;
+use crate::lock::{Condvar, LockRank, OrderedMutex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -25,21 +39,30 @@ pub type Job = Box<dyn FnOnce() + Send + 'static>;
 struct Queue {
     jobs: VecDeque<Job>,
     shutdown: bool,
+    /// Submitters asleep on `room`. Counted under the queue lock, so a
+    /// worker that pops with `blocked == 0` can skip the notify: a
+    /// submitter either registered before the pop or sees its result.
+    blocked: usize,
 }
 
 struct Shared {
     work_queue: OrderedMutex<Queue>,
+    /// Signalled when a job is queued (workers wait here).
     cv: Condvar,
+    /// Signalled when a slot frees up, a worker dies or the pool shuts
+    /// down (blocked submitters wait here).
+    room: Condvar,
     depth: usize,
     /// Jobs accepted onto the queue (ran on a pool worker).
     spawned: AtomicU64,
-    /// Jobs bounced back to the submitter (queue full or no workers).
+    /// Jobs handed back to the submitter (queue full on `try_submit`,
+    /// no live worker, or shutting down) and run on its thread.
     inline: AtomicU64,
     /// Jobs that panicked on a worker (caught; the worker survives).
     panicked: AtomicU64,
     /// Workers currently alive. Jobs are panic-isolated, so this only
     /// drops below the spawn count if a worker dies some other way —
-    /// at zero `try_submit` bounces instead of queueing jobs nothing
+    /// at zero submissions bounce instead of queueing jobs nothing
     /// would ever pop (submitters would hang waiting on results).
     live: AtomicUsize,
 }
@@ -51,19 +74,25 @@ pub struct TaskPool {
 }
 
 impl TaskPool {
-    /// Pool with `threads` workers and room for `depth` queued jobs.
-    /// `threads == 0` is a valid degenerate pool: every submission is
-    /// handed back for inline execution (serial mode).
-    pub fn new(name: &str, threads: usize, depth: usize) -> TaskPool {
+    /// Pool with `threads` workers and room for `depth` queued jobs
+    /// (min 1). `threads == 0` is a valid degenerate pool: every
+    /// submission runs on the submitter's thread (serial mode); a
+    /// caller that wants at least one worker passes `threads.max(1)`.
+    /// `queue_rank` is the queue lock's place in the hierarchy — one of
+    /// the `*_QUEUE` constants in [`crate::lock::rank`], which
+    /// `lint.toml` mirrors.
+    pub fn new(name: &str, threads: usize, depth: usize, queue_rank: LockRank) -> TaskPool {
         let shared = Arc::new(Shared {
             work_queue: OrderedMutex::new(
-                rank::DAEMON_CHUNK_QUEUE,
+                queue_rank,
                 Queue {
                     jobs: VecDeque::new(),
                     shutdown: false,
+                    blocked: 0,
                 },
             ),
             cv: Condvar::new(),
+            room: Condvar::new(),
             depth: depth.max(1),
             spawned: AtomicU64::new(0),
             inline: AtomicU64::new(0),
@@ -89,22 +118,45 @@ impl TaskPool {
     /// it right now (queue full, no workers, shutting down). The caller
     /// must then run it inline — the job is never dropped.
     pub fn try_submit(&self, job: Job) -> std::result::Result<(), Job> {
-        if self.shared.live.load(Ordering::Acquire) == 0 {
-            self.shared.inline.fetch_add(1, Ordering::Relaxed);
-            return Err(job);
+        self.enqueue(job, false).map_or(Ok(()), Err)
+    }
+
+    /// Hand `job` to the pool, blocking while the queue is full
+    /// (back-pressure on the submitter). With no live worker — zero
+    /// threads, every spawn failed, shutting down — the job runs on the
+    /// calling thread instead: degraded throughput, never a lost job.
+    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
+        if let Some(job) = self.enqueue(Box::new(job), true) {
+            job();
         }
-        {
-            let mut q = self.shared.work_queue.lock();
-            if !q.shutdown && q.jobs.len() < self.shared.depth {
-                q.jobs.push_back(job);
-                self.shared.spawned.fetch_add(1, Ordering::Relaxed);
-                drop(q);
-                self.shared.cv.notify_one();
-                return Ok(());
+    }
+
+    /// The one queueing routine: `None` if the job went onto the queue,
+    /// the job back if the caller has to run it.
+    fn enqueue(&self, job: Job, wait_for_room: bool) -> Option<Job> {
+        let shared = &*self.shared;
+        let mut q = shared.work_queue.lock();
+        loop {
+            if q.shutdown || shared.live.load(Ordering::Acquire) == 0 {
+                break;
             }
+            if q.jobs.len() < shared.depth {
+                q.jobs.push_back(job);
+                drop(q);
+                shared.spawned.fetch_add(1, Ordering::Relaxed);
+                shared.cv.notify_one();
+                return None;
+            }
+            if !wait_for_room {
+                break;
+            }
+            q.blocked += 1;
+            q.wait(&shared.room);
+            q.blocked -= 1;
         }
-        self.shared.inline.fetch_add(1, Ordering::Relaxed);
-        Err(job)
+        drop(q);
+        shared.inline.fetch_add(1, Ordering::Relaxed);
+        Some(job)
     }
 
     /// Worker count (0 means pure inline mode).
@@ -112,7 +164,7 @@ impl TaskPool {
         self.workers.len()
     }
 
-    /// `(tasks_spawned, inline_fallbacks)`.
+    /// `(jobs run on a worker, jobs run by their submitter)`.
     pub fn counters(&self) -> (u64, u64) {
         (
             self.shared.spawned.load(Ordering::Relaxed),
@@ -134,6 +186,7 @@ impl Drop for TaskPool {
             q.shutdown = true;
         }
         self.shared.cv.notify_all();
+        self.shared.room.notify_all();
         // Join outside any guard (workers drain remaining jobs first).
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -143,12 +196,17 @@ impl Drop for TaskPool {
 
 fn worker_loop(shared: &Shared) {
     // Decrement `live` on any exit path — including an unwind out of
-    // the loop itself — so `try_submit` stops queueing jobs the moment
-    // the pool can no longer run them.
+    // the loop itself — so submissions stop queueing jobs the moment
+    // the pool can no longer run them. Under the queue lock, so the
+    // decrement cannot fall between a blocking submitter's check and
+    // its wait; then wake the submitters to re-check.
     struct LiveGuard<'a>(&'a Shared);
     impl Drop for LiveGuard<'_> {
         fn drop(&mut self) {
+            let q = self.0.work_queue.lock();
             self.0.live.fetch_sub(1, Ordering::AcqRel);
+            drop(q);
+            self.0.room.notify_all();
         }
     }
     let _live = LiveGuard(shared);
@@ -157,6 +215,9 @@ fn worker_loop(shared: &Shared) {
             let mut q = shared.work_queue.lock();
             loop {
                 if let Some(job) = q.jobs.pop_front() {
+                    if q.blocked > 0 {
+                        shared.room.notify_one();
+                    }
                     break Some(job);
                 }
                 if q.shutdown {
@@ -185,24 +246,32 @@ fn worker_loop(shared: &Shared) {
 
 /// Schedule-exploration model of the pool protocol (`crate::model`).
 ///
-/// Transcribes the three interacting state machines above — submitter
-/// (`try_submit`), worker (`worker_loop`), and shutdown (`Drop`) —
-/// at one-shared-access-per-step granularity and checks, over every
-/// interleaving the preemption bound admits:
+/// Transcribes the interacting state machines above — submitter
+/// (`enqueue`, bouncing or blocking), worker (`worker_loop`), and
+/// shutdown (`Drop`) — at one-shared-access-per-step granularity and
+/// checks, over every interleaving the preemption bound admits:
 ///
 /// * no job is lost: each submission either runs on a worker or is
 ///   handed back for inline execution, exactly once;
 /// * a panicking job is counted and the worker survives it;
 /// * shutdown drains: queued jobs run before the workers exit
 ///   (the pop-before-shutdown-check ordering in `worker_loop`);
+/// * a blocked submitter is never stranded: a worker's pop wakes it
+///   (no lost wake-up — `blocked` is counted under the queue lock), and
+///   a shutdown that finds it asleep ends in caller-runs;
 /// * the queue lock is never leaked.
+///
+/// The `room` condvar is modelled explicitly (a sleeper runs again only
+/// after a notify reaches it), so a wake-up the code fails to send shows
+/// as a deadlock; the workers' `cv` keeps the explorer's "any progress
+/// may unblock" approximation.
 #[cfg(test)]
 mod model {
     use crate::model::{Explorer, Model, Step};
 
     const DEPTH: usize = 1;
     /// The job id whose closure panics in the model.
-    const PANIC_JOB: usize = 1;
+    const PANIC_JOB: usize = 9;
 
     #[derive(Default)]
     struct S {
@@ -210,6 +279,14 @@ mod model {
         queue: Vec<usize>,
         shutdown: bool,
         live: usize,
+        /// `Queue::blocked`.
+        blocked: usize,
+        /// Submitters asleep on `room`, in arrival order.
+        sleepers: Vec<usize>,
+        /// Sleepers a notify has reached.
+        woken: Vec<usize>,
+        /// Submitters whose call has returned.
+        returned: usize,
         ran: Vec<usize>,
         inline: Vec<usize>,
         panicked: usize,
@@ -217,40 +294,90 @@ mod model {
 
     type Thread = Box<dyn FnMut(&mut S) -> Step>;
 
-    /// `try_submit`: atomic `live` read, then the locked
-    /// check-and-push critical section.
-    fn submitter(id: usize) -> Thread {
+    /// How a model submitter treats a full queue.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Full {
+        /// `try_submit`.
+        Bounce,
+        /// `submit`: count itself in `blocked` and sleep, atomically
+        /// with releasing the lock (what `Condvar::wait` guarantees).
+        Wait,
+        /// The tempting-but-wrong `submit`: release the lock, *then*
+        /// register — a pop in between sees `blocked == 0` and skips
+        /// the notify.
+        WaitUnregistered,
+    }
+
+    /// `enqueue`: lock, then the check / push / bounce / wait critical
+    /// section, looping after a wake-up.
+    fn submitter(id: usize, full: Full) -> Thread {
         let mut step = 0u8;
         Box::new(move |s| match step {
             0 => {
-                if s.live == 0 {
-                    s.inline.push(id);
-                    step = 9;
-                } else {
-                    step = 1;
-                }
-                Step::Ran
-            }
-            1 => {
                 if s.locked {
                     return Step::Blocked;
                 }
                 s.locked = true;
-                step = 2;
+                step = 1;
+                Step::Ran
+            }
+            1 => {
+                s.locked = false;
+                step = 9;
+                if s.shutdown || s.live == 0 {
+                    s.inline.push(id);
+                } else if s.queue.len() < DEPTH {
+                    s.queue.push(id);
+                } else {
+                    match full {
+                        Full::Bounce => s.inline.push(id),
+                        Full::Wait => {
+                            s.blocked += 1;
+                            s.sleepers.push(id);
+                            step = 3;
+                        }
+                        Full::WaitUnregistered => step = 2,
+                    }
+                }
+                if step == 9 {
+                    s.returned += 1;
+                }
                 Step::Ran
             }
             2 => {
-                if !s.shutdown && s.queue.len() < DEPTH {
-                    s.queue.push(id);
-                } else {
-                    s.inline.push(id);
+                s.blocked += 1;
+                s.sleepers.push(id);
+                step = 3;
+                Step::Ran
+            }
+            3 => {
+                // Asleep on `room` until a notify names this sleeper.
+                let Some(pos) = s.woken.iter().position(|&w| w == id) else {
+                    return Step::Blocked;
+                };
+                s.woken.remove(pos);
+                step = 4;
+                Step::Ran
+            }
+            4 => {
+                // The wait re-acquires the lock before returning.
+                if s.locked {
+                    return Step::Blocked;
                 }
-                s.locked = false;
-                step = 9;
+                s.locked = true;
+                s.blocked -= 1;
+                step = 1;
                 Step::Ran
             }
             _ => Step::Done,
         })
+    }
+
+    /// `notify_one` / `notify_all` on `room`.
+    fn notify_room(s: &mut S, all: bool) {
+        let n = if all { s.sleepers.len() } else { s.sleepers.len().min(1) };
+        let woken: Vec<usize> = s.sleepers.drain(..n).collect();
+        s.woken.extend(woken);
     }
 
     /// `worker_loop`: lock → pop-or-exit-or-wait → run outside the
@@ -272,16 +399,17 @@ mod model {
             1 => {
                 if !drain_first && s.shutdown {
                     s.locked = false;
-                    s.live -= 1;
-                    step = 9;
-                } else if let Some(j) = s.queue.pop() {
-                    job = j;
+                    step = 4;
+                } else if !s.queue.is_empty() {
+                    job = s.queue.remove(0);
+                    if s.blocked > 0 {
+                        notify_room(s, false);
+                    }
                     s.locked = false;
                     step = 2;
                 } else if s.shutdown {
                     s.locked = false;
-                    s.live -= 1;
-                    step = 9;
+                    step = 4;
                 } else {
                     // Condvar wait, first half: releasing the lock is
                     // progress (it wakes lock waiters) and must be its
@@ -313,16 +441,32 @@ mod model {
                     Step::Blocked
                 }
             }
+            4 => {
+                // `LiveGuard`: the decrement under the queue lock, then
+                // wake every blocked submitter to re-check.
+                if s.locked {
+                    return Step::Blocked;
+                }
+                s.live -= 1;
+                notify_room(s, true);
+                step = 9;
+                Step::Ran
+            }
             _ => Step::Done,
         })
     }
 
-    /// `Drop`: set shutdown under the lock, wake everyone.
-    fn shutdowner() -> Thread {
+    /// `Drop`: set shutdown under the lock, wake everyone. With
+    /// `after_submitters = Some(n)` it waits until `n` submit calls
+    /// have returned first — what `Drop`'s `&mut self` enforces in the
+    /// real code, and what turns a lost wake-up into a visible
+    /// deadlock; `None` also explores a shutdown racing a blocked
+    /// submitter, which the protocol must survive all the same.
+    fn shutdowner(after_submitters: Option<usize>) -> Thread {
         let mut step = 0u8;
         Box::new(move |s| match step {
             0 => {
-                if s.locked {
+                if s.locked || after_submitters.is_some_and(|n| s.returned < n) {
                     return Step::Blocked;
                 }
                 s.locked = true;
@@ -332,6 +476,11 @@ mod model {
             1 => {
                 s.shutdown = true;
                 s.locked = false;
+                step = 2;
+                Step::Ran
+            }
+            2 => {
+                notify_room(s, true);
                 step = 9;
                 Step::Ran
             }
@@ -339,33 +488,43 @@ mod model {
         })
     }
 
-    fn pool_model(drain_first: bool) -> Model<S> {
-        // The panic job starts on the queue (a submission that won the
-        // race before this window opens) — keeping the model at three
-        // threads while still exercising the full-queue bounce.
+    /// One worker, `submitters`, a shutdown; the panic job starts on
+    /// the queue (a submission that won the race before this window
+    /// opens), so the depth-1 queue is full when the submitters arrive.
+    fn pool_model(
+        drain_first: bool,
+        submitters: &[(usize, Full)],
+        shutdown_after_submitters: bool,
+    ) -> Model<S> {
+        let mut jobs: Vec<usize> = submitters.iter().map(|&(id, _)| id).collect();
+        jobs.push(PANIC_JOB);
+        jobs.sort_unstable();
+        let mut threads: Vec<Thread> =
+            submitters.iter().map(|&(id, full)| submitter(id, full)).collect();
+        threads.push(worker(drain_first));
+        threads.push(shutdowner(shutdown_after_submitters.then_some(submitters.len())));
         Model {
             state: S {
                 live: 1,
                 queue: vec![PANIC_JOB],
                 ..S::default()
             },
-            threads: vec![submitter(0), worker(drain_first), shutdowner()],
-            check: Box::new(|s| {
+            threads,
+            check: Box::new(move |s| {
                 assert!(!s.locked, "queue lock leaked");
                 assert!(s.queue.is_empty(), "job stranded on the queue: {:?}", s.queue);
                 let mut seen: Vec<usize> =
                     s.ran.iter().chain(s.inline.iter()).copied().collect();
                 seen.sort_unstable();
                 assert_eq!(
-                    seen,
-                    vec![0, PANIC_JOB],
+                    seen, jobs,
                     "each job must run or bounce exactly once (ran {:?}, inline {:?})",
-                    s.ran,
-                    s.inline
+                    s.ran, s.inline
                 );
                 let expected = usize::from(s.ran.contains(&PANIC_JOB));
                 assert_eq!(s.panicked, expected, "panic accounting");
                 assert_eq!(s.live, 0, "worker exited without decrementing live");
+                assert_eq!(s.blocked, 0, "a submitter is still counted as blocked");
             }),
         }
     }
@@ -373,7 +532,8 @@ mod model {
     #[test]
     #[cfg_attr(miri, ignore = "exhaustive schedule exploration is too slow interpreted")]
     fn pool_protocol_holds_under_exploration() {
-        let stats = Explorer::new().explore("taskpool", || pool_model(true));
+        let stats = Explorer::new()
+            .explore("taskpool", || pool_model(true, &[(0, Full::Bounce)], false));
         assert!(stats.schedules > 10, "{stats:?}: exploration must branch");
     }
 
@@ -383,21 +543,75 @@ mod model {
         // Swapping the shutdown check ahead of the pop loses queued
         // jobs on shutdown — the model must see it.
         let r = std::panic::catch_unwind(|| {
-            Explorer::new().explore("taskpool-buggy", || pool_model(false))
+            Explorer::new()
+                .explore("taskpool-buggy", || pool_model(false, &[(0, Full::Bounce)], false))
         });
         assert!(r.is_err(), "exit-before-drain must strand a queued job");
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "exhaustive schedule exploration is too slow interpreted")]
+    fn blocking_submit_is_woken_by_a_pop() {
+        // The submitter finds the queue full and sleeps; the pool is
+        // dropped only after its call returns, so it must be woken by
+        // the worker's pop — a missed notify deadlocks the model.
+        let stats = Explorer::new()
+            .explore("taskpool-blocking", || pool_model(true, &[(0, Full::Wait)], true));
+        assert!(stats.schedules > 10, "{stats:?}: exploration must branch");
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "exhaustive schedule exploration is too slow interpreted")]
+    fn shutdown_with_a_blocked_submitter_ends_in_caller_runs() {
+        // The shutdown may land while the submitter sleeps on a full
+        // queue: it wakes, sees `shutdown`, and runs the job itself.
+        Explorer::new().explore("taskpool-blocking-shutdown", || {
+            pool_model(true, &[(0, Full::Wait)], false)
+        });
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "exhaustive schedule exploration is too slow interpreted")]
+    fn model_catches_a_lost_wakeup() {
+        // Registering in `blocked` after releasing the lock lets a pop
+        // slip in between and skip the notify: the submitter sleeps on
+        // a queue with room, and the drop that would rescue it cannot
+        // start before the submit returns.
+        let r = std::panic::catch_unwind(|| {
+            Explorer::new().explore("taskpool-lost-wakeup", || {
+                pool_model(true, &[(0, Full::WaitUnregistered)], true)
+            })
+        });
+        assert!(r.is_err(), "a wait that registers late must deadlock the model");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lock::rank;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
 
+    fn pool(threads: usize, depth: usize) -> TaskPool {
+        TaskPool::new("t", threads, depth, rank::DAEMON_CHUNK_QUEUE)
+    }
+
+    /// Park the pool's one worker on a gate; returns the gate's sender.
+    fn park_worker(pool: &TaskPool) -> mpsc::Sender<()> {
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (parked_tx, parked_rx) = mpsc::channel::<()>();
+        pool.submit(move || {
+            parked_tx.send(()).unwrap();
+            let _ = gate_rx.recv();
+        });
+        parked_rx.recv().unwrap(); // worker is now busy
+        gate_tx
+    }
+
     #[test]
     fn runs_submitted_jobs() {
-        let pool = TaskPool::new("t", 2, 16);
+        let pool = pool(2, 16);
         let (tx, rx) = mpsc::channel();
         for i in 0..8u32 {
             let tx = tx.clone();
@@ -414,64 +628,126 @@ mod tests {
 
     #[test]
     fn zero_workers_means_inline() {
-        let pool = TaskPool::new("t", 0, 16);
-        let ran = AtomicUsize::new(0);
-        let job: Job = Box::new(|| ());
-        let job = pool.try_submit(job).expect_err("no workers: handed back");
-        job();
-        ran.fetch_add(1, Ordering::Relaxed);
-        assert_eq!(pool.counters(), (0, 1));
+        // The one zero-thread rule, for both calls: the submitter runs
+        // the job. Callers that need a worker pass `threads.max(1)`.
+        let pool = pool(0, 16);
         assert_eq!(pool.workers(), 0);
+        let job = pool.try_submit(Box::new(|| ())).expect_err("no workers: handed back");
+        job();
+        let me = std::thread::current().id();
+        let (tx, rx) = mpsc::channel();
+        pool.submit(move || tx.send(std::thread::current().id()).unwrap());
+        assert_eq!(rx.try_recv().unwrap(), me, "submit ran the job before returning");
+        assert_eq!(pool.counters(), (0, 2));
     }
 
     #[test]
     fn full_queue_hands_job_back() {
-        let pool = TaskPool::new("t", 1, 1);
-        // Park the worker so the queue can fill behind it.
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let (parked_tx, parked_rx) = mpsc::channel::<()>();
-        pool.try_submit(Box::new(move || {
-            parked_tx.send(()).unwrap();
-            let _ = gate_rx.recv();
-        }))
-        .ok()
-        .expect("first job fits");
-        parked_rx.recv().unwrap(); // worker is now busy
+        let pool = pool(1, 1);
+        let gate = park_worker(&pool);
         pool.try_submit(Box::new(|| ())).ok().expect("depth-1 queue slot");
         let bounced = pool.try_submit(Box::new(|| ()));
         assert!(bounced.is_err(), "queue full: job must come back");
         let (_, inline) = pool.counters();
         assert_eq!(inline, 1);
-        gate_tx.send(()).unwrap();
+        gate.send(()).unwrap();
+    }
+
+    #[test]
+    fn bounded_queue_blocks_when_full() {
+        // One worker parked on a gate; capacity 1. The third submit
+        // (1 running + 1 queued) must block until the gate opens.
+        let pool = pool(1, 1);
+        let gate = park_worker(&pool);
+        pool.submit(|| ()); // fills the single queue slot
+        let (returned_tx, returned_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                pool.submit(|| ());
+                returned_tx.send(()).unwrap();
+            });
+            assert!(
+                returned_rx.recv_timeout(std::time::Duration::from_millis(50)).is_err(),
+                "submit must block on a full queue"
+            );
+            gate.send(()).unwrap(); // release the worker
+            returned_rx
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .expect("submit unblocks after the worker pops");
+        });
+        assert_eq!(pool.counters(), (3, 0), "blocked, not bounced");
+    }
+
+    #[test]
+    fn bounded_pool_executes_everything_under_pressure() {
+        // Tiny queue, many producers: submits block rather than fail,
+        // and every job still runs exactly once, on a worker.
+        let pool = pool(2, 2);
+        let counter = Arc::new(AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..100 {
+                        let c = counter.clone();
+                        pool.submit(move || {
+                            c.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            }
+        });
+        let counters = pool.counters();
+        drop(pool); // drains
+        assert_eq!(counter.load(Ordering::Relaxed), 400);
+        assert_eq!(counters, (400, 0));
+    }
+
+    #[test]
+    fn jobs_run_concurrently() {
+        let pool = pool(4, 16);
+        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let (done_tx, done_rx) = mpsc::channel();
+        // Four jobs that can only complete if all four run at once.
+        for _ in 0..4 {
+            let b = barrier.clone();
+            let tx = done_tx.clone();
+            pool.submit(move || {
+                b.wait();
+                let _ = tx.send(());
+            });
+        }
+        for _ in 0..4 {
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .expect("jobs deadlocked: pool is not concurrent");
+        }
     }
 
     #[test]
     fn panicking_job_does_not_kill_worker() {
-        let pool = TaskPool::new("t", 1, 16);
-        pool.try_submit(Box::new(|| panic!("job boom")))
-            .ok()
-            .expect("queue has room");
+        let pool = pool(1, 16);
+        pool.submit(|| panic!("job boom"));
         // The pool's only worker must survive to run this one.
         let (tx, rx) = mpsc::channel();
-        pool.try_submit(Box::new(move || tx.send(7u32).unwrap()))
-            .ok()
-            .expect("queue has room");
+        pool.submit(move || tx.send(7u32).unwrap());
         assert_eq!(rx.recv().unwrap(), 7);
         assert_eq!(pool.panics(), 1);
     }
 
     #[test]
-    fn drop_drains_queued_jobs() {
+    fn shutdown_drains_queue() {
         let done = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = TaskPool::new("t", 1, 64);
-            for _ in 0..32 {
+        let counters = {
+            let pool = pool(2, 256);
+            for _ in 0..200 {
                 let done = done.clone();
-                let _ = pool.try_submit(Box::new(move || {
+                pool.submit(move || {
                     done.fetch_add(1, Ordering::Relaxed);
-                }));
+                });
             }
-        } // drop joins workers after they drain the queue
-        assert_eq!(done.load(Ordering::Relaxed), 32);
+            pool.counters()
+        }; // drop joins workers after they drain the queue
+        assert_eq!(done.load(Ordering::Relaxed), 200);
+        assert_eq!(counters, (200, 0));
     }
 }

@@ -16,8 +16,6 @@ use gkfs_common::path as gpath;
 use gkfs_common::types::Dirent;
 use gkfs_common::wire::Wire;
 use gkfs_common::{GkfsError, Metadata, Result};
-#[cfg(test)]
-use gkfs_common::FileKind;
 use gkfs_kvstore::{Db, DbOptions, MergeOperator, WriteBatch};
 use gkfs_rpc::proto::{MetaOp, MetaOpResult};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -355,6 +353,7 @@ impl MetadataBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gkfs_common::FileKind;
     use gkfs_rpc::proto::{CreateReq, PathReq, TruncateMetaReq};
 
     fn backend() -> MetadataBackend {

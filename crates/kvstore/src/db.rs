@@ -59,8 +59,7 @@ use crate::sstable::{Table, TableBuilder, Tag};
 use crate::wal::{replay, WalRecord};
 use gkfs_common::wire::{Decoder, Encoder};
 use gkfs_common::{GkfsError, Result};
-use gkfs_common::lock::{rank, OrderedMutex, OrderedRwLock};
-use parking_lot::Condvar;
+use gkfs_common::lock::{rank, Condvar, OrderedMutex, OrderedRwLock};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

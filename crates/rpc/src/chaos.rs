@@ -21,13 +21,13 @@
 
 use crate::message::{Request, Response};
 use crate::transport::{Endpoint, ReplyHandle};
-use crossbeam::channel::{bounded, Sender};
 use gkfs_common::lock::{rank, OrderedMutex};
 use gkfs_common::retry::splitmix64;
 use gkfs_common::{GkfsError, Result};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -198,7 +198,7 @@ pub struct ChaosEndpoint {
     /// Senders for handles whose reply was "lost": keeping the sender
     /// alive keeps the channel open, so the waiter times out (as it
     /// would on a real lost reply) instead of seeing a disconnect.
-    parked: OrderedMutex<Vec<Sender<Result<Response>>>>,
+    parked: OrderedMutex<Vec<SyncSender<Result<Response>>>>,
     stats: Arc<ChaosStats>,
 }
 
@@ -226,7 +226,7 @@ impl ChaosEndpoint {
     /// A handle that will never complete: the waiter burns its
     /// timeout, exactly like a request or reply lost on the wire.
     fn lost(&self) -> ReplyHandle {
-        let (tx, rx) = bounded::<Result<Response>>(1);
+        let (tx, rx) = sync_channel::<Result<Response>>(1);
         {
             let mut p = self.parked.lock();
             p.push(tx);

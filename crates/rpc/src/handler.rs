@@ -13,6 +13,7 @@ use crate::proto::{body_of, Rpc, Wire};
 use bytes::Bytes;
 use gkfs_common::{GkfsError, Result};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// A server-side RPC handler. Handlers run concurrently on the pool
@@ -88,11 +89,26 @@ impl HandlerRegistry {
     }
 
     /// Dispatch a request. Unknown opcodes produce an error response
-    /// (never a panic — the input crossed a trust boundary).
+    /// (never a panic — the input crossed a trust boundary), and so does
+    /// a handler that panics: the unwind stops here and the caller gets
+    /// an answer carrying its request id instead of waiting out its
+    /// timeout. The error is [`GkfsError::Io`], which is not retryable —
+    /// the same frame would panic the same way again.
     pub fn dispatch(&self, req: Request) -> Response {
         let id = req.id;
         let mut resp = match self.table.get(&(req.opcode as u16)) {
-            Some(h) => h.handle(req),
+            Some(h) => {
+                let opcode = req.opcode;
+                catch_unwind(AssertUnwindSafe(|| h.handle(req))).unwrap_or_else(|panic| {
+                    let what = panic
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| panic.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".into());
+                    gkfs_common::gkfs_warn!("handler for {opcode:?} panicked: {what}");
+                    Response::err(GkfsError::Io(format!("handler panicked: {what}")))
+                })
+            }
             None => Response::err(GkfsError::Rpc(format!(
                 "no handler registered for {:?}",
                 req.opcode
@@ -159,6 +175,23 @@ mod tests {
         let reg = HandlerRegistry::new();
         let resp = reg.dispatch(Request::new(Opcode::Create, &b""[..]));
         assert!(matches!(resp.status, Status::Err(GkfsError::Rpc(_))));
+    }
+
+    #[test]
+    fn panicking_handler_becomes_a_non_retryable_error_response() {
+        let mut reg = HandlerRegistry::new();
+        reg.register_fn(Opcode::Stat, |_| panic!("frame {} is cursed", 7));
+        let mut req = Request::new(Opcode::Stat, &b""[..]);
+        req.id = 99;
+        let resp = reg.dispatch(req);
+        assert_eq!(resp.id, 99, "the error answers the request that caused it");
+        match resp.status {
+            Status::Err(e @ GkfsError::Io(_)) => {
+                assert!(!e.is_retryable());
+                assert!(e.to_string().contains("frame 7 is cursed"), "{e}");
+            }
+            other => panic!("expected an Io error response, got {other:?}"),
+        }
     }
 
     #[test]

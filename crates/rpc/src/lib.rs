@@ -13,13 +13,14 @@
 //!   on TCP it is streamed after the header.
 //! * [`handler`] — opcode → handler dispatch table (Mercury's
 //!   registered RPC ids).
-//! * [`pool`] — the handler thread pool (Margo handler xstreams backed
-//!   by Argobots): a progress side enqueues requests, a fixed set of
-//!   worker threads executes them concurrently.
 //! * [`transport`] — two interchangeable transports behind the
 //!   [`Endpoint`] trait: in-process channels (used by tests, the
 //!   in-process cluster, and benchmarks) and real TCP sockets with
-//!   request-id correlation and connection reuse.
+//!   request-id correlation and connection reuse. Both serve through
+//!   the same handler pool (Margo handler xstreams backed by
+//!   Argobots): the transport's progress side enqueues requests on a
+//!   `gkfs_common::TaskPool`, whose fixed set of worker threads
+//!   executes them concurrently.
 //!
 //! The daemon registers handlers and serves; the client holds one
 //! [`Endpoint`] per daemon. The endpoint API is
@@ -35,7 +36,6 @@
 pub mod chaos;
 pub mod handler;
 pub mod message;
-pub mod pool;
 pub mod proto;
 pub mod stats;
 pub mod testing;
@@ -44,7 +44,6 @@ pub mod transport;
 pub use chaos::{ChaosConfig, ChaosEndpoint, ChaosListener, ChaosStats};
 pub use handler::{Handler, HandlerFn, HandlerRegistry};
 pub use message::{Opcode, Request, Response, Status};
-pub use pool::HandlerPool;
 pub use stats::RpcStats;
 pub use transport::inproc::{InprocEndpoint, RpcServer};
 pub use transport::tcp::{TcpEndpoint, TcpServer};

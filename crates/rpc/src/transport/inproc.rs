@@ -21,10 +21,8 @@
 
 use crate::handler::HandlerRegistry;
 use crate::message::{Request, Response};
-use crate::pool::{HandlerPool, SERVER_QUEUE_PER_WORKER};
 use crate::stats::RpcStats;
-use crate::transport::{Endpoint, EndpointOptions, ReplyHandle};
-use crate::Status;
+use crate::transport::{Endpoint, EndpointOptions, Handlers, ReplyHandle};
 use gkfs_common::{GkfsError, Result};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,25 +30,21 @@ use std::time::Duration;
 
 /// Server half: the registry plus its handler pool. One per daemon.
 pub struct RpcServer {
-    registry: Arc<HandlerRegistry>,
-    pool: HandlerPool,
-    stats: Arc<RpcStats>,
+    handlers: Handlers,
     shutting_down: AtomicBool,
     next_id: AtomicU64,
 }
 
 impl RpcServer {
     /// Construct over a registry with `handler_threads` workers. The
-    /// pool queue is bounded (see [`SERVER_QUEUE_PER_WORKER`]): once
-    /// nonblocking clients have that many submissions outstanding,
-    /// further `submit`s block until workers drain the backlog —
-    /// back-pressure instead of unbounded queue growth.
+    /// pool queue is bounded (see
+    /// [`SERVER_QUEUE_PER_WORKER`](crate::transport::SERVER_QUEUE_PER_WORKER)):
+    /// once nonblocking clients have that many submissions
+    /// outstanding, further `submit`s block until workers drain the
+    /// backlog — back-pressure instead of unbounded queue growth.
     pub fn new(registry: HandlerRegistry, handler_threads: usize) -> Arc<RpcServer> {
-        let threads = handler_threads.max(1);
         Arc::new(RpcServer {
-            registry: Arc::new(registry),
-            pool: HandlerPool::bounded(threads, threads * SERVER_QUEUE_PER_WORKER),
-            stats: Arc::new(RpcStats::default()),
+            handlers: Handlers::new(registry, handler_threads),
             shutting_down: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
         })
@@ -58,7 +52,7 @@ impl RpcServer {
 
     /// Stats.
     pub fn stats(&self) -> &RpcStats {
-        &self.stats
+        &self.handlers.stats
     }
 
     /// Refuse new requests from now on (in-flight ones complete).
@@ -98,18 +92,10 @@ impl Endpoint for InprocEndpoint {
             return Err(GkfsError::ShuttingDown);
         }
         req.id = self.server.next_id.fetch_add(1, Ordering::Relaxed);
-        self.server.stats.record_request(req.body.len(), req.bulk.len());
+        self.server.handlers.stats.record_request(req.body.len(), req.bulk.len());
 
-        let (tx, rx) = crossbeam::channel::bounded::<Result<Response>>(1);
-        let registry = Arc::clone(&self.server.registry);
-        let stats = Arc::clone(&self.server.stats);
-        self.server.pool.submit(move || {
-            let resp = registry.dispatch(req);
-            stats.record_response(
-                matches!(resp.status, Status::Ok),
-                resp.body.len(),
-                resp.bulk.len(),
-            );
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Result<Response>>(1);
+        self.server.handlers.serve(req, move |resp| {
             let _ = tx.send(Ok(resp));
         });
         // If the pool is torn down with the job undrained, the sender
@@ -126,6 +112,7 @@ impl Endpoint for InprocEndpoint {
 mod tests {
     use super::*;
     use crate::message::Opcode;
+    use crate::Status;
     use bytes::Bytes;
 
     fn echo_server(threads: usize) -> Arc<RpcServer> {

@@ -13,10 +13,20 @@
 //! striping only pays off when one client thread can keep many
 //! daemons busy simultaneously (§III-B), which is exactly what
 //! submit-all-then-wait-all enables.
+//!
+//! A reply travels from the transport to its waiter over a one-shot
+//! `std::sync::mpsc` channel ([`ReplyHandle::pending`] takes the
+//! receiving end). On the daemon side both transports serve requests
+//! the same way, through [`Handlers`]: the registry, its counters and
+//! the handler pool, with the one "dispatch, record, deliver" routine.
 
-use crate::message::{Request, Response};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
-use gkfs_common::{GkfsError, Result};
+use crate::handler::HandlerRegistry;
+use crate::message::{Request, Response, Status};
+use crate::stats::RpcStats;
+use gkfs_common::lock::rank;
+use gkfs_common::{GkfsError, Result, TaskPool};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::Duration;
 
 pub mod inproc;
@@ -60,6 +70,61 @@ impl EndpointOptions {
     pub fn with_timeout(mut self, timeout: Duration) -> EndpointOptions {
         self.timeout = timeout;
         self
+    }
+}
+
+/// Queue slots per worker in a daemon's handler pool. With nonblocking
+/// client submission the queue is the only thing bounding a daemon's
+/// memory under overload; once it fills, the enqueuer blocks (the
+/// in-process client, or a TCP connection reader whose stalled socket
+/// then pushes back to the peer) — back-pressure, not OOM.
+pub const SERVER_QUEUE_PER_WORKER: usize = 256;
+
+/// The serving half both transports share — Margo's execution model:
+/// the transport is the *progress* side (it pulls requests off the
+/// network or out of a client's hands), a fixed pool of handler
+/// threads is the *handling* side, sized statically as GekkoFS daemons
+/// do (paper §IV).
+pub(crate) struct Handlers {
+    // Shared with the queued jobs one by one: a job must not own the
+    // pool it runs on (the last owner joins the workers).
+    registry: Arc<HandlerRegistry>,
+    pub(crate) stats: Arc<RpcStats>,
+    pub(crate) pool: TaskPool,
+}
+
+impl Handlers {
+    /// `handler_threads` workers (min 1) behind a queue of
+    /// [`SERVER_QUEUE_PER_WORKER`] slots each.
+    pub(crate) fn new(registry: HandlerRegistry, handler_threads: usize) -> Handlers {
+        let threads = handler_threads.max(1);
+        Handlers {
+            registry: Arc::new(registry),
+            stats: Arc::new(RpcStats::default()),
+            pool: TaskPool::new(
+                "handler",
+                threads,
+                threads * SERVER_QUEUE_PER_WORKER,
+                rank::RPC_HANDLER_QUEUE,
+            ),
+        }
+    }
+
+    /// Queue `req` for a handler thread — blocking while the queue is
+    /// full — which dispatches it, records the response and hands it to
+    /// `deliver` (a socket write, a channel send).
+    pub(crate) fn serve(&self, req: Request, deliver: impl FnOnce(Response) + Send + 'static) {
+        let registry = Arc::clone(&self.registry);
+        let stats = Arc::clone(&self.stats);
+        self.pool.submit(move || {
+            let resp = registry.dispatch(req);
+            stats.record_response(
+                matches!(resp.status, Status::Ok),
+                resp.body.len(),
+                resp.bulk.len(),
+            );
+            deliver(resp);
+        });
     }
 }
 
@@ -300,7 +365,7 @@ impl Endpoint for SwitchEndpoint {
 mod tests {
     use super::*;
     use crate::message::Opcode;
-    use crossbeam::channel::bounded;
+    use std::sync::mpsc::sync_channel;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -313,7 +378,7 @@ mod tests {
 
     #[test]
     fn disconnect_fails_fast_with_custom_error() {
-        let (tx, rx) = bounded::<Result<Response>>(1);
+        let (tx, rx) = sync_channel::<Result<Response>>(1);
         let h = ReplyHandle::pending(rx).on_disconnect(GkfsError::ShuttingDown);
         drop(tx);
         let t0 = std::time::Instant::now();
@@ -326,7 +391,7 @@ mod tests {
 
     #[test]
     fn typed_failure_travels_over_the_channel() {
-        let (tx, rx) = bounded::<Result<Response>>(1);
+        let (tx, rx) = sync_channel::<Result<Response>>(1);
         let h = ReplyHandle::pending(rx);
         tx.send(Err(GkfsError::Corruption("bad frame".into()))).unwrap();
         assert!(matches!(
@@ -337,7 +402,7 @@ mod tests {
 
     #[test]
     fn timeout_and_drop_run_the_abandon_hook_once() {
-        let (_tx, rx) = bounded::<Result<Response>>(1);
+        let (_tx, rx) = sync_channel::<Result<Response>>(1);
         let reaped = Arc::new(AtomicBool::new(false));
         let flag = reaped.clone();
         let h = ReplyHandle::pending(rx).on_abandon(move || {
@@ -392,7 +457,7 @@ mod tests {
 
     #[test]
     fn completion_skips_the_abandon_hook() {
-        let (tx, rx) = bounded::<Result<Response>>(1);
+        let (tx, rx) = sync_channel::<Result<Response>>(1);
         let reaped = Arc::new(AtomicBool::new(false));
         let flag = reaped.clone();
         let h = ReplyHandle::pending(rx).on_abandon(move || {

@@ -45,12 +45,9 @@
 
 use crate::handler::HandlerRegistry;
 use crate::message::{Request, Response};
-use crate::pool::{HandlerPool, SERVER_QUEUE_PER_WORKER};
 use crate::stats::RpcStats;
-use crate::transport::{Endpoint, EndpointOptions, ReplyHandle};
-use crate::Status;
+use crate::transport::{Endpoint, EndpointOptions, Handlers, ReplyHandle};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Sender};
 use gkfs_common::crc::crc32;
 use gkfs_common::lock::{rank, OrderedMutex};
 use gkfs_common::wire::FrameWriter;
@@ -59,6 +56,7 @@ use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -182,7 +180,7 @@ fn closed_err() -> GkfsError {
 pub struct TcpServer {
     addr: SocketAddr,
     shutting_down: Arc<AtomicBool>,
-    stats: Arc<RpcStats>,
+    handlers: Arc<Handlers>,
     accept_thread: OrderedMutex<Option<std::thread::JoinHandle<()>>>,
     /// Live connection sockets, closed forcibly on shutdown so that
     /// clients of a stopped daemon see errors instead of a silently
@@ -194,7 +192,8 @@ impl TcpServer {
     /// Bind `addr` (use port 0 for an OS-assigned port; the actual
     /// address is available via [`TcpServer::local_addr`]) and start
     /// serving. The handler pool queue is bounded
-    /// ([`SERVER_QUEUE_PER_WORKER`] slots per worker): when pipelining
+    /// ([`SERVER_QUEUE_PER_WORKER`](crate::transport::SERVER_QUEUE_PER_WORKER)
+    /// slots per worker): when pipelining
     /// clients outrun the daemon, connection readers stall on the full
     /// queue and TCP flow control pushes back to the submitters
     /// instead of the queue growing without bound.
@@ -207,19 +206,13 @@ impl TcpServer {
             .map_err(|e| GkfsError::Rpc(format!("bind {addr}: {e}")))?;
         let local = listener.local_addr().map_err(|e| GkfsError::Rpc(e.to_string()))?;
         let shutting_down = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(RpcStats::default());
-        let registry = Arc::new(registry);
-        let threads = handler_threads.max(1);
-        let pool = Arc::new(HandlerPool::bounded(
-            threads,
-            threads * SERVER_QUEUE_PER_WORKER,
-        ));
+        let handlers = Arc::new(Handlers::new(registry, handler_threads));
         let conns: Arc<OrderedMutex<Vec<TcpStream>>> =
             Arc::new(OrderedMutex::new(rank::RPC_CONNS, Vec::new()));
 
         let accept = {
             let shutting_down = shutting_down.clone();
-            let stats = stats.clone();
+            let handlers = handlers.clone();
             let conns = conns.clone();
             std::thread::Builder::new()
                 .name("gkfs-tcp-accept".into())
@@ -236,15 +229,11 @@ impl TcpServer {
                         if let Ok(clone) = stream.try_clone() {
                             conns.lock().push(clone);
                         }
-                        let registry = registry.clone();
-                        let pool = pool.clone();
-                        let stats = stats.clone();
+                        let handlers = handlers.clone();
                         let shutting_down = shutting_down.clone();
                         let spawned = std::thread::Builder::new()
                             .name("gkfs-tcp-conn".into())
-                            .spawn(move || {
-                                serve_connection(stream, registry, pool, stats, shutting_down)
-                            });
+                            .spawn(move || serve_connection(stream, handlers, shutting_down));
                         // Thread exhaustion: dropping the stream hangs
                         // up on the peer (it can retry) instead of
                         // killing the accept loop for everyone.
@@ -259,7 +248,7 @@ impl TcpServer {
         Ok(Arc::new(TcpServer {
             addr: local,
             shutting_down,
-            stats,
+            handlers,
             accept_thread: OrderedMutex::new(rank::RPC_ACCEPT, Some(accept)),
             conns,
         }))
@@ -272,13 +261,13 @@ impl TcpServer {
 
     /// Stats.
     pub fn stats(&self) -> &RpcStats {
-        &self.stats
+        &self.handlers.stats
     }
 
     /// A shared handle to the same counters as [`TcpServer::stats`],
     /// for a daemon that reports them in its own statistics.
     pub fn stats_handle(&self) -> Arc<RpcStats> {
-        Arc::clone(&self.stats)
+        Arc::clone(&self.handlers.stats)
     }
 
     /// Forcibly sever every established connection while the server
@@ -319,13 +308,8 @@ impl Drop for TcpServer {
     }
 }
 
-fn serve_connection(
-    stream: TcpStream,
-    registry: Arc<HandlerRegistry>,
-    pool: Arc<HandlerPool>,
-    stats: Arc<RpcStats>,
-    shutting_down: Arc<AtomicBool>,
-) {
+fn serve_connection(stream: TcpStream, handlers: Arc<Handlers>, shutting_down: Arc<AtomicBool>) {
+    let stats = &handlers.stats;
     let writer = Arc::new(OrderedMutex::new(
         rank::RPC_WRITER,
         match stream.try_clone() {
@@ -353,16 +337,8 @@ fn serve_connection(
             continue;
         }
         stats.record_request(req.body.len(), req.bulk.len());
-        let registry = registry.clone();
         let writer = writer.clone();
-        let stats = stats.clone();
-        pool.submit(move || {
-            let resp = registry.dispatch(req);
-            stats.record_response(
-                matches!(resp.status, Status::Ok),
-                resp.body.len(),
-                resp.bulk.len(),
-            );
+        handlers.serve(req, move |resp| {
             let _ = write_response(&mut writer.lock(), &resp);
         });
     }
@@ -379,7 +355,7 @@ fn serve_connection(
 /// sender. Each connection generation gets its *own* table, so a
 /// request submitted on connection N can never be completed (or
 /// leaked) by connection N+1's reader.
-type PendingMap = Arc<OrderedMutex<HashMap<u64, Sender<Result<Response>>>>>;
+type PendingMap = Arc<OrderedMutex<HashMap<u64, SyncSender<Result<Response>>>>>;
 
 /// One live connection generation.
 struct LiveConn {
@@ -467,7 +443,7 @@ fn dial(addr: &str, conn: &Arc<OrderedMutex<ConnSlot>>, gen: u64) -> Result<Live
                 // gone and inserts only happen under the conn lock
                 // while this generation is live), so nothing races in
                 // after the drain.
-                let waiters: Vec<Sender<Result<Response>>> = {
+                let waiters: Vec<SyncSender<Result<Response>>> = {
                     let mut p = pending.lock();
                     p.drain().map(|(_, tx)| tx).collect()
                 };
@@ -560,7 +536,7 @@ impl TcpEndpoint {
         prefix: &[u8],
         bulk: &[&[u8]],
     ) -> Result<ReplyHandle> {
-        let (tx, rx) = bounded::<Result<Response>>(1);
+        let (tx, rx) = sync_channel::<Result<Response>>(1);
         let Some(live) = s.live.as_mut() else {
             // The connection died between the dial/check and now; the
             // retry layer treats this as connection loss and retries.
@@ -691,6 +667,7 @@ impl Endpoint for TcpEndpoint {
 mod tests {
     use super::*;
     use crate::message::Opcode;
+    use crate::Status;
     use bytes::Bytes;
     use std::io::Write;
 
@@ -905,6 +882,42 @@ mod tests {
         let ep = TcpEndpoint::connect(&server.local_addr().to_string()).unwrap();
         let resp = ep.call(Request::new(Opcode::Stat, &b""[..])).unwrap();
         assert!(matches!(resp.status, Status::Err(GkfsError::NotFound)));
+        server.shutdown();
+    }
+
+    #[test]
+    fn panicking_handler_answers_an_error_and_its_worker_survives() {
+        let mut reg = echo_registry();
+        reg.register_fn(Opcode::Create, |_| panic!("handler bug on this frame"));
+        let server = TcpServer::bind("127.0.0.1:0", reg, 1).unwrap();
+        let ep = TcpEndpoint::connect_with(
+            &server.local_addr().to_string(),
+            EndpointOptions::new().with_timeout(Duration::from_secs(10)),
+        )
+        .unwrap();
+        // The request that panics its handler is answered — promptly,
+        // under its own id, with an error nobody will retry.
+        let t0 = Instant::now();
+        let resp = ep.call(Request::new(Opcode::Create, &b""[..])).unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(5), "an answer, not a timeout");
+        match resp.status {
+            Status::Err(e @ GkfsError::Io(_)) => {
+                assert!(!e.is_retryable());
+                assert!(e.to_string().contains("handler panicked"), "{e}");
+            }
+            other => panic!("expected an Io error response, got {other:?}"),
+        }
+        // The pool's only worker is still there for the next request on
+        // the same connection.
+        let pong = ep.call(Request::new(Opcode::Ping, &b"still here"[..])).unwrap();
+        assert_eq!(&pong.body[..], b"still here");
+        assert_eq!(ep.reconnects(), 0);
+        assert_eq!(server.handlers.pool.workers(), 1);
+        // `dispatch` stopped the unwind; the pool's own guard (second
+        // line of defence) never had to.
+        assert_eq!(server.handlers.pool.panics(), 0);
+        let (requests, responses, errors, _, _) = server.stats().snapshot();
+        assert_eq!((requests, responses, errors), (2, 2, 1));
         server.shutdown();
     }
 

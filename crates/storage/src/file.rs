@@ -532,8 +532,9 @@ impl FileChunkStorage {
     ) -> Result<FileChunkStorage> {
         let chunk_root = root.into().join("chunks");
         fs::create_dir_all(&chunk_root)?;
+        let depth = queue_depth.max(threads);
         let pool = (backend != IoBackend::Serial && threads > 0)
-            .then(|| TaskPool::new("chunk-io", threads, queue_depth.max(threads)));
+            .then(|| TaskPool::new("chunk-io", threads, depth, rank::DAEMON_CHUNK_QUEUE));
         Ok(FileChunkStorage {
             inner: Arc::new(Inner {
                 chunk_root,

@@ -8,8 +8,6 @@
 //! (which degrades only for transfers smaller than the chunk size).
 
 use gekkofs::{Cluster, GekkoClient, Result};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -99,8 +97,7 @@ fn offsets_for(cfg: &IorConfig, rank: usize) -> Vec<u64> {
         .collect();
     if cfg.random {
         // Deterministic per-rank shuffle so runs are reproducible.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x10e + rank as u64);
-        offs.shuffle(&mut rng);
+        gkfs_common::retry::shuffle(&mut offs, 0x10e + rank as u64);
     }
     offs
 }

@@ -19,8 +19,6 @@
 //! write-local placement cannot serve — see the locality ablation).
 
 use gekkofs::{Cluster, GekkoClient, OpenFlags, Result};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -135,8 +133,7 @@ pub fn run_smallfile(cluster: &Cluster, cfg: &SmallFileConfig) -> Result<SmallFi
                     let mut order: Vec<(usize, usize)> = (0..cfg.processes)
                         .flat_map(|r| (0..cfg.files_per_process).map(move |i| (r, i)))
                         .collect();
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(rank as u64);
-                    order.shuffle(&mut rng);
+                    gkfs_common::retry::shuffle(&mut order, rank as u64);
                     gate.wait();
                     for (r, i) in order {
                         let path = file_path(cfg, r, i);

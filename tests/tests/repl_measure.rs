@@ -169,7 +169,7 @@ struct SlowEndpoint {
 
 impl Endpoint for SlowEndpoint {
     fn submit(&self, req: gkfs_rpc::Request) -> gkfs_common::Result<gkfs_rpc::ReplyHandle> {
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         let inner = self.inner.clone();
         let delay = self.delay;
         std::thread::spawn(move || {
