@@ -20,12 +20,12 @@ fn bench_mdtest(c: &mut Criterion) {
         b.iter(|| {
             let r = round.fetch_add(1, Ordering::Relaxed);
             run_mdtest(
-                &cluster,
+                || cluster.mount(),
                 &MdtestConfig {
                     processes: 4,
                     files_per_process: 250,
                     work_dir: format!("/md{r}"),
-                    unique_dir: false,
+                    ..MdtestConfig::default()
                 },
             )
             .unwrap()
@@ -46,7 +46,7 @@ fn bench_ior(c: &mut Criterion) {
         b.iter(|| {
             let r = round.fetch_add(1, Ordering::Relaxed);
             let result = run_ior(
-                &cluster,
+                || cluster.mount(),
                 &IorConfig {
                     processes: 4,
                     transfer_size: 64 * 1024,

@@ -83,144 +83,121 @@ impl std::fmt::Display for LockRank {
 pub mod rank {
     use super::LockRank;
 
-    /// Serializes whole preload tests (`crates/posix` test harness).
-    pub const POSIX_TEST: LockRank = LockRank(250);
-    /// The preload layer's global client slot (`posix::CLIENT`); held
-    /// in read mode across every forwarded client operation.
-    pub const POSIX_CLIENT: LockRank = LockRank(240);
-    /// The preload layer's directory-stream table.
-    pub const POSIX_DIR_STREAMS: LockRank = LockRank(230);
-    /// The client's fd → open-file table.
-    pub const CLIENT_FILEMAP: LockRank = LockRank(220);
-    /// The client's pending metadata-op batch queues. Below
-    /// [`CLIENT_FILEMAP`] so an operation resolving an fd may still
-    /// enqueue; the flush takes the batch out and drops the guard
-    /// before any RPC (GKL002), exactly like the write-back buffer.
-    pub const CLIENT_META_BATCH: LockRank = LockRank(218);
-    /// A single open file's seek position.
-    pub const CLIENT_FILE_POS: LockRank = LockRank(216);
-    /// A single open handle's write-back buffer. Below
-    /// [`CLIENT_FILE_POS`] so a positional write may claim its offset
-    /// and then buffer the bytes; a flush drops the guard before any
-    /// RPC (GKL002).
-    pub const CLIENT_WB: LockRank = LockRank(214);
-    /// The client's stat cache.
-    pub const CLIENT_STAT_CACHE: LockRank = LockRank(212);
-    /// The client's write-back size cache.
-    pub const CLIENT_SIZE_CACHE: LockRank = LockRank(208);
-    /// A switchable endpoint's target slot (`SwitchEndpoint`): held
-    /// only to clone the inner `Arc`, but ranked above every RPC lock
-    /// so a submit made under it (tests, careless callers) still
-    /// descends.
-    pub const REPL_ENDPOINT: LockRank = LockRank(196);
-    /// The daemon's TCP-server slot.
-    pub const DAEMON_TCP: LockRank = LockRank(190);
-    /// The replication manager's peer/heartbeat state. Above the RPC
-    /// ranks (probes may submit while the manager is mid-cycle, never
-    /// under the guard) and above the re-replication backlog, which a
-    /// transition handler fills while inspecting state.
-    pub const REPL_STATE: LockRank = LockRank(188);
-    /// The re-replication driver's task backlog.
-    pub const REPL_BACKLOG: LockRank = LockRank(186);
-    /// The TCP server's accept-thread handle.
-    pub const RPC_ACCEPT: LockRank = LockRank(184);
-    /// The TCP server's list of open connections.
-    pub const RPC_CONNS: LockRank = LockRank(180);
-    /// A TCP endpoint's connection slot (live connection + redial
-    /// backoff state); held across a frame write, may acquire
-    /// [`RPC_PENDING`] inside.
-    pub const RPC_CONN: LockRank = LockRank(178);
-    /// A TCP endpoint's (or server connection's) write half.
-    pub const RPC_WRITER: LockRank = LockRank(176);
-    /// A TCP endpoint's pending-reply table.
-    pub const RPC_PENDING: LockRank = LockRank(172);
-    /// A daemon's RPC handler pool's work queue (`TaskPool` instance
-    /// of both transports). Below the connection ranks so a submit —
-    /// which on the in-process transport enqueues here where TCP would
-    /// write to its socket — descends from the same callers; a handler
-    /// runs after its job left the queue, holding nothing.
-    pub const RPC_HANDLER_QUEUE: LockRank = LockRank(170);
-    /// A chaos proxy's list of live connections (test harness).
-    pub const CHAOS_CONNS: LockRank = LockRank(166);
-    /// A chaos endpoint's parked never-completing replies.
-    pub const CHAOS_PARKED: LockRank = LockRank(164);
-    /// A chaos endpoint's/proxy's seeded PRNG state (leaf).
-    pub const CHAOS_RNG: LockRank = LockRank(162);
-    /// The daemon chunk I/O pool's work queue (the other `TaskPool`
-    /// instance). Above the storage ranks: a pool worker takes a job
-    /// off the queue and then runs storage code, never the other way
-    /// around.
-    pub const DAEMON_CHUNK_QUEUE: LockRank = LockRank(156);
-    /// One shard of the in-memory chunk store.
-    pub const STORAGE_SHARD: LockRank = LockRank(150);
-    /// One shard of the file chunk store's open-fd cache. Below
-    /// `STORAGE_SHARD` so a backend that layered both could resolve
-    /// fds while holding a chunk shard (leaf in practice).
-    pub const STORAGE_FD_SHARD: LockRank = LockRank(146);
-    /// The kvstore's background-thread handles.
-    pub const KV_THREADS: LockRank = LockRank(130);
-    /// Serializes compactions.
-    pub const KV_COMPACTION: LockRank = LockRank(120);
-    /// Serializes manifest writers (flush vs compaction installs).
-    pub const KV_MANIFEST: LockRank = LockRank(116);
-    /// Background-work coordination state (`WorkState`).
-    pub const KV_WORK: LockRank = LockRank(112);
-    /// The current `Version` pointer.
-    pub const KV_VERSION: LockRank = LockRank(108);
-    /// The active memtable.
-    pub const KV_MEMTABLE: LockRank = LockRank(104);
-    /// A frozen (immutable-list) memtable; demoted from
-    /// [`KV_MEMTABLE`] at rotation so writers holding the active
-    /// memtable may read frozen ones.
-    pub const KV_MEMTABLE_FROZEN: LockRank = LockRank(102);
-    /// WAL group-commit queue state.
-    pub const KV_GROUP_COMMIT: LockRank = LockRank(100);
-    /// A blob store's blob map (in-memory store).
-    pub const KV_BLOB_MAP: LockRank = LockRank(40);
-    /// A blob store's WAL segment state (innermost: the group-commit
-    /// leader appends/syncs while holding it).
-    pub const KV_WAL_LOG: LockRank = LockRank(36);
+    /// The hierarchy, declared once: each row becomes a `LockRank`
+    /// const and an arm of [`name`], and `gkfs-lint` reads the same
+    /// rows for its lexical GKL001/GKL006 checks.
+    macro_rules! ranks {
+        ($($(#[$doc:meta])* $name:ident = $rank:literal;)*) => {
+            $($(#[$doc])* pub const $name: LockRank = LockRank($rank);)*
 
-    /// Name lookup for diagnostics.
-    pub fn name(r: LockRank) -> &'static str {
-        match r.0 {
-            250 => "POSIX_TEST",
-            240 => "POSIX_CLIENT",
-            230 => "POSIX_DIR_STREAMS",
-            220 => "CLIENT_FILEMAP",
-            218 => "CLIENT_META_BATCH",
-            216 => "CLIENT_FILE_POS",
-            214 => "CLIENT_WB",
-            212 => "CLIENT_STAT_CACHE",
-            208 => "CLIENT_SIZE_CACHE",
-            196 => "REPL_ENDPOINT",
-            190 => "DAEMON_TCP",
-            188 => "REPL_STATE",
-            186 => "REPL_BACKLOG",
-            184 => "RPC_ACCEPT",
-            180 => "RPC_CONNS",
-            178 => "RPC_CONN",
-            176 => "RPC_WRITER",
-            172 => "RPC_PENDING",
-            170 => "RPC_HANDLER_QUEUE",
-            166 => "CHAOS_CONNS",
-            164 => "CHAOS_PARKED",
-            162 => "CHAOS_RNG",
-            156 => "DAEMON_CHUNK_QUEUE",
-            150 => "STORAGE_SHARD",
-            146 => "STORAGE_FD_SHARD",
-            130 => "KV_THREADS",
-            120 => "KV_COMPACTION",
-            116 => "KV_MANIFEST",
-            112 => "KV_WORK",
-            108 => "KV_VERSION",
-            104 => "KV_MEMTABLE",
-            102 => "KV_MEMTABLE_FROZEN",
-            100 => "KV_GROUP_COMMIT",
-            40 => "KV_BLOB_MAP",
-            36 => "KV_WAL_LOG",
-            _ => "?",
-        }
+            /// Name lookup for diagnostics.
+            pub fn name(r: LockRank) -> &'static str {
+                match r.0 {
+                    $($rank => stringify!($name),)*
+                    _ => "?",
+                }
+            }
+        };
+    }
+
+    ranks! {
+        /// Serializes whole preload tests (`crates/posix` test harness).
+        POSIX_TEST = 250;
+        /// The preload layer's global client slot (`posix::CLIENT`); held
+        /// in read mode across every forwarded client operation.
+        POSIX_CLIENT = 240;
+        /// The preload layer's directory-stream table.
+        POSIX_DIR_STREAMS = 230;
+        /// The client's fd → open-file table.
+        CLIENT_FILEMAP = 220;
+        /// The client's pending metadata-op batch queues. Below
+        /// [`CLIENT_FILEMAP`] so an operation resolving an fd may still
+        /// enqueue; the flush takes the batch out and drops the guard
+        /// before any RPC (GKL002), exactly like the write-back buffer.
+        CLIENT_META_BATCH = 218;
+        /// A single open file's seek position.
+        CLIENT_FILE_POS = 216;
+        /// A single open handle's write-back buffer. Below
+        /// [`CLIENT_FILE_POS`] so a positional write may claim its offset
+        /// and then buffer the bytes; a flush drops the guard before any
+        /// RPC (GKL002).
+        CLIENT_WB = 214;
+        /// The client's stat cache.
+        CLIENT_STAT_CACHE = 212;
+        /// The client's write-back size cache.
+        CLIENT_SIZE_CACHE = 208;
+        /// A switchable endpoint's target slot (`SwitchEndpoint`): held
+        /// only to clone the inner `Arc`, but ranked above every RPC lock
+        /// so a submit made under it (tests, careless callers) still
+        /// descends.
+        REPL_ENDPOINT = 196;
+        /// The daemon's TCP-server slot.
+        DAEMON_TCP = 190;
+        /// The replication manager's peer/heartbeat state. Above the RPC
+        /// ranks (probes may submit while the manager is mid-cycle, never
+        /// under the guard) and above the re-replication backlog, which a
+        /// transition handler fills while inspecting state.
+        REPL_STATE = 188;
+        /// The re-replication driver's task backlog.
+        REPL_BACKLOG = 186;
+        /// The TCP server's accept-thread handle.
+        RPC_ACCEPT = 184;
+        /// The TCP server's list of open connections.
+        RPC_CONNS = 180;
+        /// A TCP endpoint's connection slot (live connection + redial
+        /// backoff state); held across a frame write, may acquire
+        /// [`RPC_PENDING`] inside.
+        RPC_CONN = 178;
+        /// A TCP endpoint's (or server connection's) write half.
+        RPC_WRITER = 176;
+        /// A TCP endpoint's pending-reply table.
+        RPC_PENDING = 172;
+        /// A daemon's RPC handler pool's work queue (`TaskPool` instance
+        /// of both transports). Below the connection ranks so a submit —
+        /// which on the in-process transport enqueues here where TCP would
+        /// write to its socket — descends from the same callers; a handler
+        /// runs after its job left the queue, holding nothing.
+        RPC_HANDLER_QUEUE = 170;
+        /// A chaos proxy's list of live connections (test harness).
+        CHAOS_CONNS = 166;
+        /// A chaos endpoint's parked never-completing replies.
+        CHAOS_PARKED = 164;
+        /// A chaos endpoint's/proxy's seeded PRNG state (leaf).
+        CHAOS_RNG = 162;
+        /// The daemon chunk I/O pool's work queue (the other `TaskPool`
+        /// instance). Above the storage ranks: a pool worker takes a job
+        /// off the queue and then runs storage code, never the other way
+        /// around.
+        DAEMON_CHUNK_QUEUE = 156;
+        /// One shard of the in-memory chunk store.
+        STORAGE_SHARD = 150;
+        /// One shard of the file chunk store's open-fd cache. Below
+        /// `STORAGE_SHARD` so a backend that layered both could resolve
+        /// fds while holding a chunk shard (leaf in practice).
+        STORAGE_FD_SHARD = 146;
+        /// The kvstore's background-thread handles.
+        KV_THREADS = 130;
+        /// Serializes compactions.
+        KV_COMPACTION = 120;
+        /// Serializes manifest writers (flush vs compaction installs).
+        KV_MANIFEST = 116;
+        /// Background-work coordination state (`WorkState`).
+        KV_WORK = 112;
+        /// The current `Version` pointer.
+        KV_VERSION = 108;
+        /// The active memtable.
+        KV_MEMTABLE = 104;
+        /// A frozen (immutable-list) memtable; demoted from
+        /// [`KV_MEMTABLE`] at rotation so writers holding the active
+        /// memtable may read frozen ones.
+        KV_MEMTABLE_FROZEN = 102;
+        /// WAL group-commit queue state.
+        KV_GROUP_COMMIT = 100;
+        /// A blob store's blob map (in-memory store).
+        KV_BLOB_MAP = 40;
+        /// A blob store's WAL segment state (innermost: the group-commit
+        /// leader appends/syncs while holding it).
+        KV_WAL_LOG = 36;
     }
 }
 

@@ -17,9 +17,7 @@
 //! every other client of the deployment — the usual GekkoFS contract
 //! that placement is a pure function of shared configuration.
 
-use gekkofs::{ClusterConfig, GekkoClient, GkfsError};
-use gkfs_rpc::{Endpoint, TcpEndpoint};
-use std::sync::Arc;
+use gekkofs::GkfsError;
 
 fn usage() -> ! {
     eprintln!(
@@ -46,47 +44,6 @@ fn usage() -> ! {
          lint [ARGS...]         run the gkfs-lint analyzer (no --hosts)"
     );
     std::process::exit(2);
-}
-
-fn connect(
-    hosts: &str,
-    chunk_size: u64,
-    replicas: usize,
-    quorum: usize,
-) -> Result<GekkoClient, GkfsError> {
-    let addrs: Vec<String> = if std::path::Path::new(hosts).exists() {
-        std::fs::read_to_string(hosts)
-            .map_err(GkfsError::from)?
-            .lines()
-            .map(|l| l.trim().trim_start_matches("LISTENING").trim().to_string())
-            .filter(|l| !l.is_empty())
-            .collect()
-    } else {
-        hosts.split(',').map(|s| s.trim().to_string()).collect()
-    };
-    if addrs.is_empty() {
-        return Err(GkfsError::InvalidArgument("no daemon addresses".into()));
-    }
-    // Replicated mounts tolerate a daemon that is down right now —
-    // reads fail over and writes divert, which is the point of
-    // `--replicas` — so dial lazily and let the per-RPC reconnect
-    // machinery reach the node when it returns. Unreplicated mounts
-    // keep the eager dial: every node is irreplaceable, fail fast.
-    let endpoints: Result<Vec<Arc<dyn Endpoint>>, GkfsError> = addrs
-        .iter()
-        .map(|a| {
-            if replicas > 1 {
-                Ok(TcpEndpoint::connect_lazy(a) as Arc<dyn Endpoint>)
-            } else {
-                TcpEndpoint::connect(a).map(|e| e as Arc<dyn Endpoint>)
-            }
-        })
-        .collect();
-    let config = ClusterConfig::new(addrs.len())
-        .with_chunk_size(chunk_size)
-        .with_replicas(replicas)
-        .with_write_quorum(quorum);
-    GekkoClient::mount(endpoints?, &config)
 }
 
 fn run() -> Result<(), GkfsError> {
@@ -135,7 +92,11 @@ fn run() -> Result<(), GkfsError> {
         usage();
     }
 
-    let fs = connect(&hosts, chunk_size, replicas, quorum)?;
+    let fs = gekkofs::mount_hosts(&hosts, |c| {
+        c.with_chunk_size(chunk_size)
+            .with_replicas(replicas)
+            .with_write_quorum(quorum)
+    })?;
     let arg = |i: usize| -> &str {
         rest.get(i).map(String::as_str).unwrap_or_else(|| usage())
     };

@@ -13,7 +13,7 @@
 //!   process for testing while still exercising the full wire path.
 
 use gkfs_client::GekkoClient;
-use gkfs_common::{ClusterConfig, DaemonConfig, Result};
+use gkfs_common::{ClusterConfig, DaemonConfig, GkfsError, Result};
 use gkfs_daemon::Daemon;
 use gkfs_rpc::transport::SwitchEndpoint;
 use gkfs_rpc::{Endpoint, TcpEndpoint};
@@ -291,13 +291,8 @@ impl TcpCluster {
         addrs: &[std::net::SocketAddr],
         config: &ClusterConfig,
     ) -> Result<GekkoClient> {
-        let endpoints: Result<Vec<Arc<dyn Endpoint>>> = addrs
-            .iter()
-            .map(|a| {
-                TcpEndpoint::connect(&a.to_string()).map(|e| e as Arc<dyn Endpoint>)
-            })
-            .collect();
-        GekkoClient::mount(endpoints?, config)
+        let addrs: Vec<String> = addrs.iter().map(|a| a.to_string()).collect();
+        GekkoClient::mount(dial(&addrs, false)?, config)
     }
 
     /// Shutdown.
@@ -306,6 +301,52 @@ impl TcpCluster {
             d.shutdown();
         }
     }
+}
+
+/// One endpoint per daemon address; `lazy` defers each dial to first
+/// use instead of failing on a daemon that is down right now.
+fn dial(addrs: &[String], lazy: bool) -> Result<Vec<Arc<dyn Endpoint>>> {
+    addrs
+        .iter()
+        .map(|a| {
+            if lazy {
+                Ok(TcpEndpoint::connect_lazy(a) as Arc<dyn Endpoint>)
+            } else {
+                TcpEndpoint::connect(a).map(|e| e as Arc<dyn Endpoint>)
+            }
+        })
+        .collect()
+}
+
+/// Mount a live TCP deployment named the way every command-line tool
+/// names it: `hosts` is a comma-separated address list, or a file with
+/// one address per line — `gkfs-daemon`'s own `LISTENING <addr>` lines
+/// are accepted as they are. `configure` receives a [`ClusterConfig`]
+/// sized to the address count and adds what all clients of the
+/// deployment must agree on (chunk size, replication, caches).
+pub fn mount_hosts(
+    hosts: &str,
+    configure: impl FnOnce(ClusterConfig) -> ClusterConfig,
+) -> Result<GekkoClient> {
+    let addrs: Vec<String> = if std::path::Path::new(hosts).exists() {
+        std::fs::read_to_string(hosts)?
+            .lines()
+            .map(|l| l.trim().trim_start_matches("LISTENING").trim().to_string())
+            .filter(|l| !l.is_empty())
+            .collect()
+    } else {
+        hosts.split(',').map(|s| s.trim().to_string()).collect()
+    };
+    if addrs.is_empty() {
+        return Err(GkfsError::InvalidArgument("no daemon addresses".into()));
+    }
+    let config = configure(ClusterConfig::new(addrs.len()));
+    // Replicated mounts tolerate a daemon that is down right now —
+    // reads fail over and writes divert, which is the point of
+    // replication — so dial lazily and let the per-RPC reconnect
+    // machinery reach the node when it returns. Unreplicated mounts
+    // keep the eager dial: every node is irreplaceable, fail fast.
+    GekkoClient::mount(dial(&addrs, config.replication.enabled())?, &config)
 }
 
 #[cfg(test)]

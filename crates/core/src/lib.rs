@@ -51,7 +51,7 @@
 pub mod cluster;
 pub mod file;
 
-pub use cluster::{Cluster, TcpCluster};
+pub use cluster::{mount_hosts, Cluster, TcpCluster};
 pub use file::GekkoFile;
 pub use gkfs_client::client::Whence;
 pub use gkfs_client::{ClientStats, FileHandle, FsckReport, GekkoClient, NodeHealthSnapshot};

@@ -175,9 +175,7 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
     reg.serve::<op::DaemonStats>(move |()| {
         use std::sync::atomic::Ordering::Relaxed;
         let kv = b.meta.db().stats();
-        let (_, w_bytes, _, r_bytes) = b.data.stats().snapshot();
-        let (fd_hits, fd_misses, coalesced) = b.data.stats().engine_snapshot();
-        let (tasks_spawned, inline_runs) = b.data.stats().task_snapshot();
+        let st = b.data.stats();
         let reply_copies = b.engine.reply_copy_bytes();
         let repl = b.repl.get();
         let rc = |f: fn(&crate::replication::ReplCounters) -> &std::sync::atomic::AtomicU64| {
@@ -188,8 +186,8 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
             kv_puts: kv.puts.load(Relaxed),
             kv_gets: kv.gets.load(Relaxed),
             kv_merges: kv.merges.load(Relaxed),
-            storage_write_bytes: w_bytes,
-            storage_read_bytes: r_bytes,
+            storage_write_bytes: st.write_bytes.load(Relaxed),
+            storage_read_bytes: st.read_bytes.load(Relaxed),
             kv_flushes: kv.flushes.load(Relaxed),
             kv_compactions: kv.compactions.load(Relaxed),
             kv_stalls: kv.stalls.load(Relaxed),
@@ -198,11 +196,11 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
             kv_group_commits: kv.group_commits.load(Relaxed),
             kv_group_commit_records: kv.group_commit_records.load(Relaxed),
             kv_bloom_skips: kv.bloom_skips.load(Relaxed),
-            chunk_tasks_spawned: tasks_spawned,
-            chunk_inline_runs: inline_runs,
-            fd_cache_hits: fd_hits,
-            fd_cache_misses: fd_misses,
-            coalesced_ops: coalesced,
+            chunk_tasks_spawned: st.tasks_spawned.load(Relaxed),
+            chunk_inline_runs: st.tasks_inline.load(Relaxed),
+            fd_cache_hits: st.fd_hits.load(Relaxed),
+            fd_cache_misses: st.fd_misses.load(Relaxed),
+            coalesced_ops: st.coalesced_ops.load(Relaxed),
             read_reply_copy_bytes: reply_copies,
             replication_factor: repl.map(|m| m.replicas() as u64).unwrap_or(1),
             under_replicated_chunks: rc(|c| &c.under_replicated),

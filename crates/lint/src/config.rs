@@ -11,9 +11,6 @@
 //!   "GKL002@crates/kvstore/src/blobstore.rs:140",
 //! ]
 //!
-//! [ranks]        # rank name -> numeric rank (higher = acquired first)
-//! KV_VERSION = 108
-//!
 //! [locks]        # receiver identifier -> rank name
 //! version = "KV_VERSION"
 //!
@@ -41,7 +38,9 @@ const DEFAULT_CONSUME: &[&str] = &[
 /// Parsed lint configuration.
 #[derive(Debug)]
 pub struct Config {
-    /// Rank name → numeric rank.
+    /// Rank name → numeric rank (higher = acquired first). Not parsed
+    /// from `lint.toml`: the workspace run fills it from the `ranks!`
+    /// table in `crates/common/src/lock.rs`.
     pub ranks: HashMap<String, u16>,
     /// Lock receiver identifier → rank name.
     pub locks: HashMap<String, String>,
@@ -116,12 +115,6 @@ impl Config {
                 }
             }
             match section.as_str() {
-                "ranks" => {
-                    let v: u16 = value
-                        .parse()
-                        .map_err(|_| format!("line {}: rank `{key}` is not a u16", n + 1))?;
-                    cfg.ranks.insert(key, v);
-                }
                 "locks" => {
                     cfg.locks.insert(key, parse_string(&value, n + 1)?);
                 }
@@ -150,13 +143,15 @@ impl Config {
                 }
             }
         }
-        // Every lock must map to a declared rank.
-        for (recv, name) in &cfg.locks {
-            if !cfg.ranks.contains_key(name) {
-                return Err(format!("lock `{recv}` maps to undeclared rank `{name}`"));
-            }
-        }
         Ok(cfg)
+    }
+
+    /// Every `[locks]` entry must name a declared rank.
+    pub fn check_locks(&self) -> Result<(), String> {
+        match self.locks.iter().find(|(_, name)| !self.ranks.contains_key(*name)) {
+            Some((recv, name)) => Err(format!("lock `{recv}` maps to undeclared rank `{name}`")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -204,7 +199,7 @@ mod tests {
 
     #[test]
     fn parses_sections_and_arrays() {
-        let cfg = Config::parse(
+        let mut cfg = Config::parse(
             r#"
 # waivers
 allow = [
@@ -212,17 +207,15 @@ allow = [
   "GKL003@crates/b.rs:20",
 ]
 
-[ranks]
-KV_VERSION = 108
-KV_MEMTABLE = 104
-
 [locks]
 version = "KV_VERSION"
 mem = "KV_MEMTABLE"
 "#,
         )
         .unwrap();
-        assert_eq!(cfg.ranks["KV_VERSION"], 108);
+        assert_eq!(cfg.locks["version"], "KV_VERSION");
+        assert_eq!(cfg.rank_of("mem"), None, "no hierarchy loaded yet");
+        cfg.ranks.insert("KV_MEMTABLE".into(), 104);
         assert_eq!(cfg.rank_of("mem"), Some(("KV_MEMTABLE", 104)));
         assert!(cfg.allow.contains("GKL002@crates/a.rs:10"));
         assert_eq!(cfg.allow.len(), 2);
@@ -231,13 +224,10 @@ mem = "KV_MEMTABLE"
 
     #[test]
     fn undeclared_rank_is_an_error() {
-        let err = Config::parse("[locks]\nx = \"NOPE\"\n").unwrap_err();
-        assert!(err.contains("undeclared rank"));
-    }
-
-    #[test]
-    fn bad_rank_value_is_an_error() {
-        assert!(Config::parse("[ranks]\nX = notanumber\n").is_err());
+        let mut cfg = Config::parse("[locks]\nx = \"NOPE\"\n").unwrap();
+        assert!(cfg.check_locks().unwrap_err().contains("undeclared rank"));
+        cfg.ranks.insert("NOPE".into(), 7);
+        cfg.check_locks().unwrap();
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! nesting in debug-build tests.
 //!
 //! Configuration and waivers live in `lint.toml` at the workspace
-//! root: `[ranks]` declares the hierarchy, `[locks]` maps guard
-//! receiver identifiers to ranks, and `allow = ["RULE@file:line"]`
-//! waives individual findings (e.g. the WAL store syncing under its
-//! own log lock — that *is* the group-commit design).
+//! root: `[locks]` maps guard receiver identifiers to ranks and
+//! `allow = ["RULE@file:line"]` waives individual findings (e.g. the
+//! WAL store syncing under its own log lock — that *is* the
+//! group-commit design). The hierarchy itself is not configuration: it
+//! is read from the `ranks!` table in `crates/common/src/lock.rs`, the
+//! same rows the runtime checker is generated from.
 
 pub mod callgraph;
 pub mod config;
@@ -26,7 +28,7 @@ pub mod taint;
 pub use config::Config;
 pub use rules::{check_file, Diagnostic};
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 
 /// Result of a workspace run.
@@ -36,10 +38,6 @@ pub struct Outcome {
     /// Waivers in `lint.toml` (or `--allow`) that matched nothing —
     /// stale entries that should be removed.
     pub unused_waivers: Vec<String>,
-    /// `lint.toml [ranks]` drift against `lock.rs` — missing, extra, or
-    /// value-mismatched ranks. Always an error: the two tables are the
-    /// same hierarchy written twice.
-    pub rank_mismatches: Vec<String>,
     /// Number of files scanned.
     pub files_checked: usize,
 }
@@ -56,13 +54,16 @@ pub fn run_workspace(root: &Path, extra_allow: &[String]) -> Result<Outcome, Str
     for a in extra_allow {
         cfg.allow.insert(a.clone());
     }
+    if let Ok(src) = std::fs::read_to_string(root.join(LOCK_RS)) {
+        cfg.ranks = declared_ranks(&lexer::lex(&src));
+    }
+    cfg.check_locks().map_err(|e| format!("lint.toml: {e} in {LOCK_RS}"))?;
 
     let files = workspace_files(root)?;
     let mut all: Vec<Diagnostic> = Vec::new();
     let mut edges: BTreeSet<(String, String)> = BTreeSet::new();
     let mut sym = index::SymbolIndex::default();
     let mut lexed_files: Vec<(String, lexer::Lexed)> = Vec::new();
-    let mut rank_mismatches = Vec::new();
     for rel in &files {
         let src = std::fs::read_to_string(root.join(rel))
             .map_err(|e| format!("{}: {e}", rel.display()))?;
@@ -76,9 +77,6 @@ pub fn run_workspace(root: &Path, extra_allow: &[String]) -> Result<Outcome, Str
         all.extend(report.diagnostics);
         edges.extend(report.edges);
         sym.add_file(index::index_file(&rel_str, &lexed, &cfg));
-        if rel_str == "crates/common/src/lock.rs" {
-            rank_mismatches = check_rank_sync(&lexed, &cfg);
-        }
         lexed_files.push((rel_str, lexed));
     }
 
@@ -133,61 +131,30 @@ pub fn run_workspace(root: &Path, extra_allow: &[String]) -> Result<Outcome, Str
     Ok(Outcome {
         diagnostics,
         unused_waivers,
-        rank_mismatches,
         files_checked: files.len(),
     })
 }
 
-/// Satellite: the `[ranks]` table in `lint.toml` and the `LockRank`
-/// consts in `crates/common/src/lock.rs` are the same hierarchy
-/// written twice; report any drift in either direction. Matches
-/// `pub const NAME: LockRank = LockRank(N);` token patterns.
-fn check_rank_sync(lexed: &lexer::Lexed, cfg: &Config) -> Vec<String> {
+/// Where the lock hierarchy is declared, relative to the workspace root.
+const LOCK_RS: &str = "crates/common/src/lock.rs";
+
+/// The declared hierarchy: every `NAME = N;` row of the `ranks! { … }`
+/// table in `lock.rs` (doc comments between rows are not tokens).
+fn declared_ranks(lexed: &lexer::Lexed) -> HashMap<String, u16> {
     let toks = &lexed.toks;
-    let mut declared: BTreeMap<&str, Option<u16>> = BTreeMap::new();
-    for w in toks.windows(9) {
-        if w[0].is_ident("const")
-            && w[1].kind == lexer::TokKind::Ident
-            && w[2].is_punct(':')
-            && w[3].is_ident("LockRank")
-            && w[4].is_punct('=')
-            && w[5].is_ident("LockRank")
-            && w[6].is_punct('(')
-            && w[7].kind == lexer::TokKind::Lit
-            && w[8].is_punct(')')
-        {
-            declared.insert(w[1].text.as_str(), w[7].text.replace('_', "").parse().ok());
+    let is_table = |w: &[lexer::Tok]| {
+        w[0].is_ident("ranks") && w[1].is_punct('!') && w[2].is_punct('{')
+    };
+    let Some(open) = toks.windows(3).position(is_table) else {
+        return HashMap::new();
+    };
+    let rows = toks[open + 3..].chunks(4).map_while(|row| match row {
+        [name, eq, rank, semi] if eq.is_punct('=') && semi.is_punct(';') => {
+            Some((name.text.clone(), rank.text.replace('_', "").parse().ok()?))
         }
-    }
-    let mut out = Vec::new();
-    if declared.is_empty() {
-        // lock.rs without a single rank const means the parse pattern
-        // broke, not that the hierarchy vanished — say so rather than
-        // reporting every lint.toml rank as stale.
-        out.push("crates/common/src/lock.rs: no `const NAME: LockRank = LockRank(n);` declarations found — rank-sync check cannot run".to_string());
-        return out;
-    }
-    for (name, val) in &declared {
-        match cfg.ranks.get(*name) {
-            None => out.push(format!(
-                "rank `{name}` is declared in lock.rs but missing from lint.toml [ranks]"
-            )),
-            Some(v) if Some(*v) != *val => out.push(format!(
-                "rank `{name}` is {} in lock.rs but {v} in lint.toml [ranks]",
-                val.map(|n| n.to_string()).unwrap_or_else(|| "unparseable".into())
-            )),
-            _ => {}
-        }
-    }
-    for name in cfg.ranks.keys() {
-        if !declared.contains_key(name.as_str()) {
-            out.push(format!(
-                "rank `{name}` is in lint.toml [ranks] but no longer declared in lock.rs"
-            ));
-        }
-    }
-    out.sort();
-    out
+        _ => None,
+    });
+    rows.collect()
 }
 
 /// Every `crates/*/src/**.rs` under `root`, sorted for stable output.
@@ -294,7 +261,6 @@ pub fn cli_main(args: &[String]) -> i32 {
     match run_workspace(&root, &extra_allow) {
         Ok(outcome) => {
             let stale = !outcome.unused_waivers.is_empty();
-            let drift = !outcome.rank_mismatches.is_empty();
             if json {
                 println!("{}", render_json(&outcome));
             } else {
@@ -319,22 +285,14 @@ pub fn cli_main(args: &[String]) -> i32 {
                         println!("lint.toml: {msg}");
                     }
                 }
-                for m in &outcome.rank_mismatches {
-                    if github {
-                        println!("::error file=lint.toml::rank table out of sync: {m}");
-                    } else {
-                        println!("lint.toml: rank table out of sync: {m}");
-                    }
-                }
                 println!(
-                    "gkfs-lint: {} file(s), {} diagnostic(s), {} stale waiver(s), {} rank mismatch(es)",
+                    "gkfs-lint: {} file(s), {} diagnostic(s), {} stale waiver(s)",
                     outcome.files_checked,
                     outcome.diagnostics.len(),
-                    outcome.unused_waivers.len(),
-                    outcome.rank_mismatches.len()
+                    outcome.unused_waivers.len()
                 );
             }
-            if !outcome.diagnostics.is_empty() || drift || (deny_all && stale) {
+            if !outcome.diagnostics.is_empty() || (deny_all && stale) {
                 1
             } else {
                 0
@@ -373,13 +331,6 @@ fn render_json(outcome: &Outcome) -> String {
             s.push_str(", ");
         }
         s.push_str(&json_str(w));
-    }
-    s.push_str("],\n  \"rank_mismatches\": [");
-    for (i, m) in outcome.rank_mismatches.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&json_str(m));
     }
     s.push_str(&format!(
         "],\n  \"files_checked\": {}\n}}",
@@ -425,10 +376,9 @@ Interprocedural rules (workspace symbol index): GKL006 rank descent
 across call edges · GKL007 unconsumed completions · GKL008 allocation
 sized from unchecked wire data · GKL009 unchecked `as` narrowing on
 size/offset values in the data plane.
-The [ranks] table is also checked against lock.rs (always an error
-when they drift).
+The lock hierarchy is the `ranks!` table in crates/common/src/lock.rs.
 
-Exit codes: 0 clean · 1 diagnostics/rank drift · 2 usage/config error.";
+Exit codes: 0 clean · 1 diagnostics · 2 usage/config error.";
 
 fn usage(err: &str) -> i32 {
     eprintln!("gkfs-lint: {err}\n{USAGE}");
@@ -451,8 +401,34 @@ mod tests {
         assert!(cycle.len() == 4);
     }
 
-    /// One file per interprocedural rule family, violating all of
-    /// GKL006–GKL009.
+    #[test]
+    fn hierarchy_is_read_from_the_ranks_table() {
+        let src = "macro_rules! ranks { ($($n:ident = $r:literal;)*) => {}; }\n\
+                   ranks! {\n    /// docs are comments\n    A_B = 1_000;\n    C = 36;\n}\n\
+                   fn x() {}";
+        let ranks = declared_ranks(&lexer::lex(src));
+        assert_eq!(ranks.len(), 2);
+        assert_eq!((ranks["A_B"], ranks["C"]), (1000, 36));
+        assert!(declared_ranks(&lexer::lex("fn no_table() {}")).is_empty());
+    }
+
+    /// The real workspace: lock.rs declares every rank lint.toml names,
+    /// so a renamed or deleted rank fails the run instead of silently
+    /// un-ranking its locks.
+    #[test]
+    fn workspace_lint_toml_names_only_declared_ranks() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |rel: &str| std::fs::read_to_string(root.join(rel)).unwrap();
+        let mut cfg = Config::parse(&read("lint.toml")).unwrap();
+        cfg.ranks = declared_ranks(&lexer::lex(&read(LOCK_RS)));
+        assert!(cfg.ranks.len() >= 30, "parsed {} ranks", cfg.ranks.len());
+        cfg.check_locks().unwrap();
+        cfg.ranks.remove("KV_WAL_LOG");
+        assert!(cfg.check_locks().unwrap_err().contains("KV_WAL_LOG"));
+    }
+
+    /// One file per rule family, violating GKL001 (a mis-ordered
+    /// acquisition) and all of the interprocedural GKL006–GKL009.
     const FIX_COMMON: &str = r#"
 pub struct L;
 impl L {
@@ -476,6 +452,11 @@ pub fn ascends(s: &S) {
     let _g = s.lo.lock();
     takes_high(s);
 }
+
+pub fn misordered(s: &S) {
+    let _lo = s.lo.lock();
+    let _hi = s.hi.lock();
+}
 "#;
 
     const FIX_RPC: &str = r#"
@@ -489,8 +470,8 @@ pub fn narrow_offset(total_len: usize) -> u32 {
 }
 "#;
 
-    /// End-to-end over a fixture workspace: every interprocedural rule
-    /// fires, and waiving exactly what fired yields a clean run with
+    /// End-to-end over a fixture workspace: the rank rules and every
+    /// interprocedural rule fire, and waiving exactly what fired yields a clean run with
     /// no stale waivers — the full lifecycle of a deliberate exception.
     #[test]
     fn interprocedural_rules_fire_and_waive_end_to_end() {
@@ -501,7 +482,12 @@ pub fn narrow_offset(total_len: usize) -> u32 {
         std::fs::create_dir_all(root.join("crates/rpc/src")).unwrap();
         std::fs::write(root.join("crates/fix/src/lib.rs"), FIX_COMMON).unwrap();
         std::fs::write(root.join("crates/rpc/src/wire_fix.rs"), FIX_RPC).unwrap();
-        let base = "[ranks]\nHIGH = 100\nLOW = 50\n\n[locks]\nhi = \"HIGH\"\nlo = \"LOW\"\n";
+        // The hierarchy comes from the fixture's lock.rs, as it does
+        // for the real workspace; lint.toml only names the receivers.
+        std::fs::create_dir_all(root.join("crates/common/src")).unwrap();
+        let lock_rs = "ranks! {\n    /// Taken first.\n    HIGH = 100;\n    LOW = 50;\n}\n";
+        std::fs::write(root.join(LOCK_RS), lock_rs).unwrap();
+        let base = "[locks]\nhi = \"HIGH\"\nlo = \"LOW\"\n";
         std::fs::write(root.join("lint.toml"), base).unwrap();
 
         let out = run_workspace(&root, &[]).unwrap();
@@ -510,7 +496,7 @@ pub fn narrow_offset(total_len: usize) -> u32 {
             .iter()
             .map(|d| format!("{}@{}:{}", d.rule, d.file, d.line))
             .collect();
-        for rule in ["GKL006", "GKL007", "GKL008", "GKL009"] {
+        for rule in ["GKL001", "GKL006", "GKL007", "GKL008", "GKL009"] {
             assert!(
                 out.diagnostics.iter().any(|d| d.rule == rule),
                 "{rule} must fire on the fixture; got {fired:?}"

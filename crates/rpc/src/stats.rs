@@ -39,17 +39,6 @@ impl RpcStats {
         self.body_bytes.fetch_add(body as u64, Ordering::Relaxed);
         self.bulk_bytes.fetch_add(bulk as u64, Ordering::Relaxed);
     }
-
-    /// `(requests, responses, errors, body_bytes, bulk_bytes)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.requests.load(Ordering::Relaxed),
-            self.responses.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            self.body_bytes.load(Ordering::Relaxed),
-            self.bulk_bytes.load(Ordering::Relaxed),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -62,11 +51,10 @@ mod tests {
         s.record_request(10, 100);
         s.record_response(true, 5, 0);
         s.record_response(false, 0, 0);
-        let (req, resp, err, body, bulk) = s.snapshot();
-        assert_eq!(req, 1);
-        assert_eq!(resp, 2);
-        assert_eq!(err, 1);
-        assert_eq!(body, 15);
-        assert_eq!(bulk, 100);
+        assert_eq!(s.requests.load(Ordering::Relaxed), 1);
+        assert_eq!(s.responses.load(Ordering::Relaxed), 2);
+        assert_eq!(s.errors.load(Ordering::Relaxed), 1);
+        assert_eq!(s.body_bytes.load(Ordering::Relaxed), 15);
+        assert_eq!(s.bulk_bytes.load(Ordering::Relaxed), 100);
     }
 }

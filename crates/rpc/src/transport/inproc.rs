@@ -198,9 +198,9 @@ mod tests {
                 });
             }
         });
-        let (req, resp, err, _, _) = server.stats().snapshot();
-        assert_eq!(req, 1600);
-        assert_eq!(resp, 1600);
-        assert_eq!(err, 0);
+        let st = server.stats();
+        assert_eq!(st.requests.load(Ordering::Relaxed), 1600);
+        assert_eq!(st.responses.load(Ordering::Relaxed), 1600);
+        assert_eq!(st.errors.load(Ordering::Relaxed), 0);
     }
 }

@@ -916,8 +916,10 @@ mod tests {
         // `dispatch` stopped the unwind; the pool's own guard (second
         // line of defence) never had to.
         assert_eq!(server.handlers.pool.panics(), 0);
-        let (requests, responses, errors, _, _) = server.stats().snapshot();
-        assert_eq!((requests, responses, errors), (2, 2, 1));
+        let st = server.stats();
+        assert_eq!(st.requests.load(Ordering::Relaxed), 2);
+        assert_eq!(st.responses.load(Ordering::Relaxed), 2);
+        assert_eq!(st.errors.load(Ordering::Relaxed), 1);
         server.shutdown();
     }
 

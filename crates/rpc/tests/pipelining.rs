@@ -10,6 +10,7 @@ use gkfs_rpc::{
     EndpointOptions, HandlerRegistry, Opcode, ReplyHandle, Request, RpcServer, TcpEndpoint,
     TcpServer,
 };
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,10 +62,10 @@ fn tcp_pipelining_stress_out_of_order() {
     let ep = TcpEndpoint::connect(&server.local_addr().to_string()).unwrap();
     stress(&*ep);
     assert_eq!(ep.pending_len(), 0, "pending table must drain completely");
-    let (req, resp, err, _, _) = server.stats().snapshot();
-    assert_eq!(req, (THREADS * OUTSTANDING) as u64);
-    assert_eq!(resp, (THREADS * OUTSTANDING) as u64);
-    assert_eq!(err, 0);
+    let st = server.stats();
+    assert_eq!(st.requests.load(Ordering::Relaxed), (THREADS * OUTSTANDING) as u64);
+    assert_eq!(st.responses.load(Ordering::Relaxed), (THREADS * OUTSTANDING) as u64);
+    assert_eq!(st.errors.load(Ordering::Relaxed), 0);
     server.shutdown();
 }
 
@@ -73,10 +74,10 @@ fn inproc_pipelining_stress_out_of_order() {
     let server = RpcServer::new(sleepy_registry(), 8);
     let ep = server.endpoint();
     stress(&*ep);
-    let (req, resp, err, _, _) = server.stats().snapshot();
-    assert_eq!(req, (THREADS * OUTSTANDING) as u64);
-    assert_eq!(resp, (THREADS * OUTSTANDING) as u64);
-    assert_eq!(err, 0);
+    let st = server.stats();
+    assert_eq!(st.requests.load(Ordering::Relaxed), (THREADS * OUTSTANDING) as u64);
+    assert_eq!(st.responses.load(Ordering::Relaxed), (THREADS * OUTSTANDING) as u64);
+    assert_eq!(st.errors.load(Ordering::Relaxed), 0);
 }
 
 #[test]

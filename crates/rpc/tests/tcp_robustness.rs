@@ -7,6 +7,7 @@ use gkfs_rpc::transport::Endpoint;
 use gkfs_rpc::{EndpointOptions, HandlerRegistry, Opcode, Request, Response, TcpEndpoint, TcpServer};
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 fn echo_registry() -> HandlerRegistry {
@@ -50,10 +51,10 @@ fn many_parallel_connections() {
             });
         }
     });
-    let (req, resp, err, _, _) = server.stats().snapshot();
-    assert_eq!(req, 16 * 50);
-    assert_eq!(resp, 16 * 50);
-    assert_eq!(err, 0);
+    let st = server.stats();
+    assert_eq!(st.requests.load(Ordering::Relaxed), 16 * 50);
+    assert_eq!(st.responses.load(Ordering::Relaxed), 16 * 50);
+    assert_eq!(st.errors.load(Ordering::Relaxed), 0);
     server.shutdown();
 }
 

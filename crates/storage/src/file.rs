@@ -979,7 +979,8 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(s.read_chunk("/hot", 0, 0, 4).unwrap(), b"abcd");
         }
-        let (hits, misses, _) = s.stats().engine_snapshot();
+        let hits = s.stats().fd_hits.load(Ordering::Relaxed);
+        let misses = s.stats().fd_misses.load(Ordering::Relaxed);
         assert_eq!(misses, 1, "one open for write, reads reuse it");
         assert!(hits >= 10, "reads must hit the fd cache, got {hits}");
         fs::remove_dir_all(&dir).unwrap();
@@ -1101,7 +1102,7 @@ mod tests {
         let out = rc.wait().unwrap();
         assert_eq!(out.lens, vec![4096; 4]);
         assert_eq!(out.data, bulk);
-        let (spawned, _) = s.stats().task_snapshot();
+        let spawned = s.stats().tasks_spawned.load(Ordering::Relaxed);
         assert!(spawned > 0, "pool engine must actually spawn tasks");
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -329,6 +329,7 @@ mod contract_tests {
     //! One test suite run against both implementations, so they can
     //! never drift apart.
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     fn storages() -> Vec<(&'static str, Arc<dyn ChunkStorage>)> {
@@ -551,7 +552,7 @@ mod contract_tests {
             assert_eq!(out.lens, vec![16, 16, 16, 16, 16], "{name}");
             assert_eq!(out.data, bulk, "{name}");
             if name == "file" {
-                let (_, _, coalesced) = s.stats().engine_snapshot();
+                let coalesced = s.stats().coalesced_ops.load(Ordering::Relaxed);
                 // 3 merges on the write pass + 3 on the read pass.
                 assert_eq!(coalesced, 6, "{name}: coalescing must trigger");
             }
@@ -689,11 +690,11 @@ mod contract_tests {
         for (name, s) in storages() {
             s.write_chunk("/st", 0, 0, &[1u8; 100]).unwrap();
             let _ = s.read_chunk("/st", 0, 0, 100).unwrap();
-            let (w_ops, w_bytes, r_ops, r_bytes) = s.stats().snapshot();
-            assert_eq!(w_ops, 1, "{name}");
-            assert_eq!(w_bytes, 100, "{name}");
-            assert_eq!(r_ops, 1, "{name}");
-            assert_eq!(r_bytes, 100, "{name}");
+            let st = s.stats();
+            assert_eq!(st.write_ops.load(Ordering::Relaxed), 1, "{name}");
+            assert_eq!(st.write_bytes.load(Ordering::Relaxed), 100, "{name}");
+            assert_eq!(st.read_ops.load(Ordering::Relaxed), 1, "{name}");
+            assert_eq!(st.read_bytes.load(Ordering::Relaxed), 100, "{name}");
         }
     }
 }

@@ -38,34 +38,6 @@ impl StorageStats {
         self.read_ops.fetch_add(1, Ordering::Relaxed);
         self.read_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
-
-    /// `(write_ops, write_bytes, read_ops, read_bytes)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.write_ops.load(Ordering::Relaxed),
-            self.write_bytes.load(Ordering::Relaxed),
-            self.read_ops.load(Ordering::Relaxed),
-            self.read_bytes.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(fd_hits, fd_misses, coalesced_ops)` — the data-path engine
-    /// counters surfaced through `DaemonStats` / `gkfs-cli df`.
-    pub fn engine_snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.fd_hits.load(Ordering::Relaxed),
-            self.fd_misses.load(Ordering::Relaxed),
-            self.coalesced_ops.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `(tasks_spawned, tasks_inline)` — batch fan-out counters.
-    pub fn task_snapshot(&self) -> (u64, u64) {
-        (
-            self.tasks_spawned.load(Ordering::Relaxed),
-            self.tasks_inline.load(Ordering::Relaxed),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -73,11 +45,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_reflects_records() {
+    fn records_accumulate() {
         let s = StorageStats::default();
         s.record_write(10);
         s.record_write(20);
         s.record_read(5);
-        assert_eq!(s.snapshot(), (2, 30, 1, 5));
+        assert_eq!(s.write_ops.load(Ordering::Relaxed), 2);
+        assert_eq!(s.write_bytes.load(Ordering::Relaxed), 30);
+        assert_eq!(s.read_ops.load(Ordering::Relaxed), 1);
+        assert_eq!(s.read_bytes.load(Ordering::Relaxed), 5);
     }
 }

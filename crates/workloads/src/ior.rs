@@ -7,9 +7,9 @@
 //! process's block, reproducing the paper's random-access experiment
 //! (which degrades only for transfers smaller than the chunk size).
 
-use gekkofs::{Cluster, GekkoClient, Result};
-use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use crate::Ranks;
+use gekkofs::{GekkoClient, GkfsError, OpenFlags, Result};
+use std::time::Duration;
 
 /// IOR parameters.
 #[derive(Debug, Clone)]
@@ -107,83 +107,48 @@ fn pattern(rank: usize, len: u64) -> Vec<u8> {
     (0..len).map(|i| (i as u8) ^ (rank as u8 | 0x40)).collect()
 }
 
-/// Run one IOR write phase + read phase against a cluster.
-pub fn run_ior(cluster: &Cluster, cfg: &IorConfig) -> Result<IorResult> {
-    run_ior_with(|| cluster.mount(), cfg)
-}
-
-/// Like [`run_ior`], with caller-supplied mounting (see
-/// [`crate::mdtest::run_mdtest_with`]).
-pub fn run_ior_with(
-    make_client: impl Fn() -> Result<GekkoClient>,
-    cfg: &IorConfig,
-) -> Result<IorResult> {
+/// Run one IOR write phase + read phase. `mount` is called once per
+/// rank (see [`crate::run_mdtest`]).
+pub fn run_ior(mount: impl Fn() -> Result<GekkoClient>, cfg: &IorConfig) -> Result<IorResult> {
     assert!(
         cfg.block_size.is_multiple_of(cfg.transfer_size),
         "block size must be a multiple of transfer size"
     );
-    let clients: Vec<GekkoClient> = (0..cfg.processes)
-        .map(|_| make_client())
-        .collect::<Result<_>>()?;
-    clients[0].mkdir(&cfg.work_dir, 0o755).ok();
+    let ranks = Ranks::mount(cfg.processes, mount)?;
+    ranks.mkdir(&cfg.work_dir)?;
     // Create targets up front (untimed, as IOR does in its setup).
-    if cfg.file_per_process {
-        for (rank, c) in clients.iter().enumerate() {
-            c.create(&target_path(cfg, rank), 0o644)?;
-        }
-    } else {
-        clients[0].create(&target_path(cfg, 0), 0o644)?;
+    let targets = if cfg.file_per_process { cfg.processes } else { 1 };
+    for rank in 0..targets {
+        ranks.rank0().create(&target_path(cfg, rank), 0o644)?;
     }
 
+    let xfer = cfg.transfer_size as usize;
     let mut times = [Duration::ZERO; 2];
-    for (phase_idx, phase) in ["write", "read"].iter().enumerate() {
-        let start_gate = Barrier::new(cfg.processes + 1);
-        let end_barrier = Barrier::new(cfg.processes);
-        let t = std::thread::scope(|s| -> Result<Duration> {
-            let handles: Vec<_> = clients
-                .iter()
-                .enumerate()
-                .map(|(rank, client)| {
-                    let start_gate = &start_gate;
-                    let end_barrier = &end_barrier;
-                    let cfg = &cfg;
-                    s.spawn(move || -> Result<()> {
-                        let path = target_path(cfg, rank);
-                        let offsets = offsets_for(cfg, rank);
-                        let buf = pattern(rank, cfg.transfer_size);
-                        // Open is untimed setup, as in IOR proper; the
-                        // handle carries the write-back buffer that
-                        // coalesces sub-chunk sequential transfers.
-                        let flags = if *phase == "write" {
-                            gekkofs::OpenFlags::WRONLY
-                        } else {
-                            gekkofs::OpenFlags::RDONLY
-                        };
-                        let h = client.open_handle(&path, flags)?;
-                        start_gate.wait();
-                        for off in offsets {
-                            if *phase == "write" {
-                                h.pwrite(off, &buf)?;
-                            } else {
-                                let data = h.pread(off, cfg.transfer_size as usize)?;
-                                debug_assert_eq!(data.len() as u64, cfg.transfer_size);
-                            }
-                        }
-                        h.close()?;
-                        client.flush_all()?;
-                        end_barrier.wait();
-                        Ok(())
-                    })
-                })
-                .collect();
-            start_gate.wait();
-            let t0 = Instant::now();
-            for h in handles {
-                h.join().unwrap()?;
-            }
-            Ok(t0.elapsed())
-        })?;
-        times[phase_idx] = t;
+    for (time, write) in times.iter_mut().zip([true, false]) {
+        *time = ranks.phase(
+            // Open is untimed setup, as in IOR proper; the handle
+            // carries the write-back buffer that coalesces sub-chunk
+            // sequential transfers.
+            |rank, client| {
+                let flags = if write { OpenFlags::WRONLY } else { OpenFlags::RDONLY };
+                let h = client.open_handle(&target_path(cfg, rank), flags)?;
+                Ok((h, offsets_for(cfg, rank), pattern(rank, cfg.transfer_size)))
+            },
+            |_, client, (h, offsets, buf)| {
+                for off in offsets {
+                    if write {
+                        h.pwrite(off, &buf)?;
+                    } else if h.pread(off, xfer)?.len() != xfer {
+                        return Err(GkfsError::Corruption(format!(
+                            "{}: short read at offset {off}",
+                            h.path()
+                        )));
+                    }
+                }
+                h.close()?;
+                client.flush_all()
+            },
+        )?;
     }
 
     let transfers_per_process = cfg.block_size / cfg.transfer_size;
@@ -197,8 +162,7 @@ pub fn run_ior_with(
 }
 
 /// Verify the data written by [`run_ior`] (not part of the timed runs).
-pub fn verify_ior(cluster: &Cluster, cfg: &IorConfig) -> Result<bool> {
-    let client = cluster.mount()?;
+pub fn verify_ior(client: &GekkoClient, cfg: &IorConfig) -> Result<bool> {
     for rank in 0..cfg.processes {
         let path = target_path(cfg, rank);
         let base = if cfg.file_per_process {
@@ -207,7 +171,7 @@ pub fn verify_ior(cluster: &Cluster, cfg: &IorConfig) -> Result<bool> {
             rank as u64 * cfg.block_size
         };
         let expect = pattern(rank, cfg.transfer_size);
-        let h = client.open_handle(&path, gekkofs::OpenFlags::RDONLY)?;
+        let h = client.open_handle(&path, OpenFlags::RDONLY)?;
         for i in 0..(cfg.block_size / cfg.transfer_size) {
             let off = base + i * cfg.transfer_size;
             let data = h.pread(off, cfg.transfer_size as usize)?;
@@ -222,7 +186,7 @@ pub fn verify_ior(cluster: &Cluster, cfg: &IorConfig) -> Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gekkofs::ClusterConfig;
+    use gekkofs::{Cluster, ClusterConfig};
 
     fn small_cluster() -> Cluster {
         Cluster::deploy(ClusterConfig::new(4).with_chunk_size(16 * 1024)).unwrap()
@@ -239,11 +203,11 @@ mod tests {
             random: false,
             work_dir: "/ior-fpp".into(),
         };
-        let r = run_ior(&cluster, &cfg).unwrap();
+        let r = run_ior(|| cluster.mount(), &cfg).unwrap();
         assert_eq!(r.total_bytes, 4 * 128 * 1024);
         assert!(r.write_mib_per_sec() > 0.0);
         assert!(r.read_mib_per_sec() > 0.0);
-        assert!(verify_ior(&cluster, &cfg).unwrap());
+        assert!(verify_ior(&cluster.mount().unwrap(), &cfg).unwrap());
         cluster.shutdown();
     }
 
@@ -258,8 +222,8 @@ mod tests {
             random: false,
             work_dir: "/ior-shared".into(),
         };
-        let _r = run_ior(&cluster, &cfg).unwrap();
-        assert!(verify_ior(&cluster, &cfg).unwrap());
+        let _r = run_ior(|| cluster.mount(), &cfg).unwrap();
+        assert!(verify_ior(&cluster.mount().unwrap(), &cfg).unwrap());
         // Shared file ends up exactly processes * block bytes long.
         let fs = cluster.mount().unwrap();
         assert_eq!(fs.stat("/ior-shared/shared").unwrap().size, 4 * 64 * 1024);
@@ -277,8 +241,8 @@ mod tests {
             random: true,
             work_dir: "/ior-rand".into(),
         };
-        run_ior(&cluster, &cfg).unwrap();
-        assert!(verify_ior(&cluster, &cfg).unwrap());
+        run_ior(|| cluster.mount(), &cfg).unwrap();
+        assert!(verify_ior(&cluster.mount().unwrap(), &cfg).unwrap());
         cluster.shutdown();
     }
 
@@ -300,8 +264,8 @@ mod tests {
             random: false,
             work_dir: "/ior-cache".into(),
         };
-        run_ior(&cluster, &cfg).unwrap();
-        assert!(verify_ior(&cluster, &cfg).unwrap());
+        run_ior(|| cluster.mount(), &cfg).unwrap();
+        assert!(verify_ior(&cluster.mount().unwrap(), &cfg).unwrap());
         let fs = cluster.mount().unwrap();
         assert_eq!(fs.stat("/ior-cache/shared").unwrap().size, 4 * 32 * 1024);
         cluster.shutdown();

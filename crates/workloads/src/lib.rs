@@ -15,25 +15,22 @@
 //! These drivers run against the *real* file system through
 //! [`gekkofs::GekkoClient`]; the `gkfs-sim` crate models the same
 //! workloads at 512-node scale. Each simulated "process" is a thread
-//! with its own mounted client, synchronized phase-by-phase with
-//! barriers exactly like MPI ranks in the original tools.
+//! with its own mounted client, and every driver runs its phases
+//! through the one rank runner in [`ranks`]: start gate, wall-clock
+//! timing, first error wins — exactly like MPI ranks between barriers
+//! in the original tools. The `gkfs-workload` binary runs the same
+//! drivers against a live TCP deployment.
 
 #![warn(missing_docs)]
 
 pub mod ior;
 pub mod mdtest;
-pub mod mdtest_meta;
-pub mod mdtest_small;
+pub mod ranks;
 pub mod smallfile;
 pub mod trace;
 
-pub use ior::{run_ior, run_ior_with, IorConfig, IorResult};
-pub use mdtest::{run_mdtest, run_mdtest_with, MdtestConfig, MdtestResult};
-pub use mdtest_meta::{
-    run_mdtest_meta, run_mdtest_meta_with, MdtestMetaConfig, MdtestMetaResult, MetaMode,
-};
-pub use mdtest_small::{
-    run_mdtest_small, run_mdtest_small_with, MdtestSmallConfig, MdtestSmallResult,
-};
+pub use ior::{run_ior, verify_ior, IorConfig, IorResult};
+pub use mdtest::{run_mdtest, MdtestConfig, MdtestResult, MetaMode};
+pub use ranks::Ranks;
 pub use smallfile::{run_smallfile, SmallFileConfig, SmallFileResult};
 pub use trace::{checkpoint_trace, parse_trace, replay_trace, ReplayResult, TraceEntry, TraceOp};

@@ -18,8 +18,8 @@
 //! phase reads across ranks (which is exactly what the BurstFS-style
 //! write-local placement cannot serve — see the locality ablation).
 
-use gekkofs::{Cluster, GekkoClient, OpenFlags, Result};
-use std::sync::Barrier;
+use crate::Ranks;
+use gekkofs::{GekkoClient, GkfsError, OpenFlags, Result};
 use std::time::{Duration, Instant};
 
 /// Small-file workload parameters.
@@ -84,79 +84,58 @@ fn file_payload(rank: usize, i: usize, len: usize) -> Vec<u8> {
     (0..len).map(|b| tag ^ (b as u8)).collect()
 }
 
-/// Run ingest + shuffled scan + listing.
-pub fn run_smallfile(cluster: &Cluster, cfg: &SmallFileConfig) -> Result<SmallFileResult> {
-    let clients: Vec<GekkoClient> = (0..cfg.processes)
-        .map(|_| cluster.mount())
-        .collect::<Result<_>>()?;
-    clients[0].mkdir(&cfg.work_dir, 0o755).ok();
+/// Run ingest + shuffled scan + listing. `mount` is called once per
+/// rank (see [`crate::run_mdtest`]).
+pub fn run_smallfile(
+    mount: impl Fn() -> Result<GekkoClient>,
+    cfg: &SmallFileConfig,
+) -> Result<SmallFileResult> {
+    let ranks = Ranks::mount(cfg.processes, mount)?;
+    ranks.mkdir(&cfg.work_dir)?;
 
     // Phase 1: ingest.
-    let gate = Barrier::new(cfg.processes + 1);
-    let ingest_time = std::thread::scope(|s| -> Result<Duration> {
-        let handles: Vec<_> = clients
-            .iter()
-            .enumerate()
-            .map(|(rank, client)| {
-                let gate = &gate;
-                s.spawn(move || -> Result<()> {
-                    gate.wait();
-                    for i in 0..cfg.files_per_process {
-                        let path = file_path(cfg, rank, i);
-                        let fd = client
-                            .open(&path, OpenFlags::WRONLY.with_create().with_exclusive())?;
-                        client.write(fd, &file_payload(rank, i, cfg.file_size))?;
-                        client.close(fd)?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        gate.wait();
-        let t0 = Instant::now();
-        for h in handles {
-            h.join().unwrap()?;
-        }
-        Ok(t0.elapsed())
-    })?;
+    let ingest_time = ranks.phase(
+        |_, _| Ok(()),
+        |rank, client, ()| {
+            for i in 0..cfg.files_per_process {
+                let path = file_path(cfg, rank, i);
+                let fd = client.open(&path, OpenFlags::WRONLY.with_create().with_exclusive())?;
+                client.write(fd, &file_payload(rank, i, cfg.file_size))?;
+                client.close(fd)?;
+            }
+            Ok(())
+        },
+    )?;
 
     // Phase 2: shuffled cross-rank scan (every rank reads every file
-    // once, in its own random order).
-    let gate = Barrier::new(cfg.processes + 1);
-    let scan_time = std::thread::scope(|s| -> Result<Duration> {
-        let handles: Vec<_> = clients
-            .iter()
-            .enumerate()
-            .map(|(rank, client)| {
-                let gate = &gate;
-                s.spawn(move || -> Result<()> {
-                    let mut order: Vec<(usize, usize)> = (0..cfg.processes)
-                        .flat_map(|r| (0..cfg.files_per_process).map(move |i| (r, i)))
-                        .collect();
-                    gkfs_common::retry::shuffle(&mut order, rank as u64);
-                    gate.wait();
-                    for (r, i) in order {
-                        let path = file_path(cfg, r, i);
-                        let h = client.open_handle(&path, OpenFlags::RDONLY)?;
-                        let data = h.pread(0, cfg.file_size)?;
-                        debug_assert_eq!(data, file_payload(r, i, cfg.file_size));
-                        h.close()?;
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        gate.wait();
-        let t0 = Instant::now();
-        for h in handles {
-            h.join().unwrap()?;
-        }
-        Ok(t0.elapsed())
-    })?;
+    // once, in its own random order) — every byte checked, in release
+    // builds too.
+    let scan_time = ranks.phase(
+        |rank, _| {
+            let mut order: Vec<(usize, usize)> = (0..cfg.processes)
+                .flat_map(|r| (0..cfg.files_per_process).map(move |i| (r, i)))
+                .collect();
+            gkfs_common::retry::shuffle(&mut order, rank as u64);
+            Ok(order)
+        },
+        |_, client, order| {
+            for (r, i) in order {
+                let path = file_path(cfg, r, i);
+                let h = client.open_handle(&path, OpenFlags::RDONLY)?;
+                if h.pread(0, cfg.file_size)? != file_payload(r, i, cfg.file_size) {
+                    return Err(GkfsError::Corruption(format!(
+                        "{path}: scan read back bytes that were not written"
+                    )));
+                }
+                h.close()?;
+            }
+            Ok(())
+        },
+    )?;
 
     // Phase 3: one `ls -l` over the corpus.
     let t0 = Instant::now();
-    let entries = clients[0].readdir(&cfg.work_dir)?;
+    let entries = ranks.rank0().readdir(&cfg.work_dir)?;
     let list_time = t0.elapsed();
 
     let total_files = cfg.processes * cfg.files_per_process;
@@ -174,7 +153,51 @@ pub fn run_smallfile(cluster: &Cluster, cfg: &SmallFileConfig) -> Result<SmallFi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gekkofs::ClusterConfig;
+    use gekkofs::{Cluster, ClusterConfig};
+    use gkfs_rpc::{Endpoint, Opcode, ReplyHandle, Request};
+    use std::sync::Arc;
+
+    /// A transport that silently damages read payloads: the first byte
+    /// of every `ReadChunks` reply arrives inverted.
+    struct BitRot(Arc<dyn Endpoint>);
+
+    impl Endpoint for BitRot {
+        fn submit(&self, req: Request) -> Result<ReplyHandle> {
+            let read = req.opcode == Opcode::ReadChunks;
+            let mut reply = self.0.submit(req)?.wait(self.0.timeout());
+            if let (true, Ok(resp)) = (read, &mut reply) {
+                let mut bulk = resp.bulk.to_vec();
+                bulk[0] ^= 0xFF;
+                resp.bulk = bulk.into();
+            }
+            Ok(ReplyHandle::ready(reply))
+        }
+    }
+
+    /// The scan phase is the workload's only check that what was
+    /// ingested can be read back, so it must hold in the builds the
+    /// gates and examples actually run: release, where a
+    /// `debug_assert!` compiles to nothing. (`scripts/ci.sh` runs this
+    /// test with `--release`.)
+    #[test]
+    fn scan_fails_the_run_on_a_corrupted_read() {
+        let cluster = Cluster::deploy(ClusterConfig::new(2).with_chunk_size(8 * 1024)).unwrap();
+        let rotten = || {
+            let endpoints = (0..cluster.nodes())
+                .map(|n| Arc::new(BitRot(cluster.daemon(n).endpoint())) as Arc<dyn Endpoint>)
+                .collect();
+            GekkoClient::mount(endpoints, cluster.config())
+        };
+        let cfg = SmallFileConfig {
+            processes: 2,
+            files_per_process: 10,
+            file_size: 4 * 1024,
+            work_dir: "/rot".into(),
+        };
+        let err = run_smallfile(rotten, &cfg).unwrap_err();
+        assert!(matches!(err, GkfsError::Corruption(_)), "{err}");
+        cluster.shutdown();
+    }
 
     #[test]
     fn smallfile_pipeline_runs_clean() {
@@ -185,7 +208,7 @@ mod tests {
             file_size: 4 * 1024,
             work_dir: "/sf".into(),
         };
-        let r = run_smallfile(&cluster, &cfg).unwrap();
+        let r = run_smallfile(|| cluster.mount(), &cfg).unwrap();
         assert_eq!(r.total_files, 120);
         assert_eq!(r.listed_entries, 120);
         assert!(r.ingest_files_per_sec() > 0.0);
@@ -214,7 +237,7 @@ mod tests {
             file_size: 2 * 1024,
             work_dir: "/sfc".into(),
         };
-        run_smallfile(&cluster, &cfg).unwrap();
+        run_smallfile(|| cluster.mount(), &cfg).unwrap();
         cluster.shutdown();
     }
 }

@@ -24,9 +24,11 @@
 //! deterministic payloads; reads verify length (content checks happen
 //! in the tests, where the expected pattern is known).
 
+use crate::Ranks;
 use gekkofs::{GekkoClient, GkfsError, OpenFlags, Result};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One parsed trace operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,78 +190,63 @@ impl ReplayResult {
 /// (MPI-style). Per-rank ops between barriers run concurrently across
 /// ranks.
 pub fn replay_trace(
-    make_client: impl Fn() -> Result<GekkoClient>,
+    mount: impl Fn() -> Result<GekkoClient>,
     ranks: usize,
     trace: &[TraceEntry],
 ) -> Result<ReplayResult> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    let clients: Vec<GekkoClient> = (0..ranks).map(|_| make_client()).collect::<Result<_>>()?;
+    let clients = Ranks::mount(ranks, mount)?;
     let barrier = Barrier::new(ranks);
     let ops = AtomicU64::new(0);
     let written = AtomicU64::new(0);
     let read = AtomicU64::new(0);
 
-    let t0 = Instant::now();
-    std::thread::scope(|s| -> Result<()> {
-        let handles: Vec<_> = clients
-            .iter()
-            .enumerate()
-            .map(|(rank, client)| {
-                let barrier = &barrier;
-                let ops = &ops;
-                let written = &written;
-                let read = &read;
-                s.spawn(move || -> Result<()> {
-                    for entry in trace {
-                        let mine = entry.rank.map(|r| r == rank).unwrap_or(true);
-                        match &entry.op {
-                            TraceOp::Barrier => {
-                                barrier.wait();
-                                continue;
-                            }
-                            _ if !mine => continue,
-                            TraceOp::Mkdir(p) => client.mkdir(p, 0o755)?,
-                            TraceOp::Create(p) => client.create(p, 0o644)?,
-                            TraceOp::Write(p, off, len) => {
-                                let data = trace_pattern(rank, *off, *len);
-                                let h = client.open_handle(p, OpenFlags::WRONLY)?;
-                                h.pwrite(*off, &data)?;
-                                h.close()?;
-                                written.fetch_add(*len, Ordering::Relaxed);
-                            }
-                            TraceOp::Read(p, off, len) => {
-                                let h = client.open_handle(p, OpenFlags::RDONLY)?;
-                                let data = h.pread(*off, *len as usize)?;
-                                h.close()?;
-                                read.fetch_add(data.len() as u64, Ordering::Relaxed);
-                            }
-                            TraceOp::Stat(p) => {
-                                client.stat(p)?;
-                            }
-                            TraceOp::Unlink(p) => client.unlink(p)?,
-                            TraceOp::Rmdir(p) => client.rmdir(p)?,
-                            TraceOp::Truncate(p, size) => client.truncate(p, *size)?,
-                            TraceOp::Readdir(p) => {
-                                client.readdir(p)?;
-                            }
-                        }
-                        ops.fetch_add(1, Ordering::Relaxed);
+    let elapsed = clients.phase(
+        |_, _| Ok(()),
+        |rank, client, ()| {
+            for entry in trace {
+                let mine = entry.rank.map(|r| r == rank).unwrap_or(true);
+                match &entry.op {
+                    TraceOp::Barrier => {
+                        barrier.wait();
+                        continue;
                     }
-                    Ok(())
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap()?;
-        }
-        Ok(())
-    })?;
+                    _ if !mine => continue,
+                    TraceOp::Mkdir(p) => client.mkdir(p, 0o755)?,
+                    TraceOp::Create(p) => client.create(p, 0o644)?,
+                    TraceOp::Write(p, off, len) => {
+                        let data = trace_pattern(rank, *off, *len);
+                        let h = client.open_handle(p, OpenFlags::WRONLY)?;
+                        h.pwrite(*off, &data)?;
+                        h.close()?;
+                        written.fetch_add(*len, Ordering::Relaxed);
+                    }
+                    TraceOp::Read(p, off, len) => {
+                        let h = client.open_handle(p, OpenFlags::RDONLY)?;
+                        let data = h.pread(*off, *len as usize)?;
+                        h.close()?;
+                        read.fetch_add(data.len() as u64, Ordering::Relaxed);
+                    }
+                    TraceOp::Stat(p) => {
+                        client.stat(p)?;
+                    }
+                    TraceOp::Unlink(p) => client.unlink(p)?,
+                    TraceOp::Rmdir(p) => client.rmdir(p)?,
+                    TraceOp::Truncate(p, size) => client.truncate(p, *size)?,
+                    TraceOp::Readdir(p) => {
+                        client.readdir(p)?;
+                    }
+                }
+                ops.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(())
+        },
+    )?;
 
     Ok(ReplayResult {
-        ops_executed: ops.load(std::sync::atomic::Ordering::Relaxed),
-        bytes_written: written.load(std::sync::atomic::Ordering::Relaxed),
-        bytes_read: read.load(std::sync::atomic::Ordering::Relaxed),
-        elapsed: t0.elapsed(),
+        ops_executed: ops.into_inner(),
+        bytes_written: written.into_inner(),
+        bytes_read: read.into_inner(),
+        elapsed,
     })
 }
 

@@ -26,7 +26,7 @@ fn main() -> gekkofs::Result<()> {
             random: false,
             work_dir: format!("/ior-{label}"),
         };
-        let r = run_ior(&cluster, &cfg)?;
+        let r = run_ior(|| cluster.mount(), &cfg)?;
         println!(
             "{:>8} {:>14.0} {:>14.0}",
             label,
@@ -45,7 +45,7 @@ fn main() -> gekkofs::Result<()> {
             random,
             work_dir: format!("/ior-r{random}"),
         };
-        let r = run_ior(&cluster, &cfg)?;
+        let r = run_ior(|| cluster.mount(), &cfg)?;
         println!(
             "  {}: write {:>8.0} MiB/s, read {:>8.0} MiB/s",
             if random { "random    " } else { "sequential" },
@@ -66,7 +66,7 @@ fn main() -> gekkofs::Result<()> {
             random: false,
             work_dir: "/ior-shared".into(),
         };
-        let r = run_ior(&cluster, &cfg)?;
+        let r = run_ior(|| cluster.mount(), &cfg)?;
         println!(
             "  cache window {window:>3}: {:>9.0} write ops/s ({:>7.0} MiB/s)",
             r.write_iops(),

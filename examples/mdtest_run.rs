@@ -21,10 +21,9 @@ fn main() -> gekkofs::Result<()> {
     let cfg = MdtestConfig {
         processes: procs,
         files_per_process: files,
-        work_dir: "/mdtest".into(),
-        unique_dir: false,
+        ..MdtestConfig::default()
     };
-    let r = run_mdtest(&cluster, &cfg)?;
+    let r = run_mdtest(|| cluster.mount(), &cfg)?;
     println!("  total files : {}", r.total_files);
     println!(
         "  create      : {:>10.0} ops/s  ({:?})",
@@ -50,7 +49,7 @@ fn main() -> gekkofs::Result<()> {
         work_dir: "/mdtest-unique".into(),
         ..cfg
     };
-    let r = run_mdtest(&cluster, &cfg_unique)?;
+    let r = run_mdtest(|| cluster.mount(), &cfg_unique)?;
     println!("unique-dir create: {:>10.0} ops/s (flat namespace: ~same)", r.creates_per_sec());
 
     cluster.shutdown();

@@ -26,7 +26,7 @@ fn main() -> gekkofs::Result<()> {
             file_size: 16 * 1024,
             work_dir: "/corpus".into(),
         };
-        let r = run_smallfile(&cluster, &cfg)?;
+        let r = run_smallfile(|| cluster.mount(), &cfg)?;
         println!("== {label} ==");
         println!(
             "  ingest: {} files ({} KiB each) at {:.0} files/s",

@@ -53,8 +53,28 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> bench smoke (compile + run benches in test mode)"
 cargo bench -p gkfs-bench --bench rpc -- --test
 
+echo "==> evaluation tools (every figure at its smallest size; CSV series byte for byte)"
+# `figures --smoke` runs every series and every real-FS pass of the
+# paper's evaluation at its smallest size — batch-grid sized to the
+# cores it finds — so no evaluation tool can rot unrun. The plotted
+# series are deterministic (simulator only): `figures --csv` must
+# reproduce the checked-in results/*.csv byte for byte; after a
+# deliberate model change, regenerate them with `figures --csv results`.
+cargo run --release -q -p gkfs-bench --bin figures -- --smoke > /dev/null
+csv_out=$(mktemp -d)
+cargo run --release -q -p gkfs-bench --bin figures -- --csv "$csv_out" > /dev/null
+for f in results/*.csv; do
+  cmp "$f" "$csv_out/$(basename "$f")"
+done
+rm -rf "$csv_out"
+
+echo "==> workload verification, release (a corrupted read must fail the run)"
+# The small-file scan checks every byte it reads with a real error, not
+# a debug assertion; this is the build in which that difference shows.
+cargo test -p gkfs-workloads --release scan_fails_the_run_on_a_corrupted_read
+
 echo "==> client RPC budget gate (handle API vs itemized pre-handle baseline)"
-# mdtest-small and 8 KiB sequential IOR, counted in client RPCs
+# mdtest with a 4 KiB payload and 8 KiB sequential IOR, counted in client RPCs
 # (ClientStats::rpcs_issued): fails if RPCs-per-op exceeds the pinned
 # budget or drops under the 2x-vs-old-protocol acceptance bound. RPC
 # counts are deterministic, so this gate is noise-free even on loaded

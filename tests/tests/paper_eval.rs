@@ -7,8 +7,8 @@
 
 use gekkofs::{Cluster, ClusterConfig};
 use gkfs_workloads::{
-    checkpoint_trace, replay_trace, run_ior, run_mdtest, run_smallfile, IorConfig, MdtestConfig,
-    SmallFileConfig,
+    checkpoint_trace, replay_trace, run_ior, run_mdtest, run_smallfile, verify_ior, IorConfig,
+    MdtestConfig, SmallFileConfig,
 };
 
 #[test]
@@ -20,12 +20,11 @@ fn full_evaluation_protocol() {
 
     // --- §IV-A: mdtest, single dir ---------------------------------
     let md = run_mdtest(
-        &cluster,
+        || cluster.mount(),
         &MdtestConfig {
             processes: 4,
             files_per_process: 400,
-            work_dir: "/mdtest".into(),
-            unique_dir: false,
+            ..MdtestConfig::default()
         },
     )
     .unwrap();
@@ -33,34 +32,23 @@ fn full_evaluation_protocol() {
 
     // --- §IV-B: IOR, file-per-process sequential + random ----------
     for random in [false, true] {
-        let ior = run_ior(
-            &cluster,
-            &IorConfig {
-                processes: 4,
-                transfer_size: 8 * 1024,
-                block_size: 512 * 1024,
-                file_per_process: true,
-                random,
-                work_dir: format!("/ior-{random}"),
-            },
-        )
-        .unwrap();
-        assert!(ior.write_mib_per_sec() > 0.0);
-        assert!(ior.read_mib_per_sec() > 0.0);
-        assert!(gkfs_workloads::ior::verify_ior(&cluster, &IorConfig {
+        let cfg = IorConfig {
             processes: 4,
             transfer_size: 8 * 1024,
             block_size: 512 * 1024,
             file_per_process: true,
             random,
             work_dir: format!("/ior-{random}"),
-        })
-        .unwrap());
+        };
+        let ior = run_ior(|| cluster.mount(), &cfg).unwrap();
+        assert!(ior.write_mib_per_sec() > 0.0);
+        assert!(ior.read_mib_per_sec() > 0.0);
+        assert!(verify_ior(&cluster.mount().unwrap(), &cfg).unwrap());
     }
 
     // --- §IV-B: shared file ----------------------------------------
     let shared = run_ior(
-        &cluster,
+        || cluster.mount(),
         &IorConfig {
             processes: 4,
             transfer_size: 8 * 1024,
@@ -75,7 +63,7 @@ fn full_evaluation_protocol() {
 
     // --- §I: small-file data-science ingest -------------------------
     let sf = run_smallfile(
-        &cluster,
+        || cluster.mount(),
         &SmallFileConfig {
             processes: 3,
             files_per_process: 50,

@@ -10,7 +10,7 @@
 //! with a number attached.
 //!
 //! Baseline: the pre-handle synchronous protocol, itemized per
-//! mdtest-small file on a 2-node cluster with the payload issued as
+//! small-payload mdtest file (4 KiB) on a 2-node cluster with the payload issued as
 //! 8 x 512 B sequential writes (the paper's §I "small I/O requests"):
 //!
 //! | op                | RPCs | why                                   |
@@ -28,9 +28,7 @@
 //! regressions inside the 2x headroom still trip.
 
 use gekkofs::{Cluster, ClusterConfig, OpenFlags, ReplicationConfig};
-use gkfs_workloads::{
-    run_mdtest_meta, run_mdtest_small, MdtestMetaConfig, MdtestSmallConfig, MetaMode,
-};
+use gkfs_workloads::{run_mdtest, MdtestConfig, MetaMode};
 use std::sync::atomic::Ordering;
 
 /// Pre-handle protocol cost per mdtest-small file (itemized above).
@@ -57,14 +55,15 @@ fn mdtest_small_rpc_budget_holds() {
             .with_write_back(64 * 1024),
     )
     .unwrap();
-    let cfg = MdtestSmallConfig {
+    let cfg = MdtestConfig {
         processes: 2,
         files_per_process: 100,
+        work_dir: "/rpc-gate".into(),
         file_size: 4 * 1024,
         transfer_size: 512,
-        work_dir: "/rpc-gate".into(),
+        ..MdtestConfig::default()
     };
-    let r = run_mdtest_small(&cluster, &cfg).unwrap();
+    let r = run_mdtest(|| cluster.mount(), &cfg).unwrap();
     cluster.shutdown();
 
     assert!(r.wb_flushes > 0, "write-back never engaged");
@@ -93,14 +92,15 @@ fn mdtest_small_rpc_budget_holds() {
 #[test]
 fn batched_mdtest_rpc_budget_holds() {
     let cluster = Cluster::deploy(ClusterConfig::new(2)).unwrap();
-    let mk = |mode: MetaMode, dir: &str| MdtestMetaConfig {
+    let mk = |mode: MetaMode, dir: &str| MdtestConfig {
         processes: 2,
         files_per_process: 256,
         work_dir: dir.into(),
         mode,
+        ..MdtestConfig::default()
     };
-    let unary = run_mdtest_meta(&cluster, &mk(MetaMode::Unary, "/md-unary")).unwrap();
-    let bulk = run_mdtest_meta(&cluster, &mk(MetaMode::Bulk(64), "/md-bulk")).unwrap();
+    let unary = run_mdtest(|| cluster.mount(), &mk(MetaMode::Unary, "/md-unary")).unwrap();
+    let bulk = run_mdtest(|| cluster.mount(), &mk(MetaMode::Bulk(64), "/md-bulk")).unwrap();
     cluster.shutdown();
 
     let per_file = bulk.rpcs_per_file();

@@ -25,12 +25,12 @@ fn scaling_mechanism_validated_spreading_real_throughput_sim() {
     // resources.
     let cluster = Cluster::deploy(ClusterConfig::new(8)).unwrap();
     let r = run_mdtest(
-        &cluster,
+        || cluster.mount(),
         &MdtestConfig {
             processes: 8,
             files_per_process: 500,
             work_dir: "/v".into(),
-            unique_dir: false,
+            ..MdtestConfig::default()
         },
     )
     .unwrap();
@@ -53,12 +53,12 @@ fn scaling_mechanism_validated_spreading_real_throughput_sim() {
     // (b) adding daemons must not collapse throughput.
     let cluster1 = Cluster::deploy(ClusterConfig::new(1)).unwrap();
     let r1 = run_mdtest(
-        &cluster1,
+        || cluster1.mount(),
         &MdtestConfig {
             processes: 8,
             files_per_process: 500,
             work_dir: "/v".into(),
-            unique_dir: false,
+            ..MdtestConfig::default()
         },
     )
     .unwrap();
@@ -86,12 +86,12 @@ fn both_show_create_faster_than_remove() {
     // mdtest ordering on the real FS...
     let cluster = Cluster::deploy(ClusterConfig::new(4)).unwrap();
     let r = run_mdtest(
-        &cluster,
+        || cluster.mount(),
         &MdtestConfig {
             processes: 8,
             files_per_process: 500,
             work_dir: "/o".into(),
-            unique_dir: false,
+            ..MdtestConfig::default()
         },
     )
     .unwrap();
@@ -118,7 +118,7 @@ fn both_show_large_transfers_beating_small() {
     let cluster = Cluster::deploy(ClusterConfig::new(4)).unwrap();
     let run = |xfer: u64| {
         let r = run_ior(
-            &cluster,
+            || cluster.mount(),
             &IorConfig {
                 processes: 4,
                 transfer_size: xfer,
