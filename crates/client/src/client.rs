@@ -33,7 +33,9 @@ use gkfs_common::path as gpath;
 use gkfs_common::retry::Deadline;
 use gkfs_common::types::Dirent;
 use gkfs_common::{ClusterConfig, FileKind, GkfsError, Metadata, OpenFlags, Result};
-use gkfs_rpc::proto::{ChunkOp, CreateReq, DaemonStatsResp, MetaOp, MetaOpResult, PathReq};
+use gkfs_rpc::proto::{
+    ChunkOp, CreateReq, DaemonStatsResp, MetaOp, MetaVerdict, PathReq, TruncateMetaReq,
+};
 use gkfs_rpc::Endpoint;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -201,6 +203,11 @@ fn now_ns() -> u64 {
         .unwrap_or(0)
 }
 
+/// The create of `path`, stamped now.
+fn create_op(path: String, kind: FileKind, mode: u32, exclusive: bool) -> MetaOp {
+    MetaOp::Create(CreateReq { path, kind, mode, exclusive, now_ns: now_ns() })
+}
+
 impl GekkoClient {
     /// Mount: connect the given per-daemon endpoints using the shared
     /// cluster configuration. Creates the root directory if missing.
@@ -261,18 +268,13 @@ impl GekkoClient {
             mb: (config.meta_batch_ops > 0).then(|| {
                 OrderedMutex::new(
                     rank::CLIENT_META_BATCH,
-                    MetaBatchState::new(
-                        config.nodes,
-                        config.meta_batch_ops,
-                        config.meta_batch_bytes,
-                        config.meta_batch_deadline_ms,
-                    ),
+                    MetaBatchState::new(config.nodes, config.meta_batch_ops),
                 )
             }),
             stats,
         };
         // Root directory: non-exclusive create on its owner(s).
-        client.create_meta(gpath::ROOT, FileKind::Directory, 0o755, false)?;
+        client.meta_call(create_op(gpath::ROOT.into(), FileKind::Directory, 0o755, false))?;
         gkfs_common::gkfs_info!(
             "mounted: {} nodes, chunk={} size_cache={} stat_cache={}ms",
             config.nodes,
@@ -413,36 +415,89 @@ impl GekkoClient {
     // Bulk metadata plane (client half)
     // ---------------------------------------------------------------
 
-    /// Cap on ops per explicit bulk frame: bounds frame size and the
-    /// daemon-side `WriteBatch` a single frame turns into.
+    /// Cap on ops per frame: bounds frame size and the daemon-side
+    /// `WriteBatch` a single frame turns into.
     const EXPLICIT_BATCH_MAX: usize = 128;
 
-    /// Send one batch and account it in the batching counters.
-    fn send_batch(
+    /// Send one frame to the replica set of `primary` and account it in
+    /// the batching counters. A frame holding a mutation rides the
+    /// write quorum; a stat-only frame needs one answer, so it walks
+    /// the read chain and a down primary that is survivable
+    /// (replication on) costs a hop, not the call.
+    fn send_frame(
         &self,
         primary: NodeId,
-        ops: Vec<MetaOp>,
+        ops: &Arc<[MetaOp]>,
         trigger: FlushTrigger,
-    ) -> Result<Vec<MetaOpResult>> {
+    ) -> Result<Vec<MetaVerdict>> {
         self.stats.note_meta_flush(ops.len(), trigger);
-        let ops: Arc<[MetaOp]> = ops.into();
-        self.quorum_call(primary, |n| self.ring.batch_meta_nb(n, Arc::clone(&ops)))
+        if ops.iter().any(MetaOp::is_write) {
+            return self.quorum_call(primary, |n| self.ring.batch_meta_nb(n, Arc::clone(ops)));
+        }
+        let mut down = None;
+        for n in self.placement.read_chain(primary) {
+            match self.ring.batch_meta_nb(n, Arc::clone(ops)).and_then(|f| f.wait()) {
+                Err(e) if self.placement.survivable(&e) => down = Some(e),
+                answer => return answer,
+            }
+        }
+        Err(down.unwrap_or_else(|| {
+            GkfsError::Unavailable(format!("no metadata replica of node {primary}"))
+        }))
     }
 
-    /// Flush one queue of transparently batched ops whose callers have
-    /// already returned `Ok`: frame-level errors and the first per-op
-    /// error surface here, at the flushing call — the write-back-style
-    /// deferred-error relaxation (DESIGN.md "Bulk metadata plane").
-    fn flush_meta_group(
+    /// The frame driver behind the bulk APIs and the transparent
+    /// queue: `ops` grouped by primary metadata owner (program order
+    /// kept within a group), cut into frames of at most
+    /// [`Self::EXPLICIT_BATCH_MAX`], each sent by
+    /// [`GekkoClient::send_frame`]. Every op's verdict goes to
+    /// `sink(index in ops, op, verdict)`; the `Result` is a frame that
+    /// could not be delivered or applied at all.
+    fn drive_meta(
         &self,
-        primary: NodeId,
         ops: Vec<MetaOp>,
         trigger: FlushTrigger,
+        mut sink: impl FnMut(usize, &MetaOp, MetaVerdict),
     ) -> Result<()> {
-        for r in self.send_batch(primary, ops, trigger)? {
-            r.into_result()?;
+        let mut per_primary: Vec<Vec<(usize, MetaOp)>> = vec![Vec::new(); self.ring.nodes()];
+        for (i, op) in ops.into_iter().enumerate() {
+            per_primary[self.placement.meta_primary(op.path())].push((i, op));
+        }
+        for (primary, group) in per_primary.into_iter().enumerate() {
+            let mut group = group.into_iter().peekable();
+            while group.peek().is_some() {
+                let (indices, frame): (Vec<usize>, Vec<MetaOp>) =
+                    group.by_ref().take(Self::EXPLICIT_BATCH_MAX).unzip();
+                let frame: Arc<[MetaOp]> = frame.into();
+                let verdicts = self.send_frame(primary, &frame, trigger)?;
+                for ((i, op), verdict) in indices.into_iter().zip(frame.iter()).zip(verdicts) {
+                    sink(i, op, verdict);
+                }
+            }
         }
         Ok(())
+    }
+
+    /// Flush batches the transparent queue took out, whose callers
+    /// have already returned `Ok`: every batch is sent, and the first
+    /// frame-level or per-op error surfaces here, at the flushing call
+    /// — the write-back-style deferred-error relaxation (DESIGN.md
+    /// "Bulk metadata plane").
+    fn flush_queued(
+        &self,
+        batches: impl IntoIterator<Item = (Vec<MetaOp>, FlushTrigger)>,
+    ) -> Result<()> {
+        let mut outcome = Ok(());
+        for (ops, trigger) in batches {
+            let mut refused = None;
+            let sent = self.drive_meta(ops, trigger, |_, _, verdict| {
+                if let Err(e) = verdict {
+                    refused.get_or_insert(e);
+                }
+            });
+            outcome = outcome.and(sent).and(refused.map_or(Ok(()), Err));
+        }
+        outcome
     }
 
     /// Queue `op` on its primary's batch and send whatever the queue
@@ -462,22 +517,9 @@ impl GekkoClient {
             let expired = state.take_expired(now);
             (offer, expired)
         };
-        let mut first_err: Option<GkfsError> = None;
-        let mut send = |node: NodeId, ops: Vec<MetaOp>, trigger: FlushTrigger| {
-            if let Err(e) = self.flush_meta_group(node, ops, trigger) {
-                first_err.get_or_insert(e);
-            }
-        };
-        if let Some(batch) = offer.flush_first {
-            send(primary, batch, FlushTrigger::Hazard);
-        }
-        if let Some((batch, trigger)) = offer.flush_now {
-            send(primary, batch, trigger);
-        }
-        for (node, batch) in expired {
-            send(node, batch, FlushTrigger::Deadline);
-        }
-        first_err.map_or(Ok(()), Err)
+        let hazard = offer.flush_first.map(|batch| (batch, FlushTrigger::Hazard));
+        let expired = expired.into_iter().map(|batch| (batch, FlushTrigger::Deadline));
+        self.flush_queued(hazard.into_iter().chain(offer.flush_now).chain(expired))
     }
 
     /// Per-path ordering barrier: if `path` has a queued op, flush
@@ -487,10 +529,7 @@ impl GekkoClient {
         let Some(mb) = &self.mb else { return Ok(()) };
         let primary = self.placement.meta_primary(path);
         let batch = { mb.lock().take_hazard(primary, path) };
-        match batch {
-            Some(ops) => self.flush_meta_group(primary, ops, FlushTrigger::Hazard),
-            None => Ok(()),
-        }
+        self.flush_queued(batch.map(|ops| (ops, FlushTrigger::Hazard)))
     }
 
     /// Flush every queued metadata batch (explicit barrier) — readdir
@@ -500,181 +539,86 @@ impl GekkoClient {
     pub fn flush_meta(&self) -> Result<()> {
         let Some(mb) = &self.mb else { return Ok(()) };
         let batches = { mb.lock().take_all() };
-        let mut first_err: Option<GkfsError> = None;
-        for (node, ops) in batches {
-            if let Err(e) = self.flush_meta_group(node, ops, FlushTrigger::Explicit) {
-                first_err.get_or_insert(e);
-            }
+        self.flush_queued(batches.into_iter().map(|ops| (ops, FlushTrigger::Explicit)))
+    }
+
+    /// The body the bulk APIs share: behind an explicit barrier, one
+    /// `op_of(path)` per well-formed path through the frame driver,
+    /// each `Ok` verdict mapped by `finish(path, entry)`. Returns one
+    /// slot per input path, in order — a malformed path fails its own
+    /// slot only; the outer `Result` is transport-level.
+    fn many<S: AsRef<str>, T>(
+        &self,
+        paths: &[S],
+        op_of: impl Fn(String) -> MetaOp,
+        mut finish: impl FnMut(&str, Option<Metadata>) -> Result<T>,
+    ) -> Result<Vec<Result<T>>> {
+        self.flush_meta()?;
+        let mut ops = Vec::with_capacity(paths.len());
+        // Slot of each op; a well-formed path's slot holds a
+        // placeholder until its verdict overwrites it.
+        let mut slot_of = Vec::with_capacity(paths.len());
+        let mut slots: Vec<Result<T>> = Vec::with_capacity(paths.len());
+        for p in paths {
+            slots.push(gpath::normalize(p.as_ref()).and_then(|path| {
+                slot_of.push(slots.len());
+                ops.push(op_of(path));
+                Err(GkfsError::NotFound)
+            }));
         }
-        first_err.map_or(Ok(()), Err)
+        self.drive_meta(ops, FlushTrigger::Explicit, |i, op, verdict| {
+            slots[slot_of[i]] = verdict.and_then(|entry| finish(op.path(), entry));
+        })?;
+        Ok(slots)
     }
 
     /// Create many regular files (exclusive) in batched frames — the
-    /// mdtest bulk path. Returns one slot per input path, in order;
-    /// the outer `Result` is transport-level, per-path verdicts
-    /// (`Exists`, …) live in the slots.
+    /// mdtest bulk path. Per-path verdicts (`Exists`, …) live in the
+    /// slots.
     pub fn create_many<S: AsRef<str>>(&self, paths: &[S], mode: u32) -> Result<Vec<Result<()>>> {
-        self.flush_meta()?;
-        let now = now_ns();
         self.stats
             .creates
             .fetch_add(paths.len() as u64, Ordering::Relaxed);
-        let mut slots: Vec<Result<()>> = Vec::with_capacity(paths.len());
-        let mut per_primary: HashMap<NodeId, Vec<(usize, MetaOp)>> = HashMap::new();
-        for (i, p) in paths.iter().enumerate() {
-            match gpath::normalize(p.as_ref()) {
-                Ok(path) => {
-                    self.revoke_lease(&path);
-                    slots.push(Ok(()));
-                    per_primary.entry(self.placement.meta_primary(&path)).or_default().push((
-                        i,
-                        MetaOp::Create(CreateReq {
-                            path,
-                            kind: FileKind::File,
-                            mode,
-                            exclusive: true,
-                            now_ns: now,
-                        }),
-                    ));
-                }
-                Err(e) => slots.push(Err(e)),
-            }
-        }
-        for (primary, mut ops) in per_primary {
-            while !ops.is_empty() {
-                let take = ops.len().min(Self::EXPLICIT_BATCH_MAX);
-                let rest = ops.split_off(take);
-                let (idx, frame): (Vec<usize>, Vec<MetaOp>) = ops.into_iter().unzip();
-                let results = self.send_batch(primary, frame, FlushTrigger::Explicit)?;
-                for (slot, r) in idx.into_iter().zip(results) {
-                    slots[slot] = r.into_result().map(|_| ());
-                }
-                ops = rest;
-            }
-        }
-        Ok(slots)
+        // One timestamp for the call, not a clock read per path.
+        let now_ns = now_ns();
+        let create = |path: String| {
+            self.revoke_lease(&path);
+            MetaOp::Create(CreateReq { path, kind: FileKind::File, mode, exclusive: true, now_ns })
+        };
+        self.many(paths, create, |_, _| Ok(()))
     }
 
-    /// Stat many paths in batched frames. Frames go to each path's
-    /// *primary* owner only — a read needs one answer, not a quorum.
-    /// Where a down primary is survivable (replication on) its frame's
-    /// paths degrade to the unary chain-walking stat instead of
-    /// failing the call.
+    /// Stat many paths in batched frames, each answered by one member
+    /// of its path's read chain and merged with what this client knows
+    /// locally about the size, exactly like the unary stat.
     pub fn stat_many<S: AsRef<str>>(&self, paths: &[S]) -> Result<Vec<Result<Metadata>>> {
-        self.flush_meta()?;
         self.stats
             .stats
             .fetch_add(paths.len() as u64, Ordering::Relaxed);
-        // Merge what this client knows locally about the size, exactly
-        // like the unary stat path (read-your-writes within a client).
-        let merge = |path: &str, mut m: Metadata| {
-            if let Some(local) = self.size_cache.peek(path) {
-                m.size = m.size.max(local);
-            }
-            if let Some(f) = self.files.find_by_path(path) {
-                m.size = m.size.max(f.effective_size());
-            }
-            m
-        };
-        let mut slots: Vec<Result<Metadata>> = Vec::with_capacity(paths.len());
-        let mut per_primary: HashMap<NodeId, Vec<(usize, String)>> = HashMap::new();
-        for (i, p) in paths.iter().enumerate() {
-            match gpath::normalize(p.as_ref()) {
-                Ok(path) => {
-                    // Placeholder — every entry below overwrites it.
-                    slots.push(Err(GkfsError::NotFound));
-                    per_primary
-                        .entry(self.placement.meta_primary(&path))
-                        .or_default()
-                        .push((i, path));
-                }
-                Err(e) => slots.push(Err(e)),
-            }
-        }
-        for (primary, mut entries) in per_primary {
-            while !entries.is_empty() {
-                let take = entries.len().min(Self::EXPLICIT_BATCH_MAX);
-                let rest = entries.split_off(take);
-                let frame: Vec<MetaOp> = entries
-                    .iter()
-                    .map(|(_, p)| MetaOp::Stat(PathReq::new(p.clone())))
-                    .collect();
-                self.stats.note_meta_flush(frame.len(), FlushTrigger::Explicit);
-                let reply = self
-                    .ring
-                    .batch_meta_nb(primary, frame.into())
-                    .and_then(|f| f.wait());
-                match reply {
-                    Ok(results) => {
-                        for ((slot, path), r) in entries.into_iter().zip(results) {
-                            slots[slot] = r.into_result().and_then(|m| {
-                                m.map(|m| merge(&path, m)).ok_or_else(|| {
-                                    GkfsError::Corruption("stat result missing metadata".into())
-                                })
-                            });
-                        }
-                    }
-                    Err(e) if self.placement.survivable(&e) => {
-                        for (slot, path) in entries {
-                            slots[slot] = self.stat_chain(&path).map(|m| merge(&path, m));
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-                entries = rest;
-            }
-        }
-        Ok(slots)
+        self.many(paths, |path| MetaOp::Stat(PathReq { path }), |path, meta| {
+            let meta = meta.ok_or_else(|| GkfsError::Corruption("stat without metadata".into()))?;
+            Ok(self.merge_local_size(path, meta))
+        })
     }
 
     /// Unlink many regular files in batched frames: metadata removal
     /// rides the batch quorum, then chunk removal fans out from the
     /// sizes the daemon returned with each removed entry.
     pub fn unlink_many<S: AsRef<str>>(&self, paths: &[S]) -> Result<Vec<Result<()>>> {
-        self.flush_meta()?;
         self.stats
             .removes
             .fetch_add(paths.len() as u64, Ordering::Relaxed);
-        let mut slots: Vec<Result<()>> = Vec::with_capacity(paths.len());
-        let mut per_primary: HashMap<NodeId, Vec<(usize, String)>> = HashMap::new();
-        for (i, p) in paths.iter().enumerate() {
-            match gpath::normalize(p.as_ref()) {
-                Ok(path) => {
-                    self.revoke_lease(&path);
-                    slots.push(Ok(()));
-                    per_primary
-                        .entry(self.placement.meta_primary(&path))
-                        .or_default()
-                        .push((i, path));
-                }
-                Err(e) => slots.push(Err(e)),
-            }
-        }
-        // Files whose chunks must still be removed; `u64::MAX` is the
-        // batch-retry "size unknown" sentinel (see `batch_meta_nb`).
+        let unlink = |path: String| {
+            self.revoke_lease(&path);
+            MetaOp::Unlink(PathReq { path })
+        };
+        // Files whose chunks must still be removed (zero-byte files
+        // hold none).
         let mut removed: Vec<(String, u64)> = Vec::new();
-        for (primary, mut entries) in per_primary {
-            while !entries.is_empty() {
-                let take = entries.len().min(Self::EXPLICIT_BATCH_MAX);
-                let rest = entries.split_off(take);
-                let frame: Vec<MetaOp> = entries
-                    .iter()
-                    .map(|(_, p)| MetaOp::Unlink(PathReq::new(p.clone())))
-                    .collect();
-                let results = self.send_batch(primary, frame, FlushTrigger::Explicit)?;
-                for ((slot, path), r) in entries.into_iter().zip(results) {
-                    match r.into_result() {
-                        Ok(Some(meta)) if meta.size > 0 => {
-                            removed.push((path, meta.size));
-                            slots[slot] = Ok(());
-                        }
-                        Ok(_) => slots[slot] = Ok(()),
-                        Err(e) => slots[slot] = Err(e),
-                    }
-                }
-                entries = rest;
-            }
-        }
+        let slots = self.many(paths, unlink, |path, meta| {
+            removed.extend(meta.filter(|m| m.size > 0).map(|m| (path.to_string(), m.size)));
+            Ok(())
+        })?;
         self.remove_chunks_many(&removed)?;
         Ok(slots)
     }
@@ -743,9 +687,10 @@ impl GekkoClient {
         let mut transport_err: Option<GkfsError> = None;
         let mut saw_not_found = false;
         for n in self.placement.read_chain(self.placement.meta_primary(path)) {
-            match self.ring.stat_nb(n, path).and_then(|f| f.wait()) {
-                Ok(m) => return Ok(m),
-                Err(GkfsError::NotFound) => saw_not_found = true,
+            let stat = MetaOp::Stat(PathReq::new(path));
+            match self.ring.meta_nb(n, stat).and_then(|f| f.wait()) {
+                Ok(Some(m)) => return Ok(m),
+                Ok(None) | Err(GkfsError::NotFound) => saw_not_found = true,
                 Err(e) if e.is_node_down() => {
                     transport_err = transport_err.or(Some(e));
                 }
@@ -760,14 +705,25 @@ impl GekkoClient {
         }
     }
 
-    /// Create on `path`'s metadata write set under quorum semantics.
-    fn create_meta(&self, path: &str, kind: FileKind, mode: u32, exclusive: bool) -> Result<()> {
-        // Program order per path: a queued batched op goes first.
-        self.meta_barrier_path(path)?;
-        let now = now_ns();
-        self.quorum_call(self.placement.meta_primary(path), |n| {
-            self.ring.create_nb(n, path, kind, mode, exclusive, now)
+    /// One metadata op over the unary protocol: on its path's metadata
+    /// write set, under quorum semantics, behind any batched op queued
+    /// on the same path (program order per path).
+    fn meta_call(&self, op: MetaOp) -> MetaVerdict {
+        self.meta_barrier_path(op.path())?;
+        self.quorum_call(self.placement.meta_primary(op.path()), |n| {
+            self.ring.meta_nb(n, op.clone())
         })
+    }
+
+    /// An exclusive create from `create`/`mkdir`: queued when
+    /// transparent batching is on (a deferred `Exists` surfaces at the
+    /// flushing call), unary otherwise.
+    fn create_entry(&self, path: String, kind: FileKind, mode: u32) -> Result<()> {
+        let op = create_op(path, kind, mode, true);
+        if self.mb.is_some() {
+            return self.enqueue_meta(op);
+        }
+        self.meta_call(op).map(drop)
     }
 
     /// Submit a size update to `path`'s metadata write set (the flush
@@ -799,16 +755,7 @@ impl GekkoClient {
         let path = gpath::normalize(path)?;
         self.stats.creates.fetch_add(1, Ordering::Relaxed);
         self.revoke_lease(&path);
-        if self.mb.is_some() {
-            return self.enqueue_meta(MetaOp::Create(CreateReq {
-                path,
-                kind: FileKind::File,
-                mode,
-                exclusive: true,
-                now_ns: now_ns(),
-            }));
-        }
-        self.create_meta(&path, FileKind::File, mode, true)
+        self.create_entry(path, FileKind::File, mode)
     }
 
     /// Create a directory (exclusive).
@@ -824,16 +771,7 @@ impl GekkoClient {
         }
         self.stats.creates.fetch_add(1, Ordering::Relaxed);
         self.revoke_lease(&path);
-        if self.mb.is_some() {
-            return self.enqueue_meta(MetaOp::Create(CreateReq {
-                path,
-                kind: FileKind::Directory,
-                mode,
-                exclusive: true,
-                now_ns: now_ns(),
-            }));
-        }
-        self.create_meta(&path, FileKind::Directory, mode, true)
+        self.create_entry(path, FileKind::Directory, mode)
     }
 
     /// Fetch metadata. A client with buffered size updates or buffered
@@ -850,14 +788,19 @@ impl GekkoClient {
     /// any open handle's cached size (which includes unflushed
     /// write-back bytes).
     fn fetch_meta_merged(&self, path: &str) -> Result<Metadata> {
-        let mut meta = self.fetch_meta(path)?;
+        Ok(self.merge_local_size(path, self.fetch_meta(path)?))
+    }
+
+    /// Read-your-writes within one client: raise `meta.size` to what
+    /// this client's size window and open handles know.
+    fn merge_local_size(&self, path: &str, mut meta: Metadata) -> Metadata {
         if let Some(local) = self.size_cache.peek(path) {
             meta.size = meta.size.max(local);
         }
         if let Some(f) = self.files.find_by_path(path) {
             meta.size = meta.size.max(f.effective_size());
         }
-        Ok(meta)
+        meta
     }
 
     /// Fetch metadata through the optional §V stat cache. Negative
@@ -881,23 +824,18 @@ impl GekkoClient {
         let path = gpath::normalize(path)?;
         self.stats.removes.fetch_add(1, Ordering::Relaxed);
         self.revoke_lease(&path);
-        let meta = self.stat_chain(&path)?;
-        if meta.is_dir() {
-            return Err(GkfsError::IsDirectory);
+        // One round trip: the owner refuses a directory itself and
+        // answers with the entry it removed. Zero-byte files (the
+        // mdtest workload) hold no chunks: skip the data fan-out
+        // entirely. This is what lets removes scale in §IV-A. Otherwise
+        // target exactly the daemons that can own one of the file's
+        // chunks (every replica of every chunk) — the client derives
+        // the set from the removed entry's size and the distributor, no
+        // state needed.
+        match self.meta_call(MetaOp::Unlink(PathReq::new(path.as_str())))? {
+            Some(meta) if meta.size > 0 => self.remove_chunks_many(&[(path, meta.size)]),
+            _ => Ok(()),
         }
-        self.quorum_call(self.placement.meta_primary(&path), |n| {
-            self.ring.remove_meta_nb(n, &path)
-        })?;
-        // Zero-byte files (the mdtest workload) hold no chunks: skip
-        // the data fan-out entirely. This is what lets removes scale
-        // in §IV-A. Otherwise target exactly the daemons that can own
-        // one of the file's chunks (every replica of every chunk) —
-        // the client derives the set from the size and the
-        // distributor, no state needed.
-        if meta.size > 0 {
-            self.remove_chunks_many(&[(path, meta.size)])?;
-        }
-        Ok(())
     }
 
     /// Remove an empty directory.
@@ -911,10 +849,6 @@ impl GekkoClient {
         self.flush_meta()?;
         self.stats.removes.fetch_add(1, Ordering::Relaxed);
         self.revoke_lease(&path);
-        let meta = self.stat_chain(&path)?;
-        if !meta.is_dir() {
-            return Err(GkfsError::NotDirectory);
-        }
         // Emptiness is checked across all daemons. This is the paper's
         // eventual-consistency caveat: a concurrent create can slip in.
         // One single-entry page per daemon suffices: any entry at all
@@ -927,10 +861,8 @@ impl GekkoClient {
                 return Err(GkfsError::NotEmpty);
             }
         }
-        self.quorum_call(self.placement.meta_primary(&path), |n| {
-            self.ring.remove_meta_nb(n, &path)
-        })?;
-        Ok(())
+        // The owner refuses a regular file (`NotDirectory`) itself.
+        self.meta_call(MetaOp::Rmdir(PathReq { path })).map(drop)
     }
 
     /// List a directory: broadcast prefix scans, merge, sort.
@@ -1004,10 +936,11 @@ impl GekkoClient {
         // [`FileHandle::truncate`].
         self.size_cache.drain(&path);
         self.revoke_lease(&path);
-        let now = now_ns();
-        self.quorum_call(self.placement.meta_primary(&path), |n| {
-            self.ring.truncate_meta_nb(n, &path, new_size, now)
-        })?;
+        self.meta_call(MetaOp::TruncateMeta(TruncateMetaReq {
+            path: path.clone(),
+            new_size,
+            mtime_ns: now_ns(),
+        }))?;
         let (keep_chunk, keep_bytes) = if new_size == 0 {
             (0, 0)
         } else {
@@ -1103,7 +1036,7 @@ impl GekkoClient {
         let (kind, mut size) = if flags.create {
             self.stats.creates.fetch_add(1, Ordering::Relaxed);
             self.revoke_lease(&path);
-            self.create_meta(&path, FileKind::File, 0o644, flags.exclusive)?;
+            self.meta_call(create_op(path.clone(), FileKind::File, 0o644, flags.exclusive))?;
             if flags.exclusive {
                 // Freshly created: must be an empty file — no extra
                 // stat on the mdtest hot path.
@@ -2303,7 +2236,8 @@ mod tests {
         // leaving the chunks stranded (a remove whose fan-out died).
         let mut removed = false;
         for d in &daemons {
-            if d.backends().meta.remove("/will-orphan").is_ok() {
+            let remove = MetaOp::Unlink(PathReq::new("/will-orphan"));
+            if d.backends().meta.apply_one(remove).is_ok() {
                 removed = true;
                 break;
             }
@@ -2684,7 +2618,7 @@ mod tests {
         c.create("/un", 0o644).unwrap();
         c.unlink("/un").unwrap();
         assert!(matches!(c.stat("/un"), Err(GkfsError::NotFound)));
-        // Queued create, then open for write: open's create_meta
+        // Queued create, then open for write: open's unary create
         // barrier keeps path program order.
         c.create("/op", 0o644).unwrap();
         let h = c.open_handle("/op", OpenFlags::RDWR).unwrap();

@@ -22,9 +22,10 @@
 //!   [`MetaBatchState::take_hazard`].
 //! * **count** — the queue reached `max_ops`.
 //! * **bytes** — the queue's estimated encoded size reached
-//!   `max_bytes`.
-//! * **deadline** — the oldest queued op outlived `deadline` (checked
-//!   at the next queue interaction; the client has no timer thread).
+//!   [`DEFAULT_META_BATCH_BYTES`].
+//! * **deadline** — the oldest queued op outlived
+//!   [`DEFAULT_META_BATCH_DEADLINE_MS`] (checked at the next queue
+//!   interaction; the client has no timer thread).
 //! * **explicit** — a barrier ([`MetaBatchState::take_all`]): readdir,
 //!   `flush_meta`, unmount-like paths.
 //!
@@ -33,6 +34,7 @@
 //! `OrderedMutex` (rank `CLIENT_META_BATCH`), takes batches out under
 //! the guard, and sends them only after the guard is dropped (GKL002).
 
+use gkfs_common::config::{DEFAULT_META_BATCH_BYTES, DEFAULT_META_BATCH_DEADLINE_MS};
 use gkfs_common::distributor::NodeId;
 use gkfs_rpc::proto::MetaOp;
 use std::time::{Duration, Instant};
@@ -72,6 +74,8 @@ fn op_cost(op: &MetaOp) -> usize {
     op.path().len() + 32
 }
 
+const DEADLINE: Duration = Duration::from_millis(DEFAULT_META_BATCH_DEADLINE_MS);
+
 /// One primary's pending ops.
 #[derive(Debug, Default)]
 struct Queue {
@@ -97,11 +101,8 @@ impl Queue {
         self.ops.iter().any(|o| o.path() == path)
     }
 
-    fn expired(&self, deadline: Option<Duration>, now: Instant) -> bool {
-        match (self.oldest, deadline) {
-            (Some(t0), Some(d)) => now.duration_since(t0) >= d,
-            _ => false,
-        }
+    fn expired(&self, now: Instant) -> bool {
+        self.oldest.is_some_and(|t0| now.duration_since(t0) >= DEADLINE)
     }
 }
 
@@ -111,19 +112,15 @@ impl Queue {
 #[derive(Debug)]
 pub struct MetaBatchState {
     max_ops: usize,
-    max_bytes: usize,
-    deadline: Option<Duration>,
     queues: Vec<Queue>,
 }
 
 impl MetaBatchState {
     /// New state for a `nodes`-daemon ring. `max_ops` must be ≥ 1
     /// (0 means the caller should not construct the state at all).
-    pub fn new(nodes: usize, max_ops: usize, max_bytes: usize, deadline_ms: u64) -> MetaBatchState {
+    pub fn new(nodes: usize, max_ops: usize) -> MetaBatchState {
         MetaBatchState {
             max_ops: max_ops.max(1),
-            max_bytes: max_bytes.max(1),
-            deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
             queues: (0..nodes).map(|_| Queue::default()).collect(),
         }
     }
@@ -138,9 +135,9 @@ impl MetaBatchState {
         q.push(op, now);
         let trigger = if q.ops.len() >= self.max_ops {
             Some(FlushTrigger::Count)
-        } else if q.bytes >= self.max_bytes {
+        } else if q.bytes >= DEFAULT_META_BATCH_BYTES {
             Some(FlushTrigger::Bytes)
-        } else if q.expired(self.deadline, now) {
+        } else if q.expired(now) {
             Some(FlushTrigger::Deadline)
         } else {
             None
@@ -160,23 +157,20 @@ impl MetaBatchState {
     }
 
     /// Take every non-empty queue (explicit barrier), in node order.
-    pub fn take_all(&mut self) -> Vec<(NodeId, Vec<MetaOp>)> {
+    pub fn take_all(&mut self) -> Vec<Vec<MetaOp>> {
         self.queues
             .iter_mut()
-            .enumerate()
-            .filter(|(_, q)| !q.ops.is_empty())
-            .map(|(n, q)| (n, q.take()))
+            .filter(|q| !q.ops.is_empty())
+            .map(Queue::take)
             .collect()
     }
 
     /// Take every queue whose oldest op outlived the deadline.
-    pub fn take_expired(&mut self, now: Instant) -> Vec<(NodeId, Vec<MetaOp>)> {
-        let deadline = self.deadline;
+    pub fn take_expired(&mut self, now: Instant) -> Vec<Vec<MetaOp>> {
         self.queues
             .iter_mut()
-            .enumerate()
-            .filter(|(_, q)| q.expired(deadline, now))
-            .map(|(n, q)| (n, q.take()))
+            .filter(|q| q.expired(now))
+            .map(Queue::take)
             .collect()
     }
 
@@ -204,7 +198,7 @@ mod tests {
 
     #[test]
     fn count_trigger_takes_the_full_queue() {
-        let mut s = MetaBatchState::new(2, 3, usize::MAX, 0);
+        let mut s = MetaBatchState::new(2, 3);
         let now = Instant::now();
         assert!(s.offer(0, create("/a"), now).flush_now.is_none());
         assert!(s.offer(0, create("/b"), now).flush_now.is_none());
@@ -217,16 +211,17 @@ mod tests {
 
     #[test]
     fn byte_cap_triggers_before_count() {
-        let mut s = MetaBatchState::new(1, 100, 80, 0);
+        let mut s = MetaBatchState::new(1, 100);
         let now = Instant::now();
-        assert!(s.offer(0, create("/0123456789"), now).flush_now.is_none());
-        let o = s.offer(0, create("/another-long-path"), now);
+        let half = "/".repeat(DEFAULT_META_BATCH_BYTES / 2);
+        assert!(s.offer(0, create(&half), now).flush_now.is_none());
+        let o = s.offer(0, create(&format!("{half}x")), now);
         assert_eq!(o.flush_now.unwrap().1, FlushTrigger::Bytes);
     }
 
     #[test]
     fn same_path_hazard_displaces_the_old_queue() {
-        let mut s = MetaBatchState::new(1, 100, usize::MAX, 0);
+        let mut s = MetaBatchState::new(1, 100);
         let now = Instant::now();
         s.offer(0, create("/a"), now);
         s.offer(0, create("/b"), now);
@@ -240,7 +235,7 @@ mod tests {
 
     #[test]
     fn read_hazard_takes_only_the_matching_queue() {
-        let mut s = MetaBatchState::new(2, 100, usize::MAX, 0);
+        let mut s = MetaBatchState::new(2, 100);
         let now = Instant::now();
         s.offer(0, create("/a"), now);
         s.offer(1, create("/b"), now);
@@ -251,14 +246,14 @@ mod tests {
 
     #[test]
     fn deadline_fires_on_the_next_interaction() {
-        let mut s = MetaBatchState::new(1, 100, usize::MAX, 5);
+        let mut s = MetaBatchState::new(1, 100);
         let t0 = Instant::now();
         s.offer(0, create("/a"), t0);
         assert!(s.take_expired(t0).is_empty());
-        let later = t0 + Duration::from_millis(6);
+        let later = t0 + DEADLINE + Duration::from_millis(1);
         let expired = s.take_expired(later);
         assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].1.len(), 1);
+        assert_eq!(expired[0].len(), 1);
         // An offer at an expired instant flushes inline too.
         s.offer(0, create("/b"), t0);
         let o = s.offer(0, create("/c"), later);
@@ -267,14 +262,14 @@ mod tests {
 
     #[test]
     fn take_all_drains_every_queue() {
-        let mut s = MetaBatchState::new(3, 100, usize::MAX, 0);
+        let mut s = MetaBatchState::new(3, 100);
         let now = Instant::now();
         s.offer(0, create("/a"), now);
         s.offer(2, create("/b"), now);
         let all = s.take_all();
         assert_eq!(all.len(), 2);
-        assert_eq!(all[0].0, 0);
-        assert_eq!(all[1].0, 2);
+        assert_eq!(all[0][0].path(), "/a");
+        assert_eq!(all[1][0].path(), "/b");
         assert_eq!(s.pending(), 0);
     }
 }

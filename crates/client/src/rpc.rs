@@ -54,6 +54,23 @@ use std::time::Duration;
 /// attempt was applied (e.g. `Exists` after a retried create).
 type Tolerate<T> = Box<dyn Fn(&GkfsError) -> Option<T> + Send>;
 
+/// The lost-reply rule, stated once for the unary rows and for every op
+/// inside a `BatchMeta` frame: the daemon cannot tell a replay from a
+/// first delivery, so when `e` answers a *retried* non-idempotent `op`
+/// and proves its lost first attempt was applied — `Exists` for a
+/// create, `NotFound` for a remove — this is the verdict that attempt
+/// earned. The removed entry is unknowable by then: it is reported as
+/// a file of unknown size (`u64::MAX`), so callers fan chunk removal
+/// out to every daemon.
+fn lost_reply_verdict(op: &MetaOp, e: &GkfsError) -> Option<Option<Metadata>> {
+    match (op, e) {
+        (MetaOp::Create(_), GkfsError::Exists) => Some(None),
+        (MetaOp::Unlink(_) | MetaOp::Rmdir(_), GkfsError::NotFound) => {
+            Some(Some(Metadata { size: u64::MAX, ..Metadata::new_file(0) }))
+        }
+        _ => None,
+    }
+}
 
 /// Per-daemon health: the circuit breaker plus counters surfaced by
 /// `cluster_stats` / `gkfs-cli df`.
@@ -587,61 +604,39 @@ impl DaemonRing {
         self.unary_nb::<op::Ping>(node, &(), Vec::new())
     }
 
-    /// Create (metadata-replica fan-out). Not idempotent — a lost reply
-    /// leaves the entry behind — so a retried attempt tolerates
-    /// `Exists` as "my first attempt was applied". The resulting
-    /// `O_EXCL` ambiguity under connection loss is documented in
-    /// DESIGN.md ("Fault model").
-    pub fn create_nb(
+    /// One of the four unary metadata rows, chosen by `op`'s variant:
+    /// the row carries the request `op` embeds and answers what `op`
+    /// would answer inside a `BatchMeta` frame — the entry for a stat
+    /// or a remove, nothing otherwise. Creates and removes are not
+    /// idempotent, so a retried attempt is judged by
+    /// [`lost_reply_verdict`] (the `O_EXCL` ambiguity that implies under
+    /// connection loss is documented in DESIGN.md "Fault model").
+    pub fn meta_nb(
         &self,
         node: NodeId,
-        path: &str,
-        kind: FileKind,
-        mode: u32,
-        exclusive: bool,
-        now_ns: u64,
-    ) -> Result<ReplyFuture<'static, ()>> {
-        let req = CreateReq {
-            path: path.to_string(),
-            kind,
-            mode,
-            exclusive,
-            now_ns,
+        op: MetaOp,
+    ) -> Result<ReplyFuture<'static, Option<Metadata>>> {
+        let none = |(), _, _| Ok(None);
+        let some = |m, _, _| Ok(Some(m));
+        let remove = |r: &PathReq, kind| {
+            let req = RemoveMetaReq { path: r.path.clone(), kind };
+            self.unary_attempt::<op::RemoveMeta, _>(node, &req, Vec::new(), None, some)
         };
-        self.unary_attempt::<op::Create, _>(
-            node,
-            &req,
-            Vec::new(),
-            Some(Box::new(|e| {
-                matches!(e, GkfsError::Exists).then_some(())
-            })),
-            |(), _, _| Ok(()),
-        )
-    }
-
-    /// Stat.
-    pub fn stat_nb(&self, node: NodeId, path: &str) -> Result<ReplyFuture<'static, Metadata>> {
-        self.unary_nb::<op::Stat>(node, &PathReq::new(path), Vec::new())
-    }
-
-    /// Remove the metadata entry (metadata-replica fan-out); returns
-    /// the removed entry's kind. Not idempotent — a retried attempt
-    /// tolerates `NotFound` as "my first attempt was applied" (the kind
-    /// is unknowable then; caller paths that retry discard it).
-    pub fn remove_meta_nb(
-        &self,
-        node: NodeId,
-        path: &str,
-    ) -> Result<ReplyFuture<'static, FileKind>> {
-        self.unary_attempt::<op::RemoveMeta, _>(
-            node,
-            &PathReq::new(path),
-            Vec::new(),
-            Some(Box::new(|e| {
-                matches!(e, GkfsError::NotFound).then_some(FileKind::File)
-            })),
-            |resp, _, _| Ok(resp.kind),
-        )
+        match &op {
+            MetaOp::Create(r) => {
+                self.unary_attempt::<op::Create, _>(node, r, Vec::new(), None, none)
+            }
+            MetaOp::Stat(r) => self.unary_attempt::<op::Stat, _>(node, r, Vec::new(), None, some),
+            MetaOp::Unlink(r) => remove(r, FileKind::File),
+            MetaOp::Rmdir(r) => remove(r, FileKind::Directory),
+            MetaOp::TruncateMeta(r) => {
+                self.unary_attempt::<op::TruncateMeta, _>(node, r, Vec::new(), None, none)
+            }
+        }
+        .map(|fut| ReplyFuture {
+            tolerate: Some(Box::new(move |e| lost_reply_verdict(&op, e))),
+            ..fut
+        })
     }
 
     /// Update size (flush fan-out).
@@ -658,22 +653,6 @@ impl DaemonRing {
             mtime_ns,
         };
         self.unary_nb::<op::UpdateSize>(node, &req, Vec::new())
-    }
-
-    /// Truncate meta (metadata-replica fan-out).
-    pub fn truncate_meta_nb(
-        &self,
-        node: NodeId,
-        path: &str,
-        new_size: u64,
-        mtime_ns: u64,
-    ) -> Result<ReplyFuture<'static, ()>> {
-        let req = TruncateMetaReq {
-            path: path.to_string(),
-            new_size,
-            mtime_ns,
-        };
-        self.unary_nb::<op::TruncateMeta>(node, &req, Vec::new())
     }
 
     /// Fetch one page of a daemon's directory listing. `max_entries: 0`
@@ -698,21 +677,18 @@ impl DaemonRing {
     }
 
     /// Apply a batch of heterogeneous metadata ops as one frame; the
-    /// reply carries one [`MetaOpResult`] per op, in op order.
+    /// reply is one verdict per op, in op order.
     ///
-    /// A retried frame stays idempotent **per op**: the daemon cannot
-    /// distinguish a replay, so the decoder maps `Exists` on a retried
-    /// create and `NotFound` on a retried unlink to "my lost first
-    /// attempt was applied" — the same lost-reply tolerance the unary
-    /// wrappers use, pushed down to op granularity. A tolerated unlink
-    /// reports a metadata sentinel of unknown size (`u64::MAX`) so
-    /// callers fan chunk removal out conservatively. The ops are shared,
-    /// not copied, between the replicas of one fan-out.
+    /// A retried frame stays idempotent **per op**: verdicts travel
+    /// inside an `Ok` frame where the frame-level `tolerate` hook never
+    /// sees them, so the decoder applies [`lost_reply_verdict`] at op
+    /// granularity. The ops are shared, not copied, between the
+    /// replicas of one fan-out.
     pub fn batch_meta_nb(
         &self,
         node: NodeId,
         ops: Arc<[MetaOp]>,
-    ) -> Result<ReplyFuture<'static, Vec<MetaOpResult>>> {
+    ) -> Result<ReplyFuture<'static, Vec<MetaVerdict>>> {
         let req = BatchMetaReq { ops };
         let ops = Arc::clone(&req.ops);
         self.unary_attempt::<op::BatchMeta, _>(
@@ -728,20 +704,12 @@ impl DaemonRing {
                         ops.len()
                     )));
                 }
-                if attempt == 0 {
-                    return Ok(r.results);
-                }
                 Ok(r.results
                     .into_iter()
                     .zip(ops.iter())
-                    .map(|(res, op)| match (op, res.clone().into_result()) {
-                        (MetaOp::Create(_), Err(GkfsError::Exists)) => MetaOpResult::ok(),
-                        (MetaOp::Unlink(_), Err(GkfsError::NotFound)) => {
-                            let mut unknown = Metadata::new_file(0);
-                            unknown.size = u64::MAX;
-                            MetaOpResult::ok_meta(unknown)
-                        }
-                        _ => res,
+                    .map(|(res, op)| match res.into_result() {
+                        Err(e) if attempt > 0 => lost_reply_verdict(op, &e).ok_or(e),
+                        verdict => verdict,
                     })
                     .collect())
             },
@@ -922,7 +890,7 @@ mod tests {
             ping(&ring, n).unwrap();
         }
         assert!(matches!(
-            ring.stat_nb(1, "/x").unwrap().wait(),
+            ring.meta_nb(1, MetaOp::Stat(PathReq::new("/x"))).unwrap().wait(),
             Err(GkfsError::NotFound)
         ));
     }
@@ -1031,10 +999,14 @@ mod tests {
             FlakyEndpoint::new_reply_path(server.endpoint(), 2);
         let ring = make_ring_of(vec![flaky], test_retry(4));
         ping(&ring, 0).unwrap();
-        ring.create_nb(0, "/lost-reply", FileKind::File, 0o644, true, 1)
-            .unwrap()
-            .wait()
-            .unwrap();
+        let create = MetaOp::Create(CreateReq {
+            path: "/lost-reply".into(),
+            kind: FileKind::File,
+            mode: 0o644,
+            exclusive: true,
+            now_ns: 1,
+        });
+        ring.meta_nb(0, create.clone()).unwrap().wait().unwrap();
         assert_eq!(
             inserts.load(Ordering::Relaxed),
             1,
@@ -1044,8 +1016,7 @@ mod tests {
         // healthy endpoint) still surfaces Exists — tolerance only
         // covers retried attempts.
         let clean = make_ring_of(vec![server.endpoint()], test_retry(4));
-        let dup = clean.create_nb(0, "/lost-reply", FileKind::File, 0o644, true, 1);
-        match dup.unwrap().wait() {
+        match clean.meta_nb(0, create).unwrap().wait() {
             Err(GkfsError::Exists) => {}
             other => panic!("fresh duplicate create must fail: {other:?}"),
         }
@@ -1057,7 +1028,11 @@ mod tests {
         // the same with kinds it is sent, not read "anything non-zero"
         // as a directory.
         let mut reg = gkfs_rpc::HandlerRegistry::new();
-        reg.register_fn(Opcode::RemoveMeta, |_| Response::ok(vec![7u8]));
+        reg.register_fn(Opcode::RemoveMeta, |_| {
+            let mut removed = Metadata::new_file(0).encode();
+            removed[0] = 7;
+            Response::ok(removed)
+        });
         reg.register_fn(Opcode::ReadDir, |_| {
             // Empty cursor; one entry: name "x", kind 7, size 0.
             let mut e = gkfs_common::wire::Encoder::new();
@@ -1067,7 +1042,7 @@ mod tests {
         let server = gkfs_rpc::RpcServer::new(reg, 1);
         let ring = make_ring_of(vec![server.endpoint()], test_retry(1));
         assert!(matches!(
-            ring.remove_meta_nb(0, "/f").unwrap().wait(),
+            ring.meta_nb(0, MetaOp::Unlink(PathReq::new("/f"))).unwrap().wait(),
             Err(GkfsError::Corruption(_))
         ));
         assert!(matches!(

@@ -4,7 +4,9 @@
 //! 1. **Batched ≡ serial** — any sequence of metadata ops applied as
 //!    one `BatchMeta` frame produces the same per-op verdicts and the
 //!    same final namespace as the same ops issued one unary RPC at a
-//!    time. (The daemon's batch-local overlay makes in-batch ops see
+//!    time — verdict for verdict, removed entry for removed entry,
+//!    including the kind rule (`unlink` of a directory, `rmdir` of a
+//!    file). (The daemon's batch-local overlay makes in-batch ops see
 //!    their predecessors.)
 //! 2. **Exactly-once under retry** — a `BatchMeta` frame whose reply
 //!    is lost mid-run (the daemon applied the batch, then "died"
@@ -34,8 +36,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 enum Op {
     Create(usize),
+    Mkdir(usize),
     Stat(usize),
     Unlink(usize),
+    Rmdir(usize),
     Truncate(usize, u64),
 }
 
@@ -46,16 +50,15 @@ fn path_of(i: usize) -> String {
 }
 
 fn to_meta_op(op: &Op) -> MetaOp {
+    let create = |i, kind| {
+        MetaOp::Create(CreateReq { path: path_of(i), kind, mode: 0o644, exclusive: true, now_ns: 1 })
+    };
     match *op {
-        Op::Create(i) => MetaOp::Create(CreateReq {
-            path: path_of(i),
-            kind: FileKind::File,
-            mode: 0o644,
-            exclusive: true,
-            now_ns: 1,
-        }),
+        Op::Create(i) => create(i, FileKind::File),
+        Op::Mkdir(i) => create(i, FileKind::Directory),
         Op::Stat(i) => MetaOp::Stat(PathReq::new(path_of(i))),
         Op::Unlink(i) => MetaOp::Unlink(PathReq::new(path_of(i))),
+        Op::Rmdir(i) => MetaOp::Rmdir(PathReq::new(path_of(i))),
         Op::Truncate(i, size) => MetaOp::TruncateMeta(TruncateMetaReq {
             path: path_of(i),
             new_size: size,
@@ -74,49 +77,22 @@ fn one_node_ring() -> (Arc<Daemon>, DaemonRing) {
     (d, ring)
 }
 
-/// Outcome signature of one op, comparable across the two protocols:
-/// success (with the observed size for reads) or the error kind.
-fn unary_outcome(ring: &DaemonRing, op: &Op) -> Result<Option<u64>, GkfsError> {
-    match *op {
-        Op::Create(i) => ring
-            .create_nb(0, &path_of(i), FileKind::File, 0o644, true, 1)?
-            .wait()
-            .map(|()| None),
-        Op::Stat(i) => ring.stat_nb(0, &path_of(i))?.wait().map(|m| Some(m.size)),
-        Op::Unlink(i) => ring.remove_meta_nb(0, &path_of(i))?.wait().map(|_| None),
-        Op::Truncate(i, size) => ring
-            .truncate_meta_nb(0, &path_of(i), size, 2)?
-            .wait()
-            .map(|()| None),
-    }
-}
-
-/// Property 1: one batched frame ≡ the same ops issued serially.
+/// Property 1: one batched frame ≡ the same ops issued serially. Both
+/// protocols answer a [`MetaOp`] with the same type, so the verdicts
+/// compare whole.
 fn check_batched_matches_serial(ops: &[Op]) -> Result<(), String> {
     let (_db, batched) = one_node_ring();
     let (_ds, serial) = one_node_ring();
 
     let frame: Vec<MetaOp> = ops.iter().map(to_meta_op).collect();
     let batched_results = batched
-        .batch_meta_nb(0, frame.into())
+        .batch_meta_nb(0, frame.clone().into())
         .and_then(|f| f.wait())
         .map_err(|e| format!("batch frame failed: {e}"))?;
 
-    for (i, (op, got)) in ops.iter().zip(batched_results).enumerate() {
-        let want = unary_outcome(&serial, op);
-        let got = got.into_result().map(|m| m.map(|m| m.size));
-        let same = match (&want, &got) {
-            (Ok(a), Ok(b)) => match op {
-                // Stat carries the observed size in both protocols;
-                // batched Unlink returns the removed meta while unary
-                // remove returns only the kind, so compare success.
-                Op::Stat(_) => a == b,
-                _ => true,
-            },
-            (Err(a), Err(b)) => a == b,
-            _ => false,
-        };
-        if !same {
+    for (i, (op, got)) in frame.into_iter().zip(batched_results).enumerate() {
+        let want = serial.meta_nb(0, op.clone()).and_then(|f| f.wait());
+        if want != got {
             return Err(format!(
                 "op {i} ({op:?}) diverged: unary {want:?}, batched {got:?}"
             ));
@@ -124,13 +100,13 @@ fn check_batched_matches_serial(ops: &[Op]) -> Result<(), String> {
     }
 
     // Final namespace parity: every path in the universe agrees on
-    // presence and size.
+    // presence, kind and size.
     for i in 0..UNIVERSE {
-        let p = path_of(i);
-        let a = batched.stat_nb(0, &p).and_then(|f| f.wait()).map(|m| m.size);
-        let b = serial.stat_nb(0, &p).and_then(|f| f.wait()).map(|m| m.size);
+        let stat = MetaOp::Stat(PathReq::new(path_of(i)));
+        let a = batched.meta_nb(0, stat.clone()).and_then(|f| f.wait());
+        let b = serial.meta_nb(0, stat.clone()).and_then(|f| f.wait());
         if a != b {
-            return Err(format!("final state of {p} diverged: batched {a:?}, serial {b:?}"));
+            return Err(format!("final state of {stat:?} diverged: batched {a:?}, serial {b:?}"));
         }
     }
     Ok(())
@@ -174,10 +150,14 @@ fn check_batch_exactly_once(fail_every: u64, n_files: usize) -> Result<(), Strin
     }
     // A genuine duplicate — clean ring, first attempt answered — must
     // still fail: the replay tolerance only covers retried frames.
-    match clean
-        .create_nb(0, "/x0", FileKind::File, 0o644, true, 9)
-        .and_then(|f| f.wait())
-    {
+    let dup = MetaOp::Create(CreateReq {
+        path: "/x0".into(),
+        kind: FileKind::File,
+        mode: 0o644,
+        exclusive: true,
+        now_ns: 9,
+    });
+    match clean.meta_nb(0, dup).and_then(|f| f.wait()) {
         Err(GkfsError::Exists) => {}
         other => return Err(format!("genuine duplicate create must fail: {other:?}")),
     }
@@ -199,7 +179,7 @@ fn check_batch_exactly_once(fail_every: u64, n_files: usize) -> Result<(), Strin
             return Err(format!("unlink {p} under reply loss: {e}"));
         }
     }
-    match clean.remove_meta_nb(0, "/x0").and_then(|f| f.wait()) {
+    match clean.meta_nb(0, MetaOp::Unlink(PathReq::new("/x0"))).and_then(|f| f.wait()) {
         Err(GkfsError::NotFound) => {}
         other => return Err(format!("removing a removed entry must fail: {other:?}")),
     }
@@ -213,8 +193,10 @@ fn check_batch_exactly_once(fail_every: u64, n_files: usize) -> Result<(), Strin
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..UNIVERSE).prop_map(Op::Create),
+        (0..UNIVERSE).prop_map(Op::Mkdir),
         (0..UNIVERSE).prop_map(Op::Stat),
         (0..UNIVERSE).prop_map(Op::Unlink),
+        (0..UNIVERSE).prop_map(Op::Rmdir),
         ((0..UNIVERSE), 0u64..10_000).prop_map(|(i, s)| Op::Truncate(i, s)),
     ]
 }
@@ -260,6 +242,21 @@ fn batched_matches_serial_on_fixed_sequences() {
         ],
         // unlink storm over an empty namespace
         vec![Op::Unlink(0), Op::Unlink(1), Op::Unlink(2), Op::Unlink(3)],
+        // the kind rule: rmdir of a file and unlink / truncate of a
+        // directory are refused and leave the entry; the right remove
+        // then takes it
+        vec![
+            Op::Create(0),
+            Op::Rmdir(0),
+            Op::Mkdir(1),
+            Op::Unlink(1),
+            Op::Truncate(1, 9),
+            Op::Stat(0),
+            Op::Stat(1),
+            Op::Unlink(0),
+            Op::Rmdir(1),
+            Op::Rmdir(1),
+        ],
     ];
     for ops in cases {
         check_batched_matches_serial(&ops).unwrap();

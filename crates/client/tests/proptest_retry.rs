@@ -17,8 +17,8 @@
 
 use gkfs_client::DaemonRing;
 use gkfs_common::config::{ReplicationConfig, RetryConfig};
-use gkfs_common::{FileKind, GkfsError};
-use gkfs_rpc::proto::{op, RemoveMetaResp};
+use gkfs_common::{FileKind, GkfsError, Metadata};
+use gkfs_rpc::proto::{op, CreateReq, MetaOp, PathReq};
 use gkfs_rpc::testing::FlakyEndpoint;
 use gkfs_rpc::{
     ChaosConfig, ChaosEndpoint, Endpoint, EndpointOptions, HandlerRegistry, Opcode, Response,
@@ -118,7 +118,7 @@ fn counting_daemon() -> CountingDaemon {
                 return Err(GkfsError::NotFound);
             }
             removes.fetch_add(1, Ordering::Relaxed);
-            Ok(RemoveMetaResp { kind: FileKind::File })
+            Ok(Metadata::new_file(0))
         });
     }
     CountingDaemon {
@@ -151,8 +151,18 @@ fn check_exactly_once(fail_every: u64, n_ops: usize) -> Result<(), String> {
     let ring = DaemonRing::new(vec![flaky], fast_retry(4), &repl);
     let clean = DaemonRing::new(vec![daemon.server.endpoint()], fast_retry(1), &repl);
 
+    let create = |i: usize| {
+        MetaOp::Create(CreateReq {
+            path: format!("/p{i}"),
+            kind: FileKind::File,
+            mode: 0o644,
+            exclusive: true,
+            now_ns: 1,
+        })
+    };
+    let remove = |i: usize| MetaOp::Unlink(PathReq::new(format!("/p{i}")));
     for i in 0..n_ops {
-        ring.create_nb(0, &format!("/p{i}"), FileKind::File, 0o644, true, 1)
+        ring.meta_nb(0, create(i))
             .and_then(|f| f.wait())
             .map_err(|e| format!("create /p{i}: {e}"))?;
     }
@@ -165,16 +175,13 @@ fn check_exactly_once(fail_every: u64, n_ops: usize) -> Result<(), String> {
     // A genuine duplicate — first attempt answered, clean endpoint —
     // must still surface Exists: tolerance only covers retried
     // attempts of the same logical op.
-    match clean
-        .create_nb(0, "/p0", FileKind::File, 0o644, true, 1)
-        .and_then(|f| f.wait())
-    {
+    match clean.meta_nb(0, create(0)).and_then(|f| f.wait()) {
         Err(GkfsError::Exists) => {}
         other => return Err(format!("genuine duplicate create must fail: {other:?}")),
     }
 
     for i in 0..n_ops {
-        ring.remove_meta_nb(0, &format!("/p{i}"))
+        ring.meta_nb(0, remove(i))
             .and_then(|f| f.wait())
             .map_err(|e| format!("remove /p{i}: {e}"))?;
     }
@@ -184,7 +191,7 @@ fn check_exactly_once(fail_every: u64, n_ops: usize) -> Result<(), String> {
             "removes not exactly-once: {n_ops} ops, {removes} applications"
         ));
     }
-    match clean.remove_meta_nb(0, "/p0").and_then(|f| f.wait()) {
+    match clean.meta_nb(0, remove(0)).and_then(|f| f.wait()) {
         Err(GkfsError::NotFound) => {}
         other => return Err(format!("removing a removed entry must fail: {other:?}")),
     }

@@ -9,11 +9,12 @@ use std::path::PathBuf;
 /// The chunk size used throughout the paper's evaluation: 512 KiB.
 pub const DEFAULT_CHUNK_SIZE: u64 = 512 * 1024;
 
-/// Default byte cap per queued metadata batch: far below any frame
-/// limit, large enough for hundreds of typical paths.
+/// Byte cap per queued metadata batch: far below any frame limit,
+/// large enough for hundreds of typical paths.
 pub const DEFAULT_META_BATCH_BYTES: usize = 64 * 1024;
 
-/// Default queued-op age cap for transparent metadata batching.
+/// Age in milliseconds of the oldest queued metadata op past which the
+/// next queue interaction forces a flush.
 pub const DEFAULT_META_BATCH_DEADLINE_MS: u64 = 10;
 
 /// Which distribution function places metadata and chunks.
@@ -258,11 +259,6 @@ pub struct ClusterConfig {
     /// `*_many` bulk APIs batch regardless. See
     /// [`ClusterConfig::with_meta_batch`].
     pub meta_batch_ops: usize,
-    /// Max encoded bytes a metadata batch may reach before flushing.
-    pub meta_batch_bytes: usize,
-    /// Max age in milliseconds of the oldest queued metadata op before
-    /// the next queue interaction forces a flush (`0` = no deadline).
-    pub meta_batch_deadline_ms: u64,
 }
 
 impl ClusterConfig {
@@ -278,8 +274,6 @@ impl ClusterConfig {
             retry: RetryConfig::default(),
             replication: ReplicationConfig::default(),
             meta_batch_ops: 0,
-            meta_batch_bytes: DEFAULT_META_BATCH_BYTES,
-            meta_batch_deadline_ms: DEFAULT_META_BATCH_DEADLINE_MS,
         }
     }
 
@@ -359,18 +353,6 @@ impl ClusterConfig {
     /// write data — see DESIGN.md "Bulk metadata plane".
     pub fn with_meta_batch(mut self, ops: usize) -> Self {
         self.meta_batch_ops = ops;
-        self
-    }
-
-    /// With the byte cap per queued metadata batch.
-    pub fn with_meta_batch_bytes(mut self, bytes: usize) -> Self {
-        self.meta_batch_bytes = bytes;
-        self
-    }
-
-    /// With the queued-op age cap in milliseconds (`0` = none).
-    pub fn with_meta_batch_deadline_ms(mut self, ms: u64) -> Self {
-        self.meta_batch_deadline_ms = ms;
         self
     }
 

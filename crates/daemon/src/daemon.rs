@@ -174,7 +174,7 @@ impl Daemon {
 mod tests {
     use super::*;
     use gkfs_common::{FileKind, GkfsError};
-    use gkfs_rpc::proto::{op, CreateReq, PathReq, Rpc};
+    use gkfs_rpc::proto::{op, CreateReq, MetaOp, PathReq, Rpc};
     use gkfs_rpc::{Opcode, Request};
 
     #[test]
@@ -228,7 +228,13 @@ mod tests {
             let d = Daemon::spawn(cfg.clone()).unwrap();
             d.backends()
                 .meta
-                .create("/persist", &gkfs_common::Metadata::new_file(9), true)
+                .apply_one(MetaOp::Create(CreateReq {
+                    path: "/persist".into(),
+                    kind: FileKind::File,
+                    mode: 0o644,
+                    exclusive: true,
+                    now_ns: 9,
+                }))
                 .unwrap();
             d.backends()
                 .data
@@ -238,7 +244,9 @@ mod tests {
         }
         {
             let d = Daemon::spawn(cfg).unwrap();
-            assert_eq!(d.backends().meta.stat("/persist").unwrap().ctime_ns, 9);
+            let stat = MetaOp::Stat(PathReq::new("/persist"));
+            let meta = d.backends().meta.apply_one(stat).unwrap().unwrap();
+            assert_eq!(meta.ctime_ns, 9);
             assert_eq!(
                 d.backends().data.read_chunk("/persist", 0, 0, 5).unwrap(),
                 b"bytes"

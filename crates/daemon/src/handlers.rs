@@ -10,7 +10,7 @@
 use crate::engine::ChunkEngine;
 use crate::metadata::MetadataBackend;
 use bytes::Bytes;
-use gkfs_common::{GkfsError, Metadata, Result};
+use gkfs_common::{FileKind, GkfsError, Metadata, Result};
 use gkfs_rpc::proto::*;
 use gkfs_rpc::{HandlerRegistry, Opcode, Request, Response};
 use gkfs_storage::{BatchOp, ChunkStorage};
@@ -57,6 +57,11 @@ fn layout_batch(ops: &[ChunkOp]) -> Result<Vec<BatchOp>> {
         .collect()
 }
 
+/// The entry a successful stat or remove verdict carries.
+fn entry(verdict: MetaVerdict) -> Result<Metadata> {
+    verdict?.ok_or_else(|| GkfsError::Corruption("verdict carries no entry".into()))
+}
+
 /// Build the full handler registry over the given backends.
 pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
     let mut reg = HandlerRegistry::new();
@@ -65,23 +70,28 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
         Response::ok(req.body) // echo: used for deployment handshakes
     });
 
+    // The four unary metadata rows are frames of one through the same
+    // interpreter that serves `BatchMeta`.
     let b = backends.clone();
-    reg.serve::<op::Create>(move |r| b.meta.create(&r.path, &r.metadata(), r.exclusive));
+    reg.serve::<op::Create>(move |r| b.meta.apply_one(MetaOp::Create(r)).map(drop));
 
     let b = backends.clone();
-    reg.serve::<op::Stat>(move |r| b.meta.stat(&r.path));
+    reg.serve::<op::Stat>(move |r| entry(b.meta.apply_one(MetaOp::Stat(r))));
 
     let b = backends.clone();
     reg.serve::<op::RemoveMeta>(move |r| {
-        let kind = b.meta.remove(&r.path)?.kind;
-        Ok(RemoveMetaResp { kind })
+        let path = PathReq { path: r.path };
+        entry(b.meta.apply_one(match r.kind {
+            FileKind::File => MetaOp::Unlink(path),
+            FileKind::Directory => MetaOp::Rmdir(path),
+        }))
     });
 
     let b = backends.clone();
-    reg.serve::<op::UpdateSize>(move |r| b.meta.update_size(&r.path, r.size, r.mtime_ns));
+    reg.serve::<op::TruncateMeta>(move |r| b.meta.apply_one(MetaOp::TruncateMeta(r)).map(drop));
 
     let b = backends.clone();
-    reg.serve::<op::TruncateMeta>(move |r| b.meta.truncate(&r.path, r.new_size, r.mtime_ns));
+    reg.serve::<op::UpdateSize>(move |r| b.meta.update_size(&r.path, r.size, r.mtime_ns));
 
     let b = backends.clone();
     reg.serve::<op::ReadDir>(move |r| {
@@ -92,7 +102,7 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
 
     let b = backends.clone();
     reg.serve::<op::BatchMeta>(move |r| {
-        let results = b.meta.apply_batch(&r.ops)?;
+        let results = b.meta.apply(&r.ops)?.into_iter().map(Into::into).collect();
         Ok(BatchMetaResp { results })
     });
 
@@ -278,9 +288,15 @@ mod tests {
         // Stat returns the metadata.
         let meta = call::<op::Stat>(&reg, &PathReq::new("/f")).unwrap();
         assert_eq!(meta.ctime_ns, 42);
-        // Remove reports the kind.
-        let removed = call::<op::RemoveMeta>(&reg, &PathReq::new("/f")).unwrap();
-        assert_eq!(removed.kind, FileKind::File);
+        // Remove states the kind it expects; the wrong kind is refused
+        // and the right one answers with the removed entry.
+        let remove = |kind| RemoveMetaReq { path: "/f".into(), kind };
+        assert_eq!(
+            call::<op::RemoveMeta>(&reg, &remove(FileKind::Directory)),
+            Err(GkfsError::NotDirectory)
+        );
+        let removed = call::<op::RemoveMeta>(&reg, &remove(FileKind::File)).unwrap();
+        assert_eq!(removed.ctime_ns, 42);
         // Stat now fails.
         assert_eq!(call::<op::Stat>(&reg, &PathReq::new("/f")), Err(GkfsError::NotFound));
     }

@@ -17,7 +17,8 @@ use gkfs_common::types::Dirent;
 use gkfs_common::wire::Wire;
 use gkfs_common::{GkfsError, Metadata, Result};
 use gkfs_kvstore::{Db, DbOptions, MergeOperator, WriteBatch};
-use gkfs_rpc::proto::{MetaOp, MetaOpResult};
+use gkfs_rpc::proto::{MetaOp, MetaVerdict};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -65,6 +66,35 @@ impl MergeOperator for MetaSizeMergeOperator {
             }
         }
         meta.encode()
+    }
+}
+
+/// The meaning of a metadata op, stated once: given the entry `op`
+/// targets as it stands (`None` = absent), the verdict its caller gets
+/// and — when the op changes the entry — the entry's next state
+/// (`Some(None)` = removed). Pure: the caller reads `current` and
+/// stages the mutation.
+fn step(
+    current: Option<Metadata>,
+    op: &MetaOp,
+) -> (MetaVerdict, Option<Option<Metadata>>) {
+    match (op, current) {
+        (MetaOp::Create(r), None) => (Ok(None), Some(Some(r.metadata()))),
+        (MetaOp::Create(r), Some(_)) if r.exclusive => (Err(GkfsError::Exists), None),
+        // Open-with-`O_CREAT` of an existing entry: success, untouched.
+        (MetaOp::Create(_), Some(_)) => (Ok(None), None),
+        (_, None) => (Err(GkfsError::NotFound), None),
+        (MetaOp::Stat(_), Some(m)) => (Ok(Some(m)), None),
+        (MetaOp::Unlink(_) | MetaOp::TruncateMeta(_), Some(m)) if m.is_dir() => {
+            (Err(GkfsError::IsDirectory), None)
+        }
+        (MetaOp::Rmdir(_), Some(m)) if !m.is_dir() => (Err(GkfsError::NotDirectory), None),
+        (MetaOp::Unlink(_) | MetaOp::Rmdir(_), Some(m)) => (Ok(Some(m)), Some(None)),
+        (MetaOp::TruncateMeta(r), Some(mut m)) => {
+            m.size = r.new_size;
+            m.mtime_ns = r.mtime_ns;
+            (Ok(None), Some(Some(m)))
+        }
     }
 }
 
@@ -118,62 +148,10 @@ impl MetadataBackend {
         self.db.shutdown()
     }
 
-    /// Create an entry. With `exclusive`, an existing entry fails with
-    /// `Exists`; without, it is a no-op success (open-with-`O_CREAT`).
-    pub fn create(&self, path: &str, meta: &Metadata, exclusive: bool) -> Result<()> {
-        let inserted = self.db.put_if_absent(path.as_bytes(), &meta.encode())?;
-        if !inserted && exclusive {
-            return Err(GkfsError::Exists);
-        }
-        Ok(())
-    }
-
-    /// Fetch an entry's metadata.
-    pub fn stat(&self, path: &str) -> Result<Metadata> {
-        match self.db.get(path.as_bytes())? {
-            Some(v) => Metadata::decode(&v),
-            None => Err(GkfsError::NotFound),
-        }
-    }
-
-    /// Remove an entry, returning its (pre-removal) metadata.
-    pub fn remove(&self, path: &str) -> Result<Metadata> {
-        let meta = self.stat(path)?;
-        self.db.delete(path.as_bytes())?;
-        Ok(meta)
-    }
-
     /// Merge a size candidate into a file's metadata (read-free).
     pub fn update_size(&self, path: &str, size: u64, mtime_ns: u64) -> Result<()> {
         self.db
             .merge(path.as_bytes(), &encode_size_operand(size, mtime_ns))
-    }
-
-    /// Set an exact size (truncate). Errors on directories.
-    pub fn truncate(&self, path: &str, new_size: u64, mtime_ns: u64) -> Result<()> {
-        let mut meta = self.stat(path)?;
-        if meta.is_dir() {
-            return Err(GkfsError::IsDirectory);
-        }
-        meta.size = new_size;
-        meta.mtime_ns = mtime_ns;
-        self.db.put(path.as_bytes(), &meta.encode())
-    }
-
-    /// Direct children of `dir` known to this daemon — one shard of the
-    /// global (eventually consistent) `readdir`. Unpaged convenience
-    /// wrapper over [`MetadataBackend::readdir_page`].
-    pub fn readdir(&self, dir: &str) -> Result<Vec<Dirent>> {
-        let mut out = Vec::new();
-        let mut cursor = String::new();
-        loop {
-            let (mut page, next) = self.readdir_page(dir, &cursor, 0)?;
-            out.append(&mut page);
-            if next.is_empty() {
-                return Ok(out);
-            }
-            cursor = next;
-        }
     }
 
     /// One page of `dir`'s direct children: at most `max_entries`
@@ -223,91 +201,78 @@ impl MetadataBackend {
         Ok((out, next))
     }
 
-    /// Apply a batch of heterogeneous metadata ops as one group: all
-    /// reads run up front against a batch-local overlay (so ops in one
-    /// batch see their predecessors, exactly as if executed one at a
-    /// time), and every staged mutation commits through a single
-    /// [`WriteBatch`] — one memtable lock, one WAL record riding the
-    /// WAL's group commit, one fsync for the whole batch.
-    ///
-    /// Per-op failures (`Exists`, `NotFound`, `IsDirectory`) are
-    /// reported in the op's own [`MetaOpResult`] and never poison
-    /// batchmates. Only infrastructure errors (KV store I/O) fail the
-    /// whole call.
-    ///
-    /// Concurrency caveat (documented in DESIGN.md "Bulk metadata
-    /// plane"): the existence check and the commit are not one atomic
-    /// step against *concurrent unary* writers — a batched exclusive
-    /// create racing a unary create of the same path on another client
-    /// may observe absent and overwrite. GekkoFS's relaxed model
-    /// already declares concurrent conflicting metadata updates on one
-    /// path application-level misuse.
-    pub fn apply_batch(&self, ops: &[MetaOp]) -> Result<Vec<MetaOpResult>> {
-        let mut overlay: std::collections::HashMap<&str, Option<Metadata>> =
-            std::collections::HashMap::new();
+    /// Run `ops` in order through [`step`], each seeing its frame
+    /// predecessors through a frame-local overlay, reading entries the
+    /// frame has not touched through `get`. Returns the per-op verdicts
+    /// and every staged mutation as one [`WriteBatch`].
+    fn interpret(
+        ops: &[MetaOp],
+        get: impl Fn(&[u8]) -> Result<Option<Vec<u8>>>,
+    ) -> Result<(Vec<MetaVerdict>, WriteBatch)> {
+        let mut overlay: HashMap<&str, Option<Metadata>> = HashMap::new();
         let mut batch = WriteBatch::new();
-        let mut results = Vec::with_capacity(ops.len());
+        let mut verdicts = Vec::with_capacity(ops.len());
         for op in ops {
             let path = op.path();
-            let current: Option<Metadata> = match overlay.get(path) {
-                Some(v) => v.clone(),
-                None => match self.db.get(path.as_bytes())? {
-                    Some(v) => Some(Metadata::decode(&v)?),
-                    None => None,
-                },
+            let current = match overlay.get(path) {
+                Some(seen) => seen.clone(),
+                None => get(path.as_bytes())?.map(|v| Metadata::decode(&v)).transpose()?,
             };
-            let result = match op {
-                MetaOp::Create(r) => match current {
-                    Some(_) if r.exclusive => MetaOpResult::err(&GkfsError::Exists),
-                    Some(_) => MetaOpResult::ok(),
-                    None => {
-                        let meta = r.metadata();
-                        batch.put(path.as_bytes(), &meta.encode());
-                        overlay.insert(path, Some(meta));
-                        MetaOpResult::ok()
-                    }
-                },
-                MetaOp::Stat(_) => match current {
-                    Some(m) => MetaOpResult::ok_meta(m),
-                    None => MetaOpResult::err(&GkfsError::NotFound),
-                },
-                MetaOp::Unlink(_) => match current {
-                    // Batched unlink is file-only: directory removal
-                    // needs the cross-daemon emptiness check, which
-                    // only the unary rmdir protocol performs.
-                    Some(m) if m.is_dir() => MetaOpResult::err(&GkfsError::IsDirectory),
-                    Some(m) => {
-                        batch.delete(path.as_bytes());
-                        overlay.insert(path, None);
-                        MetaOpResult::ok_meta(m)
-                    }
-                    None => MetaOpResult::err(&GkfsError::NotFound),
-                },
-                MetaOp::TruncateMeta(r) => match current {
-                    Some(m) if m.is_dir() => MetaOpResult::err(&GkfsError::IsDirectory),
-                    Some(mut m) => {
-                        m.size = r.new_size;
-                        m.mtime_ns = r.mtime_ns;
-                        batch.put(path.as_bytes(), &m.encode());
-                        overlay.insert(path, Some(m));
-                        MetaOpResult::ok()
-                    }
-                    None => MetaOpResult::err(&GkfsError::NotFound),
-                },
-            };
-            results.push(result);
+            let (verdict, next) = step(current, op);
+            if let Some(next) = next {
+                match &next {
+                    Some(meta) => batch.put(path.as_bytes(), &meta.encode()),
+                    None => batch.delete(path.as_bytes()),
+                };
+                overlay.insert(path, next);
+            }
+            verdicts.push(verdict);
         }
-        self.batch_counters.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_counters
-            .ops
-            .fetch_add(ops.len() as u64, Ordering::Relaxed);
-        if !batch.is_empty() {
-            self.db.write(batch)?;
-            self.batch_counters
-                .group_applies
-                .fetch_add(1, Ordering::Relaxed);
+        Ok((verdicts, batch))
+    }
+
+    /// Apply a frame of metadata ops as one group — the only way an
+    /// entry is created, read, removed or truncated, for a `BatchMeta`
+    /// frame and (as a frame of one, [`MetadataBackend::apply_one`])
+    /// for every unary row alike. Returns the verdicts and whether
+    /// anything was committed.
+    ///
+    /// A frame holding a mutating op is interpreted **inside** the KV
+    /// store's writer lock ([`Db::write_with`]): what each op reads
+    /// cannot change before the frame's [`WriteBatch`] — one memtable
+    /// apply, one WAL record riding group commit, one fsync — lands, so
+    /// an exclusive create has exactly one winner however its rivals
+    /// arrive. A stat-only frame decides nothing, so it reads a
+    /// lock-free snapshot and never queues behind writers.
+    ///
+    /// Per-op failures (`Exists`, `NotFound`, `IsDirectory`, …) are
+    /// the op's own verdict and never poison frame-mates; only
+    /// infrastructure errors (KV store I/O) fail the whole call.
+    fn run(&self, ops: &[MetaOp]) -> Result<(Vec<MetaVerdict>, bool)> {
+        if !ops.iter().any(MetaOp::is_write) {
+            return Ok((Self::interpret(ops, |k| self.db.get(k))?.0, false));
         }
-        Ok(results)
+        self.db.write_with(|view| {
+            let (verdicts, batch) = Self::interpret(ops, |k| view.get(k))?;
+            Ok(((verdicts, !batch.is_empty()), batch))
+        })
+    }
+
+    /// One `BatchMeta` frame: [`MetadataBackend::run`] plus the bulk
+    /// plane's counters.
+    pub fn apply(&self, ops: &[MetaOp]) -> Result<Vec<MetaVerdict>> {
+        let (verdicts, committed) = self.run(ops)?;
+        let c = &self.batch_counters;
+        c.batches.fetch_add(1, Ordering::Relaxed);
+        c.ops.fetch_add(ops.len() as u64, Ordering::Relaxed);
+        c.group_applies.fetch_add(committed as u64, Ordering::Relaxed);
+        Ok(verdicts)
+    }
+
+    /// A unary row: a frame of one, its verdict unwrapped.
+    pub fn apply_one(&self, op: MetaOp) -> MetaVerdict {
+        let (verdicts, _) = self.run(std::slice::from_ref(&op))?;
+        verdicts.into_iter().next().unwrap_or(Ok(None))
     }
 
     /// Install a replica copy of `meta` under `path`, idempotently:
@@ -338,12 +303,6 @@ impl MetadataBackend {
         Ok(out)
     }
 
-    /// Does `dir` have any descendant entries on this daemon?
-    pub fn has_children(&self, dir: &str) -> Result<bool> {
-        let prefix = gpath::dir_prefix(dir);
-        Ok(!self.db.scan_prefix(prefix.as_bytes())?.is_empty())
-    }
-
     /// Total entries held by this daemon.
     pub fn entry_count(&self) -> Result<usize> {
         self.db.len()
@@ -360,40 +319,64 @@ mod tests {
         MetadataBackend::open_memory().unwrap()
     }
 
+    fn create(b: &MetadataBackend, path: &str, meta: &Metadata, exclusive: bool) -> Result<()> {
+        b.apply_one(MetaOp::Create(CreateReq {
+            path: path.into(),
+            kind: meta.kind,
+            mode: meta.mode,
+            exclusive,
+            now_ns: meta.ctime_ns,
+        }))
+        .map(drop)
+    }
+
+    fn stat(b: &MetadataBackend, path: &str) -> Result<Metadata> {
+        b.apply_one(MetaOp::Stat(PathReq::new(path))).map(Option::unwrap)
+    }
+
+    fn remove(b: &MetadataBackend, path: &str) -> Result<Metadata> {
+        b.apply_one(MetaOp::Unlink(PathReq::new(path))).map(Option::unwrap)
+    }
+
+    fn truncate(b: &MetadataBackend, path: &str, new_size: u64, mtime_ns: u64) -> Result<()> {
+        b.apply_one(MetaOp::TruncateMeta(TruncateMetaReq { path: path.into(), new_size, mtime_ns }))
+            .map(drop)
+    }
+
     #[test]
     fn create_stat_remove_cycle() {
         let b = backend();
         let meta = Metadata::new_file(100);
-        b.create("/f", &meta, true).unwrap();
-        assert_eq!(b.stat("/f").unwrap(), meta);
-        let removed = b.remove("/f").unwrap();
+        create(&b, "/f", &meta, true).unwrap();
+        assert_eq!(stat(&b, "/f").unwrap(), meta);
+        let removed = remove(&b, "/f").unwrap();
         assert_eq!(removed, meta);
-        assert_eq!(b.stat("/f"), Err(GkfsError::NotFound));
-        assert_eq!(b.remove("/f"), Err(GkfsError::NotFound));
+        assert_eq!(stat(&b, "/f"), Err(GkfsError::NotFound));
+        assert_eq!(remove(&b, "/f"), Err(GkfsError::NotFound));
     }
 
     #[test]
     fn exclusive_create_conflicts() {
         let b = backend();
-        b.create("/f", &Metadata::new_file(1), true).unwrap();
+        create(&b, "/f", &Metadata::new_file(1), true).unwrap();
         assert_eq!(
-            b.create("/f", &Metadata::new_file(2), true),
+            create(&b, "/f", &Metadata::new_file(2), true),
             Err(GkfsError::Exists)
         );
         // Non-exclusive create of an existing entry succeeds and does
         // not clobber the original.
-        b.create("/f", &Metadata::new_file(3), false).unwrap();
-        assert_eq!(b.stat("/f").unwrap().ctime_ns, 1);
+        create(&b, "/f", &Metadata::new_file(3), false).unwrap();
+        assert_eq!(stat(&b, "/f").unwrap().ctime_ns, 1);
     }
 
     #[test]
     fn size_updates_take_max() {
         let b = backend();
-        b.create("/f", &Metadata::new_file(0), true).unwrap();
+        create(&b, "/f", &Metadata::new_file(0), true).unwrap();
         b.update_size("/f", 1000, 5).unwrap();
         b.update_size("/f", 500, 6).unwrap(); // smaller: ignored for size
         b.update_size("/f", 2000, 7).unwrap();
-        let m = b.stat("/f").unwrap();
+        let m = stat(&b, "/f").unwrap();
         assert_eq!(m.size, 2000);
         assert_eq!(m.mtime_ns, 7);
         assert_eq!(m.kind, FileKind::File);
@@ -402,7 +385,7 @@ mod tests {
     #[test]
     fn concurrent_size_updates_converge_to_max() {
         let b = backend();
-        b.create("/shared", &Metadata::new_file(0), true).unwrap();
+        create(&b, "/shared", &Metadata::new_file(0), true).unwrap();
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let b = &b;
@@ -413,37 +396,38 @@ mod tests {
                 });
             }
         });
-        assert_eq!(b.stat("/shared").unwrap().size, 7499);
+        assert_eq!(stat(&b, "/shared").unwrap().size, 7499);
     }
 
     #[test]
     fn truncate_sets_exact_size() {
         let b = backend();
-        b.create("/f", &Metadata::new_file(0), true).unwrap();
+        create(&b, "/f", &Metadata::new_file(0), true).unwrap();
         b.update_size("/f", 10_000, 1).unwrap();
-        b.truncate("/f", 100, 2).unwrap();
-        assert_eq!(b.stat("/f").unwrap().size, 100);
+        truncate(&b, "/f", 100, 2).unwrap();
+        assert_eq!(stat(&b, "/f").unwrap().size, 100);
         // Truncate can also extend (POSIX ftruncate).
-        b.truncate("/f", 5000, 3).unwrap();
-        assert_eq!(b.stat("/f").unwrap().size, 5000);
+        truncate(&b, "/f", 5000, 3).unwrap();
+        assert_eq!(stat(&b, "/f").unwrap().size, 5000);
         // Directories refuse.
-        b.create("/d", &Metadata::new_dir(0), true).unwrap();
-        assert_eq!(b.truncate("/d", 0, 4), Err(GkfsError::IsDirectory));
+        create(&b, "/d", &Metadata::new_dir(0), true).unwrap();
+        assert_eq!(truncate(&b, "/d", 0, 4), Err(GkfsError::IsDirectory));
         // Missing files refuse.
-        assert_eq!(b.truncate("/ghost", 0, 5), Err(GkfsError::NotFound));
+        assert_eq!(truncate(&b, "/ghost", 0, 5), Err(GkfsError::NotFound));
     }
 
     #[test]
     fn readdir_returns_direct_children_only() {
         let b = backend();
-        b.create("/dir", &Metadata::new_dir(0), true).unwrap();
-        b.create("/dir/a", &Metadata::new_file(0), true).unwrap();
-        b.create("/dir/sub", &Metadata::new_dir(0), true).unwrap();
-        b.create("/dir/sub/deep", &Metadata::new_file(0), true).unwrap();
-        b.create("/dirx", &Metadata::new_file(0), true).unwrap();
+        create(&b, "/dir", &Metadata::new_dir(0), true).unwrap();
+        create(&b, "/dir/a", &Metadata::new_file(0), true).unwrap();
+        create(&b, "/dir/sub", &Metadata::new_dir(0), true).unwrap();
+        create(&b, "/dir/sub/deep", &Metadata::new_file(0), true).unwrap();
+        create(&b, "/dirx", &Metadata::new_file(0), true).unwrap();
         let mut names: Vec<(String, FileKind)> = b
-            .readdir("/dir")
+            .readdir_page("/dir", "", 0)
             .unwrap()
+            .0
             .into_iter()
             .map(|d| (d.name, d.kind))
             .collect();
@@ -456,17 +440,8 @@ mod tests {
             ]
         );
         // Root listing sees /dir and /dirx but not nested entries.
-        let root: Vec<String> = b.readdir("/").unwrap().into_iter().map(|d| d.name).collect();
+        let root = b.readdir_page("/", "", 0).unwrap().0;
         assert_eq!(root.len(), 2);
-    }
-
-    #[test]
-    fn has_children_sees_descendants_at_any_depth() {
-        let b = backend();
-        b.create("/d", &Metadata::new_dir(0), true).unwrap();
-        assert!(!b.has_children("/d").unwrap());
-        b.create("/d/x/y", &Metadata::new_file(0), true).unwrap();
-        assert!(b.has_children("/d").unwrap());
     }
 
     #[test]
@@ -477,12 +452,12 @@ mod tests {
         // wins. Verify the remove-then-update edge produces a record
         // (fold stays total) that a second remove clears.
         let b = backend();
-        b.create("/f", &Metadata::new_file(0), true).unwrap();
-        b.remove("/f").unwrap();
+        create(&b, "/f", &Metadata::new_file(0), true).unwrap();
+        remove(&b, "/f").unwrap();
         b.update_size("/f", 77, 1).unwrap();
-        assert_eq!(b.stat("/f").unwrap().size, 77);
-        b.remove("/f").unwrap();
-        assert_eq!(b.stat("/f"), Err(GkfsError::NotFound));
+        assert_eq!(stat(&b, "/f").unwrap().size, 77);
+        remove(&b, "/f").unwrap();
+        assert_eq!(stat(&b, "/f"), Err(GkfsError::NotFound));
     }
 
     #[test]
@@ -492,35 +467,35 @@ mod tests {
         m.size = 100;
         m.mtime_ns = 20;
         b.install_replica("/f", &m).unwrap();
-        assert_eq!(b.stat("/f").unwrap().size, 100);
+        assert_eq!(stat(&b, "/f").unwrap().size, 100);
         // Replay with a stale, smaller copy: size/mtime keep their max.
         let mut stale = m.clone();
         stale.size = 40;
         stale.mtime_ns = 5;
         b.install_replica("/f", &stale).unwrap();
-        let got = b.stat("/f").unwrap();
+        let got = stat(&b, "/f").unwrap();
         assert_eq!((got.size, got.mtime_ns), (100, 20));
         // A newer copy advances both.
         m.size = 300;
         m.mtime_ns = 30;
         b.install_replica("/f", &m).unwrap();
-        let got = b.stat("/f").unwrap();
+        let got = stat(&b, "/f").unwrap();
         assert_eq!((got.size, got.mtime_ns), (300, 30));
     }
 
     #[test]
     fn scan_all_walks_every_entry() {
         let b = backend();
-        b.create("/a", &Metadata::new_file(0), true).unwrap();
-        b.create("/d", &Metadata::new_dir(0), true).unwrap();
-        b.create("/d/x", &Metadata::new_file(0), true).unwrap();
+        create(&b, "/a", &Metadata::new_file(0), true).unwrap();
+        create(&b, "/d", &Metadata::new_dir(0), true).unwrap();
+        create(&b, "/d/x", &Metadata::new_file(0), true).unwrap();
         let mut paths: Vec<String> = b.scan_all().unwrap().into_iter().map(|(p, _)| p).collect();
         paths.sort();
         assert_eq!(paths, vec!["/a", "/d", "/d/x"]);
     }
 
     #[test]
-    fn apply_batch_matches_serial_execution() {
+    fn apply_matches_serial_execution() {
         let b = backend();
         let ops = vec![
             MetaOp::Create(CreateReq {
@@ -546,49 +521,86 @@ mod tests {
             MetaOp::Unlink(PathReq::new("/a")),
             MetaOp::Stat(PathReq::new("/a")),
         ];
-        let results = b.apply_batch(&ops).unwrap();
+        let results = b.apply(&ops).unwrap();
         // Create ok; stat sees the in-batch create; duplicate excl
         // create fails; truncate applies; unlink returns the truncated
         // meta; final stat misses.
-        assert_eq!(results[0], MetaOpResult::ok());
-        assert_eq!(results[1].clone().into_result().unwrap().unwrap().ctime_ns, 1);
+        assert_eq!(results[0], Ok(None));
+        assert_eq!(results[1].clone().unwrap().unwrap().ctime_ns, 1);
         assert!(matches!(
-            results[2].clone().into_result(),
+            results[2].clone(),
             Err(GkfsError::Exists)
         ));
-        assert_eq!(results[3], MetaOpResult::ok());
-        assert_eq!(results[4].clone().into_result().unwrap().unwrap().size, 77);
+        assert_eq!(results[3], Ok(None));
+        assert_eq!(results[4].clone().unwrap().unwrap().size, 77);
         assert!(matches!(
-            results[5].clone().into_result(),
+            results[5].clone(),
             Err(GkfsError::NotFound)
         ));
         // The whole batch net-cancelled: nothing durable remains.
-        assert_eq!(b.stat("/a"), Err(GkfsError::NotFound));
+        assert_eq!(stat(&b, "/a"), Err(GkfsError::NotFound));
         let c = b.batch_counters();
         assert_eq!(c.batches.load(Ordering::Relaxed), 1);
         assert_eq!(c.ops.load(Ordering::Relaxed), 6);
         assert_eq!(c.group_applies.load(Ordering::Relaxed), 1);
     }
 
+    /// The one-winner rule holds for a batched exclusive create exactly
+    /// as for a unary one: the existence check and the commit are one
+    /// step under the store's writer lock. Every round releases all
+    /// threads onto one fresh path at once; exactly one may win it.
+    /// (Release builds contend the lock far harder than debug ones —
+    /// `scripts/ci.sh` runs this in `--release`.)
     #[test]
-    fn apply_batch_without_mutations_skips_the_commit() {
+    fn batched_exclusive_create_has_one_winner() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 1000;
         let b = backend();
-        b.create("/f", &Metadata::new_file(1), true).unwrap();
+        let gate = std::sync::Barrier::new(THREADS);
+        let wins: Vec<AtomicU64> = (0..ROUNDS).map(|_| AtomicU64::new(0)).collect();
+        std::thread::scope(|s| {
+            for t in 0..THREADS as u64 {
+                let (b, gate, wins) = (&b, &gate, &wins);
+                s.spawn(move || {
+                    for (round, won) in wins.iter().enumerate() {
+                        let frame = [MetaOp::Create(CreateReq {
+                            path: format!("/race/{round}"),
+                            kind: FileKind::File,
+                            mode: 0o644,
+                            exclusive: true,
+                            now_ns: t,
+                        })];
+                        gate.wait();
+                        let verdicts = b.apply(&frame).unwrap();
+                        won.fetch_add(verdicts[0].is_ok() as u64, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        for (round, won) in wins.iter().enumerate() {
+            assert_eq!(won.load(Ordering::Relaxed), 1, "round {round}: winners");
+        }
+    }
+
+    #[test]
+    fn apply_without_mutations_skips_the_commit() {
+        let b = backend();
+        create(&b, "/f", &Metadata::new_file(1), true).unwrap();
         let results = b
-            .apply_batch(&[MetaOp::Stat(PathReq::new("/f"))])
+            .apply(&[MetaOp::Stat(PathReq::new("/f"))])
             .unwrap();
-        assert!(results[0].clone().into_result().unwrap().is_some());
+        assert!(results[0].clone().unwrap().is_some());
         assert_eq!(b.batch_counters().group_applies.load(Ordering::Relaxed), 0);
     }
 
     #[test]
-    fn apply_batch_is_atomic_in_the_store() {
+    fn apply_is_atomic_in_the_store() {
         // Mixed good/bad ops: good ops land, bad ops report their own
         // errors, and everything staged commits as one WriteBatch.
         let b = backend();
-        b.create("/dir", &Metadata::new_dir(0), true).unwrap();
+        create(&b, "/dir", &Metadata::new_dir(0), true).unwrap();
         let results = b
-            .apply_batch(&[
+            .apply(&[
                 MetaOp::Unlink(PathReq::new("/ghost")),
                 MetaOp::Create(CreateReq {
                     path: "/x".into(),
@@ -605,28 +617,28 @@ mod tests {
                 MetaOp::Unlink(PathReq::new("/dir")),
             ])
             .unwrap();
-        assert!(results[0].clone().into_result().is_err());
-        assert!(results[1].clone().into_result().is_ok());
-        assert!(results[2].clone().into_result().is_err());
+        assert!(results[0].clone().is_err());
+        assert!(results[1].clone().is_ok());
+        assert!(results[2].clone().is_err());
         // Batched unlink refuses directories; rmdir stays unary.
         assert!(matches!(
-            results[3].clone().into_result(),
+            results[3].clone(),
             Err(GkfsError::IsDirectory)
         ));
-        assert_eq!(b.stat("/x").unwrap().mode, 0o600);
-        assert!(b.stat("/dir").unwrap().is_dir());
+        assert_eq!(stat(&b, "/x").unwrap().mode, 0o600);
+        assert!(stat(&b, "/dir").unwrap().is_dir());
     }
 
     #[test]
     fn readdir_page_walks_in_bounded_pages() {
         let b = backend();
-        b.create("/d", &Metadata::new_dir(0), true).unwrap();
+        create(&b, "/d", &Metadata::new_dir(0), true).unwrap();
         for i in 0..10 {
-            b.create(&format!("/d/f{i:02}"), &Metadata::new_file(0), true)
+            create(&b, &format!("/d/f{i:02}"), &Metadata::new_file(0), true)
                 .unwrap();
         }
         // Nested entries must not leak into pages.
-        b.create("/d/f00/deep", &Metadata::new_file(0), true).unwrap();
+        create(&b, "/d/f00/deep", &Metadata::new_file(0), true).unwrap();
         let mut all = Vec::new();
         let mut cursor = String::new();
         let mut pages = 0;
@@ -643,8 +655,6 @@ mod tests {
         assert_eq!(pages, 4, "10 entries at page size 3");
         let expect: Vec<String> = (0..10).map(|i| format!("f{i:02}")).collect();
         assert_eq!(all, expect);
-        // The unpaged wrapper agrees.
-        assert_eq!(b.readdir("/d").unwrap().len(), 10);
     }
 
     #[test]

@@ -26,6 +26,20 @@ type Ent = gkfs_common::types::Dirent;
 fn create_op(path: &str, kind: FileKind, mode: u32, exclusive: bool, now_ns: u64) -> MetaOp {
     MetaOp::Create(CreateReq { path: path.into(), kind, mode, exclusive, now_ns })
 }
+/// The constructors the fixtures were written against; a result is
+/// built from a verdict now.
+trait Verdicts {
+    fn ok() -> MetaOpResult {
+        Ok(None).into()
+    }
+    fn ok_meta(meta: Metadata) -> MetaOpResult {
+        Ok(Some(meta)).into()
+    }
+    fn err(e: &GkfsError) -> MetaOpResult {
+        Err(e.clone()).into()
+    }
+}
+impl Verdicts for MetaOpResult {}
 fn stat_op(path: &str) -> MetaOp {
     MetaOp::Stat(PathReq::new(path))
 }
@@ -67,8 +81,14 @@ fn every_message_encodes_to_its_pinned_bytes() {
     pin!(UpdateSizeReq, UpdateSizeReq { path: String::new(), size: 0, mtime_ns: 0 }, "0000000000000000000000000000000000000000");
     pin!(TruncateMetaReq, TruncateMetaReq { path: "/f".into(), new_size: 100, mtime_ns: 8 }, "020000002f6664000000000000000800000000000000");
     pin!(TruncateMetaReq, TruncateMetaReq { path: String::new(), new_size: 0, mtime_ns: 0 }, "0000000000000000000000000000000000000000");
-    pin!(RemoveMetaResp, RemoveMetaResp { kind: DIR }, "01");
-    pin!(RemoveMetaResp, RemoveMetaResp { kind: FILE }, "00");
+    // Regenerated in PR 18, a deliberate protocol change — the only
+    // pins that were: `RemoveMeta` now states the kind it expects to
+    // remove (`unlink` a file, `rmdir` a directory; the daemon refuses
+    // the other itself), so its request is a path plus a kind byte, and
+    // it answers with the removed entry — a `Metadata`, pinned below —
+    // where `RemoveMetaResp` carried the kind alone.
+    pin!(RemoveMetaReq, RemoveMetaReq { path: "/x/y/z".into(), kind: DIR }, "060000002f782f792f7a01");
+    pin!(RemoveMetaReq, RemoveMetaReq { path: String::new(), kind: FILE }, "0000000000");
     pin!(ReplicaMetaReq, ReplicaMetaReq { path: "/recovered".into(), kind: DIR, mode: 0o700, size: 1 << 20, ctime_ns: 5, mtime_ns: 6 }, "0a0000002f7265636f766572656401c0010000000010000000000005000000000000000600000000000000");
     pin!(ReplicaMetaReq, ReplicaMetaReq { path: String::new(), kind: FILE, mode: 0, size: 0, ctime_ns: 0, mtime_ns: 0 }, "000000000000000000000000000000000000000000000000000000000000000000");
 
@@ -152,6 +172,8 @@ fn every_message_encodes_to_its_pinned_bytes() {
         .into(),
     }, "0400000000020000002f6101a401000001070000000000000001020000002f6102020000002f6203020000002f6300020000000000000900000000000000");
     pin!(BatchMetaReq, BatchMetaReq::default(), "00000000");
+    // PR 18 added op tag 4 (`Rmdir`); tags 0–3 above are untouched.
+    pin!(BatchMetaReq, BatchMetaReq { ops: vec![MetaOp::Rmdir(PathReq::new("/d"))].into() }, "0100000004020000002f64");
     pin!(BatchMetaResp, BatchMetaResp {
         results: vec![
             MetaOpResult::ok(),

@@ -226,6 +226,31 @@ impl WriteBatch {
     }
 }
 
+/// What a conditional write ([`Db::write_with`]) reads: the store as
+/// it stands under the writer lock, so nothing it observes can change
+/// before its batch applies.
+pub struct WriteView<'a> {
+    db: &'a DbInner,
+    ver: &'a Version,
+    mem: &'a MemTable,
+}
+
+impl WriteView<'_> {
+    /// Point lookup (as [`Db::get`]).
+    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.db.resolve(self.ver, self.mem.get(key).cloned(), key)
+    }
+
+    /// Does `key` exist? Resolved from memtable tags and the SSTable
+    /// index alone — the value is never copied out.
+    pub fn contains(&self, key: &[u8]) -> Result<bool> {
+        match self.mem.get(key) {
+            Some(v) => Ok(!matches!(v, Value::Delete)),
+            None => self.db.exists_below_mem(self.ver, key),
+        }
+    }
+}
+
 /// The active memtable, shared between the version that owns it and
 /// (after rotation) the immutable-memtable record flushing it.
 type SharedMem = Arc<OrderedRwLock<MemTable>>;
@@ -605,70 +630,79 @@ impl Db {
 
     /// Insert or overwrite `key`.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.inner.write_record(
-            WalRecord::Put {
-                key: key.to_vec(),
-                value: value.to_vec(),
-            },
-            None,
-        )
+        self.inner.write_record(WalRecord::Put {
+            key: key.to_vec(),
+            value: value.to_vec(),
+        })
     }
 
     /// Insert `key` only if absent. Returns `true` if inserted,
     /// `false` if the key already existed. Atomic with respect to all
-    /// other writers — this backs GekkoFS' exclusive create.
+    /// other writers: existence is resolved under the writer lock, from
+    /// memtable tags and the SSTable index alone (no value is copied).
     pub fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool> {
-        self.inner.put_if_absent(key, value)
+        self.inner.write_record_with(|view| {
+            let absent = !view.contains(key)?;
+            let rec = absent.then(|| WalRecord::Put {
+                key: key.to_vec(),
+                value: value.to_vec(),
+            });
+            Ok((absent, rec, None))
+        })
     }
 
     /// Delete `key` (idempotent).
     pub fn delete(&self, key: &[u8]) -> Result<()> {
         self.inner
-            .write_record(WalRecord::Delete { key: key.to_vec() }, None)
+            .write_record(WalRecord::Delete { key: key.to_vec() })
     }
 
     /// Apply a merge operand to `key` (requires a configured merge
     /// operator).
     pub fn merge(&self, key: &[u8], operand: &[u8]) -> Result<()> {
         self.inner.merge_operator()?;
-        self.inner.write_record(
-            WalRecord::Merge {
-                key: key.to_vec(),
-                operand: operand.to_vec(),
-            },
-            None,
-        )
+        self.inner.write_record(WalRecord::Merge {
+            key: key.to_vec(),
+            operand: operand.to_vec(),
+        })
     }
 
     /// Apply a [`WriteBatch`] atomically: one memtable lock
     /// acquisition, one WAL record, no interleaving with other writers
     /// or readers.
     pub fn write(&self, batch: WriteBatch) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        if batch
-            .records
-            .iter()
-            .any(|r| matches!(r, WalRecord::Merge { .. }))
-        {
-            self.inner.merge_operator()?;
-        }
-        let sync = batch.sync;
-        self.inner
-            .write_record(WalRecord::Batch(batch.records), sync)
+        self.write_with(|_| Ok(((), batch)))
+    }
+
+    /// A conditional write: `stage` runs under the writer lock, reads
+    /// the store through the [`WriteView`] as no other writer can
+    /// change it, and returns its answer plus the batch to apply —
+    /// check and commit are one atomic step (GekkoFS' exclusive create
+    /// and every other read-modify-write of a metadata entry). An
+    /// empty batch writes nothing. `stage` runs inside the store's
+    /// locks: it must not block, and must read through the view — a
+    /// call back into this `Db` would deadlock.
+    pub fn write_with<T>(
+        &self,
+        stage: impl FnOnce(&WriteView<'_>) -> Result<(T, WriteBatch)>,
+    ) -> Result<T> {
+        self.inner.write_record_with(|view| {
+            let (out, batch) = stage(view)?;
+            if batch
+                .records
+                .iter()
+                .any(|r| matches!(r, WalRecord::Merge { .. }))
+            {
+                self.inner.merge_operator()?;
+            }
+            let rec = (!batch.is_empty()).then_some(WalRecord::Batch(batch.records));
+            Ok((out, rec, batch.sync))
+        })
     }
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         self.inner.get(key)
-    }
-
-    /// Does `key` exist? Resolves existence from memtable tags and the
-    /// SSTable index alone — the value is never copied out (the
-    /// daemon's create-path existence check).
-    pub fn contains(&self, key: &[u8]) -> Result<bool> {
-        self.inner.contains(key)
     }
 
     /// All live `(key, value)` pairs whose key starts with `prefix`,
@@ -865,76 +899,50 @@ impl DbInner {
         Ok(())
     }
 
-    /// The write path: L0 backpressure, then (under the version read
-    /// lock + memtable write lock) sequence assignment, WAL enqueue,
-    /// and memtable apply; then group commit and, if the memtable went
-    /// over budget, a rotation — all without ever holding a lock
-    /// across I/O except the shared group-commit append itself.
-    fn write_record(&self, rec: WalRecord, sync_override: Option<bool>) -> Result<()> {
+    /// The write path, once: L0 backpressure, then — under the version
+    /// read lock + memtable write lock — `stage` decides what to write
+    /// from a [`WriteView`] of the store no other writer can change,
+    /// and the record it returns gets its sequence number, its WAL slot
+    /// and its memtable apply; then group commit and, if the memtable
+    /// went over budget, a rotation. No lock is held across I/O except
+    /// the shared group-commit append itself. `stage` answers
+    /// `(result, record or nothing to write, fsync override)`.
+    fn write_record_with<T>(
+        &self,
+        stage: impl FnOnce(&WriteView<'_>) -> Result<(T, Option<WalRecord>, Option<bool>)>,
+    ) -> Result<T> {
         self.write_pressure()?;
-        let (seq, over) = {
+        let (out, seq, sync, over) = {
             let ver = self.version.read();
             let mut mem = ver.mem.write();
+            let (out, rec, sync) = stage(&WriteView { db: self, ver: &ver, mem: &mem })?;
+            let Some(rec) = rec else { return Ok(out) };
             let seq = if self.opts.wal { self.gc.enqueue(&rec) } else { 0 };
             self.apply_to_mem(&mut mem, &rec)?;
-            (seq, mem.approx_bytes() >= self.opts.memtable_bytes)
+            (out, seq, sync, mem.approx_bytes() >= self.opts.memtable_bytes)
         };
         if self.opts.wal {
-            let sync = sync_override.unwrap_or(self.opts.sync);
+            let sync = sync.unwrap_or(self.opts.sync);
             self.gc.commit(seq, sync, self.store.as_ref(), &self.stats)?;
         }
         if over {
             self.rotate(false)?;
         }
-        Ok(())
+        Ok(out)
     }
 
-    fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool> {
-        self.write_pressure()?;
-        let (seq, over) = {
-            let ver = self.version.read();
-            let mut mem = ver.mem.write();
-            let exists = match mem.get(key) {
-                Some(Value::Put(_)) | Some(Value::Merge(_)) => true,
-                Some(Value::Delete) => false,
-                None => self.exists_below_mem(&ver, key)?,
-            };
-            if exists {
-                return Ok(false);
-            }
-            DbStats::bump(&self.stats.puts);
-            let rec = WalRecord::Put {
-                key: key.to_vec(),
-                value: value.to_vec(),
-            };
-            let seq = if self.opts.wal { self.gc.enqueue(&rec) } else { 0 };
-            mem.put(key, value);
-            (seq, mem.approx_bytes() >= self.opts.memtable_bytes)
-        };
-        if self.opts.wal {
-            self.gc
-                .commit(seq, self.opts.sync, self.store.as_ref(), &self.stats)?;
-        }
-        if over {
-            self.rotate(false)?;
-        }
-        Ok(true)
+    /// An unconditional write of `rec`.
+    fn write_record(&self, rec: WalRecord) -> Result<()> {
+        self.write_record_with(|_| Ok(((), Some(rec), None)))
     }
 
     /// Existence for a key not present in the active memtable: frozen
     /// memtables newest-first, then table tags (no value copies).
     fn exists_below_mem(&self, ver: &Version, key: &[u8]) -> Result<bool> {
         for imm in ver.imm.iter().rev() {
-            match imm.mem.read().get(key) {
-                Some(Value::Put(_)) | Some(Value::Merge(_)) => {
-                    DbStats::bump(&self.stats.imm_hits);
-                    return Ok(true);
-                }
-                Some(Value::Delete) => {
-                    DbStats::bump(&self.stats.imm_hits);
-                    return Ok(false);
-                }
-                None => {}
+            if let Some(v) = imm.mem.read().get(key) {
+                DbStats::bump(&self.stats.imm_hits);
+                return Ok(!matches!(v, Value::Delete));
             }
         }
         self.tables_contain(ver, key)
@@ -958,30 +966,26 @@ impl DbInner {
         Ok(false)
     }
 
-    fn contains(&self, key: &[u8]) -> Result<bool> {
-        DbStats::bump(&self.stats.gets);
+    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let ver = self.snapshot();
-        match ver.mem.read().get(key) {
-            Some(Value::Put(_)) | Some(Value::Merge(_)) => return Ok(true),
-            Some(Value::Delete) => return Ok(false),
-            None => {}
-        }
-        self.exists_below_mem(&ver, key)
+        let top = ver.mem.read().get(key).cloned();
+        self.resolve(&ver, top, key)
     }
 
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+    /// Point lookup below the active memtable, whose entry for `key`
+    /// (`top`) the caller read under whichever guard it holds.
+    fn resolve(&self, ver: &Version, top: Option<Value>, key: &[u8]) -> Result<Option<Vec<u8>>> {
         DbStats::bump(&self.stats.gets);
-        let ver = self.snapshot();
 
         // Walk newest to oldest, collecting merge-operand runs until a
         // terminal state (Put / Delete / absent-everywhere) is found.
         let mut runs: Vec<Vec<Vec<u8>>> = Vec::new();
         let mut terminal: Option<Option<Vec<u8>>> = None;
 
-        match ver.mem.read().get(key) {
-            Some(Value::Put(v)) => terminal = Some(Some(v.clone())),
+        match top {
+            Some(Value::Put(v)) => terminal = Some(Some(v)),
             Some(Value::Delete) => terminal = Some(None),
-            Some(Value::Merge(ops)) => runs.push(ops.clone()),
+            Some(Value::Merge(ops)) => runs.push(ops),
             None => {}
         }
         if terminal.is_none() {
@@ -1007,7 +1011,7 @@ impl DbInner {
         }
         let base = match terminal {
             Some(t) => t,
-            None => self.get_from_tables(&ver, key)?,
+            None => self.get_from_tables(ver, key)?,
         };
         if runs.is_empty() {
             return Ok(base);
@@ -2248,23 +2252,24 @@ mod tests {
         assert!(store2.syncs.load(Ordering::Relaxed) >= 1);
     }
 
-    /// `contains` resolves existence through every level, including
-    /// tombstones, without a configured merge operator being needed
-    /// for plain keys.
+    /// The conditional insert resolves existence through every level,
+    /// tombstones included, from tags alone.
     #[test]
-    fn contains_tracks_existence_through_levels() {
+    fn put_if_absent_tracks_existence_through_levels() {
         let db = Db::open_memory(small_opts()).unwrap();
         db.put(b"/big", &[9u8; 2000]).unwrap();
-        assert!(db.contains(b"/big").unwrap());
+        assert!(!db.put_if_absent(b"/big", b"x").unwrap());
         db.flush().unwrap();
-        assert!(db.contains(b"/big").unwrap(), "existence from table tags");
-        assert!(!db.contains(b"/absent").unwrap());
+        assert!(!db.put_if_absent(b"/big", b"x").unwrap(), "existence from table tags");
+        assert_eq!(db.get(b"/big").unwrap().unwrap().len(), 2000, "a refused insert writes nothing");
+        assert!(db.put_if_absent(b"/absent", b"a").unwrap());
         db.delete(b"/big").unwrap();
-        assert!(!db.contains(b"/big").unwrap(), "memtable tombstone wins");
+        assert!(db.put_if_absent(b"/big", b"y").unwrap(), "memtable tombstone wins");
+        db.delete(b"/big").unwrap();
         db.flush().unwrap();
-        assert!(!db.contains(b"/big").unwrap(), "table tombstone wins");
+        assert!(db.put_if_absent(b"/big", b"z").unwrap(), "table tombstone wins");
         // A key that only exists as stacked merge operands still exists.
         db.merge(b"/m", &3u64.to_le_bytes()).unwrap();
-        assert!(db.contains(b"/m").unwrap());
+        assert!(!db.put_if_absent(b"/m", b"x").unwrap());
     }
 }

@@ -24,8 +24,8 @@ use std::collections::HashMap;
 /// bound): chains longer than this many call edges are not followed.
 pub const DEPTH: usize = 4;
 
-/// Method names that are overwhelmingly std collection/guard calls
-/// (`map.insert(..)`, `set.clear()`, …). A workspace fn sharing one of
+/// Method names that are overwhelmingly std collection/guard/fs calls
+/// (`map.insert(..)`, `set.clear()`, `OpenOptions::create(true)`, …). A workspace fn sharing one of
 /// these names would alias every such call site, so method calls with
 /// these names never form a call edge; bare calls still resolve.
 const STD_METHODS: &[&str] = &[
@@ -33,7 +33,7 @@ const STD_METHODS: &[&str] = &[
     "entry", "contains", "contains_key", "retain", "append", "take", "len", "is_empty",
     "iter", "keys", "values", "split_off", "truncate", "resize", "reserve", "push_back",
     "pop_front", "sort", "swap", "read", "write", "lock", "send", "recv", "wait", "next",
-    "clone", "flush", "poll",
+    "clone", "flush", "poll", "create",
 ];
 
 /// Can this call site form an interprocedural edge?

@@ -108,8 +108,9 @@ rpc_table! {
     1 Create: CreateReq => ();
     /// Fetch a metadata entry.
     2 Stat: PathReq => Metadata;
-    /// Remove a metadata entry.
-    3 RemoveMeta: PathReq => RemoveMetaResp;
+    /// Remove a metadata entry of the stated kind; the reply is the
+    /// removed entry.
+    3 RemoveMeta: RemoveMetaReq => Metadata;
     /// Update (merge) the size field of a metadata entry.
     4 UpdateSize: UpdateSizeReq => ();
     /// Truncate/overwrite metadata size (decrease).
@@ -161,8 +162,7 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// Requests that carry only a path (`Stat`, `RemoveMeta`,
-    /// `RemoveChunks`).
+    /// Requests that carry only a path (`Stat`, `RemoveChunks`).
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct PathReq {
         /// Path.
@@ -187,6 +187,19 @@ impl PathReq {
     /// Build a request for `path`.
     pub fn new(path: impl Into<String>) -> PathReq {
         PathReq { path: path.into() }
+    }
+}
+
+wire_struct! {
+    /// `RemoveMeta`: remove `path` if it is a `kind` — `unlink` states
+    /// file, `rmdir` directory, and the daemon refuses the other with
+    /// `IsDirectory` / `NotDirectory`.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RemoveMetaReq {
+        /// Path.
+        pub path: String,
+        /// The kind the caller expects to remove.
+        pub kind: FileKind,
     }
 }
 
@@ -315,16 +328,6 @@ wire_struct! {
         pub keep_chunk: u64,
         /// Keep bytes.
         pub keep_bytes: u64,
-    }
-}
-
-wire_struct! {
-    /// `RemoveMeta` response: the kind of the removed entry (so the client
-    /// knows whether to fan out chunk removal).
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct RemoveMetaResp {
-        /// Kind.
-        pub kind: FileKind,
     }
 }
 
@@ -477,10 +480,13 @@ pub enum MetaOp {
     Create(CreateReq),
     /// Fetch a metadata entry.
     Stat(PathReq),
-    /// Remove a metadata entry. The reply carries the removed entry's
-    /// metadata so the client can decide on chunk fan-out without a
-    /// separate pre-stat round trip.
+    /// Remove a file's metadata entry (`IsDirectory` on a directory).
+    /// The reply carries the removed entry's metadata so the client can
+    /// decide on chunk fan-out without a separate pre-stat round trip.
     Unlink(PathReq),
+    /// Remove a directory's metadata entry (`NotDirectory` on a file).
+    /// Emptiness is the client's cross-daemon check, not this op's.
+    Rmdir(PathReq),
     /// Truncate/overwrite metadata size (decrease).
     TruncateMeta(TruncateMetaReq),
 }
@@ -490,7 +496,7 @@ impl MetaOp {
     pub fn path(&self) -> &str {
         match self {
             MetaOp::Create(r) => &r.path,
-            MetaOp::Stat(r) | MetaOp::Unlink(r) => &r.path,
+            MetaOp::Stat(r) | MetaOp::Unlink(r) | MetaOp::Rmdir(r) => &r.path,
             MetaOp::TruncateMeta(r) => &r.path,
         }
     }
@@ -509,6 +515,7 @@ impl Wire for MetaOp {
             MetaOp::Stat(r) => e.u8(1).put(r),
             MetaOp::Unlink(r) => e.u8(2).put(r),
             MetaOp::TruncateMeta(r) => e.u8(3).put(r),
+            MetaOp::Rmdir(r) => e.u8(4).put(r),
         };
     }
     fn get(d: &mut Decoder<'_>) -> Result<MetaOp> {
@@ -517,6 +524,7 @@ impl Wire for MetaOp {
             1 => MetaOp::Stat(Wire::get(d)?),
             2 => MetaOp::Unlink(Wire::get(d)?),
             3 => MetaOp::TruncateMeta(Wire::get(d)?),
+            4 => MetaOp::Rmdir(Wire::get(d)?),
             other => return Err(GkfsError::Corruption(format!("bad meta-op tag {other}"))),
         })
     }
@@ -542,45 +550,32 @@ pub struct MetaOpResult {
     pub code: u32,
     /// Error detail (empty on success).
     pub detail: String,
-    /// Result metadata: present for successful `Stat` and `Unlink`
-    /// ops (the removed entry's last state), absent otherwise.
+    /// Result metadata: present for successful `Stat`, `Unlink` and
+    /// `Rmdir` ops (the removed entry's last state), absent otherwise.
     pub meta: Option<Metadata>,
 }
 
 impl MetaOpResult {
-    /// A plain success with no payload (create/truncate).
-    pub fn ok() -> MetaOpResult {
-        MetaOpResult {
-            code: 0,
-            detail: String::new(),
-            meta: None,
-        }
-    }
-
-    /// A success carrying metadata (stat/unlink).
-    pub fn ok_meta(meta: Metadata) -> MetaOpResult {
-        MetaOpResult {
-            code: 0,
-            detail: String::new(),
-            meta: Some(meta),
-        }
-    }
-
-    /// A per-op failure.
-    pub fn err(e: &GkfsError) -> MetaOpResult {
-        MetaOpResult {
-            code: e.code(),
-            detail: e.detail().to_string(),
-            meta: None,
-        }
-    }
-
     /// Surface the per-op status as a `Result`.
-    pub fn into_result(self) -> Result<Option<Metadata>> {
+    pub fn into_result(self) -> MetaVerdict {
         if self.code == 0 {
             Ok(self.meta)
         } else {
             Err(GkfsError::from_code(self.code, &self.detail))
+        }
+    }
+}
+
+/// What a [`MetaOp`] answers, on either end of the wire: the entry for
+/// a stat or a remove (as it was when removed), nothing for a create or
+/// a truncate, or the op's own refusal.
+pub type MetaVerdict = Result<Option<Metadata>>;
+
+impl From<MetaVerdict> for MetaOpResult {
+    fn from(verdict: MetaVerdict) -> MetaOpResult {
+        match verdict {
+            Ok(meta) => MetaOpResult { code: 0, detail: String::new(), meta },
+            Err(e) => MetaOpResult { code: e.code(), detail: e.detail().to_string(), meta: None },
         }
     }
 }
@@ -764,6 +759,7 @@ mod tests {
                     new_size: 512,
                     mtime_ns: 9,
                 }),
+                MetaOp::Rmdir(PathReq::new("/d")),
             ]
             .into(),
         }
@@ -772,10 +768,10 @@ mod tests {
     fn batch_meta_resp() -> BatchMetaResp {
         BatchMetaResp {
             results: vec![
-                MetaOpResult::ok(),
-                MetaOpResult::ok_meta(Metadata::new_dir(42)),
-                MetaOpResult::err(&GkfsError::Exists),
-                MetaOpResult::err(&GkfsError::NotFound),
+                Ok(None).into(),
+                Ok(Some(Metadata::new_dir(42))).into(),
+                Err(GkfsError::Exists).into(),
+                Err(GkfsError::NotFound).into(),
             ],
         }
     }
@@ -805,11 +801,11 @@ mod tests {
         check_row::<op::Stat>(&mut seen, &paths, &[Metadata::new_file(7), Metadata::new_dir(0)]);
         check_row::<op::RemoveMeta>(
             &mut seen,
-            &paths,
             &[
-                RemoveMetaResp { kind: FileKind::File },
-                RemoveMetaResp { kind: FileKind::Directory },
+                RemoveMetaReq { path: "/x/y/z".into(), kind: FileKind::File },
+                RemoveMetaReq { path: String::new(), kind: FileKind::Directory },
             ],
+            &[Metadata::new_file(7), Metadata::new_dir(0)],
         );
         check_row::<op::UpdateSize>(
             &mut seen,
@@ -896,7 +892,7 @@ mod tests {
     #[test]
     fn a_bad_kind_byte_fails_every_message_that_carries_one() {
         check_bad_kind(&create_req(), 4 + 4);
-        check_bad_kind(&RemoveMetaResp { kind: FileKind::Directory }, 0);
+        check_bad_kind(&RemoveMetaReq { path: "/r".into(), kind: FileKind::Directory }, 4 + 2);
         check_bad_kind(
             &ReplicaMetaReq {
                 path: "/r".into(),

@@ -340,11 +340,10 @@ mod tests {
 
                     // RPCs per file are structural, so each cell pins
                     // its own. Unary: nothing batched; create, stat and
-                    // a stat-then-remove unlink are 4 round trips, and
-                    // a write-through payload adds chunk write + size
+                    // unlink are one round trip each, and a
+                    // write-through payload adds chunk write + size
                     // update per pwrite (8 x 2) plus the unlink's chunk
-                    // removal — 21, the itemized baseline in
-                    // tests/rpc_budget.rs. Bulk: every create/stat/
+                    // removal — 20. Bulk: every create/stat/
                     // remove batched, one frame per daemon per slice;
                     // the payload adds an open-time stat and the same
                     // 16 write RPCs and chunk removal.
@@ -353,7 +352,7 @@ mod tests {
                     match mode {
                         MetaMode::Unary => {
                             assert_eq!(r.ops_batched, 0, "{what}");
-                            assert_eq!(per_file, if filled { 21.0 } else { 4.0 }, "{what}");
+                            assert_eq!(per_file, if filled { 20.0 } else { 3.0 }, "{what}");
                         }
                         MetaMode::Bulk(_) => {
                             assert_eq!(r.ops_batched, 900, "{what}");

@@ -188,7 +188,7 @@ impl ReplayResult {
 /// Replay a trace with `ranks` concurrent clients. Each rank executes
 /// its own entries in order; `barrier` entries synchronize everyone
 /// (MPI-style). Per-rank ops between barriers run concurrently across
-/// ranks.
+/// ranks. The lowest-ranked rank's first error is the replay's result.
 pub fn replay_trace(
     mount: impl Fn() -> Result<GekkoClient>,
     ranks: usize,
@@ -200,45 +200,53 @@ pub fn replay_trace(
     let written = AtomicU64::new(0);
     let read = AtomicU64::new(0);
 
+    let run = |rank: usize, client: &GekkoClient, op: &TraceOp| -> Result<()> {
+        match op {
+            TraceOp::Barrier => return Ok(()),
+            TraceOp::Mkdir(p) => client.mkdir(p, 0o755)?,
+            TraceOp::Create(p) => client.create(p, 0o644)?,
+            TraceOp::Write(p, off, len) => {
+                let data = trace_pattern(rank, *off, *len);
+                let h = client.open_handle(p, OpenFlags::WRONLY)?;
+                h.pwrite(*off, &data)?;
+                h.close()?;
+                written.fetch_add(*len, Ordering::Relaxed);
+            }
+            TraceOp::Read(p, off, len) => {
+                let h = client.open_handle(p, OpenFlags::RDONLY)?;
+                let data = h.pread(*off, *len as usize)?;
+                h.close()?;
+                read.fetch_add(data.len() as u64, Ordering::Relaxed);
+            }
+            TraceOp::Stat(p) => {
+                client.stat(p)?;
+            }
+            TraceOp::Unlink(p) => client.unlink(p)?,
+            TraceOp::Rmdir(p) => client.rmdir(p)?,
+            TraceOp::Truncate(p, size) => client.truncate(p, *size)?,
+            TraceOp::Readdir(p) => {
+                client.readdir(p)?;
+            }
+        }
+        ops.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    };
     let elapsed = clients.phase(
         |_, _| Ok(()),
         |rank, client, ()| {
+            // A rank whose op failed runs no further ops but keeps
+            // walking the trace for its barriers: the other ranks are
+            // (or will be) waiting in them for it.
+            let mut outcome = Ok(());
             for entry in trace {
                 let mine = entry.rank.map(|r| r == rank).unwrap_or(true);
-                match &entry.op {
-                    TraceOp::Barrier => {
-                        barrier.wait();
-                        continue;
-                    }
-                    _ if !mine => continue,
-                    TraceOp::Mkdir(p) => client.mkdir(p, 0o755)?,
-                    TraceOp::Create(p) => client.create(p, 0o644)?,
-                    TraceOp::Write(p, off, len) => {
-                        let data = trace_pattern(rank, *off, *len);
-                        let h = client.open_handle(p, OpenFlags::WRONLY)?;
-                        h.pwrite(*off, &data)?;
-                        h.close()?;
-                        written.fetch_add(*len, Ordering::Relaxed);
-                    }
-                    TraceOp::Read(p, off, len) => {
-                        let h = client.open_handle(p, OpenFlags::RDONLY)?;
-                        let data = h.pread(*off, *len as usize)?;
-                        h.close()?;
-                        read.fetch_add(data.len() as u64, Ordering::Relaxed);
-                    }
-                    TraceOp::Stat(p) => {
-                        client.stat(p)?;
-                    }
-                    TraceOp::Unlink(p) => client.unlink(p)?,
-                    TraceOp::Rmdir(p) => client.rmdir(p)?,
-                    TraceOp::Truncate(p, size) => client.truncate(p, *size)?,
-                    TraceOp::Readdir(p) => {
-                        client.readdir(p)?;
-                    }
+                if entry.op == TraceOp::Barrier {
+                    barrier.wait();
+                } else if mine && outcome.is_ok() {
+                    outcome = run(rank, client, &entry.op);
                 }
-                ops.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(())
+            outcome
         },
     )?;
 
@@ -256,50 +264,27 @@ pub fn replay_trace(
 /// paper's burst-buffer deployment targets).
 pub fn checkpoint_trace(ranks: usize, steps: usize, bytes: u64) -> Vec<TraceEntry> {
     let mut t = Vec::new();
-    t.push(TraceEntry {
-        rank: Some(0),
-        op: TraceOp::Mkdir("/ckpt".into()),
-    });
-    t.push(TraceEntry {
-        rank: None,
-        op: TraceOp::Barrier,
-    });
+    let mut push = |rank: Option<usize>, op: TraceOp| t.push(TraceEntry { rank, op });
+    push(Some(0), TraceOp::Mkdir("/ckpt".into()));
+    push(None, TraceOp::Barrier);
     for step in 0..steps {
         for rank in 0..ranks {
             let path = format!("/ckpt/s{step}.r{rank}");
-            t.push(TraceEntry {
-                rank: Some(rank),
-                op: TraceOp::Create(path.clone()),
-            });
-            t.push(TraceEntry {
-                rank: Some(rank),
-                op: TraceOp::Write(path, 0, bytes),
-            });
+            push(Some(rank), TraceOp::Create(path.clone()));
+            push(Some(rank), TraceOp::Write(path, 0, bytes));
         }
-        t.push(TraceEntry {
-            rank: None,
-            op: TraceOp::Barrier,
-        });
+        push(None, TraceOp::Barrier);
         // Keep only the latest two steps (the common retention policy).
         if step >= 2 {
             for rank in 0..ranks {
-                t.push(TraceEntry {
-                    rank: Some(rank),
-                    op: TraceOp::Unlink(format!("/ckpt/s{}.r{rank}", step - 2)),
-                });
+                push(Some(rank), TraceOp::Unlink(format!("/ckpt/s{}.r{rank}", step - 2)));
             }
         }
     }
-    t.push(TraceEntry {
-        rank: None,
-        op: TraceOp::Barrier,
-    });
+    push(None, TraceOp::Barrier);
     // Restart: everyone reads its own final checkpoint.
     for rank in 0..ranks {
-        t.push(TraceEntry {
-            rank: Some(rank),
-            op: TraceOp::Read(format!("/ckpt/s{}.r{rank}", steps - 1), 0, bytes),
-        });
+        push(Some(rank), TraceOp::Read(format!("/ckpt/s{}.r{rank}", steps - 1), 0, bytes));
     }
     t
 }
@@ -395,6 +380,38 @@ mod tests {
         // application it models would fail.
         let trace = parse_trace("0 unlink /never\n").unwrap();
         assert!(replay_trace(|| cluster.mount(), 1, &trace).is_err());
+        cluster.shutdown();
+    }
+
+    /// A rank that fails before a barrier still shows up at it: the
+    /// replay returns that rank's error instead of leaving the other
+    /// ranks waiting forever, and the failed rank runs nothing further.
+    #[test]
+    fn a_failed_rank_still_reaches_its_barriers() {
+        let cluster = std::sync::Arc::new(Cluster::deploy(ClusterConfig::new(2)).unwrap());
+        let trace = parse_trace(
+            "0 unlink /never\n\
+             * barrier\n\
+             0 create /after-failure\n\
+             1 create /other-rank\n\
+             * barrier\n",
+        )
+        .unwrap();
+        // Replayed on a thread of its own so that a hang fails the test
+        // instead of hanging it.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let replayer = {
+            let cluster = std::sync::Arc::clone(&cluster);
+            std::thread::spawn(move || done_tx.send(replay_trace(|| cluster.mount(), 2, &trace)))
+        };
+        let outcome = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("replay hung: a rank waits in a barrier the failed rank never reached");
+        replayer.join().unwrap().unwrap();
+        assert_eq!(outcome.unwrap_err(), GkfsError::NotFound);
+        let fs = cluster.mount().unwrap();
+        assert!(fs.stat("/after-failure").is_err());
+        assert!(fs.stat("/other-rank").is_ok());
         cluster.shutdown();
     }
 }

@@ -40,7 +40,7 @@ fn mdtest_and_ior_run_against_a_tcp_deployment() {
     ]);
     assert!(ok, "mdtest failed: {stderr}");
     assert!(stdout.contains("files : 100"), "{stdout}");
-    assert!(stdout.contains("rpcs  :         4.00 per file"), "{stdout}");
+    assert!(stdout.contains("rpcs  :         3.00 per file"), "{stdout}");
     let fs = cluster.mount().unwrap();
     assert!(
         fs.readdir("/mdtest").unwrap().is_empty(),

@@ -106,6 +106,13 @@ echo "==> kvstore release stress (optimized timing: stalls, group commit, crash 
 # the contended paths, so run the kvstore suite again in release.
 cargo test -p gkfs-kvstore --release -q
 
+echo "==> one-winner race, release (a batched exclusive create is atomic)"
+# N threads released onto one path per round through the daemon's
+# metadata interpreter: exactly one exclusive create may win. Debug
+# timing barely contends the memtable writer lock the check-and-commit
+# runs under, so the race is run where it is tight.
+cargo test -p gkfs-daemon --release -q --lib batched_exclusive_create_has_one_winner
+
 echo "==> chaos suite, release (seeded fault injection under workloads)"
 # Deterministic chaos: mdtest/smallfile-shaped workloads under seeded
 # drop/delay/duplicate/corrupt/reset injection, plus a TCP proxy with

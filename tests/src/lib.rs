@@ -7,12 +7,20 @@
 //! This lib target exists only to give the integration-test crate a
 //! compilation unit; shared helpers live here.
 
-use gekkofs::{Cluster, ClusterConfig, Result};
+use gekkofs::{Cluster, ClusterConfig, Daemon, Result};
+use gkfs_rpc::proto::{MetaOp, PathReq};
 
 /// Deploy a small in-process cluster with a given chunk size, for
 /// tests that need wide striping with small data.
 pub fn small_chunk_cluster(nodes: usize, chunk_size: u64) -> Result<Cluster> {
     Cluster::deploy(ClusterConfig::new(nodes).with_chunk_size(chunk_size))
+}
+
+/// Does `daemon` hold a metadata entry for `path`, asked of its backend
+/// directly (what a replica holds, whatever the client would be told)?
+pub fn holds_meta(daemon: &Daemon, path: &str) -> bool {
+    let stat = MetaOp::Stat(PathReq::new(path));
+    daemon.backends().meta.apply_one(stat).is_ok()
 }
 
 /// Deterministic pseudo-random payload.

@@ -408,7 +408,7 @@ fn node_holds_its_share(
     let d = cluster.daemon(node);
     for (path, data) in files {
         if dist.metadata_replicas(path, replicas).contains(&node)
-            && d.backends().meta.stat(path).is_err()
+            && !gkfs_integration::holds_meta(d, path)
         {
             return false;
         }
@@ -572,7 +572,7 @@ fn substitutes_hold_dead_share(
         let mset = dist.metadata_replicas(path, replicas);
         if mset.contains(&dead_node) {
             match substitute(mset[0], &mset, &dead, nodes) {
-                Some(sub) if cluster.daemon(sub).backends().meta.stat(path).is_ok() => {}
+                Some(sub) if gkfs_integration::holds_meta(cluster.daemon(sub), path) => {}
                 _ => return false,
             }
         }

@@ -54,6 +54,38 @@ fn concurrent_create_exactly_one_winner_per_path() {
     cluster.shutdown();
 }
 
+/// The bulk plane obeys the same rule: eight mounts race
+/// `create_many` over one path list, and every path has exactly one
+/// winner — a frame's existence checks and its commit are one step on
+/// the owning daemon, as a unary create's are.
+#[test]
+fn concurrent_create_many_exactly_one_winner_per_path() {
+    let cluster = Cluster::deploy(ClusterConfig::new(4)).unwrap();
+    let paths: Vec<String> = (0..256).map(|i| format!("/bulk-race-{i}")).collect();
+    let gate = std::sync::Barrier::new(8);
+    let mut wins = vec![0usize; paths.len()];
+    std::thread::scope(|s| {
+        let racers: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    let fs = cluster.mount().unwrap();
+                    gate.wait();
+                    fs.create_many(&paths, 0o644).unwrap()
+                })
+            })
+            .collect();
+        for racer in racers {
+            for (won, slot) in wins.iter_mut().zip(racer.join().unwrap()) {
+                *won += slot.is_ok() as usize;
+            }
+        }
+    });
+    for (path, won) in paths.iter().zip(wins) {
+        assert_eq!(won, 1, "path {path}: exclusive create must have one winner");
+    }
+    cluster.shutdown();
+}
+
 #[test]
 fn non_overlapping_concurrent_writes_all_land() {
     // §III-A: applications are responsible for avoiding *overlapping*

@@ -59,7 +59,7 @@ fn holds_share(cluster: &Cluster, node: usize, files: &[(String, Vec<u8>)], cfg:
     let d = cluster.daemon(node);
     for (path, data) in files {
         if dist.metadata_replicas(path, replicas).contains(&node)
-            && d.backends().meta.stat(path).is_err()
+            && !gkfs_integration::holds_meta(d, path)
         {
             return false;
         }

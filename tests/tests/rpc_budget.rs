@@ -103,6 +103,10 @@ fn batched_mdtest_rpc_budget_holds() {
     let bulk = run_mdtest(|| cluster.mount(), &mk(MetaMode::Bulk(64), "/md-bulk")).unwrap();
     cluster.shutdown();
 
+    // The unary chain is exactly one round trip per op: create, stat,
+    // remove — the owner judges and answers the remove itself, so no
+    // stat leads it.
+    assert_eq!(unary.rpcs_per_file(), 3.0, "unary zero-byte mdtest");
     let per_file = bulk.rpcs_per_file();
     assert!(
         per_file <= BATCHED_MDTEST_RPCS_PER_FILE_BUDGET,
@@ -284,7 +288,7 @@ fn replica_legs_cost_exactly_replicas_round_trips() {
             1,         // read: the chain's first member answers
             1,         // stat
             r + 3,     // truncate: meta per replica + 3-node chunk broadcast
-            1 + r + r, // close: nothing buffered; unlink: stat + meta + one chunk's holders
+            r + r,     // close: nothing buffered; unlink: meta + one chunk's holders, no stat
         ];
         assert_eq!(
             replicated_script_rpcs(replicas as usize),

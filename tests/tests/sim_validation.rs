@@ -83,14 +83,20 @@ fn scaling_mechanism_validated_spreading_real_throughput_sim() {
 
 #[test]
 fn both_show_create_faster_than_remove() {
-    // mdtest ordering on the real FS...
-    let cluster = Cluster::deploy(ClusterConfig::new(4)).unwrap();
+    // mdtest ordering on the real FS... Files carry four chunks, so a
+    // remove is structurally more than a stat — the owner's metadata
+    // round trip, then every chunk holder's — as it is in the
+    // simulator; on zero-byte files both are one round trip and the
+    // order is scheduler noise.
+    let cluster = Cluster::deploy(ClusterConfig::new(4).with_chunk_size(1024)).unwrap();
     let r = run_mdtest(
         || cluster.mount(),
         &MdtestConfig {
-            processes: 8,
-            files_per_process: 500,
+            processes: 4,
+            files_per_process: 250,
             work_dir: "/o".into(),
+            file_size: 4096,
+            transfer_size: 4096,
             ..MdtestConfig::default()
         },
     )
