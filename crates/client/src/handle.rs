@@ -1,0 +1,595 @@
+//! Open files: the open protocol, the descriptor shims of the preload
+//! ABI, and [`FileHandle`] — the client's I/O surface. Everything a
+//! handle knows about its file beyond flags and position is its path's
+//! [`LocalFile`](crate::filemap::LocalFile).
+
+use crate::client::GekkoClient;
+use crate::filemap::OpenFile;
+use crate::meta_frames::create_op;
+use gkfs_common::path as gpath;
+use gkfs_common::{FileKind, GkfsError, Metadata, OpenFlags, Result};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+/// Seek origin for [`GekkoClient::lseek`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Whence {
+    /// Absolute offset (`SEEK_SET`).
+    Set,
+    /// Relative to the current position (`SEEK_CUR`).
+    Cur,
+    /// Relative to end of file (`SEEK_END`).
+    End,
+}
+
+impl GekkoClient {
+    /// Open (optionally creating) a file, returning a GekkoFS fd.
+    ///
+    /// The descriptor is a [`FileHandle`] kept in the descriptor table:
+    /// it shares its path's record (size, write-back run) with every
+    /// other descriptor and handle open on the path.
+    pub fn open(&self, path: &str, flags: OpenFlags) -> Result<i32> {
+        Ok(self.files.insert(self.open_file(path, flags)?))
+    }
+
+    /// Open (optionally creating) a file as an explicit [`FileHandle`]
+    /// — the primary I/O surface of the client. The handle knows the
+    /// file's size from its open (no stat RPC per read) and, when
+    /// [`ClusterConfig::with_write_back`](gkfs_common::ClusterConfig::with_write_back)
+    /// enables it, coalesces small sequential writes in the path's
+    /// write-back buffer.
+    pub fn open_handle(&self, path: &str, flags: OpenFlags) -> Result<FileHandle<'_>> {
+        Ok(self.file_handle(Arc::new(self.open_file(path, flags)?), true))
+    }
+
+    /// Borrow an existing descriptor as a [`FileHandle`] view. The view
+    /// shares the descriptor's offset and its path's record, but never
+    /// flushes on drop — `close(fd)` owns that.
+    pub fn handle(&self, fd: i32) -> Result<FileHandle<'_>> {
+        Ok(self.file_handle(self.files.get(fd)?, false))
+    }
+
+    /// A handle over `file`; `owned` = dropping it flushes.
+    fn file_handle(&self, file: Arc<OpenFile>, owned: bool) -> FileHandle<'_> {
+        FileHandle { client: self, file, owned }
+    }
+
+    /// The open-path protocol shared by [`GekkoClient::open`] and
+    /// [`GekkoClient::open_handle`].
+    fn open_file(&self, path: &str, flags: OpenFlags) -> Result<OpenFile> {
+        let path = gpath::normalize(path)?;
+        if flags.create {
+            self.stats.creates.fetch_add(1, Ordering::Relaxed);
+            self.revoke_lease(&path);
+            self.meta_call(create_op(path.clone(), FileKind::File, 0o644, flags.exclusive))?;
+        }
+        let (kind, mut size) = if flags.create && flags.exclusive {
+            // Freshly created: must be an empty file — no extra stat on
+            // the mdtest hot path.
+            (FileKind::File, 0)
+        } else {
+            // A non-exclusive create may have hit an existing entry of
+            // either kind; `open(dir, O_CREAT|O_WRONLY)` must fail with
+            // EISDIR, not scribble on a directory.
+            let meta = self.stat_local(&path)?;
+            if meta.is_dir() && flags.write {
+                return Err(GkfsError::IsDirectory);
+            }
+            (meta.kind, meta.size)
+        };
+        if flags.truncate && kind == FileKind::File {
+            self.truncate(&path, 0)?;
+            size = 0;
+        }
+        let file = OpenFile::new(self.files.attach(&path, kind, size), flags);
+        if flags.append {
+            // O_APPEND: position at the open-time EOF — the size the
+            // open already learned, not another stat RPC.
+            file.seek_to(size);
+        }
+        Ok(file)
+    }
+
+    /// Close a descriptor: flush its path's write-back buffer and any
+    /// buffered size update.
+    pub fn close(&self, fd: i32) -> Result<()> {
+        self.file_handle(self.files.remove(fd)?, false).flush()
+    }
+
+    /// `dup(2)`.
+    pub fn dup(&self, fd: i32) -> Result<i32> {
+        self.files.dup(fd)
+    }
+
+    /// Reposition a descriptor. `SEEK_END` resolves against the
+    /// path's record — no stat RPC.
+    pub fn lseek(&self, fd: i32, offset: i64, whence: Whence) -> Result<u64> {
+        self.handle(fd)?.seek(offset, whence)
+    }
+
+    /// Write at the current position, advancing it.
+    pub fn write(&self, fd: i32, data: &[u8]) -> Result<usize> {
+        self.handle(fd)?.write(data)
+    }
+
+    /// Positional write (`pwrite`); does not move the descriptor.
+    pub fn pwrite(&self, fd: i32, offset: u64, data: &[u8]) -> Result<usize> {
+        self.handle(fd)?.pwrite(offset, data)
+    }
+
+    /// Read from the current position, advancing by the bytes returned.
+    pub fn read(&self, fd: i32, len: usize) -> Result<Vec<u8>> {
+        self.handle(fd)?.read(len)
+    }
+
+    /// Positional read (`pread`); does not move the descriptor.
+    pub fn pread(&self, fd: i32, offset: u64, len: usize) -> Result<Vec<u8>> {
+        self.handle(fd)?.pread(offset, len)
+    }
+
+    /// Flush this descriptor's write-back buffer and buffered size
+    /// updates to the daemons.
+    pub fn fsync(&self, fd: i32) -> Result<()> {
+        self.handle(fd)?.flush()
+    }
+}
+
+/// An explicit open-file handle — the primary I/O surface of the
+/// client ([`GekkoClient::open_handle`]).
+///
+/// The handle is the open flags and a seek position over its path's
+/// [`LocalFile`](crate::filemap::LocalFile), which carries what GekkoFS
+/// keeps in its client-side open-file table: the size learned at open
+/// (so reads and `SEEK_END` never pay a stat RPC) and an optional
+/// write-back buffer that coalesces small sequential writes into
+/// chunk-aligned batches
+/// ([`ClusterConfig::with_write_back`](gkfs_common::ClusterConfig::with_write_back)).
+/// Every handle this client has open on the path shares the record.
+///
+/// Consistency contract: reads through any of those handles see the
+/// client's buffered writes immediately (read-your-writes), and `stat`
+/// on the same client sees the buffered tail in the size; *other*
+/// clients see the bytes only after `flush`/`fsync`/`close` — the same
+/// relaxation the paper's §IV-B size cache already makes. Cross-client
+/// growth of the file becomes visible on re-open. Once this client
+/// unlinks the path, reads and writes through a surviving handle
+/// answer `NotFound` and its `flush`/`close` send nothing.
+///
+/// Handles from [`GekkoClient::open_handle`] flush on drop
+/// (best-effort, errors swallowed); call [`FileHandle::close`] to
+/// observe flush errors. Views from [`GekkoClient::handle`] never
+/// flush on drop — the descriptor table owns their lifecycle.
+pub struct FileHandle<'c> {
+    client: &'c GekkoClient,
+    file: Arc<OpenFile>,
+    /// Whether dropping the handle flushes: true for
+    /// [`GekkoClient::open_handle`], false for borrowed views of a
+    /// descriptor, whose `close(fd)` does.
+    owned: bool,
+}
+
+impl FileHandle<'_> {
+    /// The normalized path this handle is open on.
+    pub fn path(&self) -> &str {
+        &self.file.local.path
+    }
+
+    /// File or directory?
+    pub fn kind(&self) -> FileKind {
+        self.file.local.kind
+    }
+
+    /// The file size as this client knows it: open-time size, grown by
+    /// its writes through any handle on the path, including any
+    /// unflushed write-back tail. Never issues an RPC.
+    pub fn size(&self) -> u64 {
+        self.client
+            .stats
+            .size_cache_hits
+            .fetch_add(1, Ordering::Relaxed);
+        self.file.local.size()
+    }
+
+    /// Full metadata (one stat, possibly served by the TTL cache), with
+    /// the size raised to what the path's record believes.
+    pub fn stat(&self) -> Result<Metadata> {
+        self.file.local.linked()?;
+        self.client.stat(self.path())
+    }
+
+    /// Positional write; does not move the handle's offset. Small
+    /// writes coalesce in the write-back buffer when enabled.
+    pub fn pwrite(&self, offset: u64, data: &[u8]) -> Result<usize> {
+        let (c, local) = (self.client, &*self.file.local);
+        if !self.file.flags.write {
+            return Err(GkfsError::BadFileDescriptor);
+        }
+        c.stats.write_ops.fetch_add(1, Ordering::Relaxed);
+        c.stats
+            .bytes_written
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        if data.is_empty() {
+            // POSIX: a zero-length write has no effect — in particular
+            // it must not extend the file via a size update.
+            return Ok(0);
+        }
+        // Decided under the record's lock; every RPC happens after the
+        // guard drops (GKL002).
+        let (flush_first, through, ready) = local.offer(offset, data)?;
+        if let Some(run) = flush_first {
+            c.flush_run(local, run)?;
+        }
+        if through {
+            c.write_through(local, offset, data)?;
+        } else {
+            c.stats
+                .wb_buffered_bytes
+                .fetch_add(data.len() as u64, Ordering::Relaxed);
+        }
+        if let Some(run) = ready {
+            c.flush_run(local, run)?;
+        }
+        Ok(data.len())
+    }
+
+    /// Write at the current offset, advancing it. `O_APPEND` handles
+    /// position at this client's view of EOF — no stat RPC; concurrent
+    /// appenders from different clients may interleave (no distributed
+    /// locking, §III-A).
+    pub fn write(&self, data: &[u8]) -> Result<usize> {
+        if !self.file.flags.write {
+            return Err(GkfsError::BadFileDescriptor);
+        }
+        let offset = if self.file.flags.append {
+            let size = self.file.local.size();
+            self.file.seek_to(size + data.len() as u64);
+            size
+        } else {
+            self.file.advance(data.len() as u64)
+        };
+        self.pwrite(offset, data)?;
+        Ok(data.len())
+    }
+
+    /// Positional read; does not move the handle's offset. EOF comes
+    /// from the path's record (no stat RPC) and buffered write-back
+    /// bytes overlay the daemons' data.
+    pub fn pread(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let c = self.client;
+        if !self.file.flags.read {
+            return Err(GkfsError::BadFileDescriptor);
+        }
+        if self.kind() == FileKind::Directory {
+            return Err(GkfsError::IsDirectory);
+        }
+        c.stats.read_ops.fetch_add(1, Ordering::Relaxed);
+        // One look at the record answers the EOF question and the
+        // overlay below, even if a concurrent flush empties the buffer
+        // in between. Only the bytes this read overlaps are copied out.
+        let (size, overlay) = self.file.local.view(offset, len as u64)?;
+        c.stats
+            .size_cache_hits
+            .fetch_add(1, Ordering::Relaxed);
+        if offset >= size || len == 0 {
+            return Ok(Vec::new());
+        }
+        let effective = (len as u64).min(size - offset);
+        let mut out = c.read_scatter(self.path(), offset, effective)?;
+        if let Some(run) = overlay {
+            // Within the result: `size` covers the run's end, so the
+            // overlap with `[offset, offset + len)` ends inside
+            // `[offset, offset + effective)`.
+            let dst = (run.start - offset) as usize;
+            out[dst..dst + run.data.len()].copy_from_slice(&run.data);
+        }
+        c.stats
+            .bytes_read
+            .fetch_add(out.len() as u64, Ordering::Relaxed);
+        Ok(out)
+    }
+
+    /// Read from the current offset, advancing by the bytes returned.
+    pub fn read(&self, len: usize) -> Result<Vec<u8>> {
+        if !self.file.flags.read {
+            return Err(GkfsError::BadFileDescriptor);
+        }
+        if self.kind() == FileKind::Directory {
+            return Err(GkfsError::IsDirectory);
+        }
+        let size = self.file.local.size();
+        let pos = self.file.pos();
+        let avail = size.saturating_sub(pos).min(len as u64);
+        let start = self.file.advance(avail);
+        self.pread(start, avail as usize)
+    }
+
+    /// Reposition the handle. `SEEK_END` resolves against the record's
+    /// size — no stat RPC.
+    pub fn seek(&self, offset: i64, whence: Whence) -> Result<u64> {
+        let base = match whence {
+            Whence::Set => 0i64,
+            Whence::Cur => self.file.pos() as i64,
+            Whence::End => self.size() as i64,
+        };
+        let target = base + offset;
+        if target < 0 {
+            return Err(GkfsError::InvalidArgument("seek before start".into()));
+        }
+        Ok(self.file.seek_to(target as u64))
+    }
+
+    /// Force the path's write-back buffer and any buffered size update
+    /// out to the daemons. After `flush` returns Ok, every byte this
+    /// client wrote to the path is visible to every client. (Once the
+    /// path is unlinked both are gone and nothing is sent.)
+    pub fn flush(&self) -> Result<()> {
+        let (c, local) = (self.client, &*self.file.local);
+        if let Some(run) = local.take_run() {
+            c.flush_run(local, run)?;
+        }
+        match local.take_pending() {
+            Some(update) => c.send_size_update(&local.path, update),
+            None => Ok(()),
+        }
+    }
+
+    /// `fsync(2)` semantics: [`FileHandle::flush`].
+    pub fn fsync(&self) -> Result<()> {
+        self.flush()
+    }
+
+    /// Truncate (or extend) the file, flushing buffered writes first
+    /// (program order: writes issued before the truncate land before
+    /// it applies).
+    pub fn truncate(&self, new_size: u64) -> Result<()> {
+        self.file.local.linked()?;
+        self.client.truncate(self.path(), new_size)
+    }
+
+    /// Close the handle, flushing buffered state and reporting errors
+    /// (the drop flush cannot).
+    pub fn close(mut self) -> Result<()> {
+        self.owned = false;
+        self.flush()
+    }
+}
+
+impl Drop for FileHandle<'_> {
+    fn drop(&mut self) {
+        if self.owned {
+            // Best-effort: close() is the error-reporting path.
+            let _ = self.flush();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::testing::{cluster, cluster_with};
+    use gkfs_common::ClusterConfig;
+    use gkfs_daemon::Daemon;
+    use gkfs_rpc::Endpoint;
+
+    #[test]
+    fn reads_stop_at_eof() {
+        let (_d, c) = cluster(2);
+        let h = c.open_handle("/short", OpenFlags::RDWR.with_create()).unwrap();
+        h.pwrite(0, b"12345").unwrap();
+        assert_eq!(h.pread(0, 1000).unwrap(), b"12345");
+        assert!(h.pread(5, 10).unwrap().is_empty());
+        assert!(h.pread(500, 10).unwrap().is_empty());
+        h.close().unwrap();
+        // A fresh read-only handle sees the same EOF from its open-time
+        // stat, without a per-read round trip.
+        let r = c.open_handle("/short", OpenFlags::RDONLY).unwrap();
+        assert_eq!(r.pread(0, 1000).unwrap(), b"12345");
+        assert!(r.pread(5, 10).unwrap().is_empty());
+        r.close().unwrap();
+    }
+
+    #[test]
+    fn fd_read_write_seek() {
+        let (_d, c) = cluster(3);
+        let fd = c
+            .open("/fd-file", OpenFlags::create_truncate().with_exclusive())
+            .unwrap();
+        // create_truncate is write-only; reopen for read-write.
+        c.close(fd).unwrap();
+        let fd = c.open("/fd-file", OpenFlags::RDWR).unwrap();
+        assert_eq!(c.write(fd, b"abcdef").unwrap(), 6);
+        assert_eq!(c.lseek(fd, 0, Whence::Set).unwrap(), 0);
+        assert_eq!(c.read(fd, 3).unwrap(), b"abc");
+        assert_eq!(c.read(fd, 10).unwrap(), b"def");
+        assert!(c.read(fd, 10).unwrap().is_empty(), "at EOF");
+        assert_eq!(c.lseek(fd, -2, Whence::End).unwrap(), 4);
+        assert_eq!(c.read(fd, 10).unwrap(), b"ef");
+        c.close(fd).unwrap();
+        assert!(matches!(c.read(fd, 1), Err(GkfsError::BadFileDescriptor)));
+    }
+
+    #[test]
+    fn pread_pwrite_do_not_move_position() {
+        let (_d, c) = cluster(2);
+        let fd = c.open("/p", OpenFlags::RDWR.with_create()).unwrap();
+        c.pwrite(fd, 0, b"0123456789").unwrap();
+        assert_eq!(c.pread(fd, 4, 3).unwrap(), b"456");
+        assert_eq!(c.files().get(fd).unwrap().pos(), 0, "position unmoved");
+        assert_eq!(c.read(fd, 2).unwrap(), b"01");
+        c.close(fd).unwrap();
+    }
+
+    #[test]
+    fn append_mode_writes_at_eof() {
+        let (_d, c) = cluster(2);
+        let h = c.open_handle("/log", OpenFlags::WRONLY.with_create()).unwrap();
+        h.pwrite(0, b"first").unwrap();
+        h.close().unwrap();
+        let fd = c.open("/log", OpenFlags::WRONLY.with_append()).unwrap();
+        c.write(fd, b"|second").unwrap();
+        c.close(fd).unwrap();
+        let r = c.open_handle("/log", OpenFlags::RDONLY).unwrap();
+        assert_eq!(r.pread(0, 100).unwrap(), b"first|second");
+    }
+
+    #[test]
+    fn open_nonexistent_fails_without_create() {
+        let (_d, c) = cluster(2);
+        assert!(matches!(
+            c.open("/nope", OpenFlags::RDONLY),
+            Err(GkfsError::NotFound)
+        ));
+        // O_CREAT|O_EXCL on existing file fails.
+        c.create("/exists", 0o644).unwrap();
+        assert!(matches!(
+            c.open("/exists", OpenFlags::WRONLY.with_create().with_exclusive()),
+            Err(GkfsError::Exists)
+        ));
+        // Plain O_CREAT succeeds on existing file.
+        let fd = c.open("/exists", OpenFlags::WRONLY.with_create()).unwrap();
+        c.close(fd).unwrap();
+    }
+
+    #[test]
+    fn open_creat_on_directory_is_eisdir() {
+        let (_d, c) = cluster(2);
+        c.mkdir("/a-dir", 0o755).unwrap();
+        // Non-exclusive O_CREAT|O_WRONLY on a directory: EISDIR.
+        assert!(matches!(
+            c.open("/a-dir", OpenFlags::WRONLY.with_create()),
+            Err(GkfsError::IsDirectory)
+        ));
+        // Read-only open of the directory (for the file map) works.
+        let fd = c.open("/a-dir", OpenFlags::RDONLY.with_create()).unwrap();
+        assert_eq!(c.files().get(fd).unwrap().local.kind, FileKind::Directory);
+        c.close(fd).unwrap();
+        // Exclusive create of the same path still refuses (Exists).
+        assert!(matches!(
+            c.open("/a-dir", OpenFlags::WRONLY.with_create().with_exclusive()),
+            Err(GkfsError::Exists)
+        ));
+    }
+
+    #[test]
+    fn open_truncate_clears_data() {
+        let (_d, c) = cluster(2);
+        let h = c.open_handle("/t", OpenFlags::WRONLY.with_create()).unwrap();
+        h.pwrite(0, b"old contents").unwrap();
+        h.close().unwrap();
+        let fd = c.open("/t", OpenFlags::WRONLY.with_truncate()).unwrap();
+        c.close(fd).unwrap();
+        assert_eq!(c.stat("/t").unwrap().size, 0);
+        let r = c.open_handle("/t", OpenFlags::RDONLY).unwrap();
+        assert!(r.pread(0, 100).unwrap().is_empty());
+    }
+
+    #[test]
+    fn write_back_coalesces_small_writes() {
+        let config = ClusterConfig::new(2).with_write_back(64 * 1024);
+        let (daemons, c) = cluster_with(2, config);
+        let h = c.open_handle("/wb", OpenFlags::RDWR.with_create()).unwrap();
+        // 8 sequential 1 KiB writes: all buffered, zero data RPCs.
+        let payload: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
+        for i in 0..8usize {
+            h.pwrite(i as u64 * 1024, &payload[i * 1024..(i + 1) * 1024])
+                .unwrap();
+        }
+        assert_eq!(c.stats().wb_buffered_bytes.load(Ordering::Relaxed), 8192);
+        assert_eq!(c.stats().wb_flushes.load(Ordering::Relaxed), 0);
+        // Read-your-writes straight from the buffer; size included.
+        assert_eq!(h.pread(0, 8192).unwrap(), payload);
+        assert_eq!(h.size(), 8192);
+        assert_eq!(c.stat("/wb").unwrap().size, 8192);
+        // Another client sees nothing until the flush...
+        let other = {
+            let eps: Vec<Arc<dyn Endpoint>> = daemons.iter().map(|d| d.endpoint()).collect();
+            GekkoClient::mount(eps, &ClusterConfig::new(2)).unwrap()
+        };
+        assert_eq!(other.stat("/wb").unwrap().size, 0);
+        // ...which lands all eight writes as one coalesced batch.
+        h.flush().unwrap();
+        assert_eq!(c.stats().wb_flushes.load(Ordering::Relaxed), 1);
+        assert_eq!(other.stat("/wb").unwrap().size, 8192);
+        let oh = other.open_handle("/wb", OpenFlags::RDONLY).unwrap();
+        assert_eq!(oh.pread(0, 8192).unwrap(), payload);
+        oh.close().unwrap();
+        h.close().unwrap();
+    }
+
+    #[test]
+    fn write_back_drains_at_capacity_and_on_displacement() {
+        let config = ClusterConfig::new(2).with_write_back(4096);
+        let (_d, c) = cluster_with(2, config);
+        let h = c.open_handle("/drain", OpenFlags::RDWR.with_create()).unwrap();
+        for i in 0..4u64 {
+            h.pwrite(i * 1024, &[i as u8 + 1; 1024]).unwrap();
+        }
+        // Hit capacity: exactly one coalesced batch went out.
+        assert_eq!(c.stats().wb_flushes.load(Ordering::Relaxed), 1);
+        // A disjoint write displaces the current run.
+        h.pwrite(100_000, b"far").unwrap();
+        h.pwrite(4096, b"near").unwrap();
+        assert_eq!(c.stats().wb_flushes.load(Ordering::Relaxed), 2);
+        h.flush().unwrap();
+        assert_eq!(c.stats().wb_flushes.load(Ordering::Relaxed), 3);
+        assert_eq!(h.size(), 100_003);
+        assert_eq!(h.pread(100_000, 3).unwrap(), b"far");
+        assert_eq!(h.pread(4096, 4).unwrap(), b"near");
+        // An oversized write (>= capacity) goes straight through.
+        h.pwrite(0, &vec![9u8; 8192]).unwrap();
+        assert_eq!(
+            c.stats().wb_flushes.load(Ordering::Relaxed),
+            3,
+            "write-through, not a buffer flush"
+        );
+        assert_eq!(h.pread(0, 8192).unwrap(), vec![9u8; 8192]);
+        h.close().unwrap();
+    }
+
+    #[test]
+    fn buffered_writes_survive_truncate_ordering() {
+        // Writes buffered before a truncate must land before it
+        // applies (program order), so the truncate wins.
+        let config = ClusterConfig::new(2).with_write_back(64 * 1024);
+        let (_d, c) = cluster_with(2, config);
+        let h = c.open_handle("/order", OpenFlags::RDWR.with_create()).unwrap();
+        h.pwrite(0, b"0123456789").unwrap();
+        h.truncate(4).unwrap();
+        assert_eq!(h.size(), 4);
+        assert_eq!(h.pread(0, 100).unwrap(), b"0123");
+        // Writing after the truncate extends again from the cut.
+        h.pwrite(4, b"XY").unwrap();
+        h.flush().unwrap();
+        assert_eq!(c.stat("/order").unwrap().size, 6);
+        assert_eq!(h.pread(0, 100).unwrap(), b"0123XY");
+        h.close().unwrap();
+    }
+
+    #[test]
+    fn handle_reads_skip_the_stat_round_trip() {
+        let (daemons, c) = cluster(2);
+        let h = c
+            .open_handle("/no-read-stat", OpenFlags::RDWR.with_create())
+            .unwrap();
+        h.pwrite(0, b"0123456789").unwrap();
+        let gets = |ds: &Vec<Arc<Daemon>>| -> u64 {
+            ds.iter()
+                .map(|d| d.backends().meta.db().stats().gets.load(Ordering::Relaxed))
+                .sum()
+        };
+        let before = gets(&daemons);
+        for _ in 0..50 {
+            assert_eq!(h.pread(0, 10).unwrap(), b"0123456789");
+        }
+        assert_eq!(
+            gets(&daemons) - before,
+            0,
+            "handle reads must not stat the metadata owner"
+        );
+        assert!(c.stats().size_cache_hits.load(Ordering::Relaxed) >= 50);
+        // SEEK_END is served from the cached size too.
+        assert_eq!(h.seek(0, Whence::End).unwrap(), 10);
+        assert_eq!(gets(&daemons) - before, 0);
+        h.close().unwrap();
+    }
+}

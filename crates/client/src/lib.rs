@@ -10,24 +10,31 @@
 //!
 //! This crate is components (2) and (3) plus all routing logic:
 //!
-//! * [`filemap`] — the kernel-independent descriptor table.
+//! * [`filemap`] — the kernel-independent descriptor table, and beside
+//!   it one [`filemap::LocalFile`] per open path: the only place that
+//!   says what this client believes about a file (its size, the
+//!   write-size window the paper adds in §IV-B to fix shared-file write
+//!   throughput, the write-back run, whether it was unlinked).
 //! * [`rpc`] — typed wrappers over the RPC endpoints, one per opcode.
 //! * [`placement`] — [`placement::Placement`], the only code that
 //!   knows replica policy: which daemons hold a key right now, in what
 //!   order to read them, and how many must acknowledge a write.
-//! * [`size_cache`] — the client-side write-size coalescing cache the
-//!   paper adds in §IV-B to fix shared-file write throughput.
-//! * [`writeback`] — the per-handle write-back buffer coalescing small
-//!   sequential writes into chunk-aligned batches.
+//! * [`stat_cache`] — the optional TTL cache of what daemons answered
+//!   to `stat` (§V future work).
+//! * [`writeback`] — the write-back buffer coalescing small sequential
+//!   writes into chunk-aligned batches.
 //! * [`metabatch`] — the per-daemon metadata-op queues behind the bulk
 //!   metadata plane (`create_many`/`stat_many`/`unlink_many` and the
 //!   opt-in transparent batching mode).
-//! * [`client`] — [`client::GekkoClient`]: path normalization, the
-//!   distributor, chunking, parallel fan-out of reads/writes, and the
+//! * [`client`] — [`client::GekkoClient`]: the mount, and the
 //!   POSIX-relaxed operation set (no rename/links/locks, eventually
-//!   consistent `readdir`, strong consistency for single-file ops).
-//!   I/O goes through explicit open handles
-//!   ([`client::GekkoClient::open_handle`] → [`client::FileHandle`]).
+//!   consistent `readdir`, strong consistency for single-file ops)
+//!   implemented over it by the private modules `namespace`
+//!   (path operations, `fsck`), `meta_frames` (quorum, `BatchMeta`
+//!   frames, the transparent queue), `data` (chunked write fan-out and
+//!   read gather) and `handle` (open, the descriptor shims, and
+//!   [`client::FileHandle`] — all I/O goes through explicit open
+//!   handles, [`client::GekkoClient::open_handle`]).
 //!
 //! The interception interface itself — component (1), an `LD_PRELOAD`
 //! shim in C++ GekkoFS — is provided as a C ABI in the `gkfs-posix`
@@ -36,11 +43,14 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod data;
 pub mod filemap;
+mod handle;
+mod meta_frames;
 pub mod metabatch;
+mod namespace;
 pub mod placement;
 pub mod rpc;
-pub mod size_cache;
 pub mod stat_cache;
 pub mod writeback;
 

@@ -1,0 +1,794 @@
+//! The namespace operations: create, stat, unlink, rmdir, readdir,
+//! truncate and their bulk forms, and the `fsck` admin scan.
+//!
+//! `readdir`, `unlink` (data) and `truncate` (data) broadcast to all
+//! daemons, because chunks and sibling entries are spread everywhere;
+//! everything else goes to the replica set of the path's metadata
+//! owner.
+
+use crate::client::{now_ns, GekkoClient};
+use crate::meta_frames::create_op;
+use gkfs_common::distributor::NodeId;
+use gkfs_common::path as gpath;
+use gkfs_common::types::Dirent;
+use gkfs_common::{FileKind, GkfsError, Metadata, Result};
+use gkfs_rpc::proto::{CreateReq, MetaOp, PathReq, TruncateMetaReq};
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+
+impl GekkoClient {
+    /// Create many regular files (exclusive) in batched frames — the
+    /// mdtest bulk path. Per-path verdicts (`Exists`, …) live in the
+    /// slots.
+    pub fn create_many<S: AsRef<str>>(&self, paths: &[S], mode: u32) -> Result<Vec<Result<()>>> {
+        self.stats
+            .creates
+            .fetch_add(paths.len() as u64, Ordering::Relaxed);
+        // One timestamp for the call, not a clock read per path.
+        let now_ns = now_ns();
+        let create = |path: String| {
+            self.revoke_lease(&path);
+            MetaOp::Create(CreateReq { path, kind: FileKind::File, mode, exclusive: true, now_ns })
+        };
+        self.many(paths, create, |_, _| Ok(()))
+    }
+
+    /// Stat many paths in batched frames, each answered by one member
+    /// of its path's read chain and raised to what this client's record
+    /// of the path believes, exactly like the unary stat.
+    pub fn stat_many<S: AsRef<str>>(&self, paths: &[S]) -> Result<Vec<Result<Metadata>>> {
+        self.stats
+            .stats
+            .fetch_add(paths.len() as u64, Ordering::Relaxed);
+        self.many(paths, |path| MetaOp::Stat(PathReq { path }), |path, meta| {
+            let meta = meta.ok_or_else(|| GkfsError::Corruption("stat without metadata".into()))?;
+            Ok(self.overlay_local(path, meta))
+        })
+    }
+
+    /// Unlink many regular files in batched frames: metadata removal
+    /// rides the batch quorum, then chunk removal fans out from the
+    /// sizes the daemon returned with each removed entry.
+    pub fn unlink_many<S: AsRef<str>>(&self, paths: &[S]) -> Result<Vec<Result<()>>> {
+        self.stats
+            .removes
+            .fetch_add(paths.len() as u64, Ordering::Relaxed);
+        let unlink = |path: String| {
+            self.revoke_lease(&path);
+            MetaOp::Unlink(PathReq { path })
+        };
+        // Files whose chunks must still be removed (zero-byte files
+        // hold none).
+        let mut removed: Vec<(String, u64)> = Vec::new();
+        let slots = self.many(paths, unlink, |path, meta| {
+            let size = self.unlinked_size(path, meta);
+            if size > 0 {
+                removed.push((path.to_string(), size));
+            }
+            Ok(())
+        })?;
+        self.remove_chunks_many(&removed)?;
+        Ok(slots)
+    }
+
+    /// Fan chunk removal out for a set of just-unlinked files, one
+    /// `RemoveChunks` per (holder, path) pair, all overlapped on the
+    /// wire. A `u64::MAX` size (the batch-retry "unknown" sentinel)
+    /// broadcasts to every daemon instead of deriving holders from a
+    /// size that no longer exists anywhere.
+    pub(crate) fn remove_chunks_many(&self, removed: &[(String, u64)]) -> Result<()> {
+        if removed.is_empty() {
+            return Ok(());
+        }
+        let mut per_node: HashMap<NodeId, Vec<&str>> = HashMap::new();
+        for (path, size) in removed {
+            let targets: Vec<NodeId> = if *size == u64::MAX {
+                (0..self.ring.nodes()).collect()
+            } else {
+                let chunks = self.layout.chunk_count(*size);
+                let mut t: Vec<NodeId> = (0..chunks)
+                    .flat_map(|c| self.placement.raw_chunk_set(path, c))
+                    .collect();
+                t.sort_unstable();
+                t.dedup();
+                t
+            };
+            for n in targets {
+                per_node.entry(n).or_default().push(path);
+            }
+        }
+        // Submit everything, then wait — the whole fan-out overlaps on
+        // the wire and shares one operation deadline.
+        let deadline = self.ring.op_deadline();
+        let mut inflight = Vec::new();
+        for (n, paths) in per_node {
+            for p in paths {
+                inflight.push((p, self.ring.remove_chunks_nb(n, p)));
+            }
+        }
+        for (path, fut) in inflight {
+            match fut.and_then(|f| f.wait_deadline(deadline)) {
+                Ok(()) => {}
+                // With replication a dead holder must not wedge the
+                // unlink: stranded chunks are orphans that fsck (or
+                // the holder's restart — volatile state) cleans up.
+                Err(e) if self.placement.survivable(&e) => {
+                    gkfs_common::gkfs_info!("unlink {path}: chunk remove skipped: {e}");
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Stat at the daemons: walk `path`'s metadata read chain
+    /// (`Placement::read_chain`) until a member answers. `NotFound`
+    /// keeps trying the rest of the chain — a freshly rejoined (empty)
+    /// primary must not shadow a replica or stand-in that still
+    /// holds the entry — and is only returned once no member
+    /// disagrees. Costs one RPC on the healthy path, and always when
+    /// replication is off (the chain is the owner alone).
+    pub(crate) fn stat_chain(&self, path: &str) -> Result<Metadata> {
+        // A queued batched op on this path must land first, or the
+        // stat would observe pre-batch state (read-your-writes).
+        self.meta_barrier_path(path)?;
+        let mut transport_err: Option<GkfsError> = None;
+        let mut saw_not_found = false;
+        for n in self.placement.read_chain(self.placement.meta_primary(path)) {
+            let stat = MetaOp::Stat(PathReq::new(path));
+            match self.ring.meta_nb(n, stat).and_then(|f| f.wait()) {
+                Ok(Some(m)) => return Ok(m),
+                Ok(None) | Err(GkfsError::NotFound) => saw_not_found = true,
+                Err(e) if e.is_node_down() => {
+                    transport_err = transport_err.or(Some(e));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        if saw_not_found {
+            Err(GkfsError::NotFound)
+        } else {
+            Err(transport_err
+                .unwrap_or_else(|| GkfsError::Unavailable(format!("no metadata replica for {path}"))))
+        }
+    }
+
+    /// An exclusive create from `create`/`mkdir`: queued when
+    /// transparent batching is on (a deferred `Exists` surfaces at the
+    /// flushing call), unary otherwise.
+    fn create_entry(&self, path: String, kind: FileKind, mode: u32) -> Result<()> {
+        self.stats.creates.fetch_add(1, Ordering::Relaxed);
+        self.revoke_lease(&path);
+        let op = create_op(path, kind, mode, true);
+        match &self.mb {
+            Some(mb) => self.enqueue_meta(mb, op),
+            None => self.meta_call(op).map(drop),
+        }
+    }
+
+    /// Create a regular file (exclusive, like `O_CREAT|O_EXCL`).
+    ///
+    /// With [`ClusterConfig::with_meta_batch`](gkfs_common::ClusterConfig::with_meta_batch)
+    /// enabled the create is queued and coalesced with neighbours bound
+    /// for the same daemon; a deferred `Exists` surfaces at the flushing
+    /// call instead of here (DESIGN.md "Bulk metadata plane").
+    pub fn create(&self, path: &str, mode: u32) -> Result<()> {
+        self.create_entry(gpath::normalize(path)?, FileKind::File, mode)
+    }
+
+    /// Create a directory (exclusive).
+    ///
+    /// Note that GekkoFS' namespace is flat: parent directories are
+    /// *not* required to exist (mdtest-style workloads create files
+    /// wherever they like), matching the paper's "internally kept flat
+    /// namespace".
+    pub fn mkdir(&self, path: &str, mode: u32) -> Result<()> {
+        let path = gpath::normalize(path)?;
+        if path == gpath::ROOT {
+            return Err(GkfsError::Exists);
+        }
+        self.create_entry(path, FileKind::Directory, mode)
+    }
+
+    /// Fetch metadata. A client with a handle open on the path sees its
+    /// own writes reflected, buffered or not (read-your-writes within
+    /// one client).
+    pub fn stat(&self, path: &str) -> Result<Metadata> {
+        let path = gpath::normalize(path)?;
+        self.stats.stats.fetch_add(1, Ordering::Relaxed);
+        self.stat_local(&path)
+    }
+
+    /// [`GekkoClient::fetch_meta`] under [`GekkoClient::overlay_local`].
+    pub(crate) fn stat_local(&self, path: &str) -> Result<Metadata> {
+        Ok(self.overlay_local(path, self.fetch_meta(path)?))
+    }
+
+    /// Read-your-writes within one client: raise `meta.size` to what
+    /// the path's record believes (a buffered size update, unflushed
+    /// write-back bytes), if any handle is open on it.
+    fn overlay_local(&self, path: &str, mut meta: Metadata) -> Metadata {
+        if let Some(local) = self.files.local(path) {
+            meta.size = meta.size.max(local.size());
+        }
+        meta
+    }
+
+    /// Fetch metadata through the optional §V stat cache. Negative
+    /// results (NotFound) are never cached — a create must be visible
+    /// immediately.
+    pub(crate) fn fetch_meta(&self, path: &str) -> Result<Metadata> {
+        if let Some(cache) = &self.stat_cache {
+            if let Some(m) = cache.get(path) {
+                return Ok(m);
+            }
+            let m = self.stat_chain(path)?;
+            cache.put(path, m.clone());
+            return Ok(m);
+        }
+        self.stat_chain(path)
+    }
+
+    /// Remove a regular file: metadata from its owner, chunks from
+    /// every daemon.
+    pub fn unlink(&self, path: &str) -> Result<()> {
+        let path = gpath::normalize(path)?;
+        self.stats.removes.fetch_add(1, Ordering::Relaxed);
+        self.revoke_lease(&path);
+        // One round trip: the owner refuses a directory itself and
+        // answers with the entry it removed. Zero-byte files (the
+        // mdtest workload) hold no chunks: skip the data fan-out
+        // entirely. This is what lets removes scale in §IV-A. Otherwise
+        // target exactly the daemons that can own one of the file's
+        // chunks (every replica of every chunk) — the client derives
+        // the set from the removed entry's size and the distributor, no
+        // state needed.
+        let removed = self.meta_call(MetaOp::Unlink(PathReq::new(path.as_str())))?;
+        match self.unlinked_size(&path, removed) {
+            0 => Ok(()),
+            size => self.remove_chunks_many(&[(path, size)]),
+        }
+    }
+
+    /// The entry of `path` is gone from its owner: detach the path's
+    /// record, so no late flush through a surviving handle resurrects
+    /// it, and size the chunk removal — the removed entry's size, or
+    /// the record's where writes landed whose size update never left
+    /// the §IV-B window.
+    fn unlinked_size(&self, path: &str, removed: Option<Metadata>) -> u64 {
+        let local = self.files.unlink(path).unwrap_or(0);
+        removed.map_or(0, |m| m.size).max(local)
+    }
+
+    /// Remove an empty directory.
+    pub fn rmdir(&self, path: &str) -> Result<()> {
+        let path = gpath::normalize(path)?;
+        if path == gpath::ROOT {
+            return Err(GkfsError::InvalidArgument("cannot remove root".into()));
+        }
+        // Queued creates of children may sit in any daemon's batch:
+        // full barrier, or the emptiness probe below could lie.
+        self.flush_meta()?;
+        self.stats.removes.fetch_add(1, Ordering::Relaxed);
+        self.revoke_lease(&path);
+        // Emptiness is checked across all daemons. This is the paper's
+        // eventual-consistency caveat: a concurrent create can slip in.
+        // One single-entry page per daemon suffices: any entry at all
+        // means non-empty.
+        let listings = self
+            .ring
+            .broadcast(|n| self.ring.readdir_page_nb(n, &path, "", 1));
+        for l in listings {
+            if !l?.0.is_empty() {
+                return Err(GkfsError::NotEmpty);
+            }
+        }
+        // The owner refuses a regular file (`NotDirectory`) itself.
+        self.meta_call(MetaOp::Rmdir(PathReq { path })).map(drop)
+    }
+
+    /// List a directory: broadcast prefix scans, merge, sort.
+    /// Eventually consistent (§III-A: "GekkoFS does not guarantee to
+    /// return the current state of the directory").
+    pub fn readdir(&self, path: &str) -> Result<Vec<Dirent>> {
+        let path = gpath::normalize(path)?;
+        // Listings are this client's read-your-writes boundary: every
+        // queued batched op lands before the scan goes out.
+        self.flush_meta()?;
+        let meta = self.stat_chain(&path)?;
+        if !meta.is_dir() {
+            return Err(GkfsError::NotDirectory);
+        }
+        // Round 1 fans the first page out to every daemon at once;
+        // daemons with more pages than fit one frame are walked in
+        // further rounds (cursor per node) until all report completion.
+        let mut all = Vec::new();
+        let mut cursors: Vec<Option<String>> = vec![Some(String::new()); self.ring.nodes()];
+        while cursors.iter().any(Option::is_some) {
+            let deadline = self.ring.op_deadline();
+            let inflight: Vec<(NodeId, _)> = cursors
+                .iter()
+                .enumerate()
+                .filter_map(|(n, c)| {
+                    c.as_ref()
+                        .map(|cur| (n, self.ring.readdir_page_nb(n, &path, cur, 0)))
+                })
+                .collect();
+            for (n, fut) in inflight {
+                match fut.and_then(|f| f.wait_deadline(deadline)) {
+                    Ok((page, next)) => {
+                        all.extend(page);
+                        cursors[n] = (!next.is_empty()).then_some(next);
+                    }
+                    // A dead daemon's entries are replicated on its ring
+                    // successor, which the broadcast also asked.
+                    Err(e) if self.placement.survivable(&e) => {
+                        gkfs_common::gkfs_info!("readdir {path}: listing skipped: {e}");
+                        cursors[n] = None;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        all.sort_by(|a, b| a.name.cmp(&b.name));
+        all.dedup_by(|a, b| a.name == b.name);
+        Ok(all)
+    }
+
+    /// Truncate (or extend) a file to `new_size`.
+    pub fn truncate(&self, path: &str, new_size: u64) -> Result<()> {
+        let path = gpath::normalize(path)?;
+        // A queued batched create of this path must land before the
+        // truncate's metadata update can find it.
+        self.meta_barrier_path(&path)?;
+        // Program order: writes buffered before this truncate must land
+        // before it applies, so force out the path's run.
+        let local = self.files.local(&path);
+        if let Some(local) = &local {
+            if let Some(run) = local.take_run() {
+                self.flush_run(local, run)?;
+            }
+        }
+        self.revoke_lease(&path);
+        self.meta_call(MetaOp::TruncateMeta(TruncateMetaReq {
+            path: path.clone(),
+            new_size,
+            mtime_ns: now_ns(),
+        }))?;
+        let (keep_chunk, keep_bytes) = if new_size == 0 {
+            (0, 0)
+        } else {
+            let last = self.layout.chunk_of(new_size - 1);
+            (last, new_size - last * self.layout.chunk_size)
+        };
+        let results = self
+            .ring
+            .broadcast(|n| self.ring.truncate_chunks_nb(n, &path, keep_chunk, keep_bytes));
+        for r in results {
+            match r {
+                Ok(()) => {}
+                // A dead daemon's surviving replicas were truncated;
+                // the dead one rebuilds from them on rejoin (drain
+                // back), so the cut propagates.
+                Err(e) if self.placement.survivable(&e) => {
+                    gkfs_common::gkfs_info!("truncate {path}: chunk cut skipped: {e}");
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        // The record snaps to the authoritative new size; a size update
+        // buffered before the cut is moot.
+        if let Some(local) = local {
+            local.cut(new_size);
+        }
+        Ok(())
+    }
+
+    /// Renames are deliberately unsupported (§III-A).
+    pub fn rename(&self, _from: &str, _to: &str) -> Result<()> {
+        Err(GkfsError::Unsupported("rename"))
+    }
+
+    /// Hard links are deliberately unsupported (§III-A).
+    pub fn link(&self, _from: &str, _to: &str) -> Result<()> {
+        Err(GkfsError::Unsupported("link"))
+    }
+
+    /// Symbolic links are deliberately unsupported (§III-A).
+    pub fn symlink(&self, _from: &str, _to: &str) -> Result<()> {
+        Err(GkfsError::Unsupported("symlink"))
+    }
+
+    /// Consistency check across the whole namespace (the `fsck` admin
+    /// operation):
+    ///
+    /// * **orphan chunks** — a daemon holds chunk files for a path
+    ///   with no metadata entry (e.g. a remove whose data fan-out was
+    ///   interrupted). These waste SSD space and are safe to purge.
+    /// * **chunkless files** — metadata says `size > 0` but no daemon
+    ///   holds any chunk. Legitimate for files extended purely by
+    ///   `truncate` (they read as zeros), so reported for inspection,
+    ///   not treated as damage.
+    ///
+    /// Like `readdir`, the scan is eventually consistent: run it on a
+    /// quiescent namespace for exact results.
+    pub fn fsck(&self) -> Result<FsckReport> {
+        // 1. Global chunk inventory.
+        let mut chunk_holders: HashMap<String, Vec<NodeId>> = HashMap::new();
+        for (node, inv) in self
+            .ring
+            .broadcast(|n| self.ring.chunk_inventory_nb(n))
+            .into_iter()
+            .enumerate()
+        {
+            for (path, _count) in inv? {
+                chunk_holders.entry(path).or_default().push(node);
+            }
+        }
+
+        // 2. Walk the namespace.
+        let mut files: HashMap<String, u64> = HashMap::new();
+        let mut stack = vec![gpath::ROOT.to_string()];
+        let mut dirs = 0usize;
+        while let Some(dir) = stack.pop() {
+            dirs += 1;
+            for e in self.readdir(&dir)? {
+                let p = gpath::join(&dir, &e.name);
+                match e.kind {
+                    FileKind::Directory => stack.push(p),
+                    FileKind::File => {
+                        files.insert(p, e.size);
+                    }
+                }
+            }
+        }
+
+        // 3. Cross-reference.
+        let mut orphan_chunks = Vec::new();
+        for (path, nodes) in &chunk_holders {
+            if !files.contains_key(path) {
+                for n in nodes {
+                    orphan_chunks.push((*n, path.clone()));
+                }
+            }
+        }
+        orphan_chunks.sort();
+        let mut chunkless_files: Vec<String> = files
+            .iter()
+            .filter(|(p, size)| **size > 0 && !chunk_holders.contains_key(*p))
+            .map(|(p, _)| p.clone())
+            .collect();
+        chunkless_files.sort();
+
+        Ok(FsckReport {
+            files_checked: files.len(),
+            directories_checked: dirs,
+            orphan_chunks,
+            chunkless_files,
+        })
+    }
+
+    /// Purge the orphan chunks a previous [`GekkoClient::fsck`] found.
+    /// Returns how many (node, path) holdings were removed.
+    pub fn fsck_purge(&self, report: &FsckReport) -> Result<usize> {
+        let deadline = self.ring.op_deadline();
+        let inflight: Vec<_> = report
+            .orphan_chunks
+            .iter()
+            .map(|(node, path)| self.ring.remove_chunks_nb(*node, path))
+            .collect();
+        for fut in inflight {
+            fut?.wait_deadline(deadline)?;
+        }
+        Ok(report.orphan_chunks.len())
+    }
+}
+
+/// Outcome of [`GekkoClient::fsck`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FsckReport {
+    /// Regular files examined.
+    pub files_checked: usize,
+    /// Directories walked.
+    pub directories_checked: usize,
+    /// `(daemon, path)` pairs holding chunks with no metadata entry.
+    pub orphan_chunks: Vec<(NodeId, String)>,
+    /// Files whose size is positive but which have no chunks anywhere
+    /// (sparse-by-truncate, or lost data).
+    pub chunkless_files: Vec<String>,
+}
+
+impl FsckReport {
+    /// No orphans found (chunkless files are informational).
+    pub fn is_clean(&self) -> bool {
+        self.orphan_chunks.is_empty()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::testing::{cluster, cluster_with};
+    use gkfs_common::{ClusterConfig, OpenFlags};
+    use gkfs_daemon::Daemon;
+    use gkfs_rpc::Endpoint;
+    use std::sync::Arc;
+
+    #[test]
+    fn create_stat_unlink() {
+        let (_d, c) = cluster(4);
+        c.create("/file", 0o644).unwrap();
+        let m = c.stat("/file").unwrap();
+        assert_eq!(m.kind, FileKind::File);
+        assert_eq!(m.size, 0);
+        assert!(matches!(c.create("/file", 0o644), Err(GkfsError::Exists)));
+        c.unlink("/file").unwrap();
+        assert!(matches!(c.stat("/file"), Err(GkfsError::NotFound)));
+    }
+
+    #[test]
+    fn mkdir_readdir_rmdir() {
+        let (_d, c) = cluster(4);
+        c.mkdir("/dir", 0o755).unwrap();
+        for i in 0..20 {
+            c.create(&format!("/dir/f{i:02}"), 0o644).unwrap();
+        }
+        c.mkdir("/dir/sub", 0o755).unwrap();
+        let entries = c.readdir("/dir").unwrap();
+        assert_eq!(entries.len(), 21);
+        assert!(entries.windows(2).all(|w| w[0].name <= w[1].name), "sorted");
+        assert_eq!(
+            entries.iter().filter(|e| e.kind == FileKind::Directory).count(),
+            1
+        );
+        // Non-empty directory refuses rmdir.
+        assert!(matches!(c.rmdir("/dir"), Err(GkfsError::NotEmpty)));
+        for i in 0..20 {
+            c.unlink(&format!("/dir/f{i:02}")).unwrap();
+        }
+        c.rmdir("/dir/sub").unwrap();
+        c.rmdir("/dir").unwrap();
+        assert!(matches!(c.stat("/dir"), Err(GkfsError::NotFound)));
+    }
+
+    #[test]
+    fn readdir_reports_sizes_like_ls_l() {
+        // §III-A motivates readdir with `ls -l`: the listing must carry
+        // sizes without a per-entry stat round.
+        let (_d, c) = cluster(3);
+        c.mkdir("/ls", 0o755).unwrap();
+        let h = c.open_handle("/ls/small", OpenFlags::WRONLY.with_create()).unwrap();
+        h.pwrite(0, b"12345").unwrap();
+        h.close().unwrap();
+        let h = c.open_handle("/ls/large", OpenFlags::WRONLY.with_create()).unwrap();
+        h.pwrite(0, &vec![0u8; 10_000]).unwrap();
+        h.close().unwrap();
+        c.mkdir("/ls/sub", 0o755).unwrap();
+        let entries = c.readdir("/ls").unwrap();
+        let by_name: std::collections::HashMap<&str, &gkfs_common::types::Dirent> =
+            entries.iter().map(|e| (e.name.as_str(), e)).collect();
+        assert_eq!(by_name["small"].size, 5);
+        assert_eq!(by_name["large"].size, 10_000);
+        assert_eq!(by_name["sub"].size, 0);
+        assert_eq!(by_name["sub"].kind, FileKind::Directory);
+    }
+
+    #[test]
+    fn readdir_root_and_type_errors() {
+        let (_d, c) = cluster(2);
+        c.create("/a", 0o644).unwrap();
+        let root = c.readdir("/").unwrap();
+        assert_eq!(root.len(), 1);
+        assert!(matches!(c.readdir("/a"), Err(GkfsError::NotDirectory)));
+        assert!(matches!(c.rmdir("/a"), Err(GkfsError::NotDirectory)));
+        assert!(matches!(c.unlink("/"), Err(GkfsError::IsDirectory)));
+    }
+
+    #[test]
+    fn truncate_shrinks_and_extends() {
+        let config = ClusterConfig::new(3).with_chunk_size(4096);
+        let (_d, c) = cluster_with(3, config);
+        let h = c.open_handle("/t", OpenFlags::RDWR.with_create()).unwrap();
+        let data: Vec<u8> = (0..20_000u32).map(|i| (i % 256) as u8).collect();
+        h.pwrite(0, &data).unwrap();
+        h.truncate(5000).unwrap();
+        assert_eq!(c.stat("/t").unwrap().size, 5000);
+        assert_eq!(h.size(), 5000, "open handle snaps to the new size");
+        let back = h.pread(0, 20_000).unwrap();
+        assert_eq!(back, &data[..5000]);
+        // Extending truncate zero-fills.
+        c.truncate("/t", 8000).unwrap();
+        assert_eq!(c.stat("/t").unwrap().size, 8000);
+        let back = h.pread(0, 8000).unwrap();
+        assert_eq!(&back[..5000], &data[..5000]);
+        assert!(back[5000..].iter().all(|&b| b == 0));
+        h.close().unwrap();
+    }
+
+    #[test]
+    fn unsupported_operations() {
+        let (_d, c) = cluster(1);
+        assert!(matches!(c.rename("/a", "/b"), Err(GkfsError::Unsupported(_))));
+        assert!(matches!(c.link("/a", "/b"), Err(GkfsError::Unsupported(_))));
+        assert!(matches!(c.symlink("/a", "/b"), Err(GkfsError::Unsupported(_))));
+    }
+
+    #[test]
+    fn deep_paths_and_many_files_balance() {
+        let (_d, c) = cluster(8);
+        for i in 0..400 {
+            c.create(&format!("/load/f{i}"), 0o644).unwrap();
+        }
+        let stats = c.cluster_stats().unwrap();
+        let counts: Vec<u64> = stats.iter().map(|s| s.meta_entries).collect();
+        let total: u64 = counts.iter().sum();
+        assert_eq!(total, 401, "400 files + root (no /load dir needed: flat ns)");
+        let max = *counts.iter().max().unwrap();
+        assert!(max < 120, "metadata should balance, worst node has {max}");
+    }
+
+    #[test]
+    fn fsck_clean_namespace() {
+        let config = ClusterConfig::new(4).with_chunk_size(4096);
+        let (_d, c) = cluster_with(4, config);
+        c.mkdir("/data", 0o755).unwrap();
+        for i in 0..10 {
+            let p = format!("/data/f{i}");
+            let h = c.open_handle(&p, OpenFlags::WRONLY.with_create()).unwrap();
+            h.pwrite(0, &vec![1u8; 10_000]).unwrap();
+            h.close().unwrap();
+        }
+        let report = c.fsck().unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(report.files_checked, 10);
+        assert!(report.directories_checked >= 2, "root + /data");
+        assert!(report.chunkless_files.is_empty());
+    }
+
+    #[test]
+    fn fsck_finds_and_purges_orphan_chunks() {
+        let config = ClusterConfig::new(3).with_chunk_size(4096);
+        let (daemons, c) = cluster_with(3, config);
+        let h = c
+            .open_handle("/will-orphan", OpenFlags::WRONLY.with_create())
+            .unwrap();
+        h.pwrite(0, &vec![7u8; 30_000]).unwrap();
+        h.close().unwrap();
+        // Sabotage: remove the metadata entry directly on its owner,
+        // leaving the chunks stranded (a remove whose fan-out died).
+        let mut removed = false;
+        for d in &daemons {
+            let remove = MetaOp::Unlink(PathReq::new("/will-orphan"));
+            if d.backends().meta.apply_one(remove).is_ok() {
+                removed = true;
+                break;
+            }
+        }
+        assert!(removed);
+        let report = c.fsck().unwrap();
+        assert!(!report.is_clean());
+        assert!(report
+            .orphan_chunks
+            .iter()
+            .all(|(_, p)| p == "/will-orphan"));
+        let purged = c.fsck_purge(&report).unwrap();
+        assert!(purged > 0);
+        // Second pass: clean.
+        assert!(c.fsck().unwrap().is_clean());
+    }
+
+    #[test]
+    fn fsck_reports_truncate_extended_files_as_chunkless() {
+        let (_d, c) = cluster(2);
+        c.create("/sparse-only", 0o644).unwrap();
+        c.truncate("/sparse-only", 5000).unwrap();
+        let report = c.fsck().unwrap();
+        assert!(report.is_clean(), "sparse files are not damage");
+        assert_eq!(report.chunkless_files, vec!["/sparse-only".to_string()]);
+    }
+
+    #[test]
+    fn stat_cache_eliminates_round_trips_but_sees_own_writes() {
+        let config = ClusterConfig::new(2).with_stat_cache_ttl_ms(60_000);
+        let (daemons, c) = cluster_with(2, config);
+        let h = c.open_handle("/hot", OpenFlags::WRONLY.with_create()).unwrap();
+        h.pwrite(0, b"12345").unwrap();
+        h.close().unwrap();
+
+        let gets = |ds: &Vec<Arc<Daemon>>| -> u64 {
+            ds.iter()
+                .map(|d| d.backends().meta.db().stats().gets.load(Ordering::Relaxed))
+                .sum()
+        };
+        let before = gets(&daemons);
+        // A storm of stats: at most one daemon round trip.
+        for _ in 0..100 {
+            assert_eq!(c.stat("/hot").unwrap().size, 5);
+        }
+        let delta = gets(&daemons) - before;
+        assert!(delta <= 1, "cache should absorb the storm, saw {delta} gets");
+
+        // The client's own writes stay visible (a sent size update
+        // invalidates the cached entry).
+        let h = c.open_handle("/hot", OpenFlags::WRONLY).unwrap();
+        h.pwrite(100, b"x").unwrap();
+        h.close().unwrap();
+        assert_eq!(c.stat("/hot").unwrap().size, 101);
+        // Truncate invalidates; next stat refetches the exact value.
+        c.truncate("/hot", 3).unwrap();
+        assert_eq!(c.stat("/hot").unwrap().size, 3);
+        // Unlink invalidates; stat misses cleanly.
+        c.unlink("/hot").unwrap();
+        assert!(c.stat("/hot").is_err());
+    }
+
+    #[test]
+    fn stat_cache_staleness_is_bounded_by_ttl() {
+        let config = ClusterConfig::new(2).with_stat_cache_ttl_ms(30);
+        let (_d, observer) = cluster_with(2, config);
+        observer.create("/ttl", 0o644).unwrap();
+        // Prime the observer's cache with size 0.
+        assert_eq!(observer.stat("/ttl").unwrap().size, 0);
+        // A different client (no shared cache) grows the file.
+        let writer = {
+            let endpoints: Vec<Arc<dyn Endpoint>> =
+                _d.iter().map(|d| d.endpoint()).collect();
+            GekkoClient::mount(endpoints, &ClusterConfig::new(2)).unwrap()
+        };
+        let wh = writer.open_handle("/ttl", OpenFlags::WRONLY).unwrap();
+        wh.pwrite(0, b"abcdef").unwrap();
+        wh.close().unwrap();
+        // Within the TTL the observer may still see the stale size;
+        // after expiry it must see the truth.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(observer.stat("/ttl").unwrap().size, 6);
+    }
+
+    #[test]
+    fn lease_revocations_keep_stat_cache_honest() {
+        let config = ClusterConfig::new(2).with_stat_cache_ttl_ms(60_000);
+        let (_d, c) = cluster_with(2, config);
+        c.create("/lease", 0o644).unwrap();
+        assert!(c.stats().lease_invalidations.load(Ordering::Relaxed) >= 1);
+        assert_eq!(c.stat("/lease").unwrap().size, 0);
+        // Truncate revokes: the very next stat refetches the truth.
+        c.truncate("/lease", 123).unwrap();
+        assert_eq!(c.stat("/lease").unwrap().size, 123);
+        c.unlink("/lease").unwrap();
+        assert!(c.stat("/lease").is_err());
+        // mkdir/rmdir revoke too (a stale "directory exists" entry
+        // would make a later create look spuriously conflicted).
+        c.mkdir("/ld", 0o755).unwrap();
+        c.stat("/ld").unwrap();
+        let n = c.stats().lease_invalidations.load(Ordering::Relaxed);
+        c.rmdir("/ld").unwrap();
+        assert!(c.stats().lease_invalidations.load(Ordering::Relaxed) > n);
+        assert!(c.stat("/ld").is_err());
+    }
+
+    #[test]
+    fn bulk_unlink_removes_chunks_of_non_empty_files() {
+        let config = ClusterConfig::new(2).with_chunk_size(4096);
+        let (d, c) = cluster_with(2, config);
+        for i in 0..4 {
+            let h = c
+                .open_handle(&format!("/uf{i}"), OpenFlags::RDWR.with_create())
+                .unwrap();
+            h.pwrite(0, &vec![7u8; 10_000]).unwrap();
+            h.close().unwrap();
+        }
+        let res = c.unlink_many(&["/uf0", "/uf1", "/uf2", "/uf3"]).unwrap();
+        assert!(res.iter().all(Result::is_ok));
+        // Every daemon dropped the chunks, not just the metadata.
+        for daemon in &d {
+            for i in 0..4 {
+                let held = daemon
+                    .backends()
+                    .data
+                    .chunk_count(&format!("/uf{i}"))
+                    .unwrap();
+                assert_eq!(held, 0, "/uf{i} left chunks behind");
+            }
+        }
+    }
+}

@@ -446,11 +446,6 @@ impl DaemonRing {
         Arc::clone(&self.gather_copies)
     }
 
-    /// Logical RPCs issued so far.
-    pub fn rpcs_issued(&self) -> u64 {
-        self.rpcs.load(Ordering::Relaxed)
-    }
-
     /// Nodes.
     pub fn nodes(&self) -> usize {
         self.endpoints.len()
@@ -466,11 +461,6 @@ impl DaemonRing {
         self.health
             .get(node)
             .ok_or_else(|| GkfsError::Rpc(format!("no endpoint for node {node}")))
-    }
-
-    /// Health of every daemon, indexed by node id.
-    pub fn health(&self) -> &[Arc<NodeHealth>] {
-        &self.health
     }
 
     /// How many times node `node`'s transport re-dialed its daemon.

@@ -9,8 +9,12 @@
 //! in stat-heavy workloads (`ls -l` storms, open-before-read chains,
 //! EOF probing in the read path).
 //!
-//! Local mutations (write/truncate/remove by *this* client) invalidate
-//! or refresh eagerly, so a client always reads its own writes.
+//! The cache keeps only what a daemon said. Local mutations by *this*
+//! client (create/truncate/remove, and every size update it sends)
+//! invalidate the entry; what the client knows beyond the daemons — a
+//! buffered size update, unflushed write-back bytes — lives in the
+//! path's [`crate::filemap::LocalFile`] and is laid over the cached
+//! answer, so a client always reads its own writes.
 
 use gkfs_common::Metadata;
 use gkfs_common::lock::{rank, OrderedMutex};
@@ -26,8 +30,6 @@ struct Entry {
 pub struct StatCache {
     ttl: Duration,
     entries: OrderedMutex<HashMap<String, Entry>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
 }
 
 impl StatCache {
@@ -36,8 +38,6 @@ impl StatCache {
         StatCache {
             ttl,
             entries: OrderedMutex::new(rank::CLIENT_STAT_CACHE, HashMap::new()),
-            hits: Default::default(),
-            misses: Default::default(),
         }
     }
 
@@ -45,22 +45,12 @@ impl StatCache {
     pub fn get(&self, path: &str) -> Option<Metadata> {
         let mut entries = self.entries.lock();
         match entries.get(path) {
-            Some(e) if e.fetched.elapsed() <= self.ttl => {
-                self.hits
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                Some(e.meta.clone())
-            }
+            Some(e) if e.fetched.elapsed() <= self.ttl => Some(e.meta.clone()),
             Some(_) => {
                 entries.remove(path);
-                self.misses
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 None
             }
-            None => {
-                self.misses
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                None
-            }
+            None => None,
         }
     }
 
@@ -75,31 +65,9 @@ impl StatCache {
         );
     }
 
-    /// Update the cached size after a local write, without resetting
-    /// the TTL clock (the entry is still only as fresh as its fetch).
-    pub fn bump_size(&self, path: &str, candidate: u64, mtime_ns: u64) {
-        if let Some(e) = self.entries.lock().get_mut(path) {
-            e.meta.size = e.meta.size.max(candidate);
-            e.meta.mtime_ns = e.meta.mtime_ns.max(mtime_ns);
-        }
-    }
-
-    /// Drop one entry (local truncate/remove/create).
+    /// Drop one entry (local create/truncate/remove/size update).
     pub fn invalidate(&self, path: &str) {
         self.entries.lock().remove(path);
-    }
-
-    /// Drop everything.
-    pub fn clear(&self) {
-        self.entries.lock().clear();
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(std::sync::atomic::Ordering::Relaxed),
-            self.misses.load(std::sync::atomic::Ordering::Relaxed),
-        )
     }
 }
 
@@ -121,33 +89,16 @@ mod tests {
         assert_eq!(c.get("/f").unwrap().size, 10);
         std::thread::sleep(Duration::from_millis(60));
         assert!(c.get("/f").is_none(), "expired");
-        let (hits, misses) = c.counters();
-        assert_eq!(hits, 1);
-        assert_eq!(misses, 2);
+        assert!(c.entries.lock().is_empty(), "the expired entry is dropped");
     }
 
     #[test]
-    fn bump_size_keeps_maximum() {
-        let c = StatCache::new(Duration::from_secs(10));
-        c.put("/f", meta(100));
-        c.bump_size("/f", 50, 2); // smaller: ignored
-        assert_eq!(c.get("/f").unwrap().size, 100);
-        c.bump_size("/f", 500, 3);
-        assert_eq!(c.get("/f").unwrap().size, 500);
-        // bump on a missing entry is a no-op, not an insert.
-        c.bump_size("/ghost", 1, 1);
-        assert!(c.get("/ghost").is_none());
-    }
-
-    #[test]
-    fn invalidate_and_clear() {
+    fn invalidate_drops_one_entry() {
         let c = StatCache::new(Duration::from_secs(10));
         c.put("/a", meta(1));
         c.put("/b", meta(2));
         c.invalidate("/a");
         assert!(c.get("/a").is_none());
         assert!(c.get("/b").is_some());
-        c.clear();
-        assert!(c.get("/b").is_none());
     }
 }

@@ -1,25 +1,25 @@
-//! Per-handle write-back buffering — the client half of the
-//! BuffetFS/AsyncFS-style small-write optimization.
+//! Write-back buffering — the client half of the BuffetFS/AsyncFS-style
+//! small-write optimization.
 //!
 //! GekkoFS pays one chunk RPC (plus a size update) per `write`, which
 //! is exactly the small-op tax the paper's 8 KiB IOR numbers show.
-//! A [`WbBuf`] coalesces small *sequential* writes on one open handle
+//! A [`WbBuf`] coalesces small *sequential* writes on one open file
 //! into a single contiguous run of bytes; the run is written out as
 //! one chunk-aligned batch when it reaches capacity, when a disjoint
 //! write displaces it, or when `flush`/`fsync`/`close` force it.
 //!
-//! The buffer itself is pure data: no locks, no RPCs. The handle owns
-//! it behind an `OrderedMutex` (rank `CLIENT_WB`), and the client is
-//! careful to *take* the run out under the lock and send it after the
-//! guard is dropped — an RPC under the buffer lock would violate the
-//! lock hierarchy (GKL002).
+//! The buffer itself is pure data: no locks, no RPCs. It is one field
+//! of the path's [`crate::filemap::LocalFile`], whose lock covers it,
+//! and the client is careful to *take* the run out under that lock and
+//! send it after the guard is dropped — an RPC under the lock would
+//! violate the lock hierarchy (GKL002).
 //!
 //! Consistency contract (see DESIGN.md "Open handles, write-back and
-//! leases"): buffered bytes are visible to reads **through the same
-//! handle** (read overlays the run) and to `stat` on the same client
-//! (the handle size includes the buffered tail). Other clients see
-//! them only after a flush — the same relaxation GekkoFS already
-//! accepts for the §IV-B size cache.
+//! leases"): buffered bytes are visible to reads through **every
+//! handle this client has open on the path** (read overlays the run)
+//! and to `stat` on the same client (the record's size includes the
+//! buffered tail). Other clients see them only after a flush — the
+//! same relaxation GekkoFS already accepts for the §IV-B size cache.
 
 /// One contiguous run of buffered bytes, starting at `start`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,27 +37,9 @@ impl WbRun {
     }
 }
 
-/// What [`WbBuf::offer`] decided about a write.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Absorb {
-    /// The bytes were absorbed into the buffer. If a previous run was
-    /// displaced (disjoint write), it must be written out now.
-    Buffered {
-        /// Displaced run to flush, if any.
-        flush_first: Option<WbRun>,
-    },
-    /// The write is too large for the buffer: the caller writes it
-    /// through directly, after flushing the returned run (program
-    /// order: buffered bytes precede this write).
-    Through {
-        /// Pending run to flush before the write-through, if any.
-        flush_first: Option<WbRun>,
-    },
-}
-
 /// A bounded write-back buffer holding at most one contiguous run.
 ///
-/// `capacity == 0` disables buffering: every offer is `Through`.
+/// `capacity == 0` disables buffering: every offer is written through.
 #[derive(Debug)]
 pub struct WbBuf {
     capacity: usize,
@@ -73,19 +55,9 @@ impl WbBuf {
         }
     }
 
-    /// Is buffering enabled?
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     /// Bytes currently buffered.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.run.as_ref().map_or(0, |r| r.data.len())
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.run.is_none()
     }
 
     /// One past the last buffered byte, if any.
@@ -93,27 +65,24 @@ impl WbBuf {
         self.run.as_ref().map(|r| r.end())
     }
 
-    /// Offer a write to the buffer. Decides between absorbing the
-    /// bytes (sequential append, in-run overwrite, or a fresh run) and
-    /// writing through (oversized or disabled), and reports any
-    /// displaced run the caller must flush first.
-    pub fn offer(&mut self, offset: u64, data: &[u8]) -> Absorb {
+    /// Offer a write to the buffer: absorb the bytes (sequential
+    /// append, in-run overwrite, or a fresh run) or leave them to be
+    /// written through (oversized or disabled). Returns, in the order
+    /// the caller must act on them:
+    ///
+    /// * a displaced run to send *first* (program order: buffered bytes
+    ///   precede this write);
+    /// * whether the caller must send the write itself (`false` = it
+    ///   was absorbed);
+    /// * the run, taken out, if absorbing brought it to capacity.
+    pub fn offer(&mut self, offset: u64, data: &[u8]) -> (Option<WbRun>, bool, Option<WbRun>) {
         if self.capacity == 0 || data.len() >= self.capacity {
             // Oversized writes skip the buffer entirely; any pending
             // run goes out first so earlier bytes are not reordered
             // past later ones on overlapping ranges.
-            return Absorb::Through {
-                flush_first: self.run.take(),
-            };
+            return (self.run.take(), true, None);
         }
-        match &mut self.run {
-            None => {
-                self.run = Some(WbRun {
-                    start: offset,
-                    data: data.to_vec(),
-                });
-                Absorb::Buffered { flush_first: None }
-            }
+        let displaced = match &mut self.run {
             Some(run) if offset >= run.start && offset <= run.end() => {
                 // Overlapping or exactly-appending write: copy over the
                 // overlap and extend the tail. This is the sequential
@@ -123,24 +92,17 @@ impl WbBuf {
                 let overlap = data.len().min(run.data.len() - rel);
                 run.data[rel..rel + overlap].copy_from_slice(&data[..overlap]);
                 run.data.extend_from_slice(&data[overlap..]);
-                Absorb::Buffered { flush_first: None }
+                None
             }
-            Some(_) => {
-                // Disjoint (or backwards-overlapping) write: displace
-                // the old run and start a new one here.
-                let old = self.run.take();
-                self.run = Some(WbRun {
-                    start: offset,
-                    data: data.to_vec(),
-                });
-                Absorb::Buffered { flush_first: old }
-            }
-        }
-    }
-
-    /// Has the run reached capacity (time to drain)?
-    pub fn full(&self) -> bool {
-        self.capacity > 0 && self.len() >= self.capacity
+            // Nothing buffered, or a disjoint (or backwards-overlapping)
+            // write: displace the old run and start a new one here.
+            _ => self.run.replace(WbRun {
+                start: offset,
+                data: data.to_vec(),
+            }),
+        };
+        let full = if self.len() >= self.capacity { self.run.take() } else { None };
+        (displaced, false, full)
     }
 
     /// Take the pending run out (flush/fsync/close/drain).
@@ -172,23 +134,19 @@ mod tests {
     #[test]
     fn disabled_buffer_passes_everything_through() {
         let mut b = WbBuf::new(0);
-        assert!(!b.enabled());
-        match b.offer(0, b"abc") {
-            Absorb::Through { flush_first: None } => {}
-            other => panic!("{other:?}"),
-        }
-        assert!(b.is_empty());
+        assert_eq!(b.offer(0, b"abc"), (None, true, None));
+        assert_eq!(b.len(), 0);
     }
 
     #[test]
     fn sequential_writes_coalesce_into_one_run() {
         let mut b = WbBuf::new(64);
-        assert_eq!(b.offer(0, b"hello"), Absorb::Buffered { flush_first: None });
-        assert_eq!(b.offer(5, b" world"), Absorb::Buffered { flush_first: None });
+        assert_eq!(b.offer(0, b"hello"), (None, false, None));
+        assert_eq!(b.offer(5, b" world"), (None, false, None));
         let run = b.take().unwrap();
         assert_eq!(run.start, 0);
         assert_eq!(run.data, b"hello world");
-        assert!(b.is_empty());
+        assert_eq!(b.len(), 0);
     }
 
     #[test]
@@ -209,15 +167,9 @@ mod tests {
     fn disjoint_write_displaces_the_old_run() {
         let mut b = WbBuf::new(64);
         b.offer(0, b"first");
-        match b.offer(1000, b"second") {
-            Absorb::Buffered {
-                flush_first: Some(old),
-            } => {
-                assert_eq!(old.start, 0);
-                assert_eq!(old.data, b"first");
-            }
-            other => panic!("{other:?}"),
-        }
+        let (displaced, through, full) = b.offer(1000, b"second");
+        assert_eq!(displaced, Some(WbRun { start: 0, data: b"first".to_vec() }));
+        assert!(!through && full.is_none());
         assert_eq!(b.snapshot(0, u64::MAX).unwrap().start, 1000);
     }
 
@@ -243,36 +195,28 @@ mod tests {
     fn backwards_write_also_displaces() {
         let mut b = WbBuf::new(64);
         b.offer(100, b"tail");
-        match b.offer(90, b"head") {
-            Absorb::Buffered {
-                flush_first: Some(old),
-            } => assert_eq!(old.start, 100),
-            other => panic!("{other:?}"),
-        }
+        let (displaced, through, _) = b.offer(90, b"head");
+        assert_eq!(displaced.unwrap().start, 100);
+        assert!(!through);
     }
 
     #[test]
     fn oversized_write_goes_through_after_flush() {
         let mut b = WbBuf::new(8);
         b.offer(0, b"abc");
-        match b.offer(3, &[7u8; 32]) {
-            Absorb::Through {
-                flush_first: Some(old),
-            } => assert_eq!(old.data, b"abc"),
-            other => panic!("{other:?}"),
-        }
-        assert!(b.is_empty(), "through writes never populate the buffer");
+        let (displaced, through, full) = b.offer(3, &[7u8; 32]);
+        assert_eq!(displaced.unwrap().data, b"abc");
+        assert!(through && full.is_none());
+        assert_eq!(b.len(), 0, "through writes never populate the buffer");
     }
 
     #[test]
-    fn full_signals_at_capacity() {
+    fn a_full_run_is_handed_out_at_capacity() {
         let mut b = WbBuf::new(8);
-        b.offer(0, b"1234");
-        assert!(!b.full());
-        b.offer(4, b"5678");
-        assert!(b.full());
-        assert_eq!(b.take().unwrap().data, b"12345678");
-        assert!(!b.full());
+        assert_eq!(b.offer(0, b"1234"), (None, false, None));
+        let (_, _, full) = b.offer(4, b"5678");
+        assert_eq!(full.unwrap().data, b"12345678");
+        assert_eq!(b.len(), 0);
     }
 
     #[test]
@@ -300,27 +244,14 @@ mod tests {
                 let byte = rand(255) as u8 + 1;
                 let data = vec![byte; len];
                 model[off as usize..off as usize + len].copy_from_slice(&data);
-                match b.offer(off, &data) {
-                    Absorb::Buffered { flush_first } => {
-                        if let Some(r) = flush_first {
-                            apply(&mut disk, r);
-                        }
-                    }
-                    Absorb::Through { flush_first } => {
-                        if let Some(r) = flush_first {
-                            apply(&mut disk, r);
-                        }
-                        apply(
-                            &mut disk,
-                            WbRun {
-                                start: off,
-                                data: data.clone(),
-                            },
-                        );
-                    }
+                let (displaced, through, full) = b.offer(off, &data);
+                if let Some(r) = displaced {
+                    apply(&mut disk, r);
                 }
-                if b.full() {
-                    let r = b.take().unwrap();
+                if through {
+                    apply(&mut disk, WbRun { start: off, data });
+                }
+                if let Some(r) = full {
                     apply(&mut disk, r);
                 }
             }

@@ -242,8 +242,8 @@ pub struct ClusterConfig {
     /// benefits of caching"). `0` disables caching (the paper's
     /// default: every stat is a round trip).
     pub stat_cache_ttl_ms: u64,
-    /// Client-side write-back buffer capacity per open handle, in
-    /// bytes. Small sequential writes on one handle coalesce into
+    /// Client-side write-back buffer capacity per open path, in
+    /// bytes. Small sequential writes to one file coalesce into
     /// batches of up to this many bytes before the chunk fan-out;
     /// `flush`/`fsync`/`close` force the batch out. `0` disables
     /// write-back (the paper's default: every write is an RPC).
@@ -304,8 +304,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Enable the per-handle write-back buffer with the given capacity
-    /// in bytes. Pass [`ClusterConfig::chunk_size`]-sized (or larger)
+    /// Enable the write-back buffer (one per open path, shared by the
+    /// handles on it) with the given capacity in bytes. Pass [`ClusterConfig::chunk_size`]-sized (or larger)
     /// capacities to get chunk-aligned batches out of small sequential
     /// writes.
     pub fn with_write_back(mut self, bytes: u64) -> Self {

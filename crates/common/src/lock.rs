@@ -117,15 +117,15 @@ pub mod rank {
         CLIENT_META_BATCH = 218;
         /// A single open file's seek position.
         CLIENT_FILE_POS = 216;
-        /// A single open handle's write-back buffer. Below
-        /// [`CLIENT_FILE_POS`] so a positional write may claim its offset
-        /// and then buffer the bytes; a flush drops the guard before any
-        /// RPC (GKL002).
-        CLIENT_WB = 214;
+        /// What the client believes about one open path (`LocalFile`:
+        /// size, pending size update, write-back run). Below
+        /// [`CLIENT_FILE_POS`] so a write may claim its offset and then
+        /// consult the record, and below [`CLIENT_FILEMAP`] so an open
+        /// may grow the record it found; whatever must be sent is taken
+        /// out and the guard dropped before any RPC (GKL002).
+        CLIENT_LOCAL_FILE = 214;
         /// The client's stat cache.
         CLIENT_STAT_CACHE = 212;
-        /// The client's write-back size cache.
-        CLIENT_SIZE_CACHE = 208;
         /// A switchable endpoint's target slot (`SwitchEndpoint`): held
         /// only to clone the inner `Arc`, but ranked above every RPC lock
         /// so a submit made under it (tests, careless callers) still

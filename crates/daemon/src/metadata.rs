@@ -42,10 +42,15 @@ pub struct MetaBatchCounters {
 
 /// Merge operator over encoded [`Metadata`] values. Operands are
 /// `(candidate_size: u64, mtime_ns: u64)` pairs; folding keeps the
-/// maximum size and latest mtime. A merge against a missing base (a
-/// size update racing a concurrent remove) resurrects nothing: it
-/// produces a plain file record so the fold stays total, and the
-/// subsequent tombstone from the remove shadows it.
+/// maximum size and latest mtime. A merge against a missing base
+/// produces a plain file record (`ctime_ns: 0`) so the fold stays
+/// total. When the size update raced *ahead* of a remove, the remove's
+/// tombstone shadows that record and nothing is resurrected. A size
+/// update that arrives *after* the remove does bring back a bare
+/// entry: the paper's accepted relaxation for a *remote* client's late
+/// update (no distributed locking, §III-A). A client never does this
+/// to itself — its own unlink discards the size update and write-back
+/// run it still holds for the path (`gkfs_client::filemap::LocalFile`).
 #[derive(Debug, Default)]
 pub struct MetaSizeMergeOperator;
 

@@ -361,8 +361,8 @@ pub unsafe extern "C" fn gkfs_fstat(fd: c_int, out: *mut GkfsStat) -> c_int {
         if out.is_null() {
             return Err(GkfsError::InvalidArgument("NULL stat buffer".into()));
         }
-        // Through the open handle: the reported size merges the
-        // handle's cached size and any unflushed write-back tail.
+        // Through the open handle: the reported size includes what the
+        // client wrote to the path, flushed or still buffered.
         let m = c.handle(fd)?.stat()?;
         // SAFETY: `out` is non-null (checked above) and the caller
         // guarantees it is valid for writes.

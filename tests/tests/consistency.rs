@@ -177,7 +177,7 @@ fn size_cache_trades_visibility_for_throughput() {
     // Other client: the update is still buffered client-side.
     assert_eq!(other.stat("/lazy").unwrap().size, 0, "stale by design");
     // After the writer flushes, everyone agrees.
-    writer.flush_size("/lazy").unwrap();
+    h.flush().unwrap();
     assert_eq!(other.stat("/lazy").unwrap().size, 500);
     h.close().unwrap();
     cluster.shutdown();
@@ -196,9 +196,122 @@ fn chunk_data_is_visible_before_size_flush() {
     h.pwrite(0, b"already-there").unwrap();
 
     // Direct chunk read through a second client works once size is
-    // known; here we verify via the writer's own view (the handle's
-    // size cache makes the range known without a stat).
+    // known; here we verify via the writer's own view (the client's
+    // record of the path makes the range known without a stat).
     assert_eq!(h.pread(0, 13).unwrap(), b"already-there");
     h.close().unwrap();
     cluster.shutdown();
+}
+
+/// The mount configurations that differ in what an open path holds
+/// back from the daemons: nothing, size updates (§IV-B), bytes.
+fn buffering_configs() -> [ClusterConfig; 3] {
+    [
+        ClusterConfig::new(2),
+        ClusterConfig::new(2).with_size_cache(100),
+        ClusterConfig::new(2).with_write_back(65536),
+    ]
+}
+
+#[test]
+fn two_handles_on_one_path_see_each_others_buffered_bytes() {
+    // One client, two handles per path: what A wrote — flushed or still
+    // in the write-back buffer — is part of the file for B, for `stat`
+    // and for A itself. 32 paths, because which of two handles a
+    // per-handle design happens to consult varies by path.
+    let cluster = Cluster::deploy(ClusterConfig::new(2).with_write_back(65536)).unwrap();
+    let fs = cluster.mount().unwrap();
+    for i in 0..32 {
+        let path = format!("/pair/{i}");
+        let a = fs.open_handle(&path, OpenFlags::RDWR.with_create()).unwrap();
+        let b = fs.open_handle(&path, OpenFlags::RDWR.with_append()).unwrap();
+        a.pwrite(0, b"buffered by A").unwrap();
+        assert_eq!(fs.stat(&path).unwrap().size, 13, "{path}: stat misses A's bytes");
+        assert_eq!(a.size(), 13);
+        assert_eq!(b.size(), 13, "{path}: B's size misses A's bytes");
+        assert_eq!(b.stat().unwrap().size, 13);
+        assert_eq!(b.pread(0, 64).unwrap(), b"buffered by A", "{path}: B preads what A buffered");
+        // B appends at the client's EOF, not at the EOF B opened at.
+        b.write(b"+B").unwrap();
+        assert_eq!(a.pread(0, 64).unwrap(), b"buffered by A+B");
+        assert_eq!(fs.stat(&path).unwrap().size, 15);
+        // Closing one handle flushes the path; the other keeps working.
+        a.close().unwrap();
+        assert_eq!(b.pread(0, 64).unwrap(), b"buffered by A+B");
+        b.close().unwrap();
+        assert_eq!(fs.stat(&path).unwrap().size, 15);
+    }
+    cluster.shutdown();
+}
+
+/// `path` is gone from every view the cluster offers.
+fn assert_gone(cluster: &Cluster, fs: &gekkofs::GekkoClient, path: &str) {
+    assert!(matches!(fs.stat(path), Err(GkfsError::NotFound)), "{path} still stats");
+    assert_eq!(fs.readdir("/").unwrap(), vec![], "{path} still listed");
+    for n in 0..cluster.nodes() {
+        let held = cluster.daemon(n).backends().data.chunk_count(path).unwrap();
+        assert_eq!(held, 0, "daemon {n} still holds chunks of {path}");
+    }
+}
+
+#[test]
+fn unlink_under_an_open_handle_leaves_no_ghost() {
+    // A handle that outlives its file must not bring it back: its late
+    // flush (a buffered run, a buffered size update) would be merged by
+    // the metadata owner into a fresh record.
+    for config in buffering_configs() {
+        let cluster = Cluster::deploy(config).unwrap();
+        let fs = cluster.mount().unwrap();
+        let create = OpenFlags::RDWR.with_create();
+
+        // pwrite, unlink, close.
+        let h = fs.open_handle("/ghost", create).unwrap();
+        h.pwrite(0, b"hello").unwrap();
+        fs.unlink("/ghost").unwrap();
+        assert!(matches!(h.pread(0, 5), Err(GkfsError::NotFound)));
+        assert!(matches!(h.stat(), Err(GkfsError::NotFound)));
+        h.close().unwrap();
+        assert_gone(&cluster, &fs, "/ghost");
+
+        // unlink, pwrite, close.
+        let h = fs.open_handle("/ghost", create).unwrap();
+        fs.unlink("/ghost").unwrap();
+        assert!(matches!(h.pwrite(0, b"hello"), Err(GkfsError::NotFound)));
+        h.close().unwrap();
+        assert_gone(&cluster, &fs, "/ghost");
+
+        // The bulk form detaches the handle's state the same way.
+        let h = fs.open_handle("/ghost", create).unwrap();
+        h.pwrite(0, b"hello").unwrap();
+        assert!(fs.unlink_many(&["/ghost"]).unwrap()[0].is_ok());
+        h.close().unwrap();
+        assert_gone(&cluster, &fs, "/ghost");
+        cluster.shutdown();
+    }
+}
+
+#[test]
+fn recreating_an_unlinked_path_gets_a_fresh_record() {
+    for config in buffering_configs() {
+        let cluster = Cluster::deploy(config).unwrap();
+        let fs = cluster.mount().unwrap();
+        let stale = fs.open_handle("/re", OpenFlags::RDWR.with_create()).unwrap();
+        stale.pwrite(0, b"old old old").unwrap();
+        fs.unlink("/re").unwrap();
+        let fresh = fs
+            .open_handle("/re", OpenFlags::RDWR.with_create().with_exclusive())
+            .unwrap();
+        assert_eq!(fresh.size(), 0, "the old file's size leaked into the new one");
+        fresh.pwrite(0, b"new").unwrap();
+        assert_eq!(fs.stat("/re").unwrap().size, 3);
+        // The stale handle still names the removed file, not its
+        // successor, and closing it sends nothing.
+        assert!(matches!(stale.pwrite(0, b"x"), Err(GkfsError::NotFound)));
+        assert!(matches!(stale.truncate(0), Err(GkfsError::NotFound)));
+        stale.close().unwrap();
+        assert_eq!(fresh.pread(0, 64).unwrap(), b"new");
+        fresh.close().unwrap();
+        assert_eq!(fs.stat("/re").unwrap().size, 3);
+        cluster.shutdown();
+    }
 }

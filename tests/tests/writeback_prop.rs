@@ -1,11 +1,13 @@
 //! Write-back buffer property test: random interleavings of buffered
-//! writes, reads, flushes, truncates, and size probes on a single
-//! handle must be indistinguishable from a plain `Vec<u8>`.
+//! writes, reads, flushes, truncates, size probes and stats through
+//! two handles open on one path must be indistinguishable from a plain
+//! `Vec<u8>` — the model is one byte vector per path, which is exactly
+//! what the client keeps (`LocalFile`), however many handles share it.
 //!
-//! This is the correctness net over the handle's write-back protocol:
+//! This is the correctness net over the write-back protocol:
 //! sequential absorb, in-run overwrite, displacement flushes, the
 //! read-your-buffered-writes overlay, truncate's pre-flush, and the
-//! cached-size bookkeeping all funnel through here. The buffer is kept
+//! size bookkeeping all funnel through here. The buffer is kept
 //! deliberately small (8 KiB) relative to the offset range so random
 //! sequences constantly displace and re-fill the run.
 
@@ -27,6 +29,9 @@ enum HOp {
     Truncate { size: u16 },
     /// Cached size probe — no RPC, must still equal the model's len.
     Size,
+    /// Path-based stat on the same client: the daemons' answer raised
+    /// to what the client has buffered.
+    Stat,
 }
 
 fn op_strategy() -> impl Strategy<Value = HOp> {
@@ -39,6 +44,7 @@ fn op_strategy() -> impl Strategy<Value = HOp> {
         1 => Just(HOp::Flush),
         1 => any::<u16>().prop_map(|size| HOp::Truncate { size: size % 25_000 }),
         2 => Just(HOp::Size),
+        1 => Just(HOp::Stat),
     ]
 }
 
@@ -70,7 +76,9 @@ proptest! {
     })]
 
     #[test]
-    fn buffered_handle_agrees_with_vec_model(ops in prop::collection::vec(op_strategy(), 1..48)) {
+    fn buffered_handles_agree_with_vec_model(
+        ops in prop::collection::vec((any::<bool>(), op_strategy()), 1..48),
+    ) {
         // Small chunks force striping; a small buffer forces constant
         // displacement; write-back on is the entire point.
         let cluster = Cluster::deploy(
@@ -80,10 +88,19 @@ proptest! {
         )
         .unwrap();
         let fs = cluster.mount().unwrap();
-        let h = fs.open_handle("/wb/prop", OpenFlags::RDWR.with_create()).unwrap();
+        // A second client shares none of `fs`'s local state: what it
+        // sees is what reached the daemons.
+        let observer = cluster.mount().unwrap();
+        let handles = [
+            fs.open_handle("/wb/prop", OpenFlags::RDWR.with_create()).unwrap(),
+            fs.open_handle("/wb/prop", OpenFlags::RDWR).unwrap(),
+        ];
         let mut model: Vec<u8> = Vec::new();
 
-        for op in &ops {
+        for (second, op) in &ops {
+            // Each op goes through either handle; neither may be able
+            // to tell which one the earlier ops went through.
+            let h = &handles[*second as usize];
             match op {
                 HOp::Write { offset, len, seed } => {
                     let data = pattern(*seed, *len as usize);
@@ -103,10 +120,10 @@ proptest! {
                 }
                 HOp::Flush => {
                     h.flush().unwrap();
-                    // Everything buffered so far is now durable: a fresh
-                    // handle (fresh open-time stat, empty buffer) must
-                    // see the model bit-exact.
-                    let fresh = fs.open_handle("/wb/prop", OpenFlags::RDONLY).unwrap();
+                    // Everything buffered so far — through either
+                    // handle — is now durable: another client must see
+                    // the model bit-exact.
+                    let fresh = observer.open_handle("/wb/prop", OpenFlags::RDONLY).unwrap();
                     prop_assert_eq!(fresh.size(), model.len() as u64, "size after flush");
                     let got = fresh.pread(0, model.len().max(1)).unwrap();
                     prop_assert_eq!(&model, &got, "contents after flush");
@@ -118,14 +135,20 @@ proptest! {
                 HOp::Size => {
                     prop_assert_eq!(h.size(), model.len() as u64, "cached size");
                 }
+                HOp::Stat => {
+                    let size = fs.stat("/wb/prop").unwrap().size;
+                    prop_assert_eq!(size, model.len() as u64, "stat size");
+                }
             }
         }
 
         // Close forces the final flush; the durable state must equal
         // the model exactly — no silently lost buffered tail.
-        h.close().unwrap();
-        prop_assert_eq!(fs.stat("/wb/prop").unwrap().size, model.len() as u64);
-        let fresh = fs.open_handle("/wb/prop", OpenFlags::RDONLY).unwrap();
+        for h in handles {
+            h.close().unwrap();
+        }
+        prop_assert_eq!(observer.stat("/wb/prop").unwrap().size, model.len() as u64);
+        let fresh = observer.open_handle("/wb/prop", OpenFlags::RDONLY).unwrap();
         let got = fresh.pread(0, model.len().max(1)).unwrap();
         prop_assert_eq!(&model, &got, "final durable contents");
         cluster.shutdown();
