@@ -16,9 +16,13 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Echo under `Ping` — a pooled row — and under `Stat`, a point op by
+/// its declared class, which a TCP server answers on the connection
+/// thread.
 fn echo_registry() -> HandlerRegistry {
     let mut reg = HandlerRegistry::new();
     reg.register_fn(Opcode::Ping, |req| Response::ok(req.body).with_bulk(req.bulk));
+    reg.register_fn(Opcode::Stat, |req| Response::ok(req.body));
     reg
 }
 
@@ -50,6 +54,14 @@ fn bench_tcp(c: &mut Criterion) {
     c.bench_function("rpc/tcp_roundtrip", |b| {
         b.iter(|| {
             black_box(ep.call(Request::new(Opcode::Ping, &b"x"[..])).unwrap());
+        })
+    });
+    // The lone point op: served inline, reply read by the caller — no
+    // thread hand-off on either side (the pooled `Ping` above still
+    // pays the daemon's).
+    c.bench_function("rpc/tcp_roundtrip_point", |b| {
+        b.iter(|| {
+            black_box(ep.call(Request::new(Opcode::Stat, &b"x"[..])).unwrap());
         })
     });
     let bulk = Bytes::from(vec![7u8; 512 * 1024]);
@@ -134,18 +146,30 @@ fn bench_fanout(c: &mut Criterion) {
             });
         })
     });
-    group.bench_function("pipelined_submit_wait", |b| {
-        b.iter(|| {
-            let handles: Vec<ReplyHandle> = eps
-                .iter()
-                .map(|ep| ep.submit(Request::new(Opcode::Ping, &b"x"[..])).unwrap())
-                .collect();
-            for h in handles {
-                black_box(h.wait(Duration::from_secs(30)).unwrap());
-            }
-        })
-    });
+    let pipelined = |eps: &[Arc<dyn Endpoint>]| {
+        let handles: Vec<ReplyHandle> = eps
+            .iter()
+            .map(|ep| ep.submit(Request::new(Opcode::Ping, &b"x"[..])).unwrap())
+            .collect();
+        for h in handles {
+            black_box(h.wait(Duration::from_secs(30)).unwrap());
+        }
+    };
+    group.bench_function("pipelined_submit_wait", |b| b.iter(|| pipelined(&eps)));
+    // The same fan-out over sockets: one thread holds eight handles, so
+    // every reply comes through its connection's reader thread.
+    let tcp_servers: Vec<Arc<TcpServer>> = (0..8)
+        .map(|_| TcpServer::bind("127.0.0.1:0", busy_registry(), 2).unwrap())
+        .collect();
+    let tcp_eps: Vec<Arc<dyn Endpoint>> = tcp_servers
+        .iter()
+        .map(|s| TcpEndpoint::connect(&s.local_addr().to_string()).unwrap() as Arc<dyn Endpoint>)
+        .collect();
+    group.bench_function("tcp_pipelined_submit_wait", |b| b.iter(|| pipelined(&tcp_eps)));
     group.finish();
+    for s in tcp_servers {
+        s.shutdown();
+    }
 }
 
 /// Outstanding-depth sweep on one TCP connection: at depth 1 the

@@ -145,12 +145,15 @@ pub mod rank {
         /// The TCP server's list of open connections.
         RPC_CONNS = 180;
         /// A TCP endpoint's connection slot (live connection + redial
-        /// backoff state); held across a frame write, may acquire
-        /// [`RPC_PENDING`] inside.
+        /// backoff state); held across a frame write, acquires
+        /// [`RPC_PENDING`] inside to reserve the request's slot.
         RPC_CONN = 178;
         /// A TCP endpoint's (or server connection's) write half.
         RPC_WRITER = 176;
-        /// A TCP endpoint's pending-reply table.
+        /// A TCP connection's completion table (reply slots, the read
+        /// token, the drain flag). Never held across a socket read: a
+        /// reader takes the token out, drops the guard, and comes back
+        /// with what it read.
         RPC_PENDING = 172;
         /// A daemon's RPC handler pool's work queue (`TaskPool` instance
         /// of both transports). Below the connection ranks so a submit —

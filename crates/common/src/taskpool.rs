@@ -10,8 +10,9 @@
 //!
 //! * the **RPC handler pool** (`gkfs-rpc`, both transports) calls
 //!   [`TaskPool::submit`], which *blocks* until a worker makes room.
-//!   The submitter there is a connection's reader thread (or an
-//!   in-process client): stalling it is the point — the socket stops
+//!   The submitter there is a TCP connection's thread (for the
+//!   requests it does not run to completion itself) or an in-process
+//!   client: stalling it is the point — the socket stops
 //!   being read, TCP flow control pushes back to the peer, and a
 //!   daemon's memory under overload is bounded by the queue depth.
 //! * the **chunk I/O pool** (`gkfs-storage`) calls

@@ -16,7 +16,7 @@ use gkfs_client::GekkoClient;
 use gkfs_common::{ClusterConfig, DaemonConfig, GkfsError, Result};
 use gkfs_daemon::Daemon;
 use gkfs_rpc::transport::SwitchEndpoint;
-use gkfs_rpc::{Endpoint, TcpEndpoint};
+use gkfs_rpc::{Endpoint, EndpointOptions, TcpEndpoint};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -310,7 +310,8 @@ fn dial(addrs: &[String], lazy: bool) -> Result<Vec<Arc<dyn Endpoint>>> {
         .iter()
         .map(|a| {
             if lazy {
-                Ok(TcpEndpoint::connect_lazy(a) as Arc<dyn Endpoint>)
+                let lazy = TcpEndpoint::connect_lazy(a, EndpointOptions::default());
+                Ok(lazy as Arc<dyn Endpoint>)
             } else {
                 TcpEndpoint::connect(a).map(|e| e as Arc<dyn Endpoint>)
             }

@@ -17,7 +17,7 @@
 
 use gkfs_common::{ClusterConfig, DaemonConfig};
 use gkfs_daemon::Daemon;
-use gkfs_rpc::{Endpoint, TcpEndpoint};
+use gkfs_rpc::{Endpoint, EndpointOptions, TcpEndpoint};
 use std::io::Read;
 use std::sync::Arc;
 
@@ -69,7 +69,8 @@ fn dial_peer(addr: &str) -> Option<Arc<dyn Endpoint>> {
         match TcpEndpoint::connect(addr) {
             Ok(e) => return Some(e as Arc<dyn Endpoint>),
             Err(_) if std::time::Instant::now() >= deadline => {
-                return Some(TcpEndpoint::connect_lazy(addr) as Arc<dyn Endpoint>)
+                let lazy = TcpEndpoint::connect_lazy(addr, EndpointOptions::default());
+                return Some(lazy as Arc<dyn Endpoint>);
             }
             Err(_) => std::thread::sleep(std::time::Duration::from_millis(250)),
         }

@@ -65,6 +65,7 @@ fn entry(verdict: MetaVerdict) -> Result<Metadata> {
 /// Build the full handler registry over the given backends.
 pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
     let mut reg = HandlerRegistry::new();
+    reg.logged_store(backends.meta.logged());
 
     reg.register_fn(Opcode::Ping, |req: Request| {
         Response::ok(req.body) // echo: used for deployment handshakes

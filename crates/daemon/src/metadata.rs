@@ -107,6 +107,8 @@ fn step(
 pub struct MetadataBackend {
     db: Arc<Db>,
     batch_counters: MetaBatchCounters,
+    /// The store appends every commit to a write-ahead log.
+    logged: bool,
 }
 
 impl MetadataBackend {
@@ -119,6 +121,7 @@ impl MetadataBackend {
         Ok(MetadataBackend {
             db: Db::open_memory(opts)?,
             batch_counters: MetaBatchCounters::default(),
+            logged: false,
         })
     }
 
@@ -132,12 +135,19 @@ impl MetadataBackend {
         Ok(MetadataBackend {
             db: Db::open_dir(dir, opts)?,
             batch_counters: MetaBatchCounters::default(),
+            logged: wal,
         })
     }
 
     /// Bulk-metadata counters (stats surface).
     pub fn batch_counters(&self) -> &MetaBatchCounters {
         &self.batch_counters
+    }
+
+    /// Whether a commit appends to a write-ahead log — and so may wait
+    /// on the device — before it is acknowledged.
+    pub fn logged(&self) -> bool {
+        self.logged
     }
 
     /// Underlying store (stats, tests).

@@ -720,9 +720,12 @@ impl Db {
             .scan_impl(start, end, &|k: &[u8]| end.map(|e| k < e).unwrap_or(true))
     }
 
-    /// Total number of live keys (scan; test/diagnostic use).
+    /// Total number of live keys: a walk over every source that
+    /// remembers keys, not values (a daemon answers its statistics RPC
+    /// with this, on whichever handler thread is free — a copy of the
+    /// store per call would sit in each of their allocator arenas).
     pub fn len(&self) -> Result<usize> {
-        Ok(self.scan_prefix(&[])?.len())
+        self.inner.count_live()
     }
 
     /// True when the store holds no live keys.
@@ -1098,6 +1101,28 @@ impl DbInner {
             .into_iter()
             .filter_map(|(k, v)| v.map(|v| (k, v)))
             .collect())
+    }
+
+    /// How many keys are live in one snapshot: the walk of
+    /// [`DbInner::scan_impl`] — oldest source to newest, newer shadows
+    /// older — keeping per key only whether its newest entry is a
+    /// tombstone. A pending merge makes its key live whatever the base.
+    fn count_live(&self) -> Result<usize> {
+        DbStats::bump(&self.stats.scans);
+        let ver = self.snapshot();
+        let mut live: BTreeMap<Vec<u8>, bool> = BTreeMap::new();
+        for th in ver.l1.iter().chain(ver.l0.iter()) {
+            for entry in th.table.iter() {
+                let (tag, k, _) = entry?;
+                live.insert(k, matches!(tag, Tag::Put));
+            }
+        }
+        for shared in ver.imm.iter().map(|i| &i.mem).chain(std::iter::once(&ver.mem)) {
+            for (k, v) in shared.read().iter() {
+                live.insert(k.to_vec(), !matches!(v, Value::Delete));
+            }
+        }
+        Ok(live.values().filter(|l| **l).count())
     }
 
     /// L0 backpressure, applied before any write lock is taken: slow
@@ -1617,6 +1642,26 @@ mod tests {
         let entries = db.scan_prefix(b"/dir/").unwrap();
         let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
         assert_eq!(keys, vec![&b"/dir/b"[..], b"/dir/c"]);
+    }
+
+    #[test]
+    fn len_counts_what_a_full_scan_returns() {
+        let db = Db::open_memory(small_opts()).unwrap();
+        for i in 0..300u64 {
+            db.put(format!("/k/{i:04}").as_bytes(), &i.to_le_bytes()).unwrap();
+        }
+        db.flush().unwrap(); // 300 puts in a table
+        for i in 0..100u64 {
+            db.delete(format!("/k/{i:04}").as_bytes()).unwrap();
+        }
+        db.flush().unwrap(); // 100 tombstones in a newer table
+        db.put(b"/k/0007", b"again").unwrap(); // re-created over its tombstone
+        db.delete(b"/k/0250").unwrap(); // tombstone in the memtable
+        db.merge(b"/k/0260", &9u64.to_le_bytes()).unwrap(); // merge over a flushed base
+        db.merge(b"/fresh", &1u64.to_le_bytes()).unwrap(); // merge with no base at all
+        assert_eq!(db.len().unwrap(), db.scan_prefix(&[]).unwrap().len());
+        assert_eq!(db.len().unwrap(), 300 - 100 + 1 - 1 + 1);
+        assert!(!db.is_empty().unwrap());
     }
 
     #[test]

@@ -39,12 +39,27 @@ where
 #[derive(Default)]
 pub struct HandlerRegistry {
     table: HashMap<u16, Arc<dyn Handler>>,
+    /// The daemon's metadata store keeps a write-ahead log, so a group
+    /// apply may wait on the device (what turns `ServeClass::Group`
+    /// rows over to the handler pool).
+    logged_store: bool,
 }
 
 impl HandlerRegistry {
     /// Create an empty registry.
     pub fn new() -> HandlerRegistry {
         HandlerRegistry::default()
+    }
+
+    /// Declare that the metadata store behind these handlers logs its
+    /// writes (off by default, as a GekkoFS deployment runs).
+    pub fn logged_store(&mut self, logged: bool) {
+        self.logged_store = logged;
+    }
+
+    /// Whether [`HandlerRegistry::logged_store`] was declared.
+    pub fn has_logged_store(&self) -> bool {
+        self.logged_store
     }
 
     /// Register `handler` for `opcode`. Panics on double registration —

@@ -20,7 +20,11 @@
 //!   the same handler pool (Margo handler xstreams backed by
 //!   Argobots): the transport's progress side enqueues requests on a
 //!   `gkfs_common::TaskPool`, whose fixed set of worker threads
-//!   executes them concurrently.
+//!   executes them concurrently. Argobots ULTs are user-level and OS
+//!   threads are not, so over TCP a small point op skips both
+//!   hand-offs: the connection thread that read it answers it, and
+//!   the waiting client thread reads its own reply (see
+//!   [`transport::tcp`]).
 //!
 //! The daemon registers handlers and serves; the client holds one
 //! [`Endpoint`] per daemon. The endpoint API is
@@ -44,7 +48,7 @@ pub mod transport;
 pub use chaos::{ChaosConfig, ChaosEndpoint, ChaosListener, ChaosStats};
 pub use handler::{Handler, HandlerFn, HandlerRegistry};
 pub use message::{Opcode, Request, Response, Status};
-pub use stats::RpcStats;
+pub use stats::{RpcStats, WaitStats};
 pub use transport::inproc::{InprocEndpoint, RpcServer};
 pub use transport::tcp::{TcpEndpoint, TcpServer};
 pub use transport::{Endpoint, EndpointOptions, ReplyHandle, SwitchEndpoint, DEFAULT_TIMEOUT};

@@ -1,8 +1,9 @@
 //! The file-system RPC protocol — the contract between the GekkoFS
 //! client library and the daemon, declared once.
 //!
-//! `rpc_table!` holds one row per RPC: opcode number, name,
-//! request type, response type. It generates [`Opcode`], its decoder
+//! `rpc_table!` holds one row per RPC: opcode number, name, how a
+//! byte-stream server runs it ([`ServeClass`]), request type, response
+//! type. It generates [`Opcode`], its decoder
 //! and one zero-sized [`Rpc`] marker per row (in [`op`]) that both ends
 //! are generic over: the daemon registers `serve::<op::Stat>(..)`, the
 //! client sends `unary_nb::<op::Stat>(..)`, and neither names an opcode
@@ -59,8 +60,30 @@ pub(crate) fn body_of<T: Wire>(v: &T) -> Bytes {
     }
 }
 
+/// Where a daemon's TCP server runs a row's handler: on the thread that
+/// read the frame off the connection, or on the handler pool. Declared
+/// once per row of the table; the one rule that reads it is
+/// `transport::Handlers::runs_inline` (a frame that is not small, or not
+/// alone in its connection's read buffer, is pooled whatever its class).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServeClass {
+    /// Bounded work on in-memory state — one kvstore point op. Runs to
+    /// completion where its frame was read.
+    Point,
+    /// A group apply of many point ops under one commit (`BatchMeta`):
+    /// a point op on a daemon whose metadata store keeps no log, pooled
+    /// on one where the frame's commit may wait on the device.
+    Group,
+    /// A chunk batch: a point op while the bytes it names — the request's
+    /// bulk or the reply's — fit a small frame.
+    Chunks,
+    /// May block on a device, scan the store, or take arbitrarily long:
+    /// always the handler pool.
+    Pool,
+}
+
 macro_rules! rpc_table {
-    ($( $(#[$doc:meta])* $num:literal $name:ident: $req:ty => $resp:ty; )*) => {
+    ($( $(#[$doc:meta])* $num:literal $name:ident($class:ident): $req:ty => $resp:ty; )*) => {
         /// Registered RPC operation codes — the equivalent of Mercury's
         /// registered RPC names. One flat space shared by all daemons.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -78,6 +101,13 @@ macro_rules! rpc_table {
                 match v {
                     $( $num => Ok(Opcode::$name), )*
                     other => Err(GkfsError::Rpc(format!("unknown opcode {other}"))),
+                }
+            }
+
+            /// The row's [`ServeClass`].
+            pub fn class(self) -> ServeClass {
+                match self {
+                    $( Opcode::$name => ServeClass::$class, )*
                 }
             }
         }
@@ -102,45 +132,46 @@ macro_rules! rpc_table {
 
 rpc_table! {
     /// Liveness / deployment handshake. The daemon echoes the body
-    /// untyped; the client sends none.
-    0 Ping: () => ();
+    /// untyped; the client sends none. Pooled: nothing hot rides it, and
+    /// tests register arbitrarily slow handlers under it.
+    0 Ping(Pool): () => ();
     /// Create a metadata entry (file or directory).
-    1 Create: CreateReq => ();
+    1 Create(Point): CreateReq => ();
     /// Fetch a metadata entry.
-    2 Stat: PathReq => Metadata;
+    2 Stat(Point): PathReq => Metadata;
     /// Remove a metadata entry of the stated kind; the reply is the
     /// removed entry.
-    3 RemoveMeta: RemoveMetaReq => Metadata;
+    3 RemoveMeta(Point): RemoveMetaReq => Metadata;
     /// Update (merge) the size field of a metadata entry.
-    4 UpdateSize: UpdateSizeReq => ();
+    4 UpdateSize(Point): UpdateSizeReq => ();
     /// Truncate/overwrite metadata size (decrease).
-    5 TruncateMeta: TruncateMetaReq => ();
+    5 TruncateMeta(Point): TruncateMetaReq => ();
     /// Enumerate direct children of a directory (prefix scan).
-    6 ReadDir: ReaddirReq => ReadDirResp;
+    6 ReadDir(Pool): ReaddirReq => ReadDirResp;
     /// Write one batch of chunks owned by the target daemon; the data
     /// is the request's bulk payload.
-    7 WriteChunks: ChunkBatchReq => ();
+    7 WriteChunks(Chunks): ChunkBatchReq => ();
     /// Read one batch of chunks owned by the target daemon; the data is
     /// the response's bulk payload.
-    8 ReadChunks: ChunkBatchReq => ReadChunksResp;
+    8 ReadChunks(Chunks): ChunkBatchReq => ReadChunksResp;
     /// Remove all chunks of a file held by the target daemon.
-    9 RemoveChunks: PathReq => ();
+    9 RemoveChunks(Pool): PathReq => ();
     /// Truncate chunks beyond a given size on the target daemon.
-    10 TruncateChunks: TruncateChunksReq => ();
+    10 TruncateChunks(Pool): TruncateChunksReq => ();
     /// Daemon statistics snapshot (tests/benchmarks).
-    11 DaemonStats: () => DaemonStatsResp;
+    11 DaemonStats(Pool): () => DaemonStatsResp;
     // 12 stays unassigned: it was `Shutdown`, never registered or sent.
     /// Inventory of paths this daemon holds chunks for (fsck).
-    13 ChunkInventory: () => ChunkInventoryResp;
+    13 ChunkInventory(Pool): () => ChunkInventoryResp;
     /// Lightweight liveness probe carrying the sender's identity and
     /// the receiver's incarnation epoch (failure detection).
-    14 Heartbeat: HeartbeatReq => HeartbeatResp;
+    14 Heartbeat(Pool): HeartbeatReq => HeartbeatResp;
     /// Idempotent install of a replicated metadata entry
     /// (re-replication / drain-back; merges rather than overwrites).
-    15 ReplicaMeta: ReplicaMetaReq => ();
+    15 ReplicaMeta(Pool): ReplicaMetaReq => ();
     /// Apply a batch of heterogeneous metadata ops (create/stat/
     /// unlink/truncate-meta) as one group with per-op status replies.
-    16 BatchMeta: BatchMetaReq => BatchMetaResp;
+    16 BatchMeta(Group): BatchMetaReq => BatchMetaResp;
 }
 
 wire_struct! {
@@ -271,6 +302,29 @@ wire_struct! {
 }
 
 impl ChunkBatchReq {
+    /// Whether the encoded batch `body` names at most `limit` bytes,
+    /// read off the wire image without building the request (the
+    /// server's inline-or-pool rule asks before any handler runs). A
+    /// body that does not parse names "too many": its handler answers
+    /// the decode error from the pool.
+    pub fn names_at_most(body: &[u8], limit: u64) -> bool {
+        let mut d = Decoder::new(body);
+        let mut walk = || -> Result<bool> {
+            d.bytes()?;
+            let mut total = 0u64;
+            for _ in 0..d.u32()? {
+                d.u64()?;
+                d.u64()?;
+                match total.checked_add(d.u64()?) {
+                    Some(t) if t <= limit => total = t,
+                    _ => return Ok(false),
+                }
+            }
+            Ok(true)
+        };
+        walk().unwrap_or(false)
+    }
+
     /// Total bytes named by the batch, or `None` when the
     /// wire-controlled lens overflow `u64` (a hostile batch that a
     /// wrapping sum would pass off as small).
@@ -662,6 +716,27 @@ pub fn check_bulk_len(req: &ChunkBatchReq, bulk_len: usize) -> Result<()> {
 mod tests {
     use super::*;
     use std::fmt::Debug;
+
+    #[test]
+    fn names_at_most_reads_the_total_off_the_encoded_batch() {
+        let batch = |lens: &[u64]| ChunkBatchReq {
+            path: "/some/file".into(),
+            ops: lens
+                .iter()
+                .map(|&len| ChunkOp { chunk_id: 7, offset: 3, len })
+                .collect(),
+        };
+        for lens in [&[][..], &[0], &[8192], &[4096, 4096, 1], &[u64::MAX, 2]] {
+            let req = batch(lens);
+            let body = req.encode();
+            for limit in [0u64, 8191, 8192, 8193, u64::MAX] {
+                let want = req.total_len().is_some_and(|t| t <= limit);
+                assert_eq!(ChunkBatchReq::names_at_most(&body, limit), want, "{lens:?} <= {limit}");
+            }
+            // A body cut short names "too many", whatever the limit.
+            assert!(!ChunkBatchReq::names_at_most(&body[..body.len() - 1], u64::MAX));
+        }
+    }
 
     /// What every encodable value owes its decoder: it round-trips, no
     /// strict prefix of it decodes (and none panics), and a trailing

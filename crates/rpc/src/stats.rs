@@ -20,6 +20,27 @@ pub struct RpcStats {
     /// reading them off the socket — zero while requests are decoded as
     /// views of the received frame.
     pub request_copy_bytes: AtomicU64,
+    /// Requests a TCP connection thread dispatched and answered itself
+    /// (no thread hand-off on the daemon).
+    pub served_inline: AtomicU64,
+    /// Requests queued on the handler pool — every in-process request,
+    /// and over TCP whatever the inline rule turned away.
+    pub served_pooled: AtomicU64,
+}
+
+/// How the waiters of one [`TcpEndpoint`](crate::TcpEndpoint) got their
+/// replies. Client-side only: none of this crosses the wire.
+#[derive(Debug, Default)]
+pub struct WaitStats {
+    /// Waits that read the socket themselves (took the read token at
+    /// least once): no thread hand-off on the client.
+    pub waits_led: AtomicU64,
+    /// Waits served by another reader — a leading waiter or the
+    /// connection's reader thread parked the reply in their slot.
+    pub waits_followed: AtomicU64,
+    /// Times the parked reader thread was asked to drain a connection
+    /// because a thread overlapped submissions.
+    pub reader_drains: AtomicU64,
 }
 
 impl RpcStats {

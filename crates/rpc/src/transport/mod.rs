@@ -14,18 +14,25 @@
 //! daemons busy simultaneously (§III-B), which is exactly what
 //! submit-all-then-wait-all enables.
 //!
-//! A reply travels from the transport to its waiter over a one-shot
-//! `std::sync::mpsc` channel ([`ReplyHandle::pending`] takes the
-//! receiving end). On the daemon side both transports serve requests
-//! the same way, through [`Handlers`]: the registry, its counters and
-//! the handler pool, with the one "dispatch, record, deliver" routine.
+//! A reply reaches its waiter one of two ways. The in-process transport
+//! (and test doubles) send it over a one-shot `std::sync::mpsc` channel
+//! ([`ReplyHandle::pending`] takes the receiving end). A TCP connection
+//! keeps one completion table instead, and the waiter itself reads the
+//! socket when it is the only one who could be waiting ([`tcp`]). On the
+//! daemon side both transports serve requests through [`Handlers`]: the
+//! registry, its counters and the handler pool, with the one "dispatch,
+//! record, deliver" routine — and the one rule
+//! ([`Handlers::runs_inline`]) by which a TCP connection thread answers
+//! a small point op itself instead of queueing it.
 
 use crate::handler::HandlerRegistry;
 use crate::message::{Request, Response, Status};
+use crate::proto::{ChunkBatchReq, ServeClass};
 use crate::stats::RpcStats;
 use gkfs_common::lock::rank;
 use gkfs_common::{GkfsError, Result, TaskPool};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -80,17 +87,37 @@ impl EndpointOptions {
 /// then pushes back to the peer) — back-pressure, not OOM.
 pub const SERVER_QUEUE_PER_WORKER: usize = 256;
 
+/// Largest frame payload a TCP connection thread serves itself, and the
+/// most bytes a chunk batch may name to count as a point op. Sized for
+/// the small-I/O shapes the paper cares about (an 8 KiB transfer, a
+/// 64-path metadata batch) with room to spare; a 512 KiB chunk is two
+/// orders of magnitude away.
+pub const SMALL_FRAME: usize = 16 * 1024;
+
 /// The serving half both transports share — Margo's execution model:
 /// the transport is the *progress* side (it pulls requests off the
 /// network or out of a client's hands), a fixed pool of handler
 /// threads is the *handling* side, sized statically as GekkoFS daemons
-/// do (paper §IV).
+/// do (paper §IV). Margo's hand-off between the two is a user-level
+/// context switch; here it is an OS-thread wake-up, so the TCP progress
+/// side keeps the requests [`Handlers::runs_inline`] admits.
 pub(crate) struct Handlers {
     // Shared with the queued jobs one by one: a job must not own the
     // pool it runs on (the last owner joins the workers).
     registry: Arc<HandlerRegistry>,
     pub(crate) stats: Arc<RpcStats>,
     pub(crate) pool: TaskPool,
+}
+
+/// Dispatch `req` and record its response.
+fn run(registry: &HandlerRegistry, stats: &RpcStats, req: Request) -> Response {
+    let resp = registry.dispatch(req);
+    stats.record_response(
+        matches!(resp.status, Status::Ok),
+        resp.body.len(),
+        resp.bulk.len(),
+    );
+    resp
 }
 
 impl Handlers {
@@ -110,81 +137,102 @@ impl Handlers {
         }
     }
 
+    /// The inline-or-pool rule of a byte-stream server, the only one:
+    /// the thread that read `req` off its connection runs it to
+    /// completion when the frame is small (`frame_len` payload bytes),
+    /// nothing else is waiting behind it in that connection's read
+    /// buffer (`more_buffered` — a pipelining client gets the pool's
+    /// parallelism and its bounded queue, as before), and the row is a
+    /// point op by its declared [`ServeClass`]. Everything else takes
+    /// [`Handlers::serve`].
+    pub(crate) fn runs_inline(&self, req: &Request, frame_len: usize, more_buffered: bool) -> bool {
+        if more_buffered || frame_len > SMALL_FRAME {
+            return false;
+        }
+        match req.opcode.class() {
+            ServeClass::Point => true,
+            ServeClass::Group => !self.registry.has_logged_store(),
+            ServeClass::Chunks => ChunkBatchReq::names_at_most(&req.body, SMALL_FRAME as u64),
+            ServeClass::Pool => false,
+        }
+    }
+
+    /// Dispatch `req` on the calling thread and record the response.
+    pub(crate) fn serve_inline(&self, req: Request) -> Response {
+        self.stats.served_inline.fetch_add(1, Ordering::Relaxed);
+        run(&self.registry, &self.stats, req)
+    }
+
     /// Queue `req` for a handler thread — blocking while the queue is
     /// full — which dispatches it, records the response and hands it to
     /// `deliver` (a socket write, a channel send).
     pub(crate) fn serve(&self, req: Request, deliver: impl FnOnce(Response) + Send + 'static) {
+        self.stats.served_pooled.fetch_add(1, Ordering::Relaxed);
         let registry = Arc::clone(&self.registry);
         let stats = Arc::clone(&self.stats);
-        self.pool.submit(move || {
-            let resp = registry.dispatch(req);
-            stats.record_response(
-                matches!(resp.status, Status::Ok),
-                resp.body.len(),
-                resp.bulk.len(),
-            );
-            deliver(resp);
-        });
+        self.pool.submit(move || deliver(run(&registry, &stats, req)));
     }
 }
 
 enum ReplySource {
     /// Outcome will arrive on this channel (transport completion). The
     /// transport sends `Ok(resp)` on a normal reply, or `Err(e)` to
-    /// fail the request with a *typed* cause (connection reset, frame
-    /// corruption) so callers can classify it for retry.
-    Waiting(Receiver<Result<Response>>),
+    /// fail the request with a *typed* cause so callers can classify it
+    /// for retry; if it drops the sender instead, the wait fails fast
+    /// with `disconnect`.
+    Waiting {
+        rx: Receiver<Result<Response>>,
+        disconnect: GkfsError,
+    },
     /// Result was known at submission time (test doubles, fast errors).
-    Ready(Option<Result<Response>>),
+    Ready(Result<Response>),
+    /// A slot in a TCP connection's completion table.
+    Slot(tcp::Ticket),
 }
 
 /// An in-flight RPC: the completion half of [`Endpoint::submit`].
 ///
-/// The transport completes the handle by sending the response on its
-/// channel. If the transport dies first (connection closed, server
-/// shut down), the channel disconnects and `wait` fails fast with the
-/// transport's disconnect error instead of burning the full timeout.
+/// A handle that is dropped, or times out, before its reply arrives
+/// gives its correlation state back to the transport, so abandoned
+/// requests leak nothing and a late reply is discarded.
 pub struct ReplyHandle {
     source: ReplySource,
-    /// Error surfaced when the transport drops the completion channel
-    /// without responding.
-    disconnect: GkfsError,
-    /// Cleanup run if the caller gives up (timeout or drop) before the
-    /// response arrives — transports use it to reap their pending-slot
-    /// so abandoned requests do not leak correlation entries.
-    abandon: Option<Box<dyn FnOnce() + Send>>,
 }
 
 impl ReplyHandle {
-    /// A handle completed by sending on the paired channel.
+    /// A handle completed by sending on the paired channel. If the
+    /// sender is dropped first (connection closed, server shut down),
+    /// `wait` fails fast with the disconnect error instead of burning
+    /// the full timeout.
     pub fn pending(rx: Receiver<Result<Response>>) -> ReplyHandle {
         ReplyHandle {
-            source: ReplySource::Waiting(rx),
-            disconnect: GkfsError::Rpc("connection closed".into()),
-            abandon: None,
+            source: ReplySource::Waiting {
+                rx,
+                disconnect: GkfsError::Rpc("connection closed".into()),
+            },
         }
     }
 
     /// A handle whose outcome is already known (test doubles).
     pub fn ready(result: Result<Response>) -> ReplyHandle {
         ReplyHandle {
-            source: ReplySource::Ready(Some(result)),
-            disconnect: GkfsError::Rpc("connection closed".into()),
-            abandon: None,
+            source: ReplySource::Ready(result),
         }
     }
 
-    /// Set the error reported when the transport disconnects before
-    /// responding.
-    pub fn on_disconnect(mut self, e: GkfsError) -> ReplyHandle {
-        self.disconnect = e;
-        self
+    /// A handle on a slot of a TCP connection's completion table.
+    pub(crate) fn slot(ticket: tcp::Ticket) -> ReplyHandle {
+        ReplyHandle {
+            source: ReplySource::Slot(ticket),
+        }
     }
 
-    /// Set the cleanup hook run when the handle is abandoned (timeout
-    /// or drop) before completion.
-    pub fn on_abandon(mut self, f: impl FnOnce() + Send + 'static) -> ReplyHandle {
-        self.abandon = Some(Box::new(f));
+    /// Set the error a [`ReplyHandle::pending`] handle reports when the
+    /// transport disconnects before responding.
+    pub fn on_disconnect(mut self, e: GkfsError) -> ReplyHandle {
+        if let ReplySource::Waiting { disconnect, .. } = &mut self.source {
+            *disconnect = e;
+        }
         self
     }
 
@@ -198,36 +246,15 @@ impl ReplyHandle {
     ///   immediately
     /// * `timeout` elapsed → `Err(Timeout)`, and the pending slot is
     ///   reaped so a late response cannot leak it
-    pub fn wait(mut self, timeout: Duration) -> Result<Response> {
-        match &mut self.source {
-            ReplySource::Ready(result) => {
-                self.abandon = None;
-                match result.take() {
-                    Some(r) => r,
-                    // Unreachable in practice (`wait` consumes the
-                    // handle), but a closed-out handle should read as
-                    // an RPC failure, not a daemon panic.
-                    None => Err(GkfsError::Rpc("reply already consumed".into())),
-                }
-            }
-            ReplySource::Waiting(rx) => match rx.recv_timeout(timeout) {
-                Ok(outcome) => {
-                    // Completed either way: the transport already
-                    // reaped the slot.
-                    self.abandon = None;
-                    outcome
-                }
-                Err(RecvTimeoutError::Disconnected) => Err(self.disconnect.clone()),
+    pub fn wait(self, timeout: Duration) -> Result<Response> {
+        match self.source {
+            ReplySource::Ready(result) => result,
+            ReplySource::Waiting { rx, disconnect } => match rx.recv_timeout(timeout) {
+                Ok(outcome) => outcome,
+                Err(RecvTimeoutError::Disconnected) => Err(disconnect),
                 Err(RecvTimeoutError::Timeout) => Err(GkfsError::Timeout),
             },
-        }
-    }
-}
-
-impl Drop for ReplyHandle {
-    fn drop(&mut self) {
-        if let Some(f) = self.abandon.take() {
-            f();
+            ReplySource::Slot(ticket) => ticket.wait(timeout),
         }
     }
 }
@@ -366,7 +393,6 @@ mod tests {
     use super::*;
     use crate::message::Opcode;
     use std::sync::mpsc::sync_channel;
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -401,18 +427,36 @@ mod tests {
     }
 
     #[test]
-    fn timeout_and_drop_run_the_abandon_hook_once() {
-        let (_tx, rx) = sync_channel::<Result<Response>>(1);
-        let reaped = Arc::new(AtomicBool::new(false));
-        let flag = reaped.clone();
-        let h = ReplyHandle::pending(rx).on_abandon(move || {
-            assert!(!flag.swap(true, Ordering::SeqCst), "hook ran twice");
-        });
-        assert!(matches!(
-            h.wait(Duration::from_millis(5)),
-            Err(GkfsError::Timeout)
-        ));
-        assert!(reaped.load(Ordering::SeqCst), "timeout must reap the slot");
+    fn inline_rule_follows_class_frame_size_and_read_buffer() {
+        use crate::proto::{body_of, ChunkOp};
+        let chunks = |opcode, len| {
+            let batch = ChunkBatchReq {
+                path: "/f".into(),
+                ops: vec![ChunkOp { chunk_id: 0, offset: 0, len }],
+            };
+            Request::new(opcode, body_of(&batch))
+        };
+        let point = Request::new(Opcode::Stat, Vec::new());
+        let group = Request::new(Opcode::BatchMeta, Vec::new());
+        let h = Handlers::new(HandlerRegistry::new(), 1);
+        assert!(h.runs_inline(&point, 64, false));
+        assert!(!h.runs_inline(&point, 64, true), "a frame is pipelined behind it");
+        assert!(!h.runs_inline(&point, SMALL_FRAME + 1, false), "not a small frame");
+        assert!(!h.runs_inline(&Request::new(Opcode::DaemonStats, Vec::new()), 16, false));
+        assert!(!h.runs_inline(&Request::new(Opcode::Ping, Vec::new()), 16, false));
+        assert!(h.runs_inline(&group, 4096, false));
+        // A chunk batch counts by the bytes it names: a read's request
+        // frame is small whatever its reply will be.
+        assert!(h.runs_inline(&chunks(Opcode::ReadChunks, 8192), 64, false));
+        assert!(!h.runs_inline(&chunks(Opcode::ReadChunks, 512 * 1024), 64, false));
+        assert!(h.runs_inline(&chunks(Opcode::WriteChunks, 8192), 8192 + 64, false));
+        // With a logged metadata store a group apply may wait on the
+        // device: pooled. Point rows stay.
+        let mut logged = HandlerRegistry::new();
+        logged.logged_store(true);
+        let h = Handlers::new(logged, 1);
+        assert!(!h.runs_inline(&group, 4096, false));
+        assert!(h.runs_inline(&point, 64, false));
     }
 
     #[test]
@@ -453,18 +497,5 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(gather_copy_bytes() - before, 5);
-    }
-
-    #[test]
-    fn completion_skips_the_abandon_hook() {
-        let (tx, rx) = sync_channel::<Result<Response>>(1);
-        let reaped = Arc::new(AtomicBool::new(false));
-        let flag = reaped.clone();
-        let h = ReplyHandle::pending(rx).on_abandon(move || {
-            flag.store(true, Ordering::SeqCst);
-        });
-        tx.send(Ok(Response::ok(&b"done"[..]))).unwrap();
-        h.wait(Duration::from_secs(1)).unwrap();
-        assert!(!reaped.load(Ordering::SeqCst), "completed handles are not abandoned");
     }
 }

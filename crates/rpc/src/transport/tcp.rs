@@ -1,13 +1,54 @@
 //! TCP transport.
 //!
 //! Real sockets, for running daemons as separate processes or on
-//! separate machines. Frames are length-prefixed and CRC32-checked;
-//! each connection has one reader thread, and responses are correlated
-//! to waiting callers by request id, so one connection multiplexes any
-//! number of concurrent calls (as Mercury does over its network
-//! plugins). Submission is nonblocking: `submit` registers the pending
-//! slot and writes the frame; the reader thread completes handles as
-//! responses arrive, in whatever order the daemon finishes them.
+//! separate machines. Frames are length-prefixed and CRC32-checked, and
+//! responses are correlated to waiting callers by request id, so one
+//! connection multiplexes any number of concurrent calls (as Mercury
+//! does over its network plugins). Submission is nonblocking: `submit`
+//! registers a slot in the connection's completion table and writes the
+//! frame; replies fill slots in whatever order the daemon finishes them.
+//!
+//! # Run to completion
+//!
+//! Margo splits an RPC between a progress loop and handler ULTs, and
+//! the split is cheap because Argobots ULTs are user-level. Mapped onto
+//! OS threads, each side of the split is a wake-up — connection thread →
+//! pool worker on the daemon, reader thread → caller on the client —
+//! around a kvstore point op that takes a fraction of a microsecond. So
+//! a small RPC stays on the threads that already hold it, by two rules,
+//! each decided in one place:
+//!
+//! * **Inline or pool** (daemon; `Handlers::runs_inline`). A connection
+//!   thread reads through one buffer — one `recv` per small frame — and
+//!   dispatches and answers a request itself when its row is a point op
+//!   by its declared [`ServeClass`](crate::proto::ServeClass), its frame
+//!   is small, and the read buffer holds no further frame. Bulk frames,
+//!   rows that may block or scan, and any pipelined burst go to the
+//!   handler pool exactly as before, so a pipelining client still gets
+//!   the pool's parallelism and its bounded queue's back-pressure. The
+//!   in-process transport pools everything.
+//! * **Lead or follow** (client; `Ticket::wait`). A connection's
+//!   completion state is one table: a slot per request id, the buffered
+//!   read half of the socket as a *token*, a condvar. A waiter whose
+//!   handle is its thread's only outstanding one takes the token and
+//!   reads frames itself until its reply arrives (the *leader*); replies
+//!   for other ids are parked in their slots and their waiters woken. A
+//!   waiter that finds the token taken *follows* on the condvar and is
+//!   promoted when the leader leaves. The per-connection reader
+//!   thread is still there, but parked (and not even started before it
+//!   is first needed): it is asked to drain the connection only when a
+//!   thread overlaps submissions — it already holds an un-waited handle
+//!   when it submits or waits, i.e. a fan-out — which is the old route
+//!   unchanged. A leader that comes upon a
+//!   frame too large for the read buffer leaves it to the reader thread
+//!   the same way, so a large frame is never read by a waiter: a chunk
+//!   read's reply next to the caller's own result buffer on one
+//!   thread's allocator arena crosses glibc's trim threshold on every
+//!   call, which costs more than the hand-off saves.
+//!
+//! A lone unary call therefore costs no thread hand-off on either side
+//! where it used to cost four; what remains are the two wake-ups of the
+//! network itself (request arrives, reply arrives).
 //!
 //! # Zero-copy framing
 //!
@@ -21,43 +62,52 @@
 //! caller's own buffer ([`Endpoint::submit_gather`]): prefix plus one
 //! borrowed sub-slice per chunk piece, nothing gathered first.
 //!
-//! Inbound, both readers (a server connection, a client's reader
-//! thread) take a frame as a 4-byte header read followed by one read of
-//! payload and trailer into a single owned buffer that is reserved to
-//! size and never zeroed ([`read_frame`]). After the CRC check that
-//! buffer *is* the message: `decode_owned` hands out `body` and `bulk`
-//! as views of it, so a write payload reaches the chunk store, and a
-//! read reply the caller's result, without another copy. Each payload
-//! byte therefore costs one checksum pass and no user-space copy on the
-//! receiving side, one checksum pass and no copy on the sending side.
+//! Inbound, every reader (a server connection, a leading waiter, a
+//! client's reader thread) goes through a [`FrameReader`]. A frame that
+//! fits its buffer arrives with the `recv` that found it and is cut out
+//! as one owned buffer; a larger one lands — beyond the few KiB that
+//! came with its header — directly in a single `Vec` reserved to size
+//! and never zeroed. After the CRC check that buffer *is* the message:
+//! `decode_owned` hands out `body` and `bulk` as views of it, so a write
+//! payload reaches the chunk store, and a read reply the caller's
+//! result, without another copy.
 //!
 //! # Failure semantics
 //!
-//! A dead connection does not brick the endpoint. When the reader
-//! thread dies (peer reset, EOF, corrupt frame) it fails every
-//! in-flight request with a *typed* error — [`GkfsError::Rpc`] for
-//! connection loss, [`GkfsError::Corruption`] for a checksum mismatch
-//! — and clears the live connection. The next `submit` re-dials,
-//! subject to a small exponential backoff after failed dial attempts
-//! so a down daemon is probed, not hammered. All of these errors
+//! A dead connection does not brick the endpoint. Whoever holds the
+//! read token when the stream fails (peer reset, EOF, corrupt frame, a
+//! peer that stalls inside a frame) fails every in-flight request with
+//! a *typed* error — [`GkfsError::Rpc`] for connection loss,
+//! [`GkfsError::Corruption`] for a checksum mismatch — and clears the
+//! live connection. The next `submit` re-dials, subject to a small
+//! exponential backoff after failed dial attempts so a down daemon is
+//! probed, not hammered. Nobody reads an idle connection, so a peer
+//! that went away between calls is noticed by the next call on it,
+//! which fails with the same retryable error. All of these errors
 //! satisfy `GkfsError::is_retryable`, which is what lets the client
 //! retry layer ride through a daemon restart transparently.
+//!
+//! A wait gives up only on a frame boundary: the socket's receive
+//! timeout is a short tick, a reader that sees it fire before the first
+//! byte of a frame checks its deadline, and one that sees it fire
+//! inside a frame keeps reading. So `wait(timeout)` returns `Timeout`
+//! on time, its slot is reaped, the stream stays aligned for the next
+//! call, and the late reply is read and dropped by the next reader.
 
 use crate::handler::HandlerRegistry;
 use crate::message::{Request, Response};
-use crate::stats::RpcStats;
-use crate::transport::{Endpoint, EndpointOptions, Handlers, ReplyHandle};
+use crate::stats::{RpcStats, WaitStats};
+use crate::transport::{Endpoint, EndpointOptions, Handlers, ReplyHandle, SMALL_FRAME};
 use bytes::Bytes;
 use gkfs_common::crc::crc32;
-use gkfs_common::lock::{rank, OrderedMutex};
+use gkfs_common::lock::{rank, Condvar, OrderedMutex};
 use gkfs_common::wire::FrameWriter;
 use gkfs_common::{GkfsError, Result};
 use std::collections::HashMap;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::Arc;
+use std::io::{ErrorKind, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Maximum accepted frame: 256 MiB guards against garbage length
@@ -70,6 +120,20 @@ const MAX_FRAME: u32 = 256 * 1024 * 1024;
 /// to this size — every chunk batch of a default deployment — land in
 /// an exactly-sized buffer; larger ones grow with the bytes received.
 const FRAME_RESERVE_MAX: usize = 4 * 1024 * 1024;
+
+/// A connection's read buffer: a small frame with its header and
+/// trailer, and a little more so that a frame pipelined behind it shows.
+const READ_BUF: usize = SMALL_FRAME + 512;
+
+/// Receive timeout of a client socket while somebody reads it: how
+/// often a reader with nothing arriving looks at its deadline. Fixed,
+/// so that the steady state never pays a `setsockopt`; only a wait with
+/// less than a tick left sets the remainder.
+const WAIT_TICK: Duration = Duration::from_millis(100);
+
+/// One sleep of a follower whose timeout is too large to be a deadline
+/// (it re-checks and sleeps again).
+const WAIT_FOREVER: Duration = Duration::from_secs(3600);
 
 /// First re-dial backoff after a failed dial attempt; doubles per
 /// consecutive failure up to [`DIAL_BACKOFF_MAX_MS`].
@@ -98,8 +162,7 @@ fn write_frame_segments(stream: &mut TcpStream, prefix: &[u8], bulk: &[&[u8]]) -
             fw.payload_len()
         )));
     }
-    fw.write_to(stream)
-        .map_err(|e| GkfsError::Rpc(format!("connection lost: {e}")))
+    fw.write_to(stream).map_err(lost)
 }
 
 /// Write one response frame: encoded prefix plus the bulk payload as a
@@ -116,36 +179,26 @@ fn frame_reserve(len: usize) -> usize {
     (len + 4).min(FRAME_RESERVE_MAX)
 }
 
-/// Counterpart of [`write_frame_segments`]: read one frame and return
-/// its payload as an owned buffer. The header is one 4-byte read;
-/// payload and trailer are then read together into one `Vec` reserved
-/// by [`frame_reserve`] — spare capacity the kernel fills directly,
-/// never zeroed first. The trailing checksum is verified and cut off,
-/// and the `Vec` becomes the `Bytes` without a copy. A mismatch
-/// surfaces as [`GkfsError::Corruption`], which the caller must treat
-/// as fatal for the connection: after a bad frame the stream offset can
-/// no longer be trusted, so the only way to resynchronize is to drop
-/// the connection and reconnect.
-fn read_frame(stream: &mut impl Read) -> Result<Bytes> {
-    let io = |e: std::io::Error| GkfsError::Rpc(format!("connection lost: {e}"));
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf).map_err(io)?;
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(GkfsError::Rpc(format!("frame too large: {len}")));
-    }
-    let len = len as usize;
-    let mut frame = Vec::with_capacity(frame_reserve(len));
-    let got = stream
-        .take(len as u64 + 4)
-        .read_to_end(&mut frame)
-        .map_err(io)?;
-    if got < len + 4 {
-        return Err(GkfsError::Rpc(format!(
-            "connection lost: peer closed {got} bytes into a {len}-byte frame"
-        )));
-    }
-    let (payload, trailer) = frame.split_at(len);
+/// A socket error as the retryable connection loss it is.
+fn lost(e: std::io::Error) -> GkfsError {
+    GkfsError::Rpc(format!("connection lost: {e}"))
+}
+
+fn closed_err() -> GkfsError {
+    GkfsError::Rpc("connection closed".into())
+}
+
+/// A receive timeout (`SO_RCVTIMEO` reports either kind).
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// Verify a frame's trailing checksum. A mismatch surfaces as
+/// [`GkfsError::Corruption`], which the caller must treat as fatal for
+/// the connection: after a bad frame the stream offset can no longer be
+/// trusted, so the only way to resynchronize is to drop the connection
+/// and reconnect.
+fn check_crc(payload: &[u8], trailer: &[u8]) -> Result<()> {
     let want = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
     let got = crc32(payload);
     if got != want {
@@ -153,8 +206,179 @@ fn read_frame(stream: &mut impl Read) -> Result<Bytes> {
             "tcp frame crc mismatch: computed {got:#010x}, frame says {want:#010x}"
         )));
     }
-    frame.truncate(len);
-    Ok(Bytes::from(frame))
+    Ok(())
+}
+
+/// The read half of a connection: the stream behind one buffer of
+/// [`READ_BUF`] bytes, read a frame at a time. Counterpart of
+/// [`write_frame_segments`].
+struct FrameReader<R> {
+    stream: R,
+    buf: Box<[u8]>,
+    /// `buf[start..end]` has been received and not yet consumed.
+    start: usize,
+    end: usize,
+    /// The receive timeout the socket has now (`None`: it blocks).
+    applied: Option<Duration>,
+    /// When a receive first timed out inside the frame being read;
+    /// cleared by the next byte.
+    stalled: Option<Instant>,
+}
+
+impl<R: Read> FrameReader<R> {
+    fn new(stream: R) -> FrameReader<R> {
+        FrameReader {
+            stream,
+            buf: vec![0u8; READ_BUF].into_boxed_slice(),
+            start: 0,
+            end: 0,
+            applied: None,
+            stalled: None,
+        }
+    }
+
+    /// Bytes received beyond what has been consumed: after a frame was
+    /// taken, whether the peer had already sent more.
+    fn buffered(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// A receive timed out inside a frame: keep reading, unless nothing
+    /// has arrived for `stall` — then the peer is gone in all but name
+    /// and the connection is condemned rather than left mid-frame.
+    fn stall(&mut self, stall: Duration) -> Result<()> {
+        let since = *self.stalled.get_or_insert_with(Instant::now);
+        if since.elapsed() >= stall {
+            return Err(GkfsError::Rpc(format!(
+                "connection lost: peer stalled {stall:?} inside a frame"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Receive until `n` bytes are buffered (`n` fits the buffer).
+    fn need(&mut self, n: usize, stall: Duration) -> Result<()> {
+        if self.buffered() >= n {
+            return Ok(());
+        }
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        while self.end < n {
+            match self.stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => {
+                    return Err(GkfsError::Rpc(format!(
+                        "connection lost: peer closed with {} of {n} bytes received",
+                        self.end
+                    )))
+                }
+                Ok(got) => {
+                    self.end += got;
+                    self.stalled = None;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if timed_out(&e) => self.stall(stall)?,
+                Err(e) => return Err(lost(e)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Payload length of the frame the stream is at, its header received
+    /// but not consumed.
+    fn next_len(&mut self, stall: Duration) -> Result<usize> {
+        self.need(4, stall)?;
+        let head = &self.buf[self.start..];
+        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
+        if len > MAX_FRAME {
+            return Err(GkfsError::Rpc(format!("frame too large: {len}")));
+        }
+        Ok(len as usize)
+    }
+
+    /// Whether a frame of `len` payload bytes goes through the buffer
+    /// (header, payload and trailer fit it) rather than into a buffer
+    /// of its own.
+    fn holds(&self, len: usize) -> bool {
+        len + 8 <= self.buf.len()
+    }
+
+    /// Read one frame and return its payload as an owned buffer, trailer
+    /// verified and cut off. A frame that fits the buffer usually came
+    /// whole with the one `recv` that found its header; a larger one is
+    /// received — past what that `recv` brought along — straight into a
+    /// `Vec` reserved by [`frame_reserve`], spare capacity the kernel
+    /// fills directly, never zeroed first, which becomes the `Bytes`
+    /// without a copy. Returns only on a frame boundary or with an error
+    /// that condemns the connection (`stall`: see [`FrameReader::stall`]).
+    fn read_frame(&mut self, stall: Duration) -> Result<Bytes> {
+        let len = self.next_len(stall)?;
+        let total = len + 4;
+        if self.holds(len) {
+            self.need(4 + total, stall)?;
+            let (payload, rest) = self.buf[self.start + 4..self.end].split_at(len);
+            check_crc(payload, rest)?;
+            let frame = Bytes::copy_from_slice(payload);
+            self.start += 4 + total;
+            return Ok(frame);
+        }
+        self.start += 4;
+        let mut frame = Vec::with_capacity(frame_reserve(len));
+        let have = self.buffered().min(total);
+        frame.extend_from_slice(&self.buf[self.start..self.start + have]);
+        self.start += have;
+        while frame.len() < total {
+            let left = (total - frame.len()) as u64;
+            // Bytes received before an error stay appended to `frame`,
+            // so a timed-out read resumes where it stopped.
+            match (&mut self.stream).take(left).read_to_end(&mut frame) {
+                Ok(0) => {
+                    return Err(GkfsError::Rpc(format!(
+                        "connection lost: peer closed {} bytes into a {len}-byte frame",
+                        frame.len()
+                    )))
+                }
+                Ok(_) => self.stalled = None,
+                Err(e) if timed_out(&e) => self.stall(stall)?,
+                Err(e) => return Err(lost(e)),
+            }
+        }
+        check_crc(&frame[..len], &frame[len..])?;
+        frame.truncate(len);
+        Ok(Bytes::from(frame))
+    }
+}
+
+impl FrameReader<TcpStream> {
+    /// On a frame boundary, wait up to `wait` for the first bytes of the
+    /// next frame. `Ok(false)`: nothing came, and the stream is still on
+    /// the boundary — the one place a reader may walk away from it.
+    fn poll(&mut self, wait: Duration) -> Result<bool> {
+        if self.buffered() > 0 {
+            return Ok(true);
+        }
+        let wait = wait.max(Duration::from_millis(1));
+        if self.applied != Some(wait) {
+            self.stream.set_read_timeout(Some(wait)).map_err(lost)?;
+            self.applied = Some(wait);
+        }
+        self.start = 0;
+        self.end = 0;
+        loop {
+            match self.stream.read(&mut self.buf) {
+                Ok(0) => return Err(closed_err()),
+                Ok(got) => {
+                    self.end = got;
+                    return Ok(true);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if timed_out(&e) => return Ok(false),
+                Err(e) => return Err(lost(e)),
+            }
+        }
+    }
 }
 
 /// Bytes of `part` that lie outside `frame`'s buffer: what a decoder
@@ -171,21 +395,22 @@ fn copied_out_of(frame: &Bytes, part: &Bytes) -> usize {
     }
 }
 
-fn closed_err() -> GkfsError {
-    GkfsError::Rpc("connection closed".into())
-}
+/// A server's accepted sockets, by accept order.
+type Conns = Arc<OrderedMutex<HashMap<u64, TcpStream>>>;
 
-/// A TCP daemon listener: accepts connections and serves requests on a
-/// handler pool.
+/// A TCP daemon listener: accepts connections and serves their
+/// requests — on the connection's own thread or on a handler pool, by
+/// `Handlers::runs_inline`.
 pub struct TcpServer {
     addr: SocketAddr,
     shutting_down: Arc<AtomicBool>,
     handlers: Arc<Handlers>,
     accept_thread: OrderedMutex<Option<std::thread::JoinHandle<()>>>,
-    /// Live connection sockets, closed forcibly on shutdown so that
-    /// clients of a stopped daemon see errors instead of a silently
-    /// still-working ghost server.
-    conns: Arc<OrderedMutex<Vec<TcpStream>>>,
+    /// A clone of every connection being served, closed forcibly on
+    /// shutdown so that clients of a stopped daemon see errors instead
+    /// of a silently still-working ghost server. A connection's entry
+    /// leaves with its thread.
+    conns: Conns,
 }
 
 impl TcpServer {
@@ -207,8 +432,7 @@ impl TcpServer {
         let local = listener.local_addr().map_err(|e| GkfsError::Rpc(e.to_string()))?;
         let shutting_down = Arc::new(AtomicBool::new(false));
         let handlers = Arc::new(Handlers::new(registry, handler_threads));
-        let conns: Arc<OrderedMutex<Vec<TcpStream>>> =
-            Arc::new(OrderedMutex::new(rank::RPC_CONNS, Vec::new()));
+        let conns: Conns = Arc::new(OrderedMutex::new(rank::RPC_CONNS, HashMap::new()));
 
         let accept = {
             let shutting_down = shutting_down.clone();
@@ -217,7 +441,7 @@ impl TcpServer {
             std::thread::Builder::new()
                 .name("gkfs-tcp-accept".into())
                 .spawn(move || {
-                    for conn in listener.incoming() {
+                    for (serial, conn) in (0u64..).zip(listener.incoming()) {
                         if shutting_down.load(Ordering::SeqCst) {
                             break;
                         }
@@ -227,18 +451,25 @@ impl TcpServer {
                         // round trip.
                         stream.set_nodelay(true).ok();
                         if let Ok(clone) = stream.try_clone() {
-                            conns.lock().push(clone);
+                            conns.lock().insert(serial, clone);
                         }
-                        let handlers = handlers.clone();
-                        let shutting_down = shutting_down.clone();
-                        let spawned = std::thread::Builder::new()
-                            .name("gkfs-tcp-conn".into())
-                            .spawn(move || serve_connection(stream, handlers, shutting_down));
+                        let serving = {
+                            let handlers = handlers.clone();
+                            let shutting_down = shutting_down.clone();
+                            let conns = conns.clone();
+                            move || {
+                                serve_connection(stream, &handlers, &shutting_down);
+                                conns.lock().remove(&serial);
+                            }
+                        };
                         // Thread exhaustion: dropping the stream hangs
                         // up on the peer (it can retry) instead of
                         // killing the accept loop for everyone.
+                        let spawned = std::thread::Builder::new()
+                            .name("gkfs-tcp-conn".into())
+                            .spawn(serving);
                         if spawned.is_err() {
-                            continue;
+                            conns.lock().remove(&serial);
                         }
                     }
                 })
@@ -270,14 +501,20 @@ impl TcpServer {
         Arc::clone(&self.handlers.stats)
     }
 
+    /// Connections being served right now (diagnostics; the fd-leak
+    /// test asserts closed ones leave).
+    pub fn open_connections(&self) -> usize {
+        self.conns.lock().len()
+    }
+
     /// Forcibly sever every established connection while the server
     /// keeps listening — the moral equivalent of a transient network
     /// partition or a middlebox reset. Clients see their in-flight
     /// requests fail with a retryable error and reconnect on the next
     /// submit. Used by the chaos and robustness tests.
     pub fn sever_connections(&self) {
-        for c in self.conns.lock().drain(..) {
-            let _ = c.shutdown(std::net::Shutdown::Both);
+        for (_, c) in self.conns.lock().drain() {
+            let _ = c.shutdown(Shutdown::Both);
         }
     }
 
@@ -308,7 +545,7 @@ impl Drop for TcpServer {
     }
 }
 
-fn serve_connection(stream: TcpStream, handlers: Arc<Handlers>, shutting_down: Arc<AtomicBool>) {
+fn serve_connection(stream: TcpStream, handlers: &Arc<Handlers>, shutting_down: &AtomicBool) {
     let stats = &handlers.stats;
     let writer = Arc::new(OrderedMutex::new(
         rank::RPC_WRITER,
@@ -317,11 +554,13 @@ fn serve_connection(stream: TcpStream, handlers: Arc<Handlers>, shutting_down: A
             Err(_) => return,
         },
     ));
-    let mut reader = stream;
+    // A server socket has no receive timeout, so the reader never
+    // stalls: it blocks until the peer sends or hangs up.
+    let mut reader = FrameReader::new(stream);
     // A read error means peer closed, stream damaged, or checksum
     // mismatch: the stream offset is untrustworthy either way, so drop
     // the connection and let the client reconnect.
-    while let Ok(frame) = read_frame(&mut reader) {
+    while let Ok(frame) = reader.read_frame(Duration::MAX) {
         let req = match Request::decode_owned(&frame) {
             Ok(r) => r,
             Err(_) => break, // unparseable frame: protocol broken, drop
@@ -337,38 +576,405 @@ fn serve_connection(stream: TcpStream, handlers: Arc<Handlers>, shutting_down: A
             continue;
         }
         stats.record_request(req.body.len(), req.bulk.len());
-        let writer = writer.clone();
-        handlers.serve(req, move |resp| {
+        if handlers.runs_inline(&req, frame.len(), reader.buffered() > 0) {
+            let resp = handlers.serve_inline(req);
             let _ = write_response(&mut writer.lock(), &resp);
-        });
+        } else {
+            let writer = writer.clone();
+            handlers.serve(req, move |resp| {
+                let _ = write_response(&mut writer.lock(), &resp);
+            });
+        }
     }
     // The accept loop parked a clone of this socket in the server's
-    // `conns` list (for forcible severing), so dropping our handles
-    // does not close the fd. Shut the socket down explicitly: a stream
-    // this loop abandoned (EOF, corrupt frame, protocol break) must
-    // look closed to the peer *now*, not at server shutdown — the
-    // client fails its in-flight requests fast and reconnects.
-    let _ = reader.shutdown(std::net::Shutdown::Both);
+    // `conns` (for forcible severing) and pool jobs may still hold the
+    // write half, so dropping our handles does not close the fd. Shut
+    // the socket down explicitly: a stream this loop abandoned (EOF,
+    // corrupt frame, protocol break) must look closed to the peer
+    // *now* — the client fails its in-flight requests fast and
+    // reconnects.
+    let _ = reader.stream.shutdown(Shutdown::Both);
 }
 
-/// Correlation table for one live connection: request id → completion
-/// sender. Each connection generation gets its *own* table, so a
-/// request submitted on connection N can never be completed (or
-/// leaked) by connection N+1's reader.
-type PendingMap = Arc<OrderedMutex<HashMap<u64, SyncSender<Result<Response>>>>>;
+thread_local! {
+    /// Handles this thread has submitted over TCP and nobody has waited
+    /// on or dropped yet. Shared with each handle, so one that is waited
+    /// on elsewhere still settles its submitter's count.
+    static HELD: Arc<AtomicUsize> = Arc::new(AtomicUsize::new(0));
+}
+
+/// What a connection's completion table holds.
+struct Table {
+    /// A slot per request in flight: `None` until its reply — or the
+    /// connection's cause of death — is parked there for the waiter.
+    slots: HashMap<u64, Option<Result<Response>>>,
+    /// Slots still `None`: the replies somebody has to read.
+    waiting: usize,
+    /// The read half of the socket — the token. `None` while a leading
+    /// waiter or the reader thread has it, and for good once the
+    /// connection is dead.
+    reader: Option<FrameReader<TcpStream>>,
+    /// The reader thread has been asked to drain the connection and
+    /// does (or will, once it gets the token) until nothing is waiting;
+    /// while set, waiters follow.
+    draining: bool,
+    /// Waiters asleep on `replies`.
+    followers: usize,
+    /// Why the connection is finished, once it is. No slot is accepted
+    /// after; the reader thread exits.
+    dead: Option<GkfsError>,
+}
+
+impl Table {
+    /// Give up slot `id` (timeout, drop, a finished lead): its reply, if
+    /// one still comes, is discarded by whoever reads it.
+    fn forget(&mut self, id: u64) {
+        if let Some(None) = self.slots.remove(&id) {
+            self.waiting -= 1;
+        }
+    }
+
+    /// Take the read token if it is there and this kind of reader may
+    /// have it: the reader thread while the connection is draining, a
+    /// waiter while it is not.
+    fn token(&mut self, reader_thread: bool) -> Option<FrameReader<TcpStream>> {
+        if self.draining == reader_thread {
+            self.reader.take()
+        } else {
+            None
+        }
+    }
+}
+
+/// Completion state of one live connection generation. Each generation
+/// gets its *own* table, so a request submitted on connection N can
+/// never be completed (or leaked) by a reader of connection N+1.
+struct Completions {
+    pending: OrderedMutex<Table>,
+    /// Followers wait here for their slot to fill or the token to free.
+    replies: Condvar,
+    /// The reader thread waits here to be asked to drain.
+    drain: Condvar,
+    /// Whether the connection has a reader thread, once somebody needed
+    /// one: a connection that only ever carries lone small calls (a
+    /// handshake, a CLI command) never pays for it. `false`: it could
+    /// not be started, and waiters keep reading for themselves.
+    reader_thread: OnceLock<bool>,
+    /// The endpoint's connection slot and this connection's generation
+    /// in it, to retire the connection when its stream fails. Weak: the
+    /// slot owns this table, not the reverse.
+    conn: Weak<OrderedMutex<ConnSlot>>,
+    gen: u64,
+    /// How long the peer may stall inside a frame (the endpoint's
+    /// per-call timeout).
+    stall: Duration,
+    stats: Arc<WaitStats>,
+}
+
+/// How a leading waiter's turn at the socket ended.
+enum Led {
+    /// With its own reply.
+    Mine(Response),
+    /// With its deadline, on a frame boundary.
+    TimedOut,
+    /// At a frame that does not go through the read buffer — a chunk
+    /// read's reply, whoever it is for. Reading it here would put its
+    /// buffer on the waiting thread's allocator arena, next to the
+    /// caller's own result buffer; it is the reader thread's to read,
+    /// as every large frame was before waiters read at all.
+    Large,
+}
+
+impl Completions {
+    /// Reserve the slot for request `id`.
+    fn register(&self, id: u64) -> Result<()> {
+        let mut t = self.pending.lock();
+        if let Some(cause) = &t.dead {
+            return Err(cause.clone());
+        }
+        t.slots.insert(id, None);
+        t.waiting += 1;
+        Ok(())
+    }
+
+    /// Park a reply read off the socket in its slot and wake its waiter.
+    /// A reply nobody waits for any more is dropped here.
+    fn park(&self, t: &mut Table, resp: Response) {
+        if let Some(slot @ None) = t.slots.get_mut(&resp.id) {
+            *slot = Some(Ok(resp));
+            t.waiting -= 1;
+            if t.followers > 0 {
+                self.replies.notify_all();
+            }
+        }
+    }
+
+    /// Hand the token back and pass the reading on: to the reader
+    /// thread if it was asked to drain, else to a follower — if anything
+    /// is left to read at all.
+    fn release(&self, t: &mut Table, reader: FrameReader<TcpStream>) {
+        if t.dead.is_some() {
+            return; // condemned meanwhile: the token goes with it
+        }
+        t.reader = Some(reader);
+        if t.waiting == 0 {
+            t.draining = false;
+        } else if t.draining {
+            self.drain.notify_one();
+        } else if t.followers > 0 {
+            self.replies.notify_all();
+        }
+    }
+
+    /// Start the connection's reader thread if nobody has yet (with no
+    /// lock held: the thread's first act is to take `pending`). Whether
+    /// there is one to ask.
+    fn start_reader(self: &Arc<Self>) -> bool {
+        *self.reader_thread.get_or_init(|| {
+            let parked = Arc::clone(self);
+            std::thread::Builder::new()
+                .name("gkfs-tcp-reader".into())
+                .spawn(move || parked.run_reader())
+                .is_ok()
+        })
+    }
+
+    /// Ask the reader thread ([`Completions::start_reader`] came first)
+    /// to read this connection until nothing is waiting. Notifies
+    /// unconditionally: a reader that went to sleep with the flag
+    /// already set must still hear a new request.
+    fn request_drain(&self, t: &mut Table) {
+        if !t.draining {
+            t.draining = true;
+            self.stats.reader_drains.fetch_add(1, Ordering::Relaxed);
+        }
+        self.drain.notify_one();
+    }
+
+    /// The connection is finished: fail every reply still awaited with
+    /// `cause` — once; a slot that already holds its reply keeps it —
+    /// drop the token and wake everyone.
+    fn condemn(&self, cause: GkfsError) {
+        let mut t = self.pending.lock();
+        if t.dead.is_some() {
+            return;
+        }
+        for slot in t.slots.values_mut().filter(|s| s.is_none()) {
+            *slot = Some(Err(cause.clone()));
+        }
+        t.waiting = 0;
+        t.reader = None;
+        t.dead = Some(cause);
+        drop(t);
+        self.replies.notify_all();
+        self.drain.notify_all();
+    }
+
+    /// The stream failed under whoever held the token: retire this
+    /// connection if it is still the endpoint's live one (a submitter
+    /// that hit a write error may already have replaced or cleared it),
+    /// so the next submit re-dials, then fail what was in flight. New
+    /// submits can no longer reach this table — inserts only happen
+    /// under the conn lock while this generation is live — so nothing
+    /// races in after the sweep.
+    fn fail(&self, cause: GkfsError) {
+        if let Some(conn) = self.conn.upgrade() {
+            let mut s = conn.lock();
+            if s.live.as_ref().map(|c| c.gen) == Some(self.gen) {
+                s.live = None;
+            }
+        }
+        self.condemn(cause);
+    }
+
+    /// One frame off the socket, as a response.
+    fn read_reply(&self, reader: &mut FrameReader<TcpStream>) -> Result<Response> {
+        let frame = reader.read_frame(self.stall)?;
+        Response::decode_owned(&frame)
+            .map_err(|e| GkfsError::Corruption(format!("undecodable response frame: {e}")))
+    }
+
+    /// Read the socket until the reply to `id` arrives, `deadline`
+    /// passes on a frame boundary, or a frame too large for the read
+    /// buffer comes up (left unread), parking every other reply in its
+    /// slot. No lock is held while reading.
+    fn lead(
+        &self,
+        reader: &mut FrameReader<TcpStream>,
+        id: u64,
+        deadline: Option<Instant>,
+        hand_over: bool,
+    ) -> Result<Led> {
+        loop {
+            let left = match deadline {
+                Some(at) => at.saturating_duration_since(Instant::now()),
+                None => WAIT_TICK,
+            };
+            if left.is_zero() {
+                return Ok(Led::TimedOut);
+            }
+            if !reader.poll(left.min(WAIT_TICK))? {
+                continue;
+            }
+            let len = reader.next_len(self.stall)?;
+            if hand_over && !reader.holds(len) {
+                return Ok(Led::Large);
+            }
+            let resp = self.read_reply(reader)?;
+            if resp.id == id {
+                return Ok(Led::Mine(resp));
+            }
+            self.park(&mut self.pending.lock(), resp);
+        }
+    }
+
+    /// The connection's reader thread: parked until it is asked to drain,
+    /// then the reader every connection used to have — it reads replies into their slots
+    /// until none is awaited and parks again.
+    fn run_reader(&self) {
+        let mut t = self.pending.lock();
+        loop {
+            if t.dead.is_some() {
+                return;
+            }
+            if t.waiting == 0 {
+                t.draining = false;
+            }
+            let Some(mut reader) = t.token(true) else {
+                t.wait(&self.drain);
+                continue;
+            };
+            while t.waiting > 0 {
+                drop(t);
+                let step = reader
+                    .poll(WAIT_TICK)
+                    .and_then(|got| got.then(|| self.read_reply(&mut reader)).transpose());
+                match step {
+                    Ok(reply) => {
+                        t = self.pending.lock();
+                        if let Some(resp) = reply {
+                            self.park(&mut t, resp);
+                        }
+                    }
+                    Err(cause) => return self.fail(cause),
+                }
+            }
+            self.release(&mut t, reader);
+        }
+    }
+}
+
+/// A submitted request's claim on its slot — what a TCP
+/// [`ReplyHandle`] holds.
+pub(crate) struct Ticket {
+    done: Arc<Completions>,
+    id: u64,
+    /// The submitting thread's [`HELD`] count, this handle included.
+    held: Arc<AtomicUsize>,
+    /// The slot is gone from the table already (a finished `wait`).
+    settled: bool,
+}
+
+impl Ticket {
+    /// Wait for the reply — the lead-or-follow rule, the only one. The
+    /// waiter reads the socket itself (*leads*) when the token is free,
+    /// the reader thread has not been asked to drain, and this handle is
+    /// its submitter's only outstanding one; otherwise it *follows*: it
+    /// sleeps until a reader parks its reply or the token frees up. A
+    /// waiter that holds other un-waited handles is in a fan-out, and
+    /// asks the reader thread to drain instead of reading itself; so
+    /// does a leader that comes upon a large frame ([`Led::Large`]).
+    pub(crate) fn wait(mut self, timeout: Duration) -> Result<Response> {
+        let done = &*self.done;
+        let deadline = Instant::now().checked_add(timeout);
+        let mut led = false;
+        // A waiter whose thread holds other un-waited handles is in a
+        // fan-out: the reader thread's business, if there can be one.
+        let fan_out = self.held.load(Ordering::Relaxed) > 1 && self.done.start_reader();
+        // Large frames are too, until it turns out there cannot.
+        let mut hand_over = true;
+        let mut t = done.pending.lock();
+        let outcome = loop {
+            match t.slots.get(&self.id).map(Option::is_some) {
+                Some(true) => break t.slots.remove(&self.id).flatten(),
+                Some(false) => {}
+                None => break None,
+            }
+            let left = deadline.map_or(WAIT_FOREVER, |at| {
+                at.saturating_duration_since(Instant::now())
+            });
+            if left.is_zero() {
+                t.forget(self.id);
+                break Some(Err(GkfsError::Timeout));
+            }
+            if fan_out {
+                done.request_drain(&mut t);
+            }
+            if let Some(mut reader) = t.token(false) {
+                drop(t);
+                let turn = done.lead(&mut reader, self.id, deadline, hand_over);
+                if matches!(turn, Ok(Led::Large)) {
+                    hand_over = self.done.start_reader();
+                }
+                t = done.pending.lock();
+                match turn {
+                    Ok(Led::Large) => {
+                        if hand_over {
+                            done.request_drain(&mut t);
+                        }
+                        done.release(&mut t, reader);
+                    }
+                    Ok(mine) => {
+                        led = true;
+                        t.forget(self.id);
+                        done.release(&mut t, reader);
+                        break Some(match mine {
+                            Led::Mine(resp) => Ok(resp),
+                            _ => Err(GkfsError::Timeout),
+                        });
+                    }
+                    Err(cause) => {
+                        drop(t);
+                        drop(reader);
+                        done.fail(cause);
+                        t = done.pending.lock();
+                    }
+                }
+            } else {
+                t.followers += 1;
+                t.wait_for(&done.replies, left);
+                t.followers -= 1;
+            }
+        };
+        drop(t);
+        self.settled = true;
+        let by = if led { &done.stats.waits_led } else { &done.stats.waits_followed };
+        by.fetch_add(1, Ordering::Relaxed);
+        outcome.unwrap_or_else(|| Err(closed_err()))
+    }
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        self.held.fetch_sub(1, Ordering::Relaxed);
+        if !self.settled {
+            self.done.pending.lock().forget(self.id);
+        }
+    }
+}
 
 /// One live connection generation.
 struct LiveConn {
     gen: u64,
     writer: TcpStream,
-    pending: PendingMap,
+    done: Arc<Completions>,
 }
 
 /// Mutable connection state behind the endpoint's `conn` lock.
 struct ConnSlot {
     live: Option<LiveConn>,
     /// Generation counter; each successful dial gets a fresh one so a
-    /// stale reader thread cannot clear a newer connection.
+    /// reader of a stale connection cannot clear a newer one.
     gens: u64,
     /// `true` while one submitter is off dialing (without the lock
     /// held); others fail fast with a retryable error instead of
@@ -391,74 +997,7 @@ pub struct TcpEndpoint {
     next_id: AtomicU64,
     timeout: Duration,
     reconnects: AtomicU64,
-}
-
-/// Dial `addr` and start its reader thread. The reader owns only the
-/// slot Arc and the connection's pending map — not the endpoint — so
-/// dropping the endpoint does not leak a thread keeping it alive.
-fn dial(addr: &str, conn: &Arc<OrderedMutex<ConnSlot>>, gen: u64) -> Result<LiveConn> {
-    let stream = TcpStream::connect(addr)
-        .map_err(|e| GkfsError::Rpc(format!("connect {addr}: {e}")))?;
-    stream.set_nodelay(true).ok();
-    let reader = stream
-        .try_clone()
-        .map_err(|e| GkfsError::Rpc(e.to_string()))?;
-    let pending: PendingMap = Arc::new(OrderedMutex::new(rank::RPC_PENDING, HashMap::new()));
-
-    {
-        let conn = Arc::clone(conn);
-        let pending = pending.clone();
-        std::thread::Builder::new()
-            .name("gkfs-tcp-reader".into())
-            .spawn(move || {
-                let mut reader = reader;
-                let cause = loop {
-                    match read_frame(&mut reader) {
-                        Ok(frame) => match Response::decode_owned(&frame) {
-                            Ok(resp) => {
-                                if let Some(tx) = pending.lock().remove(&resp.id) {
-                                    let _ = tx.send(Ok(resp));
-                                }
-                            }
-                            Err(e) => {
-                                break GkfsError::Corruption(format!(
-                                    "undecodable response frame: {e}"
-                                ))
-                            }
-                        },
-                        Err(e) => break e,
-                    }
-                };
-                // Retire this connection if it is still the live one
-                // (a submitter that hit a write error may already have
-                // replaced or cleared it).
-                {
-                    let mut s = conn.lock();
-                    if s.live.as_ref().map(|c| c.gen) == Some(gen) {
-                        s.live = None;
-                    }
-                }
-                // Fail every in-flight request with the typed cause.
-                // New submits can no longer reach this map (`live` is
-                // gone and inserts only happen under the conn lock
-                // while this generation is live), so nothing races in
-                // after the drain.
-                let waiters: Vec<SyncSender<Result<Response>>> = {
-                    let mut p = pending.lock();
-                    p.drain().map(|(_, tx)| tx).collect()
-                };
-                for tx in waiters {
-                    let _ = tx.send(Err(cause.clone()));
-                }
-            })
-            .map_err(|e| GkfsError::Rpc(format!("spawn reader thread: {e}")))?;
-    }
-
-    Ok(LiveConn {
-        gen,
-        writer: stream,
-        pending,
-    })
+    waits: Arc<WaitStats>,
 }
 
 impl TcpEndpoint {
@@ -470,35 +1009,20 @@ impl TcpEndpoint {
     /// Connect with explicit [`EndpointOptions`]. The initial dial is
     /// eager so an unreachable daemon fails here, not on first use.
     pub fn connect_with(addr: &str, opts: EndpointOptions) -> Result<Arc<TcpEndpoint>> {
-        let conn = Arc::new(OrderedMutex::new(
-            rank::RPC_CONN,
-            ConnSlot {
-                live: None,
-                gens: 1,
-                dialing: false,
-                dial_fails: 0,
-                next_dial: None,
-            },
-        ));
-        let live = dial(addr, &conn, 1)?;
-        conn.lock().live = Some(live);
-        Ok(Arc::new(TcpEndpoint {
-            addr: addr.to_string(),
-            conn,
-            next_id: AtomicU64::new(1),
-            timeout: opts.timeout,
-            reconnects: AtomicU64::new(0),
-        }))
+        let ep = Self::connect_lazy(addr, opts);
+        let live = ep.dial(1)?;
+        ep.conn.lock().live = Some(live);
+        Ok(ep)
     }
 
-    /// Like [`TcpEndpoint::connect`] but without the eager initial
+    /// Like [`TcpEndpoint::connect_with`] but without the eager initial
     /// dial: the endpoint starts disconnected and dials on first use,
     /// through the same reconnect-with-backoff machinery that handles
     /// a connection lost mid-session. For replicated deployments,
     /// where a daemon may be down right now and the caller wants to
     /// degrade to its replicas (or wait for its return) instead of
     /// refusing to start.
-    pub fn connect_lazy(addr: &str) -> Arc<TcpEndpoint> {
+    pub fn connect_lazy(addr: &str, opts: EndpointOptions) -> Arc<TcpEndpoint> {
         Arc::new(TcpEndpoint {
             addr: addr.to_string(),
             conn: Arc::new(OrderedMutex::new(
@@ -512,23 +1036,69 @@ impl TcpEndpoint {
                 },
             )),
             next_id: AtomicU64::new(1),
-            timeout: EndpointOptions::default().timeout,
+            timeout: opts.timeout,
             reconnects: AtomicU64::new(0),
+            waits: Arc::new(WaitStats::default()),
         })
     }
 
-    /// Number of submitted requests whose responses have not arrived
-    /// yet (diagnostics; the pipelining tests assert nothing leaks).
+    /// Number of submitted requests whose handles have neither been
+    /// waited on to the end nor dropped (diagnostics; the pipelining
+    /// tests assert nothing leaks).
     pub fn pending_len(&self) -> usize {
         let s = self.conn.lock();
-        s.live.as_ref().map_or(0, |c| c.pending.lock().len())
+        s.live.as_ref().map_or(0, |c| c.done.pending.lock().slots.len())
     }
 
-    /// Register `(id → tx)` on the live connection and write the
-    /// frame — encoded prefix plus borrowed bulk segments, vectored —
-    /// all under the conn lock. On a write error the connection is torn down
-    /// (the socket is broken) so the next submit re-dials immediately,
-    /// and the error — retryable — is returned.
+    /// How this endpoint's waits were served: led, followed, and how
+    /// often the reader thread was called on.
+    pub fn wait_stats(&self) -> &WaitStats {
+        &self.waits
+    }
+
+    /// Dial the daemon as connection generation `gen`. The reader
+    /// thread the connection may get later owns only its completion
+    /// table — not the endpoint — and exits when the connection is
+    /// condemned, which dropping the endpoint does.
+    fn dial(&self, gen: u64) -> Result<LiveConn> {
+        let stream = TcpStream::connect(&self.addr)
+            .map_err(|e| GkfsError::Rpc(format!("connect {}: {e}", self.addr)))?;
+        stream.set_nodelay(true).ok();
+        let reader = stream
+            .try_clone()
+            .map_err(|e| GkfsError::Rpc(e.to_string()))?;
+        let done = Arc::new(Completions {
+            pending: OrderedMutex::new(
+                rank::RPC_PENDING,
+                Table {
+                    slots: HashMap::new(),
+                    waiting: 0,
+                    reader: Some(FrameReader::new(reader)),
+                    draining: false,
+                    followers: 0,
+                    dead: None,
+                },
+            ),
+            replies: Condvar::new(),
+            drain: Condvar::new(),
+            reader_thread: OnceLock::new(),
+            conn: Arc::downgrade(&self.conn),
+            gen,
+            stall: self.timeout,
+            stats: Arc::clone(&self.waits),
+        });
+        Ok(LiveConn {
+            gen,
+            writer: stream,
+            done,
+        })
+    }
+
+    /// Reserve slot `id` on the live connection and write the frame —
+    /// encoded prefix plus borrowed bulk segments, vectored — under the
+    /// conn lock. On a write error the connection is torn down (the
+    /// socket is broken) so the next submit re-dials immediately, and
+    /// the error — retryable — is returned.
     fn send_on_live(
         &self,
         s: &mut ConnSlot,
@@ -536,47 +1106,41 @@ impl TcpEndpoint {
         prefix: &[u8],
         bulk: &[&[u8]],
     ) -> Result<ReplyHandle> {
-        let (tx, rx) = sync_channel::<Result<Response>>(1);
         let Some(live) = s.live.as_mut() else {
             // The connection died between the dial/check and now; the
             // retry layer treats this as connection loss and retries.
             return Err(closed_err());
         };
-        live.pending.lock().insert(id, tx);
-        let pending = Arc::clone(&live.pending);
+        live.done.register(id)?;
+        let ticket = Ticket {
+            done: Arc::clone(&live.done),
+            id,
+            held: HELD.with(Arc::clone),
+            settled: false,
+        };
+        let overlapped = ticket.held.fetch_add(1, Ordering::Relaxed) > 0;
         if let Err(e) = write_frame_segments(&mut live.writer, prefix, bulk) {
-            pending.lock().remove(&id);
             // An established connection broke mid-write: clear it and
             // allow an immediate re-dial (backoff only gates dials
-            // that themselves failed).
+            // that themselves failed). Whatever else was in flight on
+            // it fails with the same cause.
             s.live = None;
             s.dial_fails = 0;
             s.next_dial = None;
+            ticket.done.condemn(e.clone());
             return Err(e);
         }
-        Ok(ReplyHandle::pending(rx)
-            .on_disconnect(closed_err())
-            .on_abandon(move || {
-                pending.lock().remove(&id);
-            }))
+        // A thread that already holds an un-waited handle is fanning
+        // out: this connection's replies go the reader thread's way.
+        if overlapped && ticket.done.start_reader() {
+            ticket.done.request_drain(&mut ticket.done.pending.lock());
+        }
+        Ok(ReplyHandle::slot(ticket))
     }
-}
 
-/// What `submit` decided to do after inspecting the conn slot.
-enum SubmitPlan {
-    /// A connection is live; go send on it.
-    UseLive,
-    /// This submitter claimed the dial; `gen` is the new generation.
-    Dial(u64),
-    /// Another submitter is dialing right now.
-    DialInProgress,
-    /// A recent dial failed; next attempt not before the stored time.
-    Backoff,
-}
-
-impl TcpEndpoint {
     /// Send `req` with `bulk` (in order) as its bulk payload; the frame
-    /// is on the socket, or the submission has failed, on return.
+    /// is on the socket, or the submission has failed, on return. One
+    /// acquisition of the conn lock when the connection is live.
     fn submit_frame(&self, mut req: Request, bulk: &[&[u8]]) -> Result<ReplyHandle> {
         req.id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let id = req.id;
@@ -585,59 +1149,56 @@ impl TcpEndpoint {
         // borrowed segments it was handed over in.
         let prefix = req.encode_prefix_for(bulk.iter().map(|s| s.len()).sum());
 
-        let plan = {
-            let mut s = self.conn.lock();
-            if s.live.is_some() {
-                SubmitPlan::UseLive
-            } else if s.dialing {
-                SubmitPlan::DialInProgress
-            } else if s.next_dial.is_some_and(|t| Instant::now() < t) {
-                SubmitPlan::Backoff
-            } else {
-                s.dialing = true;
-                s.gens += 1;
-                SubmitPlan::Dial(s.gens)
+        let mut s = self.conn.lock();
+        if s.live.is_none() {
+            if s.dialing {
+                return Err(GkfsError::Rpc(format!(
+                    "{}: reconnect in progress",
+                    self.addr
+                )));
             }
-        };
-
-        match plan {
-            SubmitPlan::UseLive => {
-                let mut s = self.conn.lock();
-                self.send_on_live(&mut s, id, &prefix, bulk)
+            if s.next_dial.is_some_and(|t| Instant::now() < t) {
+                return Err(GkfsError::Rpc(format!("{}: reconnect backoff", self.addr)));
             }
-            SubmitPlan::DialInProgress => Err(GkfsError::Rpc(format!(
-                "{}: reconnect in progress",
-                self.addr
-            ))),
-            SubmitPlan::Backoff => Err(GkfsError::Rpc(format!(
-                "{}: reconnect backoff",
-                self.addr
-            ))),
-            SubmitPlan::Dial(gen) => {
-                // Dial without the lock held: a slow/unroutable dial
-                // must not stall submitters (they fail fast above).
-                let dialed = dial(&self.addr, &self.conn, gen);
-                let mut s = self.conn.lock();
-                s.dialing = false;
-                match dialed {
-                    Ok(live) => {
-                        s.live = Some(live);
-                        s.dial_fails = 0;
-                        s.next_dial = None;
-                        self.reconnects.fetch_add(1, Ordering::Relaxed);
-                        self.send_on_live(&mut s, id, &prefix, bulk)
-                    }
-                    Err(e) => {
-                        s.dial_fails = s.dial_fails.saturating_add(1);
-                        // Capped shift: the ceiling is hit long before
-                        // the shift could overflow.
-                        let shift = s.dial_fails.min(16) - 1;
-                        let ms = (DIAL_BACKOFF_BASE_MS << shift).min(DIAL_BACKOFF_MAX_MS);
-                        s.next_dial = Some(Instant::now() + Duration::from_millis(ms));
-                        Err(e)
-                    }
+            s.dialing = true;
+            s.gens += 1;
+            let gen = s.gens;
+            // Dial without the lock held: a slow/unroutable dial
+            // must not stall submitters (they fail fast above).
+            drop(s);
+            let dialed = self.dial(gen);
+            s = self.conn.lock();
+            s.dialing = false;
+            match dialed {
+                Ok(live) => {
+                    s.live = Some(live);
+                    s.dial_fails = 0;
+                    s.next_dial = None;
+                    self.reconnects.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(e) => {
+                    s.dial_fails = s.dial_fails.saturating_add(1);
+                    // Capped shift: the ceiling is hit long before
+                    // the shift could overflow.
+                    let shift = s.dial_fails.min(16) - 1;
+                    let ms = (DIAL_BACKOFF_BASE_MS << shift).min(DIAL_BACKOFF_MAX_MS);
+                    s.next_dial = Some(Instant::now() + Duration::from_millis(ms));
+                    return Err(e);
                 }
             }
+        }
+        self.send_on_live(&mut s, id, &prefix, bulk)
+    }
+}
+
+impl Drop for TcpEndpoint {
+    /// Hang up: the peer's connection thread sees EOF and leaves, the
+    /// parked reader thread exits, handles still out fail as closed.
+    fn drop(&mut self) {
+        let live = self.conn.lock().live.take();
+        if let Some(live) = live {
+            let _ = live.writer.shutdown(Shutdown::Both);
+            live.done.condemn(closed_err());
         }
     }
 }
@@ -704,11 +1265,17 @@ mod tests {
         {
             let conns = server.conns.lock();
             assert!(!conns.is_empty());
-            for c in conns.iter() {
+            for c in conns.values() {
                 assert!(c.nodelay().unwrap(), "accepted socket must be TCP_NODELAY");
             }
         }
         server.shutdown();
+    }
+
+    /// One frame off any byte source (no receive timeouts there, so
+    /// no stall bound either).
+    fn read_frame(r: &mut FrameReader<impl Read>) -> Result<Bytes> {
+        r.read_frame(Duration::MAX)
     }
 
     /// `[len][payload][crc]` as one buffer — the reference wire image.
@@ -735,7 +1302,7 @@ mod tests {
     fn read_frame_takes_a_whole_frame_and_leaves_the_next() {
         let mut stream = framed(b"first");
         stream.extend_from_slice(&framed(&[7u8; 100_000]));
-        let mut r = std::io::Cursor::new(stream);
+        let mut r = FrameReader::new(std::io::Cursor::new(stream));
         assert_eq!(&read_frame(&mut r).unwrap()[..], b"first");
         assert_eq!(read_frame(&mut r).unwrap(), vec![7u8; 100_000]);
         // Clean EOF between frames is connection loss, not corruption.
@@ -747,7 +1314,7 @@ mod tests {
         let payload: Vec<u8> = (0..FRAME_RESERVE_MAX + 70_000)
             .map(|i| (i % 253) as u8)
             .collect();
-        let mut r = std::io::Cursor::new(framed(&payload));
+        let mut r = FrameReader::new(std::io::Cursor::new(framed(&payload)));
         assert_eq!(read_frame(&mut r).unwrap(), payload);
     }
 
@@ -756,13 +1323,13 @@ mod tests {
         let mut bad = framed(b"payload");
         *bad.last_mut().unwrap() ^= 0x40;
         assert!(matches!(
-            read_frame(&mut std::io::Cursor::new(bad)),
+            read_frame(&mut FrameReader::new(std::io::Cursor::new(bad))),
             Err(GkfsError::Corruption(_))
         ));
         let mut cut = framed(b"payload");
         cut.truncate(cut.len() - 3);
         assert!(matches!(
-            read_frame(&mut std::io::Cursor::new(cut)),
+            read_frame(&mut FrameReader::new(std::io::Cursor::new(cut))),
             Err(GkfsError::Rpc(_))
         ));
     }
@@ -801,6 +1368,7 @@ mod tests {
         for byte in framed(&req.encode()) {
             raw.write_all(&[byte]).unwrap();
         }
+        let mut raw = FrameReader::new(raw);
         let resp = Response::decode_owned(&read_frame(&mut raw).unwrap()).unwrap();
         assert_eq!(resp.id, 77);
         assert_eq!(&resp.body[..], b"drip");
@@ -989,6 +1557,12 @@ mod tests {
             .call(Request::new(Opcode::Ping, &b""[..]).with_bulk(bulk.clone()))
             .unwrap();
         assert_eq!(resp.bulk, bulk);
+        // The lone caller took the token, saw a frame that does not go
+        // through the read buffer, and left it to the reader thread.
+        let waits = ep.wait_stats();
+        assert_eq!(waits.waits_led.load(Ordering::Relaxed), 0);
+        assert_eq!(waits.waits_followed.load(Ordering::Relaxed), 1);
+        assert_eq!(waits.reader_drains.load(Ordering::Relaxed), 1);
         server.shutdown();
     }
 
@@ -1069,5 +1643,577 @@ mod tests {
         let err = ep.call(Request::new(Opcode::Ping, &b""[..])).unwrap_err();
         assert!(matches!(err, GkfsError::Corruption(_)), "got {err:?}");
         t.join().unwrap();
+    }
+}
+
+/// Schedule-exploration model of the leader/follower protocol
+/// (`gkfs_common::model`), next to the task pool's.
+///
+/// Transcribes the state machines above — a waiter (`Ticket::wait`:
+/// lead, follow, time out), a dropped handle (`Ticket::drop`), the
+/// parked reader thread (`Completions::reader_thread`, which the
+/// endpoint's `Drop` lets go once every wait has returned) — against
+/// replies, or a broken stream, already on the wire when the window
+/// opens: what the kernel does while a reader blocks is not this
+/// protocol's business. Every critical section of the `pending` lock is one atomic
+/// step (the lock makes it one); a socket read is a step of its own
+/// with no lock held. Both condvars are modelled explicitly: a sleeper
+/// runs again only after a notify reaches it (or its own deadline
+/// passes), so a wake-up the code fails to send shows as a deadlock.
+/// Checked over every interleaving the preemption bound admits:
+///
+/// * no lost wake-up: a waiter whose reply was parked always runs, and
+///   every wait returns exactly once;
+/// * a follower is promoted when the leader leaves with replies still
+///   awaited; a fan-out hands the reading to the reader thread and gets
+///   it back;
+/// * the late reply to a timed-out or dropped handle is discarded and
+///   its slot is not leaked;
+/// * a dead connection fails every awaited slot exactly once, and a
+///   reply parked before the failure is still delivered;
+/// * a leader that meets a frame too large for the read buffer leaves
+///   it unread, the reader thread takes it, nobody is stranded;
+/// * the read token is never duplicated or lost while the connection
+///   lives.
+///
+/// A deliberately broken variant — a leader that returns the token
+/// without notifying — is caught as the deadlock it is.
+#[cfg(test)]
+mod model {
+    use gkfs_common::model::{Explorer, Model, Step};
+
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Outcome {
+        Reply,
+        Failed,
+        Timeout,
+    }
+
+    /// What the daemon's side of the socket delivers, in order.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Wire {
+        Reply(usize),
+        /// A reply too large for the read buffer: a leader leaves it to
+        /// the reader thread.
+        Large(usize),
+        Broken,
+    }
+
+    #[derive(Default)]
+    struct S {
+        /// `Table::slots`: `(id, parked outcome)`.
+        slots: Vec<(usize, Option<Outcome>)>,
+        waiting: usize,
+        /// `Table::reader.is_some()`.
+        token: bool,
+        /// Somebody reads the socket right now (at most one may).
+        reading: usize,
+        draining: bool,
+        followers: usize,
+        dead: bool,
+        /// Waiters asleep on `replies`, and those a notify has reached.
+        asleep: Vec<usize>,
+        woken: Vec<usize>,
+        /// The reader thread asleep on `drain`, and notified.
+        reader_asleep: bool,
+        reader_woken: bool,
+        /// Bytes on their way to the client, oldest first.
+        wire: Vec<Wire>,
+        /// Deadlines that have passed.
+        expired: Vec<usize>,
+        /// What each wait returned.
+        returned: Vec<(usize, Outcome)>,
+        /// Replies read off the socket for a slot that was gone.
+        discarded: Vec<usize>,
+        /// Failures parked, per condemnation sweep.
+        failures: Vec<usize>,
+        drain_requests: usize,
+    }
+
+    type Thread = Box<dyn FnMut(&mut S) -> Step>;
+
+    impl S {
+        fn slot(&mut self, id: usize) -> Option<&mut Option<Outcome>> {
+            self.slots.iter_mut().find(|(i, _)| *i == id).map(|(_, s)| s)
+        }
+
+        /// `Table::forget`.
+        fn forget(&mut self, id: usize) {
+            if let Some(pos) = self.slots.iter().position(|(i, _)| *i == id) {
+                if self.slots.remove(pos).1.is_none() {
+                    self.waiting -= 1;
+                }
+            }
+        }
+
+        fn notify_replies(&mut self) {
+            self.woken.append(&mut self.asleep);
+        }
+
+        fn notify_drain(&mut self) {
+            if self.reader_asleep {
+                self.reader_woken = true;
+            }
+        }
+
+        /// `Completions::park`.
+        fn park(&mut self, id: usize) {
+            match self.slot(id) {
+                Some(slot @ None) => {
+                    *slot = Some(Outcome::Reply);
+                    self.waiting -= 1;
+                    if self.followers > 0 {
+                        self.notify_replies();
+                    }
+                }
+                _ => self.discarded.push(id),
+            }
+        }
+
+        /// `Completions::release`; `notify: false` is the broken variant.
+        fn release(&mut self, notify: bool) {
+            self.reading -= 1;
+            if self.dead {
+                return;
+            }
+            assert!(!self.token, "two read tokens");
+            self.token = true;
+            if self.waiting == 0 {
+                self.draining = false;
+            } else if notify && self.draining {
+                self.notify_drain();
+            } else if notify && self.followers > 0 {
+                self.notify_replies();
+            }
+        }
+
+        /// `Completions::request_drain`: notifies unconditionally.
+        fn request_drain(&mut self) {
+            if !self.draining {
+                self.draining = true;
+                self.drain_requests += 1;
+            }
+            self.notify_drain();
+        }
+
+        /// `Completions::condemn`.
+        fn condemn(&mut self) {
+            if self.dead {
+                return;
+            }
+            for (id, slot) in self.slots.iter_mut().filter(|(_, s)| s.is_none()) {
+                *slot = Some(Outcome::Failed);
+                self.failures.push(*id);
+            }
+            self.waiting = 0;
+            self.token = false;
+            self.dead = true;
+            self.notify_replies();
+            self.notify_drain();
+        }
+
+        /// One read of the socket by whoever holds the token: the next
+        /// thing on the wire, or `None` while nothing has arrived. A
+        /// leader (`small_only`) looks at a large frame's header and
+        /// leaves the frame where it is.
+        fn recv(&mut self, small_only: bool) -> Option<Wire> {
+            assert_eq!(self.reading, 1, "the socket has exactly one reader");
+            match self.wire.first() {
+                None => None,
+                Some(&large @ Wire::Large(_)) if small_only => Some(large),
+                Some(_) => Some(self.wire.remove(0)),
+            }
+        }
+    }
+
+    /// `Ticket::wait` for slot `id` (registered before the window opens;
+    /// `overlapped`: its thread holds another un-waited handle).
+    fn waiter(id: usize, overlapped: bool, notify_on_release: bool) -> Thread {
+        #[derive(Clone, Copy)]
+        enum At {
+            Top,
+            Asleep,
+            Leading,
+            Park(usize),
+            Mine,
+            LedTimeout,
+            HandOver,
+            Fail,
+            Done,
+        }
+        let mut at = At::Top;
+        Box::new(move |s| {
+            match at {
+                At::Asleep => {
+                    let Some(pos) = s.woken.iter().position(|&w| w == id) else {
+                        if !s.expired.contains(&id) {
+                            return Step::Blocked;
+                        }
+                        s.asleep.retain(|&w| w != id);
+                        s.followers -= 1;
+                        at = At::Top;
+                        return Step::Ran;
+                    };
+                    s.woken.remove(pos);
+                    s.followers -= 1;
+                    at = At::Top;
+                }
+                At::Top => {
+                    // One critical section: the loop body of `wait` up
+                    // to taking the token or going to sleep.
+                    match s.slot(id).map(|slot| *slot) {
+                        Some(Some(outcome)) => {
+                            s.slots.retain(|(i, _)| *i != id);
+                            s.returned.push((id, outcome));
+                            at = At::Done;
+                        }
+                        None => unreachable!("slot {id} vanished under its waiter"),
+                        Some(None) if s.expired.contains(&id) => {
+                            s.forget(id);
+                            s.returned.push((id, Outcome::Timeout));
+                            at = At::Done;
+                        }
+                        Some(None) => {
+                            if overlapped {
+                                s.request_drain();
+                            }
+                            if !s.draining && s.token {
+                                s.token = false;
+                                s.reading += 1;
+                                at = At::Leading;
+                            } else {
+                                s.followers += 1;
+                                s.asleep.push(id);
+                                at = At::Asleep;
+                            }
+                        }
+                    }
+                }
+                At::Leading => {
+                    // `lead`: no lock held.
+                    if s.expired.contains(&id) {
+                        at = At::LedTimeout;
+                        return Step::Ran;
+                    }
+                    at = match s.recv(true) {
+                        None => return Step::Blocked,
+                        Some(Wire::Reply(got)) if got == id => At::Mine,
+                        Some(Wire::Reply(other)) => At::Park(other),
+                        Some(Wire::Large(_)) => At::HandOver,
+                        Some(Wire::Broken) => At::Fail,
+                    };
+                }
+                At::HandOver => {
+                    s.request_drain();
+                    s.release(notify_on_release);
+                    at = At::Top;
+                }
+                At::Park(other) => {
+                    s.park(other);
+                    at = At::Leading;
+                }
+                At::Mine | At::LedTimeout => {
+                    s.forget(id);
+                    s.release(notify_on_release);
+                    let outcome = match at {
+                        At::Mine => Outcome::Reply,
+                        _ => Outcome::Timeout,
+                    };
+                    s.returned.push((id, outcome));
+                    at = At::Done;
+                }
+                At::Fail => {
+                    s.reading -= 1;
+                    s.condemn();
+                    at = At::Top;
+                }
+                At::Done => return Step::Done,
+            }
+            Step::Ran
+        })
+    }
+
+    /// `Ticket::drop` of an un-waited handle.
+    fn dropper(id: usize) -> Thread {
+        let mut dropped = false;
+        Box::new(move |s| {
+            if std::mem::replace(&mut dropped, true) {
+                return Step::Done;
+            }
+            s.forget(id);
+            Step::Ran
+        })
+    }
+
+    /// `Completions::reader_thread`. Asleep with all `waits` waits
+    /// returned, it is let go (`Drop for TcpEndpoint` condemns the
+    /// connection) — so a wait that never returns leaves every thread
+    /// blocked, which the explorer reports as the deadlock it is.
+    fn reader(waits: usize) -> Thread {
+        #[derive(Clone, Copy)]
+        enum At {
+            Parked,
+            Asleep,
+            Poll,
+            Park(usize),
+            Done,
+        }
+        let mut at = At::Parked;
+        Box::new(move |s| {
+            match at {
+                At::Asleep => {
+                    if s.returned.len() == waits {
+                        return Step::Done;
+                    }
+                    if !s.reader_woken {
+                        return Step::Blocked;
+                    }
+                    s.reader_woken = false;
+                    s.reader_asleep = false;
+                    at = At::Parked;
+                }
+                At::Parked => {
+                    if s.dead {
+                        at = At::Done;
+                    } else {
+                        if s.waiting == 0 {
+                            s.draining = false;
+                        }
+                        if s.draining && s.token {
+                            s.token = false;
+                            s.reading += 1;
+                            at = At::Poll;
+                        } else {
+                            s.reader_asleep = true;
+                            at = At::Asleep;
+                        }
+                    }
+                }
+                At::Poll => {
+                    // The `while t.waiting > 0` loop, lock dropped: a
+                    // tick with nothing awaited any more ends it.
+                    if s.waiting == 0 {
+                        s.release(true);
+                        at = At::Parked;
+                        return Step::Ran;
+                    }
+                    at = match s.recv(false) {
+                        None => return Step::Blocked,
+                        Some(Wire::Reply(id) | Wire::Large(id)) => At::Park(id),
+                        Some(Wire::Broken) => {
+                            s.reading -= 1;
+                            s.condemn();
+                            At::Done
+                        }
+                    };
+                }
+                At::Park(id) => {
+                    s.park(id);
+                    at = At::Poll;
+                }
+                At::Done => return Step::Done,
+            }
+            Step::Ran
+        })
+    }
+
+    /// A deadline passing, whenever the schedule says.
+    fn clock(id: usize) -> Thread {
+        let mut fired = false;
+        Box::new(move |s| {
+            if std::mem::replace(&mut fired, true) {
+                return Step::Done;
+            }
+            s.expired.push(id);
+            Step::Ran
+        })
+    }
+
+    /// A connection with `ids` in flight and `wire` on its way, the
+    /// reader thread parked, `threads` (of which `waits` are waiters)
+    /// around it; `check` sees the final state after the structural
+    /// invariants.
+    fn connection(
+        ids: &[usize],
+        wire: &[Wire],
+        waits: usize,
+        mut threads: Vec<Thread>,
+        check: impl Fn(&S) + 'static,
+    ) -> Model<S> {
+        threads.push(reader(waits));
+        Model {
+            state: S {
+                slots: ids.iter().map(|&id| (id, None)).collect(),
+                waiting: ids.len(),
+                token: true,
+                wire: wire.to_vec(),
+                ..S::default()
+            },
+            threads,
+            check: Box::new(move |s| {
+                assert!(s.slots.is_empty(), "leaked slots: {:?}", s.slots);
+                assert_eq!(s.followers, 0, "a follower is still counted");
+                assert!(s.asleep.is_empty(), "a follower is still asleep");
+                assert_eq!(s.reading, 0, "somebody still holds the token");
+                assert!(s.token != s.dead, "a live connection keeps its token, a dead one none");
+                assert_eq!(s.returned.len(), waits, "each wait returns once: {:?}", s.returned);
+                for id in &s.failures {
+                    let times = s.failures.iter().filter(|f| *f == id).count();
+                    assert_eq!(times, 1, "slot {id} was failed {times} times");
+                }
+                check(s);
+            }),
+        }
+    }
+
+    fn outcome(s: &S, id: usize) -> Outcome {
+        let mut of = s.returned.iter().filter(|(i, _)| *i == id);
+        let (_, outcome) = of.next().unwrap_or_else(|| panic!("wait {id} never returned"));
+        assert!(of.next().is_none(), "wait {id} returned twice");
+        *outcome
+    }
+
+    #[test]
+    fn two_lone_waiters_lead_park_and_promote() {
+        // Replies arrive in the other order: whoever leads first parks
+        // the other's reply, or is followed and then succeeded by it.
+        let stats = Explorer::new().explore("tcp-lead-follow", || {
+            connection(
+                &[1, 2],
+                &[Wire::Reply(2), Wire::Reply(1)],
+                2,
+                vec![waiter(1, false, true), waiter(2, false, true)],
+                |s| {
+                    assert_eq!(outcome(s, 1), Outcome::Reply);
+                    assert_eq!(outcome(s, 2), Outcome::Reply);
+                    assert!(s.discarded.is_empty() && s.failures.is_empty());
+                    assert_eq!(s.drain_requests, 0, "lone calls never wake the reader thread");
+                },
+            )
+        });
+        assert!(stats.schedules > 10, "{stats:?}: exploration must branch");
+    }
+
+    #[test]
+    fn a_leader_that_leaves_without_notifying_strands_its_follower() {
+        let caught = std::panic::catch_unwind(|| {
+            Explorer::new().explore("tcp-lead-follow-silent-release", || {
+                connection(
+                    &[1, 2],
+                    &[Wire::Reply(1), Wire::Reply(2)],
+                    2,
+                    vec![waiter(1, false, false), waiter(2, false, false)],
+                    |_| {},
+                )
+            })
+        });
+        let msg = *caught
+            .expect_err("the silent release must be caught")
+            .downcast::<String>()
+            .expect("the explorer panics with a message");
+        assert!(msg.contains("deadlock"), "{msg}");
+    }
+
+    #[test]
+    fn a_fan_out_hands_the_reading_to_the_reader_thread() {
+        // Waiter 1's thread holds another handle: it asks for a drain
+        // and follows; waiter 2 is a lone call on the same connection.
+        Explorer::new().explore("tcp-fan-out-drain", || {
+            connection(
+                &[1, 2],
+                &[Wire::Reply(1), Wire::Reply(2)],
+                2,
+                vec![waiter(1, true, true), waiter(2, false, true)],
+                |s| {
+                    assert_eq!(outcome(s, 1), Outcome::Reply);
+                    assert_eq!(outcome(s, 2), Outcome::Reply);
+                    assert!(s.drain_requests <= 1, "one burst, one drain request");
+                    assert!(!s.draining, "the drain ends with the burst");
+                },
+            )
+        });
+    }
+
+    #[test]
+    fn a_leader_leaves_a_large_frame_to_the_reader_thread() {
+        // Waiter 1's reply is large, waiter 2's small and behind it:
+        // whoever leads stops at the large frame, the reader thread
+        // reads it (and what follows, while anything is awaited), and
+        // both waiters are served.
+        Explorer::new().explore("tcp-large-frame-hand-over", || {
+            connection(
+                &[1, 2],
+                &[Wire::Large(1), Wire::Reply(2)],
+                2,
+                vec![waiter(1, false, true), waiter(2, false, true)],
+                |s| {
+                    assert_eq!(outcome(s, 1), Outcome::Reply);
+                    assert_eq!(outcome(s, 2), Outcome::Reply);
+                    assert!(s.drain_requests >= 1, "the large frame went the reader thread's way");
+                    assert!(s.discarded.is_empty() && s.failures.is_empty());
+                },
+            )
+        });
+    }
+
+    #[test]
+    fn a_timed_out_slot_s_late_reply_is_discarded() {
+        // Waiter 1's deadline may pass at any point — before it leads,
+        // while it leads, while it follows. If it gave up, whoever reads
+        // its reply drops it; waiter 2 gets its own regardless.
+        Explorer::new().explore("tcp-timeout-late-reply", || {
+            connection(
+                &[1, 2],
+                &[Wire::Reply(1), Wire::Reply(2)],
+                2,
+                vec![waiter(1, false, true), waiter(2, false, true), clock(1)],
+                |s| {
+                    assert_eq!(outcome(s, 2), Outcome::Reply);
+                    match outcome(s, 1) {
+                        Outcome::Reply => assert!(s.discarded.is_empty()),
+                        Outcome::Timeout => assert_eq!(s.discarded, vec![1]),
+                        Outcome::Failed => panic!("nothing broke"),
+                    }
+                },
+            )
+        });
+    }
+
+    #[test]
+    fn a_dropped_handle_s_reply_is_discarded() {
+        Explorer::new().explore("tcp-dropped-handle", || {
+            connection(
+                &[1, 2],
+                &[Wire::Reply(1), Wire::Reply(2)],
+                1,
+                vec![dropper(1), waiter(2, false, true)],
+                |s| {
+                    assert_eq!(outcome(s, 2), Outcome::Reply);
+                    // Parked before the drop, or dropped on arrival:
+                    // either way nobody is handed it.
+                    assert!(s.discarded.is_empty() || s.discarded == vec![1]);
+                    assert!(s.failures.is_empty());
+                },
+            )
+        });
+    }
+
+    #[test]
+    fn a_dead_connection_fails_every_awaited_slot_exactly_once() {
+        // Reply 2 is on the wire ahead of the break: it is delivered;
+        // slot 1 is failed — once, whoever held the token.
+        Explorer::new().explore("tcp-broken-stream", || {
+            connection(
+                &[1, 2],
+                &[Wire::Reply(2), Wire::Broken],
+                2,
+                vec![waiter(1, false, true), waiter(2, true, true)],
+                |s| {
+                    assert_eq!(outcome(s, 2), Outcome::Reply);
+                    assert_eq!(outcome(s, 1), Outcome::Failed);
+                    assert_eq!(s.failures, vec![1]);
+                },
+            )
+        });
     }
 }

@@ -1,0 +1,57 @@
+//! A closed connection costs the daemon nothing for life. Its own test
+//! binary: the file-descriptor count is the process's, and no other
+//! test may be opening sockets while it is compared.
+
+use bytes::Bytes;
+use gkfs_rpc::transport::Endpoint;
+use gkfs_rpc::{HandlerRegistry, Opcode, Request, Response, TcpEndpoint, TcpServer};
+use std::time::{Duration, Instant};
+
+fn open_fds() -> usize {
+    std::fs::read_dir("/proc/self/fd").map_or(0, |d| d.count())
+}
+
+#[test]
+fn closed_connections_leave_no_entry_and_no_fd_behind() {
+    let mut reg = HandlerRegistry::new();
+    reg.register_fn(Opcode::Ping, |req| Response::ok(req.body));
+    let server = TcpServer::bind("127.0.0.1:0", reg, 2).unwrap();
+    let addr = server.local_addr().to_string();
+    let cycle = |i: usize| {
+        let ep = TcpEndpoint::connect(&addr).unwrap();
+        let resp = ep
+            .call(Request::new(Opcode::Ping, Bytes::from(format!("c{i}"))))
+            .unwrap();
+        assert_eq!(&resp.body[..], format!("c{i}").as_bytes());
+    };
+    // Until the daemon's side of every dropped connection has wound
+    // down: its thread sees EOF, leaves, and takes its entry along.
+    let settle = |what: &str| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.open_connections() > 0 {
+            assert!(Instant::now() < deadline, "{what}: {} entries stay", server.open_connections());
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    // One cycle first: whatever the process opens once (and the thread
+    // stacks it maps) is in the baseline.
+    cycle(0);
+    settle("warm-up");
+    let before = open_fds();
+    for i in 1..=200 {
+        cycle(i);
+    }
+    settle("200 cycles");
+    // The client's parked reader threads let go of their sockets as
+    // they exit; give the last ones the same grace.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while open_fds() > before && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        open_fds() <= before,
+        "200 connect/ping/drop cycles grew /proc/self/fd from {before} to {}",
+        open_fds()
+    );
+    server.shutdown();
+}

@@ -10,9 +10,10 @@ use gkfs_rpc::{
     EndpointOptions, HandlerRegistry, Opcode, ReplyHandle, Request, RpcServer, TcpEndpoint,
     TcpServer,
 };
+use std::io::{Read, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const THREADS: usize = 4;
 const OUTSTANDING: usize = 16;
@@ -153,6 +154,144 @@ fn reader_death_fails_submitted_handles_fast() {
     }
     assert!(t0.elapsed() < Duration::from_secs(10));
     assert_eq!(ep.pending_len(), 0, "no leaked pending entries after close");
+}
+
+/// A registry whose `Stat` row — a point op by its declared class, so a
+/// TCP server runs it on the connection thread — is the sleepy echo.
+fn sleepy_point_registry() -> HandlerRegistry {
+    let mut reg = HandlerRegistry::new();
+    register_sleepy_echo(&mut reg, Opcode::Stat);
+    reg
+}
+
+fn sleepy_stat(delay_ms: u16, tag: &[u8]) -> Request {
+    Request::new(Opcode::Stat, Bytes::from(sleepy_body(delay_ms, tag)))
+}
+
+/// The led counterpart of `timed_out_handle_reaps_its_pending_slot`: the
+/// waiter reads the socket itself, the server stays silent past its
+/// window, and giving up must leave the stream where the next call can
+/// use it.
+#[test]
+fn led_wait_times_out_on_time_and_the_connection_serves_the_next_call() {
+    let server = TcpServer::bind("127.0.0.1:0", sleepy_point_registry(), 1).unwrap();
+    let ep = TcpEndpoint::connect(&server.local_addr().to_string()).unwrap();
+    let h = ep.submit(sleepy_stat(300, b"late")).unwrap();
+    let t0 = Instant::now();
+    assert!(matches!(h.wait(Duration::from_millis(40)), Err(GkfsError::Timeout)));
+    let waited = t0.elapsed();
+    assert!(
+        waited >= Duration::from_millis(40) && waited < Duration::from_millis(250),
+        "timeout must come on time, came after {waited:?}"
+    );
+    assert_eq!(ep.pending_len(), 0, "the timed-out slot is reaped");
+    // Same connection, no re-dial: the late reply to the first request
+    // is ahead of this one's on the stream, frame-aligned, and is read
+    // and dropped by this call's own wait.
+    let resp = ep.call(sleepy_stat(0, b"next")).unwrap();
+    assert_eq!(&resp.body[2..], b"next");
+    assert_eq!(ep.reconnects(), 0, "a timeout is not a connection failure");
+    assert_eq!(ep.pending_len(), 0);
+    let waits = ep.wait_stats();
+    assert_eq!(waits.waits_led.load(Ordering::Relaxed), 2, "both waits read for themselves");
+    assert_eq!(waits.waits_followed.load(Ordering::Relaxed), 0);
+    assert_eq!(waits.reader_drains.load(Ordering::Relaxed), 0);
+    assert_eq!(server.stats().served_inline.load(Ordering::Relaxed), 2);
+    server.shutdown();
+}
+
+#[test]
+fn sever_mid_led_wait_fails_typed_and_the_next_submit_redials() {
+    let server = TcpServer::bind("127.0.0.1:0", sleepy_point_registry(), 1).unwrap();
+    let ep = TcpEndpoint::connect(&server.local_addr().to_string()).unwrap();
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| {
+            let t0 = Instant::now();
+            let err = ep.call(sleepy_stat(2_000, b"doomed")).unwrap_err();
+            (err, t0.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        server.sever_connections();
+        let (err, took) = waiter.join().unwrap();
+        assert!(matches!(err, GkfsError::Rpc(_)) && err.is_retryable(), "{err:?}");
+        assert!(took < Duration::from_secs(1), "the leader sees the reset, not its 30 s timeout");
+    });
+    assert_eq!(ep.pending_len(), 0);
+    let resp = ep.call(sleepy_stat(0, b"again")).unwrap();
+    assert_eq!(&resp.body[2..], b"again");
+    assert_eq!(ep.reconnects(), 1, "the failed connection was retired; this call dialed");
+    server.shutdown();
+}
+
+/// A frame that fails its checksum condemns the connection: the waiter
+/// that read it *and* every other request in flight get `Corruption`.
+#[test]
+fn corrupt_frame_fails_every_in_flight_slot_with_corruption() {
+    const CALLERS: usize = 3;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let fake = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        // Take every caller's request, then answer garbage: a frame
+        // whose trailer does not match its payload.
+        for _ in 0..CALLERS {
+            let mut len = [0u8; 4];
+            s.read_exact(&mut len).unwrap();
+            let mut rest = vec![0u8; u32::from_le_bytes(len) as usize + 4];
+            s.read_exact(&mut rest).unwrap();
+        }
+        let payload = gkfs_rpc::Response::ok(&b"x"[..]).encode();
+        s.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
+        s.write_all(&payload).unwrap();
+        s.write_all(&0xDEAD_BEEFu32.to_le_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+    });
+    let ep = TcpEndpoint::connect(&addr).unwrap();
+    std::thread::scope(|s| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|_| s.spawn(|| ep.call(Request::new(Opcode::Stat, Bytes::new()))))
+            .collect();
+        for c in callers {
+            let err = c.join().unwrap().unwrap_err();
+            assert!(matches!(err, GkfsError::Corruption(_)), "got {err:?}");
+        }
+    });
+    let waits = ep.wait_stats();
+    assert_eq!(
+        waits.waits_led.load(Ordering::Relaxed) + waits.waits_followed.load(Ordering::Relaxed),
+        CALLERS as u64
+    );
+    assert_eq!(ep.pending_len(), 0);
+    fake.join().unwrap();
+}
+
+/// Running a point op on its connection's thread makes a slow handler
+/// that connection's problem only: another connection's thread, and the
+/// pool, are as free as they were.
+#[test]
+fn a_slow_inline_handler_delays_only_its_own_connection() {
+    let server = TcpServer::bind("127.0.0.1:0", sleepy_point_registry(), 1).unwrap();
+    let addr = server.local_addr().to_string();
+    let slow = TcpEndpoint::connect(&addr).unwrap();
+    let fast = TcpEndpoint::connect(&addr).unwrap();
+    let stuck = slow.submit(sleepy_stat(600, b"slow")).unwrap();
+    std::thread::sleep(Duration::from_millis(50)); // the slow handler is running
+    let t0 = Instant::now();
+    for i in 0..10 {
+        let resp = fast.call(sleepy_stat(0, format!("f{i}").as_bytes())).unwrap();
+        assert_eq!(&resp.body[2..], format!("f{i}").as_bytes());
+    }
+    assert!(
+        t0.elapsed() < Duration::from_millis(400),
+        "ten calls on another connection waited for the slow one: {:?}",
+        t0.elapsed()
+    );
+    let resp = stuck.wait(Duration::from_secs(10)).unwrap();
+    assert_eq!(&resp.body[2..], b"slow");
+    let st = server.stats();
+    assert_eq!(st.served_inline.load(Ordering::Relaxed), 11, "all of it ran on connection threads");
+    assert_eq!(st.served_pooled.load(Ordering::Relaxed), 0);
+    server.shutdown();
 }
 
 /// Many endpoints, one submitting thread: submit to all daemons before

@@ -31,12 +31,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> schedule models, release (taskpool protocol + fd-cache double-open)"
+echo "==> schedule models, release (taskpool protocol, tcp leader/follower, fd-cache double-open)"
 # The loom-style explorers (gkfs_common::model) run every interleaving
 # their preemption bound admits; release mode keeps the exploration in
 # the seconds. Bound 3 matches loom's CI default — raise it locally
 # when hunting, not here.
-LOOM_MAX_PREEMPTIONS=3 cargo test --release -p gkfs-common -p gkfs-storage model
+LOOM_MAX_PREEMPTIONS=3 cargo test --release -p gkfs-common -p gkfs-rpc -p gkfs-storage model
 
 echo "==> miri (UB check: gkfs-common incl. wire codecs)"
 # Needs the nightly miri component; environments without it (no
@@ -51,6 +51,11 @@ echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> bench smoke (compile + run benches in test mode)"
+# Every bench body once, in release. For the TCP transport that is each
+# of its three routes: the lone call (`rpc/tcp_roundtrip*`: read by its
+# waiter, the point op also served on the connection thread), the
+# pipelined burst (`rpc/tcp_outstanding`: handler pool, reader thread)
+# and the fan-out (`rpc/fanout_8daemons`: one thread, eight handles).
 cargo bench -p gkfs-bench --bench rpc -- --test
 
 echo "==> evaluation tools (every figure at its smallest size; CSV series byte for byte)"
@@ -73,12 +78,16 @@ echo "==> workload verification, release (a corrupted read must fail the run)"
 # a debug assertion; this is the build in which that difference shows.
 cargo test -p gkfs-workloads --release scan_fails_the_run_on_a_corrupted_read
 
-echo "==> client RPC budget gate (handle API vs itemized pre-handle baseline)"
+echo "==> client RPC budget + TCP thread hand-off gates (counts, not wall-clock)"
 # mdtest with a 4 KiB payload and 8 KiB sequential IOR, counted in client RPCs
 # (ClientStats::rpcs_issued): fails if RPCs-per-op exceeds the pinned
 # budget or drops under the 2x-vs-old-protocol acceptance bound. RPC
 # counts are deterministic, so this gate is noise-free even on loaded
-# CI machines.
+# CI machines. Same file, same kind of number: over TCP a unary mdtest
+# run must show every metadata RPC served on its connection thread and
+# read by its waiter (0 thread hand-offs per RPC), while a 512 KiB
+# chunk write, a pipelined burst and a two-daemon fan-out keep the
+# handler pool / reader-thread route.
 cargo test -p gkfs-integration --release --test rpc_budget
 
 echo "==> data-plane copy-bytes gate (TCP scatter-gather replies copy zero bytes)"

@@ -26,10 +26,22 @@
 //! broadcast: ~7 per file. The gate asserts the >= 2x acceptance bound
 //! against the itemized baseline *and* a tighter absolute budget so
 //! regressions inside the 2x headroom still trip.
+//!
+//! The same file holds the **thread hand-off gate** of the TCP
+//! transport, also stated in counts: where a request ran on the daemon
+//! (`RpcStats::{served_inline, served_pooled}`) and who read its reply
+//! on the client (`WaitStats::{waits_led, waits_followed,
+//! reader_drains}`). A unary metadata RPC must cost zero thread
+//! hand-offs (it cost four: connection thread → pool worker, reader
+//! thread → caller); bulk, pipelined and fan-out traffic must keep the
+//! handler pool and the reader thread.
 
-use gekkofs::{Cluster, ClusterConfig, OpenFlags, ReplicationConfig};
+use gekkofs::{Cluster, ClusterConfig, Daemon, GekkoClient, OpenFlags, ReplicationConfig};
+use gkfs_common::DaemonConfig;
+use gkfs_rpc::{Endpoint, TcpEndpoint};
 use gkfs_workloads::{run_mdtest, MdtestConfig, MetaMode};
 use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 
 /// Pre-handle protocol cost per mdtest-small file (itemized above).
 const OLD_PROTOCOL_RPCS_PER_FILE: f64 = 21.0;
@@ -296,4 +308,207 @@ fn replica_legs_cost_exactly_replicas_round_trips() {
             "replicas = {replicas}: [create, open, write, read, stat, truncate, close+unlink]"
         );
     }
+}
+
+/// Two daemons served over TCP, with the client endpoints kept so their
+/// wait counters can be read next to the daemons' serve counters.
+struct TcpRig {
+    daemons: Vec<Arc<Daemon>>,
+    addrs: Vec<String>,
+    config: ClusterConfig,
+    endpoints: Mutex<Vec<Arc<TcpEndpoint>>>,
+}
+
+/// `[served_inline, served_pooled, waits_led, waits_followed, reader_drains]`.
+type HandOffs = [u64; 5];
+
+impl TcpRig {
+    fn deploy(chunk_size: u64) -> TcpRig {
+        let config = ClusterConfig::new(2).with_chunk_size(chunk_size);
+        let daemons: Vec<_> = (0..2)
+            .map(|_| {
+                Daemon::spawn(DaemonConfig {
+                    chunk_size,
+                    ..DaemonConfig::default()
+                })
+                .unwrap()
+            })
+            .collect();
+        let addrs = daemons
+            .iter()
+            .map(|d| d.serve_tcp("127.0.0.1:0").unwrap().to_string())
+            .collect();
+        TcpRig {
+            daemons,
+            addrs,
+            config,
+            endpoints: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// One more client: its own two connections.
+    fn mount(&self) -> gkfs_common::Result<GekkoClient> {
+        let eps: Vec<Arc<TcpEndpoint>> = self
+            .addrs
+            .iter()
+            .map(|a| TcpEndpoint::connect(a))
+            .collect::<gkfs_common::Result<_>>()?;
+        self.endpoints.lock().unwrap().extend(eps.iter().cloned());
+        GekkoClient::mount(
+            eps.into_iter().map(|e| e as Arc<dyn Endpoint>).collect(),
+            &self.config,
+        )
+    }
+
+    /// The counters now, summed over both daemons and every endpoint
+    /// mounted so far.
+    fn hand_offs(&self) -> HandOffs {
+        let mut sum = [0u64; 5];
+        for d in &self.daemons {
+            let st = d.backends().tcp_stats.get().expect("daemon serves tcp");
+            sum[0] += st.served_inline.load(Ordering::Relaxed);
+            sum[1] += st.served_pooled.load(Ordering::Relaxed);
+        }
+        for ep in self.endpoints.lock().unwrap().iter() {
+            let w = ep.wait_stats();
+            sum[2] += w.waits_led.load(Ordering::Relaxed);
+            sum[3] += w.waits_followed.load(Ordering::Relaxed);
+            sum[4] += w.reader_drains.load(Ordering::Relaxed);
+        }
+        sum
+    }
+
+    /// What `f` added to the counters.
+    fn during(&self, f: impl FnOnce()) -> HandOffs {
+        let before = self.hand_offs();
+        f();
+        let after = self.hand_offs();
+        std::array::from_fn(|i| after[i] - before[i])
+    }
+
+    fn shutdown(self) {
+        drop(self.endpoints);
+        for d in &self.daemons {
+            d.shutdown();
+        }
+    }
+}
+
+/// The tentpole's acceptance count: a unary mdtest run over TCP — every
+/// create, stat and remove one metadata RPC — is served on the
+/// connection threads and read by the waiting rank threads. Zero
+/// hand-offs per RPC on either side, exactly, not on average.
+#[test]
+fn unary_metadata_rpcs_cost_no_thread_hand_off_over_tcp() {
+    let rig = TcpRig::deploy(512 * 1024);
+    let cfg = MdtestConfig {
+        processes: 2,
+        files_per_process: 200,
+        work_dir: "/handoff".into(),
+        mode: MetaMode::Unary,
+        ..MdtestConfig::default()
+    };
+    let mut run = None;
+    let [inline, pooled, led, followed, drains] =
+        rig.during(|| run = Some(run_mdtest(|| rig.mount(), &cfg).unwrap()));
+    let run = run.unwrap();
+    assert_eq!(run.rpcs_per_file(), 3.0, "create, stat, remove: one RPC each");
+    // The timed phases' RPCs plus the set-up's mkdirs — metadata RPCs
+    // all, and every one of them both ways:
+    assert!(inline >= run.rpcs_issued && run.rpcs_issued == 3 * 400);
+    assert_eq!(pooled, 0, "every metadata RPC runs on the connection thread that read it");
+    assert_eq!(led, inline, "every reply is read by the thread that waits for it");
+    assert_eq!((followed, drains), (0, 0), "no reader thread was woken, nobody followed");
+    rig.shutdown();
+}
+
+/// The other half of the gate: what must *not* run to completion. A
+/// 512 KiB chunk write, a pipelined burst and a two-daemon read fan-out
+/// take the handler pool on the daemon and, where a thread overlaps
+/// submissions, the reader thread on the client — the routes they had.
+#[test]
+fn bulk_pipelined_and_fan_out_traffic_keeps_the_pool_and_the_reader_route() {
+    const CHUNK: u64 = 512 * 1024;
+    let rig = TcpRig::deploy(CHUNK);
+    let fs = rig.mount().unwrap();
+    let h = fs
+        .open_handle("/routes", OpenFlags::RDWR.with_create())
+        .unwrap();
+    let data: Vec<u8> = (0..8 * CHUNK).map(|i| (i % 239) as u8).collect();
+
+    // One chunk: a lone call, so the client leads — but a 512 KiB frame
+    // is not a point op, and the daemon pools it. The size update that
+    // follows is one, and is not.
+    let [inline, pooled, led, _, drains] =
+        rig.during(|| assert_eq!(h.pwrite(0, &data[..CHUNK as usize]).unwrap(), CHUNK as usize));
+    assert_eq!((inline, pooled), (1, 1), "WriteChunks pooled, UpdateSize inline");
+    assert_eq!((led, drains), (2, 0));
+
+    // Read back alone, the chunk's reply is a large frame: the waiter
+    // that finds it at the head of the stream leaves it to the reader
+    // thread, so no waiting thread ever holds a chunk-sized frame.
+    let [inline, pooled, led, followed, drains] = rig.during(|| {
+        assert_eq!(h.pread(0, CHUNK as usize).unwrap(), data[..CHUNK as usize]);
+    });
+    assert_eq!((inline, pooled), (0, 1), "a ReadChunks naming 512 KiB is pooled");
+    assert_eq!((led, followed, drains), (0, 1, 1));
+
+    // Eight chunks over two daemons, written then read back: fan-outs.
+    // Every batch names megabytes (pooled), and the submitting thread
+    // holds several handles at once, so the reader threads take the
+    // replies; the rank thread reads none of them itself.
+    h.pwrite(0, &data).unwrap();
+    let mut back = Vec::new();
+    let [inline, pooled, led, followed, drains] =
+        rig.during(|| back = h.pread(0, data.len()).unwrap());
+    assert_eq!(back, data);
+    assert_eq!((inline, pooled), (0, 2), "one ReadChunks per daemon, both pooled");
+    assert_eq!((led, followed), (0, 2), "fan-out replies arrive through the reader threads");
+    assert!(drains >= 1, "the reader threads were called on");
+    h.close().unwrap();
+
+    // A 32-deep burst of point ops from one thread on one connection:
+    // the client side is a fan-out by the same rule (nothing led).
+    let ep = TcpEndpoint::connect(&rig.addrs[0]).unwrap();
+    rig.endpoints.lock().unwrap().push(ep.clone());
+    let stat = || {
+        use gkfs_rpc::proto::{op, PathReq, Rpc};
+        op::Stat::request(&PathReq::new("/routes"))
+    };
+    let [_, _, led, followed, drains] = rig.during(|| {
+        let burst: Vec<_> = (0..32).map(|_| ep.submit(stat()).unwrap()).collect();
+        for handle in burst {
+            handle.wait(std::time::Duration::from_secs(10)).unwrap();
+        }
+    });
+    assert_eq!((led, followed), (0, 32));
+    assert!(drains >= 1);
+    // On the daemon, whether a frame of a burst finds another behind it
+    // in the read buffer depends on how the bytes arrive; 32 frames in
+    // one segment make it certain for all but the last.
+    let [inline, pooled, ..] = rig.during(|| {
+        use std::io::{Read, Write};
+        let mut raw = std::net::TcpStream::connect(&rig.addrs[0]).unwrap();
+        let mut burst = Vec::new();
+        for id in 1..=32u64 {
+            let mut req = stat();
+            req.id = id;
+            let payload = req.encode();
+            burst.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            burst.extend_from_slice(&payload);
+            burst.extend_from_slice(&gkfs_common::crc::crc32(&payload).to_le_bytes());
+        }
+        raw.write_all(&burst).unwrap();
+        // 32 replies, each `len | payload | crc`.
+        for _ in 0..32 {
+            let mut len = [0u8; 4];
+            raw.read_exact(&mut len).unwrap();
+            let mut rest = vec![0u8; u32::from_le_bytes(len) as usize + 4];
+            raw.read_exact(&mut rest).unwrap();
+        }
+    });
+    assert_eq!(inline + pooled, 32);
+    assert!(pooled >= 24, "a pipelined burst goes to the pool: {pooled} of 32 did");
+    drop(fs);
+    rig.shutdown();
 }
