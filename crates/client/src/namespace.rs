@@ -13,8 +13,14 @@ use gkfs_common::path as gpath;
 use gkfs_common::types::Dirent;
 use gkfs_common::{FileKind, GkfsError, Metadata, Result};
 use gkfs_rpc::proto::{CreateReq, MetaOp, PathReq, TruncateMetaReq};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
+
+/// Most chunk ids one `RemoveChunks` names: they fit a small frame
+/// twice over. A holder of more (a file of gigabytes) is asked for
+/// whatever it holds instead — one directory enumeration is noise
+/// beside that many unlinks.
+const MAX_REMOVE_IDS: usize = gkfs_rpc::transport::SMALL_FRAME / 16;
 
 impl GekkoClient {
     /// Create many regular files (exclusive) in batched frames — the
@@ -73,39 +79,39 @@ impl GekkoClient {
 
     /// Fan chunk removal out for a set of just-unlinked files, one
     /// `RemoveChunks` per (holder, path) pair, all overlapped on the
-    /// wire. A `u64::MAX` size (the batch-retry "unknown" sentinel)
-    /// broadcasts to every daemon instead of deriving holders from a
-    /// size that no longer exists anywhere.
+    /// wire, each naming the chunk ids its holder was placed — the
+    /// daemon unlinks those names and reads no directory. A `u64::MAX`
+    /// size (the batch-retry "unknown" sentinel) broadcasts an empty
+    /// list, "whatever you hold", to every daemon instead of deriving
+    /// holders from a size that no longer exists anywhere; so does a
+    /// holder of more ids than [`MAX_REMOVE_IDS`].
     pub(crate) fn remove_chunks_many(&self, removed: &[(String, u64)]) -> Result<()> {
-        if removed.is_empty() {
-            return Ok(());
-        }
-        let mut per_node: HashMap<NodeId, Vec<&str>> = HashMap::new();
+        let mut legs: Vec<(NodeId, &str, Vec<u64>)> = Vec::new();
         for (path, size) in removed {
-            let targets: Vec<NodeId> = if *size == u64::MAX {
-                (0..self.ring.nodes()).collect()
-            } else {
-                let chunks = self.layout.chunk_count(*size);
-                let mut t: Vec<NodeId> = (0..chunks)
-                    .flat_map(|c| self.placement.raw_chunk_set(path, c))
-                    .collect();
-                t.sort_unstable();
-                t.dedup();
-                t
-            };
-            for n in targets {
-                per_node.entry(n).or_default().push(path);
+            if *size == u64::MAX {
+                legs.extend((0..self.ring.nodes()).map(|n| (n, path.as_str(), Vec::new())));
+                continue;
             }
+            let mut holders: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
+            for c in 0..self.layout.chunk_count(*size) {
+                for n in self.placement.raw_chunk_set(path, c) {
+                    holders.entry(n).or_default().push(c);
+                }
+            }
+            legs.extend(holders.into_iter().map(|(n, mut ids)| {
+                if ids.len() > MAX_REMOVE_IDS {
+                    ids.clear();
+                }
+                (n, path.as_str(), ids)
+            }));
         }
         // Submit everything, then wait — the whole fan-out overlaps on
         // the wire and shares one operation deadline.
         let deadline = self.ring.op_deadline();
-        let mut inflight = Vec::new();
-        for (n, paths) in per_node {
-            for p in paths {
-                inflight.push((p, self.ring.remove_chunks_nb(n, p)));
-            }
-        }
+        let inflight: Vec<_> = legs
+            .into_iter()
+            .map(|(n, path, ids)| (path, self.ring.remove_chunks_nb(n, path, ids)))
+            .collect();
         for (path, fut) in inflight {
             match fut.and_then(|f| f.wait_deadline(deadline)) {
                 Ok(()) => {}
@@ -475,7 +481,7 @@ impl GekkoClient {
         let inflight: Vec<_> = report
             .orphan_chunks
             .iter()
-            .map(|(node, path)| self.ring.remove_chunks_nb(*node, path))
+            .map(|(node, path)| self.ring.remove_chunks_nb(*node, path, Vec::new()))
             .collect();
         for fut in inflight {
             fut?.wait_deadline(deadline)?;

@@ -755,11 +755,18 @@ impl DaemonRing {
         })
     }
 
-    /// Remove chunks (unlink fan-out). Idempotent by construction
+    /// Remove chunks `ids` of `path` from `node` (unlink fan-out); no
+    /// ids means whatever it holds. Idempotent by construction
     /// (removing absent chunks is a no-op on the daemon), so it retries
     /// freely.
-    pub fn remove_chunks_nb(&self, node: NodeId, path: &str) -> Result<ReplyFuture<'static, ()>> {
-        self.unary_nb::<op::RemoveChunks>(node, &PathReq::new(path), Vec::new())
+    pub fn remove_chunks_nb(
+        &self,
+        node: NodeId,
+        path: &str,
+        ids: Vec<u64>,
+    ) -> Result<ReplyFuture<'static, ()>> {
+        let req = RemoveChunksReq { path: path.to_string(), ids };
+        self.unary_nb::<op::RemoveChunks>(node, &req, Vec::new())
     }
 
     /// Truncate chunks (truncate broadcast).

@@ -129,6 +129,54 @@ fn cli_fsck() {
     cluster.shutdown();
 }
 
+/// `fsck` against disk-backed daemons: an orphan — chunk files whose
+/// metadata entry is gone — is found by the daemons' inventory of their
+/// chunk directories and purged by the path-only ("whatever you hold")
+/// form of `RemoveChunks`, leaving the other file's chunk files alone.
+#[test]
+fn cli_fsck_finds_and_purges_an_orphan_on_disk() {
+    use gekkofs::{Daemon, DaemonConfig};
+    use gkfs_rpc::proto::{MetaOp, PathReq};
+
+    let root = std::env::temp_dir().join(format!("gkfs-cli-fsck-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let daemons: Vec<_> = (0..2)
+        .map(|n| {
+            let root_dir = Some(root.join(format!("node-{n}")));
+            Daemon::spawn(DaemonConfig { root_dir, ..DaemonConfig::default() }).unwrap()
+        })
+        .collect();
+    let hosts = daemons
+        .iter()
+        .map(|d| d.serve_tcp("127.0.0.1:0").unwrap().to_string())
+        .collect::<Vec<_>>()
+        .join(",");
+    let chunk_files = || -> usize {
+        let shards = (0..2).flat_map(|n| std::fs::read_dir(root.join(format!("node-{n}/data/chunks"))).unwrap());
+        shards.map(|shard| std::fs::read_dir(shard.unwrap().path()).unwrap().count()).sum()
+    };
+    assert!(cli(&hosts, &["write", "/kept", "payload"]).0);
+    assert!(cli(&hosts, &["write", "/doomed.0", "payload"]).0);
+    assert_eq!(chunk_files(), 2);
+
+    // The metadata entry goes, on whichever daemon owns it; the chunk stays.
+    let unlink = || MetaOp::Unlink(PathReq::new("/doomed.0"));
+    assert!(daemons.iter().any(|d| d.backends().meta.apply_one(unlink()).is_ok()));
+    let (ok, stdout, _) = cli(&hosts, &["fsck"]);
+    assert!(!ok && stdout.contains("ORPHAN chunks on node"), "{stdout}");
+    assert!(stdout.contains("/doomed.0") && !stdout.contains("/kept"), "{stdout}");
+    let (ok, stdout, _) = cli(&hosts, &["fsck", "--purge"]);
+    assert!(ok && stdout.contains("purged 1 orphan"), "{stdout}");
+    assert_eq!(chunk_files(), 1, "the orphan's chunk file is gone, /kept's is not");
+    let (ok, stdout, _) = cli(&hosts, &["fsck"]);
+    assert!(ok && stdout.contains("clean"), "{stdout}");
+    let (ok, stdout, _) = cli(&hosts, &["cat", "/kept"]);
+    assert!(ok && stdout.contains("payload"), "{stdout}");
+
+    daemons.iter().for_each(|d| d.shutdown());
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 #[test]
 fn cli_usage_and_bad_hosts() {
     let out = Command::new(env!("CARGO_BIN_EXE_gkfs-cli")).output().unwrap();

@@ -123,25 +123,19 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
         // holds is an authoritative hole/EOF; a short op on a
         // chunk it does NOT hold means this replica missed the
         // data (rejoined empty, drain-back pending) and the
-        // client must fail over. Full-length ops imply the
-        // chunk is held, so the inventory lookup only runs
-        // when something came back short.
-        let missing = if lens.iter().zip(&ops).any(|(&l, op)| l < op.len) {
-            let held: std::collections::HashSet<u64> = b
-                .data
-                .list_chunks(&r.path)?
-                .into_iter()
-                .map(|(id, _)| id)
-                .collect();
-            ops.iter().map(|op| !held.contains(&op.chunk_id)).collect()
-        } else {
-            vec![false; ops.len()]
-        };
+        // client must fail over. A full-length op implies the
+        // chunk is held, so only short ops ask the store — one
+        // point lookup each, never an inventory of the path.
+        let missing = lens
+            .iter()
+            .zip(&ops)
+            .map(|(&l, op)| Ok(l < op.len && !b.data.holds(&r.path, op.chunk_id)?))
+            .collect::<Result<_>>()?;
         Ok((ReadChunksResp { lens, missing }, bulk.into()))
     });
 
     let b = backends.clone();
-    reg.serve::<op::RemoveChunks>(move |r| b.data.remove_chunks(&r.path));
+    reg.serve::<op::RemoveChunks>(move |r| b.data.remove_chunks(&r.path, &r.ids));
 
     let b = backends.clone();
     reg.serve::<op::TruncateChunks>(move |r| {

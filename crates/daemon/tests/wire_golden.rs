@@ -115,6 +115,13 @@ fn every_message_encodes_to_its_pinned_bytes() {
     pin!(ChunkBatchReq, ChunkBatchReq { path: String::new(), ops: vec![] }, "0000000000000000");
     pin!(ReadChunksResp, ReadChunksResp { lens: vec![512, 0, 77], missing: vec![false, true, false] }, "03000000000200000000000000000000000000004d00000000000000000100");
     pin!(ReadChunksResp, ReadChunksResp { lens: vec![], missing: vec![] }, "00000000");
+    // New in PR 21, a deliberate protocol change to one row:
+    // `RemoveChunks` carried a `PathReq` (pinned above, still `Stat`'s
+    // request) and the daemon removed a directory; chunk files now have
+    // flat names, so the request also names the chunk ids to unlink —
+    // a path, then a counted list, empty for "whatever you hold".
+    pin!(RemoveChunksReq, RemoveChunksReq { path: "/x/y/z".into(), ids: vec![0, 7, u64::MAX] }, "060000002f782f792f7a0300000000000000000000000700000000000000ffffffffffffffff");
+    pin!(RemoveChunksReq, RemoveChunksReq { path: String::new(), ids: vec![] }, "0000000000000000");
     pin!(TruncateChunksReq, TruncateChunksReq { path: "/t".into(), keep_chunk: 9, keep_bytes: 4095 }, "020000002f740900000000000000ff0f000000000000");
     pin!(TruncateChunksReq, TruncateChunksReq { path: String::new(), keep_chunk: 0, keep_bytes: 0 }, "0000000000000000000000000000000000000000");
     pin!(ChunkInventoryResp, ChunkInventoryResp { entries: vec![("/a".into(), 3), ("/b:x".into(), 1)] }, "02000000020000002f610300000000000000040000002f623a780100000000000000");

@@ -154,8 +154,10 @@ rpc_table! {
     /// Read one batch of chunks owned by the target daemon; the data is
     /// the response's bulk payload.
     8 ReadChunks(Chunks): ChunkBatchReq => ReadChunksResp;
-    /// Remove all chunks of a file held by the target daemon.
-    9 RemoveChunks(Pool): PathReq => ();
+    /// Remove the named chunks of a file from the target daemon — or,
+    /// with no ids, whatever it holds for the path. Pooled: the
+    /// no-ids form enumerates a directory.
+    9 RemoveChunks(Pool): RemoveChunksReq => ();
     /// Truncate chunks beyond a given size on the target daemon.
     10 TruncateChunks(Pool): TruncateChunksReq => ();
     /// Daemon statistics snapshot (tests/benchmarks).
@@ -193,7 +195,8 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// Requests that carry only a path (`Stat`, `RemoveChunks`).
+    /// Requests that carry only a path (`Stat`, and the path-only ops
+    /// of a `BatchMeta` frame).
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct PathReq {
         /// Path.
@@ -369,6 +372,22 @@ impl Wire for ReadChunksResp {
         let lens = Vec::<u64>::get(d)?;
         let missing = lens.iter().map(|_| bool::get(d)).collect::<Result<_>>()?;
         Ok(ReadChunksResp { lens, missing })
+    }
+}
+
+wire_struct! {
+    /// `RemoveChunks`: drop chunks of an unlinked file. The client knows
+    /// the removed entry's size, so it names the chunk ids this daemon
+    /// can hold and the daemon unlinks exactly those, absent ones
+    /// included (holes). An empty list asks for whatever the daemon
+    /// holds — the size is unknown (a lost unlink reply, an `fsck`
+    /// orphan) or the ids would not fit a small frame.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct RemoveChunksReq {
+        /// Path.
+        pub path: String,
+        /// Chunk ids to remove; empty = every chunk held.
+        pub ids: Vec<u64>,
     }
 }
 
@@ -909,7 +928,14 @@ mod tests {
                 ReadChunksResp { lens: vec![], missing: vec![] },
             ],
         );
-        check_row::<op::RemoveChunks>(&mut seen, &paths, &[()]);
+        check_row::<op::RemoveChunks>(
+            &mut seen,
+            &[
+                RemoveChunksReq { path: "/x/y/z".into(), ids: vec![0, 7, u64::MAX] },
+                RemoveChunksReq { path: String::new(), ids: vec![] },
+            ],
+            &[()],
+        );
         check_row::<op::TruncateChunks>(
             &mut seen,
             &[TruncateChunksReq { path: "/t".into(), keep_chunk: 9, keep_bytes: 4095 }],
@@ -954,6 +980,7 @@ mod tests {
         check_hostile_count(&ReadDirResp::default(), 4);
         check_hostile_count(&ChunkBatchReq { path: String::new(), ops: vec![] }, 4);
         check_hostile_count(&ReadChunksResp { lens: vec![], missing: vec![] }, 0);
+        check_hostile_count(&RemoveChunksReq { path: String::new(), ids: vec![] }, 4);
         check_hostile_count(&DaemonStatsResp::default(), 30 * 8);
         check_hostile_count(&ChunkInventoryResp::default(), 0);
         check_hostile_count(&BatchMetaReq::default(), 0);

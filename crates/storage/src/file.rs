@@ -1,15 +1,36 @@
-//! File-backed chunk storage — the paper's "one file per chunk".
+//! File-backed chunk storage — the paper's "one file per chunk", and
+//! nothing else per chunk: one inode.
 //!
 //! Layout under the root directory:
 //!
 //! ```text
-//! <root>/chunks/<escaped-path>/<chunk_id>
+//! <root>/chunks/<shard>/<escaped-path>.<chunk_id>
 //! ```
 //!
-//! GekkoFS escapes the file's GekkoFS path into a single directory name
-//! (the C++ implementation substitutes `/` with `:`); we do the same
-//! with a small escape for literal `:` so distinct paths can never
-//! collide. Chunk files are written with positional I/O
+//! GekkoFS escapes the file's GekkoFS path into a single name (the C++
+//! implementation substitutes `/` with `:`); we do the same with a
+//! small escape for literal `:` so distinct paths can never collide.
+//! The C++ layout makes that name a directory per file; here it is a
+//! prefix of the chunk file's own name, and the files live in a fixed
+//! set of 1024 directories (`DIR_SHARDS`) chosen by a stable hash of
+//! the path (all of a file's chunks on this daemon share one). A small
+//! file therefore costs one `open(O_CREAT)` to store and one `unlink`
+//! to drop — no `mkdir`, no `opendir`/`rmdir` — and a shard directory
+//! is made by the first write that finds it missing, never removed,
+//! and never made at [`open_with`](FileChunkStorage::open_with):
+//! start-up creates `chunks/` alone, and directories made later, under
+//! a parent the operator has had the chance to flag `chattr +T`, are
+//! spread over the host file system's block groups (DESIGN.md).
+//!
+//! The id is split off at the *last* `.` and must be canonical decimal,
+//! so `(path, id) → name` is injective (`/a` chunk 1 is `:a.1`, `/a.1`
+//! chunk 0 is `:a.1.0`) and truncate's temp files (`<name>.t`) are
+//! never mistaken for chunks. A path whose escaped form exceeds
+//! [`MAX_ESCAPED_LEN`] bytes cannot be named under `NAME_MAX`: writes
+//! to it are refused with a typed error, and it holds nothing to read
+//! or remove.
+//!
+//! Chunk files are written with positional I/O
 //! ([`FileExt::read_at`]/[`write_all_at`](FileExt::write_all_at)), so
 //! concurrent tasks can hit one chunk file through a shared descriptor
 //! without seek races; sparse writes rely on the underlying POSIX file
@@ -21,7 +42,10 @@
 //! cost of the op itself. A cached fd can briefly outlive
 //! `remove_chunks`/`truncate_chunks` of its path on a racing thread —
 //! writes then land in an unlinked inode, exactly the POSIX behavior a
-//! concurrent unlink gives the C++ implementation.
+//! concurrent unlink gives the C++ implementation. A write that misses
+//! the cache while its path is being removed lands in a fresh chunk
+//! file instead (an orphan for `fsck`); it never fails, because no
+//! directory on its way is ever removed.
 //!
 //! # Batch I/O engines
 //!
@@ -48,13 +72,28 @@ use crate::{check_write_windows, segment, validate_dense_layout};
 use crate::{BatchCompletion, BatchOp, BatchOutput, BatchPayload, ChunkStorage, SegmentResult};
 use gkfs_common::hash::fnv1a64;
 use gkfs_common::lock::{rank, OrderedMutex};
-use gkfs_common::{IoBackend, Result, TaskPool};
+use gkfs_common::{GkfsError, IoBackend, Result, TaskPool};
 use std::collections::HashMap;
 use std::fs;
+use std::io::ErrorKind;
 use std::os::unix::fs::FileExt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
+
+/// Shard directories under `chunks/`. A constant, sized on a
+/// journal-less ext4 (EXPERIMENTS.md "PR 21"): a chunk file's inode is
+/// allocated in its directory's block group, where such a file system
+/// steps over every inode freed in the last minutes, so the shards
+/// must be many enough to spread a small-file churn over the groups
+/// (256 swung run to run where 1024 and 4096 held), and few enough
+/// that the lazy `mkdir`s stay noise. A million chunk files then leave
+/// a whole-path enumeration a thousand names to pass over.
+const DIR_SHARDS: u64 = 1024;
+
+/// Longest escaped path a chunk file name can carry: `NAME_MAX` (255)
+/// less the `.`, a 20-digit chunk id and truncate's `.t` suffix.
+pub const MAX_ESCAPED_LEN: usize = 255 - 1 - 20 - 2;
 
 const FD_SHARDS: usize = 16;
 /// Per-shard capacity: 16 × 192 = 3072 cached descriptors. A daemon
@@ -143,14 +182,7 @@ impl FdShard {
                 }
             }
             if let Some((p, c, _)) = victim {
-                let emptied = self.files.get_mut(&p).map(|per| {
-                    per.remove(&c);
-                    per.is_empty()
-                });
-                if emptied == Some(true) {
-                    self.files.remove(&p);
-                }
-                self.len -= 1;
+                self.forget(&p, c);
             }
         }
         let per = self.files.entry(path.to_string()).or_default();
@@ -169,6 +201,19 @@ impl FdShard {
             self.len += 1;
         }
         (file, len)
+    }
+
+    /// Drop the cached descriptor of `(path, chunk_id)`, if any.
+    fn forget(&mut self, path: &str, chunk_id: u64) {
+        let Some(per) = self.files.get_mut(path) else {
+            return;
+        };
+        if per.remove(&chunk_id).is_some() {
+            self.len -= 1;
+        }
+        if per.is_empty() {
+            self.files.remove(path);
+        }
     }
 
     /// Record that the chunk file now extends to at least `end` bytes
@@ -202,7 +247,7 @@ pub struct FileChunkStorage {
     pool: Option<TaskPool>,
 }
 
-/// Escape a GekkoFS path into one directory-name-safe component.
+/// Escape a GekkoFS path into one file-name-safe component.
 /// `/a/b:c` → `:a:b;cc` — `/`→`:` (as in GekkoFS) and `:`→`;c` so the
 /// mapping stays injective.
 fn escape_path(path: &str) -> String {
@@ -241,6 +286,23 @@ fn unescape_path(escaped: &str) -> String {
     out
 }
 
+/// The chunk file name of chunk `chunk_id` of the path that escapes to
+/// `escaped`.
+fn chunk_name(escaped: &str, chunk_id: u64) -> String {
+    format!("{escaped}.{chunk_id}")
+}
+
+/// Inverse of [`chunk_name`]: the escaped path and the chunk id a
+/// directory entry names, or `None` for anything that is not a chunk
+/// file (truncate's `.t` temp files, strangers). Splits at the *last*
+/// `.` and takes only the canonical decimal form of an id, so exactly
+/// one `(escaped, id)` maps to any name.
+fn parse_chunk_name(name: &str) -> Option<(&str, u64)> {
+    let (escaped, digits) = name.rsplit_once('.')?;
+    let id = digits.parse::<u64>().ok()?;
+    (chunk_name(escaped, id) == name).then_some((escaped, id))
+}
+
 /// Positional read loop: fill `buf` from `offset` until full or EOF.
 /// Replaces the old `fstat` + `seek` + `read_exact` triple — EOF is
 /// discovered by the read itself, one syscall in the common case.
@@ -273,12 +335,61 @@ struct SendPtr(*mut u8);
 unsafe impl Send for SendPtr {}
 
 impl Inner {
-    fn file_dir(&self, path: &str) -> PathBuf {
-        self.chunk_root.join(escape_path(path))
+    /// The shard directory holding every chunk of `path`. FNV-1a is
+    /// the stable hash (restarts must find their files), and it is not
+    /// the distributor's (XXH64), so the paths placed on one daemon
+    /// still spread over all of its shards.
+    fn shard_dir(&self, path: &str) -> PathBuf {
+        let shard = fnv1a64(path.as_bytes()) % DIR_SHARDS;
+        self.chunk_root.join(format!("{shard:03x}"))
     }
 
-    fn chunk_path(&self, path: &str, chunk_id: u64) -> PathBuf {
-        self.file_dir(path).join(format!("{chunk_id}"))
+    /// `path` escaped, or `None` when no chunk file name can carry it
+    /// (see [`MAX_ESCAPED_LEN`]) — such a path holds no chunks.
+    fn escaped(path: &str) -> Option<String> {
+        Some(escape_path(path)).filter(|e| e.len() <= MAX_ESCAPED_LEN)
+    }
+
+    fn chunk_path(&self, path: &str, chunk_id: u64) -> Option<PathBuf> {
+        Some(self.shard_dir(path).join(chunk_name(&Self::escaped(path)?, chunk_id)))
+    }
+
+    /// The one directory walk: `visit(escaped path, chunk id, entry)`
+    /// for every chunk file in shard directory `dir`. A shard nothing
+    /// was ever written to does not exist and is empty.
+    fn walk_shard(
+        &self,
+        dir: &Path,
+        mut visit: impl FnMut(&str, u64, fs::DirEntry) -> Result<()>,
+    ) -> Result<()> {
+        self.stats.dir_scans.fetch_add(1, Ordering::Relaxed);
+        let entries = match fs::read_dir(dir) {
+            Ok(e) => e,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(e.into()),
+        };
+        for entry in entries {
+            let entry = entry?;
+            let name = entry.file_name();
+            if let Some((escaped, id)) = parse_chunk_name(&name.to_string_lossy()) {
+                visit(escaped, id, entry)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Every chunk file held for `path`, by enumerating its shard.
+    fn held(&self, path: &str) -> Result<Vec<(u64, fs::DirEntry)>> {
+        let mut out = Vec::new();
+        if let Some(mine) = Self::escaped(path) {
+            self.walk_shard(&self.shard_dir(path), |escaped, id, entry| {
+                if escaped == mine {
+                    out.push((id, entry));
+                }
+                Ok(())
+            })?;
+        }
+        Ok(out)
     }
 
     fn fd_shard(&self, path: &str, chunk_id: u64) -> &OrderedMutex<FdShard> {
@@ -313,22 +424,31 @@ impl Inner {
             }
         }
         self.stats.fd_misses.fetch_add(1, Ordering::Relaxed);
-        let cpath = self.chunk_path(path, chunk_id);
+        let Some(cpath) = self.chunk_path(path, chunk_id) else {
+            if !create {
+                return Ok(None);
+            }
+            return Err(GkfsError::InvalidArgument(format!(
+                "path escapes to more than {MAX_ESCAPED_LEN} bytes, \
+                 the longest a chunk file name carries"
+            )));
+        };
         // Read+write regardless of caller: the one cached descriptor
         // serves both directions.
         let mut opts = fs::OpenOptions::new();
         opts.read(true).write(true).create(create);
         let file = match opts.open(&cpath) {
             Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            Err(e) if e.kind() == ErrorKind::NotFound => {
                 if !create {
                     return Ok(None);
                 }
-                // First write to this file: the per-file directory is
-                // missing. Racing creators are fine, create_dir_all is
-                // idempotent.
-                fs::create_dir_all(self.file_dir(path))?;
-                opts.open(&cpath)?
+                // First write into this shard: its directory is
+                // missing. A racing creator made it: equally good.
+                match fs::create_dir(self.shard_dir(path)) {
+                    Err(e) if e.kind() != ErrorKind::AlreadyExists => return Err(e.into()),
+                    _ => opts.open(&cpath)?,
+                }
             }
             Err(e) => return Err(e.into()),
         };
@@ -405,15 +525,12 @@ impl Inner {
             .grow_entry(path, chunk_id, end);
     }
 
-    /// Drop every cached descriptor of `path` (after a remove or
-    /// truncate so later ops re-resolve against the real directory).
-    fn invalidate_fds(&self, path: &str) {
-        for fd_shard in &self.fd_shards {
-            let mut shard = fd_shard.lock();
-            if let Some(per) = shard.files.remove(path) {
-                shard.len -= per.len();
-            }
-        }
+    /// Drop the cached descriptor of `(path, chunk_id)` (after its file
+    /// was unlinked or replaced, so later ops re-resolve against the
+    /// real directory) — one lock, on the cache shard the pair hashes
+    /// to.
+    fn forget_fd(&self, path: &str, chunk_id: u64) {
+        self.fd_shard(path, chunk_id).lock().forget(path, chunk_id);
     }
 
     fn write_fd(&self, path: &str, chunk_id: u64) -> Result<Arc<fs::File>> {
@@ -659,73 +776,72 @@ impl ChunkStorage for FileChunkStorage {
         }
     }
 
-    fn remove_chunks(&self, path: &str) -> Result<()> {
-        let res = match fs::remove_dir_all(self.inner.file_dir(path)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
+    fn remove_chunks(&self, path: &str, ids: &[u64]) -> Result<()> {
+        let inner = &self.inner;
+        let Some(escaped) = Inner::escaped(path) else {
+            return Ok(());
         };
-        self.inner.invalidate_fds(path);
-        res
-    }
-
-    fn truncate_chunks(&self, path: &str, keep_chunk: u64, keep_bytes: u64) -> Result<()> {
-        let dir = self.inner.file_dir(path);
-        let entries = match fs::read_dir(&dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e.into()),
+        let held: Vec<u64>;
+        let ids = if ids.is_empty() {
+            held = inner.held(path)?.into_iter().map(|(id, _)| id).collect();
+            &held
+        } else {
+            ids
         };
-        for entry in entries {
-            let entry = entry?;
-            let Ok(id) = entry.file_name().to_string_lossy().parse::<u64>() else {
-                continue;
-            };
-            if id > keep_chunk {
-                fs::remove_file(entry.path())?;
-            } else if id == keep_chunk {
-                let cur = entry.path();
-                let f = fs::File::open(&cur)?;
-                if f.metadata()?.len() > keep_bytes {
-                    // Rewrite-and-rename rather than `set_len`: chunk
-                    // files never shrink in place, so a concurrently
-                    // mapped reader keeps the old inode (the same
-                    // stale window a cached fd already has) instead of
-                    // faulting on pages yanked from under its memcpy.
-                    // The file is larger than keep_bytes, so this
-                    // fills completely (holes materialize as zeros).
-                    let mut kept = vec![0u8; keep_bytes as usize];
-                    read_into(&f, 0, &mut kept)?;
-                    let tmp = cur.with_extension("t");
-                    fs::write(&tmp, &kept)?;
-                    fs::rename(&tmp, &cur)?;
-                }
+        let dir = inner.shard_dir(path);
+        for &id in ids {
+            match fs::remove_file(dir.join(chunk_name(&escaped, id))) {
+                Ok(()) => {}
+                // A hole in a sparse file, or a replayed remove.
+                Err(e) if e.kind() == ErrorKind::NotFound => {}
+                Err(e) => return Err(e.into()),
             }
+            inner.forget_fd(path, id);
         }
-        self.inner.invalidate_fds(path);
         Ok(())
     }
 
-    fn chunk_count(&self, path: &str) -> Result<usize> {
-        match fs::read_dir(self.inner.file_dir(path)) {
-            Ok(entries) => Ok(entries.count()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
-            Err(e) => Err(e.into()),
+    fn truncate_chunks(&self, path: &str, keep_chunk: u64, keep_bytes: u64) -> Result<()> {
+        for (id, entry) in self.inner.held(path)? {
+            let cur = entry.path();
+            if id > keep_chunk {
+                fs::remove_file(cur)?;
+            } else if id == keep_chunk {
+                let f = fs::File::open(&cur)?;
+                if f.metadata()?.len() <= keep_bytes {
+                    continue;
+                }
+                // Rewrite-and-rename rather than `set_len`: chunk
+                // files never shrink in place, so a concurrently
+                // mapped reader keeps the old inode (the same stale
+                // window a cached fd already has) instead of faulting
+                // on pages yanked from under its memcpy. The file is
+                // larger than keep_bytes, so this fills completely
+                // (holes materialize as zeros).
+                let mut kept = vec![0u8; keep_bytes as usize];
+                read_into(&f, 0, &mut kept)?;
+                // Appended, not `with_extension`: that would replace
+                // the chunk id and hand every chunk of the path the
+                // same temp file.
+                let mut tmp = cur.clone().into_os_string();
+                tmp.push(".t");
+                fs::write(&tmp, &kept)?;
+                fs::rename(&tmp, &cur)?;
+            } else {
+                continue;
+            }
+            self.inner.forget_fd(path, id);
         }
+        Ok(())
+    }
+
+    fn holds(&self, path: &str, chunk_id: u64) -> Result<bool> {
+        Ok(self.inner.chunk_fd(path, chunk_id, false)?.is_some())
     }
 
     fn list_chunks(&self, path: &str) -> Result<Vec<(u64, u64)>> {
-        let entries = match fs::read_dir(self.inner.file_dir(path)) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e.into()),
-        };
         let mut out = Vec::new();
-        for entry in entries {
-            let entry = entry?;
-            let Ok(id) = entry.file_name().to_string_lossy().parse::<u64>() else {
-                continue;
-            };
+        for (id, entry) in self.inner.held(path)? {
             out.push((id, entry.metadata()?.len()));
         }
         out.sort_unstable();
@@ -733,21 +849,18 @@ impl ChunkStorage for FileChunkStorage {
     }
 
     fn list_paths(&self) -> Result<Vec<(String, usize)>> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(&self.inner.chunk_root)? {
-            let entry = entry?;
-            if !entry.path().is_dir() {
+        let mut counts: HashMap<String, usize> = HashMap::new();
+        for shard in fs::read_dir(&self.inner.chunk_root)? {
+            let shard = shard?;
+            if !shard.file_type()?.is_dir() {
                 continue;
             }
-            let count = fs::read_dir(entry.path())?.count();
-            if count > 0 {
-                out.push((
-                    unescape_path(&entry.file_name().to_string_lossy()),
-                    count,
-                ));
-            }
+            self.inner.walk_shard(&shard.path(), |escaped, _, _| {
+                *counts.entry(escaped.to_string()).or_default() += 1;
+                Ok(())
+            })?;
         }
-        Ok(out)
+        Ok(counts.into_iter().map(|(e, n)| (unescape_path(&e), n)).collect())
     }
 
     fn stats(&self) -> &StorageStats {
@@ -919,6 +1032,7 @@ mod fd_model {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use proptest::prelude::*;
 
     #[test]
     fn escaping_is_injective_for_tricky_paths() {
@@ -933,6 +1047,37 @@ mod tests {
     fn unescape_inverts_escape() {
         for p in ["/a/b", "/a:b", "/a;b", "/x/y:z;w/q", "/", "/;c;s::"] {
             assert_eq!(unescape_path(&escape_path(p)), p, "roundtrip {p}");
+        }
+    }
+
+    /// A path drawn from the characters the naming treats specially.
+    fn tricky_path() -> impl Strategy<Value = String> {
+        prop::collection::vec(any::<u8>(), 0..12).prop_map(|picks| {
+            const ALPHABET: &[u8] = b"/:;.tcs019a";
+            let tail = picks.iter().map(|&p| ALPHABET[p as usize % ALPHABET.len()] as char);
+            std::iter::once('/').chain(tail).collect()
+        })
+    }
+
+    proptest! {
+        /// `(path, id) → file name → (path, id)` round-trips — so no
+        /// two pairs share a name — and a truncate temp name is never
+        /// read back as a chunk.
+        #[test]
+        fn chunk_file_names_are_injective(
+            a in tricky_path(), b in tricky_path(), ia in any::<u64>(), ib in any::<u64>()
+        ) {
+            // Small ids too: `.0`/`.1` tails are where names could meet.
+            for (ia, ib) in [(ia, ib), (ia % 3, ib % 3)] {
+                let na = chunk_name(&escape_path(&a), ia);
+                let nb = chunk_name(&escape_path(&b), ib);
+                let (escaped, id) = parse_chunk_name(&na).expect("a chunk name parses");
+                prop_assert_eq!((unescape_path(escaped), id), (a.clone(), ia));
+                prop_assert_eq!(na == nb, (&a, ia) == (&b, ib), "{} vs {}", na, nb);
+                let temp = format!("{na}.t");
+                prop_assert_eq!(parse_chunk_name(&temp), None);
+                prop_assert_ne!(temp, nb);
+            }
         }
     }
 
@@ -952,21 +1097,70 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The layout, by name: `chunks/<shard>/<escaped path>.<id>`, all
+    /// of a path's chunks in one shard directory, nothing else made.
     #[test]
     fn one_file_per_chunk_on_disk() {
         let dir = std::env::temp_dir().join(format!("gkfs-fcs-layout-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let s = FileChunkStorage::open(&dir).unwrap();
+        assert_eq!(fs::read_dir(dir.join("chunks")).unwrap().count(), 0, "shards are lazy");
         s.write_chunk("/data/file", 0, 0, b"a").unwrap();
         s.write_chunk("/data/file", 1, 0, b"b").unwrap();
-        let file_dir = dir.join("chunks").join(":data:file");
-        let names: Vec<String> = fs::read_dir(&file_dir)
+        let shards: Vec<PathBuf> = fs::read_dir(dir.join("chunks"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(shards, [s.inner.shard_dir("/data/file")], "one shard directory");
+        let mut names: Vec<String> = fs::read_dir(&shards[0])
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
-        assert_eq!(names.len(), 2);
-        assert!(names.contains(&"0".to_string()));
-        assert!(names.contains(&"1".to_string()));
+        names.sort();
+        assert_eq!(names, [":data:file.0", ":data:file.1"]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Names that look like chunks but are not, and near-collisions a
+    /// prefix match or a first-`.` split would get wrong.
+    #[test]
+    fn chunk_names_parse_back_or_not_at_all() {
+        assert_eq!(parse_chunk_name(":a.1"), Some((":a", 1)));
+        assert_eq!(parse_chunk_name(":a.1.0"), Some((":a.1", 0)), "/a.1 chunk 0 is not /a's");
+        assert_eq!(parse_chunk_name(":a..7"), Some((":a.", 7)));
+        assert_eq!(parse_chunk_name(".18446744073709551615"), Some(("", u64::MAX)));
+        for stranger in [":a.1.t", ":a.t", ":a", ":a.", ":a.01", ":a.+1", ":a.-1", ":a.1 ", ":a.18446744073709551616"] {
+            assert_eq!(parse_chunk_name(stranger), None, "{stranger}");
+        }
+    }
+
+    /// A path's name part is bounded by `NAME_MAX`: the first write to
+    /// a path past the bound is a typed refusal naming it, not a raw
+    /// `ENAMETOOLONG`, and such a path reads, lists and removes as
+    /// holding nothing.
+    #[test]
+    fn over_long_path_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("gkfs-fcs-long-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let s = FileChunkStorage::open(&dir).unwrap();
+        let fits = format!("/{}", "x".repeat(MAX_ESCAPED_LEN - 1));
+        s.write_chunk(&fits, u64::MAX, 0, b"ok").unwrap();
+        s.truncate_chunks(&fits, u64::MAX, 1).unwrap();
+        assert_eq!(s.read_chunk(&fits, u64::MAX, 0, 2).unwrap(), b"o");
+        // One more byte — or an escape that doubles a `:` — is past it.
+        for long in [format!("{fits}y"), format!("/{}:", "x".repeat(MAX_ESCAPED_LEN - 2))] {
+            match s.write_chunk(&long, 0, 0, b"no") {
+                Err(GkfsError::InvalidArgument(why)) => {
+                    assert!(why.contains(&MAX_ESCAPED_LEN.to_string()), "{why}")
+                }
+                other => panic!("expected InvalidArgument, got {other:?}"),
+            }
+            assert!(s.read_chunk(&long, 0, 0, 2).unwrap().is_empty());
+            assert!(!s.holds(&long, 0).unwrap());
+            assert_eq!(s.chunk_count(&long).unwrap(), 0);
+            s.remove_chunks(&long, &[0]).unwrap();
+            s.remove_chunks(&long, &[]).unwrap();
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -992,12 +1186,38 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let s = FileChunkStorage::open(&dir).unwrap();
         s.write_chunk("/gone", 0, 0, b"abcd").unwrap();
-        s.remove_chunks("/gone").unwrap();
+        s.remove_chunks("/gone", &[0]).unwrap();
         // A stale cached fd would still read the unlinked inode's data.
         assert!(s.read_chunk("/gone", 0, 0, 4).unwrap().is_empty());
         // Re-create after remove goes to a fresh file.
         s.write_chunk("/gone", 0, 0, b"new").unwrap();
         assert_eq!(s.read_chunk("/gone", 0, 0, 4).unwrap(), b"new");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A remove by ids forgets exactly those descriptors: the path's
+    /// other chunks and a neighbour path keep theirs.
+    #[test]
+    fn remove_by_ids_forgets_only_the_named_fds() {
+        let dir = std::env::temp_dir().join(format!("gkfs-fcs-forget-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let s = FileChunkStorage::open(&dir).unwrap();
+        let cached = |path: &str, id: u64| {
+            let shard = s.inner.fd_shard(path, id).lock();
+            shard.files.get(path).is_some_and(|per| per.contains_key(&id))
+        };
+        for id in 0..3 {
+            s.write_chunk("/p", id, 0, b"p").unwrap();
+        }
+        s.write_chunk("/q", 1, 0, b"q").unwrap();
+        s.remove_chunks("/p", &[1, 2, 9]).unwrap();
+        assert!(cached("/p", 0) && cached("/q", 1));
+        assert!(!cached("/p", 1) && !cached("/p", 2));
+        let cached_total: usize = s.inner.fd_shards.iter().map(|sh| sh.lock().len).sum();
+        assert_eq!(cached_total, 2, "the entry count follows the map");
+        let misses = s.stats().fd_misses.load(Ordering::Relaxed);
+        assert_eq!(s.read_chunk("/q", 1, 0, 1).unwrap(), b"q");
+        assert_eq!(s.stats().fd_misses.load(Ordering::Relaxed), misses, "neighbour still cached");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,9 +5,10 @@
 //! file per chunk)"*. This crate implements that layer twice behind
 //! one trait:
 //!
-//! * [`FileChunkStorage`] — one file per chunk in a directory tree on
-//!   the node-local file system, exactly the paper's layout (the
-//!   XFS-formatted scratch SSD on MOGON II).
+//! * [`FileChunkStorage`] — one file per chunk on the node-local file
+//!   system (the XFS-formatted scratch SSD on MOGON II), under flat
+//!   names in a fixed set of shard directories rather than the C++
+//!   directory per file (DESIGN.md "Substitutions").
 //! * [`MemChunkStorage`] — the same contract in memory, used by tests
 //!   and the in-process cluster.
 //!
@@ -299,8 +300,13 @@ pub trait ChunkStorage: Send + Sync {
         Ok(out.data)
     }
 
-    /// Remove every chunk of `path` held by this daemon. Idempotent.
-    fn remove_chunks(&self, path: &str) -> Result<()>;
+    /// Remove chunks `ids` of `path`; an **empty** list means whatever
+    /// this daemon holds for the path. An id that is not held (a hole
+    /// in a sparse file, a replayed remove) is success, so the call is
+    /// idempotent. Callers that know the file's size name the ids, and
+    /// a backend then touches exactly those names: only the empty list
+    /// pays for an enumeration.
+    fn remove_chunks(&self, path: &str, ids: &[u64]) -> Result<()>;
 
     /// Drop all chunks of `path` with `chunk_id > keep_chunk`, and trim
     /// chunk `keep_chunk` itself to `keep_bytes` bytes (used by
@@ -308,8 +314,16 @@ pub trait ChunkStorage: Send + Sync {
     /// file but keeps it existing).
     fn truncate_chunks(&self, path: &str, keep_chunk: u64, keep_bytes: u64) -> Result<()>;
 
+    /// Whether chunk `chunk_id` of `path` is stored here at all — what
+    /// tells a short read of a held chunk (a hole, EOF) from a read of
+    /// a chunk this daemon never received. A point lookup, never an
+    /// enumeration: it sits on the read path.
+    fn holds(&self, path: &str, chunk_id: u64) -> Result<bool>;
+
     /// Number of chunks currently stored for `path` (diagnostics).
-    fn chunk_count(&self, path: &str) -> Result<usize>;
+    fn chunk_count(&self, path: &str) -> Result<usize> {
+        Ok(self.list_chunks(path)?.len())
+    }
 
     /// Every path this store holds chunks for, with its chunk count —
     /// the daemon-side inventory behind `fsck`.
@@ -406,11 +420,52 @@ mod contract_tests {
         for (name, s) in storages() {
             s.write_chunk("/rm", 0, 0, b"x").unwrap();
             s.write_chunk("/rm", 1, 0, b"y").unwrap();
-            s.remove_chunks("/rm").unwrap();
+            s.remove_chunks("/rm", &[]).unwrap();
             assert_eq!(s.chunk_count("/rm").unwrap(), 0, "{name}");
             assert!(s.read_chunk("/rm", 0, 0, 1).unwrap().is_empty(), "{name}");
-            s.remove_chunks("/rm").unwrap(); // second time: no error
-            s.remove_chunks("/never-existed").unwrap();
+            s.remove_chunks("/rm", &[]).unwrap(); // second time: no error
+            s.remove_chunks("/never-existed", &[]).unwrap();
+            s.remove_chunks("/never-existed", &[0, 1]).unwrap();
+        }
+    }
+
+    #[test]
+    fn remove_by_ids_drops_exactly_the_named_chunks() {
+        for (name, s) in storages() {
+            for c in 0..4 {
+                s.write_chunk("/ids", c, 0, &[c as u8; 8]).unwrap();
+            }
+            // `/ids.1` chunk 0 and `/ids` chunk 1 must stay two things.
+            s.write_chunk("/ids.1", 0, 0, b"neighbour").unwrap();
+            // Unknown ids (a hole, a replay) are success; so is a repeat.
+            for _ in 0..2 {
+                s.remove_chunks("/ids", &[1, 3, 77]).unwrap();
+                assert_eq!(s.list_chunks("/ids").unwrap(), vec![(0, 8), (2, 8)], "{name}");
+            }
+            assert!(s.holds("/ids", 0).unwrap() && !s.holds("/ids", 1).unwrap(), "{name}");
+            assert!(s.read_chunk("/ids", 1, 0, 8).unwrap().is_empty(), "{name}");
+            assert_eq!(s.read_chunk("/ids", 2, 0, 8).unwrap(), [2u8; 8], "{name}");
+            // A removed id can be written again and is a fresh chunk.
+            s.write_chunk("/ids", 1, 0, b"new").unwrap();
+            assert_eq!(s.read_chunk("/ids", 1, 0, 8).unwrap(), b"new", "{name}");
+            // The empty list takes what is left, and only of this path.
+            s.remove_chunks("/ids", &[]).unwrap();
+            assert_eq!(s.chunk_count("/ids").unwrap(), 0, "{name}");
+            assert_eq!(s.read_chunk("/ids.1", 0, 0, 9).unwrap(), b"neighbour", "{name}");
+            assert_eq!(s.list_paths().unwrap(), vec![("/ids.1".to_string(), 1)], "{name}");
+        }
+    }
+
+    #[test]
+    fn holds_tells_a_hole_from_a_chunk_never_written() {
+        for (name, s) in storages() {
+            s.write_chunk("/h", 2, 100, b"x").unwrap();
+            assert!(s.holds("/h", 2).unwrap(), "{name}");
+            assert!(!s.holds("/h", 0).unwrap(), "{name}");
+            assert!(!s.holds("/h.2", 0).unwrap(), "{name}");
+            assert!(!s.holds("/nothing", 0).unwrap(), "{name}");
+            s.truncate_chunks("/h", 1, 0).unwrap();
+            assert!(!s.holds("/h", 2).unwrap(), "{name}: truncated away");
         }
     }
 
@@ -494,7 +549,7 @@ mod contract_tests {
                 ],
                 "{name}"
             );
-            s.remove_chunks("/inv/a").unwrap();
+            s.remove_chunks("/inv/a", &[]).unwrap();
             assert_eq!(s.list_paths().unwrap().len(), 1, "{name}");
         }
     }

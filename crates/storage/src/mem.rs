@@ -116,8 +116,15 @@ impl ChunkStorage for MemChunkStorage {
         })
     }
 
-    fn remove_chunks(&self, path: &str) -> Result<()> {
-        self.shard(path).write().remove(path);
+    fn remove_chunks(&self, path: &str, ids: &[u64]) -> Result<()> {
+        let mut shard = self.shard(path).write();
+        if ids.is_empty() {
+            shard.remove(path);
+        } else if let Some(chunks) = shard.get_mut(path) {
+            for id in ids {
+                chunks.remove(id);
+            }
+        }
         Ok(())
     }
 
@@ -134,13 +141,12 @@ impl ChunkStorage for MemChunkStorage {
         Ok(())
     }
 
-    fn chunk_count(&self, path: &str) -> Result<usize> {
+    fn holds(&self, path: &str, chunk_id: u64) -> Result<bool> {
         Ok(self
             .shard(path)
             .read()
             .get(path)
-            .map(|c| c.len())
-            .unwrap_or(0))
+            .is_some_and(|c| c.contains_key(&chunk_id)))
     }
 
     fn list_chunks(&self, path: &str) -> Result<Vec<(u64, u64)>> {
@@ -187,7 +193,7 @@ mod tests {
         s.write_chunk("/a", 0, 0, &[0u8; 100]).unwrap();
         s.write_chunk("/b", 1, 0, &[0u8; 50]).unwrap();
         assert_eq!(s.total_bytes(), 150);
-        s.remove_chunks("/a").unwrap();
+        s.remove_chunks("/a", &[]).unwrap();
         assert_eq!(s.total_bytes(), 50);
     }
 

@@ -17,6 +17,11 @@ pub struct StorageStats {
     pub fd_hits: AtomicU64,
     /// Open-fd cache misses — each one cost an `open(2)`.
     pub fd_misses: AtomicU64,
+    /// Shard-directory enumerations (file backend): what a remove of
+    /// "whatever you hold", a truncate or an inventory costs, and what
+    /// a remove by known ids or a read must never do. Local to the
+    /// store — not a field of the `DaemonStats` reply.
+    pub dir_scans: AtomicU64,
     /// Batch ops merged into a preceding op's syscall by coalescing.
     pub coalesced_ops: AtomicU64,
     /// Batch segments dispatched onto the I/O task pool.

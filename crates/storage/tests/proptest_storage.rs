@@ -11,6 +11,9 @@ enum Op {
     Write { chunk: u8, offset: u16, len: u8, fill: u8 },
     Read { chunk: u8, offset: u16, len: u16 },
     Truncate { keep_chunk: u8, keep_bytes: u16 },
+    /// Remove by known ids (held or not); an empty list is "whatever
+    /// is held" and is `RemoveAll`'s spelling.
+    Remove { ids: Vec<u8> },
     RemoveAll,
 }
 
@@ -33,6 +36,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             keep_chunk: keep_chunk % 6,
             keep_bytes: keep_bytes % 2500,
         }),
+        1 => prop::collection::vec(any::<u8>(), 1..4)
+            .prop_map(|ids| Op::Remove { ids: ids.into_iter().map(|c| c % 8).collect() }),
         1 => Just(Op::RemoveAll),
     ]
 }
@@ -99,8 +104,13 @@ fn exercise(storage: &dyn ChunkStorage, ops: &[Op]) -> Result<(), TestCaseError>
                     .unwrap();
                 model.truncate(*keep_chunk as u64, *keep_bytes as usize);
             }
+            Op::Remove { ids } => {
+                let ids: Vec<u64> = ids.iter().map(|&c| c as u64).collect();
+                storage.remove_chunks(PATH, &ids).unwrap();
+                model.chunks.retain(|id, _| !ids.contains(id));
+            }
             Op::RemoveAll => {
-                storage.remove_chunks(PATH).unwrap();
+                storage.remove_chunks(PATH, &[]).unwrap();
                 model.chunks.clear();
             }
         }

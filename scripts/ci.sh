@@ -87,8 +87,18 @@ echo "==> client RPC budget + TCP thread hand-off gates (counts, not wall-clock)
 # run must show every metadata RPC served on its connection thread and
 # read by its waiter (0 thread hand-offs per RPC), while a 512 KiB
 # chunk write, a pipelined burst and a two-daemon fan-out keep the
-# handler pool / reader-thread route.
+# handler pool / reader-thread route. And one count from the store: an
+# unlink of a known size names its chunk ids end to end, so no daemon
+# enumerates a directory for it.
 cargo test -p gkfs-integration --release --test rpc_budget
+
+echo "==> chunk-store layout gates, release (one inode per chunk; a write racing an unlink never fails)"
+# Counts again: 3000 one-chunk files are 3000 inodes under at most 1024
+# lazily made shard directories, a remove by known ids gives them all
+# back without enumerating a directory, and "whatever you hold" takes
+# one path and none of its shard neighbours. The writer-vs-remover race
+# on one path runs here because only release timing makes it tight.
+cargo test -p gkfs-storage --release --test layout
 
 echo "==> data-plane copy-bytes gate (TCP scatter-gather replies copy zero bytes)"
 # The zero-copy data plane's regression gate: over real TCP, full-data

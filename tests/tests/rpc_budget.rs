@@ -310,6 +310,47 @@ fn replica_legs_cost_exactly_replicas_round_trips() {
     }
 }
 
+/// An unlink of a file whose size the client knows reaches every holder
+/// with the chunk ids that holder was placed — unary and batched alike —
+/// so the file-backed store unlinks those names and enumerates no
+/// directory (`StorageStats::dir_scans`, a count kept off the wire),
+/// and what it removed is everything: no chunk file is left on disk.
+#[test]
+fn known_size_unlink_names_its_chunks_and_reads_no_directory() {
+    let root = std::env::temp_dir().join(format!("gkfs-budget-unlink-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let config = ClusterConfig::new(3).with_chunk_size(4096);
+    let cluster = Cluster::deploy_on_disk(config, &root).unwrap();
+    let fs = cluster.mount().unwrap();
+    // One-chunk files, a sparse one (chunks 0 and 9 of ten), a striped one.
+    let files: Vec<String> = (0..12).map(|i| format!("/known/f{i}.0")).collect();
+    for (i, path) in files.iter().enumerate() {
+        let h = fs.open_handle(path, OpenFlags::WRONLY.with_create()).unwrap();
+        match i {
+            0 => drop(h.pwrite(9 * 4096, b"tail").unwrap()),
+            1 => drop(h.pwrite(0, &vec![1u8; 40_000]).unwrap()),
+            _ => {}
+        }
+        h.pwrite(0, b"head").unwrap();
+        h.close().unwrap();
+    }
+    let store = |n: usize| cluster.daemon(n).backends().data.clone();
+    let held = |n: usize| store(n).list_paths().unwrap().len();
+    assert!((0..3).all(|n| held(n) > 0), "every daemon holds something");
+    let scans = |n: usize| store(n).stats().dir_scans.load(Ordering::Relaxed);
+    let before: Vec<u64> = (0..3).map(scans).collect();
+
+    for path in &files[..6] {
+        fs.unlink(path).unwrap();
+    }
+    assert!(fs.unlink_many(&files[6..]).unwrap().iter().all(Result::is_ok));
+
+    assert_eq!((0..3).map(scans).collect::<Vec<_>>(), before, "an unlink enumerated a directory");
+    assert_eq!((0..3).map(held).sum::<usize>(), 0, "chunk files left behind");
+    cluster.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
 /// Two daemons served over TCP, with the client endpoints kept so their
 /// wait counters can be read next to the daemons' serve counters.
 struct TcpRig {
