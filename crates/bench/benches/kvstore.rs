@@ -1,14 +1,15 @@
-//! KV-store microbenchmarks: the daemon's metadata write/read path.
+//! KV-store microbenchmarks with no twin in the ledger: contention
+//! (mixed put/get from 1–8 threads), a flush storm, and a prefix scan.
 //!
-//! The paper's create throughput rests on RocksDB's cheap
-//! WAL+memtable write path; these benches verify our LSM substitute
-//! keeps puts/gets in the microsecond range and quantify the bloom
-//! filter's effect on absent-key lookups (a DESIGN.md ablation).
+//! The single-threaded point costs — put, get (hit and miss), merge,
+//! a 64-record batch — are the ledger's `kv.put_us` / `kv.get_us` /
+//! `kv.merge_us` / `kv.batch64_us` probes (`ledger/src/probes.rs`),
+//! taken on the daemon's own options; they are not timed a second
+//! time here.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gkfs_kvstore::{Db, DbOptions};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn opts() -> DbOptions {
@@ -16,67 +17,6 @@ fn opts() -> DbOptions {
         merge_operator: Some(Arc::new(gkfs_kvstore::merge::Max64MergeOperator)),
         ..DbOptions::default()
     }
-}
-
-fn bench_put(c: &mut Criterion) {
-    let db = Db::open_memory(opts()).unwrap();
-    let i = AtomicU64::new(0);
-    c.bench_function("kvstore/put", |b| {
-        b.iter(|| {
-            let n = i.fetch_add(1, Ordering::Relaxed);
-            db.put(format!("/bench/file.{n}").as_bytes(), b"metadata-value")
-                .unwrap();
-        })
-    });
-}
-
-fn bench_put_with_wal(c: &mut Criterion) {
-    let mut o = opts();
-    o.wal = true;
-    let db = Db::open_memory(o).unwrap();
-    let i = AtomicU64::new(0);
-    c.bench_function("kvstore/put_wal", |b| {
-        b.iter(|| {
-            let n = i.fetch_add(1, Ordering::Relaxed);
-            db.put(format!("/bench/file.{n}").as_bytes(), b"metadata-value")
-                .unwrap();
-        })
-    });
-}
-
-fn bench_get(c: &mut Criterion) {
-    let db = Db::open_memory(opts()).unwrap();
-    for n in 0..100_000u64 {
-        db.put(format!("/bench/file.{n}").as_bytes(), b"metadata-value")
-            .unwrap();
-    }
-    db.compact().unwrap(); // everything in tables: the stat-after-write case
-    let i = AtomicU64::new(0);
-    c.bench_function("kvstore/get_hit_compacted", |b| {
-        b.iter(|| {
-            let n = i.fetch_add(7, Ordering::Relaxed) % 100_000;
-            black_box(db.get(format!("/bench/file.{n}").as_bytes()).unwrap());
-        })
-    });
-    // Absent keys: answered by bloom filters without touching blocks.
-    c.bench_function("kvstore/get_miss_bloom", |b| {
-        b.iter(|| {
-            let n = i.fetch_add(7, Ordering::Relaxed);
-            black_box(db.get(format!("/absent/{n}").as_bytes()).unwrap());
-        })
-    });
-}
-
-fn bench_merge(c: &mut Criterion) {
-    let db = Db::open_memory(opts()).unwrap();
-    db.put(b"/file:size", &0u64.to_le_bytes()).unwrap();
-    let i = AtomicU64::new(0);
-    c.bench_function("kvstore/merge_size_update", |b| {
-        b.iter(|| {
-            let n = i.fetch_add(1, Ordering::Relaxed);
-            db.merge(b"/file:size", &n.to_le_bytes()).unwrap();
-        })
-    });
 }
 
 /// Mixed put/get from N threads over one shared `Db`. The memtable is
@@ -163,6 +103,6 @@ fn bench_scan(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_put, bench_put_with_wal, bench_get, bench_merge, bench_scan, bench_mixed_threads, bench_flush_storm
+    targets = bench_scan, bench_mixed_threads, bench_flush_storm
 }
 criterion_main!(benches);

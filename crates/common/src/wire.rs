@@ -150,7 +150,9 @@ impl<'a> Decoder<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        // `pos <= len` always; compared this way round a hostile `n`
+        // (a varint length) cannot overflow the sum.
+        if n > self.buf.len() - self.pos {
             return Err(GkfsError::Corruption(format!(
                 "decode underrun: need {n} bytes at offset {} of {}",
                 self.pos,

@@ -13,6 +13,9 @@ use gkfs_common::hash::xxh64;
 use gkfs_common::wire::{Decoder, Encoder};
 use gkfs_common::{GkfsError, Result};
 
+/// Most probes per key a filter is ever built with.
+const MAX_HASHES: u32 = 30;
+
 /// A fixed-size bloom filter built over a known key set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
@@ -27,7 +30,7 @@ impl BloomFilter {
     pub fn builder(n: usize, bits_per_key: usize) -> BloomBuilder {
         let num_bits = ((n.max(1) * bits_per_key) as u64).max(64);
         // Optimal k = ln2 * bits/key, clamped to something sane.
-        let num_hashes = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 30);
+        let num_hashes = ((bits_per_key as f64 * 0.69) as u32).clamp(1, MAX_HASHES);
         BloomBuilder {
             filter: BloomFilter {
                 bits: vec![0u64; num_bits.div_ceil(64) as usize],
@@ -49,8 +52,6 @@ impl BloomFilter {
     /// negatives never.
     pub fn may_contain(&self, key: &[u8]) -> bool {
         self.positions(key)
-            .collect::<Vec<_>>()
-            .into_iter()
             .all(|p| self.bits[(p / 64) as usize] & (1 << (p % 64)) != 0)
     }
 
@@ -72,7 +73,12 @@ impl BloomFilter {
         let num_bits = d.u64()?;
         let num_hashes = d.u32()?;
         let words = d.u32()? as usize;
-        if num_bits == 0 || num_hashes == 0 || words != (num_bits.div_ceil(64)) as usize {
+        // `builder` never asks for more than MAX_HASHES probes; a header
+        // that does would make every lookup spin.
+        if num_bits == 0
+            || !(1..=MAX_HASHES).contains(&num_hashes)
+            || words != (num_bits.div_ceil(64)) as usize
+        {
             return Err(GkfsError::Corruption("bad bloom header".into()));
         }
         // The equality above only ties `words` to `num_bits`, and both
@@ -91,11 +97,6 @@ impl BloomFilter {
             num_bits,
             num_hashes,
         })
-    }
-
-    /// Size of the serialized filter in bytes.
-    pub fn encoded_len(&self) -> usize {
-        16 + self.bits.len() * 8
     }
 }
 

@@ -23,16 +23,30 @@
 //!   same window elect a leader that writes (and, with `sync`, fsyncs)
 //!   all queued frames with one call.
 //!
-//! Versions are immutable: installing a flush or compaction result
-//! builds a *new* version and swaps the pointer, so an in-flight read
-//! keeps a consistent view (the removed imm and its new table never
-//! both appear, and never both disappear).
+//! Versions are immutable: installing a rotation, flush or compaction
+//! result edits a *copy* of the version and swaps the pointer
+//! ([`DbInner::install`], the only place it moves), so an in-flight
+//! read keeps a consistent view (the removed imm and its new table
+//! never both appear, and never both disappear).
+//!
+//! **One walk reads a version.** The order of a version's sources —
+//! active memtable, frozen memtables newest first, L0 newest first, L1
+//! — and what `Put` / `Delete` / `Merge` mean along it are known to
+//! two functions: [`DbInner::lookup`] (one key, newest to oldest,
+//! stopping at the first `Put` or `Delete`) and [`DbInner::fold`] (a
+//! key range, oldest to newest, newer shadowing older). `get`, the
+//! conditional-write view, `scan_prefix`, `len`, compaction and the
+//! flusher's merge resolution are calls of those two.
 //!
 //! Merge operands that cannot be folded in the memtable are resolved
-//! at **flush time** against the table levels, so SSTables only ever
-//! contain `Put`/`Delete` entries. The single FIFO flusher guarantees
-//! every source older than the memtable being flushed is already in
-//! the table levels.
+//! at **flush time** by the same lookup, started below the memtable
+//! being flushed, so SSTables only ever contain `Put`/`Delete`
+//! entries. The single FIFO flusher guarantees every source older than
+//! that memtable is already in the table levels.
+//!
+//! **One wait.** A foreground thread sleeps on background progress in
+//! [`DbInner::wait_bg`] only (frozen-memtable backlog, L0 at the stall
+//! threshold, `flush()`); see there for why it needs no timeout.
 //!
 //! Durability across the background window relies on two pieces: the
 //! WAL is *segmented* — rotation seals the active segment so each
@@ -50,17 +64,19 @@
 //! order at runtime, and `gkfs-lint` (GKL001) checks the nesting
 //! statically. Freezing a memtable *demotes* its rank
 //! (`KV_MEMTABLE` → `KV_MEMTABLE_FROZEN`) so readers may consult
-//! frozen tables while holding the active one.
+//! frozen tables while holding the active one. The background waits
+//! check their predicate on `version` while holding `work` — the one
+//! nesting of the two, in that order.
 
 use crate::blobstore::{BlobStore, FsBlobStore, MemBlobStore};
 use crate::memtable::{MemTable, Value};
 use crate::merge::MergeOperator;
 use crate::sstable::{Table, TableBuilder, Tag};
 use crate::wal::{replay, WalRecord};
+use gkfs_common::lock::{rank, Condvar, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
 use gkfs_common::wire::{Decoder, Encoder};
 use gkfs_common::{GkfsError, Result};
-use gkfs_common::lock::{rank, Condvar, OrderedMutex, OrderedRwLock};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -108,21 +124,6 @@ impl Default for DbOptions {
     }
 }
 
-impl std::fmt::Debug for DbOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DbOptions")
-            .field("memtable_bytes", &self.memtable_bytes)
-            .field("l0_compaction_trigger", &self.l0_compaction_trigger)
-            .field("l0_slowdown_threshold", &self.l0_slowdown_threshold)
-            .field("l0_stall_threshold", &self.l0_stall_threshold)
-            .field("max_imm_memtables", &self.max_imm_memtables)
-            .field("wal", &self.wal)
-            .field("sync", &self.sync)
-            .field("merge_operator", &self.merge_operator.is_some())
-            .finish()
-    }
-}
-
 /// Operational counters, readable at any time.
 #[derive(Debug, Default)]
 pub struct DbStats {
@@ -130,25 +131,20 @@ pub struct DbStats {
     pub puts: AtomicU64,
     /// Point lookups served.
     pub gets: AtomicU64,
-    /// Deletions served.
-    pub deletes: AtomicU64,
     /// Merge operands applied.
     pub merges: AtomicU64,
-    /// Prefix/range scans served.
-    pub scans: AtomicU64,
     /// Memtable flushes performed.
     pub flushes: AtomicU64,
     /// Full compactions performed.
     pub compactions: AtomicU64,
-    /// Point lookups answered without touching a table thanks to a
-    /// bloom-filter miss.
+    /// Table probes a point lookup skipped thanks to a bloom-filter
+    /// miss.
     pub bloom_skips: AtomicU64,
-    /// Writer stall episodes (imm backlog or L0 at the stall
-    /// threshold).
+    /// Episodes of a foreground thread waiting on the background
+    /// threads: a writer behind the frozen-memtable backlog or L0 at
+    /// the stall threshold, or a `flush()` caller.
     pub stalls: AtomicU64,
-    /// Writer slowdown episodes (L0 at the slowdown threshold).
-    pub slowdowns: AtomicU64,
-    /// Total time writers spent stalled, in microseconds.
+    /// Total time spent in those waits, in microseconds.
     pub stall_micros: AtomicU64,
     /// Point lookups resolved from an immutable (frozen, not yet
     /// flushed) memtable.
@@ -238,16 +234,9 @@ pub struct WriteView<'a> {
 impl WriteView<'_> {
     /// Point lookup (as [`Db::get`]).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.db.resolve(self.ver, self.mem.get(key).cloned(), key)
-    }
-
-    /// Does `key` exist? Resolved from memtable tags and the SSTable
-    /// index alone — the value is never copied out.
-    pub fn contains(&self, key: &[u8]) -> Result<bool> {
-        match self.mem.get(key) {
-            Some(v) => Ok(!matches!(v, Value::Delete)),
-            None => self.db.exists_below_mem(self.ver, key),
-        }
+        DbStats::bump(&self.db.stats.gets);
+        let top = self.mem.get(key).cloned();
+        self.db.lookup(self.ver, &self.ver.imm, top, key)
     }
 }
 
@@ -276,8 +265,9 @@ struct TableHandle {
 }
 
 /// An immutable snapshot of the whole LSM shape. Readers clone the
-/// `Arc` and search without any lock; installers build a new version
-/// and swap the pointer.
+/// `Arc` and search without any lock; [`DbInner::install`] edits a
+/// copy and swaps the pointer.
+#[derive(Clone)]
 struct Version {
     mem: SharedMem,
     /// Frozen memtables, oldest first.
@@ -317,12 +307,13 @@ struct GroupCommit {
 }
 
 impl GroupCommit {
-    fn new(last_seq: u64) -> GroupCommit {
+    fn new(next_seq: u64) -> GroupCommit {
+        let last_seq = next_seq - 1;
         GroupCommit {
             state: OrderedMutex::new(rank::KV_GROUP_COMMIT, GcState {
                 pending: Vec::new(),
                 pending_records: 0,
-                next_seq: last_seq + 1,
+                next_seq,
                 written_seq: last_seq,
                 synced_seq: last_seq,
                 sync_wanted: last_seq,
@@ -343,6 +334,52 @@ impl GroupCommit {
         gc.pending.extend_from_slice(&frame);
         gc.pending_records += 1;
         seq
+    }
+
+    /// One leader turn, for a caller that holds the state lock and
+    /// found no leader active: take the whole queue, write it off-lock
+    /// with one `append_log` — and one `sync_log` if some committer
+    /// wants durability it has not got — and publish the outcome under
+    /// the lock again, which the caller gets back. Frames whose append
+    /// failed return to the front of the queue, so a later leader (or
+    /// rotation) retries them in order; frames that reached the log
+    /// before a failed sync do not.
+    fn lead<'a>(
+        &'a self,
+        mut gc: OrderedMutexGuard<'a, GcState>,
+        store: &dyn BlobStore,
+        stats: &DbStats,
+    ) -> (OrderedMutexGuard<'a, GcState>, Result<()>) {
+        let buf = std::mem::take(&mut gc.pending);
+        let nrec = std::mem::replace(&mut gc.pending_records, 0);
+        let target = gc.next_seq - 1;
+        let do_sync = gc.sync_wanted > gc.synced_seq;
+        gc.leader_active = true;
+        drop(gc);
+
+        let mut res = if buf.is_empty() { Ok(()) } else { store.append_log(&buf) };
+        let appended = res.is_ok();
+        if appended && do_sync {
+            res = store.sync_log();
+        }
+
+        let mut gc = self.state.lock();
+        gc.leader_active = false;
+        if !appended {
+            let mut restored = buf;
+            restored.extend_from_slice(&gc.pending);
+            gc.pending = restored;
+            gc.pending_records += nrec;
+        } else if nrec > 0 {
+            gc.written_seq = gc.written_seq.max(target);
+            DbStats::bump(&stats.group_commits);
+            stats.group_commit_records.fetch_add(nrec, Ordering::Relaxed);
+        }
+        if do_sync && res.is_ok() {
+            gc.synced_seq = gc.written_seq;
+        }
+        self.cv.notify_all();
+        (gc, res)
     }
 
     /// Wait until `seq` is in the log (and synced, when `sync`). The
@@ -366,87 +403,32 @@ impl GroupCommit {
                 gc.wait(&self.cv);
                 continue;
             }
-            // Become the leader: take the whole queue, write it with
-            // one append (and at most one fsync) off-lock.
-            let buf = std::mem::take(&mut gc.pending);
-            let nrec = std::mem::replace(&mut gc.pending_records, 0);
-            let target = gc.next_seq - 1;
-            let do_sync = gc.sync_wanted > gc.synced_seq;
-            gc.leader_active = true;
-            drop(gc);
-
-            let mut res = Ok(());
-            if !buf.is_empty() {
-                res = store.append_log(&buf);
-            }
-            if res.is_ok() && do_sync {
-                res = store.sync_log();
-            }
-
-            gc = self.state.lock();
-            gc.leader_active = false;
-            match &res {
-                Ok(()) => {
-                    if !buf.is_empty() {
-                        gc.written_seq = gc.written_seq.max(target);
-                        DbStats::bump(&stats.group_commits);
-                        stats
-                            .group_commit_records
-                            .fetch_add(nrec, Ordering::Relaxed);
-                    }
-                    if do_sync {
-                        gc.synced_seq = gc.written_seq;
-                    }
-                }
-                Err(_) => {
-                    // Put the frames back at the front so a later
-                    // leader (or the rotation path) retries them in
-                    // order; our caller sees the error.
-                    let mut restored = buf;
-                    restored.extend_from_slice(&gc.pending);
-                    gc.pending = restored;
-                    gc.pending_records += nrec;
-                }
-            }
-            self.cv.notify_all();
+            let (held, res) = self.lead(gc, store, stats);
+            gc = held;
             res?;
         }
     }
 
-    /// Flush every queued frame into the active segment, sync it if
-    /// any committer asked for durability it hasn't got yet, then seal
-    /// the segment. Called by memtable rotation with the version write
-    /// lock held (no enqueue can race — writers enqueue under the
-    /// version *read* lock). Returns the sealed segment id and the
-    /// highest sequence number it can contain.
-    fn seal_and_rotate(&self, store: &dyn BlobStore) -> Result<(u64, u64)> {
-        let mut gc = self.state.lock();
-        while gc.leader_active {
-            gc.wait(&self.cv);
+    /// Flush every queued frame into the active segment (one last
+    /// leader turn), then seal the segment. Called by memtable
+    /// rotation with the version write lock held (no enqueue can race
+    /// — writers enqueue under the version *read* lock). Returns the
+    /// sealed segment id and the highest sequence number it can
+    /// contain.
+    fn seal_and_rotate(&self, store: &dyn BlobStore, stats: &DbStats) -> Result<(u64, u64)> {
+        let max_seq;
+        {
+            let mut gc = self.state.lock();
+            while gc.leader_active {
+                gc.wait(&self.cv);
+            }
+            max_seq = gc.next_seq - 1;
+            self.lead(gc, store, stats).1?;
         }
-        let max_seq = gc.next_seq - 1;
-        let res = seal_locked(&mut gc, store);
-        self.cv.notify_all();
-        res.map(|segment| (segment, max_seq))
+        // Nothing is queued and nothing can be: a committer that takes
+        // a leader turn now finds at most a sync to do.
+        Ok((store.rotate_log()?, max_seq))
     }
-}
-
-fn seal_locked(gc: &mut GcState, store: &dyn BlobStore) -> Result<u64> {
-    if !gc.pending.is_empty() {
-        let buf = std::mem::take(&mut gc.pending);
-        let nrec = std::mem::replace(&mut gc.pending_records, 0);
-        if let Err(e) = store.append_log(&buf) {
-            gc.pending = buf;
-            gc.pending_records = nrec;
-            return Err(e);
-        }
-        gc.written_seq = gc.next_seq - 1;
-    }
-    if gc.sync_wanted > gc.synced_seq {
-        store.sync_log()?;
-        gc.synced_seq = gc.written_seq;
-    }
-    store.rotate_log()
 }
 
 /// Coordination state for the background threads.
@@ -463,6 +445,13 @@ struct WorkState {
     /// First error a background thread hit; poisons foreground
     /// flush/stall paths so it surfaces instead of hanging them.
     bg_error: Option<GkfsError>,
+}
+
+/// The background thread a foreground wait depends on.
+#[derive(Clone, Copy, PartialEq)]
+enum Bg {
+    Flusher,
+    Compactor,
 }
 
 struct DbInner {
@@ -482,9 +471,10 @@ struct DbInner {
     compaction_lock: OrderedMutex<()>,
     work: OrderedMutex<WorkState>,
     /// Wakes background threads (new imm, compaction request, stop).
+    /// Notified only with `work` held.
     work_cv: Condvar,
-    /// Wakes foreground threads waiting on background progress
-    /// (stalls, `flush()`).
+    /// Wakes foreground threads in [`DbInner::wait_bg`]. Notified only
+    /// with `work` held.
     done_cv: Condvar,
 }
 
@@ -499,25 +489,32 @@ pub struct Db {
 
 const MANIFEST: &str = "MANIFEST";
 
-fn apply_replayed(
+fn require(op: &Option<Arc<dyn MergeOperator>>) -> Result<&dyn MergeOperator> {
+    op.as_deref()
+        .ok_or_else(|| GkfsError::InvalidArgument("no merge operator configured".into()))
+}
+
+/// Apply one logged mutation to a memtable: at run time under the
+/// active memtable's write lock, at open while replaying the WAL.
+fn apply(
     mem: &mut MemTable,
-    rec: WalRecord,
+    rec: &WalRecord,
     merge_op: &Option<Arc<dyn MergeOperator>>,
+    stats: &DbStats,
 ) -> Result<()> {
     match rec {
-        WalRecord::Put { key, value } => mem.put(&key, &value),
-        WalRecord::Delete { key } => mem.delete(&key),
+        WalRecord::Put { key, value } => {
+            DbStats::bump(&stats.puts);
+            mem.put(key, value);
+        }
+        WalRecord::Delete { key } => mem.delete(key),
         WalRecord::Merge { key, operand } => {
-            let op = merge_op.as_ref().ok_or_else(|| {
-                GkfsError::InvalidArgument(
-                    "WAL contains merges but no merge operator configured".into(),
-                )
-            })?;
-            mem.merge(&key, &operand, op.as_ref());
+            DbStats::bump(&stats.merges);
+            mem.merge(key, operand, require(merge_op)?);
         }
         WalRecord::Batch(inner) => {
             for r in inner {
-                apply_replayed(mem, r, merge_op)?;
+                apply(mem, r, merge_op, stats)?;
             }
         }
     }
@@ -529,8 +526,7 @@ impl Db {
     /// existing manifest and WAL, and start the background flush and
     /// compaction threads.
     pub fn open(store: Arc<dyn BlobStore>, opts: DbOptions) -> Result<Arc<Db>> {
-        let mut l0: Vec<Arc<TableHandle>> = Vec::new();
-        let mut l1: Vec<Arc<TableHandle>> = Vec::new();
+        let mut levels: [Vec<Arc<TableHandle>>; 2] = Default::default();
         let mut max_id = 0u64;
         let mut flushed_seq = 0u64;
 
@@ -538,13 +534,17 @@ impl Db {
         if let Ok(blob) = store.get_blob(MANIFEST) {
             let mut d = Decoder::new(&blob);
             flushed_seq = d.u64()?;
-            for level in [&mut l0, &mut l1] {
-                let n = d.u32()?;
-                for _ in 0..n {
+            for level in &mut levels {
+                for _ in 0..d.u32()? {
                     let id = d.u64()?;
                     max_id = max_id.max(id);
-                    let table = Table::open(store.get_blob(&table_name(id))?)?;
-                    level.push(Arc::new(TableHandle { id, table }));
+                    let blob = store.get_blob(&table_name(id)).map_err(|e| match e {
+                        GkfsError::NotFound => {
+                            GkfsError::Corruption(format!("manifest names missing table {id}"))
+                        }
+                        e => e,
+                    })?;
+                    level.push(Arc::new(TableHandle { id, table: Table::open(blob)? }));
                 }
             }
             d.finish()?;
@@ -553,20 +553,27 @@ impl Db {
         // Replay the WAL into the memtable, skipping records already
         // resolved into a table (`seq <= flushed_seq`) — a crash
         // between manifest install and segment drop must not re-apply
-        // non-idempotent merge operands.
+        // non-idempotent merge operands. Replayed records are not
+        // traffic: they count in no statistic.
         let mut mem = MemTable::new();
         let mut max_seq = flushed_seq;
+        let replayed = DbStats::default();
         if opts.wal {
             let log = store.read_logs().unwrap_or_default();
             for (seq, rec) in replay(&log)? {
                 max_seq = max_seq.max(seq);
-                if seq <= flushed_seq {
-                    continue;
+                if seq > flushed_seq {
+                    apply(&mut mem, &rec, &opts.merge_operator, &replayed)?;
                 }
-                apply_replayed(&mut mem, rec, &opts.merge_operator)?;
             }
         }
+        // Ids and sequence numbers come from the store: one at the top
+        // of its range is damage, not a reason to wrap.
+        let (Some(next_id), Some(next_seq)) = (max_id.checked_add(1), max_seq.checked_add(1)) else {
+            return Err(GkfsError::Corruption("table id or sequence number exhausted".into()));
+        };
 
+        let [l0, l1] = levels;
         let inner = Arc::new(DbInner {
             version: OrderedRwLock::new(rank::KV_VERSION, Arc::new(Version {
                 mem: Arc::new(OrderedRwLock::new(rank::KV_MEMTABLE, mem)),
@@ -576,9 +583,9 @@ impl Db {
             })),
             store,
             opts,
-            next_id: AtomicU64::new(max_id + 1),
+            next_id: AtomicU64::new(next_id),
             stats: DbStats::default(),
-            gc: GroupCommit::new(max_seq),
+            gc: GroupCommit::new(next_seq),
             flushed_seq: AtomicU64::new(flushed_seq),
             manifest_lock: OrderedMutex::new(rank::KV_MANIFEST, ()),
             compaction_lock: OrderedMutex::new(rank::KV_COMPACTION, ()),
@@ -587,25 +594,17 @@ impl Db {
             done_cv: Condvar::new(),
         });
 
-        let mut threads = Vec::with_capacity(2);
-        {
+        let spawn = |name: &str, run: fn(&DbInner)| {
             let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("gkfs-kv-flush".into())
-                    .spawn(move || flusher_loop(&inner))
-                    .expect("spawn flush thread"),
-            );
-        }
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("gkfs-kv-compact".into())
-                    .spawn(move || compactor_loop(&inner))
-                    .expect("spawn compaction thread"),
-            );
-        }
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn(move || run(&inner))
+                .expect("spawn kvstore background thread")
+        };
+        let threads = vec![
+            spawn("gkfs-kv-flush", flusher_loop),
+            spawn("gkfs-kv-compact", compactor_loop),
+        ];
 
         Ok(Arc::new(Db {
             inner,
@@ -638,16 +637,15 @@ impl Db {
 
     /// Insert `key` only if absent. Returns `true` if inserted,
     /// `false` if the key already existed. Atomic with respect to all
-    /// other writers: existence is resolved under the writer lock, from
-    /// memtable tags and the SSTable index alone (no value is copied).
+    /// other writers: existence is resolved under the writer lock.
     pub fn put_if_absent(&self, key: &[u8], value: &[u8]) -> Result<bool> {
-        self.inner.write_record_with(|view| {
-            let absent = !view.contains(key)?;
-            let rec = absent.then(|| WalRecord::Put {
-                key: key.to_vec(),
-                value: value.to_vec(),
-            });
-            Ok((absent, rec, None))
+        self.write_with(|view| {
+            let absent = view.get(key)?.is_none();
+            let mut batch = WriteBatch::new();
+            if absent {
+                batch.put(key, value);
+            }
+            Ok((absent, batch))
         })
     }
 
@@ -660,7 +658,7 @@ impl Db {
     /// Apply a merge operand to `key` (requires a configured merge
     /// operator).
     pub fn merge(&self, key: &[u8], operand: &[u8]) -> Result<()> {
-        self.inner.merge_operator()?;
+        require(&self.inner.opts.merge_operator)?;
         self.inner.write_record(WalRecord::Merge {
             key: key.to_vec(),
             operand: operand.to_vec(),
@@ -693,7 +691,7 @@ impl Db {
                 .iter()
                 .any(|r| matches!(r, WalRecord::Merge { .. }))
             {
-                self.inner.merge_operator()?;
+                require(&self.inner.opts.merge_operator)?;
             }
             let rec = (!batch.is_empty()).then_some(WalRecord::Batch(batch.records));
             Ok((out, rec, batch.sync))
@@ -702,30 +700,29 @@ impl Db {
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.inner.get(key)
+        DbStats::bump(&self.inner.stats.gets);
+        let ver = self.inner.snapshot();
+        let top = ver.mem.read().get(key).cloned();
+        self.inner.lookup(&ver, &ver.imm, top, key)
     }
 
     /// All live `(key, value)` pairs whose key starts with `prefix`,
     /// in key order. This powers the daemon's `readdir` prefix scan
     /// over the flat namespace.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.inner
-            .scan_impl(prefix, None, &|k: &[u8]| k.starts_with(prefix))
-    }
-
-    /// All live `(key, value)` pairs with `start <= key < end`
-    /// (`end = None` means unbounded), in key order.
-    pub fn scan_range(&self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.inner
-            .scan_impl(start, end, &|k: &[u8]| end.map(|e| k < e).unwrap_or(true))
+        let all = self.inner.values(&self.inner.snapshot(), true, prefix)?;
+        Ok(all.into_iter().filter_map(|(k, v)| Some((k, v?))).collect())
     }
 
     /// Total number of live keys: a walk over every source that
     /// remembers keys, not values (a daemon answers its statistics RPC
     /// with this, on whichever handler thread is free — a copy of the
-    /// store per call would sit in each of their allocator arenas).
+    /// store per call would sit in each of their allocator arenas). A
+    /// pending merge makes its key live whatever the base.
     pub fn len(&self) -> Result<usize> {
-        self.inner.count_live()
+        let ver = self.inner.snapshot();
+        let live = self.inner.fold(&ver, true, b"", |_| (), |_, _, _| Ok(()))?;
+        Ok(live.values().flatten().count())
     }
 
     /// True when the store holds no live keys.
@@ -737,7 +734,7 @@ impl Db {
     /// has been flushed to L0 (normally all automatic/background).
     pub fn flush(&self) -> Result<()> {
         self.inner.rotate(true)?;
-        self.inner.wait_imm_drained()
+        self.inner.wait_bg(Bg::Flusher, false, |ver| ver.imm.is_empty())
     }
 
     /// Flush, then run a full compaction synchronously.
@@ -752,12 +749,22 @@ impl Db {
     /// background thread hit. Later writes fall back to inline
     /// flush/compaction.
     pub fn shutdown(&self) -> Result<()> {
-        {
-            let mut w = self.inner.work.lock();
-            w.drain = true;
-        }
+        self.inner.work.lock().drain = true;
         // Seal the active memtable so the flusher drains it too.
         self.inner.rotate(true)?;
+        self.stop_workers();
+        // If the flusher bailed early (error), finish its work inline.
+        self.inner.drain_imms_inline()?;
+        let err = self.inner.work.lock().bg_error.take();
+        match err {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
+
+    /// Tell the background threads to exit (finishing queued flushes
+    /// first if `drain` is set) and join them.
+    fn stop_workers(&self) {
         {
             let mut w = self.inner.work.lock();
             w.stop = true;
@@ -771,13 +778,6 @@ impl Db {
         for t in handles {
             let _ = t.join();
         }
-        // If the flusher bailed early (error), finish its work inline.
-        self.inner.drain_imms_inline()?;
-        let err = self.inner.work.lock().bg_error.take();
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     /// Diagnostic snapshot of the level shape:
@@ -787,53 +787,14 @@ impl Db {
         let mem = ver.mem.read().len();
         (mem, ver.imm.len(), ver.l0.len(), ver.l1.len())
     }
-
-    /// Human-readable one-call status dump — the RocksDB
-    /// `GetProperty("rocksdb.stats")` analogue, used by operators and
-    /// the daemon's diagnostics.
-    pub fn stats_summary(&self) -> String {
-        let (mem, imm, l0, l1) = self.level_shape();
-        let s = &self.inner.stats;
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        format!(
-            "levels: memtable={mem} keys, imm={imm} frozen, L0={l0} tables, L1={l1} tables\n\
-             ops: puts={} gets={} deletes={} merges={} scans={}\n\
-             maintenance: flushes={} compactions={} bloom_skips={} imm_hits={}\n\
-             pressure: stalls={} slowdowns={} stall_micros={}\n\
-             group_commit: batches={} records={}",
-            ld(&s.puts),
-            ld(&s.gets),
-            ld(&s.deletes),
-            ld(&s.merges),
-            ld(&s.scans),
-            ld(&s.flushes),
-            ld(&s.compactions),
-            ld(&s.bloom_skips),
-            ld(&s.imm_hits),
-            ld(&s.stalls),
-            ld(&s.slowdowns),
-            ld(&s.stall_micros),
-            ld(&s.group_commits),
-            ld(&s.group_commit_records),
-        )
-    }
 }
 
 impl Drop for Db {
+    /// Crash-equivalent stop: no drain. Acknowledged writes survive
+    /// via the WAL (when enabled) exactly as they would a real crash;
+    /// `shutdown()` is the clean path.
     fn drop(&mut self) {
-        // Crash-equivalent stop: no drain. Acknowledged writes survive
-        // via the WAL (when enabled) exactly as they would a real
-        // crash; `shutdown()` is the clean path.
-        {
-            let mut w = self.inner.work.lock();
-            w.stop = true;
-            self.inner.work_cv.notify_all();
-            self.inner.done_cv.notify_all();
-        }
-        let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for t in handles {
-            let _ = t.join();
-        }
+        self.stop_workers();
     }
 }
 
@@ -842,29 +803,10 @@ impl DbInner {
         self.version.read().clone()
     }
 
-    fn merge_operator(&self) -> Result<Arc<dyn MergeOperator>> {
-        self.opts
-            .merge_operator
-            .clone()
-            .ok_or_else(|| GkfsError::InvalidArgument("no merge operator configured".into()))
-    }
-
-    fn bg_stopped(&self) -> bool {
-        self.work.lock().stop
-    }
-
-    fn check_bg_error(&self) -> Result<()> {
-        match &self.work.lock().bg_error {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
-    }
-
     fn set_bg_error(&self, e: GkfsError) {
         let mut w = self.work.lock();
-        if w.bg_error.is_none() {
-            w.bg_error = Some(e);
-        }
+        w.bg_error.get_or_insert(e);
+        self.done_cv.notify_all();
     }
 
     fn request_compaction(&self) {
@@ -876,30 +818,6 @@ impl DbInner {
     fn notify_done(&self) {
         let _w = self.work.lock();
         self.done_cv.notify_all();
-    }
-
-    fn apply_to_mem(&self, mem: &mut MemTable, rec: &WalRecord) -> Result<()> {
-        match rec {
-            WalRecord::Put { key, value } => {
-                DbStats::bump(&self.stats.puts);
-                mem.put(key, value);
-            }
-            WalRecord::Delete { key } => {
-                DbStats::bump(&self.stats.deletes);
-                mem.delete(key);
-            }
-            WalRecord::Merge { key, operand } => {
-                DbStats::bump(&self.stats.merges);
-                let op = self.merge_operator()?;
-                mem.merge(key, operand, op.as_ref());
-            }
-            WalRecord::Batch(inner) => {
-                for r in inner {
-                    self.apply_to_mem(mem, r)?;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// The write path, once: L0 backpressure, then — under the version
@@ -921,7 +839,7 @@ impl DbInner {
             let (out, rec, sync) = stage(&WriteView { db: self, ver: &ver, mem: &mem })?;
             let Some(rec) = rec else { return Ok(out) };
             let seq = if self.opts.wal { self.gc.enqueue(&rec) } else { 0 };
-            self.apply_to_mem(&mut mem, &rec)?;
+            apply(&mut mem, &rec, &self.opts.merge_operator, &self.stats)?;
             (out, seq, sync, mem.approx_bytes() >= self.opts.memtable_bytes)
         };
         if self.opts.wal {
@@ -939,190 +857,167 @@ impl DbInner {
         self.write_record_with(|_| Ok(((), Some(rec), None)))
     }
 
-    /// Existence for a key not present in the active memtable: frozen
-    /// memtables newest-first, then table tags (no value copies).
-    fn exists_below_mem(&self, ver: &Version, key: &[u8]) -> Result<bool> {
-        for imm in ver.imm.iter().rev() {
+    /// The one point lookup: what `key` resolves to in `ver`, walking
+    /// its sources newest to oldest — `top` (the entry of the memtable
+    /// above everything else consulted, read by the caller under
+    /// whichever guard it holds), the frozen memtables `imms` newest
+    /// first, L0 newest first, then L1 — stacking merge operands until
+    /// a `Put`, a `Delete` or the end of the walk gives them a base.
+    /// A reader passes the active memtable's entry and all of
+    /// `ver.imm`; the flusher passes the entry being flushed and no
+    /// `imms`, because the memtable it flushes is the oldest.
+    fn lookup(
+        &self,
+        ver: &Version,
+        imms: &[Arc<ImmMem>],
+        top: Option<Value>,
+        key: &[u8],
+    ) -> Result<Option<Vec<u8>>> {
+        // Operand runs, newest source first; `base` is `Some` once a
+        // source has said what lies under them.
+        let mut runs: Vec<Vec<Vec<u8>>> = Vec::new();
+        let mut see = |v: Value| match v {
+            Value::Put(v) => Some(Some(v)),
+            Value::Delete => Some(None),
+            Value::Merge(ops) => {
+                runs.push(ops);
+                None
+            }
+        };
+        let mut base = top.and_then(&mut see);
+        for imm in imms.iter().rev() {
+            if base.is_some() {
+                break;
+            }
             if let Some(v) = imm.mem.read().get(key) {
                 DbStats::bump(&self.stats.imm_hits);
-                return Ok(!matches!(v, Value::Delete));
+                base = see(v.clone());
             }
         }
-        self.tables_contain(ver, key)
-    }
-
-    /// Existence from SSTable tags alone: the bloom filter rules
-    /// tables out, and [`Table::tag_of`] answers from the index entry
-    /// without decoding the value.
-    fn tables_contain(&self, ver: &Version, key: &[u8]) -> Result<bool> {
-        for th in ver.l0.iter().rev().chain(ver.l1.iter()) {
+        for th in ver.l0.iter().rev().chain(&ver.l1) {
+            if base.is_some() {
+                break;
+            }
             if !th.table.may_contain(key) {
                 DbStats::bump(&self.stats.bloom_skips);
                 continue;
             }
-            match th.table.tag_of(key)? {
-                Some(Tag::Put) => return Ok(true),
-                Some(Tag::Delete) => return Ok(false),
-                None => {}
-            }
+            base = th.table.get(key)?.map(|(tag, v)| (tag == Tag::Put).then(|| v.to_vec()));
         }
-        Ok(false)
-    }
-
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let ver = self.snapshot();
-        let top = ver.mem.read().get(key).cloned();
-        self.resolve(&ver, top, key)
-    }
-
-    /// Point lookup below the active memtable, whose entry for `key`
-    /// (`top`) the caller read under whichever guard it holds.
-    fn resolve(&self, ver: &Version, top: Option<Value>, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        DbStats::bump(&self.stats.gets);
-
-        // Walk newest to oldest, collecting merge-operand runs until a
-        // terminal state (Put / Delete / absent-everywhere) is found.
-        let mut runs: Vec<Vec<Vec<u8>>> = Vec::new();
-        let mut terminal: Option<Option<Vec<u8>>> = None;
-
-        match top {
-            Some(Value::Put(v)) => terminal = Some(Some(v)),
-            Some(Value::Delete) => terminal = Some(None),
-            Some(Value::Merge(ops)) => runs.push(ops),
-            None => {}
-        }
-        if terminal.is_none() {
-            for imm in ver.imm.iter().rev() {
-                match imm.mem.read().get(key) {
-                    Some(Value::Put(v)) => {
-                        DbStats::bump(&self.stats.imm_hits);
-                        terminal = Some(Some(v.clone()));
-                        break;
-                    }
-                    Some(Value::Delete) => {
-                        DbStats::bump(&self.stats.imm_hits);
-                        terminal = Some(None);
-                        break;
-                    }
-                    Some(Value::Merge(ops)) => {
-                        DbStats::bump(&self.stats.imm_hits);
-                        runs.push(ops.clone());
-                    }
-                    None => {}
-                }
-            }
-        }
-        let base = match terminal {
-            Some(t) => t,
-            None => self.get_from_tables(ver, key)?,
-        };
+        let base = base.flatten();
         if runs.is_empty() {
             return Ok(base);
         }
-        // Runs were collected newest-source-first; the operator wants
-        // operands oldest-first.
-        let op = self.merge_operator()?;
+        // The operator wants operands oldest first.
         let operands: Vec<Vec<u8>> = runs.into_iter().rev().flatten().collect();
+        let op = require(&self.opts.merge_operator)?;
         Ok(Some(op.full_merge(key, base.as_deref(), &operands)))
     }
 
-    fn get_from_tables(&self, ver: &Version, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        // L0 newest first — later flushes shadow earlier ones.
-        for th in ver.l0.iter().rev().chain(ver.l1.iter()) {
-            if !th.table.may_contain(key) {
-                DbStats::bump(&self.stats.bloom_skips);
-                continue;
-            }
-            match th.table.get(key)? {
-                Some((Tag::Put, v)) => return Ok(Some(v)),
-                Some((Tag::Delete, _)) => return Ok(None),
-                None => {}
-            }
-        }
-        Ok(None)
-    }
-
-    /// Shared scan machinery: accumulate oldest source to newest (L1,
-    /// L0, frozen memtables, active memtable) so newer entries shadow
-    /// older ones, over one immutable snapshot.
-    fn scan_impl(
+    /// The one range walk: every entry under `prefix` in `ver`, oldest
+    /// source first — L1, L0 oldest first, then (with `mems`) the
+    /// frozen memtables oldest first and the active one — so that a
+    /// newer entry shadows an older one. Per key, a `Put` keeps
+    /// `keep(value)`, a `Delete` keeps `None`, and a `Merge` keeps
+    /// `merge(key, what the older sources left, operands)`.
+    fn fold<V>(
         &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        keep: &dyn Fn(&[u8]) -> bool,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        DbStats::bump(&self.stats.scans);
-        let ver = self.snapshot();
-        let op = self.opts.merge_operator.clone();
-
-        let mut acc: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        for th in ver.l1.iter().chain(ver.l0.iter()) {
-            for entry in th.table.iter_from(start) {
+        ver: &Version,
+        mems: bool,
+        prefix: &[u8],
+        keep: impl Fn(&[u8]) -> V,
+        merge: impl Fn(&[u8], Option<&V>, &[Vec<u8>]) -> Result<V>,
+    ) -> Result<BTreeMap<Vec<u8>, Option<V>>> {
+        let mut acc = BTreeMap::new();
+        for th in ver.l1.iter().chain(&ver.l0) {
+            for entry in th.table.iter_from(prefix) {
                 let (tag, k, v) = entry?;
-                if !keep(&k) {
+                if !k.starts_with(prefix) {
                     break;
                 }
-                match tag {
-                    Tag::Put => acc.insert(k, Some(v)),
-                    Tag::Delete => acc.insert(k, None),
+                acc.insert(k.to_vec(), (tag == Tag::Put).then(|| keep(v)));
+            }
+        }
+        let mems = mems.then(|| ver.imm.iter().map(|i| &i.mem).chain([&ver.mem]));
+        for shared in mems.into_iter().flatten() {
+            for (k, v) in shared.read().range_from(prefix) {
+                if !k.starts_with(prefix) {
+                    break;
+                }
+                let kept = match v {
+                    Value::Put(val) => Some(keep(val)),
+                    Value::Delete => None,
+                    Value::Merge(ops) => {
+                        Some(merge(k, acc.get(k).and_then(Option::as_ref), ops)?)
+                    }
+                };
+                acc.insert(k.to_vec(), kept);
+            }
+        }
+        Ok(acc)
+    }
+
+    /// [`DbInner::fold`] keeping values (`None` = tombstone): a scan
+    /// with `mems`, a compaction's input without.
+    fn values(
+        &self,
+        ver: &Version,
+        mems: bool,
+        prefix: &[u8],
+    ) -> Result<BTreeMap<Vec<u8>, Option<Vec<u8>>>> {
+        self.fold(ver, mems, prefix, <[u8]>::to_vec, |k, base, ops| {
+            let op = require(&self.opts.merge_operator)?;
+            Ok(op.full_merge(k, base.map(Vec::as_slice), ops))
+        })
+    }
+
+    /// The one place a foreground thread sleeps on background progress:
+    /// until `until` holds of the current version. A background error
+    /// surfaces instead of a wait on a thread that cannot progress, and
+    /// once the threads are stopped the awaited work is done inline.
+    /// A `writer` held up here — waiting, or doing the work inline — is
+    /// back-pressure and counts one stall and its duration; an explicit
+    /// [`Db::flush`] asked to wait and counts nothing.
+    ///
+    /// No timeout: `until` is checked with `work` held, and everything
+    /// that can change its answer — a flush or compaction installing a
+    /// version, a background error, a stop — notifies `done_cv` with
+    /// `work` held *after* the change (`notify_done`, `set_bg_error`,
+    /// `stop_workers`), so a wake-up cannot fall between the check and
+    /// the sleep. The same argument covers the background threads'
+    /// idle waits on `work_cv`; `db::model` explores it.
+    fn wait_bg(&self, on: Bg, writer: bool, until: impl Fn(&Version) -> bool) -> Result<()> {
+        let mut stalled = None;
+        let mut w = self.work.lock();
+        let res = loop {
+            if until(&self.version.read()) {
+                break Ok(());
+            }
+            if let Some(e) = &w.bg_error {
+                break Err(e.clone());
+            }
+            if writer && stalled.is_none() {
+                stalled = Some(Instant::now());
+                DbStats::bump(&self.stats.stalls);
+            }
+            if w.stop {
+                drop(w);
+                break match on {
+                    Bg::Flusher => self.drain_imms_inline(),
+                    Bg::Compactor => self.compact_once(),
                 };
             }
+            // The awaited thread may be idle: below the compaction
+            // trigger only a request moves the compactor.
+            w.compact_requested |= on == Bg::Compactor;
+            self.work_cv.notify_all();
+            w.wait(&self.done_cv);
+        };
+        if let Some(since) = stalled {
+            let micros = since.elapsed().as_micros() as u64;
+            self.stats.stall_micros.fetch_add(micros, Ordering::Relaxed);
         }
-        let mems: Vec<SharedMem> = ver
-            .imm
-            .iter()
-            .map(|i| i.mem.clone())
-            .chain(std::iter::once(ver.mem.clone()))
-            .collect();
-        for shared in &mems {
-            let mem = shared.read();
-            for (k, v) in mem.range(start, end) {
-                if !keep(k) {
-                    break;
-                }
-                match v {
-                    Value::Put(val) => {
-                        acc.insert(k.to_vec(), Some(val.clone()));
-                    }
-                    Value::Delete => {
-                        acc.insert(k.to_vec(), None);
-                    }
-                    Value::Merge(ops) => {
-                        let base = acc.get(k).cloned().flatten();
-                        let op = op.as_ref().ok_or_else(|| {
-                            GkfsError::InvalidArgument("no merge operator configured".into())
-                        })?;
-                        acc.insert(k.to_vec(), Some(op.full_merge(k, base.as_deref(), ops)));
-                    }
-                }
-            }
-        }
-        Ok(acc
-            .into_iter()
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
-            .collect())
-    }
-
-    /// How many keys are live in one snapshot: the walk of
-    /// [`DbInner::scan_impl`] — oldest source to newest, newer shadows
-    /// older — keeping per key only whether its newest entry is a
-    /// tombstone. A pending merge makes its key live whatever the base.
-    fn count_live(&self) -> Result<usize> {
-        DbStats::bump(&self.stats.scans);
-        let ver = self.snapshot();
-        let mut live: BTreeMap<Vec<u8>, bool> = BTreeMap::new();
-        for th in ver.l1.iter().chain(ver.l0.iter()) {
-            for entry in th.table.iter() {
-                let (tag, k, _) = entry?;
-                live.insert(k, matches!(tag, Tag::Put));
-            }
-        }
-        for shared in ver.imm.iter().map(|i| &i.mem).chain(std::iter::once(&ver.mem)) {
-            for (k, v) in shared.read().iter() {
-                live.insert(k.to_vec(), !matches!(v, Value::Delete));
-            }
-        }
-        Ok(live.values().filter(|l| **l).count())
+        res
     }
 
     /// L0 backpressure, applied before any write lock is taken: slow
@@ -1131,111 +1026,79 @@ impl DbInner {
     fn write_pressure(&self) -> Result<()> {
         let l0 = self.snapshot().l0.len();
         if l0 >= self.opts.l0_stall_threshold {
-            DbStats::bump(&self.stats.stalls);
-            let start = Instant::now();
-            loop {
-                self.request_compaction();
-                if self.bg_stopped() {
-                    self.compact_once()?;
-                    break;
-                }
-                self.check_bg_error()?;
-                {
-                    let mut w = self.work.lock();
-                    if !w.stop {
-                        w.wait_for(&self.done_cv, Duration::from_millis(10));
-                    }
-                }
-                if self.snapshot().l0.len() < self.opts.l0_stall_threshold {
-                    break;
-                }
-            }
-            self.stats
-                .stall_micros
-                .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+            self.wait_bg(Bg::Compactor, true, |ver| ver.l0.len() < self.opts.l0_stall_threshold)?;
         } else if l0 >= self.opts.l0_slowdown_threshold {
-            DbStats::bump(&self.stats.slowdowns);
             self.request_compaction();
             std::thread::sleep(Duration::from_millis(1));
         }
         Ok(())
     }
 
+    /// The one place the version pointer moves: `edit` changes a copy
+    /// of the current version under the version write lock — or
+    /// declines with `Ok(false)` — the copy becomes current, and its
+    /// table ids per level come back for the manifest.
+    fn install(
+        &self,
+        edit: impl FnOnce(&mut Version) -> Result<bool>,
+    ) -> Result<Option<[Vec<u64>; 2]>> {
+        let mut ver = self.version.write();
+        let mut next = Version::clone(&ver);
+        if !edit(&mut next)? {
+            return Ok(None);
+        }
+        let ids = [&next.l0, &next.l1].map(|level| level.iter().map(|t| t.id).collect());
+        *ver = Arc::new(next);
+        Ok(Some(ids))
+    }
+
     /// Swap the active memtable for a fresh one, freezing the old one
     /// onto the immutable list for the background flusher. Writers
-    /// block only for this pointer swap — never for SSTable I/O.
+    /// block only for this pointer swap — never for SSTable I/O —
+    /// unless the frozen backlog is full.
     fn rotate(&self, force: bool) -> Result<()> {
-        // Backpressure: bounded frozen-memtable backlog.
-        let mut stall_start: Option<Instant> = None;
-        loop {
-            if self.version.read().imm.len() < self.opts.max_imm_memtables {
-                break;
-            }
-            if self.bg_stopped() {
-                self.drain_imms_inline()?;
-                break;
-            }
-            self.check_bg_error()?;
-            if stall_start.is_none() {
-                stall_start = Some(Instant::now());
-                DbStats::bump(&self.stats.stalls);
-            }
-            let mut w = self.work.lock();
-            if !w.stop {
-                self.work_cv.notify_all(); // flusher may be idle-waiting
-                w.wait_for(&self.done_cv, Duration::from_millis(10));
-            }
-        }
-        if let Some(t) = stall_start {
-            self.stats
-                .stall_micros
-                .fetch_add(t.elapsed().as_micros() as u64, Ordering::Relaxed);
-        }
-
-        {
-            let mut ver = self.version.write();
-            let cur = Arc::clone(&*ver);
+        self.wait_bg(Bg::Flusher, true, |ver| ver.imm.len() < self.opts.max_imm_memtables)?;
+        self.install(|ver| {
             {
-                let mem = cur.mem.read();
+                let mem = ver.mem.read();
                 if mem.is_empty() || (!force && mem.approx_bytes() < self.opts.memtable_bytes) {
-                    return Ok(()); // raced with another rotator
+                    return Ok(false); // raced with another rotator
                 }
             }
             // Seal the WAL segment in lock-step: it now holds exactly
             // this memtable's records (plus older, already-flushed
             // segments' worth of nothing — those were dropped).
-            let (segment, max_seq) = if self.opts.wal {
-                self.gc.seal_and_rotate(self.store.as_ref())?
+            let (wal_segment, max_seq) = if self.opts.wal {
+                self.gc.seal_and_rotate(self.store.as_ref(), &self.stats)?
             } else {
                 (0, 0)
             };
-            let mut imms = cur.imm.clone();
             // Freeze: demote the memtable's rank so a reader holding
             // the new active table (KV_MEMTABLE) may still consult it.
-            cur.mem.demote(rank::KV_MEMTABLE_FROZEN);
-            imms.push(Arc::new(ImmMem {
-                mem: cur.mem.clone(),
-                wal_segment: segment,
-                max_seq,
-            }));
-            *ver = Arc::new(Version {
-                mem: Arc::new(OrderedRwLock::new(rank::KV_MEMTABLE, MemTable::new())),
-                imm: imms,
-                l0: cur.l0.clone(),
-                l1: cur.l1.clone(),
-            });
-        }
-        {
+            ver.mem.demote(rank::KV_MEMTABLE_FROZEN);
+            let fresh = Arc::new(OrderedRwLock::new(rank::KV_MEMTABLE, MemTable::new()));
+            let mem = std::mem::replace(&mut ver.mem, fresh);
+            ver.imm.push(Arc::new(ImmMem { mem, wal_segment, max_seq }));
+            Ok(true)
+        })?;
+        let stopped = {
             let w = self.work.lock();
-            if !w.stop {
-                self.work_cv.notify_all();
-            }
-        }
-        if self.bg_stopped() {
+            self.work_cv.notify_all();
+            w.stop
+        };
+        if stopped {
             // Background threads are gone: flush inline instead.
             self.drain_imms_inline()?;
         }
         Ok(())
+    }
+
+    /// Persist a finished table under a fresh id and open it.
+    fn add_table(&self, builder: TableBuilder) -> Result<Arc<TableHandle>> {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let blob = builder.finish();
+        self.store.put_blob(&table_name(id), &blob)?;
+        Ok(Arc::new(TableHandle { id, table: Table::open(Arc::new(blob))? }))
     }
 
     /// Build the oldest immutable memtable's SSTable and install it in
@@ -1244,6 +1107,23 @@ impl DbInner {
     /// and publishes its table.
     fn flush_imm(&self, imm: &Arc<ImmMem>) -> Result<()> {
         let base = self.snapshot();
+        // Operands still stacked in this memtable resolve against the
+        // table levels, so tables never contain merge records. The
+        // FIFO flusher guarantees every source older than this
+        // memtable is already in `base`'s L0/L1: no `imms` to ask. A
+        // pass of its own, because the build below holds the frozen
+        // memtable's guard and `lookup` is the function that takes
+        // those: with no `imms` it takes none, but the lock order is
+        // kept per function (GKL006), not per argument.
+        let stacked: Vec<(Vec<u8>, Value)> = imm
+            .mem
+            .read()
+            .iter()
+            .filter(|(_, v)| matches!(v, Value::Merge(_)))
+            .map(|(k, v)| (k.to_vec(), v.clone()))
+            .collect();
+        let resolve = |(k, v): (Vec<u8>, Value)| self.lookup(&base, &[], Some(v), &k);
+        let mut merged = stacked.into_iter().map(resolve).collect::<Result<Vec<_>>>()?.into_iter();
         let mut builder;
         {
             let mem = imm.mem.read();
@@ -1252,69 +1132,39 @@ impl DbInner {
                 match v {
                     Value::Put(val) => builder.add(Tag::Put, k, val),
                     Value::Delete => builder.add(Tag::Delete, k, b""),
-                    Value::Merge(ops) => {
-                        // Resolve against the table levels so tables
-                        // never contain merge records. The FIFO flusher
-                        // guarantees every source older than this
-                        // memtable is already in `base`'s L0/L1.
-                        let b = self.get_from_tables(&base, k)?;
-                        let op = self.merge_operator()?;
-                        builder.add(Tag::Put, k, &op.full_merge(k, b.as_deref(), ops));
+                    Value::Merge(_) => {
+                        // Frozen: the same entries as the pass above.
+                        let val = merged.next().flatten().expect("one value per stacked entry");
+                        builder.add(Tag::Put, k, &val);
                     }
                 }
             }
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let blob = builder.finish();
-        self.store.put_blob(&table_name(id), &blob)?;
-        let table = Table::open(Arc::new(blob))?;
-        let handle = Arc::new(TableHandle { id, table });
-
-        let mguard = self.manifest_lock.lock();
-        let install = {
-            let mut ver = self.version.write();
-            let cur = Arc::clone(&*ver);
-            if cur.imm.iter().any(|i| Arc::ptr_eq(i, imm)) {
-                let imms: Vec<Arc<ImmMem>> = cur
-                    .imm
-                    .iter()
-                    .filter(|i| !Arc::ptr_eq(i, imm))
-                    .cloned()
-                    .collect();
-                let mut l0 = cur.l0.clone();
-                l0.push(handle);
-                let l0_ids: Vec<u64> = l0.iter().map(|t| t.id).collect();
-                let l1_ids: Vec<u64> = cur.l1.iter().map(|t| t.id).collect();
-                *ver = Arc::new(Version {
-                    mem: cur.mem.clone(),
-                    imm: imms,
-                    l0,
-                    l1: cur.l1.clone(),
-                });
-                Some((l0_ids, l1_ids))
-            } else {
-                None
-            }
-        };
-        match install {
-            Some((l0_ids, l1_ids)) => {
+        let table = self.add_table(builder)?;
+        let installed = {
+            let _manifest = self.manifest_lock.lock();
+            let ids = self.install(|ver| {
+                let queued = ver.imm.len();
+                ver.imm.retain(|i| !Arc::ptr_eq(i, imm));
+                ver.l0.push(table.clone());
+                Ok(ver.imm.len() < queued)
+            })?;
+            if let Some(ids) = &ids {
                 DbStats::bump(&self.stats.flushes);
                 self.flushed_seq.fetch_max(imm.max_seq, Ordering::SeqCst);
-                self.write_manifest(&l0_ids, &l1_ids)?;
-                drop(mguard);
-                if self.opts.wal {
-                    // The segment's records are all in the table now.
-                    self.store.drop_logs_through(imm.wal_segment)?;
-                }
-                Ok(())
+                self.write_manifest(ids)?;
             }
-            None => {
-                // Someone else (the inline shutdown drain) flushed this
-                // imm while we were building: discard the duplicate.
-                drop(mguard);
-                self.store.delete_blob(&table_name(id))?;
-                Ok(())
-            }
+            ids.is_some()
+        };
+        if !installed {
+            // Someone else (the inline shutdown drain) flushed this
+            // imm while we were building: discard the duplicate.
+            self.store.delete_blob(&table_name(table.id))
+        } else if self.opts.wal {
+            // The segment's records are all in the table now.
+            self.store.drop_logs_through(imm.wal_segment)
+        } else {
+            Ok(())
         }
     }
 
@@ -1329,84 +1179,46 @@ impl DbInner {
         }
         DbStats::bump(&self.stats.compactions);
 
-        // Newest-wins accumulation, oldest sources first.
-        let mut acc: BTreeMap<Vec<u8>, (Tag, Vec<u8>)> = BTreeMap::new();
-        for th in base.l1.iter().chain(base.l0.iter()) {
-            for entry in th.table.iter() {
-                let (tag, k, v) = entry?;
-                acc.insert(k, (tag, v));
-            }
-        }
-
         // Emit live entries into size-bounded output tables. This is a
         // *full* compaction over a snapshot of both levels, so
         // tombstones drop out: anything newer lives in memtables or in
         // tables flushed after `base` was taken, and those are kept by
-        // the reconciliation below.
+        // the install below.
         const TARGET_TABLE_BYTES: usize = 8 * 1024 * 1024;
+        let acc = self.values(&base, false, b"")?;
         let mut new_l1: Vec<Arc<TableHandle>> = Vec::new();
         let mut builder = TableBuilder::new(acc.len());
         let mut bytes = 0usize;
         let mut live = 0usize;
-        for (k, (tag, v)) in &acc {
-            if *tag == Tag::Delete {
-                continue; // full compaction: tombstones drop out
-            }
+        for (k, v) in acc.iter().filter_map(|(k, v)| Some((k, v.as_ref()?))) {
             builder.add(Tag::Put, k, v);
             bytes += k.len() + v.len();
             live += 1;
             if bytes >= TARGET_TABLE_BYTES {
-                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                let blob =
-                    std::mem::replace(&mut builder, TableBuilder::new(acc.len() - live)).finish();
-                self.store.put_blob(&table_name(id), &blob)?;
-                new_l1.push(Arc::new(TableHandle {
-                    id,
-                    table: Table::open(Arc::new(blob))?,
-                }));
+                let full = std::mem::replace(&mut builder, TableBuilder::new(acc.len() - live));
+                new_l1.push(self.add_table(full)?);
                 bytes = 0;
             }
         }
         if !builder.is_empty() {
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let blob = builder.finish();
-            self.store.put_blob(&table_name(id), &blob)?;
-            new_l1.push(Arc::new(TableHandle {
-                id,
-                table: Table::open(Arc::new(blob))?,
-            }));
+            new_l1.push(self.add_table(builder)?);
         }
 
-        let input_ids: std::collections::HashSet<u64> =
-            base.l0.iter().chain(base.l1.iter()).map(|t| t.id).collect();
-
-        let mguard = self.manifest_lock.lock();
-        let (l0_ids, l1_ids) = {
-            let mut ver = self.version.write();
-            let cur = Arc::clone(&*ver);
-            // Keep L0 tables flushed while we were compacting — they
+        let inputs: HashSet<u64> = base.l0.iter().chain(&base.l1).map(|t| t.id).collect();
+        {
+            let _manifest = self.manifest_lock.lock();
+            // L0 tables flushed while we were compacting stay: they
             // are strictly newer than every input.
-            let l0: Vec<Arc<TableHandle>> = cur
-                .l0
-                .iter()
-                .filter(|t| !input_ids.contains(&t.id))
-                .cloned()
-                .collect();
-            let l0_ids: Vec<u64> = l0.iter().map(|t| t.id).collect();
-            let l1_ids: Vec<u64> = new_l1.iter().map(|t| t.id).collect();
-            *ver = Arc::new(Version {
-                mem: cur.mem.clone(),
-                imm: cur.imm.clone(),
-                l0,
-                l1: new_l1.clone(),
-            });
-            (l0_ids, l1_ids)
-        };
-        self.write_manifest(&l0_ids, &l1_ids)?;
-        drop(mguard);
+            let ids = self.install(|ver| {
+                ver.l0.retain(|t| !inputs.contains(&t.id));
+                ver.l1 = new_l1;
+                Ok(true)
+            })?;
+            self.write_manifest(&ids.expect("this edit never declines"))?;
+        }
         // Safe even with old-snapshot readers alive: `Table` keeps the
         // blob bytes in memory via `Arc`.
-        for id in input_ids {
+        for id in inputs {
             self.store.delete_blob(&table_name(id))?;
         }
         self.notify_done();
@@ -1428,36 +1240,17 @@ impl DbInner {
         }
     }
 
-    fn wait_imm_drained(&self) -> Result<()> {
-        loop {
-            self.check_bg_error()?;
-            if self.version.read().imm.is_empty() {
-                return Ok(());
-            }
-            if self.bg_stopped() {
-                return self.drain_imms_inline();
-            }
-            let mut w = self.work.lock();
-            if !w.stop && !self.version.read().imm.is_empty() {
-                self.work_cv.notify_all();
-                w.wait_for(&self.done_cv, Duration::from_millis(50));
-            }
-        }
-    }
-
     /// Write the manifest: `flushed_seq` watermark + table ids per
     /// level. Callers hold `manifest_lock`, so watermark and table
     /// list are mutually consistent.
-    fn write_manifest(&self, l0: &[u64], l1: &[u64]) -> Result<()> {
+    fn write_manifest(&self, levels: &[Vec<u64>; 2]) -> Result<()> {
         let mut e = Encoder::new();
         e.u64(self.flushed_seq.load(Ordering::SeqCst));
-        e.u32(l0.len() as u32);
-        for id in l0 {
-            e.u64(*id);
-        }
-        e.u32(l1.len() as u32);
-        for id in l1 {
-            e.u64(*id);
+        for ids in levels {
+            e.u32(ids.len() as u32);
+            for id in ids {
+                e.u64(*id);
+            }
         }
         self.store.put_blob(MANIFEST, e.as_slice())
     }
@@ -1466,79 +1259,308 @@ impl DbInner {
 /// Background flush thread: retire frozen memtables oldest-first.
 fn flusher_loop(inner: &DbInner) {
     loop {
-        let (stop, drain) = {
-            let w = inner.work.lock();
-            (w.stop, w.drain)
-        };
-        let imm = inner.version.read().imm.first().cloned();
-        match imm {
-            Some(imm) => {
-                if stop && !drain {
-                    return; // crash-style stop: the WAL covers the rest
-                }
-                match inner.flush_imm(&imm) {
-                    Ok(()) => {
-                        inner.notify_done();
-                        if inner.version.read().l0.len() >= inner.opts.l0_compaction_trigger {
-                            inner.request_compaction();
-                        }
-                    }
-                    Err(e) => {
-                        inner.set_bg_error(e);
-                        inner.notify_done();
-                        if stop {
-                            return; // don't spin during shutdown
-                        }
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                }
-            }
-            None => {
-                let mut w = inner.work.lock();
-                if w.stop {
-                    return;
-                }
-                // Re-check under the lock: rotation notifies while
-                // holding it, so a new imm cannot slip past us.
-                if inner.version.read().imm.is_empty() {
-                    w.wait_for(&inner.work_cv, Duration::from_millis(100));
-                }
-            }
-        }
-    }
-}
-
-/// Background compaction thread: runs when requested (L0 trigger or
-/// explicit) and keeps L0 from growing unboundedly.
-fn compactor_loop(inner: &DbInner) {
-    loop {
-        let requested = {
+        let (imm, stop) = {
             let mut w = inner.work.lock();
-            if w.stop {
-                return;
+            loop {
+                // Looked at with `work` held: rotation notifies
+                // `work_cv` holding it, so a new imm cannot slip
+                // between this look and the sleep.
+                let imm = inner.version.read().imm.first().cloned();
+                match imm {
+                    Some(imm) if !w.stop || w.drain => break (imm, w.stop),
+                    // Nothing to do, or a crash-style stop: the WAL
+                    // covers what is still frozen.
+                    _ if w.stop => return,
+                    _ => w.wait(&inner.work_cv),
+                }
             }
-            if !w.compact_requested {
-                w.wait_for(&inner.work_cv, Duration::from_millis(100));
-            }
-            if w.stop {
-                return;
-            }
-            std::mem::take(&mut w.compact_requested)
         };
-        let need =
-            requested || inner.version.read().l0.len() >= inner.opts.l0_compaction_trigger;
-        if need {
-            if let Err(e) = inner.compact_once() {
-                inner.set_bg_error(e);
+        match inner.flush_imm(&imm) {
+            Ok(()) => {
                 inner.notify_done();
+                if inner.version.read().l0.len() >= inner.opts.l0_compaction_trigger {
+                    inner.request_compaction();
+                }
+            }
+            Err(e) => {
+                inner.set_bg_error(e);
+                if stop {
+                    return; // don't spin during shutdown
+                }
                 std::thread::sleep(Duration::from_millis(10));
             }
         }
     }
 }
 
+/// Background compaction thread: runs when requested (a stalled
+/// writer, an explicit nudge) or when L0 reaches the trigger, and
+/// keeps L0 from growing unboundedly.
+fn compactor_loop(inner: &DbInner) {
+    loop {
+        {
+            let mut w = inner.work.lock();
+            // L0 only grows by a flush, and the flusher requests a
+            // compaction (notifying with `work` held) once it is at
+            // the trigger — no growth can slip past this wait.
+            while !w.stop
+                && !w.compact_requested
+                && inner.version.read().l0.len() < inner.opts.l0_compaction_trigger
+            {
+                w.wait(&inner.work_cv);
+            }
+            if w.stop {
+                return;
+            }
+            w.compact_requested = false;
+        }
+        if let Err(e) = inner.compact_once() {
+            inner.set_bg_error(e);
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+}
+
 fn table_name(id: u64) -> String {
     format!("sst-{id:012}.sst")
+}
+
+/// Schedule-exploration model (see `gkfs_common::model`) of the one
+/// hand-off this module runs without a timeout: a writer rotating
+/// against a full frozen-memtable backlog ([`DbInner::wait_bg`] then
+/// [`DbInner::install`]) ↔ the flusher retiring memtables and going
+/// idle ↔ a stop. One step per shared-memory access; both condvars'
+/// wake-ups are modelled explicitly (a sleeper runs again only once a
+/// notify has named it), so a notify that lands between a predicate
+/// check and the sleep it guards shows up as a deadlock.
+#[cfg(test)]
+mod model {
+    use gkfs_common::model::{Explorer, Model, Step};
+
+    /// `max_imm_memtables`.
+    const MAX_IMM: usize = 1;
+    const FLUSHER: usize = 99;
+
+    #[derive(Default)]
+    struct S {
+        /// The `work` mutex.
+        locked: bool,
+        /// `version.imm.len()`; every look at it is its own step.
+        imm: usize,
+        stop: bool,
+        /// Threads asleep on `done_cv` / `work_cv`, and those a notify
+        /// has reached.
+        done_sleepers: Vec<usize>,
+        work_sleepers: Vec<usize>,
+        woken: Vec<usize>,
+        rotated: usize,
+        flushed: usize,
+    }
+
+    type Thread = Box<dyn FnMut(&mut S) -> Step>;
+
+    fn notify_all(s: &mut S, done_cv: bool) {
+        let sleepers = if done_cv { &mut s.done_sleepers } else { &mut s.work_sleepers };
+        let reached = std::mem::take(sleepers);
+        s.woken.extend(reached);
+    }
+
+    fn lock(s: &mut S) -> bool {
+        !std::mem::replace(&mut s.locked, true)
+    }
+
+    /// A sleeper's two halves after `Condvar::wait` released the lock:
+    /// stay blocked until a notify names `id`, then retake the lock.
+    fn wake(s: &mut S, id: usize) -> bool {
+        match s.woken.iter().position(|&w| w == id) {
+            Some(pos) => {
+                s.woken.remove(pos);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// `rotate`: `wait_bg(Flusher, imm < MAX_IMM)`, `install` the
+    /// frozen memtable, notify `work_cv` with `work` held.
+    fn writer(id: usize) -> Thread {
+        let mut step = 0u8;
+        Box::new(move |s| {
+            match step {
+                // wait_bg: lock `work`; retaken after a wake-up too.
+                0 | 4 => {
+                    if !lock(s) {
+                        return Step::Blocked;
+                    }
+                    step = 1;
+                }
+                // The predicate, looked at with `work` held.
+                1 => {
+                    if s.imm < MAX_IMM {
+                        s.locked = false;
+                        step = 5;
+                    } else if s.stop {
+                        s.locked = false;
+                        step = 2;
+                    } else {
+                        step = 3;
+                    }
+                }
+                // Stopped: drain inline.
+                2 => {
+                    s.flushed += std::mem::take(&mut s.imm);
+                    step = 5;
+                }
+                // Nudge the flusher, then sleep on `done_cv` — the
+                // wait releases `work` atomically with going to sleep.
+                3 => {
+                    notify_all(s, false);
+                    s.done_sleepers.push(id);
+                    s.locked = false;
+                    step = 10;
+                }
+                10 => {
+                    if !wake(s, id) {
+                        return Step::Blocked;
+                    }
+                    step = 4;
+                }
+                // install: the version write lock makes this one step.
+                5 => {
+                    s.imm += 1;
+                    step = 6;
+                }
+                // Tell the flusher, holding `work` (lock, notify and
+                // unlock touch nothing else: one step).
+                6 => {
+                    if s.locked {
+                        return Step::Blocked;
+                    }
+                    notify_all(s, false);
+                    s.rotated += 1;
+                    step = 7;
+                }
+                _ => return Step::Done,
+            }
+            Step::Ran
+        })
+    }
+
+    /// `flusher_loop` with `drain` set. `locked_notify = false` is the
+    /// tempting-but-wrong `notify_done` that skips taking `work`.
+    fn flusher(locked_notify: bool) -> Thread {
+        let mut step = 0u8;
+        Box::new(move |s| {
+            match step {
+                0 | 6 => {
+                    if !lock(s) {
+                        return Step::Blocked;
+                    }
+                    step = 1;
+                }
+                // Look at the queue with `work` held: flush, exit, or
+                // sleep on `work_cv` (releasing `work` atomically).
+                1 => {
+                    s.locked = false;
+                    if s.imm > 0 {
+                        step = 2;
+                    } else if s.stop {
+                        step = 9;
+                    } else {
+                        s.locked = true;
+                        step = 5;
+                    }
+                }
+                5 => {
+                    s.work_sleepers.push(FLUSHER);
+                    s.locked = false;
+                    step = 10;
+                }
+                10 => {
+                    if !wake(s, FLUSHER) {
+                        return Step::Blocked;
+                    }
+                    step = 6;
+                }
+                // flush_imm's install.
+                2 => {
+                    s.imm -= 1;
+                    s.flushed += 1;
+                    step = 3;
+                }
+                // notify_done: with `work` held, or not caring.
+                3 => {
+                    if locked_notify && s.locked {
+                        return Step::Blocked;
+                    }
+                    notify_all(s, true);
+                    step = 0;
+                }
+                _ => return Step::Done,
+            }
+            Step::Ran
+        })
+    }
+
+    /// `shutdown`'s stop, once `writers` rotations have returned (what
+    /// a caller's own sequencing gives, and what turns a lost wake-up
+    /// into a visible deadlock): set `stop` and notify both condvars
+    /// with `work` held.
+    fn stopper(writers: usize) -> Thread {
+        let mut step = 0u8;
+        Box::new(move |s| {
+            match step {
+                0 => {
+                    if s.rotated < writers || s.locked {
+                        return Step::Blocked;
+                    }
+                    s.stop = true;
+                    notify_all(s, false);
+                    notify_all(s, true);
+                    step = 1;
+                }
+                _ => return Step::Done,
+            }
+            Step::Ran
+        })
+    }
+
+    /// `writers` rotations, the flusher and a stop, with the backlog
+    /// already full (a rotation that won the race before this window
+    /// opens) — so the first writer to look must stall.
+    fn handoff(writers: usize, locked_notify: bool) -> Model<S> {
+        let mut threads: Vec<Thread> = (0..writers).map(writer).collect();
+        threads.push(flusher(locked_notify));
+        threads.push(stopper(writers));
+        Model {
+            state: S { imm: MAX_IMM, ..S::default() },
+            threads,
+            check: Box::new(move |s| {
+                assert!(!s.locked, "`work` leaked");
+                assert_eq!(s.rotated, writers, "a rotation did not return");
+                assert_eq!((s.imm, s.flushed), (0, MAX_IMM + writers), "a draining stop flushes all");
+                assert!(s.done_sleepers.is_empty() && s.work_sleepers.is_empty());
+            }),
+        }
+    }
+
+    #[test]
+    fn rotation_handoff_needs_no_timeout() {
+        let stats = Explorer::new().explore("kv-handoff", || handoff(1, true));
+        assert!(stats.schedules > 100, "{stats:?}: exploration must branch");
+        eprintln!("kv-handoff: {stats:?}");
+    }
+
+    #[test]
+    fn model_catches_a_notify_outside_work() {
+        // The flusher retires the memtable and notifies between a
+        // stalled writer's look at the backlog and its sleep: nobody is
+        // asleep yet, the wake-up is lost, the writer sleeps for good.
+        let r = std::panic::catch_unwind(|| {
+            Explorer::new().explore("kv-handoff-unlocked-notify", || handoff(1, false))
+        });
+        assert!(r.is_err(), "a notify that skips `work` must deadlock the model");
+    }
 }
 
 #[cfg(test)]
@@ -1642,6 +1664,17 @@ mod tests {
         let entries = db.scan_prefix(b"/dir/").unwrap();
         let keys: Vec<&[u8]> = entries.iter().map(|(k, _)| k.as_slice()).collect();
         assert_eq!(keys, vec![&b"/dir/b"[..], b"/dir/c"]);
+        // The prefix bounds the walk on both sides, in every source:
+        // a table and the memtable each hold keys before and after it.
+        db.put(b"/dir", b"the directory itself").unwrap();
+        db.put(b"/dis", b"sorts after every /dir/ key").unwrap();
+        db.flush().unwrap();
+        db.put(b"/dir.", b"sorts before").unwrap();
+        db.put(b"/dir0", b"sorts after").unwrap();
+        assert_eq!(db.scan_prefix(b"/dir/").unwrap(), entries);
+        assert_eq!(db.scan_prefix(b"/dir").unwrap().len(), 5);
+        assert!(db.scan_prefix(b"/zzz").unwrap().is_empty());
+        assert_eq!(db.scan_prefix(b"").unwrap().len(), db.len().unwrap());
     }
 
     #[test]
@@ -1835,28 +1868,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_bounds() {
-        let db = Db::open_memory(small_opts()).unwrap();
-        for i in 0..50 {
-            db.put(format!("/r/{i:02}").as_bytes(), b"v").unwrap();
-        }
-        db.flush().unwrap();
-        db.delete(b"/r/25").unwrap(); // tombstone inside the range
-        let hits = db.scan_range(b"/r/20", Some(b"/r/30")).unwrap();
-        let keys: Vec<String> = hits
-            .iter()
-            .map(|(k, _)| String::from_utf8(k.clone()).unwrap())
-            .collect();
-        assert_eq!(keys.len(), 9, "20..30 minus the deleted 25: {keys:?}");
-        assert_eq!(keys.first().unwrap(), "/r/20");
-        assert_eq!(keys.last().unwrap(), "/r/29");
-        // Unbounded end.
-        assert_eq!(db.scan_range(b"/r/45", None).unwrap().len(), 5);
-        // Empty range.
-        assert!(db.scan_range(b"/zzz", None).unwrap().is_empty());
-    }
-
-    #[test]
     fn put_if_absent_is_exclusive() {
         let db = Db::open_memory(small_opts()).unwrap();
         assert!(db.put_if_absent(b"/x", b"first").unwrap());
@@ -1888,23 +1899,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_summary_mentions_activity() {
-        let db = Db::open_memory(small_opts()).unwrap();
-        for i in 0..100 {
-            db.put(format!("/s{i}").as_bytes(), b"v").unwrap();
-        }
-        db.flush().unwrap();
-        let _ = db.get(b"/s5").unwrap();
-        let dump = db.stats_summary();
-        assert!(dump.contains("puts=100"), "{dump}");
-        assert!(dump.contains("gets=1"), "{dump}");
-        assert!(dump.contains("flushes="), "{dump}");
-        assert!(dump.contains("L0="), "{dump}");
-        assert!(dump.contains("stalls="), "{dump}");
-        assert!(dump.contains("group_commit"), "{dump}");
-    }
-
-    #[test]
     fn bloom_filters_skip_absent_keys() {
         let db = Db::open_memory(small_opts()).unwrap();
         for i in 0..200 {
@@ -1920,6 +1914,27 @@ mod tests {
         );
     }
 
+    /// One probe per table: a lookup that every bloom filter rules out
+    /// skips each table of the version exactly once.
+    #[test]
+    fn absent_key_skips_each_table_once() {
+        let db = Db::open_memory(DbOptions { l0_compaction_trigger: 100, ..small_opts() }).unwrap();
+        db.put(b"/run/a", b"v").unwrap();
+        db.compact().unwrap(); // one table in L1
+        for i in 0..3 {
+            db.put(format!("/l0/{i}").as_bytes(), b"v").unwrap();
+            db.flush().unwrap(); // three more in L0
+        }
+        assert_eq!(db.level_shape(), (0, 0, 3, 1));
+        let skips = || db.stats().bloom_skips.load(Ordering::Relaxed);
+        let before = skips();
+        assert!(db.get(b"/nowhere").unwrap().is_none());
+        assert_eq!(skips() - before, 4);
+        // A present key skips the tables above it and stops at its own.
+        assert!(db.get(b"/l0/0").unwrap().is_some());
+        assert_eq!(skips() - before, 4 + 2);
+    }
+
     /// Blob store wrapper that slows down chosen operations and counts
     /// log calls — lets tests hold a background flush "on disk" while
     /// asserting foreground behavior.
@@ -1928,6 +1943,8 @@ mod tests {
         table_delay: Duration,
         log_delay: Duration,
         syncs: AtomicU64,
+        /// How many of the next `sync_log` calls fail.
+        fail_syncs: AtomicU64,
     }
 
     impl SlowStore {
@@ -1937,6 +1954,7 @@ mod tests {
                 table_delay,
                 log_delay,
                 syncs: AtomicU64::new(0),
+                fail_syncs: AtomicU64::new(0),
             }
         }
     }
@@ -1962,6 +1980,10 @@ mod tests {
         }
         fn sync_log(&self) -> Result<()> {
             self.syncs.fetch_add(1, Ordering::Relaxed);
+            let failing = |n: u64| n.checked_sub(1);
+            if self.fail_syncs.fetch_update(Ordering::Relaxed, Ordering::Relaxed, failing).is_ok() {
+                return Err(GkfsError::Io("injected sync failure".into()));
+            }
             self.inner.sync_log()
         }
         fn rotate_log(&self) -> Result<u64> {
@@ -2050,12 +2072,17 @@ mod tests {
         for i in 0..300 {
             db.put(format!("/s/{i:04}").as_bytes(), &[7u8; 32]).unwrap();
         }
-        db.flush().unwrap();
+        // Read before the flush below: only writers held up count.
         let s = db.stats();
-        assert!(
-            s.stalls.load(Ordering::Relaxed) + s.slowdowns.load(Ordering::Relaxed) > 0,
-            "tiny memtable + slow store must trip backpressure"
-        );
+        let (stalls, micros) = (s.stalls.load(Ordering::Relaxed), s.stall_micros.load(Ordering::Relaxed));
+        assert!(stalls > 0 && micros > 0, "tiny memtable + slow store must trip backpressure");
+        db.flush().unwrap();
+        // With the backlog drained, a flush's own wait (one table on
+        // the slow store) is not back-pressure.
+        db.put(b"/s/0000", &[7u8; 32]).unwrap();
+        let stalls = s.stalls.load(Ordering::Relaxed);
+        db.flush().unwrap();
+        assert_eq!(s.stalls.load(Ordering::Relaxed), stalls, "an explicit flush is not a stall");
         assert_eq!(db.len().unwrap(), 300);
         for i in (0..300).step_by(37) {
             assert_eq!(
@@ -2297,15 +2324,36 @@ mod tests {
         assert!(store2.syncs.load(Ordering::Relaxed) >= 1);
     }
 
+    /// A record that reached the log before its fsync failed is in the
+    /// log once: the failed committer sees the error, no later leader
+    /// appends the frame again, and the next sync commit succeeds.
+    #[test]
+    fn failed_sync_does_not_log_twice() {
+        let store = Arc::new(SlowStore::new(Duration::ZERO, Duration::ZERO));
+        let db = Db::open(store.clone(), DbOptions { wal: true, ..DbOptions::default() }).unwrap();
+        let synced = |key: &[u8]| {
+            let mut b = WriteBatch::new();
+            b.put(key, b"v").sync(true);
+            db.write(b)
+        };
+        store.fail_syncs.store(1, Ordering::Relaxed);
+        assert!(synced(b"/first").is_err(), "the committer that wanted the fsync gets its error");
+        synced(b"/second").unwrap();
+        assert_eq!(store.syncs.load(Ordering::Relaxed), 2);
+        let seqs: Vec<u64> =
+            replay(&store.read_logs().unwrap()).unwrap().iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(seqs, [1, 2], "each record logged exactly once, in order");
+    }
+
     /// The conditional insert resolves existence through every level,
-    /// tombstones included, from tags alone.
+    /// tombstones included.
     #[test]
     fn put_if_absent_tracks_existence_through_levels() {
         let db = Db::open_memory(small_opts()).unwrap();
         db.put(b"/big", &[9u8; 2000]).unwrap();
         assert!(!db.put_if_absent(b"/big", b"x").unwrap());
         db.flush().unwrap();
-        assert!(!db.put_if_absent(b"/big", b"x").unwrap(), "existence from table tags");
+        assert!(!db.put_if_absent(b"/big", b"x").unwrap(), "existence from a table");
         assert_eq!(db.get(b"/big").unwrap().unwrap().len(), 2000, "a refused insert writes nothing");
         assert!(db.put_if_absent(b"/absent", b"a").unwrap());
         db.delete(b"/big").unwrap();

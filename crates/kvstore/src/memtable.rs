@@ -99,31 +99,19 @@ impl MemTable {
         self.map.get(key)
     }
 
-    /// Iterate entries with keys in `[start, end)` in key order.
-    pub fn range<'a>(
+    /// Iterate entries with `key >= start` in key order.
+    pub fn range_from<'a>(
         &'a self,
         start: &[u8],
-        end: Option<&[u8]>,
     ) -> impl Iterator<Item = (&'a [u8], &'a Value)> + 'a {
-        let lower = Bound::Included(start.to_vec());
-        let upper = match end {
-            Some(e) => Bound::Excluded(e.to_vec()),
-            None => Bound::Unbounded,
-        };
         self.map
-            .range((lower, upper))
+            .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
             .map(|(k, v)| (k.as_slice(), v))
     }
 
     /// Iterate everything in key order (flush path).
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], &Value)> {
         self.map.iter().map(|(k, v)| (k.as_slice(), v))
-    }
-
-    /// Reset to empty, returning the old contents (flush path).
-    pub fn take(&mut self) -> BTreeMap<Vec<u8>, Value> {
-        self.approx_bytes = 0;
-        std::mem::take(&mut self.map)
     }
 }
 
@@ -190,26 +178,15 @@ mod tests {
     }
 
     #[test]
-    fn range_scan_ordered_and_bounded() {
+    fn range_scan_ordered_from_its_start() {
         let mut m = MemTable::new();
-        for k in ["/a/1", "/a/2", "/b/1", "/a/3"] {
+        for k in ["/a/1", "/a/2", "/b/1", "/a/3", "/0"] {
             m.put(k.as_bytes(), b"v");
         }
-        let keys: Vec<&[u8]> = m.range(b"/a/", Some(b"/a0")).map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![&b"/a/1"[..], b"/a/2", b"/a/3"]);
-        let all: Vec<&[u8]> = m.range(b"", None).map(|(k, _)| k).collect();
-        assert_eq!(all.len(), 4);
+        let keys: Vec<&[u8]> = m.range_from(b"/a/").map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![&b"/a/1"[..], b"/a/2", b"/a/3", b"/b/1"]);
+        let all: Vec<&[u8]> = m.range_from(b"").map(|(k, _)| k).collect();
+        assert_eq!(all.len(), 5);
         assert!(all.windows(2).all(|w| w[0] < w[1]), "sorted order");
-    }
-
-    #[test]
-    fn take_resets() {
-        let mut m = MemTable::new();
-        m.put(b"a", b"1");
-        assert!(m.approx_bytes() > 0);
-        let drained = m.take();
-        assert_eq!(drained.len(), 1);
-        assert!(m.is_empty());
-        assert_eq!(m.approx_bytes(), 0);
     }
 }

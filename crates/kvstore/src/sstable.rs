@@ -157,6 +157,23 @@ struct IndexEntry {
     crc: u32,
 }
 
+/// `blob[off..off + len]`, for an extent read from the blob itself: a
+/// damaged footer or index entry is `Corruption`, not a panic.
+fn extent(blob: &[u8], off: u64, len: u64) -> Result<&[u8]> {
+    let end = off.checked_add(len).and_then(|end| usize::try_from(end).ok());
+    end.and_then(|end| blob.get(off as usize..end))
+        .ok_or_else(|| GkfsError::Corruption("sstable extent out of range".into()))
+}
+
+/// Decode one `(tag, key, value)` entry of a data block.
+fn entry<'a>(d: &mut Decoder<'a>) -> Result<(Tag, &'a [u8], &'a [u8])> {
+    let tag = Tag::from_u8(d.u8()?)?;
+    let klen = d.varint()? as usize;
+    let k = d.raw(klen)?;
+    let vlen = d.varint()? as usize;
+    Ok((tag, k, d.raw(vlen)?))
+}
+
 /// Read-side handle over one SSTable blob.
 pub struct Table {
     blob: Arc<Vec<u8>>,
@@ -172,18 +189,13 @@ impl Table {
             return Err(GkfsError::Corruption("sstable too short".into()));
         }
         let mut f = Decoder::new(&blob[blob.len() - FOOTER_LEN..]);
-        let index_off = f.u64()? as usize;
-        let index_len = f.u64()? as usize;
-        let bloom_off = f.u64()? as usize;
-        let bloom_len = f.u64()? as usize;
+        let index_bytes = extent(&blob, f.u64()?, f.u64()?)?;
+        let bloom_bytes = extent(&blob, f.u64()?, f.u64()?)?;
         let count = f.u32()?;
         if f.u64()? != MAGIC {
             return Err(GkfsError::Corruption("bad sstable magic".into()));
         }
-        if index_off + index_len > blob.len() || bloom_off + bloom_len > blob.len() {
-            return Err(GkfsError::Corruption("sstable extents out of range".into()));
-        }
-        let mut idx = Decoder::new(&blob[index_off..index_off + index_len]);
+        let mut idx = Decoder::new(index_bytes);
         let n = idx.u32()? as usize;
         // An index entry takes ≥ 20 payload bytes (key prefix + u64 +
         // 2×u32); a count the block cannot hold is corruption.
@@ -200,7 +212,12 @@ impl Table {
             });
         }
         idx.finish()?;
-        let bloom = BloomFilter::decode(&blob[bloom_off..bloom_off + bloom_len])?;
+        // The builder never seals an empty block, and an empty extent
+        // is the one forgery its own checksum (0) would vouch for.
+        if index.iter().any(|e| e.len == 0) {
+            return Err(GkfsError::Corruption("empty sstable block".into()));
+        }
+        let bloom = BloomFilter::decode(bloom_bytes)?;
         Ok(Table {
             blob,
             index,
@@ -219,24 +236,15 @@ impl Table {
         self.count == 0
     }
 
-    /// First key in the table (None if empty).
-    pub fn first_key(&self) -> Option<&[u8]> {
-        self.index.first().map(|e| e.first_key.as_slice())
-    }
-
-    /// Does the bloom filter admit this key? (Exposed for stats/bench.)
+    /// Does the bloom filter admit this key? A point lookup asks this
+    /// first and calls [`Table::get`] only on a yes.
     pub fn may_contain(&self, key: &[u8]) -> bool {
         self.bloom.may_contain(key)
     }
 
     fn block(&self, i: usize) -> Result<&[u8]> {
         let e = &self.index[i];
-        let start = e.offset as usize;
-        let end = start + e.len as usize;
-        if end > self.blob.len() {
-            return Err(GkfsError::Corruption("block extent out of range".into()));
-        }
-        let block = &self.blob[start..end];
+        let block = extent(&self.blob, e.offset, e.len as u64)?;
         if crc32(block) != e.crc {
             return Err(GkfsError::Corruption(format!("block {i} checksum mismatch")));
         }
@@ -262,53 +270,21 @@ impl Table {
         Some(lo)
     }
 
-    /// Point lookup: `Ok(None)` if the key is not in this table,
-    /// `Ok(Some((tag, value)))` if present (tag may be a tombstone).
-    pub fn get(&self, key: &[u8]) -> Result<Option<(Tag, Vec<u8>)>> {
-        if !self.bloom.may_contain(key) {
-            return Ok(None);
-        }
+    /// Point lookup in the one block that could hold `key`: `Ok(None)`
+    /// if the key is not in this table, `Ok(Some((tag, value)))` if
+    /// present (the tag may be a tombstone; the value borrows from the
+    /// block). The bloom filter is the caller's to ask
+    /// ([`Table::may_contain`]) — it never changes the answer.
+    pub fn get(&self, key: &[u8]) -> Result<Option<(Tag, &[u8])>> {
         let Some(bi) = self.block_for(key) else {
             return Ok(None);
         };
-        let block = self.block(bi)?;
-        let mut d = Decoder::new(block);
+        let mut d = Decoder::new(self.block(bi)?);
         while d.remaining() > 0 {
-            let tag = Tag::from_u8(d.u8()?)?;
-            let klen = d.varint()? as usize;
-            let k = d.raw(klen)?;
-            let vlen = d.varint()? as usize;
-            let v = d.raw(vlen)?;
+            let (tag, k, v) = entry(&mut d)?;
             match k.cmp(key) {
                 std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => return Ok(Some((tag, v.to_vec()))),
-                std::cmp::Ordering::Greater => return Ok(None),
-            }
-        }
-        Ok(None)
-    }
-
-    /// Existence probe: like [`Table::get`] but returns only the
-    /// entry's tag, never copying the value out of the block — the
-    /// daemon's create-path existence check doesn't need the bytes.
-    pub fn tag_of(&self, key: &[u8]) -> Result<Option<Tag>> {
-        if !self.bloom.may_contain(key) {
-            return Ok(None);
-        }
-        let Some(bi) = self.block_for(key) else {
-            return Ok(None);
-        };
-        let block = self.block(bi)?;
-        let mut d = Decoder::new(block);
-        while d.remaining() > 0 {
-            let tag = Tag::from_u8(d.u8()?)?;
-            let klen = d.varint()? as usize;
-            let k = d.raw(klen)?;
-            let vlen = d.varint()? as usize;
-            d.raw(vlen)?; // skip the value bytes in place
-            match k.cmp(key) {
-                std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => return Ok(Some(tag)),
+                std::cmp::Ordering::Equal => return Ok(Some((tag, v))),
                 std::cmp::Ordering::Greater => return Ok(None),
             }
         }
@@ -344,7 +320,7 @@ pub struct TableIter<'a> {
 }
 
 impl<'a> Iterator for TableIter<'a> {
-    type Item = Result<(Tag, Vec<u8>, Vec<u8>)>;
+    type Item = Result<(Tag, &'a [u8], &'a [u8])>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
@@ -366,17 +342,9 @@ impl<'a> Iterator for TableIter<'a> {
                 self.block_idx += 1;
                 continue;
             }
-            let parse = (|| {
-                let tag = Tag::from_u8(d.u8()?)?;
-                let klen = d.varint()? as usize;
-                let k = d.raw(klen)?.to_vec();
-                let vlen = d.varint()? as usize;
-                let v = d.raw(vlen)?.to_vec();
-                Ok::<_, GkfsError>((tag, k, v))
-            })();
-            match parse {
+            match entry(d) {
                 Ok((tag, k, v)) => {
-                    if self.skipping && k.as_slice() < self.start.as_slice() {
+                    if self.skipping && k < self.start.as_slice() {
                         continue;
                     }
                     self.skipping = false;
@@ -424,22 +392,6 @@ mod tests {
         assert!(t.get(b"/files/99999999").unwrap().is_none());
         assert!(t.get(b"/absent").unwrap().is_none());
         assert!(t.get(b"").unwrap().is_none());
-    }
-
-    #[test]
-    fn tag_of_matches_get_without_value() {
-        let t = build_table(1000);
-        assert_eq!(t.tag_of(b"/files/00000005").unwrap(), Some(Tag::Put));
-        assert_eq!(t.tag_of(b"/files/00000003").unwrap(), Some(Tag::Delete));
-        assert_eq!(t.tag_of(b"/files/99999999").unwrap(), None);
-        assert_eq!(t.tag_of(b"/absent").unwrap(), None);
-        assert_eq!(t.tag_of(b"").unwrap(), None);
-        // Agrees with get() across the whole key range.
-        for i in (0..1000).step_by(37) {
-            let key = format!("/files/{i:08}");
-            let expect = t.get(key.as_bytes()).unwrap().map(|(tag, _)| tag);
-            assert_eq!(t.tag_of(key.as_bytes()).unwrap(), expect);
-        }
     }
 
     #[test]

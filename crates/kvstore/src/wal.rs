@@ -114,9 +114,10 @@ impl WalRecord {
             },
             TAG_BATCH if allow_batch => {
                 let n = d.u32()? as usize;
-                // Every record is at least a 1-byte tag; a batch count
-                // past the record's remaining bytes is torn or corrupt.
-                if n > d.remaining() {
+                // Every record is at least a tag and one length prefix
+                // (5 bytes); a batch count the record's remaining bytes
+                // cannot hold is torn or corrupt.
+                if n > d.remaining() / 5 {
                     return Err(GkfsError::Corruption("WAL batch count exceeds record".into()));
                 }
                 let mut records = Vec::with_capacity(n);

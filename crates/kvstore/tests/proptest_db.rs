@@ -7,10 +7,11 @@
 //! tombstones shadowing table entries, merges resolving against
 //! flushed bases, compaction dropping the right records.
 
-use gkfs_kvstore::{Add64MergeOperator, BlobStore, Db, DbOptions};
+use gkfs_common::Result;
+use gkfs_kvstore::{Add64MergeOperator, BlobStore, Db, DbOptions, MemBlobStore};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -47,8 +48,156 @@ fn opts() -> DbOptions {
     }
 }
 
+/// A store whose table writes wait while the gate is held: the
+/// flusher parks inside `put_blob`, so frozen memtables stay frozen
+/// (and readable) for as long as a test wants to look at them.
+#[derive(Default)]
+struct GateStore {
+    inner: MemBlobStore,
+    held: Mutex<bool>,
+    released: Condvar,
+}
+
+impl GateStore {
+    fn hold(&self, held: bool) {
+        *self.held.lock().unwrap() = held;
+        self.released.notify_all();
+    }
+}
+
+/// Opens the gate when dropped. Declared after a `Db`, it runs before
+/// that `Db`'s drop joins a flusher parked at the gate — so a failed
+/// assertion fails the case instead of hanging it.
+struct OpenOnDrop(Arc<GateStore>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.hold(false);
+    }
+}
+
+impl BlobStore for GateStore {
+    fn put_blob(&self, name: &str, data: &[u8]) -> Result<()> {
+        if name.starts_with("sst-") {
+            let held = self.held.lock().unwrap();
+            drop(self.released.wait_while(held, |held| *held).unwrap());
+        }
+        self.inner.put_blob(name, data)
+    }
+    fn get_blob(&self, name: &str) -> Result<Arc<Vec<u8>>> {
+        self.inner.get_blob(name)
+    }
+    fn delete_blob(&self, name: &str) -> Result<()> {
+        self.inner.delete_blob(name)
+    }
+    fn append_log(&self, data: &[u8]) -> Result<()> {
+        self.inner.append_log(data)
+    }
+    fn sync_log(&self) -> Result<()> {
+        self.inner.sync_log()
+    }
+    fn rotate_log(&self) -> Result<u64> {
+        self.inner.rotate_log()
+    }
+    fn read_logs(&self) -> Result<Vec<u8>> {
+        self.inner.read_logs()
+    }
+    fn drop_logs_through(&self, id: u64) -> Result<()> {
+        self.inner.drop_logs_through(id)
+    }
+    fn reset_log(&self) -> Result<()> {
+        self.inner.reset_log()
+    }
+    fn list_blobs(&self) -> Result<Vec<String>> {
+        self.inner.list_blobs()
+    }
+}
+
+/// The states the one walk must get right, built on purpose before
+/// the random steps take over (`true` = hold the flusher's gate):
+/// key 0 a tombstone in L0 over a put in L1, key 1 a merge in the
+/// memtable over a tombstone in L0, key 2 a merge with no base
+/// anywhere, key 3 (and its fillers) present only in frozen memtables.
+fn prologue() -> Vec<(Op, bool)> {
+    let mut steps = vec![
+        (Op::Put(0, 7), false),
+        (Op::Put(1, 9), false),
+        (Op::Compact, false),
+        (Op::Delete(0), false),
+        (Op::Delete(1), false),
+        (Op::Flush, false),
+        (Op::MergeAdd(1, 4), false),
+        (Op::MergeAdd(2, 5), false),
+        (Op::Put(3, 1), true),
+    ];
+    steps.extend((4..12).map(|k| (Op::Put(k, k), true)));
+    steps
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// `get`, `scan_prefix` and `len` are three readings of one walk
+    /// over a version's sources: after every step they must agree with
+    /// each other and with the model, for every key ever written —
+    /// whichever of the active memtable, a frozen one, L0 or L1 holds
+    /// the key's newest entry.
+    #[test]
+    fn every_reading_agrees_at_every_step(
+        steps in prop::collection::vec((op_strategy(), any::<bool>()), 1..60),
+    ) {
+        let store = Arc::new(GateStore::default());
+        let walk_opts = DbOptions {
+            memtable_bytes: 256, // a rotation every few writes
+            max_imm_memtables: usize::MAX, // frozen memtables may pile up behind the gate
+            ..opts()
+        };
+        let mut db = Db::open(store.clone(), walk_opts.clone()).unwrap();
+        let _open = OpenOnDrop(store.clone());
+        let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        let mut frozen_seen = 0;
+
+        for (op, hold) in prologue().into_iter().chain(steps) {
+            // Waiting on the flusher, or joining it, needs the gate open.
+            let waits = matches!(op, Op::Flush | Op::Compact | Op::Reopen);
+            store.hold(hold && !waits);
+            match op {
+                Op::Put(k, v) => {
+                    db.put(&key(k), &(v as u64).to_le_bytes()).unwrap();
+                    model.insert(key(k), v as u64);
+                }
+                Op::Delete(k) => {
+                    db.delete(&key(k)).unwrap();
+                    model.remove(&key(k));
+                }
+                Op::MergeAdd(k, v) => {
+                    db.merge(&key(k), &(v as u64).to_le_bytes()).unwrap();
+                    *model.entry(key(k)).or_insert(0) += v as u64;
+                }
+                Op::Flush => db.flush().unwrap(),
+                Op::Compact => db.compact().unwrap(),
+                Op::Reopen => {
+                    drop(db);
+                    db = Db::open(store.clone(), walk_opts.clone()).unwrap();
+                }
+            }
+            frozen_seen += db.level_shape().1;
+            for k in 0..24 {
+                let got = db.get(&key(k)).unwrap()
+                    .map(|v| u64::from_le_bytes(v.try_into().unwrap()));
+                prop_assert_eq!(got, model.get(&key(k)).copied(), "get {} after {:?}", k, op);
+            }
+            let scanned: BTreeMap<Vec<u8>, u64> = db
+                .scan_prefix(b"")
+                .unwrap()
+                .into_iter()
+                .map(|(k, v)| (k, u64::from_le_bytes(v.try_into().unwrap())))
+                .collect();
+            prop_assert_eq!(&scanned, &model, "scan after {:?}", op);
+            prop_assert_eq!(db.len().unwrap(), model.len(), "len after {:?}", op);
+        }
+        prop_assert!(frozen_seen > 0, "the prologue must leave frozen memtables to read");
+    }
 
     #[test]
     fn db_matches_reference_model(ops in prop::collection::vec(op_strategy(), 1..120)) {

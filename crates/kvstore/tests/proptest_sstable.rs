@@ -50,12 +50,12 @@ proptest! {
         // Every stored key resolves with the right tag and value.
         for (k, (tag, v)) in &entries {
             let got = table.get(k).unwrap();
-            prop_assert_eq!(got, Some((*tag, v.clone())), "key {:?}", k);
+            prop_assert_eq!(got, Some((*tag, v.as_slice())), "key {:?}", k);
         }
         // Probes (present or not) agree with the reference.
         for p in &probes {
             let got = table.get(p.as_bytes()).unwrap();
-            let expect = entries.get(p.as_bytes()).cloned();
+            let expect = entries.get(p.as_bytes()).map(|(tag, v)| (*tag, v.as_slice()));
             prop_assert_eq!(got, expect, "probe {:?}", p);
         }
     }
@@ -72,7 +72,7 @@ proptest! {
         let table = build(&entries);
         let got: Vec<Vec<u8>> = table
             .iter_from(start.as_bytes())
-            .map(|r| r.unwrap().1)
+            .map(|r| r.unwrap().1.to_vec())
             .collect();
         let expect: Vec<Vec<u8>> = entries
             .range(start.clone().into_bytes()..)

@@ -31,12 +31,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> schedule models, release (taskpool protocol, tcp leader/follower, fd-cache double-open)"
+echo "==> schedule models, release (taskpool protocol, tcp leader/follower, fd-cache double-open, kvstore rotation hand-off)"
 # The loom-style explorers (gkfs_common::model) run every interleaving
 # their preemption bound admits; release mode keeps the exploration in
 # the seconds. Bound 3 matches loom's CI default — raise it locally
 # when hunting, not here.
-LOOM_MAX_PREEMPTIONS=3 cargo test --release -p gkfs-common -p gkfs-rpc -p gkfs-storage model
+LOOM_MAX_PREEMPTIONS=3 cargo test --release -p gkfs-common -p gkfs-rpc -p gkfs-storage -p gkfs-kvstore model
 
 echo "==> miri (UB check: gkfs-common incl. wire codecs)"
 # Needs the nightly miri component; environments without it (no
@@ -124,6 +124,11 @@ echo "==> kvstore release stress (optimized timing: stalls, group commit, crash 
 # and thread interleaving; debug-mode runs are too slow to exercise
 # the contended paths, so run the kvstore suite again in release.
 cargo test -p gkfs-kvstore --release -q
+# The decoder fuzz (tests/fuzz_decoders.rs) ran its tier-1 rows just
+# now; this is its long variant — the seeded flips and splices at 100x
+# over four fresh seeds, ~10 s. A failure prints the row (corpus,
+# mutation, seed) that reproduces it.
+cargo test -p gkfs-kvstore --release -q --test fuzz_decoders -- --ignored
 
 echo "==> one-winner race, release (a batched exclusive create is atomic)"
 # N threads released onto one path per round through the daemon's
