@@ -415,9 +415,10 @@ fn distribution(_smoke: bool) -> Vec<Table> {
 /// many large chunks (64×64 KiB — IOR-style streaming) and many small
 /// ones (256×16 KiB — small-file / DL workloads). `io-threads = 0`
 /// collapses the engine to fully synchronous serial I/O and is the
-/// baseline row; reads are served from cached chunk mappings on every
-/// engine, so the rows mostly measure how well completion fan-out
-/// overlaps *independent* clients. Client and I/O thread counts stop at
+/// baseline row; reads are one `pread` per chunk through a cached
+/// descriptor on every engine, out of a warm page cache, so the rows
+/// mostly measure how well completion fan-out overlaps *independent*
+/// clients. Client and I/O thread counts stop at
 /// the cores this machine has: beyond that they contend for the same
 /// CPUs and a cell is scheduler noise, not overlap.
 fn batch_grid(smoke: bool) -> Vec<Table> {
@@ -479,7 +480,7 @@ fn grid_cell(
             std::hint::black_box(done);
         }
     };
-    // Warm the fd/mapping caches before timing.
+    // Warm the fd cache (and the page cache) before timing.
     (0..clients).for_each(|c| run_client(c, 2));
     let round = |_| {
         let t0 = Instant::now();

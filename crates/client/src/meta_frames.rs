@@ -130,11 +130,53 @@ impl GekkoClient {
     /// `WriteBatch` a single frame turns into.
     const EXPLICIT_BATCH_MAX: usize = 128;
 
+    /// Put `count` stats to the metadata read chain of `primary`
+    /// (`Placement::read_chain`): `ask(node, open)` sends the ones
+    /// whose indices are in `open` and returns their verdicts in that
+    /// order. What a member answers `NotFound` stays open for the next
+    /// — a freshly rejoined (empty) primary must not shadow a replica
+    /// or stand-in that still holds the entry — and stands only once
+    /// no member disagrees; a member that is down costs a hop, not the
+    /// call. One RPC on the healthy path, and always when replication
+    /// is off (the chain is the owner alone).
+    pub(crate) fn ask_chain(
+        &self,
+        primary: NodeId,
+        count: usize,
+        ask: impl Fn(NodeId, &[usize]) -> Result<Vec<MetaVerdict>>,
+    ) -> Result<Vec<MetaVerdict>> {
+        let mut verdicts = vec![Err(GkfsError::NotFound); count];
+        let mut open: Vec<usize> = (0..count).collect();
+        let (mut answered, mut down) = (false, None);
+        for n in self.placement.read_chain(primary) {
+            match ask(n, &open) {
+                Ok(answers) => {
+                    answered = true;
+                    for (&i, verdict) in open.iter().zip(answers) {
+                        verdicts[i] = verdict;
+                    }
+                    open.retain(|&i| matches!(verdicts[i], Err(GkfsError::NotFound)));
+                    if open.is_empty() {
+                        break;
+                    }
+                }
+                Err(e) if e.is_node_down() => down = down.or(Some(e)),
+                Err(e) => return Err(e),
+            }
+        }
+        if answered {
+            return Ok(verdicts);
+        }
+        Err(down.unwrap_or_else(|| {
+            GkfsError::Unavailable(format!("no metadata replica of node {primary}"))
+        }))
+    }
+
     /// Send one frame to the replica set of `primary` and account it in
     /// the batching counters. A frame holding a mutation rides the
-    /// write quorum; a stat-only frame needs one answer, so it walks
-    /// the read chain and a down primary that is survivable
-    /// (replication on) costs a hop, not the call.
+    /// write quorum; a stat-only frame needs one answer per op, so it
+    /// walks the read chain ([`GekkoClient::ask_chain`]), later members
+    /// seeing only the ops still open.
     pub(crate) fn send_frame(
         &self,
         primary: NodeId,
@@ -145,16 +187,14 @@ impl GekkoClient {
         if ops.iter().any(MetaOp::is_write) {
             return self.quorum_call(primary, |n| self.ring.batch_meta_nb(n, Arc::clone(ops)));
         }
-        let mut down = None;
-        for n in self.placement.read_chain(primary) {
-            match self.ring.batch_meta_nb(n, Arc::clone(ops)).and_then(|f| f.wait()) {
-                Err(e) if self.placement.survivable(&e) => down = Some(e),
-                answer => return answer,
-            }
-        }
-        Err(down.unwrap_or_else(|| {
-            GkfsError::Unavailable(format!("no metadata replica of node {primary}"))
-        }))
+        self.ask_chain(primary, ops.len(), |n, open| {
+            let frame = if open.len() == ops.len() {
+                Arc::clone(ops)
+            } else {
+                open.iter().map(|&i| ops[i].clone()).collect()
+            };
+            self.ring.batch_meta_nb(n, frame)?.wait()
+        })
     }
 
     /// The frame driver behind the bulk APIs and the transparent

@@ -127,36 +127,23 @@ impl GekkoClient {
         Ok(())
     }
 
-    /// Stat at the daemons: walk `path`'s metadata read chain
-    /// (`Placement::read_chain`) until a member answers. `NotFound`
-    /// keeps trying the rest of the chain — a freshly rejoined (empty)
-    /// primary must not shadow a replica or stand-in that still
-    /// holds the entry — and is only returned once no member
-    /// disagrees. Costs one RPC on the healthy path, and always when
-    /// replication is off (the chain is the owner alone).
+    /// Stat at the daemons: one unary `Stat` per member of `path`'s
+    /// metadata read chain until one holds the entry, under the rule
+    /// [`GekkoClient::ask_chain`] states (`NotFound` keeps trying the
+    /// rest of the chain).
     pub(crate) fn stat_chain(&self, path: &str) -> Result<Metadata> {
         // A queued batched op on this path must land first, or the
         // stat would observe pre-batch state (read-your-writes).
         self.meta_barrier_path(path)?;
-        let mut transport_err: Option<GkfsError> = None;
-        let mut saw_not_found = false;
-        for n in self.placement.read_chain(self.placement.meta_primary(path)) {
-            let stat = MetaOp::Stat(PathReq::new(path));
-            match self.ring.meta_nb(n, stat).and_then(|f| f.wait()) {
-                Ok(Some(m)) => return Ok(m),
-                Ok(None) | Err(GkfsError::NotFound) => saw_not_found = true,
-                Err(e) if e.is_node_down() => {
-                    transport_err = transport_err.or(Some(e));
-                }
-                Err(e) => return Err(e),
+        let stat = |n, _: &[usize]| {
+            let op = MetaOp::Stat(PathReq::new(path));
+            match self.ring.meta_nb(n, op).and_then(|f| f.wait()) {
+                Ok(None) | Err(GkfsError::NotFound) => Ok(vec![Err(GkfsError::NotFound)]),
+                answer => answer.map(|entry| vec![Ok(entry)]),
             }
-        }
-        if saw_not_found {
-            Err(GkfsError::NotFound)
-        } else {
-            Err(transport_err
-                .unwrap_or_else(|| GkfsError::Unavailable(format!("no metadata replica for {path}"))))
-        }
+        };
+        let mut verdict = self.ask_chain(self.placement.meta_primary(path), 1, stat)?;
+        verdict.pop().unwrap_or(Err(GkfsError::NotFound))?.ok_or(GkfsError::NotFound)
     }
 
     /// An exclusive create from `create`/`mkdir`: queued when

@@ -160,8 +160,7 @@ impl Placement {
 
     /// May an operation carry on past a leg that failed with `err` — a
     /// broadcast leg (chunk removal, truncate cut, listing page) be
-    /// skipped, a bulk stat frame fall back to the chain walk? Only
-    /// when the node is down *and* every key has another copy: the
+    /// skipped? Only when the node is down *and* every key has another copy: the
     /// leg's work is then covered by a replica, or redone by recovery
     /// when the node rejoins. Without replication nothing is
     /// survivable.

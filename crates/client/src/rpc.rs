@@ -305,20 +305,19 @@ impl<'a, T> ReplyFuture<'a, T> {
     /// timeout (clamped, like any window, to the operation deadline)
     /// before the caller moves on.
     ///
-    /// A window expiry records **nothing** with the node's health: a
-    /// slow-but-alive primary must not accumulate breaker failures
-    /// merely because a hedge to a replica won the race. Genuine
-    /// transport failures inside the window still count. A `Pending`
-    /// future can be driven to completion later with
-    /// [`ReplyFuture::wait_deadline`] (which resubmits, since chunk
-    /// reads are idempotent).
+    /// A window expiry gives nothing up and records **nothing** with
+    /// the node's health: the request stays in flight on the handle the
+    /// `Pending` future carries, so a slow-but-alive primary neither
+    /// accumulates breaker failures because a hedge to a replica won
+    /// the race, nor is asked twice — driving the future later with
+    /// [`ReplyFuture::wait_deadline`] waits for that same reply first.
+    /// Genuine transport failures inside the window still count, and
+    /// leave the future holding the failure for `wait_deadline` to
+    /// retry.
     pub fn wait_hedge(mut self, window: Option<Duration>) -> Hedge<'a, T> {
-        // Take the handle out; on a pending outcome the future is
-        // handed back with a retryable state so wait_deadline
-        // resubmits.
-        let state = std::mem::replace(&mut self.state, Err(GkfsError::Timeout));
-        let handle = match state {
-            Ok(h) => h,
+        let window = self.deadline.clamp(window.unwrap_or(self.timeout));
+        let waited = match &mut self.state {
+            Ok(handle) => handle.wait_within(window),
             // Breaker denial: no request was ever sent, so nothing is
             // recorded — but the node is known-bad, so fail over.
             Err(GkfsError::Unavailable(_)) => return Hedge::Pending(self),
@@ -328,29 +327,24 @@ impl<'a, T> ReplyFuture<'a, T> {
                 self.health.record_failure();
                 return Hedge::Pending(self);
             }
-            Err(e) => return Hedge::Ready(Err(e)),
+            Err(e) => return Hedge::Ready(Err(e.clone())),
         };
-        match handle.wait(self.deadline.clamp(window.unwrap_or(self.timeout))) {
-            Err(GkfsError::Timeout) => Hedge::Pending(self),
+        let out = match waited {
+            None => return Hedge::Pending(self),
+            Some(got) => got.and_then(Response::into_result).and_then(|r| (self.decode)(r, 0)),
+        };
+        match out {
+            Err(e @ GkfsError::Unavailable(_)) => self.state = Err(e),
             Err(e) if e.is_node_down() => {
                 self.health.record_failure();
-                Hedge::Pending(self)
+                self.state = Err(e);
             }
-            Err(e) => Hedge::Ready(Err(e)),
-            Ok(resp) => {
-                let out = resp.into_result().and_then(|r| (self.decode)(r, 0));
-                match &out {
-                    Ok(_) => self.health.record_success(),
-                    Err(GkfsError::Unavailable(_)) => return Hedge::Pending(self),
-                    Err(e) if e.is_node_down() => {
-                        self.health.record_failure();
-                        return Hedge::Pending(self);
-                    }
-                    Err(_) => self.health.record_success(),
-                }
-                Hedge::Ready(out)
+            out => {
+                self.health.record_success();
+                return Hedge::Ready(out);
             }
         }
+        Hedge::Pending(self)
     }
 }
 
@@ -1164,9 +1158,38 @@ mod tests {
         assert_eq!(h.consecutive_failures(), 0, "hedge expiry is not a failure");
         assert_eq!(h.failures(), 0);
         assert_eq!(ring.health_snapshot()[0].liveness, Liveness::Alive);
-        // Last resort: the stashed future still completes (resubmits).
+        // Last resort: the stashed future still completes — by waiting
+        // for the reply it was already promised, which is no failure.
         pending.wait_deadline(ring.op_deadline()).unwrap();
         assert_eq!(h.consecutive_failures(), 0);
+        assert_eq!((h.failures(), h.retries()), (0, 0), "driving the stashed future");
+    }
+
+    #[test]
+    fn hedge_pending_future_waits_for_the_reply_already_in_flight() {
+        // The same slow node with retries off: the future handed back
+        // still holds the request in flight, so driving it waits out
+        // the remaining ~110 ms and succeeds. Re-sending instead ran
+        // the handler twice and billed the node a transport failure;
+        // with one attempt allowed it failed on the spot.
+        let calls = Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let mut reg = gkfs_rpc::HandlerRegistry::new();
+        let seen = calls.clone();
+        reg.register_fn(Opcode::Ping, move |req| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(120));
+            gkfs_rpc::Response::ok(req.body)
+        });
+        let server = gkfs_rpc::RpcServer::new(reg, 1);
+        let ring = make_ring_of(vec![server.endpoint()], RetryConfig::disabled());
+        let pending = match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(10))) {
+            Hedge::Pending(fut) => fut,
+            Hedge::Ready(_) => panic!("120 ms handler must out-sleep a 10 ms hedge window"),
+        };
+        pending.wait_deadline(ring.op_deadline()).unwrap();
+        let h = ring.node_health(0).unwrap();
+        assert_eq!((h.failures(), h.retries()), (0, 0));
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "the handler ran once");
     }
 
     #[test]

@@ -32,7 +32,6 @@
 //! [`GkfsError::is_retryable`]: crate::error::GkfsError::is_retryable
 //! [`GkfsError::Unavailable`]: crate::error::GkfsError::Unavailable
 
-use crate::error::Result;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
@@ -67,14 +66,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (single attempt, no backoff).
-    pub fn no_retry() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The backoff to sleep after failed attempt `attempt`
     /// (zero-based). Pure function of `(self, salt, attempt)`.
     pub fn backoff(&self, salt: u64, attempt: u32) -> Duration {
@@ -96,21 +87,6 @@ impl RetryPolicy {
                 % jitter_span
         };
         Duration::from_nanos(nanos - nanos / 4 + jitter)
-    }
-
-    /// Total worst-case time spent sleeping across all retries (the
-    /// backoff budget a caller commits to, excluding the ops
-    /// themselves).
-    pub fn max_total_backoff(&self) -> Duration {
-        let mut total = Duration::ZERO;
-        for attempt in 0..self.max_attempts.saturating_sub(1) {
-            let exp = self
-                .base_backoff
-                .saturating_mul(1u32 << attempt.min(16))
-                .min(self.max_backoff);
-            total += exp + exp / 4; // upper edge of the jitter window
-        }
-        total
     }
 }
 
@@ -174,42 +150,6 @@ impl Deadline {
         match self.remaining() {
             None => d,
             Some(rem) => d.min(rem),
-        }
-    }
-}
-
-/// Run `op` under `policy`, clamping backoff sleeps to `deadline`.
-///
-/// `op` receives the zero-based attempt number. Retries stop when the
-/// error is not [`is_retryable`], attempts are exhausted, or the
-/// deadline expires — the *last* error is returned, so callers see
-/// the typed cause rather than a generic "retries exhausted".
-///
-/// [`is_retryable`]: crate::error::GkfsError::is_retryable
-pub fn retry<T>(
-    policy: &RetryPolicy,
-    deadline: Deadline,
-    salt: u64,
-    mut op: impl FnMut(u32) -> Result<T>,
-) -> Result<T> {
-    let attempts = policy.max_attempts.max(1);
-    let mut attempt = 0;
-    loop {
-        match op(attempt) {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                if !e.is_retryable() || attempt + 1 >= attempts || deadline.expired() {
-                    return Err(e);
-                }
-                let pause = deadline.clamp(policy.backoff(salt, attempt));
-                if !pause.is_zero() {
-                    std::thread::sleep(pause);
-                }
-                if deadline.expired() {
-                    return Err(e);
-                }
-                attempt += 1;
-            }
         }
     }
 }
@@ -371,8 +311,6 @@ impl CircuitBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::GkfsError;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn shuffle_is_a_seeded_permutation() {
@@ -436,7 +374,6 @@ mod tests {
             assert!(b >= exp - exp / 4, "attempt {attempt}: {b:?} < floor");
             assert!(b <= exp + exp / 4, "attempt {attempt}: {b:?} > ceiling");
         }
-        assert!(p.max_total_backoff() <= Duration::from_millis(9 * 100));
     }
 
     #[test]
@@ -452,62 +389,6 @@ mod tests {
         assert!(!never.expired());
         assert_eq!(never.clamp(Duration::from_secs(7)), Duration::from_secs(7));
         assert_eq!(never.remaining(), None);
-    }
-
-    #[test]
-    fn retry_retries_only_retryable() {
-        let p = RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
-            seed: 1,
-        };
-        let calls = AtomicUsize::new(0);
-        let r: Result<()> = retry(&p, Deadline::never(), 0, |_| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            Err(GkfsError::Rpc("flaky".into()))
-        });
-        assert!(matches!(r, Err(GkfsError::Rpc(_))));
-        assert_eq!(calls.load(Ordering::SeqCst), 4, "retryable: all attempts");
-
-        let calls = AtomicUsize::new(0);
-        let r: Result<()> = retry(&p, Deadline::never(), 0, |_| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            Err(GkfsError::NotFound)
-        });
-        assert!(matches!(r, Err(GkfsError::NotFound)));
-        assert_eq!(calls.load(Ordering::SeqCst), 1, "app errors: no retry");
-
-        // Succeeds on the third attempt.
-        let r = retry(&p, Deadline::never(), 0, |attempt| {
-            if attempt < 2 {
-                Err(GkfsError::Timeout)
-            } else {
-                Ok(attempt)
-            }
-        });
-        assert_eq!(r.ok(), Some(2));
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "real-clock cooldown windows are meaningless at interpreter speed")]
-    fn retry_respects_deadline() {
-        let p = RetryPolicy {
-            max_attempts: 100,
-            base_backoff: Duration::from_millis(20),
-            max_backoff: Duration::from_millis(20),
-            seed: 1,
-        };
-        let start = Instant::now();
-        let dl = Deadline::after(Duration::from_millis(50));
-        let r: Result<()> = retry(&p, dl, 0, |_| Err(GkfsError::Timeout));
-        assert!(r.is_err());
-        // Overshoot is bounded by one backoff interval, not 100 × 20ms.
-        assert!(
-            start.elapsed() < Duration::from_millis(200),
-            "took {:?}",
-            start.elapsed()
-        );
     }
 
     #[test]

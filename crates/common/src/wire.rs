@@ -328,14 +328,18 @@ impl Wire for u64 {
     }
 }
 
-/// One byte; any non-zero value reads as `true`.
+/// One byte, `0` or `1`; any other value is corruption, so that what
+/// decodes is what an encoder wrote.
 impl Wire for bool {
     const MIN_LEN: usize = 1;
     fn put(&self, e: &mut Encoder) {
         e.u8(*self as u8);
     }
     fn get(d: &mut Decoder<'_>) -> Result<bool> {
-        Ok(d.u8()? != 0)
+        match d.u8()? {
+            flag @ 0..=1 => Ok(flag == 1),
+            other => Err(GkfsError::Corruption(format!("byte {other:#04x} where a bool belongs"))),
+        }
     }
 }
 

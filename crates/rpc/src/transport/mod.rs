@@ -192,9 +192,12 @@ enum ReplySource {
 
 /// An in-flight RPC: the completion half of [`Endpoint::submit`].
 ///
-/// A handle that is dropped, or times out, before its reply arrives
-/// gives its correlation state back to the transport, so abandoned
-/// requests leak nothing and a late reply is discarded.
+/// A handle that is dropped before its reply arrives — a [`wait`] that
+/// timed out drops it — gives its correlation state back to the
+/// transport, so abandoned requests leak nothing and a late reply is
+/// discarded.
+///
+/// [`wait`]: ReplyHandle::wait
 pub struct ReplyHandle {
     source: ReplySource,
 }
@@ -236,26 +239,39 @@ impl ReplyHandle {
         self
     }
 
-    /// Block until the response arrives (transport-level success; the
-    /// application status still rides inside the [`Response`]).
+    /// Wait up to `window` for the outcome (transport-level; the
+    /// application status still rides inside the [`Response`]):
     ///
-    /// * response arrived → `Ok(resp)`
+    /// * response arrived → `Some(Ok(resp))`
     /// * transport failed the request with a typed cause (connection
-    ///   reset, corrupt frame) → that error, immediately
-    /// * transport died without a cause → the disconnect error,
-    ///   immediately
-    /// * `timeout` elapsed → `Err(Timeout)`, and the pending slot is
-    ///   reaped so a late response cannot leak it
-    pub fn wait(self, timeout: Duration) -> Result<Response> {
-        match self.source {
-            ReplySource::Ready(result) => result,
-            ReplySource::Waiting { rx, disconnect } => match rx.recv_timeout(timeout) {
-                Ok(outcome) => outcome,
-                Err(RecvTimeoutError::Disconnected) => Err(disconnect),
-                Err(RecvTimeoutError::Timeout) => Err(GkfsError::Timeout),
+    ///   reset, corrupt frame) → `Some` of that error, immediately
+    /// * transport died without a cause → `Some` of the disconnect
+    ///   error, immediately
+    /// * `window` elapsed → `None`, and nothing is given up: the request
+    ///   stays in flight and the handle can be waited on again — a
+    ///   hedge's first look at a reply it still wants.
+    ///
+    /// After `Some` the handle is spent.
+    pub fn wait_within(&mut self, window: Duration) -> Option<Result<Response>> {
+        match &mut self.source {
+            ReplySource::Ready(result) => {
+                Some(std::mem::replace(result, Err(GkfsError::Rpc("reply already taken".into()))))
+            }
+            ReplySource::Waiting { rx, disconnect } => match rx.recv_timeout(window) {
+                Ok(outcome) => Some(outcome),
+                Err(RecvTimeoutError::Disconnected) => Some(Err(disconnect.clone())),
+                Err(RecvTimeoutError::Timeout) => None,
             },
-            ReplySource::Slot(ticket) => ticket.wait(timeout),
+            ReplySource::Slot(ticket) => ticket.wait_within(window),
         }
+    }
+
+    /// Block until the response arrives, as
+    /// [`wait_within`](ReplyHandle::wait_within) does, or `timeout`
+    /// elapses → `Err(Timeout)`, and the handle, dropped here, gives up
+    /// its pending slot so a late response cannot leak it.
+    pub fn wait(mut self, timeout: Duration) -> Result<Response> {
+        self.wait_within(timeout).unwrap_or(Err(GkfsError::Timeout))
     }
 }
 

@@ -351,6 +351,22 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
+/// Every frame `stream` holds, read the way a connection reads them,
+/// and the error that ended the reading — at a clean end of stream, the
+/// `Rpc` of a peer that closed on a frame boundary. For the decoder
+/// fuzzer (`tests/fuzz_wire.rs`), which has bytes and no socket.
+#[doc(hidden)]
+pub fn read_frames(stream: impl Read) -> (Vec<Bytes>, GkfsError) {
+    let mut reader = FrameReader::new(stream);
+    let mut frames = Vec::new();
+    loop {
+        match reader.read_frame(Duration::ZERO) {
+            Ok(frame) => frames.push(frame),
+            Err(cause) => return (frames, cause),
+        }
+    }
+}
+
 impl FrameReader<TcpStream> {
     /// On a frame boundary, wait up to `wait` for the first bytes of the
     /// next frame. `Ok(false)`: nothing came, and the stream is still on
@@ -626,8 +642,9 @@ struct Table {
 }
 
 impl Table {
-    /// Give up slot `id` (timeout, drop, a finished lead): its reply, if
-    /// one still comes, is discarded by whoever reads it.
+    /// Give up slot `id` (a handle dropped, as the one whose `wait` timed
+    /// out is; a finished lead): its reply, if one still comes, is
+    /// discarded by whoever reads it.
     fn forget(&mut self, id: u64) {
         if let Some(None) = self.slots.remove(&id) {
             self.waiting -= 1;
@@ -884,7 +901,9 @@ impl Ticket {
     /// waiter that holds other un-waited handles is in a fan-out, and
     /// asks the reader thread to drain instead of reading itself; so
     /// does a leader that comes upon a large frame ([`Led::Large`]).
-    pub(crate) fn wait(mut self, timeout: Duration) -> Result<Response> {
+    /// `None` is `timeout` passing with the reply still awaited: the
+    /// slot stays, for a later wait or for `Drop` to give up.
+    pub(crate) fn wait_within(&mut self, timeout: Duration) -> Option<Result<Response>> {
         let done = &*self.done;
         let deadline = Instant::now().checked_add(timeout);
         let mut led = false;
@@ -898,14 +917,13 @@ impl Ticket {
             match t.slots.get(&self.id).map(Option::is_some) {
                 Some(true) => break t.slots.remove(&self.id).flatten(),
                 Some(false) => {}
-                None => break None,
+                None => break Some(Err(closed_err())),
             }
             let left = deadline.map_or(WAIT_FOREVER, |at| {
                 at.saturating_duration_since(Instant::now())
             });
             if left.is_zero() {
-                t.forget(self.id);
-                break Some(Err(GkfsError::Timeout));
+                break None;
             }
             if fan_out {
                 done.request_drain(&mut t);
@@ -926,12 +944,14 @@ impl Ticket {
                     }
                     Ok(mine) => {
                         led = true;
-                        t.forget(self.id);
+                        if matches!(mine, Led::Mine(_)) {
+                            t.forget(self.id);
+                        }
                         done.release(&mut t, reader);
-                        break Some(match mine {
-                            Led::Mine(resp) => Ok(resp),
-                            _ => Err(GkfsError::Timeout),
-                        });
+                        break match mine {
+                            Led::Mine(resp) => Some(Ok(resp)),
+                            _ => None,
+                        };
                     }
                     Err(cause) => {
                         drop(t);
@@ -947,10 +967,10 @@ impl Ticket {
             }
         };
         drop(t);
-        self.settled = true;
+        self.settled = outcome.is_some();
         let by = if led { &done.stats.waits_led } else { &done.stats.waits_followed };
         by.fetch_add(1, Ordering::Relaxed);
-        outcome.unwrap_or_else(|| Err(closed_err()))
+        outcome
     }
 }
 
@@ -1826,9 +1846,22 @@ mod model {
         }
     }
 
-    /// `Ticket::wait` for slot `id` (registered before the window opens;
-    /// `overlapped`: its thread holds another un-waited handle).
+    /// `ReplyHandle::wait` for slot `id` (registered before the window
+    /// opens; `overlapped`: its thread holds another un-waited handle).
     fn waiter(id: usize, overlapped: bool, notify_on_release: bool) -> Thread {
+        waits(id, overlapped, notify_on_release, false)
+    }
+
+    /// A hedge's two looks at slot `id`: a `wait_within` whose window
+    /// may pass, then a wait without a deadline on the same handle.
+    fn hedged_waiter(id: usize) -> Thread {
+        waits(id, false, true, true)
+    }
+
+    /// `Ticket::wait_within` for slot `id`, and what follows a window
+    /// that passed: the handle's drop (`ReplyHandle::wait`), or with
+    /// `rewait` a second, unbounded wait.
+    fn waits(id: usize, overlapped: bool, notify_on_release: bool, rewait: bool) -> Thread {
         #[derive(Clone, Copy)]
         enum At {
             Top,
@@ -1837,6 +1870,7 @@ mod model {
             Park(usize),
             Mine,
             LedTimeout,
+            Expired,
             HandOver,
             Fail,
             Done,
@@ -1868,11 +1902,7 @@ mod model {
                             at = At::Done;
                         }
                         None => unreachable!("slot {id} vanished under its waiter"),
-                        Some(None) if s.expired.contains(&id) => {
-                            s.forget(id);
-                            s.returned.push((id, Outcome::Timeout));
-                            at = At::Done;
-                        }
+                        Some(None) if s.expired.contains(&id) => at = At::Expired,
                         Some(None) => {
                             if overlapped {
                                 s.request_drain();
@@ -1912,14 +1942,29 @@ mod model {
                     s.park(other);
                     at = At::Leading;
                 }
-                At::Mine | At::LedTimeout => {
+                At::Mine => {
                     s.forget(id);
                     s.release(notify_on_release);
-                    let outcome = match at {
-                        At::Mine => Outcome::Reply,
-                        _ => Outcome::Timeout,
-                    };
-                    s.returned.push((id, outcome));
+                    s.returned.push((id, Outcome::Reply));
+                    at = At::Done;
+                }
+                At::LedTimeout => {
+                    s.release(notify_on_release);
+                    at = At::Expired;
+                }
+                At::Expired if rewait => {
+                    s.expired.retain(|&e| e != id);
+                    at = At::Top;
+                }
+                At::Expired => {
+                    // `Drop for Ticket`, a critical section after the
+                    // one that saw the window pass: a reply parked in
+                    // between goes with the slot.
+                    if s.slot(id).is_some_and(|slot| *slot == Some(Outcome::Reply)) {
+                        s.discarded.push(id);
+                    }
+                    s.forget(id);
+                    s.returned.push((id, Outcome::Timeout));
                     at = At::Done;
                 }
                 At::Fail => {
@@ -2174,6 +2219,26 @@ mod model {
                         Outcome::Timeout => assert_eq!(s.discarded, vec![1]),
                         Outcome::Failed => panic!("nothing broke"),
                     }
+                },
+            )
+        });
+    }
+
+    #[test]
+    fn a_window_that_passed_keeps_its_slot_for_the_next_wait() {
+        // The hedge: waiter 1's first look may give up at any point; its
+        // slot stays, whoever reads its reply parks it there, and the
+        // second look on the same handle gets it — never a discard.
+        Explorer::new().explore("tcp-window-then-wait", || {
+            connection(
+                &[1, 2],
+                &[Wire::Reply(1), Wire::Reply(2)],
+                2,
+                vec![hedged_waiter(1), waiter(2, false, true), clock(1)],
+                |s| {
+                    assert_eq!(outcome(s, 1), Outcome::Reply);
+                    assert_eq!(outcome(s, 2), Outcome::Reply);
+                    assert!(s.discarded.is_empty() && s.failures.is_empty());
                 },
             )
         });

@@ -24,28 +24,36 @@
 //!
 //! The id is split off at the *last* `.` and must be canonical decimal,
 //! so `(path, id) → name` is injective (`/a` chunk 1 is `:a.1`, `/a.1`
-//! chunk 0 is `:a.1.0`) and truncate's temp files (`<name>.t`) are
-//! never mistaken for chunks. A path whose escaped form exceeds
+//! chunk 0 is `:a.1.0`) and nothing else in a shard directory is
+//! mistaken for a chunk. A path whose escaped form exceeds
 //! [`MAX_ESCAPED_LEN`] bytes cannot be named under `NAME_MAX`: writes
 //! to it are refused with a typed error, and it holds nothing to read
 //! or remove.
 //!
-//! Chunk files are written with positional I/O
-//! ([`FileExt::read_at`]/[`write_all_at`](FileExt::write_all_at)), so
-//! concurrent tasks can hit one chunk file through a shared descriptor
-//! without seek races; sparse writes rely on the underlying POSIX file
+//! A chunk file is touched one way, through its descriptor:
+//! [`FileExt::read_at`] reads it, [`write_all_at`](FileExt::write_all_at)
+//! writes it and `set_len` cuts it — one `pread`, `pwrite` or
+//! `ftruncate` per coalesced run, with no seek races between tasks
+//! sharing the descriptor. A read racing a cut never faults or fails:
+//! it sees the file before or after it, and only if a write is
+//! re-extending the chunk at the same moment can it see, above the
+//! cut, zeros the cut left behind — what POSIX gives a `pread` racing
+//! `ftruncate`. Sparse writes rely on the underlying POSIX file
 //! zero-filling the gap.
 //!
 //! Descriptors are kept in a sharded open-fd LRU cache: the paper's
 //! Argobots ULTs dispatch many small per-chunk ops against the same
-//! files, and re-running `open(2)` (plus `fstat`) per op dominates the
-//! cost of the op itself. A cached fd can briefly outlive
-//! `remove_chunks`/`truncate_chunks` of its path on a racing thread —
-//! writes then land in an unlinked inode, exactly the POSIX behavior a
-//! concurrent unlink gives the C++ implementation. A write that misses
-//! the cache while its path is being removed lands in a fresh chunk
-//! file instead (an orphan for `fsck`); it never fails, because no
-//! directory on its way is ever removed.
+//! files, and re-running `open(2)` per op dominates the cost of the op
+//! itself. A hit is one shard lock; a miss is `open`, a second lock, an
+//! LRU scan of the shard when it is full and the `close` of whatever
+//! that evicts — the cache keeps nothing but the descriptor, so there
+//! is no `fstat` to seed it and no write-side upkeep. A cached fd can
+//! briefly outlive `remove_chunks`/`truncate_chunks` of its path on a
+//! racing thread — writes then land in an unlinked inode, exactly the
+//! POSIX behavior a concurrent unlink gives the C++ implementation. A
+//! write that misses the cache while its path is being removed lands
+//! in a fresh chunk file instead (an orphan for `fsck`); it never
+//! fails, because no directory on its way is ever removed.
 //!
 //! # Batch I/O engines
 //!
@@ -66,7 +74,6 @@
 //! overload collapses to serial behavior instead of queuing without
 //! bound.
 
-use crate::mmap::ChunkMap;
 use crate::stats::StorageStats;
 use crate::{check_write_windows, segment, validate_dense_layout};
 use crate::{BatchCompletion, BatchOp, BatchOutput, BatchPayload, ChunkStorage, SegmentResult};
@@ -92,39 +99,22 @@ use std::sync::{mpsc, Arc};
 const DIR_SHARDS: u64 = 1024;
 
 /// Longest escaped path a chunk file name can carry: `NAME_MAX` (255)
-/// less the `.`, a 20-digit chunk id and truncate's `.t` suffix.
+/// less the `.`, a 20-digit chunk id and two bytes in reserve (a temp
+/// suffix truncate no longer makes; stores keep the limit they had).
 pub const MAX_ESCAPED_LEN: usize = 255 - 1 - 20 - 2;
 
 const FD_SHARDS: usize = 16;
 /// Per-shard capacity: 16 × 192 = 3072 cached descriptors. A daemon
-/// raises `RLIMIT_NOFILE` into the tens of thousands anyway, and each
-/// cached fd also carries the chunk's read-only mapping — falling off
-/// the cache costs open+fstat+mmap on the next touch, so the cache is
-/// sized past the working set of a few hundred hot files rather than
-/// squeezed under a default 1024-fd limit.
+/// raises `RLIMIT_NOFILE` into the tens of thousands anyway, and
+/// falling off the cache costs an `open` on the next touch (plus the
+/// full shard's LRU scan and the evicted descriptor's `close`), so the
+/// cache is sized past the working set of a few hundred hot files
+/// rather than squeezed under a default 1024-fd limit.
 const FD_CACHE_PER_SHARD: usize = 192;
 
 struct FdEntry {
     file: Arc<fs::File>,
-    /// Known file length: fstat'ed once at open, then maintained by
-    /// the write paths. Chunk files never shrink in place (truncation
-    /// replaces via rename), so this only grows while cached.
-    len: u64,
-    /// Lazily created read-only mapping (see [`crate::mmap`]); stale
-    /// when `map.valid < len` and replaced on the next read.
-    map: Option<Arc<ChunkMap>>,
     last_used: u64,
-}
-
-/// Where a read run's bytes come from.
-enum ReadSrc {
-    /// Memcpy out of the cached mapping — zero syscalls.
-    Map(Arc<ChunkMap>),
-    /// Positional read through the cached descriptor (mapping
-    /// unavailable: non-x86_64, odd file system, or mmap refused).
-    File(Arc<fs::File>),
-    /// No chunk file on disk.
-    Absent,
 }
 
 #[derive(Default)]
@@ -139,36 +129,29 @@ struct FdShard {
 }
 
 impl FdShard {
-    /// Install a descriptor opened *outside* the shard lock. This is
-    /// the re-lock half of [`chunk_fd`](FileChunkStorage::chunk_fd)'s
-    /// miss path, and the whole double-open race lives here — it is a
-    /// named method (rather than inline in `chunk_fd`) so the schedule
-    /// model below (`mod fd_model`) can drive the real code.
+    /// The cached descriptor of `(path, chunk_id)`, if any, marked
+    /// most recently used — the one hit lookup.
+    fn hit(&mut self, path: &str, chunk_id: u64) -> Option<Arc<fs::File>> {
+        self.tick += 1;
+        let entry = self.files.get_mut(path)?.get_mut(&chunk_id)?;
+        entry.last_used = self.tick;
+        Some(entry.file.clone())
+    }
+
+    /// Install a descriptor opened *outside* the shard lock — the
+    /// re-lock half of [`chunk_fd`](Inner::chunk_fd)'s miss path — and
+    /// return the descriptor to use.
     fn install_opened(
         &mut self,
         path: &str,
         chunk_id: u64,
         file: Arc<fs::File>,
-        len: u64,
         cap: usize,
-    ) -> (Arc<fs::File>, u64) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(entry) = self
-            .files
-            .get_mut(path)
-            .and_then(|per| per.get_mut(&chunk_id))
-        {
-            // A racing opener filled this slot while we were opening.
-            // Keep the cached entry: its `len` may already cover writes
-            // that landed after our fstat (`note_grow` runs once the
-            // bytes are on disk), so replacing it would shrink the
-            // length bookkeeping and clamp mapped reads short. Both
-            // lengths are observed lower bounds of the file, so their
-            // max is too.
-            entry.last_used = tick;
-            entry.len = entry.len.max(len);
-            return (entry.file.clone(), entry.len);
+    ) -> Arc<fs::File> {
+        if let Some(cached) = self.hit(path, chunk_id) {
+            // A racing opener filled this slot while we were opening:
+            // use its descriptor, drop ours.
+            return cached;
         }
         if self.len >= cap {
             // Evict the least-recently-used entry; the cap is small
@@ -185,22 +168,10 @@ impl FdShard {
                 self.forget(&p, c);
             }
         }
-        let per = self.files.entry(path.to_string()).or_default();
-        if per
-            .insert(
-                chunk_id,
-                FdEntry {
-                    file: file.clone(),
-                    len,
-                    map: None,
-                    last_used: tick,
-                },
-            )
-            .is_none()
-        {
-            self.len += 1;
-        }
-        (file, len)
+        let entry = FdEntry { file: file.clone(), last_used: self.tick };
+        self.files.entry(path.to_string()).or_default().insert(chunk_id, entry);
+        self.len += 1;
+        file
     }
 
     /// Drop the cached descriptor of `(path, chunk_id)`, if any.
@@ -213,21 +184,6 @@ impl FdShard {
         }
         if per.is_empty() {
             self.files.remove(path);
-        }
-    }
-
-    /// Record that the chunk file now extends to at least `end` bytes
-    /// — the locked body of
-    /// [`note_grow`](FileChunkStorage::note_grow).
-    fn grow_entry(&mut self, path: &str, chunk_id: u64, end: u64) {
-        if let Some(entry) = self
-            .files
-            .get_mut(path)
-            .and_then(|per| per.get_mut(&chunk_id))
-        {
-            if end > entry.len {
-                entry.len = end;
-            }
         }
     }
 }
@@ -293,10 +249,10 @@ fn chunk_name(escaped: &str, chunk_id: u64) -> String {
 }
 
 /// Inverse of [`chunk_name`]: the escaped path and the chunk id a
-/// directory entry names, or `None` for anything that is not a chunk
-/// file (truncate's `.t` temp files, strangers). Splits at the *last*
-/// `.` and takes only the canonical decimal form of an id, so exactly
-/// one `(escaped, id)` maps to any name.
+/// directory entry names, or `None` for a stranger (no id, or an id
+/// not in canonical form). Splits at the *last* `.` and takes only the
+/// canonical decimal form of an id, so exactly one `(escaped, id)` maps
+/// to any name.
 fn parse_chunk_name(name: &str) -> Option<(&str, u64)> {
     let (escaped, digits) = name.rsplit_once('.')?;
     let id = digits.parse::<u64>().ok()?;
@@ -399,29 +355,16 @@ impl Inner {
 
     /// The cached descriptor for `(path, chunk_id)`, opening and
     /// caching on miss. `create` selects `O_CREAT` — the write path
-    /// creates chunk files, the read path must not; a read miss on a
-    /// nonexistent chunk file returns `Ok(None)`. The `open` itself
-    /// runs outside the shard lock so a miss doesn't stall other
-    /// chunks hashed to the same shard.
-    fn chunk_fd(
-        &self,
-        path: &str,
-        chunk_id: u64,
-        create: bool,
-    ) -> Result<Option<(Arc<fs::File>, u64)>> {
-        {
-            let mut shard = self.fd_shard(path, chunk_id).lock();
-            shard.tick += 1;
-            let tick = shard.tick;
-            if let Some(entry) = shard
-                .files
-                .get_mut(path)
-                .and_then(|per| per.get_mut(&chunk_id))
-            {
-                entry.last_used = tick;
-                self.stats.fd_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Some((entry.file.clone(), entry.len)));
-            }
+    /// creates chunk files, the read path must not; a miss on a
+    /// nonexistent chunk file without it returns `Ok(None)`. The `open`
+    /// itself runs outside the shard lock so a miss doesn't stall other
+    /// chunks hashed to the same shard: a hit takes the lock once, a
+    /// miss twice, and nothing else on the data path takes it at all.
+    fn chunk_fd(&self, path: &str, chunk_id: u64, create: bool) -> Result<Option<Arc<fs::File>>> {
+        let hit = self.fd_shard(path, chunk_id).lock().hit(path, chunk_id);
+        if hit.is_some() {
+            self.stats.fd_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(hit);
         }
         self.stats.fd_misses.fetch_add(1, Ordering::Relaxed);
         let Some(cpath) = self.chunk_path(path, chunk_id) else {
@@ -452,94 +395,15 @@ impl Inner {
             }
             Err(e) => return Err(e.into()),
         };
-        // One fstat per cache fill seeds the length bookkeeping that
-        // lets reads skip per-op fstat/pread entirely.
-        let len = file.metadata()?.len();
-        let file = Arc::new(file);
         let mut shard = self.fd_shard(path, chunk_id).lock();
-        let (file, len) = shard.install_opened(path, chunk_id, file, len, FD_CACHE_PER_SHARD);
-        Ok(Some((file, len)))
-    }
-
-    /// Resolve where a read of `(path, chunk_id)` should pull bytes
-    /// from, preferring the cached mapping (zero syscalls). A fresh or
-    /// grown file is (re)mapped outside the shard lock and cached for
-    /// the next reader.
-    fn read_source(&self, path: &str, chunk_id: u64) -> Result<ReadSrc> {
-        let found = {
-            let mut shard = self.fd_shard(path, chunk_id).lock();
-            shard.tick += 1;
-            let tick = shard.tick;
-            match shard
-                .files
-                .get_mut(path)
-                .and_then(|per| per.get_mut(&chunk_id))
-            {
-                Some(entry) => {
-                    entry.last_used = tick;
-                    self.stats.fd_hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(map) = &entry.map {
-                        if map.valid == entry.len {
-                            return Ok(ReadSrc::Map(map.clone()));
-                        }
-                    }
-                    Some((entry.file.clone(), entry.len))
-                }
-                None => None,
-            }
-        };
-        let (file, len) = match found {
-            Some(pair) => pair,
-            None => match self.chunk_fd(path, chunk_id, false)? {
-                Some(pair) => pair,
-                None => return Ok(ReadSrc::Absent),
-            },
-        };
-        match ChunkMap::map(&file, len).map(Arc::new) {
-            None => Ok(ReadSrc::File(file)),
-            Some(map) => {
-                let mut shard = self.fd_shard(path, chunk_id).lock();
-                if let Some(entry) = shard
-                    .files
-                    .get_mut(path)
-                    .and_then(|per| per.get_mut(&chunk_id))
-                {
-                    // Cache only if still fresh — a racing writer may
-                    // have grown the file; the next read remaps.
-                    if entry.len == map.valid {
-                        entry.map = Some(map.clone());
-                    }
-                }
-                Ok(ReadSrc::Map(map))
-            }
-        }
-    }
-
-    /// Record that a successful write extended `(path, chunk_id)` to
-    /// at least `end` bytes. Called only after the bytes are on the
-    /// file — a length ahead of the data would let a reader map pages
-    /// past EOF.
-    fn note_grow(&self, path: &str, chunk_id: u64, end: u64) {
-        self.fd_shard(path, chunk_id)
-            .lock()
-            .grow_entry(path, chunk_id, end);
+        Ok(Some(shard.install_opened(path, chunk_id, Arc::new(file), FD_CACHE_PER_SHARD)))
     }
 
     /// Drop the cached descriptor of `(path, chunk_id)` (after its file
-    /// was unlinked or replaced, so later ops re-resolve against the
-    /// real directory) — one lock, on the cache shard the pair hashes
-    /// to.
+    /// was unlinked, so later ops re-resolve against the real
+    /// directory) — one lock, on the cache shard the pair hashes to.
     fn forget_fd(&self, path: &str, chunk_id: u64) {
         self.fd_shard(path, chunk_id).lock().forget(path, chunk_id);
-    }
-
-    fn write_fd(&self, path: &str, chunk_id: u64) -> Result<Arc<fs::File>> {
-        match self.chunk_fd(path, chunk_id, true)? {
-            Some((f, _)) => Ok(f),
-            // Unreachable with create=true; surface as a plain IO error
-            // rather than panicking in the daemon's data path.
-            None => Err(std::io::Error::from(std::io::ErrorKind::NotFound).into()),
-        }
     }
 
     /// Coalescing run cursor shared by the batch paths: extend from
@@ -572,39 +436,28 @@ impl Inner {
             let a = ops[i].buf_offset as usize;
             let data = &bulk[a..a + len as usize];
             self.stats.record_write(data.len());
-            let file = self.write_fd(path, ops[i].chunk_id)?;
+            // `None` cannot happen with `create`; an error, not a
+            // panic, in the daemon's data path if it ever does.
+            let file = self.chunk_fd(path, ops[i].chunk_id, true)?.ok_or(GkfsError::NotFound)?;
             file.write_all_at(data, ops[i].offset)?;
-            self.note_grow(path, ops[i].chunk_id, ops[i].offset + len);
             i = end;
         }
         Ok(())
     }
 
-    /// Serial read path: one memcpy out of the cached mapping per
-    /// coalesced run (zero syscalls once warm), falling back to a
-    /// positional read where mapping is unavailable. The per-run count
-    /// is distributed back over the run (a short read is an EOF, so it
-    /// can only truncate the tail).
+    /// Serial read path: one positional read through the cached
+    /// descriptor per coalesced run; a chunk with no file reads 0
+    /// bytes. The per-run count is distributed back over the run (a
+    /// short read is an EOF, so it can only truncate the tail).
     fn read_runs(&self, path: &str, ops: &[BatchOp], out: &mut [u8]) -> Result<Vec<u64>> {
         let mut lens = Vec::with_capacity(ops.len());
         let mut i = 0;
         while i < ops.len() {
             let (end, len) = self.run_end(ops, i);
             let a = ops[i].buf_offset as usize;
-            let offset = ops[i].offset;
-            let n = match self.read_source(path, ops[i].chunk_id)? {
-                ReadSrc::Absent => 0,
-                ReadSrc::Map(map) => {
-                    let avail = map.valid.saturating_sub(offset).min(len) as usize;
-                    if avail > 0 {
-                        let src = &map.bytes()[offset as usize..offset as usize + avail];
-                        out[a..a + avail].copy_from_slice(src);
-                    }
-                    avail
-                }
-                ReadSrc::File(file) => {
-                    read_into(&file, offset, &mut out[a..a + len as usize])?
-                }
+            let n = match self.chunk_fd(path, ops[i].chunk_id, false)? {
+                Some(file) => read_into(&file, ops[i].offset, &mut out[a..a + len as usize])?,
+                None => 0,
             };
             self.stats.record_read(n);
             let mut rel = 0u64;
@@ -803,34 +656,16 @@ impl ChunkStorage for FileChunkStorage {
 
     fn truncate_chunks(&self, path: &str, keep_chunk: u64, keep_bytes: u64) -> Result<()> {
         for (id, entry) in self.inner.held(path)? {
-            let cur = entry.path();
             if id > keep_chunk {
-                fs::remove_file(cur)?;
-            } else if id == keep_chunk {
-                let f = fs::File::open(&cur)?;
-                if f.metadata()?.len() <= keep_bytes {
-                    continue;
-                }
-                // Rewrite-and-rename rather than `set_len`: chunk
-                // files never shrink in place, so a concurrently
-                // mapped reader keeps the old inode (the same stale
-                // window a cached fd already has) instead of faulting
-                // on pages yanked from under its memcpy. The file is
-                // larger than keep_bytes, so this fills completely
-                // (holes materialize as zeros).
-                let mut kept = vec![0u8; keep_bytes as usize];
-                read_into(&f, 0, &mut kept)?;
-                // Appended, not `with_extension`: that would replace
-                // the chunk id and hand every chunk of the path the
-                // same temp file.
-                let mut tmp = cur.clone().into_os_string();
-                tmp.push(".t");
-                fs::write(&tmp, &kept)?;
-                fs::rename(&tmp, &cur)?;
-            } else {
-                continue;
+                fs::remove_file(entry.path())?;
+                self.inner.forget_fd(path, id);
+            } else if id == keep_chunk && entry.metadata()?.len() > keep_bytes {
+                // Cut in place: the inode stays, so a cached descriptor
+                // stays valid (nothing to forget) and a racing `pread`
+                // sees the longer or the shorter file, never a fault.
+                let file = fs::OpenOptions::new().write(true).open(entry.path())?;
+                file.set_len(keep_bytes)?;
             }
-            self.inner.forget_fd(path, id);
         }
         Ok(())
     }
@@ -868,166 +703,6 @@ impl ChunkStorage for FileChunkStorage {
     }
 }
 
-/// Schedule-exploration model of the fd-cache double-open race
-/// (`gkfs_common::model`). Drives the *real* [`FdShard::install_opened`]
-/// and [`FdShard::grow_entry`] — the two locked sections of the
-/// protocol — so a regression in either is caught here, not just in
-/// the prose reasoning of `chunk_fd`'s comments.
-///
-/// The race: `chunk_fd`'s miss path fstats the chunk file *outside*
-/// the shard lock, so by the time the opener re-locks to install, a
-/// writer may already have grown the file and published the new
-/// length via `note_grow`. Installing the stale fstat length verbatim
-/// would shrink the bookkeeping and clamp mapped reads short (the
-/// lost update fixed by merging with `max`). The model interleaves a
-/// writer (open → install → write bytes → grow) with a racing opener
-/// (fstat → install) and checks the cached length always ends at the
-/// true file length.
-#[cfg(test)]
-mod fd_model {
-    use super::*;
-    use gkfs_common::model::{Explorer, Model, Step};
-
-    /// File length after the writer's bytes land.
-    const L1: u64 = 4096;
-    const PATH: &str = "/model/chunk";
-
-    struct S {
-        shard: FdShard,
-        /// Simulated on-disk length of the chunk file; `fstat` steps
-        /// read it, the writer's data step advances it.
-        disk: u64,
-        file: Arc<fs::File>,
-    }
-
-    type Thread = Box<dyn FnMut(&mut S) -> Step>;
-
-    /// The write path: open+fstat (unlocked), install under the lock,
-    /// put the bytes on the file, then `note_grow` under the lock.
-    fn writer() -> Thread {
-        let mut step = 0u8;
-        let mut obs = 0u64;
-        Box::new(move |s| match step {
-            0 => {
-                obs = s.disk; // fstat, outside the shard lock
-                step = 1;
-                Step::Ran
-            }
-            1 => {
-                let f = s.file.clone();
-                s.shard.install_opened(PATH, 0, f, obs, 4);
-                step = 2;
-                Step::Ran
-            }
-            2 => {
-                s.disk = L1; // pwrite completes
-                step = 3;
-                Step::Ran
-            }
-            3 => {
-                s.shard.grow_entry(PATH, 0, L1);
-                step = 4;
-                Step::Ran
-            }
-            _ => Step::Done,
-        })
-    }
-
-    /// A racing opener (concurrent read or second writer): fstat
-    /// outside the lock, install under it — possibly long after its
-    /// observation went stale.
-    fn opener(clobber: bool) -> Thread {
-        let mut step = 0u8;
-        let mut obs = 0u64;
-        Box::new(move |s| match step {
-            0 => {
-                obs = s.disk;
-                step = 1;
-                Step::Ran
-            }
-            1 => {
-                if clobber {
-                    // The pre-fix install: overwrite the cached length
-                    // with the (stale) fstat observation instead of
-                    // merging with max. Kept to prove the model can
-                    // see the bug this code used to have.
-                    if let Some(e) = s
-                        .shard
-                        .files
-                        .get_mut(PATH)
-                        .and_then(|per| per.get_mut(&0))
-                    {
-                        e.len = obs;
-                    } else {
-                        let f = s.file.clone();
-                        s.shard.install_opened(PATH, 0, f, obs, 4);
-                    }
-                } else {
-                    let f = s.file.clone();
-                    s.shard.install_opened(PATH, 0, f, obs, 4);
-                }
-                step = 2;
-                Step::Ran
-            }
-            _ => Step::Done,
-        })
-    }
-
-    fn cache_model(file: Arc<fs::File>, clobber: bool) -> Model<S> {
-        Model {
-            state: S {
-                shard: FdShard::default(),
-                disk: 0,
-                file,
-            },
-            threads: vec![writer(), opener(clobber)],
-            check: Box::new(|s| {
-                let entry = s
-                    .shard
-                    .files
-                    .get(PATH)
-                    .and_then(|per| per.get(&0))
-                    .expect("both paths install; the entry must exist");
-                assert_eq!(
-                    entry.len, s.disk,
-                    "cached length diverged from the file (lost update)"
-                );
-            }),
-        }
-    }
-
-    fn scratch_file() -> Arc<fs::File> {
-        let path = std::env::temp_dir().join(format!("gkfs-fd-model-{}", std::process::id()));
-        let file = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .expect("scratch chunk file");
-        let _ = fs::remove_file(&path); // unlink now; the fd keeps it alive
-        Arc::new(file)
-    }
-
-    #[test]
-    fn double_open_keeps_the_grown_length() {
-        let file = scratch_file();
-        let stats = Explorer::new().explore("fd-cache", move || cache_model(file.clone(), false));
-        assert!(stats.schedules > 5, "{stats:?}: exploration must branch");
-    }
-
-    #[test]
-    fn model_catches_the_stale_install_clobber() {
-        // With the pre-fix overwrite the stale opener shrinks the
-        // cached length after note_grow — some schedule must fail.
-        let file = scratch_file();
-        let r = std::panic::catch_unwind(move || {
-            Explorer::new().explore("fd-cache-clobber", move || cache_model(file.clone(), true))
-        });
-        assert!(r.is_err(), "the clobbering install must lose the update");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1061,8 +736,8 @@ mod tests {
 
     proptest! {
         /// `(path, id) → file name → (path, id)` round-trips — so no
-        /// two pairs share a name — and a truncate temp name is never
-        /// read back as a chunk.
+        /// two pairs share a name — and a name with a non-numeric
+        /// suffix (what truncate's temp files once were) is not a chunk.
         #[test]
         fn chunk_file_names_are_injective(
             a in tricky_path(), b in tricky_path(), ia in any::<u64>(), ib in any::<u64>()
@@ -1231,6 +906,123 @@ mod tests {
         s.truncate_chunks("/tr", 0, 16).unwrap();
         assert_eq!(s.read_chunk("/tr", 0, 0, 64).unwrap().len(), 16);
         assert!(s.read_chunk("/tr", 1, 0, 64).unwrap().is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The double-open race: two openers miss on one chunk before
+    /// either installs. Whoever re-locks second finds the slot filled,
+    /// uses that descriptor and drops its own, so the cache never holds
+    /// two descriptors for a chunk. No state depends on the order:
+    /// every round checks the outcome, and the rounds go on until the
+    /// barrier has actually produced a double miss.
+    #[test]
+    fn racing_openers_share_one_descriptor() {
+        let dir = std::env::temp_dir().join(format!("gkfs-fcs-race-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let s = FileChunkStorage::open(&dir).unwrap();
+        let inner = &s.inner;
+        let misses = || s.stats().fd_misses.load(Ordering::Relaxed);
+        let start = std::sync::Barrier::new(2);
+        let mut double_miss = false;
+        for id in 0..20_000u64 {
+            let before = misses();
+            let open = || {
+                start.wait();
+                inner.chunk_fd("/race", id, true).unwrap().unwrap()
+            };
+            let (a, b) = std::thread::scope(|sc| {
+                let t = sc.spawn(open);
+                (open(), t.join().unwrap())
+            });
+            assert!(Arc::ptr_eq(&a, &b), "both openers use the one cached descriptor");
+            let shard = inner.fd_shard("/race", id).lock();
+            assert_eq!(shard.files["/race"].len(), 1, "one entry for the chunk");
+            assert_eq!(shard.len, 1, "and the entry count agrees");
+            drop(shard);
+            double_miss = misses() - before == 2;
+            s.remove_chunks("/race", &[id]).unwrap();
+            if double_miss {
+                break;
+            }
+        }
+        assert!(double_miss, "20 000 barrier releases never raced two misses");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The shard lock on the data path, by count: every acquisition
+    /// there goes through [`FdShard::hit`], which bumps the shard's
+    /// `tick` once. A warm op takes it once (the lookup), a cold one
+    /// twice (lookup, install), and a write takes none after its bytes
+    /// are on the file.
+    #[test]
+    fn data_path_lock_acquisitions_by_count() {
+        let dir = std::env::temp_dir().join(format!("gkfs-fcs-locks-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let s = FileChunkStorage::open(&dir).unwrap();
+        let ticks = || s.inner.fd_shards.iter().map(|sh| sh.lock().tick).sum::<u64>();
+        let mut seen = ticks();
+        let mut took = |what: &str, expect: u64| {
+            let now = ticks();
+            assert_eq!(now - seen, expect, "{what}");
+            seen = now;
+        };
+        s.write_chunk("/locks", 0, 0, &[1u8; 4096]).unwrap();
+        took("cold write: lookup + install", 2);
+        s.write_chunk("/locks", 0, 4096, &[2u8; 4096]).unwrap();
+        took("warm write: the lookup, nothing after the pwrite", 1);
+        s.read_chunk("/locks", 0, 0, 8192).unwrap();
+        took("warm read", 1);
+        s.inner.forget_fd("/locks", 0);
+        s.read_chunk("/locks", 0, 0, 8192).unwrap();
+        took("cold read: lookup + install", 2);
+        s.read_chunk("/locks", 9, 0, 8192).unwrap();
+        took("read of an absent chunk: the lookup", 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Readers on warm descriptors while another thread alternately
+    /// cuts the chunk in place and writes the cut part back. Every
+    /// read succeeds, is never shorter than the shortest state, and is
+    /// exact below the cut; above it a byte is the file's or a zero —
+    /// ext4 does not make `pread` atomic against `ftruncate`, so a read
+    /// overlapping the cut can see the zeros the cut makes of the
+    /// boundary page (what a POSIX reader racing a truncate gets; the
+    /// rename this replaced gave the old inode instead).
+    #[test]
+    fn reads_racing_an_in_place_cut_never_fail() {
+        const LONG: usize = 8192;
+        const CUT: usize = 1000;
+        let dir = std::env::temp_dir().join(format!("gkfs-fcs-cut-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let s = FileChunkStorage::open(&dir).unwrap();
+        let full: Vec<u8> = (0..LONG).map(|i| (i % 251) as u8 + 1).collect();
+        s.write_chunk("/cut", 0, 0, &full).unwrap();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|sc| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    sc.spawn(|| {
+                        while !stop.load(Ordering::Relaxed) {
+                            let got = s.read_chunk("/cut", 0, 0, LONG as u64).unwrap();
+                            assert!((CUT..=LONG).contains(&got.len()), "read {} bytes", got.len());
+                            assert_eq!(&got[..CUT], &full[..CUT], "below the cut");
+                            let tail = got[CUT..].iter().zip(&full[CUT..]);
+                            assert!(tail.clone().all(|(g, f)| g == f || *g == 0), "above the cut");
+                        }
+                    })
+                })
+                .collect();
+            for _ in 0..2000 {
+                s.truncate_chunks("/cut", 0, CUT as u64).unwrap();
+                s.write_chunk("/cut", 0, CUT as u64, &full[CUT..]).unwrap();
+            }
+            stop.store(true, Ordering::Relaxed);
+            for r in readers {
+                r.join().unwrap();
+            }
+        });
+        assert_eq!(s.stats().fd_misses.load(Ordering::Relaxed), 1, "the cut keeps the descriptor warm");
+        assert_eq!(s.read_chunk("/cut", 0, 0, LONG as u64).unwrap(), full);
         fs::remove_dir_all(&dir).unwrap();
     }
 

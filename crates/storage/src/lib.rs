@@ -20,7 +20,6 @@
 
 pub mod file;
 pub mod mem;
-mod mmap;
 pub mod stats;
 
 pub use file::FileChunkStorage;

@@ -134,3 +134,53 @@ fn a_write_racing_a_remove_of_its_path_never_fails() {
     }
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+/// A truncate makes no name of its own: while one thread cuts and
+/// regrows multi-chunk paths every way there is (to zero, shorter, to
+/// the exact length, past it, dropping tail chunks), a second lists
+/// `chunks/` and finds nothing but `<escaped path>.<canonical id>` —
+/// no temp file to strand if the daemon dies mid-truncate.
+#[test]
+fn a_truncate_leaves_only_chunk_names_on_disk() {
+    let root = scratch("names");
+    let s = FileChunkStorage::open(&root).unwrap();
+    let chunks = root.join("chunks");
+    let strangers = || -> Vec<String> {
+        let mut out = Vec::new();
+        for shard in std::fs::read_dir(&chunks).unwrap() {
+            for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+                let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+                let id = name.rsplit_once('.').and_then(|(_, id)| id.parse::<u64>().ok());
+                if id.is_none_or(|id| !name.ends_with(&format!(".{id}"))) {
+                    out.push(name);
+                }
+            }
+        }
+        out
+    };
+    let paths: Vec<String> = (0..16).map(|i| format!("/t/f{i}.t")).collect();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let lister = scope.spawn(|| {
+            while !done.load(Ordering::SeqCst) {
+                assert_eq!(strangers(), Vec::<String>::new(), "seen during a truncate");
+            }
+        });
+        for round in 0..50u64 {
+            for p in &paths {
+                for id in 0..3 {
+                    s.write_chunk(p, id, 0, &[round as u8; 600]).unwrap();
+                }
+                for (keep_chunk, keep_bytes) in [(2, 900), (2, 600), (2, 100), (1, 0), (0, 7)] {
+                    s.truncate_chunks(p, keep_chunk, keep_bytes).unwrap();
+                }
+                assert_eq!(s.list_chunks(p).unwrap(), vec![(0, 7)]);
+            }
+        }
+        done.store(true, Ordering::SeqCst);
+        lister.join().unwrap();
+    });
+    assert_eq!(strangers(), Vec::<String>::new());
+    assert_eq!(census(&chunks).1, paths.len());
+    std::fs::remove_dir_all(&root).unwrap();
+}

@@ -11,6 +11,12 @@ enum Op {
     Write { chunk: u8, offset: u16, len: u8, fill: u8 },
     Read { chunk: u8, offset: u16, len: u16 },
     Truncate { keep_chunk: u8, keep_bytes: u16 },
+    /// Cut `chunk` relative to what it holds *now* (`kind`: to zero,
+    /// shorter, to its exact length, past it) — the file backend does it
+    /// through whatever descriptor earlier ops left warm — then, with
+    /// `regrow`, write `(gap, len, fill)` past the cut: the gap must
+    /// read zeros, not what the cut dropped.
+    Cut { chunk: u8, kind: u8, at: u16, regrow: Option<(u8, u8, u8)> },
     /// Remove by known ids (held or not); an empty list is "whatever
     /// is held" and is `RemoveAll`'s spelling.
     Remove { ids: Vec<u8> },
@@ -36,6 +42,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             keep_chunk: keep_chunk % 6,
             keep_bytes: keep_bytes % 2500,
         }),
+        3 => (any::<u8>(), any::<u8>(), any::<u16>(), any::<bool>(), (any::<u8>(), any::<u8>(), any::<u8>()))
+            .prop_map(|(chunk, kind, at, regrow, grow)| Op::Cut {
+                chunk: chunk % 6,
+                kind: kind % 4,
+                at,
+                regrow: regrow.then_some(grow),
+            }),
         1 => prop::collection::vec(any::<u8>(), 1..4)
             .prop_map(|ids| Op::Remove { ids: ids.into_iter().map(|c| c % 8).collect() }),
         1 => Just(Op::RemoveAll),
@@ -104,6 +117,26 @@ fn exercise(storage: &dyn ChunkStorage, ops: &[Op]) -> Result<(), TestCaseError>
                     .unwrap();
                 model.truncate(*keep_chunk as u64, *keep_bytes as usize);
             }
+            Op::Cut { chunk, kind, at, regrow } => {
+                let chunk = *chunk as u64;
+                let held = model.chunks.get(&chunk).map_or(0, Vec::len);
+                let keep = match kind {
+                    0 => 0,
+                    1 => *at as usize % (held + 1),
+                    2 => held,
+                    _ => held + 1 + *at as usize % 500,
+                };
+                storage.truncate_chunks(PATH, chunk, keep as u64).unwrap();
+                model.truncate(chunk, keep);
+                if let Some((gap, len, fill)) = *regrow {
+                    let data = vec![fill; len as usize + 1];
+                    let offset = keep.min(held) + gap as usize;
+                    storage.write_chunk(PATH, chunk, offset as u64, &data).unwrap();
+                    model.write(chunk, offset, &data);
+                }
+                let got = storage.read_chunk(PATH, chunk, 0, 4096).unwrap();
+                prop_assert_eq!(model.read(chunk, 0, 4096), got, "c{} after cut to {}", chunk, keep);
+            }
             Op::Remove { ids } => {
                 let ids: Vec<u64> = ids.iter().map(|&c| c as u64).collect();
                 storage.remove_chunks(PATH, &ids).unwrap();
@@ -119,6 +152,10 @@ fn exercise(storage: &dyn ChunkStorage, ops: &[Op]) -> Result<(), TestCaseError>
             model.chunks.len(),
             "chunk count"
         );
+        for id in 0..8 {
+            let held = storage.holds(PATH, id).unwrap();
+            prop_assert_eq!(held, model.chunks.contains_key(&id), "holds c{} after {:?}", id, op);
+        }
     }
     Ok(())
 }

@@ -31,12 +31,15 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> schedule models, release (taskpool protocol, tcp leader/follower, fd-cache double-open, kvstore rotation hand-off)"
+echo "==> schedule models, release (taskpool protocol, tcp leader/follower, kvstore rotation hand-off)"
 # The loom-style explorers (gkfs_common::model) run every interleaving
 # their preemption bound admits; release mode keeps the exploration in
 # the seconds. Bound 3 matches loom's CI default — raise it locally
-# when hunting, not here.
-LOOM_MAX_PREEMPTIONS=3 cargo test --release -p gkfs-common -p gkfs-rpc -p gkfs-storage -p gkfs-kvstore model
+# when hunting, not here. (gkfs-storage has no model any more: the
+# fd-cache one checked a cached length against racing openers, and the
+# cache keeps no length; what is left of the double open has no
+# order-dependent state and is a plain test in file.rs.)
+LOOM_MAX_PREEMPTIONS=3 cargo test --release -p gkfs-common -p gkfs-rpc -p gkfs-kvstore model
 
 echo "==> miri (UB check: gkfs-common incl. wire codecs)"
 # Needs the nightly miri component; environments without it (no
@@ -129,6 +132,10 @@ cargo test -p gkfs-kvstore --release -q
 # over four fresh seeds, ~10 s. A failure prints the row (corpus,
 # mutation, seed) that reproduces it.
 cargo test -p gkfs-kvstore --release -q --test fuzz_decoders -- --ignored
+# The same for what comes off a socket (crates/rpc/tests/fuzz_wire.rs,
+# on the same harness): every RPC body, both frame kinds and the TCP
+# frame reader, seeded rows at 100x, ~2 s.
+cargo test -p gkfs-rpc --release -q --test fuzz_wire -- --ignored
 
 echo "==> one-winner race, release (a batched exclusive create is atomic)"
 # N threads released onto one path per round through the daemon's

@@ -12,8 +12,8 @@
 //! this suite in release mode with the three fixed seeds below.
 
 use gekkofs::{
-    Cluster, ClusterConfig, Daemon, DaemonConfig, GekkoClient, OpenFlags, ReplicationConfig,
-    RetryConfig,
+    Cluster, ClusterConfig, Daemon, DaemonConfig, GekkoClient, GkfsError, OpenFlags,
+    ReplicationConfig, RetryConfig,
 };
 use gkfs_common::distributor::substitute;
 use gkfs_rpc::{ChaosConfig, ChaosEndpoint, ChaosListener, Endpoint, EndpointOptions, TcpEndpoint};
@@ -549,6 +549,54 @@ fn rejoin_window_reads_fail_over_instead_of_zeros() {
         // The victim is back, answering, and empty. Every acked byte
         // must still read back exactly.
         verify_all(&fs, &files, "rejoined-empty window");
+        cluster.shutdown();
+    }
+}
+
+#[test]
+fn rejoin_window_stat_many_fails_over_like_stat() {
+    // The metadata half of the window above, same setup (killed,
+    // rejoined EMPTY, no repair, no drain-back, no polling): the third
+    // of the files whose metadata primary is the empty node is answered
+    // `NotFound` by it, op by op inside an `Ok` frame. A unary stat
+    // asks the replica next; a stat frame must do the same for exactly
+    // those ops instead of taking the empty node's word as final.
+    for seed in SEEDS {
+        let config = ClusterConfig::new(3)
+            .with_chunk_size(REPL_CHUNK)
+            .with_retry(chaos_retry())
+            .with_replication(ReplicationConfig {
+                replicas: 2,
+                write_quorum: 1,
+                hedge_after_ms: 15,
+                heartbeat_interval_ms: 3_600_000,
+                suspect_after_ms: 3_600_000,
+                dead_after_ms: 7_200_000,
+            });
+        let mut cluster = Cluster::deploy(config).unwrap();
+        let fs = cluster.mount().unwrap();
+        let paths: Vec<String> = (0..30).map(|i| format!("/window/s.{i}")).collect();
+        for (i, p) in paths.iter().enumerate() {
+            let h = fs.open_handle(p, OpenFlags::WRONLY.with_create()).unwrap();
+            h.pwrite(0, &vec![7u8; i + 1]).unwrap();
+            h.close().unwrap();
+        }
+
+        let victim = (seed as usize) % 3;
+        cluster.kill(victim);
+        cluster.rejoin(victim).unwrap();
+
+        for (i, p) in paths.iter().enumerate() {
+            assert_eq!(fs.stat(p).unwrap().size, i as u64 + 1, "seed {seed}: stat {p}");
+        }
+        let mut asked = paths.clone();
+        asked.push("/window/never-created".into());
+        let many = fs.stat_many(&asked).unwrap();
+        for (i, p) in paths.iter().enumerate() {
+            let size = many[i].as_ref().map(|m| m.size);
+            assert_eq!(size.ok(), Some(i as u64 + 1), "seed {seed}: stat_many {p}: {:?}", many[i]);
+        }
+        assert!(matches!(many[30], Err(GkfsError::NotFound)), "a path nobody holds stays NotFound");
         cluster.shutdown();
     }
 }
