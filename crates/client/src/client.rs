@@ -260,29 +260,32 @@ impl GekkoClient {
         }
     }
 
+    /// Dirty files [`GekkoClient::flush_all`] keeps in flight at once:
+    /// bounds what one thread has submitted and not yet awaited to this
+    /// many write-back runs.
+    const FLUSH_ALL_IN_FLIGHT: usize = 16;
+
     /// Flush all buffered state (unmount): every open path's
-    /// write-back run, then all buffered size updates — one update per
-    /// dirty file, all submitted before any reply is awaited.
+    /// write-back run and buffered size update, one write in flight per
+    /// dirty file, [`Self::FLUSH_ALL_IN_FLIGHT`] files at a time. Every
+    /// file is attempted and every leg awaited whatever failed before
+    /// it; the first error is the result.
     pub fn flush_all(&self) -> Result<()> {
-        let locals = self.files.locals();
-        // Buffer flushes first: they buffer the size updates the drain
-        // below sends.
-        for local in &locals {
-            if let Some(run) = local.take_run() {
-                self.flush_run(local, run)?;
+        let mut first_err = None;
+        for files in self.files.locals().chunks(Self::FLUSH_ALL_IN_FLIGHT) {
+            let runs: Vec<_> = files.iter().map(|local| local.take_run()).collect();
+            let inflight: Vec<_> = files
+                .iter()
+                .zip(&runs)
+                .map(|(local, run)| self.submit_run(local, run.as_ref(), true))
+                .collect();
+            for write in inflight {
+                if let Err(e) = write.and_then(|w| self.finish_write(w)) {
+                    first_err.get_or_insert(e);
+                }
             }
         }
-        let deadline = self.ring.op_deadline();
-        let inflight: Vec<_> = locals
-            .iter()
-            .filter_map(|l| Some((l, self.submit_size_update(&l.path, l.take_pending()?))))
-            .collect();
-        for (local, call) in inflight {
-            let sent = self.quorum_wait(call, deadline);
-            self.revoke_lease(&local.path);
-            sent?;
-        }
-        Ok(())
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Aggregate daemon statistics across the cluster.

@@ -1,7 +1,7 @@
 //! The data path: a write split into chunk pieces and fanned out to
-//! every piece's write set, a read gathered back down each piece's
-//! replica chain, and the size update that follows a write to the
-//! file's metadata owner.
+//! every piece's write set together with its size update to the file's
+//! metadata owner — one fan-out, one deadline, one wait — and a read
+//! gathered back down each piece's replica chain.
 
 use crate::client::{now_ns, GekkoClient};
 use crate::filemap::{LocalFile, SizeUpdate};
@@ -38,77 +38,110 @@ fn push_piece<'a>(
     bulk.push(&data[p.buf_offset as usize..(p.buf_offset + p.len) as usize]);
 }
 
+/// A write in flight, as a value: the size leg to the path's metadata
+/// write set and the data legs to every member of every piece's write
+/// set, all submitted, none awaited ([`GekkoClient::submit_write`]).
+/// [`GekkoClient::finish_write`] awaits every leg under the one
+/// deadline taken here and only then tells the path's record.
+pub(crate) struct WriteInFlight<'a> {
+    local: &'a LocalFile,
+    /// What the bytes say once acknowledged (none: a flush that had no
+    /// run to send).
+    wrote: Option<SizeUpdate>,
+    /// The update the size leg carries, and the leg (none: the §IV-B
+    /// window absorbs this write).
+    size_leg: Option<(SizeUpdate, QuorumCall<'static, ()>)>,
+    /// Each piece's chunk id and write set, in piece order.
+    piece_sets: Vec<(u64, Vec<NodeId>)>,
+    /// One batch per daemon holding a member of some piece's set.
+    data_legs: Vec<(NodeId, Result<ReplyFuture<'a, ()>>)>,
+    deadline: Deadline,
+}
+
 impl GekkoClient {
-    /// Submit a size update to `path`'s metadata write set (the flush
-    /// path of the §IV-B window).
-    pub(crate) fn submit_size_update(&self, path: &str, update: SizeUpdate) -> QuorumCall<'static, ()> {
-        self.stats.size_updates_sent.fetch_add(1, Ordering::Relaxed);
-        self.quorum_submit(self.placement.meta_primary(path), |n| {
-            self.ring.update_size_nb(n, path, update.size, update.mtime_ns)
-        })
-    }
-
-    /// One size update, sent and awaited. What the TTL stat cache holds
-    /// for `path` predates it, so the entry goes.
-    pub(crate) fn send_size_update(&self, path: &str, update: SizeUpdate) -> Result<()> {
-        let deadline = self.ring.op_deadline();
-        let sent = self.quorum_wait(self.submit_size_update(path, update), deadline);
-        self.revoke_lease(path);
-        sent
-    }
-
-    /// The raw write path: split into chunks, fan every piece out to
-    /// its write set, then tell the file's record the bytes landed and
-    /// send the size update it hands back — none while the §IV-B
-    /// window absorbs it. Counts no client ops — callers do.
+    /// Put a write in flight: split `data` into chunk pieces, ask the
+    /// path's record what size update goes with it
+    /// ([`LocalFile::size_leg`] — the candidate, `offset + len`, is
+    /// known before a byte moves; `flush` forces the §IV-B window out
+    /// too), and submit **every** leg before any reply is awaited: the
+    /// size leg first (the paper's order: a 60-byte frame ahead of up
+    /// to megabytes), then each piece to **all** members of its write
+    /// set (`Placement::chunk_set`), batched per daemon. The write gets
+    /// a single time budget, not one per leg. An unlinked path sends
+    /// neither leg. The record's guard is dropped inside `size_leg`,
+    /// before the first leg leaves (GKL002). Counts no client ops —
+    /// callers do.
     ///
     /// `data` is never copied here: each daemon's batch is a list of
     /// sub-slices of it (the scatter/gather list an RDMA transport
     /// would build), borrowed until that daemon has acknowledged.
-    pub(crate) fn write_through(&self, local: &LocalFile, offset: u64, data: &[u8]) -> Result<()> {
-        let pieces = chunk_range(self.layout, offset, data.len() as u64);
-        self.fan_out_writes(&local.path, &pieces, data)?;
-        match local.wrote(offset + data.len() as u64, now_ns())? {
-            Some(update) => self.send_size_update(&local.path, update),
-            None => Ok(()),
-        }
-    }
-
-    /// The write fan-out: every chunk-piece goes to **all** members of
-    /// its write set (`Placement::chunk_set`), batched per daemon;
-    /// all batches are submitted before any reply is awaited — the
-    /// striped write gets a single time budget, not N stacked timeouts
-    /// — and every reply is awaited before judging the outcome (no
-    /// early return — a replica must not miss bytes merely because a
-    /// sibling errored first). The write succeeds iff every piece was
-    /// acknowledged by at least `Placement::quorum` members of its
-    /// set; with replication off that is "its one owner said Ok".
-    pub(crate) fn fan_out_writes(
+    pub(crate) fn submit_write<'a>(
         &self,
-        path: &str,
-        pieces: &[gkfs_common::chunk::ChunkInfo],
-        data: &[u8],
-    ) -> Result<()> {
+        local: &'a LocalFile,
+        offset: u64,
+        data: &'a [u8],
+        flush: bool,
+    ) -> Result<WriteInFlight<'a>> {
+        let path = &local.path;
+        let end = offset + data.len() as u64;
+        let wrote = (!data.is_empty()).then(|| SizeUpdate { size: end, mtime_ns: now_ns() });
+        let update = local.size_leg(wrote, flush)?;
+        let deadline = self.ring.op_deadline();
+        let size_leg = update.map(|u| {
+            self.stats.size_updates_sent.fetch_add(1, Ordering::Relaxed);
+            let leg = self.quorum_submit(self.placement.meta_primary(path), |n| {
+                self.ring.update_size_nb(n, path, u.size, u.mtime_ns)
+            });
+            (u, leg)
+        });
         let mut per_node: HashMap<NodeId, NodeBatch<'_>> = HashMap::new();
-        let mut piece_sets: Vec<Vec<NodeId>> = Vec::with_capacity(pieces.len());
-        for p in pieces {
+        let pieces = chunk_range(self.layout, offset, data.len() as u64);
+        let mut piece_sets = Vec::with_capacity(pieces.len());
+        for p in &pieces {
             let set = self.placement.chunk_set(path, p.chunk_id);
             for &node in &set {
                 push_piece(&mut per_node, node, p, data);
             }
-            piece_sets.push(set);
+            piece_sets.push((p.chunk_id, set));
         }
-        let deadline = self.ring.op_deadline();
-        let inflight: Vec<(NodeId, Result<ReplyFuture<'_, ()>>)> = per_node
+        let data_legs = per_node
             .into_iter()
             .map(|(node, (ops, bulk))| (node, self.ring.write_chunks_nb(node, path, ops, bulk)))
             .collect();
-        let mut outcomes: HashMap<NodeId, Result<()>> = HashMap::new();
-        for (node, fut) in inflight {
-            outcomes.insert(node, fut.and_then(|f| f.wait_deadline(deadline)));
+        Ok(WriteInFlight { local, wrote, size_leg, piece_sets, data_legs, deadline })
+    }
+
+    /// Await every leg of a write in flight — no early return: a
+    /// replica must not miss bytes, nor the metadata owner its update,
+    /// merely because a sibling errored first — then judge. The data
+    /// succeeds iff every piece was acknowledged by at least
+    /// `Placement::quorum` members of its set (with replication off:
+    /// "its one owner said Ok"), the size leg by
+    /// [`GekkoClient::quorum_wait`]'s rule; the data's error comes
+    /// first if both failed. Only then does the record hear of it
+    /// ([`LocalFile::landed`]): a failed data leg leaves it as it was.
+    /// What the TTL stat cache holds for the path predates a sent
+    /// update, so the entry goes.
+    pub(crate) fn finish_write(&self, write: WriteInFlight<'_>) -> Result<()> {
+        let WriteInFlight { local, wrote, size_leg, piece_sets, data_legs, deadline } = write;
+        if wrote.is_none() && size_leg.is_none() {
+            // A flush that found nothing to send (a clean record, or an
+            // unlinked one): nothing to await, nothing to record.
+            return Ok(());
         }
+        let outcomes: HashMap<NodeId, Result<()>> = data_legs
+            .into_iter()
+            .map(|(node, fut)| (node, fut.and_then(|f| f.wait_deadline(deadline))))
+            .collect();
+        let sent = size_leg
+            .map(|(update, leg)| {
+                let sent = self.quorum_wait(leg, deadline);
+                self.revoke_lease(&local.path);
+                sent.map(|()| update)
+            })
+            .transpose();
         let quorum = self.placement.quorum();
-        for (p, set) in pieces.iter().zip(&piece_sets) {
+        for (chunk_id, set) in &piece_sets {
             let acks = set
                 .iter()
                 .filter(|n| matches!(outcomes.get(n), Some(Ok(()))))
@@ -120,13 +153,19 @@ impl GekkoClient {
                 });
                 return Err(cause.unwrap_or_else(|| {
                     GkfsError::Unavailable(format!(
-                        "chunk {} of {path}: {acks}/{quorum} replica acks",
-                        p.chunk_id
+                        "chunk {chunk_id} of {}: {acks}/{quorum} replica acks",
+                        local.path
                     ))
                 }));
             }
         }
-        Ok(())
+        local.landed(wrote, *sent.as_ref().unwrap_or(&None))?;
+        sent.map(drop)
+    }
+
+    /// One write, sent and awaited.
+    pub(crate) fn write_through(&self, local: &LocalFile, offset: u64, data: &[u8]) -> Result<()> {
+        self.finish_write(self.submit_write(local, offset, data, false)?)
     }
 
     /// The raw scatter-gather read of `[offset, offset + len)`; the
@@ -315,14 +354,26 @@ impl GekkoClient {
         }
     }
 
-    /// Send one displaced or forced write-back run to the daemons.
+    /// Put a write-back run (and, with `flush`, whatever size update
+    /// the §IV-B window holds: one merged size leg, not two) in flight.
     /// Called with no locks held — the run was taken out under the
     /// record's lock and the guard dropped before any RPC (GKL002). The
-    /// run is owned here and lent to the write path as it is: the
-    /// fan-out borrows sub-slices of `run.data`, it does not copy them.
+    /// run is lent to the write path as it is: the fan-out borrows
+    /// sub-slices of `run.data`, it does not copy them.
+    pub(crate) fn submit_run<'a>(
+        &self,
+        local: &'a LocalFile,
+        run: Option<&'a WbRun>,
+        flush: bool,
+    ) -> Result<WriteInFlight<'a>> {
+        self.stats.wb_flushes.fetch_add(u64::from(run.is_some()), Ordering::Relaxed);
+        let (start, data) = run.map_or((0, &[][..]), |r| (r.start, &r.data[..]));
+        self.submit_write(local, start, data, flush)
+    }
+
+    /// Send one displaced or full write-back run to the daemons.
     pub(crate) fn flush_run(&self, local: &LocalFile, run: WbRun) -> Result<()> {
-        self.stats.wb_flushes.fetch_add(1, Ordering::Relaxed);
-        self.write_through(local, run.start, &run.data)
+        self.finish_write(self.submit_run(local, Some(&run), false)?)
     }
 }
 
@@ -332,9 +383,9 @@ mod tests {
     use crate::client::testing::{cluster, cluster_with};
     use gkfs_common::{ClusterConfig, OpenFlags};
     use gkfs_daemon::Daemon;
-    use gkfs_rpc::Endpoint;
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Arc;
+    use gkfs_rpc::{Endpoint, Opcode};
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn write_read_roundtrip_single_chunk() {
@@ -474,21 +525,42 @@ mod tests {
         assert_eq!(cross, vec![0u8; 100], "cross-node read sees holes");
     }
 
-    /// A daemon whose chunk reads answer `delay` late (everything else
-    /// at once), counting the reads it is asked for.
-    struct SleepyReads {
+    /// A daemon doctored per opcode: everything it is asked is logged,
+    /// `slow` ops answer `delay` late (the others at once), and
+    /// `refused` ones come back as an application error, which nothing
+    /// retries.
+    struct Doctored {
         inner: Arc<dyn Endpoint>,
-        delay: std::time::Duration,
-        reads: Arc<AtomicU64>,
-        repliers: std::sync::Mutex<Vec<std::thread::JoinHandle<()>>>,
+        slow: Vec<Opcode>,
+        delay: Duration,
+        refused: Mutex<Vec<Opcode>>,
+        asked: Mutex<Vec<Opcode>>,
+        repliers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     }
 
-    impl Endpoint for SleepyReads {
+    impl Doctored {
+        fn new(inner: Arc<dyn Endpoint>, slow: &[Opcode], delay_ms: u64) -> Arc<Doctored> {
+            Arc::new(Doctored {
+                inner,
+                slow: slow.to_vec(),
+                delay: Duration::from_millis(delay_ms),
+                refused: Mutex::default(),
+                asked: Mutex::default(),
+                repliers: Mutex::default(),
+            })
+        }
+    }
+
+    impl Endpoint for Doctored {
         fn submit(&self, req: gkfs_rpc::Request) -> Result<gkfs_rpc::ReplyHandle> {
-            if req.opcode != gkfs_rpc::Opcode::ReadChunks {
+            self.asked.lock().unwrap().push(req.opcode);
+            if self.refused.lock().unwrap().contains(&req.opcode) {
+                let refusal = GkfsError::InvalidArgument(format!("{:?} refused", req.opcode));
+                return Ok(gkfs_rpc::ReplyHandle::ready(Ok(gkfs_rpc::Response::err(refusal))));
+            }
+            if !self.slow.contains(&req.opcode) {
                 return self.inner.submit(req);
             }
-            self.reads.fetch_add(1, Ordering::Relaxed);
             let (tx, rx) = std::sync::mpsc::sync_channel(1);
             let (inner, delay) = (Arc::clone(&self.inner), self.delay);
             self.repliers.lock().unwrap().push(std::thread::spawn(move || {
@@ -499,11 +571,163 @@ mod tests {
         }
     }
 
-    impl Drop for SleepyReads {
+    impl Drop for Doctored {
         fn drop(&mut self) {
             for t in self.repliers.lock().unwrap().drain(..) {
                 let _ = t.join();
             }
+        }
+    }
+
+    /// `nodes` daemons behind [`Doctored`] endpoints slow on `slow`.
+    fn doctored_cluster(
+        config: &ClusterConfig,
+        slow: &[Opcode],
+        delay_ms: u64,
+    ) -> (Vec<Arc<Daemon>>, Vec<Arc<Doctored>>, GekkoClient) {
+        let daemons: Vec<Arc<Daemon>> = (0..config.nodes)
+            .map(|_| Daemon::spawn(gkfs_common::DaemonConfig::default()).unwrap())
+            .collect();
+        let doctored: Vec<_> = daemons
+            .iter()
+            .map(|d| Doctored::new(d.endpoint(), slow, delay_ms))
+            .collect();
+        let endpoints = doctored.iter().map(|d| Arc::clone(d) as Arc<dyn Endpoint>).collect();
+        let client = GekkoClient::mount(endpoints, config).unwrap();
+        (daemons, doctored, client)
+    }
+
+    fn refuse(doctored: &[Arc<Doctored>], ops: &[Opcode]) {
+        for d in doctored {
+            *d.refused.lock().unwrap() = ops.to_vec();
+        }
+    }
+
+    fn asked(doctored: &[Arc<Doctored>]) -> Vec<Opcode> {
+        doctored.iter().flat_map(|d| d.asked.lock().unwrap().clone()).collect()
+    }
+
+    // The two legs of a write in flight, failing one at a time.
+
+    #[test]
+    fn a_failed_data_leg_fails_the_write_and_leaves_the_record_as_it_was() {
+        // The size leg answers 60 ms late, the data leg is refused at
+        // once: the write must still hear the size leg out.
+        let (_d, doctored, c) = doctored_cluster(&ClusterConfig::new(2), &[Opcode::UpdateSize], 60);
+        let h = c.open_handle("/f", OpenFlags::RDWR.with_create()).unwrap();
+        h.pwrite(0, b"1234").unwrap();
+        refuse(&doctored, &[Opcode::WriteChunks]);
+        let (rpc0, t0) = (c.stats().rpcs_issued.load(Ordering::Relaxed), Instant::now());
+        let err = h.pwrite(4, b"5678").unwrap_err();
+        assert!(matches!(&err, GkfsError::InvalidArgument(m) if m.contains("WriteChunks")), "{err:?}");
+        assert!(t0.elapsed() >= Duration::from_millis(60), "the size leg's reply was not awaited");
+        assert_eq!(c.stats().rpcs_issued.load(Ordering::Relaxed) - rpc0, 2, "both legs left");
+        assert_eq!(h.size(), 4, "the record did not grow");
+        refuse(&doctored, &[]);
+        // Nothing was left behind to send, either.
+        let rpc1 = c.stats().rpcs_issued.load(Ordering::Relaxed);
+        h.flush().unwrap();
+        assert_eq!(c.stats().rpcs_issued.load(Ordering::Relaxed), rpc1);
+        // The documented consequence of sending the candidate with the
+        // data (the paper sends it first): the owner's size did grow.
+        assert_eq!(c.stat("/f").unwrap().size, 8);
+        h.close().unwrap();
+    }
+
+    #[test]
+    fn a_failed_size_leg_fails_the_write_whose_bytes_landed() {
+        let (_d, doctored, c) = doctored_cluster(&ClusterConfig::new(2), &[], 0);
+        let h = c.open_handle("/f", OpenFlags::RDWR.with_create()).unwrap();
+        refuse(&doctored, &[Opcode::UpdateSize]);
+        let err = h.pwrite(0, b"landed").unwrap_err();
+        assert!(matches!(&err, GkfsError::InvalidArgument(m) if m.contains("UpdateSize")), "{err:?}");
+        // The bytes are at the chunk owner and the record knows it; the
+        // candidate waits for the next update that gets through.
+        assert_eq!(h.pread(0, 6).unwrap(), b"landed");
+        refuse(&doctored, &[]);
+        h.close().unwrap();
+        assert_eq!(c.stat("/f").unwrap().size, 6);
+    }
+
+    #[test]
+    fn when_both_legs_fail_the_data_legs_error_is_the_writes() {
+        let (_d, doctored, c) = doctored_cluster(&ClusterConfig::new(2), &[], 0);
+        let h = c.open_handle("/f", OpenFlags::RDWR.with_create()).unwrap();
+        refuse(&doctored, &[Opcode::UpdateSize, Opcode::WriteChunks]);
+        let before = asked(&doctored).len();
+        let err = h.pwrite(0, b"nowhere").unwrap_err();
+        assert!(matches!(&err, GkfsError::InvalidArgument(m) if m.contains("WriteChunks")), "{err:?}");
+        assert_eq!(asked(&doctored).len() - before, 2);
+        assert_eq!(h.size(), 0);
+    }
+
+    #[test]
+    fn a_write_to_an_unlinked_path_sends_neither_leg() {
+        let (_d, doctored, c) = doctored_cluster(&ClusterConfig::new(2).with_write_back(4096), &[], 0);
+        let h = c.open_handle("/gone", OpenFlags::RDWR.with_create()).unwrap();
+        h.pwrite(0, b"buffered").unwrap();
+        c.unlink("/gone").unwrap();
+        let before = asked(&doctored).len();
+        assert!(matches!(h.pwrite(0, &[7u8; 8192]), Err(GkfsError::NotFound)));
+        h.flush().unwrap();
+        h.close().unwrap();
+        assert_eq!(asked(&doctored).len(), before, "zero RPCs");
+    }
+
+    #[test]
+    fn both_legs_share_one_deadline_and_one_wait() {
+        // Each leg answers after 0.6 D. Side by side under one deadline
+        // D the write is done at 0.6 D; one after the other (each under
+        // a deadline of its own) it took 1.2 D.
+        const D: u64 = 2000;
+        let config = ClusterConfig::new(2).with_op_deadline_ms(D);
+        let (_d, _doctored, c) =
+            doctored_cluster(&config, &[Opcode::UpdateSize, Opcode::WriteChunks], D * 6 / 10);
+        let h = c.open_handle("/slow", OpenFlags::RDWR.with_create()).unwrap();
+        let t0 = Instant::now();
+        h.pwrite(0, b"side by side").unwrap();
+        let took = t0.elapsed();
+        assert!(took >= Duration::from_millis(D * 6 / 10));
+        assert!(took < Duration::from_millis(D), "the legs were awaited one after the other: {took:?}");
+        h.close().unwrap();
+    }
+
+    #[test]
+    fn flush_all_attempts_every_file_and_reports_the_first_failure() {
+        // Three files with buffered runs; the chunk owner of one refuses
+        // writes. The other two must reach the daemons whatever order
+        // the table walks them in — six mounts, six orders.
+        let config = ClusterConfig::new(3).with_write_back(64 * 1024);
+        let (daemons, doctored, _c) = doctored_cluster(&config, &[], 0);
+        let broken = 2;
+        doctored[broken].refused.lock().unwrap().push(Opcode::WriteChunks);
+        for round in 0..6 {
+            let endpoints = doctored.iter().map(|d| Arc::clone(d) as Arc<dyn Endpoint>).collect();
+            let c = GekkoClient::mount(endpoints, &config).unwrap();
+            let on_broken = |p: &String| c.placement.chunk_primary(p, 0) == broken;
+            let mut names = (0..).map(|i| format!("/r{round}-{i}"));
+            let bad = names.by_ref().find(on_broken).unwrap();
+            let good: Vec<String> = names.filter(|p| !on_broken(p)).take(2).collect();
+            let handles: Vec<_> = [&good[0], &bad, &good[1]]
+                .iter()
+                .map(|p| {
+                    let h = c.open_handle(p, OpenFlags::WRONLY.with_create()).unwrap();
+                    h.pwrite(0, p.as_bytes()).unwrap();
+                    h
+                })
+                .collect();
+            let err = c.flush_all().unwrap_err();
+            assert!(matches!(&err, GkfsError::InvalidArgument(m) if m.contains("WriteChunks")), "{err:?}");
+            // A second client, straight at the daemons, sees both good
+            // files whole.
+            let raw = daemons.iter().map(|d| d.endpoint()).collect();
+            let other = GekkoClient::mount(raw, &ClusterConfig::new(3)).unwrap();
+            for p in &good {
+                assert_eq!(other.stat(p).unwrap().size, p.len() as u64, "round {round}: {p} never flushed");
+                let r = other.open_handle(p, OpenFlags::RDONLY).unwrap();
+                assert_eq!(r.pread(0, 64).unwrap(), p.as_bytes());
+            }
+            drop(handles);
         }
     }
 
@@ -516,28 +740,14 @@ mod tests {
         // request: no second chain member may be asked.
         let mut config = ClusterConfig::new(3).with_replicas(2);
         config.replication.hedge_after_ms = 0;
-        let daemons: Vec<Arc<Daemon>> = (0..3)
-            .map(|_| Daemon::spawn(gkfs_common::DaemonConfig::default()).unwrap())
-            .collect();
-        let reads = Arc::new(AtomicU64::new(0));
-        let endpoints: Vec<Arc<dyn Endpoint>> = daemons
-            .iter()
-            .map(|d| {
-                Arc::new(SleepyReads {
-                    inner: d.endpoint(),
-                    delay: std::time::Duration::from_millis(120),
-                    reads: Arc::clone(&reads),
-                    repliers: Default::default(),
-                }) as Arc<dyn Endpoint>
-            })
-            .collect();
-        let c = GekkoClient::mount(endpoints, &config).unwrap();
+        let (_d, doctored, c) = doctored_cluster(&config, &[Opcode::ReadChunks], 120);
         let h = c.open_handle("/slow", OpenFlags::RDWR.with_create()).unwrap();
         h.pwrite(0, b"payload").unwrap();
         let rpc0 = c.stats().rpcs_issued.load(Ordering::Relaxed);
         assert_eq!(h.pread(0, 7).unwrap(), b"payload");
         assert_eq!(c.stats().rpcs_issued.load(Ordering::Relaxed) - rpc0, 1);
-        assert_eq!(reads.load(Ordering::Relaxed), 1, "a second replica was asked");
+        let reads = asked(&doctored).iter().filter(|op| **op == Opcode::ReadChunks).count();
+        assert_eq!(reads, 1, "a second replica was asked");
         h.close().unwrap();
     }
 }

@@ -30,7 +30,8 @@ use std::sync::{Arc, Weak};
 /// keeps its fd space disjoint from the kernel's.
 pub const FD_BASE: i32 = 100_000;
 
-/// One size update bound for a file's metadata owner.
+/// One size update bound for a file's metadata owner — and, before it
+/// is one, what a write of bytes up to `size` at `mtime_ns` has to say.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SizeUpdate {
     /// Size candidate (the daemon keeps the maximum).
@@ -39,13 +40,20 @@ pub(crate) struct SizeUpdate {
     pub(crate) mtime_ns: u64,
 }
 
+impl SizeUpdate {
+    /// Both candidates in one: the larger size, the later mtime.
+    fn merge(self, other: SizeUpdate) -> SizeUpdate {
+        SizeUpdate { size: self.size.max(other.size), mtime_ns: self.mtime_ns.max(other.mtime_ns) }
+    }
+}
+
 /// The §IV-B size-update buffer of one file: *"a rudimentary client
 /// cache to locally buffer size updates of a number of write
 /// operations before they are send to the node that manages the file's
 /// metadata"*.
 #[derive(Default)]
 struct Pending {
-    /// Writes absorbed since the last update went out.
+    /// Acknowledged writes no acknowledged update covers yet.
     ops: usize,
     /// Largest size candidate among them, with the latest mtime.
     update: SizeUpdate,
@@ -57,6 +65,10 @@ struct Known {
     /// set by its truncates. Cross-client growth becomes visible on
     /// re-open (the GekkoFS handle contract).
     size: u64,
+    /// End of the last range an `O_APPEND` write claimed: the record
+    /// grows only when a write is acknowledged (or buffered), so until
+    /// then this is what keeps the next appender off the same offset.
+    claimed: u64,
     pending: Option<Pending>,
     /// Small sequential writes not yet sent anywhere.
     wb: WbBuf,
@@ -65,9 +77,10 @@ struct Known {
 }
 
 impl Known {
-    /// What the daemons hold plus the unflushed run's tail.
+    /// What the daemons hold, plus the unflushed run's tail, plus what
+    /// appends in flight have claimed.
     fn eof(&self) -> u64 {
-        self.size.max(self.wb.end().unwrap_or(0))
+        self.size.max(self.claimed).max(self.wb.end().unwrap_or(0))
     }
 }
 
@@ -126,34 +139,65 @@ impl LocalFile {
         self.known.lock().wb.take()
     }
 
-    /// The daemons acknowledged bytes up to `end`: grow the size and
-    /// account the size update. `Some` is an update that must go out
-    /// now (no window, or this write filled it); `None` one the window
-    /// absorbed.
-    pub(crate) fn wrote(&self, end: u64, mtime_ns: u64) -> Result<Option<SizeUpdate>> {
-        let mut known = self.live()?;
-        known.size = known.size.max(end);
-        if self.window == 0 {
-            return Ok(Some(SizeUpdate { size: end, mtime_ns }));
-        }
-        let p = known.pending.get_or_insert_with(Pending::default);
-        p.ops += 1;
-        p.update.size = p.update.size.max(end);
-        p.update.mtime_ns = p.update.mtime_ns.max(mtime_ns);
-        let filled = p.ops >= self.window;
-        Ok(if filled { known.pending.take().map(|p| p.update) } else { None })
+    /// Claim `[EOF, EOF + len)` for an `O_APPEND` write and return its
+    /// start: one step under the record's lock, so two threads
+    /// appending through this mount never get the same offset.
+    pub(crate) fn claim_append(&self, len: u64) -> u64 {
+        let mut known = self.known.lock();
+        let start = known.eof();
+        known.claimed = start + len;
+        start
     }
 
-    /// Take the buffered size update out (flush, close, unmount).
-    pub(crate) fn take_pending(&self) -> Option<SizeUpdate> {
-        self.known.lock().pending.take().map(|p| p.update)
+    /// The size leg of a write in flight, decided before a byte moves
+    /// and changing nothing: `wrote` is what the bytes will say once
+    /// they land (none: a flush with no run to send), merged with what
+    /// the §IV-B window holds. An update leaves with every write at
+    /// window 0, with the write that fills the window otherwise
+    /// (predicted here, not discovered after the data legs), and with
+    /// anything at all when `flush` forces it. A write to an unlinked
+    /// path is `NotFound`; a flush of one finds nothing to send.
+    pub(crate) fn size_leg(&self, wrote: Option<SizeUpdate>, flush: bool) -> Result<Option<SizeUpdate>> {
+        let known = self.known.lock();
+        if known.unlinked {
+            return wrote.map_or(Ok(None), |_| Err(GkfsError::NotFound));
+        }
+        let held = known.pending.as_ref();
+        let ops = held.map_or(0, |p| p.ops) + usize::from(wrote.is_some());
+        let due = ops >= if flush { 1 } else { self.window.max(1) };
+        let all = held.map(|p| p.update).into_iter().chain(wrote).reduce(SizeUpdate::merge);
+        Ok(all.filter(|_| due))
+    }
+
+    /// A write in flight landed: the daemons acknowledged the bytes
+    /// `wrote` speaks for (grow the size), and `sent`, the update its
+    /// size leg carried, if it had one and it was acknowledged too.
+    /// A candidate stays in the window until an acknowledged update
+    /// covers it: `sent` covers this write and everything the window
+    /// held when the leg was decided, so only what another thread
+    /// landed since stays behind.
+    pub(crate) fn landed(&self, wrote: Option<SizeUpdate>, sent: Option<SizeUpdate>) -> Result<()> {
+        let mut known = self.live()?;
+        known.size = known.size.max(wrote.map_or(0, |w| w.size));
+        match (sent, wrote) {
+            (Some(sent), _) => known.pending = known.pending.take().filter(|p| p.update.merge(sent) != sent),
+            (None, Some(wrote)) => {
+                let p = known.pending.get_or_insert_with(Pending::default);
+                p.ops += 1;
+                p.update = p.update.merge(wrote);
+            }
+            (None, None) => {}
+        }
+        Ok(())
     }
 
     /// The file was cut (or extended) to `size` at the daemons: that is
-    /// its size now, and a buffered update from before the cut is moot.
+    /// its size now, and a buffered update or an append's claim from
+    /// before the cut is moot.
     pub(crate) fn cut(&self, size: u64) {
         let mut known = self.known.lock();
         known.size = size;
+        known.claimed = 0;
         known.pending = None;
     }
 
@@ -164,6 +208,7 @@ impl LocalFile {
     fn unlink(&self) -> u64 {
         let mut known = self.known.lock();
         known.unlinked = true;
+        known.claimed = 0;
         known.pending = None;
         known.wb.take();
         known.size
@@ -273,7 +318,7 @@ impl FileMap {
             window: self.size_window,
             known: OrderedMutex::new(
                 rank::CLIENT_LOCAL_FILE,
-                Known { size, pending: None, wb: WbBuf::new(self.wb_capacity), unlinked: false },
+                Known { size, claimed: 0, pending: None, wb: WbBuf::new(self.wb_capacity), unlinked: false },
             ),
             table: Arc::downgrade(&self.files),
         });
@@ -426,19 +471,40 @@ mod tests {
         assert!(map.files.read().paths.is_empty(), "no dead entry left behind");
     }
 
+    fn up(size: u64, mtime_ns: u64) -> SizeUpdate {
+        SizeUpdate { size, mtime_ns }
+    }
+
+    /// One write as the client drives the record: decide the size leg,
+    /// then — every leg acknowledged — land the bytes and the update.
+    /// Returns the update sent.
+    fn wrote(f: &LocalFile, size: u64, mtime_ns: u64) -> Result<Option<SizeUpdate>> {
+        let sent = f.size_leg(Some(up(size, mtime_ns)), false)?;
+        f.landed(Some(up(size, mtime_ns)), sent)?;
+        Ok(sent)
+    }
+
+    /// What a flush would send now (deciding changes nothing).
+    fn held(f: &LocalFile) -> Option<SizeUpdate> {
+        f.size_leg(None, true).unwrap()
+    }
+
     #[test]
     fn an_unlinked_record_answers_not_found_and_holds_nothing_to_send() {
         let map = FileMap::new(100, 64);
         let stale = open(&map, "/u");
         stale.local.offer(0, b"buffered").unwrap();
-        stale.local.wrote(4096, 1).unwrap();
+        wrote(&stale.local, 4096, 1).unwrap();
+        assert_eq!(stale.local.claim_append(10), 4096);
         assert_eq!(map.unlink("/u"), Some(4096));
         assert_eq!(map.unlink("/u"), None, "already detached");
         assert!(matches!(stale.local.offer(0, b"x"), Err(GkfsError::NotFound)));
         assert!(matches!(stale.local.view(0, 8), Err(GkfsError::NotFound)));
-        assert!(matches!(stale.local.wrote(1, 1), Err(GkfsError::NotFound)));
+        assert!(matches!(stale.local.size_leg(Some(up(1, 1)), false), Err(GkfsError::NotFound)));
+        assert!(matches!(stale.local.landed(Some(up(1, 1)), None), Err(GkfsError::NotFound)));
         assert_eq!(stale.local.take_run(), None);
-        assert_eq!(stale.local.take_pending(), None);
+        assert_eq!(held(&stale.local), None);
+        assert_eq!(stale.local.size(), 4096, "the append's claim went with the entry");
         // Re-creating the path gets a fresh record; the stale one's
         // death leaves the fresh one's entry alone.
         let fresh = open(&map, "/u");
@@ -458,8 +524,8 @@ mod tests {
     fn no_window_passes_every_update_through() {
         let map = FileMap::new(0, 0);
         let f = record(&map, "/f");
-        assert_eq!(f.wrote(100, 1).unwrap(), Some(SizeUpdate { size: 100, mtime_ns: 1 }));
-        assert_eq!(f.take_pending(), None);
+        assert_eq!(wrote(&f, 100, 1).unwrap(), Some(up(100, 1)));
+        assert_eq!(held(&f), None);
         assert_eq!(f.size(), 100);
     }
 
@@ -467,42 +533,87 @@ mod tests {
     fn window_coalesces_to_max() {
         let map = FileMap::new(4, 0);
         let f = record(&map, "/f");
-        assert_eq!(f.wrote(100, 1).unwrap(), None);
-        assert_eq!(f.wrote(50, 2).unwrap(), None);
-        assert_eq!(f.wrote(300, 3).unwrap(), None);
+        assert_eq!(wrote(&f, 100, 1).unwrap(), None);
+        assert_eq!(wrote(&f, 50, 2).unwrap(), None);
+        assert_eq!(wrote(&f, 300, 3).unwrap(), None);
         // The 4th op fills the window: max size, latest mtime.
-        assert_eq!(f.wrote(200, 4).unwrap(), Some(SizeUpdate { size: 300, mtime_ns: 4 }));
-        assert_eq!(f.take_pending(), None);
+        assert_eq!(wrote(&f, 200, 4).unwrap(), Some(up(300, 4)));
+        assert_eq!(held(&f), None);
     }
 
     #[test]
     fn paths_are_independent() {
         let map = FileMap::new(2, 0);
         let (a, b) = (record(&map, "/a"), record(&map, "/b"));
-        assert_eq!(a.wrote(10, 1).unwrap(), None);
-        assert_eq!(b.wrote(20, 1).unwrap(), None);
-        assert_eq!(a.wrote(5, 2).unwrap().unwrap().size, 10);
-        assert_eq!(b.take_pending().unwrap().size, 20);
+        assert_eq!(wrote(&a, 10, 1).unwrap(), None);
+        assert_eq!(wrote(&b, 20, 1).unwrap(), None);
+        assert_eq!(wrote(&a, 5, 2).unwrap().unwrap().size, 10);
+        assert_eq!(held(&b).unwrap().size, 20);
     }
 
     #[test]
-    fn close_drains_a_partial_window_once() {
+    fn a_flush_carries_the_window_and_the_run_in_one_update() {
         let map = FileMap::new(100, 0);
         let f = record(&map, "/f");
-        f.wrote(42, 7).unwrap();
-        assert_eq!(f.take_pending(), Some(SizeUpdate { size: 42, mtime_ns: 7 }));
-        assert_eq!(f.take_pending(), None, "second drain is empty");
-        assert_eq!(record(&map, "/never").take_pending(), None);
+        wrote(&f, 42, 7).unwrap();
+        // A flush with a run ending at 90: one leg, both candidates.
+        let sent = f.size_leg(Some(up(90, 9)), true).unwrap();
+        assert_eq!(sent, Some(up(90, 9)));
+        f.landed(Some(up(90, 9)), sent).unwrap();
+        assert_eq!((f.size(), held(&f)), (90, None), "second drain is empty");
+        assert_eq!(held(&record(&map, "/never")), None);
+    }
+
+    #[test]
+    fn deciding_a_leg_changes_nothing_and_an_unacknowledged_update_stays_held() {
+        let map = FileMap::new(2, 0);
+        let f = record(&map, "/f");
+        wrote(&f, 10, 1).unwrap();
+        // The window-filling write is predicted...
+        assert_eq!(f.size_leg(Some(up(30, 2)), false).unwrap(), Some(up(30, 2)));
+        // ...but its data leg failed: the record is as it was.
+        assert_eq!((f.size(), held(&f)), (10, Some(up(10, 1))));
+        // Data acknowledged, size leg refused: the bytes count, and
+        // their candidate waits for the next update.
+        f.landed(Some(up(30, 2)), None).unwrap();
+        assert_eq!((f.size(), held(&f)), (30, Some(up(30, 2))));
+        assert_eq!(wrote(&f, 20, 3).unwrap(), Some(up(30, 3)));
+        assert_eq!(held(&f), None);
+    }
+
+    #[test]
+    fn an_update_clears_only_what_it_covers() {
+        let map = FileMap::new(2, 0);
+        let f = record(&map, "/f");
+        wrote(&f, 10, 1).unwrap();
+        let a = f.size_leg(Some(up(20, 2)), false).unwrap();
+        assert_eq!(a, Some(up(20, 2)));
+        // While A is in flight another thread's write lands, absorbed.
+        f.landed(Some(up(50, 3)), None).unwrap();
+        f.landed(Some(up(20, 2)), a).unwrap();
+        assert_eq!(held(&f), Some(up(50, 3)), "B's candidate went with no update yet");
+        assert_eq!(f.size(), 50);
     }
 
     #[test]
     fn a_cut_drops_the_update_buffered_before_it() {
         let map = FileMap::new(100, 0);
         let f = record(&map, "/f");
-        f.wrote(500, 1).unwrap();
+        wrote(&f, 500, 1).unwrap();
+        assert_eq!(f.claim_append(8), 500);
         f.cut(3);
         assert_eq!(f.size(), 3);
-        assert_eq!(f.take_pending(), None);
+        assert_eq!(held(&f), None);
+    }
+
+    #[test]
+    fn append_claims_are_disjoint_and_count_as_eof() {
+        let map = FileMap::new(0, 64);
+        let f = record(&map, "/log");
+        f.offer(0, b"abc").unwrap();
+        assert_eq!(f.claim_append(5), 3, "past the buffered tail");
+        assert_eq!(f.claim_append(2), 8, "past the claim before it, landed or not");
+        assert_eq!(f.size(), 10);
     }
 
     #[test]
@@ -515,7 +626,7 @@ mod tests {
                     let f = &f;
                     s.spawn(move || {
                         (0..100u64)
-                            .filter_map(|i| f.wrote(t * 1000 + i, i).unwrap())
+                            .filter_map(|i| wrote(f, t * 1000 + i, i).unwrap())
                             .map(|u| u.size)
                             .max()
                     })
@@ -528,7 +639,7 @@ mod tests {
         });
         // What was shipped plus what is still buffered covers the
         // largest candidate; the record's own size never lags it.
-        let leftover = f.take_pending().map_or(0, |u| u.size);
+        let leftover = held(&f).map_or(0, |u| u.size);
         assert_eq!(shipped.max(leftover), 7099);
         assert_eq!(f.size(), 7099);
     }

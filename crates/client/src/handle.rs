@@ -233,17 +233,18 @@ impl FileHandle<'_> {
     }
 
     /// Write at the current offset, advancing it. `O_APPEND` handles
-    /// position at this client's view of EOF — no stat RPC; concurrent
-    /// appenders from different clients may interleave (no distributed
-    /// locking, §III-A).
+    /// claim their range at this client's view of EOF — no stat RPC,
+    /// and no two appends through this mount share an offset;
+    /// concurrent appenders from different clients may interleave (no
+    /// distributed locking, §III-A).
     pub fn write(&self, data: &[u8]) -> Result<usize> {
         if !self.file.flags.write {
             return Err(GkfsError::BadFileDescriptor);
         }
         let offset = if self.file.flags.append {
-            let size = self.file.local.size();
-            self.file.seek_to(size + data.len() as u64);
-            size
+            let start = self.file.local.claim_append(data.len() as u64);
+            self.file.seek_to(start + data.len() as u64);
+            start
         } else {
             self.file.advance(data.len() as u64)
         };
@@ -319,18 +320,16 @@ impl FileHandle<'_> {
     }
 
     /// Force the path's write-back buffer and any buffered size update
-    /// out to the daemons. After `flush` returns Ok, every byte this
-    /// client wrote to the path is visible to every client. (Once the
-    /// path is unlinked both are gone and nothing is sent.)
+    /// out to the daemons: one write in flight, the run's data legs
+    /// beside one size leg carrying both. After `flush` returns Ok,
+    /// every byte this client wrote to the path is visible to every
+    /// client. (Once the path is unlinked both are gone and nothing is
+    /// sent.)
     pub fn flush(&self) -> Result<()> {
         let (c, local) = (self.client, &*self.file.local);
-        if let Some(run) = local.take_run() {
-            c.flush_run(local, run)?;
-        }
-        match local.take_pending() {
-            Some(update) => c.send_size_update(&local.path, update),
-            None => Ok(()),
-        }
+        let run = local.take_run();
+        let write = c.submit_run(local, run.as_ref(), true)?;
+        c.finish_write(write)
     }
 
     /// `fsync(2)` semantics: [`FileHandle::flush`].
@@ -430,6 +429,41 @@ mod tests {
         c.close(fd).unwrap();
         let r = c.open_handle("/log", OpenFlags::RDONLY).unwrap();
         assert_eq!(r.pread(0, 100).unwrap(), b"first|second");
+    }
+
+    #[test]
+    fn appenders_on_one_mount_never_share_an_offset() {
+        // Four threads, each with its own O_APPEND descriptor on one
+        // path, 200 16-byte records each. The record grows only when a
+        // write is acknowledged (write-through) or offered
+        // (write-back), so "read EOF, then write there" handed two
+        // threads the same offset and lost more than half the records.
+        const REC: usize = 16;
+        for write_back in [0, 64 * 1024] {
+            let (_d, c) = cluster_with(2, ClusterConfig::new(2).with_write_back(write_back));
+            c.create("/log", 0o644).unwrap();
+            std::thread::scope(|s| {
+                for t in 1..=4u8 {
+                    let c = &c;
+                    s.spawn(move || {
+                        let fd = c.open("/log", OpenFlags::WRONLY.with_append()).unwrap();
+                        for _ in 0..200 {
+                            assert_eq!(c.write(fd, &[t; REC]).unwrap(), REC);
+                        }
+                        c.close(fd).unwrap();
+                    });
+                }
+            });
+            assert_eq!(c.stat("/log").unwrap().size, 4 * 200 * REC as u64, "write_back {write_back}");
+            let r = c.open_handle("/log", OpenFlags::RDONLY).unwrap();
+            let log = r.pread(0, 4 * 200 * REC).unwrap();
+            let mut per_thread = [0usize; 5];
+            for rec in log.chunks(REC) {
+                assert!(rec.iter().all(|&b| b == rec[0]), "torn record {rec:?}");
+                per_thread[rec[0] as usize] += 1;
+            }
+            assert_eq!(per_thread, [0, 200, 200, 200, 200], "write_back {write_back}");
+        }
     }
 
     #[test]

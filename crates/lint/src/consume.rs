@@ -245,11 +245,14 @@ mod tests {
     use crate::lexer::lex;
 
     fn run(src: &str) -> Vec<Diagnostic> {
-        let cfg = Config::default();
+        run_with(src, &Config::default())
+    }
+
+    fn run_with(src: &str, cfg: &Config) -> Vec<Diagnostic> {
         let lexed = lex(src);
         let mut sym = SymbolIndex::default();
-        sym.add_file(index_file("crates/x/src/lib.rs", &lexed, &cfg));
-        check_file("crates/x/src/lib.rs", &lexed, &sym, &cfg)
+        sym.add_file(index_file("crates/x/src/lib.rs", &lexed, cfg));
+        check_file("crates/x/src/lib.rs", &lexed, &sym, cfg)
     }
 
     const PRODUCER: &str = "fn produce(&self) -> BatchCompletion { x() }\n";
@@ -364,6 +367,38 @@ mod tests {
     #[test]
     fn non_producers_are_ignored() {
         let d = run("fn plain(&self) -> u32 { 1 }\nfn user(&self) { let c = plain(self); }");
+        assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn the_clients_completions_are_registered_in_the_repository_config() {
+        // `lint.toml` as checked in: a `QuorumCall` or a `WriteInFlight`
+        // that reaches end of scope un-awaited fires, and the message
+        // names the calls that consume one.
+        let cfg = Config::parse(include_str!("../../../lint.toml")).unwrap();
+        let producers = "fn quorum_submit<'a, T>(&self) -> QuorumCall<'a, T> { x() }\n\
+                         fn submit_write<'a>(&self) -> Result<WriteInFlight<'a>> { x() }\n";
+        let d = run_with(
+            &format!(
+                "{producers}fn user(&self) -> Result<()> {{ \
+                 let call = self.quorum_submit(); let write = self.submit_write()?; other_work() }}"
+            ),
+            &cfg,
+        );
+        assert_eq!(d.len(), 2, "{d:?}");
+        assert!(d[0].message.contains("`call`") && d[0].message.contains("quorum_wait"), "{d:?}");
+        assert!(d[1].message.contains("`write`") && d[1].message.contains("finish_write"), "{d:?}");
+        let d = run_with(
+            &format!(
+                "{producers}fn user(&self) -> Result<()> {{ \
+                 let call = self.quorum_submit(); let write = self.submit_write()?; \
+                 self.finish_write(write)?; self.quorum_wait(call, deadline) }}"
+            ),
+            &cfg,
+        );
+        assert!(d.is_empty(), "{d:?}");
+        // Without the registration neither is a completion at all.
+        let d = run(&format!("{producers}fn user(&self) {{ let call = self.quorum_submit(); }}"));
         assert!(d.is_empty(), "{d:?}");
     }
 }

@@ -16,14 +16,16 @@
 //! | op                | RPCs | why                                   |
 //! |-------------------|------|---------------------------------------|
 //! | create            |  1   | meta insert at the owner              |
-//! | 8 x write         | 16   | chunk write + synchronous size update |
+//! | 8 x write         | 16   | chunk write + size update, per write  |
 //! | stat              |  1   | meta fetch                            |
 //! | unlink            |  3   | meta remove + 2-node chunk broadcast  |
 //! | **total**         | **21**                                       |
 //!
-//! The handle path must do the same chain in one create, one coalesced
-//! flush (chunk write + size update), one stat and one unlink
-//! broadcast: ~7 per file. The gate asserts the >= 2x acceptance bound
+//! (Two RPCs per write then and now; since PR 25 they are in flight
+//! together — one round trip, not two — which the **overlap gate**
+//! below pins by count.) The handle path must do the same chain in one
+//! create, one coalesced flush (chunk write ‖ size update), one stat and
+//! one unlink broadcast: ~7 per file. The gate asserts the >= 2x acceptance bound
 //! against the itemized baseline *and* a tighter absolute budget so
 //! regressions inside the 2x headroom still trip.
 //!
@@ -38,9 +40,10 @@
 
 use gekkofs::{Cluster, ClusterConfig, Daemon, GekkoClient, OpenFlags, ReplicationConfig};
 use gkfs_common::DaemonConfig;
-use gkfs_rpc::{Endpoint, TcpEndpoint};
+use gkfs_rpc::{Endpoint, Opcode, ReplyHandle, Request, Response, TcpEndpoint};
 use gkfs_workloads::{run_mdtest, MdtestConfig, MetaMode};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
 
 /// Pre-handle protocol cost per mdtest-small file (itemized above).
@@ -351,6 +354,118 @@ fn known_size_unlink_names_its_chunks_and_reads_no_directory() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// What the gated endpoints of one client share: while `armed` is
+/// `n > 0`, requests are logged and held at the door — no reply moves —
+/// until the `n`-th arrives, whichever daemon it is for; then all are
+/// served, in submission order. A client that awaits any leg before it
+/// has submitted the last waits on a reply that cannot come, and its
+/// operation ends in `Timeout`: so "the op succeeded with `n` held"
+/// *is* "every leg's submit preceded every wait", and it is a count,
+/// not a clock. (A [`ReplyHandle`] has no hook to log its first `wait`
+/// with; withholding the reply observes the same order from outside.)
+#[derive(Default)]
+struct Gate {
+    armed: usize,
+    held: Vec<HeldLeg>,
+    log: Vec<Opcode>,
+}
+
+/// A request at the door: the daemon it is for, and where its reply goes.
+type HeldLeg = (Arc<dyn Endpoint>, Request, SyncSender<gkfs_common::Result<Response>>);
+
+struct Gated {
+    inner: Arc<dyn Endpoint>,
+    gate: Arc<Mutex<Gate>>,
+}
+
+impl Endpoint for Gated {
+    fn submit(&self, req: Request) -> gkfs_common::Result<ReplyHandle> {
+        let mut gate = self.gate.lock().unwrap();
+        if gate.armed == 0 {
+            return self.inner.submit(req);
+        }
+        gate.log.push(req.opcode);
+        let (tx, rx) = sync_channel(1);
+        gate.held.push((Arc::clone(&self.inner), req, tx));
+        if gate.held.len() == gate.armed {
+            gate.armed = 0;
+            for (daemon, req, tx) in gate.held.drain(..) {
+                let _ = tx.send(daemon.call(req));
+            }
+        }
+        Ok(ReplyHandle::pending(rx))
+    }
+}
+
+/// The overlap gate: a write is **one** fan-out — its size leg and its
+/// data legs are all submitted before any reply is awaited — for the
+/// three shapes a size update leaves in: a write-through `pwrite`, a
+/// write-back `close` (the run beside one merged size leg), and the
+/// write that fills a §IV-B window of 4 (predicted before the data
+/// moves, not discovered after). The size leg goes first: the paper's
+/// order, a 60-byte frame ahead of the data. At the parent of PR 25
+/// every one of these ended in `Timeout`: the data leg was awaited
+/// while the size leg had not been submitted.
+#[test]
+fn every_leg_of_a_write_is_submitted_before_any_is_awaited() {
+    let cluster = Cluster::deploy(ClusterConfig::new(2).with_chunk_size(64 * 1024)).unwrap();
+    let gate = Arc::new(Mutex::new(Gate::default()));
+    let mount = |config: ClusterConfig| {
+        let endpoints = (0..2)
+            .map(|n| {
+                let inner = cluster.daemon(n).endpoint();
+                Arc::new(Gated { inner, gate: Arc::clone(&gate) }) as Arc<dyn Endpoint>
+            })
+            .collect();
+        // A leg awaited too early costs two seconds, not thirty.
+        GekkoClient::mount(endpoints, &config.with_chunk_size(64 * 1024).with_op_deadline_ms(2_000)).unwrap()
+    };
+    // Run `op` with its first `legs` requests held; what was held.
+    let legs_of = |legs: usize, op: &mut dyn FnMut()| -> Vec<Opcode> {
+        gate.lock().unwrap().armed = legs;
+        op();
+        let mut gate = gate.lock().unwrap();
+        assert!(gate.held.is_empty(), "fewer than {legs} legs left");
+        std::mem::take(&mut gate.log)
+    };
+    let both = vec![Opcode::UpdateSize, Opcode::WriteChunks];
+    let flags = OpenFlags::WRONLY.with_create();
+    let buf = [0x5Au8; 8 * 1024];
+
+    let through = mount(ClusterConfig::new(2));
+    let h = through.open_handle("/overlap/through", flags).unwrap();
+    assert_eq!(legs_of(2, &mut || assert_eq!(h.pwrite(0, &buf).unwrap(), buf.len())), both);
+    h.close().unwrap();
+
+    let back = mount(ClusterConfig::new(2).with_write_back(64 * 1024));
+    let h = back.open_handle("/overlap/back", flags).unwrap();
+    let base = back.stats().rpcs_issued.load(Ordering::Relaxed);
+    for i in 0..8 {
+        h.pwrite(i * 512, &buf[..512]).unwrap();
+    }
+    assert_eq!(back.stats().rpcs_issued.load(Ordering::Relaxed), base, "absorbed");
+    let mut h = Some(h);
+    assert_eq!(legs_of(2, &mut || h.take().unwrap().close().unwrap()), both);
+
+    let window = mount(ClusterConfig::new(2).with_size_cache(4));
+    let h = window.open_handle("/overlap/window", flags).unwrap();
+    for i in 0..3 {
+        let absorbed = legs_of(1, &mut || assert_eq!(h.pwrite(i * 8192, &buf).unwrap(), buf.len()));
+        assert_eq!(absorbed, [Opcode::WriteChunks], "write {i}: the window holds its update");
+    }
+    assert_eq!(legs_of(2, &mut || assert_eq!(h.pwrite(3 * 8192, &buf).unwrap(), buf.len())), both);
+    assert_eq!(window.stats().size_updates_sent.load(Ordering::Relaxed), 1);
+    let base = window.stats().rpcs_issued.load(Ordering::Relaxed);
+    h.close().unwrap();
+    assert_eq!(window.stats().rpcs_issued.load(Ordering::Relaxed), base, "the update covered the window");
+
+    let plain = cluster.mount().unwrap();
+    for (path, size) in [("through", 8192), ("back", 4096), ("window", 4 * 8192)] {
+        assert_eq!(plain.stat(&format!("/overlap/{path}")).unwrap().size, size, "{path}");
+    }
+    cluster.shutdown();
+}
+
 /// Two daemons served over TCP, with the client endpoints kept so their
 /// wait counters can be read next to the daemons' serve counters.
 struct TcpRig {
@@ -477,13 +592,42 @@ fn bulk_pipelined_and_fan_out_traffic_keeps_the_pool_and_the_reader_route() {
         .unwrap();
     let data: Vec<u8> = (0..8 * CHUNK).map(|i| (i % 239) as u8).collect();
 
-    // One chunk: a lone call, so the client leads — but a 512 KiB frame
-    // is not a point op, and the daemon pools it. The size update that
-    // follows is one, and is not.
-    let [inline, pooled, led, _, drains] =
-        rig.during(|| assert_eq!(h.pwrite(0, &data[..CHUNK as usize]).unwrap(), CHUNK as usize));
-    assert_eq!((inline, pooled), (1, 1), "WriteChunks pooled, UpdateSize inline");
-    assert_eq!((led, drains), (2, 0));
+    // One chunk, two legs in flight: the size leg is submitted first and
+    // alone, the data leg finds its thread already holding a handle — a
+    // fan-out by the rule of `tcp.rs` — so its connection's reader
+    // thread is asked to drain and the data leg's waiter follows it.
+    // What the size leg's waiter does depends on where the legs went.
+    // Two connections (metadata owner ≠ chunk owner): by then it is its
+    // thread's only handle on a connection nobody drains, and it leads;
+    // its frame arrived alone, so the daemon ran it inline. (The serial
+    // order read 2 led / 0 followed / 0 drains here.) One connection:
+    // the reader thread drains both replies and nobody leads; and the
+    // 60-byte frame may find the 512 KiB one behind it in the daemon's
+    // read buffer, which sends it to the pool too — timing, not a rule.
+    let placed = rig.config.make_distributor_for(0);
+    let route_with_legs = |apart: bool| {
+        (0..)
+            .map(|i| format!("/legs{i}"))
+            .find(|p| (placed.locate_metadata(p) != placed.locate_chunk(p, 0)) == apart)
+            .unwrap()
+    };
+    for apart in [true, false] {
+        let h = fs
+            .open_handle(&route_with_legs(apart), OpenFlags::WRONLY.with_create())
+            .unwrap();
+        let [inline, pooled, led, followed, drains] =
+            rig.during(|| assert_eq!(h.pwrite(0, &data[..CHUNK as usize]).unwrap(), CHUNK as usize));
+        assert_eq!(inline + pooled, 2, "WriteChunks and UpdateSize");
+        if apart {
+            assert_eq!((inline, pooled), (1, 1), "WriteChunks pooled, UpdateSize inline");
+            assert_eq!((led, followed, drains), (1, 1, 1));
+        } else {
+            assert!(pooled >= 1, "WriteChunks pooled");
+            assert_eq!((led, followed, drains), (0, 2, 1));
+        }
+        h.close().unwrap();
+    }
+    h.pwrite(0, &data[..CHUNK as usize]).unwrap();
 
     // Read back alone, the chunk's reply is a large frame: the waiter
     // that finds it at the head of the stream leaves it to the reader

@@ -5,6 +5,14 @@
 //! behaviour to the real implementation where they overlap — the same
 //! workload shape produces the same *direction* and *relative*
 //! ordering of results.
+//!
+//! One modelling assumption became true of the client in PR 25: the
+//! simulator has always issued a write's size update concurrently with
+//! its chunk transfers and completed the operation when both legs had
+//! (`crates/sim/src/ior.rs`, "the candidate is known up front"), while
+//! the real client awaited the chunks and only then sent the update.
+//! `GekkoClient::submit_write` now sends both before awaiting either, so
+//! the model and the implementation describe the same write.
 
 use gekkofs::{Cluster, ClusterConfig};
 use gkfs_sim::{
