@@ -260,32 +260,11 @@ impl GekkoClient {
         }
     }
 
-    /// Dirty files [`GekkoClient::flush_all`] keeps in flight at once:
-    /// bounds what one thread has submitted and not yet awaited to this
-    /// many write-back runs.
-    const FLUSH_ALL_IN_FLIGHT: usize = 16;
-
     /// Flush all buffered state (unmount): every open path's
-    /// write-back run and buffered size update, one write in flight per
-    /// dirty file, [`Self::FLUSH_ALL_IN_FLIGHT`] files at a time. Every
-    /// file is attempted and every leg awaited whatever failed before
-    /// it; the first error is the result.
+    /// write-back run, buffered size update and unsent create
+    /// ([`GekkoClient::flush_files`]).
     pub fn flush_all(&self) -> Result<()> {
-        let mut first_err = None;
-        for files in self.files.locals().chunks(Self::FLUSH_ALL_IN_FLIGHT) {
-            let runs: Vec<_> = files.iter().map(|local| local.take_run()).collect();
-            let inflight: Vec<_> = files
-                .iter()
-                .zip(&runs)
-                .map(|(local, run)| self.submit_run(local, run.as_ref(), true))
-                .collect();
-            for write in inflight {
-                if let Err(e) = write.and_then(|w| self.finish_write(w)) {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        first_err.map_or(Ok(()), Err)
+        self.flush_files(&mut self.files.locals())
     }
 
     /// Aggregate daemon statistics across the cluster.

@@ -1,11 +1,11 @@
 //! The data path: a write split into chunk pieces and fanned out to
-//! every piece's write set together with its size update to the file's
-//! metadata owner — one fan-out, one deadline, one wait — and a read
-//! gathered back down each piece's replica chain.
+//! every piece's write set, with its size update — and, for a file the
+//! daemons have not been told of, its create — riding the data legs
+//! that reach the file's metadata owner: one fan-out, one deadline, one
+//! wait. And a read gathered back down each piece's replica chain.
 
 use crate::client::{now_ns, GekkoClient};
-use crate::filemap::{LocalFile, SizeUpdate};
-use crate::meta_frames::QuorumCall;
+use crate::filemap::{LocalFile, Riders, SizeUpdate};
 use crate::rpc::{ChunkReadReply, Hedge, ReplyFuture};
 use crate::writeback::WbRun;
 use bytes::Bytes;
@@ -13,9 +13,10 @@ use gkfs_common::chunk::chunk_range;
 use gkfs_common::distributor::NodeId;
 use gkfs_common::retry::Deadline;
 use gkfs_common::{GkfsError, Result};
-use gkfs_rpc::proto::ChunkOp;
+use gkfs_rpc::proto::{ChunkBatchReq, ChunkOp, WriteFileReq};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// One daemon's share of a write: its chunk ops and, in the same
 /// order, the sub-slices of the caller's buffer they carry.
@@ -38,9 +39,8 @@ fn push_piece<'a>(
     bulk.push(&data[p.buf_offset as usize..(p.buf_offset + p.len) as usize]);
 }
 
-/// A write in flight, as a value: the size leg to the path's metadata
-/// write set and the data legs to every member of every piece's write
-/// set, all submitted, none awaited ([`GekkoClient::submit_write`]).
+/// A write in flight, as a value: one leg per daemon it concerns, all
+/// submitted, none awaited ([`GekkoClient::submit_write`]).
 /// [`GekkoClient::finish_write`] awaits every leg under the one
 /// deadline taken here and only then tells the path's record.
 pub(crate) struct WriteInFlight<'a> {
@@ -48,29 +48,52 @@ pub(crate) struct WriteInFlight<'a> {
     /// What the bytes say once acknowledged (none: a flush that had no
     /// run to send).
     wrote: Option<SizeUpdate>,
-    /// The update the size leg carries, and the leg (none: the §IV-B
-    /// window absorbs this write).
-    size_leg: Option<(SizeUpdate, QuorumCall<'static, ()>)>,
+    /// What rides the legs to the metadata write set.
+    riders: Riders,
+    /// The path's metadata write set, in set order: whose answers the
+    /// riders are judged by (empty: nothing rides).
+    meta_set: Vec<NodeId>,
     /// Each piece's chunk id and write set, in piece order.
     piece_sets: Vec<(u64, Vec<NodeId>)>,
-    /// One batch per daemon holding a member of some piece's set.
-    data_legs: Vec<(NodeId, Result<ReplyFuture<'a, ()>>)>,
+    /// Legs already answered: an unborn file's create frames, when the
+    /// write also has legs bound for daemons outside the metadata
+    /// write set, which could not leave before these were in.
+    answered: HashMap<NodeId, Result<()>>,
+    /// One leg per daemon still to be heard from.
+    legs: Vec<(NodeId, Result<ReplyFuture<'a, ()>>)>,
     deadline: Deadline,
 }
 
 impl GekkoClient {
     /// Put a write in flight: split `data` into chunk pieces, ask the
-    /// path's record what size update goes with it
-    /// ([`LocalFile::size_leg`] — the candidate, `offset + len`, is
-    /// known before a byte moves; `flush` forces the §IV-B window out
-    /// too), and submit **every** leg before any reply is awaited: the
-    /// size leg first (the paper's order: a 60-byte frame ahead of up
-    /// to megabytes), then each piece to **all** members of its write
-    /// set (`Placement::chunk_set`), batched per daemon. The write gets
-    /// a single time budget, not one per leg. An unlinked path sends
-    /// neither leg. The record's guard is dropped inside `size_leg`,
-    /// before the first leg leaves (GKL002). Counts no client ops —
-    /// callers do.
+    /// path's record what rides with it ([`LocalFile::riders`] — the
+    /// size candidate, `offset + len`, is known before a byte moves;
+    /// `flush` forces the §IV-B window out too; an unborn file's create
+    /// goes with whatever is sent first), and submit **every** leg
+    /// before any reply is awaited. Each piece goes to **all** members
+    /// of its write set (`Placement::chunk_set`), batched per daemon,
+    /// and this function alone decides each daemon's frame, from
+    /// `Placement` and nothing else:
+    ///
+    /// * a member of the path's metadata write set (`Placement::meta_set`)
+    ///   gets the riders — aboard its data batch as one `WriteFile`
+    ///   frame when it has one or a create rides (chunk 0 is placed
+    ///   with the metadata, so that is every write of every small
+    ///   file), as a plain `UpdateSize` when it has neither;
+    /// * every other daemon, and every daemon when nothing rides, gets
+    ///   a plain `WriteChunks`.
+    ///
+    /// The metadata legs leave first (the paper's order: the size
+    /// update ahead of up to megabytes). The write gets a single time
+    /// budget, not one per leg. **A create never shares a fan-out with
+    /// a leg bound elsewhere**: a refused create must have written
+    /// nothing anywhere, so when an unborn file's first flush has
+    /// pieces for daemons outside the metadata write set (a seek past
+    /// chunk 0), the create frames are acknowledged before any of those
+    /// legs leaves — two serial rounds, once in that file's life. A
+    /// path that is gone sends nothing. The record's guard is dropped
+    /// inside `riders`, before the first leg leaves (GKL002). Counts no
+    /// client ops — callers do.
     ///
     /// `data` is never copied here: each daemon's batch is a list of
     /// sub-slices of it (the scatter/gather list an RDMA transport
@@ -85,15 +108,9 @@ impl GekkoClient {
         let path = &local.path;
         let end = offset + data.len() as u64;
         let wrote = (!data.is_empty()).then(|| SizeUpdate { size: end, mtime_ns: now_ns() });
-        let update = local.size_leg(wrote, flush)?;
+        let riders = local.riders(wrote, flush)?;
         let deadline = self.ring.op_deadline();
-        let size_leg = update.map(|u| {
-            self.stats.size_updates_sent.fetch_add(1, Ordering::Relaxed);
-            let leg = self.quorum_submit(self.placement.meta_primary(path), |n| {
-                self.ring.update_size_nb(n, path, u.size, u.mtime_ns)
-            });
-            (u, leg)
-        });
+        self.stats.size_updates_sent.fetch_add(u64::from(riders.update.is_some()), Ordering::Relaxed);
         let mut per_node: HashMap<NodeId, NodeBatch<'_>> = HashMap::new();
         let pieces = chunk_range(self.layout, offset, data.len() as u64);
         let mut piece_sets = Vec::with_capacity(pieces.len());
@@ -104,11 +121,47 @@ impl GekkoClient {
             }
             piece_sets.push((p.chunk_id, set));
         }
-        let data_legs = per_node
-            .into_iter()
-            .map(|(node, (ops, bulk))| (node, self.ring.write_chunks_nb(node, path, ops, bulk)))
+        let riding = riders.update.is_some() || riders.create.is_some();
+        let meta_set = if riding { self.placement.meta_set(path) } else { Vec::new() };
+        let mut legs: Vec<_> = meta_set
+            .iter()
+            .map(|&node| {
+                let leg = match (per_node.remove(&node), riders.create, riders.update) {
+                    (None, None, Some(u)) => self.ring.update_size_nb(node, path, u.size, u.mtime_ns),
+                    (batch, create, _) => {
+                        let (ops, bulk) = batch.unwrap_or_default();
+                        let batch = ChunkBatchReq { path: path.clone(), ops };
+                        let req = WriteFileReq { batch, size: riders.update, create, resubmitted: false };
+                        self.ring.write_file_nb(node, req, bulk)
+                    }
+                };
+                (node, leg)
+            })
             .collect();
-        Ok(WriteInFlight { local, wrote, size_leg, piece_sets, data_legs, deadline })
+        let mut answered = HashMap::new();
+        if riders.create.is_some() && !per_node.is_empty() {
+            answered.extend(legs.drain(..).map(|(node, leg)| (node, leg.and_then(|f| f.wait_deadline(deadline)))));
+            if self.riders_verdict(path, &meta_set, &answered).is_err() {
+                // Refused, or unheard: the other legs never leave.
+                per_node.clear();
+            }
+        }
+        legs.extend(
+            per_node
+                .into_iter()
+                .map(|(node, (ops, bulk))| (node, self.ring.write_chunks_nb(node, path, ops, bulk))),
+        );
+        Ok(WriteInFlight { local, wrote, riders, meta_set, piece_sets, answered, legs, deadline })
+    }
+
+    /// What the metadata write set `meta_set` of `path` made of the
+    /// riders, from each member's answer: [`GekkoClient::quorum_verdict`]'s
+    /// rule, the one every metadata mutation is judged by. A frame that
+    /// carried data too counts once, here and for its pieces.
+    fn riders_verdict(&self, path: &str, meta_set: &[NodeId], outcomes: &HashMap<NodeId, Result<()>>) -> Result<()> {
+        let primary = self.placement.meta_primary(path);
+        let results = meta_set.iter().map(|n| outcomes[n].clone()).collect();
+        self.quorum_verdict(primary, meta_set.first() == Some(&primary), results)
     }
 
     /// Await every leg of a write in flight — no early return: a
@@ -116,30 +169,37 @@ impl GekkoClient {
     /// merely because a sibling errored first — then judge. The data
     /// succeeds iff every piece was acknowledged by at least
     /// `Placement::quorum` members of its set (with replication off:
-    /// "its one owner said Ok"), the size leg by
-    /// [`GekkoClient::quorum_wait`]'s rule; the data's error comes
-    /// first if both failed. Only then does the record hear of it
+    /// "its one owner said Ok"), the riders by
+    /// [`GekkoClient::quorum_verdict`]'s rule over the metadata write
+    /// set's answers; the data's error comes first if both failed. The
+    /// record hears the create's verdict whatever became of the data
+    /// ([`LocalFile::published`]: a refusal ends it, and is this
+    /// write's error), and of the bytes only once they are in
     /// ([`LocalFile::landed`]): a failed data leg leaves it as it was.
     /// What the TTL stat cache holds for the path predates a sent
     /// update, so the entry goes.
     pub(crate) fn finish_write(&self, write: WriteInFlight<'_>) -> Result<()> {
-        let WriteInFlight { local, wrote, size_leg, piece_sets, data_legs, deadline } = write;
-        if wrote.is_none() && size_leg.is_none() {
-            // A flush that found nothing to send (a clean record, or an
-            // unlinked one): nothing to await, nothing to record.
+        let WriteInFlight { local, wrote, riders, meta_set, piece_sets, answered: mut outcomes, legs, deadline } = write;
+        if legs.is_empty() && outcomes.is_empty() {
+            // A flush that found nothing to send (a clean record, or a
+            // path that is gone): nothing to await, nothing to record.
             return Ok(());
         }
-        let outcomes: HashMap<NodeId, Result<()>> = data_legs
-            .into_iter()
-            .map(|(node, fut)| (node, fut.and_then(|f| f.wait_deadline(deadline))))
-            .collect();
-        let sent = size_leg
-            .map(|(update, leg)| {
-                let sent = self.quorum_wait(leg, deadline);
-                self.revoke_lease(&local.path);
-                sent.map(|()| update)
-            })
-            .transpose();
+        // Last submitted, first awaited: the metadata legs left first and
+        // are heard last, by when such a leg is its thread's only handle
+        // on its connection and its waiter reads the reply itself.
+        outcomes.extend(legs.into_iter().rev().map(|(node, fut)| (node, fut.and_then(|f| f.wait_deadline(deadline)))));
+        let rode = if meta_set.is_empty() {
+            Ok(())
+        } else {
+            self.revoke_lease(&local.path);
+            self.riders_verdict(&local.path, &meta_set, &outcomes)
+        };
+        if let Some(create) = riders.create {
+            local.published(create, &rode);
+            // No create, no file: whatever else failed, this is why.
+            rode.clone()?;
+        }
         let quorum = self.placement.quorum();
         for (chunk_id, set) in &piece_sets {
             let acks = set
@@ -159,8 +219,8 @@ impl GekkoClient {
                 }));
             }
         }
-        local.landed(wrote, *sent.as_ref().unwrap_or(&None))?;
-        sent.map(drop)
+        local.landed(wrote, riders.update.filter(|_| rode.is_ok()))?;
+        rode
     }
 
     /// One write, sent and awaited.
@@ -355,7 +415,7 @@ impl GekkoClient {
     }
 
     /// Put a write-back run (and, with `flush`, whatever size update
-    /// the §IV-B window holds: one merged size leg, not two) in flight.
+    /// the §IV-B window holds: one merged update, not two) in flight.
     /// Called with no locks held — the run was taken out under the
     /// record's lock and the guard dropped before any RPC (GKL002). The
     /// run is lent to the write path as it is: the fan-out borrows
@@ -374,6 +434,50 @@ impl GekkoClient {
     /// Send one displaced or full write-back run to the daemons.
     pub(crate) fn flush_run(&self, local: &LocalFile, run: WbRun) -> Result<()> {
         self.finish_write(self.submit_run(local, Some(&run), false)?)
+    }
+
+    /// Dirty files [`GekkoClient::flush_files`] keeps in flight at
+    /// once: bounds what one thread has submitted and not yet awaited
+    /// to this many write-back runs.
+    const FLUSH_IN_FLIGHT: usize = 16;
+
+    /// Force out everything `files` hold back — write-back run,
+    /// buffered size update, an unborn file's create — one write in
+    /// flight per file, [`Self::FLUSH_IN_FLIGHT`] files at a time.
+    /// Every file is attempted and every leg awaited whatever failed
+    /// before it; the first error is the result. Files are taken in
+    /// one order by every caller: a submit may wait for another
+    /// thread's create in flight ([`LocalFile::riders`]) while this
+    /// thread's own are still unanswered.
+    pub(crate) fn flush_files(&self, files: &mut [Arc<LocalFile>]) -> Result<()> {
+        files.sort_by_key(Arc::as_ptr);
+        let mut first_err = None;
+        for files in files.chunks(Self::FLUSH_IN_FLIGHT) {
+            let runs: Vec<_> = files.iter().map(|local| local.take_run()).collect();
+            let inflight: Vec<_> = files
+                .iter()
+                .zip(&runs)
+                .map(|(local, run)| self.submit_run(local, run.as_ref(), true))
+                .collect();
+            for write in inflight {
+                if let Err(e) = write.and_then(|w| self.finish_write(w)) {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// The hazard rule of an unborn file, with no local shortcut: a
+    /// call of this mount about to consult the daemons about `path`
+    /// publishes the file first — its first flush, create aboard — so
+    /// the daemons answer about the namespace this client's calls so
+    /// far describe. A refusal surfaces here, at the flushing call.
+    pub(crate) fn publish(&self, path: &str) -> Result<()> {
+        match self.files.local(path) {
+            Some(local) if local.unborn() => self.flush_files(&mut [local]),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -607,6 +711,17 @@ mod tests {
         doctored.iter().flat_map(|d| d.asked.lock().unwrap().clone()).collect()
     }
 
+    /// A path whose chunk 1 is placed apart from its metadata, and the
+    /// offset of that chunk: a write there has two legs, `UpdateSize`
+    /// and `WriteChunks`. (Chunk 0 never has: it lives with the inode.)
+    fn apart(c: &GekkoClient) -> (String, u64) {
+        let path = (0..)
+            .map(|i| format!("/apart{i}"))
+            .find(|p| c.placement.chunk_primary(p, 1) != c.placement.meta_primary(p))
+            .unwrap();
+        (path, c.layout.chunk_size)
+    }
+
     // The two legs of a write in flight, failing one at a time.
 
     #[test]
@@ -614,51 +729,83 @@ mod tests {
         // The size leg answers 60 ms late, the data leg is refused at
         // once: the write must still hear the size leg out.
         let (_d, doctored, c) = doctored_cluster(&ClusterConfig::new(2), &[Opcode::UpdateSize], 60);
-        let h = c.open_handle("/f", OpenFlags::RDWR.with_create()).unwrap();
-        h.pwrite(0, b"1234").unwrap();
+        let (path, far) = apart(&c);
+        let h = c.open_handle(&path, OpenFlags::RDWR.with_create()).unwrap();
+        h.pwrite(far, b"1234").unwrap();
         refuse(&doctored, &[Opcode::WriteChunks]);
         let (rpc0, t0) = (c.stats().rpcs_issued.load(Ordering::Relaxed), Instant::now());
-        let err = h.pwrite(4, b"5678").unwrap_err();
+        let err = h.pwrite(far + 4, b"5678").unwrap_err();
         assert!(matches!(&err, GkfsError::InvalidArgument(m) if m.contains("WriteChunks")), "{err:?}");
         assert!(t0.elapsed() >= Duration::from_millis(60), "the size leg's reply was not awaited");
         assert_eq!(c.stats().rpcs_issued.load(Ordering::Relaxed) - rpc0, 2, "both legs left");
-        assert_eq!(h.size(), 4, "the record did not grow");
+        assert_eq!(h.size(), far + 4, "the record did not grow");
         refuse(&doctored, &[]);
         // Nothing was left behind to send, either.
         let rpc1 = c.stats().rpcs_issued.load(Ordering::Relaxed);
         h.flush().unwrap();
         assert_eq!(c.stats().rpcs_issued.load(Ordering::Relaxed), rpc1);
         // The documented consequence of sending the candidate with the
-        // data (the paper sends it first): the owner's size did grow.
-        assert_eq!(c.stat("/f").unwrap().size, 8);
+        // data (the paper sends it first) to another daemon: the
+        // owner's size did grow.
+        assert_eq!(c.stat(&path).unwrap().size, far + 8);
         h.close().unwrap();
     }
 
     #[test]
     fn a_failed_size_leg_fails_the_write_whose_bytes_landed() {
         let (_d, doctored, c) = doctored_cluster(&ClusterConfig::new(2), &[], 0);
-        let h = c.open_handle("/f", OpenFlags::RDWR.with_create()).unwrap();
+        let (path, far) = apart(&c);
+        let h = c.open_handle(&path, OpenFlags::RDWR.with_create()).unwrap();
         refuse(&doctored, &[Opcode::UpdateSize]);
-        let err = h.pwrite(0, b"landed").unwrap_err();
+        let err = h.pwrite(far, b"landed").unwrap_err();
         assert!(matches!(&err, GkfsError::InvalidArgument(m) if m.contains("UpdateSize")), "{err:?}");
         // The bytes are at the chunk owner and the record knows it; the
         // candidate waits for the next update that gets through.
-        assert_eq!(h.pread(0, 6).unwrap(), b"landed");
+        assert_eq!(h.pread(far, 6).unwrap(), b"landed");
         refuse(&doctored, &[]);
         h.close().unwrap();
-        assert_eq!(c.stat("/f").unwrap().size, 6);
+        assert_eq!(c.stat(&path).unwrap().size, far + 6);
     }
 
     #[test]
     fn when_both_legs_fail_the_data_legs_error_is_the_writes() {
         let (_d, doctored, c) = doctored_cluster(&ClusterConfig::new(2), &[], 0);
-        let h = c.open_handle("/f", OpenFlags::RDWR.with_create()).unwrap();
+        let (path, far) = apart(&c);
+        let h = c.open_handle(&path, OpenFlags::RDWR.with_create()).unwrap();
         refuse(&doctored, &[Opcode::UpdateSize, Opcode::WriteChunks]);
         let before = asked(&doctored).len();
-        let err = h.pwrite(0, b"nowhere").unwrap_err();
+        let err = h.pwrite(far, b"nowhere").unwrap_err();
         assert!(matches!(&err, GkfsError::InvalidArgument(m) if m.contains("WriteChunks")), "{err:?}");
         assert_eq!(asked(&doctored).len() - before, 2);
         assert_eq!(h.size(), 0);
+    }
+
+    #[test]
+    fn a_write_that_reaches_the_metadata_owner_is_one_frame_and_fails_whole() {
+        // Chunk 0 lives with the inode: its write and its size update
+        // are one `WriteFile` to one daemon, and there is no such thing
+        // as one of them failing alone — in particular no size grown at
+        // the owner ahead of bytes that never landed.
+        let (_d, doctored, c) = doctored_cluster(&ClusterConfig::new(2), &[], 0);
+        let h = c.open_handle("/f", OpenFlags::RDWR.with_create()).unwrap();
+        let before = asked(&doctored).len();
+        h.pwrite(0, b"1234").unwrap();
+        assert_eq!(asked(&doctored)[before..], [Opcode::WriteFile]);
+        assert_eq!(c.stats().size_updates_sent.load(Ordering::Relaxed), 1, "the candidate rode it");
+        refuse(&doctored, &[Opcode::WriteFile]);
+        let err = h.pwrite(4, b"5678").unwrap_err();
+        assert!(matches!(&err, GkfsError::InvalidArgument(m) if m.contains("WriteFile")), "{err:?}");
+        assert_eq!(h.size(), 4, "the record did not grow");
+        refuse(&doctored, &[]);
+        assert_eq!(c.stat("/f").unwrap().size, 4, "nor did the owner's size");
+        // A chunk the hash happens to place with the metadata rides the
+        // same frame; only a daemon outside the metadata set is sent a
+        // plain `WriteChunks`.
+        let together = (1..).find(|&id| c.placement.chunk_primary("/f", id) == c.placement.meta_primary("/f")).unwrap();
+        let before = asked(&doctored).len();
+        h.pwrite(together * c.layout.chunk_size, b"abcd").unwrap();
+        assert_eq!(asked(&doctored)[before..], [Opcode::WriteFile]);
+        h.close().unwrap();
     }
 
     #[test]
@@ -683,9 +830,10 @@ mod tests {
         let config = ClusterConfig::new(2).with_op_deadline_ms(D);
         let (_d, _doctored, c) =
             doctored_cluster(&config, &[Opcode::UpdateSize, Opcode::WriteChunks], D * 6 / 10);
-        let h = c.open_handle("/slow", OpenFlags::RDWR.with_create()).unwrap();
+        let (path, far) = apart(&c);
+        let h = c.open_handle(&path, OpenFlags::RDWR.with_create()).unwrap();
         let t0 = Instant::now();
-        h.pwrite(0, b"side by side").unwrap();
+        h.pwrite(far, b"side by side").unwrap();
         let took = t0.elapsed();
         assert!(took >= Duration::from_millis(D * 6 / 10));
         assert!(took < Duration::from_millis(D), "the legs were awaited one after the other: {took:?}");
@@ -694,13 +842,13 @@ mod tests {
 
     #[test]
     fn flush_all_attempts_every_file_and_reports_the_first_failure() {
-        // Three files with buffered runs; the chunk owner of one refuses
+        // Three files with buffered runs; the owner of one refuses
         // writes. The other two must reach the daemons whatever order
         // the table walks them in — six mounts, six orders.
         let config = ClusterConfig::new(3).with_write_back(64 * 1024);
         let (daemons, doctored, _c) = doctored_cluster(&config, &[], 0);
         let broken = 2;
-        doctored[broken].refused.lock().unwrap().push(Opcode::WriteChunks);
+        doctored[broken].refused.lock().unwrap().push(Opcode::WriteFile);
         for round in 0..6 {
             let endpoints = doctored.iter().map(|d| Arc::clone(d) as Arc<dyn Endpoint>).collect();
             let c = GekkoClient::mount(endpoints, &config).unwrap();
@@ -717,7 +865,7 @@ mod tests {
                 })
                 .collect();
             let err = c.flush_all().unwrap_err();
-            assert!(matches!(&err, GkfsError::InvalidArgument(m) if m.contains("WriteChunks")), "{err:?}");
+            assert!(matches!(&err, GkfsError::InvalidArgument(m) if m.contains("WriteFile")), "{err:?}");
             // A second client, straight at the daemons, sees both good
             // files whole.
             let raw = daemons.iter().map(|d| d.endpoint()).collect();

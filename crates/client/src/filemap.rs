@@ -12,16 +12,17 @@
 //! path that has an open handle, shared by every handle on that path.
 //! It holds everything the client knows about the file that the
 //! daemons may not know yet — the size, the paper's §IV-B pending size
-//! update, the write-back run, and whether this client unlinked it —
-//! under one lock, so `stat`, reads, appends, truncate, unlink and the
+//! update, the write-back run, and where its entry stands (not yet
+//! created at the daemons, there, or gone) — under one lock, so `stat`, reads, appends, truncate, unlink and the
 //! flushes all consult and reset the same record. The record is pure
 //! data: whatever must go to a daemon is *taken out* under the lock
 //! and sent after the guard drops (GKL002).
 
 use crate::writeback::{WbBuf, WbRun};
-use gkfs_common::lock::{rank, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
+use gkfs_common::lock::{rank, Condvar, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
 use gkfs_common::types::{FileKind, OpenFlags};
 use gkfs_common::{GkfsError, Result};
+use gkfs_rpc::proto::NewFile;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::{Arc, Weak};
@@ -32,20 +33,7 @@ pub const FD_BASE: i32 = 100_000;
 
 /// One size update bound for a file's metadata owner — and, before it
 /// is one, what a write of bytes up to `size` at `mtime_ns` has to say.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SizeUpdate {
-    /// Size candidate (the daemon keeps the maximum).
-    pub(crate) size: u64,
-    /// Mtime ns.
-    pub(crate) mtime_ns: u64,
-}
-
-impl SizeUpdate {
-    /// Both candidates in one: the larger size, the later mtime.
-    fn merge(self, other: SizeUpdate) -> SizeUpdate {
-        SizeUpdate { size: self.size.max(other.size), mtime_ns: self.mtime_ns.max(other.mtime_ns) }
-    }
-}
+pub(crate) use gkfs_rpc::proto::SizeCandidate as SizeUpdate;
 
 /// The §IV-B size-update buffer of one file: *"a rudimentary client
 /// cache to locally buffer size updates of a number of write
@@ -57,6 +45,40 @@ struct Pending {
     ops: usize,
     /// Largest size candidate among them, with the latest mtime.
     update: SizeUpdate,
+}
+
+/// Where the file's entry stands at the daemons, as far as this client
+/// knows.
+enum Entry {
+    /// The daemons hold it.
+    Born,
+    /// A write-back mount opened the path `O_CREAT|O_EXCL` and has told
+    /// nobody yet: the create rides the file's first flush, exactly as
+    /// its bytes do.
+    Unborn(NewFile),
+    /// That flush is in flight on some thread. Nothing else of this
+    /// file may reach a daemon before the create's verdict is in — a
+    /// refused create writes nothing — so whoever needs the daemons to
+    /// know the file waits for it ([`LocalFile::riders`]).
+    Publishing,
+    /// This client unlinked the path (`NotFound`) or its create was
+    /// refused (the refusal): what the record still held was discarded,
+    /// and every later read or write through a surviving handle
+    /// answers this error.
+    Gone(GkfsError),
+}
+
+/// What rides the data legs of a write to the file's metadata write
+/// set, decided by [`LocalFile::riders`] before a byte moves.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Riders {
+    /// The size update due with this write (none: the §IV-B window
+    /// absorbs it).
+    pub(crate) update: Option<SizeUpdate>,
+    /// The create of an unborn file: this write is its first flush.
+    /// Whoever takes it owes the record the verdict
+    /// ([`LocalFile::published`]).
+    pub(crate) create: Option<NewFile>,
 }
 
 struct Known {
@@ -72,8 +94,7 @@ struct Known {
     pending: Option<Pending>,
     /// Small sequential writes not yet sent anywhere.
     wb: WbBuf,
-    /// This client removed the file while the record was open.
-    unlinked: bool,
+    entry: Entry,
 }
 
 impl Known {
@@ -94,23 +115,32 @@ pub struct LocalFile {
     /// its own: the paper's default synchronous mode).
     window: usize,
     known: OrderedMutex<Known>,
+    /// Signalled when a create in flight gets its verdict.
+    verdict: Condvar,
     /// The table holding this record's `paths` entry.
     table: Weak<OrderedRwLock<Tables>>,
 }
 
 impl LocalFile {
-    /// `NotFound` once this client has unlinked the path.
+    /// `NotFound` once this client has unlinked the path; the refusal
+    /// once its create was refused.
     pub(crate) fn linked(&self) -> Result<()> {
         self.live().map(drop)
     }
 
-    /// The record, locked, while the path is still linked.
+    /// The record, locked, while the path is not [`Entry::Gone`].
     fn live(&self) -> Result<OrderedMutexGuard<'_, Known>> {
         let known = self.known.lock();
-        if known.unlinked {
-            return Err(GkfsError::NotFound);
+        if let Entry::Gone(why) = &known.entry {
+            return Err(why.clone());
         }
         Ok(known)
+    }
+
+    /// The daemons have not been told of this file yet: a call about to
+    /// ask them about the path publishes it first.
+    pub(crate) fn unborn(&self) -> bool {
+        matches!(self.known.lock().entry, Entry::Unborn(_) | Entry::Publishing)
     }
 
     /// The size reads, appends, `SEEK_END` and `stat` on this client
@@ -149,24 +179,74 @@ impl LocalFile {
         start
     }
 
-    /// The size leg of a write in flight, decided before a byte moves
-    /// and changing nothing: `wrote` is what the bytes will say once
-    /// they land (none: a flush with no run to send), merged with what
-    /// the §IV-B window holds. An update leaves with every write at
-    /// window 0, with the write that fills the window otherwise
-    /// (predicted here, not discovered after the data legs), and with
-    /// anything at all when `flush` forces it. A write to an unlinked
-    /// path is `NotFound`; a flush of one finds nothing to send.
-    pub(crate) fn size_leg(&self, wrote: Option<SizeUpdate>, flush: bool) -> Result<Option<SizeUpdate>> {
-        let known = self.known.lock();
-        if known.unlinked {
-            return wrote.map_or(Ok(None), |_| Err(GkfsError::NotFound));
+    /// What rides a write in flight to the metadata write set, decided
+    /// before a byte moves. The size update: `wrote` is what the bytes
+    /// will say once they land (none: a flush with no run to send),
+    /// merged with what the §IV-B window holds. An update leaves with
+    /// every write at window 0, with the write that fills the window
+    /// otherwise (predicted here, not discovered after the data legs),
+    /// and with anything at all when `flush` forces it. The create: an
+    /// unborn file's goes with whatever is sent first, and is taken out
+    /// here — the record is [`Entry::Publishing`] until the caller
+    /// reports the verdict ([`LocalFile::published`]); a thread that
+    /// finds it so waits, because nothing of the file may overtake its
+    /// create. A write to a path that is gone answers why; a flush of
+    /// one finds nothing to send.
+    pub(crate) fn riders(&self, wrote: Option<SizeUpdate>, flush: bool) -> Result<Riders> {
+        let mut known = self.known.lock();
+        while matches!(known.entry, Entry::Publishing) {
+            known.wait(&self.verdict);
+        }
+        if let Entry::Gone(why) = &known.entry {
+            return wrote.map_or(Ok(Riders::default()), |_| Err(why.clone()));
         }
         let held = known.pending.as_ref();
         let ops = held.map_or(0, |p| p.ops) + usize::from(wrote.is_some());
         let due = ops >= if flush { 1 } else { self.window.max(1) };
         let all = held.map(|p| p.update).into_iter().chain(wrote).reduce(SizeUpdate::merge);
-        Ok(all.filter(|_| due))
+        let create = match known.entry {
+            Entry::Unborn(create) => {
+                known.entry = Entry::Publishing;
+                Some(create)
+            }
+            _ => None,
+        };
+        Ok(Riders { update: all.filter(|_| due), create })
+    }
+
+    /// The create [`LocalFile::riders`] handed out got its verdict from
+    /// the metadata write set. Acknowledged: the file is born. Refused
+    /// by a daemon that answered (`Exists`, whoever won the path): the
+    /// record is gone — its run and pending update discarded, its
+    /// `paths` entry given up so the next open starts from what the
+    /// daemons say. No answer (the node is down): nothing is known, and
+    /// the create waits for the next flush.
+    pub(crate) fn published(&self, create: NewFile, verdict: &Result<()>) {
+        let mut known = self.known.lock();
+        known.entry = match verdict {
+            Ok(()) => Entry::Born,
+            Err(e) if e.is_node_down() => Entry::Unborn(create),
+            Err(e) => Entry::Gone(e.clone()),
+        };
+        let gone = matches!(known.entry, Entry::Gone(_));
+        if gone {
+            known.discard();
+        }
+        drop(known);
+        self.verdict.notify_all();
+        if gone {
+            self.detach();
+        }
+    }
+
+    /// Give up the `paths` entry, unless a newer record already took it
+    /// over.
+    fn detach(&self) {
+        let Some(table) = self.table.upgrade() else { return };
+        let mut files = table.write();
+        if files.paths.get(&self.path).is_some_and(|w| std::ptr::eq(w.as_ptr(), self)) {
+            files.paths.remove(&self.path);
+        }
     }
 
     /// A write in flight landed: the daemons acknowledged the bytes
@@ -207,11 +287,18 @@ impl LocalFile {
     /// Returns the size the daemons may hold bytes up to.
     fn unlink(&self) -> u64 {
         let mut known = self.known.lock();
-        known.unlinked = true;
-        known.claimed = 0;
-        known.pending = None;
-        known.wb.take();
+        known.entry = Entry::Gone(GkfsError::NotFound);
+        known.discard();
         known.size
+    }
+}
+
+impl Known {
+    /// Drop what the record held for the daemons: the path is gone.
+    fn discard(&mut self) {
+        self.claimed = 0;
+        self.pending = None;
+        self.wb.take();
     }
 }
 
@@ -220,11 +307,7 @@ impl Drop for LocalFile {
     /// record (re-created after an unlink, or opened while this one was
     /// dying) already took it over.
     fn drop(&mut self) {
-        let Some(table) = self.table.upgrade() else { return };
-        let mut files = table.write();
-        if files.paths.get(&self.path).is_some_and(|w| std::ptr::eq(w.as_ptr(), &*self)) {
-            files.paths.remove(&self.path);
-        }
+        self.detach();
     }
 }
 
@@ -312,18 +395,42 @@ impl FileMap {
             drop(known);
             return local;
         }
+        self.insert_record(&mut files, path, kind, size, Entry::Born)
+    }
+
+    /// A fresh record of `path`, put in the table.
+    fn insert_record(&self, files: &mut Tables, path: &str, kind: FileKind, size: u64, entry: Entry) -> Arc<LocalFile> {
         let local = Arc::new(LocalFile {
             path: path.to_string(),
             kind,
             window: self.size_window,
             known: OrderedMutex::new(
                 rank::CLIENT_LOCAL_FILE,
-                Known { size, claimed: 0, pending: None, wb: WbBuf::new(self.wb_capacity), unlinked: false },
+                Known { size, claimed: 0, pending: None, wb: WbBuf::new(self.wb_capacity), entry },
             ),
+            verdict: Condvar::new(),
             table: Arc::downgrade(&self.files),
         });
         files.paths.insert(path.to_string(), Arc::downgrade(&local));
         local
+    }
+
+    /// Whether an exclusive create waits for its file's first flush: a
+    /// write-back mount publishes a new file exactly as it publishes
+    /// its bytes. A write-through mount creates at `open`.
+    pub(crate) fn defers_creates(&self) -> bool {
+        self.wb_capacity > 0
+    }
+
+    /// The record of a file `create` will make at its first flush: a
+    /// fresh, empty, unborn one — or, when this client already has the
+    /// path open, that record, for the caller to judge.
+    pub(crate) fn attach_unborn(&self, path: &str, create: NewFile) -> std::result::Result<Arc<LocalFile>, Arc<LocalFile>> {
+        let mut files = self.files.write();
+        match files.paths.get(path).and_then(Weak::upgrade) {
+            Some(open) => Err(open),
+            None => Ok(self.insert_record(&mut files, path, FileKind::File, 0, Entry::Unborn(create))),
+        }
     }
 
     /// The record of `path`, if a handle is open on it.
@@ -342,6 +449,14 @@ impl FileMap {
     /// Every live record (unmount's flush).
     pub(crate) fn locals(&self) -> Vec<Arc<LocalFile>> {
         self.files.read().paths.values().filter_map(Weak::upgrade).collect()
+    }
+
+    /// Every record whose file the daemons have not been told of (what
+    /// a directory-level call publishes first).
+    pub(crate) fn unborn_locals(&self) -> Vec<Arc<LocalFile>> {
+        let mut all = self.locals();
+        all.retain(|local| local.unborn());
+        all
     }
 
     /// Insert an open file, returning its new descriptor.
@@ -479,14 +594,14 @@ mod tests {
     /// then — every leg acknowledged — land the bytes and the update.
     /// Returns the update sent.
     fn wrote(f: &LocalFile, size: u64, mtime_ns: u64) -> Result<Option<SizeUpdate>> {
-        let sent = f.size_leg(Some(up(size, mtime_ns)), false)?;
+        let sent = f.riders(Some(up(size, mtime_ns)), false)?.update;
         f.landed(Some(up(size, mtime_ns)), sent)?;
         Ok(sent)
     }
 
     /// What a flush would send now (deciding changes nothing).
     fn held(f: &LocalFile) -> Option<SizeUpdate> {
-        f.size_leg(None, true).unwrap()
+        f.riders(None, true).unwrap().update
     }
 
     #[test]
@@ -500,7 +615,7 @@ mod tests {
         assert_eq!(map.unlink("/u"), None, "already detached");
         assert!(matches!(stale.local.offer(0, b"x"), Err(GkfsError::NotFound)));
         assert!(matches!(stale.local.view(0, 8), Err(GkfsError::NotFound)));
-        assert!(matches!(stale.local.size_leg(Some(up(1, 1)), false), Err(GkfsError::NotFound)));
+        assert!(matches!(stale.local.riders(Some(up(1, 1)), false), Err(GkfsError::NotFound)));
         assert!(matches!(stale.local.landed(Some(up(1, 1)), None), Err(GkfsError::NotFound)));
         assert_eq!(stale.local.take_run(), None);
         assert_eq!(held(&stale.local), None);
@@ -557,7 +672,7 @@ mod tests {
         let f = record(&map, "/f");
         wrote(&f, 42, 7).unwrap();
         // A flush with a run ending at 90: one leg, both candidates.
-        let sent = f.size_leg(Some(up(90, 9)), true).unwrap();
+        let sent = f.riders(Some(up(90, 9)), true).unwrap().update;
         assert_eq!(sent, Some(up(90, 9)));
         f.landed(Some(up(90, 9)), sent).unwrap();
         assert_eq!((f.size(), held(&f)), (90, None), "second drain is empty");
@@ -570,7 +685,7 @@ mod tests {
         let f = record(&map, "/f");
         wrote(&f, 10, 1).unwrap();
         // The window-filling write is predicted...
-        assert_eq!(f.size_leg(Some(up(30, 2)), false).unwrap(), Some(up(30, 2)));
+        assert_eq!(f.riders(Some(up(30, 2)), false).unwrap().update, Some(up(30, 2)));
         // ...but its data leg failed: the record is as it was.
         assert_eq!((f.size(), held(&f)), (10, Some(up(10, 1))));
         // Data acknowledged, size leg refused: the bytes count, and
@@ -586,7 +701,7 @@ mod tests {
         let map = FileMap::new(2, 0);
         let f = record(&map, "/f");
         wrote(&f, 10, 1).unwrap();
-        let a = f.size_leg(Some(up(20, 2)), false).unwrap();
+        let a = f.riders(Some(up(20, 2)), false).unwrap().update;
         assert_eq!(a, Some(up(20, 2)));
         // While A is in flight another thread's write lands, absorbed.
         f.landed(Some(up(50, 3)), None).unwrap();

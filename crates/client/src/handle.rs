@@ -3,11 +3,12 @@
 //! handle knows about its file beyond flags and position is its path's
 //! [`LocalFile`](crate::filemap::LocalFile).
 
-use crate::client::GekkoClient;
+use crate::client::{now_ns, GekkoClient};
 use crate::filemap::OpenFile;
 use crate::meta_frames::create_op;
 use gkfs_common::path as gpath;
 use gkfs_common::{FileKind, GkfsError, Metadata, OpenFlags, Result};
+use gkfs_rpc::proto::NewFile;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -56,11 +57,34 @@ impl GekkoClient {
 
     /// The open-path protocol shared by [`GekkoClient::open`] and
     /// [`GekkoClient::open_handle`].
+    ///
+    /// On a write-back mount `O_CREAT|O_EXCL` sends nothing: the new
+    /// file is *unborn* — its record holds the create, and the file's
+    /// first flush carries create, bytes and size to the metadata owner
+    /// as one frame. Until then no other client sees it, and an
+    /// `Exists` surfaces at that flush (the contract `create()` has
+    /// under `with_meta_batch`, extended to handles); opening a path
+    /// that is still unborn exclusively again is `Exists` here.
     fn open_file(&self, path: &str, flags: OpenFlags) -> Result<OpenFile> {
         let path = gpath::normalize(path)?;
         if flags.create {
             self.stats.creates.fetch_add(1, Ordering::Relaxed);
             self.revoke_lease(&path);
+            if flags.exclusive && self.files.defers_creates() {
+                let create = NewFile { mode: 0o644, exclusive: true, now_ns: now_ns() };
+                match self.files.attach_unborn(&path, create) {
+                    Ok(local) => {
+                        // Program order per path: what the transparent
+                        // queue holds for it lands before anything of
+                        // this handle.
+                        self.queue_barrier_path(&path)?;
+                        return Ok(OpenFile::new(local, flags));
+                    }
+                    Err(open) if open.unborn() => return Err(GkfsError::Exists),
+                    // This client has the path open: the daemons decide.
+                    Err(_) => {}
+                }
+            }
             self.meta_call(create_op(path.clone(), FileKind::File, 0o644, flags.exclusive))?;
         }
         let (kind, mut size) = if flags.create && flags.exclusive {
@@ -319,17 +343,16 @@ impl FileHandle<'_> {
         Ok(self.file.seek_to(target as u64))
     }
 
-    /// Force the path's write-back buffer and any buffered size update
-    /// out to the daemons: one write in flight, the run's data legs
-    /// beside one size leg carrying both. After `flush` returns Ok,
-    /// every byte this client wrote to the path is visible to every
-    /// client. (Once the path is unlinked both are gone and nothing is
-    /// sent.)
+    /// Force the path's write-back buffer, any buffered size update
+    /// and — if the file is still unborn — its create out to the
+    /// daemons: one write in flight, the update (and the create) riding
+    /// the run's data legs. After `flush` returns Ok, the file and
+    /// every byte this client wrote to it are visible to every client;
+    /// a refused create is this call's error, and nothing was written
+    /// anywhere. (Once the path is gone — unlinked here, or refused —
+    /// everything held back is gone with it and nothing is sent.)
     pub fn flush(&self) -> Result<()> {
-        let (c, local) = (self.client, &*self.file.local);
-        let run = local.take_run();
-        let write = c.submit_run(local, run.as_ref(), true)?;
-        c.finish_write(write)
+        self.client.flush_files(&mut [Arc::clone(&self.file.local)])
     }
 
     /// `fsync(2)` semantics: [`FileHandle::flush`].
@@ -625,5 +648,207 @@ mod tests {
         assert_eq!(h.seek(0, Whence::End).unwrap(), 10);
         assert_eq!(gets(&daemons) - before, 0);
         h.close().unwrap();
+    }
+
+    // The unborn file: a write-back mount's exclusive create rides the
+    // file's first flush.
+
+    /// A write-back mount and a write-through one over `nodes` daemons
+    /// keeping `replicas` copies.
+    fn two_mounts(nodes: usize, replicas: usize) -> (Vec<Arc<Daemon>>, GekkoClient, GekkoClient) {
+        let config = ClusterConfig::new(nodes).with_replicas(replicas);
+        let (daemons, through) = cluster_with(nodes, config.clone());
+        let eps: Vec<Arc<dyn Endpoint>> = daemons.iter().map(|d| d.endpoint()).collect();
+        let back = GekkoClient::mount(eps, &config.with_write_back(64 * 1024)).unwrap();
+        (daemons, back, through)
+    }
+
+    fn rpcs(c: &GekkoClient) -> u64 {
+        c.stats().rpcs_issued.load(Ordering::Relaxed)
+    }
+
+    const EXCL: OpenFlags = OpenFlags { create: true, exclusive: true, ..OpenFlags::RDWR };
+
+    #[test]
+    fn a_small_files_ingest_is_one_frame_and_its_unlink_one_rpc() {
+        let (daemons, back, through) = two_mounts(3, 1);
+        let base = rpcs(&back);
+        let h = back.open_handle("/small", EXCL).unwrap();
+        for i in 0..8u64 {
+            h.write(&[i as u8 + 1; 512]).unwrap();
+        }
+        assert_eq!(rpcs(&back), base, "open and the buffered writes told nobody");
+        assert!(matches!(through.stat("/small"), Err(GkfsError::NotFound)), "unborn: nobody else sees it");
+        assert_eq!(h.size(), 4096);
+        h.close().unwrap();
+        assert_eq!(rpcs(&back), base + 1, "create, bytes and size rode one frame");
+        assert_eq!(back.stats().size_updates_sent.load(Ordering::Relaxed), 1);
+        let meta = through.stat("/small").unwrap();
+        assert_eq!((meta.size, meta.mode), (4096, 0o644));
+        let r = through.open_handle("/small", OpenFlags::RDONLY).unwrap();
+        assert_eq!(r.pread(3584, 1024).unwrap(), vec![8u8; 512]);
+        // One daemon did all of it.
+        let holders = daemons.iter().filter(|d| d.backends().data.chunk_count("/small").unwrap() > 0).count();
+        assert_eq!(holders, 1);
+        let base = rpcs(&back);
+        back.unlink("/small").unwrap();
+        assert_eq!(rpcs(&back), base + 1, "the owner dropped chunk 0 with the entry");
+        assert!(daemons.iter().all(|d| d.backends().data.chunk_count("/small").unwrap() == 0));
+        // An unborn file with no bytes is still a file once closed.
+        back.open_handle("/empty", EXCL).unwrap().close().unwrap();
+        assert_eq!(through.stat("/empty").unwrap().size, 0);
+        // A write-through mount creates at open, as ever.
+        let base = rpcs(&through);
+        let h = through.open_handle("/through", EXCL).unwrap();
+        assert_eq!(rpcs(&through), base + 1);
+        assert!(matches!(through.open_handle("/through", EXCL), Err(GkfsError::Exists)));
+        h.close().unwrap();
+    }
+
+    #[test]
+    fn a_refused_publish_writes_nothing_on_either_replica_and_ends_the_record() {
+        let (daemons, back, through) = two_mounts(3, 2);
+        // Mount A opens first — nobody hears of it — and B wins the path.
+        let a = back.open_handle("/f", EXCL).unwrap();
+        a.pwrite(0, b"AAAAAAAA").unwrap();
+        let b = through.open_handle("/f", EXCL).unwrap();
+        b.pwrite(0, b"BBBB").unwrap();
+        b.close().unwrap();
+        let written = |d: &Arc<Daemon>| d.backends().data.stats().write_bytes.load(Ordering::Relaxed);
+        let before: Vec<u64> = daemons.iter().map(written).collect();
+        assert!(matches!(a.flush(), Err(GkfsError::Exists)), "the refusal surfaces at the flushing call");
+        assert_eq!(daemons.iter().map(written).collect::<Vec<_>>(), before, "a refused create writes nothing");
+        for n in back.placement.meta_set("/f") {
+            let held = daemons[n].backends();
+            assert_eq!(held.data.read_chunk("/f", 0, 0, 16).unwrap(), b"BBBB", "replica {n}");
+            let stat = gkfs_rpc::proto::MetaOp::Stat(gkfs_rpc::proto::PathReq::new("/f"));
+            assert_eq!(held.meta.apply_one(stat).unwrap().unwrap().size, 4, "replica {n}");
+        }
+        // The record is dead: its run is gone, the handle answers the
+        // refusal, and the path is the winner's on this mount too.
+        assert!(matches!(a.pwrite(0, b"more"), Err(GkfsError::Exists)));
+        assert!(matches!(a.pread(0, 4), Err(GkfsError::Exists)));
+        let base = rpcs(&back);
+        a.close().unwrap();
+        assert_eq!(rpcs(&back), base, "nothing left to send");
+        assert_eq!(back.stat("/f").unwrap().size, 4);
+        let r = back.open_handle("/f", OpenFlags::RDONLY).unwrap();
+        assert_eq!(r.pread(0, 16).unwrap(), b"BBBB");
+        assert!(back.fsck().unwrap().is_clean());
+    }
+
+    #[test]
+    fn a_call_that_consults_the_daemons_about_an_unborn_path_publishes_it_first() {
+        let (_d, back, through) = two_mounts(2, 1);
+        let unborn = |path: &str| {
+            let h = back.open_handle(path, EXCL).unwrap();
+            h.pwrite(0, path.as_bytes()).unwrap();
+            assert!(matches!(through.stat(path), Err(GkfsError::NotFound)));
+            h
+        };
+        // stat: the owning mount always sees its file, and from then on
+        // so does everybody.
+        let h = unborn("/h/stat");
+        assert_eq!(h.pread(3, 16).unwrap(), b"stat", "its own reads see the run");
+        assert_eq!(back.stat("/h/stat").unwrap().size, 7);
+        assert_eq!(through.stat("/h/stat").unwrap().size, 7);
+        drop(h);
+        // A second exclusive open is refused here, by the record; any
+        // other open publishes and shares it.
+        let h = unborn("/h/open");
+        let base = rpcs(&back);
+        assert!(matches!(back.open_handle("/h/open", EXCL), Err(GkfsError::Exists)));
+        assert_eq!(rpcs(&back), base, "refused locally");
+        let second = back.open_handle("/h/open", OpenFlags::RDONLY).unwrap();
+        assert_eq!(second.pread(0, 16).unwrap(), b"/h/open");
+        assert_eq!(through.stat("/h/open").unwrap().size, 7);
+        drop((h, second));
+        // create of the same path is refused by the file it publishes.
+        let h = unborn("/h/create");
+        assert!(matches!(back.create("/h/create", 0o644), Err(GkfsError::Exists)));
+        assert_eq!(back.create_many(&["/h/create"], 0o644).unwrap()[0], Err(GkfsError::Exists));
+        drop(h);
+        // truncate and unlink act on the published file.
+        let h = unborn("/h/truncate");
+        back.truncate("/h/truncate", 3).unwrap();
+        assert_eq!(through.stat("/h/truncate").unwrap().size, 3);
+        drop(h);
+        let h = unborn("/h/unlink");
+        back.unlink("/h/unlink").unwrap();
+        assert!(matches!(through.stat("/h/unlink"), Err(GkfsError::NotFound)));
+        assert!(matches!(h.pwrite(0, b"late"), Err(GkfsError::NotFound)));
+        drop(h);
+        // Re-creating it on the same mount never resurrects the old run.
+        let again = unborn("/h/unlink");
+        again.close().unwrap();
+        let r = through.open_handle("/h/unlink", OpenFlags::RDONLY).unwrap();
+        assert_eq!(r.pread(0, 16).unwrap(), b"/h/unlink");
+        // The bulk and the directory-level calls publish every unborn
+        // file of the mount.
+        let (x, y) = (unborn("/h/x"), unborn("/h/y"));
+        assert_eq!(back.stat_many(&["/h/x"]).unwrap()[0].as_ref().unwrap().size, 4);
+        assert_eq!(through.stat("/h/y").unwrap().size, 4, "all of them, not only the one asked about");
+        let z = unborn("/h/z");
+        assert!(back.readdir("/").unwrap().iter().any(|e| e.name == "h") || through.stat("/h/z").is_ok());
+        assert_eq!(through.stat("/h/z").unwrap().size, 4);
+        let w = unborn("/h/w");
+        assert!(back.unlink_many(&["/h/w"]).unwrap()[0].is_ok());
+        assert!(matches!(through.stat("/h/w"), Err(GkfsError::NotFound)));
+        drop((x, y, z, w));
+        // A dropped handle publishes best-effort, as it flushes.
+        drop(unborn("/h/dropped"));
+        assert_eq!(through.stat("/h/dropped").unwrap().size, 10);
+    }
+
+    #[test]
+    fn an_unborn_file_that_starts_past_chunk_0_is_created_before_its_other_legs_leave() {
+        let config = ClusterConfig::new(3).with_chunk_size(4096).with_write_back(64 * 1024);
+        let (daemons, c) = cluster_with(3, config);
+        let data: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
+        let h = c.open_handle("/seek", EXCL).unwrap();
+        h.pwrite(10_000, &data).unwrap();
+        h.close().unwrap();
+        let eps: Vec<Arc<dyn Endpoint>> = daemons.iter().map(|d| d.endpoint()).collect();
+        let other = GekkoClient::mount(eps, &ClusterConfig::new(3).with_chunk_size(4096)).unwrap();
+        assert_eq!(other.stat("/seek").unwrap().size, 30_000);
+        let r = other.open_handle("/seek", OpenFlags::RDONLY).unwrap();
+        assert_eq!(r.pread(10_000, 20_000).unwrap(), data);
+        assert_eq!(r.pread(0, 10_000).unwrap(), vec![0u8; 10_000]);
+        // Lost to another client, such a file leaves nothing anywhere.
+        other.create("/seek2", 0o644).unwrap();
+        let h = c.open_handle("/seek2", EXCL).unwrap();
+        h.pwrite(10_000, &data).unwrap();
+        assert!(matches!(h.close(), Err(GkfsError::Exists)));
+        assert!(daemons.iter().all(|d| d.backends().data.chunk_count("/seek2").unwrap() == 0));
+    }
+
+    #[test]
+    fn a_publish_whose_reply_is_lost_is_resubmitted_as_its_own_and_acknowledged() {
+        // The first delivery of the frame is applied — entry created,
+        // bytes written — and its reply lost. The resubmission says
+        // what it is, so the daemon reads the `Exists` as this frame's
+        // own first delivery: acknowledged once, `Ok`, bytes present.
+        // (Unmarked, the retry was refused: a close that had worked
+        // reported `Exists`.)
+        use gkfs_rpc::testing::FlakyEndpoint;
+        let daemons: Vec<Arc<Daemon>> =
+            (0..2).map(|_| Daemon::spawn(gkfs_common::DaemonConfig::default()).unwrap()).collect();
+        let flaky: Vec<Arc<FlakyEndpoint>> =
+            daemons.iter().map(|d| FlakyEndpoint::new_reply_path(d.endpoint(), 2)).collect();
+        let eps = flaky.iter().map(|e| Arc::clone(e) as Arc<dyn Endpoint>).collect();
+        let config = ClusterConfig::new(2).with_write_back(64 * 1024);
+        let c = GekkoClient::mount(eps, &config).unwrap();
+        let owner = c.placement.meta_primary("/lost");
+        // Make the owner's next call the one that loses its reply.
+        if flaky[owner].calls().is_multiple_of(2) {
+            c.ring.ping_nb(owner).unwrap().wait().unwrap();
+        }
+        let h = c.open_handle("/lost", EXCL).unwrap();
+        h.pwrite(0, b"exactly once").unwrap();
+        h.close().unwrap();
+        assert!(c.ring.node_health(owner).unwrap().retries() >= 1, "the reply was lost and the frame sent again");
+        assert_eq!(c.stat("/lost").unwrap().size, 12);
+        let r = c.open_handle("/lost", OpenFlags::RDONLY).unwrap();
+        assert_eq!(r.pread(0, 32).unwrap(), b"exactly once");
     }
 }

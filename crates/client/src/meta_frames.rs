@@ -51,8 +51,24 @@ impl GekkoClient {
     }
 
     /// Await every member of a submitted mutation — no early return, so
-    /// every replica sees it even when one errors — and apply quorum
-    /// semantics:
+    /// every replica sees it even when one errors — and judge them
+    /// ([`GekkoClient::quorum_verdict`]).
+    pub(crate) fn quorum_wait<T>(&self, call: QuorumCall<'_, T>, deadline: Deadline) -> Result<T> {
+        let QuorumCall {
+            primary,
+            primary_leads,
+            inflight,
+        } = call;
+        let results = inflight
+            .into_iter()
+            .map(|fut| fut.and_then(|fut| fut.wait_deadline(deadline)))
+            .collect();
+        self.quorum_verdict(primary, primary_leads, results)
+    }
+
+    /// Quorum semantics over what each member of `primary`'s write set
+    /// answered to one mutation, in set order (`primary_leads`: slot 0
+    /// is the hash-placed primary, not a stand-in):
     ///
     /// * the **primary's** application verdict is authoritative: if it
     ///   answered and refused (Exists, NotFound, …), that error is the
@@ -69,21 +85,17 @@ impl GekkoClient {
     /// granularity: per-op verdicts travel inside `Ok` frames, so a
     /// frame-level error means transport trouble or a daemon that
     /// could not apply the batch at all.
-    pub(crate) fn quorum_wait<T>(&self, call: QuorumCall<'_, T>, deadline: Deadline) -> Result<T> {
-        let QuorumCall {
-            primary,
-            primary_leads,
-            mut inflight,
-        } = call;
-        if inflight.len() == 1 {
+    pub(crate) fn quorum_verdict<T>(
+        &self,
+        primary: NodeId,
+        primary_leads: bool,
+        mut results: Vec<Result<T>>,
+    ) -> Result<T> {
+        if results.len() == 1 {
             // A set of one has nobody to out-vote: its answer is the
             // result, whatever it is.
-            return inflight.remove(0)?.wait_deadline(deadline);
+            return results.remove(0);
         }
-        let results: Vec<Result<T>> = inflight
-            .into_iter()
-            .map(|fut| fut.and_then(|fut| fut.wait_deadline(deadline)))
-            .collect();
         let applied = |r: &Result<T>| !matches!(r, Err(e) if e.is_node_down());
         // Primary answered and refused: authoritative — but only when
         // slot 0 really is the hash-placed primary. When the primary
@@ -269,24 +281,39 @@ impl GekkoClient {
         self.flush_queued(hazard.into_iter().chain(offer.flush_now).chain(expired))
     }
 
-    /// Per-path ordering barrier: if `path` has a queued op, flush
-    /// that queue before the caller reads the path or mutates it via
-    /// the unary protocol. A no-op when batching is disabled.
+    /// Per-path ordering barrier, passed by every call about to read
+    /// `path` at the daemons or mutate it via the unary protocol: what
+    /// this client still holds back about the path goes out first — an
+    /// unborn file is published ([`GekkoClient::publish`]), a queue
+    /// holding an op on the path is flushed. Deferred errors of either
+    /// surface here.
     pub(crate) fn meta_barrier_path(&self, path: &str) -> Result<()> {
+        self.publish(path)?;
+        self.queue_barrier_path(path)
+    }
+
+    /// The transparent queue's half of [`GekkoClient::meta_barrier_path`]:
+    /// if `path` has a queued op, flush that queue. A no-op when
+    /// batching is disabled.
+    pub(crate) fn queue_barrier_path(&self, path: &str) -> Result<()> {
         let Some(mb) = &self.mb else { return Ok(()) };
         let primary = self.placement.meta_primary(path);
         let batch = { mb.lock().take_hazard(primary, path) };
         self.flush_queued(batch.map(|ops| (ops, FlushTrigger::Hazard)))
     }
 
-    /// Flush every queued metadata batch (explicit barrier) — readdir
-    /// and the bulk APIs call this, and applications can use it as an
-    /// mdtest-phase boundary. Deferred per-op errors from queued ops
-    /// surface here. A no-op when transparent batching is disabled.
+    /// Make the daemons' namespace what this client's calls so far say
+    /// it is (explicit barrier): every unborn file is published and
+    /// every queued metadata batch flushed — readdir, rmdir, fsck and
+    /// the bulk APIs call this, and applications can use it as an
+    /// mdtest-phase boundary. Deferred errors — a refused create, a
+    /// queued op's verdict — surface here, the first of them.
     pub fn flush_meta(&self) -> Result<()> {
-        let Some(mb) = &self.mb else { return Ok(()) };
+        let published = self.flush_files(&mut self.files.unborn_locals());
+        let Some(mb) = &self.mb else { return published };
         let batches = { mb.lock().take_all() };
-        self.flush_queued(batches.into_iter().map(|ops| (ops, FlushTrigger::Explicit)))
+        let flushed = self.flush_queued(batches.into_iter().map(|ops| (ops, FlushTrigger::Explicit)));
+        published.and(flushed)
     }
 
     /// The body the bulk APIs share: behind an explicit barrier, one

@@ -53,8 +53,10 @@ impl GekkoClient {
     }
 
     /// Unlink many regular files in batched frames: metadata removal
-    /// rides the batch quorum, then chunk removal fans out from the
-    /// sizes the daemon returned with each removed entry.
+    /// rides the batch quorum (each owner dropping its own chunk 0 with
+    /// the entry), then chunk removal fans out, for what the owners did
+    /// not cover, from the sizes the daemon returned with each removed
+    /// entry.
     pub fn unlink_many<S: AsRef<str>>(&self, paths: &[S]) -> Result<Vec<Result<()>>> {
         self.stats
             .removes
@@ -65,12 +67,9 @@ impl GekkoClient {
         };
         // Files whose chunks must still be removed (zero-byte files
         // hold none).
-        let mut removed: Vec<(String, u64)> = Vec::new();
+        let mut removed: Vec<Unlinked> = Vec::new();
         let slots = self.many(paths, unlink, |path, meta| {
-            let size = self.unlinked_size(path, meta);
-            if size > 0 {
-                removed.push((path.to_string(), size));
-            }
+            removed.extend(self.unlinked(path, meta));
             Ok(())
         })?;
         self.remove_chunks_many(&removed)?;
@@ -80,22 +79,28 @@ impl GekkoClient {
     /// Fan chunk removal out for a set of just-unlinked files, one
     /// `RemoveChunks` per (holder, path) pair, all overlapped on the
     /// wire, each naming the chunk ids its holder was placed — the
-    /// daemon unlinks those names and reads no directory. A `u64::MAX`
-    /// size (the batch-retry "unknown" sentinel) broadcasts an empty
-    /// list, "whatever you hold", to every daemon instead of deriving
-    /// holders from a size that no longer exists anywhere; so does a
-    /// holder of more ids than [`MAX_REMOVE_IDS`].
-    pub(crate) fn remove_chunks_many(&self, removed: &[(String, u64)]) -> Result<()> {
+    /// daemon unlinks those names and reads no directory. Chunk 0 is
+    /// not named to the members of the metadata write set when they
+    /// dropped it with the entry (`owner_covered`), so a file of at
+    /// most one chunk sends nothing here: its unlink was one RPC. A
+    /// `u64::MAX` size (the batch-retry "unknown" sentinel) broadcasts
+    /// an empty list, "whatever you hold", to every daemon instead of
+    /// deriving holders from a size that no longer exists anywhere; so
+    /// does a holder of more ids than [`MAX_REMOVE_IDS`].
+    pub(crate) fn remove_chunks_many(&self, removed: &[Unlinked]) -> Result<()> {
         let mut legs: Vec<(NodeId, &str, Vec<u64>)> = Vec::new();
-        for (path, size) in removed {
+        for Unlinked { path, size, owner_covered } in removed {
             if *size == u64::MAX {
                 legs.extend((0..self.ring.nodes()).map(|n| (n, path.as_str(), Vec::new())));
                 continue;
             }
+            let owners = if *owner_covered { self.placement.meta_set(path) } else { Vec::new() };
             let mut holders: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
             for c in 0..self.layout.chunk_count(*size) {
                 for n in self.placement.raw_chunk_set(path, c) {
-                    holders.entry(n).or_default().push(c);
+                    if c > 0 || !owners.contains(&n) {
+                        holders.entry(n).or_default().push(c);
+                    }
                 }
             }
             legs.extend(holders.into_iter().map(|(n, mut ids)| {
@@ -152,6 +157,9 @@ impl GekkoClient {
     fn create_entry(&self, path: String, kind: FileKind, mode: u32) -> Result<()> {
         self.stats.creates.fetch_add(1, Ordering::Relaxed);
         self.revoke_lease(&path);
+        // A file this client holds unborn on the path goes first, so
+        // this create is refused by it — queued or not.
+        self.publish(&path)?;
         let op = create_op(path, kind, mode, true);
         match &self.mb {
             Some(mb) => self.enqueue_meta(mb, op),
@@ -222,35 +230,42 @@ impl GekkoClient {
         self.stat_chain(path)
     }
 
-    /// Remove a regular file: metadata from its owner, chunks from
-    /// every daemon.
+    /// Remove a regular file: metadata — and chunk 0, placed with it —
+    /// from its owner, the other chunks from their holders.
     pub fn unlink(&self, path: &str) -> Result<()> {
         let path = gpath::normalize(path)?;
         self.stats.removes.fetch_add(1, Ordering::Relaxed);
         self.revoke_lease(&path);
-        // One round trip: the owner refuses a directory itself and
-        // answers with the entry it removed. Zero-byte files (the
-        // mdtest workload) hold no chunks: skip the data fan-out
-        // entirely. This is what lets removes scale in §IV-A. Otherwise
-        // target exactly the daemons that can own one of the file's
-        // chunks (every replica of every chunk) — the client derives
-        // the set from the removed entry's size and the distributor, no
-        // state needed.
+        // One round trip: the owner refuses a directory itself,
+        // answers with the entry it removed and, if that entry held
+        // bytes, has dropped its own chunk 0. Zero-byte files (the
+        // mdtest workload) hold no chunks and touch no storage; a file
+        // of at most one chunk is done too. This is what lets removes
+        // scale in §IV-A. Otherwise target exactly the daemons that can
+        // own one of the file's other chunks (every replica of every
+        // chunk) — the client derives the set from the removed entry's
+        // size and the distributor, no state needed.
         let removed = self.meta_call(MetaOp::Unlink(PathReq::new(path.as_str())))?;
-        match self.unlinked_size(&path, removed) {
-            0 => Ok(()),
-            size => self.remove_chunks_many(&[(path, size)]),
+        match self.unlinked(&path, removed) {
+            None => Ok(()),
+            Some(unlinked) => self.remove_chunks_many(&[unlinked]),
         }
     }
 
     /// The entry of `path` is gone from its owner: detach the path's
     /// record, so no late flush through a surviving handle resurrects
-    /// it, and size the chunk removal — the removed entry's size, or
-    /// the record's where writes landed whose size update never left
-    /// the §IV-B window.
-    fn unlinked_size(&self, path: &str, removed: Option<Metadata>) -> u64 {
+    /// it, and size the chunk removal (none for a file that held
+    /// nothing) — the removed entry's size, or the record's where
+    /// writes landed whose size update never left the §IV-B window, in
+    /// which case the owner saw an empty file and dropped nothing.
+    fn unlinked(&self, path: &str, removed: Option<Metadata>) -> Option<Unlinked> {
         let local = self.files.unlink(path).unwrap_or(0);
-        removed.map_or(0, |m| m.size).max(local)
+        let at_owner = removed.map_or(0, |m| m.size);
+        let size = at_owner.max(local);
+        // The unknown-size sentinel of a tolerated lost reply says
+        // nothing about what its first delivery dropped.
+        let owner_covered = at_owner > 0 && at_owner != u64::MAX;
+        (size > 0).then(|| Unlinked { path: path.to_string(), size, owner_covered })
     }
 
     /// Remove an empty directory.
@@ -475,6 +490,16 @@ impl GekkoClient {
         }
         Ok(report.orphan_chunks.len())
     }
+}
+
+/// A file whose entry is gone and whose chunks may still be there.
+pub(crate) struct Unlinked {
+    path: String,
+    /// What the daemons may hold bytes up to (`u64::MAX`: unknown).
+    size: u64,
+    /// The members of the metadata write set removed an entry that
+    /// held bytes, and with it their chunk 0.
+    owner_covered: bool,
 }
 
 /// Outcome of [`GekkoClient::fsck`].

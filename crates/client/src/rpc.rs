@@ -44,7 +44,7 @@ use gkfs_common::{
     RetryConfig,
 };
 use gkfs_rpc::proto::*;
-use gkfs_rpc::{Endpoint, ReplyHandle, Response};
+use gkfs_rpc::{Endpoint, ReplyHandle, Request, Response};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -192,6 +192,10 @@ pub enum Hedge<'a, T> {
 pub struct ReplyFuture<'a, T> {
     /// Outcome of attempt 0's submission.
     state: Result<ReplyHandle>,
+    /// The failure `state` holds is already on the node's record: a
+    /// hedge window saw it and charged it, so the wait that finds it
+    /// here must not charge the one fault a second time.
+    charged: bool,
     timeout: Duration,
     policy: RetryPolicy,
     deadline: Deadline,
@@ -214,6 +218,13 @@ pub struct ReplyFuture<'a, T> {
 }
 
 impl<'a, T> ReplyFuture<'a, T> {
+    /// Put the failure this future holds on the node's record, once.
+    fn charge(&mut self) {
+        if !std::mem::replace(&mut self.charged, true) {
+            self.health.record_failure();
+        }
+    }
+
     /// Block until the reply arrives (retrying transport failures
     /// under this future's own per-operation deadline) and decode it.
     pub fn wait(self) -> Result<T> {
@@ -228,6 +239,7 @@ impl<'a, T> ReplyFuture<'a, T> {
     pub fn wait_deadline(self, deadline: Deadline) -> Result<T> {
         let ReplyFuture {
             state,
+            mut charged,
             timeout,
             policy,
             salt,
@@ -240,6 +252,13 @@ impl<'a, T> ReplyFuture<'a, T> {
         let attempts = policy.max_attempts.max(1);
         let mut attempt: u32 = 0;
         let mut pending = state;
+        // One fault, one strike: whatever a hedge window already
+        // charged is not charged again; a fresh attempt's failure is.
+        let mut charge = || {
+            if !std::mem::take(&mut charged) {
+                health.record_failure();
+            }
+        };
         loop {
             let outcome: Result<T> = pending.and_then(|handle| {
                 let resp = handle.wait(deadline.clamp(timeout))?.into_result()?;
@@ -251,7 +270,7 @@ impl<'a, T> ReplyFuture<'a, T> {
                     return Ok(v);
                 }
                 Err(e) if e.is_retryable() => {
-                    health.record_failure();
+                    charge();
                     attempt += 1;
                     if attempt >= attempts || deadline.expired() {
                         return Err(e);
@@ -272,7 +291,7 @@ impl<'a, T> ReplyFuture<'a, T> {
                     // node is going away and the failure detector must
                     // hear it, or a killed daemon would stay "Alive"
                     // in the health map forever.
-                    health.record_failure();
+                    charge();
                     return Err(e);
                 }
                 Err(e) => {
@@ -311,9 +330,9 @@ impl<'a, T> ReplyFuture<'a, T> {
     /// accumulates breaker failures because a hedge to a replica won
     /// the race, nor is asked twice — driving the future later with
     /// [`ReplyFuture::wait_deadline`] waits for that same reply first.
-    /// Genuine transport failures inside the window still count, and
-    /// leave the future holding the failure for `wait_deadline` to
-    /// retry.
+    /// Genuine transport failures inside the window still count —
+    /// once: the future is left holding the failure, marked as charged,
+    /// for `wait_deadline` to retry.
     pub fn wait_hedge(mut self, window: Option<Duration>) -> Hedge<'a, T> {
         let window = self.deadline.clamp(window.unwrap_or(self.timeout));
         let waited = match &mut self.state {
@@ -324,7 +343,7 @@ impl<'a, T> ReplyFuture<'a, T> {
             Err(e) if e.is_node_down() => {
                 // The submission itself failed — a real transport
                 // fault (or a shutting-down daemon), not a slow reply.
-                self.health.record_failure();
+                self.charge();
                 return Hedge::Pending(self);
             }
             Err(e) => return Hedge::Ready(Err(e.clone())),
@@ -336,7 +355,7 @@ impl<'a, T> ReplyFuture<'a, T> {
         match out {
             Err(e @ GkfsError::Unavailable(_)) => self.state = Err(e),
             Err(e) if e.is_node_down() => {
-                self.health.record_failure();
+                self.charge();
                 self.state = Err(e);
             }
             out => {
@@ -507,15 +526,31 @@ impl DaemonRing {
         tolerate: Option<Tolerate<T>>,
         finish: impl Fn(R::Resp, Bytes, u32) -> Result<T> + Send + 'static,
     ) -> Result<ReplyFuture<'a, T>> {
+        let frame = R::request(req);
+        self.attempt::<R, T>(node, frame.clone(), frame, bulk, tolerate, finish)
+    }
+
+    /// [`DaemonRing::unary_attempt`] over frames already encoded:
+    /// `first` is attempt 0, `again` what every resubmission sends —
+    /// the same frame (a refcount bump, not a copy) for every row but
+    /// the one whose daemon must be told it is seeing a resubmission.
+    fn attempt<'a, R: Rpc, T>(
+        &self,
+        node: NodeId,
+        first: Request,
+        again: Request,
+        bulk: Vec<&'a [u8]>,
+        tolerate: Option<Tolerate<T>>,
+        finish: impl Fn(R::Resp, Bytes, u32) -> Result<T> + Send + 'static,
+    ) -> Result<ReplyFuture<'a, T>> {
         let ep = Arc::clone(self.ep(node)?);
         let health = Arc::clone(&self.health[node]);
         self.rpcs.fetch_add(1, Ordering::Relaxed);
         let timeout = ep.timeout();
-        let frame = R::request(req);
-        let submit = {
+        let send = {
             let health = Arc::clone(&health);
             let gather_copies = Arc::clone(&self.gather_copies);
-            Box::new(move || {
+            move |frame: &Request| {
                 if !health.breaker.allow() {
                     return Err(GkfsError::Unavailable(format!(
                         "node {node}: circuit breaker open"
@@ -535,17 +570,18 @@ impl DaemonRing {
                     Ordering::Relaxed,
                 );
                 handle
-            })
+            }
         };
-        let state = submit();
+        let state = send(&first);
         Ok(ReplyFuture {
             state,
+            charged: false,
             timeout,
             policy: self.policy.clone(),
             deadline: self.retry.op_deadline(),
             salt: self.salts.fetch_add(1, Ordering::Relaxed),
             health,
-            submit,
+            submit: Box::new(move || send(&again)),
             tolerate,
             decode: Box::new(move |resp, attempt| {
                 finish(R::Resp::decode(&resp.body)?, resp.bulk, attempt)
@@ -718,6 +754,29 @@ impl DaemonRing {
             ops,
         };
         self.unary_nb::<op::WriteChunks>(node, &req, bulk)
+    }
+
+    /// Write one batch of chunks to a member of the file's metadata
+    /// write set, with the size candidate and the create that ride it
+    /// ([`WriteFileReq`]). A frame carrying a create says so when it is
+    /// sent again: the daemon cannot tell a replay from a first
+    /// delivery, and this row's replay must write its bytes even though
+    /// its create now finds the entry ([`lost_reply_verdict`]'s rule
+    /// for `Create`, applied by the daemon because the bytes are there).
+    pub fn write_file_nb<'a>(
+        &self,
+        node: NodeId,
+        mut req: WriteFileReq,
+        bulk: Vec<&'a [u8]>,
+    ) -> Result<ReplyFuture<'a, ()>> {
+        let first = op::WriteFile::request(&req);
+        let again = if req.create.is_some() {
+            req.resubmitted = true;
+            op::WriteFile::request(&req)
+        } else {
+            first.clone()
+        };
+        self.attempt::<op::WriteFile, _>(node, first, again, bulk, None, |(), _, _| Ok(()))
     }
 
     /// Read one batch of chunks (read gather); returns per-op lengths,
@@ -1163,6 +1222,30 @@ mod tests {
         pending.wait_deadline(ring.op_deadline()).unwrap();
         assert_eq!(h.consecutive_failures(), 0);
         assert_eq!((h.failures(), h.retries()), (0, 0), "driving the stashed future");
+    }
+
+    #[test]
+    fn a_failure_seen_by_the_hedge_window_is_charged_once() {
+        // One severed member, one hedged read. The window sees the
+        // transport failure, charges it and parks it in the future;
+        // driving the future finds that same failure before it has sent
+        // anything and charged it again — one fault, two strikes, and a
+        // `breaker_threshold` of 2 opened on a single lost reply. Both
+        // places a window can meet a failure: the reply, the submission.
+        let lost_reply: Arc<dyn Endpoint> =
+            FlakyEndpoint::new_reply_path(gkfs_daemon_for_tests::fake_daemon(), 1);
+        for severed in [lost_reply, Arc::new(DeadEndpoint)] {
+            let cfg = RetryConfig { breaker_threshold: 2, ..test_retry(1) };
+            let ring = make_ring_of(vec![severed], cfg);
+            let pending = match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(50))) {
+                Hedge::Pending(fut) => fut,
+                Hedge::Ready(r) => panic!("a severed member must stay pending: {:?}", r.err()),
+            };
+            assert!(matches!(pending.wait_deadline(ring.op_deadline()), Err(GkfsError::Rpc(_))));
+            let h = ring.node_health(0).unwrap();
+            assert_eq!((h.failures(), h.consecutive_failures()), (1, 1));
+            assert_eq!(h.breaker_state(), BreakerState::Closed, "one fault is one strike");
+        }
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! operation, GekkoFS does not require central data structures that
 //! keep track of where metadata or data is located."*
 //!
+//! One placement rule is this repository's own: chunk 0 of a file
+//! lives where its metadata does (see [`Distributor::locate_chunk`]);
+//! every other chunk hashes by `path + chunk id` as in the paper.
+//!
 //! Two distributors are provided:
 //!
 //! * [`SimpleHashDistributor`] — `hash % n`, what GekkoFS shipped.
@@ -32,7 +36,14 @@ pub trait Distributor: Send + Sync + std::fmt::Debug {
     /// Which daemon owns the *metadata* of `path`.
     fn locate_metadata(&self, path: &str) -> NodeId;
 
-    /// Which daemon stores chunk `chunk_id` of `path`.
+    /// Which daemon stores chunk `chunk_id` of `path`. The hashed
+    /// distributors place chunk 0 with the metadata
+    /// (`locate_chunk(p, 0) == locate_metadata(p)`): everything a file
+    /// of at most one chunk needs is then on one daemon, which is what
+    /// lets its create, bytes and size ride one frame and its owner
+    /// drop the chunk when it removes the entry (a deviation from the
+    /// paper's §III-B, which hashes every chunk by `path + chunk id`;
+    /// DESIGN.md "Substitutions").
     fn locate_chunk(&self, path: &str, chunk_id: u64) -> NodeId;
 
     /// All daemons that may hold chunks of any file — used for
@@ -124,6 +135,9 @@ impl Distributor for SimpleHashDistributor {
     }
 
     fn locate_chunk(&self, path: &str, chunk_id: u64) -> NodeId {
+        if chunk_id == 0 {
+            return self.locate_metadata(path);
+        }
         (hash_chunk(path, chunk_id) % self.nodes as u64) as NodeId
     }
 }
@@ -169,6 +183,9 @@ impl Distributor for JumpDistributor {
     }
 
     fn locate_chunk(&self, path: &str, chunk_id: u64) -> NodeId {
+        if chunk_id == 0 {
+            return self.locate_metadata(path);
+        }
         Self::jump(hash_chunk(path, chunk_id), self.nodes)
     }
 }

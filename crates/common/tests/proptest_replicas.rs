@@ -19,7 +19,70 @@ fn pathish(min: usize, max: usize) -> impl Strategy<Value = String> {
     })
 }
 
+/// Chunk ids ≥ 1 are placed where the paper's rule (hash of `path +
+/// chunk id`) always placed them: `locate_chunk` answers generated at
+/// the parent of PR 26, before chunk 0 moved to the metadata owner, for
+/// three paths × ids `[1, 2, 3, 64, u64::MAX]` on 2, 3 and 16 nodes.
+/// The placement change is provably *only* chunk 0.
+#[test]
+fn chunks_past_the_first_are_placed_where_they_always_were() {
+    type Row = (usize, [usize; 15], [usize; 15]);
+    const PINNED: [Row; 3] = [
+        (2, [0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1], [1, 1, 1, 0, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0]),
+        (3, [1, 1, 2, 0, 2, 1, 0, 1, 0, 0, 0, 0, 1, 2, 0], [1, 1, 1, 0, 2, 2, 1, 1, 0, 2, 1, 1, 2, 1, 2]),
+        (16, [12, 2, 3, 7, 9, 12, 5, 11, 5, 2, 8, 10, 4, 13, 15], [4, 8, 5, 4, 5, 4, 14, 1, 0, 6, 15, 5, 11, 11, 2]),
+    ];
+    for (nodes, simple, jump) in PINNED {
+        let keys = ["/a", "/dir/file.7", "/x/y/z"]
+            .into_iter()
+            .flat_map(|p| [1u64, 2, 3, 64, u64::MAX].map(|id| (p, id)));
+        for (i, (p, id)) in keys.enumerate() {
+            assert_eq!(SimpleHashDistributor::new(nodes).locate_chunk(p, id), simple[i], "{p} #{id} on {nodes}");
+            assert_eq!(JumpDistributor::new(nodes).locate_chunk(p, id), jump[i], "{p} #{id} on {nodes}, jump");
+        }
+    }
+}
+
+/// Chunk 0 goes where the metadata goes, so its owners balance exactly
+/// as metadata owners do: over 10 000 paths on 8 nodes no node holds
+/// more than the share `deep_paths_and_many_files_balance` allows the
+/// worst metadata owner (120 of 400).
+#[test]
+fn first_chunks_balance_like_metadata() {
+    for d in [
+        Box::new(SimpleHashDistributor::new(8)) as Box<dyn Distributor>,
+        Box::new(JumpDistributor::new(8)),
+    ] {
+        let mut held = [0usize; 8];
+        for i in 0..10_000 {
+            held[d.locate_chunk(&format!("/load/f{i}"), 0)] += 1;
+        }
+        let worst = *held.iter().max().unwrap();
+        assert!(worst * 400 < 120 * 10_000, "worst chunk-0 owner holds {worst} of 10 000: {held:?}");
+    }
+}
+
 proptest! {
+    /// Chunk 0 lives with the inode — its replica set *is* the
+    /// metadata's, for any replication factor and both stateless
+    /// distributors — which is what lets one frame to one write set
+    /// carry a small file's create, bytes and size.
+    #[test]
+    fn the_first_chunk_is_placed_with_the_metadata(
+        path in pathish(1, 32),
+        nodes in 1usize..64,
+        replicas in 1usize..6,
+    ) {
+        let p = format!("/{path}");
+        for d in [
+            Box::new(SimpleHashDistributor::new(nodes)) as Box<dyn Distributor>,
+            Box::new(JumpDistributor::new(nodes)),
+        ] {
+            prop_assert_eq!(d.locate_chunk(&p, 0), d.locate_metadata(&p));
+            prop_assert_eq!(d.chunk_replicas(&p, 0, replicas), d.metadata_replicas(&p, replicas));
+        }
+    }
+
     /// Replica sets are distinct, in range, sized `min(replicas,
     /// nodes)`, deterministic for fixed membership, and led by the
     /// placement primary — for both stateless distributors.

@@ -62,6 +62,22 @@ fn entry(verdict: MetaVerdict) -> Result<Metadata> {
     verdict?.ok_or_else(|| GkfsError::Corruption("verdict carries no entry".into()))
 }
 
+impl Backends {
+    /// The owner's half of an unlink: chunk 0 of a file is placed with
+    /// its metadata, so the daemon that just removed an entry holding
+    /// bytes drops its own chunk 0 — after the verdict, outside the KV
+    /// store's writer lock — and the client names only the chunks
+    /// placed elsewhere. A zero-byte file touches no storage.
+    fn drop_chunk0(&self, op: &MetaOp, verdict: &MetaVerdict) -> Result<()> {
+        match (op, verdict) {
+            (MetaOp::Unlink(r), Ok(Some(removed))) if removed.size > 0 => {
+                self.data.remove_chunks(&r.path, &[0])
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Build the full handler registry over the given backends.
 pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
     let mut reg = HandlerRegistry::new();
@@ -82,10 +98,13 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
     let b = backends.clone();
     reg.serve::<op::RemoveMeta>(move |r| {
         let path = PathReq { path: r.path };
-        entry(b.meta.apply_one(match r.kind {
+        let op = match r.kind {
             FileKind::File => MetaOp::Unlink(path),
             FileKind::Directory => MetaOp::Rmdir(path),
-        }))
+        };
+        let verdict = b.meta.apply_one(op.clone());
+        b.drop_chunk0(&op, &verdict)?;
+        entry(verdict)
     });
 
     let b = backends.clone();
@@ -103,8 +122,11 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
 
     let b = backends.clone();
     reg.serve::<op::BatchMeta>(move |r| {
-        let results = b.meta.apply(&r.ops)?.into_iter().map(Into::into).collect();
-        Ok(BatchMetaResp { results })
+        let verdicts = b.meta.apply(&r.ops)?;
+        for (op, verdict) in r.ops.iter().zip(&verdicts) {
+            b.drop_chunk0(op, verdict)?;
+        }
+        Ok(BatchMetaResp { results: verdicts.into_iter().map(Into::into).collect() })
     });
 
     let b = backends.clone();
@@ -112,6 +134,36 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
         check_bulk_len(&r, bulk.len())?;
         let ops = layout_batch(&r.ops)?;
         b.engine.write_batch(&b.data, &r.path, &ops, &bulk)?;
+        Ok(((), Bytes::new()))
+    });
+
+    // The three existing calls in the only safe order. The create goes
+    // first and stops the frame with its refusal, storage untouched —
+    // which is why it could never be overlapped with a data leg bound
+    // for another daemon; a resubmitted frame that finds the entry
+    // found its own first delivery, which may have died before its
+    // write. The size goes last: bytes before size, so a stat never
+    // sees a size this frame has not written the bytes for.
+    let b = backends.clone();
+    reg.serve_bulk::<op::WriteFile>(move |r, bulk| {
+        check_bulk_len(&r.batch, bulk.len())?;
+        let ops = layout_batch(&r.batch.ops)?;
+        let path = r.batch.path;
+        if let Some(NewFile { mode, exclusive, now_ns }) = r.create {
+            let create = CreateReq { path: path.clone(), kind: FileKind::File, mode, exclusive, now_ns };
+            match b.meta.apply_one(MetaOp::Create(create)) {
+                Err(GkfsError::Exists) if r.resubmitted => {}
+                verdict => {
+                    verdict?;
+                }
+            }
+        }
+        if !ops.is_empty() {
+            b.engine.write_batch(&b.data, &path, &ops, &bulk)?;
+        }
+        if let Some(SizeCandidate { size, mtime_ns }) = r.size {
+            b.meta.update_size(&path, size, mtime_ns)?;
+        }
         Ok(((), Bytes::new()))
     });
 
@@ -389,6 +441,81 @@ mod tests {
             Err(GkfsError::InvalidArgument(_))
         ));
         call::<op::Stat>(&reg, &PathReq::new("/data")).unwrap_err();
+    }
+
+    fn write_file(reg: &HandlerRegistry, req: &WriteFileReq, bulk: &[u8]) -> Result<()> {
+        op::WriteFile::reply(reg.dispatch(op::WriteFile::request(req).with_bulk(bulk.to_vec())))
+    }
+
+    /// A frame for `/wf`: `data` at the head of chunk 0, every rider.
+    fn file_frame(data: &[u8], now_ns: u64) -> WriteFileReq {
+        WriteFileReq {
+            batch: ChunkBatchReq {
+                path: "/wf".into(),
+                ops: vec![ChunkOp { chunk_id: 0, offset: 0, len: data.len() as u64 }],
+            },
+            size: Some(SizeCandidate { size: data.len() as u64, mtime_ns: now_ns }),
+            create: Some(NewFile { mode: 0o644, exclusive: true, now_ns }),
+            resubmitted: false,
+        }
+    }
+
+    #[test]
+    fn write_file_creates_writes_and_sizes_and_a_refused_create_writes_nothing() {
+        let b = backends();
+        let reg = build_registry(b.clone());
+        write_file(&reg, &file_frame(b"BBBB", 1), b"BBBB").unwrap();
+        let meta = call::<op::Stat>(&reg, &PathReq::new("/wf")).unwrap();
+        assert_eq!((meta.size, meta.ctime_ns, meta.mtime_ns), (4, 1, 1));
+        assert_eq!(b.data.read_chunk("/wf", 0, 0, 8).unwrap(), b"BBBB");
+        // The loser of the create: refused before a byte moved.
+        let written = b.data.stats().write_bytes.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(write_file(&reg, &file_frame(b"AAAAAAAA", 2), b"AAAAAAAA"), Err(GkfsError::Exists));
+        assert_eq!(b.data.stats().write_bytes.load(std::sync::atomic::Ordering::Relaxed), written);
+        assert_eq!(b.data.read_chunk("/wf", 0, 0, 8).unwrap(), b"BBBB");
+        assert_eq!(call::<op::Stat>(&reg, &PathReq::new("/wf")).unwrap().size, 4);
+        // The same frame marked as a resubmission found its own first
+        // delivery: the bytes are written despite `Exists`.
+        let again = WriteFileReq { resubmitted: true, ..file_frame(b"AAAAAAAA", 2) };
+        write_file(&reg, &again, b"AAAAAAAA").unwrap();
+        assert_eq!(b.data.read_chunk("/wf", 0, 0, 8).unwrap(), b"AAAAAAAA");
+        assert_eq!(call::<op::Stat>(&reg, &PathReq::new("/wf")).unwrap().size, 8);
+        // Metadata only, and a bulk that does not match creates nothing.
+        let bare = WriteFileReq {
+            batch: ChunkBatchReq { path: "/bare".into(), ops: vec![] },
+            size: None,
+            ..file_frame(b"", 3)
+        };
+        assert!(matches!(write_file(&reg, &bare, b"stray"), Err(GkfsError::InvalidArgument(_))));
+        assert_eq!(call::<op::Stat>(&reg, &PathReq::new("/bare")), Err(GkfsError::NotFound));
+        write_file(&reg, &bare, b"").unwrap();
+        assert_eq!(call::<op::Stat>(&reg, &PathReq::new("/bare")).unwrap().size, 0);
+        assert!(!b.data.holds("/bare", 0).unwrap());
+    }
+
+    #[test]
+    fn the_owner_drops_its_chunk_0_with_the_entry_and_touches_no_storage_for_an_empty_file() {
+        let b = backends();
+        let reg = build_registry(b.clone());
+        for path in ["/one", "/many"] {
+            let frame = WriteFileReq {
+                batch: ChunkBatchReq { path: path.into(), ..file_frame(b"data", 1).batch },
+                ..file_frame(b"data", 1)
+            };
+            write_file(&reg, &frame, b"data").unwrap();
+        }
+        call::<op::Create>(&reg, &create_req("/empty", FileKind::File, 1)).unwrap();
+        // An empty file's chunk 0, were there one, is not the owner's
+        // business: nothing says it holds bytes.
+        b.data.write_chunk("/empty", 0, 0, b"stray").unwrap();
+        let unlink = |path: &str| RemoveMetaReq { path: path.into(), kind: FileKind::File };
+        assert_eq!(call::<op::RemoveMeta>(&reg, &unlink("/one")).unwrap().size, 4);
+        assert!(!b.data.holds("/one", 0).unwrap());
+        call::<op::RemoveMeta>(&reg, &unlink("/empty")).unwrap();
+        assert!(b.data.holds("/empty", 0).unwrap());
+        let frame = BatchMetaReq { ops: vec![MetaOp::Unlink(PathReq::new("/many"))].into() };
+        call::<op::BatchMeta>(&reg, &frame).unwrap();
+        assert!(!b.data.holds("/many", 0).unwrap());
     }
 
     #[test]

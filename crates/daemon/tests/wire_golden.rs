@@ -122,6 +122,26 @@ fn every_message_encodes_to_its_pinned_bytes() {
     // a path, then a counted list, empty for "whatever you hold".
     pin!(RemoveChunksReq, RemoveChunksReq { path: "/x/y/z".into(), ids: vec![0, 7, u64::MAX] }, "060000002f782f792f7a0300000000000000000000000700000000000000ffffffffffffffff");
     pin!(RemoveChunksReq, RemoveChunksReq { path: String::new(), ids: vec![] }, "0000000000000000");
+    // New in PR 26, one new row: `WriteFile` is a chunk batch for the
+    // daemon that owns the file's metadata (chunk 0 is placed there),
+    // with the metadata ops that used to be RPCs of their own riding
+    // behind it — the batch first, byte for byte a `ChunkBatchReq`, so
+    // the server's inline-or-pool peek reads both; then an optional
+    // size candidate, an optional create, and the resubmission flag.
+    // Data alone stays `WriteChunks`' job, so the four shapes are:
+    // data + size (every write-through write that reaches the owner),
+    let file_batch = || ChunkBatchReq { path: "/data".into(), ops: vec![ChunkOp { chunk_id: 0, offset: 100, len: 400 }] };
+    let file_size = Some(SizeCandidate { size: 500, mtime_ns: 7 });
+    let file_create = Some(NewFile { mode: 0o644, exclusive: true, now_ns: 6 });
+    pin!(WriteFileReq, WriteFileReq { batch: file_batch(), size: file_size, create: None, resubmitted: false }, "050000002f646174610100000000000000000000006400000000000000900100000000000001f40100000000000007000000000000000000");
+    // data + size + create (a write-back mount's first flush of a new file),
+    pin!(WriteFileReq, WriteFileReq { batch: file_batch(), size: file_size, create: file_create, resubmitted: false }, "050000002f646174610100000000000000000000006400000000000000900100000000000001f401000000000000070000000000000001a401000001060000000000000000");
+    // create only (that mount closing a new file it wrote nothing to),
+    pin!(WriteFileReq, WriteFileReq { batch: ChunkBatchReq { path: "/new".into(), ops: vec![] }, size: None, create: file_create, resubmitted: false }, "040000002f6e6577000000000001a401000001060000000000000000");
+    // and the flag a frame with a create carries when it is sent again
+    // (the daemon then writes the bytes despite `Exists`).
+    pin!(WriteFileReq, WriteFileReq { batch: file_batch(), size: file_size, create: file_create, resubmitted: true }, "050000002f646174610100000000000000000000006400000000000000900100000000000001f401000000000000070000000000000001a401000001060000000000000001");
+    pin!(WriteFileReq, WriteFileReq { batch: ChunkBatchReq { path: String::new(), ops: vec![] }, size: None, create: None, resubmitted: false }, "0000000000000000000000");
     pin!(TruncateChunksReq, TruncateChunksReq { path: "/t".into(), keep_chunk: 9, keep_bytes: 4095 }, "020000002f740900000000000000ff0f000000000000");
     pin!(TruncateChunksReq, TruncateChunksReq { path: String::new(), keep_chunk: 0, keep_bytes: 0 }, "0000000000000000000000000000000000000000");
     pin!(ChunkInventoryResp, ChunkInventoryResp { entries: vec![("/a".into(), 3), ("/b:x".into(), 1)] }, "02000000020000002f610300000000000000040000002f623a780100000000000000");

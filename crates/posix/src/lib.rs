@@ -19,6 +19,17 @@
 //! live in the client's own file map, starting at 100 000 so a preload
 //! shim can tell "ours" from the kernel's (`gkfs_owns_fd`).
 //!
+//! **`O_CREAT|O_EXCL` on a write-back mount reports at the first
+//! flush.** When the installed client was mounted with a write-back
+//! buffer (`ClusterConfig::with_write_back`), `gkfs_open` with both
+//! flags sends nothing: the new file is published — create, bytes and
+//! size as one frame — by its first flush (`gkfs_close`, `gkfs_fsync`,
+//! a full buffer, or the first call about the path that must ask the
+//! daemons), and an `EEXIST` is returned by *that* call, with nothing
+//! written anywhere. Do not use an exclusive create as a lock file on
+//! such a mount; a write-through mount (the default) decides at
+//! `gkfs_open`, as POSIX says.
+//!
 //! A process first installs a mounted client with [`install_client`]
 //! (the preload library would do this in its constructor after reading
 //! the hosts file).
@@ -112,7 +123,9 @@ fn ret_ssize(r: Result<isize, GkfsError>) -> isize {
     }
 }
 
-/// `open(2)`-alike. `flags` uses the Linux `O_*` values.
+/// `open(2)`-alike. `flags` uses the Linux `O_*` values. On a
+/// write-back mount `O_CREAT|O_EXCL` creates at the file's first flush
+/// and reports `EEXIST` there (crate docs).
 ///
 /// # Safety
 /// `path` must be a valid NUL-terminated C string.

@@ -174,6 +174,12 @@ rpc_table! {
     /// Apply a batch of heterogeneous metadata ops (create/stat/
     /// unlink/truncate-meta) as one group with per-op status replies.
     16 BatchMeta(Group): BatchMetaReq => BatchMetaResp;
+    /// Write one batch of chunks to the daemon that also owns the file's
+    /// metadata, with what the metadata needs riding along: an optional
+    /// create decided *before* any byte is written (a refusal leaves
+    /// storage untouched) and an optional size candidate merged *after*
+    /// the bytes landed. The data is the request's bulk payload.
+    17 WriteFile(Chunks): WriteFileReq => ();
 }
 
 wire_struct! {
@@ -305,7 +311,8 @@ wire_struct! {
 }
 
 impl ChunkBatchReq {
-    /// Whether the encoded batch `body` names at most `limit` bytes,
+    /// Whether the encoded batch `body` — or a body the batch leads, a
+    /// [`WriteFileReq`] — names at most `limit` bytes,
     /// read off the wire image without building the request (the
     /// server's inline-or-pool rule asks before any handler runs). A
     /// body that does not parse names "too many": its handler answers
@@ -333,6 +340,67 @@ impl ChunkBatchReq {
     /// wrapping sum would pass off as small).
     pub fn total_len(&self) -> Option<u64> {
         self.ops.iter().try_fold(0u64, |a, o| a.checked_add(o.len))
+    }
+}
+
+wire_struct! {
+    /// One size update bound for a file's metadata owner — what a write
+    /// of bytes up to `size` at `mtime_ns` has to say. A [`WriteFileReq`]
+    /// carries it where `UpdateSize` would have said it in a frame of
+    /// its own.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct SizeCandidate {
+        /// Candidate size (write offset + length); the daemon keeps the
+        /// maximum.
+        pub size: u64,
+        /// Mtime ns.
+        pub mtime_ns: u64,
+    }
+}
+
+impl SizeCandidate {
+    /// Both candidates in one: the larger size, the later mtime (the
+    /// fold the daemon's merge operator applies).
+    pub fn merge(self, other: SizeCandidate) -> SizeCandidate {
+        SizeCandidate { size: self.size.max(other.size), mtime_ns: self.mtime_ns.max(other.mtime_ns) }
+    }
+}
+
+wire_struct! {
+    /// The create a [`WriteFileReq`] carries: what `Create` would have
+    /// said of a regular file in a frame of its own (the path is the
+    /// batch's).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct NewFile {
+        /// Mode.
+        pub mode: u32,
+        /// `O_EXCL` semantics, as in [`CreateReq::exclusive`].
+        pub exclusive: bool,
+        /// Creation timestamp chosen by the client.
+        pub now_ns: u64,
+    }
+}
+
+wire_struct! {
+    /// `WriteFile`: a chunk batch for the daemon that owns the file's
+    /// metadata, and the metadata ops that go with it. The daemon runs
+    /// them in the one safe order — `create`, stopping at its refusal
+    /// with nothing written; the bytes; `size` — so a frame is three
+    /// RPCs' work in one round trip. The batch leads the body, so
+    /// [`ChunkBatchReq::names_at_most`] reads this body too.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WriteFileReq {
+        /// Path and chunk ops (none: the frame carries metadata only).
+        pub batch: ChunkBatchReq,
+        /// Merge this candidate once the bytes are written.
+        pub size: Option<SizeCandidate>,
+        /// Create the entry first.
+        pub create: Option<NewFile>,
+        /// This frame was sent before and its reply lost: an exclusive
+        /// create that finds the entry found its own first delivery
+        /// (the lost-reply rule of `Create`), so the bytes are written
+        /// all the same — that delivery may have died before its write.
+        pub resubmitted: bool,
     }
 }
 
@@ -754,6 +822,13 @@ mod tests {
             }
             // A body cut short names "too many", whatever the limit.
             assert!(!ChunkBatchReq::names_at_most(&body[..body.len() - 1], u64::MAX));
+            // The batch leads a `WriteFile` body: what rides behind it
+            // changes nothing the peek reads.
+            let body = WriteFileReq { batch: req.clone(), ..write_file() }.encode();
+            for limit in [0u64, 8191, 8192, 8193, u64::MAX] {
+                let want = req.total_len().is_some_and(|t| t <= limit);
+                assert_eq!(ChunkBatchReq::names_at_most(&body, limit), want, "file {lens:?} <= {limit}");
+            }
         }
     }
 
@@ -830,6 +905,16 @@ mod tests {
 
     fn empty_batch() -> ChunkBatchReq {
         ChunkBatchReq { path: "/d".into(), ops: vec![] }
+    }
+
+    /// Every rider aboard.
+    fn write_file() -> WriteFileReq {
+        WriteFileReq {
+            batch: chunk_batch(),
+            size: Some(SizeCandidate { size: 912, mtime_ns: 7 }),
+            create: Some(NewFile { mode: 0o644, exclusive: true, now_ns: 6 }),
+            resubmitted: true,
+        }
     }
 
     fn readdir_resp() -> ReadDirResp {
@@ -972,6 +1057,15 @@ mod tests {
             &[batch_meta_req(), BatchMetaReq::default()],
             &[batch_meta_resp(), BatchMetaResp::default()],
         );
+        check_row::<op::WriteFile>(
+            &mut seen,
+            &[
+                write_file(),
+                WriteFileReq { create: None, resubmitted: false, ..write_file() },
+                WriteFileReq { batch: empty_batch(), size: None, create: None, resubmitted: false },
+            ],
+            &[()],
+        );
         assert_eq!(seen, Opcode::ALL, "a table row has no samples here");
     }
 
@@ -979,6 +1073,10 @@ mod tests {
     fn every_wire_count_is_bounded_by_the_frame() {
         check_hostile_count(&ReadDirResp::default(), 4);
         check_hostile_count(&ChunkBatchReq { path: String::new(), ops: vec![] }, 4);
+        check_hostile_count(
+            &WriteFileReq { batch: empty_batch(), size: None, create: None, resubmitted: false },
+            4 + 2,
+        );
         check_hostile_count(&ReadChunksResp { lens: vec![], missing: vec![] }, 0);
         check_hostile_count(&RemoveChunksReq { path: String::new(), ids: vec![] }, 4);
         check_hostile_count(&DaemonStatsResp::default(), 30 * 8);
@@ -1020,9 +1118,9 @@ mod tests {
         for &op in Opcode::ALL {
             assert_eq!(Opcode::from_u16(op as u16).unwrap(), op);
         }
-        assert_eq!(Opcode::ALL.len(), 16);
+        assert_eq!(Opcode::ALL.len(), 17);
         assert!(Opcode::from_u16(12).is_err(), "12 was Shutdown and stays unassigned");
-        assert!(Opcode::from_u16(17).is_err());
+        assert!(Opcode::from_u16(18).is_err());
         assert!(Opcode::from_u16(999).is_err());
     }
 

@@ -466,6 +466,15 @@ mod tests {
         assert!(h.runs_inline(&chunks(Opcode::ReadChunks, 8192), 64, false));
         assert!(!h.runs_inline(&chunks(Opcode::ReadChunks, 512 * 1024), 64, false));
         assert!(h.runs_inline(&chunks(Opcode::WriteChunks, 8192), 8192 + 64, false));
+        // A `WriteFile` body is a batch with its riders behind it, and
+        // is classed by the same peek.
+        let file = |len| {
+            let batch = ChunkBatchReq { path: "/f".into(), ops: vec![ChunkOp { chunk_id: 0, offset: 0, len }] };
+            let req = crate::proto::WriteFileReq { batch, size: None, create: None, resubmitted: false };
+            Request::new(Opcode::WriteFile, body_of(&req))
+        };
+        assert!(h.runs_inline(&file(4096), 4096 + 64, false));
+        assert!(!h.runs_inline(&file(512 * 1024), 64, false));
         // With a logged metadata store a group apply may wait on the
         // device: pooled. Point rows stay.
         let mut logged = HandlerRegistry::new();

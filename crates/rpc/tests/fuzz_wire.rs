@@ -229,6 +229,19 @@ fn fuzz_opcode(opcode: Opcode, seed: u64, scale: usize) {
             s,
             scale,
         ),
+        Opcode::WriteFile => fuzz_row::<op::WriteFile>(
+            &[
+                "050000002f646174610100000000000000000000006400000000000000900100000000000001f40100000000000007000000000000000000",
+                "050000002f646174610100000000000000000000006400000000000000900100000000000001f401000000000000070000000000000001a401000001060000000000000000",
+                "040000002f6e6577000000000001a401000001060000000000000000",
+                "050000002f646174610100000000000000000000006400000000000000900100000000000001f401000000000000070000000000000001a401000001060000000000000001",
+                "0000000000000000000000",
+            ],
+            UNIT,
+            true,
+            s,
+            scale,
+        ),
         // Its results carry error statuses: a code this build does not
         // know decodes (as `Rpc`), so the bytes need not come back.
         Opcode::BatchMeta => fuzz_row::<op::BatchMeta>(

@@ -341,23 +341,24 @@ mod tests {
                     // RPCs per file are structural, so each cell pins
                     // its own. Unary: nothing batched; create, stat and
                     // unlink are one round trip each, and a
-                    // write-through payload adds chunk write + size
-                    // update per pwrite (8 x 2) plus the unlink's chunk
-                    // removal — 20. Bulk: every create/stat/
-                    // remove batched, one frame per daemon per slice;
-                    // the payload adds an open-time stat and the same
-                    // 16 write RPCs and chunk removal.
+                    // write-through payload adds one frame per pwrite
+                    // (bytes and size together: chunk 0 lives with the
+                    // inode) and nothing to the unlink (the owner drops
+                    // chunk 0 with the entry) — 11. Bulk: every
+                    // create/stat/remove batched, one frame per daemon
+                    // per slice; the payload adds an open-time stat and
+                    // the same 8 write frames.
                     let per_file = r.rpcs_per_file();
                     let filled = file_size > 0;
                     match mode {
                         MetaMode::Unary => {
                             assert_eq!(r.ops_batched, 0, "{what}");
-                            assert_eq!(per_file, if filled { 20.0 } else { 3.0 }, "{what}");
+                            assert_eq!(per_file, if filled { 11.0 } else { 3.0 }, "{what}");
                         }
                         MetaMode::Bulk(_) => {
                             assert_eq!(r.ops_batched, 900, "{what}");
                             assert!(r.batch_hist.iter().sum::<u64>() > 0, "{what}");
-                            let payload = if filled { 18.0 } else { 0.0 };
+                            let payload = if filled { 9.0 } else { 0.0 };
                             assert!(per_file <= payload + 0.2, "{what}: {per_file}");
                         }
                     }

@@ -92,7 +92,13 @@ echo "==> client RPC budget + TCP thread hand-off gates (counts, not wall-clock)
 # chunk write, a pipelined burst and a two-daemon fan-out keep the
 # handler pool / reader-thread route. And one count from the store: an
 # unlink of a known size names its chunk ids end to end, so no daemon
-# enumerates a directory for it.
+# enumerates a directory for it. Since chunk 0 lives with the inode the
+# same file holds the small-file gate: a write-back ingest of a 4 KiB
+# file is 1 frame per metadata replica (it was 3 RPCs), its unlink 1
+# (was 2), its scan still 3, a write-through pwrite 1 frame wherever its
+# chunk's owner is the metadata owner, a zero-byte create/unlink 1/1
+# with no chunk store touched — and the one serial exception (an unborn
+# file starting past chunk 0 hears its create before another leg leaves).
 cargo test -p gkfs-integration --release --test rpc_budget
 
 echo "==> chunk-store layout gates, release (one inode per chunk; a write racing an unlink never fails)"

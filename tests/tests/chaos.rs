@@ -506,6 +506,119 @@ fn kill_rejoin_schedule_loses_no_acked_write_and_recovers_in_bound() {
     }
 }
 
+/// A small file through a write-back mount, the way the ingest
+/// workloads do it: `open(O_CREAT|O_EXCL)`, 512 B `write`s, `close` —
+/// nothing leaves the client before the `close`, whose one frame per
+/// metadata replica carries create, bytes and size.
+fn ingest_small(fs: &GekkoClient, path: &str, data: &[u8]) -> gekkofs::Result<()> {
+    let h = fs.open_handle(path, OpenFlags::WRONLY.with_create().with_exclusive())?;
+    for piece in data.chunks(512) {
+        h.write(piece)?;
+    }
+    h.close()
+}
+
+#[test]
+fn small_file_ingest_across_kill_and_rejoin_keeps_every_acked_close() {
+    // The kill/rejoin schedule over the one-frame ingest: chunk 0 and
+    // the entry share a replica set, so a `close` that returned `Ok`
+    // while the metadata primary was dead left both on the survivor,
+    // and drain-back owes the rejoined node both.
+    for seed in SEEDS {
+        let config = repl_cluster_config(3).with_write_back(64 * 1024);
+        let mut cluster = Cluster::deploy(config.clone()).unwrap();
+        let fs = cluster.mount().unwrap();
+        let dist = config.make_distributor_for(0);
+        let victim = (seed as usize) % 3;
+        let mut files: Vec<(String, Vec<u8>)> = Vec::new();
+        // One-chunk files, and every third one spilling into chunk 1.
+        let ingest = |phase: &str, i: u64| {
+            let p = format!("/kr26/{phase}.{i}");
+            let len = if i % 3 == 2 { REPL_CHUNK as usize + 700 } else { 400 + (i as usize * 211) % 1600 };
+            let data = repl_payload(seed ^ phase.len() as u64, i, len);
+            bounded(&p, || ingest_small(&fs, &p, &data)).then_some((p, data))
+        };
+
+        files.extend((0..9).filter_map(|i| ingest("pre", i)));
+        cluster.kill(victim);
+        files.extend((0..15).filter_map(|i| ingest("down", i)));
+        let orphaned = files
+            .iter()
+            .filter(|(p, _)| p.contains("down") && dist.locate_metadata(p) == victim)
+            .count();
+        assert!(orphaned > 0, "seed {seed:#x}: no close was acknowledged with its metadata primary dead");
+        let sizes_hold = |files: &[(String, Vec<u8>)], phase: &str| {
+            for (p, data) in files {
+                assert_eq!(fs.stat(p).unwrap().size, data.len() as u64, "seed {seed:#x}, {phase}: size of {p}");
+            }
+        };
+        verify_all(&fs, &files, "ingest, primary down");
+        sizes_hold(&files, "primary down");
+
+        cluster.rejoin(victim).unwrap();
+        let t0 = Instant::now();
+        while !node_holds_its_share(&cluster, victim, &files, &config) {
+            assert!(
+                t0.elapsed() < RECOVERY_BOUND,
+                "seed {seed:#x}: node {victim} not re-replicated within {RECOVERY_BOUND:?}"
+            );
+            std::thread::sleep(Duration::from_millis(25));
+        }
+        files.extend((0..6).filter_map(|i| ingest("back", i)));
+
+        // The other member of the victim's sets goes: what is read now
+        // is read from the rejoined node.
+        cluster.kill((victim + 1) % 3);
+        verify_all(&fs, &files, "ingest, read from the rejoined node");
+        sizes_hold(&files, "rejoined");
+        cluster.shutdown();
+    }
+}
+
+#[test]
+fn a_small_file_frame_whose_reply_is_dropped_is_acknowledged_once_with_its_bytes() {
+    // The drop-reply fault alone, at one in four: the daemon applied
+    // the frame — created the entry, wrote the bytes — and the client
+    // sends it again. The resubmission says what it is, so the
+    // `Exists` its create meets is read as its own first delivery:
+    // every `close` is `Ok`, never `Exists`, and the file is whole.
+    for seed in SEEDS {
+        let ds = daemons(2);
+        let lossy = |seed| ChaosConfig { drop_reply: 0.25, ..ChaosConfig::quiet(seed) };
+        let (endpoints, injectors) = chaos_endpoints(&ds, lossy, seed);
+        let config = ClusterConfig::new(2)
+            .with_write_back(64 * 1024)
+            .with_retry(chaos_retry());
+        let fs = GekkoClient::mount(endpoints, &config).unwrap();
+        fs.mkdir("/lossy", 0o755).unwrap();
+        let files: Vec<(String, Vec<u8>)> = (0..40u64)
+            .map(|i| (format!("/lossy/f.{i}"), repl_payload(seed, i, 4096)))
+            .collect();
+        for (p, data) in &files {
+            let t0 = Instant::now();
+            ingest_small(&fs, p, data).unwrap_or_else(|e| panic!("seed {seed:#x}: ingest of {p}: {e}"));
+            assert!(t0.elapsed() < OP_BOUND);
+        }
+        let dropped: u64 = injectors
+            .iter()
+            .map(|i| i.stats().dropped_replies.load(std::sync::atomic::Ordering::Relaxed))
+            .sum();
+        assert!(dropped > 0, "seed {seed:#x}: no reply was dropped");
+
+        let clean_eps: Vec<Arc<dyn Endpoint>> = ds.iter().map(|d| d.endpoint()).collect();
+        let clean = GekkoClient::mount(clean_eps, &ClusterConfig::new(2)).unwrap();
+        for (p, data) in &files {
+            assert_eq!(clean.stat(p).unwrap().size, data.len() as u64, "seed {seed:#x}: {p}");
+        }
+        verify_all(&clean, &files, "dropped replies");
+        let report = clean.fsck().unwrap();
+        assert!(report.is_clean(), "seed {seed:#x}: {report:?}");
+        for d in &ds {
+            d.shutdown();
+        }
+    }
+}
+
 #[test]
 fn rejoin_window_reads_fail_over_instead_of_zeros() {
     // The hardest replicated-read case: a daemon is killed and rejoins

@@ -6,8 +6,18 @@
 //! observable after every step. This is the strongest correctness net
 //! over the whole stack: placement, chunk math, size accounting, and
 //! truncate interactions all funnel through here.
+//!
+//! Two mounts share the cluster. The write-through one drives the
+//! model's files directly: what it did is what the daemons hold. The
+//! write-back one makes *unborn* files — `open(O_CREAT|O_EXCL)` tells
+//! nobody, and the file's first flush carries its create — so the model
+//! also says, per path, what that mount holds back: published by the
+//! first call of that mount that must consult the daemons about the
+//! path (each such call is an op here), at which point the path is the
+//! unborn file's if nobody owns it and stays its owner's, untouched, if
+//! somebody does.
 
-use gekkofs::{Cluster, ClusterConfig, GkfsError, OpenFlags};
+use gekkofs::{Cluster, ClusterConfig, FileHandle, GekkoClient, GkfsError, OpenFlags};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -19,6 +29,43 @@ enum Op {
     Truncate { file: u8, size: u16 },
     Remove(u8),
     Stat(u8),
+    /// The write-back mount opens the file exclusively: unborn.
+    Unborn(u8),
+    /// ...and writes at its end: absorbed, still nobody is told.
+    UnbornAppend { file: u8, len: u8, seed: u8 },
+    /// A call of the write-back mount that must publish the unborn file
+    /// first; its handle is closed after it.
+    Publish { file: u8, by: Hazard },
+}
+
+/// The calls that publish an unborn file before they do their own work.
+#[derive(Debug, Clone, Copy)]
+enum Hazard {
+    Close,
+    Fsync,
+    Stat,
+    StatMany,
+    Reopen,
+    Create,
+    Truncate(u16),
+    Unlink,
+    UnlinkMany,
+    Readdir,
+}
+
+fn hazard_strategy() -> impl Strategy<Value = Hazard> {
+    prop_oneof![
+        3 => Just(Hazard::Close),
+        1 => Just(Hazard::Fsync),
+        1 => Just(Hazard::Stat),
+        1 => Just(Hazard::StatMany),
+        1 => Just(Hazard::Reopen),
+        1 => Just(Hazard::Create),
+        1 => any::<u16>().prop_map(|size| Hazard::Truncate(size % 2_000)),
+        1 => Just(Hazard::Unlink),
+        1 => Just(Hazard::UnlinkMany),
+        1 => Just(Hazard::Readdir),
+    ]
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -31,6 +78,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         ((0u8..6), any::<u16>()).prop_map(|(file, size)| Op::Truncate { file, size: size % 25_000 }),
         (0u8..6).prop_map(Op::Remove),
         (0u8..6).prop_map(Op::Stat),
+        (0u8..6).prop_map(Op::Unborn),
+        ((0u8..6), any::<u8>(), any::<u8>()).prop_map(|(file, len, seed)| Op::UnbornAppend { file, len, seed }),
+        ((0u8..6), hazard_strategy()).prop_map(|(file, by)| Op::Publish { file, by }),
     ]
 }
 
@@ -97,6 +147,63 @@ impl Model {
     }
 }
 
+impl Hazard {
+    /// The bulk and directory-level calls publish every unborn file of
+    /// the mount, not only the one they were asked about.
+    fn publishes_all(self) -> bool {
+        matches!(self, Hazard::StatMany | Hazard::UnlinkMany | Hazard::Readdir)
+    }
+}
+
+/// An unborn file of the write-back mount: path, handle, bytes behind it.
+type Held<'c> = (String, FileHandle<'c>, Vec<u8>);
+
+/// Run hazard `by` on the write-back mount `wb` about the unborn file
+/// `held[0]`, publishing all of `held`, then close the handles. A path
+/// is its unborn file's iff the model has nobody owning it. If every
+/// one is, the hazard sees the files and does its own work; if any is
+/// not, the call that flushes answers `Exists` instead of doing its
+/// work, the owner's file is untouched and the loser's run is nowhere
+/// — while the winners among them are published all the same.
+fn publish(wb: &GekkoClient, model: &mut Model, mut held: Vec<Held<'_>>, by: Hazard) -> std::result::Result<(), TestCaseError> {
+    let all_win = held.iter().all(|(p, ..)| !model.files.contains_key(p));
+    for (p, _, content) in &held {
+        model.files.entry(p.clone()).or_insert_with(|| content.clone());
+    }
+    let (p, h, _) = held.remove(0);
+    let (path, size) = (p.as_str(), model.size(&p).unwrap() as u64);
+    let mut open = Some(h);
+    let answer = match by {
+        Hazard::Close => open.take().unwrap().close(),
+        Hazard::Fsync => open.as_ref().unwrap().fsync(),
+        Hazard::Stat => wb.stat(path).map(|meta| assert_eq!(meta.size, size, "the owning mount's stat of {path}")),
+        Hazard::StatMany => wb
+            .stat_many(&[path])
+            .map(|slots| assert_eq!(slots[0].as_ref().map(|m| m.size).ok(), Some(size), "stat_many of {path}")),
+        Hazard::Reopen => wb.open_handle(path, OpenFlags::RDONLY).map(|second| assert_eq!(second.size(), size)),
+        // Refused either way: by the file it published, or its owner's.
+        Hazard::Create => wb.create(path, 0o644).or_else(|e| if all_win && e == GkfsError::Exists { Ok(()) } else { Err(e) }),
+        Hazard::Truncate(to) => wb.truncate(path, to as u64).map(|()| assert!(model.truncate(path, to as usize))),
+        Hazard::Unlink => wb.unlink(path).map(|()| assert!(model.remove(path))),
+        Hazard::UnlinkMany => wb.unlink_many(&[path]).map(|slots| {
+            assert!(slots[0].is_ok() && model.remove(path));
+        }),
+        Hazard::Readdir => wb.readdir("/prop").map(|entries| {
+            let listed = entries.iter().find(|e| path.ends_with(&e.name)).map(|e| e.size);
+            assert_eq!(listed, Some(size), "the owning mount's listing of {path}");
+        }),
+    };
+    match answer {
+        Ok(()) => prop_assert!(all_win, "{:?} published {} over its owner", by, path),
+        Err(e) => prop_assert!(!all_win && e == GkfsError::Exists, "{:?} of {}: {:?}", by, path, e),
+    }
+    // Born, unlinked or refused, nothing is left to send.
+    for h in open.into_iter().chain(held.into_iter().map(|(_, h, _)| h)) {
+        prop_assert!(h.close().is_ok());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24, // each case runs a whole cluster: keep the count sane
@@ -110,7 +217,15 @@ proptest! {
             ClusterConfig::new(3).with_chunk_size(4096)
         ).unwrap();
         let fs = cluster.mount().unwrap();
+        let wb = {
+            let endpoints = (0..3).map(|n| cluster.daemon(n).endpoint()).collect();
+            GekkoClient::mount(endpoints, &cluster.config().clone().with_write_back(64 * 1024)).unwrap()
+        };
+        fs.mkdir("/prop", 0o755).unwrap();
         let mut model = Model::default();
+        // What the write-back mount holds back: path → open handle and
+        // the bytes buffered behind it.
+        let mut unborn: HashMap<String, (FileHandle<'_>, Vec<u8>)> = HashMap::new();
 
         for op in &ops {
             match op {
@@ -172,7 +287,43 @@ proptest! {
                         None => prop_assert!(fs.stat(&p).is_err()),
                     }
                 }
+                Op::Unborn(f) => {
+                    let p = path(*f);
+                    // No daemon is asked: whoever owns the path, the
+                    // open succeeds — unless this mount already holds
+                    // it unborn, which it knows by itself.
+                    let excl = OpenFlags::RDWR.with_create().with_exclusive();
+                    let rpcs = wb.stats().rpcs_issued.load(std::sync::atomic::Ordering::Relaxed);
+                    match wb.open_handle(&p, excl) {
+                        Ok(h) => prop_assert!(unborn.insert(p, (h, Vec::new())).is_none()),
+                        Err(e) => prop_assert!(unborn.contains_key(&p) && e == GkfsError::Exists),
+                    }
+                    prop_assert_eq!(wb.stats().rpcs_issued.load(std::sync::atomic::Ordering::Relaxed), rpcs);
+                }
+                Op::UnbornAppend { file, len, seed } => {
+                    if let Some((h, content)) = unborn.get_mut(&path(*file)) {
+                        let data = pattern(*seed, *len as usize);
+                        h.pwrite(content.len() as u64, &data).unwrap();
+                        content.extend_from_slice(&data);
+                        prop_assert_eq!(h.size(), content.len() as u64);
+                        prop_assert_eq!(&h.pread(0, content.len()).unwrap(), content);
+                    }
+                }
+                Op::Publish { file, by } => {
+                    let p = path(*file);
+                    if let Some((h, content)) = unborn.remove(&p) {
+                        let mut held = vec![(p, h, content)];
+                        if by.publishes_all() {
+                            held.extend(unborn.drain().map(|(p, (h, content))| (p, h, content)));
+                        }
+                        publish(&wb, &mut model, held, *by)?;
+                    }
+                }
             }
+        }
+        // What is still unborn at the end is published by its close.
+        for (p, (h, content)) in unborn.drain() {
+            publish(&wb, &mut model, vec![(p, h, content)], Hazard::Close)?;
         }
 
         // Final full-content check of every surviving file.
@@ -183,6 +334,15 @@ proptest! {
             let got = h.pread(0, contents.len()).unwrap();
             prop_assert_eq!(contents, &got, "final contents of {}", p);
         }
+        // Nothing of a refused or unlinked run is anywhere: every chunk
+        // a daemon holds belongs to a file of the model.
+        for n in 0..3 {
+            for (held, _) in cluster.daemon(n).backends().data.list_paths().unwrap() {
+                prop_assert!(model.size(&held).is_some_and(|s| s > 0), "daemon {} holds chunks of {}", n, held);
+            }
+        }
+        let report = fs.fsck().unwrap();
+        prop_assert!(report.is_clean(), "{:?}", report);
         cluster.shutdown();
     }
 }

@@ -21,13 +21,15 @@
 //! | unlink            |  3   | meta remove + 2-node chunk broadcast  |
 //! | **total**         | **21**                                       |
 //!
-//! (Two RPCs per write then and now; since PR 25 they are in flight
-//! together — one round trip, not two — which the **overlap gate**
-//! below pins by count.) The handle path must do the same chain in one
-//! create, one coalesced flush (chunk write ‖ size update), one stat and
-//! one unlink broadcast: ~7 per file. The gate asserts the >= 2x acceptance bound
-//! against the itemized baseline *and* a tighter absolute budget so
-//! regressions inside the 2x headroom still trip.
+//! (Two RPCs per write then; since PR 25 in flight together — which
+//! the **overlap gate** below pins by count — and since PR 26 one frame
+//! wherever the data leg reaches the metadata owner, which for chunk 0
+//! is always: chunk 0 lives with the inode.) The handle path must do
+//! the same chain in one frame for create + bytes + size, one stat and
+//! one unlink: 3 per file, pinned exactly by **the small-file gate**
+//! below. The budget test asserts the >= 2x acceptance bound against
+//! the itemized baseline *and* a tighter absolute budget so regressions
+//! inside the 2x headroom still trip.
 //!
 //! The same file holds the **thread hand-off gate** of the TCP
 //! transport, also stated in counts: where a request ran on the daemon
@@ -49,11 +51,11 @@ use std::sync::{Arc, Mutex};
 /// Pre-handle protocol cost per mdtest-small file (itemized above).
 const OLD_PROTOCOL_RPCS_PER_FILE: f64 = 21.0;
 
-/// Absolute budget for the handle path: ~7 structural RPCs per file
-/// plus headroom for the run's amortized setup (mkdir) — NOT enough
-/// headroom to hide a reintroduced per-op round trip (+1 per stat or
-/// per flush would blow it).
-const HANDLE_RPCS_PER_FILE_BUDGET: f64 = 8.0;
+/// Absolute budget for the handle path: 3 structural RPCs per file
+/// (ingest frame, stat, unlink) plus headroom for the run's amortized
+/// setup (mkdir) — NOT enough headroom to hide a reintroduced per-op
+/// round trip (+1 per stat or per flush would blow it).
+const HANDLE_RPCS_PER_FILE_BUDGET: f64 = 3.5;
 
 /// Budget for classic (zero-byte) mdtest over the bulk metadata
 /// plane. Structurally a 64-file slice costs 3 frames (create, stat,
@@ -286,12 +288,16 @@ fn replicated_script_rpcs(replicas: usize) -> [u64; 7] {
 }
 
 /// Replication is a replica set, not a second protocol: every mutation
-/// leg (create, chunk write, size update, truncate-meta, remove-meta,
-/// chunk removal) reaches exactly `replicas` daemons and every
-/// stat/read leg exactly one — at `replicas == 1` that is the paper's
-/// one round trip per leg, counter for counter, and at 2 it is the
-/// same script with the mutation legs doubled. Exact totals: neither a
-/// dropped replica leg nor a sneaked-in extra round trip survives.
+/// leg (create, write frame, truncate-meta, remove-meta) reaches
+/// exactly `replicas` daemons and every stat/read leg exactly one — at
+/// `replicas == 1` that is one round trip per leg, counter for counter,
+/// and at 2 it is the same script with the mutation legs doubled.
+/// Chunk 0's write set *is* the metadata write set, so the write is
+/// one frame per replica carrying bytes and size (it was a chunk batch
+/// and a size update to each), and the unlink one `RemoveMeta` per
+/// replica, each dropping its own chunk 0 (it was that and a chunk
+/// removal to each). Exact totals: neither a dropped replica leg nor a
+/// sneaked-in extra round trip survives.
 #[test]
 fn replica_legs_cost_exactly_replicas_round_trips() {
     for replicas in [1u64, 2] {
@@ -299,17 +305,104 @@ fn replica_legs_cost_exactly_replicas_round_trips() {
         let expect = [
             r,         // create: one per metadata replica
             1,         // open: one stat
-            r + r,     // write: chunk batch + size update, per replica
+            r,         // write: bytes + size, one frame per replica
             1,         // read: the chain's first member answers
             1,         // stat
             r + 3,     // truncate: meta per replica + 3-node chunk broadcast
-            r + r,     // close: nothing buffered; unlink: meta + one chunk's holders, no stat
+            r,         // close: nothing buffered; unlink: meta per replica, chunk 0 with it, no stat
         ];
         assert_eq!(
             replicated_script_rpcs(replicas as usize),
             expect,
             "replicas = {replicas}: [create, open, write, read, stat, truncate, close+unlink]"
         );
+    }
+}
+
+/// The small-file gate: a small file is one daemon's business, by
+/// count, on a healthy 3-node cluster keeping `r` copies. A write-back
+/// ingest (`open(O_CREAT|O_EXCL)`, 8 x 512 B, `close`) is **one** frame
+/// to each replica of the metadata owner — create, bytes and size
+/// (it was three RPCs in two serial rounds: 3r); its unlink is **one**
+/// `RemoveMeta` each, the owner dropping its own chunk 0 (2r); its scan
+/// is still three round trips (`stat`, the open's `stat`, `ReadChunks`)
+/// — asserted so nobody thinks it moved. A write-through 8 KiB `pwrite`
+/// is one frame per replica where its chunk's owner is the metadata
+/// owner (chunk 0 always, any other chunk by the hash's chance), and
+/// where it is not, one frame to every daemon in either write set — two
+/// without replication. A zero-byte create and unlink are one RPC per
+/// replica each, and no daemon's chunk store notices them.
+#[test]
+fn a_small_file_costs_one_frame_to_ingest_and_one_rpc_to_unlink() {
+    const CHUNK: u64 = 64 * 1024;
+    for r in [1u64, 2] {
+        let config = ClusterConfig::new(3)
+            .with_chunk_size(CHUNK)
+            .with_replication(ReplicationConfig {
+                replicas: r as usize,
+                hedge_after_ms: 60_000,
+                ..ReplicationConfig::default()
+            });
+        let cluster = Cluster::deploy(config.clone()).unwrap();
+        let through = cluster.mount().unwrap();
+        let back = {
+            let endpoints = (0..3).map(|n| cluster.daemon(n).endpoint()).collect();
+            GekkoClient::mount(endpoints, &config.clone().with_write_back(64 * 1024)).unwrap()
+        };
+        let spent = |fs: &GekkoClient, op: &mut dyn FnMut()| {
+            let before = fs.stats().rpcs_issued.load(Ordering::Relaxed);
+            op();
+            fs.stats().rpcs_issued.load(Ordering::Relaxed) - before
+        };
+        let excl = OpenFlags::WRONLY.with_create().with_exclusive();
+
+        let ingest = spent(&back, &mut || {
+            let h = back.open_handle("/gate/small", excl).unwrap();
+            for i in 0..8u8 {
+                h.write(&[i; 512]).unwrap();
+            }
+            h.close().unwrap();
+        });
+        assert_eq!(ingest, r, "r = {r}: ingest is one frame per replica");
+        let scan = spent(&back, &mut || {
+            assert_eq!(back.stat("/gate/small").unwrap().size, 4096);
+            let h = back.open_handle("/gate/small", OpenFlags::RDONLY).unwrap();
+            assert_eq!(h.pread(0, 4096).unwrap()[3584..], [7u8; 512]);
+            h.close().unwrap();
+        });
+        assert_eq!(scan, 3, "r = {r}: stat, open's stat, ReadChunks");
+        assert_eq!(spent(&back, &mut || back.unlink("/gate/small").unwrap()), r, "r = {r}: unlink");
+        let held: usize = (0..3).map(|n| cluster.daemon(n).backends().data.list_paths().unwrap().len()).sum();
+        assert_eq!(held, 0, "r = {r}: the owners dropped chunk 0");
+
+        let placed = config.make_distributor_for(0);
+        through.create("/gate/wide", 0o644).unwrap();
+        let h = through.open_handle("/gate/wide", OpenFlags::WRONLY).unwrap();
+        let owner = placed.locate_metadata("/gate/wide");
+        let chunk_where = |together: bool| (1..).find(|&c| (placed.locate_chunk("/gate/wide", c) == owner) == together).unwrap();
+        // One frame to every daemon the write concerns: with two
+        // copies on three nodes the two sets of an "apart" chunk share
+        // a member, whose data leg carries the size — 3, not 4.
+        for (chunk, legs) in [(0, r), (chunk_where(true), r), (chunk_where(false), [2, 3][r as usize - 1])] {
+            let cost = spent(&through, &mut || assert_eq!(h.pwrite(chunk * CHUNK, &[0x5A; 8192]).unwrap(), 8192));
+            assert_eq!(cost, legs, "r = {r}: 8 KiB write-through pwrite into chunk {chunk}");
+        }
+        h.close().unwrap();
+
+        let storage = || -> Vec<u64> {
+            (0..3)
+                .flat_map(|n| {
+                    let st = cluster.daemon(n).backends().data.stats();
+                    [&st.write_ops, &st.read_ops, &st.fd_hits, &st.fd_misses, &st.dir_scans, &st.tasks_spawned, &st.tasks_inline]
+                        .map(|c| c.load(Ordering::Relaxed))
+                })
+                .collect()
+        };
+        let before = storage();
+        assert_eq!(spent(&through, &mut || through.create("/gate/empty", 0o644).unwrap()), r);
+        assert_eq!(spent(&through, &mut || through.unlink("/gate/empty").unwrap()), r);
+        assert_eq!(storage(), before, "r = {r}: a zero-byte file touched a chunk store");
+        cluster.shutdown();
     }
 }
 
@@ -397,18 +490,26 @@ impl Endpoint for Gated {
     }
 }
 
-/// The overlap gate: a write is **one** fan-out — its size leg and its
-/// data legs are all submitted before any reply is awaited — for the
-/// three shapes a size update leaves in: a write-through `pwrite`, a
-/// write-back `close` (the run beside one merged size leg), and the
-/// write that fills a §IV-B window of 4 (predicted before the data
-/// moves, not discovered after). The size leg goes first: the paper's
-/// order, a 60-byte frame ahead of the data. At the parent of PR 25
-/// every one of these ended in `Timeout`: the data leg was awaited
-/// while the size leg had not been submitted.
+/// The overlap gate: a write is **one** fan-out — every leg is
+/// submitted before any reply is awaited — for the three shapes a size
+/// update leaves in beside a data leg bound for another daemon: a
+/// write-through `pwrite`, a write-back `close` (the run beside one
+/// merged update), and the write that fills a §IV-B window of 4
+/// (predicted before the data moves, not discovered after). The size
+/// leg goes first: the paper's order, a 60-byte frame ahead of the
+/// data. At the parent of PR 25 every one of these ended in `Timeout`:
+/// the data leg was awaited while the size leg had not been submitted.
+/// They are stated on a chunk the hash places apart from the metadata
+/// (chunk 0 never is: its write is one frame, and has no second leg to
+/// overlap). The one exception is pinned the same way: an unborn file
+/// whose first flush starts past chunk 0 must hear its create
+/// acknowledged **before** any other leg leaves — a refused create
+/// writes nothing — so with two legs held it is the one that ends in
+/// `Timeout`, having submitted exactly one.
 #[test]
 fn every_leg_of_a_write_is_submitted_before_any_is_awaited() {
-    let cluster = Cluster::deploy(ClusterConfig::new(2).with_chunk_size(64 * 1024)).unwrap();
+    const CHUNK: u64 = 64 * 1024;
+    let cluster = Cluster::deploy(ClusterConfig::new(2).with_chunk_size(CHUNK)).unwrap();
     let gate = Arc::new(Mutex::new(Gate::default()));
     let mount = |config: ClusterConfig| {
         let endpoints = (0..2)
@@ -418,7 +519,7 @@ fn every_leg_of_a_write_is_submitted_before_any_is_awaited() {
             })
             .collect();
         // A leg awaited too early costs two seconds, not thirty.
-        GekkoClient::mount(endpoints, &config.with_chunk_size(64 * 1024).with_op_deadline_ms(2_000)).unwrap()
+        GekkoClient::mount(endpoints, &config.with_chunk_size(CHUNK).with_op_deadline_ms(2_000)).unwrap()
     };
     // Run `op` with its first `legs` requests held; what was held.
     let legs_of = |legs: usize, op: &mut dyn FnMut()| -> Vec<Opcode> {
@@ -428,41 +529,77 @@ fn every_leg_of_a_write_is_submitted_before_any_is_awaited() {
         assert!(gate.held.is_empty(), "fewer than {legs} legs left");
         std::mem::take(&mut gate.log)
     };
+    // Where the first chunk of `path` placed apart from its metadata
+    // starts.
+    let placed = cluster.config().make_distributor_for(0);
+    let far = |path: &str| {
+        let apart = |c: &u64| placed.locate_chunk(path, *c) != placed.locate_metadata(path);
+        (1..).find(apart).unwrap() * CHUNK
+    };
     let both = vec![Opcode::UpdateSize, Opcode::WriteChunks];
     let flags = OpenFlags::WRONLY.with_create();
     let buf = [0x5Au8; 8 * 1024];
 
     let through = mount(ClusterConfig::new(2));
+    let at = far("/overlap/through");
     let h = through.open_handle("/overlap/through", flags).unwrap();
-    assert_eq!(legs_of(2, &mut || assert_eq!(h.pwrite(0, &buf).unwrap(), buf.len())), both);
+    assert_eq!(legs_of(2, &mut || assert_eq!(h.pwrite(at, &buf).unwrap(), buf.len())), both);
     h.close().unwrap();
 
     let back = mount(ClusterConfig::new(2).with_write_back(64 * 1024));
+    let at = far("/overlap/back");
     let h = back.open_handle("/overlap/back", flags).unwrap();
     let base = back.stats().rpcs_issued.load(Ordering::Relaxed);
     for i in 0..8 {
-        h.pwrite(i * 512, &buf[..512]).unwrap();
+        h.pwrite(at + i * 512, &buf[..512]).unwrap();
     }
     assert_eq!(back.stats().rpcs_issued.load(Ordering::Relaxed), base, "absorbed");
     let mut h = Some(h);
     assert_eq!(legs_of(2, &mut || h.take().unwrap().close().unwrap()), both);
 
     let window = mount(ClusterConfig::new(2).with_size_cache(4));
+    let at = far("/overlap/window");
     let h = window.open_handle("/overlap/window", flags).unwrap();
     for i in 0..3 {
-        let absorbed = legs_of(1, &mut || assert_eq!(h.pwrite(i * 8192, &buf).unwrap(), buf.len()));
+        let absorbed = legs_of(1, &mut || assert_eq!(h.pwrite(at + i * 8192, &buf).unwrap(), buf.len()));
         assert_eq!(absorbed, [Opcode::WriteChunks], "write {i}: the window holds its update");
     }
-    assert_eq!(legs_of(2, &mut || assert_eq!(h.pwrite(3 * 8192, &buf).unwrap(), buf.len())), both);
+    assert_eq!(legs_of(2, &mut || assert_eq!(h.pwrite(at + 3 * 8192, &buf).unwrap(), buf.len())), both);
     assert_eq!(window.stats().size_updates_sent.load(Ordering::Relaxed), 1);
     let base = window.stats().rpcs_issued.load(Ordering::Relaxed);
     h.close().unwrap();
     assert_eq!(window.stats().rpcs_issued.load(Ordering::Relaxed), base, "the update covered the window");
 
-    let plain = cluster.mount().unwrap();
-    for (path, size) in [("through", 8192), ("back", 4096), ("window", 4 * 8192)] {
-        assert_eq!(plain.stat(&format!("/overlap/{path}")).unwrap().size, size, "{path}");
+    // The unborn file that starts past chunk 0. Its create frame alone
+    // is enough to let it through...
+    let excl = flags.with_exclusive();
+    let at = far("/overlap/unborn");
+    let mut h = Some(back.open_handle("/overlap/unborn", excl).unwrap());
+    h.as_ref().unwrap().pwrite(at, &buf[..512]).unwrap();
+    let base = back.stats().rpcs_issued.load(Ordering::Relaxed);
+    assert_eq!(legs_of(1, &mut || h.take().unwrap().close().unwrap()), [Opcode::WriteFile]);
+    assert_eq!(back.stats().rpcs_issued.load(Ordering::Relaxed) - base, 2, "then the data leg left");
+    // ...and held until a second leg arrives, it waits for a reply that
+    // cannot come: the data leg is not submitted before the create is
+    // acknowledged.
+    let at = far("/overlap/unborn-1");
+    let h = back.open_handle("/overlap/unborn-1", excl).unwrap();
+    h.pwrite(at, &buf[..512]).unwrap();
+    gate.lock().unwrap().armed = 2;
+    assert!(matches!(h.close(), Err(gekkofs::GkfsError::Timeout)));
+    {
+        let mut gate = gate.lock().unwrap();
+        assert_eq!(std::mem::take(&mut gate.log), [Opcode::WriteFile], "one leg left, and no other");
+        gate.armed = 0;
+        gate.held.clear();
     }
+
+    let plain = cluster.mount().unwrap();
+    for (path, size) in [("through", 8192), ("back", 4096), ("window", 4 * 8192), ("unborn", 512)] {
+        let path = format!("/overlap/{path}");
+        assert_eq!(plain.stat(&path).unwrap().size, far(&path) + size, "{path}");
+    }
+    assert!(plain.stat("/overlap/unborn-1").is_err(), "its create was never heard");
     cluster.shutdown();
 }
 
@@ -504,16 +641,18 @@ impl TcpRig {
 
     /// One more client: its own two connections.
     fn mount(&self) -> gkfs_common::Result<GekkoClient> {
+        self.mount_with(&self.config)
+    }
+
+    /// [`TcpRig::mount`] under a configuration of the client's own.
+    fn mount_with(&self, config: &ClusterConfig) -> gkfs_common::Result<GekkoClient> {
         let eps: Vec<Arc<TcpEndpoint>> = self
             .addrs
             .iter()
             .map(|a| TcpEndpoint::connect(a))
             .collect::<gkfs_common::Result<_>>()?;
         self.endpoints.lock().unwrap().extend(eps.iter().cloned());
-        GekkoClient::mount(
-            eps.into_iter().map(|e| e as Arc<dyn Endpoint>).collect(),
-            &self.config,
-        )
+        GekkoClient::mount(eps.into_iter().map(|e| e as Arc<dyn Endpoint>).collect(), config)
     }
 
     /// The counters now, summed over both daemons and every endpoint
@@ -578,6 +717,31 @@ fn unary_metadata_rpcs_cost_no_thread_hand_off_over_tcp() {
     rig.shutdown();
 }
 
+/// The small-file ingest of a write-back mount, over TCP: one frame on
+/// one connection — create, 4 KiB and size — small enough to be served
+/// on the connection thread that read it, its reply read by the rank
+/// thread that waits for it. (It was three RPCs on two connections, the
+/// second round a fan-out through the reader threads: 1/1/1.)
+#[test]
+fn a_small_files_ingest_is_one_inline_frame_read_by_its_waiter_over_tcp() {
+    let rig = TcpRig::deploy(512 * 1024);
+    let fs = rig.mount_with(&rig.config.clone().with_write_back(64 * 1024)).unwrap();
+    let hand_offs = rig.during(|| {
+        let h = fs
+            .open_handle("/ingest/small", OpenFlags::WRONLY.with_create().with_exclusive())
+            .unwrap();
+        for i in 0..8u8 {
+            h.write(&[i; 512]).unwrap();
+        }
+        h.close().unwrap();
+    });
+    assert_eq!(hand_offs, [1, 0, 1, 0, 0], "[inline, pooled, led, followed, drains]");
+    let hand_offs = rig.during(|| fs.unlink("/ingest/small").unwrap());
+    assert_eq!(hand_offs, [1, 0, 1, 0, 0], "and its unlink one RemoveMeta, the same way");
+    drop(fs);
+    rig.shutdown();
+}
+
 /// The other half of the gate: what must *not* run to completion. A
 /// 512 KiB chunk write, a pipelined burst and a two-daemon read fan-out
 /// take the handler pool on the daemon and, where a thread overlaps
@@ -592,38 +756,34 @@ fn bulk_pipelined_and_fan_out_traffic_keeps_the_pool_and_the_reader_route() {
         .unwrap();
     let data: Vec<u8> = (0..8 * CHUNK).map(|i| (i % 239) as u8).collect();
 
-    // One chunk, two legs in flight: the size leg is submitted first and
-    // alone, the data leg finds its thread already holding a handle — a
-    // fan-out by the rule of `tcp.rs` — so its connection's reader
-    // thread is asked to drain and the data leg's waiter follows it.
-    // What the size leg's waiter does depends on where the legs went.
-    // Two connections (metadata owner ≠ chunk owner): by then it is its
-    // thread's only handle on a connection nobody drains, and it leads;
-    // its frame arrived alone, so the daemon ran it inline. (The serial
-    // order read 2 led / 0 followed / 0 drains here.) One connection:
-    // the reader thread drains both replies and nobody leads; and the
-    // 60-byte frame may find the 512 KiB one behind it in the daemon's
-    // read buffer, which sends it to the pool too — timing, not a rule.
+    // One chunk placed apart from its metadata, two legs in flight: the
+    // size leg is submitted first and alone, the data leg finds its
+    // thread already holding a handle — a fan-out by the rule of
+    // `tcp.rs` — so its connection's reader thread is asked to drain
+    // and the data leg's waiter follows it. The size leg's waiter is by
+    // then its thread's only handle on a connection nobody drains, and
+    // it leads; its frame arrived alone, so the daemon ran it inline.
+    // (The serial order read 2 led / 0 followed / 0 drains here.) One
+    // chunk placed *with* its metadata — chunk 0 always, chunk 1 here
+    // by the hash's chance — is one frame carrying bytes and size: one
+    // connection, one handle, read by its waiter, and pooled on the
+    // daemon for the 512 KiB it names.
     let placed = rig.config.make_distributor_for(0);
     let route_with_legs = |apart: bool| {
         (0..)
             .map(|i| format!("/legs{i}"))
-            .find(|p| (placed.locate_metadata(p) != placed.locate_chunk(p, 0)) == apart)
+            .find(|p| (placed.locate_metadata(p) != placed.locate_chunk(p, 1)) == apart)
             .unwrap()
     };
     for apart in [true, false] {
         let h = fs
             .open_handle(&route_with_legs(apart), OpenFlags::WRONLY.with_create())
             .unwrap();
-        let [inline, pooled, led, followed, drains] =
-            rig.during(|| assert_eq!(h.pwrite(0, &data[..CHUNK as usize]).unwrap(), CHUNK as usize));
-        assert_eq!(inline + pooled, 2, "WriteChunks and UpdateSize");
+        let hand_offs = rig.during(|| assert_eq!(h.pwrite(CHUNK, &data[..CHUNK as usize]).unwrap(), CHUNK as usize));
         if apart {
-            assert_eq!((inline, pooled), (1, 1), "WriteChunks pooled, UpdateSize inline");
-            assert_eq!((led, followed, drains), (1, 1, 1));
+            assert_eq!(hand_offs, [1, 1, 1, 1, 1], "WriteChunks pooled, UpdateSize inline");
         } else {
-            assert!(pooled >= 1, "WriteChunks pooled");
-            assert_eq!((led, followed, drains), (0, 2, 1));
+            assert_eq!(hand_offs, [0, 1, 1, 0, 0], "one WriteFile, pooled");
         }
         h.close().unwrap();
     }

@@ -13,6 +13,17 @@
 //! the real client awaited the chunks and only then sent the update.
 //! `GekkoClient::submit_write` now sends both before awaiting either, so
 //! the model and the implementation describe the same write.
+//!
+//! One placement rule is the implementation's alone since PR 26: it
+//! puts chunk 0 of a file on its metadata owner, where the simulator
+//! keeps the paper's rule and hashes every chunk by `path + chunk id`
+//! on its own (`crates/sim` shares no distributor with the product).
+//! At the simulator's resolution that is invisible: its IOR files are
+//! 128 chunks per process, so one chunk in 128 changes owner — from one
+//! uniformly drawn node to another — and its mdtest files hold no bytes
+//! at all; what it reports (aggregate throughput against node count)
+//! depends on the spread, which is the same. `results/*.csv` are byte
+//! for byte what they were.
 
 use gekkofs::{Cluster, ClusterConfig};
 use gkfs_sim::{

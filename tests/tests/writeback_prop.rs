@@ -10,8 +10,18 @@
 //! size bookkeeping all funnel through here. The buffer is kept
 //! deliberately small (8 KiB) relative to the offset range so random
 //! sequences constantly displace and re-fill the run.
+//!
+//! The path starts — and, by the `Recreate` op, restarts — as an
+//! *unborn* file: opened `O_CREAT|O_EXCL` on the write-back mount, it
+//! is the client's secret until its first flush. The model then also
+//! says who owns the path: the observer (a second, write-through
+//! mount) sees the file exactly from the call that publishes it, a
+//! re-created file never shows a byte of the run its predecessor was
+//! unlinked with, and when the observer got to the path first the
+//! publish is refused — the winner's bytes and size stay, the loser's
+//! run is nowhere.
 
-use gekkofs::{Cluster, ClusterConfig, OpenFlags};
+use gekkofs::{Cluster, ClusterConfig, GkfsError, OpenFlags};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -32,6 +42,11 @@ enum HOp {
     /// Path-based stat on the same client: the daemons' answer raised
     /// to what the client has buffered.
     Stat,
+    /// Close both handles, unlink the path and make it again as an
+    /// unborn file holding `len` fresh bytes — after the observer has
+    /// made it first, if `collide` — then publish it: by the handle's
+    /// flush, or by a `stat` of the path if `by_stat`.
+    Recreate { collide: bool, by_stat: bool, len: u8, seed: u8 },
 }
 
 fn op_strategy() -> impl Strategy<Value = HOp> {
@@ -45,6 +60,8 @@ fn op_strategy() -> impl Strategy<Value = HOp> {
         1 => any::<u16>().prop_map(|size| HOp::Truncate { size: size % 25_000 }),
         2 => Just(HOp::Size),
         1 => Just(HOp::Stat),
+        1 => (any::<bool>(), any::<bool>(), any::<u8>(), any::<u8>())
+            .prop_map(|(collide, by_stat, len, seed)| HOp::Recreate { collide, by_stat, len, seed }),
     ]
 }
 
@@ -91,10 +108,13 @@ proptest! {
         // A second client shares none of `fs`'s local state: what it
         // sees is what reached the daemons.
         let observer = cluster.mount().unwrap();
-        let handles = [
-            fs.open_handle("/wb/prop", OpenFlags::RDWR.with_create()).unwrap(),
-            fs.open_handle("/wb/prop", OpenFlags::RDWR).unwrap(),
-        ];
+        observer.mkdir("/wb", 0o755).unwrap(); // fsck walks directories
+        let excl = OpenFlags::RDWR.with_create().with_exclusive();
+        let first = fs.open_handle("/wb/prop", excl).unwrap();
+        prop_assert!(observer.stat("/wb/prop").is_err(), "unborn: the open told nobody");
+        // The second open must consult the daemons: it publishes.
+        let mut handles = vec![first, fs.open_handle("/wb/prop", OpenFlags::RDWR).unwrap()];
+        prop_assert_eq!(observer.stat("/wb/prop").unwrap().size, 0);
         let mut model: Vec<u8> = Vec::new();
 
         for (second, op) in &ops {
@@ -138,6 +158,45 @@ proptest! {
                 HOp::Stat => {
                     let size = fs.stat("/wb/prop").unwrap().size;
                     prop_assert_eq!(size, model.len() as u64, "stat size");
+                }
+                HOp::Recreate { collide, by_stat, len, seed } => {
+                    for h in handles.drain(..) {
+                        h.close().unwrap();
+                    }
+                    fs.unlink("/wb/prop").unwrap();
+                    prop_assert!(observer.stat("/wb/prop").is_err());
+                    let fresh = pattern(*seed, *len as usize);
+                    let unborn = fs.open_handle("/wb/prop", excl).unwrap();
+                    unborn.pwrite(0, &fresh).unwrap();
+                    prop_assert_eq!(&unborn.pread(0, 1 << 16).unwrap(), &fresh, "an unborn file is its run, no more");
+                    prop_assert!(observer.stat("/wb/prop").is_err(), "unborn: nobody else sees it");
+                    model = if *collide {
+                        let winner = pattern(seed.wrapping_add(1), 300);
+                        let w = observer.open_handle("/wb/prop", excl).unwrap();
+                        w.pwrite(0, &winner).unwrap();
+                        w.close().unwrap();
+                        winner
+                    } else {
+                        fresh
+                    };
+                    let published = if *by_stat {
+                        fs.stat("/wb/prop").map(|meta| meta.size)
+                    } else {
+                        unborn.flush().map(|()| model.len() as u64)
+                    };
+                    match published {
+                        Ok(size) => prop_assert!(!*collide && size == model.len() as u64),
+                        Err(e) => prop_assert!(*collide && e == GkfsError::Exists, "{:?}", e),
+                    }
+                    // Born or refused, the path is the model's now, on
+                    // both mounts and on every daemon.
+                    unborn.close().unwrap();
+                    let seen = observer.open_handle("/wb/prop", OpenFlags::RDONLY).unwrap();
+                    prop_assert_eq!(seen.size(), model.len() as u64);
+                    prop_assert_eq!(&seen.pread(0, 1 << 16).unwrap(), &model, "what the daemons hold");
+                    prop_assert!(observer.fsck().unwrap().is_clean());
+                    handles.push(fs.open_handle("/wb/prop", OpenFlags::RDWR).unwrap());
+                    handles.push(fs.open_handle("/wb/prop", OpenFlags::RDWR).unwrap());
                 }
             }
         }
