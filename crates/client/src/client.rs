@@ -14,7 +14,8 @@
 //! listings are eventually consistent; `rename`/links are unsupported;
 //! nothing is cached except what an open path's
 //! [`LocalFile`](crate::filemap::LocalFile) holds — the §IV-B size
-//! window and the optional write-back run.
+//! window, the optional write-back run and, on a write-back mount, a
+//! small file as its newest read-only open received it.
 //!
 //! The operations themselves live beside this file, one module per
 //! seam: `namespace` (create/stat/unlink/rmdir/readdir/truncate/fsck),

@@ -13,18 +13,22 @@
 //! It holds everything the client knows about the file that the
 //! daemons may not know yet — the size, the paper's §IV-B pending size
 //! update, the write-back run, and where its entry stands (not yet
-//! created at the daemons, there, or gone) — under one lock, so `stat`, reads, appends, truncate, unlink and the
+//! created at the daemons, there, or gone) — and, on a write-back
+//! mount, the *head*: a small file whole, as a read-only open received
+//! it — under one lock, so `stat`, reads, appends, truncate, unlink and the
 //! flushes all consult and reset the same record. The record is pure
 //! data: whatever must go to a daemon is *taken out* under the lock
 //! and sent after the guard drops (GKL002).
 
 use crate::writeback::{WbBuf, WbRun};
+use bytes::Bytes;
+use gkfs_common::hash::fnv1a64;
 use gkfs_common::lock::{rank, Condvar, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
 use gkfs_common::types::{FileKind, OpenFlags};
 use gkfs_common::{GkfsError, Result};
-use gkfs_rpc::proto::NewFile;
+use gkfs_rpc::proto::{NewFile, HEAD_MAX};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI32, Ordering};
+use std::sync::atomic::{AtomicI32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// First descriptor handed out — mirrors GekkoFS' offset trick that
@@ -81,6 +85,29 @@ pub(crate) struct Riders {
     pub(crate) create: Option<NewFile>,
 }
 
+/// What [`LocalFile::view`] saw of the record for one read.
+pub(crate) struct View {
+    /// EOF ([`LocalFile::size`]).
+    pub(crate) size: u64,
+    /// The part of the buffered run inside the read, copied out.
+    pub(crate) overlay: Option<WbRun>,
+    /// The read's bytes below the run — its range clamped to EOF, short
+    /// where only holes follow — when this client holds them and no
+    /// daemon need be asked: a range inside the head, or anything at
+    /// all of a file the daemons have not been told of.
+    pub(crate) held: Option<Bytes>,
+}
+
+/// A small file whole, as [`GekkoClient::open_chain`](crate::client::GekkoClient::open_chain)
+/// received it, on its way into the path's record.
+pub(crate) struct Head {
+    /// `[0, len)` of the file.
+    pub(crate) bytes: Bytes,
+    /// [`FileMap::stamp`] of the path, read before the daemons were
+    /// asked.
+    pub(crate) asked_at: u64,
+}
+
 struct Known {
     /// The file's size as far as the daemons hold its bytes: seeded by
     /// the open-time stat, grown by this client's acknowledged writes,
@@ -94,6 +121,14 @@ struct Known {
     pending: Option<Pending>,
     /// Small sequential writes not yet sent anywhere.
     wb: WbBuf,
+    /// The whole file — `[0, head.len())`, holes zero-filled — as the
+    /// daemon that holds its entry and chunk 0 had it when the newest
+    /// read-only open of the path on this (write-back) mount asked
+    /// ([`FileMap::attach`]). Reads inside it ask nobody. Gone with the
+    /// first write this mount offers the path, with a cut, an unlink
+    /// and the record itself; the next open that learns nothing newer
+    /// takes it away too.
+    head: Option<Bytes>,
     entry: Entry,
 }
 
@@ -117,8 +152,9 @@ pub struct LocalFile {
     known: OrderedMutex<Known>,
     /// Signalled when a create in flight gets its verdict.
     verdict: Condvar,
-    /// The table holding this record's `paths` entry.
-    table: Weak<OrderedRwLock<Tables>>,
+    /// The mount's tables, holding this record's `paths` entry and its
+    /// path's stamp.
+    shared: Weak<Shared>,
 }
 
 impl LocalFile {
@@ -149,19 +185,34 @@ impl LocalFile {
         self.known.lock().eof()
     }
 
-    /// [`LocalFile::size`] and the part of the buffered run inside
-    /// `[offset, offset + len)`, from one look at the record: the same
-    /// state answers a read's EOF question and its overlay.
-    pub(crate) fn view(&self, offset: u64, len: u64) -> Result<(u64, Option<WbRun>)> {
+    /// What a read of `[offset, offset + len)` needs of the record, from
+    /// one look at it: the same state answers the read's EOF question,
+    /// its overlay, and whether a daemon need be asked at all.
+    pub(crate) fn view(&self, offset: u64, len: u64) -> Result<View> {
         let known = self.live()?;
-        Ok((known.eof(), known.wb.snapshot(offset, len)))
+        let size = known.eof();
+        let end = size.min(offset.saturating_add(len));
+        let held = match (&known.entry, &known.head) {
+            // The daemons have never heard of the file: below the run
+            // there is nothing but holes.
+            (Entry::Unborn(_), _) => Some(Bytes::new()),
+            (_, Some(head)) if offset < end && end <= head.len() as u64 => {
+                Some(head.slice(offset as usize..end as usize))
+            }
+            _ => None,
+        };
+        Ok(View { size, overlay: known.wb.snapshot(offset, len), held })
     }
 
     /// Offer a write to the run ([`WbBuf::offer`]): a displaced run to
     /// send first, whether the write itself must be sent, and the run
     /// again if absorbing the write filled it.
+    /// The head goes here, before the write is buffered or sent: from
+    /// now on the file is not what the open received.
     pub(crate) fn offer(&self, offset: u64, data: &[u8]) -> Result<(Option<WbRun>, bool, Option<WbRun>)> {
-        Ok(self.live()?.wb.offer(offset, data))
+        let mut known = self.live()?;
+        known.head = None;
+        Ok(known.wb.offer(offset, data))
     }
 
     /// Take the buffered run out (flush, close, truncate's pre-flush).
@@ -242,8 +293,8 @@ impl LocalFile {
     /// Give up the `paths` entry, unless a newer record already took it
     /// over.
     fn detach(&self) {
-        let Some(table) = self.table.upgrade() else { return };
-        let mut files = table.write();
+        let Some(shared) = self.shared.upgrade() else { return };
+        let mut files = shared.files.write();
         if files.paths.get(&self.path).is_some_and(|w| std::ptr::eq(w.as_ptr(), self)) {
             files.paths.remove(&self.path);
         }
@@ -258,6 +309,14 @@ impl LocalFile {
     /// landed since stays behind.
     pub(crate) fn landed(&self, wrote: Option<SizeUpdate>, sent: Option<SizeUpdate>) -> Result<()> {
         let mut known = self.live()?;
+        if wrote.is_some() {
+            // An open that was on its way while these bytes were may
+            // have left its head here since the write was offered.
+            known.head = None;
+            if let Some(shared) = self.shared.upgrade() {
+                shared.touch(&self.path);
+            }
+        }
         known.size = known.size.max(wrote.map_or(0, |w| w.size));
         match (sent, wrote) {
             (Some(sent), _) => known.pending = known.pending.take().filter(|p| p.update.merge(sent) != sent),
@@ -279,7 +338,9 @@ impl LocalFile {
         known.size = size;
         known.claimed = 0;
         known.pending = None;
+        known.head = None;
     }
+
 
     /// This client removed the file: the run and the pending update are
     /// discarded — sending either would resurrect the entry — and every
@@ -298,6 +359,7 @@ impl Known {
     fn discard(&mut self) {
         self.claimed = 0;
         self.pending = None;
+        self.head = None;
         self.wb.take();
     }
 }
@@ -354,6 +416,19 @@ impl OpenFile {
         *p = start + delta;
         start
     }
+
+    /// [`OpenFile::advance`] for a `read` of `len` bytes from a file
+    /// that ends at `eof`: claim what is left of it from the current
+    /// position, in one step — two readers of one descriptor never get
+    /// the same bytes, and never push its offset past `eof`. Returns
+    /// the starting offset and the bytes claimed.
+    pub fn claim_read(&self, len: u64, eof: u64) -> (u64, u64) {
+        let mut p = self.pos.lock();
+        let start = *p;
+        let claimed = eof.saturating_sub(start).min(len);
+        *p = start + claimed;
+        (start, claimed)
+    }
 }
 
 struct Tables {
@@ -363,9 +438,36 @@ struct Tables {
     paths: HashMap<String, Weak<LocalFile>>,
 }
 
+/// Paths share a stamp when their hashes agree modulo this.
+const STAMPS: usize = 64;
+
+/// What the mount's records share with the [`FileMap`].
+struct Shared {
+    files: OrderedRwLock<Tables>,
+    /// Per path (hashed): moved by everything this mount does that
+    /// changes the path's bytes at the daemons — an acknowledged write,
+    /// a truncate, an unlink — and by every open that attaches to its
+    /// record. An open reads it before it asks the daemons; the head it
+    /// comes back with is kept only if the stamp has stood still, so
+    /// what a head holds is never older than anything this mount has
+    /// since written, cut or opened.
+    stamps: [AtomicU64; STAMPS],
+}
+
+impl Shared {
+    fn stamp_of(&self, path: &str) -> &AtomicU64 {
+        &self.stamps[fnv1a64(path.as_bytes()) as usize % STAMPS]
+    }
+
+    /// Move `path`'s stamp; returns where it stood.
+    fn touch(&self, path: &str) -> u64 {
+        self.stamp_of(path).fetch_add(1, Ordering::SeqCst)
+    }
+}
+
 /// Descriptor table and per-path records for one client.
 pub struct FileMap {
-    files: Arc<OrderedRwLock<Tables>>,
+    shared: Arc<Shared>,
     next_fd: AtomicI32,
     size_window: usize,
     wb_capacity: usize,
@@ -377,25 +479,58 @@ impl FileMap {
     pub fn new(size_window: usize, wb_capacity: usize) -> FileMap {
         let tables = Tables { fds: HashMap::new(), paths: HashMap::new() };
         FileMap {
-            files: Arc::new(OrderedRwLock::new(rank::CLIENT_FILEMAP, tables)),
+            shared: Arc::new(Shared {
+                files: OrderedRwLock::new(rank::CLIENT_FILEMAP, tables),
+                stamps: std::array::from_fn(|_| AtomicU64::new(0)),
+            }),
             next_fd: AtomicI32::new(FD_BASE),
             size_window,
             wb_capacity,
         }
     }
 
+    /// The largest file a read-only open on this mount asks to be sent
+    /// whole: a write-back mount (the mounts whose small-file reads are
+    /// close-to-open) takes what fits both its write-back buffer and a
+    /// small reply frame; a write-through mount reads the daemons.
+    pub(crate) fn head_max(&self) -> u64 {
+        (self.wb_capacity as u64).min(HEAD_MAX)
+    }
+
+    /// `path`'s stamp, for an open about to ask the daemons ([`Head`]).
+    pub(crate) fn stamp(&self, path: &str) -> u64 {
+        self.shared.stamp_of(path).load(Ordering::SeqCst)
+    }
+
+    /// This mount changed `path`'s bytes at the daemons without going
+    /// through a record (a truncate or an unlink by path).
+    pub(crate) fn touch(&self, path: &str) {
+        self.shared.touch(path);
+    }
+
     /// The record of `path` for a handle being opened: the one its
-    /// other open handles share, grown to the `size` this open's stat
-    /// learned, or a fresh one seeded with it.
-    pub(crate) fn attach(&self, path: &str, kind: FileKind, size: u64) -> Arc<LocalFile> {
-        let mut files = self.files.write();
-        if let Some(local) = files.paths.get(path).and_then(Weak::upgrade) {
-            let mut known = local.known.lock();
-            known.size = known.size.max(size);
-            drop(known);
-            return local;
-        }
-        self.insert_record(&mut files, path, kind, size, Entry::Born)
+    /// other open handles share, grown to the `size` this open learned,
+    /// or a fresh one seeded with it. The open's `head` becomes the
+    /// record's — replacing an older open's — if nothing this mount did
+    /// to the path overtook it on the way ([`Shared::stamps`]) and it
+    /// covers the size the record believes after the merge: a record
+    /// that knows the file longer than the daemon said (a flush in
+    /// flight, a run's tail) keeps reading the daemons. An open that
+    /// brings none leaves none: what an older open received is not what
+    /// this one was told.
+    pub(crate) fn attach(&self, path: &str, kind: FileKind, size: u64, head: Option<Head>) -> Arc<LocalFile> {
+        let mut files = self.shared.files.write();
+        let now = self.shared.touch(path);
+        let head = head.filter(|h| h.asked_at == now).map(|h| h.bytes);
+        let local = match files.paths.get(path).and_then(Weak::upgrade) {
+            Some(local) => local,
+            None => self.insert_record(&mut files, path, kind, size, Entry::Born),
+        };
+        let mut known = local.known.lock();
+        known.size = known.size.max(size);
+        known.head = head.filter(|h| h.len() as u64 >= known.eof());
+        drop(known);
+        local
     }
 
     /// A fresh record of `path`, put in the table.
@@ -406,10 +541,10 @@ impl FileMap {
             window: self.size_window,
             known: OrderedMutex::new(
                 rank::CLIENT_LOCAL_FILE,
-                Known { size, claimed: 0, pending: None, wb: WbBuf::new(self.wb_capacity), entry },
+                Known { size, claimed: 0, pending: None, wb: WbBuf::new(self.wb_capacity), head: None, entry },
             ),
             verdict: Condvar::new(),
-            table: Arc::downgrade(&self.files),
+            shared: Arc::downgrade(&self.shared),
         });
         files.paths.insert(path.to_string(), Arc::downgrade(&local));
         local
@@ -426,7 +561,7 @@ impl FileMap {
     /// fresh, empty, unborn one — or, when this client already has the
     /// path open, that record, for the caller to judge.
     pub(crate) fn attach_unborn(&self, path: &str, create: NewFile) -> std::result::Result<Arc<LocalFile>, Arc<LocalFile>> {
-        let mut files = self.files.write();
+        let mut files = self.shared.files.write();
         match files.paths.get(path).and_then(Weak::upgrade) {
             Some(open) => Err(open),
             None => Ok(self.insert_record(&mut files, path, FileKind::File, 0, Entry::Unborn(create))),
@@ -435,20 +570,21 @@ impl FileMap {
 
     /// The record of `path`, if a handle is open on it.
     pub(crate) fn local(&self, path: &str) -> Option<Arc<LocalFile>> {
-        self.files.read().paths.get(path).and_then(Weak::upgrade)
+        self.shared.files.read().paths.get(path).and_then(Weak::upgrade)
     }
 
     /// `path` was removed at the daemons: detach its record (the next
     /// open gets a fresh one) and mark it unlinked. Returns the size
     /// the daemons may hold bytes up to, as far as this client knew.
     pub(crate) fn unlink(&self, path: &str) -> Option<u64> {
-        let local = self.files.write().paths.remove(path)?.upgrade()?;
+        self.touch(path);
+        let local = self.shared.files.write().paths.remove(path)?.upgrade()?;
         Some(local.unlink())
     }
 
     /// Every live record (unmount's flush).
     pub(crate) fn locals(&self) -> Vec<Arc<LocalFile>> {
-        self.files.read().paths.values().filter_map(Weak::upgrade).collect()
+        self.shared.files.read().paths.values().filter_map(Weak::upgrade).collect()
     }
 
     /// Every record whose file the daemons have not been told of (what
@@ -462,13 +598,14 @@ impl FileMap {
     /// Insert an open file, returning its new descriptor.
     pub fn insert(&self, file: OpenFile) -> i32 {
         let fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
-        self.files.write().fds.insert(fd, Arc::new(file));
+        self.shared.files.write().fds.insert(fd, Arc::new(file));
         fd
     }
 
     /// Resolve a descriptor.
     pub fn get(&self, fd: i32) -> Result<Arc<OpenFile>> {
-        self.files
+        self.shared
+            .files
             .read()
             .fds
             .get(&fd)
@@ -479,12 +616,13 @@ impl FileMap {
     /// Is this descriptor one of ours? (The preload layer uses this to
     /// decide whether to forward a call to the kernel.)
     pub fn owns(&self, fd: i32) -> bool {
-        fd >= FD_BASE && self.files.read().fds.contains_key(&fd)
+        fd >= FD_BASE && self.shared.files.read().fds.contains_key(&fd)
     }
 
     /// Close a descriptor, returning the file it referenced.
     pub fn remove(&self, fd: i32) -> Result<Arc<OpenFile>> {
-        self.files
+        self.shared
+            .files
             .write()
             .fds
             .remove(&fd)
@@ -496,7 +634,7 @@ impl FileMap {
     pub fn dup(&self, fd: i32) -> Result<i32> {
         let file = self.get(fd)?;
         let new_fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
-        self.files.write().fds.insert(new_fd, file);
+        self.shared.files.write().fds.insert(new_fd, file);
         Ok(new_fd)
     }
 }
@@ -506,7 +644,7 @@ mod tests {
     use super::*;
 
     fn open(map: &FileMap, path: &str) -> OpenFile {
-        OpenFile::new(map.attach(path, FileKind::File, 0), OpenFlags::RDWR)
+        OpenFile::new(map.attach(path, FileKind::File, 0, None), OpenFlags::RDWR)
     }
 
     #[test]
@@ -573,7 +711,7 @@ mod tests {
     fn handles_on_one_path_share_a_record_that_dies_with_the_last() {
         let map = FileMap::new(0, 64);
         let a = open(&map, "/p");
-        let b = OpenFile::new(map.attach("/p", FileKind::File, 7), OpenFlags::RDWR);
+        let b = OpenFile::new(map.attach("/p", FileKind::File, 7, None), OpenFlags::RDWR);
         assert!(Arc::ptr_eq(&a.local, &b.local));
         assert_eq!(a.local.size(), 7, "a later open's stat grows the record");
         a.local.offer(7, b"abc").unwrap();
@@ -583,7 +721,7 @@ mod tests {
         assert!(map.local("/p").is_some());
         drop(b);
         assert!(map.local("/p").is_none());
-        assert!(map.files.read().paths.is_empty(), "no dead entry left behind");
+        assert!(map.shared.files.read().paths.is_empty(), "no dead entry left behind");
     }
 
     fn up(size: u64, mtime_ns: u64) -> SizeUpdate {
@@ -614,7 +752,7 @@ mod tests {
         assert_eq!(map.unlink("/u"), Some(4096));
         assert_eq!(map.unlink("/u"), None, "already detached");
         assert!(matches!(stale.local.offer(0, b"x"), Err(GkfsError::NotFound)));
-        assert!(matches!(stale.local.view(0, 8), Err(GkfsError::NotFound)));
+        assert!(matches!(stale.local.view(0, 8).map(|v| v.size), Err(GkfsError::NotFound)));
         assert!(matches!(stale.local.riders(Some(up(1, 1)), false), Err(GkfsError::NotFound)));
         assert!(matches!(stale.local.landed(Some(up(1, 1)), None), Err(GkfsError::NotFound)));
         assert_eq!(stale.local.take_run(), None);
@@ -632,7 +770,7 @@ mod tests {
     // The §IV-B size-update window, per record.
 
     fn record(map: &FileMap, path: &str) -> Arc<LocalFile> {
-        map.attach(path, FileKind::File, 0)
+        map.attach(path, FileKind::File, 0, None)
     }
 
     #[test]

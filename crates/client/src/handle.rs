@@ -4,7 +4,7 @@
 //! [`LocalFile`](crate::filemap::LocalFile).
 
 use crate::client::{now_ns, GekkoClient};
-use crate::filemap::OpenFile;
+use crate::filemap::{Head, OpenFile, View};
 use crate::meta_frames::create_op;
 use gkfs_common::path as gpath;
 use gkfs_common::{FileKind, GkfsError, Metadata, OpenFlags, Result};
@@ -65,6 +65,14 @@ impl GekkoClient {
     /// `Exists` surfaces at that flush (the contract `create()` has
     /// under `with_meta_batch`, extended to handles); opening a path
     /// that is still unborn exclusively again is `Exists` here.
+    ///
+    /// Every other open learns the entry by one `OpenFile` frame
+    /// ([`GekkoClient::open_chain`]). On a write-back mount a read-only
+    /// open asks for the file with it, and a small file that comes back
+    /// whole becomes the *head* of the path's record
+    /// ([`FileMap::attach`](crate::filemap::FileMap::attach)): the
+    /// handle holds the file as of this open, exactly as every handle
+    /// holds its EOF as of its open, and reads inside it ask nobody.
     fn open_file(&self, path: &str, flags: OpenFlags) -> Result<OpenFile> {
         let path = gpath::normalize(path)?;
         if flags.create {
@@ -87,29 +95,35 @@ impl GekkoClient {
             }
             self.meta_call(create_op(path.clone(), FileKind::File, 0o644, flags.exclusive))?;
         }
-        let (kind, mut size) = if flags.create && flags.exclusive {
-            // Freshly created: must be an empty file — no extra stat on
-            // the mdtest hot path.
-            (FileKind::File, 0)
+        let (kind, mut size, head) = if flags.create && flags.exclusive {
+            // Freshly created: must be an empty file — nothing to ask
+            // on the mdtest hot path.
+            (FileKind::File, 0, None)
         } else {
+            // A handle that can write holds no head, and a write-through
+            // mount none at all: 0 is a value of `head_max` like any
+            // other.
+            let head_max = if flags.write { 0 } else { self.files.head_max().min(self.layout.chunk_size) };
+            let asked_at = self.files.stamp(&path);
+            let (meta, file) = self.open_chain(&path, head_max)?;
             // A non-exclusive create may have hit an existing entry of
             // either kind; `open(dir, O_CREAT|O_WRONLY)` must fail with
             // EISDIR, not scribble on a directory.
-            let meta = self.stat_local(&path)?;
             if meta.is_dir() && flags.write {
                 return Err(GkfsError::IsDirectory);
             }
-            (meta.kind, meta.size)
+            (meta.kind, meta.size, file.map(|bytes| Head { bytes, asked_at }))
         };
         if flags.truncate && kind == FileKind::File {
             self.truncate(&path, 0)?;
             size = 0;
         }
-        let file = OpenFile::new(self.files.attach(&path, kind, size), flags);
+        let file = OpenFile::new(self.files.attach(&path, kind, size, head), flags);
         if flags.append {
-            // O_APPEND: position at the open-time EOF — the size the
-            // open already learned, not another stat RPC.
-            file.seek_to(size);
+            // O_APPEND: position at the open-time EOF — what the open
+            // learned and what the path's record already believed, not
+            // another stat RPC.
+            file.seek_to(file.local.size());
         }
         Ok(file)
     }
@@ -175,7 +189,11 @@ impl GekkoClient {
 /// on the same client sees the buffered tail in the size; *other*
 /// clients see the bytes only after `flush`/`fsync`/`close` — the same
 /// relaxation the paper's §IV-B size cache already makes. Cross-client
-/// growth of the file becomes visible on re-open. Once this client
+/// growth of the file becomes visible on re-open — and on a write-back
+/// mount so does any other client's write to a small file a read-only
+/// handle is open on: that handle holds the file as of the path's newest
+/// open on this mount (DESIGN.md "A read-only open of a small file
+/// returns the file"). Once this client
 /// unlinks the path, reads and writes through a surviving handle
 /// answer `NotFound` and its `flush`/`close` send nothing.
 ///
@@ -278,7 +296,10 @@ impl FileHandle<'_> {
 
     /// Positional read; does not move the handle's offset. EOF comes
     /// from the path's record (no stat RPC) and buffered write-back
-    /// bytes overlay the daemons' data.
+    /// bytes overlay the daemons' data — or the record's own, where it
+    /// holds the range: inside the head a read-only open left there, and
+    /// anywhere in a file the daemons have not been told of (nothing
+    /// but holes below the run), no daemon is asked.
     pub fn pread(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
         let c = self.client;
         if !self.file.flags.read {
@@ -288,10 +309,11 @@ impl FileHandle<'_> {
             return Err(GkfsError::IsDirectory);
         }
         c.stats.read_ops.fetch_add(1, Ordering::Relaxed);
-        // One look at the record answers the EOF question and the
-        // overlay below, even if a concurrent flush empties the buffer
-        // in between. Only the bytes this read overlaps are copied out.
-        let (size, overlay) = self.file.local.view(offset, len as u64)?;
+        // One look at the record answers the EOF question, the overlay
+        // below and whether a daemon need be asked, even if a concurrent
+        // flush empties the buffer in between. Only the bytes this read
+        // overlaps are copied out.
+        let View { size, overlay, held } = self.file.local.view(offset, len as u64)?;
         c.stats
             .size_cache_hits
             .fetch_add(1, Ordering::Relaxed);
@@ -299,7 +321,15 @@ impl FileHandle<'_> {
             return Ok(Vec::new());
         }
         let effective = (len as u64).min(size - offset);
-        let mut out = c.read_scatter(self.path(), offset, effective)?;
+        let mut out = match held {
+            Some(held) => {
+                let mut out = Vec::with_capacity(effective as usize);
+                out.extend_from_slice(&held);
+                out.resize(effective as usize, 0);
+                out
+            }
+            None => c.read_scatter(self.path(), offset, effective)?,
+        };
         if let Some(run) = overlay {
             // Within the result: `size` covers the run's end, so the
             // overlap with `[offset, offset + len)` ends inside
@@ -321,11 +351,8 @@ impl FileHandle<'_> {
         if self.kind() == FileKind::Directory {
             return Err(GkfsError::IsDirectory);
         }
-        let size = self.file.local.size();
-        let pos = self.file.pos();
-        let avail = size.saturating_sub(pos).min(len as u64);
-        let start = self.file.advance(avail);
-        self.pread(start, avail as usize)
+        let (start, claimed) = self.file.claim_read(len as u64, self.file.local.size());
+        self.pread(start, claimed as usize)
     }
 
     /// Reposition the handle. `SEEK_END` resolves against the record's
@@ -650,6 +677,61 @@ mod tests {
         h.close().unwrap();
     }
 
+    #[test]
+    fn threads_draining_one_descriptor_read_every_byte_once_and_stop_at_eof() {
+        // `read` took the position and advanced it under two
+        // acquisitions of the lock: two readers of a 100-byte file
+        // asking 80 each both saw 80 available, the second started at 80,
+        // got 20, and the offset ended at 160 — a later `write` on the
+        // descriptor landed behind a hole. Only the reads that meet EOF
+        // can show it, so: a short file, every thread let go at once,
+        // many rounds.
+        const SIZE: usize = 100;
+        const READERS: usize = 3;
+        let (_d, c) = cluster(2);
+        // Each byte is its own offset: a read says where it was.
+        let data: Vec<u8> = (0..SIZE as u8).collect();
+        let fd = c.open("/drained", OpenFlags::RDWR.with_create()).unwrap();
+        c.pwrite(fd, 0, &data).unwrap();
+        let round = std::sync::Barrier::new(READERS + 1);
+        let got = std::sync::Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            for _ in 0..READERS {
+                s.spawn(|| loop {
+                    round.wait();
+                    match c.read(fd, 80) {
+                        Ok(bytes) => got.lock().unwrap().push(bytes),
+                        Err(_) => return,
+                    }
+                    round.wait();
+                });
+            }
+            // A failed round ends the loop, not the thread: the readers
+            // are let go first, judged after.
+            let failed = (0..2000).find_map(|n| {
+                c.lseek(fd, 0, Whence::Set).unwrap();
+                round.wait();
+                round.wait();
+                let mut seen = [0u8; SIZE];
+                for bytes in got.lock().unwrap().drain(..).filter(|b| !b.is_empty()) {
+                    let at = bytes[0] as usize;
+                    if data.get(at..at + bytes.len()) != Some(&bytes[..]) {
+                        return Some(format!("round {n}: {bytes:?} is no range of the file"));
+                    }
+                    seen[at..at + bytes.len()].iter_mut().for_each(|n| *n += 1);
+                }
+                let pos = c.files().get(fd).unwrap().pos();
+                let whole = seen.iter().all(|&n| n == 1) && pos == SIZE as u64;
+                (!whole).then(|| format!("round {n}: offset {pos} of {SIZE}, bytes returned {seen:?} times"))
+            });
+            // One more round, in which the readers find the descriptor
+            // closed and leave.
+            c.close(fd).unwrap();
+            round.wait();
+            assert_eq!(failed, None, "every byte once, and the offset stops at EOF");
+        });
+    }
+
     // The unborn file: a write-back mount's exclusive create rides the
     // file's first flush.
 
@@ -703,6 +785,185 @@ mod tests {
         assert_eq!(rpcs(&through), base + 1);
         assert!(matches!(through.open_handle("/through", EXCL), Err(GkfsError::Exists)));
         h.close().unwrap();
+    }
+
+    // The head: on a write-back mount a read-only open of a small file
+    // holds the file as of that open.
+
+    #[test]
+    fn a_read_only_open_holds_a_small_file_until_this_mount_changes_it() {
+        let (_d, back, through) = two_mounts(3, 1);
+        let put = |path: &str, data: &[u8]| {
+            let h = through.open_handle(path, OpenFlags::WRONLY.with_create()).unwrap();
+            h.pwrite(0, data).unwrap();
+            h.close().unwrap();
+        };
+        put("/head", b"version one");
+        let kept = back.open_handle("/head", OpenFlags::RDONLY).unwrap();
+        let base = rpcs(&back);
+        assert_eq!(kept.pread(0, 64).unwrap(), b"version one");
+        assert_eq!(kept.pread(8, 3).unwrap(), b"one");
+        assert_eq!(kept.read(7).unwrap(), b"version");
+        assert_eq!(rpcs(&back), base, "reads inside the head ask nobody");
+        assert_eq!(back.stats().read_ops.load(Ordering::Relaxed), 3, "and count like any other");
+        assert_eq!(back.stats().bytes_read.load(Ordering::Relaxed), 11 + 3 + 7);
+        // Another mount's write is seen at the next open, by every
+        // handle on the path — never half of it.
+        put("/head", b"VERSION TWO");
+        assert_eq!(kept.pread(0, 64).unwrap(), b"version one");
+        let again = back.open_handle("/head", OpenFlags::RDONLY).unwrap();
+        assert_eq!(again.pread(0, 64).unwrap(), b"VERSION TWO");
+        assert_eq!(kept.pread(0, 64).unwrap(), b"VERSION TWO", "newer wins");
+        // A write through this mount is seen at once: buffered (the run
+        // lies over nothing now), flushed, through whichever handle.
+        let w = back.open_handle("/head", OpenFlags::WRONLY).unwrap();
+        w.pwrite(8, b"3").unwrap();
+        assert_eq!(kept.pread(0, 64).unwrap(), b"VERSION 3WO");
+        w.close().unwrap();
+        assert_eq!(again.pread(0, 64).unwrap(), b"VERSION 3WO");
+        // A handle that can write holds no head; nor does a
+        // write-through mount.
+        let base = rpcs(&back);
+        let rw = back.open_handle("/head", OpenFlags::RDWR).unwrap();
+        assert_eq!(rw.pread(0, 64).unwrap(), b"VERSION 3WO");
+        assert_eq!(rpcs(&back), base + 2, "it dropped the others' too: they were told nothing newer");
+        let base = rpcs(&through);
+        let r = through.open_handle("/head", OpenFlags::RDONLY).unwrap();
+        assert_eq!(r.pread(0, 64).unwrap(), b"VERSION 3WO");
+        assert_eq!(rpcs(&through), base + 2);
+        drop((kept, again, rw));
+        // A truncate and an unlink by path take the head with them.
+        let kept = back.open_handle("/head", OpenFlags::RDONLY).unwrap();
+        back.truncate("/head", 7).unwrap();
+        assert_eq!(kept.pread(0, 64).unwrap(), b"VERSION");
+        drop(kept);
+        let kept = back.open_handle("/head", OpenFlags::RDONLY).unwrap();
+        back.unlink("/head").unwrap();
+        assert!(matches!(kept.pread(0, 64), Err(GkfsError::NotFound)));
+        // A run buffered before the open lies over the head; one that
+        // makes the file longer than the daemon said leaves none.
+        put("/over", b"0123456789");
+        let w = back.open_handle("/over", OpenFlags::WRONLY).unwrap();
+        w.pwrite(2, b"XY").unwrap();
+        let r = back.open_handle("/over", OpenFlags::RDONLY).unwrap();
+        let base = rpcs(&back);
+        assert_eq!(r.pread(0, 64).unwrap(), b"01XY456789");
+        assert_eq!(rpcs(&back), base);
+        w.pwrite(4, b"longer than it was").unwrap();
+        drop(r);
+        let r = back.open_handle("/over", OpenFlags::RDONLY).unwrap();
+        assert_eq!(r.pread(0, 64).unwrap(), b"01XYlonger than it was");
+        assert_eq!(rpcs(&back), base + 2, "the open, and a read of the daemons under the run");
+    }
+
+    /// Serves every request at once, and holds the reply of the next
+    /// request of each opcode in `armed` back until
+    /// [`HeldReplies::release`]: a call whose answer is on its way while
+    /// the test does something else to the path.
+    struct HeldReplies {
+        inner: Arc<dyn Endpoint>,
+        armed: std::sync::Mutex<Vec<gkfs_rpc::Opcode>>,
+        served: std::sync::mpsc::Sender<()>,
+        parked: std::sync::Mutex<Vec<(gkfs_rpc::Opcode, Parked)>>,
+    }
+
+    type Answer = gkfs_common::Result<gkfs_rpc::Response>;
+    type Parked = (std::sync::mpsc::SyncSender<Answer>, Answer);
+
+    impl Endpoint for HeldReplies {
+        fn submit(&self, req: gkfs_rpc::Request) -> gkfs_common::Result<gkfs_rpc::ReplyHandle> {
+            let opcode = req.opcode;
+            let mut armed = self.armed.lock().unwrap();
+            let Some(at) = armed.iter().position(|op| *op == opcode) else {
+                return self.inner.submit(req);
+            };
+            armed.remove(at);
+            drop(armed);
+            let answer = self.inner.call(req);
+            let (tx, rx) = std::sync::mpsc::sync_channel(1);
+            self.parked.lock().unwrap().push((opcode, (tx, answer)));
+            self.served.send(()).unwrap();
+            Ok(gkfs_rpc::ReplyHandle::pending(rx))
+        }
+    }
+
+    fn release(held: &[Arc<HeldReplies>], opcode: gkfs_rpc::Opcode) {
+        for e in held {
+            let mut parked = e.parked.lock().unwrap();
+            while let Some(at) = parked.iter().position(|(op, _)| *op == opcode) {
+                let (_, (tx, answer)) = parked.remove(at);
+                tx.send(answer).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn an_open_overtaken_by_this_mounts_own_change_keeps_no_head() {
+        // The open's reply carries the file as the daemon had it; while
+        // the reply is on its way this mount is told something newer.
+        // Kept, every later read through the handle would return bytes
+        // this mount itself replaced — or an older open's over a newer
+        // one's.
+        use gkfs_rpc::Opcode::{OpenFile as OPEN, WriteFile as WRITE};
+        for case in ["a write acknowledged first", "a write acknowledged after", "a newer open"] {
+            let daemons: Vec<Arc<Daemon>> =
+                (0..2).map(|_| Daemon::spawn(gkfs_common::DaemonConfig::default()).unwrap()).collect();
+            let (served_tx, served) = std::sync::mpsc::channel();
+            let held: Vec<Arc<HeldReplies>> = daemons
+                .iter()
+                .map(|d| {
+                    Arc::new(HeldReplies {
+                        inner: d.endpoint(),
+                        armed: Default::default(),
+                        served: served_tx.clone(),
+                        parked: Default::default(),
+                    })
+                })
+                .collect();
+            let arm = |ops: &[gkfs_rpc::Opcode]| held.iter().for_each(|e| *e.armed.lock().unwrap() = ops.to_vec());
+            let eps = held.iter().map(|e| Arc::clone(e) as Arc<dyn Endpoint>).collect();
+            let c = GekkoClient::mount(eps, &ClusterConfig::new(2).with_write_back(64 * 1024)).unwrap();
+            let other = GekkoClient::mount(daemons.iter().map(|d| d.endpoint()).collect(), &ClusterConfig::new(2)).unwrap();
+            let w = c.open_handle("/f", OpenFlags::WRONLY.with_create()).unwrap();
+            w.pwrite(0, b"old bytes").unwrap();
+            w.flush().unwrap();
+            let write = || w.pwrite(0, b"NEW").and_then(|_| w.flush()).unwrap();
+            std::thread::scope(|s| {
+                arm(&[OPEN, WRITE]);
+                let opener = s.spawn(|| c.open_handle("/f", OpenFlags::RDONLY).unwrap());
+                served.recv().unwrap();
+                let r = match case {
+                    "a write acknowledged first" => {
+                        arm(&[]);
+                        write();
+                        release(&held, OPEN);
+                        opener.join().unwrap()
+                    }
+                    "a write acknowledged after" => {
+                        // Applied at the daemon behind the open's read,
+                        // still unacknowledged when the open returns.
+                        let writer = s.spawn(write);
+                        served.recv().unwrap();
+                        release(&held, OPEN);
+                        let r = opener.join().unwrap();
+                        release(&held, WRITE);
+                        writer.join().unwrap();
+                        r
+                    }
+                    _ => {
+                        arm(&[]);
+                        let theirs = other.open_handle("/f", OpenFlags::WRONLY).unwrap();
+                        theirs.pwrite(0, b"NEW").unwrap();
+                        theirs.close().unwrap();
+                        let newer = c.open_handle("/f", OpenFlags::RDONLY).unwrap();
+                        assert_eq!(newer.pread(0, 64).unwrap(), b"NEW bytes");
+                        release(&held, OPEN);
+                        opener.join().unwrap()
+                    }
+                };
+                assert_eq!(r.pread(0, 64).unwrap(), b"NEW bytes", "{case}");
+            });
+        }
     }
 
     #[test]

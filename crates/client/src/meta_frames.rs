@@ -151,13 +151,13 @@ impl GekkoClient {
     /// no member disagrees; a member that is down costs a hop, not the
     /// call. One RPC on the healthy path, and always when replication
     /// is off (the chain is the owner alone).
-    pub(crate) fn ask_chain(
+    pub(crate) fn ask_chain<T>(
         &self,
         primary: NodeId,
         count: usize,
-        ask: impl Fn(NodeId, &[usize]) -> Result<Vec<MetaVerdict>>,
-    ) -> Result<Vec<MetaVerdict>> {
-        let mut verdicts = vec![Err(GkfsError::NotFound); count];
+        ask: impl Fn(NodeId, &[usize]) -> Result<Vec<Result<T>>>,
+    ) -> Result<Vec<Result<T>>> {
+        let mut verdicts: Vec<Result<T>> = (0..count).map(|_| Err(GkfsError::NotFound)).collect();
         let mut open: Vec<usize> = (0..count).collect();
         let (mut answered, mut down) = (false, None);
         for n in self.placement.read_chain(primary) {

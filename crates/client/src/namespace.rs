@@ -8,6 +8,7 @@
 
 use crate::client::{now_ns, GekkoClient};
 use crate::meta_frames::create_op;
+use bytes::Bytes;
 use gkfs_common::distributor::NodeId;
 use gkfs_common::path as gpath;
 use gkfs_common::types::Dirent;
@@ -132,23 +133,46 @@ impl GekkoClient {
         Ok(())
     }
 
-    /// Stat at the daemons: one unary `Stat` per member of `path`'s
-    /// metadata read chain until one holds the entry, under the rule
+    /// Ask the daemons for `path`'s entry: `ask(node)` once per member
+    /// of its metadata read chain until one holds it, under the rule
     /// [`GekkoClient::ask_chain`] states (`NotFound` keeps trying the
     /// rest of the chain).
-    pub(crate) fn stat_chain(&self, path: &str) -> Result<Metadata> {
+    fn entry_chain<T>(&self, path: &str, ask: impl Fn(NodeId) -> Result<T>) -> Result<T> {
         // A queued batched op on this path must land first, or the
-        // stat would observe pre-batch state (read-your-writes).
+        // answer would describe pre-batch state (read-your-writes).
         self.meta_barrier_path(path)?;
-        let stat = |n, _: &[usize]| {
-            let op = MetaOp::Stat(PathReq::new(path));
-            match self.ring.meta_nb(n, op).and_then(|f| f.wait()) {
-                Ok(None) | Err(GkfsError::NotFound) => Ok(vec![Err(GkfsError::NotFound)]),
-                answer => answer.map(|entry| vec![Ok(entry)]),
-            }
+        let one = |n, _: &[usize]| match ask(n) {
+            Err(GkfsError::NotFound) => Ok(vec![Err(GkfsError::NotFound)]),
+            answer => answer.map(|entry| vec![Ok(entry)]),
         };
-        let mut verdict = self.ask_chain(self.placement.meta_primary(path), 1, stat)?;
-        verdict.pop().unwrap_or(Err(GkfsError::NotFound))?.ok_or(GkfsError::NotFound)
+        let mut verdict = self.ask_chain(self.placement.meta_primary(path), 1, one)?;
+        verdict.pop().unwrap_or(Err(GkfsError::NotFound))
+    }
+
+    /// Stat at the daemons: one unary `Stat` down the chain.
+    pub(crate) fn stat_chain(&self, path: &str) -> Result<Metadata> {
+        self.entry_chain(path, |n| {
+            let stat = MetaOp::Stat(PathReq::new(path));
+            self.ring.meta_nb(n, stat)?.wait()?.ok_or(GkfsError::NotFound)
+        })
+    }
+
+    /// What an open learns: the entry — from the TTL stat cache where it
+    /// is on and holds one, else by one `OpenFile` down the chain the
+    /// stat walks — and with it, when the daemon that answered vouches
+    /// for them, the bytes of a file of at most `head_max`
+    /// ([`DaemonRing::open_file_nb`](crate::rpc::DaemonRing::open_file_nb)).
+    /// Chunk 0's read set is the metadata's, so whoever answers the
+    /// entry is a legitimate reader of the file.
+    pub(crate) fn open_chain(&self, path: &str, head_max: u64) -> Result<(Metadata, Option<Bytes>)> {
+        if let Some(meta) = self.stat_cache.as_ref().and_then(|cache| cache.get(path)) {
+            return Ok((meta, None));
+        }
+        let (meta, file) = self.entry_chain(path, |n| self.ring.open_file_nb(n, path, head_max)?.wait())?;
+        if let Some(cache) = &self.stat_cache {
+            cache.put(path, meta.clone());
+        }
+        Ok((meta, file))
     }
 
     /// An exclusive create from `create`/`mkdir`: queued when
@@ -351,10 +375,9 @@ impl GekkoClient {
         self.meta_barrier_path(&path)?;
         // Program order: writes buffered before this truncate must land
         // before it applies, so force out the path's run.
-        let local = self.files.local(&path);
-        if let Some(local) = &local {
+        if let Some(local) = self.files.local(&path) {
             if let Some(run) = local.take_run() {
-                self.flush_run(local, run)?;
+                self.flush_run(&local, run)?;
             }
         }
         self.revoke_lease(&path);
@@ -384,9 +407,11 @@ impl GekkoClient {
                 Err(e) => return Err(e),
             }
         }
-        // The record snaps to the authoritative new size; a size update
-        // buffered before the cut is moot.
-        if let Some(local) = local {
+        // The record — looked up now: an open may have made it while the
+        // cut was under way — snaps to the authoritative new size; a size
+        // update buffered before the cut is moot, and so is a head.
+        self.files.touch(&path);
+        if let Some(local) = self.files.local(&path) {
             local.cut(new_size);
         }
         Ok(())

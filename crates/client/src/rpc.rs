@@ -659,6 +659,23 @@ impl DaemonRing {
         })
     }
 
+    /// Open `path`: its entry and, when the daemon vouches for them, the
+    /// whole of a file of at most `head_max` bytes — a view of the reply
+    /// frame, as a chunk read's bytes are. A reply whose bulk is not the
+    /// `size` bytes its entry states carries the entry alone.
+    pub fn open_file_nb(
+        &self,
+        node: NodeId,
+        path: &str,
+        head_max: u64,
+    ) -> Result<ReplyFuture<'static, (Metadata, Option<Bytes>)>> {
+        let req = OpenFileReq { path: path.to_string(), head_max };
+        self.unary_attempt::<op::OpenFile, _>(node, &req, Vec::new(), None, |r, file, _| {
+            let whole = r.held && !file.is_empty() && file.len() as u64 == r.meta.size;
+            Ok((r.meta, whole.then_some(file)))
+        })
+    }
+
     /// Update size (flush fan-out).
     pub fn update_size_nb(
         &self,

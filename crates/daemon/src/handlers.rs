@@ -186,6 +186,25 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
         Ok((ReadChunksResp { lens, missing }, bulk.into()))
     });
 
+    // `Stat`, then `ReadChunks` of the whole file out of chunk 0 — which
+    // lives here, with the entry. `head_max` is wire-controlled: clamped,
+    // so the reply stays a small frame. The *missing* rule is
+    // `ReadChunks`': short from a chunk this daemon holds is a hole
+    // (zeros up to the size the entry states), short from one it does
+    // not hold vouches for nothing.
+    let b = backends.clone();
+    reg.serve_bulk::<op::OpenFile>(move |r, _| {
+        let meta = entry(b.meta.apply_one(MetaOp::Stat(PathReq::new(r.path.as_str()))))?;
+        if meta.is_dir() || meta.size == 0 || meta.size > r.head_max.min(HEAD_MAX) {
+            return Ok((OpenFileResp { meta, held: true }, Bytes::new()));
+        }
+        let whole = [BatchOp { chunk_id: 0, offset: 0, len: meta.size, buf_offset: 0 }];
+        let (mut file, lens) = b.engine.read_batch(&b.data, &r.path, &whole)?;
+        let held = lens[0] == meta.size || b.data.holds(&r.path, 0)?;
+        file.resize(if held { meta.size as usize } else { 0 }, 0);
+        Ok((OpenFileResp { meta, held }, file.into()))
+    });
+
     let b = backends.clone();
     reg.serve::<op::RemoveChunks>(move |r| b.data.remove_chunks(&r.path, &r.ids));
 
@@ -516,6 +535,70 @@ mod tests {
         let frame = BatchMetaReq { ops: vec![MetaOp::Unlink(PathReq::new("/many"))].into() };
         call::<op::BatchMeta>(&reg, &frame).unwrap();
         assert!(!b.data.holds("/many", 0).unwrap());
+    }
+
+    /// An `OpenFile` round trip: the typed body and the reply's bulk.
+    fn open_file(reg: &HandlerRegistry, path: &str, head_max: u64) -> Result<(OpenFileResp, Bytes)> {
+        let req = OpenFileReq { path: path.into(), head_max };
+        let resp = reg.dispatch(op::OpenFile::request(&req)).into_result()?;
+        Ok((OpenFileResp::decode(&resp.body)?, resp.bulk))
+    }
+
+    #[test]
+    fn open_file_answers_the_entry_and_the_bytes_it_vouches_for() {
+        let b = backends();
+        let reg = build_registry(b.clone());
+        write_file(&reg, &file_frame(b"small", 1), b"small").unwrap();
+        let stat = call::<op::Stat>(&reg, &PathReq::new("/wf")).unwrap();
+        // The entry is `Stat`'s; the bulk is the file.
+        let (resp, file) = open_file(&reg, "/wf", 4096).unwrap();
+        assert_eq!((resp.meta, resp.held, &file[..]), (stat.clone(), true, &b"small"[..]));
+        // Exactly `head_max` still fits; one byte less does not, and 0
+        // never asks: the entry alone, nothing read.
+        assert_eq!(&open_file(&reg, "/wf", 5).unwrap().1[..], b"small");
+        let reads = b.data.stats().read_bytes.load(std::sync::atomic::Ordering::Relaxed);
+        for head_max in [4, 0] {
+            let (resp, file) = open_file(&reg, "/wf", head_max).unwrap();
+            assert_eq!((resp.meta, resp.held, file.len()), (stat.clone(), true, 0), "head_max {head_max}");
+        }
+        call::<op::Create>(&reg, &create_req("/dir", FileKind::Directory, 2)).unwrap();
+        let (resp, file) = open_file(&reg, "/dir", 4096).unwrap();
+        assert!(resp.meta.is_dir() && resp.held && file.is_empty());
+        assert_eq!(b.data.stats().read_bytes.load(std::sync::atomic::Ordering::Relaxed), reads);
+        assert_eq!(open_file(&reg, "/nope", 4096).unwrap_err(), GkfsError::NotFound);
+        // A hole inside a chunk this daemon holds is zeros, up to the
+        // size the entry states ...
+        call::<op::UpdateSize>(&reg, &UpdateSizeReq { path: "/wf".into(), size: 8, mtime_ns: 3 }).unwrap();
+        let (resp, file) = open_file(&reg, "/wf", 4096).unwrap();
+        assert_eq!((resp.meta.size, resp.held, &file[..]), (8, true, &b"small\0\0\0"[..]));
+        // ... and the same short read from a chunk it does not hold (a
+        // replica that rejoined empty and was sent the entry alone)
+        // vouches for nothing: no bytes, never zeros.
+        b.data.remove_chunks("/wf", &[0]).unwrap();
+        let (resp, file) = open_file(&reg, "/wf", 4096).unwrap();
+        assert_eq!((resp.meta.size, resp.held, file.len()), (8, false, 0));
+        assert_eq!(b.engine.reply_copy_bytes(), 0);
+    }
+
+    #[test]
+    fn a_forged_head_max_above_the_clamp_still_gets_a_small_reply() {
+        let b = backends();
+        let reg = build_registry(b.clone());
+        let (fits, over) = (vec![7u8; HEAD_MAX as usize], vec![9u8; HEAD_MAX as usize + 1]);
+        for (path, data) in [("/fits", &fits), ("/over", &over)] {
+            let frame = WriteFileReq {
+                batch: ChunkBatchReq { path: path.into(), ..file_frame(data, 1).batch },
+                ..file_frame(data, 1)
+            };
+            write_file(&reg, &frame, data).unwrap();
+        }
+        let (resp, file) = open_file(&reg, "/fits", u64::MAX).unwrap();
+        assert_eq!((resp.held, &file[..]), (true, &fits[..]));
+        let (resp, file) = open_file(&reg, "/over", u64::MAX).unwrap();
+        assert_eq!((resp.meta.size, resp.held, file.len()), (HEAD_MAX + 1, true, 0), "the daemon's clamp, not the request's word");
+        // Either reply, framed, goes through a connection's read buffer.
+        let reply = reg.dispatch(op::OpenFile::request(&OpenFileReq { path: "/fits".into(), head_max: u64::MAX }));
+        assert!(reply.encode().len() <= gkfs_rpc::transport::SMALL_FRAME + 256);
     }
 
     #[test]

@@ -142,6 +142,27 @@ fn every_message_encodes_to_its_pinned_bytes() {
     // (the daemon then writes the bytes despite `Exists`).
     pin!(WriteFileReq, WriteFileReq { batch: file_batch(), size: file_size, create: file_create, resubmitted: true }, "050000002f646174610100000000000000000000006400000000000000900100000000000001f401000000000000070000000000000001a401000001060000000000000001");
     pin!(WriteFileReq, WriteFileReq { batch: ChunkBatchReq { path: String::new(), ops: vec![] }, size: None, create: None, resubmitted: false }, "0000000000000000000000");
+    // New in PR 30, one new row: `OpenFile` asks for a path's entry and,
+    // with it, the file if it is no larger than `head_max` — `Stat`'s
+    // request with one number behind it. 0 is what a write-through
+    // mount and every handle that can write ask (the entry alone, ever),
+    pin!(OpenFileReq, OpenFileReq { path: "/x/y/z".into(), head_max: 0 }, "060000002f782f792f7a0000000000000000");
+    // and a write-back mount's read-only open names what it can hold.
+    pin!(OpenFileReq, OpenFileReq { path: "/x/y/z".into(), head_max: 16384 }, "060000002f782f792f7a0040000000000000");
+    pin!(OpenFileReq, OpenFileReq { path: String::new(), head_max: 0 }, "000000000000000000000000");
+    // The reply is `Stat`'s — a `Metadata`, byte for byte — and one flag;
+    // the file itself is the frame's bulk (pinned with the frames
+    // below). Three shapes: a small file whose bytes the daemon vouches
+    // for (`held`, bulk = `size` bytes),
+    let small = Metadata { kind: FILE, size: 4, mode: 0o644, ctime_ns: 5, mtime_ns: 6 };
+    pin!(OpenFileResp, OpenFileResp { meta: small.clone(), held: true }, "000400000000000000a40100000500000000000000060000000000000001");
+    // the same entry from a replica that does not hold chunk 0 — it
+    // rejoined empty — which vouches for nothing (no bulk: the client
+    // reads down the replica chain, never zeros),
+    pin!(OpenFileResp, OpenFileResp { meta: small, held: false }, "000400000000000000a40100000500000000000000060000000000000000");
+    // and an entry nothing was read for — a directory, an empty file,
+    // one over `head_max`: nothing is missing, and there is no bulk.
+    pin!(OpenFileResp, OpenFileResp { meta: Metadata { kind: DIR, size: 0, mode: 0o755, ctime_ns: 1, mtime_ns: 2 }, held: true }, "010000000000000000ed0100000100000000000000020000000000000001");
     pin!(TruncateChunksReq, TruncateChunksReq { path: "/t".into(), keep_chunk: 9, keep_bytes: 4095 }, "020000002f740900000000000000ff0f000000000000");
     pin!(TruncateChunksReq, TruncateChunksReq { path: String::new(), keep_chunk: 0, keep_bytes: 0 }, "0000000000000000000000000000000000000000");
     pin!(ChunkInventoryResp, ChunkInventoryResp { entries: vec![("/a".into(), 3), ("/b:x".into(), 1)] }, "02000000020000002f610300000000000000040000002f623a780100000000000000");
@@ -248,6 +269,14 @@ fn frames_encode_to_their_pinned_bytes() {
     let mut resp = Response::ok(&b"lens"[..]).with_bulk(vec![7u8; 3]);
     resp.id = 42;
     assert_eq!(hex(&resp.encode()), "2a000000000000000000000000000000040000006c656e7303000000070707");
+    // An `OpenFile` reply that carries the file: the entry and the flag
+    // are the body, the file's four bytes the bulk behind it.
+    let entry = OpenFileResp { meta: Metadata { kind: FILE, size: 4, mode: 0o644, ctime_ns: 5, mtime_ns: 6 }, held: true };
+    let mut resp = Response::ok(entry.encode()).with_bulk(&b"file"[..]);
+    resp.id = 7;
+    assert_eq!(hex(&resp.encode()), "07000000000000000000000000000000\
+1e000000000400000000000000a40100000500000000000000060000000000000001\
+0400000066696c65");
     let mut resp = Response::err(GkfsError::InvalidArgument("bad offset".into()));
     resp.id = 9;
     assert_eq!(hex(&resp.encode()), "0900000000000000060000000a000000626164206f66667365740000000000000000");

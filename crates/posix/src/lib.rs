@@ -30,6 +30,18 @@
 //! such a mount; a write-through mount (the default) decides at
 //! `gkfs_open`, as POSIX says.
 //!
+//! **A read-only descriptor on a write-back mount holds a small file as
+//! of its open.** On such a mount `gkfs_open(path, O_RDONLY)` of a
+//! regular file of at most 16 KiB (and one chunk, and the write-back
+//! buffer's size) brings the file back with its entry, and `gkfs_read` /
+//! `gkfs_pread` on the descriptor are answered from that copy — exactly
+//! as every descriptor on every mount has always held the file's *size*
+//! as of its open. What this process writes, truncates or unlinks is
+//! seen at once; **another process's** later write is seen at the next
+//! `gkfs_open` of the path. To poll a small file for another process's
+//! update, re-open it — do not re-read an open descriptor. A
+//! write-through mount (the default) reads the daemons on every call.
+//!
 //! A process first installs a mounted client with [`install_client`]
 //! (the preload library would do this in its constructor after reading
 //! the hosts file).

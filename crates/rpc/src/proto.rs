@@ -21,6 +21,7 @@
 //! reply shape (`read_reply_copy_bytes == 0`) possible.
 
 use crate::message::{Request, Response};
+use crate::transport::SMALL_FRAME;
 use bytes::Bytes;
 use gkfs_common::types::Dirent;
 pub use gkfs_common::wire::Wire;
@@ -67,8 +68,9 @@ pub(crate) fn body_of<T: Wire>(v: &T) -> Bytes {
 /// alone in its connection's read buffer, is pooled whatever its class).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeClass {
-    /// Bounded work on in-memory state — one kvstore point op. Runs to
-    /// completion where its frame was read.
+    /// Bounded work — one kvstore point op on in-memory state, and for
+    /// `OpenFile` one chunk read of at most [`HEAD_MAX`] bytes behind
+    /// it. Runs to completion where its frame was read.
     Point,
     /// A group apply of many point ops under one commit (`BatchMeta`):
     /// a point op on a daemon whose metadata store keeps no log, pooled
@@ -180,7 +182,21 @@ rpc_table! {
     /// storage untouched) and an optional size candidate merged *after*
     /// the bytes landed. The data is the request's bulk payload.
     17 WriteFile(Chunks): WriteFileReq => ();
+    /// Open a file: its metadata entry and, when it is a regular file of
+    /// at most `head_max` bytes, the file itself as the response's bulk
+    /// payload — chunk 0 lives on the daemon that holds the entry, so
+    /// one frame answers what `Stat` and a `ReadChunks` of chunk 0
+    /// would. A point op: the daemon clamps `head_max` to [`HEAD_MAX`],
+    /// so the read is bounded and the reply a small frame.
+    18 OpenFile(Point): OpenFileReq => OpenFileResp;
 }
+
+/// Most bytes an [`op::OpenFile`] reply carries, whatever the request
+/// asks: a reply bulk of this size is still a small frame
+/// ([`SMALL_FRAME`] bounds `ReadChunks`' inline replies the same way),
+/// so the daemon serves it on the connection thread and the client's
+/// waiter reads it itself.
+pub const HEAD_MAX: u64 = SMALL_FRAME as u64;
 
 wire_struct! {
     /// `Create`: make a metadata entry on its owning daemon.
@@ -401,6 +417,36 @@ wire_struct! {
         /// (the lost-reply rule of `Create`), so the bytes are written
         /// all the same — that delivery may have died before its write.
         pub resubmitted: bool,
+    }
+}
+
+wire_struct! {
+    /// `OpenFile`: fetch `path`'s entry and, if it is a regular file of
+    /// at most `head_max` bytes (0: never), its bytes with it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct OpenFileReq {
+        /// Path.
+        pub path: String,
+        /// Largest file the caller wants whole (the daemon clamps it to
+        /// [`HEAD_MAX`]).
+        pub head_max: u64,
+    }
+}
+
+wire_struct! {
+    /// `OpenFile` response: the entry. The frame's bulk payload is the
+    /// file — `meta.size` bytes, holes zero-filled — or empty when the
+    /// file was not read (a directory, an empty file, one over
+    /// `head_max`) or not vouched for.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct OpenFileResp {
+        /// The entry, as `Stat` answers it.
+        pub meta: Metadata,
+        /// `ReadChunks`' *missing* rule, negated: `false` means the read
+        /// came back short from a chunk this daemon does not hold — a
+        /// replica that missed the write (rejoined empty) — so no bytes
+        /// are vouched for and the caller reads down the replica chain.
+        pub held: bool,
     }
 }
 
@@ -1066,6 +1112,17 @@ mod tests {
             ],
             &[()],
         );
+        check_row::<op::OpenFile>(
+            &mut seen,
+            &[
+                OpenFileReq { path: "/x/y/z".into(), head_max: 0 },
+                OpenFileReq { path: String::new(), head_max: u64::MAX },
+            ],
+            &[
+                OpenFileResp { meta: Metadata::new_file(7), held: true },
+                OpenFileResp { meta: Metadata::new_dir(0), held: false },
+            ],
+        );
         assert_eq!(seen, Opcode::ALL, "a table row has no samples here");
     }
 
@@ -1118,9 +1175,9 @@ mod tests {
         for &op in Opcode::ALL {
             assert_eq!(Opcode::from_u16(op as u16).unwrap(), op);
         }
-        assert_eq!(Opcode::ALL.len(), 17);
+        assert_eq!(Opcode::ALL.len(), 18);
         assert!(Opcode::from_u16(12).is_err(), "12 was Shutdown and stays unassigned");
-        assert!(Opcode::from_u16(18).is_err());
+        assert!(Opcode::from_u16(19).is_err());
         assert!(Opcode::from_u16(999).is_err());
     }
 

@@ -242,6 +242,21 @@ fn fuzz_opcode(opcode: Opcode, seed: u64, scale: usize) {
             s,
             scale,
         ),
+        Opcode::OpenFile => fuzz_row::<op::OpenFile>(
+            &[
+                "060000002f782f792f7a0000000000000000",
+                "060000002f782f792f7a0040000000000000",
+                "000000000000000000000000",
+            ],
+            &[
+                "000400000000000000a40100000500000000000000060000000000000001",
+                "000400000000000000a40100000500000000000000060000000000000000",
+                "010000000000000000ed0100000100000000000000020000000000000001",
+            ],
+            true,
+            s,
+            scale,
+        ),
         // Its results carry error statuses: a code this build does not
         // know decodes (as `Rpc`), so the bytes need not come back.
         Opcode::BatchMeta => fuzz_row::<op::BatchMeta>(
@@ -293,6 +308,9 @@ const REQUEST_FRAMES: &[&str] = &[
 ];
 const RESPONSE_FRAMES: &[&str] = &[
     "2a000000000000000000000000000000040000006c656e7303000000070707",
+    "07000000000000000000000000000000\
+1e000000000400000000000000a40100000500000000000000060000000000000001\
+0400000066696c65",
     "0900000000000000060000000a000000626164206f66667365740000000000000000",
 ];
 
@@ -378,7 +396,7 @@ fn fuzz_streams(seed: u64, scale: usize) {
     // (it is larger than the buffer), and one behind it.
     let large = Request::new(Opcode::WriteChunks, unhex(CHUNK_BATCHES[0])).with_bulk(vec![0xA5u8; 20_000]);
     let small: Vec<Vec<u8>> =
-        [REQUEST_FRAMES[0], RESPONSE_FRAMES[1], REQUEST_FRAMES[1]].iter().map(|h| unhex(h)).collect();
+        [REQUEST_FRAMES[0], RESPONSE_FRAMES[2], REQUEST_FRAMES[1]].iter().map(|h| unhex(h)).collect();
     let mut mixed = small.clone();
     mixed.insert(2, large.encode());
     for (name, sent) in [("small stream", &small), ("mixed stream", &mixed)] {

@@ -95,10 +95,19 @@ echo "==> client RPC budget + TCP thread hand-off gates (counts, not wall-clock)
 # enumerates a directory for it. Since chunk 0 lives with the inode the
 # same file holds the small-file gate: a write-back ingest of a 4 KiB
 # file is 1 frame per metadata replica (it was 3 RPCs), its unlink 1
-# (was 2), its scan still 3, a write-through pwrite 1 frame wherever its
-# chunk's owner is the metadata owner, a zero-byte create/unlink 1/1
-# with no chunk store touched — and the one serial exception (an unborn
-# file starting past chunk 0 hears its create before another leg leaves).
+# (was 2), a write-through pwrite 1 frame wherever its chunk's owner is
+# the metadata owner, a zero-byte create/unlink 1/1 with no chunk store
+# touched — and the one serial exception (an unborn file starting past
+# chunk 0 hears its create before another leg leaves). Since a read-only
+# open on a write-back mount returns the file (one `OpenFile` frame, the
+# entry and chunk 0 from the daemon that holds both), its scan is 2
+# round trips (was 3: stat, the open's stat, ReadChunks), a second pread
+# through the handle 0, at 1 and at 2 replicas; still 3 on a
+# write-through mount, 3 on both for a file one byte over what an open
+# reply carries, an O_RDWR open holds nothing, a file the daemons have
+# not been told of is read at 0 frames — and over TCP that open is served
+# on the connection thread and its reply, 4 KiB or the 16 KiB most it
+# carries, read by its waiter.
 cargo test -p gkfs-integration --release --test rpc_budget
 
 echo "==> chunk-store layout gates, release (one inode per chunk; a write racing an unlink never fails)"

@@ -17,6 +17,7 @@ use gekkofs::{
 };
 use gkfs_common::distributor::substitute;
 use gkfs_rpc::{ChaosConfig, ChaosEndpoint, ChaosListener, Endpoint, EndpointOptions, TcpEndpoint};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -485,6 +486,11 @@ fn kill_rejoin_schedule_loses_no_acked_write_and_recovers_in_bound() {
         // backends). Peers must detect the epoch flip and drain its
         // share back within the recovery bound.
         cluster.rejoin(victim).unwrap();
+        // Empty, answering, drain-back under way: an open's frame finds
+        // on it no entry (the chain moves on), an entry whose chunk 0
+        // has not arrived (`held = false`: no head, the read fails
+        // over), or both — never zeros for an acknowledged byte.
+        verify_all(&fs, &files, "ingest, rejoined, drain-back under way");
         let t0 = Instant::now();
         while !node_holds_its_share(&cluster, victim, &files, &config) {
             assert!(
@@ -523,7 +529,10 @@ fn small_file_ingest_across_kill_and_rejoin_keeps_every_acked_close() {
     // The kill/rejoin schedule over the one-frame ingest: chunk 0 and
     // the entry share a replica set, so a `close` that returned `Ok`
     // while the metadata primary was dead left both on the survivor,
-    // and drain-back owes the rejoined node both.
+    // and drain-back owes the rejoined node both. Every scan
+    // (`verify_all`) is through the write-back mount that ingested: its
+    // opens are `OpenFile` frames, answered by the survivor with the
+    // file in the reply while the primary is dead.
     for seed in SEEDS {
         let config = repl_cluster_config(3).with_write_back(64 * 1024);
         let mut cluster = Cluster::deploy(config.clone()).unwrap();
@@ -662,6 +671,69 @@ fn rejoin_window_reads_fail_over_instead_of_zeros() {
         // The victim is back, answering, and empty. Every acked byte
         // must still read back exactly.
         verify_all(&fs, &files, "rejoined-empty window");
+        cluster.shutdown();
+    }
+}
+
+#[test]
+fn rejoin_window_small_file_scans_are_the_survivors_bytes_never_zeros() {
+    // The same window for what a write-back mount ingests and scans: a
+    // read-only open there asks for the file with its entry, and the
+    // daemon it asks first rejoined EMPTY (no drain-back, as above).
+    for seed in SEEDS {
+        let config = ClusterConfig::new(3)
+            .with_chunk_size(REPL_CHUNK)
+            .with_retry(chaos_retry())
+            .with_write_back(64 * 1024)
+            .with_replication(ReplicationConfig {
+                replicas: 2,
+                write_quorum: 1,
+                hedge_after_ms: 15,
+                heartbeat_interval_ms: 3_600_000,
+                suspect_after_ms: 3_600_000,
+                dead_after_ms: 7_200_000,
+            });
+        let mut cluster = Cluster::deploy(config.clone()).unwrap();
+        let fs = cluster.mount().unwrap();
+        let mut files: Vec<(String, Vec<u8>)> = Vec::new();
+        for i in 0..12u64 {
+            let p = format!("/window/small.{i}");
+            let data = repl_payload(seed, i, 300 + (i as usize * 137) % 1700);
+            ingest_small(&fs, &p, &data).unwrap();
+            files.push((p, data));
+        }
+        let spent = |scan: &dyn Fn()| {
+            let before = fs.stats().rpcs_issued.load(Ordering::Relaxed);
+            scan();
+            fs.stats().rpcs_issued.load(Ordering::Relaxed) - before
+        };
+        let n = files.len() as u64;
+        assert_eq!(spent(&|| verify_all(&fs, &files, "healthy")), n, "seed {seed:#x}: an open, and the file in its reply");
+
+        let victim = (seed as usize) % 3;
+        let dist = config.make_distributor_for(0);
+        let asked_first = files.iter().filter(|(p, _)| dist.locate_metadata(p) == victim).count() as u64;
+        assert!(asked_first > 0, "seed {seed:#x}: no file has the victim first in its chain");
+        cluster.kill(victim);
+        cluster.rejoin(victim).unwrap();
+
+        // It answers an open `NotFound`: the chain moves on, and the
+        // survivor's reply is the file.
+        let window = spent(&|| verify_all(&fs, &files, "rejoined-empty window"));
+        assert_eq!(window, n + asked_first, "seed {seed:#x}: one more open where the victim is asked first");
+        // Then the entries arrive ahead of the bytes (drain-back pushes
+        // them apart): the rejoined node answers an open with the entry
+        // and `held = false` — it vouches for no byte, the handle holds
+        // no head, and the read fails over down the chain, the victim
+        // answering "absent" once more.
+        for (p, data) in &files {
+            if dist.metadata_replicas(p, 2).contains(&victim) {
+                let entry = gkfs_common::Metadata { size: data.len() as u64, ..gkfs_common::Metadata::new_file(1) };
+                cluster.daemon(victim).backends().meta.install_replica(p, &entry).unwrap();
+            }
+        }
+        let unvouched = spent(&|| verify_all(&fs, &files, "entries back, chunks not"));
+        assert_eq!(unvouched, n + 2 * asked_first, "seed {seed:#x}: an unvouched open, then a read that fails over");
         cluster.shutdown();
     }
 }

@@ -57,6 +57,24 @@ fn tcp_scatter_gather_read_replies_copy_zero_bytes() {
     }
     h.close().unwrap();
 
+    // An `OpenFile` reply is one such read with the entry in front of
+    // it: a write-back mount's read-only open of a small file — full,
+    // and short of its size (a hole at the tail, zero-filled in place) —
+    // comes back whole, and nothing was moved to make it so.
+    let back = TcpCluster::mount_remote(cluster.addrs(), &ClusterConfig::new(2).with_chunk_size(CHUNK).with_write_back(CHUNK))
+        .unwrap();
+    for (path, tail) in [("/gate/small", 0), ("/gate/small-sparse", 100)] {
+        let h = fs.open_handle(path, OpenFlags::WRONLY.with_create()).unwrap();
+        h.pwrite(0, &data[..4096]).unwrap();
+        h.close().unwrap();
+        fs.truncate(path, 4096 + tail).unwrap();
+        let before = back.stats().rpcs_issued.load(Ordering::Relaxed);
+        let r = back.open_handle(path, OpenFlags::RDONLY).unwrap();
+        let got = r.pread(0, 8192).unwrap();
+        assert_eq!((&got[..4096], &got[4096..]), (&data[..4096], &vec![0u8; tail as usize][..]), "{path}");
+        assert_eq!(back.stats().rpcs_issued.load(Ordering::Relaxed) - before, 1, "{path}: the bytes rode the open's reply");
+    }
+
     let copied: u64 = fs
         .cluster_stats()
         .unwrap()

@@ -16,6 +16,19 @@
 //! path (each such call is an op here), at which point the path is the
 //! unborn file's if nobody owns it and stays its owner's, untouched, if
 //! somebody does.
+//!
+//! The same two mounts carry the staleness argument of the write-back
+//! mount's small-file reads (DESIGN.md "Open handles, write-back
+//! batching and leases"): a read-only open there holds a small file as
+//! of that open. A second family of ops keeps read-only handles open on
+//! either mount while either mount overwrites, cuts or replaces the
+//! file, and the model keeps every version a path has had. A read
+//! through a kept handle of the write-through mount is the latest
+//! version, always; through one of the write-back mount it is **one**
+//! version — whole, never a mix — no older than the newest open of the
+//! path on that mount, and the latest after any write through that
+//! mount. (EOF is the handle's, as ever: what it learned at its opens
+//! and from its own mount's writes — the model asks the handle for it.)
 
 use gekkofs::{Cluster, ClusterConfig, FileHandle, GekkoClient, GkfsError, OpenFlags};
 use proptest::prelude::*;
@@ -36,6 +49,27 @@ enum Op {
     /// A call of the write-back mount that must publish the unborn file
     /// first; its handle is closed after it.
     Publish { file: u8, by: Hazard },
+    /// Open a small file on one of the mounts — read-only, or on the
+    /// write-back mount write-only if `writer` — and keep the handle in
+    /// `slot`, closing what was there: a first open, a re-open, a second
+    /// handle beside a kept one.
+    Keep { file: u8, slot: u8, on_wb: bool, writer: bool },
+    /// Read through one of the kept read-only handles.
+    ReadKept { pick: u8, offset: u16, len: u16 },
+    /// Write through one of the write-back mount's kept write-only
+    /// handles — one that may have been open since before the newest
+    /// read-only open of its path — and flush.
+    PutKept { pick: u8, offset: u16, len: u8, seed: u8 },
+    /// Write into a small file (making it first if need be) through a
+    /// write-only handle of one of the mounts, opened and closed for it:
+    /// the other mount overwrites, or this one writes through a second
+    /// handle.
+    Put { file: u8, offset: u16, len: u8, seed: u8, by_wb: bool },
+    /// Truncate a small file by path on one of the mounts.
+    Cut { file: u8, size: u16, by_wb: bool },
+    /// The write-through mount unlinks a small file and makes it again
+    /// with other bytes.
+    Replace { file: u8, len: u8, seed: u8 },
 }
 
 /// The calls that publish an unborn file before they do their own work.
@@ -70,18 +104,36 @@ fn hazard_strategy() -> impl Strategy<Value = Hazard> {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..6).prop_map(Op::Create),
-        ((0u8..6), any::<u16>(), any::<u8>(), any::<u8>())
+        1 => (0u8..6).prop_map(Op::Create),
+        1 => ((0u8..6), any::<u16>(), any::<u8>(), any::<u8>())
             .prop_map(|(file, offset, len, seed)| Op::Write { file, offset: offset % 20_000, len, seed }),
-        ((0u8..6), any::<u16>(), any::<u16>())
+        1 => ((0u8..6), any::<u16>(), any::<u16>())
             .prop_map(|(file, offset, len)| Op::Read { file, offset: offset % 25_000, len: len % 25_000 }),
-        ((0u8..6), any::<u16>()).prop_map(|(file, size)| Op::Truncate { file, size: size % 25_000 }),
-        (0u8..6).prop_map(Op::Remove),
-        (0u8..6).prop_map(Op::Stat),
-        (0u8..6).prop_map(Op::Unborn),
-        ((0u8..6), any::<u8>(), any::<u8>()).prop_map(|(file, len, seed)| Op::UnbornAppend { file, len, seed }),
-        ((0u8..6), hazard_strategy()).prop_map(|(file, by)| Op::Publish { file, by }),
+        1 => ((0u8..6), any::<u16>()).prop_map(|(file, size)| Op::Truncate { file, size: size % 25_000 }),
+        1 => (0u8..6).prop_map(Op::Remove),
+        1 => (0u8..6).prop_map(Op::Stat),
+        1 => (0u8..6).prop_map(Op::Unborn),
+        1 => ((0u8..6), any::<u8>(), any::<u8>()).prop_map(|(file, len, seed)| Op::UnbornAppend { file, len, seed }),
+        1 => ((0u8..6), hazard_strategy()).prop_map(|(file, by)| Op::Publish { file, by }),
+        // Two small files and six slots, mostly on the write-back mount:
+        // handles on one path must often be open side by side.
+        4 => ((0u8..2), (0u8..6), (0u8..4), (0u8..4))
+            .prop_map(|(file, slot, on_wb, writer)| Op::Keep { file, slot, on_wb: on_wb > 0, writer: on_wb > 0 && writer == 0 }),
+        6 => (any::<u8>(), any::<u16>(), any::<u16>())
+            .prop_map(|(pick, offset, len)| Op::ReadKept { pick, offset: offset % 3_000, len: 1 + len % 6_000 }),
+        2 => (any::<u8>(), any::<u16>(), any::<u8>(), any::<u8>())
+            .prop_map(|(pick, offset, len, seed)| Op::PutKept { pick, offset: offset % 4_500, len, seed }),
+        // Mostly inside what an open's reply carries (one 4 KiB chunk
+        // here), sometimes across it.
+        3 => ((0u8..2), any::<u16>(), any::<u8>(), any::<u8>(), any::<bool>())
+            .prop_map(|(file, offset, len, seed, by_wb)| Op::Put { file, offset: offset % 4_500, len, seed, by_wb }),
+        1 => ((0u8..2), any::<u16>(), any::<bool>()).prop_map(|(file, size, by_wb)| Op::Cut { file, size: size % 5_000, by_wb }),
+        1 => ((0u8..2), any::<u8>(), any::<u8>()).prop_map(|(file, len, seed)| Op::Replace { file, len, seed }),
     ]
+}
+
+fn small(file: u8) -> String {
+    format!("/prop/small-{file}")
 }
 
 fn path(file: u8) -> String {
@@ -96,6 +148,23 @@ fn pattern(seed: u8, len: usize) -> Vec<u8> {
 #[derive(Default)]
 struct Model {
     files: HashMap<String, Vec<u8>>,
+    /// Every version a small file has had, oldest first; the last is
+    /// what `files` holds for it.
+    versions: HashMap<String, Vec<Vec<u8>>>,
+    /// Per small file, the oldest version a read through a handle of
+    /// the write-back mount may still return: the latest as of that
+    /// mount's newest open of, or write to, the path.
+    floor: HashMap<String, usize>,
+}
+
+/// A handle kept open across ops: its path, whether the write-back
+/// mount holds it, whether it is a write-only one, the handle.
+type Kept<'c> = (String, bool, bool, FileHandle<'c>);
+
+/// The `pick`-th of the kept handles that are writers, or are not.
+fn pick_kept<'a, 'c>(kept: &'a [Option<Kept<'c>>], writer: bool, pick: u8) -> Option<&'a Kept<'c>> {
+    let of_kind: Vec<&Kept<'c>> = kept.iter().flatten().filter(|k| k.2 == writer).collect();
+    of_kind.get(pick as usize % of_kind.len().max(1)).copied()
 }
 
 impl Model {
@@ -144,6 +213,40 @@ impl Model {
     }
     fn size(&self, p: &str) -> Option<usize> {
         self.files.get(p).map(|c| c.len())
+    }
+
+    /// One of the mounts changed small file `p` — its contents are
+    /// already in `files`: a new version, and if it was the write-back
+    /// mount, what that mount must see from now on.
+    fn changed(&mut self, p: &str, by_wb: bool) {
+        let versions = self.versions.entry(p.to_string()).or_default();
+        versions.push(self.files[p].clone());
+        if by_wb {
+            self.floor.insert(p.to_string(), versions.len() - 1);
+        }
+    }
+
+    /// The write-back mount opened `p`: nothing older than the latest
+    /// version may come out of any of its handles on the path again.
+    fn opened_on_wb(&mut self, p: &str) {
+        self.floor.insert(p.to_string(), self.versions[p].len() - 1);
+    }
+
+    /// What a read of `[offset, offset + len)` through kept handle
+    /// `kept` may return: the range out of each version the handle's
+    /// mount may still hold, under the handle's own EOF.
+    fn may_read(&self, kept: &Kept<'_>, offset: usize, len: usize) -> Vec<Vec<u8>> {
+        let (p, on_wb, _, h) = kept;
+        let versions = &self.versions[p];
+        let oldest = if *on_wb { self.floor[p] } else { versions.len() - 1 };
+        versions[oldest..]
+            .iter()
+            .map(|v| {
+                let mut v = v.clone();
+                v.resize(h.size() as usize, 0);
+                v[offset.min(v.len())..(offset + len).min(v.len())].to_vec()
+            })
+            .collect()
     }
 }
 
@@ -206,12 +309,12 @@ fn publish(wb: &GekkoClient, model: &mut Model, mut held: Vec<Held<'_>>, by: Haz
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 24, // each case runs a whole cluster: keep the count sane
+        cases: 64, // each case runs a whole cluster: keep the count sane
         .. ProptestConfig::default()
     })]
 
     #[test]
-    fn gekkofs_agrees_with_reference_model(ops in prop::collection::vec(op_strategy(), 1..60)) {
+    fn gekkofs_agrees_with_reference_model(ops in prop::collection::vec(op_strategy(), 1..150)) {
         // Small chunks force multi-node striping even with small data.
         let cluster = Cluster::deploy(
             ClusterConfig::new(3).with_chunk_size(4096)
@@ -226,6 +329,8 @@ proptest! {
         // What the write-back mount holds back: path → open handle and
         // the bytes buffered behind it.
         let mut unborn: HashMap<String, (FileHandle<'_>, Vec<u8>)> = HashMap::new();
+        let mut kept: [Option<Kept<'_>>; 6] = std::array::from_fn(|_| None);
+        let mount = |by_wb: bool| if by_wb { &wb } else { &fs };
 
         for op in &ops {
             match op {
@@ -319,7 +424,83 @@ proptest! {
                         publish(&wb, &mut model, held, *by)?;
                     }
                 }
+                Op::Keep { file, slot, on_wb, writer } => {
+                    let p = small(*file);
+                    if let Some((.., old)) = kept[*slot as usize].take() {
+                        prop_assert!(old.close().is_ok());
+                    }
+                    let flags = if *writer { OpenFlags::WRONLY } else { OpenFlags::RDONLY };
+                    match mount(*on_wb).open_handle(&p, flags) {
+                        Ok(h) => {
+                            prop_assert!(model.files.contains_key(&p), "opened {}, which nobody made", p);
+                            if *on_wb {
+                                model.opened_on_wb(&p);
+                            }
+                            kept[*slot as usize] = Some((p, *on_wb, *writer, h));
+                        }
+                        Err(e) => prop_assert!(!model.files.contains_key(&p) && e == GkfsError::NotFound, "open {}: {:?}", p, e),
+                    }
+                }
+                Op::ReadKept { pick, offset, len } => {
+                    if let Some(k) = pick_kept(&kept, false, *pick) {
+                        let got = k.3.pread(*offset as u64, *len as usize).unwrap();
+                        let may = model.may_read(k, *offset as usize, *len as usize);
+                        prop_assert!(
+                            may.contains(&got),
+                            "read {} @{}+{} through a kept handle (write-back: {}) is none of the {} versions it may be",
+                            k.0, offset, len, k.1, may.len()
+                        );
+                    }
+                }
+                Op::PutKept { pick, offset, len, seed } => {
+                    if let Some((p, _, _, h)) = pick_kept(&kept, true, *pick) {
+                        let data = pattern(*seed, *len as usize);
+                        h.pwrite(*offset as u64, &data).unwrap();
+                        h.flush().unwrap();
+                        prop_assert!(model.write(p, *offset as usize, &data));
+                        model.changed(p, true);
+                    }
+                }
+                Op::Put { file, offset, len, seed, by_wb } => {
+                    let p = small(*file);
+                    let data = pattern(*seed, *len as usize);
+                    let h = mount(*by_wb).open_handle(&p, OpenFlags::WRONLY.with_create()).unwrap();
+                    h.pwrite(*offset as u64, &data).unwrap();
+                    h.close().unwrap();
+                    model.create(&p);
+                    prop_assert!(model.write(&p, *offset as usize, &data));
+                    model.changed(&p, *by_wb);
+                }
+                Op::Cut { file, size, by_wb } => {
+                    let p = small(*file);
+                    let expect = model.truncate(&p, *size as usize);
+                    prop_assert_eq!(expect, mount(*by_wb).truncate(&p, *size as u64).is_ok());
+                    if expect {
+                        model.changed(&p, *by_wb);
+                    }
+                }
+                Op::Replace { file, len, seed } => {
+                    let p = small(*file);
+                    if model.remove(&p) {
+                        let fresh = pattern(*seed, *len as usize);
+                        fs.unlink(&p).unwrap();
+                        let h = fs.open_handle(&p, OpenFlags::WRONLY.with_create().with_exclusive()).unwrap();
+                        h.pwrite(0, &fresh).unwrap();
+                        h.close().unwrap();
+                        model.files.insert(p.clone(), fresh);
+                        model.changed(&p, false);
+                        // A handle of the mount that unlinked it has
+                        // been told; only the other mount's live on.
+                        for slot in kept.iter_mut().filter(|k| matches!(k, Some((kp, false, ..)) if *kp == p)) {
+                            let (.., h) = slot.take().unwrap();
+                            prop_assert_eq!(h.pread(0, 16), Err(GkfsError::NotFound));
+                        }
+                    }
+                }
             }
+        }
+        for (.., h) in kept.into_iter().flatten() {
+            prop_assert!(h.close().is_ok());
         }
         // What is still unborn at the end is published by its close.
         for (p, (h, content)) in unborn.drain() {

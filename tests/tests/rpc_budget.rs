@@ -27,7 +27,9 @@
 //! is always: chunk 0 lives with the inode.) The handle path must do
 //! the same chain in one frame for create + bytes + size, one stat and
 //! one unlink: 3 per file, pinned exactly by **the small-file gate**
-//! below. The budget test asserts the >= 2x acceptance bound against
+//! below — which since PR 30 also pins what reading one back costs: on a
+//! write-back mount the open returns the file, so a scan is 2 round
+//! trips, not 3. The budget test asserts the >= 2x acceptance bound against
 //! the itemized baseline *and* a tighter absolute budget so regressions
 //! inside the 2x headroom still trip.
 //!
@@ -247,22 +249,25 @@ fn ior_8k_sequential_write_rpc_budget_holds() {
 }
 
 /// Round trips per operation on a healthy 3-node cluster keeping
-/// `replicas` copies, for a fixed script: create, open (stat), one
-/// single-chunk 8 KiB write, read it back, stat, truncate, close,
-/// unlink. No write-back, no size cache, and a hedge window that never
-/// fires, so every RPC is structural.
-fn replicated_script_rpcs(replicas: usize) -> [u64; 7] {
-    let cluster = Cluster::deploy(
-        ClusterConfig::new(3)
-            .with_chunk_size(64 * 1024)
-            .with_replication(ReplicationConfig {
-                replicas,
-                hedge_after_ms: 60_000,
-                ..ReplicationConfig::default()
-            }),
-    )
-    .unwrap();
+/// `replicas` copies, for a fixed script: create, open (the entry),
+/// one single-chunk 8 KiB write, read it back, stat, a scan through a
+/// second, write-back mount (stat, open read-only, read, close),
+/// truncate, close, unlink. No size cache, and a hedge window that
+/// never fires, so every RPC is structural.
+fn replicated_script_rpcs(replicas: usize) -> [u64; 8] {
+    let config = ClusterConfig::new(3)
+        .with_chunk_size(64 * 1024)
+        .with_replication(ReplicationConfig {
+            replicas,
+            hedge_after_ms: 60_000,
+            ..ReplicationConfig::default()
+        });
+    let cluster = Cluster::deploy(config.clone()).unwrap();
     let fs = cluster.mount().unwrap();
+    let back = {
+        let endpoints = (0..3).map(|n| cluster.daemon(n).endpoint()).collect();
+        GekkoClient::mount(endpoints, &config.with_write_back(64 * 1024)).unwrap()
+    };
     let mut last = fs.stats().rpcs_issued.load(Ordering::Relaxed);
     let mut delta = || {
         let now = fs.stats().rpcs_issued.load(Ordering::Relaxed);
@@ -278,13 +283,21 @@ fn replicated_script_rpcs(replicas: usize) -> [u64; 7] {
     let read = delta();
     assert_eq!(fs.stat("/budget/f").unwrap().size, 8 * 1024);
     let stat = delta();
+    let scan = {
+        let before = back.stats().rpcs_issued.load(Ordering::Relaxed);
+        assert_eq!(back.stat("/budget/f").unwrap().size, 8 * 1024);
+        let r = back.open_handle("/budget/f", OpenFlags::RDONLY).unwrap();
+        assert_eq!(r.pread(0, 8 * 1024).unwrap(), vec![0x5Au8; 8 * 1024]);
+        r.close().unwrap();
+        back.stats().rpcs_issued.load(Ordering::Relaxed) - before
+    };
     h.truncate(4 * 1024).unwrap();
     let truncate = delta();
     h.close().unwrap();
     fs.unlink("/budget/f").unwrap();
     let close_unlink = delta();
     cluster.shutdown();
-    [create, open, write, read, stat, truncate, close_unlink]
+    [create, open, write, read, stat, scan, truncate, close_unlink]
 }
 
 /// Replication is a replica set, not a second protocol: every mutation
@@ -296,7 +309,9 @@ fn replicated_script_rpcs(replicas: usize) -> [u64; 7] {
 /// one frame per replica carrying bytes and size (it was a chunk batch
 /// and a size update to each), and the unlink one `RemoveMeta` per
 /// replica, each dropping its own chunk 0 (it was that and a chunk
-/// removal to each). Exact totals: neither a dropped replica leg nor a
+/// removal to each). A write-back mount's scan is two round trips at
+/// either count — the stat, and the open that returns the file: reads
+/// never fan out. Exact totals: neither a dropped replica leg nor a
 /// sneaked-in extra round trip survives.
 #[test]
 fn replica_legs_cost_exactly_replicas_round_trips() {
@@ -304,17 +319,18 @@ fn replica_legs_cost_exactly_replicas_round_trips() {
         let r = replicas;
         let expect = [
             r,         // create: one per metadata replica
-            1,         // open: one stat
+            1,         // open: one OpenFile, the entry alone
             r,         // write: bytes + size, one frame per replica
             1,         // read: the chain's first member answers
             1,         // stat
+            2,         // scan, write-back mount: stat, OpenFile with the file in its reply
             r + 3,     // truncate: meta per replica + 3-node chunk broadcast
             r,         // close: nothing buffered; unlink: meta per replica, chunk 0 with it, no stat
         ];
         assert_eq!(
             replicated_script_rpcs(replicas as usize),
             expect,
-            "replicas = {replicas}: [create, open, write, read, stat, truncate, close+unlink]"
+            "replicas = {replicas}: [create, open, write, read, stat, scan, truncate, close+unlink]"
         );
     }
 }
@@ -325,8 +341,15 @@ fn replica_legs_cost_exactly_replicas_round_trips() {
 /// to each replica of the metadata owner — create, bytes and size
 /// (it was three RPCs in two serial rounds: 3r); its unlink is **one**
 /// `RemoveMeta` each, the owner dropping its own chunk 0 (2r); its scan
-/// is still three round trips (`stat`, the open's `stat`, `ReadChunks`)
-/// — asserted so nobody thinks it moved. A write-through 8 KiB `pwrite`
+/// is **two** round trips on a write-back mount — `stat`, and an
+/// `OpenFile` whose reply is the file, so the `pread` and every further
+/// read through the handle are none (it was three: `stat`, the open's
+/// `stat`, `ReadChunks`) — and still three on a write-through mount, the
+/// paper's mode, asserted so nobody thinks that moved; a file one byte
+/// over what an open reply carries is three on both, and a handle that
+/// can write holds nothing. A file the daemons have not been told of is
+/// read from its run over zeros at no round trip at all. A
+/// write-through 8 KiB `pwrite`
 /// is one frame per replica where its chunk's owner is the metadata
 /// owner (chunk 0 always, any other chunk by the hash's chance), and
 /// where it is not, one frame to every daemon in either write set — two
@@ -364,13 +387,51 @@ fn a_small_file_costs_one_frame_to_ingest_and_one_rpc_to_unlink() {
             h.close().unwrap();
         });
         assert_eq!(ingest, r, "r = {r}: ingest is one frame per replica");
-        let scan = spent(&back, &mut || {
-            assert_eq!(back.stat("/gate/small").unwrap().size, 4096);
-            let h = back.open_handle("/gate/small", OpenFlags::RDONLY).unwrap();
-            assert_eq!(h.pread(0, 4096).unwrap()[3584..], [7u8; 512]);
-            h.close().unwrap();
+        let scan = |fs: &GekkoClient, path: &str, size: usize| {
+            spent(fs, &mut || {
+                assert_eq!(fs.stat(path).unwrap().size, size as u64);
+                let h = fs.open_handle(path, OpenFlags::RDONLY).unwrap();
+                assert_eq!(h.pread(0, size).unwrap()[size - 512..], [7u8; 512]);
+                h.close().unwrap();
+            })
+        };
+        assert_eq!(scan(&back, "/gate/small", 4096), 2, "r = {r}: stat, OpenFile with the file in its reply");
+        assert_eq!(scan(&through, "/gate/small", 4096), 3, "r = {r}: write-through reads the daemons: stat, OpenFile, ReadChunks");
+        // Through one handle: the open, and then nothing.
+        let h = back.open_handle("/gate/small", OpenFlags::RDONLY).unwrap();
+        let reads = spent(&back, &mut || {
+            assert_eq!(h.pread(0, 4096).unwrap().len(), 4096);
+            assert_eq!(h.pread(1024, 512).unwrap(), [2u8; 512]);
         });
-        assert_eq!(scan, 3, "r = {r}: stat, open's stat, ReadChunks");
+        assert_eq!(reads, 0, "r = {r}: a second pread through the handle");
+        h.close().unwrap();
+        // A handle that can write holds no head: its pread is a frame.
+        let h = back.open_handle("/gate/small", OpenFlags::RDWR).unwrap();
+        assert_eq!(spent(&back, &mut || drop(h.pread(0, 4096).unwrap())), 1, "r = {r}: O_RDWR");
+        h.close().unwrap();
+        // One byte more than an open's reply carries: three, as ever.
+        let over = gkfs_rpc::proto::HEAD_MAX as usize + 1;
+        let h = through.open_handle("/gate/over", OpenFlags::WRONLY.with_create()).unwrap();
+        h.pwrite(0, &vec![7u8; over]).unwrap();
+        h.close().unwrap();
+        assert_eq!(scan(&back, "/gate/over", over), 3, "r = {r}: over head_max, write-back");
+        assert_eq!(scan(&through, "/gate/over", over), 3, "r = {r}: over head_max, write-through");
+        through.unlink("/gate/over").unwrap();
+        // A file nobody has been told of: its reads ask nobody (they
+        // sent a ReadChunks for holes no daemon can hold); once it is
+        // flushed, a handle that can write reads the daemons.
+        let h = back.open_handle("/gate/unborn", OpenFlags::RDWR.with_create().with_exclusive()).unwrap();
+        let unborn = spent(&back, &mut || {
+            for i in 0..8u8 {
+                h.write(&[i; 512]).unwrap();
+            }
+            assert_eq!(h.pread(512, 1024).unwrap(), [[1u8; 512], [2u8; 512]].concat());
+        });
+        assert_eq!(unborn, 0, "r = {r}: an unborn file's read");
+        h.flush().unwrap();
+        assert_eq!(spent(&back, &mut || drop(h.pread(512, 1024).unwrap())), 1, "r = {r}: born, it is a ReadChunks");
+        h.close().unwrap();
+        back.unlink("/gate/unborn").unwrap();
         assert_eq!(spent(&back, &mut || back.unlink("/gate/small").unwrap()), r, "r = {r}: unlink");
         let held: usize = (0..3).map(|n| cluster.daemon(n).backends().data.list_paths().unwrap().len()).sum();
         assert_eq!(held, 0, "r = {r}: the owners dropped chunk 0");
@@ -721,7 +782,8 @@ fn unary_metadata_rpcs_cost_no_thread_hand_off_over_tcp() {
 /// one connection — create, 4 KiB and size — small enough to be served
 /// on the connection thread that read it, its reply read by the rank
 /// thread that waits for it. (It was three RPCs on two connections, the
-/// second round a fan-out through the reader threads: 1/1/1.)
+/// second round a fan-out through the reader threads: 1/1/1.) And the
+/// open that reads it back, the same way.
 #[test]
 fn a_small_files_ingest_is_one_inline_frame_read_by_its_waiter_over_tcp() {
     let rig = TcpRig::deploy(512 * 1024);
@@ -736,6 +798,20 @@ fn a_small_files_ingest_is_one_inline_frame_read_by_its_waiter_over_tcp() {
         h.close().unwrap();
     });
     assert_eq!(hand_offs, [1, 0, 1, 0, 0], "[inline, pooled, led, followed, drains]");
+    // Reading it back: the open is one `OpenFile`, a point op served on
+    // the connection thread, whose reply — the entry and the 4 KiB — is
+    // a small frame its waiter reads itself; the read moves nothing.
+    // The largest file an open reply carries goes the same way.
+    let big = fs.open_handle("/ingest/head-max", OpenFlags::WRONLY.with_create()).unwrap();
+    big.pwrite(0, &vec![9u8; gkfs_rpc::proto::HEAD_MAX as usize]).unwrap();
+    big.close().unwrap();
+    for (path, size) in [("/ingest/small", 4096), ("/ingest/head-max", gkfs_rpc::proto::HEAD_MAX as usize)] {
+        let mut h = None;
+        let hand_offs = rig.during(|| h = Some(fs.open_handle(path, OpenFlags::RDONLY).unwrap()));
+        assert_eq!(hand_offs, [1, 0, 1, 0, 0], "{path}: the open");
+        let hand_offs = rig.during(|| assert_eq!(h.unwrap().pread(0, size).unwrap().len(), size));
+        assert_eq!(hand_offs, [0; 5], "{path}: its read was in the open's reply");
+    }
     let hand_offs = rig.during(|| fs.unlink("/ingest/small").unwrap());
     assert_eq!(hand_offs, [1, 0, 1, 0, 0], "and its unlink one RemoveMeta, the same way");
     drop(fs);

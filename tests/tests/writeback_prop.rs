@@ -20,6 +20,13 @@
 //! unlinked with, and when the observer got to the path first the
 //! publish is refused — the winner's bytes and size stay, the loser's
 //! run is nowhere.
+//!
+//! A third handle, read-only and re-opened now and then (`Keep`), may
+//! hold the file whole as of its open (a write-back mount's small-file
+//! *head*). Every write here goes through this mount, so what it reads
+//! must be the model at every step all the same: the head under the
+//! run that was buffered before the open, gone with the first write
+//! after it.
 
 use gekkofs::{Cluster, ClusterConfig, GkfsError, OpenFlags};
 use proptest::prelude::*;
@@ -42,6 +49,11 @@ enum HOp {
     /// Path-based stat on the same client: the daemons' answer raised
     /// to what the client has buffered.
     Stat,
+    /// Open the path read-only and keep the handle, closing the one kept
+    /// before.
+    Keep,
+    /// pread through the kept read-only handle.
+    ReadKept { offset: u16, len: u16 },
     /// Close both handles, unlink the path and make it again as an
     /// unborn file holding `len` fresh bytes — after the observer has
     /// made it first, if `collide` — then publish it: by the handle's
@@ -60,6 +72,9 @@ fn op_strategy() -> impl Strategy<Value = HOp> {
         1 => any::<u16>().prop_map(|size| HOp::Truncate { size: size % 25_000 }),
         2 => Just(HOp::Size),
         1 => Just(HOp::Stat),
+        2 => Just(HOp::Keep),
+        3 => (any::<u16>(), any::<u16>())
+            .prop_map(|(offset, len)| HOp::ReadKept { offset: offset % 3_000, len: 1 + len % 25_000 }),
         1 => (any::<bool>(), any::<bool>(), any::<u8>(), any::<u8>())
             .prop_map(|(collide, by_stat, len, seed)| HOp::Recreate { collide, by_stat, len, seed }),
     ]
@@ -88,14 +103,19 @@ fn model_read(contents: &[u8], offset: usize, len: usize) -> Vec<u8> {
 
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 16, // each case deploys a whole cluster: keep the count sane
+        cases: 64, // each case deploys a whole cluster (in-process: a few ms)
         .. ProptestConfig::default()
     })]
 
     #[test]
     fn buffered_handles_agree_with_vec_model(
-        ops in prop::collection::vec((any::<bool>(), op_strategy()), 1..48),
+        ops in prop::collection::vec((any::<bool>(), op_strategy()), 1..64),
+        small in any::<bool>(),
     ) {
+        // Half the cases keep the file inside what an open's reply
+        // carries (one 4 KiB chunk here), so the kept handle's head is
+        // in play all along; the others outgrow it at once.
+        let within = |at: u16| if small { at % 3_800 } else { at };
         // Small chunks force striping; a small buffer forces constant
         // displacement; write-back on is the entire point.
         let cluster = Cluster::deploy(
@@ -116,6 +136,7 @@ proptest! {
         let mut handles = vec![first, fs.open_handle("/wb/prop", OpenFlags::RDWR).unwrap()];
         prop_assert_eq!(observer.stat("/wb/prop").unwrap().size, 0);
         let mut model: Vec<u8> = Vec::new();
+        let mut kept = None;
 
         for (second, op) in &ops {
             // Each op goes through either handle; neither may be able
@@ -124,8 +145,8 @@ proptest! {
             match op {
                 HOp::Write { offset, len, seed } => {
                     let data = pattern(*seed, *len as usize);
-                    h.pwrite(*offset as u64, &data).unwrap();
-                    model_write(&mut model, *offset as usize, &data);
+                    h.pwrite(within(*offset) as u64, &data).unwrap();
+                    model_write(&mut model, within(*offset) as usize, &data);
                 }
                 HOp::Append { len, seed } => {
                     let data = pattern(*seed, *len as usize);
@@ -149,8 +170,8 @@ proptest! {
                     prop_assert_eq!(&model, &got, "contents after flush");
                 }
                 HOp::Truncate { size } => {
-                    h.truncate(*size as u64).unwrap();
-                    model.resize(*size as usize, 0);
+                    h.truncate(within(*size) as u64).unwrap();
+                    model.resize(within(*size) as usize, 0);
                 }
                 HOp::Size => {
                     prop_assert_eq!(h.size(), model.len() as u64, "cached size");
@@ -159,11 +180,24 @@ proptest! {
                     let size = fs.stat("/wb/prop").unwrap().size;
                     prop_assert_eq!(size, model.len() as u64, "stat size");
                 }
+                HOp::Keep => {
+                    kept = Some(fs.open_handle("/wb/prop", OpenFlags::RDONLY).unwrap());
+                }
+                HOp::ReadKept { offset, len } => {
+                    if let Some(kept) = &kept {
+                        let got = kept.pread(*offset as u64, *len as usize).unwrap();
+                        let expect = model_read(&model, *offset as usize, *len as usize);
+                        prop_assert_eq!(&expect, &got, "kept read @{}+{}", offset, len);
+                    }
+                }
                 HOp::Recreate { collide, by_stat, len, seed } => {
                     for h in handles.drain(..) {
                         h.close().unwrap();
                     }
                     fs.unlink("/wb/prop").unwrap();
+                    if let Some(kept) = kept.take() {
+                        prop_assert_eq!(kept.pread(0, 16), Err(GkfsError::NotFound));
+                    }
                     prop_assert!(observer.stat("/wb/prop").is_err());
                     let fresh = pattern(*seed, *len as usize);
                     let unborn = fs.open_handle("/wb/prop", excl).unwrap();
@@ -203,7 +237,7 @@ proptest! {
 
         // Close forces the final flush; the durable state must equal
         // the model exactly — no silently lost buffered tail.
-        for h in handles {
+        for h in handles.into_iter().chain(kept) {
             h.close().unwrap();
         }
         prop_assert_eq!(observer.stat("/wb/prop").unwrap().size, model.len() as u64);
