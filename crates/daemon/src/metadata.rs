@@ -174,7 +174,9 @@ impl MetadataBackend {
     /// after `cursor` (empty = from the start). Returns the entries
     /// plus the next cursor — empty when the scan is complete — so a
     /// huge directory is shipped as bounded reply frames instead of
-    /// one unbounded allocation.
+    /// one unbounded allocation. The walk starts at the cursor and
+    /// stops at the first child past the page, so a page costs its own
+    /// entries (plus the nested ones between them), not the directory.
     pub fn readdir_page(
         &self,
         dir: &str,
@@ -189,30 +191,33 @@ impl MetadataBackend {
         let prefix = gpath::dir_prefix(dir);
         let mut out: Vec<Dirent> = Vec::new();
         let mut next = String::new();
-        // scan_prefix yields keys in lexicographic order, and every
-        // direct child shares the same prefix — so child *names*
-        // arrive sorted, which is what makes a name a valid cursor.
-        for (k, v) in self.db.scan_prefix(prefix.as_bytes())? {
-            let child = std::str::from_utf8(&k)
+        // The walk yields keys in lexicographic order, and every direct
+        // child shares the same prefix — so child *names* arrive sorted,
+        // which is what makes a name a valid cursor and `prefix + cursor`
+        // the key to resume from.
+        let from = format!("{prefix}{cursor}");
+        self.db.scan_prefix_with(prefix.as_bytes(), from.as_bytes(), |k, v| {
+            let child = std::str::from_utf8(k)
                 .map_err(|e| GkfsError::Corruption(format!("non-utf8 key: {e}")))?;
             if !gpath::is_direct_child(dir, child) {
-                continue;
+                return Ok(true);
             }
             let name = gpath::name(child);
             if !cursor.is_empty() && name <= cursor {
-                continue;
+                return Ok(true);
             }
             if out.len() == max {
                 next = out.last().map(|d| d.name.clone()).unwrap_or_default();
-                break;
+                return Ok(false);
             }
-            let meta = Metadata::decode(&v)?;
+            let meta = Metadata::decode(v)?;
             out.push(Dirent {
                 name: name.to_string(),
                 kind: meta.kind,
                 size: meta.size,
             });
-        }
+            Ok(true)
+        })?;
         Ok((out, next))
     }
 
@@ -644,32 +649,45 @@ mod tests {
         assert!(stat(&b, "/dir").unwrap().is_dir());
     }
 
+    /// Pages resume exactly at their cursor in a directory of more
+    /// children than a walk step, half flushed to a table, with nested
+    /// entries between siblings (`b!` sorts between `b` and `b/x`).
     #[test]
     fn readdir_page_walks_in_bounded_pages() {
         let b = backend();
         create(&b, "/d", &Metadata::new_dir(0), true).unwrap();
-        for i in 0..10 {
-            create(&b, &format!("/d/f{i:02}"), &Metadata::new_file(0), true)
-                .unwrap();
-        }
-        // Nested entries must not leak into pages.
-        create(&b, "/d/f00/deep", &Metadata::new_file(0), true).unwrap();
-        let mut all = Vec::new();
-        let mut cursor = String::new();
-        let mut pages = 0;
-        loop {
-            let (page, next) = b.readdir_page("/d", &cursor, 3).unwrap();
-            assert!(page.len() <= 3);
-            all.extend(page.into_iter().map(|d| d.name));
-            pages += 1;
-            if next.is_empty() {
-                break;
+        let mut expect: Vec<String> = (0..600).map(|i| format!("f{i:03}")).collect();
+        for (i, name) in expect.iter().enumerate() {
+            create(&b, &format!("/d/{name}"), &Metadata::new_file(0), true).unwrap();
+            if i == 300 {
+                b.db().flush().unwrap();
             }
-            cursor = next;
         }
-        assert_eq!(pages, 4, "10 entries at page size 3");
-        let expect: Vec<String> = (0..10).map(|i| format!("f{i:02}")).collect();
-        assert_eq!(all, expect);
+        create(&b, "/d/b", &Metadata::new_dir(0), true).unwrap();
+        create(&b, "/d/b!", &Metadata::new_file(0), true).unwrap();
+        // Nested entries must not leak into pages.
+        create(&b, "/d/b/x", &Metadata::new_file(0), true).unwrap();
+        create(&b, "/d/f000/deep", &Metadata::new_file(0), true).unwrap();
+        expect.extend(["b".to_string(), "b!".to_string()]);
+        expect.sort();
+        for size in [3, 7, 1000] {
+            let mut all = Vec::new();
+            let mut cursor = String::new();
+            let mut pages = 0;
+            loop {
+                let (page, next) = b.readdir_page("/d", &cursor, size).unwrap();
+                assert!(page.len() <= size);
+                all.extend(page.into_iter().map(|d| d.name));
+                pages += 1;
+                if next.is_empty() {
+                    break;
+                }
+                assert_eq!(all.last(), Some(&next), "the cursor is the page's last name");
+                cursor = next;
+            }
+            assert_eq!(pages, expect.len().div_ceil(size), "602 entries at page size {size}");
+            assert_eq!(all, expect, "page size {size}");
+        }
     }
 
     #[test]

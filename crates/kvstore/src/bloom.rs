@@ -24,34 +24,31 @@ pub struct BloomFilter {
     num_hashes: u32,
 }
 
-impl BloomFilter {
-    /// Build a filter sized for `n` keys at `bits_per_key` bits each
-    /// (10 bits/key ≈ 1% false-positive rate, RocksDB's default).
-    pub fn builder(n: usize, bits_per_key: usize) -> BloomBuilder {
-        let num_bits = ((n.max(1) * bits_per_key) as u64).max(64);
-        // Optimal k = ln2 * bits/key, clamped to something sane.
-        let num_hashes = ((bits_per_key as f64 * 0.69) as u32).clamp(1, MAX_HASHES);
-        BloomBuilder {
-            filter: BloomFilter {
-                bits: vec![0u64; num_bits.div_ceil(64) as usize],
-                num_bits,
-                num_hashes,
-            },
-        }
-    }
+/// The one hash a key is probed by; every probe position derives from it.
+fn hash(key: &[u8]) -> u64 {
+    xxh64(key, 0xB10053)
+}
 
-    #[inline]
-    fn positions(&self, key: &[u8]) -> impl Iterator<Item = u64> + '_ {
-        let h = xxh64(key, 0xB10053);
-        let h1 = h & 0xFFFF_FFFF;
-        let h2 = (h >> 32) | 1; // odd, so it cycles through all bits
-        (0..self.num_hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2))) % self.num_bits)
+/// The `num_hashes` bit positions of a key hashing to `h` in a filter
+/// of `num_bits` bits.
+fn positions(h: u64, num_bits: u64, num_hashes: u32) -> impl Iterator<Item = u64> {
+    let h1 = h & 0xFFFF_FFFF;
+    let h2 = (h >> 32) | 1; // odd, so it cycles through all bits
+    (0..num_hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2))) % num_bits)
+}
+
+impl BloomFilter {
+    /// Start a filter at `bits_per_key` bits per key added (10 bits/key
+    /// ≈ 1% false-positive rate, RocksDB's default). The filter is sized
+    /// when it is finished, from the keys it was given.
+    pub fn builder(bits_per_key: usize) -> BloomBuilder {
+        BloomBuilder { hashes: Vec::new(), bits_per_key }
     }
 
     /// May `key` be in the set? False positives possible, false
     /// negatives never.
     pub fn may_contain(&self, key: &[u8]) -> bool {
-        self.positions(key)
+        positions(hash(key), self.num_bits, self.num_hashes)
             .all(|p| self.bits[(p / 64) as usize] & (1 << (p % 64)) != 0)
     }
 
@@ -73,7 +70,7 @@ impl BloomFilter {
         let num_bits = d.u64()?;
         let num_hashes = d.u32()?;
         let words = d.u32()? as usize;
-        // `builder` never asks for more than MAX_HASHES probes; a header
+        // `finish` never asks for more than MAX_HASHES probes; a header
         // that does would make every lookup spin.
         if num_bits == 0
             || !(1..=MAX_HASHES).contains(&num_hashes)
@@ -100,23 +97,32 @@ impl BloomFilter {
     }
 }
 
-/// Incremental builder returned by [`BloomFilter::builder`].
+/// Incremental builder returned by [`BloomFilter::builder`]: keeps one
+/// hash per key, so a table whose key count is known only at its end
+/// (a compaction output) still gets a filter sized for what it holds.
 pub struct BloomBuilder {
-    filter: BloomFilter,
+    hashes: Vec<u64>,
+    bits_per_key: usize,
 }
 
 impl BloomBuilder {
-    /// Add.
+    /// Add a key.
     pub fn add(&mut self, key: &[u8]) {
-        let positions: Vec<u64> = self.filter.positions(key).collect();
-        for p in positions {
-            self.filter.bits[(p / 64) as usize] |= 1 << (p % 64);
-        }
+        self.hashes.push(hash(key));
     }
 
-    /// Finish.
+    /// Size the filter for the keys added and set their bits.
     pub fn finish(self) -> BloomFilter {
-        self.filter
+        let num_bits = ((self.hashes.len().max(1) * self.bits_per_key) as u64).max(64);
+        // Optimal k = ln2 * bits/key, clamped to something sane.
+        let num_hashes = ((self.bits_per_key as f64 * 0.69) as u32).clamp(1, MAX_HASHES);
+        let mut bits = vec![0u64; num_bits.div_ceil(64) as usize];
+        for h in self.hashes {
+            for p in positions(h, num_bits, num_hashes) {
+                bits[(p / 64) as usize] |= 1 << (p % 64);
+            }
+        }
+        BloomFilter { bits, num_bits, num_hashes }
     }
 }
 
@@ -125,7 +131,7 @@ mod tests {
     use super::*;
 
     fn build(keys: &[&[u8]]) -> BloomFilter {
-        let mut b = BloomFilter::builder(keys.len(), 10);
+        let mut b = BloomFilter::builder(10);
         for k in keys {
             b.add(k);
         }
@@ -173,7 +179,7 @@ mod tests {
 
     #[test]
     fn empty_filter_is_valid() {
-        let f = BloomFilter::builder(0, 10).finish();
+        let f = BloomFilter::builder(10).finish();
         // An empty filter must simply say "no" (or at worst rarely yes).
         let hits = (0..100)
             .filter(|i| f.may_contain(format!("q{i}").as_bytes()))

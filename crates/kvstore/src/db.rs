@@ -33,10 +33,12 @@
 //! active memtable, frozen memtables newest first, L0 newest first, L1
 //! — and what `Put` / `Delete` / `Merge` mean along it are known to
 //! two functions: [`DbInner::lookup`] (one key, newest to oldest,
-//! stopping at the first `Put` or `Delete`) and [`DbInner::fold`] (a
-//! key range, oldest to newest, newer shadowing older). `get`, the
+//! stopping at the first `Put` or `Delete`) and [`DbInner::merge_walk`]
+//! (a key range in key order, every source stepped side by side, each
+//! key decided the way `lookup` decides it). `get`, the
 //! conditional-write view, `scan_prefix`, `len`, compaction and the
-//! flusher's merge resolution are calls of those two.
+//! flusher's merge resolution are calls of those two. A walk holds a
+//! step of each memtable, never the range it walks.
 //!
 //! Merge operands that cannot be folded in the memtable are resolved
 //! at **flush time** by the same lookup, started below the memtable
@@ -71,12 +73,13 @@
 use crate::blobstore::{BlobStore, FsBlobStore, MemBlobStore};
 use crate::memtable::{MemTable, Value};
 use crate::merge::MergeOperator;
-use crate::sstable::{Table, TableBuilder, Tag};
+use crate::sstable::{Table, TableBuilder, TableIter, Tag};
 use crate::wal::{replay, WalRecord};
 use gkfs_common::lock::{rank, Condvar, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
 use gkfs_common::wire::{Decoder, Encoder};
 use gkfs_common::{GkfsError, Result};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -707,22 +710,47 @@ impl Db {
     }
 
     /// All live `(key, value)` pairs whose key starts with `prefix`,
-    /// in key order. This powers the daemon's `readdir` prefix scan
-    /// over the flat namespace.
+    /// in key order: [`Db::scan_prefix_with`] collected.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let all = self.inner.values(&self.inner.snapshot(), true, prefix)?;
-        Ok(all.into_iter().filter_map(|(k, v)| Some((k, v?))).collect())
+        let mut all = Vec::new();
+        self.scan_prefix_with(prefix, b"", |k, v| {
+            all.push((k.to_vec(), v.to_vec()));
+            Ok(true)
+        })?;
+        Ok(all)
     }
 
-    /// Total number of live keys: a walk over every source that
-    /// remembers keys, not values (a daemon answers its statistics RPC
-    /// with this, on whichever handler thread is free — a copy of the
-    /// store per call would sit in each of their allocator arenas). A
-    /// pending merge makes its key live whatever the base.
-    pub fn len(&self) -> Result<usize> {
+    /// Hand `visit` every live `(key, value)` whose key starts with
+    /// `prefix` and is not below `from`, in key order, until it answers
+    /// `false`. This powers the daemon's `readdir` pages over the flat
+    /// namespace: the walk holds a step of each memtable, not the range,
+    /// and no lock while `visit` runs — so writers never wait on it, and
+    /// an active-memtable key is seen as it was when its step was read.
+    pub fn scan_prefix_with(
+        &self,
+        prefix: &[u8],
+        from: &[u8],
+        mut visit: impl FnMut(&[u8], &[u8]) -> Result<bool>,
+    ) -> Result<()> {
         let ver = self.inner.snapshot();
-        let live = self.inner.fold(&ver, true, b"", |_| (), |_, _, _| Ok(()))?;
-        Ok(live.values().flatten().count())
+        self.inner.merge_walk(&ver, true, from, prefix, |k, v| match v {
+            Some(v) => visit(k, v),
+            None => Ok(true),
+        })
+    }
+
+    /// Total number of live keys: a counting walk, whose memory is a
+    /// step of each memtable (a daemon answers its statistics RPC with
+    /// this, on whichever handler thread is free). A pending merge makes
+    /// its key live whatever the base. Not a snapshot under concurrent
+    /// writes: the active memtable is read a step at a time.
+    pub fn len(&self) -> Result<usize> {
+        let mut live = 0;
+        self.scan_prefix_with(b"", b"", |_, _| {
+            live += 1;
+            Ok(true)
+        })?;
+        Ok(live)
     }
 
     /// True when the store holds no live keys.
@@ -914,61 +942,79 @@ impl DbInner {
         Ok(Some(op.full_merge(key, base.as_deref(), &operands)))
     }
 
-    /// The one range walk: every entry under `prefix` in `ver`, oldest
-    /// source first — L1, L0 oldest first, then (with `mems`) the
-    /// frozen memtables oldest first and the active one — so that a
-    /// newer entry shadows an older one. Per key, a `Put` keeps
-    /// `keep(value)`, a `Delete` keeps `None`, and a `Merge` keeps
-    /// `merge(key, what the older sources left, operands)`.
-    fn fold<V>(
+    /// The one range walk: every key under `prefix` in `ver` from
+    /// `from` on, once, in key order — the active memtable and (with
+    /// `mems`) the frozen ones, then L0 newest first and L1, stepped
+    /// side by side. Each key is decided as [`DbInner::lookup`] decides
+    /// it: the newest `Put` or `Delete` is the base, the operands of
+    /// newer `Merge`s stack onto it oldest first. `visit` gets the
+    /// value, `None` for a tombstone, and answers whether to go on.
+    ///
+    /// Memory is [`STEP`] entries per memtable, whatever the range:
+    /// tables are read in place (the snapshot pins their blobs), and a
+    /// memtable is copied out a step at a time under its own read guard,
+    /// released before the next guard is taken and before `visit` runs.
+    fn merge_walk(
         &self,
         ver: &Version,
         mems: bool,
+        from: &[u8],
         prefix: &[u8],
-        keep: impl Fn(&[u8]) -> V,
-        merge: impl Fn(&[u8], Option<&V>, &[Vec<u8>]) -> Result<V>,
-    ) -> Result<BTreeMap<Vec<u8>, Option<V>>> {
-        let mut acc = BTreeMap::new();
-        for th in ver.l1.iter().chain(&ver.l0) {
-            for entry in th.table.iter_from(prefix) {
-                let (tag, k, v) = entry?;
-                if !k.starts_with(prefix) {
-                    break;
-                }
-                acc.insert(k.to_vec(), (tag == Tag::Put).then(|| keep(v)));
-            }
+        mut visit: impl FnMut(&[u8], Option<&[u8]>) -> Result<bool>,
+    ) -> Result<()> {
+        let start = from.max(prefix);
+        let mut sources: Vec<Source<'_>> = Vec::new();
+        if mems {
+            let memtables = [&ver.mem].into_iter().chain(ver.imm.iter().rev().map(|i| &i.mem));
+            sources.extend(memtables.map(|shared| Source::Mem {
+                shared,
+                step: Vec::new().into_iter(),
+                resume: Some(Bound::Included(start.to_vec())),
+            }));
         }
-        let mems = mems.then(|| ver.imm.iter().map(|i| &i.mem).chain([&ver.mem]));
-        for shared in mems.into_iter().flatten() {
-            for (k, v) in shared.read().range_from(prefix) {
-                if !k.starts_with(prefix) {
-                    break;
-                }
-                let kept = match v {
-                    Value::Put(val) => Some(keep(val)),
-                    Value::Delete => None,
-                    Value::Merge(ops) => {
-                        Some(merge(k, acc.get(k).and_then(Option::as_ref), ops)?)
-                    }
+        let tables = ver.l0.iter().rev().chain(&ver.l1);
+        sources.extend(tables.map(|th| Source::Table { iter: th.table.iter_from(start), head: None }));
+        for source in &mut sources {
+            source.advance(prefix)?;
+        }
+        // Which sources sit at the current key: they all move past it.
+        let mut at = Vec::with_capacity(sources.len());
+        loop {
+            let Some(key) = sources.iter().filter_map(|s| Some(s.head()?.0)).min() else {
+                return Ok(());
+            };
+            at.clear();
+            let mut base = None;
+            let mut runs: Vec<&[Vec<u8>]> = Vec::new();
+            for (i, source) in sources.iter().enumerate() {
+                let Some((_, seen)) = source.head().filter(|(k, _)| *k == key) else {
+                    continue;
                 };
-                acc.insert(k.to_vec(), kept);
+                at.push(i);
+                match seen {
+                    _ if base.is_some() => {} // shadowed
+                    Seen::Put(v) => base = Some(Some(v)),
+                    Seen::Delete => base = Some(None),
+                    Seen::Merge(ops) => runs.push(ops),
+                }
+            }
+            let base = base.flatten();
+            let merged;
+            let value = if runs.is_empty() {
+                base
+            } else {
+                // The operator wants operands oldest first.
+                let operands: Vec<Vec<u8>> = runs.into_iter().rev().flatten().cloned().collect();
+                merged = require(&self.opts.merge_operator)?.full_merge(key, base, &operands);
+                Some(merged.as_slice())
+            };
+            if !visit(key, value)? {
+                return Ok(());
+            }
+            for &i in &at {
+                sources[i].advance(prefix)?;
             }
         }
-        Ok(acc)
-    }
-
-    /// [`DbInner::fold`] keeping values (`None` = tombstone): a scan
-    /// with `mems`, a compaction's input without.
-    fn values(
-        &self,
-        ver: &Version,
-        mems: bool,
-        prefix: &[u8],
-    ) -> Result<BTreeMap<Vec<u8>, Option<Vec<u8>>>> {
-        self.fold(ver, mems, prefix, <[u8]>::to_vec, |k, base, ops| {
-            let op = require(&self.opts.merge_operator)?;
-            Ok(op.full_merge(k, base.map(Vec::as_slice), ops))
-        })
     }
 
     /// The one place a foreground thread sleeps on background progress:
@@ -1127,7 +1173,7 @@ impl DbInner {
         let mut builder;
         {
             let mem = imm.mem.read();
-            builder = TableBuilder::new(mem.len());
+            builder = TableBuilder::new();
             for (k, v) in mem.iter() {
                 match v {
                     Value::Put(val) => builder.add(Tag::Put, k, val),
@@ -1185,21 +1231,19 @@ impl DbInner {
         // tables flushed after `base` was taken, and those are kept by
         // the install below.
         const TARGET_TABLE_BYTES: usize = 8 * 1024 * 1024;
-        let acc = self.values(&base, false, b"")?;
         let mut new_l1: Vec<Arc<TableHandle>> = Vec::new();
-        let mut builder = TableBuilder::new(acc.len());
+        let mut builder = TableBuilder::new();
         let mut bytes = 0usize;
-        let mut live = 0usize;
-        for (k, v) in acc.iter().filter_map(|(k, v)| Some((k, v.as_ref()?))) {
+        self.merge_walk(&base, false, b"", b"", |k, v| {
+            let Some(v) = v else { return Ok(true) };
             builder.add(Tag::Put, k, v);
             bytes += k.len() + v.len();
-            live += 1;
             if bytes >= TARGET_TABLE_BYTES {
-                let full = std::mem::replace(&mut builder, TableBuilder::new(acc.len() - live));
-                new_l1.push(self.add_table(full)?);
+                new_l1.push(self.add_table(std::mem::take(&mut builder))?);
                 bytes = 0;
             }
-        }
+            Ok(true)
+        })?;
         if !builder.is_empty() {
             new_l1.push(self.add_table(builder)?);
         }
@@ -1318,6 +1362,84 @@ fn compactor_loop(inner: &DbInner) {
             inner.set_bg_error(e);
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+}
+
+/// How many entries a walk copies out of a memtable under one read
+/// guard — with one step per memtable, the most a walk ever holds.
+const STEP: usize = 256;
+
+/// What one source holds for a key, as [`DbInner::lookup`] reads it.
+enum Seen<'a> {
+    Put(&'a [u8]),
+    Delete,
+    Merge(&'a [Vec<u8>]),
+}
+
+/// One source of a [`DbInner::merge_walk`], positioned at its next
+/// entry under the walk's prefix (at none once it has run out).
+enum Source<'v> {
+    /// A memtable: `step` is what the last read guard copied out,
+    /// `resume` where the next step starts (`None` once the range has
+    /// run out).
+    Mem {
+        shared: &'v SharedMem,
+        step: std::vec::IntoIter<(Vec<u8>, Value)>,
+        resume: Option<Bound<Vec<u8>>>,
+    },
+    /// A table, read in place.
+    Table {
+        iter: TableIter<'v>,
+        head: Option<(Tag, &'v [u8], &'v [u8])>,
+    },
+}
+
+impl Source<'_> {
+    /// The key this source is at, and what it holds there.
+    fn head(&self) -> Option<(&[u8], Seen<'_>)> {
+        match self {
+            Source::Mem { step, .. } => step.as_slice().first().map(|(k, v)| {
+                let seen = match v {
+                    Value::Put(v) => Seen::Put(v),
+                    Value::Delete => Seen::Delete,
+                    Value::Merge(ops) => Seen::Merge(ops),
+                };
+                (k.as_slice(), seen)
+            }),
+            Source::Table { head, .. } => head.map(|(tag, k, v)| {
+                (k, if tag == Tag::Put { Seen::Put(v) } else { Seen::Delete })
+            }),
+        }
+    }
+
+    /// Move to the next entry under `prefix` (to the first, on a fresh
+    /// source). A memtable whose step is used up copies out the next one
+    /// under its read guard — the only guard this thread then holds.
+    fn advance(&mut self, prefix: &[u8]) -> Result<()> {
+        match self {
+            Source::Mem { shared, step, resume } => {
+                step.next();
+                if !step.as_slice().is_empty() {
+                    return Ok(());
+                }
+                let Some(from) = resume.take() else { return Ok(()) };
+                let copied: Vec<(Vec<u8>, Value)> = shared
+                    .read()
+                    .range_from(from.as_ref().map(Vec::as_slice))
+                    .take_while(|(k, _)| k.starts_with(prefix))
+                    .take(STEP)
+                    .map(|(k, v)| (k.to_vec(), v.clone()))
+                    .collect();
+                if copied.len() == STEP {
+                    *resume = copied.last().map(|(k, _)| Bound::Excluded(k.clone()));
+                }
+                *step = copied.into_iter();
+            }
+            Source::Table { iter, head } => {
+                *head = iter.next().transpose()?.filter(|(_, k, _)| k.starts_with(prefix));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1567,6 +1689,7 @@ mod model {
 mod tests {
     use super::*;
     use crate::merge::{Add64MergeOperator, Max64MergeOperator};
+    use std::collections::BTreeMap;
 
     fn small_opts() -> DbOptions {
         DbOptions {
@@ -1945,6 +2068,9 @@ mod tests {
         syncs: AtomicU64,
         /// How many of the next `sync_log` calls fail.
         fail_syncs: AtomicU64,
+        /// Held for writing, parks every table write (the flusher's)
+        /// until it is released: frozen memtables stay frozen.
+        gate: std::sync::RwLock<()>,
     }
 
     impl SlowStore {
@@ -1955,13 +2081,15 @@ mod tests {
                 log_delay,
                 syncs: AtomicU64::new(0),
                 fail_syncs: AtomicU64::new(0),
+                gate: std::sync::RwLock::new(()),
             }
         }
     }
 
     impl BlobStore for SlowStore {
         fn put_blob(&self, name: &str, data: &[u8]) -> Result<()> {
-            if name.starts_with("sst-") && !self.table_delay.is_zero() {
+            if name.starts_with("sst-") {
+                drop(self.gate.read());
                 std::thread::sleep(self.table_delay);
             }
             self.inner.put_blob(name, data)
@@ -2050,6 +2178,158 @@ mod tests {
         for i in 0..20 {
             assert!(db.get(format!("/during/{i:02}").as_bytes()).unwrap().is_some());
         }
+    }
+
+    /// The merge walk against a model, with more than a step of keys in
+    /// the active and in a frozen memtable, merges stacked over table
+    /// bases and over each other, tombstones shadowing L1 and keys on
+    /// both sides of the prefix: `scan_prefix`, a page of
+    /// `scan_prefix_with`, `len` and `get` agree with the model, and a
+    /// compaction changes none of them.
+    #[test]
+    fn readings_agree_across_steps_and_compaction() {
+        /// A batch and the model it is applied to, staged together.
+        #[derive(Default)]
+        struct Staged {
+            batch: WriteBatch,
+            model: BTreeMap<Vec<u8>, u64>,
+        }
+        impl Staged {
+            fn put(&mut self, k: Vec<u8>, v: u64) {
+                self.batch.put(&k, &v.to_le_bytes());
+                self.model.insert(k, v);
+            }
+            fn delete(&mut self, k: Vec<u8>) {
+                self.batch.delete(&k);
+                self.model.remove(&k);
+            }
+            fn merge(&mut self, k: Vec<u8>, v: u64) {
+                self.batch.merge(&k, &v.to_le_bytes());
+                *self.model.entry(k).or_insert(0) += v;
+            }
+            fn commit(&mut self, db: &Db) {
+                db.write(std::mem::take(&mut self.batch)).unwrap();
+            }
+        }
+
+        let store = Arc::new(SlowStore::new(Duration::ZERO, Duration::ZERO));
+        let db = Db::open(store.clone(), DbOptions {
+            memtable_bytes: 48_000,
+            l0_compaction_trigger: 100,
+            l0_slowdown_threshold: 100,
+            l0_stall_threshold: 100,
+            max_imm_memtables: 8,
+            merge_operator: Some(Arc::new(Add64MergeOperator)),
+            ..DbOptions::default()
+        })
+        .unwrap();
+        let n = 4 * STEP;
+        let key = |i: usize| format!("/s/{i:05}").into_bytes();
+        let mut w = Staged::default();
+        // L1: every key, and neighbours of the prefix on both sides.
+        for i in 0..n {
+            w.put(key(i), i as u64);
+        }
+        for k in ["/s", "/s.", "/s0", "/r~"] {
+            w.put(k.as_bytes().to_vec(), 7);
+        }
+        w.commit(&db);
+        db.compact().unwrap();
+        // L0: a tombstone over every third key.
+        (0..n).step_by(3).for_each(|i| w.delete(key(i)));
+        w.commit(&db);
+        db.flush().unwrap();
+        // Frozen (one batch over the budget, the flusher parked): merges
+        // over L1 bases and over L0 tombstones, and fresh keys.
+        let gate = store.gate.write().unwrap();
+        (0..n).filter(|i| i % 3 == 1 || i % 9 == 0).for_each(|i| w.merge(key(i), 5));
+        (n..n + 200).for_each(|i| w.put(key(i), 1));
+        w.commit(&db);
+        // Active: tombstones over L1 and over frozen puts, merges stacked
+        // on frozen merges, a merge with no base anywhere.
+        (0..n).filter(|i| i % 3 == 2).chain(n..n + 50).for_each(|i| w.delete(key(i)));
+        (0..n).filter(|i| i % 6 == 1).for_each(|i| w.merge(key(i), 11));
+        w.merge(key(n + 500), 3);
+        w.commit(&db);
+        let (mem, imm, l0, l1) = db.level_shape();
+        assert!(mem > STEP && imm == 1 && l0 > 0 && l1 > 0, "{:?}", db.level_shape());
+        let frozen = db.inner.snapshot().imm[0].mem.read().len();
+        assert!(frozen > STEP, "{frozen} frozen entries");
+        let model = w.model;
+
+        let check = |when: &str| {
+            let value = |v: &[u8]| u64::from_le_bytes(v.try_into().unwrap());
+            let scanned: Vec<(Vec<u8>, u64)> =
+                db.scan_prefix(b"/s/").unwrap().into_iter().map(|(k, v)| (k, value(&v))).collect();
+            let want: Vec<(Vec<u8>, u64)> =
+                model.iter().filter(|(k, _)| k.starts_with(b"/s/")).map(|(k, v)| (k.clone(), *v)).collect();
+            assert_eq!(scanned, want, "scan_prefix {when}");
+            let mut page = Vec::new();
+            db.scan_prefix_with(b"/s/", &key(n / 2), |k, v| {
+                page.push((k.to_vec(), value(v)));
+                Ok(page.len() < 10)
+            })
+            .unwrap();
+            let from = model.range(key(n / 2)..).take(10).map(|(k, v)| (k.clone(), *v));
+            assert_eq!(page, from.collect::<Vec<_>>(), "a page from the middle {when}");
+            assert_eq!(db.len().unwrap(), model.len(), "len {when}");
+            for i in 0..n + 600 {
+                let got = db.get(&key(i)).unwrap().map(|v| value(&v));
+                assert_eq!(got, model.get(&key(i)).copied(), "get {i} {when}");
+            }
+        };
+        check("across the levels");
+        drop(gate);
+        db.compact().unwrap();
+        assert_eq!(db.level_shape(), (0, 0, 0, 1));
+        check("after a compaction");
+    }
+
+    /// A walk holds no store lock while its visitor runs: with a
+    /// visitor parked mid-walk — more than a step of keys in the active
+    /// memtable, so a step is in flight — another thread's puts, a
+    /// memtable rotation and a get all complete. Debug builds also check
+    /// that the walk takes one memtable guard at a time.
+    #[test]
+    fn writers_never_wait_on_a_walk() {
+        let db = Db::open_memory(DbOptions { memtable_bytes: 1 << 20, ..small_opts() }).unwrap();
+        for i in 0..2 * STEP {
+            db.put(format!("/w/{i:04}").as_bytes(), b"v").unwrap();
+        }
+        let (parked_tx, parked) = std::sync::mpsc::channel();
+        let (resume, resume_rx) = std::sync::mpsc::channel::<()>();
+        let (done_tx, done) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let db = &db;
+            let walker = s.spawn(move || {
+                let mut seen = 0;
+                db.scan_prefix_with(b"/w/", b"", |_, _| {
+                    seen += 1;
+                    if seen == STEP / 2 {
+                        parked_tx.send(()).unwrap();
+                        resume_rx.recv().unwrap();
+                    }
+                    Ok(true)
+                })
+                .unwrap();
+                seen
+            });
+            parked.recv().unwrap();
+            s.spawn(move || {
+                let flushes = db.stats().flushes.load(Ordering::Relaxed);
+                for i in 0..300 {
+                    db.put(format!("/x/{i:04}").as_bytes(), &[1u8; 4096]).unwrap();
+                }
+                db.flush().unwrap();
+                assert!(db.stats().flushes.load(Ordering::Relaxed) > flushes, "a rotation");
+                assert!(db.get(b"/w/0000").unwrap().is_some());
+                done_tx.send(()).unwrap();
+            });
+            let finished = done.recv_timeout(Duration::from_secs(20));
+            resume.send(()).unwrap();
+            assert!(finished.is_ok(), "a writer waited on a walk's visitor");
+            assert_eq!(walker.join().unwrap(), 2 * STEP, "the walk saw its snapshot's keys");
+        });
     }
 
     /// Backpressure engages when background work falls behind, and the

@@ -99,13 +99,14 @@ impl MemTable {
         self.map.get(key)
     }
 
-    /// Iterate entries with `key >= start` in key order.
+    /// Iterate entries from `start` (a key included or excluded) on, in
+    /// key order.
     pub fn range_from<'a>(
         &'a self,
-        start: &[u8],
+        start: Bound<&[u8]>,
     ) -> impl Iterator<Item = (&'a [u8], &'a Value)> + 'a {
         self.map
-            .range::<[u8], _>((Bound::Included(start), Bound::Unbounded))
+            .range::<[u8], _>((start, Bound::Unbounded))
             .map(|(k, v)| (k.as_slice(), v))
     }
 
@@ -183,9 +184,11 @@ mod tests {
         for k in ["/a/1", "/a/2", "/b/1", "/a/3", "/0"] {
             m.put(k.as_bytes(), b"v");
         }
-        let keys: Vec<&[u8]> = m.range_from(b"/a/").map(|(k, _)| k).collect();
+        let keys: Vec<&[u8]> = m.range_from(Bound::Included(&b"/a/"[..])).map(|(k, _)| k).collect();
         assert_eq!(keys, vec![&b"/a/1"[..], b"/a/2", b"/a/3", b"/b/1"]);
-        let all: Vec<&[u8]> = m.range_from(b"").map(|(k, _)| k).collect();
+        let after: Vec<&[u8]> = m.range_from(Bound::Excluded(&b"/a/2"[..])).map(|(k, _)| k).collect();
+        assert_eq!(after, vec![&b"/a/3"[..], b"/b/1"]);
+        let all: Vec<&[u8]> = m.range_from(Bound::Unbounded).map(|(k, _)| k).collect();
         assert_eq!(all.len(), 5);
         assert!(all.windows(2).all(|w| w[0] < w[1]), "sorted order");
     }

@@ -59,14 +59,20 @@ pub struct TableBuilder {
     count: u32,
 }
 
+impl Default for TableBuilder {
+    fn default() -> Self {
+        TableBuilder::new()
+    }
+}
+
 impl TableBuilder {
-    /// `expected_entries` sizes the bloom filter.
-    pub fn new(expected_entries: usize) -> TableBuilder {
+    /// An empty table; its bloom filter is sized by the entries added.
+    pub fn new() -> TableBuilder {
         TableBuilder {
             buf: Encoder::new(),
             block_start: 0,
             index: Vec::new(),
-            bloom: BloomFilter::builder(expected_entries, 10),
+            bloom: BloomFilter::builder(10),
             pending_first_key: None,
             last_key: None,
             count: 0,
@@ -365,7 +371,7 @@ mod tests {
     use super::*;
 
     fn build_table(n: usize) -> Table {
-        let mut b = TableBuilder::new(n);
+        let mut b = TableBuilder::new();
         for i in 0..n {
             let key = format!("/files/{i:08}");
             if i % 10 == 3 {
@@ -412,7 +418,7 @@ mod tests {
 
     #[test]
     fn iter_from_between_keys() {
-        let mut b = TableBuilder::new(3);
+        let mut b = TableBuilder::new();
         b.add(Tag::Put, b"/a", b"1");
         b.add(Tag::Put, b"/c", b"2");
         b.add(Tag::Put, b"/e", b"3");
@@ -424,7 +430,7 @@ mod tests {
 
     #[test]
     fn empty_table() {
-        let b = TableBuilder::new(0);
+        let b = TableBuilder::new();
         let t = Table::open(Arc::new(b.finish())).unwrap();
         assert!(t.is_empty());
         assert!(t.get(b"/x").unwrap().is_none());
@@ -433,7 +439,7 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let mut b = TableBuilder::new(2);
+        let mut b = TableBuilder::new();
         b.add(Tag::Put, b"/a", b"1");
         b.add(Tag::Put, b"/b", b"2");
         let mut blob = b.finish();
@@ -445,7 +451,7 @@ mod tests {
     #[test]
     fn truncated_blob_rejected() {
         assert!(Table::open(Arc::new(vec![1, 2, 3])).is_err());
-        let mut b = TableBuilder::new(1);
+        let mut b = TableBuilder::new();
         b.add(Tag::Put, b"/a", b"1");
         let blob = b.finish();
         assert!(Table::open(Arc::new(blob[..blob.len() - 4].to_vec())).is_err());
@@ -454,14 +460,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "ascending")]
     fn out_of_order_add_panics() {
-        let mut b = TableBuilder::new(2);
+        let mut b = TableBuilder::new();
         b.add(Tag::Put, b"/b", b"1");
         b.add(Tag::Put, b"/a", b"2");
     }
 
     #[test]
     fn large_values_cross_blocks() {
-        let mut b = TableBuilder::new(10);
+        let mut b = TableBuilder::new();
         let big = vec![0xABu8; 10_000]; // forces multiple blocks
         for i in 0..10 {
             b.add(Tag::Put, format!("/k{i}").as_bytes(), &big);

@@ -34,7 +34,7 @@ fn golden_table() -> String {
 
 #[test]
 fn table_blob_is_byte_identical() {
-    let mut b = TableBuilder::new(3);
+    let mut b = TableBuilder::new();
     b.add(Tag::Put, b"/a", &BIG);
     b.add(Tag::Delete, b"/b", b"");
     b.add(Tag::Put, b"/c", b"meta-c");

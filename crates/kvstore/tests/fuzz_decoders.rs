@@ -161,7 +161,7 @@ fn entries(n: usize) -> Entries {
 }
 
 fn table_blob(entries: &Entries) -> Vec<u8> {
-    let mut b = TableBuilder::new(entries.len());
+    let mut b = TableBuilder::new();
     for (tag, k, v) in entries {
         b.add(*tag, k, v);
     }
@@ -290,7 +290,7 @@ fn fuzz(seed: u64, scale: usize) {
         check_wal(&format!("wal: batch body, crc refreshed: {what}"), &bytes, None);
     });
 
-    let mut bloom = BloomFilter::builder(100, 10);
+    let mut bloom = BloomFilter::builder(10);
     for (_, key, _) in entries(100) {
         bloom.add(&key);
     }

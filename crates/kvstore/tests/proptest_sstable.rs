@@ -15,7 +15,7 @@ fn af_key(min: usize, max: usize) -> impl Strategy<Value = String> {
 }
 
 fn build(entries: &BTreeMap<Vec<u8>, (Tag, Vec<u8>)>) -> Table {
-    let mut b = TableBuilder::new(entries.len());
+    let mut b = TableBuilder::new();
     for (k, (tag, v)) in entries {
         b.add(*tag, k, v);
     }

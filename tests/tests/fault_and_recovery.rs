@@ -202,7 +202,7 @@ fn replication_masks_the_partial_failure_the_paper_surfaces() {
 #[test]
 fn corrupted_sstable_is_detected_not_propagated() {
     use gkfs_kvstore::sstable::{Table, TableBuilder, Tag};
-    let mut b = TableBuilder::new(100);
+    let mut b = TableBuilder::new();
     for i in 0..100 {
         b.add(Tag::Put, format!("/k{i:03}").as_bytes(), b"value");
     }
