@@ -19,19 +19,16 @@
 //!
 //! The operations themselves live beside this file, one module per
 //! seam: `namespace` (create/stat/unlink/rmdir/readdir/truncate/fsck),
-//! `meta_frames` (quorum, `BatchMeta` frames, the transparent queue),
-//! `data` (write fan-out, read gather, size updates) and `handle`
-//! (open, [`FileHandle`], the descriptor shims).
+//! `meta_frames` (quorum, `BatchMeta` frames), `data` (write fan-out,
+//! read gather, size updates) and `handle` (open, [`FileHandle`], the
+//! descriptor shims).
 
 use crate::filemap::FileMap;
 use crate::meta_frames::create_op;
-use crate::metabatch::{FlushTrigger, MetaBatchState};
 use crate::placement::Placement;
 use crate::rpc::DaemonRing;
-use crate::stat_cache::StatCache;
 use gkfs_common::chunk::ChunkLayout;
 use gkfs_common::distributor::NodeId;
-use gkfs_common::lock::{rank, OrderedMutex};
 use gkfs_common::path as gpath;
 use gkfs_common::{ClusterConfig, FileKind, GkfsError, Result};
 use gkfs_rpc::proto::DaemonStatsResp;
@@ -72,24 +69,25 @@ pub struct ClientStats {
     /// Reads and seeks served from the open path's record instead of
     /// a stat RPC (the killed per-read stat).
     pub size_cache_hits: AtomicU64,
-    /// Lease-style invalidations applied to the TTL stat cache by
-    /// local mutations (create/unlink/rmdir/truncate/size update).
-    pub lease_invalidations: AtomicU64,
-    /// Metadata ops that traveled inside `BatchMeta` frames (queued
-    /// transparently or via the bulk `*_many` APIs).
+    /// Metadata ops that traveled inside `BatchMeta` frames (the bulk
+    /// `*_many` APIs).
     pub meta_ops_batched: AtomicU64,
-    /// Batch flushes triggered by the op-count cap.
+    /// Always 0: no frame is sent on an op-count trigger. Kept because
+    /// `ledger/src/counters.rs` sums the five `meta_flush_*` fields to
+    /// count frames.
     pub meta_flush_count: AtomicU64,
-    /// Batch flushes triggered by the encoded-bytes cap.
+    /// Always 0, kept for `ledger/src/counters.rs` (see
+    /// [`ClientStats::meta_flush_count`]).
     pub meta_flush_bytes: AtomicU64,
-    /// Batch flushes triggered by the queue deadline.
+    /// Always 0, kept for `ledger/src/counters.rs` (see
+    /// [`ClientStats::meta_flush_count`]).
     pub meta_flush_deadline: AtomicU64,
-    /// Batch flushes forced by a same-path ordering hazard.
+    /// Always 0, kept for `ledger/src/counters.rs` (see
+    /// [`ClientStats::meta_flush_count`]).
     pub meta_flush_hazard: AtomicU64,
-    /// Batch flushes from explicit barriers (`flush_meta`, readdir,
-    /// the bulk APIs).
+    /// `BatchMeta` frames sent.
     pub meta_flush_explicit: AtomicU64,
-    /// Batch-size histogram: ops per flushed frame, bucketed
+    /// Batch-size histogram: ops per frame, bucketed
     /// 1, 2–4, 5–8, 9–16, 17–32, 33+.
     pub meta_batch_hist: [AtomicU64; 6],
     /// Write-payload bytes copied on the way from the caller's buffer
@@ -116,18 +114,11 @@ pub fn batch_hist_bucket(n: usize) -> usize {
 }
 
 impl ClientStats {
-    /// Account one flushed batch of `n` ops under `trigger`.
-    pub(crate) fn note_meta_flush(&self, n: usize, trigger: FlushTrigger) {
+    /// Account one `BatchMeta` frame of `n` ops.
+    pub(crate) fn note_meta_flush(&self, n: usize) {
         self.meta_ops_batched.fetch_add(n as u64, Ordering::Relaxed);
         self.meta_batch_hist[batch_hist_bucket(n)].fetch_add(1, Ordering::Relaxed);
-        let counter = match trigger {
-            FlushTrigger::Count => &self.meta_flush_count,
-            FlushTrigger::Bytes => &self.meta_flush_bytes,
-            FlushTrigger::Deadline => &self.meta_flush_deadline,
-            FlushTrigger::Hazard => &self.meta_flush_hazard,
-            FlushTrigger::Explicit => &self.meta_flush_explicit,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.meta_flush_explicit.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -141,12 +132,6 @@ pub struct GekkoClient {
     /// client believes about the file (size, §IV-B window, write-back
     /// run).
     pub(crate) files: FileMap,
-    pub(crate) stat_cache: Option<StatCache>,
-    /// Transparent metadata batching: per-primary op queues, present
-    /// only when [`ClusterConfig::with_meta_batch`] enables it. Pure
-    /// data behind the lock — batches are taken out under the guard
-    /// and sent after it drops (GKL002).
-    pub(crate) mb: Option<OrderedMutex<MetaBatchState>>,
     pub(crate) stats: ClientStats,
 }
 
@@ -205,34 +190,20 @@ impl GekkoClient {
             placement,
             layout: ChunkLayout::new(config.chunk_size),
             files: FileMap::new(config.size_cache_ops, config.write_back as usize),
-            stat_cache: if config.stat_cache_ttl_ms > 0 {
-                Some(StatCache::new(std::time::Duration::from_millis(
-                    config.stat_cache_ttl_ms,
-                )))
-            } else {
-                None
-            },
-            mb: (config.meta_batch_ops > 0).then(|| {
-                OrderedMutex::new(
-                    rank::CLIENT_META_BATCH,
-                    MetaBatchState::new(config.nodes, config.meta_batch_ops),
-                )
-            }),
             stats,
         };
         // Root directory: non-exclusive create on its owner(s).
         client.meta_call(create_op(gpath::ROOT.into(), FileKind::Directory, 0o755, false))?;
         gkfs_common::gkfs_info!(
-            "mounted: {} nodes, chunk={} size_cache={} stat_cache={}ms",
+            "mounted: {} nodes, chunk={} size_cache={}",
             config.nodes,
             config.chunk_size,
-            config.size_cache_ops,
-            config.stat_cache_ttl_ms
+            config.size_cache_ops
         );
         Ok(client)
     }
 
-    /// stat operations issued.
+    /// This client's operation counters.
     pub fn stats(&self) -> &ClientStats {
         &self.stats
     }
@@ -245,20 +216,6 @@ impl GekkoClient {
     /// Number of daemons in the mounted namespace.
     pub fn nodes(&self) -> usize {
         self.ring.nodes()
-    }
-
-    /// Lease-style invalidation hook for the TTL stat cache: every
-    /// local mutation of `path`'s metadata — a size update included —
-    /// revokes the cached entry, so the cache only ever holds what a
-    /// daemon said and the TTL only ever bounds staleness of *remote*
-    /// changes. (With the cache disabled this is free.)
-    pub(crate) fn revoke_lease(&self, path: &str) {
-        if let Some(cache) = &self.stat_cache {
-            cache.invalidate(path);
-            self.stats
-                .lease_invalidations
-                .fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Flush all buffered state (unmount): every open path's

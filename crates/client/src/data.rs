@@ -176,8 +176,6 @@ impl GekkoClient {
     /// ([`LocalFile::published`]: a refusal ends it, and is this
     /// write's error), and of the bytes only once they are in
     /// ([`LocalFile::landed`]): a failed data leg leaves it as it was.
-    /// What the TTL stat cache holds for the path predates a sent
-    /// update, so the entry goes.
     pub(crate) fn finish_write(&self, write: WriteInFlight<'_>) -> Result<()> {
         let WriteInFlight { local, wrote, riders, meta_set, piece_sets, answered: mut outcomes, legs, deadline } = write;
         if legs.is_empty() && outcomes.is_empty() {
@@ -192,7 +190,6 @@ impl GekkoClient {
         let rode = if meta_set.is_empty() {
             Ok(())
         } else {
-            self.revoke_lease(&local.path);
             self.riders_verdict(&local.path, &meta_set, &outcomes)
         };
         if let Some(create) = riders.create {

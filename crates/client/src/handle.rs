@@ -62,9 +62,9 @@ impl GekkoClient {
     /// file is *unborn* — its record holds the create, and the file's
     /// first flush carries create, bytes and size to the metadata owner
     /// as one frame. Until then no other client sees it, and an
-    /// `Exists` surfaces at that flush (the contract `create()` has
-    /// under `with_meta_batch`, extended to handles); opening a path
-    /// that is still unborn exclusively again is `Exists` here.
+    /// `Exists` surfaces at that flush, exactly as a failed write-back
+    /// of its bytes would; opening a path that is still unborn
+    /// exclusively again is `Exists` here.
     ///
     /// Every other open learns the entry by one `OpenFile` frame
     /// ([`GekkoClient::open_chain`]). On a write-back mount a read-only
@@ -77,17 +77,10 @@ impl GekkoClient {
         let path = gpath::normalize(path)?;
         if flags.create {
             self.stats.creates.fetch_add(1, Ordering::Relaxed);
-            self.revoke_lease(&path);
             if flags.exclusive && self.files.defers_creates() {
                 let create = NewFile { mode: 0o644, exclusive: true, now_ns: now_ns() };
                 match self.files.attach_unborn(&path, create) {
-                    Ok(local) => {
-                        // Program order per path: what the transparent
-                        // queue holds for it lands before anything of
-                        // this handle.
-                        self.queue_barrier_path(&path)?;
-                        return Ok(OpenFile::new(local, flags));
-                    }
+                    Ok(local) => return Ok(OpenFile::new(local, flags)),
                     Err(open) if open.unborn() => return Err(GkfsError::Exists),
                     // This client has the path open: the daemons decide.
                     Err(_) => {}
@@ -232,8 +225,8 @@ impl FileHandle<'_> {
         self.file.local.size()
     }
 
-    /// Full metadata (one stat, possibly served by the TTL cache), with
-    /// the size raised to what the path's record believes.
+    /// Full metadata (one stat), with the size raised to what the
+    /// path's record believes.
     pub fn stat(&self) -> Result<Metadata> {
         self.file.local.linked()?;
         self.client.stat(self.path())

@@ -19,20 +19,16 @@
 //! * [`placement`] — [`placement::Placement`], the only code that
 //!   knows replica policy: which daemons hold a key right now, in what
 //!   order to read them, and how many must acknowledge a write.
-//! * [`stat_cache`] — the optional TTL cache of what daemons answered
-//!   to `stat` (§V future work).
 //! * [`writeback`] — the write-back buffer coalescing small sequential
 //!   writes into chunk-aligned batches.
-//! * [`metabatch`] — the per-daemon metadata-op queues behind the bulk
-//!   metadata plane (`create_many`/`stat_many`/`unlink_many` and the
-//!   opt-in transparent batching mode).
 //! * [`client`] — [`client::GekkoClient`]: the mount, and the
 //!   POSIX-relaxed operation set (no rename/links/locks, eventually
 //!   consistent `readdir`, strong consistency for single-file ops)
 //!   implemented over it by the private modules `namespace`
-//!   (path operations, `fsck`), `meta_frames` (quorum, `BatchMeta`
-//!   frames, the transparent queue), `data` (chunked write fan-out and
-//!   read gather) and `handle` (open, the descriptor shims, and
+//!   (path operations, `fsck`), `meta_frames` (quorum, and the
+//!   `BatchMeta` frame driver behind the bulk metadata plane,
+//!   `create_many`/`stat_many`/`unlink_many`), `data` (chunked write
+//!   fan-out and read gather) and `handle` (open, the descriptor shims, and
 //!   [`client::FileHandle`] — all I/O goes through explicit open
 //!   handles, [`client::GekkoClient::open_handle`]).
 //!
@@ -47,11 +43,9 @@ mod data;
 pub mod filemap;
 mod handle;
 mod meta_frames;
-pub mod metabatch;
 mod namespace;
 pub mod placement;
 pub mod rpc;
-pub mod stat_cache;
 pub mod writeback;
 
 pub use client::{ClientStats, FileHandle, FsckReport, GekkoClient};

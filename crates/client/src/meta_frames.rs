@@ -1,18 +1,17 @@
 //! How a metadata op reaches the daemons: the write quorum over a
-//! key's replica set, the `BatchMeta` frame driver behind the bulk
-//! APIs, and the transparent per-daemon op queue.
+//! key's replica set, and the `BatchMeta` frame driver behind the bulk
+//! APIs. An op goes out when it is called; the only metadata a client
+//! holds back is a write-back mount's unborn file
+//! ([`GekkoClient::publish`]).
 
 use crate::client::{now_ns, GekkoClient};
-use crate::metabatch::{FlushTrigger, MetaBatchState};
 use crate::rpc::ReplyFuture;
 use gkfs_common::distributor::NodeId;
-use gkfs_common::lock::OrderedMutex;
 use gkfs_common::path as gpath;
 use gkfs_common::retry::Deadline;
 use gkfs_common::{FileKind, GkfsError, Metadata, Result};
 use gkfs_rpc::proto::{CreateReq, MetaOp, MetaVerdict};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One mutation in flight on the write set of a key: what
 /// [`GekkoClient::quorum_submit`] hands to [`GekkoClient::quorum_wait`].
@@ -189,13 +188,8 @@ impl GekkoClient {
     /// write quorum; a stat-only frame needs one answer per op, so it
     /// walks the read chain ([`GekkoClient::ask_chain`]), later members
     /// seeing only the ops still open.
-    pub(crate) fn send_frame(
-        &self,
-        primary: NodeId,
-        ops: &Arc<[MetaOp]>,
-        trigger: FlushTrigger,
-    ) -> Result<Vec<MetaVerdict>> {
-        self.stats.note_meta_flush(ops.len(), trigger);
+    pub(crate) fn send_frame(&self, primary: NodeId, ops: &Arc<[MetaOp]>) -> Result<Vec<MetaVerdict>> {
+        self.stats.note_meta_flush(ops.len());
         if ops.iter().any(MetaOp::is_write) {
             return self.quorum_call(primary, |n| self.ring.batch_meta_nb(n, Arc::clone(ops)));
         }
@@ -209,19 +203,13 @@ impl GekkoClient {
         })
     }
 
-    /// The frame driver behind the bulk APIs and the transparent
-    /// queue: `ops` grouped by primary metadata owner (program order
-    /// kept within a group), cut into frames of at most
-    /// [`Self::EXPLICIT_BATCH_MAX`], each sent by
+    /// The frame driver behind the bulk APIs: `ops` grouped by primary
+    /// metadata owner (program order kept within a group), cut into
+    /// frames of at most [`Self::EXPLICIT_BATCH_MAX`], each sent by
     /// [`GekkoClient::send_frame`]. Every op's verdict goes to
     /// `sink(index in ops, op, verdict)`; the `Result` is a frame that
     /// could not be delivered or applied at all.
-    pub(crate) fn drive_meta(
-        &self,
-        ops: Vec<MetaOp>,
-        trigger: FlushTrigger,
-        mut sink: impl FnMut(usize, &MetaOp, MetaVerdict),
-    ) -> Result<()> {
+    pub(crate) fn drive_meta(&self, ops: Vec<MetaOp>, mut sink: impl FnMut(usize, &MetaOp, MetaVerdict)) -> Result<()> {
         let mut per_primary: Vec<Vec<(usize, MetaOp)>> = vec![Vec::new(); self.ring.nodes()];
         for (i, op) in ops.into_iter().enumerate() {
             per_primary[self.placement.meta_primary(op.path())].push((i, op));
@@ -232,7 +220,7 @@ impl GekkoClient {
                 let (indices, frame): (Vec<usize>, Vec<MetaOp>) =
                     group.by_ref().take(Self::EXPLICIT_BATCH_MAX).unzip();
                 let frame: Arc<[MetaOp]> = frame.into();
-                let verdicts = self.send_frame(primary, &frame, trigger)?;
+                let verdicts = self.send_frame(primary, &frame)?;
                 for ((i, op), verdict) in indices.into_iter().zip(frame.iter()).zip(verdicts) {
                     sink(i, op, verdict);
                 }
@@ -241,79 +229,13 @@ impl GekkoClient {
         Ok(())
     }
 
-    /// Flush batches the transparent queue took out, whose callers
-    /// have already returned `Ok`: every batch is sent, and the first
-    /// frame-level or per-op error surfaces here, at the flushing call
-    /// — the write-back-style deferred-error relaxation (DESIGN.md
-    /// "Bulk metadata plane").
-    pub(crate) fn flush_queued(
-        &self,
-        batches: impl IntoIterator<Item = (Vec<MetaOp>, FlushTrigger)>,
-    ) -> Result<()> {
-        let mut outcome = Ok(());
-        for (ops, trigger) in batches {
-            let mut refused = None;
-            let sent = self.drive_meta(ops, trigger, |_, _, verdict| {
-                if let Err(e) = verdict {
-                    refused.get_or_insert(e);
-                }
-            });
-            outcome = outcome.and(sent).and(refused.map_or(Ok(()), Err));
-        }
-        outcome
-    }
-
-    /// Queue `op` on its primary's batch and send whatever the queue
-    /// decides must go out (a displaced same-path batch, a full
-    /// queue, any queue past its deadline). Batches are taken under
-    /// the `mb` guard and sent only after it drops (GKL002).
-    pub(crate) fn enqueue_meta(&self, mb: &OrderedMutex<MetaBatchState>, op: MetaOp) -> Result<()> {
-        let primary = self.placement.meta_primary(op.path());
-        let now = Instant::now();
-        let (offer, expired) = {
-            let mut state = mb.lock();
-            let offer = state.offer(primary, op, now);
-            let expired = state.take_expired(now);
-            (offer, expired)
-        };
-        let hazard = offer.flush_first.map(|batch| (batch, FlushTrigger::Hazard));
-        let expired = expired.into_iter().map(|batch| (batch, FlushTrigger::Deadline));
-        self.flush_queued(hazard.into_iter().chain(offer.flush_now).chain(expired))
-    }
-
-    /// Per-path ordering barrier, passed by every call about to read
-    /// `path` at the daemons or mutate it via the unary protocol: what
-    /// this client still holds back about the path goes out first — an
-    /// unborn file is published ([`GekkoClient::publish`]), a queue
-    /// holding an op on the path is flushed. Deferred errors of either
-    /// surface here.
-    pub(crate) fn meta_barrier_path(&self, path: &str) -> Result<()> {
-        self.publish(path)?;
-        self.queue_barrier_path(path)
-    }
-
-    /// The transparent queue's half of [`GekkoClient::meta_barrier_path`]:
-    /// if `path` has a queued op, flush that queue. A no-op when
-    /// batching is disabled.
-    pub(crate) fn queue_barrier_path(&self, path: &str) -> Result<()> {
-        let Some(mb) = &self.mb else { return Ok(()) };
-        let primary = self.placement.meta_primary(path);
-        let batch = { mb.lock().take_hazard(primary, path) };
-        self.flush_queued(batch.map(|ops| (ops, FlushTrigger::Hazard)))
-    }
-
     /// Make the daemons' namespace what this client's calls so far say
-    /// it is (explicit barrier): every unborn file is published and
-    /// every queued metadata batch flushed — readdir, rmdir, fsck and
-    /// the bulk APIs call this, and applications can use it as an
-    /// mdtest-phase boundary. Deferred errors — a refused create, a
-    /// queued op's verdict — surface here, the first of them.
+    /// it is (explicit barrier): every unborn file is published —
+    /// readdir, rmdir, fsck and the bulk APIs call this, and
+    /// applications can use it as an mdtest-phase boundary. A refused
+    /// create surfaces here, the first of them.
     pub fn flush_meta(&self) -> Result<()> {
-        let published = self.flush_files(&mut self.files.unborn_locals());
-        let Some(mb) = &self.mb else { return published };
-        let batches = { mb.lock().take_all() };
-        let flushed = self.flush_queued(batches.into_iter().map(|ops| (ops, FlushTrigger::Explicit)));
-        published.and(flushed)
+        self.flush_files(&mut self.files.unborn_locals())
     }
 
     /// The body the bulk APIs share: behind an explicit barrier, one
@@ -340,17 +262,17 @@ impl GekkoClient {
                 Err(GkfsError::NotFound)
             }));
         }
-        self.drive_meta(ops, FlushTrigger::Explicit, |i, op, verdict| {
+        self.drive_meta(ops, |i, op, verdict| {
             slots[slot_of[i]] = verdict.and_then(|entry| finish(op.path(), entry));
         })?;
         Ok(slots)
     }
 
     /// One metadata op over the unary protocol: on its path's metadata
-    /// write set, under quorum semantics, behind any batched op queued
-    /// on the same path (program order per path).
+    /// write set, under quorum semantics, behind an unborn file of this
+    /// mount on the same path (program order per path).
     pub(crate) fn meta_call(&self, op: MetaOp) -> MetaVerdict {
-        self.meta_barrier_path(op.path())?;
+        self.publish(op.path())?;
         self.quorum_call(self.placement.meta_primary(op.path()), |n| {
             self.ring.meta_nb(n, op.clone())
         })
@@ -362,6 +284,7 @@ mod tests {
     use super::*;
     use crate::client::testing::{cluster, cluster_with};
     use gkfs_common::{ClusterConfig, OpenFlags};
+    use gkfs_rpc::Endpoint;
     use std::sync::atomic::Ordering;
 
     #[test]
@@ -417,92 +340,41 @@ mod tests {
         assert!(hist[2] + hist[3] + hist[4] + hist[5] > 0, "hist {hist:?}");
     }
 
+    /// The two calls about an unborn file that `proptest_fs.rs`'s
+    /// hazards do not drive: `rmdir` of its directory and an open that
+    /// can write. Each publishes the file before it asks the daemons.
     #[test]
-    fn transparent_batching_coalesces_creates() {
-        let config = ClusterConfig::new(2).with_meta_batch(8);
-        let (_d, c) = cluster_with(2, config);
-        let rpc0 = c.stats().rpcs_issued.load(Ordering::Relaxed);
-        for i in 0..16 {
-            c.create(&format!("/t{i}"), 0o644).unwrap();
-        }
-        // 16 queued creates over 2 per-daemon queues (cap 8): at most
-        // two count-trigger frames have gone out so far.
-        let create_rpcs = c.stats().rpcs_issued.load(Ordering::Relaxed) - rpc0;
-        assert!(create_rpcs <= 2, "{create_rpcs} RPCs while queueing");
-        // Reading a queued path flushes its queue first: the stat
-        // observes the create (read-your-writes).
-        assert_eq!(c.stat("/t0").unwrap().kind, FileKind::File);
-        // readdir is a full barrier: every queued create is visible.
-        let names: Vec<String> = c
-            .readdir("/")
-            .unwrap()
-            .into_iter()
-            .map(|e| e.name)
-            .collect();
-        for i in 0..16 {
-            assert!(names.contains(&format!("t{i}")), "t{i} missing");
-        }
-        assert_eq!(c.stats().meta_ops_batched.load(Ordering::Relaxed), 16);
-        let s = c.stats();
-        let flushes = s.meta_flush_count.load(Ordering::Relaxed)
-            + s.meta_flush_hazard.load(Ordering::Relaxed)
-            + s.meta_flush_explicit.load(Ordering::Relaxed)
-            + s.meta_flush_deadline.load(Ordering::Relaxed);
-        assert!(flushes >= 1);
-    }
-
-    #[test]
-    fn transparent_batching_defers_per_op_errors_to_the_flush() {
-        let config = ClusterConfig::new(2).with_meta_batch(64);
-        let (_d, c) = cluster_with(2, config);
-        c.create("/dup", 0o644).unwrap();
-        c.flush_meta().unwrap();
-        // The duplicate enqueues cleanly; its Exists surfaces at the
-        // flushing call (write-back-style deferred error).
-        c.create("/dup", 0o644).unwrap();
-        assert!(matches!(c.flush_meta(), Err(GkfsError::Exists)));
-        // Same deferral when the flush is a read barrier: the second
-        // create of /h displaces the first (same-path hazard), and the
-        // stat's own barrier flush carries the duplicate's verdict.
-        c.create("/h", 0o644).unwrap();
-        c.create("/h", 0o644).unwrap();
-        assert!(matches!(c.stat("/h"), Err(GkfsError::Exists)));
-        assert!(c.stats().meta_flush_hazard.load(Ordering::Relaxed) >= 1);
-        // The entry itself landed; the queue is clean again.
-        assert_eq!(c.stat("/h").unwrap().kind, FileKind::File);
-    }
-
-    #[test]
-    fn transparent_batching_orders_against_unary_ops() {
-        let config = ClusterConfig::new(3).with_meta_batch(64);
-        let (_d, c) = cluster_with(3, config);
-        // Queued mkdir, then rmdir: the rmdir's full barrier flushes
-        // the mkdir before probing emptiness.
+    fn unborn_file_orders_against_unary_ops() {
+        let (daemons, c) = cluster_with(3, ClusterConfig::new(3).with_write_back(64 * 1024));
+        let endpoints: Vec<Arc<dyn Endpoint>> = daemons.iter().map(|d| d.endpoint()).collect();
+        let other = GekkoClient::mount(endpoints, &ClusterConfig::new(3)).unwrap();
+        let excl = OpenFlags::RDWR.with_create().with_exclusive();
+        // rmdir's full barrier publishes the child before probing
+        // emptiness.
         c.mkdir("/bd", 0o755).unwrap();
+        let child = c.open_handle("/bd/f", excl).unwrap();
+        assert!(matches!(c.rmdir("/bd"), Err(GkfsError::NotEmpty)));
+        assert_eq!(other.stat("/bd/f").unwrap().kind, FileKind::File);
+        child.close().unwrap();
+        c.unlink("/bd/f").unwrap();
         c.rmdir("/bd").unwrap();
-        assert!(matches!(c.stat("/bd"), Err(GkfsError::NotFound)));
-        // Queued create, then truncate: the per-path barrier flushes
-        // the create before the truncate's metadata update.
-        c.create("/tr", 0o644).unwrap();
-        c.truncate("/tr", 100).unwrap();
-        assert_eq!(c.stat("/tr").unwrap().size, 100);
-        // Queued create, then unlink: the unlink's stat barrier makes
-        // the entry real before removing it.
-        c.create("/un", 0o644).unwrap();
-        c.unlink("/un").unwrap();
-        assert!(matches!(c.stat("/un"), Err(GkfsError::NotFound)));
-        // Queued create, then open for write: open's unary create
-        // barrier keeps path program order.
-        c.create("/op", 0o644).unwrap();
-        let h = c.open_handle("/op", OpenFlags::RDWR).unwrap();
+        // An open that can write asks the daemons for the entry: the
+        // unborn file and its buffered bytes land first.
+        let h = c.open_handle("/op", excl).unwrap();
         h.pwrite(0, b"abc").unwrap();
+        assert!(matches!(other.stat("/op"), Err(GkfsError::NotFound)));
+        let w = c.open_handle("/op", OpenFlags::RDWR).unwrap();
+        assert_eq!(w.size(), 3);
+        assert_eq!(other.stat("/op").unwrap().size, 3);
+        w.pwrite(3, b"d").unwrap();
+        w.close().unwrap();
         h.close().unwrap();
-        assert_eq!(c.stat("/op").unwrap().size, 3);
+        assert_eq!(other.open_handle("/op", OpenFlags::RDONLY).unwrap().pread(0, 8).unwrap(), b"abcd");
     }
 
     #[test]
     fn batched_mutations_ride_the_replication_quorum() {
-        let config = ClusterConfig::new(3).with_replicas(2).with_meta_batch(16);
+        let config = ClusterConfig::new(3).with_replicas(2);
         let (_d, c) = cluster_with(3, config);
         let paths: Vec<String> = (0..12).map(|i| format!("/r{i}")).collect();
         let res = c.create_many(&paths, 0o644).unwrap();

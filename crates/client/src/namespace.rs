@@ -33,10 +33,7 @@ impl GekkoClient {
             .fetch_add(paths.len() as u64, Ordering::Relaxed);
         // One timestamp for the call, not a clock read per path.
         let now_ns = now_ns();
-        let create = |path: String| {
-            self.revoke_lease(&path);
-            MetaOp::Create(CreateReq { path, kind: FileKind::File, mode, exclusive: true, now_ns })
-        };
+        let create = |path| MetaOp::Create(CreateReq { path, kind: FileKind::File, mode, exclusive: true, now_ns });
         self.many(paths, create, |_, _| Ok(()))
     }
 
@@ -62,14 +59,10 @@ impl GekkoClient {
         self.stats
             .removes
             .fetch_add(paths.len() as u64, Ordering::Relaxed);
-        let unlink = |path: String| {
-            self.revoke_lease(&path);
-            MetaOp::Unlink(PathReq { path })
-        };
         // Files whose chunks must still be removed (zero-byte files
         // hold none).
         let mut removed: Vec<Unlinked> = Vec::new();
-        let slots = self.many(paths, unlink, |path, meta| {
+        let slots = self.many(paths, |path| MetaOp::Unlink(PathReq { path }), |path, meta| {
             removed.extend(self.unlinked(path, meta));
             Ok(())
         })?;
@@ -138,9 +131,9 @@ impl GekkoClient {
     /// [`GekkoClient::ask_chain`] states (`NotFound` keeps trying the
     /// rest of the chain).
     fn entry_chain<T>(&self, path: &str, ask: impl Fn(NodeId) -> Result<T>) -> Result<T> {
-        // A queued batched op on this path must land first, or the
-        // answer would describe pre-batch state (read-your-writes).
-        self.meta_barrier_path(path)?;
+        // An unborn file on this path must land first, or the answer
+        // would not know it (read-your-writes).
+        self.publish(path)?;
         let one = |n, _: &[usize]| match ask(n) {
             Err(GkfsError::NotFound) => Ok(vec![Err(GkfsError::NotFound)]),
             answer => answer.map(|entry| vec![Ok(entry)]),
@@ -157,46 +150,25 @@ impl GekkoClient {
         })
     }
 
-    /// What an open learns: the entry — from the TTL stat cache where it
-    /// is on and holds one, else by one `OpenFile` down the chain the
-    /// stat walks — and with it, when the daemon that answered vouches
-    /// for them, the bytes of a file of at most `head_max`
+    /// What an open learns: the entry, by one `OpenFile` down the chain
+    /// the stat walks, and with it, when the daemon that answered
+    /// vouches for them, the bytes of a file of at most `head_max`
     /// ([`DaemonRing::open_file_nb`](crate::rpc::DaemonRing::open_file_nb)).
     /// Chunk 0's read set is the metadata's, so whoever answers the
     /// entry is a legitimate reader of the file.
     pub(crate) fn open_chain(&self, path: &str, head_max: u64) -> Result<(Metadata, Option<Bytes>)> {
-        if let Some(meta) = self.stat_cache.as_ref().and_then(|cache| cache.get(path)) {
-            return Ok((meta, None));
-        }
-        let (meta, file) = self.entry_chain(path, |n| self.ring.open_file_nb(n, path, head_max)?.wait())?;
-        if let Some(cache) = &self.stat_cache {
-            cache.put(path, meta.clone());
-        }
-        Ok((meta, file))
+        self.entry_chain(path, |n| self.ring.open_file_nb(n, path, head_max)?.wait())
     }
 
-    /// An exclusive create from `create`/`mkdir`: queued when
-    /// transparent batching is on (a deferred `Exists` surfaces at the
-    /// flushing call), unary otherwise.
+    /// An exclusive create from `create`/`mkdir`, one unary call. A file
+    /// this client holds unborn on the path is published first
+    /// ([`GekkoClient::meta_call`]), so this create is refused by it.
     fn create_entry(&self, path: String, kind: FileKind, mode: u32) -> Result<()> {
         self.stats.creates.fetch_add(1, Ordering::Relaxed);
-        self.revoke_lease(&path);
-        // A file this client holds unborn on the path goes first, so
-        // this create is refused by it — queued or not.
-        self.publish(&path)?;
-        let op = create_op(path, kind, mode, true);
-        match &self.mb {
-            Some(mb) => self.enqueue_meta(mb, op),
-            None => self.meta_call(op).map(drop),
-        }
+        self.meta_call(create_op(path, kind, mode, true)).map(drop)
     }
 
     /// Create a regular file (exclusive, like `O_CREAT|O_EXCL`).
-    ///
-    /// With [`ClusterConfig::with_meta_batch`](gkfs_common::ClusterConfig::with_meta_batch)
-    /// enabled the create is queued and coalesced with neighbours bound
-    /// for the same daemon; a deferred `Exists` surfaces at the flushing
-    /// call instead of here (DESIGN.md "Bulk metadata plane").
     pub fn create(&self, path: &str, mode: u32) -> Result<()> {
         self.create_entry(gpath::normalize(path)?, FileKind::File, mode)
     }
@@ -221,12 +193,7 @@ impl GekkoClient {
     pub fn stat(&self, path: &str) -> Result<Metadata> {
         let path = gpath::normalize(path)?;
         self.stats.stats.fetch_add(1, Ordering::Relaxed);
-        self.stat_local(&path)
-    }
-
-    /// [`GekkoClient::fetch_meta`] under [`GekkoClient::overlay_local`].
-    pub(crate) fn stat_local(&self, path: &str) -> Result<Metadata> {
-        Ok(self.overlay_local(path, self.fetch_meta(path)?))
+        Ok(self.overlay_local(&path, self.stat_chain(&path)?))
     }
 
     /// Read-your-writes within one client: raise `meta.size` to what
@@ -239,27 +206,11 @@ impl GekkoClient {
         meta
     }
 
-    /// Fetch metadata through the optional §V stat cache. Negative
-    /// results (NotFound) are never cached — a create must be visible
-    /// immediately.
-    pub(crate) fn fetch_meta(&self, path: &str) -> Result<Metadata> {
-        if let Some(cache) = &self.stat_cache {
-            if let Some(m) = cache.get(path) {
-                return Ok(m);
-            }
-            let m = self.stat_chain(path)?;
-            cache.put(path, m.clone());
-            return Ok(m);
-        }
-        self.stat_chain(path)
-    }
-
     /// Remove a regular file: metadata — and chunk 0, placed with it —
     /// from its owner, the other chunks from their holders.
     pub fn unlink(&self, path: &str) -> Result<()> {
         let path = gpath::normalize(path)?;
         self.stats.removes.fetch_add(1, Ordering::Relaxed);
-        self.revoke_lease(&path);
         // One round trip: the owner refuses a directory itself,
         // answers with the entry it removed and, if that entry held
         // bytes, has dropped its own chunk 0. Zero-byte files (the
@@ -298,11 +249,10 @@ impl GekkoClient {
         if path == gpath::ROOT {
             return Err(GkfsError::InvalidArgument("cannot remove root".into()));
         }
-        // Queued creates of children may sit in any daemon's batch:
-        // full barrier, or the emptiness probe below could lie.
+        // An unborn child is known to no daemon yet: full barrier, or
+        // the emptiness probe below could lie.
         self.flush_meta()?;
         self.stats.removes.fetch_add(1, Ordering::Relaxed);
-        self.revoke_lease(&path);
         // Emptiness is checked across all daemons. This is the paper's
         // eventual-consistency caveat: a concurrent create can slip in.
         // One single-entry page per daemon suffices: any entry at all
@@ -325,7 +275,7 @@ impl GekkoClient {
     pub fn readdir(&self, path: &str) -> Result<Vec<Dirent>> {
         let path = gpath::normalize(path)?;
         // Listings are this client's read-your-writes boundary: every
-        // queued batched op lands before the scan goes out.
+        // unborn file lands before the scan goes out.
         self.flush_meta()?;
         let meta = self.stat_chain(&path)?;
         if !meta.is_dir() {
@@ -370,9 +320,9 @@ impl GekkoClient {
     /// Truncate (or extend) a file to `new_size`.
     pub fn truncate(&self, path: &str, new_size: u64) -> Result<()> {
         let path = gpath::normalize(path)?;
-        // A queued batched create of this path must land before the
-        // truncate's metadata update can find it.
-        self.meta_barrier_path(&path)?;
+        // An unborn file on this path must land before the truncate's
+        // metadata update can find it.
+        self.publish(&path)?;
         // Program order: writes buffered before this truncate must land
         // before it applies, so force out the path's run.
         if let Some(local) = self.files.local(&path) {
@@ -380,7 +330,6 @@ impl GekkoClient {
                 self.flush_run(&local, run)?;
             }
         }
-        self.revoke_lease(&path);
         self.meta_call(MetaOp::TruncateMeta(TruncateMetaReq {
             path: path.clone(),
             new_size,
@@ -553,9 +502,6 @@ mod tests {
     use super::*;
     use crate::client::testing::{cluster, cluster_with};
     use gkfs_common::{ClusterConfig, OpenFlags};
-    use gkfs_daemon::Daemon;
-    use gkfs_rpc::Endpoint;
-    use std::sync::Arc;
 
     #[test]
     fn create_stat_unlink() {
@@ -728,85 +674,6 @@ mod tests {
         let report = c.fsck().unwrap();
         assert!(report.is_clean(), "sparse files are not damage");
         assert_eq!(report.chunkless_files, vec!["/sparse-only".to_string()]);
-    }
-
-    #[test]
-    fn stat_cache_eliminates_round_trips_but_sees_own_writes() {
-        let config = ClusterConfig::new(2).with_stat_cache_ttl_ms(60_000);
-        let (daemons, c) = cluster_with(2, config);
-        let h = c.open_handle("/hot", OpenFlags::WRONLY.with_create()).unwrap();
-        h.pwrite(0, b"12345").unwrap();
-        h.close().unwrap();
-
-        let gets = |ds: &Vec<Arc<Daemon>>| -> u64 {
-            ds.iter()
-                .map(|d| d.backends().meta.db().stats().gets.load(Ordering::Relaxed))
-                .sum()
-        };
-        let before = gets(&daemons);
-        // A storm of stats: at most one daemon round trip.
-        for _ in 0..100 {
-            assert_eq!(c.stat("/hot").unwrap().size, 5);
-        }
-        let delta = gets(&daemons) - before;
-        assert!(delta <= 1, "cache should absorb the storm, saw {delta} gets");
-
-        // The client's own writes stay visible (a sent size update
-        // invalidates the cached entry).
-        let h = c.open_handle("/hot", OpenFlags::WRONLY).unwrap();
-        h.pwrite(100, b"x").unwrap();
-        h.close().unwrap();
-        assert_eq!(c.stat("/hot").unwrap().size, 101);
-        // Truncate invalidates; next stat refetches the exact value.
-        c.truncate("/hot", 3).unwrap();
-        assert_eq!(c.stat("/hot").unwrap().size, 3);
-        // Unlink invalidates; stat misses cleanly.
-        c.unlink("/hot").unwrap();
-        assert!(c.stat("/hot").is_err());
-    }
-
-    #[test]
-    fn stat_cache_staleness_is_bounded_by_ttl() {
-        let config = ClusterConfig::new(2).with_stat_cache_ttl_ms(30);
-        let (_d, observer) = cluster_with(2, config);
-        observer.create("/ttl", 0o644).unwrap();
-        // Prime the observer's cache with size 0.
-        assert_eq!(observer.stat("/ttl").unwrap().size, 0);
-        // A different client (no shared cache) grows the file.
-        let writer = {
-            let endpoints: Vec<Arc<dyn Endpoint>> =
-                _d.iter().map(|d| d.endpoint()).collect();
-            GekkoClient::mount(endpoints, &ClusterConfig::new(2)).unwrap()
-        };
-        let wh = writer.open_handle("/ttl", OpenFlags::WRONLY).unwrap();
-        wh.pwrite(0, b"abcdef").unwrap();
-        wh.close().unwrap();
-        // Within the TTL the observer may still see the stale size;
-        // after expiry it must see the truth.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert_eq!(observer.stat("/ttl").unwrap().size, 6);
-    }
-
-    #[test]
-    fn lease_revocations_keep_stat_cache_honest() {
-        let config = ClusterConfig::new(2).with_stat_cache_ttl_ms(60_000);
-        let (_d, c) = cluster_with(2, config);
-        c.create("/lease", 0o644).unwrap();
-        assert!(c.stats().lease_invalidations.load(Ordering::Relaxed) >= 1);
-        assert_eq!(c.stat("/lease").unwrap().size, 0);
-        // Truncate revokes: the very next stat refetches the truth.
-        c.truncate("/lease", 123).unwrap();
-        assert_eq!(c.stat("/lease").unwrap().size, 123);
-        c.unlink("/lease").unwrap();
-        assert!(c.stat("/lease").is_err());
-        // mkdir/rmdir revoke too (a stale "directory exists" entry
-        // would make a later create look spuriously conflicted).
-        c.mkdir("/ld", 0o755).unwrap();
-        c.stat("/ld").unwrap();
-        let n = c.stats().lease_invalidations.load(Ordering::Relaxed);
-        c.rmdir("/ld").unwrap();
-        assert!(c.stats().lease_invalidations.load(Ordering::Relaxed) > n);
-        assert!(c.stat("/ld").is_err());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! send it after the guard is dropped — an RPC under the lock would
 //! violate the lock hierarchy (GKL002).
 //!
-//! Consistency contract (see DESIGN.md "Open handles, write-back and
-//! leases"): buffered bytes are visible to reads through **every
+//! Consistency contract (see DESIGN.md "Open handles and write-back
+//! batching"): buffered bytes are visible to reads through **every
 //! handle this client has open on the path** (read overlays the run)
 //! and to `stat` on the same client (the record's size includes the
 //! buffered tail). Other clients see them only after a flush — the

@@ -129,9 +129,7 @@ fn fast_retry(max_attempts: u32) -> RetryConfig {
 fn check_batch_exactly_once(fail_every: u64, n_files: usize) -> Result<(), String> {
     let daemon = Daemon::spawn(gkfs_common::DaemonConfig::default()).unwrap();
     let flaky: Arc<dyn Endpoint> = FlakyEndpoint::new_reply_path(daemon.endpoint(), fail_every);
-    let config = ClusterConfig::new(1)
-        .with_meta_batch(8)
-        .with_retry(fast_retry(4));
+    let config = ClusterConfig::new(1).with_retry(fast_retry(4));
     let client = GekkoClient::mount(vec![flaky], &config).map_err(|e| format!("mount: {e}"))?;
     let clean = DaemonRing::new(
         vec![daemon.endpoint()],

@@ -9,14 +9,6 @@ use std::path::PathBuf;
 /// The chunk size used throughout the paper's evaluation: 512 KiB.
 pub const DEFAULT_CHUNK_SIZE: u64 = 512 * 1024;
 
-/// Byte cap per queued metadata batch: far below any frame limit,
-/// large enough for hundreds of typical paths.
-pub const DEFAULT_META_BATCH_BYTES: usize = 64 * 1024;
-
-/// Age in milliseconds of the oldest queued metadata op past which the
-/// next queue interaction forces a flush.
-pub const DEFAULT_META_BATCH_DEADLINE_MS: u64 = 10;
-
 /// Which distribution function places metadata and chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistributorKind {
@@ -238,10 +230,6 @@ pub struct ClusterConfig {
     /// updates to coalesce before flushing to the metadata owner.
     /// `0` disables the cache (the paper's default, synchronous mode).
     pub size_cache_ops: usize,
-    /// Client-side stat cache TTL in milliseconds (§V "evaluate
-    /// benefits of caching"). `0` disables caching (the paper's
-    /// default: every stat is a round trip).
-    pub stat_cache_ttl_ms: u64,
     /// Client-side write-back buffer capacity per open path, in
     /// bytes. Small sequential writes to one file coalesce into
     /// batches of up to this many bytes before the chunk fan-out;
@@ -253,12 +241,6 @@ pub struct ClusterConfig {
     pub retry: RetryConfig,
     /// N-way replication, heartbeat failure detection and recovery.
     pub replication: ReplicationConfig,
-    /// Client-side metadata batching: max ops coalesced per daemon
-    /// before a queue flushes. `0` disables transparent batching (the
-    /// default: every metadata op is its own RPC); the explicit
-    /// `*_many` bulk APIs batch regardless. See
-    /// [`ClusterConfig::with_meta_batch`].
-    pub meta_batch_ops: usize,
 }
 
 impl ClusterConfig {
@@ -269,11 +251,9 @@ impl ClusterConfig {
             chunk_size: DEFAULT_CHUNK_SIZE,
             distributor: DistributorKind::SimpleHash,
             size_cache_ops: 0,
-            stat_cache_ttl_ms: 0,
             write_back: 0,
             retry: RetryConfig::default(),
             replication: ReplicationConfig::default(),
-            meta_batch_ops: 0,
         }
     }
 
@@ -293,14 +273,6 @@ impl ClusterConfig {
     /// coalescing window (number of writes).
     pub fn with_size_cache(mut self, ops: usize) -> Self {
         self.size_cache_ops = ops;
-        self
-    }
-
-    /// Enable the client-side stat cache with the given TTL in
-    /// milliseconds. Trades bounded staleness of *remote* changes for
-    /// round-trip elimination; the client always sees its own writes.
-    pub fn with_stat_cache_ttl_ms(mut self, ttl_ms: u64) -> Self {
-        self.stat_cache_ttl_ms = ttl_ms;
         self
     }
 
@@ -342,17 +314,6 @@ impl ClusterConfig {
     /// With the write-quorum knob (`0` = all replicas).
     pub fn with_write_quorum(mut self, quorum: usize) -> Self {
         self.replication.write_quorum = quorum;
-        self
-    }
-
-    /// Enable transparent client-side metadata batching: up to `ops`
-    /// creates/unlinks destined for the same daemon coalesce into one
-    /// `BatchMeta` frame before flushing. Deferred ops trade immediate
-    /// error reporting for throughput (errors surface at the flushing
-    /// call), the same relaxation the write-back buffer makes for
-    /// write data — see DESIGN.md "Bulk metadata plane".
-    pub fn with_meta_batch(mut self, ops: usize) -> Self {
-        self.meta_batch_ops = ops;
         self
     }
 

@@ -110,11 +110,6 @@ pub mod rank {
         POSIX_DIR_STREAMS = 230;
         /// The client's fd → open-file table.
         CLIENT_FILEMAP = 220;
-        /// The client's pending metadata-op batch queues. Below
-        /// [`CLIENT_FILEMAP`] so an operation resolving an fd may still
-        /// enqueue; the flush takes the batch out and drops the guard
-        /// before any RPC (GKL002), exactly like the write-back buffer.
-        CLIENT_META_BATCH = 218;
         /// A single open file's seek position.
         CLIENT_FILE_POS = 216;
         /// What the client believes about one open path (`LocalFile`:
@@ -124,8 +119,6 @@ pub mod rank {
         /// may grow the record it found; whatever must be sent is taken
         /// out and the guard dropped before any RPC (GKL002).
         CLIENT_LOCAL_FILE = 214;
-        /// The client's stat cache.
-        CLIENT_STAT_CACHE = 212;
         /// A switchable endpoint's target slot (`SwitchEndpoint`): held
         /// only to clone the inner `Arc`, but ranked above every RPC lock
         /// so a submit made under it (tests, careless callers) still

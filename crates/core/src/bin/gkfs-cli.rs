@@ -264,28 +264,18 @@ fn run() -> Result<(), GkfsError> {
             use std::sync::atomic::Ordering::Relaxed;
             println!(
                 "client: {} rpcs issued, write-back {} B buffered / {} coalesced \
-                 flushes, {} size-cache hits, {} lease invalidations",
+                 flushes, {} size-cache hits",
                 st.rpcs_issued.load(Relaxed),
                 st.wb_buffered_bytes.load(Relaxed),
                 st.wb_flushes.load(Relaxed),
-                st.size_cache_hits.load(Relaxed),
-                st.lease_invalidations.load(Relaxed)
+                st.size_cache_hits.load(Relaxed)
             );
             let batched = st.meta_ops_batched.load(Relaxed);
             if batched > 0 {
-                let hist: Vec<u64> = st
-                    .meta_batch_hist
-                    .iter()
-                    .map(|b| b.load(Relaxed))
-                    .collect();
+                let hist: Vec<u64> = st.meta_batch_hist.iter().map(|b| b.load(Relaxed)).collect();
                 println!(
-                    "        meta-batch: {batched} ops batched; flushes \
-                     {} count / {} bytes / {} deadline / {} hazard / {} explicit; \
+                    "        meta-batch: {} frames, {batched} ops batched, \
                      sizes [1:{} 2-4:{} 5-8:{} 9-16:{} 17-32:{} 33+:{}]",
-                    st.meta_flush_count.load(Relaxed),
-                    st.meta_flush_bytes.load(Relaxed),
-                    st.meta_flush_deadline.load(Relaxed),
-                    st.meta_flush_hazard.load(Relaxed),
                     st.meta_flush_explicit.load(Relaxed),
                     hist[0],
                     hist[1],

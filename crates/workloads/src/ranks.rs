@@ -35,10 +35,7 @@ impl Ranks {
     /// is already there is fine (drivers re-run in one namespace);
     /// anything else — a daemon that cannot be reached — fails the run.
     pub fn mkdir(&self, path: &str) -> Result<()> {
-        let made = self.rank0().mkdir(path, 0o755);
-        // With transparent metadata batching the mkdir is only queued;
-        // its verdict arrives with the flush.
-        match made.and_then(|()| self.rank0().flush_meta()) {
+        match self.rank0().mkdir(path, 0o755) {
             Err(GkfsError::Exists) => Ok(()),
             other => other,
         }

@@ -220,24 +220,4 @@ mod tests {
         }
         cluster.shutdown();
     }
-
-    #[test]
-    fn smallfile_benefits_from_stat_cache() {
-        // The scan phase stats every file before reading; with the §V
-        // stat cache a re-scan of the same corpus saves round trips.
-        let cluster = Cluster::deploy(
-            ClusterConfig::new(2)
-                .with_chunk_size(8 * 1024)
-                .with_stat_cache_ttl_ms(60_000),
-        )
-        .unwrap();
-        let cfg = SmallFileConfig {
-            processes: 2,
-            files_per_process: 30,
-            file_size: 2 * 1024,
-            work_dir: "/sfc".into(),
-        };
-        run_smallfile(|| cluster.mount(), &cfg).unwrap();
-        cluster.shutdown();
-    }
 }

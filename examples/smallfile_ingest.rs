@@ -12,38 +12,30 @@ use gekkofs::{Cluster, ClusterConfig};
 use gkfs_workloads::{run_smallfile, SmallFileConfig};
 
 fn main() -> gekkofs::Result<()> {
-    // The stat cache (§V "evaluate benefits of caching") pays off in
-    // shuffled-read epochs that re-stat the same files; compare both.
-    for (label, ttl_ms) in [("paper default (no caches)", 0u64), ("with stat cache", 60_000)] {
-        let cluster = Cluster::deploy(
-            ClusterConfig::new(4)
-                .with_chunk_size(64 * 1024)
-                .with_stat_cache_ttl_ms(ttl_ms),
-        )?;
-        let cfg = SmallFileConfig {
-            processes: 6,
-            files_per_process: 300,
-            file_size: 16 * 1024,
-            work_dir: "/corpus".into(),
-        };
-        let r = run_smallfile(|| cluster.mount(), &cfg)?;
-        println!("== {label} ==");
-        println!(
-            "  ingest: {} files ({} KiB each) at {:.0} files/s",
-            r.total_files,
-            cfg.file_size / 1024,
-            r.ingest_files_per_sec()
-        );
-        println!(
-            "  scan:   {} cross-rank shuffled reads at {:.0} MiB/s",
-            r.total_files * cfg.processes,
-            r.scan_mib_per_sec()
-        );
-        println!(
-            "  ls -l:  {} entries in {:?} (one broadcast prefix scan)",
-            r.listed_entries, r.list_time
-        );
-        cluster.shutdown();
-    }
+    // The paper's defaults: a synchronous, cache-less client.
+    let cluster = Cluster::deploy(ClusterConfig::new(4).with_chunk_size(64 * 1024))?;
+    let cfg = SmallFileConfig {
+        processes: 6,
+        files_per_process: 300,
+        file_size: 16 * 1024,
+        work_dir: "/corpus".into(),
+    };
+    let r = run_smallfile(|| cluster.mount(), &cfg)?;
+    println!(
+        "ingest: {} files ({} KiB each) at {:.0} files/s",
+        r.total_files,
+        cfg.file_size / 1024,
+        r.ingest_files_per_sec()
+    );
+    println!(
+        "scan:   {} cross-rank shuffled reads at {:.0} MiB/s",
+        r.total_files * cfg.processes,
+        r.scan_mib_per_sec()
+    );
+    println!(
+        "ls -l:  {} entries in {:?} (one broadcast prefix scan)",
+        r.listed_entries, r.list_time
+    );
+    cluster.shutdown();
     Ok(())
 }

@@ -186,10 +186,11 @@ echo "==> parallel-storage stress, release (clients x chunks x chaos seeds)"
 # the fd cache and the per-chunk task pool.
 cargo test -p gkfs-integration --release --test parallel_storage -- --include-ignored --test-threads=2
 
-echo "==> product-code line count (scripts/loc.sh; ROADMAP item 3's yardstick)"
-# Not a gate: the per-crate `before → after (Δ)` table a simplicity PR
-# reports in EXPERIMENTS.md, against the previous commit when there is
-# one (a shallow clone has none; it gets the plain counts).
+echo "==> product-code line and option counts (scripts/loc.sh; ROADMAP item 3's yardstick)"
+# Not a gate: the per-crate `before → after (Δ)` table, and the number
+# of settable options beside it, that a simplicity PR reports in
+# EXPERIMENTS.md, against the previous commit when there is one (a
+# shallow clone has none; it gets the plain counts).
 if git rev-parse -q --verify HEAD~1 >/dev/null; then
   scripts/loc.sh --against HEAD~1
 else

@@ -3,7 +3,10 @@
 # crates/*/src/**/*.rs, the lines before the first column-0
 # `#[cfg(test)]` that are neither blank nor comment-only (`//`, which
 # covers `///` and `//!`). The figure ROADMAP item 3 ("one path per
-# concept") is judged by — tests, benches and docs do not count.
+# concept") is judged by — tests, benches and docs do not count. A last
+# `options N` line counts the settable options: the `pub` fields of
+# ClusterConfig, DaemonConfig, RetryConfig, ReplicationConfig and
+# DbOptions.
 # Usage: scripts/loc.sh [--files] [--against <rev>] [repo-root]   (default: this checkout)
 #   --files          also print one line per source file, under its crate
 #   --against <rev>  print `before → after (Δ)` per crate (and per file
@@ -48,8 +51,20 @@ count() (
   echo "total $total"
 )
 
+# options <root>: the number of `pub` fields of the option structs
+# under <root>/crates.
+options() (
+  cd "$1"
+  find crates -path '*/src/*.rs' -exec cat {} + | awk '
+    /^pub struct (ClusterConfig|DaemonConfig|RetryConfig|ReplicationConfig|DbOptions) \{/ { inside = 1; next }
+    inside && /^\}/ { inside = 0 }
+    inside && /^    pub [a-z_0-9]+:/ { n++ }
+    END { print n + 0 }'
+)
+
 if [ -z "$against" ]; then
   count . | awk '/^  / { printf "  %-40s %6d\n", $1, $2; next } { printf "%-12s %6d\n", $1, $2 }'
+  printf "%-12s %6d\n" options "$(options .)"
   exit
 fi
 
@@ -75,5 +90,7 @@ awk -v rev="$against" '
   FNR == NR { was[key] = $2; order[++n] = key; owner[n] = crate; next }
   !file { gone(last); last = crate }
   key == "total" { for (i = 1; i <= n; i++) if (owner[i] != "total") gone(owner[i]) }
-  { row(key, was[key], $2) }
-  END { print "(before = " rev ")" }' <(count "$before") <(count .)
+  { row(key, was[key], $2) }' <(count "$before") <(count .)
+b=$(options "$before") a=$(options .)
+printf "%-12s %6d → %6d (%+d)\n" options "$b" "$a" $((a - b))
+echo "(before = $against)"

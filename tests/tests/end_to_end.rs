@@ -118,14 +118,13 @@ fn same_behaviour_over_tcp() {
 #[test]
 fn bulk_metadata_plane_over_tcp() {
     // BatchMeta frames cross real sockets: bulk creates land visible
-    // to a second client over fresh connections, transparent batching
-    // coalesces creates, and bulk unlink empties the directory.
-    let config = ClusterConfig::new(2).with_meta_batch(8);
+    // to a second client over fresh connections, unary creates mix
+    // with them, and bulk unlink empties the directory.
+    let config = ClusterConfig::new(2);
     let cluster = TcpCluster::deploy(config.clone()).unwrap();
     let fs = cluster.mount().unwrap();
 
     fs.mkdir("/bm", 0o755).unwrap();
-    fs.flush_meta().unwrap();
     let paths: Vec<String> = (0..30).map(|i| format!("/bm/f{i:02}")).collect();
     for r in fs.create_many(&paths, 0o644).unwrap() {
         r.unwrap();
@@ -141,15 +140,14 @@ fn bulk_metadata_plane_over_tcp() {
     }
     assert_eq!(fs2.readdir("/bm").unwrap().len(), paths.len());
 
-    // Transparently queued creates coalesce over the wire too; the
-    // readdir barrier makes them visible.
-    fs2.create("/bm/queued-a", 0o644).unwrap();
-    fs2.create("/bm/queued-b", 0o644).unwrap();
+    // Unary creates beside the bulk ones, listed and unlinked with them.
+    fs2.create("/bm/unary-a", 0o644).unwrap();
+    fs2.create("/bm/unary-b", 0o644).unwrap();
     assert_eq!(fs2.readdir("/bm").unwrap().len(), paths.len() + 2);
 
     let mut all = paths.clone();
-    all.push("/bm/queued-a".into());
-    all.push("/bm/queued-b".into());
+    all.push("/bm/unary-a".into());
+    all.push("/bm/unary-b".into());
     for r in fs.unlink_many(&all).unwrap() {
         r.unwrap();
     }

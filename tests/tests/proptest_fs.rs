@@ -18,8 +18,8 @@
 //! somebody does.
 //!
 //! The same two mounts carry the staleness argument of the write-back
-//! mount's small-file reads (DESIGN.md "Open handles, write-back
-//! batching and leases"): a read-only open there holds a small file as
+//! mount's small-file reads (DESIGN.md "Open handles and write-back
+//! batching"): a read-only open there holds a small file as
 //! of that open. A second family of ops keeps read-only handles open on
 //! either mount while either mount overwrites, cuts or replaces the
 //! file, and the model keeps every version a path has had. A read
