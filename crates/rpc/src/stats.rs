@@ -26,6 +26,12 @@ pub struct RpcStats {
     /// Requests queued on the handler pool — every in-process request,
     /// and over TCP whatever the inline rule turned away.
     pub served_pooled: AtomicU64,
+    /// Waits of a TCP connection thread for its next request whose
+    /// bytes came while it polled the socket (no wake-up on the daemon).
+    pub spun: AtomicU64,
+    /// Polling windows of a TCP connection thread that ran out before
+    /// the next request came; it blocked after.
+    pub spin_expired: AtomicU64,
 }
 
 /// How the waiters of one [`TcpEndpoint`](crate::TcpEndpoint) got their
@@ -41,6 +47,13 @@ pub struct WaitStats {
     /// Times the parked reader thread was asked to drain a connection
     /// because a thread overlapped submissions.
     pub reader_drains: AtomicU64,
+    /// Reads of the next reply — by a leading waiter or the reader
+    /// thread — whose bytes came while the reader polled the socket (no
+    /// wake-up on the client).
+    pub spun: AtomicU64,
+    /// Polling windows of those readers that ran out before the next
+    /// reply came; the reader blocked after.
+    pub spin_expired: AtomicU64,
 }
 
 impl RpcStats {

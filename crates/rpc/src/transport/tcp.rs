@@ -47,8 +47,33 @@
 //!   call, which costs more than the hand-off saves.
 //!
 //! A lone unary call therefore costs no thread hand-off on either side
-//! where it used to cost four; what remains are the two wake-ups of the
-//! network itself (request arrives, reply arrives).
+//! where it used to cost four. What remained were the two wake-ups of
+//! the network itself — the request reaching a connection thread
+//! blocked in `read`, the reply reaching a blocked waiter — each on an
+//! idle CPU where ranks and daemons are pinned apart: a 64-byte
+//! ping-pong between two such CPUs (2-vCPU VM) takes 17.8 µs at the
+//! median with both sides blocking, 8.0 µs with both polling.
+//!
+//! **Poll before park** (every reader; `FrameReader::poll`). Mercury can
+//! busy-poll its network layer (`NA_NO_BLOCK`), which pays where a
+//! request is served in far less than a wake-up costs, as a point op is.
+//! So a reader waiting for the first bytes of the next frame on a *hot*
+//! connection — one whose previous frame came within [`SPIN`] (50 µs) of
+//! its reader starting to wait — polls the socket for `min(SPIN, time
+//! left)` first, and blocks as before only when that window runs out,
+//! which leaves the connection cold. A reply inside the window costs no
+//! wake-up; a connection that goes quiet costs one window. Idle,
+//! observer and CLI connections, and those whose gaps are a chunk's
+//! transfer, never poll. The poll is `recv` with `MSG_DONTWAIT`,
+//! nonblocking for that one call: `O_NONBLOCK` belongs to the open file
+//! description, which the write half shares, and a submitter or a pool
+//! job writing a frame meanwhile would meet `EAGAIN` halfway through it.
+//! The poller yields between looks: a node's ranks share one CPU and a
+//! daemon's threads another, and a poll that kept its CPU would starve
+//! the thread it waits for. Nothing is held while polling, so the
+//! lead-or-follow protocol is untouched. [`WaitStats`] and [`RpcStats`]
+//! count the waits the poll served (`spun`) and the windows that ran
+//! out (`spin_expired`).
 //!
 //! # Zero-copy framing
 //!
@@ -88,11 +113,12 @@
 //! retry layer ride through a daemon restart transparently.
 //!
 //! A wait gives up only on a frame boundary: the socket's receive
-//! timeout is a short tick, a reader that sees it fire before the first
-//! byte of a frame checks its deadline, and one that sees it fire
-//! inside a frame keeps reading. So `wait(timeout)` returns `Timeout`
-//! on time, its slot is reaped, the stream stays aligned for the next
-//! call, and the late reply is read and dropped by the next reader.
+//! timeout is a short tick, a reader that sees it fire (or its poll's
+//! window run out) before the first byte of a frame checks its deadline,
+//! and one that sees it fire inside a frame keeps reading. So
+//! `wait(timeout)` returns `Timeout` on time, its slot is reaped, the
+//! stream stays aligned for the next call, and the late reply is read
+//! and dropped by the next reader.
 
 use crate::handler::HandlerRegistry;
 use crate::message::{Request, Response};
@@ -130,6 +156,16 @@ const READ_BUF: usize = SMALL_FRAME + 512;
 /// so that the steady state never pays a `setsockopt`; only a wait with
 /// less than a tick left sets the remainder.
 const WAIT_TICK: Duration = Duration::from_millis(100);
+
+/// How long a reader of a hot connection polls its socket for the next
+/// frame before it blocks: a few small-RPC round trips on loopback, far
+/// below what a chunk-sized frame takes (module docs, "Poll before
+/// park").
+const SPIN: Duration = Duration::from_micros(50);
+
+/// Whether readers poll at all: [`recv_now`] is Linux's. Elsewhere a
+/// reader blocks as it always did.
+const POLLS: bool = cfg!(target_os = "linux");
 
 /// One sleep of a follower whose timeout is too large to be a deadline
 /// (it re-checks and sleeps again).
@@ -193,6 +229,32 @@ fn timed_out(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
+/// What the socket holds right now, or `WouldBlock`: `recv(2)` with
+/// `MSG_DONTWAIT`, nonblocking for this one call. `O_NONBLOCK` is not an
+/// option: it belongs to the open file description, which the
+/// `try_clone`d write half shares, and a writer that met `EAGAIN` in the
+/// middle of a frame would condemn a healthy connection.
+#[cfg(target_os = "linux")]
+fn recv_now(stream: &TcpStream, buf: &mut [u8]) -> std::io::Result<usize> {
+    use std::os::fd::AsRawFd;
+    use std::os::raw::{c_int, c_void};
+    extern "C" {
+        fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+    }
+    const MSG_DONTWAIT: c_int = 0x40;
+    // SAFETY: `buf` is an exclusively borrowed, initialised slice of
+    // `buf.len()` bytes, of which the kernel writes at most that many;
+    // the descriptor is `stream`'s, open for the whole call.
+    let got =
+        unsafe { recv(stream.as_raw_fd(), buf.as_mut_ptr().cast(), buf.len(), MSG_DONTWAIT) };
+    usize::try_from(got).map_err(|_| std::io::Error::last_os_error())
+}
+
+#[cfg(not(target_os = "linux"))]
+fn recv_now(_: &TcpStream, _: &mut [u8]) -> std::io::Result<usize> {
+    Err(ErrorKind::WouldBlock.into())
+}
+
 /// Verify a frame's trailing checksum. A mismatch surfaces as
 /// [`GkfsError::Corruption`], which the caller must treat as fatal for
 /// the connection: after a bad frame the stream offset can no longer be
@@ -223,6 +285,9 @@ struct FrameReader<R> {
     /// When a receive first timed out inside the frame being read;
     /// cleared by the next byte.
     stalled: Option<Instant>,
+    /// The last frame's first bytes came within [`SPIN`] of the wait for
+    /// them starting: the next wait polls before it blocks.
+    hot: bool,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -234,6 +299,7 @@ impl<R: Read> FrameReader<R> {
             end: 0,
             applied: None,
             stalled: None,
+            hot: false,
         }
     }
 
@@ -368,31 +434,79 @@ pub fn read_frames(stream: impl Read) -> (Vec<Bytes>, GkfsError) {
 }
 
 impl FrameReader<TcpStream> {
-    /// On a frame boundary, wait up to `wait` for the first bytes of the
-    /// next frame. `Ok(false)`: nothing came, and the stream is still on
-    /// the boundary — the one place a reader may walk away from it.
-    fn poll(&mut self, wait: Duration) -> Result<bool> {
+    /// On a frame boundary, wait up to `wait` (`None`: as long as it
+    /// takes — a server socket has no receive timeout) for the first
+    /// bytes of the next frame. `Ok(false)`: nothing came, and the stream
+    /// is still on the boundary — the one place a reader may walk away
+    /// from it.
+    ///
+    /// Every reader waits here, so here is where poll or park is decided:
+    /// on a hot connection the wait first polls the socket for
+    /// `min(SPIN, wait)` and blocks only if that window runs out, which
+    /// leaves the connection cold; a wait whose bytes came within
+    /// [`SPIN`] of its start leaves it hot. `spun` and `expired` count
+    /// the polls that found bytes and the windows that ran out.
+    fn poll(&mut self, wait: Option<Duration>, [spun, expired]: [&AtomicU64; 2]) -> Result<bool> {
         if self.buffered() > 0 {
             return Ok(true);
         }
-        let wait = wait.max(Duration::from_millis(1));
-        if self.applied != Some(wait) {
-            self.stream.set_read_timeout(Some(wait)).map_err(lost)?;
-            self.applied = Some(wait);
-        }
         self.start = 0;
         self.end = 0;
+        let began = Instant::now();
+        if self.hot {
+            let window = wait.map_or(SPIN, |w| w.min(SPIN));
+            if self.spin(began, window)? {
+                spun.fetch_add(1, Ordering::Relaxed);
+                return Ok(true);
+            }
+            expired.fetch_add(1, Ordering::Relaxed);
+            self.hot = false;
+            if wait.is_some_and(|w| w <= SPIN) {
+                return Ok(false);
+            }
+        }
+        if let Some(wait) = wait {
+            let wait = wait.max(Duration::from_millis(1));
+            if self.applied != Some(wait) {
+                self.stream.set_read_timeout(Some(wait)).map_err(lost)?;
+                self.applied = Some(wait);
+            }
+        }
         loop {
             match self.stream.read(&mut self.buf) {
                 Ok(0) => return Err(closed_err()),
                 Ok(got) => {
                     self.end = got;
+                    self.hot = POLLS && began.elapsed() <= SPIN;
                     return Ok(true);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if timed_out(&e) => return Ok(false),
                 Err(e) => return Err(lost(e)),
             }
+        }
+    }
+
+    /// Look at the socket without blocking until bytes come or `window`
+    /// has passed since `began`; whether they came. The poller yields
+    /// between looks: on a node its CPU is shared — a client's ranks
+    /// share one, a daemon's threads another — and a poll that kept it
+    /// would starve the very thread it waits for.
+    fn spin(&mut self, began: Instant, window: Duration) -> Result<bool> {
+        loop {
+            match recv_now(&self.stream, &mut self.buf) {
+                Ok(0) => return Err(closed_err()),
+                Ok(got) => {
+                    self.end = got;
+                    return Ok(true);
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+                Err(e) => return Err(lost(e)),
+            }
+            if began.elapsed() >= window {
+                return Ok(false);
+            }
+            std::thread::yield_now();
         }
     }
 }
@@ -571,12 +685,17 @@ fn serve_connection(stream: TcpStream, handlers: &Arc<Handlers>, shutting_down: 
         },
     ));
     // A server socket has no receive timeout, so the reader never
-    // stalls: it blocks until the peer sends or hangs up.
+    // stalls: it blocks until the peer sends or hangs up — after a poll,
+    // on a hot connection.
     let mut reader = FrameReader::new(stream);
+    let spins = [&stats.spun, &stats.spin_expired];
     // A read error means peer closed, stream damaged, or checksum
     // mismatch: the stream offset is untrustworthy either way, so drop
     // the connection and let the client reconnect.
-    while let Ok(frame) = reader.read_frame(Duration::MAX) {
+    while let Ok(frame) = reader
+        .poll(None, spins)
+        .and_then(|_| reader.read_frame(Duration::MAX))
+    {
         let req = match Request::decode_owned(&frame) {
             Ok(r) => r,
             Err(_) => break, // unparseable frame: protocol broken, drop
@@ -804,6 +923,11 @@ impl Completions {
         self.condemn(cause);
     }
 
+    /// Where this connection's readers count their polls.
+    fn spins(&self) -> [&AtomicU64; 2] {
+        [&self.stats.spun, &self.stats.spin_expired]
+    }
+
     /// One frame off the socket, as a response.
     fn read_reply(&self, reader: &mut FrameReader<TcpStream>) -> Result<Response> {
         let frame = reader.read_frame(self.stall)?;
@@ -830,7 +954,7 @@ impl Completions {
             if left.is_zero() {
                 return Ok(Led::TimedOut);
             }
-            if !reader.poll(left.min(WAIT_TICK))? {
+            if !reader.poll(Some(left.min(WAIT_TICK)), self.spins())? {
                 continue;
             }
             let len = reader.next_len(self.stall)?;
@@ -864,7 +988,7 @@ impl Completions {
             while t.waiting > 0 {
                 drop(t);
                 let step = reader
-                    .poll(WAIT_TICK)
+                    .poll(Some(WAIT_TICK), self.spins())
                     .and_then(|got| got.then(|| self.read_reply(&mut reader)).transpose());
                 match step {
                     Ok(reply) => {
@@ -1663,6 +1787,166 @@ mod tests {
         let err = ep.call(Request::new(Opcode::Ping, &b""[..])).unwrap_err();
         assert!(matches!(err, GkfsError::Corruption(_)), "got {err:?}");
         t.join().unwrap();
+    }
+
+    /// `echo_registry` plus an echo under `Create`, a point op: answered
+    /// on the connection thread, its reply read by its waiter.
+    fn point_echo_registry() -> HandlerRegistry {
+        let mut reg = echo_registry();
+        reg.register_fn(Opcode::Create, |req| Response::ok(req.body));
+        reg
+    }
+
+    /// One small call through the point echo, checked.
+    fn point_echo(ep: &TcpEndpoint, i: u64) {
+        let body = i.to_le_bytes();
+        let resp = ep
+            .call(Request::new(Opcode::Create, Bytes::copy_from_slice(&body)))
+            .unwrap();
+        assert_eq!(&resp.body[..], &body);
+    }
+
+    /// `[client spun, client spin_expired, daemon spun, daemon spin_expired]`.
+    fn spins(ep: &TcpEndpoint, server: &TcpServer) -> [u64; 4] {
+        let (w, s) = (ep.wait_stats(), server.stats());
+        [&w.spun, &w.spin_expired, &s.spun, &s.spin_expired].map(|c| c.load(Ordering::Relaxed))
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn poll_leaves_the_writer_half_blocking() {
+        // `O_NONBLOCK` set for a poll would be set on the write half too
+        // (one open file description): an 8 MiB frame, more than the
+        // socket buffers hold, written while the other half polls would
+        // meet `EAGAIN` halfway and condemn the connection — on the
+        // client a submitter writes while a leader polls, on the daemon
+        // a pool job writes the echo while the connection thread polls.
+        // (A daemon's torn reply shows as the client's reader stalling
+        // inside the frame: the timeout bounds how long that takes.)
+        let server = TcpServer::bind("127.0.0.1:0", point_echo_registry(), 2).unwrap();
+        let ep = TcpEndpoint::connect_with(
+            &server.local_addr().to_string(),
+            EndpointOptions::new().with_timeout(Duration::from_secs(5)),
+        )
+        .unwrap();
+        let big: Vec<u8> = (0..8 << 20).map(|i| (i % 251) as u8).collect();
+        let echoed = AtomicBool::new(false);
+        let t0 = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Small calls until the echoes are back and some wait
+                // of theirs found its reply while polling.
+                let mut i = 0;
+                let polled = || ep.wait_stats().spun.load(Ordering::Relaxed) > 0;
+                while !echoed.load(Ordering::Relaxed) || !polled() {
+                    assert!(t0.elapsed() < Duration::from_secs(60), "no wait ever polled");
+                    assert_eq!(ep.reconnects(), 0, "a healthy connection was condemned");
+                    point_echo(&ep, i);
+                    i += 1;
+                }
+            });
+            for round in 0..16 {
+                // A small call first: the echo's frame then follows a
+                // reply at once, and the daemon's connection thread is
+                // hot — polling — when the pool job starts its write.
+                point_echo(&ep, round);
+                let resp = ep
+                    .submit_gather(
+                        Request::new(Opcode::Ping, &b"big"[..]),
+                        &[&big[..1 << 20], &big[1 << 20..]],
+                    )
+                    .unwrap()
+                    .wait(Duration::from_secs(5))
+                    .unwrap();
+                assert!(resp.bulk == big, "echo {round} came back torn");
+            }
+            echoed.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(ep.reconnects(), 0, "a healthy connection was condemned");
+        server.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn poll_on_one_half_never_makes_the_other_nonblocking() {
+        // The test above with its timing pinned: while the read half
+        // polls (nothing arriving), the write half sends a frame larger
+        // than the socket buffers to a peer that does not read yet. It
+        // must block until the peer reads, not fail with `EAGAIN`.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        let mut reader = FrameReader::new(writer.try_clone().unwrap());
+        let big = vec![5u8; 8 << 20];
+        let polling = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                polling.wait();
+                let came = reader.spin(Instant::now(), Duration::from_millis(150)).unwrap();
+                assert!(!came, "nothing was sent to the polling half");
+            });
+            let drain = s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                let mut got = Vec::new();
+                peer.read_to_end(&mut got).unwrap();
+                got.len()
+            });
+            polling.wait();
+            std::thread::sleep(Duration::from_millis(5));
+            let wrote = write_frame_segments(&mut writer, &[], &[&big]);
+            writer.shutdown(Shutdown::Write).unwrap();
+            wrote.expect("the write half blocked until the peer read");
+            assert_eq!(drain.join().unwrap(), big.len() + 8);
+        });
+    }
+
+    #[test]
+    fn poll_skips_a_connection_answered_late() {
+        // Every reply comes 5 ms — a hundred windows — after its wait
+        // began, so no wait after the connection's first is hot: the
+        // client polls never.
+        let mut reg = HandlerRegistry::new();
+        reg.register_fn(Opcode::Create, |req| {
+            std::thread::sleep(Duration::from_millis(5));
+            Response::ok(req.body)
+        });
+        let server = TcpServer::bind("127.0.0.1:0", reg, 1).unwrap();
+        let ep = TcpEndpoint::connect(&server.local_addr().to_string()).unwrap();
+        for i in 0..20 {
+            point_echo(&ep, i);
+        }
+        let [spun, expired, ..] = spins(&ep, &server);
+        assert_eq!((spun, expired), (0, 0), "[spun, spin_expired] of a connection answered late");
+        server.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn poll_serves_a_hot_connection_and_parks_an_idle_one() {
+        let server = TcpServer::bind("127.0.0.1:0", point_echo_registry(), 1).unwrap();
+        let ep = TcpEndpoint::connect(&server.local_addr().to_string()).unwrap();
+        // Back-to-back round trips keep both ends hot: waits on either
+        // side find the next frame while polling. One burst of 200 does
+        // it on a quiet machine; a loaded one gets more bursts, not a
+        // pass.
+        let mut bursts = 0;
+        while spins(&ep, &server)[0] == 0 || spins(&ep, &server)[2] == 0 {
+            assert!(bursts < 50, "no poll found its frame: {:?}", spins(&ep, &server));
+            (0..200).for_each(|i| point_echo(&ep, i));
+            bursts += 1;
+        }
+        // Left idle, each end gives up polling after one window at most
+        // (the client is not even reading), then parks; the next call
+        // finds the daemon parked and leaves it cold.
+        let before = spins(&ep, &server);
+        std::thread::sleep(Duration::from_millis(200));
+        point_echo(&ep, 0);
+        let after = spins(&ep, &server);
+        assert!(
+            after[1] - before[1] <= 1 && after[3] - before[3] <= 1,
+            "an idle connection expired more than one window per side: {before:?} → {after:?}"
+        );
+        server.shutdown();
     }
 }
 

@@ -155,16 +155,17 @@ impl FdShard {
         }
         if self.len >= cap {
             // Evict the least-recently-used entry; the cap is small
-            // enough that a scan beats maintaining an ordered index.
-            let mut victim: Option<(String, u64, u64)> = None;
+            // enough that a scan beats maintaining an ordered index. The
+            // scan borrows; only the victim's path is copied, once.
+            let mut victim: Option<(&str, u64, u64)> = None;
             for (p, per) in self.files.iter() {
                 for (&c, e) in per.iter() {
-                    if victim.as_ref().is_none_or(|v| e.last_used < v.2) {
-                        victim = Some((p.clone(), c, e.last_used));
+                    if victim.is_none_or(|v| e.last_used < v.2) {
+                        victim = Some((p, c, e.last_used));
                     }
                 }
             }
-            if let Some((p, c, _)) = victim {
+            if let Some((p, c)) = victim.map(|(p, c, _)| (p.to_owned(), c)) {
                 self.forget(&p, c);
             }
         }

@@ -56,9 +56,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> bench smoke (compile + run benches in test mode)"
 # Every bench body once, in release. For the TCP transport that is each
 # of its three routes: the lone call (`rpc/tcp_roundtrip*`: read by its
-# waiter, the point op also served on the connection thread), the
-# pipelined burst (`rpc/tcp_outstanding`: handler pool, reader thread)
-# and the fan-out (`rpc/fanout_8daemons`: one thread, eight handles).
+# waiter, the point op also served on the connection thread, both ends
+# hot so that each finds the other's frame by polling rather than a
+# wake-up), the pipelined burst (`rpc/tcp_outstanding`: handler pool,
+# reader thread) and the fan-out (`rpc/fanout_8daemons`: one thread,
+# eight handles).
 cargo bench -p gkfs-bench --bench rpc -- --test
 
 echo "==> evaluation tools (every figure at its smallest size; CSV series byte for byte)"
@@ -109,6 +111,15 @@ echo "==> client RPC budget + TCP thread hand-off gates (counts, not wall-clock)
 # on the connection thread and its reply, 4 KiB or the 16 KiB most it
 # carries, read by its waiter.
 cargo test -p gkfs-integration --release --test rpc_budget
+
+echo "==> TCP poll-before-park, release (the hot rule; the write half stays blocking)"
+# A reader of a hot connection polls for a 50 µs window before it
+# blocks. Counted, not timed: a connection answered 5 ms late never
+# polls, back-to-back round trips poll on both ends, a connection left
+# idle expires at most one window per side; and a frame larger than the
+# socket buffers, written while the other half polls, blocks rather
+# than fails. Only release timing keeps round trips inside the window.
+cargo test -p gkfs-rpc --release --lib poll_
 
 echo "==> chunk-store layout gates, release (one inode per chunk; a write racing an unlink never fails)"
 # Counts again: 3000 one-chunk files are 3000 inodes under at most 1024
