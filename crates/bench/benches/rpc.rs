@@ -230,23 +230,22 @@ fn bench_retry_fastpath(c: &mut Criterion) {
     group.finish();
 }
 
-/// The frame/WAL/SSTable checksum, both kernels, at the sizes the data
-/// path feeds it: a control frame (64 B — the folding kernel's
-/// threshold), a small-I/O payload (4 KiB), one chunk (512 KiB). On a
-/// CPU without `pclmulqdq` the two rows of a pair measure the same
-/// code.
+/// The frame/WAL/SSTable checksum, one row per kernel this CPU has, at
+/// the sizes the data path feeds it: a control frame (64 B — the
+/// 128-bit kernel's threshold), a small-I/O payload (4 KiB), one chunk
+/// (512 KiB). A row is named by the widest kernel it may dispatch to, so
+/// `fold512_64b` is what a 64-byte frame costs on a 512-bit CPU: the
+/// 128-bit kernel. A kernel the CPU lacks has no row.
 fn bench_crc32(c: &mut Criterion) {
-    use gkfs_common::crc::{crc32_update, crc32_update_table};
+    use gkfs_common::crc::Kernel;
     let mut group = c.benchmark_group("crc32");
     for (label, len) in [("64b", 64usize), ("4k", 4 << 10), ("512k", 512 << 10)] {
         let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
         group.throughput(Throughput::Bytes(len as u64));
-        group.bench_function(format!("table_{label}"), |b| {
-            b.iter(|| crc32_update_table(0, black_box(&data)))
-        });
-        group.bench_function(format!("dispatch_{label}"), |b| {
-            b.iter(|| crc32_update(0, black_box(&data)))
-        });
+        for kernel in Kernel::available() {
+            let name = format!("{kernel:?}_{label}").to_lowercase();
+            group.bench_function(name, |b| b.iter(|| kernel.update(0, black_box(&data))));
+        }
     }
     group.finish();
 }

@@ -12,9 +12,11 @@
 //! * submit the batch and wait on its [`BatchCompletion`],
 //! * compact the read reply for the wire.
 //!
-//! Read replies are scatter/gather end to end: storage sizes one reply
-//! buffer and its segment tasks write their bytes directly into
-//! disjoint windows — no per-op concatenation. Only a short read (EOF
+//! Read replies are scatter/gather end to end: storage allocates one
+//! reply buffer and its segment tasks read their bytes directly into
+//! disjoint windows — no per-op concatenation, and no zero-fill ahead
+//! of the reads (storage zeroes only what a read did not reach, so the
+//! tail of a short op's window reads zero here). Only a short read (EOF
 //! inside the batch) forces compaction copies here, and those are
 //! counted in `reply_copy_bytes` so the "no-copy on the happy path"
 //! claim is checkable from `gkfs-cli df` (and gated in CI).
@@ -76,7 +78,7 @@ impl ChunkEngine {
         ops: &[BatchOp],
     ) -> Result<(Vec<u8>, Vec<u64>)> {
         // Wire-controlled lens: validate before any allocation so a
-        // hostile batch can't force a huge zeroed buffer. The storage
+        // hostile batch can't force a huge allocation. The storage
         // layer re-checks (its API is public), but the daemon owns the
         // error the client sees.
         gkfs_storage::validate_dense_layout(ops)?;
@@ -174,6 +176,128 @@ mod tests {
                 let _ = std::fs::remove_dir_all(dir);
             }
         }
+    }
+
+    /// A chunk read returns only bytes it read, or zeros — on both file
+    /// engines, with the allocator primed before every read by freeing a
+    /// buffer of the batch's size full of `0xA5`, which the reply buffer
+    /// (allocated unzeroed on this thread) then tends to reuse. Per batch:
+    /// every byte of the store's buffer is the chunk file's or a zero,
+    /// `lens` are exact, and the compacted reply is the dense
+    /// concatenation, `reply_copy_bytes` counting what compaction moved.
+    #[test]
+    fn a_chunk_read_returns_only_bytes_it_read_or_zeros() {
+        const K: u64 = 4096;
+        let dir = std::env::temp_dir().join(format!("gkfs-eng-unzeroed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engines: [(&str, Arc<dyn ChunkStorage>); 2] = [
+            (
+                "serial",
+                Arc::new(
+                    FileChunkStorage::open_with(dir.join("s"), IoBackend::Serial, 0, 0).unwrap(),
+                ),
+            ),
+            (
+                "pool",
+                Arc::new(
+                    FileChunkStorage::open_with(dir.join("p"), IoBackend::Pool, 4, 64).unwrap(),
+                ),
+            ),
+        ];
+        // What each chunk file holds — `(offset written at, bytes)`,
+        // never a zero byte — and no file for chunk 9. Chunk 1 is
+        // sparse: a hole below 3000.
+        let bytes = |seed: u64, n: u64| {
+            (0..n)
+                .map(|i| ((i + seed) % 255 + 1) as u8)
+                .collect::<Vec<u8>>()
+        };
+        let chunks: Vec<(u64, u64, Vec<u8>)> = vec![
+            (0, 0, bytes(0, 1000)),
+            (1, 3000, bytes(1, 100)),
+            (2, 0, bytes(2, K)),
+            (3, 0, bytes(3, K)),
+            (4, 0, bytes(4, 1500)),
+            (5, 0, bytes(5, K)),
+            (6, 0, bytes(6, K)),
+            (7, 0, bytes(7, K)),
+        ];
+        // The chunk file's bytes under `[offset, offset + len)`, up to its EOF.
+        let file_bytes = |id: u64, offset: u64, len: u64| -> Vec<u8> {
+            let Some((_, at, data)) = chunks.iter().find(|c| c.0 == id) else {
+                return Vec::new();
+            };
+            let mut whole = vec![0u8; *at as usize];
+            whole.extend_from_slice(data);
+            let end = whole.len().min((offset + len) as usize);
+            whole.get(offset as usize..end).unwrap_or_default().to_vec()
+        };
+        // One short read each, with the bytes compaction then moves.
+        let eof_in_op: &[_] = &[(0, 0, K)];
+        let eof_in_run: &[_] = &[(0, 0, 512), (0, 512, 512), (0, 1024, 512), (2, 0, 64)];
+        let sparse_hole: &[_] = &[(1, 0, K)];
+        let no_file: &[_] = &[(9, 0, K), (2, 0, 16)];
+        // Fanned out over segments, a short op (chunk 4) in the middle.
+        let fan_out: Vec<_> = (2..8).map(|id| (id, 0, K)).collect();
+        let batches = [
+            (eof_in_op, 0),
+            (eof_in_run, 64),
+            (sparse_hole, 0),
+            (no_file, 16),
+            (&fan_out[..], 3 * K),
+        ];
+        for (name, storage) in &engines {
+            for (id, at, data) in &chunks {
+                storage.write_chunk("/u", *id, *at, data).unwrap();
+            }
+            let eng = ChunkEngine::new();
+            for (specs, moved) in batches {
+                let ops = layout(specs);
+                let want: Vec<Vec<u8>> = ops
+                    .iter()
+                    .map(|o| file_bytes(o.chunk_id, o.offset, o.len))
+                    .collect();
+                let total = ops.iter().map(|o| o.len as usize).sum::<usize>();
+                let prime = || drop(std::hint::black_box(vec![0xA5u8; total]));
+
+                prime();
+                let out = storage
+                    .submit_batch("/u", &ops, BatchPayload::Read)
+                    .wait()
+                    .unwrap();
+                let lens: Vec<u64> = want.iter().map(|w| w.len() as u64).collect();
+                assert_eq!(out.lens, lens, "{name} {specs:?}");
+                assert_eq!(out.data.len(), total, "{name} {specs:?}");
+                for (op, w) in ops.iter().zip(&want) {
+                    let window = &out.data[op.buf_offset as usize..][..op.len as usize];
+                    assert_eq!(
+                        &window[..w.len()],
+                        &w[..],
+                        "{name} {op:?}: the file's bytes"
+                    );
+                    assert!(
+                        window[w.len()..].iter().all(|&b| b == 0),
+                        "{name} {op:?}: then zeros"
+                    );
+                }
+
+                prime();
+                let before = eng.reply_copy_bytes();
+                let (dense, lens) = eng.read_batch(storage, "/u", &ops).unwrap();
+                assert_eq!(dense, want.concat(), "{name} {specs:?}: the dense reply");
+                assert_eq!(lens, out.lens, "{name} {specs:?}");
+                assert_eq!(
+                    eng.reply_copy_bytes() - before,
+                    moved,
+                    "{name} {specs:?}: bytes moved"
+                );
+            }
+        }
+        let pool = engines[1].1.stats();
+        let tasks =
+            pool.tasks_spawned.load(Ordering::Relaxed) + pool.tasks_inline.load(Ordering::Relaxed);
+        assert!(tasks > 0, "the pool engine fanned a batch out");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

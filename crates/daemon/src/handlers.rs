@@ -302,17 +302,21 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gkfs_common::FileKind;
-    use gkfs_storage::MemChunkStorage;
+    use gkfs_common::{FileKind, IoBackend};
+    use gkfs_storage::{ChunkStorage, FileChunkStorage, MemChunkStorage};
 
     fn registry() -> HandlerRegistry {
         build_registry(backends())
     }
 
     fn backends() -> Arc<Backends> {
+        backends_on(Arc::new(MemChunkStorage::new()))
+    }
+
+    fn backends_on(data: Arc<dyn ChunkStorage>) -> Arc<Backends> {
         Arc::new(Backends {
             meta: MetadataBackend::open_memory().unwrap(),
-            data: Arc::new(MemChunkStorage::new()),
+            data,
             engine: ChunkEngine::new(),
             repl: Default::default(),
             tcp_stats: Default::default(),
@@ -544,9 +548,23 @@ mod tests {
         Ok((OpenFileResp::decode(&resp.body)?, resp.bulk))
     }
 
+    /// On the in-memory store and on the file store, whose reply buffer
+    /// is allocated unzeroed.
     #[test]
     fn open_file_answers_the_entry_and_the_bytes_it_vouches_for() {
-        let b = backends();
+        let dir = std::env::temp_dir().join(format!("gkfs-open-file-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let file_store = FileChunkStorage::open_with(&dir, IoBackend::Serial, 0, 0).unwrap();
+        for data in [
+            Arc::new(MemChunkStorage::new()) as Arc<dyn ChunkStorage>,
+            Arc::new(file_store),
+        ] {
+            open_file_on(backends_on(data));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn open_file_on(b: Arc<Backends>) {
         let reg = build_registry(b.clone());
         write_file(&reg, &file_frame(b"small", 1), b"small").unwrap();
         let stat = call::<op::Stat>(&reg, &PathReq::new("/wf")).unwrap();
@@ -567,16 +585,20 @@ mod tests {
         assert_eq!(b.data.stats().read_bytes.load(std::sync::atomic::Ordering::Relaxed), reads);
         assert_eq!(open_file(&reg, "/nope", 4096).unwrap_err(), GkfsError::NotFound);
         // A hole inside a chunk this daemon holds is zeros, up to the
-        // size the entry states ...
-        call::<op::UpdateSize>(&reg, &UpdateSizeReq { path: "/wf".into(), size: 8, mtime_ns: 3 }).unwrap();
+        // size the entry states — even where the allocator hands the
+        // read a buffer it freed full of other bytes ...
+        call::<op::UpdateSize>(&reg, &UpdateSizeReq { path: "/wf".into(), size: 4096, mtime_ns: 3 }).unwrap();
+        drop(std::hint::black_box(vec![0xA5u8; 4096]));
         let (resp, file) = open_file(&reg, "/wf", 4096).unwrap();
-        assert_eq!((resp.meta.size, resp.held, &file[..]), (8, true, &b"small\0\0\0"[..]));
+        let mut small = b"small".to_vec();
+        small.resize(4096, 0);
+        assert_eq!((resp.meta.size, resp.held, &file[..]), (4096, true, &small[..]));
         // ... and the same short read from a chunk it does not hold (a
         // replica that rejoined empty and was sent the entry alone)
         // vouches for nothing: no bytes, never zeros.
         b.data.remove_chunks("/wf", &[0]).unwrap();
         let (resp, file) = open_file(&reg, "/wf", 4096).unwrap();
-        assert_eq!((resp.meta.size, resp.held, file.len()), (8, false, 0));
+        assert_eq!((resp.meta.size, resp.held, file.len()), (4096, false, 0));
         assert_eq!(b.engine.reply_copy_bytes(), 0);
     }
 

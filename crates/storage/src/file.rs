@@ -30,11 +30,15 @@
 //! to it are refused with a typed error, and it holds nothing to read
 //! or remove.
 //!
-//! A chunk file is touched one way, through its descriptor:
-//! [`FileExt::read_at`] reads it, [`write_all_at`](FileExt::write_all_at)
-//! writes it and `set_len` cuts it — one `pread`, `pwrite` or
-//! `ftruncate` per coalesced run, with no seek races between tasks
-//! sharing the descriptor. A read racing a cut never faults or fails:
+//! A chunk file is touched one way, through its descriptor: `pread(2)`
+//! reads it, [`write_all_at`](FileExt::write_all_at) writes it and
+//! `set_len` cuts it — one `pread`, `pwrite` or `ftruncate` per
+//! coalesced run, with no seek races between tasks sharing the
+//! descriptor. A read costs the daemon the kernel's copy and nothing
+//! more: the reply buffer is allocated, not zeroed, each run is read
+//! straight into its window of it, and only what the read did not reach
+//! (EOF inside the run, a chunk with no file) is zero-filled before the
+//! buffer's length covers it. A read racing a cut never faults or fails:
 //! it sees the file before or after it, and only if a write is
 //! re-extending the chunk at the same moment can it see, above the
 //! cut, zeros the cut left behind — what POSIX gives a `pread` racing
@@ -83,6 +87,9 @@ use gkfs_common::{GkfsError, IoBackend, Result, TaskPool};
 use std::collections::HashMap;
 use std::fs;
 use std::io::ErrorKind;
+use std::mem::MaybeUninit;
+use std::os::fd::AsRawFd;
+use std::os::raw::{c_int, c_void};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -260,30 +267,54 @@ fn parse_chunk_name(name: &str) -> Option<(&str, u64)> {
     (chunk_name(escaped, id) == name).then_some((escaped, id))
 }
 
-/// Positional read loop: fill `buf` from `offset` until full or EOF.
-/// Replaces the old `fstat` + `seek` + `read_exact` triple — EOF is
-/// discovered by the read itself, one syscall in the common case.
-fn read_into(file: &fs::File, mut offset: u64, buf: &mut [u8]) -> Result<usize> {
+/// `pread`'s `off_t` is declared as `i64` below: 64 bits on every LP64
+/// Unix, which is what this store builds for.
+const _: () = assert!(usize::BITS == 64, "pread's off_t is declared as i64");
+
+/// Positional read loop: fill `buf` from `offset` until full or EOF and
+/// return how many bytes it filled — the prefix of `buf` that is now
+/// initialised; the rest is left as it was. EOF is discovered by the
+/// read itself, one syscall in the common case. `pread(2)` writes
+/// straight into the uninitialised reply buffer, so nothing has to be
+/// zeroed first for it to overwrite (`File::read_at` takes only
+/// initialised bytes, and `read_buf` is not stable).
+fn read_into(file: &fs::File, mut offset: u64, buf: &mut [MaybeUninit<u8>]) -> Result<usize> {
+    extern "C" {
+        fn pread(fd: c_int, buf: *mut c_void, count: usize, offset: i64) -> isize;
+    }
     let mut done = 0;
     while done < buf.len() {
-        match file.read_at(&mut buf[done..], offset) {
+        let rest = &mut buf[done..];
+        let at = i64::try_from(offset)
+            .map_err(|_| GkfsError::InvalidArgument(format!("chunk offset {offset} past off_t")))?;
+        // SAFETY: `rest` is an exclusively borrowed region of
+        // `rest.len()` bytes, of which the kernel writes at most that
+        // many (uninitialised is fine: they are only written); the
+        // descriptor is `file`'s, open for the whole call.
+        let got = unsafe { pread(file.as_raw_fd(), rest.as_mut_ptr().cast(), rest.len(), at) };
+        match usize::try_from(got) {
             Ok(0) => break,
             Ok(n) => {
                 done += n;
                 offset += n as u64;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
+            Err(_) => {
+                let e = std::io::Error::last_os_error();
+                if e.kind() != ErrorKind::Interrupted {
+                    return Err(e.into());
+                }
+            }
         }
     }
     Ok(done)
 }
 
-/// Raw base pointer of a shared reply buffer, made sendable so segment
-/// tasks can carry their window across threads.
-struct SendPtr(*mut u8);
+/// Base of a shared reply buffer's allocation, made sendable so segment
+/// tasks can carry their window — this pointer plus a length, bytes not
+/// yet initialised — across threads.
+struct SendPtr(*mut MaybeUninit<u8>);
 
-// The pointer is only ever sliced over one segment's own window, and
+// The pointer is only ever turned into one segment's own window, and
 // windows of distinct segments are disjoint by construction (dense
 // running-sum `buf_offset` layout, checked before fan-out).
 // SAFETY: disjoint windows + the buffer outlives every task — it is
@@ -447,19 +478,29 @@ impl Inner {
     }
 
     /// Serial read path: one positional read through the cached
-    /// descriptor per coalesced run; a chunk with no file reads 0
-    /// bytes. The per-run count is distributed back over the run (a
-    /// short read is an EOF, so it can only truncate the tail).
-    fn read_runs(&self, path: &str, ops: &[BatchOp], out: &mut [u8]) -> Result<Vec<u64>> {
+    /// descriptor per coalesced run, into `out`'s window; a chunk with
+    /// no file reads 0 bytes. Whatever a run's read did not reach is
+    /// then zero-filled, so on `Ok` every byte of `out` is initialised —
+    /// the chunk's bytes or zeros. The per-run count is distributed back
+    /// over the run (a short read is an EOF, so it can only truncate the
+    /// tail).
+    fn read_runs(
+        &self,
+        path: &str,
+        ops: &[BatchOp],
+        out: &mut [MaybeUninit<u8>],
+    ) -> Result<Vec<u64>> {
         let mut lens = Vec::with_capacity(ops.len());
         let mut i = 0;
         while i < ops.len() {
             let (end, len) = self.run_end(ops, i);
             let a = ops[i].buf_offset as usize;
+            let window = &mut out[a..a + len as usize];
             let n = match self.chunk_fd(path, ops[i].chunk_id, false)? {
-                Some(file) => read_into(&file, ops[i].offset, &mut out[a..a + len as usize])?,
+                Some(file) => read_into(&file, ops[i].offset, window)?,
                 None => 0,
             };
+            window[n..].fill(MaybeUninit::new(0));
             self.stats.record_read(n);
             let mut rel = 0u64;
             for op in &ops[i..end] {
@@ -580,36 +621,54 @@ impl ChunkStorage for FileChunkStorage {
                         }),
                     );
                 }
-                BatchCompletion::pending(rx, segs.len(), Vec::new(), segs.len())
+                // SAFETY: no reply buffer: its length stays 0.
+                unsafe { BatchCompletion::pending(rx, segs.len(), Vec::new(), 0, segs.len()) }
             }
             BatchPayload::Read => {
                 let total = match validate_dense_layout(ops) {
                     Ok(t) => t,
                     Err(e) => return BatchCompletion::ready(Err(e)),
                 };
-                let mut data = vec![0u8; total as usize];
+                // Allocated, not zeroed: each run is read straight into
+                // its window and only what a read did not reach is
+                // zero-filled (`read_runs`); the length covers the
+                // bytes once every window is written.
+                let total = total as usize;
+                let mut data = Vec::with_capacity(total);
                 let Some((pool, segs)) = self.fan_out(ops) else {
                     let res = self
                         .inner
-                        .read_runs(path, ops, &mut data)
-                        .map(|lens| BatchOutput { data, lens });
+                        .read_runs(path, ops, &mut data.spare_capacity_mut()[..total])
+                        .map(|lens| {
+                            // SAFETY: `read_runs` returned `Ok`, so it
+                            // initialised every byte of the window it
+                            // was given — the first `total` of `data`'s
+                            // capacity.
+                            unsafe { data.set_len(total) };
+                            BatchOutput { data, lens }
+                        });
                     return BatchCompletion::ready(res);
                 };
-                let base = SendPtr(data.as_mut_ptr());
+                let base = SendPtr(data.spare_capacity_mut().as_mut_ptr());
                 let (tx, rx) = mpsc::channel::<SegmentResult>();
                 for (seg_idx, &(start, end)) in segs.iter().enumerate() {
                     // Window bounds come straight from the validated
                     // dense layout (no re-summing that could diverge
                     // from `total`).
-                    let win_start = ops[start].buf_offset;
-                    let win_end = if end < ops.len() { ops[end].buf_offset } else { total };
-                    let win_len = (win_end - win_start) as usize;
-                    let seg_ops = rebase(&ops[start..end], win_start);
-                    // SAFETY: disjoint window of the heap buffer the
-                    // returned completion owns (moving the Vec into it
-                    // leaves heap storage in place); its wait/Drop
-                    // block until every task reported.
-                    let win = unsafe { SendPtr(base.0.add(win_start as usize)) };
+                    let win_start = ops[start].buf_offset as usize;
+                    let win_end = if end < ops.len() {
+                        ops[end].buf_offset as usize
+                    } else {
+                        total
+                    };
+                    let win_len = win_end - win_start;
+                    let seg_ops = rebase(&ops[start..end], win_start as u64);
+                    // The completion owns the allocation (moving the Vec
+                    // leaves heap storage in place); its wait/Drop block
+                    // until every task reported.
+                    // SAFETY: in bounds: the window ends at or before
+                    // `total`, the allocation's capacity.
+                    let win = unsafe { SendPtr(base.0.add(win_start)) };
                     let inner = self.inner.clone();
                     let path = path.to_string();
                     let tx = tx.clone();
@@ -618,14 +677,19 @@ impl ChunkStorage for FileChunkStorage {
                         Box::new(move || {
                             let win = win;
                             // SAFETY: exclusive window; see `SendPtr`.
-                            let buf: &mut [u8] =
-                                unsafe { std::slice::from_raw_parts_mut(win.0, win_len) };
+                            // Typed as uninitialised bytes until
+                            // `read_runs` has written every one.
+                            let buf = unsafe { std::slice::from_raw_parts_mut(win.0, win_len) };
                             let res = inner.read_runs(&path, &seg_ops, buf);
                             let _ = tx.send((seg_idx, res));
                         }),
                     );
                 }
-                BatchCompletion::pending(rx, segs.len(), data, segs.len())
+                // SAFETY: a segment reports `Ok` only once `read_runs`
+                // initialised its whole window, and the windows tile
+                // `[0, total)` — the first starts at the layout's 0, each
+                // ends where the next begins, the last at `total`.
+                unsafe { BatchCompletion::pending(rx, segs.len(), data, total, segs.len()) }
             }
         }
     }

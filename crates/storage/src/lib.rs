@@ -126,7 +126,7 @@ pub enum BatchPayload {
 #[derive(Debug, Default)]
 pub struct BatchOutput {
     /// Reply bytes, windowed per [`BatchOp::buf_offset`] (reads only).
-    /// Short reads leave the tail of an op's window untouched (zero).
+    /// The tail of a short op's window is zero.
     pub data: Vec<u8>,
     /// Bytes actually read per op, in op order (reads only).
     pub lens: Vec<u64>,
@@ -156,9 +156,12 @@ struct PendingBatch {
     rx: mpsc::Receiver<SegmentResult>,
     outstanding: usize,
     /// The shared reply buffer in-flight tasks write into (empty for
-    /// writes). Owned here so it outlives every task; heap storage
+    /// writes): allocated, its length 0 until every segment reported
+    /// success. Owned here so it outlives every task; heap storage
     /// stays put when the completion itself moves.
     data: Vec<u8>,
+    /// The length `data` takes once every segment has reported success.
+    filled: usize,
     /// Per-segment lens, indexed by segment.
     seg_lens: Vec<Option<Vec<u64>>>,
 }
@@ -208,11 +211,19 @@ impl BatchCompletion {
 
     /// A completion gathering `outstanding` segment results from `rx`,
     /// owning the reply buffer `data` (empty for writes) that those
-    /// segments scatter into; `segments` is the total segment count.
-    pub fn pending(
+    /// segments scatter into — into its capacity: it takes the length
+    /// `filled` when every segment has reported success, and stays
+    /// empty otherwise. `segments` is the total segment count.
+    ///
+    /// # Safety
+    ///
+    /// `filled` ≤ `data`'s capacity; once every segment has reported
+    /// `Ok`, the first `filled` bytes of the allocation are initialised.
+    pub(crate) unsafe fn pending(
         rx: mpsc::Receiver<SegmentResult>,
         outstanding: usize,
         data: Vec<u8>,
+        filled: usize,
         segments: usize,
     ) -> BatchCompletion {
         BatchCompletion {
@@ -220,6 +231,7 @@ impl BatchCompletion {
                 rx,
                 outstanding,
                 data,
+                filled,
                 seg_lens: vec![None; segments],
             }),
         }
@@ -234,6 +246,10 @@ impl BatchCompletion {
                 .unwrap_or_else(|| Err(GkfsError::Rpc("batch completion already taken".into()))),
             CompletionState::Pending(p) => {
                 p.drain()?;
+                // SAFETY: every segment reported `Ok`, so by `pending`'s
+                // contract the first `filled` bytes are initialised and
+                // within capacity.
+                unsafe { p.data.set_len(p.filled) };
                 let mut lens = Vec::new();
                 for seg in &mut p.seg_lens {
                     lens.extend(std::mem::take(seg).unwrap_or_default());
@@ -268,8 +284,8 @@ pub trait ChunkStorage: Send + Sync {
     /// implements. Writes pull their bytes from the payload's
     /// refcounted buffer at each op's `buf_offset` window (the windows
     /// only have to fit the payload); reads require the dense
-    /// running-sum layout and scatter into a zeroed buffer the returned
-    /// completion owns, leaving the tail of a short op's window zero.
+    /// running-sum layout and scatter into a buffer the returned
+    /// completion owns, the tail of a short op's window zero.
     /// Backends may coalesce ops that are contiguous in both the chunk
     /// and the buffer, and a backend with an I/O engine overlaps the
     /// batch's segments and completes asynchronously.

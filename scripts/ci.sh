@@ -78,6 +78,15 @@ for f in results/*.csv; do
 done
 rm -rf "$csv_out"
 
+echo "==> CRC32 kernels, release (each kernel this CPU has against the table; stores crossed between kernels)"
+# The frame, WAL and SSTable checksum has three kernels picked at run
+# time: 512-bit (vpclmulqdq + avx512f), 128-bit (pclmulqdq) and tables.
+# The equivalence tests can only compare the kernels this runner has,
+# so the log prints them ("crc32 kernels on this CPU: [...]") and says
+# so when the 512-bit kernel was not exercised.
+cargo test --release -p gkfs-common crc -- --show-output
+cargo test --release -p gkfs-kvstore --test crc_kernels -- --show-output
+
 echo "==> workload verification, release (a corrupted read must fail the run)"
 # The small-file scan checks every byte it reads with a real error, not
 # a debug assertion; this is the build in which that difference shows.
