@@ -108,6 +108,24 @@ impl Encoder {
         self
     }
 
+    /// `v`'s encoding as a length-prefixed byte string — the bytes
+    /// `self.bytes(&v.encode())` writes, encoded in place: the length
+    /// word is reserved, `v` is put behind it, and the word is patched.
+    pub fn put_prefixed<T: Wire>(&mut self, v: &T) -> &mut Self {
+        let at = self.len();
+        self.u32(0).put(v);
+        let n = self.len() - at - 4;
+        assert!(n <= u32::MAX as usize, "wire count {n} does not fit u32");
+        self.set_u32(at, n as u32)
+    }
+
+    /// Overwrite the four bytes at `at` — a placeholder written earlier
+    /// — with `v`.
+    pub fn set_u32(&mut self, at: usize, v: u32) -> &mut Self {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        self
+    }
+
     /// Raw bytes with no length prefix (caller knows the framing).
     pub fn raw(&mut self, v: &[u8]) -> &mut Self {
         self.buf.extend_from_slice(v);
@@ -274,8 +292,13 @@ pub trait Wire: Sized {
     fn get(d: &mut Decoder<'_>) -> Result<Self>;
 
     /// This value alone, as a message body.
+    ///
+    /// The buffer is sized before its first byte: it starts at
+    /// [`Wire::MIN_LEN`], which is exact for a fixed-layout value (a
+    /// [`crate::Metadata`] record, a size operand) — those never grow —
+    /// and nothing at all for a `MIN_LEN` of 0 (every `()` reply).
     fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let mut e = Encoder::with_capacity(Self::MIN_LEN);
         self.put(&mut e);
         e.into_vec()
     }
@@ -716,6 +739,34 @@ mod tests {
         assert!(Sample::decode(&long).is_err());
         assert_eq!(<()>::decode(&[]), Ok(()));
         assert!(<()>::decode(&[0]).is_err());
+    }
+
+    #[test]
+    fn an_encoding_is_sized_before_its_first_byte() {
+        // A fixed layout is allocated once, at its exact length ...
+        let record = crate::Metadata::new_file(1).encode();
+        assert_eq!((record.len(), record.capacity()), (29, crate::Metadata::MIN_LEN));
+        let operand = (7u64, 9u64).encode();
+        assert_eq!((operand.len(), operand.capacity()), (16, 16));
+        // ... and a MIN_LEN of 0 allocates nothing.
+        assert_eq!(().encode().capacity(), 0);
+    }
+
+    #[test]
+    fn put_prefixed_writes_the_bytes_of_a_copied_encoding() {
+        let v = Sample {
+            tag: 1,
+            name: "prefixed".into(),
+            pairs: vec![(2, 3)],
+            flag: false,
+            maybe: None,
+            shared: vec![4].into(),
+        };
+        let mut inline = Encoder::new();
+        inline.u8(9).put_prefixed(&v).put_prefixed(&()).u8(9);
+        let mut copied = Encoder::new();
+        copied.u8(9).bytes(&v.encode()).bytes(&[]).u8(9);
+        assert_eq!(inline.as_slice(), copied.as_slice());
     }
 
     #[test]

@@ -225,26 +225,36 @@ impl MetadataBackend {
     /// predecessors through a frame-local overlay, reading entries the
     /// frame has not touched through `get`. Returns the per-op verdicts
     /// and every staged mutation as one [`WriteBatch`].
+    ///
+    /// Scratch is sized to the frame: the batch and the overlay hold
+    /// one slot per mutating op, and a frame of one or one that writes
+    /// nothing has no predecessor to see, so it builds no overlay. Each
+    /// staged key and record is allocated once and moves on into the
+    /// memtable.
     fn interpret(
         ops: &[MetaOp],
         get: impl Fn(&[u8]) -> Result<Option<Vec<u8>>>,
     ) -> Result<(Vec<MetaVerdict>, WriteBatch)> {
-        let mut overlay: HashMap<&str, Option<Metadata>> = HashMap::new();
-        let mut batch = WriteBatch::new();
+        let writes = ops.iter().filter(|op| op.is_write()).count();
+        let mut overlay: Option<HashMap<&str, Option<Metadata>>> =
+            (ops.len() > 1 && writes > 0).then(|| HashMap::with_capacity(writes));
+        let mut batch = WriteBatch::with_capacity(writes);
         let mut verdicts = Vec::with_capacity(ops.len());
         for op in ops {
             let path = op.path();
-            let current = match overlay.get(path) {
+            let current = match overlay.as_ref().and_then(|o| o.get(path)) {
                 Some(seen) => seen.clone(),
                 None => get(path.as_bytes())?.map(|v| Metadata::decode(&v)).transpose()?,
             };
             let (verdict, next) = step(current, op);
             if let Some(next) = next {
                 match &next {
-                    Some(meta) => batch.put(path.as_bytes(), &meta.encode()),
+                    Some(meta) => batch.put(path.as_bytes(), meta.encode()),
                     None => batch.delete(path.as_bytes()),
                 };
-                overlay.insert(path, next);
+                if let Some(overlay) = &mut overlay {
+                    overlay.insert(path, next);
+                }
             }
             verdicts.push(verdict);
         }

@@ -78,6 +78,7 @@ use crate::wal::{replay, WalRecord};
 use gkfs_common::lock::{rank, Condvar, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
 use gkfs_common::wire::{Decoder, Encoder};
 use gkfs_common::{GkfsError, Result};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -171,6 +172,10 @@ impl DbStats {
 /// (the batch is one WAL record). The RocksDB `WriteBatch` analogue —
 /// GekkoFS-style metadata transactions (e.g. create + parent touch)
 /// build on this.
+///
+/// Keys, values and operands are taken as `impl Into<Cow<[u8]>>`: a
+/// `Vec` moves into the batch — and from there into the memtable —
+/// while borrowed bytes are copied once, here.
 #[derive(Default, Debug, Clone)]
 pub struct WriteBatch {
     records: Vec<WalRecord>,
@@ -183,26 +188,39 @@ impl WriteBatch {
         WriteBatch::default()
     }
 
+    /// An empty batch with room for `n` mutations.
+    pub fn with_capacity(n: usize) -> WriteBatch {
+        WriteBatch { records: Vec::with_capacity(n), sync: None }
+    }
+
     /// Queue an insert/overwrite.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) -> &mut Self {
+    pub fn put<'k, 'v>(
+        &mut self,
+        key: impl Into<Cow<'k, [u8]>>,
+        value: impl Into<Cow<'v, [u8]>>,
+    ) -> &mut Self {
         self.records.push(WalRecord::Put {
-            key: key.to_vec(),
-            value: value.to_vec(),
+            key: key.into().into_owned(),
+            value: value.into().into_owned(),
         });
         self
     }
 
     /// Queue a deletion.
-    pub fn delete(&mut self, key: &[u8]) -> &mut Self {
-        self.records.push(WalRecord::Delete { key: key.to_vec() });
+    pub fn delete<'k>(&mut self, key: impl Into<Cow<'k, [u8]>>) -> &mut Self {
+        self.records.push(WalRecord::Delete { key: key.into().into_owned() });
         self
     }
 
     /// Queue a merge operand.
-    pub fn merge(&mut self, key: &[u8], operand: &[u8]) -> &mut Self {
+    pub fn merge<'k, 'o>(
+        &mut self,
+        key: impl Into<Cow<'k, [u8]>>,
+        operand: impl Into<Cow<'o, [u8]>>,
+    ) -> &mut Self {
         self.records.push(WalRecord::Merge {
-            key: key.to_vec(),
-            operand: operand.to_vec(),
+            key: key.into().into_owned(),
+            operand: operand.into().into_owned(),
         });
         self
     }
@@ -285,7 +303,7 @@ struct Version {
 /// Group-commit queue state, guarded by [`GroupCommit::state`].
 struct GcState {
     /// Encoded frames waiting for the next leader's single append.
-    pending: Vec<u8>,
+    pending: Encoder,
     /// How many records those frames hold.
     pending_records: u64,
     /// Next sequence number to assign.
@@ -314,7 +332,7 @@ impl GroupCommit {
         let last_seq = next_seq - 1;
         GroupCommit {
             state: OrderedMutex::new(rank::KV_GROUP_COMMIT, GcState {
-                pending: Vec::new(),
+                pending: Encoder::new(),
                 pending_records: 0,
                 next_seq,
                 written_seq: last_seq,
@@ -333,8 +351,7 @@ impl GroupCommit {
         let mut gc = self.state.lock();
         let seq = gc.next_seq;
         gc.next_seq += 1;
-        let frame = rec.encode(seq);
-        gc.pending.extend_from_slice(&frame);
+        rec.encode_into(seq, &mut gc.pending);
         gc.pending_records += 1;
         seq
     }
@@ -360,7 +377,7 @@ impl GroupCommit {
         gc.leader_active = true;
         drop(gc);
 
-        let mut res = if buf.is_empty() { Ok(()) } else { store.append_log(&buf) };
+        let mut res = if buf.is_empty() { Ok(()) } else { store.append_log(buf.as_slice()) };
         let appended = res.is_ok();
         if appended && do_sync {
             res = store.sync_log();
@@ -370,7 +387,7 @@ impl GroupCommit {
         gc.leader_active = false;
         if !appended {
             let mut restored = buf;
-            restored.extend_from_slice(&gc.pending);
+            restored.raw(gc.pending.as_slice());
             gc.pending = restored;
             gc.pending_records += nrec;
         } else if nrec > 0 {
@@ -498,10 +515,13 @@ fn require(op: &Option<Arc<dyn MergeOperator>>) -> Result<&dyn MergeOperator> {
 }
 
 /// Apply one logged mutation to a memtable: at run time under the
-/// active memtable's write lock, at open while replaying the WAL.
+/// active memtable's write lock, at open while replaying the WAL. The
+/// record is consumed — its key, value and operand buffers move into
+/// the memtable — so a caller that logs it encodes its WAL frame from
+/// `&rec` first.
 fn apply(
     mem: &mut MemTable,
-    rec: &WalRecord,
+    rec: WalRecord,
     merge_op: &Option<Arc<dyn MergeOperator>>,
     stats: &DbStats,
 ) -> Result<()> {
@@ -566,7 +586,7 @@ impl Db {
             for (seq, rec) in replay(&log)? {
                 max_seq = max_seq.max(seq);
                 if seq > flushed_seq {
-                    apply(&mut mem, &rec, &opts.merge_operator, &replayed)?;
+                    apply(&mut mem, rec, &opts.merge_operator, &replayed)?;
                 }
             }
         }
@@ -867,7 +887,7 @@ impl DbInner {
             let (out, rec, sync) = stage(&WriteView { db: self, ver: &ver, mem: &mem })?;
             let Some(rec) = rec else { return Ok(out) };
             let seq = if self.opts.wal { self.gc.enqueue(&rec) } else { 0 };
-            apply(&mut mem, &rec, &self.opts.merge_operator, &self.stats)?;
+            apply(&mut mem, rec, &self.opts.merge_operator, &self.stats)?;
             (out, seq, sync, mem.approx_bytes() >= self.opts.memtable_bytes)
         };
         if self.opts.wal {
@@ -1723,6 +1743,28 @@ mod tests {
         db.compact().unwrap();
         assert!(db.get(b"/k0000").unwrap().is_none());
         assert_eq!(db.len().unwrap(), 499);
+    }
+
+    /// A `Vec` handed to a batch is the allocation the memtable keeps:
+    /// it moves through the batch, its WAL record and `apply`, and is
+    /// logged on the way without being copied.
+    #[test]
+    fn a_batch_moves_its_buffers_into_the_memtable() {
+        for wal in [false, true] {
+            let db = Db::open_memory(DbOptions { wal, ..small_opts() }).unwrap();
+            let (value, operand) = (vec![7u8; 29], 5u64.to_le_bytes().to_vec());
+            let (value_at, operand_at) = (value.as_ptr(), operand.as_ptr());
+            let mut b = WriteBatch::new();
+            b.put(b"/moved".to_vec(), value).merge(b"/stacked".to_vec(), operand);
+            db.write(b).unwrap();
+            let mem = db.inner.snapshot().mem.clone();
+            let mem = mem.read();
+            assert!(matches!(mem.get(b"/moved"), Some(Value::Put(v)) if v.as_ptr() == value_at), "wal {wal}");
+            assert!(
+                matches!(mem.get(b"/stacked"), Some(Value::Merge(ops)) if ops[0].as_ptr() == operand_at),
+                "wal {wal}"
+            );
+        }
     }
 
     #[test]

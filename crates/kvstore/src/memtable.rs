@@ -10,6 +10,10 @@
 //! updates — the `create` that wrote the base usually still sits in the
 //! memtable); otherwise operands stack until read or flush time, when
 //! the base is fetched from the table levels.
+//!
+//! Keys, values and operands are taken **by move**: the buffers a
+//! writer built (a `WriteBatch`'s, a replayed WAL record's) become the
+//! table's own, so an insert allocates nothing beyond the map's nodes.
 
 use crate::merge::MergeOperator;
 use std::collections::BTreeMap;
@@ -62,34 +66,28 @@ impl MemTable {
     }
 
     /// Insert or overwrite `key`.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) {
-        self.charge(key, value.len());
-        self.map.insert(key.to_vec(), Value::Put(value.to_vec()));
+    pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) {
+        self.charge(&key, value.len());
+        self.map.insert(key, Value::Put(value));
     }
 
     /// Record a tombstone for `key`.
-    pub fn delete(&mut self, key: &[u8]) {
-        self.charge(key, 0);
-        self.map.insert(key.to_vec(), Value::Delete);
+    pub fn delete(&mut self, key: Vec<u8>) {
+        self.charge(&key, 0);
+        self.map.insert(key, Value::Delete);
     }
 
     /// Record a merge operand, folding eagerly when the base state is
     /// already in this memtable.
-    pub fn merge(&mut self, key: &[u8], operand: &[u8], op: &dyn MergeOperator) {
-        self.charge(key, operand.len());
-        match self.map.get_mut(key) {
-            Some(Value::Put(base)) => {
-                let merged = op.full_merge(key, Some(base), std::slice::from_ref(&operand.to_vec()));
-                *base = merged;
-            }
-            Some(Value::Delete) => {
-                let merged = op.full_merge(key, None, std::slice::from_ref(&operand.to_vec()));
-                self.map.insert(key.to_vec(), Value::Put(merged));
-            }
-            Some(Value::Merge(ops)) => ops.push(operand.to_vec()),
+    pub fn merge(&mut self, key: Vec<u8>, operand: Vec<u8>, op: &dyn MergeOperator) {
+        self.charge(&key, operand.len());
+        let operands = std::slice::from_ref(&operand);
+        match self.map.get_mut(key.as_slice()) {
+            Some(Value::Put(base)) => *base = op.full_merge(&key, Some(base), operands),
+            Some(entry @ Value::Delete) => *entry = Value::Put(op.full_merge(&key, None, operands)),
+            Some(Value::Merge(ops)) => ops.push(operand),
             None => {
-                self.map
-                    .insert(key.to_vec(), Value::Merge(vec![operand.to_vec()]));
+                self.map.insert(key, Value::Merge(vec![operand]));
             }
         }
     }
@@ -124,8 +122,8 @@ mod tests {
     #[test]
     fn put_get_overwrite() {
         let mut m = MemTable::new();
-        m.put(b"a", b"1");
-        m.put(b"a", b"2");
+        m.put(b"a".to_vec(), b"1".to_vec());
+        m.put(b"a".to_vec(), b"2".to_vec());
         assert_eq!(m.get(b"a"), Some(&Value::Put(b"2".to_vec())));
         assert_eq!(m.len(), 1);
     }
@@ -133,12 +131,12 @@ mod tests {
     #[test]
     fn delete_leaves_tombstone() {
         let mut m = MemTable::new();
-        m.put(b"a", b"1");
-        m.delete(b"a");
+        m.put(b"a".to_vec(), b"1".to_vec());
+        m.delete(b"a".to_vec());
         assert_eq!(m.get(b"a"), Some(&Value::Delete));
         // Tombstone for a never-seen key must also be recorded (it may
         // shadow an SSTable entry).
-        m.delete(b"ghost");
+        m.delete(b"ghost".to_vec());
         assert_eq!(m.get(b"ghost"), Some(&Value::Delete));
     }
 
@@ -146,8 +144,8 @@ mod tests {
     fn merge_folds_onto_put() {
         let mut m = MemTable::new();
         let op = Add64MergeOperator;
-        m.put(b"ctr", &5u64.to_le_bytes());
-        m.merge(b"ctr", &3u64.to_le_bytes(), &op);
+        m.put(b"ctr".to_vec(), 5u64.to_le_bytes().to_vec());
+        m.merge(b"ctr".to_vec(), 3u64.to_le_bytes().to_vec(), &op);
         match m.get(b"ctr") {
             Some(Value::Put(v)) => assert_eq!(u64::from_le_bytes(v[..].try_into().unwrap()), 8),
             other => panic!("expected folded Put, got {other:?}"),
@@ -158,20 +156,24 @@ mod tests {
     fn merge_onto_tombstone_starts_fresh() {
         let mut m = MemTable::new();
         let op = Max64MergeOperator;
-        m.delete(b"sz");
-        m.merge(b"sz", &42u64.to_le_bytes(), &op);
+        m.delete(b"sz".to_vec());
+        m.merge(b"sz".to_vec(), 42u64.to_le_bytes().to_vec(), &op);
         match m.get(b"sz") {
             Some(Value::Put(v)) => assert_eq!(u64::from_le_bytes(v[..].try_into().unwrap()), 42),
             other => panic!("expected Put, got {other:?}"),
         }
+        // The tombstone was replaced in place; a later merge folds on.
+        m.merge(b"sz".to_vec(), 7u64.to_le_bytes().to_vec(), &op);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.get(b"sz"), Some(&Value::Put(42u64.to_le_bytes().to_vec())));
     }
 
     #[test]
     fn merge_without_base_stacks() {
         let mut m = MemTable::new();
         let op = Add64MergeOperator;
-        m.merge(b"k", &1u64.to_le_bytes(), &op);
-        m.merge(b"k", &2u64.to_le_bytes(), &op);
+        m.merge(b"k".to_vec(), 1u64.to_le_bytes().to_vec(), &op);
+        m.merge(b"k".to_vec(), 2u64.to_le_bytes().to_vec(), &op);
         match m.get(b"k") {
             Some(Value::Merge(ops)) => assert_eq!(ops.len(), 2),
             other => panic!("expected stacked Merge, got {other:?}"),
@@ -182,7 +184,7 @@ mod tests {
     fn range_scan_ordered_from_its_start() {
         let mut m = MemTable::new();
         for k in ["/a/1", "/a/2", "/b/1", "/a/3", "/0"] {
-            m.put(k.as_bytes(), b"v");
+            m.put(k.as_bytes().to_vec(), b"v".to_vec());
         }
         let keys: Vec<&[u8]> = m.range_from(Bound::Included(&b"/a/"[..])).map(|(k, _)| k).collect();
         assert_eq!(keys, vec![&b"/a/1"[..], b"/a/2", b"/a/3", b"/b/1"]);

@@ -55,7 +55,10 @@ pub struct TableBuilder {
     index: Vec<(Vec<u8>, u64, u32)>, // first_key, offset, len
     bloom: BloomBuilder,
     pending_first_key: Option<Vec<u8>>,
-    last_key: Option<Vec<u8>>,
+    /// The key added last (meaningful once `count > 0`): one buffer,
+    /// overwritten per entry, so a table costs allocations per block,
+    /// not per entry.
+    last_key: Vec<u8>,
     count: u32,
 }
 
@@ -74,7 +77,7 @@ impl TableBuilder {
             index: Vec::new(),
             bloom: BloomFilter::builder(10),
             pending_first_key: None,
-            last_key: None,
+            last_key: Vec::new(),
             count: 0,
         }
     }
@@ -83,12 +86,10 @@ impl TableBuilder {
     /// that is a programming error in the flush/compaction path, not a
     /// runtime condition.
     pub fn add(&mut self, tag: Tag, key: &[u8], value: &[u8]) {
-        if let Some(last) = &self.last_key {
-            assert!(
-                key > last.as_slice(),
-                "sstable keys must be strictly ascending"
-            );
-        }
+        assert!(
+            self.count == 0 || key > self.last_key.as_slice(),
+            "sstable keys must be strictly ascending"
+        );
         if self.pending_first_key.is_none() {
             self.pending_first_key = Some(key.to_vec());
         }
@@ -98,7 +99,8 @@ impl TableBuilder {
         self.buf.varint(value.len() as u64);
         self.buf.raw(value);
         self.bloom.add(key);
-        self.last_key = Some(key.to_vec());
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
         self.count += 1;
         if self.buf.len() - self.block_start >= TARGET_BLOCK {
             self.seal_block();

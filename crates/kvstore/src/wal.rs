@@ -81,22 +81,25 @@ impl WalRecord {
     }
 
     /// Frame this record for appending to the log, stamped with its
-    /// commit sequence number. The checksum covers `seq` as well as
-    /// the body so a torn header cannot resurrect a record under the
-    /// wrong sequence.
+    /// commit sequence number: [`WalRecord::encode_into`] a buffer of
+    /// its own.
     pub fn encode(&self, seq: u64) -> Vec<u8> {
-        let mut body = Encoder::new();
-        self.encode_body(&mut body);
-        let body = body.into_vec();
-        let mut checked = Vec::with_capacity(body.len() + 8);
-        checked.extend_from_slice(&seq.to_le_bytes());
-        checked.extend_from_slice(&body);
-        let mut framed = Encoder::with_capacity(body.len() + FRAME_HEADER);
-        framed.u32(crc32(&checked));
-        framed.u32(body.len() as u32);
-        framed.u64(seq);
-        framed.raw(&body);
+        let mut framed = Encoder::new();
+        self.encode_into(seq, &mut framed);
         framed.into_vec()
+    }
+
+    /// Append this record's frame to `out` (the group commit's queue),
+    /// header and body in place. The checksum covers `seq` as well as
+    /// the body — the bytes behind the length word — so a torn header
+    /// cannot resurrect a record under the wrong sequence.
+    pub fn encode_into(&self, seq: u64, out: &mut Encoder) {
+        let start = out.len();
+        out.u32(0).u32(0).u64(seq);
+        self.encode_body(out);
+        let body_len = out.len() - start - FRAME_HEADER;
+        let crc = crc32(&out.as_slice()[start + 8..]);
+        out.set_u32(start, crc).set_u32(start + 4, body_len as u32);
     }
 
     fn decode_one(d: &mut Decoder<'_>, allow_batch: bool) -> Result<WalRecord> {

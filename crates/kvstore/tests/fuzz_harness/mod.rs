@@ -1,7 +1,8 @@
 //! What the decoder fuzzers share (`fuzz_decoders.rs` here, for the
 //! on-disk formats; `crates/rpc/tests/fuzz_wire.rs`, which includes
 //! this file by path, for the wire): a per-thread counting allocator,
-//! so a row can say how much its decode allocated, and the mutations —
+//! so a row can say how much its decode allocated (and the allocation
+//! budgets how many allocations a call made), and the mutations —
 //! every truncation, forged length fields, seeded flips and splices —
 //! each named so that a failing row replays alone.
 
@@ -17,6 +18,9 @@ thread_local! {
     /// that figure has been since `measured` last reset it.
     static LIVE: Cell<usize> = const { Cell::new(0) };
     static PEAK: Cell<usize> = const { Cell::new(0) };
+    /// Allocations this thread has made. A `realloc` counts as one:
+    /// `GlobalAlloc`'s default `realloc` goes through `alloc`.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Counts per thread, so the test harness's other threads and the
@@ -32,6 +36,7 @@ unsafe impl GlobalAlloc for Counting {
             live.set(live.get() + layout.size());
             let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
         });
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: the caller's contract for `alloc` is `System`'s own.
         unsafe { System.alloc(layout) }
     }
@@ -53,6 +58,15 @@ pub fn measured<T>(decode: impl FnOnce() -> T) -> (std::result::Result<T, ()>, u
     PEAK.with(|peak| peak.set(before));
     let out = catch_unwind(AssertUnwindSafe(decode)).map_err(drop);
     (out, PEAK.with(Cell::get).saturating_sub(before))
+}
+
+/// Run `f`; return its result and how many allocations it made on
+/// this thread.
+#[allow(dead_code)] // the allocation budgets' helper; the fuzzers count bytes
+pub fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
 }
 
 /// Fail the run naming the row, so that it replays alone.

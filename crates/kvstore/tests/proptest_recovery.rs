@@ -74,7 +74,7 @@ fn run_crash_recovery(ops: &[Op], memtable_bytes: usize, sync: bool) -> Result<(
                 Op::Batch(kvs) => {
                     let mut b = WriteBatch::new();
                     for (k, v) in kvs {
-                        b.put(&key(*k), &(*v as u64).to_le_bytes());
+                        b.put(key(*k), &(*v as u64).to_le_bytes());
                         model.insert(key(*k), *v as u64);
                     }
                     db.write(b).unwrap();

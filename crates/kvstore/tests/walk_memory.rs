@@ -100,16 +100,16 @@ fn peaks(n: usize) -> Peaks {
     let gate = store.gate.write().unwrap();
     let mut frozen = WriteBatch::new();
     for i in (0..n).step_by(8) {
-        frozen.merge(&key(i), &5u64.to_le_bytes());
-        frozen.put(&key(i + 4), &value);
+        frozen.merge(key(i), &5u64.to_le_bytes());
+        frozen.put(key(i + 4), &value);
     }
     db.write(frozen).unwrap();
     // Active: tombstones over those puts, merges stacked on merges.
     let mut active = WriteBatch::new();
     for i in (0..n).step_by(8) {
-        active.delete(&key(i + 4));
+        active.delete(key(i + 4));
         if i % 16 == 0 {
-            active.merge(&key(i), &1u64.to_le_bytes());
+            active.merge(key(i), &1u64.to_le_bytes());
         }
     }
     db.write(active).unwrap();

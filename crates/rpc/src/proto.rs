@@ -771,13 +771,13 @@ impl From<MetaVerdict> for MetaOpResult {
 /// *length-prefixed*, not inline as `Option<Metadata>` would put it:
 /// the bytes are the KV store's value verbatim, framed the way the
 /// store frames it, so the record can change size without moving the
-/// results behind it.
+/// results behind it. The record is encoded straight into the reply.
 impl Wire for MetaOpResult {
     const MIN_LEN: usize = u32::MIN_LEN + String::MIN_LEN + bool::MIN_LEN;
     fn put(&self, e: &mut Encoder) {
         e.put(&self.code).put(&self.detail).put(&self.meta.is_some());
         if let Some(m) = &self.meta {
-            e.bytes(&m.encode());
+            e.put_prefixed(m);
         }
     }
     fn get(d: &mut Decoder<'_>) -> Result<MetaOpResult> {

@@ -146,6 +146,14 @@ echo "==> data-plane copy-bytes gate (TCP scatter-gather replies copy zero bytes
 # this gate is noise-free like the RPC budget above.
 cargo test -p gkfs-integration --release --test copy_gate
 
+echo "==> metadata allocation budget (an op allocates what the store keeps)"
+# Counted, not timed, like the copy gate: on a warm daemon, a create /
+# stat / unlink in a 32-op BatchMeta frame and as a unary row, through
+# build_registry dispatch plus the reply prefix, allocates at most its
+# budget on the serving thread — the decoded path, the key and record
+# the memtable keeps, the copy a read takes, a share of the frame.
+cargo test -p gkfs-daemon --release --test alloc_budget
+
 echo "==> ledger smoke (the benchmark builds and runs as BENCHMARK.json builds it)"
 # BENCHMARK.json's program lives outside the workspace, with a manifest
 # and lock file of its own (non-benchmark PRs may not touch ledger/).
