@@ -43,6 +43,7 @@ fn push_piece<'a>(
 /// submitted, none awaited ([`GekkoClient::submit_write`]).
 /// [`GekkoClient::finish_write`] awaits every leg under the one
 /// deadline taken here and only then tells the path's record.
+#[must_use = "unless `finish_write` hears every leg, a failed leg goes unnoticed"]
 pub(crate) struct WriteInFlight<'a> {
     local: &'a LocalFile,
     /// What the bytes say once acknowledged (none: a flush that had no

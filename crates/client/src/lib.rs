@@ -37,6 +37,7 @@
 //! crate; everything behind it lives here.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod client;
 mod data;

@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 /// One mutation in flight on the write set of a key: what
 /// [`GekkoClient::quorum_submit`] hands to [`GekkoClient::quorum_wait`].
+#[must_use = "unless `quorum_wait` hears it, a replica may miss the mutation unnoticed"]
 pub(crate) struct QuorumCall<'a, T> {
     /// The key's hash-placed owner.
     primary: NodeId,

@@ -189,6 +189,7 @@ pub enum Hedge<'a, T> {
 /// ([`DaemonRing::write_chunks_nb`]) and a retry sends the same slices
 /// again, so the future cannot outlive that buffer. Every other
 /// operation owns all it sends and returns `ReplyFuture<'static, _>`.
+#[must_use = "an RPC's result, retries and error arrive only through `wait`"]
 pub struct ReplyFuture<'a, T> {
     /// Outcome of attempt 0's submission.
     state: Result<ReplyHandle>,

@@ -1,6 +1,6 @@
 //! A miniature model checker for the workspace's lock-free and
 //! locked-shared-state protocols — the loom-shaped half of the lint
-//! story (DESIGN.md "Static analysis v2").
+//! story (DESIGN.md "Static analysis").
 //!
 //! The real `loom` crate is not a dependency this workspace can take,
 //! so this module implements the part we actually use: **exhaustive

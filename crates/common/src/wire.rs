@@ -15,6 +15,8 @@
 //! for a struct in field order; RPC messages and `Metadata` are
 //! declared that way rather than as hand-paired encode/decode bodies.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::error::{GkfsError, Result};
 
 /// Append-only encoder producing a `Vec<u8>`.
@@ -86,8 +88,7 @@ impl Encoder {
     /// batch caps, so a length that does not fit is a logic error worth
     /// stopping — never a value to truncate silently.
     pub fn count(&mut self, n: usize) -> &mut Self {
-        assert!(n <= u32::MAX as usize, "wire count {n} does not fit u32");
-        self.u32(n as u32)
+        self.u32(u32::try_from(n).unwrap_or_else(|_| panic!("wire count {n} does not fit u32")))
     }
 
     /// Length-prefixed (u32) byte string.
@@ -115,8 +116,8 @@ impl Encoder {
         let at = self.len();
         self.u32(0).put(v);
         let n = self.len() - at - 4;
-        assert!(n <= u32::MAX as usize, "wire count {n} does not fit u32");
-        self.set_u32(at, n as u32)
+        let n = u32::try_from(n).unwrap_or_else(|_| panic!("wire count {n} does not fit u32"));
+        self.set_u32(at, n)
     }
 
     /// Overwrite the four bytes at `at` — a placeholder written earlier
@@ -798,7 +799,7 @@ mod tests {
     /// the wire. The vectored writer must be byte-identical.
     fn contiguous_frame(payload: &[u8]) -> Vec<u8> {
         let mut v = Vec::with_capacity(payload.len() + 8);
-        v.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
         v.extend_from_slice(payload);
         v.extend_from_slice(&crate::crc::crc32(payload).to_le_bytes());
         v

@@ -40,19 +40,13 @@ fn usage() -> ! {
          write PATH TEXT        write TEXT at offset 0\n\
          truncate PATH SIZE     truncate/extend a file\n\
          df                     per-daemon statistics\n\
-         fsck [--purge]         namespace consistency check\n\
-         lint [ARGS...]         run the gkfs-lint analyzer (no --hosts)"
+         fsck [--purge]         namespace consistency check"
     );
     std::process::exit(2);
 }
 
 fn run() -> Result<(), GkfsError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `lint` needs no deployment: it is an alias for `gkfs-lint`, so
-    // developers get the analyzer from whichever binary is at hand.
-    if args.first().map(String::as_str) == Some("lint") {
-        std::process::exit(gkfs_lint::cli_main(&args[1..]));
-    }
     let mut hosts = None;
     let mut chunk_size = gekkofs::DEFAULT_CHUNK_SIZE;
     let mut replicas = 1usize;

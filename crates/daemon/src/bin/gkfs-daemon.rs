@@ -15,6 +15,8 @@
 //! lifetime to the launching job script, which is exactly the
 //! "temporary file system" lifecycle of §III.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use gkfs_common::{ClusterConfig, DaemonConfig};
 use gkfs_daemon::Daemon;
 use gkfs_rpc::{Endpoint, EndpointOptions, TcpEndpoint};

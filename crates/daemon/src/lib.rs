@@ -26,6 +26,7 @@
 //! copies among themselves — the only daemon-to-daemon traffic.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod daemon;
 pub mod engine;

@@ -13,30 +13,12 @@
 //!
 //! [locks]        # receiver identifier -> rank name
 //! version = "KV_VERSION"
-//!
-//! [completions]  # GKL007 must-consume types and their consume calls
-//! types = ["BatchCompletion"]
-//! consume = ["wait"]
 //! ```
 
 use std::collections::{HashMap, HashSet};
 
-/// Completion types every workspace has (GKL007 defaults); `[completions]
-/// types` in `lint.toml` extends the set.
-const DEFAULT_COMPLETION_TYPES: &[&str] = &["BatchCompletion", "ReplyHandle", "ReplyFuture"];
-
-/// Method names that count as consuming a completion (GKL007 defaults).
-const DEFAULT_CONSUME: &[&str] = &[
-    "wait",
-    "wait_timeout",
-    "recv",
-    "recv_timeout",
-    "try_recv",
-    "abandon",
-];
-
 /// Parsed lint configuration.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Config {
     /// Rank name → numeric rank (higher = acquired first). Not parsed
     /// from `lint.toml`: the workspace run fills it from the `ranks!`
@@ -46,27 +28,6 @@ pub struct Config {
     pub locks: HashMap<String, String>,
     /// Waivers in `RULE@path:line` form.
     pub allow: HashSet<String>,
-    /// Type names whose values must be consumed before end of scope
-    /// (GKL007). A fn whose return type mentions one of these is a
-    /// completion producer.
-    pub completion_types: HashSet<String>,
-    /// Method names that consume a completion (GKL007).
-    pub completion_consume: HashSet<String>,
-}
-
-impl Default for Config {
-    fn default() -> Config {
-        Config {
-            ranks: HashMap::new(),
-            locks: HashMap::new(),
-            allow: HashSet::new(),
-            completion_types: DEFAULT_COMPLETION_TYPES
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            completion_consume: DEFAULT_CONSUME.iter().map(|s| s.to_string()).collect(),
-        }
-    }
 }
 
 impl Config {
@@ -118,22 +79,6 @@ impl Config {
                 "locks" => {
                     cfg.locks.insert(key, parse_string(&value, n + 1)?);
                 }
-                "completions" => match key.as_str() {
-                    // Extends (never replaces) the built-in defaults:
-                    // shrinking the consume set from config would turn
-                    // correct code into findings.
-                    "types" => {
-                        for s in parse_string_array(&value, n + 1)? {
-                            cfg.completion_types.insert(s);
-                        }
-                    }
-                    "consume" => {
-                        for s in parse_string_array(&value, n + 1)? {
-                            cfg.completion_consume.insert(s);
-                        }
-                    }
-                    _ => {}
-                },
                 _ => {
                     if key == "allow" {
                         for s in parse_string_array(&value, n + 1)? {
@@ -204,7 +149,7 @@ mod tests {
 # waivers
 allow = [
   "GKL002@crates/a.rs:10", # trailing comment
-  "GKL003@crates/b.rs:20",
+  "GKL008@crates/b.rs:20",
 ]
 
 [locks]
@@ -234,20 +179,5 @@ mem = "KV_MEMTABLE"
     fn empty_config_is_fine() {
         let cfg = Config::parse("").unwrap();
         assert!(cfg.ranks.is_empty() && cfg.locks.is_empty() && cfg.allow.is_empty());
-        // Completion defaults are always present.
-        assert!(cfg.completion_types.contains("BatchCompletion"));
-        assert!(cfg.completion_consume.contains("wait"));
-    }
-
-    #[test]
-    fn completions_section_extends_defaults() {
-        let cfg = Config::parse(
-            "[completions]\ntypes = [\"MyCompletion\"]\nconsume = [\"drain_all\"]\n",
-        )
-        .unwrap();
-        assert!(cfg.completion_types.contains("MyCompletion"));
-        assert!(cfg.completion_types.contains("ReplyFuture"), "defaults kept");
-        assert!(cfg.completion_consume.contains("drain_all"));
-        assert!(cfg.completion_consume.contains("recv"), "defaults kept");
     }
 }

@@ -8,20 +8,16 @@
 //! * the ranked locks it acquires *directly* (receiver registered in
 //!   `lint.toml [locks]`),
 //! * every call site inside it, with the set of ranked guards held at
-//!   that point (the interprocedural rules' anchor),
-//! * whether its return type mentions a completion type
-//!   (`BatchCompletion` & friends — GKL007's producer set),
-//! * `unsafe` block and spawn/submit site counts (coverage metadata for
-//!   the DESIGN.md map and future rules).
+//!   that point (the interprocedural rules' anchor).
 //!
-//! [`SymbolIndex`] aggregates the per-file indexes and answers the two
-//! questions phase 2 asks: *which definitions can this bare call name
-//! resolve to* and *which fn names produce completions*.
+//! [`SymbolIndex`] aggregates the per-file indexes and answers the
+//! question phase 2 asks: *which definition can this bare call name
+//! resolve to*.
 
 use crate::config::Config;
-use crate::lexer::{Lexed, Tok, TokKind};
+use crate::lexer::{Tok, TokKind};
 use crate::rules::{find_test_ranges, GuardTracker, HeldLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One direct ranked acquisition inside a fn body.
 #[derive(Debug, Clone)]
@@ -54,14 +50,8 @@ pub struct FnDef {
     /// `{ ... }` including both braces. Empty for bodyless trait fns.
     pub body: (usize, usize),
     pub is_test: bool,
-    /// The completion type named in the return type, when any.
-    pub returns_completion: Option<String>,
     pub acquires: Vec<AcqSite>,
     pub calls: Vec<CallSite>,
-    pub unsafe_blocks: u32,
-    /// `spawn(..)` / `try_submit(..)` / `submit(..)` sites — where work
-    /// escapes the current thread.
-    pub spawn_sites: u32,
 }
 
 /// Per-file slice of the index.
@@ -76,17 +66,12 @@ pub struct SymbolIndex {
     /// fn name → indices into `fns`.
     pub by_name: HashMap<String, Vec<usize>>,
     pub fns: Vec<FnDef>,
-    /// Names with at least one definition returning a completion type.
-    pub completion_producers: HashSet<String>,
 }
 
 impl SymbolIndex {
     /// Fold one file's definitions in.
     pub fn add_file(&mut self, fi: FileIndex) {
         for f in fi.fns {
-            if f.returns_completion.is_some() && !f.is_test {
-                self.completion_producers.insert(f.name.clone());
-            }
             self.by_name
                 .entry(f.name.clone())
                 .or_default()
@@ -98,7 +83,7 @@ impl SymbolIndex {
     /// Resolve a bare callee name to its unique non-test definition.
     /// Ambiguous names (trait fn + several impls, helpers repeated
     /// across crates) resolve to `None` — the documented precision
-    /// limit: GKL006/GKL007 only reason through calls whose target is
+    /// limit: GKL006 only reasons through calls whose target is
     /// unambiguous workspace-wide.
     pub fn resolve_unique(&self, name: &str) -> Option<&FnDef> {
         let ids = self.by_name.get(name)?;
@@ -121,8 +106,7 @@ struct OpenFn {
 }
 
 /// Build the per-file index. `rel_path` uses `/` separators.
-pub fn index_file(rel_path: &str, lexed: &Lexed, cfg: &Config) -> FileIndex {
-    let toks = &lexed.toks;
+pub fn index_file(rel_path: &str, toks: &[Tok], cfg: &Config) -> FileIndex {
     let tests = find_test_ranges(toks);
     let in_test = |i: usize| tests.iter().any(|&(s, e)| i >= s && i < e);
 
@@ -158,9 +142,7 @@ pub fn index_file(rel_path: &str, lexed: &Lexed, cfg: &Config) -> FileIndex {
         // which has no name ident after it).
         if t.is_ident("fn") {
             if let Some(name) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) {
-                if let Some((sig_end, body_start)) = signature_end(toks, i + 2) {
-                    let returns_completion =
-                        return_completion(toks, i + 2, sig_end, &cfg.completion_types);
+                if let Some(body_start) = signature_end(toks, i + 2) {
                     stack.push(OpenFn {
                         def: FnDef {
                             name: name.text.clone(),
@@ -168,11 +150,8 @@ pub fn index_file(rel_path: &str, lexed: &Lexed, cfg: &Config) -> FileIndex {
                             line: name.line,
                             body: (body_start, body_start),
                             is_test: in_test(i),
-                            returns_completion,
                             acquires: Vec::new(),
                             calls: Vec::new(),
-                            unsafe_blocks: 0,
-                            spawn_sites: 0,
                         },
                         // The body's `{` hasn't been stepped over yet;
                         // it will take depth to open_depth.
@@ -193,22 +172,17 @@ pub fn index_file(rel_path: &str, lexed: &Lexed, cfg: &Config) -> FileIndex {
                     continue;
                 }
                 // Bodyless (trait signature / extern): still record the
-                // definition — trait fns returning completions make
-                // every implementor's name a producer.
+                // definition, so a trait method's name stays ambiguous
+                // beside its implementations and forms no call edge.
                 if let Some(sig_end) = bodyless_end(toks, i + 2) {
-                    let returns_completion =
-                        return_completion(toks, i + 2, sig_end, &cfg.completion_types);
                     out.fns.push(FnDef {
                         name: name.text.clone(),
                         file: rel_path.to_string(),
                         line: name.line,
                         body: (sig_end, sig_end),
                         is_test: in_test(i),
-                        returns_completion,
                         acquires: Vec::new(),
                         calls: Vec::new(),
-                        unsafe_blocks: 0,
-                        spawn_sites: 0,
                     });
                     i = sig_end;
                     continue;
@@ -227,11 +201,6 @@ pub fn index_file(rel_path: &str, lexed: &Lexed, cfg: &Config) -> FileIndex {
         }
 
         if let Some(top) = stack.last_mut() {
-            if t.is_ident("unsafe")
-                && toks.get(i + 1).map(|n| n.is_punct('{')).unwrap_or(false)
-            {
-                top.def.unsafe_blocks += 1;
-            }
             // Call site: IDENT `(` that isn't a definition, macro
             // (`name!(`), or struct-ish construct. Method calls keep
             // their flag so phase 2 can be stricter about them.
@@ -258,9 +227,6 @@ pub fn index_file(rel_path: &str, lexed: &Lexed, cfg: &Config) -> FileIndex {
                         i += 1;
                         continue;
                     }
-                    if matches!(t.text.as_str(), "spawn" | "try_submit" | "submit") {
-                        top.def.spawn_sites += 1;
-                    }
                     top.def.calls.push(CallSite {
                         callee: t.text.clone(),
                         line: t.line,
@@ -282,10 +248,10 @@ pub fn index_file(rel_path: &str, lexed: &Lexed, cfg: &Config) -> FileIndex {
     out
 }
 
-/// For a fn whose name sits at `start-1`: find the end of the
-/// signature and the index of the body `{`. Returns `None` when the
-/// item has no body (trait signature).
-fn signature_end(toks: &[Tok], start: usize) -> Option<(usize, usize)> {
+/// For a fn whose name sits at `start-1`: the index of the body `{`
+/// that ends its signature. Returns `None` when the item has no body
+/// (trait signature).
+fn signature_end(toks: &[Tok], start: usize) -> Option<usize> {
     let mut j = start;
     let mut paren = 0i32;
     let mut angle = 0i32;
@@ -304,7 +270,7 @@ fn signature_end(toks: &[Tok], start: usize) -> Option<(usize, usize)> {
                 angle -= 1;
             }
         } else if paren == 0 && t.is_punct('{') {
-            return Some((j, j));
+            return Some(j);
         } else if paren == 0 && angle <= 0 && t.is_punct(';') {
             return None;
         }
@@ -327,46 +293,6 @@ fn bodyless_end(toks: &[Tok], start: usize) -> Option<usize> {
             return Some(j + 1);
         } else if paren == 0 && t.is_punct('{') {
             return None;
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Scan the `-> ...` segment of a signature (tokens `[start, end)`)
-/// for a completion type name.
-fn return_completion(
-    toks: &[Tok],
-    start: usize,
-    end: usize,
-    types: &HashSet<String>,
-) -> Option<String> {
-    let mut j = start;
-    let mut paren = 0i32;
-    let mut arrow_at = None;
-    while j < end.min(toks.len()) {
-        let t = &toks[j];
-        if t.is_punct('(') {
-            paren += 1;
-        } else if t.is_punct(')') {
-            paren -= 1;
-        } else if paren == 0
-            && t.is_punct('-')
-            && toks.get(j + 1).map(|n| n.is_punct('>')).unwrap_or(false)
-        {
-            arrow_at = Some(j + 2);
-            break;
-        }
-        j += 1;
-    }
-    let mut j = arrow_at?;
-    while j < end.min(toks.len()) {
-        let t = &toks[j];
-        if t.is_ident("where") || t.is_punct('{') || t.is_punct(';') {
-            break;
-        }
-        if t.kind == TokKind::Ident && types.contains(&t.text) {
-            return Some(t.text.clone());
         }
         j += 1;
     }
@@ -457,18 +383,12 @@ mod tests {
     }
 
     #[test]
-    fn completion_returns_detected() {
+    fn bodyless_trait_fns_are_defined() {
         let fi = index(
-            "fn p(&self) -> Result<BatchCompletion> { x() }\n\
-             fn q(&self) -> u32 { 0 }\n\
-             trait T { fn r(&self) -> ReplyHandle; }",
+            "trait T { fn r(&self) -> u32; }\n\
+             impl T for X { fn r(&self) -> u32 { 0 } }",
         );
-        let p = fi.fns.iter().find(|f| f.name == "p").unwrap();
-        assert_eq!(p.returns_completion.as_deref(), Some("BatchCompletion"));
-        let q = fi.fns.iter().find(|f| f.name == "q").unwrap();
-        assert!(q.returns_completion.is_none());
-        let r = fi.fns.iter().find(|f| f.name == "r").unwrap();
-        assert_eq!(r.returns_completion.as_deref(), Some("ReplyHandle"), "bodyless trait fn");
+        assert_eq!(fi.fns.iter().filter(|f| f.name == "r").count(), 2);
     }
 
     #[test]
@@ -478,16 +398,6 @@ mod tests {
         assert!(t.is_test);
         let r = fi.fns.iter().find(|f| f.name == "real").unwrap();
         assert!(!r.is_test);
-    }
-
-    #[test]
-    fn unsafe_and_spawn_sites_counted() {
-        let fi = index(
-            "fn f(&self) { unsafe { danger() } pool.try_submit(job); std::thread::spawn(w); }",
-        );
-        let f = &fi.fns[0];
-        assert_eq!(f.unsafe_blocks, 1);
-        assert_eq!(f.spawn_sites, 2);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A hand-rolled Rust lexer — just enough structure for the lint
-//! rules: identifiers, punctuation, and literals with line numbers,
-//! plus a side list of comments (for the `SAFETY:` rule). String,
-//! char, and raw-string contents are consumed but never tokenized, so
-//! rules cannot false-positive on text inside literals or comments.
+//! rules: identifiers, punctuation, and literals with line numbers.
+//! Comments and string, char, and raw-string contents are consumed but
+//! never tokenized, so rules cannot false-positive on text inside
+//! literals or comments.
 
 /// Token classification.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -34,19 +34,11 @@ impl Tok {
     }
 }
 
-/// Lexer output: the token stream and every comment with its line.
-pub struct Lexed {
-    pub toks: Vec<Tok>,
-    /// `(line, text)` for each comment; block comments are recorded at
-    /// their starting line with their full text.
-    pub comments: Vec<(u32, String)>,
-}
-
-/// Lex `src`. Never fails: unterminated constructs consume to EOF.
-pub fn lex(src: &str) -> Lexed {
+/// Lex `src` into its tokens. Never fails: unterminated constructs
+/// consume to EOF.
+pub fn lex(src: &str) -> Vec<Tok> {
     let b = src.as_bytes();
     let mut toks = Vec::new();
-    let mut comments = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
 
@@ -61,15 +53,11 @@ pub fn lex(src: &str) -> Lexed {
             }
             b' ' | b'\t' | b'\r' => i += 1,
             b'/' if i + 1 < b.len() && b[i + 1] == b'/' => {
-                let start = i;
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
-                comments.push((line, String::from_utf8_lossy(&b[start..i]).into_owned()));
             }
             b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
-                let start = i;
-                let start_line = line;
                 let mut depth = 1;
                 i += 2;
                 while i < b.len() && depth > 0 {
@@ -86,7 +74,6 @@ pub fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                 }
-                comments.push((start_line, String::from_utf8_lossy(&b[start..i]).into_owned()));
             }
             b'"' => {
                 let (end, nl) = scan_string(b, i);
@@ -219,7 +206,7 @@ pub fn lex(src: &str) -> Lexed {
             }
         }
     }
-    Lexed { toks, comments }
+    toks
 }
 
 /// Scan a `"`-delimited string starting at the quote (or at an `r`/`b`
@@ -285,55 +272,52 @@ mod tests {
     #[test]
     fn idents_and_punct() {
         let l = lex("let g = self.work.lock();");
-        let words: Vec<&str> = l.toks.iter().map(|t| t.text.as_str()).collect();
+        let words: Vec<&str> = l.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(words, vec!["let", "g", "=", "self", ".", "work", ".", "lock", "(", ")", ";"]);
     }
 
     #[test]
-    fn comments_are_collected_not_tokenized() {
+    fn comments_are_not_tokenized() {
         let l = lex("// SAFETY: fine\nunsafe { x() } /* block\ncomment */");
-        assert_eq!(l.comments.len(), 2);
-        assert_eq!(l.comments[0], (1, "// SAFETY: fine".to_string()));
-        assert!(l.comments[1].1.contains("block"));
-        assert!(l.toks.iter().any(|t| t.is_ident("unsafe")));
-        assert!(l.toks.iter().all(|t| t.text != "SAFETY"));
+        assert!(l.iter().any(|t| t.is_ident("unsafe")));
+        assert!(l.iter().all(|t| t.text != "SAFETY" && t.text != "block"));
     }
 
     #[test]
     fn strings_hide_their_contents() {
         let l = lex(r#"let s = "a.lock() // not a comment"; s.len()"#);
-        assert!(l.comments.is_empty());
-        assert!(!l.toks.iter().any(|t| t.is_ident("lock")));
-        assert!(l.toks.iter().any(|t| t.is_ident("len")));
+        assert!(l.iter().all(|t| t.text != "comment"));
+        assert!(!l.iter().any(|t| t.is_ident("lock")));
+        assert!(l.iter().any(|t| t.is_ident("len")));
     }
 
     #[test]
     fn raw_strings_and_escapes() {
         let l = lex("let s = r#\"quote \" inside\"#; let t = \"esc \\\" q\"; done()");
-        assert!(l.toks.iter().any(|t| t.is_ident("done")));
-        assert!(!l.toks.iter().any(|t| t.is_ident("inside")));
+        assert!(l.iter().any(|t| t.is_ident("done")));
+        assert!(!l.iter().any(|t| t.is_ident("inside")));
     }
 
     #[test]
     fn lifetimes_vs_char_literals() {
         let l = lex("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; }");
         // No stray tokens from the lifetime; two char literals.
-        let lits = l.toks.iter().filter(|t| t.kind == TokKind::Lit).count();
+        let lits = l.iter().filter(|t| t.kind == TokKind::Lit).count();
         assert_eq!(lits, 2);
-        assert!(l.toks.iter().any(|t| t.is_ident("str")));
+        assert!(l.iter().any(|t| t.is_ident("str")));
     }
 
     #[test]
     fn line_numbers_track_newlines() {
         let l = lex("a\nb\n\nc");
-        let lines: Vec<u32> = l.toks.iter().map(|t| t.line).collect();
+        let lines: Vec<u32> = l.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
     }
 
     #[test]
     fn numbers_do_not_eat_ranges() {
         let l = lex("for i in 0..5 { x[i] = 1.5; }");
-        let dots = l.toks.iter().filter(|t| t.is_punct('.')).count();
+        let dots = l.iter().filter(|t| t.is_punct('.')).count();
         assert_eq!(dots, 2, "0..5 keeps both range dots");
     }
 }

@@ -1,10 +1,20 @@
-//! # gkfs-lint — the workspace's concurrency & safety analyzer
+//! # gkfs-lint — the workspace's lock-order and wire-bound analyzer
 //!
 //! A from-scratch static pass (hand-rolled lexer, no `syn`, no
 //! external deps) that walks every `crates/*/src/**.rs` and enforces
-//! the project's concurrency rules; see [`rules`] for the rule table
-//! and DESIGN.md ("Concurrency invariants & lock hierarchy") for the
-//! declared lock hierarchy it checks against. The runtime half of the
+//! the four rules no compiler lint can state:
+//!
+//! * GKL001 — nested lock acquisitions strictly descend the declared
+//!   rank hierarchy within a function ([`rules`]);
+//! * GKL006 — the same across call edges ([`callgraph`]);
+//! * GKL002 — no blocking call while a ranked guard is held ([`rules`]);
+//! * GKL008 — no allocation sized from unchecked wire data ([`taint`]).
+//!
+//! What else the workspace checks statically is declared to rustc and
+//! clippy — crate-root `#![deny]`s, `[workspace.lints]`, `clippy.toml`,
+//! `#[must_use]` (DESIGN.md "Static analysis"). DESIGN.md
+//! ("Concurrency invariants & lock hierarchy") describes the declared
+//! lock hierarchy the rank rules check against. The runtime half of the
 //! story lives in `gkfs_common::lock` — this pass catches what it can
 //! lexically at CI time; the ranked wrappers catch cross-function
 //! nesting in debug-build tests.
@@ -19,7 +29,6 @@
 
 pub mod callgraph;
 pub mod config;
-pub mod consume;
 pub mod index;
 pub mod lexer;
 pub mod rules;
@@ -45,7 +54,7 @@ pub struct Outcome {
 /// Scan `crates/*/src/**.rs` under `root`, applying `lint.toml` from
 /// `root` if present plus `extra_allow` waivers. Phase 1 runs the
 /// per-file rules and builds the workspace symbol index; phase 2 runs
-/// the interprocedural rules (GKL006–GKL009) over it.
+/// the interprocedural rules (GKL006, GKL008) over it.
 pub fn run_workspace(root: &Path, extra_allow: &[String]) -> Result<Outcome, String> {
     let mut cfg = match std::fs::read_to_string(root.join("lint.toml")) {
         Ok(text) => Config::parse(&text).map_err(|e| format!("lint.toml: {e}"))?,
@@ -63,7 +72,7 @@ pub fn run_workspace(root: &Path, extra_allow: &[String]) -> Result<Outcome, Str
     let mut all: Vec<Diagnostic> = Vec::new();
     let mut edges: BTreeSet<(String, String)> = BTreeSet::new();
     let mut sym = index::SymbolIndex::default();
-    let mut lexed_files: Vec<(String, lexer::Lexed)> = Vec::new();
+    let mut lexed_files: Vec<(String, Vec<lexer::Tok>)> = Vec::new();
     for rel in &files {
         let src = std::fs::read_to_string(root.join(rel))
             .map_err(|e| format!("{}: {e}", rel.display()))?;
@@ -72,19 +81,18 @@ pub fn run_workspace(root: &Path, extra_allow: &[String]) -> Result<Outcome, Str
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let lexed = lexer::lex(&src);
-        let report = rules::check_lexed(&rel_str, &lexed, &cfg);
+        let toks = lexer::lex(&src);
+        let report = rules::check_lexed(&rel_str, &toks, &cfg);
         all.extend(report.diagnostics);
         edges.extend(report.edges);
-        sym.add_file(index::index_file(&rel_str, &lexed, &cfg));
-        lexed_files.push((rel_str, lexed));
+        sym.add_file(index::index_file(&rel_str, &toks, &cfg));
+        lexed_files.push((rel_str, toks));
     }
 
     // Phase 2: interprocedural rules over the symbol index.
     all.extend(callgraph::check(&sym, &cfg));
-    for (rel_str, lexed) in &lexed_files {
-        all.extend(consume::check_file(rel_str, lexed, &sym, &cfg));
-        all.extend(taint::check_file(rel_str, lexed, &sym, &cfg));
+    for (rel_str, toks) in &lexed_files {
+        all.extend(taint::check_file(rel_str, toks, &sym));
     }
 
     // Nested fn bodies are walked both as themselves and as part of
@@ -140,8 +148,7 @@ const LOCK_RS: &str = "crates/common/src/lock.rs";
 
 /// The declared hierarchy: every `NAME = N;` row of the `ranks! { … }`
 /// table in `lock.rs` (doc comments between rows are not tokens).
-fn declared_ranks(lexed: &lexer::Lexed) -> HashMap<String, u16> {
-    let toks = &lexed.toks;
+fn declared_ranks(toks: &[lexer::Tok]) -> HashMap<String, u16> {
     let is_table = |w: &[lexer::Tok]| {
         w[0].is_ident("ranks") && w[1].is_punct('!') && w[2].is_punct('{')
     };
@@ -223,14 +230,12 @@ fn find_cycle(edges: &BTreeSet<(String, String)>) -> Option<Vec<String>> {
     None
 }
 
-/// The CLI entry point, shared by the `gkfs-lint` binary and the
-/// `gkfs-cli lint` subcommand. Returns the process exit code: 0 clean,
-/// 1 diagnostics (or, under `--deny-all`, stale waivers), 2 usage or
-/// I/O errors.
+/// The `gkfs-lint` binary's entry point. Returns the process exit code:
+/// 0 clean, 1 diagnostics (or, under `--deny-all`, stale waivers), 2
+/// usage or I/O errors.
 pub fn cli_main(args: &[String]) -> i32 {
     let mut root = PathBuf::from(".");
     let mut deny_all = false;
-    let mut json = false;
     let mut github = false;
     let mut extra_allow: Vec<String> = Vec::new();
     let mut it = args.iter();
@@ -245,7 +250,6 @@ pub fn cli_main(args: &[String]) -> i32 {
                 None => return usage("--allow needs RULE@file:line"),
             },
             "--deny-all" => deny_all = true,
-            "--json" => json = true,
             "--github" => github = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -254,44 +258,37 @@ pub fn cli_main(args: &[String]) -> i32 {
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
-    if json && github {
-        return usage("--json and --github are mutually exclusive");
-    }
 
     match run_workspace(&root, &extra_allow) {
         Ok(outcome) => {
-            let stale = !outcome.unused_waivers.is_empty();
-            if json {
-                println!("{}", render_json(&outcome));
-            } else {
-                for d in &outcome.diagnostics {
-                    if github {
-                        // GitHub Actions workflow-command annotations:
-                        // shown inline on the PR diff, no problem
-                        // matcher registration needed.
-                        println!(
-                            "::error file={},line={}::[{}] {}",
-                            d.file, d.line, d.rule, d.message
-                        );
-                    } else {
-                        println!("{d}");
-                    }
+            for d in &outcome.diagnostics {
+                if github {
+                    // GitHub Actions workflow-command annotations:
+                    // shown inline on the PR diff, no problem
+                    // matcher registration needed.
+                    println!(
+                        "::error file={},line={}::[{}] {}",
+                        d.file, d.line, d.rule, d.message
+                    );
+                } else {
+                    println!("{d}");
                 }
-                for w in &outcome.unused_waivers {
-                    let msg = format!("stale waiver `{w}` matches nothing — remove it");
-                    if github {
-                        println!("::error file=lint.toml::{msg}");
-                    } else {
-                        println!("lint.toml: {msg}");
-                    }
-                }
-                println!(
-                    "gkfs-lint: {} file(s), {} diagnostic(s), {} stale waiver(s)",
-                    outcome.files_checked,
-                    outcome.diagnostics.len(),
-                    outcome.unused_waivers.len()
-                );
             }
+            for w in &outcome.unused_waivers {
+                let msg = format!("stale waiver `{w}` matches nothing — remove it");
+                if github {
+                    println!("::error file=lint.toml::{msg}");
+                } else {
+                    println!("lint.toml: {msg}");
+                }
+            }
+            println!(
+                "gkfs-lint: {} file(s), {} diagnostic(s), {} stale waiver(s)",
+                outcome.files_checked,
+                outcome.diagnostics.len(),
+                outcome.unused_waivers.len()
+            );
+            let stale = !outcome.unused_waivers.is_empty();
             if !outcome.diagnostics.is_empty() || (deny_all && stale) {
                 1
             } else {
@@ -305,78 +302,23 @@ pub fn cli_main(args: &[String]) -> i32 {
     }
 }
 
-/// Render the outcome as JSON (satellite: machine-readable output).
-/// Hand-rolled — the workspace takes no serialization deps for a lint
-/// tool — with full string escaping.
-fn render_json(outcome: &Outcome) -> String {
-    let mut s = String::from("{\n  \"diagnostics\": [");
-    for (i, d) in outcome.diagnostics.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-            json_str(d.rule),
-            json_str(&d.file),
-            d.line,
-            json_str(&d.message)
-        ));
-    }
-    if !outcome.diagnostics.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("],\n  \"stale_waivers\": [");
-    for (i, w) in outcome.unused_waivers.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&json_str(w));
-    }
-    s.push_str(&format!(
-        "],\n  \"files_checked\": {}\n}}",
-        outcome.files_checked
-    ));
-    s
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 const USAGE: &str = "\
-gkfs-lint — concurrency & safety analyzer for the GekkoFS workspace
+gkfs-lint — lock-order and wire-bound analyzer for the GekkoFS workspace
 
-USAGE: gkfs-lint [--root DIR] [--deny-all] [--json | --github]
-                 [--allow RULE@file:line]...
+USAGE: gkfs-lint [--root DIR] [--deny-all] [--github] [--allow RULE@file:line]...
 
   --root DIR    workspace root (default: current directory)
   --deny-all    also fail on stale waivers in lint.toml
-  --json        machine-readable JSON on stdout
   --github      GitHub Actions ::error annotations instead of plain text
   --allow W     extra waiver, same syntax as lint.toml's allow list
 
-Per-file rules: GKL001 lock-rank order · GKL002 blocking call under
-guard · GKL003 unwrap/expect on rpc/daemon/client paths · GKL004
-wall-clock in crates/sim · GKL005 unsafe without SAFETY comment.
-Interprocedural rules (workspace symbol index): GKL006 rank descent
-across call edges · GKL007 unconsumed completions · GKL008 allocation
-sized from unchecked wire data · GKL009 unchecked `as` narrowing on
-size/offset values in the data plane.
+Rules: GKL001 lock-rank order within a function · GKL006 rank descent
+across call edges · GKL002 blocking call under a guard · GKL008
+allocation sized from unchecked wire data.
 The lock hierarchy is the `ranks!` table in crates/common/src/lock.rs.
+unwrap/expect, wall clock in crates/sim, SAFETY comments, must-use
+completions and narrowing casts are rustc's and clippy's (DESIGN.md
+\"Static analysis\").
 
 Exit codes: 0 clean · 1 diagnostics · 2 usage/config error.";
 
@@ -427,22 +369,58 @@ mod tests {
         assert!(cfg.check_locks().unwrap_err().contains("KV_WAL_LOG"));
     }
 
-    /// One file per rule family, violating GKL001 (a mis-ordered
-    /// acquisition) and all of the interprocedural GKL006–GKL009.
+    /// The real workspace: the rules that left this analyzer (GKL003,
+    /// GKL004, GKL005, GKL007, GKL009) stay declared where rustc and
+    /// clippy read them. `cargo test` runs neither clippy nor a check
+    /// of these files, so a deleted declaration fails here instead of
+    /// silently un-checking its rule.
+    #[test]
+    fn moved_rules_stay_declared() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |rel: &str| std::fs::read_to_string(root.join(rel)).unwrap();
+        let unwrap = "#![deny(clippy::unwrap_used, clippy::expect_used)]";
+        let cast = "#![deny(clippy::cast_possible_truncation)]";
+        let declared = [
+            ("crates/rpc/src/lib.rs", unwrap),
+            ("crates/daemon/src/lib.rs", unwrap),
+            ("crates/daemon/src/bin/gkfs-daemon.rs", unwrap),
+            ("crates/client/src/lib.rs", unwrap),
+            ("crates/sim/clippy.toml", "{ path = \"std::time::Instant::now\""),
+            ("crates/sim/clippy.toml", "{ path = \"std::time::SystemTime::now\""),
+            ("Cargo.toml", "undocumented_unsafe_blocks = \"deny\""),
+            ("Cargo.toml", "unused_must_use = \"deny\""),
+            ("crates/rpc/src/lib.rs", cast),
+            ("crates/storage/src/lib.rs", cast),
+            ("crates/common/src/wire.rs", cast),
+        ];
+        for (file, decl) in declared {
+            let found = read(file).lines().any(|l| l.trim_start().starts_with(decl));
+            assert!(found, "{file} no longer declares `{decl}`");
+        }
+        let completions = [
+            ("crates/rpc/src/transport/mod.rs", "pub struct ReplyHandle "),
+            ("crates/client/src/rpc.rs", "pub struct ReplyFuture<"),
+            ("crates/storage/src/lib.rs", "pub struct BatchCompletion "),
+            ("crates/client/src/meta_frames.rs", "pub(crate) struct QuorumCall<"),
+            ("crates/client/src/data.rs", "pub(crate) struct WriteInFlight<"),
+        ];
+        for (file, item) in completions {
+            let src = read(file);
+            let lines: Vec<&str> = src.lines().collect();
+            let at = lines.iter().position(|l| l.starts_with(item));
+            let at = at.unwrap_or_else(|| panic!("{file} no longer declares `{item}`"));
+            assert!(at > 0 && lines[at - 1].starts_with("#[must_use"), "`{item}` is not #[must_use]");
+        }
+    }
+
+    /// Two files, violating GKL001 (a mis-ordered acquisition), GKL006
+    /// (an ascending call) and GKL008 (a wire-sized allocation).
     const FIX_COMMON: &str = r#"
 pub struct L;
 impl L {
     pub fn lock(&self) -> u32 { 0 }
 }
 pub struct S { pub hi: L, pub lo: L }
-
-pub struct BatchCompletion;
-
-pub fn produce() -> BatchCompletion { BatchCompletion }
-
-pub fn leak_completion() {
-    let _ = produce();
-}
 
 pub fn takes_high(s: &S) {
     let _g = s.hi.lock();
@@ -464,14 +442,10 @@ pub fn alloc_from_wire(d: &mut Decoder) -> Vec<u8> {
     let n = d.u32() as usize;
     Vec::with_capacity(n)
 }
-
-pub fn narrow_offset(total_len: usize) -> u32 {
-    total_len as u32
-}
 "#;
 
-    /// End-to-end over a fixture workspace: the rank rules and every
-    /// interprocedural rule fire, and waiving exactly what fired yields a clean run with
+    /// End-to-end over a fixture workspace: the rank rules and the wire
+    /// rule fire, and waiving exactly what fired yields a clean run with
     /// no stale waivers — the full lifecycle of a deliberate exception.
     #[test]
     fn interprocedural_rules_fire_and_waive_end_to_end() {
@@ -496,7 +470,7 @@ pub fn narrow_offset(total_len: usize) -> u32 {
             .iter()
             .map(|d| format!("{}@{}:{}", d.rule, d.file, d.line))
             .collect();
-        for rule in ["GKL001", "GKL006", "GKL007", "GKL008", "GKL009"] {
+        for rule in ["GKL001", "GKL006", "GKL008"] {
             assert!(
                 out.diagnostics.iter().any(|d| d.rule == rule),
                 "{rule} must fire on the fixture; got {fired:?}"

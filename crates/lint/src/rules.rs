@@ -1,12 +1,12 @@
-//! The lint rules, evaluated over the token stream of one file.
+//! The per-file rules, evaluated over the token stream of one file.
 //!
 //! | rule   | checks |
 //! |--------|--------|
 //! | GKL001 | nested lock acquisition must strictly descend the declared rank hierarchy |
 //! | GKL002 | no blocking call (fsync/sync/sleep/join/bare recv/WAL append) inside a held guard scope |
-//! | GKL003 | no `unwrap()`/`expect()` on rpc/daemon/client non-test paths |
-//! | GKL004 | no `Instant::now`/`SystemTime` inside `crates/sim` (determinism) |
-//! | GKL005 | every `unsafe` must carry a `// SAFETY:` comment or a `# Safety` doc section |
+//!
+//! The workspace's other two rules, GKL006 and GKL008, need the symbol
+//! index ([`crate::callgraph`], [`crate::taint`]).
 //!
 //! Guard scopes are tracked *lexically* and intraprocedurally: a guard
 //! produced by `.lock()`, `.read()` or `.write()` (empty argument
@@ -22,7 +22,7 @@
 //! (`gkfs_common::lock`).
 
 use crate::config::Config;
-use crate::lexer::{lex, Lexed, Tok, TokKind};
+use crate::lexer::{lex, Tok, TokKind};
 
 /// One finding, formatted as `file:line: [rule] message`.
 #[derive(Debug, Clone)]
@@ -269,14 +269,8 @@ pub fn check_file(rel_path: &str, src: &str, cfg: &Config) -> FileReport {
 
 /// Run every applicable per-file rule over an already-lexed file — the
 /// workspace driver lexes once and shares tokens with the index pass.
-pub fn check_lexed(rel_path: &str, lexed: &Lexed, cfg: &Config) -> FileReport {
-    let toks = &lexed.toks;
+pub fn check_lexed(rel_path: &str, toks: &[Tok], cfg: &Config) -> FileReport {
     let skip = find_test_ranges(toks);
-
-    let unwrap_scope = rel_path.starts_with("crates/rpc/src")
-        || rel_path.starts_with("crates/daemon/src")
-        || rel_path.starts_with("crates/client/src");
-    let sim_scope = rel_path.starts_with("crates/sim/src");
 
     let mut out = FileReport {
         diagnostics: Vec::new(),
@@ -294,67 +288,6 @@ pub fn check_lexed(rel_path: &str, lexed: &Lexed, cfg: &Config) -> FileReport {
         }
         let t = &toks[i];
         let acq = tracker.observe(toks, i, cfg);
-
-        if t.is_ident("unsafe") {
-            let line = t.line;
-            // Either convention satisfies the rule: `// SAFETY:`
-            // immediately above (unsafe blocks), or a `# Safety`
-            // doc section (unsafe fn declarations, where the
-            // caller contract lives in the rustdoc).
-            let documented = lexed.comments.iter().any(|(cl, text)| {
-                *cl + 4 >= line
-                    && *cl <= line
-                    && (text.contains("SAFETY:") || text.contains("# Safety"))
-            });
-            if !documented {
-                out.diagnostics.push(Diagnostic {
-                    rule: "GKL005",
-                    file: rel_path.to_string(),
-                    line,
-                    message: "`unsafe` without a preceding `// SAFETY:` comment".into(),
-                });
-            }
-        }
-
-        // GKL003: unwrap/expect on rpc/daemon/client non-test paths.
-        if unwrap_scope
-            && t.is_punct('.')
-            && toks
-                .get(i + 1)
-                .map(|n| n.is_ident("unwrap") || n.is_ident("expect"))
-                .unwrap_or(false)
-            && toks.get(i + 2).map(|n| n.is_punct('(')).unwrap_or(false)
-        {
-            let name = &toks[i + 1].text;
-            out.diagnostics.push(Diagnostic {
-                rule: "GKL003",
-                file: rel_path.to_string(),
-                line: toks[i + 1].line,
-                message: format!(
-                    "`.{name}()` on a non-test rpc/daemon/client path — propagate the error"
-                ),
-            });
-        }
-
-        // GKL004: wall-clock time sources in the deterministic simulator.
-        if sim_scope && t.kind == TokKind::Ident {
-            let instant_now = t.text == "Instant"
-                && toks.get(i + 1).map(|n| n.is_punct(':')).unwrap_or(false)
-                && toks.get(i + 2).map(|n| n.is_punct(':')).unwrap_or(false)
-                && toks.get(i + 3).map(|n| n.is_ident("now")).unwrap_or(false);
-            let systemtime = t.text == "SystemTime";
-            if instant_now || systemtime {
-                out.diagnostics.push(Diagnostic {
-                    rule: "GKL004",
-                    file: rel_path.to_string(),
-                    line: t.line,
-                    message: format!(
-                        "`{}` in crates/sim — the simulator must stay deterministic",
-                        if systemtime { "SystemTime" } else { "Instant::now" }
-                    ),
-                });
-            }
-        }
 
         // GKL002: blocking call while a guard is held.
         if t.kind == TokKind::Ident
@@ -588,16 +521,11 @@ mod tests {
             ranks,
             locks,
             allow: HashSet::new(),
-            ..Config::default()
         }
     }
 
     fn rules(src: &str) -> Vec<Diagnostic> {
         check_file("crates/x/src/lib.rs", src, &cfg()).diagnostics
-    }
-
-    fn rules_at(path: &str, src: &str) -> Vec<Diagnostic> {
-        check_file(path, src, &cfg()).diagnostics
     }
 
     // ---- GKL001 ----
@@ -725,86 +653,11 @@ mod tests {
         assert!(d.is_empty(), "{d:?}");
     }
 
-    // ---- GKL003 ----
-
     #[test]
-    fn gkl003_fires_in_scoped_crates() {
-        let d = rules_at("crates/rpc/src/lib.rs", "fn f() { x.unwrap(); y.expect(\"m\"); }");
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d.iter().all(|d| d.rule == "GKL003"));
-    }
-
-    #[test]
-    fn gkl003_ignores_test_code() {
-        let d = rules_at(
-            "crates/client/src/lib.rs",
-            "#[cfg(test)] mod tests { fn f() { x.unwrap(); } }\n\
-             #[test]\nfn t() { y.unwrap(); }",
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn gkl003_out_of_scope_crates_are_fine() {
-        let d = rules_at("crates/kvstore/src/db.rs", "fn f() { x.unwrap(); }");
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn gkl003_unwrap_or_is_fine() {
-        let d = rules_at("crates/rpc/src/lib.rs", "fn f() { x.unwrap_or(0); }");
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    // ---- GKL004 ----
-
-    #[test]
-    fn gkl004_fires_in_sim() {
-        let d = rules_at(
-            "crates/sim/src/lib.rs",
-            "fn f() { let t = Instant::now(); let s = SystemTime::now(); }",
-        );
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d.iter().all(|d| d.rule == "GKL004"));
-    }
-
-    #[test]
-    fn gkl004_instant_elapsed_alone_is_fine() {
-        let d = rules_at("crates/sim/src/lib.rs", "fn f(t: Instant) { t.elapsed(); }");
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn gkl004_only_applies_to_sim() {
-        let d = rules_at("crates/kvstore/src/db.rs", "fn f() { let t = Instant::now(); }");
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    // ---- GKL005 ----
-
-    #[test]
-    fn gkl005_fires_without_safety_comment() {
-        let d = rules("fn f() { unsafe { danger() } }");
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "GKL005");
-    }
-
-    #[test]
-    fn gkl005_clean_with_safety_comment() {
-        let d = rules("fn f() {\n    // SAFETY: checked above\n    unsafe { danger() }\n}");
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn gkl005_comment_too_far_away_fires() {
-        let d = rules("// SAFETY: stale\n\n\n\n\n\n\nfn f() { unsafe { danger() } }");
-        assert_eq!(d.len(), 1, "{d:?}");
-    }
-
-    #[test]
-    fn gkl005_clean_with_safety_doc_section() {
+    fn guards_in_test_code_are_skipped() {
         let d = rules(
-            "/// # Safety\n/// `p` must be valid.\n#[no_mangle]\npub unsafe fn f(p: *const u8) {}",
+            "#[cfg(test)] mod tests { fn f(&self) { let g = self.inner.lock(); f.sync_data(); } }\n\
+             #[test]\nfn t(&self) { let a = self.leaf.lock(); let b = self.outer.lock(); }",
         );
         assert!(d.is_empty(), "{d:?}");
     }

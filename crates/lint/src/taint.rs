@@ -1,7 +1,7 @@
-//! Phase 2, rules GKL008 and GKL009: wire data must be bounded before
-//! it sizes anything.
+//! Phase 2, rule GKL008: wire data must be bounded before it sizes an
+//! allocation.
 //!
-//! **GKL008 — allocation-from-wire.** A length decoded from a frame
+//! A length decoded from a frame
 //! (`d.u32()?`, `d.varint()?`, …) that flows into `with_capacity`,
 //! `reserve`, or `vec![x; n]` without an intervening bound check lets
 //! a 24-byte packet request a multi-gigabyte allocation. Taint starts
@@ -11,56 +11,23 @@
 //! statement that compares the value (`if n > MAX_… { … }`,
 //! `n.min(..)`, `n.clamp(..)`, `try_from`, a `MAX_*` const, or
 //! `d.remaining()`).
-//!
-//! **GKL009 — unchecked narrowing.** On the wire-adjacent paths
-//! (`crates/rpc`, `crates/storage`, `common/src/wire.rs`), an
-//! `expr as u8/u16/u32/i8/i16/i32` whose subject smells like a size
-//! (`len`, `off`, `size`, `count`, `total`, `byte`, `pos`, `cap`)
-//! silently truncates at 4 GiB. Require `try_from`/`try_into`,
-//! `.min`/`.clamp`, a mask, a `MAX_*`/`MIN_*` const, or a nearby
-//! `assert!` naming the subject.
 
-use crate::config::Config;
 use crate::index::SymbolIndex;
-use crate::lexer::{Lexed, Tok, TokKind};
+use crate::lexer::{Tok, TokKind};
 use crate::rules::Diagnostic;
 
 /// Empty-argument `Decoder` getters — the taint sources.
 const DECODE_GETTERS: &[&str] = &["u8", "u16", "u32", "u64", "i64", "varint"];
 
-/// Narrowing cast targets GKL009 cares about (usize/u64 → these).
-const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
-
-/// Identifier fragments that mark a value as a size/offset.
-const SIZE_FAMILY: &[&str] = &["len", "off", "size", "count", "total", "byte", "pos", "cap"];
-
-/// How far back (in tokens) GKL009 looks for an `assert!` that names
-/// the cast subject.
-const ASSERT_WINDOW: usize = 80;
-
-fn smells_like_size(ident: &str) -> bool {
-    let l = ident.to_ascii_lowercase();
-    SIZE_FAMILY.iter().any(|f| l.contains(f))
-}
-
-/// GKL009 path scope: the zero-copy data plane.
-fn in_narrowing_scope(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/rpc/src/")
-        || rel_path.starts_with("crates/storage/src/")
-        || rel_path == "crates/common/src/wire.rs"
-}
-
-/// Run GKL008 + GKL009 over one file.
-pub fn check_file(rel_path: &str, lexed: &Lexed, sym: &SymbolIndex, _cfg: &Config) -> Vec<Diagnostic> {
-    let toks = &lexed.toks;
+/// Run GKL008 over one file: a statement-linear taint walk over each
+/// non-test fn body.
+pub fn check_file(rel_path: &str, toks: &[Tok], sym: &SymbolIndex) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let narrowing = in_narrowing_scope(rel_path);
 
     for f in sym.fns.iter().filter(|f| f.file == rel_path && !f.is_test) {
         let (start, end) = f.body;
         let end = end.min(toks.len());
 
-        // ---- GKL008: statement-linear taint walk over the body. ----
         // tainted name → source line.
         let mut tainted: Vec<(String, u32)> = Vec::new();
         for (s, e) in statements(toks, start, end) {
@@ -81,11 +48,6 @@ pub fn check_file(rel_path: &str, lexed: &Lexed, sym: &SymbolIndex, _cfg: &Confi
                     tainted.push((name, line));
                 }
             }
-        }
-
-        // ---- GKL009: narrowing casts on the data plane. ----
-        if narrowing {
-            check_narrowing(toks, start, end, rel_path, &mut out);
         }
     }
     out
@@ -258,96 +220,18 @@ fn matching(toks: &[Tok], open: usize, o: char, c: char) -> Option<usize> {
     None
 }
 
-/// GKL009 over one fn body.
-fn check_narrowing(toks: &[Tok], start: usize, end: usize, file: &str, out: &mut Vec<Diagnostic>) {
-    for i in start..end {
-        if !toks[i].is_ident("as") {
-            continue;
-        }
-        let Some(target) = toks.get(i + 1) else { continue };
-        if target.kind != TokKind::Ident || !NARROW_TARGETS.contains(&target.text.as_str()) {
-            continue;
-        }
-
-        // Subject region: scan backward until an unmatched `(`, a
-        // bracket/brace, `,`, `=`, `;`, or the body start.
-        let mut paren = 0i32;
-        let mut j = i;
-        let mut subject: Option<&Tok> = None;
-        let mut masked = false;
-        let mut sanitized = false;
-        while j > start {
-            j -= 1;
-            let t = &toks[j];
-            if t.is_punct(')') {
-                paren += 1;
-            } else if t.is_punct('(') {
-                if paren == 0 {
-                    break;
-                }
-                paren -= 1;
-            } else if t.is_punct(',')
-                || t.is_punct('=')
-                || t.is_punct(';')
-                || t.is_punct('{')
-                || t.is_punct('}')
-                || t.is_punct('[')
-            {
-                break;
-            } else if t.is_punct('&') {
-                masked = true;
-            } else if t.kind == TokKind::Ident {
-                if matches!(t.text.as_str(), "min" | "clamp" | "try_from" | "try_into")
-                    || t.text.starts_with("MAX_")
-                    || t.text.starts_with("MIN_")
-                {
-                    sanitized = true;
-                } else if smells_like_size(&t.text) && subject.is_none() {
-                    subject = Some(t);
-                }
-            }
-        }
-        let Some(subject) = subject else { continue };
-        if masked || sanitized {
-            continue;
-        }
-
-        // A nearby assert naming the subject counts as the bound check.
-        let wstart = start.max(i.saturating_sub(ASSERT_WINDOW));
-        let asserted = (wstart..i).any(|k| {
-            let t = &toks[k];
-            (t.is_ident("assert") || t.is_ident("debug_assert"))
-                && toks[k..i].iter().any(|u| u.is_ident(&subject.text))
-        });
-        if asserted {
-            continue;
-        }
-
-        out.push(Diagnostic {
-            rule: "GKL009",
-            file: file.to_string(),
-            line: toks[i].line,
-            message: format!(
-                "`{} as {}` narrows a size/offset without a checked conversion — \
-                 use try_from/try_into, .min/.clamp, a mask, or assert the bound first",
-                subject.text, target.text
-            ),
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
     use crate::index::index_file;
     use crate::lexer::lex;
 
     fn run_at(path: &str, src: &str) -> Vec<Diagnostic> {
-        let cfg = Config::default();
-        let lexed = lex(src);
+        let toks = lex(src);
         let mut sym = SymbolIndex::default();
-        sym.add_file(index_file(path, &lexed, &cfg));
-        check_file(path, &lexed, &sym, &cfg)
+        sym.add_file(index_file(path, &toks, &Config::default()));
+        check_file(path, &toks, &sym)
     }
 
     fn run(src: &str) -> Vec<Diagnostic> {
@@ -455,83 +339,5 @@ mod tests {
         let d = gkl008(&unbounded);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("`n`"), "{d:?}");
-    }
-
-    // ---- GKL009 ----
-
-    #[test]
-    fn narrowing_len_cast_fires_in_scope() {
-        let d = run_at(
-            "crates/rpc/src/proto.rs",
-            "fn encode(&self, e: &mut Encoder) { e.u32(self.items.len() as u32); }",
-        );
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "GKL009");
-        assert!(d[0].message.contains("len as u32"));
-    }
-
-    #[test]
-    fn out_of_scope_paths_are_ignored() {
-        let d = run_at(
-            "crates/kvstore/src/wal.rs",
-            "fn encode(&self, e: &mut Encoder) { e.u32(self.items.len() as u32); }",
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn widening_casts_are_fine() {
-        let d = run_at(
-            "crates/rpc/src/proto.rs",
-            "fn f(&self) { let x = self.items.len() as u64; let y = self.off as usize; }",
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn non_size_subjects_are_fine() {
-        let d = run_at(
-            "crates/rpc/src/proto.rs",
-            "fn f(&self) { let x = self.flags as u8; let y = tag as u16; }",
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn mask_suppresses() {
-        let d = run_at(
-            "crates/rpc/src/proto.rs",
-            "fn f(&self, v: &[u8]) { let x = (v.len() & 0xffff) as u16; }",
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn try_from_instead_of_cast_is_clean() {
-        let d = run_at(
-            "crates/rpc/src/proto.rs",
-            "fn f(&self, v: &[u8]) { let x = u16::try_from(v.len()).unwrap_or(0); }",
-        );
-        assert!(d.is_empty(), "the checked conversion has no `as` at all: {d:?}");
-    }
-
-    #[test]
-    fn nearby_assert_suppresses() {
-        let d = run_at(
-            "crates/common/src/wire.rs",
-            "fn count(&mut self, n_count: usize) { \
-             assert!(n_count <= u32::MAX as usize, \"too many\"); \
-             self.u32(n_count as u32); }",
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn min_in_subject_suppresses() {
-        let d = run_at(
-            "crates/rpc/src/proto.rs",
-            "fn f(&self, v: &[u8]) { let x = v.len().min(65535) as u16; }",
-        );
-        assert!(d.is_empty(), "{d:?}");
     }
 }

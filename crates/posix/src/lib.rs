@@ -575,6 +575,8 @@ mod tests {
     #[test]
     fn full_posix_cycle() {
         let (_cluster, _guard) = setup();
+        // SAFETY: every pointer below is a live `CString`, byte string or
+        // local buffer, passed with its own length.
         unsafe {
             let path = c("/posix-file");
             let fd = gkfs_open(path.as_ptr(), O_CREAT | O_EXCL | O_RDWR, 0o644);
@@ -608,6 +610,8 @@ mod tests {
     #[test]
     fn pread_pwrite_and_truncate() {
         let (_cluster, _guard) = setup();
+        // SAFETY: every pointer below is a live `CString`, byte string or
+        // local buffer, passed with its own length.
         unsafe {
             let path = c("/posix-p");
             let fd = gkfs_open(path.as_ptr(), O_CREAT | O_RDWR, 0o644);
@@ -629,6 +633,7 @@ mod tests {
     #[test]
     fn directories_and_rename_refusal() {
         let (_cluster, _guard) = setup();
+        // SAFETY: every path below is a live `CString`.
         unsafe {
             let dir = c("/posix-dir");
             assert_eq!(gkfs_mkdir(dir.as_ptr(), 0o755), 0);
@@ -651,6 +656,9 @@ mod tests {
     #[test]
     fn directory_stream_cycle() {
         let (_cluster, _guard) = setup();
+        // SAFETY: every pointer below is a live `CString`, byte string or
+        // local buffer, passed with its own length, and `ent` a local
+        // `GkfsDirent` the stream writes into.
         unsafe {
             let dir = c("/stream");
             gkfs_mkdir(dir.as_ptr(), 0o755);
@@ -695,6 +703,9 @@ mod tests {
     #[test]
     fn access_fstat_ftruncate_dup() {
         let (_cluster, _guard) = setup();
+        // SAFETY: every pointer below is a live `CString`, byte string or
+        // local buffer, passed with its own length, and `st` a local
+        // `GkfsStat` the calls write into.
         unsafe {
             let p = c("/misc");
             assert_eq!(gkfs_access(p.as_ptr(), 0), -1, "missing: ENOENT");
@@ -732,6 +743,7 @@ mod tests {
     #[test]
     fn opendir_errors() {
         let (_cluster, _guard) = setup();
+        // SAFETY: every path below is a live `CString`.
         unsafe {
             let missing = c("/no-such-dir");
             assert_eq!(gkfs_opendir(missing.as_ptr()), -1);
@@ -754,6 +766,8 @@ mod tests {
         let (_cluster, _guard) = setup();
         std::thread::scope(|s| {
             for t in 0..6 {
+                // SAFETY: each thread's path is a live `CString`, and its
+                // buffers and `st` are locals passed with their own lengths.
                 s.spawn(move || unsafe {
                     let path = c(&format!("/mt-{t}"));
                     let fd = gkfs_open(path.as_ptr(), O_CREAT | O_RDWR, 0o644);
@@ -786,6 +800,7 @@ mod tests {
     fn errors_without_client() {
         let _guard = TEST_LOCK.lock();
         uninstall_client();
+        // SAFETY: `path` is a live `CString`.
         unsafe {
             let path = c("/x");
             assert_eq!(gkfs_open(path.as_ptr(), O_RDONLY, 0), -1);
@@ -796,6 +811,8 @@ mod tests {
     #[test]
     fn null_and_bad_args() {
         let (_cluster, _guard) = setup();
+        // SAFETY: the null pointers are the point of the test: every entry
+        // point checks for null before it reads; `path` is a live `CString`.
         unsafe {
             assert_eq!(gkfs_open(std::ptr::null(), O_RDONLY, 0), -1);
             assert_eq!(gkfs_errno(), 22, "EINVAL");

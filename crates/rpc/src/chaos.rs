@@ -179,9 +179,7 @@ fn decide(cfg: &ChaosConfig, state: &mut u64) -> Decision {
         Fault::None
     };
     let delay = if delay_hit && cfg.max_delay > Duration::ZERO {
-        Some(Duration::from_nanos(
-            (cfg.max_delay.as_nanos() as f64 * delay_frac) as u64,
-        ))
+        Some(cfg.max_delay.mul_f64(delay_frac))
     } else {
         None
     };
@@ -331,8 +329,9 @@ fn read_raw_frame(stream: &mut TcpStream) -> std::io::Result<(Vec<u8>, [u8; 4])>
 const MAX_PROXIED_FRAME: usize = 256 * 1024 * 1024;
 
 fn write_raw_frame(stream: &mut TcpStream, payload: &[u8], crc: [u8; 4]) -> std::io::Result<()> {
-    assert!(payload.len() <= u32::MAX as usize, "proxied frame length fits u32");
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
+    let len = u32::try_from(payload.len())
+        .map_err(|_| std::io::Error::other("proxied frame length exceeds u32"))?;
+    stream.write_all(&len.to_le_bytes())?;
     stream.write_all(payload)?;
     stream.write_all(&crc)?;
     Ok(())

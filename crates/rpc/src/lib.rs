@@ -36,6 +36,8 @@
 //! pair.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod chaos;
 pub mod handler;

@@ -198,6 +198,7 @@ enum ReplySource {
 /// discarded.
 ///
 /// [`wait`]: ReplyHandle::wait
+#[must_use = "an RPC's reply and its error arrive only through `wait`"]
 pub struct ReplyHandle {
     source: ReplySource,
 }

@@ -1424,7 +1424,7 @@ mod tests {
 
     /// `[len][payload][crc]` as one buffer — the reference wire image.
     fn framed(payload: &[u8]) -> Vec<u8> {
-        let mut v = (payload.len() as u32).to_le_bytes().to_vec();
+        let mut v = u32::try_from(payload.len()).unwrap().to_le_bytes().to_vec();
         v.extend_from_slice(payload);
         v.extend_from_slice(&crc32(payload).to_le_bytes());
         v
@@ -1456,7 +1456,7 @@ mod tests {
     #[test]
     fn read_frame_grows_past_the_reservation() {
         let payload: Vec<u8> = (0..FRAME_RESERVE_MAX + 70_000)
-            .map(|i| (i % 253) as u8)
+            .map(|i| u8::try_from(i % 253).unwrap())
             .collect();
         let mut r = FrameReader::new(std::io::Cursor::new(framed(&payload)));
         assert_eq!(read_frame(&mut r).unwrap(), payload);
@@ -1776,7 +1776,7 @@ mod tests {
             let mut buf = vec![0u8; n + 4]; // payload + its crc
             s.read_exact(&mut buf).unwrap();
             let payload = Response::ok(&b"x"[..]).encode();
-            s.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
+            s.write_all(&u32::try_from(payload.len()).unwrap().to_le_bytes()).unwrap();
             s.write_all(&payload).unwrap();
             s.write_all(&(crc32(&payload) ^ 1).to_le_bytes()).unwrap();
             s.flush().unwrap();

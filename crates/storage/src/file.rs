@@ -79,7 +79,7 @@
 //! bound.
 
 use crate::stats::StorageStats;
-use crate::{check_write_windows, segment, validate_dense_layout};
+use crate::{check_write_windows, segment, to_usize, validate_dense_layout};
 use crate::{BatchCompletion, BatchOp, BatchOutput, BatchPayload, ChunkStorage, SegmentResult};
 use gkfs_common::hash::fnv1a64;
 use gkfs_common::lock::{rank, OrderedMutex};
@@ -382,7 +382,7 @@ impl Inner {
 
     fn fd_shard(&self, path: &str, chunk_id: u64) -> &OrderedMutex<FdShard> {
         let h = fnv1a64(path.as_bytes()) ^ chunk_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.fd_shards[(h % FD_SHARDS as u64) as usize]
+        &self.fd_shards[to_usize(h % FD_SHARDS as u64)]
     }
 
     /// The cached descriptor for `(path, chunk_id)`, opening and
@@ -465,8 +465,8 @@ impl Inner {
         let mut i = 0;
         while i < ops.len() {
             let (end, len) = self.run_end(ops, i);
-            let a = ops[i].buf_offset as usize;
-            let data = &bulk[a..a + len as usize];
+            let a = to_usize(ops[i].buf_offset);
+            let data = &bulk[a..a + to_usize(len)];
             self.stats.record_write(data.len());
             // `None` cannot happen with `create`; an error, not a
             // panic, in the daemon's data path if it ever does.
@@ -494,8 +494,8 @@ impl Inner {
         let mut i = 0;
         while i < ops.len() {
             let (end, len) = self.run_end(ops, i);
-            let a = ops[i].buf_offset as usize;
-            let window = &mut out[a..a + len as usize];
+            let a = to_usize(ops[i].buf_offset);
+            let window = &mut out[a..a + to_usize(len)];
             let n = match self.chunk_fd(path, ops[i].chunk_id, false)? {
                 Some(file) => read_into(&file, ops[i].offset, window)?,
                 None => 0,
@@ -633,7 +633,7 @@ impl ChunkStorage for FileChunkStorage {
                 // its window and only what a read did not reach is
                 // zero-filled (`read_runs`); the length covers the
                 // bytes once every window is written.
-                let total = total as usize;
+                let total = to_usize(total);
                 let mut data = Vec::with_capacity(total);
                 let Some((pool, segs)) = self.fan_out(ops) else {
                     let res = self
@@ -655,9 +655,9 @@ impl ChunkStorage for FileChunkStorage {
                     // Window bounds come straight from the validated
                     // dense layout (no re-summing that could diverge
                     // from `total`).
-                    let win_start = ops[start].buf_offset as usize;
+                    let win_start = to_usize(ops[start].buf_offset);
                     let win_end = if end < ops.len() {
-                        ops[end].buf_offset as usize
+                        to_usize(ops[end].buf_offset)
                     } else {
                         total
                     };
@@ -1060,7 +1060,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gkfs-fcs-cut-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let s = FileChunkStorage::open(&dir).unwrap();
-        let full: Vec<u8> = (0..LONG).map(|i| (i % 251) as u8 + 1).collect();
+        let full: Vec<u8> = (0..LONG).map(|i| u8::try_from(i % 251).unwrap() + 1).collect();
         s.write_chunk("/cut", 0, 0, &full).unwrap();
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|sc| {

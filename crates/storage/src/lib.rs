@@ -17,6 +17,7 @@
 //! POSIX file gives the C++ implementation for free.
 
 #![warn(missing_docs)]
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod file;
 pub mod mem;
@@ -112,6 +113,15 @@ pub(crate) fn check_write_windows(ops: &[BatchOp], bulk_len: usize) -> Result<()
     Ok(())
 }
 
+/// A batch offset, length or shard index as a `usize`: free on 64-bit
+/// targets, and where `usize` is narrower a value past its range fails
+/// loudly instead of truncating. Buffer windows and totals reach it
+/// already bounded, by [`check_write_windows`] against the payload or
+/// by [`validate_dense_layout`] against [`MAX_BATCH_BYTES`].
+pub(crate) fn to_usize(n: u64) -> usize {
+    usize::try_from(n).expect("a batch offset fits usize")
+}
+
 /// Direction and payload of a [`ChunkStorage::submit_batch`] call.
 pub enum BatchPayload {
     /// Write: op windows index into this buffer. Shared by refcount so
@@ -143,6 +153,7 @@ pub type SegmentResult = (usize, Result<Vec<u64>>);
 /// Dropping an unawaited completion also blocks until the backend's
 /// tasks are done: the completion owns the reply buffer those tasks
 /// scatter into, so it must never be freed out from under them.
+#[must_use = "a batch's output and its first error arrive only through `wait`"]
 pub struct BatchCompletion {
     state: CompletionState,
 }
@@ -311,7 +322,7 @@ pub trait ChunkStorage: Send + Sync {
     fn read_chunk(&self, path: &str, chunk_id: u64, offset: u64, len: u64) -> Result<Vec<u8>> {
         let op = BatchOp { chunk_id, offset, len: len.min(MAX_BATCH_BYTES), buf_offset: 0 };
         let mut out = self.submit_batch(path, &[op], BatchPayload::Read).wait()?;
-        out.data.truncate(out.lens.first().copied().unwrap_or(0) as usize);
+        out.data.truncate(to_usize(out.lens.first().copied().unwrap_or(0)));
         Ok(out.data)
     }
 
@@ -447,8 +458,8 @@ mod contract_tests {
     #[test]
     fn remove_by_ids_drops_exactly_the_named_chunks() {
         for (name, s) in storages() {
-            for c in 0..4 {
-                s.write_chunk("/ids", c, 0, &[c as u8; 8]).unwrap();
+            for c in 0..4u8 {
+                s.write_chunk("/ids", c.into(), 0, &[c; 8]).unwrap();
             }
             // `/ids.1` chunk 0 and `/ids` chunk 1 must stay two things.
             s.write_chunk("/ids.1", 0, 0, b"neighbour").unwrap();
@@ -487,8 +498,8 @@ mod contract_tests {
     #[test]
     fn truncate_drops_tail_chunks_and_trims_boundary() {
         for (name, s) in storages() {
-            for c in 0..5 {
-                s.write_chunk("/tr", c, 0, &[c as u8; 64]).unwrap();
+            for c in 0..5u8 {
+                s.write_chunk("/tr", c.into(), 0, &[c; 64]).unwrap();
             }
             // Keep chunks 0..=1; trim chunk 1 to 10 bytes.
             s.truncate_chunks("/tr", 1, 10).unwrap();

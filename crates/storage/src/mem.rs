@@ -11,7 +11,7 @@
 //! (see EXPERIMENTS.md).
 
 use crate::stats::StorageStats;
-use crate::{check_write_windows, validate_dense_layout};
+use crate::{check_write_windows, to_usize, validate_dense_layout};
 use crate::{BatchCompletion, BatchOp, BatchOutput, BatchPayload, ChunkStorage};
 use gkfs_common::hash::fnv1a64;
 use gkfs_common::Result;
@@ -46,7 +46,7 @@ impl MemChunkStorage {
     }
 
     fn shard(&self, path: &str) -> &OrderedRwLock<ChunkMap> {
-        &self.shards[(fnv1a64(path.as_bytes()) % SHARDS as u64) as usize]
+        &self.shards[to_usize(fnv1a64(path.as_bytes()) % SHARDS as u64)]
     }
 
     /// Total bytes held across all chunks (diagnostics).
@@ -68,14 +68,15 @@ impl MemChunkStorage {
         let mut shard = self.shard(path).write();
         let chunks = shard.entry(path.to_string()).or_default();
         for op in ops {
-            self.stats.record_write(op.len as usize);
+            let (offset, len) = (to_usize(op.offset), to_usize(op.len));
+            self.stats.record_write(len);
             let chunk = chunks.entry(op.chunk_id).or_default();
-            let end = (op.offset + op.len) as usize;
+            let end = offset + len;
             if chunk.len() < end {
                 chunk.resize(end, 0);
             }
-            let a = op.buf_offset as usize;
-            chunk[op.offset as usize..end].copy_from_slice(&bulk[a..a + op.len as usize]);
+            let a = to_usize(op.buf_offset);
+            chunk[offset..end].copy_from_slice(&bulk[a..a + len]);
         }
     }
 
@@ -86,9 +87,9 @@ impl MemChunkStorage {
         for op in ops {
             let n = match chunks.and_then(|c| c.get(&op.chunk_id)) {
                 Some(chunk) => {
-                    let start = (op.offset as usize).min(chunk.len());
-                    let end = ((op.offset + op.len) as usize).min(chunk.len());
-                    let a = op.buf_offset as usize;
+                    let start = to_usize(op.offset).min(chunk.len());
+                    let end = to_usize(op.offset + op.len).min(chunk.len());
+                    let a = to_usize(op.buf_offset);
                     out[a..a + (end - start)].copy_from_slice(&chunk[start..end]);
                     end - start
                 }
@@ -109,7 +110,7 @@ impl ChunkStorage for MemChunkStorage {
                 BatchOutput::default()
             }),
             BatchPayload::Read => validate_dense_layout(ops).map(|total| {
-                let mut data = vec![0u8; total as usize];
+                let mut data = vec![0u8; to_usize(total)];
                 let lens = self.read_ops(path, ops, &mut data);
                 BatchOutput { data, lens }
             }),
@@ -134,7 +135,7 @@ impl ChunkStorage for MemChunkStorage {
             chunks.retain(|&id, _| id <= keep_chunk);
             if let Some(boundary) = chunks.get_mut(&keep_chunk) {
                 if boundary.len() as u64 > keep_bytes {
-                    boundary.truncate(keep_bytes as usize);
+                    boundary.truncate(to_usize(keep_bytes));
                 }
             }
         }

@@ -20,10 +20,17 @@ for m in crates/*/Cargo.toml tests/Cargo.toml examples/Cargo.toml; do
   done
 done
 
-echo "==> gkfs-lint (concurrency & safety analyzer, all rules deny)"
-# Run the analyzer before anything else: lock-hierarchy or safety
-# violations should fail fast, without waiting for a full build.
+echo "==> gkfs-lint (GKL001/006 lock-rank descent, GKL002 blocking under a guard, GKL008 wire-sized allocation)"
+# The static checks run before anything else, so that a lock-hierarchy
+# or safety violation fails fast, without waiting for a release build
+# and the test suite.
 cargo run -p gkfs-lint -- --deny-all
+
+echo "==> cargo clippy -- -D warnings (unwrap/expect in rpc/daemon/client, wall clock in sim, SAFETY comments, unread completions, narrowing casts in rpc/storage/wire)"
+# The rules that are declarations rustc and clippy enforce: crate-root
+# #![deny]s, [workspace.lints], clippy.toml and #[must_use] on the five
+# completion types (DESIGN.md "Static analysis").
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
@@ -49,9 +56,6 @@ if cargo +nightly miri --version >/dev/null 2>&1; then
 else
   echo "miri unavailable (nightly component not installed); skipping — ci.yml's miri job covers this"
 fi
-
-echo "==> cargo clippy -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> bench smoke (compile + run benches in test mode)"
 # Every bench body once, in release. For the TCP transport that is each
