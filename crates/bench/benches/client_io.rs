@@ -121,29 +121,6 @@ fn bench_chunk_size(c: &mut Criterion) {
     group.finish();
 }
 
-/// §V ablation: distribution pattern (simple hash vs jump consistent
-/// hashing) on the end-to-end create path.
-fn bench_distributor_kind(c: &mut Criterion) {
-    let mut group = c.benchmark_group("client/distributor_create");
-    for (name, kind) in [
-        ("simple", gekkofs::DistributorKind::SimpleHash),
-        ("jump", gekkofs::DistributorKind::Jump),
-    ] {
-        let cluster =
-            Cluster::deploy(ClusterConfig::new(8).with_distributor(kind)).unwrap();
-        let fs = cluster.mount().unwrap();
-        let i = AtomicU64::new(0);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let n = i.fetch_add(1, Ordering::Relaxed);
-                fs.create(&format!("/d/f{n}"), 0o644).unwrap();
-            })
-        });
-        cluster.shutdown();
-    }
-    group.finish();
-}
-
 /// Multi-chunk batches against one daemon: 64 KiB chunks on a single
 /// node means an N-chunk request arrives as one `ChunkBatchReq` with N
 /// ops — the exact shape the daemon's chunk task engine fans out.
@@ -212,6 +189,6 @@ fn bench_concurrent_clients(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_metadata_ops, bench_data_path, bench_write_back, bench_chunk_size, bench_distributor_kind, bench_batch_io, bench_concurrent_clients
+    targets = bench_metadata_ops, bench_data_path, bench_write_back, bench_chunk_size, bench_batch_io, bench_concurrent_clients
 }
 criterion_main!(benches);

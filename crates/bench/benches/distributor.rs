@@ -1,9 +1,7 @@
-//! Distributor microbenchmarks — the per-operation placement cost and
-//! the §V "different data distribution patterns" ablation
-//! (modulo-hash vs jump consistent hashing).
+//! Distributor microbenchmarks — the per-operation placement cost.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gkfs_common::distributor::{Distributor, JumpDistributor, SimpleHashDistributor};
+use gkfs_common::Distributor;
 use gkfs_common::hash::{fnv1a64, xxh64};
 use std::hint::black_box;
 
@@ -17,28 +15,17 @@ fn bench_hashes(c: &mut Criterion) {
     });
 }
 
-fn bench_distributors(c: &mut Criterion) {
+fn bench_distributor(c: &mut Criterion) {
     let path = "/scratch/job-1234/checkpoints/step-000042/rank-0015.dat";
-    let simple = SimpleHashDistributor::new(512);
-    let jump = JumpDistributor::new(512);
-    c.bench_function("distributor/simple_metadata", |b| {
-        b.iter(|| black_box(simple.locate_metadata(path)))
-    });
-    c.bench_function("distributor/jump_metadata", |b| {
-        b.iter(|| black_box(jump.locate_metadata(path)))
+    let d = Distributor::new(512);
+    c.bench_function("distributor/metadata", |b| {
+        b.iter(|| black_box(d.locate_metadata(path)))
     });
     // Chunk placement for a 64 MiB write = 128 lookups.
-    c.bench_function("distributor/simple_128_chunks", |b| {
+    c.bench_function("distributor/128_chunks", |b| {
         b.iter(|| {
             for id in 0..128u64 {
-                black_box(simple.locate_chunk(path, id));
-            }
-        })
-    });
-    c.bench_function("distributor/jump_128_chunks", |b| {
-        b.iter(|| {
-            for id in 0..128u64 {
-                black_box(jump.locate_chunk(path, id));
+                black_box(d.locate_chunk(path, id));
             }
         })
     });
@@ -47,6 +34,6 @@ fn bench_distributors(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(50).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_hashes, bench_distributors
+    targets = bench_hashes, bench_distributor
 }
 criterion_main!(benches);

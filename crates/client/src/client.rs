@@ -28,7 +28,7 @@ use crate::meta_frames::create_op;
 use crate::placement::Placement;
 use crate::rpc::DaemonRing;
 use gkfs_common::chunk::ChunkLayout;
-use gkfs_common::distributor::NodeId;
+use gkfs_common::Distributor;
 use gkfs_common::path as gpath;
 use gkfs_common::{ClusterConfig, FileKind, GkfsError, Result};
 use gkfs_rpc::proto::DaemonStatsResp;
@@ -145,36 +145,17 @@ pub(crate) fn now_ns() -> u64 {
 impl GekkoClient {
     /// Mount: connect the given per-daemon endpoints using the shared
     /// cluster configuration. Creates the root directory if missing.
-    /// The client is assumed to run on node 0; use
-    /// [`GekkoClient::mount_on`] when placement is locality-sensitive.
     pub fn mount(endpoints: Vec<Arc<dyn Endpoint>>, config: &ClusterConfig) -> Result<GekkoClient> {
-        Self::mount_on(endpoints, config, 0)
-    }
-
-    /// Mount as a client co-located with daemon `local_node` — the
-    /// node identity only matters for the `WriteLocal` distribution
-    /// ablation, where a client's chunks land on its own daemon.
-    pub fn mount_on(
-        endpoints: Vec<Arc<dyn Endpoint>>,
-        config: &ClusterConfig,
-        local_node: NodeId,
-    ) -> Result<GekkoClient> {
-        if endpoints.len() != config.nodes {
+        if endpoints.is_empty() || endpoints.len() != config.nodes {
             return Err(GkfsError::InvalidArgument(format!(
-                "{} endpoints but config says {} nodes",
+                "{} endpoints but config says {} nodes (at least one)",
                 endpoints.len(),
-                config.nodes
-            )));
-        }
-        if local_node >= config.nodes {
-            return Err(GkfsError::InvalidArgument(format!(
-                "local node {local_node} out of range 0..{}",
                 config.nodes
             )));
         }
         let ring = DaemonRing::new(endpoints, config.retry.clone(), &config.replication);
         let placement = Placement::new(
-            config.make_distributor_for(local_node),
+            Distributor::new(config.nodes),
             &config.replication,
             Arc::clone(ring.detector()),
         );
@@ -273,6 +254,8 @@ mod tests {
         let d = Daemon::spawn(gkfs_common::DaemonConfig::default()).unwrap();
         let eps: Vec<Arc<dyn Endpoint>> = vec![d.endpoint()];
         assert!(GekkoClient::mount(eps, &ClusterConfig::new(2)).is_err());
+        // An empty cluster is refused, not a placement over no nodes.
+        assert!(GekkoClient::mount(Vec::new(), &ClusterConfig::new(0)).is_err());
     }
 
     #[test]

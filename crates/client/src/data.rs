@@ -584,49 +584,6 @@ mod tests {
         h.close().unwrap();
     }
 
-    #[test]
-    fn write_local_distribution_pins_data_to_own_node() {
-        use gkfs_common::config::DistributorKind;
-        let config = ClusterConfig::new(4)
-            .with_chunk_size(4096)
-            .with_distributor(DistributorKind::WriteLocal);
-        let daemons: Vec<Arc<Daemon>> = (0..4)
-            .map(|_| Daemon::spawn(gkfs_common::DaemonConfig::default()).unwrap())
-            .collect();
-        let endpoints = |d: &Vec<Arc<Daemon>>| -> Vec<Arc<dyn Endpoint>> {
-            d.iter().map(|x| x.endpoint()).collect()
-        };
-
-        // Rank on node 2 writes its private file: every byte must land
-        // on daemon 2 (the BurstFS pattern).
-        let c2 = GekkoClient::mount_on(endpoints(&daemons), &config, 2).unwrap();
-        let h2 = c2
-            .open_handle("/rank2.out", OpenFlags::RDWR.with_create())
-            .unwrap();
-        let data: Vec<u8> = (0..50_000u32).map(|i| i as u8).collect();
-        h2.pwrite(0, &data).unwrap();
-        for (n, d) in daemons.iter().enumerate() {
-            let w_bytes = d.backends().data.stats().write_bytes.load(Ordering::Relaxed);
-            if n == 2 {
-                assert_eq!(w_bytes, 50_000, "all data on the local node");
-            } else {
-                assert_eq!(w_bytes, 0, "node {n} must hold nothing");
-            }
-        }
-        // The writer reads its own data back fine.
-        assert_eq!(h2.pread(0, 50_000).unwrap(), data);
-        h2.close().unwrap();
-
-        // The documented BurstFS limitation: a client on another node
-        // can stat the file (metadata is hash-placed) but resolves the
-        // chunks to *its* node and sees holes.
-        let c0 = GekkoClient::mount_on(endpoints(&daemons), &config, 0).unwrap();
-        assert_eq!(c0.stat("/rank2.out").unwrap().size, 50_000);
-        let h0 = c0.open_handle("/rank2.out", OpenFlags::RDONLY).unwrap();
-        let cross = h0.pread(0, 100).unwrap();
-        assert_eq!(cross, vec![0u8; 100], "cross-node read sees holes");
-    }
-
     /// A daemon doctored per opcode: everything it is asked is logged,
     /// `slow` ops answer `delay` late (the others at once), and
     /// `refused` ones come back as an application error, which nothing

@@ -28,7 +28,7 @@ use std::time::Duration;
 /// the distributor, the [`ReplicationConfig`] and the ring's failure
 /// detector.
 pub struct Placement {
-    dist: Arc<dyn Distributor>,
+    dist: Distributor,
     /// Configured copies of every key, at least 1.
     replicas: usize,
     quorum: usize,
@@ -39,11 +39,7 @@ pub struct Placement {
 impl Placement {
     /// Placement over `dist`'s nodes under `repl`, judging liveness by
     /// `detector` (which must cover the same nodes).
-    pub fn new(
-        dist: Arc<dyn Distributor>,
-        repl: &ReplicationConfig,
-        detector: Arc<FailureDetector>,
-    ) -> Placement {
+    pub fn new(dist: Distributor, repl: &ReplicationConfig, detector: Arc<FailureDetector>) -> Placement {
         Placement {
             replicas: repl.replicas.max(1),
             quorum: repl.quorum(dist.nodes()),
@@ -172,7 +168,6 @@ impl Placement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gkfs_common::distributor::SimpleHashDistributor;
     use proptest::prelude::*;
 
     /// A placement over `nodes` nodes whose detector reports exactly
@@ -188,7 +183,7 @@ mod tests {
             replicas,
             ..ReplicationConfig::default()
         };
-        Placement::new(Arc::new(SimpleHashDistributor::new(nodes)), &repl, detector)
+        Placement::new(Distributor::new(nodes), &repl, detector)
     }
 
     fn mask(nodes: usize, dead: &[NodeId]) -> Vec<bool> {
@@ -279,17 +274,16 @@ mod tests {
     #[test]
     fn quorum_and_hedge_follow_the_config() {
         let detector = || Arc::new(FailureDetector::new(4, Duration::ZERO, Duration::ZERO));
-        let dist = || Arc::new(SimpleHashDistributor::new(4));
         let repl = ReplicationConfig {
             replicas: 3,
             write_quorum: 2,
             hedge_after_ms: 0,
             ..ReplicationConfig::default()
         };
-        let p = Placement::new(dist(), &repl, detector());
+        let p = Placement::new(Distributor::new(4), &repl, detector());
         assert_eq!(p.quorum(), 2);
         assert_eq!(p.hedge_after(), None);
-        let p = Placement::new(dist(), &ReplicationConfig::default(), detector());
+        let p = Placement::new(Distributor::new(4), &ReplicationConfig::default(), detector());
         assert_eq!(p.quorum(), 1);
         assert_eq!(p.hedge_after(), Some(Duration::from_millis(50)));
     }

@@ -9,23 +9,6 @@ use std::path::PathBuf;
 /// The chunk size used throughout the paper's evaluation: 512 KiB.
 pub const DEFAULT_CHUNK_SIZE: u64 = 512 * 1024;
 
-/// Which distribution function places metadata and chunks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DistributorKind {
-    /// `hash % n` — what GekkoFS shipped.
-    SimpleHash,
-    /// Jump consistent hashing — §V future-work ablation.
-    Jump,
-    /// BurstFS-style write-local placement (§II/§V ablation): every
-    /// chunk a client writes lands on that client's own node.
-    ///
-    /// **Limitation (by construction, as in BurstFS):** a client can
-    /// only locate chunks *it* placed; reading another client's data
-    /// requires the rank-private file-per-process pattern where writer
-    /// and reader are the same node. Cross-node reads see holes.
-    WriteLocal,
-}
-
 /// Which engine drives a file chunk store's batches — the argument of
 /// `FileChunkStorage::open_with`. Daemons always open with `Auto`; the
 /// explicit variants exist for tools that compare the engines
@@ -91,8 +74,6 @@ pub struct RetryConfig {
     pub base_backoff_ms: u64,
     /// Cap on any single backoff, in milliseconds.
     pub max_backoff_ms: u64,
-    /// Seed for the deterministic backoff jitter.
-    pub jitter_seed: u64,
     /// Consecutive transport failures that open a node's circuit
     /// breaker; `0` disables breakers.
     pub breaker_threshold: u32,
@@ -110,7 +91,6 @@ impl Default for RetryConfig {
             max_attempts: 4,
             base_backoff_ms: 5,
             max_backoff_ms: 200,
-            jitter_seed: 0x6766_6b73,
             breaker_threshold: 8,
             breaker_cooldown_ms: 250,
             op_deadline_ms: 30_000,
@@ -132,13 +112,14 @@ impl RetryConfig {
         }
     }
 
-    /// The [`crate::retry::RetryPolicy`] this configuration describes.
+    /// The [`crate::retry::RetryPolicy`] this configuration describes,
+    /// jittered by the default seed.
     pub fn policy(&self) -> crate::retry::RetryPolicy {
         crate::retry::RetryPolicy {
             max_attempts: self.max_attempts.max(1),
             base_backoff: std::time::Duration::from_millis(self.base_backoff_ms),
             max_backoff: std::time::Duration::from_millis(self.max_backoff_ms),
-            seed: self.jitter_seed,
+            ..crate::retry::RetryPolicy::default()
         }
     }
 
@@ -224,8 +205,6 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Chunk size — must match on every node.
     pub chunk_size: u64,
-    /// Placement function — must match on every node.
-    pub distributor: DistributorKind,
     /// Client-side size-update cache (§IV-B): number of write size
     /// updates to coalesce before flushing to the metadata owner.
     /// `0` disables the cache (the paper's default, synchronous mode).
@@ -249,7 +228,6 @@ impl ClusterConfig {
         ClusterConfig {
             nodes,
             chunk_size: DEFAULT_CHUNK_SIZE,
-            distributor: DistributorKind::SimpleHash,
             size_cache_ops: 0,
             write_back: 0,
             retry: RetryConfig::default(),
@@ -260,12 +238,6 @@ impl ClusterConfig {
     /// With chunk size.
     pub fn with_chunk_size(mut self, chunk_size: u64) -> Self {
         self.chunk_size = chunk_size;
-        self
-    }
-
-    /// With distributor.
-    pub fn with_distributor(mut self, d: DistributorKind) -> Self {
-        self.distributor = d;
         self
     }
 
@@ -316,30 +288,6 @@ impl ClusterConfig {
         self.replication.write_quorum = quorum;
         self
     }
-
-    /// Instantiate the configured distributor for a client whose local
-    /// daemon is `local` (only `WriteLocal` placement depends on it).
-    pub fn make_distributor_for(
-        &self,
-        local: crate::distributor::NodeId,
-    ) -> std::sync::Arc<dyn crate::distributor::Distributor> {
-        match self.distributor {
-            DistributorKind::SimpleHash => {
-                std::sync::Arc::new(crate::distributor::SimpleHashDistributor::new(self.nodes))
-            }
-            DistributorKind::Jump => {
-                std::sync::Arc::new(crate::distributor::JumpDistributor::new(self.nodes))
-            }
-            DistributorKind::WriteLocal => std::sync::Arc::new(
-                crate::distributor::LocalityDistributor::new(self.nodes, local),
-            ),
-        }
-    }
-
-    /// Instantiate the configured distributor for a client on node 0.
-    pub fn make_distributor(&self) -> std::sync::Arc<dyn crate::distributor::Distributor> {
-        self.make_distributor_for(0)
-    }
 }
 
 #[cfg(test)]
@@ -351,19 +299,15 @@ mod tests {
         let c = ClusterConfig::new(4);
         assert_eq!(c.chunk_size, 512 * 1024);
         assert_eq!(c.size_cache_ops, 0, "paper default is synchronous");
-        assert_eq!(c.distributor, DistributorKind::SimpleHash);
     }
 
     #[test]
     fn builder_chain() {
         let c = ClusterConfig::new(8)
             .with_chunk_size(64 * 1024)
-            .with_distributor(DistributorKind::Jump)
             .with_size_cache(32);
         assert_eq!(c.chunk_size, 64 * 1024);
-        assert_eq!(c.distributor, DistributorKind::Jump);
         assert_eq!(c.size_cache_ops, 32);
-        assert_eq!(c.make_distributor().nodes(), 8);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use chunk::{chunk_range, ChunkInfo, ChunkLayout};
 pub use config::{
     ClusterConfig, DaemonConfig, IoBackend, ReplicationConfig, RetryConfig, DEFAULT_CHUNK_SIZE,
 };
-pub use distributor::{Distributor, JumpDistributor, LocalityDistributor, SimpleHashDistributor};
+pub use distributor::Distributor;
 pub use error::{GkfsError, Result};
 pub use health::{FailureDetector, Liveness, Transition};
 pub use lock::{LockRank, OrderedMutex, OrderedRwLock};

@@ -1,9 +1,7 @@
 //! Property tests for the foundations: path normalization and the
 //! placement invariants every component relies on.
 
-use gkfs_common::distributor::{
-    Distributor, JumpDistributor, LocalityDistributor, SimpleHashDistributor,
-};
+use gkfs_common::distributor::Distributor;
 use gkfs_common::path as gpath;
 use proptest::prelude::*;
 
@@ -76,34 +74,15 @@ proptest! {
         nodes in 1usize..700,
     ) {
         let p = format!("/{path}");
-        for d in [
-            Box::new(SimpleHashDistributor::new(nodes)) as Box<dyn Distributor>,
-            Box::new(JumpDistributor::new(nodes)),
-            Box::new(LocalityDistributor::new(nodes, nodes - 1)),
-        ] {
-            let m1 = d.locate_metadata(&p);
-            let m2 = d.locate_metadata(&p);
-            prop_assert!(m1 < nodes);
-            prop_assert_eq!(m1, m2, "metadata placement deterministic");
-            let c1 = d.locate_chunk(&p, chunk);
-            let c2 = d.locate_chunk(&p, chunk);
-            prop_assert!(c1 < nodes);
-            prop_assert_eq!(c1, c2, "chunk placement deterministic");
-        }
-    }
-
-    #[test]
-    fn locality_and_simple_agree_on_metadata(
-        path in pathish(1, 32),
-        nodes in 1usize..100,
-        local in any::<usize>(),
-    ) {
-        // Metadata placement must be identical for all clients — the
-        // locality distributor may only move *chunks*.
-        let p = format!("/{path}");
-        let simple = SimpleHashDistributor::new(nodes);
-        let localdist = LocalityDistributor::new(nodes, local % nodes);
-        prop_assert_eq!(simple.locate_metadata(&p), localdist.locate_metadata(&p));
+        let d = Distributor::new(nodes);
+        let m1 = d.locate_metadata(&p);
+        let m2 = Distributor::new(nodes).locate_metadata(&p);
+        prop_assert!(m1 < nodes);
+        prop_assert_eq!(m1, m2, "metadata placement deterministic");
+        let c1 = d.locate_chunk(&p, chunk);
+        let c2 = Distributor::new(nodes).locate_chunk(&p, chunk);
+        prop_assert!(c1 < nodes);
+        prop_assert_eq!(c1, c2, "chunk placement deterministic");
     }
 }
 

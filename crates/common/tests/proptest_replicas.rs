@@ -4,9 +4,7 @@
 //! range/vec generators only (no regex strategies), so the suite runs
 //! identically against the offline proptest stub.
 
-use gkfs_common::distributor::{
-    live_replicas, substitute, successors, Distributor, JumpDistributor, SimpleHashDistributor,
-};
+use gkfs_common::distributor::{live_replicas, repair_target, substitute, successors, Distributor};
 use proptest::prelude::*;
 
 /// Strings over `[a-z/]` of length `min..=max` (equivalent to the
@@ -26,19 +24,33 @@ fn pathish(min: usize, max: usize) -> impl Strategy<Value = String> {
 /// The placement change is provably *only* chunk 0.
 #[test]
 fn chunks_past_the_first_are_placed_where_they_always_were() {
-    type Row = (usize, [usize; 15], [usize; 15]);
+    type Row = (usize, [usize; 15]);
     const PINNED: [Row; 3] = [
-        (2, [0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1], [1, 1, 1, 0, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0]),
-        (3, [1, 1, 2, 0, 2, 1, 0, 1, 0, 0, 0, 0, 1, 2, 0], [1, 1, 1, 0, 2, 2, 1, 1, 0, 2, 1, 1, 2, 1, 2]),
-        (16, [12, 2, 3, 7, 9, 12, 5, 11, 5, 2, 8, 10, 4, 13, 15], [4, 8, 5, 4, 5, 4, 14, 1, 0, 6, 15, 5, 11, 11, 2]),
+        (2, [0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1]),
+        (3, [1, 1, 2, 0, 2, 1, 0, 1, 0, 0, 0, 0, 1, 2, 0]),
+        (16, [12, 2, 3, 7, 9, 12, 5, 11, 5, 2, 8, 10, 4, 13, 15]),
     ];
-    for (nodes, simple, jump) in PINNED {
+    for (nodes, simple) in PINNED {
         let keys = ["/a", "/dir/file.7", "/x/y/z"]
             .into_iter()
             .flat_map(|p| [1u64, 2, 3, 64, u64::MAX].map(|id| (p, id)));
         for (i, (p, id)) in keys.enumerate() {
-            assert_eq!(SimpleHashDistributor::new(nodes).locate_chunk(p, id), simple[i], "{p} #{id} on {nodes}");
-            assert_eq!(JumpDistributor::new(nodes).locate_chunk(p, id), jump[i], "{p} #{id} on {nodes}, jump");
+            assert_eq!(Distributor::new(nodes).locate_chunk(p, id), simple[i], "{p} #{id} on {nodes}");
+        }
+    }
+}
+
+/// Metadata is placed where it always was: `locate_metadata` answers
+/// for the same three paths on 2, 3 and 16 nodes, generated before the
+/// distributor became one concrete type. Chunk 0 follows the metadata
+/// (`the_first_chunk_is_placed_with_the_metadata`), so with the chunk
+/// pin above no key has moved.
+#[test]
+fn metadata_is_placed_where_it_always_was() {
+    const PINNED: [(usize, [usize; 3]); 3] = [(2, [0, 1, 1]), (3, [2, 0, 2]), (16, [4, 9, 13])];
+    for (nodes, owners) in PINNED {
+        for (p, owner) in ["/a", "/dir/file.7", "/x/y/z"].into_iter().zip(owners) {
+            assert_eq!(Distributor::new(nodes).locate_metadata(p), owner, "{p} on {nodes}");
         }
     }
 }
@@ -49,24 +61,20 @@ fn chunks_past_the_first_are_placed_where_they_always_were() {
 /// worst metadata owner (120 of 400).
 #[test]
 fn first_chunks_balance_like_metadata() {
-    for d in [
-        Box::new(SimpleHashDistributor::new(8)) as Box<dyn Distributor>,
-        Box::new(JumpDistributor::new(8)),
-    ] {
-        let mut held = [0usize; 8];
-        for i in 0..10_000 {
-            held[d.locate_chunk(&format!("/load/f{i}"), 0)] += 1;
-        }
-        let worst = *held.iter().max().unwrap();
-        assert!(worst * 400 < 120 * 10_000, "worst chunk-0 owner holds {worst} of 10 000: {held:?}");
+    let d = Distributor::new(8);
+    let mut held = [0usize; 8];
+    for i in 0..10_000 {
+        held[d.locate_chunk(&format!("/load/f{i}"), 0)] += 1;
     }
+    let worst = *held.iter().max().unwrap();
+    assert!(worst * 400 < 120 * 10_000, "worst chunk-0 owner holds {worst} of 10 000: {held:?}");
 }
 
 proptest! {
     /// Chunk 0 lives with the inode — its replica set *is* the
-    /// metadata's, for any replication factor and both stateless
-    /// distributors — which is what lets one frame to one write set
-    /// carry a small file's create, bytes and size.
+    /// metadata's, for any replication factor — which is what lets one
+    /// frame to one write set carry a small file's create, bytes and
+    /// size.
     #[test]
     fn the_first_chunk_is_placed_with_the_metadata(
         path in pathish(1, 32),
@@ -74,18 +82,14 @@ proptest! {
         replicas in 1usize..6,
     ) {
         let p = format!("/{path}");
-        for d in [
-            Box::new(SimpleHashDistributor::new(nodes)) as Box<dyn Distributor>,
-            Box::new(JumpDistributor::new(nodes)),
-        ] {
-            prop_assert_eq!(d.locate_chunk(&p, 0), d.locate_metadata(&p));
-            prop_assert_eq!(d.chunk_replicas(&p, 0, replicas), d.metadata_replicas(&p, replicas));
-        }
+        let d = Distributor::new(nodes);
+        prop_assert_eq!(d.locate_chunk(&p, 0), d.locate_metadata(&p));
+        prop_assert_eq!(d.chunk_replicas(&p, 0, replicas), d.metadata_replicas(&p, replicas));
     }
 
     /// Replica sets are distinct, in range, sized `min(replicas,
     /// nodes)`, deterministic for fixed membership, and led by the
-    /// placement primary — for both stateless distributors.
+    /// placement primary.
     #[test]
     fn replica_sets_are_well_formed(
         path in pathish(1, 32),
@@ -94,31 +98,27 @@ proptest! {
         replicas in 1usize..6,
     ) {
         let p = format!("/{path}");
-        for d in [
-            Box::new(SimpleHashDistributor::new(nodes)) as Box<dyn Distributor>,
-            Box::new(JumpDistributor::new(nodes)),
+        let d = Distributor::new(nodes);
+        for set in [
+            d.chunk_replicas(&p, chunk, replicas),
+            d.metadata_replicas(&p, replicas),
         ] {
-            for set in [
-                d.chunk_replicas(&p, chunk, replicas),
-                d.metadata_replicas(&p, replicas),
-            ] {
-                prop_assert_eq!(set.len(), replicas.min(nodes));
-                prop_assert!(set.iter().all(|&n| n < nodes));
-                let mut uniq = set.clone();
-                uniq.sort_unstable();
-                uniq.dedup();
-                prop_assert_eq!(uniq.len(), set.len(), "members distinct: {:?}", set);
-            }
-            prop_assert_eq!(
-                d.chunk_replicas(&p, chunk, replicas),
-                d.chunk_replicas(&p, chunk, replicas)
-            );
-            prop_assert_eq!(
-                d.chunk_replicas(&p, chunk, replicas)[0],
-                d.locate_chunk(&p, chunk)
-            );
-            prop_assert_eq!(d.metadata_replicas(&p, replicas)[0], d.locate_metadata(&p));
+            prop_assert_eq!(set.len(), replicas.min(nodes));
+            prop_assert!(set.iter().all(|&n| n < nodes));
+            let mut uniq = set.clone();
+            uniq.sort_unstable();
+            uniq.dedup();
+            prop_assert_eq!(uniq.len(), set.len(), "members distinct: {:?}", set);
         }
+        prop_assert_eq!(
+            d.chunk_replicas(&p, chunk, replicas),
+            d.chunk_replicas(&p, chunk, replicas)
+        );
+        prop_assert_eq!(
+            d.chunk_replicas(&p, chunk, replicas)[0],
+            d.locate_chunk(&p, chunk)
+        );
+        prop_assert_eq!(d.metadata_replicas(&p, replicas)[0], d.locate_metadata(&p));
     }
 
     /// One node dying disturbs placement minimally: the live set keeps
@@ -188,23 +188,33 @@ proptest! {
         }
     }
 
-    /// Jump hash's defining stability property, which replica chains
-    /// inherit: growing the ring by one node moves a key either
-    /// nowhere or onto the new node — never between old nodes.
+    /// A repair copies each dead member's key to the node clients now
+    /// write it to: over every set and dead mask, the repair
+    /// destinations of the set's dead members are exactly the live set
+    /// minus the set, so a repaired key holds as many copies as clients
+    /// believe it does.
     #[test]
-    fn jump_growth_moves_keys_only_to_the_new_node(
-        path in pathish(1, 32),
-        chunk in any::<u64>(),
-        nodes in 1usize..64,
+    fn repairs_go_where_clients_write(
+        primary in any::<usize>(),
+        nodes in 1usize..40,
+        replicas in 1usize..6,
+        dead_bits in prop::collection::vec(any::<bool>(), 40..41),
     ) {
-        let p = format!("/{path}");
-        let small = JumpDistributor::new(nodes);
-        let big = JumpDistributor::new(nodes + 1);
-        let before = small.locate_chunk(&p, chunk);
-        let after = big.locate_chunk(&p, chunk);
-        prop_assert!(after == before || after == nodes, "moved {before} -> {after}");
-        let mb = small.locate_metadata(&p);
-        let ma = big.locate_metadata(&p);
-        prop_assert!(ma == mb || ma == nodes, "metadata moved {mb} -> {ma}");
+        let primary = primary % nodes;
+        let set = successors(primary, replicas, nodes);
+        let dead = &dead_bits[..nodes];
+        let repaired: Vec<usize> = set
+            .iter()
+            .filter(|&&m| dead[m])
+            .filter_map(|&m| repair_target(&set, m, dead, nodes))
+            .collect();
+        let adopted: Vec<usize> = live_replicas(&set, dead, nodes)
+            .into_iter()
+            .filter(|n| !set.contains(n))
+            .collect();
+        prop_assert_eq!(repaired, adopted);
+        for &m in set.iter().filter(|&&m| !dead[m]) {
+            prop_assert_eq!(repair_target(&set, m, dead, nodes), None, "live member {} repaired", m);
+        }
     }
 }

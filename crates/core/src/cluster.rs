@@ -152,12 +152,6 @@ impl Cluster {
     /// process in a real deployment; tests mount several to model
     /// multiple ranks).
     pub fn mount(&self) -> Result<GekkoClient> {
-        self.mount_on(0)
-    }
-
-    /// Mount as a client co-located with daemon `node` (relevant for
-    /// the `WriteLocal` distribution ablation).
-    pub fn mount_on(&self, node: usize) -> Result<GekkoClient> {
         // With replication, clients hold the switch endpoints so a
         // rejoined daemon becomes reachable without a remount.
         let endpoints: Vec<Arc<dyn Endpoint>> = if self.switches.is_empty() {
@@ -165,7 +159,7 @@ impl Cluster {
         } else {
             self.switches.iter().map(|sw| sw.clone() as Arc<dyn Endpoint>).collect()
         };
-        GekkoClient::mount_on(endpoints, &self.config, node)
+        GekkoClient::mount(endpoints, &self.config)
     }
 
     /// Access a daemon directly (tests, stats).

@@ -49,16 +49,14 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod file;
 
 pub use cluster::{mount_hosts, Cluster, TcpCluster};
-pub use file::GekkoFile;
 pub use gkfs_client::client::Whence;
 pub use gkfs_client::{ClientStats, FileHandle, FsckReport, GekkoClient, NodeHealthSnapshot};
 pub use gkfs_common::{
     ClusterConfig, DaemonConfig, FileKind, GkfsError, Liveness, Metadata, OpenFlags,
     ReplicationConfig, Result, DEFAULT_CHUNK_SIZE,
 };
-pub use gkfs_common::config::{DistributorKind, RetryConfig};
+pub use gkfs_common::config::RetryConfig;
 pub use gkfs_common::types::Dirent;
 pub use gkfs_daemon::Daemon;

@@ -11,7 +11,8 @@
 //! * **peer dies** → walk the local metadata store and chunk
 //!   inventory; for every object whose replica set contains the dead
 //!   node, the *first live member* of the set pushes a copy to the
-//!   ring substitute (`distributor::substitute`).
+//!   substitute that takes the dead member's slot in the set clients
+//!   write to (`distributor::repair_target`).
 //! * **peer rejoins** (epoch flip — it restarted empty) → same walk,
 //!   pushing back every object whose replica set contains the
 //!   rejoined node (drain-back).
@@ -84,7 +85,7 @@ pub struct ReplicationManager {
     self_id: usize,
     epoch: u64,
     cluster: ClusterConfig,
-    dist: Arc<dyn Distributor>,
+    dist: Distributor,
     /// Peer endpoints indexed by node id; `None` at `self_id`.
     peers: Vec<Option<Arc<dyn Endpoint>>>,
     detector: FailureDetector,
@@ -170,13 +171,12 @@ impl ReplicationManager {
             Duration::from_millis(r.suspect_after_ms),
             Duration::from_millis(r.dead_after_ms),
         );
-        let dist = cluster.make_distributor_for(self_id);
         let cluster_nodes = cluster.nodes;
         let mgr = Arc::new(ReplicationManager {
             self_id,
             epoch: draw_epoch(),
+            dist: Distributor::new(cluster.nodes),
             cluster,
-            dist,
             peers,
             detector,
             backends,
@@ -392,11 +392,11 @@ impl ReplicationManager {
 
     /// The shared walk behind both recovery modes. For every local
     /// object whose replica set contains `target`, the first *live*
-    /// set member other than `target` pushes a copy — to the ring
-    /// substitute when `target` is dead (`repair`), or to `target`
-    /// itself after it rejoined empty. Returns whether every owed push
-    /// landed; `false` sends the task back to the backlog for the next
-    /// cycle.
+    /// set member other than `target` pushes a copy — to the substitute
+    /// in `target`'s slot of the live set when `target` is dead
+    /// (`repair`), or to `target` itself after it rejoined empty.
+    /// Returns whether every owed push landed; `false` sends the task
+    /// back to the backlog for the next cycle.
     fn push_copies(&self, target: usize, repair: bool) -> bool {
         let replicas = self.cluster.replication.replicas;
         let nodes = self.cluster.nodes;
@@ -483,7 +483,7 @@ impl ReplicationManager {
             return None;
         }
         if repair {
-            distributor::substitute(set[0], set, dead, nodes)
+            distributor::repair_target(set, target, dead, nodes)
         } else {
             Some(target)
         }

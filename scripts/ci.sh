@@ -81,6 +81,11 @@ for f in results/*.csv; do
   cmp "$f" "$csv_out/$(basename "$f")"
 done
 rm -rf "$csv_out"
+# The §V ablations are simulator-only tables (the real code has one
+# placement): their printed form must reproduce byte for byte too.
+for name in distribution_sim chunk_size_sim; do
+  cargo run --release -q -p gkfs-bench --bin figures -- "$name" | cmp - "results/$name.txt"
+done
 
 echo "==> CRC32 kernels, release (each kernel this CPU has against the table; stores crossed between kernels)"
 # The frame, WAL and SSTable checksum has three kernels picked at run

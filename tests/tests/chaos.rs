@@ -15,7 +15,7 @@ use gekkofs::{
     Cluster, ClusterConfig, Daemon, DaemonConfig, GekkoClient, GkfsError, OpenFlags,
     ReplicationConfig, RetryConfig,
 };
-use gkfs_common::distributor::substitute;
+use gkfs_common::distributor::{repair_target, Distributor};
 use gkfs_rpc::{ChaosConfig, ChaosEndpoint, ChaosListener, Endpoint, EndpointOptions, TcpEndpoint};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -40,7 +40,6 @@ fn chaos_retry() -> RetryConfig {
         max_attempts: 6,
         base_backoff_ms: 2,
         max_backoff_ms: 20,
-        jitter_seed: 0x6b67_7330,
         // Breaker off: these tests measure the retry/deadline contract;
         // breaker fail-fast behavior is covered by fault_injection.rs.
         breaker_threshold: 0,
@@ -404,7 +403,7 @@ fn node_holds_its_share(
     files: &[(String, Vec<u8>)],
     config: &ClusterConfig,
 ) -> bool {
-    let dist = config.make_distributor_for(0);
+    let dist = Distributor::new(config.nodes);
     let replicas = config.replication.replicas;
     let d = cluster.daemon(node);
     for (path, data) in files {
@@ -537,7 +536,7 @@ fn small_file_ingest_across_kill_and_rejoin_keeps_every_acked_close() {
         let config = repl_cluster_config(3).with_write_back(64 * 1024);
         let mut cluster = Cluster::deploy(config.clone()).unwrap();
         let fs = cluster.mount().unwrap();
-        let dist = config.make_distributor_for(0);
+        let dist = Distributor::new(config.nodes);
         let victim = (seed as usize) % 3;
         let mut files: Vec<(String, Vec<u8>)> = Vec::new();
         // One-chunk files, and every third one spilling into chunk 1.
@@ -711,7 +710,7 @@ fn rejoin_window_small_file_scans_are_the_survivors_bytes_never_zeros() {
         assert_eq!(spent(&|| verify_all(&fs, &files, "healthy")), n, "seed {seed:#x}: an open, and the file in its reply");
 
         let victim = (seed as usize) % 3;
-        let dist = config.make_distributor_for(0);
+        let dist = Distributor::new(config.nodes);
         let asked_first = files.iter().filter(|(p, _)| dist.locate_metadata(p) == victim).count() as u64;
         assert!(asked_first > 0, "seed {seed:#x}: no file has the victim first in its chain");
         cluster.kill(victim);
@@ -787,7 +786,8 @@ fn rejoin_window_stat_many_fails_over_like_stat() {
 }
 
 /// Whether every object whose replica set contains `dead_node` has a
-/// byte-exact copy on the ring substitute repair pushes to — the
+/// byte-exact copy on the ring substitute repair pushes to
+/// ([`repair_target`]) — the
 /// white-box convergence predicate for substitute-parked repair
 /// copies, judged directly against the substitute's backends.
 fn substitutes_hold_dead_share(
@@ -796,7 +796,7 @@ fn substitutes_hold_dead_share(
     files: &[(String, Vec<u8>)],
     config: &ClusterConfig,
 ) -> bool {
-    let dist = config.make_distributor_for(0);
+    let dist = Distributor::new(config.nodes);
     let replicas = config.replication.replicas;
     let nodes = config.nodes;
     let mut dead = vec![false; nodes];
@@ -804,7 +804,7 @@ fn substitutes_hold_dead_share(
     for (path, data) in files {
         let mset = dist.metadata_replicas(path, replicas);
         if mset.contains(&dead_node) {
-            match substitute(mset[0], &mset, &dead, nodes) {
+            match repair_target(&mset, dead_node, &dead, nodes) {
                 Some(sub) if gkfs_integration::holds_meta(cluster.daemon(sub), path) => {}
                 _ => return false,
             }
@@ -815,7 +815,7 @@ fn substitutes_hold_dead_share(
             if !set.contains(&dead_node) {
                 continue;
             }
-            let Some(sub) = substitute(set[0], &set, &dead, nodes) else {
+            let Some(sub) = repair_target(&set, dead_node, &dead, nodes) else {
                 return false;
             };
             let lo = (c * REPL_CHUNK) as usize;

@@ -127,7 +127,6 @@ fn parallel_storage_stress_under_chaos_seeds() {
             max_attempts: 6,
             base_backoff_ms: 2,
             max_backoff_ms: 20,
-            jitter_seed: 0x6b67_7330,
             breaker_threshold: 0,
             breaker_cooldown_ms: 50,
             op_deadline_ms: 3_000,

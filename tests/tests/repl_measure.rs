@@ -15,6 +15,7 @@
 //! concurrent clusters on shared cores skew each other's clocks.)
 
 use gekkofs::{Cluster, ClusterConfig, GekkoClient, OpenFlags, ReplicationConfig};
+use gkfs_common::Distributor;
 use gkfs_rpc::Endpoint;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,7 +55,7 @@ fn write_files(fs: &GekkoClient, count: usize, size: usize) -> Vec<(String, Vec<
 /// Byte-compare `node`'s backends against every replica-set share it
 /// should hold (same predicate the chaos suite gates on).
 fn holds_share(cluster: &Cluster, node: usize, files: &[(String, Vec<u8>)], cfg: &ClusterConfig) -> bool {
-    let dist = cfg.make_distributor_for(0);
+    let dist = Distributor::new(cfg.nodes);
     let replicas = cfg.replication.replicas;
     let d = cluster.daemon(node);
     for (path, data) in files {

@@ -43,7 +43,7 @@
 //! handler pool and the reader thread.
 
 use gekkofs::{Cluster, ClusterConfig, Daemon, GekkoClient, OpenFlags, ReplicationConfig};
-use gkfs_common::DaemonConfig;
+use gkfs_common::{DaemonConfig, Distributor};
 use gkfs_rpc::{Endpoint, Opcode, ReplyHandle, Request, Response, TcpEndpoint};
 use gkfs_workloads::{run_mdtest, MdtestConfig, MetaMode};
 use std::sync::atomic::Ordering;
@@ -437,7 +437,7 @@ fn a_small_file_costs_one_frame_to_ingest_and_one_rpc_to_unlink() {
         let held: usize = (0..3).map(|n| cluster.daemon(n).backends().data.list_paths().unwrap().len()).sum();
         assert_eq!(held, 0, "r = {r}: the owners dropped chunk 0");
 
-        let placed = config.make_distributor_for(0);
+        let placed = Distributor::new(config.nodes);
         through.create("/gate/wide", 0o644).unwrap();
         let h = through.open_handle("/gate/wide", OpenFlags::WRONLY).unwrap();
         let owner = placed.locate_metadata("/gate/wide");
@@ -593,7 +593,7 @@ fn every_leg_of_a_write_is_submitted_before_any_is_awaited() {
     };
     // Where the first chunk of `path` placed apart from its metadata
     // starts.
-    let placed = cluster.config().make_distributor_for(0);
+    let placed = Distributor::new(cluster.config().nodes);
     let far = |path: &str| {
         let apart = |c: &u64| placed.locate_chunk(path, *c) != placed.locate_metadata(path);
         (1..).find(apart).unwrap() * CHUNK
@@ -845,7 +845,7 @@ fn bulk_pipelined_and_fan_out_traffic_keeps_the_pool_and_the_reader_route() {
     // by the hash's chance — is one frame carrying bytes and size: one
     // connection, one handle, read by its waiter, and pooled on the
     // daemon for the 512 KiB it names.
-    let placed = rig.config.make_distributor_for(0);
+    let placed = Distributor::new(rig.config.nodes);
     let route_with_legs = |apart: bool| {
         (0..)
             .map(|i| format!("/legs{i}"))
