@@ -39,65 +39,67 @@ use std::sync::Arc;
 pub use crate::handle::{FileHandle, Whence};
 pub use crate::namespace::FsckReport;
 
-/// Client-side operation counters.
-#[derive(Debug, Default)]
-pub struct ClientStats {
-    /// create/mkdir operations issued.
-    pub creates: AtomicU64,
-    /// stat operations issued.
-    pub stats: AtomicU64,
-    /// unlink/rmdir operations issued.
-    pub removes: AtomicU64,
-    /// Write calls issued.
-    pub write_ops: AtomicU64,
-    /// Read calls issued.
-    pub read_ops: AtomicU64,
-    /// Total bytes written.
-    pub bytes_written: AtomicU64,
-    /// Total bytes read.
-    pub bytes_read: AtomicU64,
-    /// Size updates actually sent to metadata owners.
-    pub size_updates_sent: AtomicU64,
-    /// Logical RPCs issued to daemons (retries excluded). Shared with
-    /// the [`DaemonRing`], which counts every operation at its single
-    /// submission funnel — the number the RPC regression gate watches.
-    pub rpcs_issued: Arc<AtomicU64>,
-    /// Bytes absorbed by write-back buffers.
-    pub wb_buffered_bytes: AtomicU64,
-    /// Coalesced write-back batches flushed to daemons.
-    pub wb_flushes: AtomicU64,
-    /// Reads and seeks served from the open path's record instead of
-    /// a stat RPC (the killed per-read stat).
-    pub size_cache_hits: AtomicU64,
-    /// Metadata ops that traveled inside `BatchMeta` frames (the bulk
-    /// `*_many` APIs).
-    pub meta_ops_batched: AtomicU64,
-    /// Always 0: no frame is sent on an op-count trigger. Kept because
-    /// `ledger/src/counters.rs` sums the five `meta_flush_*` fields to
-    /// count frames.
-    pub meta_flush_count: AtomicU64,
-    /// Always 0, kept for `ledger/src/counters.rs` (see
-    /// [`ClientStats::meta_flush_count`]).
-    pub meta_flush_bytes: AtomicU64,
-    /// Always 0, kept for `ledger/src/counters.rs` (see
-    /// [`ClientStats::meta_flush_count`]).
-    pub meta_flush_deadline: AtomicU64,
-    /// Always 0, kept for `ledger/src/counters.rs` (see
-    /// [`ClientStats::meta_flush_count`]).
-    pub meta_flush_hazard: AtomicU64,
-    /// `BatchMeta` frames sent.
-    pub meta_flush_explicit: AtomicU64,
-    /// Batch-size histogram: ops per frame, bucketed
-    /// 1, 2–4, 5–8, 9–16, 17–32, 33+.
-    pub meta_batch_hist: [AtomicU64; 6],
-    /// Write-payload bytes copied on the way from the caller's buffer
-    /// to a transport. Shared with the [`DaemonRing`], which counts at
-    /// its submission funnel whatever an endpoint's
-    /// [`Endpoint::submit_gather`] had to concatenate: zero over TCP
-    /// (segments go to the socket where they lie), one copy of every
-    /// byte over the in-process transport (which must own what it
-    /// hands to the handler thread).
-    pub write_gather_copy_bytes: Arc<AtomicU64>,
+gkfs_common::counters! {
+    /// Client-side operation counters.
+    #[derive(Debug, Default)]
+    pub struct ClientStats {
+        /// create/mkdir operations issued.
+        pub creates: AtomicU64,
+        /// stat operations issued.
+        pub stats: AtomicU64,
+        /// unlink/rmdir operations issued.
+        pub removes: AtomicU64,
+        /// Write calls issued.
+        pub write_ops: AtomicU64,
+        /// Read calls issued.
+        pub read_ops: AtomicU64,
+        /// Total bytes written.
+        pub bytes_written: AtomicU64,
+        /// Total bytes read.
+        pub bytes_read: AtomicU64,
+        /// Size updates actually sent to metadata owners.
+        pub size_updates_sent: AtomicU64,
+        /// Logical RPCs issued to daemons (retries excluded). Shared with
+        /// the [`DaemonRing`], which counts every operation at its single
+        /// submission funnel — the number the RPC regression gate watches.
+        pub rpcs_issued: Arc<AtomicU64>,
+        /// Bytes absorbed by write-back buffers.
+        pub wb_buffered_bytes: AtomicU64,
+        /// Coalesced write-back batches flushed to daemons.
+        pub wb_flushes: AtomicU64,
+        /// Reads and seeks served from the open path's record instead of
+        /// a stat RPC (the killed per-read stat).
+        pub size_cache_hits: AtomicU64,
+        /// Metadata ops that traveled inside `BatchMeta` frames (the bulk
+        /// `*_many` APIs).
+        pub meta_ops_batched: AtomicU64,
+        /// Always 0: no frame is sent on an op-count trigger. Kept because
+        /// `ledger/src/counters.rs` sums the five `meta_flush_*` fields to
+        /// count frames.
+        pub meta_flush_count: AtomicU64,
+        /// Always 0, kept for `ledger/src/counters.rs` (see
+        /// [`ClientStats::meta_flush_count`]).
+        pub meta_flush_bytes: AtomicU64,
+        /// Always 0, kept for `ledger/src/counters.rs` (see
+        /// [`ClientStats::meta_flush_count`]).
+        pub meta_flush_deadline: AtomicU64,
+        /// Always 0, kept for `ledger/src/counters.rs` (see
+        /// [`ClientStats::meta_flush_count`]).
+        pub meta_flush_hazard: AtomicU64,
+        /// `BatchMeta` frames sent.
+        pub meta_flush_explicit: AtomicU64,
+        /// Batch-size histogram: ops per frame, bucketed
+        /// 1, 2–4, 5–8, 9–16, 17–32, 33+.
+        pub meta_batch_hist: [AtomicU64; 6],
+        /// Write-payload bytes copied on the way from the caller's buffer
+        /// to a transport. Shared with the [`DaemonRing`], which counts at
+        /// its submission funnel whatever an endpoint's
+        /// [`Endpoint::submit_gather`] had to concatenate: zero over TCP
+        /// (segments go to the socket where they lie), one copy of every
+        /// byte over the in-process transport (which must own what it
+        /// hands to the handler thread).
+        pub write_gather_copy_bytes: Arc<AtomicU64>,
+    }
 }
 
 /// Histogram bucket for a batch of `n` ops (see

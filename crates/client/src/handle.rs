@@ -651,7 +651,7 @@ mod tests {
         h.pwrite(0, b"0123456789").unwrap();
         let gets = |ds: &Vec<Arc<Daemon>>| -> u64 {
             ds.iter()
-                .map(|d| d.backends().meta.db().stats().gets.load(Ordering::Relaxed))
+                .map(|d| d.backends().meta.db().stats().kv_gets.load(Ordering::Relaxed))
                 .sum()
         };
         let before = gets(&daemons);
@@ -968,7 +968,7 @@ mod tests {
         let b = through.open_handle("/f", EXCL).unwrap();
         b.pwrite(0, b"BBBB").unwrap();
         b.close().unwrap();
-        let written = |d: &Arc<Daemon>| d.backends().data.stats().write_bytes.load(Ordering::Relaxed);
+        let written = |d: &Arc<Daemon>| d.backends().data.stats().storage_write_bytes.load(Ordering::Relaxed);
         let before: Vec<u64> = daemons.iter().map(written).collect();
         assert!(matches!(a.flush(), Err(GkfsError::Exists)), "the refusal surfaces at the flushing call");
         assert_eq!(daemons.iter().map(written).collect::<Vec<_>>(), before, "a refused create writes nothing");

@@ -18,6 +18,8 @@
 //! * [`wire`] — a small, explicit little-endian codec used by both the
 //!   RPC layer and the KV store's on-disk formats.
 //! * [`crc`] — CRC32 (IEEE) for WAL and SSTable block integrity.
+//! * [`metrics`] — counters declared once: the daemon's one list and
+//!   the `DaemonStats` reply it emits.
 //! * [`config`] — daemon/cluster configuration knobs.
 //! * [`retry`] — deadline-aware retry: bounded backoff with
 //!   deterministic jitter, operation deadlines, per-endpoint circuit
@@ -41,6 +43,7 @@ pub mod hash;
 pub mod health;
 pub mod lock;
 pub mod log;
+pub mod metrics;
 pub mod model;
 pub mod path;
 pub mod retry;

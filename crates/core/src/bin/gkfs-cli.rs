@@ -176,109 +176,29 @@ fn run() -> Result<(), GkfsError> {
             }
         }
         "df" => {
+            let show = |fields: Vec<(&str, u64)>| {
+                for (name, n) in fields {
+                    println!("        {name:<24} {n}");
+                }
+            };
             let health = fs.node_health();
             for (i, s) in fs.cluster_stats()?.iter().enumerate() {
-                println!(
-                    "node {i}: {} metadata entries, {} B written, {} B read",
-                    s.meta_entries, s.storage_write_bytes, s.storage_read_bytes
-                );
-                let mean_group = if s.kv_group_commits > 0 {
-                    s.kv_group_commit_records as f64 / s.kv_group_commits as f64
-                } else {
-                    0.0
-                };
-                println!(
-                    "        lsm: {} flushes, {} compactions, {} stalls ({} us), \
-                     {} imm hits, {} bloom skips, group commit {:.1} rec/batch",
-                    s.kv_flushes,
-                    s.kv_compactions,
-                    s.kv_stalls,
-                    s.kv_stall_micros,
-                    s.kv_imm_hits,
-                    s.kv_bloom_skips,
-                    mean_group
-                );
-                println!(
-                    "        data: {} pool tasks, {} inline runs, fd cache \
-                     {}/{} hit/miss, {} coalesced ops, {} reply copy B, \
-                     {} request copy B",
-                    s.chunk_tasks_spawned,
-                    s.chunk_inline_runs,
-                    s.fd_cache_hits,
-                    s.fd_cache_misses,
-                    s.coalesced_ops,
-                    s.read_reply_copy_bytes,
-                    s.request_copy_bytes
-                );
-                if s.meta_batches > 0 {
-                    println!(
-                        "        meta-batch: {} frames, {} ops, {} group applies \
-                         ({:.1} ops/frame)",
-                        s.meta_batches,
-                        s.meta_batch_ops,
-                        s.meta_group_applies,
-                        s.meta_batch_ops as f64 / s.meta_batches as f64
-                    );
-                }
-                if s.replication_factor > 1 {
+                println!("node {i}:");
+                show(s.fields());
+                if !s.liveness.is_empty() {
                     let peers: Vec<String> = s
                         .liveness
                         .iter()
                         .map(|&b| gekkofs::Liveness::from_u8(b).to_string())
                         .collect();
-                    println!(
-                        "        repl: factor {}, {} under-replicated, backlog {}, \
-                         {} chunks + {} meta copied, heartbeats {}/{} sent/recv, \
-                         peers [{}]",
-                        s.replication_factor,
-                        s.under_replicated_chunks,
-                        s.repl_backlog,
-                        s.repl_chunks_copied,
-                        s.repl_meta_copied,
-                        s.heartbeats_sent,
-                        s.heartbeats_received,
-                        peers.join(" ")
-                    );
+                    println!("        peers [{}]", peers.join(" "));
                 }
                 if let Some(h) = health.get(i) {
-                    println!(
-                        "        health: breaker {} ({} consecutive failures), \
-                         {} retries, {} transport failures, {} reconnects, \
-                         liveness {}",
-                        h.breaker,
-                        h.consecutive_failures,
-                        h.retries,
-                        h.failures,
-                        h.reconnects,
-                        h.liveness
-                    );
+                    println!("        health {h:?}");
                 }
             }
-            let st = fs.stats();
-            use std::sync::atomic::Ordering::Relaxed;
-            println!(
-                "client: {} rpcs issued, write-back {} B buffered / {} coalesced \
-                 flushes, {} size-cache hits",
-                st.rpcs_issued.load(Relaxed),
-                st.wb_buffered_bytes.load(Relaxed),
-                st.wb_flushes.load(Relaxed),
-                st.size_cache_hits.load(Relaxed)
-            );
-            let batched = st.meta_ops_batched.load(Relaxed);
-            if batched > 0 {
-                let hist: Vec<u64> = st.meta_batch_hist.iter().map(|b| b.load(Relaxed)).collect();
-                println!(
-                    "        meta-batch: {} frames, {batched} ops batched, \
-                     sizes [1:{} 2-4:{} 5-8:{} 9-16:{} 17-32:{} 33+:{}]",
-                    st.meta_flush_explicit.load(Relaxed),
-                    hist[0],
-                    hist[1],
-                    hist[2],
-                    hist[3],
-                    hist[4],
-                    hist[5]
-                );
-            }
+            println!("client:");
+            show(fs.stats().fields());
         }
         other => {
             eprintln!("unknown command: {other}");

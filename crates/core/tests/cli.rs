@@ -2,7 +2,8 @@
 //! real TCP sockets.
 
 use gekkofs::cluster::TcpCluster;
-use gekkofs::ClusterConfig;
+use gekkofs::{ClientStats, ClusterConfig};
+use gkfs_rpc::proto::DaemonStatsResp;
 use std::process::Command;
 
 fn cli(hosts: &str, args: &[&str]) -> (bool, String, String) {
@@ -73,7 +74,24 @@ fn cli_full_session() {
     assert!(stdout.contains("size=5"));
     let (ok, stdout, _) = cli(&hosts, &["df"]);
     assert!(ok);
-    assert!(stdout.lines().count() >= 3, "df lists every node: {stdout}");
+    // Every counter by name: each node's, then the client's.
+    let (nodes, client) = stdout.split_once("client:").expect("a client section");
+    let nodes: Vec<&str> = nodes.split("node ").skip(1).collect();
+    assert_eq!(nodes.len(), 3, "df lists every node: {stdout}");
+    let names = |text: &str| -> Vec<String> {
+        text.lines().filter_map(|l| l.split_whitespace().next()).map(String::from).collect()
+    };
+    for node in &nodes {
+        let printed = names(node);
+        let fields = DaemonStatsResp::default().fields();
+        for name in fields.iter().map(|f| f.0).chain(["dir_scans", "served_inline", "storage_write_ops", "kv_puts"]) {
+            assert!(printed.iter().any(|p| p == name), "{name} in: {node}");
+        }
+    }
+    let printed = names(client);
+    for (name, _) in ClientStats::default().fields() {
+        assert!(printed.iter().any(|p| p == name), "{name} in: {client}");
+    }
 
     assert!(cli(&hosts, &["rm", "/cli/blob"]).0);
     assert!(cli(&hosts, &["rm", "/cli/note"]).0);

@@ -53,11 +53,9 @@ impl Daemon {
                 )
             }
         };
-        let engine = crate::engine::ChunkEngine::new();
         let backends = Arc::new(Backends {
             meta,
             data,
-            engine,
             repl: Default::default(),
             tcp_stats: Default::default(),
         });

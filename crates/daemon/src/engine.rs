@@ -18,13 +18,14 @@
 //! of the reads (storage zeroes only what a read did not reach, so the
 //! tail of a short op's window reads zero here). Only a short read (EOF
 //! inside the batch) forces compaction copies here, and those are
-//! counted in `reply_copy_bytes` so the "no-copy on the happy path"
-//! claim is checkable from `gkfs-cli df` (and gated in CI).
+//! counted in the store's `read_reply_copy_bytes` so the "no-copy on
+//! the happy path" claim is checkable from `gkfs-cli df` (and gated in
+//! CI).
 
 use bytes::Bytes;
 use gkfs_common::{GkfsError, Result};
 use gkfs_storage::{BatchOp, BatchPayload, ChunkStorage};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Reject read batches whose reply would exceed this (a malformed or
@@ -32,77 +33,53 @@ use std::sync::Arc;
 /// Mirrors the storage layer's own batch cap.
 pub const MAX_READ_BATCH_BYTES: u64 = gkfs_storage::MAX_BATCH_BYTES;
 
-/// Per-daemon batch adapter: wire-side validation plus reply-assembly
-/// counters. The I/O engine itself (serial or task pool) belongs to
-/// the storage backend.
-#[derive(Default)]
-pub struct ChunkEngine {
-    /// Bytes moved while compacting a read reply after short reads.
-    reply_copy_bytes: AtomicU64,
+/// Execute a write batch. `bulk` is shared by reference count — the
+/// storage backend's segment tasks never copy the payload.
+pub fn write_batch(
+    storage: &Arc<dyn ChunkStorage>,
+    path: &str,
+    ops: &[BatchOp],
+    bulk: &Bytes,
+) -> Result<()> {
+    storage
+        .submit_batch(path, ops, BatchPayload::Write(bulk.clone()))
+        .wait()
+        .map(|_| ())
 }
 
-impl ChunkEngine {
-    /// A fresh adapter (all counters zero).
-    pub fn new() -> ChunkEngine {
-        ChunkEngine::default()
+/// Execute a read batch; returns `(bulk, per-op lens)` with the bulk
+/// already compacted to the dense concatenation the wire contract
+/// requires.
+pub fn read_batch(
+    storage: &Arc<dyn ChunkStorage>,
+    path: &str,
+    ops: &[BatchOp],
+) -> Result<(Vec<u8>, Vec<u64>)> {
+    // Wire-controlled lens: validate before any allocation so a hostile
+    // batch can't force a huge allocation. The storage layer re-checks
+    // (its API is public), but the daemon owns the error the client
+    // sees.
+    gkfs_storage::validate_dense_layout(ops)?;
+    let out = storage.submit_batch(path, ops, BatchPayload::Read).wait()?;
+    let (mut bulk, lens) = (out.data, out.lens);
+    if lens.len() != ops.len() {
+        return Err(GkfsError::Rpc("storage returned mismatched batch lens".into()));
     }
-
-    /// Bytes moved compacting read replies after short reads — zero on
-    /// the happy path (every op full-length).
-    pub fn reply_copy_bytes(&self) -> u64 {
-        self.reply_copy_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Execute a write batch. `bulk` is shared by reference count —
-    /// the storage backend's segment tasks never copy the payload.
-    pub fn write_batch(
-        &self,
-        storage: &Arc<dyn ChunkStorage>,
-        path: &str,
-        ops: &[BatchOp],
-        bulk: &Bytes,
-    ) -> Result<()> {
-        storage
-            .submit_batch(path, ops, BatchPayload::Write(bulk.clone()))
-            .wait()
-            .map(|_| ())
-    }
-
-    /// Execute a read batch; returns `(bulk, per-op lens)` with the
-    /// bulk already compacted to the dense concatenation the wire
-    /// contract requires.
-    pub fn read_batch(
-        &self,
-        storage: &Arc<dyn ChunkStorage>,
-        path: &str,
-        ops: &[BatchOp],
-    ) -> Result<(Vec<u8>, Vec<u64>)> {
-        // Wire-controlled lens: validate before any allocation so a
-        // hostile batch can't force a huge allocation. The storage
-        // layer re-checks (its API is public), but the daemon owns the
-        // error the client sees.
-        gkfs_storage::validate_dense_layout(ops)?;
-        let out = storage.submit_batch(path, ops, BatchPayload::Read).wait()?;
-        let (mut bulk, lens) = (out.data, out.lens);
-        if lens.len() != ops.len() {
-            return Err(GkfsError::Rpc("storage returned mismatched batch lens".into()));
+    // Compact: short reads leave holes; the wire format wants the dense
+    // concatenation. Happy path (every op full-length) moves nothing
+    // and counts nothing.
+    let mut dense = 0usize;
+    for (op, &n) in ops.iter().zip(&lens) {
+        let n = n as usize;
+        let planned = op.buf_offset as usize;
+        if planned != dense && n > 0 {
+            bulk.copy_within(planned..planned + n, dense);
+            storage.stats().read_reply_copy_bytes.fetch_add(n as u64, Ordering::Relaxed);
         }
-        // Compact: short reads leave holes; the wire format wants the
-        // dense concatenation. Happy path (every op full-length) moves
-        // nothing and counts nothing.
-        let mut dense = 0usize;
-        for (op, &n) in ops.iter().zip(&lens) {
-            let n = n as usize;
-            let planned = op.buf_offset as usize;
-            if planned != dense && n > 0 {
-                bulk.copy_within(planned..planned + n, dense);
-                self.reply_copy_bytes.fetch_add(n as u64, Ordering::Relaxed);
-            }
-            dense += n;
-        }
-        bulk.truncate(dense);
-        Ok((bulk, lens))
+        dense += n;
     }
+    bulk.truncate(dense);
+    Ok((bulk, lens))
 }
 
 #[cfg(test)]
@@ -110,6 +87,10 @@ mod tests {
     use super::*;
     use gkfs_common::IoBackend;
     use gkfs_storage::{FileChunkStorage, MemChunkStorage};
+
+    fn copies(storage: &Arc<dyn ChunkStorage>) -> u64 {
+        storage.stats().read_reply_copy_bytes.load(Ordering::Relaxed)
+    }
 
     fn layout(specs: &[(u64, u64, u64)]) -> Vec<BatchOp> {
         let mut cursor = 0;
@@ -142,15 +123,13 @@ mod tests {
     #[test]
     fn write_read_roundtrip() {
         for (name, storage, dir) in storages("rt") {
-            let eng = ChunkEngine::new();
             let ops = layout(&[(0, 0, 64), (1, 0, 64), (2, 0, 64), (3, 0, 64)]);
             let bulk: Vec<u8> = (0..256u32).map(|i| (i % 251) as u8).collect();
-            eng.write_batch(&storage, "/e", &ops, &Bytes::from(bulk.clone()))
-                .unwrap();
-            let (out, lens) = eng.read_batch(&storage, "/e", &ops).unwrap();
+            write_batch(&storage, "/e", &ops, &Bytes::from(bulk.clone())).unwrap();
+            let (out, lens) = read_batch(&storage, "/e", &ops).unwrap();
             assert_eq!(lens, vec![64; 4], "{name}");
             assert_eq!(out, bulk, "{name}");
-            assert_eq!(eng.reply_copy_bytes(), 0, "full-length reads must not compact");
+            assert_eq!(copies(&storage), 0, "full-length reads must not compact");
             if let Some(dir) = dir {
                 let _ = std::fs::remove_dir_all(dir);
             }
@@ -160,18 +139,17 @@ mod tests {
     #[test]
     fn short_reads_compact_densely() {
         for (name, storage, dir) in storages("short") {
-            let eng = ChunkEngine::new();
             // Chunk 0 holds 16 bytes, chunk 1 holds 32: reading 32 from
             // each leaves a hole after chunk 0's short read.
             storage.write_chunk("/s", 0, 0, &[1u8; 16]).unwrap();
             storage.write_chunk("/s", 1, 0, &[2u8; 32]).unwrap();
             let ops = layout(&[(0, 0, 32), (1, 0, 32)]);
-            let (out, lens) = eng.read_batch(&storage, "/s", &ops).unwrap();
+            let (out, lens) = read_batch(&storage, "/s", &ops).unwrap();
             assert_eq!(lens, vec![16, 32], "{name}");
             assert_eq!(out.len(), 48, "dense reply: no hole ({name})");
             assert_eq!(&out[..16], &[1u8; 16], "{name}");
             assert_eq!(&out[16..], &[2u8; 32], "{name}");
-            assert_eq!(eng.reply_copy_bytes(), 32, "chunk 1's bytes moved left once ({name})");
+            assert_eq!(copies(&storage), 32, "chunk 1's bytes moved left once ({name})");
             if let Some(dir) = dir {
                 let _ = std::fs::remove_dir_all(dir);
             }
@@ -184,7 +162,7 @@ mod tests {
     /// (allocated unzeroed on this thread) then tends to reuse. Per batch:
     /// every byte of the store's buffer is the chunk file's or a zero,
     /// `lens` are exact, and the compacted reply is the dense
-    /// concatenation, `reply_copy_bytes` counting what compaction moved.
+    /// concatenation, `read_reply_copy_bytes` counting what compaction moved.
     #[test]
     fn a_chunk_read_returns_only_bytes_it_read_or_zeros() {
         const K: u64 = 4096;
@@ -250,7 +228,6 @@ mod tests {
             for (id, at, data) in &chunks {
                 storage.write_chunk("/u", *id, *at, data).unwrap();
             }
-            let eng = ChunkEngine::new();
             for (specs, moved) in batches {
                 let ops = layout(specs);
                 let want: Vec<Vec<u8>> = ops
@@ -282,38 +259,36 @@ mod tests {
                 }
 
                 prime();
-                let before = eng.reply_copy_bytes();
-                let (dense, lens) = eng.read_batch(storage, "/u", &ops).unwrap();
+                let before = copies(storage);
+                let (dense, lens) = read_batch(storage, "/u", &ops).unwrap();
                 assert_eq!(dense, want.concat(), "{name} {specs:?}: the dense reply");
                 assert_eq!(lens, out.lens, "{name} {specs:?}");
                 assert_eq!(
-                    eng.reply_copy_bytes() - before,
+                    copies(storage) - before,
                     moved,
                     "{name} {specs:?}: bytes moved"
                 );
             }
         }
         let pool = engines[1].1.stats();
-        let tasks =
-            pool.tasks_spawned.load(Ordering::Relaxed) + pool.tasks_inline.load(Ordering::Relaxed);
+        let tasks = pool.chunk_tasks_spawned.load(Ordering::Relaxed)
+            + pool.chunk_inline_runs.load(Ordering::Relaxed);
         assert!(tasks > 0, "the pool engine fanned a batch out");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn oversized_read_batch_rejected() {
-        let eng = ChunkEngine::new();
         let storage: Arc<dyn ChunkStorage> = Arc::new(MemChunkStorage::new());
         let ops = layout(&[(0, 0, MAX_READ_BATCH_BYTES + 1)]);
         assert!(matches!(
-            eng.read_batch(&storage, "/big", &ops),
+            read_batch(&storage, "/big", &ops),
             Err(GkfsError::InvalidArgument(_))
         ));
     }
 
     #[test]
     fn wrapping_len_sum_rejected() {
-        let eng = ChunkEngine::new();
         let storage: Arc<dyn ChunkStorage> = Arc::new(MemChunkStorage::new());
         // Lens summing past 2^64: an unchecked (wrapping) total would
         // come out tiny and pass the size cap while the segment
@@ -323,18 +298,17 @@ mod tests {
             BatchOp { chunk_id: 1, offset: 0, len: 3, buf_offset: u64::MAX },
         ];
         assert!(matches!(
-            eng.read_batch(&storage, "/wrap", &ops),
+            read_batch(&storage, "/wrap", &ops),
             Err(GkfsError::InvalidArgument(_))
         ));
     }
 
     #[test]
     fn non_dense_layout_rejected() {
-        let eng = ChunkEngine::new();
         let storage: Arc<dyn ChunkStorage> = Arc::new(MemChunkStorage::new());
         let ops = vec![BatchOp { chunk_id: 0, offset: 0, len: 8, buf_offset: 4 }];
         assert!(matches!(
-            eng.read_batch(&storage, "/hole", &ops),
+            read_batch(&storage, "/hole", &ops),
             Err(GkfsError::InvalidArgument(_))
         ));
     }
@@ -343,20 +317,18 @@ mod tests {
     fn concurrent_batches_from_many_handler_threads() {
         let dir = std::env::temp_dir().join(format!("gkfs-eng-conc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let eng = Arc::new(ChunkEngine::new());
         let storage: Arc<dyn ChunkStorage> =
             Arc::new(FileChunkStorage::open_with(&dir, IoBackend::Pool, 4, 64).unwrap());
         std::thread::scope(|s| {
             for t in 0..8u64 {
-                let eng = eng.clone();
                 let storage = storage.clone();
                 s.spawn(move || {
                     let path = format!("/t{t}");
                     let ops = layout(&[(0, 0, 128), (1, 0, 128), (2, 0, 128)]);
                     let bulk = Bytes::from(vec![t as u8; 384]);
                     for _ in 0..20 {
-                        eng.write_batch(&storage, &path, &ops, &bulk).unwrap();
-                        let (out, lens) = eng.read_batch(&storage, &path, &ops).unwrap();
+                        write_batch(&storage, &path, &ops, &bulk).unwrap();
+                        let (out, lens) = read_batch(&storage, &path, &ops).unwrap();
                         assert_eq!(lens, vec![128; 3]);
                         assert!(out.iter().all(|&b| b == t as u8));
                     }

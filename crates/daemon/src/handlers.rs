@@ -7,7 +7,7 @@
 //! error-to-response mapping around them. Handlers run concurrently on
 //! the daemon's pool; all synchronization lives in the backends.
 
-use crate::engine::ChunkEngine;
+use crate::engine::{read_batch, write_batch};
 use crate::metadata::MetadataBackend;
 use bytes::Bytes;
 use gkfs_common::{FileKind, GkfsError, Metadata, Result};
@@ -22,9 +22,6 @@ pub struct Backends {
     pub meta: MetadataBackend,
     /// Data.
     pub data: Arc<dyn ChunkStorage>,
-    /// Batch adapter: wire-side validation and reply compaction; the
-    /// I/O parallelism itself lives inside `data`'s engine.
-    pub engine: ChunkEngine,
     /// Replication manager, installed by `Daemon::join_cluster` after
     /// the registry is built (empty on unreplicated daemons).
     pub repl: std::sync::OnceLock<Arc<crate::replication::ReplicationManager>>,
@@ -133,7 +130,7 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
     reg.serve_bulk::<op::WriteChunks>(move |r, bulk| {
         check_bulk_len(&r, bulk.len())?;
         let ops = layout_batch(&r.ops)?;
-        b.engine.write_batch(&b.data, &r.path, &ops, &bulk)?;
+        write_batch(&b.data, &r.path, &ops, &bulk)?;
         Ok(((), Bytes::new()))
     });
 
@@ -159,7 +156,7 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
             }
         }
         if !ops.is_empty() {
-            b.engine.write_batch(&b.data, &path, &ops, &bulk)?;
+            write_batch(&b.data, &path, &ops, &bulk)?;
         }
         if let Some(SizeCandidate { size, mtime_ns }) = r.size {
             b.meta.update_size(&path, size, mtime_ns)?;
@@ -170,7 +167,7 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
     let b = backends.clone();
     reg.serve_bulk::<op::ReadChunks>(move |r, _| {
         let ops = layout_batch(&r.ops)?;
-        let (bulk, lens) = b.engine.read_batch(&b.data, &r.path, &ops)?;
+        let (bulk, lens) = read_batch(&b.data, &r.path, &ops)?;
         // Absent vs hole: a short op on a chunk this daemon
         // holds is an authoritative hole/EOF; a short op on a
         // chunk it does NOT hold means this replica missed the
@@ -199,7 +196,7 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
             return Ok((OpenFileResp { meta, held: true }, Bytes::new()));
         }
         let whole = [BatchOp { chunk_id: 0, offset: 0, len: meta.size, buf_offset: 0 }];
-        let (mut file, lens) = b.engine.read_batch(&b.data, &r.path, &whole)?;
+        let (mut file, lens) = read_batch(&b.data, &r.path, &whole)?;
         let held = lens[0] == meta.size || b.data.holds(&r.path, 0)?;
         file.resize(if held { meta.size as usize } else { 0 }, 0);
         Ok((OpenFileResp { meta, held }, file.into()))
@@ -249,51 +246,28 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
 
     let b = backends;
     reg.serve::<op::DaemonStats>(move |()| {
-        use std::sync::atomic::Ordering::Relaxed;
-        let kv = b.meta.db().stats();
-        let st = b.data.stats();
-        let reply_copies = b.engine.reply_copy_bytes();
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
         let repl = b.repl.get();
-        let rc = |f: fn(&crate::replication::ReplCounters) -> &std::sync::atomic::AtomicU64| {
-            repl.map(|m| f(m.counters()).load(Relaxed)).unwrap_or(0)
+        let tcp = |f: fn(&gkfs_rpc::RpcStats) -> &AtomicU64| {
+            b.tcp_stats.get().map_or(0, |s| f(s).load(Relaxed))
         };
-        Ok(DaemonStatsResp {
+        let mut r = DaemonStatsResp {
             meta_entries: b.meta.entry_count()? as u64,
-            kv_puts: kv.puts.load(Relaxed),
-            kv_gets: kv.gets.load(Relaxed),
-            kv_merges: kv.merges.load(Relaxed),
-            storage_write_bytes: st.write_bytes.load(Relaxed),
-            storage_read_bytes: st.read_bytes.load(Relaxed),
-            kv_flushes: kv.flushes.load(Relaxed),
-            kv_compactions: kv.compactions.load(Relaxed),
-            kv_stalls: kv.stalls.load(Relaxed),
-            kv_stall_micros: kv.stall_micros.load(Relaxed),
-            kv_imm_hits: kv.imm_hits.load(Relaxed),
-            kv_group_commits: kv.group_commits.load(Relaxed),
-            kv_group_commit_records: kv.group_commit_records.load(Relaxed),
-            kv_bloom_skips: kv.bloom_skips.load(Relaxed),
-            chunk_tasks_spawned: st.tasks_spawned.load(Relaxed),
-            chunk_inline_runs: st.tasks_inline.load(Relaxed),
-            fd_cache_hits: st.fd_hits.load(Relaxed),
-            fd_cache_misses: st.fd_misses.load(Relaxed),
-            coalesced_ops: st.coalesced_ops.load(Relaxed),
-            read_reply_copy_bytes: reply_copies,
-            replication_factor: repl.map(|m| m.replicas() as u64).unwrap_or(1),
-            under_replicated_chunks: rc(|c| &c.under_replicated),
-            repl_backlog: rc(|c| &c.backlog),
-            repl_chunks_copied: rc(|c| &c.chunks_copied),
-            repl_meta_copied: rc(|c| &c.meta_copied),
-            heartbeats_sent: rc(|c| &c.heartbeats_sent),
-            heartbeats_received: rc(|c| &c.heartbeats_received),
-            meta_batches: b.meta.batch_counters().batches.load(Relaxed),
-            meta_batch_ops: b.meta.batch_counters().ops.load(Relaxed),
-            meta_group_applies: b.meta.batch_counters().group_applies.load(Relaxed),
+            replication_factor: repl.map_or(1, |m| m.replicas() as u64),
+            request_copy_bytes: tcp(|s| &s.request_copy_bytes),
+            served_inline: tcp(|s| &s.served_inline),
+            served_pooled: tcp(|s| &s.served_pooled),
+            spun: tcp(|s| &s.spun),
+            spin_expired: tcp(|s| &s.spin_expired),
             liveness: repl.map(|m| m.liveness_bytes()).unwrap_or_default(),
-            request_copy_bytes: b
-                .tcp_stats
-                .get()
-                .map_or(0, |s| s.request_copy_bytes.load(Relaxed)),
-        })
+            ..DaemonStatsResp::default()
+        };
+        b.meta.db().stats().add_to(&mut r);
+        b.data.stats().add_to(&mut r);
+        if let Some(m) = repl {
+            m.counters().add_to(&mut r);
+        }
+        Ok(r)
     });
 
     reg
@@ -317,7 +291,6 @@ mod tests {
         Arc::new(Backends {
             meta: MetadataBackend::open_memory().unwrap(),
             data,
-            engine: ChunkEngine::new(),
             repl: Default::default(),
             tcp_stats: Default::default(),
         })
@@ -403,7 +376,11 @@ mod tests {
         write(&reg, &batch, bulk.clone()).unwrap();
         let (_, got) = read(&reg, &batch).unwrap();
         assert_eq!(&got[..], &bulk[..]);
-        assert_eq!(b.engine.reply_copy_bytes(), 0, "full-length batch must not compact");
+        assert_eq!(
+            b.data.stats().read_reply_copy_bytes.load(std::sync::atomic::Ordering::Relaxed),
+            0,
+            "full-length batch must not compact"
+        );
 
         // Now force a short read: chunk n lands with only 100 bytes,
         // and an op after it must shift left in the reply.
@@ -426,7 +403,11 @@ mod tests {
         let (resp, got) = read(&reg, &short).unwrap();
         assert_eq!(resp.lens, vec![100, 4096]);
         assert_eq!(got.len(), 4196, "dense reply after short read");
-        assert_eq!(b.engine.reply_copy_bytes(), 4096, "only the shifted op's bytes copied");
+        assert_eq!(
+            b.data.stats().read_reply_copy_bytes.load(std::sync::atomic::Ordering::Relaxed),
+            4096,
+            "only the shifted op's bytes copied"
+        );
     }
 
     #[test]
@@ -492,9 +473,9 @@ mod tests {
         assert_eq!((meta.size, meta.ctime_ns, meta.mtime_ns), (4, 1, 1));
         assert_eq!(b.data.read_chunk("/wf", 0, 0, 8).unwrap(), b"BBBB");
         // The loser of the create: refused before a byte moved.
-        let written = b.data.stats().write_bytes.load(std::sync::atomic::Ordering::Relaxed);
+        let written = b.data.stats().storage_write_bytes.load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!(write_file(&reg, &file_frame(b"AAAAAAAA", 2), b"AAAAAAAA"), Err(GkfsError::Exists));
-        assert_eq!(b.data.stats().write_bytes.load(std::sync::atomic::Ordering::Relaxed), written);
+        assert_eq!(b.data.stats().storage_write_bytes.load(std::sync::atomic::Ordering::Relaxed), written);
         assert_eq!(b.data.read_chunk("/wf", 0, 0, 8).unwrap(), b"BBBB");
         assert_eq!(call::<op::Stat>(&reg, &PathReq::new("/wf")).unwrap().size, 4);
         // The same frame marked as a resubmission found its own first
@@ -574,7 +555,7 @@ mod tests {
         // Exactly `head_max` still fits; one byte less does not, and 0
         // never asks: the entry alone, nothing read.
         assert_eq!(&open_file(&reg, "/wf", 5).unwrap().1[..], b"small");
-        let reads = b.data.stats().read_bytes.load(std::sync::atomic::Ordering::Relaxed);
+        let reads = b.data.stats().storage_read_bytes.load(std::sync::atomic::Ordering::Relaxed);
         for head_max in [4, 0] {
             let (resp, file) = open_file(&reg, "/wf", head_max).unwrap();
             assert_eq!((resp.meta, resp.held, file.len()), (stat.clone(), true, 0), "head_max {head_max}");
@@ -582,7 +563,7 @@ mod tests {
         call::<op::Create>(&reg, &create_req("/dir", FileKind::Directory, 2)).unwrap();
         let (resp, file) = open_file(&reg, "/dir", 4096).unwrap();
         assert!(resp.meta.is_dir() && resp.held && file.is_empty());
-        assert_eq!(b.data.stats().read_bytes.load(std::sync::atomic::Ordering::Relaxed), reads);
+        assert_eq!(b.data.stats().storage_read_bytes.load(std::sync::atomic::Ordering::Relaxed), reads);
         assert_eq!(open_file(&reg, "/nope", 4096).unwrap_err(), GkfsError::NotFound);
         // A hole inside a chunk this daemon holds is zeros, up to the
         // size the entry states — even where the allocator hands the
@@ -599,7 +580,7 @@ mod tests {
         b.data.remove_chunks("/wf", &[0]).unwrap();
         let (resp, file) = open_file(&reg, "/wf", 4096).unwrap();
         assert_eq!((resp.meta.size, resp.held, file.len()), (4096, false, 0));
-        assert_eq!(b.engine.reply_copy_bytes(), 0);
+        assert_eq!(b.data.stats().read_reply_copy_bytes.load(std::sync::atomic::Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use gkfs_common::{GkfsError, Metadata, Result};
 use gkfs_kvstore::{Db, DbOptions, MergeOperator, WriteBatch};
 use gkfs_rpc::proto::{MetaOp, MetaVerdict};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Default `readdir` page size when the client asks for the daemon
@@ -27,18 +27,6 @@ use std::sync::Arc;
 /// directories fit one page, small enough that a millions-of-entries
 /// directory never materializes one unbounded reply frame.
 pub const READDIR_DEFAULT_PAGE: usize = 4096;
-
-/// Counters for the bulk metadata plane, surfaced via `DaemonStats`.
-#[derive(Debug, Default)]
-pub struct MetaBatchCounters {
-    /// `BatchMeta` RPCs applied.
-    pub batches: AtomicU64,
-    /// Metadata ops carried by those batches.
-    pub ops: AtomicU64,
-    /// Group-applied KV commits (batches staging ≥ 1 mutation; each is
-    /// one `WriteBatch`, i.e. one WAL record riding group commit).
-    pub group_applies: AtomicU64,
-}
 
 /// Merge operator over encoded [`Metadata`] values. Operands are
 /// `(candidate_size: u64, mtime_ns: u64)` pairs; folding keeps the
@@ -106,7 +94,6 @@ fn step(
 /// Metadata operations executed by the daemon on behalf of clients.
 pub struct MetadataBackend {
     db: Arc<Db>,
-    batch_counters: MetaBatchCounters,
     /// The store appends every commit to a write-ahead log.
     logged: bool,
 }
@@ -120,7 +107,6 @@ impl MetadataBackend {
         };
         Ok(MetadataBackend {
             db: Db::open_memory(opts)?,
-            batch_counters: MetaBatchCounters::default(),
             logged: false,
         })
     }
@@ -134,14 +120,8 @@ impl MetadataBackend {
         };
         Ok(MetadataBackend {
             db: Db::open_dir(dir, opts)?,
-            batch_counters: MetaBatchCounters::default(),
             logged: wal,
         })
-    }
-
-    /// Bulk-metadata counters (stats surface).
-    pub fn batch_counters(&self) -> &MetaBatchCounters {
-        &self.batch_counters
     }
 
     /// Whether a commit appends to a write-ahead log — and so may wait
@@ -289,13 +269,13 @@ impl MetadataBackend {
     }
 
     /// One `BatchMeta` frame: [`MetadataBackend::run`] plus the bulk
-    /// plane's counters.
+    /// plane's counters, kept in the store's block.
     pub fn apply(&self, ops: &[MetaOp]) -> Result<Vec<MetaVerdict>> {
         let (verdicts, committed) = self.run(ops)?;
-        let c = &self.batch_counters;
-        c.batches.fetch_add(1, Ordering::Relaxed);
-        c.ops.fetch_add(ops.len() as u64, Ordering::Relaxed);
-        c.group_applies.fetch_add(committed as u64, Ordering::Relaxed);
+        let c = self.db.stats();
+        c.meta_batches.fetch_add(1, Ordering::Relaxed);
+        c.meta_batch_ops.fetch_add(ops.len() as u64, Ordering::Relaxed);
+        c.meta_group_applies.fetch_add(committed as u64, Ordering::Relaxed);
         Ok(verdicts)
     }
 
@@ -342,6 +322,7 @@ impl MetadataBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use gkfs_common::FileKind;
     use gkfs_rpc::proto::{CreateReq, PathReq, TruncateMetaReq};
 
@@ -569,10 +550,10 @@ mod tests {
         ));
         // The whole batch net-cancelled: nothing durable remains.
         assert_eq!(stat(&b, "/a"), Err(GkfsError::NotFound));
-        let c = b.batch_counters();
-        assert_eq!(c.batches.load(Ordering::Relaxed), 1);
-        assert_eq!(c.ops.load(Ordering::Relaxed), 6);
-        assert_eq!(c.group_applies.load(Ordering::Relaxed), 1);
+        let c = b.db().stats();
+        assert_eq!(c.meta_batches.load(Ordering::Relaxed), 1);
+        assert_eq!(c.meta_batch_ops.load(Ordering::Relaxed), 6);
+        assert_eq!(c.meta_group_applies.load(Ordering::Relaxed), 1);
     }
 
     /// The one-winner rule holds for a batched exclusive create exactly
@@ -620,7 +601,7 @@ mod tests {
             .apply(&[MetaOp::Stat(PathReq::new("/f"))])
             .unwrap();
         assert!(results[0].clone().unwrap().is_some());
-        assert_eq!(b.batch_counters().group_applies.load(Ordering::Relaxed), 0);
+        assert_eq!(b.db().stats().meta_group_applies.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -33,6 +33,7 @@
 use crate::handlers::Backends;
 use gkfs_common::distributor::{self, Distributor};
 use gkfs_common::lock::{rank, OrderedMutex};
+use gkfs_common::metrics::DaemonCounters;
 use gkfs_common::{ClusterConfig, FailureDetector, GkfsError, Liveness, Metadata, Transition};
 use gkfs_rpc::proto::{
     op, ChunkBatchReq, ChunkOp, HeartbeatReq, HeartbeatResp, ReplicaMetaReq, Rpc,
@@ -60,25 +61,6 @@ enum RecoveryTask {
     DrainBack { node: usize },
 }
 
-/// Monotonic gauges and counters surfaced through `DaemonStats` and
-/// piggybacked on heartbeat replies.
-#[derive(Debug, Default)]
-pub struct ReplCounters {
-    /// Objects (chunks + metadata entries) currently known to need a
-    /// copy this daemon is responsible for pushing.
-    pub under_replicated: AtomicU64,
-    /// Queued recovery tasks.
-    pub backlog: AtomicU64,
-    /// Chunks pushed to a peer since spawn.
-    pub chunks_copied: AtomicU64,
-    /// Metadata entries pushed to a peer since spawn.
-    pub meta_copied: AtomicU64,
-    /// Heartbeat probes sent.
-    pub heartbeats_sent: AtomicU64,
-    /// Heartbeat probes received (see `heartbeat_from`).
-    pub heartbeats_received: AtomicU64,
-}
-
 /// Per-daemon replication state: detector, peer endpoints, recovery
 /// queue, and the worker thread driving both.
 pub struct ReplicationManager {
@@ -100,7 +82,7 @@ pub struct ReplicationManager {
     /// death ([`plan_recovery`]), its value is that a drain leader
     /// dying mid-push cannot orphan the drain.
     draining: Vec<AtomicBool>,
-    counters: ReplCounters,
+    counters: DaemonCounters,
     stop: AtomicBool,
     seq: AtomicU64,
     repl_state: OrderedMutex<Option<std::thread::JoinHandle<()>>>,
@@ -182,7 +164,7 @@ impl ReplicationManager {
             backends,
             draining: (0..cluster_nodes).map(|_| AtomicBool::new(false)).collect(),
             backlog: OrderedMutex::new(rank::REPL_BACKLOG, VecDeque::new()),
-            counters: ReplCounters::default(),
+            counters: DaemonCounters::default(),
             stop: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             repl_state: OrderedMutex::new(rank::REPL_STATE, None),
@@ -228,8 +210,10 @@ impl ReplicationManager {
         self.cluster.replication.replicas
     }
 
-    /// Counters for stats assembly.
-    pub fn counters(&self) -> &ReplCounters {
+    /// This manager's block of daemon counters: the `repl_*` and
+    /// `heartbeats_*` names and `under_replicated_chunks`, which the
+    /// heartbeat replies piggyback too.
+    pub fn counters(&self) -> &DaemonCounters {
         &self.counters
     }
 
@@ -258,8 +242,8 @@ impl ReplicationManager {
         }
         HeartbeatResp {
             epoch: self.epoch,
-            under_replicated: self.counters.under_replicated.load(Ordering::Relaxed),
-            backlog: self.counters.backlog.load(Ordering::Relaxed),
+            under_replicated: self.counters.under_replicated_chunks.load(Ordering::Relaxed),
+            backlog: self.counters.repl_backlog.load(Ordering::Relaxed),
         }
     }
 
@@ -353,7 +337,7 @@ impl ReplicationManager {
         let mut q = self.backlog.lock();
         if !q.contains(&task) {
             q.push_back(task);
-            self.counters.backlog.store(q.len() as u64, Ordering::Relaxed);
+            self.counters.repl_backlog.store(q.len() as u64, Ordering::Relaxed);
         }
     }
 
@@ -373,7 +357,7 @@ impl ReplicationManager {
             let task = {
                 let mut q = self.backlog.lock();
                 let t = q.pop_front();
-                self.counters.backlog.store(q.len() as u64, Ordering::Relaxed);
+                self.counters.repl_backlog.store(q.len() as u64, Ordering::Relaxed);
                 t
             };
             let complete = match task {
@@ -431,7 +415,7 @@ impl ReplicationManager {
         if total == 0 {
             return true;
         }
-        self.counters.under_replicated.fetch_add(total, Ordering::Relaxed);
+        self.counters.under_replicated_chunks.fetch_add(total, Ordering::Relaxed);
         gkfs_common::gkfs_info!(
             "repl[{}]: {} of node {target}: {} metadata + {} chunk copies",
             self.self_id,
@@ -443,19 +427,19 @@ impl ReplicationManager {
         let mut complete = true;
         for (path, meta, dst) in meta_jobs {
             if self.push_meta(dst, &path, &meta).is_ok() {
-                self.counters.meta_copied.fetch_add(1, Ordering::Relaxed);
+                self.counters.repl_meta_copied.fetch_add(1, Ordering::Relaxed);
             } else {
                 complete = false;
             }
-            self.counters.under_replicated.fetch_sub(1, Ordering::Relaxed);
+            self.counters.under_replicated_chunks.fetch_sub(1, Ordering::Relaxed);
         }
         for (path, chunk_id, len, dst) in chunk_jobs {
             if self.push_chunk(dst, &path, chunk_id, len).is_ok() {
-                self.counters.chunks_copied.fetch_add(1, Ordering::Relaxed);
+                self.counters.repl_chunks_copied.fetch_add(1, Ordering::Relaxed);
             } else {
                 complete = false;
             }
-            self.counters.under_replicated.fetch_sub(1, Ordering::Relaxed);
+            self.counters.under_replicated_chunks.fetch_sub(1, Ordering::Relaxed);
         }
         complete
     }

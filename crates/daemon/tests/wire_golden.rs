@@ -168,7 +168,9 @@ fn every_message_encodes_to_its_pinned_bytes() {
     pin!(ChunkInventoryResp, ChunkInventoryResp { entries: vec![("/a".into(), 3), ("/b:x".into(), 1)] }, "02000000020000002f610300000000000000040000002f623a780100000000000000");
     pin!(ChunkInventoryResp, ChunkInventoryResp { entries: vec![] }, "00000000");
 
-    // Liveness and stats.
+    // Liveness and stats. The two `DaemonStatsResp` pins follow the list
+    // of daemon counters in `gkfs_common::metrics`, which declares the
+    // reply: a counter added there is a deliberate change here.
     pin!(HeartbeatReq, HeartbeatReq { from: 3, seq: 99 }, "03000000000000006300000000000000");
     pin!(HeartbeatReq, HeartbeatReq { from: 0, seq: 0 }, "00000000000000000000000000000000");
     pin!(HeartbeatResp, HeartbeatResp { epoch: 0xDEAD_BEEF, under_replicated: 4, backlog: 2 }, "efbeadde0000000004000000000000000200000000000000");
@@ -206,8 +208,15 @@ fn every_message_encodes_to_its_pinned_bytes() {
         meta_group_applies: 29,
         liveness: vec![0, 2, 1],
         request_copy_bytes: 30,
-    }, "0100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f00000000000000100000000000000011000000000000001200000000000000130000000000000014000000000000000200000000000000150000000000000016000000000000001700000000000000180000000000000019000000000000001a000000000000001b000000000000001c000000000000001d00000000000000030000000002011e00000000000000");
-    pin!(DaemonStatsResp, DaemonStatsResp::default(), "000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000");
+        storage_write_ops: 31,
+        storage_read_ops: 32,
+        dir_scans: 33,
+        served_inline: 34,
+        served_pooled: 35,
+        spun: 36,
+        spin_expired: 37,
+    }, "0200000000000000030000000000000004000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000001b000000000000001c000000000000001d000000000000001f000000000000000500000000000000200000000000000006000000000000000f00000000000000100000000000000011000000000000001200000000000000210000000000000013000000000000001400000000000000150000000000000016000000000000001700000000000000180000000000000019000000000000001a00000000000000010000000000000002000000000000001e00000000000000220000000000000023000000000000002400000000000000250000000000000003000000000201");
+    pin!(DaemonStatsResp, DaemonStatsResp::default(), "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000");
 
     // Bulk metadata plane.
     pin!(BatchMetaReq, BatchMetaReq {

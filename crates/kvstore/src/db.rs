@@ -76,6 +76,7 @@ use crate::merge::MergeOperator;
 use crate::sstable::{Table, TableBuilder, TableIter, Tag};
 use crate::wal::{replay, WalRecord};
 use gkfs_common::lock::{rank, Condvar, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
+use gkfs_common::metrics::DaemonCounters;
 use gkfs_common::wire::{Decoder, Encoder};
 use gkfs_common::{GkfsError, Result};
 use std::borrow::Cow;
@@ -125,45 +126,6 @@ impl Default for DbOptions {
             sync: false,
             merge_operator: None,
         }
-    }
-}
-
-/// Operational counters, readable at any time.
-#[derive(Debug, Default)]
-pub struct DbStats {
-    /// Point inserts/overwrites served.
-    pub puts: AtomicU64,
-    /// Point lookups served.
-    pub gets: AtomicU64,
-    /// Merge operands applied.
-    pub merges: AtomicU64,
-    /// Memtable flushes performed.
-    pub flushes: AtomicU64,
-    /// Full compactions performed.
-    pub compactions: AtomicU64,
-    /// Table probes a point lookup skipped thanks to a bloom-filter
-    /// miss.
-    pub bloom_skips: AtomicU64,
-    /// Episodes of a foreground thread waiting on the background
-    /// threads: a writer behind the frozen-memtable backlog or L0 at
-    /// the stall threshold, or a `flush()` caller.
-    pub stalls: AtomicU64,
-    /// Total time spent in those waits, in microseconds.
-    pub stall_micros: AtomicU64,
-    /// Point lookups resolved from an immutable (frozen, not yet
-    /// flushed) memtable.
-    pub imm_hits: AtomicU64,
-    /// Group-commit batches written (one `append_log`, at most one
-    /// `sync_log` each).
-    pub group_commits: AtomicU64,
-    /// Total records covered by those batches; `records / batches` is
-    /// the mean group size.
-    pub group_commit_records: AtomicU64,
-}
-
-impl DbStats {
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -255,7 +217,7 @@ pub struct WriteView<'a> {
 impl WriteView<'_> {
     /// Point lookup (as [`Db::get`]).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        DbStats::bump(&self.db.stats.gets);
+        self.db.stats.kv_gets.fetch_add(1, Ordering::Relaxed);
         let top = self.mem.get(key).cloned();
         self.db.lookup(self.ver, &self.ver.imm, top, key)
     }
@@ -368,7 +330,7 @@ impl GroupCommit {
         &'a self,
         mut gc: OrderedMutexGuard<'a, GcState>,
         store: &dyn BlobStore,
-        stats: &DbStats,
+        stats: &DaemonCounters,
     ) -> (OrderedMutexGuard<'a, GcState>, Result<()>) {
         let buf = std::mem::take(&mut gc.pending);
         let nrec = std::mem::replace(&mut gc.pending_records, 0);
@@ -392,8 +354,8 @@ impl GroupCommit {
             gc.pending_records += nrec;
         } else if nrec > 0 {
             gc.written_seq = gc.written_seq.max(target);
-            DbStats::bump(&stats.group_commits);
-            stats.group_commit_records.fetch_add(nrec, Ordering::Relaxed);
+            stats.kv_group_commits.fetch_add(1, Ordering::Relaxed);
+            stats.kv_group_commit_records.fetch_add(nrec, Ordering::Relaxed);
         }
         if do_sync && res.is_ok() {
             gc.synced_seq = gc.written_seq;
@@ -405,7 +367,7 @@ impl GroupCommit {
     /// Wait until `seq` is in the log (and synced, when `sync`). The
     /// first waiter to find no leader active becomes the leader and
     /// writes every queued frame on behalf of all.
-    fn commit(&self, seq: u64, sync: bool, store: &dyn BlobStore, stats: &DbStats) -> Result<()> {
+    fn commit(&self, seq: u64, sync: bool, store: &dyn BlobStore, stats: &DaemonCounters) -> Result<()> {
         let mut gc = self.state.lock();
         if sync && gc.sync_wanted < seq {
             gc.sync_wanted = seq;
@@ -435,7 +397,7 @@ impl GroupCommit {
     /// — writers enqueue under the version *read* lock). Returns the
     /// sealed segment id and the highest sequence number it can
     /// contain.
-    fn seal_and_rotate(&self, store: &dyn BlobStore, stats: &DbStats) -> Result<(u64, u64)> {
+    fn seal_and_rotate(&self, store: &dyn BlobStore, stats: &DaemonCounters) -> Result<(u64, u64)> {
         let max_seq;
         {
             let mut gc = self.state.lock();
@@ -479,7 +441,7 @@ struct DbInner {
     store: Arc<dyn BlobStore>,
     opts: DbOptions,
     next_id: AtomicU64,
-    stats: DbStats,
+    stats: DaemonCounters,
     gc: GroupCommit,
     /// Highest sequence number resolved into an SSTable (mirrors the
     /// manifest); replay skips records at or below it.
@@ -523,16 +485,16 @@ fn apply(
     mem: &mut MemTable,
     rec: WalRecord,
     merge_op: &Option<Arc<dyn MergeOperator>>,
-    stats: &DbStats,
+    stats: &DaemonCounters,
 ) -> Result<()> {
     match rec {
         WalRecord::Put { key, value } => {
-            DbStats::bump(&stats.puts);
+            stats.kv_puts.fetch_add(1, Ordering::Relaxed);
             mem.put(key, value);
         }
         WalRecord::Delete { key } => mem.delete(key),
         WalRecord::Merge { key, operand } => {
-            DbStats::bump(&stats.merges);
+            stats.kv_merges.fetch_add(1, Ordering::Relaxed);
             mem.merge(key, operand, require(merge_op)?);
         }
         WalRecord::Batch(inner) => {
@@ -580,7 +542,7 @@ impl Db {
         // traffic: they count in no statistic.
         let mut mem = MemTable::new();
         let mut max_seq = flushed_seq;
-        let replayed = DbStats::default();
+        let replayed = DaemonCounters::default();
         if opts.wal {
             let log = store.read_logs().unwrap_or_default();
             for (seq, rec) in replay(&log)? {
@@ -607,7 +569,7 @@ impl Db {
             store,
             opts,
             next_id: AtomicU64::new(next_id),
-            stats: DbStats::default(),
+            stats: DaemonCounters::default(),
             gc: GroupCommit::new(next_seq),
             flushed_seq: AtomicU64::new(flushed_seq),
             manifest_lock: OrderedMutex::new(rank::KV_MANIFEST, ()),
@@ -645,8 +607,9 @@ impl Db {
         Db::open(Arc::new(FsBlobStore::open(dir)?), opts)
     }
 
-    /// Stats.
-    pub fn stats(&self) -> &DbStats {
+    /// This store's block of daemon counters: the `kv_*` names, and
+    /// the `meta_*` ones its metadata backend counts.
+    pub fn stats(&self) -> &DaemonCounters {
         &self.inner.stats
     }
 
@@ -723,7 +686,7 @@ impl Db {
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        DbStats::bump(&self.inner.stats.gets);
+        self.inner.stats.kv_gets.fetch_add(1, Ordering::Relaxed);
         let ver = self.inner.snapshot();
         let top = ver.mem.read().get(key).cloned();
         self.inner.lookup(&ver, &ver.imm, top, key)
@@ -938,7 +901,7 @@ impl DbInner {
                 break;
             }
             if let Some(v) = imm.mem.read().get(key) {
-                DbStats::bump(&self.stats.imm_hits);
+                self.stats.kv_imm_hits.fetch_add(1, Ordering::Relaxed);
                 base = see(v.clone());
             }
         }
@@ -947,7 +910,7 @@ impl DbInner {
                 break;
             }
             if !th.table.may_contain(key) {
-                DbStats::bump(&self.stats.bloom_skips);
+                self.stats.kv_bloom_skips.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             base = th.table.get(key)?.map(|(tag, v)| (tag == Tag::Put).then(|| v.to_vec()));
@@ -1064,7 +1027,7 @@ impl DbInner {
             }
             if writer && stalled.is_none() {
                 stalled = Some(Instant::now());
-                DbStats::bump(&self.stats.stalls);
+                self.stats.kv_stalls.fetch_add(1, Ordering::Relaxed);
             }
             if w.stop {
                 drop(w);
@@ -1081,21 +1044,27 @@ impl DbInner {
         };
         if let Some(since) = stalled {
             let micros = since.elapsed().as_micros() as u64;
-            self.stats.stall_micros.fetch_add(micros, Ordering::Relaxed);
+            self.stats.kv_stall_micros.fetch_add(micros, Ordering::Relaxed);
         }
         res
     }
 
     /// L0 backpressure, applied before any write lock is taken: slow
     /// writers down as L0 grows, stop them at the stall threshold
-    /// until the background compactor catches up.
+    /// until the background compactor catches up. Both count as
+    /// stalls.
     fn write_pressure(&self) -> Result<()> {
         let l0 = self.snapshot().l0.len();
         if l0 >= self.opts.l0_stall_threshold {
             self.wait_bg(Bg::Compactor, true, |ver| ver.l0.len() < self.opts.l0_stall_threshold)?;
         } else if l0 >= self.opts.l0_slowdown_threshold {
+            // Each sleep is one stall of the time it asks for; no
+            // clock is read.
+            const SLOWDOWN: Duration = Duration::from_millis(1);
             self.request_compaction();
-            std::thread::sleep(Duration::from_millis(1));
+            self.stats.kv_stalls.fetch_add(1, Ordering::Relaxed);
+            self.stats.kv_stall_micros.fetch_add(SLOWDOWN.as_micros() as u64, Ordering::Relaxed);
+            std::thread::sleep(SLOWDOWN);
         }
         Ok(())
     }
@@ -1216,7 +1185,7 @@ impl DbInner {
                 Ok(ver.imm.len() < queued)
             })?;
             if let Some(ids) = &ids {
-                DbStats::bump(&self.stats.flushes);
+                self.stats.kv_flushes.fetch_add(1, Ordering::Relaxed);
                 self.flushed_seq.fetch_max(imm.max_seq, Ordering::SeqCst);
                 self.write_manifest(ids)?;
             }
@@ -1243,7 +1212,7 @@ impl DbInner {
         if base.l0.is_empty() && base.l1.len() <= 1 {
             return Ok(());
         }
-        DbStats::bump(&self.stats.compactions);
+        self.stats.kv_compactions.fetch_add(1, Ordering::Relaxed);
 
         // Emit live entries into size-bounded output tables. This is a
         // *full* compaction over a snapshot of both levels, so
@@ -2029,7 +1998,7 @@ mod tests {
     fn empty_batch_is_noop() {
         let db = Db::open_memory(DbOptions::default()).unwrap();
         db.write(WriteBatch::new()).unwrap();
-        assert_eq!(db.stats().puts.load(Ordering::Relaxed), 0);
+        assert_eq!(db.stats().kv_puts.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -2074,7 +2043,7 @@ mod tests {
             assert!(db.get(format!("/absent/{i}").as_bytes()).unwrap().is_none());
         }
         assert!(
-            db.stats().bloom_skips.load(Ordering::Relaxed) > 150,
+            db.stats().kv_bloom_skips.load(Ordering::Relaxed) > 150,
             "bloom filters should have skipped most absent lookups"
         );
     }
@@ -2091,7 +2060,7 @@ mod tests {
             db.flush().unwrap(); // three more in L0
         }
         assert_eq!(db.level_shape(), (0, 0, 3, 1));
-        let skips = || db.stats().bloom_skips.load(Ordering::Relaxed);
+        let skips = || db.stats().kv_bloom_skips.load(Ordering::Relaxed);
         let before = skips();
         assert!(db.get(b"/nowhere").unwrap().is_none());
         assert_eq!(skips() - before, 4);
@@ -2210,7 +2179,7 @@ mod tests {
             Some(&[1u8; 64][..])
         );
         assert!(
-            db.stats().imm_hits.load(Ordering::Relaxed) > 0,
+            db.stats().kv_imm_hits.load(Ordering::Relaxed) > 0,
             "read should have been served by a frozen memtable"
         );
         db.flush().unwrap();
@@ -2358,12 +2327,12 @@ mod tests {
             });
             parked.recv().unwrap();
             s.spawn(move || {
-                let flushes = db.stats().flushes.load(Ordering::Relaxed);
+                let flushes = db.stats().kv_flushes.load(Ordering::Relaxed);
                 for i in 0..300 {
                     db.put(format!("/x/{i:04}").as_bytes(), &[1u8; 4096]).unwrap();
                 }
                 db.flush().unwrap();
-                assert!(db.stats().flushes.load(Ordering::Relaxed) > flushes, "a rotation");
+                assert!(db.stats().kv_flushes.load(Ordering::Relaxed) > flushes, "a rotation");
                 assert!(db.get(b"/w/0000").unwrap().is_some());
                 done_tx.send(()).unwrap();
             });
@@ -2372,6 +2341,28 @@ mod tests {
             assert!(finished.is_ok(), "a writer waited on a walk's visitor");
             assert_eq!(walker.join().unwrap(), 2 * STEP, "the walk saw its snapshot's keys");
         });
+    }
+
+    /// An L0 slowdown is a stall: each 1 ms sleep counts one episode
+    /// and the time it asked for.
+    #[test]
+    fn an_l0_slowdown_counts_as_a_stall() {
+        let db = Db::open_memory(DbOptions {
+            l0_compaction_trigger: 100,
+            l0_slowdown_threshold: 1,
+            l0_stall_threshold: 100,
+            ..DbOptions::default()
+        })
+        .unwrap();
+        db.put(b"/a", b"1").unwrap();
+        db.flush().unwrap();
+        let s = db.stats();
+        let stalls = || (s.kv_stalls.load(Ordering::Relaxed), s.kv_stall_micros.load(Ordering::Relaxed));
+        assert_eq!(stalls(), (0, 0), "below the slowdown threshold, and a flush is no stall");
+        // One table in L0: this put sleeps, and asks for the compaction
+        // that takes L0 back below the threshold.
+        db.put(b"/b", b"2").unwrap();
+        assert_eq!(stalls(), (1, 1000));
     }
 
     /// Backpressure engages when background work falls behind, and the
@@ -2396,15 +2387,15 @@ mod tests {
         }
         // Read before the flush below: only writers held up count.
         let s = db.stats();
-        let (stalls, micros) = (s.stalls.load(Ordering::Relaxed), s.stall_micros.load(Ordering::Relaxed));
+        let (stalls, micros) = (s.kv_stalls.load(Ordering::Relaxed), s.kv_stall_micros.load(Ordering::Relaxed));
         assert!(stalls > 0 && micros > 0, "tiny memtable + slow store must trip backpressure");
         db.flush().unwrap();
         // With the backlog drained, a flush's own wait (one table on
         // the slow store) is not back-pressure.
         db.put(b"/s/0000", &[7u8; 32]).unwrap();
-        let stalls = s.stalls.load(Ordering::Relaxed);
+        let stalls = s.kv_stalls.load(Ordering::Relaxed);
         db.flush().unwrap();
-        assert_eq!(s.stalls.load(Ordering::Relaxed), stalls, "an explicit flush is not a stall");
+        assert_eq!(s.kv_stalls.load(Ordering::Relaxed), stalls, "an explicit flush is not a stall");
         assert_eq!(db.len().unwrap(), 300);
         for i in (0..300).step_by(37) {
             assert_eq!(
@@ -2585,8 +2576,8 @@ mod tests {
                 });
             }
         });
-        let commits = db.stats().group_commits.load(Ordering::Relaxed);
-        let records = db.stats().group_commit_records.load(Ordering::Relaxed);
+        let commits = db.stats().kv_group_commits.load(Ordering::Relaxed);
+        let records = db.stats().kv_group_commit_records.load(Ordering::Relaxed);
         assert_eq!(records, 400, "every record must pass through a leader");
         assert!(
             commits < 400,

@@ -54,5 +54,5 @@ pub mod sstable;
 pub mod wal;
 
 pub use blobstore::{BlobStore, FsBlobStore, MemBlobStore};
-pub use db::{Db, DbOptions, DbStats, WriteBatch, WriteView};
+pub use db::{Db, DbOptions, WriteBatch, WriteView};
 pub use merge::{Add64MergeOperator, MergeOperator};

@@ -100,32 +100,29 @@ impl ChaosConfig {
     }
 }
 
-/// Counts of injected faults, for assertions that chaos actually ran.
-#[derive(Debug, Default)]
-pub struct ChaosStats {
-    /// Requests swallowed.
-    pub dropped_requests: AtomicU64,
-    /// Replies swallowed.
-    pub dropped_replies: AtomicU64,
-    /// Requests delivered twice.
-    pub duplicates: AtomicU64,
-    /// Frames corrupted (endpoint injector: corruption errors).
-    pub corruptions: AtomicU64,
-    /// Connections reset (endpoint injector: reset errors).
-    pub resets: AtomicU64,
-    /// Delays injected.
-    pub delays: AtomicU64,
+gkfs_common::counters! {
+    /// Counts of injected faults, for assertions that chaos actually ran.
+    #[derive(Debug, Default)]
+    pub struct ChaosStats {
+        /// Requests swallowed.
+        pub dropped_requests: AtomicU64,
+        /// Replies swallowed.
+        pub dropped_replies: AtomicU64,
+        /// Requests delivered twice.
+        pub duplicates: AtomicU64,
+        /// Frames corrupted (endpoint injector: corruption errors).
+        pub corruptions: AtomicU64,
+        /// Connections reset (endpoint injector: reset errors).
+        pub resets: AtomicU64,
+        /// Delays injected.
+        pub delays: AtomicU64,
+    }
 }
 
 impl ChaosStats {
     /// Total faults injected so far.
     pub fn total(&self) -> u64 {
-        self.dropped_requests.load(Ordering::Relaxed)
-            + self.dropped_replies.load(Ordering::Relaxed)
-            + self.duplicates.load(Ordering::Relaxed)
-            + self.corruptions.load(Ordering::Relaxed)
-            + self.resets.load(Ordering::Relaxed)
-            + self.delays.load(Ordering::Relaxed)
+        self.fields().iter().map(|&(_, n)| n).sum()
     }
 }
 

@@ -24,6 +24,9 @@ use crate::message::{Request, Response};
 use crate::transport::SMALL_FRAME;
 use bytes::Bytes;
 use gkfs_common::types::Dirent;
+/// Emitted by the one list of daemon counters in
+/// [`gkfs_common::metrics`].
+pub use gkfs_common::metrics::DaemonStatsResp;
 pub use gkfs_common::wire::Wire;
 use gkfs_common::wire::{Decoder, Encoder};
 use gkfs_common::{wire_struct, FileKind, GkfsError, Metadata, Result};
@@ -515,83 +518,6 @@ wire_struct! {
         pub keep_chunk: u64,
         /// Keep bytes.
         pub keep_bytes: u64,
-    }
-}
-
-wire_struct! {
-    /// `DaemonStats` response: a flat counter snapshot.
-    #[derive(Debug, Clone, PartialEq, Eq, Default)]
-    pub struct DaemonStatsResp {
-        /// Meta entries.
-        pub meta_entries: u64,
-        /// Kv puts.
-        pub kv_puts: u64,
-        /// Kv gets.
-        pub kv_gets: u64,
-        /// Kv merges.
-        pub kv_merges: u64,
-        /// Storage write bytes.
-        pub storage_write_bytes: u64,
-        /// Storage read bytes.
-        pub storage_read_bytes: u64,
-        /// Memtable flushes completed by the background flush thread.
-        pub kv_flushes: u64,
-        /// L0→L1 compactions completed by the background thread.
-        pub kv_compactions: u64,
-        /// Write stalls (full episodes where writers waited on backlog).
-        pub kv_stalls: u64,
-        /// Total microseconds writers spent stalled.
-        pub kv_stall_micros: u64,
-        /// Reads served from a frozen (immutable) memtable.
-        pub kv_imm_hits: u64,
-        /// WAL group commits (shared append/fsync batches).
-        pub kv_group_commits: u64,
-        /// Records carried by those group commits.
-        pub kv_group_commit_records: u64,
-        /// Table probes skipped by bloom filters.
-        pub kv_bloom_skips: u64,
-        /// Chunk tasks run on the I/O pool's workers.
-        pub chunk_tasks_spawned: u64,
-        /// Chunk tasks run inline on the handler (pool saturated or serial
-        /// mode).
-        pub chunk_inline_runs: u64,
-        /// Open-fd cache hits in the chunk store.
-        pub fd_cache_hits: u64,
-        /// Open-fd cache misses (each one cost an `open(2)`).
-        pub fd_cache_misses: u64,
-        /// Batch ops merged into a neighbor's syscall by coalescing.
-        pub coalesced_ops: u64,
-        /// Bytes copied compacting read replies after short reads (zero on
-        /// the scatter/gather happy path).
-        pub read_reply_copy_bytes: u64,
-        /// Configured copies per chunk/metadata entry (1 = replication off).
-        pub replication_factor: u64,
-        /// Chunks this daemon believes are missing a replica right now.
-        pub under_replicated_chunks: u64,
-        /// Re-replication tasks queued but not yet completed.
-        pub repl_backlog: u64,
-        /// Chunks pushed to a recovery target since startup.
-        pub repl_chunks_copied: u64,
-        /// Metadata entries pushed to a recovery target since startup.
-        pub repl_meta_copied: u64,
-        /// Heartbeat probes sent by this daemon.
-        pub heartbeats_sent: u64,
-        /// Heartbeat probes answered by this daemon.
-        pub heartbeats_received: u64,
-        /// `BatchMeta` frames group-applied by this daemon.
-        pub meta_batches: u64,
-        /// Individual metadata ops carried inside those frames.
-        pub meta_batch_ops: u64,
-        /// Batches that staged at least one mutation and committed a
-        /// kvstore `WriteBatch` (one WAL record / fsync each).
-        pub meta_group_applies: u64,
-        /// This daemon's liveness verdict for each peer
-        /// (`gkfs_common::health::Liveness` wire form, self included).
-        pub liveness: Vec<u8>,
-        /// Request body/bulk bytes this daemon's TCP server copied again
-        /// after reading them off the socket (zero while requests are
-        /// views of their received frame; zero without a TCP server).
-        pub request_copy_bytes: u64,
     }
 }
 
@@ -1136,7 +1062,7 @@ mod tests {
         );
         check_hostile_count(&ReadChunksResp { lens: vec![], missing: vec![] }, 0);
         check_hostile_count(&RemoveChunksReq { path: String::new(), ids: vec![] }, 4);
-        check_hostile_count(&DaemonStatsResp::default(), 30 * 8);
+        check_hostile_count(&DaemonStatsResp::default(), DaemonStatsResp::MIN_LEN - 4);
         check_hostile_count(&ChunkInventoryResp::default(), 0);
         check_hostile_count(&BatchMetaReq::default(), 0);
         check_hostile_count(&BatchMetaResp::default(), 0);

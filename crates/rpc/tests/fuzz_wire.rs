@@ -126,7 +126,7 @@ const CHUNK_BATCHES: &[&str] = &[
     "050000002f646174610200000000000000000000006400000000000000900100000000000003000000000000000000000000000000ffffffffffffffff",
     "0000000000000000",
 ];
-const STATS: &str = "0100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000000f00000000000000100000000000000011000000000000001200000000000000130000000000000014000000000000000200000000000000150000000000000016000000000000001700000000000000180000000000000019000000000000001a000000000000001b000000000000001c000000000000001d00000000000000030000000002011e00000000000000";
+const STATS: &str = "0200000000000000030000000000000004000000000000000700000000000000080000000000000009000000000000000a000000000000000b000000000000000c000000000000000d000000000000000e000000000000001b000000000000001c000000000000001d000000000000001f000000000000000500000000000000200000000000000006000000000000000f00000000000000100000000000000011000000000000001200000000000000210000000000000013000000000000001400000000000000150000000000000016000000000000001700000000000000180000000000000019000000000000001a00000000000000010000000000000002000000000000001e00000000000000220000000000000023000000000000002400000000000000250000000000000003000000000201";
 
 /// The corpus, by opcode — a `match`, so a row added to the table does
 /// not compile until it has one.

@@ -78,11 +78,11 @@
 //! overload collapses to serial behavior instead of queuing without
 //! bound.
 
-use crate::stats::StorageStats;
 use crate::{check_write_windows, segment, to_usize, validate_dense_layout};
 use crate::{BatchCompletion, BatchOp, BatchOutput, BatchPayload, ChunkStorage, SegmentResult};
 use gkfs_common::hash::fnv1a64;
 use gkfs_common::lock::{rank, OrderedMutex};
+use gkfs_common::metrics::DaemonCounters;
 use gkfs_common::{GkfsError, IoBackend, Result, TaskPool};
 use std::collections::HashMap;
 use std::fs;
@@ -201,7 +201,7 @@ impl FdShard {
 struct Inner {
     chunk_root: PathBuf,
     fd_shards: Vec<OrderedMutex<FdShard>>,
-    stats: StorageStats,
+    stats: DaemonCounters,
 }
 
 /// Chunk store rooted at a directory on the node-local file system.
@@ -395,10 +395,10 @@ impl Inner {
     fn chunk_fd(&self, path: &str, chunk_id: u64, create: bool) -> Result<Option<Arc<fs::File>>> {
         let hit = self.fd_shard(path, chunk_id).lock().hit(path, chunk_id);
         if hit.is_some() {
-            self.stats.fd_hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.fd_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(hit);
         }
-        self.stats.fd_misses.fetch_add(1, Ordering::Relaxed);
+        self.stats.fd_cache_misses.fetch_add(1, Ordering::Relaxed);
         let Some(cpath) = self.chunk_path(path, chunk_id) else {
             if !create {
                 return Ok(None);
@@ -467,7 +467,8 @@ impl Inner {
             let (end, len) = self.run_end(ops, i);
             let a = to_usize(ops[i].buf_offset);
             let data = &bulk[a..a + to_usize(len)];
-            self.stats.record_write(data.len());
+            self.stats.storage_write_ops.fetch_add(1, Ordering::Relaxed);
+            self.stats.storage_write_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
             // `None` cannot happen with `create`; an error, not a
             // panic, in the daemon's data path if it ever does.
             let file = self.chunk_fd(path, ops[i].chunk_id, true)?.ok_or(GkfsError::NotFound)?;
@@ -501,7 +502,8 @@ impl Inner {
                 None => 0,
             };
             window[n..].fill(MaybeUninit::new(0));
-            self.stats.record_read(n);
+            self.stats.storage_read_ops.fetch_add(1, Ordering::Relaxed);
+            self.stats.storage_read_bytes.fetch_add(n as u64, Ordering::Relaxed);
             let mut rel = 0u64;
             for op in &ops[i..end] {
                 lens.push((n as u64).saturating_sub(rel).min(op.len));
@@ -553,7 +555,7 @@ impl FileChunkStorage {
                 fd_shards: (0..FD_SHARDS)
                     .map(|_| OrderedMutex::new(rank::STORAGE_FD_SHARD, FdShard::default()))
                     .collect(),
-                stats: StorageStats::default(),
+                stats: DaemonCounters::default(),
             }),
             pool,
         })
@@ -572,10 +574,10 @@ impl FileChunkStorage {
     fn dispatch(&self, pool: &TaskPool, job: Box<dyn FnOnce() + Send>) {
         match pool.try_submit(job) {
             Ok(()) => {
-                self.inner.stats.tasks_spawned.fetch_add(1, Ordering::Relaxed);
+                self.inner.stats.chunk_tasks_spawned.fetch_add(1, Ordering::Relaxed);
             }
             Err(job) => {
-                self.inner.stats.tasks_inline.fetch_add(1, Ordering::Relaxed);
+                self.inner.stats.chunk_inline_runs.fetch_add(1, Ordering::Relaxed);
                 job(); // caller-runs: the submitting thread absorbs overflow
             }
         }
@@ -763,7 +765,7 @@ impl ChunkStorage for FileChunkStorage {
         Ok(counts.into_iter().map(|(e, n)| (unescape_path(&e), n)).collect())
     }
 
-    fn stats(&self) -> &StorageStats {
+    fn stats(&self) -> &DaemonCounters {
         &self.inner.stats
     }
 }
@@ -913,8 +915,8 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(s.read_chunk("/hot", 0, 0, 4).unwrap(), b"abcd");
         }
-        let hits = s.stats().fd_hits.load(Ordering::Relaxed);
-        let misses = s.stats().fd_misses.load(Ordering::Relaxed);
+        let hits = s.stats().fd_cache_hits.load(Ordering::Relaxed);
+        let misses = s.stats().fd_cache_misses.load(Ordering::Relaxed);
         assert_eq!(misses, 1, "one open for write, reads reuse it");
         assert!(hits >= 10, "reads must hit the fd cache, got {hits}");
         fs::remove_dir_all(&dir).unwrap();
@@ -955,9 +957,9 @@ mod tests {
         assert!(!cached("/p", 1) && !cached("/p", 2));
         let cached_total: usize = s.inner.fd_shards.iter().map(|sh| sh.lock().len).sum();
         assert_eq!(cached_total, 2, "the entry count follows the map");
-        let misses = s.stats().fd_misses.load(Ordering::Relaxed);
+        let misses = s.stats().fd_cache_misses.load(Ordering::Relaxed);
         assert_eq!(s.read_chunk("/q", 1, 0, 1).unwrap(), b"q");
-        assert_eq!(s.stats().fd_misses.load(Ordering::Relaxed), misses, "neighbour still cached");
+        assert_eq!(s.stats().fd_cache_misses.load(Ordering::Relaxed), misses, "neighbour still cached");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -986,7 +988,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let s = FileChunkStorage::open(&dir).unwrap();
         let inner = &s.inner;
-        let misses = || s.stats().fd_misses.load(Ordering::Relaxed);
+        let misses = || s.stats().fd_cache_misses.load(Ordering::Relaxed);
         let start = std::sync::Barrier::new(2);
         let mut double_miss = false;
         for id in 0..20_000u64 {
@@ -1086,7 +1088,7 @@ mod tests {
                 r.join().unwrap();
             }
         });
-        assert_eq!(s.stats().fd_misses.load(Ordering::Relaxed), 1, "the cut keeps the descriptor warm");
+        assert_eq!(s.stats().fd_cache_misses.load(Ordering::Relaxed), 1, "the cut keeps the descriptor warm");
         assert_eq!(s.read_chunk("/cut", 0, 0, LONG as u64).unwrap(), full);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1179,7 +1181,7 @@ mod tests {
         let out = rc.wait().unwrap();
         assert_eq!(out.lens, vec![4096; 4]);
         assert_eq!(out.data, bulk);
-        let spawned = s.stats().tasks_spawned.load(Ordering::Relaxed);
+        let spawned = s.stats().chunk_tasks_spawned.load(Ordering::Relaxed);
         assert!(spawned > 0, "pool engine must actually spawn tasks");
         fs::remove_dir_all(&dir).unwrap();
     }

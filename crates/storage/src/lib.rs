@@ -21,11 +21,9 @@
 
 pub mod file;
 pub mod mem;
-pub mod stats;
 
 pub use file::FileChunkStorage;
 pub use mem::MemChunkStorage;
-pub use stats::StorageStats;
 
 use bytes::Bytes;
 use gkfs_common::{GkfsError, Result};
@@ -360,8 +358,10 @@ pub trait ChunkStorage: Send + Sync {
     /// copies a file's local chunks to a replica successor.
     fn list_chunks(&self, path: &str) -> Result<Vec<(u64, u64)>>;
 
-    /// Operational counters.
-    fn stats(&self) -> &StorageStats;
+    /// This store's block of daemon counters: the `storage_*`,
+    /// `chunk_*` and `fd_cache_*` names, `dir_scans`, `coalesced_ops`,
+    /// and the `read_reply_copy_bytes` the daemon's read replies count.
+    fn stats(&self) -> &gkfs_common::metrics::DaemonCounters;
 }
 
 #[cfg(test)]
@@ -772,10 +772,10 @@ mod contract_tests {
             s.write_chunk("/st", 0, 0, &[1u8; 100]).unwrap();
             let _ = s.read_chunk("/st", 0, 0, 100).unwrap();
             let st = s.stats();
-            assert_eq!(st.write_ops.load(Ordering::Relaxed), 1, "{name}");
-            assert_eq!(st.write_bytes.load(Ordering::Relaxed), 100, "{name}");
-            assert_eq!(st.read_ops.load(Ordering::Relaxed), 1, "{name}");
-            assert_eq!(st.read_bytes.load(Ordering::Relaxed), 100, "{name}");
+            assert_eq!(st.storage_write_ops.load(Ordering::Relaxed), 1, "{name}");
+            assert_eq!(st.storage_write_bytes.load(Ordering::Relaxed), 100, "{name}");
+            assert_eq!(st.storage_read_ops.load(Ordering::Relaxed), 1, "{name}");
+            assert_eq!(st.storage_read_bytes.load(Ordering::Relaxed), 100, "{name}");
         }
     }
 }

@@ -10,13 +10,14 @@
 //! synchronously: parallel fan-out only pays off on the file backend
 //! (see EXPERIMENTS.md).
 
-use crate::stats::StorageStats;
 use crate::{check_write_windows, to_usize, validate_dense_layout};
 use crate::{BatchCompletion, BatchOp, BatchOutput, BatchPayload, ChunkStorage};
 use gkfs_common::hash::fnv1a64;
 use gkfs_common::Result;
 use gkfs_common::lock::{rank, OrderedRwLock};
+use gkfs_common::metrics::DaemonCounters;
 use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 
 const SHARDS: usize = 16;
 
@@ -25,7 +26,7 @@ type ChunkMap = HashMap<String, HashMap<u64, Vec<u8>>>;
 /// Heap-backed chunk store.
 pub struct MemChunkStorage {
     shards: Vec<OrderedRwLock<ChunkMap>>,
-    stats: StorageStats,
+    stats: DaemonCounters,
 }
 
 impl Default for MemChunkStorage {
@@ -41,7 +42,7 @@ impl MemChunkStorage {
             shards: (0..SHARDS)
                 .map(|_| OrderedRwLock::new(rank::STORAGE_SHARD, HashMap::new()))
                 .collect(),
-            stats: StorageStats::default(),
+            stats: DaemonCounters::default(),
         }
     }
 
@@ -69,7 +70,8 @@ impl MemChunkStorage {
         let chunks = shard.entry(path.to_string()).or_default();
         for op in ops {
             let (offset, len) = (to_usize(op.offset), to_usize(op.len));
-            self.stats.record_write(len);
+            self.stats.storage_write_ops.fetch_add(1, Ordering::Relaxed);
+            self.stats.storage_write_bytes.fetch_add(len as u64, Ordering::Relaxed);
             let chunk = chunks.entry(op.chunk_id).or_default();
             let end = offset + len;
             if chunk.len() < end {
@@ -95,7 +97,8 @@ impl MemChunkStorage {
                 }
                 None => 0,
             };
-            self.stats.record_read(n);
+            self.stats.storage_read_ops.fetch_add(1, Ordering::Relaxed);
+            self.stats.storage_read_bytes.fetch_add(n as u64, Ordering::Relaxed);
             lens.push(n as u64);
         }
         lens
@@ -178,7 +181,7 @@ impl ChunkStorage for MemChunkStorage {
         Ok(out)
     }
 
-    fn stats(&self) -> &StorageStats {
+    fn stats(&self) -> &DaemonCounters {
         &self.stats
     }
 }

@@ -23,8 +23,11 @@ done
 echo "==> gkfs-lint (GKL001/006 lock-rank descent, GKL002 blocking under a guard, GKL008 wire-sized allocation)"
 # The static checks run before anything else, so that a lock-hierarchy
 # or safety violation fails fast, without waiting for a release build
-# and the test suite.
-cargo run -p gkfs-lint -- --deny-all
+# and the test suite. On a GitHub runner --github also emits
+# workflow-command annotations, so findings show up inline on the diff.
+lint_flags=(--deny-all)
+[ -n "${GITHUB_ACTIONS:-}" ] && lint_flags+=(--github)
+cargo run -p gkfs-lint -- "${lint_flags[@]}"
 
 echo "==> cargo clippy -- -D warnings (unwrap/expect in rpc/daemon/client, wall clock in sim, SAFETY comments, unread completions, narrowing casts in rpc/storage/wire)"
 # The rules that are declarations rustc and clippy enforce: crate-root

@@ -455,7 +455,7 @@ fn a_small_file_costs_one_frame_to_ingest_and_one_rpc_to_unlink() {
             (0..3)
                 .flat_map(|n| {
                     let st = cluster.daemon(n).backends().data.stats();
-                    [&st.write_ops, &st.read_ops, &st.fd_hits, &st.fd_misses, &st.dir_scans, &st.tasks_spawned, &st.tasks_inline]
+                    [&st.storage_write_ops, &st.storage_read_ops, &st.fd_cache_hits, &st.fd_cache_misses, &st.dir_scans, &st.chunk_tasks_spawned, &st.chunk_inline_runs]
                         .map(|c| c.load(Ordering::Relaxed))
                 })
                 .collect()
@@ -471,7 +471,7 @@ fn a_small_file_costs_one_frame_to_ingest_and_one_rpc_to_unlink() {
 /// An unlink of a file whose size the client knows reaches every holder
 /// with the chunk ids that holder was placed — unary and batched alike —
 /// so the file-backed store unlinks those names and enumerates no
-/// directory (`StorageStats::dir_scans`, a count kept off the wire),
+/// directory (the chunk store's `dir_scans`),
 /// and what it removed is everything: no chunk file is left on disk.
 #[test]
 fn known_size_unlink_names_its_chunks_and_reads_no_directory() {
