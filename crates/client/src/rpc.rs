@@ -278,6 +278,7 @@ impl<'a, T> ReplyFuture<'a, T> {
                     }
                     let pause = deadline.clamp(policy.backoff(salt, attempt - 1));
                     if !pause.is_zero() {
+                        gkfs_common::lock::assert_unguarded("sleep");
                         std::thread::sleep(pause);
                     }
                     if deadline.expired() {

@@ -27,8 +27,8 @@
 //! * [`health`] — the threshold failure detector behind heartbeat
 //!   liveness (`Alive`/`Suspect`/`Dead`) on both clients and daemons.
 //! * [`lock`] — ranked mutex/rwlock wrappers enforcing the global lock
-//!   hierarchy (strictly descending acquisition), validated at runtime
-//!   in debug builds and lexically by `gkfs-lint`.
+//!   hierarchy (strictly descending acquisition, nothing held where a
+//!   thread blocks), validated at runtime in debug builds.
 //! * [`taskpool`] — bounded worker pool with caller-runs overflow, the
 //!   daemon's stand-in for Argobots ULT dispatch (§III-B).
 

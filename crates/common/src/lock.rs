@@ -23,25 +23,26 @@
 //! acquisition and wait: a panic under a guard leaves the lock usable
 //! and the data as the panicking thread left it.
 //!
-//! In debug and test builds two validation layers run:
+//! In debug and test builds a **thread-local held-rank stack** checks
+//! each acquisition: the new rank must be strictly below the most
+//! recently acquired held rank (the stack is strictly decreasing by
+//! construction, so its last element is its minimum), or the thread
+//! panics with the full held stack and a captured backtrace. Every
+//! edge a thread takes thus runs from a higher rank to a lower one, so
+//! no two paths can take the same ranks in opposite orders: the
+//! A→B / B→A inversion fails at its first acquisition, whichever
+//! function or crate it spans.
 //!
-//! 1. a **thread-local held-rank stack**: each acquisition asserts the
-//!    new rank is strictly below the most recently acquired held rank
-//!    (the stack is strictly decreasing by construction, so its last
-//!    element is its minimum) and panics with the full held stack and
-//!    a captured backtrace on violation;
-//! 2. a **global acquisition graph**: every observed `held → acquired`
-//!    rank edge is recorded with the backtrace of its first
-//!    occurrence, and each new edge triggers a cycle search. A cycle
-//!    means two code paths acquire the same ranks in opposite orders —
-//!    the classic A→B / B→A inversion — and the panic message carries
-//!    both backtraces (the stored one and the current one).
+//! The same stack answers two more questions, at the sites that ask
+//! them: [`assert_unguarded`] — a thread about to block (a reply wait,
+//! a socket read, a sleep, a join, an fsync) holds nothing but the
+//! preload layer's session ranks, however many calls below a guard it
+//! is — with [`blocking_under`] declaring the few sites that block
+//! under a lock by design; and [`assert_may_acquire`] — a function
+//! that takes a lock on some calls only is ordered on every call.
 //!
 //! The declared hierarchy lives in [`rank`] and is documented in
-//! DESIGN.md ("Concurrency invariants & lock hierarchy"). The static
-//! analyzer in `crates/lint` (rule `GKL001`) checks the same hierarchy
-//! lexically at CI time; this module is the runtime backstop for
-//! nestings that span function or crate boundaries.
+//! DESIGN.md ("Concurrency invariants & lock hierarchy").
 //!
 //! Ranks are mutable in one controlled way: [`OrderedRwLock::demote`]
 //! lowers a lock's rank when its role changes. The kvstore uses this
@@ -84,8 +85,7 @@ pub mod rank {
     use super::LockRank;
 
     /// The hierarchy, declared once: each row becomes a `LockRank`
-    /// const and an arm of [`name`], and `gkfs-lint` reads the same
-    /// rows for its lexical GKL001/GKL006 checks.
+    /// const and an arm of [`name`].
     macro_rules! ranks {
         ($($(#[$doc:meta])* $name:ident = $rank:literal;)*) => {
             $($(#[$doc])* pub const $name: LockRank = LockRank($rank);)*
@@ -197,47 +197,86 @@ pub mod rank {
     }
 }
 
-/// Debug/test-only validation: thread-local held-rank stack plus a
-/// global acquisition graph with cycle detection. Public so the
-/// graph's cycle detector can be unit-tested directly (strict rank
-/// checking makes runtime cycles otherwise unreachable).
+/// Ranks at or above this one are the preload layer's session ranks
+/// (`POSIX_*`): `gkfs-posix` holds them across every forwarded call,
+/// replies waited for and retries slept included, so a thread may block
+/// under them.
 #[cfg(debug_assertions)]
-pub mod checker {
-    use super::LockRank;
+const SESSION: LockRank = rank::POSIX_DIR_STREAMS;
+
+/// Debug builds: panic if this thread holds any ranked lock below the
+/// session ranks ([`rank::POSIX_DIR_STREAMS`] and up). Called where a
+/// thread blocks — a reply wait, a socket read, a sleep, a join, an
+/// fsync — because blocking under a guard stalls every thread that
+/// wants the lock. `what` names the blocking call; the panic also
+/// names the caller's line and the held stack. Release builds compile
+/// it to nothing.
+#[track_caller]
+#[inline]
+pub fn assert_unguarded(what: &str) {
+    blocking_under(what, &[]);
+}
+
+/// [`assert_unguarded`] for a site that blocks under `ranks` by
+/// design: below the session ranks, every lock the thread holds must
+/// be one of them. DESIGN.md ("Blocking under a guard") says why each
+/// declared site is safe.
+#[track_caller]
+#[inline]
+pub fn blocking_under(what: &str, ranks: &[LockRank]) {
+    #[cfg(debug_assertions)]
+    checker::on_block(what, ranks);
+    #[cfg(not(debug_assertions))]
+    let _ = (what, ranks);
+}
+
+/// Debug builds: panic exactly as an acquisition of `rank` here would,
+/// without acquiring anything. For a function that takes a lock of
+/// `rank` on some calls only, so that its place in the order is
+/// checked on every call, not only on the calls a test happens to
+/// make with that lock in play.
+#[track_caller]
+#[inline]
+pub fn assert_may_acquire(rank: LockRank) {
+    #[cfg(debug_assertions)]
+    checker::check_descent(rank);
+    #[cfg(not(debug_assertions))]
+    let _ = rank;
+}
+
+/// Debug/test-only validation: the thread-local held-rank stack.
+#[cfg(debug_assertions)]
+mod checker {
+    use super::{LockRank, SESSION};
     use std::cell::RefCell;
-    use std::collections::HashMap;
 
     thread_local! {
         static HELD: RefCell<Vec<u16>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// `held-rank → acquired-rank` edges, each with the backtrace of
-    /// its first occurrence. A `std::sync` mutex, not one of our own
-    /// wrappers: the checker must not recurse into itself, and it is
-    /// deliberately outside the ranked hierarchy.
-    static GRAPH: std::sync::Mutex<Option<HashMap<(u16, u16), String>>> =
-        std::sync::Mutex::new(None);
-
-    /// Validate and record an acquisition of `rank` on this thread.
-    /// Panics if `rank` is not strictly below every held rank.
-    pub fn on_acquire(rank: LockRank) {
+    /// Panic unless `rank` is strictly below every rank this thread
+    /// holds.
+    #[track_caller]
+    pub fn check_descent(rank: LockRank) {
         // The stack is strictly decreasing, so its last element is its
         // minimum.
         let top = HELD.with(|h| h.borrow().last().copied());
-        if let Some(top) = top {
-            if rank.0 >= top {
-                panic!(
-                    "lock order violation: acquiring {} while holding {} \
-                     (held stack, outermost first: {}) — ranks must be \
-                     acquired strictly descending\nacquisition backtrace:\n{}",
-                    rank,
-                    LockRank(top),
-                    held_stack(),
-                    std::backtrace::Backtrace::force_capture(),
-                );
-            }
-            record_edge(LockRank(top), rank);
+        if let Some(top) = top.filter(|&top| rank.0 >= top) {
+            panic!(
+                "lock order violation: acquiring {} while holding {} \
+                 (held stack, outermost first: {}) — ranks must be \
+                 acquired strictly descending\nacquisition backtrace:\n{}",
+                rank,
+                LockRank(top),
+                held_stack(),
+                std::backtrace::Backtrace::force_capture(),
+            );
         }
+    }
+
+    /// Validate and record an acquisition of `rank` on this thread.
+    pub fn on_acquire(rank: LockRank) {
+        check_descent(rank);
         HELD.with(|h| h.borrow_mut().push(rank.0));
     }
 
@@ -253,9 +292,27 @@ pub mod checker {
         });
     }
 
+    /// Panic if this thread holds a lock below the session ranks that
+    /// is not one of `allowed`.
+    #[track_caller]
+    pub fn on_block(what: &str, allowed: &[LockRank]) {
+        let stray = |&r: &u16| r < SESSION.0 && !allowed.contains(&LockRank(r));
+        if HELD.with(|h| h.borrow().iter().any(stray)) {
+            panic!(
+                "blocking call `{what}` at {} while holding {} (held stack, \
+                 outermost first) — only the session ranks{} may be held \
+                 where a thread blocks\nbacktrace:\n{}",
+                std::panic::Location::caller(),
+                held_stack(),
+                allowed.iter().map(|r| format!(" and {r}")).collect::<String>(),
+                std::backtrace::Backtrace::force_capture(),
+            );
+        }
+    }
+
     /// The current thread's held ranks, outermost first, for
     /// diagnostics.
-    pub fn held_stack() -> String {
+    fn held_stack() -> String {
         HELD.with(|h| {
             let h = h.borrow();
             if h.is_empty() {
@@ -266,71 +323,6 @@ pub mod checker {
                 .collect::<Vec<_>>()
                 .join(" > ")
         })
-    }
-
-    /// Record the acquisition-order edge `held → acquired` in the
-    /// global graph and search for a cycle through it. On a cycle the
-    /// panic message carries the stored backtrace of the conflicting
-    /// edge *and* the current one — both sides of the inversion.
-    pub fn record_edge(held: LockRank, acquired: LockRank) {
-        // A poisoned checker mutex just means another thread panicked
-        // mid-record; the map itself is still structurally sound.
-        let mut slot = GRAPH.lock().unwrap_or_else(|e| e.into_inner());
-        let graph = slot.get_or_insert_with(HashMap::new);
-        let key = (held.0, acquired.0);
-        if graph.contains_key(&key) {
-            return;
-        }
-        let here = std::backtrace::Backtrace::force_capture().to_string();
-        graph.insert(key, here.clone());
-        if let Some(path) = find_path(graph, acquired.0, held.0) {
-            let mut msg = format!(
-                "lock acquisition cycle: {} → {} closes a cycle {}\n\
-                 edge recorded here:\n{}\n",
-                held,
-                acquired,
-                path.iter()
-                    .map(|&r| LockRank(r).to_string())
-                    .collect::<Vec<_>>()
-                    .join(" → "),
-                here,
-            );
-            let mut prev = acquired.0;
-            for &next in path.iter().skip(1) {
-                if let Some(bt) = graph.get(&(prev, next)) {
-                    msg.push_str(&format!(
-                        "conflicting edge {} → {} recorded here:\n{}\n",
-                        LockRank(prev),
-                        LockRank(next),
-                        bt
-                    ));
-                }
-                prev = next;
-            }
-            drop(slot);
-            panic!("{msg}");
-        }
-    }
-
-    /// DFS for a path `from → … → to` over the recorded edges.
-    fn find_path(graph: &HashMap<(u16, u16), String>, from: u16, to: u16) -> Option<Vec<u16>> {
-        let mut stack = vec![vec![from]];
-        let mut seen = std::collections::HashSet::new();
-        seen.insert(from);
-        while let Some(path) = stack.pop() {
-            let last = *path.last().expect("path is never empty");
-            if last == to {
-                return Some(path);
-            }
-            for &(a, b) in graph.keys() {
-                if a == last && seen.insert(b) {
-                    let mut p = path.clone();
-                    p.push(b);
-                    stack.push(p);
-                }
-            }
-        }
-        None
     }
 }
 
@@ -470,9 +462,9 @@ impl<T: ?Sized> OrderedRwLock<T> {
     /// Lower this lock's rank because its role changed (e.g. an
     /// active memtable being frozen onto the immutable list).
     /// Outstanding guards release under the rank they were acquired
-    /// with; only later acquisitions see the new rank. Raising a rank
-    /// is not supported — it could hide inversions recorded under the
-    /// old value.
+    /// with; only later acquisitions see the new rank. Only lowering
+    /// is supported: it is what a freeze needs, and no role change
+    /// raises a lock.
     pub fn demote(&self, new_rank: LockRank) {
         debug_assert!(
             new_rank.0 <= self.rank.load(Ordering::Relaxed),
@@ -651,17 +643,47 @@ mod tests {
         assert_eq!(*a + *f, 3);
     }
 
+    /// The message a panic in `f` carried.
+    #[cfg(debug_assertions)]
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("no panic");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
     #[test]
-    #[should_panic(expected = "cycle")]
-    #[cfg(debug_assertions)] // the checker module only exists in debug builds
-    fn graph_detects_seeded_cycle() {
-        // Strict rank checking makes a runtime cycle unreachable, so
-        // drive the graph directly: the reverse edge closes a cycle
-        // and the panic carries both recorded backtraces. Ranks 1 and
-        // 2 are unused by real locks, so this cannot interfere with
-        // edges recorded by other tests in this process.
-        checker::record_edge(LockRank(2), LockRank(1));
-        checker::record_edge(LockRank(1), LockRank(2));
+    #[cfg(debug_assertions)]
+    fn blocking_under_a_guard_names_the_site_and_the_held_stack() {
+        let client = OrderedRwLock::new(rank::POSIX_CLIENT, ());
+        let manifest = OrderedMutex::new(rank::KV_MANIFEST, ());
+        let _c = client.read();
+        let _m = manifest.lock();
+        let (line, msg) = (line!(), panic_message(|| assert_unguarded("join")));
+        assert!(msg.contains("blocking call `join`"), "{msg}");
+        assert!(msg.contains(&format!("{}:{line}:", file!())), "{msg}");
+        assert!(msg.contains("POSIX_CLIENT(240) > KV_MANIFEST(116)"), "{msg}");
+    }
+
+    #[test]
+    fn blocking_under_the_session_ranks_alone_passes() {
+        let client = OrderedRwLock::new(rank::POSIX_CLIENT, ());
+        let streams = OrderedMutex::new(rank::POSIX_DIR_STREAMS, ());
+        let _c = client.read();
+        let _s = streams.lock();
+        assert_unguarded("sleep");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_declared_blocking_site_passes_under_its_rank_only() {
+        let log = OrderedMutex::new(rank::KV_WAL_LOG, ());
+        let blobs = OrderedMutex::new(rank::KV_BLOB_MAP, ());
+        {
+            let _l = log.lock();
+            blocking_under("sync_data", &[rank::KV_WAL_LOG]);
+        }
+        let _b = blobs.lock();
+        let msg = panic_message(|| blocking_under("sync_data", &[rank::KV_WAL_LOG]));
+        assert!(msg.contains("KV_BLOB_MAP(40)"), "{msg}");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! caller-runs. Jobs are panic-isolated — a job that unwinds is counted
 //! and the worker survives — and the protocol is model-checked below.
 
-use crate::lock::{Condvar, LockRank, OrderedMutex};
+use crate::lock::{self, Condvar, LockRank, OrderedMutex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -80,8 +80,7 @@ impl TaskPool {
     /// submission runs on the submitter's thread (serial mode); a
     /// caller that wants at least one worker passes `threads.max(1)`.
     /// `queue_rank` is the queue lock's place in the hierarchy — one of
-    /// the `*_QUEUE` constants in [`crate::lock::rank`], which
-    /// `lint.toml` mirrors.
+    /// the `*_QUEUE` constants in [`crate::lock::rank`].
     pub fn new(name: &str, threads: usize, depth: usize, queue_rank: LockRank) -> TaskPool {
         let shared = Arc::new(Shared {
             work_queue: OrderedMutex::new(
@@ -190,6 +189,7 @@ impl Drop for TaskPool {
         self.shared.room.notify_all();
         // Join outside any guard (workers drain remaining jobs first).
         for handle in self.workers.drain(..) {
+            lock::assert_unguarded("join");
             let _ = handle.join();
         }
     }

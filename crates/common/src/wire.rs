@@ -225,6 +225,22 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// An element count (pairs with [`Encoder::count`]) that the bytes
+    /// left can hold, each element taking at least `min_len` of them —
+    /// a larger one is `Corruption`, so a decoder may size what it
+    /// allocates by it. The one wire-count bound: every count read off
+    /// a wire or a disk comes through here.
+    pub fn count(&mut self, min_len: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() / min_len {
+            return Err(GkfsError::Corruption(format!(
+                "count {n} exceeds the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Length-prefixed byte string (pairs with [`Encoder::bytes`]).
     pub fn bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.u32()? as usize;
@@ -283,7 +299,7 @@ impl<'a> Decoder<'a> {
 /// for a plain struct in field order.
 pub trait Wire: Sized {
     /// Fewest bytes any encoded value occupies — what bounds a
-    /// wire-supplied element count in `Vec<T>::get`.
+    /// wire-supplied element count ([`Decoder::count`]) in `Vec<T>::get`.
     const MIN_LEN: usize;
 
     /// Append this value's encoding.
@@ -392,15 +408,7 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn get(d: &mut Decoder<'_>) -> Result<Vec<T>> {
         const { assert!(T::MIN_LEN > 0, "a Vec element must occupy wire bytes") };
-        let n = d.u32()? as usize;
-        // The one wire-count bound: a count the rest of the frame
-        // cannot hold is corruption, not a request to allocate for.
-        if n > d.remaining() / T::MIN_LEN {
-            return Err(GkfsError::Corruption(format!(
-                "count {n} exceeds the {} bytes left in the frame",
-                d.remaining()
-            )));
-        }
+        let n = d.count(T::MIN_LEN)?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(T::get(d)?);

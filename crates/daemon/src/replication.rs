@@ -32,7 +32,7 @@
 
 use crate::handlers::Backends;
 use gkfs_common::distributor::{self, Distributor};
-use gkfs_common::lock::{rank, OrderedMutex};
+use gkfs_common::lock::{self, rank, OrderedMutex};
 use gkfs_common::metrics::DaemonCounters;
 use gkfs_common::{ClusterConfig, FailureDetector, GkfsError, Liveness, Metadata, Transition};
 use gkfs_rpc::proto::{
@@ -254,6 +254,7 @@ impl ReplicationManager {
         // would block every other accessor for the worker's lifetime.
         let worker = self.repl_state.lock().take();
         if let Some(w) = worker {
+            lock::assert_unguarded("join");
             let _ = w.join();
         }
     }
@@ -293,6 +294,7 @@ impl ReplicationManager {
             let mut slept = Duration::ZERO;
             while slept < interval && !self.stop.load(Ordering::Relaxed) {
                 let step = (interval - slept).min(Duration::from_millis(5));
+                lock::assert_unguarded("sleep");
                 std::thread::sleep(step);
                 slept += step;
             }
@@ -526,6 +528,7 @@ impl ReplicationManager {
                     if !retryable {
                         break;
                     }
+                    lock::assert_unguarded("sleep");
                     std::thread::sleep(Duration::from_millis(2 << attempt));
                 }
             }

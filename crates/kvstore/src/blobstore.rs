@@ -20,7 +20,7 @@
 //! memtable's SSTable is in the manifest — the log never needs a
 //! wholesale reset while older memtables are still in flight.
 
-use gkfs_common::lock::{rank, OrderedMutex, OrderedRwLock};
+use gkfs_common::lock::{self, rank, LockRank, OrderedMutex, OrderedRwLock};
 use gkfs_common::Result;
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -249,6 +249,12 @@ impl FsBlobStore {
     }
 }
 
+/// What a WAL `fsync` holds: the log lock, because the segment must be
+/// durable before anyone appends to it or rotates past it, and during a
+/// rotation the version write lock, under which the segment is sealed
+/// in step with the memtable it backs.
+const WAL_SYNC: &[LockRank] = &[rank::KV_VERSION, rank::KV_WAL_LOG];
+
 impl BlobStore for FsBlobStore {
     fn put_blob(&self, name: &str, data: &[u8]) -> Result<()> {
         // Write-then-rename for atomicity.
@@ -256,6 +262,10 @@ impl BlobStore for FsBlobStore {
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(data)?;
+            // A compaction writes its tables under `KV_COMPACTION`, and
+            // a manifest is written under `KV_MANIFEST`: it must be
+            // durable before the WAL segments it retires are pruned.
+            lock::blocking_under("sync_data", &[rank::KV_COMPACTION, rank::KV_MANIFEST]);
             f.sync_data()?;
         }
         fs::rename(&tmp, self.blob_path(name))?;
@@ -285,6 +295,7 @@ impl BlobStore for FsBlobStore {
 
     fn sync_log(&self) -> Result<()> {
         let log = self.log.lock();
+        lock::blocking_under("sync_data", WAL_SYNC);
         log.file.sync_data()?;
         Ok(())
     }
@@ -293,6 +304,7 @@ impl BlobStore for FsBlobStore {
         let mut log = self.log.lock();
         // Seal durably: an immutable memtable's only copy of its
         // records lives in this segment until its SSTable lands.
+        lock::blocking_under("sync_data", WAL_SYNC);
         log.file.sync_data()?;
         let sealed = log.active;
         log.file = Self::open_segment(&self.dir, sealed + 1)?;

@@ -69,7 +69,9 @@ impl BloomFilter {
         let mut d = Decoder::new(buf);
         let num_bits = d.u64()?;
         let num_hashes = d.u32()?;
-        let words = d.u32()? as usize;
+        // Bound by what the buffer holds: the equality below only ties
+        // `words` to `num_bits`, which comes off the disk as well.
+        let words = d.count(8)?;
         // `finish` never asks for more than MAX_HASHES probes; a header
         // that does would make every lookup spin.
         if num_bits == 0
@@ -77,12 +79,6 @@ impl BloomFilter {
             || words != (num_bits.div_ceil(64)) as usize
         {
             return Err(GkfsError::Corruption("bad bloom header".into()));
-        }
-        // The equality above only ties `words` to `num_bits`, and both
-        // come off the wire — a forged num_bits still passes it. Each
-        // word is 8 payload bytes, so bound by what the buffer holds.
-        if words > d.remaining() / 8 {
-            return Err(GkfsError::Corruption("bloom word count exceeds buffer".into()));
         }
         let mut bits = Vec::with_capacity(words);
         for _ in 0..words {

@@ -63,8 +63,7 @@
 //! `version` → active memtable → frozen memtables → group-commit
 //! state. Every lock is an [`OrderedMutex`]/[`OrderedRwLock`] carrying
 //! its `gkfs_common::lock::rank::KV_*` rank: debug builds assert the
-//! order at runtime, and `gkfs-lint` (GKL001) checks the nesting
-//! statically. Freezing a memtable *demotes* its rank
+//! order at every acquisition. Freezing a memtable *demotes* its rank
 //! (`KV_MEMTABLE` → `KV_MEMTABLE_FROZEN`) so readers may consult
 //! frozen tables while holding the active one. The background waits
 //! check their predicate on `version` while holding `work` — the one
@@ -75,13 +74,14 @@ use crate::memtable::{MemTable, Value};
 use crate::merge::MergeOperator;
 use crate::sstable::{Table, TableBuilder, TableIter, Tag};
 use crate::wal::{replay, WalRecord};
-use gkfs_common::lock::{rank, Condvar, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
+use gkfs_common::lock::{self, rank, Condvar, OrderedMutex, OrderedMutexGuard, OrderedRwLock};
 use gkfs_common::metrics::DaemonCounters;
 use gkfs_common::wire::{Decoder, Encoder};
 use gkfs_common::{GkfsError, Result};
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::ops::Bound;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -579,11 +579,18 @@ impl Db {
             done_cv: Condvar::new(),
         });
 
-        let spawn = |name: &str, run: fn(&DbInner)| {
+        // A background thread that unwinds leaves its error behind, as
+        // one that returns `Err` does: `wait_bg` has no timeout, and a
+        // writer waiting on a dead thread would wait forever.
+        let spawn = |name: &'static str, run: fn(&DbInner)| {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name(name.into())
-                .spawn(move || run(&inner))
+                .spawn(move || {
+                    if std::panic::catch_unwind(AssertUnwindSafe(|| run(&inner))).is_err() {
+                        inner.set_bg_error(GkfsError::Io(format!("{name} panicked")));
+                    }
+                })
                 .expect("spawn kvstore background thread")
         };
         let threads = vec![
@@ -787,6 +794,7 @@ impl Db {
         // on the lock for the workers' whole runtime (GKL002).
         let handles: Vec<_> = self.threads.lock().drain(..).collect();
         for t in handles {
+            lock::assert_unguarded("join");
             let _ = t.join();
         }
     }
@@ -884,6 +892,10 @@ impl DbInner {
         top: Option<Value>,
         key: &[u8],
     ) -> Result<Option<Vec<u8>>> {
+        // Ordered as a walk that reads a frozen memtable, whatever
+        // `imms` holds: the flusher, which passes none, must not call
+        // it under the guard of the memtable it flushes either.
+        lock::assert_may_acquire(rank::KV_MEMTABLE_FROZEN);
         // Operand runs, newest source first; `base` is `Some` once a
         // source has said what lies under them.
         let mut runs: Vec<Vec<Vec<u8>>> = Vec::new();
@@ -1064,6 +1076,7 @@ impl DbInner {
             self.request_compaction();
             self.stats.kv_stalls.fetch_add(1, Ordering::Relaxed);
             self.stats.kv_stall_micros.fetch_add(SLOWDOWN.as_micros() as u64, Ordering::Relaxed);
+            lock::assert_unguarded("sleep");
             std::thread::sleep(SLOWDOWN);
         }
         Ok(())
@@ -1148,8 +1161,8 @@ impl DbInner {
         // memtable is already in `base`'s L0/L1: no `imms` to ask. A
         // pass of its own, because the build below holds the frozen
         // memtable's guard and `lookup` is the function that takes
-        // those: with no `imms` it takes none, but the lock order is
-        // kept per function (GKL006), not per argument.
+        // those: with no `imms` it takes none, but its lock order is
+        // checked per call, not per argument (GKL006).
         let stacked: Vec<(Vec<u8>, Value)> = imm
             .mem
             .read()
@@ -1320,6 +1333,7 @@ fn flusher_loop(inner: &DbInner) {
                 if stop {
                     return; // don't spin during shutdown
                 }
+                lock::assert_unguarded("sleep");
                 std::thread::sleep(Duration::from_millis(10));
             }
         }
@@ -1349,6 +1363,7 @@ fn compactor_loop(inner: &DbInner) {
         }
         if let Err(e) = inner.compact_once() {
             inner.set_bg_error(e);
+            lock::assert_unguarded("sleep");
             std::thread::sleep(Duration::from_millis(10));
         }
     }
@@ -2082,6 +2097,8 @@ mod tests {
         /// Held for writing, parks every table write (the flusher's)
         /// until it is released: frozen memtables stay frozen.
         gate: std::sync::RwLock<()>,
+        /// Set, every table write panics.
+        panic_tables: std::sync::atomic::AtomicBool,
     }
 
     impl SlowStore {
@@ -2093,6 +2110,7 @@ mod tests {
                 syncs: AtomicU64::new(0),
                 fail_syncs: AtomicU64::new(0),
                 gate: std::sync::RwLock::new(()),
+                panic_tables: Default::default(),
             }
         }
     }
@@ -2100,6 +2118,7 @@ mod tests {
     impl BlobStore for SlowStore {
         fn put_blob(&self, name: &str, data: &[u8]) -> Result<()> {
             if name.starts_with("sst-") {
+                assert!(!self.panic_tables.load(Ordering::Relaxed), "injected table write panic");
                 drop(self.gate.read());
                 std::thread::sleep(self.table_delay);
             }
@@ -2140,6 +2159,25 @@ mod tests {
         fn list_blobs(&self) -> Result<Vec<String>> {
             self.inner.list_blobs()
         }
+    }
+
+    /// A background thread that panics fails the writers waiting on it
+    /// rather than leaving them to wait forever: the flusher dies on its
+    /// first table, and a writer held up by the full frozen backlog gets
+    /// the error. Behind a timeout, so that a hang fails the test.
+    #[test]
+    fn a_background_panic_fails_writers_instead_of_hanging_them() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let store = Arc::new(SlowStore::new(Duration::ZERO, Duration::ZERO));
+            store.panic_tables.store(true, Ordering::Relaxed);
+            let opts = DbOptions { memtable_bytes: 4096, max_imm_memtables: 1, ..DbOptions::default() };
+            let db = Db::open(store, opts).unwrap();
+            let put = |i: u32| db.put(format!("/p/{i:05}").as_bytes(), &[7; 100]);
+            let _ = tx.send((0..10_000).try_for_each(put));
+        });
+        let res = rx.recv_timeout(Duration::from_secs(20)).expect("a writer waits on a dead flusher");
+        assert!(matches!(&res, Err(GkfsError::Io(m)) if m.contains("gkfs-kv-flush panicked")), "{res:?}");
     }
 
     /// The tentpole property: an SSTable build in flight on the
@@ -2441,7 +2479,7 @@ mod tests {
     /// drains the frozen memtable on the caller's thread. This is the
     /// path that re-enters the version lock from under its own read
     /// guard when written as a `while let` — the regression the ranked
-    /// locks (and gkfs-lint's temporary-scope model) exist to catch.
+    /// locks exist to catch.
     #[test]
     fn writes_after_shutdown_flush_inline() {
         let db = Db::open_memory(DbOptions {

@@ -204,12 +204,8 @@ impl Table {
             return Err(GkfsError::Corruption("bad sstable magic".into()));
         }
         let mut idx = Decoder::new(index_bytes);
-        let n = idx.u32()? as usize;
-        // An index entry takes ≥ 20 payload bytes (key prefix + u64 +
-        // 2×u32); a count the block cannot hold is corruption.
-        if n > idx.remaining() / 20 {
-            return Err(GkfsError::Corruption("sstable index count exceeds block".into()));
-        }
+        // An index entry takes ≥ 20 bytes (key prefix + u64 + 2×u32).
+        let n = idx.count(20)?;
         let mut index = Vec::with_capacity(n);
         for _ in 0..n {
             index.push(IndexEntry {

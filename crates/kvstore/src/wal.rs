@@ -116,13 +116,8 @@ impl WalRecord {
                 operand: d.bytes()?.to_vec(),
             },
             TAG_BATCH if allow_batch => {
-                let n = d.u32()? as usize;
-                // Every record is at least a tag and one length prefix
-                // (5 bytes); a batch count the record's remaining bytes
-                // cannot hold is torn or corrupt.
-                if n > d.remaining() / 5 {
-                    return Err(GkfsError::Corruption("WAL batch count exceeds record".into()));
-                }
+                // Every record is at least a tag and one length prefix.
+                let n = d.count(5)?;
                 let mut records = Vec::with_capacity(n);
                 for _ in 0..n {
                     records.push(Self::decode_one(d, false)?);

@@ -296,6 +296,12 @@ fn fuzz(seed: u64, scale: usize) {
     }
     let bloom = bloom.finish().encode();
     check_bloom("bloom", &bloom);
+    // A header forged whole, which no single overwrite makes: the word
+    // count agrees with `num_bits`, and both claim 2^24 words.
+    let mut forged = bloom.clone();
+    forged[..8].copy_from_slice(&(64u64 << 24).to_le_bytes());
+    forged[12..16].copy_from_slice(&(1u32 << 24).to_le_bytes());
+    check_bloom("bloom: header forged whole", &forged);
     mutations(&bloom, 0..bloom.len(), 1, 2000 * scale, seed, |what, bytes| {
         check_bloom(&format!("bloom: {what}"), bytes);
     });

@@ -29,7 +29,7 @@ use crate::handler::HandlerRegistry;
 use crate::message::{Request, Response, Status};
 use crate::proto::{ChunkBatchReq, ServeClass};
 use crate::stats::RpcStats;
-use gkfs_common::lock::rank;
+use gkfs_common::lock::{self, rank};
 use gkfs_common::{GkfsError, Result, TaskPool};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::atomic::Ordering;
@@ -254,6 +254,7 @@ impl ReplyHandle {
     ///
     /// After `Some` the handle is spent.
     pub fn wait_within(&mut self, window: Duration) -> Option<Result<Response>> {
+        lock::assert_unguarded("ReplyHandle::wait_within");
         match &mut self.source {
             ReplySource::Ready(result) => {
                 Some(std::mem::replace(result, Err(GkfsError::Rpc("reply already taken".into()))))

@@ -126,7 +126,7 @@ use crate::stats::{RpcStats, WaitStats};
 use crate::transport::{Endpoint, EndpointOptions, Handlers, ReplyHandle, SMALL_FRAME};
 use bytes::Bytes;
 use gkfs_common::crc::crc32;
-use gkfs_common::lock::{rank, Condvar, OrderedMutex};
+use gkfs_common::lock::{self, rank, Condvar, OrderedMutex};
 use gkfs_common::wire::FrameWriter;
 use gkfs_common::{GkfsError, Result};
 use std::collections::HashMap;
@@ -380,6 +380,7 @@ impl<R: Read> FrameReader<R> {
     /// without a copy. Returns only on a frame boundary or with an error
     /// that condemns the connection (`stall`: see [`FrameReader::stall`]).
     fn read_frame(&mut self, stall: Duration) -> Result<Bytes> {
+        lock::assert_unguarded("FrameReader::read_frame");
         let len = self.next_len(stall)?;
         let total = len + 4;
         if self.holds(len) {
@@ -661,6 +662,7 @@ impl TcpServer {
         let _ = TcpStream::connect(self.addr);
         let accept = self.accept_thread.lock().take();
         if let Some(t) = accept {
+            lock::assert_unguarded("join");
             let _ = t.join();
         }
         // Sever every established connection: a stopped daemon must

@@ -182,6 +182,7 @@ impl PendingBatch {
     /// without reporting — surfaced as an error, never a hang or a
     /// partial reply.
     fn drain(&mut self) -> Result<()> {
+        gkfs_common::lock::assert_unguarded("BatchCompletion::wait");
         let mut first_err: Option<(usize, GkfsError)> = None;
         while self.outstanding > 0 {
             match self.rx.recv() {
