@@ -57,7 +57,10 @@ gkfs_common::counters! {
         pub bytes_written: AtomicU64,
         /// Total bytes read.
         pub bytes_read: AtomicU64,
-        /// Size updates actually sent to metadata owners.
+        /// Size updates actually sent to metadata owners: one with a
+        /// write that fills the §IV-B window and grows the file past
+        /// what its owner is known to hold, and one with a
+        /// `flush`/`fsync`/`close` that finds an update held.
         pub size_updates_sent: AtomicU64,
         /// Logical RPCs issued to daemons (retries excluded). Shared with
         /// the [`DaemonRing`], which counts every operation at its single

@@ -77,7 +77,7 @@ enum Entry {
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct Riders {
     /// The size update due with this write (none: the §IV-B window
-    /// absorbs it).
+    /// absorbs it, or it would not grow what the owner holds).
     pub(crate) update: Option<SizeUpdate>,
     /// The create of an unborn file: this write is its first flush.
     /// Whoever takes it owes the record the verdict
@@ -114,6 +114,13 @@ struct Known {
     /// set by its truncates. Cross-client growth becomes visible on
     /// re-open (the GekkoFS handle contract).
     size: u64,
+    /// The largest size the file's metadata owner is known to hold:
+    /// what the open-time stat said, raised by every acknowledged
+    /// update, set by this client's truncates. Not `size`: with a
+    /// window above 0, `size` grows before its update is sent. Another
+    /// client's truncate below it goes unseen until this client opens
+    /// the path again.
+    mark: u64,
     /// End of the last range an `O_APPEND` write claimed: the record
     /// grows only when a write is acknowledged (or buffered), so until
     /// then this is what keeps the next appender off the same offset.
@@ -146,8 +153,9 @@ pub struct LocalFile {
     pub path: String,
     /// Kind.
     pub kind: FileKind,
-    /// Size updates buffered per update sent (0 = every write sends
-    /// its own: the paper's default synchronous mode).
+    /// Size updates buffered per update sent (0 = every write that
+    /// grows the file sends its own: the paper's default synchronous
+    /// mode).
     window: usize,
     known: OrderedMutex<Known>,
     /// Signalled when a create in flight gets its verdict.
@@ -234,9 +242,13 @@ impl LocalFile {
     /// before a byte moves. The size update: `wrote` is what the bytes
     /// will say once they land (none: a flush with no run to send),
     /// merged with what the §IV-B window holds. An update leaves with
-    /// every write at window 0, with the write that fills the window
-    /// otherwise (predicted here, not discovered after the data legs),
-    /// and with anything at all when `flush` forces it. The create: an
+    /// the write that fills the window — every write at window 0 —
+    /// if the merged candidate grows past the owner's mark (predicted
+    /// here, not discovered after the data legs), and with anything at
+    /// all when `flush` forces it. One that is not due is held, not
+    /// dropped: the next growing write or the flush carries it, with
+    /// the latest mtime (the owner's merge is a max-fold, so holding a
+    /// size it already has never lowers what a `stat` sees). The create: an
     /// unborn file's goes with whatever is sent first, and is taken out
     /// here — the record is [`Entry::Publishing`] until the caller
     /// reports the verdict ([`LocalFile::published`]); a thread that
@@ -253,8 +265,9 @@ impl LocalFile {
         }
         let held = known.pending.as_ref();
         let ops = held.map_or(0, |p| p.ops) + usize::from(wrote.is_some());
-        let due = ops >= if flush { 1 } else { self.window.max(1) };
         let all = held.map(|p| p.update).into_iter().chain(wrote).reduce(SizeUpdate::merge);
+        let grows = all.is_some_and(|u| u.size > known.mark);
+        let due = flush || (grows && ops >= self.window.max(1));
         let create = match known.entry {
             Entry::Unborn(create) => {
                 known.entry = Entry::Publishing;
@@ -302,7 +315,8 @@ impl LocalFile {
 
     /// A write in flight landed: the daemons acknowledged the bytes
     /// `wrote` speaks for (grow the size), and `sent`, the update its
-    /// size leg carried, if it had one and it was acknowledged too.
+    /// size leg carried, if it had one and it was acknowledged too (the
+    /// owner holds at least that now: the mark rises to it).
     /// A candidate stays in the window until an acknowledged update
     /// covers it: `sent` covers this write and everything the window
     /// held when the leg was decided, so only what another thread
@@ -318,6 +332,7 @@ impl LocalFile {
             }
         }
         known.size = known.size.max(wrote.map_or(0, |w| w.size));
+        known.mark = known.mark.max(sent.map_or(0, |s| s.size));
         match (sent, wrote) {
             (Some(sent), _) => known.pending = known.pending.take().filter(|p| p.update.merge(sent) != sent),
             (None, Some(wrote)) => {
@@ -331,11 +346,12 @@ impl LocalFile {
     }
 
     /// The file was cut (or extended) to `size` at the daemons: that is
-    /// its size now, and a buffered update or an append's claim from
-    /// before the cut is moot.
+    /// its size now, at the owner too, and a buffered update or an
+    /// append's claim from before the cut is moot.
     pub(crate) fn cut(&self, size: u64) {
         let mut known = self.known.lock();
         known.size = size;
+        known.mark = size;
         known.claimed = 0;
         known.pending = None;
         known.head = None;
@@ -528,6 +544,10 @@ impl FileMap {
         };
         let mut known = local.known.lock();
         known.size = known.size.max(size);
+        // The owner's freshest word, even below the old mark: another
+        // client's truncate seen here ends the window, and a mark set
+        // too low costs at most an update.
+        known.mark = size;
         known.head = head.filter(|h| h.len() as u64 >= known.eof());
         drop(known);
         local
@@ -541,7 +561,7 @@ impl FileMap {
             window: self.size_window,
             known: OrderedMutex::new(
                 rank::CLIENT_LOCAL_FILE,
-                Known { size, claimed: 0, pending: None, wb: WbBuf::new(self.wb_capacity), head: None, entry },
+                Known { size, mark: size, claimed: 0, pending: None, wb: WbBuf::new(self.wb_capacity), head: None, entry },
             ),
             verdict: Condvar::new(),
             shared: Arc::downgrade(&self.shared),
@@ -857,6 +877,91 @@ mod tests {
         f.cut(3);
         assert_eq!(f.size(), 3);
         assert_eq!(held(&f), None);
+    }
+
+    // The owner's mark: an update that would not grow what the owner
+    // holds waits in the window.
+
+    /// A flush as the client drives it: decide, then land what it sent.
+    fn flushed(f: &LocalFile) -> Option<SizeUpdate> {
+        let sent = held(f);
+        f.landed(None, sent).unwrap();
+        sent
+    }
+
+    #[test]
+    fn a_write_at_or_below_the_mark_sends_nothing_and_is_held() {
+        let map = FileMap::new(0, 0);
+        let f = record(&map, "/f");
+        assert_eq!(wrote(&f, 100, 1).unwrap(), Some(up(100, 1)));
+        assert_eq!(wrote(&f, 50, 2).unwrap(), None, "below the mark");
+        assert_eq!(wrote(&f, 100, 3).unwrap(), None, "at the mark");
+        assert_eq!(held(&f), Some(up(100, 3)), "held, not dropped");
+        assert_eq!(f.size(), 100);
+    }
+
+    #[test]
+    fn the_next_growing_write_carries_the_held_update() {
+        let map = FileMap::new(0, 0);
+        let f = record(&map, "/f");
+        wrote(&f, 100, 1).unwrap();
+        assert_eq!(wrote(&f, 60, 5).unwrap(), None);
+        // Its own mtime is older than the held one: the latest goes.
+        assert_eq!(wrote(&f, 150, 4).unwrap(), Some(up(150, 5)));
+        assert_eq!(held(&f), None, "the update covered what was held");
+    }
+
+    #[test]
+    fn a_flush_sends_the_held_update_exactly_once() {
+        let map = FileMap::new(0, 0);
+        let f = record(&map, "/f");
+        wrote(&f, 100, 1).unwrap();
+        wrote(&f, 60, 2).unwrap();
+        wrote(&f, 30, 3).unwrap();
+        assert_eq!(flushed(&f), Some(up(60, 3)));
+        assert_eq!(flushed(&f), None, "nothing left to send");
+        assert_eq!(wrote(&f, 100, 4).unwrap(), None, "the mark stayed at 100");
+    }
+
+    #[test]
+    fn a_refused_size_leg_leaves_the_mark_where_it_was() {
+        let map = FileMap::new(0, 0);
+        let f = record(&map, "/f");
+        wrote(&f, 100, 1).unwrap();
+        assert_eq!(f.riders(Some(up(200, 2)), false).unwrap().update, Some(up(200, 2)));
+        f.landed(Some(up(200, 2)), None).unwrap();
+        assert_eq!(f.size(), 200, "the bytes count");
+        // The owner may still hold 100: a write to 150 grows past it.
+        assert_eq!(wrote(&f, 150, 3).unwrap(), Some(up(200, 3)));
+        assert_eq!(wrote(&f, 150, 4).unwrap(), None, "acknowledged: the mark is 200");
+    }
+
+    #[test]
+    fn a_cut_resets_the_mark_and_the_open_time_size_seeds_it() {
+        let map = FileMap::new(0, 0);
+        let f = map.attach("/f", FileKind::File, 1000, None);
+        assert_eq!(wrote(&f, 500, 1).unwrap(), None, "the open learned 1000");
+        f.cut(10);
+        assert_eq!(held(&f), None);
+        assert_eq!(wrote(&f, 60, 2).unwrap(), Some(up(60, 2)), "past the cut");
+        f.cut(5000);
+        assert_eq!(wrote(&f, 100, 3).unwrap(), None, "below an extending cut");
+        // Another open of the path learns what the owner holds now.
+        let g = map.attach("/f", FileKind::File, 30, None);
+        assert!(Arc::ptr_eq(&f, &g));
+        assert_eq!(wrote(&f, 40, 4).unwrap(), Some(up(100, 4)), "past the open's 30");
+    }
+
+    #[test]
+    fn a_window_filling_write_leaves_only_if_it_grows() {
+        let map = FileMap::new(2, 0);
+        let f = map.attach("/f", FileKind::File, 100, None);
+        assert_eq!(wrote(&f, 50, 1).unwrap(), None, "the window is not full");
+        assert_eq!(wrote(&f, 80, 2).unwrap(), None, "full, but grows nothing");
+        assert_eq!(wrote(&f, 90, 3).unwrap(), None);
+        assert_eq!(wrote(&f, 150, 4).unwrap(), Some(up(150, 4)));
+        assert_eq!(held(&f), None);
+        assert_eq!(wrote(&f, 200, 5).unwrap(), None, "a growing write still waits for a full window");
     }
 
     #[test]

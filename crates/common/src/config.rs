@@ -207,7 +207,11 @@ pub struct ClusterConfig {
     pub chunk_size: u64,
     /// Client-side size-update cache (§IV-B): number of write size
     /// updates to coalesce before flushing to the metadata owner.
-    /// `0` disables the cache (the paper's default, synchronous mode).
+    /// `0` disables the cache (the paper's default, synchronous mode):
+    /// every write whose end grows past the size the owner is known to
+    /// hold sends its update at once. At any window, an update that
+    /// would not grow that size waits for the next growing write or
+    /// `flush`/`fsync`/`close`.
     pub size_cache_ops: usize,
     /// Client-side write-back buffer capacity per open path, in
     /// bytes. Small sequential writes to one file coalesce into

@@ -125,7 +125,12 @@ echo "==> client RPC budget + TCP thread hand-off gates (counts, not wall-clock)
 # reply carries, an O_RDWR open holds nothing, a file the daemons have
 # not been told of is read at 0 frames — and over TCP that open is served
 # on the connection thread and its reply, 4 KiB or the 16 KiB most it
-# carries, read by its waiter.
+# carries, read by its waiter. And the shuffled-write row
+# (shuffled_writes_send_only_the_size_updates_that_grow_the_file): on a
+# write-through mount 1 024 seeded-shuffled 8 KiB pwrites to one file
+# send at most 24 size updates and 1.03 RPCs per write — only a write
+# that grows the file past what its owner holds sends one — the close at
+# most one more, and the same writes in sequence still send 1 024.
 cargo test -p gkfs-integration --release --test rpc_budget
 
 echo "==> TCP poll-before-park, release (the hot rule; the write half stays blocking)"

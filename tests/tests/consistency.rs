@@ -203,6 +203,54 @@ fn chunk_data_is_visible_before_size_flush() {
     cluster.shutdown();
 }
 
+fn wall_ns() -> u64 {
+    std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos() as u64
+}
+
+#[test]
+fn a_non_growing_writes_mtime_reaches_the_owner_at_close() {
+    // A write that grows nothing past what the metadata owner holds
+    // sends no size update: its mtime waits in the §IV-B buffer, and
+    // the close carries it.
+    let cluster = Cluster::deploy(ClusterConfig::new(2)).unwrap();
+    let writer = cluster.mount().unwrap();
+    let other = cluster.mount().unwrap();
+    let h = writer.open_handle("/touched", OpenFlags::WRONLY.with_create()).unwrap();
+    h.pwrite(0, &[1u8; 8192]).unwrap();
+    let mut last = 0;
+    for i in 0..4 {
+        last = wall_ns();
+        h.pwrite(i * 1024, &[2u8; 1024]).unwrap();
+    }
+    h.close().unwrap();
+    let meta = other.stat("/touched").unwrap();
+    assert_eq!(meta.size, 8192);
+    assert!(meta.mtime_ns >= last, "mtime {} is older than the last write ({last})", meta.mtime_ns);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_held_update_repairs_another_clients_truncate_at_close() {
+    // A's record knows the owner holds 8 MiB; B cuts the file to 0
+    // behind it. A's write of [0, 8 KiB) grows nothing A knows of, so
+    // its update is held — and A's close sends it: the owner's max-fold
+    // makes the size 8 KiB, as if the update had left with the write.
+    let cluster = Cluster::deploy(ClusterConfig::new(2)).unwrap();
+    let a = cluster.mount().unwrap();
+    let b = cluster.mount().unwrap();
+    let h = a.open_handle("/behind", OpenFlags::RDWR.with_create()).unwrap();
+    h.pwrite(0, &vec![3u8; 8 << 20]).unwrap();
+    assert_eq!(b.stat("/behind").unwrap().size, 8 << 20);
+    b.truncate("/behind", 0).unwrap();
+    h.pwrite(0, &[4u8; 8192]).unwrap();
+    h.close().unwrap();
+    assert_eq!(b.stat("/behind").unwrap().size, 8192);
+    let hb = b.open_handle("/behind", OpenFlags::RDONLY).unwrap();
+    assert_eq!(hb.pread(0, 16384).unwrap(), vec![4u8; 8192]);
+    hb.close().unwrap();
+    cluster.shutdown();
+}
+
 /// The mount configurations that differ in what an open path holds
 /// back from the daemons: nothing, size updates (§IV-B), bytes.
 fn buffering_configs() -> [ClusterConfig; 3] {

@@ -29,6 +29,15 @@
 //! path on that mount, and the latest after any write through that
 //! mount. (EOF is the handle's, as ever: what it learned at its opens
 //! and from its own mount's writes — the model asks the handle for it.)
+//!
+//! A second property holds the size argument of the owner's *mark*
+//! (DESIGN.md "Open handles and write-back batching"): a write that
+//! grows nothing past what the metadata owner is known to hold sends no
+//! size update. One write-through mount keeps a handle open on one file
+//! and mixes its own shrinking and extending truncates with overlapping
+//! writes; after every change a second mount, which holds no record of
+//! the path, stats it — it sees only the owner's answer — and must read
+//! the model's size.
 
 use gekkofs::{Cluster, ClusterConfig, FileHandle, GekkoClient, GkfsError, OpenFlags};
 use proptest::prelude::*;
@@ -305,6 +314,59 @@ fn publish(wb: &GekkoClient, model: &mut Model, mut held: Vec<Held<'_>>, by: Haz
         prop_assert!(h.close().is_ok());
     }
     Ok(())
+}
+
+/// One change the writing mount makes through its kept handle.
+#[derive(Debug, Clone, Copy)]
+enum Change {
+    Write { offset: u16, len: u16 },
+    Truncate(u16),
+}
+
+fn change_strategy() -> impl Strategy<Value = Change> {
+    prop_oneof![
+        3 => (any::<u16>(), any::<u16>())
+            .prop_map(|(offset, len)| Change::Write { offset: offset % 12_000, len: 1 + len % 3_000 }),
+        1 => any::<u16>().prop_map(|size| Change::Truncate(size % 15_000)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 64,
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn another_mount_sees_the_model_size_after_every_change(changes in prop::collection::vec(change_strategy(), 1..60)) {
+        let cluster = Cluster::deploy(ClusterConfig::new(2).with_chunk_size(4096)).unwrap();
+        let fs = cluster.mount().unwrap();
+        let other = cluster.mount().unwrap();
+        let p = "/mark";
+        let h = fs.open_handle(p, OpenFlags::RDWR.with_create()).unwrap();
+        let mut model: Vec<u8> = Vec::new();
+        for (i, &change) in changes.iter().enumerate() {
+            match change {
+                Change::Write { offset, len } => {
+                    let data = pattern(i as u8, len as usize);
+                    prop_assert_eq!(h.pwrite(offset as u64, &data).unwrap(), data.len());
+                    let (start, end) = (offset as usize, offset as usize + data.len());
+                    model.resize(model.len().max(end), 0);
+                    model[start..end].copy_from_slice(&data);
+                }
+                Change::Truncate(size) => {
+                    h.truncate(size as u64).unwrap();
+                    model.resize(size as usize, 0);
+                }
+            }
+            prop_assert_eq!(other.stat(p).unwrap().size, model.len() as u64, "after change {}: {:?}", i, change);
+        }
+        h.close().unwrap();
+        prop_assert_eq!(other.stat(p).unwrap().size, model.len() as u64, "after the close");
+        let got = other.open_handle(p, OpenFlags::RDONLY).unwrap().pread(0, model.len()).unwrap();
+        prop_assert_eq!(&got, &model, "contents");
+        cluster.shutdown();
+    }
 }
 
 proptest! {

@@ -249,6 +249,54 @@ fn ior_8k_sequential_write_rpc_budget_holds() {
     );
 }
 
+/// 8 KiB writes in seeded-shuffled order to one write-through file, as
+/// each `ior.shared8k` rank issues them: only a write that grows the
+/// file past the size its metadata owner is known to hold sends a size
+/// update — about H_n of n shuffled writes (H_1024 ≈ 7.5) — and every
+/// other one is a single chunk write whose update waits for the close.
+/// A sequential stream of the same writes grows the file every time
+/// and still sends every update.
+#[test]
+fn shuffled_writes_send_only_the_size_updates_that_grow_the_file() {
+    const WRITES: u64 = 1024;
+    let buf = vec![0x3Cu8; 8 * 1024];
+    let xfer = buf.len() as u64;
+    // (RPCs issued by the writes, updates they sent, updates the close sent)
+    let run = |order: &[u64]| -> (u64, u64, u64) {
+        let cluster = Cluster::deploy(ClusterConfig::new(2).with_chunk_size(512 * 1024)).unwrap();
+        let fs = cluster.mount().unwrap();
+        let h = fs.open_handle("/shared8k", OpenFlags::WRONLY.with_create()).unwrap();
+        let stats = fs.stats();
+        let count = || (stats.rpcs_issued.load(Ordering::Relaxed), stats.size_updates_sent.load(Ordering::Relaxed));
+        let (rpcs0, updates0) = count();
+        for &i in order {
+            assert_eq!(h.pwrite(i * xfer, &buf).unwrap(), buf.len());
+        }
+        let (rpcs1, updates1) = count();
+        h.close().unwrap();
+        let at_close = count().1 - updates1;
+        let size = cluster.mount().unwrap().stat("/shared8k").unwrap().size;
+        assert_eq!(size, WRITES * xfer, "another mount sees the whole file");
+        cluster.shutdown();
+        (rpcs1 - rpcs0, updates1 - updates0, at_close)
+    };
+
+    let mut shuffled: Vec<u64> = (0..WRITES).collect();
+    gkfs_common::retry::shuffle(&mut shuffled, 7);
+    let (rpcs, updates, at_close) = run(&shuffled);
+    eprintln!("{WRITES} shuffled writes: {updates} size updates, {rpcs} RPCs; the close sent {at_close}");
+    assert!(updates <= 24, "shuffled writes sent {updates} size updates for {WRITES} writes (at most 24)");
+    assert!(
+        rpcs as f64 / WRITES as f64 <= 1.03,
+        "shuffled writes issued {rpcs} RPCs for {WRITES} writes (at most 1.03 each)"
+    );
+    assert!(at_close <= 1, "the close sent {at_close} size updates (at most 1)");
+
+    let sequential: Vec<u64> = (0..WRITES).collect();
+    let (_, updates, _) = run(&sequential);
+    assert_eq!(updates, WRITES, "every sequential write grows the file");
+}
+
 /// Round trips per operation on a healthy 3-node cluster keeping
 /// `replicas` copies, for a fixed script: create, open (the entry),
 /// one single-chunk 8 KiB write, read it back, stat, a scan through a
