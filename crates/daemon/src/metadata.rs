@@ -32,11 +32,13 @@ pub const READDIR_DEFAULT_PAGE: usize = 4096;
 /// `(candidate_size: u64, mtime_ns: u64)` pairs; folding keeps the
 /// maximum size and latest mtime. A merge against a missing base
 /// produces a plain file record (`ctime_ns: 0`) so the fold stays
-/// total. When the size update raced *ahead* of a remove, the remove's
-/// tombstone shadows that record and nothing is resurrected. A size
-/// update that arrives *after* the remove does bring back a bare
-/// entry: the paper's accepted relaxation for a *remote* client's late
-/// update (no distributed locking, §III-A). A client never does this
+/// total. When the size update raced *ahead* of a remove, the remove
+/// takes that record away — it forgets the memtable entry, or writes a
+/// tombstone where an older level may hold the path, with the same
+/// outcome — and nothing is resurrected. A size update that arrives
+/// *after* the remove does bring back a bare entry: the paper's
+/// accepted relaxation for a *remote* client's late update (no
+/// distributed locking, §III-A). A client never does this
 /// to itself — its own unlink discards the size update and write-back
 /// run it still holds for the path (`gkfs_client::filemap::LocalFile`).
 #[derive(Debug, Default)]
@@ -459,9 +461,11 @@ mod tests {
     fn merge_racing_remove_is_shadowed() {
         // A size update applied after a remove must not resurrect the
         // file for long: the operator materializes a record, but the
-        // usual sequence is update-then-remove, where the tombstone
-        // wins. Verify the remove-then-update edge produces a record
-        // (fold stays total) that a second remove clears.
+        // usual sequence is update-then-remove, where the remove wins
+        // (it forgets the entry, or writes a tombstone where an older
+        // level may hold the path; either reads as absent). Verify the
+        // remove-then-update edge produces a record (fold stays total)
+        // that a second remove clears.
         let b = backend();
         create(&b, "/f", &Metadata::new_file(0), true).unwrap();
         remove(&b, "/f").unwrap();
@@ -591,6 +595,39 @@ mod tests {
         for (round, won) in wins.iter().enumerate() {
             assert_eq!(won.load(Ordering::Relaxed), 1, "round {round}: winners");
         }
+    }
+
+    /// mdtest's churn at the default 4 MiB memtable: each round 32-op
+    /// `BatchMeta` frames create 256 files, then frames of their
+    /// unlinks remove them. An unlink forgets the entry its create put,
+    /// so 65 536 files later the store is as empty as it began: no
+    /// tombstone in the active memtable, nothing frozen or flushed.
+    #[test]
+    fn create_unlink_churn_leaves_the_store_empty() {
+        let b = backend();
+        for round in 0..256 {
+            let paths: Vec<String> = (0..256).map(|i| format!("/churn/{round:03}.{i:03}")).collect();
+            for frame in paths.chunks(32) {
+                let creates: Vec<MetaOp> = frame
+                    .iter()
+                    .map(|p| MetaOp::Create(CreateReq {
+                        path: p.clone(),
+                        kind: FileKind::File,
+                        mode: 0o644,
+                        exclusive: true,
+                        now_ns: round,
+                    }))
+                    .collect();
+                assert!(b.apply(&creates).unwrap().iter().all(Result::is_ok));
+            }
+            for frame in paths.chunks(32) {
+                let unlinks: Vec<MetaOp> = frame.iter().map(|p| MetaOp::Unlink(PathReq::new(p))).collect();
+                assert!(b.apply(&unlinks).unwrap().iter().all(Result::is_ok));
+            }
+        }
+        assert_eq!(b.db().stats().kv_flushes.load(Ordering::Relaxed), 0, "flushes");
+        assert_eq!(b.entry_count().unwrap(), 0);
+        assert_eq!(b.db().level_shape(), (0, 0, 0, 0), "(memtable keys, frozen, L0, L1)");
     }
 
     #[test]

@@ -40,6 +40,12 @@
 //! flusher's merge resolution are calls of those two. A walk holds a
 //! step of each memtable, never the range it walks.
 //!
+//! **A tombstone only over an older source.** A delete records a
+//! tombstone only where a source older than the active memtable may
+//! hold its key; otherwise it forgets the key's memtable entry, which
+//! reads the same ([`Version::older_may_hold`] says why). Create/remove
+//! churn thus leaves the memtable as empty as it found it.
+//!
 //! Merge operands that cannot be folded in the memtable are resolved
 //! at **flush time** by the same lookup, started below the memtable
 //! being flushed, so SSTables only ever contain `Put`/`Delete`
@@ -64,8 +70,9 @@
 //! state. Every lock is an [`OrderedMutex`]/[`OrderedRwLock`] carrying
 //! its `gkfs_common::lock::rank::KV_*` rank: debug builds assert the
 //! order at every acquisition. Freezing a memtable *demotes* its rank
-//! (`KV_MEMTABLE` → `KV_MEMTABLE_FROZEN`) so readers may consult
-//! frozen tables while holding the active one. The background waits
+//! (`KV_MEMTABLE` → `KV_MEMTABLE_FROZEN`) so readers — and a delete
+//! asking whether it needs a tombstone — may consult frozen tables
+//! while holding the active one. The background waits
 //! check their predicate on `version` while holding `work` — the one
 //! nesting of the two, in that order.
 
@@ -480,10 +487,13 @@ fn require(op: &Option<Arc<dyn MergeOperator>>) -> Result<&dyn MergeOperator> {
 /// active memtable's write lock, at open while replaying the WAL. The
 /// record is consumed — its key, value and operand buffers move into
 /// the memtable — so a caller that logs it encodes its WAL frame from
-/// `&rec` first.
+/// `&rec` first. A delete records a tombstone only where a source of
+/// `below` older than `mem` may hold its key
+/// ([`Version::older_may_hold`]); otherwise it forgets the key's entry.
 fn apply(
     mem: &mut MemTable,
     rec: WalRecord,
+    below: &Version,
     merge_op: &Option<Arc<dyn MergeOperator>>,
     stats: &DaemonCounters,
 ) -> Result<()> {
@@ -492,18 +502,42 @@ fn apply(
             stats.kv_puts.fetch_add(1, Ordering::Relaxed);
             mem.put(key, value);
         }
-        WalRecord::Delete { key } => mem.delete(key),
+        WalRecord::Delete { key } if below.older_may_hold(&key) => mem.delete(key),
+        WalRecord::Delete { key } => mem.forget(&key),
         WalRecord::Merge { key, operand } => {
             stats.kv_merges.fetch_add(1, Ordering::Relaxed);
             mem.merge(key, operand, require(merge_op)?);
         }
         WalRecord::Batch(inner) => {
             for r in inner {
-                apply(mem, r, merge_op, stats)?;
+                apply(mem, r, below, merge_op, stats)?;
             }
         }
     }
     Ok(())
+}
+
+impl Version {
+    /// Whether a source older than the active memtable may hold `key`.
+    /// The frozen memtables answer first, newest first: a `Put` or a
+    /// `Merge` says yes, a `Delete` says no (it already shadows
+    /// everything older). Then every table's bloom filter answers, and
+    /// a bloom has no false negatives; no table block is read.
+    ///
+    /// The answer holds for as long as the memtable asking stays
+    /// active. Flush and compaction keep what the sources below it read
+    /// as, and only a rotation, which retires the asker, adds to them.
+    /// Called under the active memtable's write guard, it reads the
+    /// frozen memtables in `lookup`'s order.
+    fn older_may_hold(&self, key: &[u8]) -> bool {
+        lock::assert_may_acquire(rank::KV_MEMTABLE_FROZEN);
+        for imm in self.imm.iter().rev() {
+            if let Some(v) = imm.mem.read().get(key) {
+                return !matches!(v, Value::Delete);
+            }
+        }
+        self.l0.iter().chain(&self.l1).any(|th| th.table.may_contain(key))
+    }
 }
 
 impl Db {
@@ -538,17 +572,25 @@ impl Db {
         // Replay the WAL into the memtable, skipping records already
         // resolved into a table (`seq <= flushed_seq`) — a crash
         // between manifest install and segment drop must not re-apply
-        // non-idempotent merge operands. Replayed records are not
-        // traffic: they count in no statistic.
-        let mut mem = MemTable::new();
+        // non-idempotent merge operands. A replayed delete asks the
+        // recovered levels, as a live one asks its version. Replayed
+        // records are not traffic: they count in no statistic.
+        let [l0, l1] = levels;
+        let ver = Version {
+            mem: Arc::new(OrderedRwLock::new(rank::KV_MEMTABLE, MemTable::new())),
+            imm: Vec::new(),
+            l0,
+            l1,
+        };
         let mut max_seq = flushed_seq;
         let replayed = DaemonCounters::default();
         if opts.wal {
             let log = store.read_logs().unwrap_or_default();
+            let mut mem = ver.mem.write();
             for (seq, rec) in replay(&log)? {
                 max_seq = max_seq.max(seq);
                 if seq > flushed_seq {
-                    apply(&mut mem, rec, &opts.merge_operator, &replayed)?;
+                    apply(&mut mem, rec, &ver, &opts.merge_operator, &replayed)?;
                 }
             }
         }
@@ -558,14 +600,8 @@ impl Db {
             return Err(GkfsError::Corruption("table id or sequence number exhausted".into()));
         };
 
-        let [l0, l1] = levels;
         let inner = Arc::new(DbInner {
-            version: OrderedRwLock::new(rank::KV_VERSION, Arc::new(Version {
-                mem: Arc::new(OrderedRwLock::new(rank::KV_MEMTABLE, mem)),
-                imm: Vec::new(),
-                l0,
-                l1,
-            })),
+            version: OrderedRwLock::new(rank::KV_VERSION, Arc::new(ver)),
             store,
             opts,
             next_id: AtomicU64::new(next_id),
@@ -858,7 +894,7 @@ impl DbInner {
             let (out, rec, sync) = stage(&WriteView { db: self, ver: &ver, mem: &mem })?;
             let Some(rec) = rec else { return Ok(out) };
             let seq = if self.opts.wal { self.gc.enqueue(&rec) } else { 0 };
-            apply(&mut mem, rec, &self.opts.merge_operator, &self.stats)?;
+            apply(&mut mem, rec, &ver, &self.opts.merge_operator, &self.stats)?;
             (out, seq, sync, mem.approx_bytes() >= self.opts.memtable_bytes)
         };
         if self.opts.wal {
@@ -2331,6 +2367,60 @@ mod tests {
         drop(gate);
         db.compact().unwrap();
         assert_eq!(db.level_shape(), (0, 0, 0, 1));
+        check("after a compaction");
+    }
+
+    /// A delete leaves a tombstone exactly where an older source may
+    /// hold its key — a frozen memtable (the flusher parked), L0, L1 —
+    /// and forgets the entry of a key that only the active memtable
+    /// holds, or that a frozen tombstone already shadows. Either way
+    /// every reading is `None`, before and after a flush and a
+    /// compaction.
+    #[test]
+    fn a_delete_leaves_a_tombstone_only_over_an_older_source() {
+        let store = Arc::new(SlowStore::new(Duration::ZERO, Duration::ZERO));
+        let opts = DbOptions { l0_compaction_trigger: 100, max_imm_memtables: 8, ..small_opts() };
+        let db = Db::open(store.clone(), opts).unwrap();
+        db.put(b"/l1", b"v").unwrap();
+        db.compact().unwrap();
+        db.put(b"/l0", b"v").unwrap();
+        db.flush().unwrap();
+        assert_eq!(db.level_shape(), (0, 0, 1, 1));
+        let gate = store.gate.write().unwrap();
+        db.put(b"/frozen", b"v").unwrap();
+        db.put(b"/shadowed", b"v").unwrap();
+        db.inner.rotate(true).unwrap();
+        db.delete(b"/shadowed").unwrap();
+        db.inner.rotate(true).unwrap();
+        assert_eq!(db.level_shape(), (0, 2, 1, 1));
+        for k in ["/l1", "/l0", "/frozen"] {
+            db.delete(k.as_bytes()).unwrap();
+        }
+        for k in ["/active", "/shadowed"] {
+            db.put(k.as_bytes(), b"v").unwrap();
+            db.delete(k.as_bytes()).unwrap();
+        }
+        {
+            let ver = db.inner.snapshot();
+            let mem = ver.mem.read();
+            for k in ["/l1", "/l0", "/frozen"] {
+                assert_eq!(mem.get(k.as_bytes()), Some(&Value::Delete), "{k} is held below");
+            }
+            for k in ["/active", "/shadowed"] {
+                assert_eq!(mem.get(k.as_bytes()), None, "nothing below holds {k}");
+            }
+        }
+        let check = |when: &str| {
+            for k in ["/l1", "/l0", "/frozen", "/active", "/shadowed"] {
+                assert_eq!(db.get(k.as_bytes()).unwrap(), None, "get {k} {when}");
+            }
+            assert_eq!(db.len().unwrap(), 0, "len {when}");
+        };
+        check("across the levels");
+        drop(gate);
+        db.flush().unwrap();
+        check("after a flush");
+        db.compact().unwrap();
         check("after a compaction");
     }
 

@@ -11,6 +11,12 @@
 //! memtable); otherwise operands stack until read or flush time, when
 //! the base is fetched from the table levels.
 //!
+//! A delete either **forgets** the key's entry or records a tombstone.
+//! The [`crate::Db`] forgets when no source older than this memtable
+//! may hold the key, so that nothing lies below for a tombstone to
+//! shadow; the two then read the same. Create/remove churn thus leaves
+//! the memtable as empty as it found it.
+//!
 //! Keys, values and operands are taken **by move**: the buffers a
 //! writer built (a `WriteBatch`'s, a replayed WAL record's) become the
 //! table's own, so an insert allocates nothing beyond the map's nodes.
@@ -24,7 +30,9 @@ use std::ops::Bound;
 pub enum Value {
     /// Key present with this value.
     Put(Vec<u8>),
-    /// Key deleted (tombstone shadowing older levels).
+    /// Key deleted: a tombstone shadowing older sources. Recorded only
+    /// where one of them may hold the key; elsewhere a delete forgets
+    /// the entry ([`MemTable::forget`]).
     Delete,
     /// Pending merge operands (oldest first) whose base lives in an
     /// older level (or doesn't exist).
@@ -60,9 +68,13 @@ impl MemTable {
         self.approx_bytes
     }
 
+    /// Key + value + map overhead estimate.
+    fn footprint(key: &[u8], val_len: usize) -> usize {
+        key.len() + val_len + 64
+    }
+
     fn charge(&mut self, key: &[u8], val_len: usize) {
-        // Key + value + map overhead estimate.
-        self.approx_bytes += key.len() + val_len + 64;
+        self.approx_bytes += Self::footprint(key, val_len);
     }
 
     /// Insert or overwrite `key`.
@@ -75,6 +87,20 @@ impl MemTable {
     pub fn delete(&mut self, key: Vec<u8>) {
         self.charge(&key, 0);
         self.map.insert(key, Value::Delete);
+    }
+
+    /// Remove `key`'s entry outright and give its charge back to
+    /// [`MemTable::approx_bytes`]: the delete of a key no older source
+    /// may hold, for which a tombstone would shadow nothing.
+    pub fn forget(&mut self, key: &[u8]) {
+        if let Some(v) = self.map.remove(key) {
+            let held = match &v {
+                Value::Put(v) => v.len(),
+                Value::Delete => 0,
+                Value::Merge(ops) => ops.iter().map(Vec::len).sum(),
+            };
+            self.approx_bytes = self.approx_bytes.saturating_sub(Self::footprint(key, held));
+        }
     }
 
     /// Record a merge operand, folding eagerly when the base state is
@@ -138,6 +164,20 @@ mod tests {
         // shadow an SSTable entry).
         m.delete(b"ghost".to_vec());
         assert_eq!(m.get(b"ghost"), Some(&Value::Delete));
+    }
+
+    #[test]
+    fn forget_returns_what_the_put_charged() {
+        let mut m = MemTable::new();
+        m.put(b"kept".to_vec(), b"1".to_vec());
+        let before = (m.len(), m.approx_bytes());
+        m.put(b"/churn".to_vec(), vec![7; 40]);
+        m.forget(b"/churn");
+        assert_eq!((m.len(), m.approx_bytes()), before);
+        assert_eq!(m.get(b"/churn"), None);
+        // Forgetting what is not there changes nothing.
+        m.forget(b"/ghost");
+        assert_eq!((m.len(), m.approx_bytes()), before);
     }
 
     #[test]

@@ -117,7 +117,9 @@ impl BlobStore for GateStore {
 /// the random steps take over (`true` = hold the flusher's gate):
 /// key 0 a tombstone in L0 over a put in L1, key 1 a merge in the
 /// memtable over a tombstone in L0, key 2 a merge with no base
-/// anywhere, key 3 (and its fillers) present only in frozen memtables.
+/// anywhere, key 3 (and its fillers) present only in frozen memtables
+/// — and then deleted in the active memtable, where only that frozen
+/// put calls for a tombstone.
 fn prologue() -> Vec<(Op, bool)> {
     let mut steps = vec![
         (Op::Put(0, 7), false),
@@ -131,6 +133,7 @@ fn prologue() -> Vec<(Op, bool)> {
         (Op::Put(3, 1), true),
     ];
     steps.extend((4..12).map(|k| (Op::Put(k, k), true)));
+    steps.push((Op::Delete(3), true));
     steps
 }
 

@@ -199,6 +199,10 @@ echo "==> one-winner race, release (a batched exclusive create is atomic)"
 # runs under, so the race is run where it is tight.
 cargo test -p gkfs-daemon --release -q --lib batched_exclusive_create_has_one_winner
 
+echo "==> create/unlink churn, release (a remove forgets what its create put)"
+# Counted, not timed: 65 536 files of 32-op create -> unlink frames leave no tombstone, no flush, no entry.
+cargo test -p gkfs-daemon --release -q --lib create_unlink_churn_leaves_the_store_empty
+
 echo "==> chaos suite, release (seeded fault injection under workloads)"
 # Deterministic chaos: mdtest/smallfile-shaped workloads under seeded
 # drop/delay/duplicate/corrupt/reset injection, plus a TCP proxy with
