@@ -15,13 +15,15 @@
 //!   shared deadline to every constituent wait via
 //!   [`ReplyFuture::wait_deadline`], so a striped write cannot stack N
 //!   per-call timeouts.
-//! * Each node has a [`NodeHealth`]: a [`CircuitBreaker`] plus retry
-//!   and failure counters. After `breaker_threshold` consecutive
-//!   transport failures the node fails fast with
+//! * Each node's health is one [`NodeRecord`] in the ring's
+//!   [`FailureDetector`]: its failure streak, its circuit breaker and
+//!   its retry and failure counters. Every outcome goes on it by the
+//!   detector's one rule ([`FailureDetector::record`]), and after
+//!   `breaker_threshold` failures in a row the node fails fast with
 //!   [`GkfsError::Unavailable`] instead of burning deadlines.
 //! * Only **transport** errors ([`GkfsError::is_retryable`]) are
 //!   retried. Application errors (`NotFound`, `Exists`, …) prove the
-//!   daemon answered, so they record *success* with the breaker.
+//!   daemon answered, so they record *success*.
 //! * Non-idempotent ops retry with **tolerance**: a retried `create`
 //!   that hits `Exists`, or a retried remove that hits `NotFound`,
 //!   treats the error as its own first attempt having been applied
@@ -37,11 +39,11 @@
 
 use bytes::Bytes;
 use gkfs_common::distributor::NodeId;
-use gkfs_common::retry::{BreakerState, CircuitBreaker, Deadline, RetryPolicy};
+use gkfs_common::retry::{Deadline, RetryPolicy};
 use gkfs_common::types::Dirent;
 use gkfs_common::{
-    FailureDetector, FileKind, GkfsError, Liveness, Metadata, ReplicationConfig, Result,
-    RetryConfig,
+    BreakerState, FailureDetector, FileKind, GkfsError, Liveness, Metadata, NodeRecord,
+    ReplicationConfig, Result, RetryConfig,
 };
 use gkfs_rpc::proto::*;
 use gkfs_rpc::{Endpoint, ReplyHandle, Request, Response};
@@ -69,74 +71,6 @@ fn lost_reply_verdict(op: &MetaOp, e: &GkfsError) -> Option<Option<Metadata>> {
             Some(Some(Metadata { size: u64::MAX, ..Metadata::new_file(0) }))
         }
         _ => None,
-    }
-}
-
-/// Per-daemon health: the circuit breaker plus counters surfaced by
-/// `cluster_stats` / `gkfs-cli df`.
-pub struct NodeHealth {
-    breaker: CircuitBreaker,
-    retries: AtomicU64,
-    failures: AtomicU64,
-    /// The ring-wide failure detector, fed alongside the breaker so
-    /// every RPC outcome doubles as piggybacked liveness detection.
-    detector: Arc<FailureDetector>,
-    node: NodeId,
-}
-
-impl std::fmt::Debug for NodeHealth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeHealth").field("node", &self.node).finish()
-    }
-}
-
-impl NodeHealth {
-    fn new(cfg: &RetryConfig, detector: Arc<FailureDetector>, node: NodeId) -> NodeHealth {
-        NodeHealth {
-            breaker: CircuitBreaker::new(
-                cfg.breaker_threshold,
-                Duration::from_millis(cfg.breaker_cooldown_ms),
-            ),
-            retries: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
-            detector,
-            node,
-        }
-    }
-
-    /// Current breaker state (racy by nature; for reporting).
-    pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.state()
-    }
-
-    /// Consecutive transport failures since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.breaker.consecutive_failures()
-    }
-
-    /// RPC attempts beyond the first, across all operations.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Transport-level failures observed (app errors excluded).
-    pub fn failures(&self) -> u64 {
-        self.failures.load(Ordering::Relaxed)
-    }
-
-    fn record_success(&self) {
-        self.breaker.record_success();
-        self.detector.record_ok(self.node);
-    }
-
-    fn record_failure(&self) {
-        self.failures.fetch_add(1, Ordering::Relaxed);
-        self.breaker.record_failure();
-        self.detector.record_failure(self.node);
-    }
-
-    fn note_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -193,7 +127,7 @@ pub enum Hedge<'a, T> {
 pub struct ReplyFuture<'a, T> {
     /// Outcome of attempt 0's submission.
     state: Result<ReplyHandle>,
-    /// The failure `state` holds is already on the node's record: a
+    /// The outcome `state` holds is already on the node's record: a
     /// hedge window saw it and charged it, so the wait that finds it
     /// here must not charge the one fault a second time.
     charged: bool,
@@ -203,7 +137,9 @@ pub struct ReplyFuture<'a, T> {
     /// Jitter salt: unique per future, so concurrent retries against
     /// the same daemon de-synchronize.
     salt: u64,
-    health: Arc<NodeHealth>,
+    /// The ring's detector, which holds the node's record.
+    detector: Arc<FailureDetector>,
+    node: NodeId,
     /// Re-submission closure for attempts ≥ 1 (checks the breaker,
     /// clones the cheap refcounted body, re-borrows the bulk).
     submit: Box<dyn Fn() -> Result<ReplyHandle> + Send + 'a>,
@@ -219,13 +155,6 @@ pub struct ReplyFuture<'a, T> {
 }
 
 impl<'a, T> ReplyFuture<'a, T> {
-    /// Put the failure this future holds on the node's record, once.
-    fn charge(&mut self) {
-        if !std::mem::replace(&mut self.charged, true) {
-            self.health.record_failure();
-        }
-    }
-
     /// Block until the reply arrives (retrying transport failures
     /// under this future's own per-operation deadline) and decode it.
     pub fn wait(self) -> Result<T> {
@@ -244,7 +173,8 @@ impl<'a, T> ReplyFuture<'a, T> {
             timeout,
             policy,
             salt,
-            health,
+            detector,
+            node,
             submit,
             tolerate,
             decode,
@@ -253,25 +183,19 @@ impl<'a, T> ReplyFuture<'a, T> {
         let attempts = policy.max_attempts.max(1);
         let mut attempt: u32 = 0;
         let mut pending = state;
-        // One fault, one strike: whatever a hedge window already
-        // charged is not charged again; a fresh attempt's failure is.
-        let mut charge = || {
-            if !std::mem::take(&mut charged) {
-                health.record_failure();
-            }
-        };
         loop {
             let outcome: Result<T> = pending.and_then(|handle| {
                 let resp = handle.wait(deadline.clamp(timeout))?.into_result()?;
                 decode(resp, attempt)
             });
+            // One fault, one strike: whatever a hedge window already
+            // charged is not charged again; a fresh attempt's outcome is.
+            if !std::mem::take(&mut charged) {
+                detector.record(node, &outcome);
+            }
             match outcome {
-                Ok(v) => {
-                    health.record_success();
-                    return Ok(v);
-                }
+                Ok(v) => return Ok(v),
                 Err(e) if e.is_retryable() => {
-                    charge();
                     attempt += 1;
                     if attempt >= attempts || deadline.expired() {
                         return Err(e);
@@ -284,35 +208,19 @@ impl<'a, T> ReplyFuture<'a, T> {
                     if deadline.expired() {
                         return Err(e);
                     }
-                    health.note_retry();
+                    detector.note_retry(node);
                     pending = submit();
                 }
-                Err(e @ GkfsError::ShuttingDown) => {
-                    // A deliberate refusal: re-sending to this node
-                    // would get the same answer, so no retry — but the
-                    // node is going away and the failure detector must
-                    // hear it, or a killed daemon would stay "Alive"
-                    // in the health map forever.
-                    charge();
-                    return Err(e);
-                }
                 Err(e) => {
-                    // An app error on a retried attempt may prove the
-                    // lost first attempt was applied: tolerate it.
+                    // Not worth re-sending: an app error, a breaker
+                    // denial, or a daemon shutting down (which the
+                    // record above already counted against it). An app
+                    // error on a retried attempt may prove the lost
+                    // first attempt was applied: tolerate it.
                     if attempt > 0 {
-                        if let Some(tol) = &tolerate {
-                            if let Some(v) = tol(&e) {
-                                health.record_success();
-                                return Ok(v);
-                            }
+                        if let Some(v) = tolerate.as_ref().and_then(|tol| tol(&e)) {
+                            return Ok(v);
                         }
-                    }
-                    // A daemon that answered is healthy — app errors
-                    // close the breaker. A breaker denial
-                    // (Unavailable) never touches the counters: no
-                    // request was sent.
-                    if !matches!(e, GkfsError::Unavailable(_)) {
-                        health.record_success();
                     }
                     return Err(e);
                 }
@@ -332,40 +240,30 @@ impl<'a, T> ReplyFuture<'a, T> {
     /// accumulates breaker failures because a hedge to a replica won
     /// the race, nor is asked twice — driving the future later with
     /// [`ReplyFuture::wait_deadline`] waits for that same reply first.
-    /// Genuine transport failures inside the window still count —
-    /// once: the future is left holding the failure, marked as charged,
-    /// for `wait_deadline` to retry.
+    /// Any other outcome goes on the node's record, once, by the
+    /// detector's rule. One that indicts the node — a transport failure
+    /// in the reply or the submission, a shutting-down daemon, a
+    /// breaker denial — is left in the future, marked as charged, for
+    /// `wait_deadline` to retry while the caller fails over.
     pub fn wait_hedge(mut self, window: Option<Duration>) -> Hedge<'a, T> {
         let window = self.deadline.clamp(window.unwrap_or(self.timeout));
-        let waited = match &mut self.state {
-            Ok(handle) => handle.wait_within(window),
-            // Breaker denial: no request was ever sent, so nothing is
-            // recorded — but the node is known-bad, so fail over.
-            Err(GkfsError::Unavailable(_)) => return Hedge::Pending(self),
-            Err(e) if e.is_node_down() => {
-                // The submission itself failed — a real transport
-                // fault (or a shutting-down daemon), not a slow reply.
-                self.charge();
-                return Hedge::Pending(self);
-            }
-            Err(e) => return Hedge::Ready(Err(e.clone())),
+        let out = match &mut self.state {
+            Ok(handle) => match handle.wait_within(window) {
+                None => return Hedge::Pending(self),
+                Some(got) => got.and_then(Response::into_result).and_then(|r| (self.decode)(r, 0)),
+            },
+            Err(e) => Err(e.clone()),
         };
-        let out = match waited {
-            None => return Hedge::Pending(self),
-            Some(got) => got.and_then(Response::into_result).and_then(|r| (self.decode)(r, 0)),
-        };
-        match out {
-            Err(e @ GkfsError::Unavailable(_)) => self.state = Err(e),
-            Err(e) if e.is_node_down() => {
-                self.charge();
-                self.state = Err(e);
-            }
-            out => {
-                self.health.record_success();
-                return Hedge::Ready(out);
-            }
+        if !std::mem::replace(&mut self.charged, true) {
+            self.detector.record(self.node, &out);
         }
-        Hedge::Pending(self)
+        match out {
+            Err(e) if e.is_node_down() => {
+                self.state = Err(e);
+                Hedge::Pending(self)
+            }
+            out => Hedge::Ready(out),
+        }
     }
 }
 
@@ -393,8 +291,7 @@ pub struct DaemonRing {
     endpoints: Vec<Arc<dyn Endpoint>>,
     retry: RetryConfig,
     policy: RetryPolicy,
-    health: Vec<Arc<NodeHealth>>,
-    /// Piggybacked failure detector shared by every [`NodeHealth`].
+    /// Every node's health record, fed passively by RPC outcomes.
     detector: Arc<FailureDetector>,
     /// Monotonic jitter-salt source (one per issued future).
     salts: AtomicU64,
@@ -412,30 +309,30 @@ impl DaemonRing {
     /// A ring over `endpoints` under the given fault-handling
     /// configuration ([`RetryConfig::disabled`] gives single-attempt
     /// semantics). The [`ReplicationConfig`]'s suspect/dead thresholds
-    /// size the client-side failure detector that every RPC outcome
-    /// feeds.
+    /// and the retry configuration's breaker settings size the
+    /// client-side failure detector that every RPC outcome feeds.
     pub fn new(
         endpoints: Vec<Arc<dyn Endpoint>>,
         retry: RetryConfig,
         replication: &ReplicationConfig,
     ) -> DaemonRing {
         assert!(!endpoints.is_empty(), "need at least one daemon");
-        let detector = Arc::new(FailureDetector::new(
-            endpoints.len(),
-            Duration::from_millis(replication.suspect_after_ms),
-            Duration::from_millis(replication.dead_after_ms),
-        ));
-        let health = endpoints
-            .iter()
-            .enumerate()
-            .map(|(node, _)| Arc::new(NodeHealth::new(&retry, Arc::clone(&detector), node)))
-            .collect();
+        let detector = Arc::new(
+            FailureDetector::new(
+                endpoints.len(),
+                Duration::from_millis(replication.suspect_after_ms),
+                Duration::from_millis(replication.dead_after_ms),
+            )
+            .with_breaker(
+                retry.breaker_threshold,
+                Duration::from_millis(retry.breaker_cooldown_ms),
+            ),
+        );
         let policy = retry.policy();
         DaemonRing {
             endpoints,
             retry,
             policy,
-            health,
             detector,
             salts: AtomicU64::new(0),
             rpcs: Arc::new(AtomicU64::new(0)),
@@ -472,8 +369,9 @@ impl DaemonRing {
     }
 
     /// Health of one daemon (breaker state, retry/failure counters).
-    pub fn node_health(&self, node: NodeId) -> Result<&Arc<NodeHealth>> {
-        self.health
+    pub fn node_health(&self, node: NodeId) -> Result<&NodeRecord> {
+        self.detector
+            .records()
             .get(node)
             .ok_or_else(|| GkfsError::Rpc(format!("no endpoint for node {node}")))
     }
@@ -485,7 +383,8 @@ impl DaemonRing {
 
     /// One [`NodeHealthSnapshot`] per daemon, in node order.
     pub fn health_snapshot(&self) -> Vec<NodeHealthSnapshot> {
-        self.health
+        self.detector
+            .records()
             .iter()
             .enumerate()
             .map(|(node, h)| NodeHealthSnapshot {
@@ -546,14 +445,13 @@ impl DaemonRing {
         finish: impl Fn(R::Resp, Bytes, u32) -> Result<T> + Send + 'static,
     ) -> Result<ReplyFuture<'a, T>> {
         let ep = Arc::clone(self.ep(node)?);
-        let health = Arc::clone(&self.health[node]);
         self.rpcs.fetch_add(1, Ordering::Relaxed);
         let timeout = ep.timeout();
         let send = {
-            let health = Arc::clone(&health);
+            let detector = Arc::clone(&self.detector);
             let gather_copies = Arc::clone(&self.gather_copies);
             move |frame: &Request| {
-                if !health.breaker.allow() {
+                if !detector.allow(node) {
                     return Err(GkfsError::Unavailable(format!(
                         "node {node}: circuit breaker open"
                     )));
@@ -582,7 +480,8 @@ impl DaemonRing {
             policy: self.policy.clone(),
             deadline: self.retry.op_deadline(),
             salt: self.salts.fetch_add(1, Ordering::Relaxed),
-            health,
+            detector: Arc::clone(&self.detector),
+            node,
             submit: Box::new(move || send(&again)),
             tolerate,
             decode: Box::new(move |resp, attempt| {

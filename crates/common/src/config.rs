@@ -4,6 +4,7 @@
 //! (§IV), synchronous cache-less operation (§III-A), and a Margo-style
 //! handler pool on each daemon.
 
+use crate::error::{GkfsError, Result};
 use std::path::PathBuf;
 
 /// The chunk size used throughout the paper's evaluation: 512 KiB.
@@ -294,9 +295,65 @@ impl ClusterConfig {
     }
 }
 
+/// The daemon addresses of a deployment, named the way every
+/// command-line tool names them (`gkfs-daemon --peers`, `--hosts`): a
+/// comma-separated list, or a hosts file with one address per line —
+/// `gkfs-daemon`'s own `LISTENING <addr>` lines are accepted as they
+/// are. Blank entries are dropped, so a trailing comma adds no node. A
+/// file that exists but cannot be read, or a spec that names no
+/// address, is an error.
+pub fn parse_hosts(spec: &str) -> Result<Vec<String>> {
+    let addrs: Vec<String> = if std::path::Path::new(spec).exists() {
+        std::fs::read_to_string(spec)?
+            .lines()
+            .map(|l| l.trim().trim_start_matches("LISTENING").trim().to_string())
+            .filter(|l| !l.is_empty())
+            .collect()
+    } else {
+        spec.split(',')
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .collect()
+    };
+    if addrs.is_empty() {
+        return Err(GkfsError::InvalidArgument("no daemon addresses".into()));
+    }
+    Ok(addrs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hosts_lists_drop_blank_entries() {
+        assert_eq!(parse_hosts("h1,h2,").unwrap(), ["h1", "h2"]);
+        assert_eq!(parse_hosts("h1,,h2").unwrap(), ["h1", "h2"]);
+        assert_eq!(parse_hosts(" h1 , h2 ").unwrap(), ["h1", "h2"]);
+        assert!(matches!(parse_hosts(""), Err(GkfsError::InvalidArgument(_))));
+        assert!(matches!(parse_hosts(" , ,"), Err(GkfsError::InvalidArgument(_))));
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "touches the file system")]
+    fn hosts_files_drop_blank_lines_and_must_be_readable() {
+        let dir = std::env::temp_dir().join(format!("gkfs-hosts-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("hosts");
+        std::fs::write(&file, "LISTENING 127.0.0.1:9841\n\n  LISTENING 127.0.0.1:9842  \nh3\n").unwrap();
+        assert_eq!(
+            parse_hosts(file.to_str().unwrap()).unwrap(),
+            ["127.0.0.1:9841", "127.0.0.1:9842", "h3"]
+        );
+        std::fs::write(&file, "\n \n").unwrap();
+        assert!(matches!(
+            parse_hosts(file.to_str().unwrap()),
+            Err(GkfsError::InvalidArgument(_))
+        ));
+        // A directory exists but is no readable hosts file.
+        assert!(matches!(parse_hosts(dir.to_str().unwrap()), Err(GkfsError::Io(_))));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn defaults_match_paper() {

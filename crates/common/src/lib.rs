@@ -57,8 +57,8 @@ pub use config::{
 };
 pub use distributor::Distributor;
 pub use error::{GkfsError, Result};
-pub use health::{FailureDetector, Liveness, Transition};
+pub use health::{BreakerState, FailureDetector, Liveness, NodeRecord, Transition};
 pub use lock::{LockRank, OrderedMutex, OrderedRwLock};
-pub use retry::{BreakerState, CircuitBreaker, Deadline, RetryPolicy};
+pub use retry::{Deadline, RetryPolicy};
 pub use taskpool::TaskPool;
 pub use types::{FileKind, Metadata, OpenFlags};

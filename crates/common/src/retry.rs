@@ -1,5 +1,5 @@
-//! Deadline-aware retry: bounded backoff schedules, operation
-//! deadlines, and per-endpoint circuit breakers.
+//! Deadline-aware retry: bounded backoff schedules and operation
+//! deadlines.
 //!
 //! GekkoFS is explicitly *not* fault tolerant (paper §III-A) — but a
 //! temporary file system still owes its callers **clean failure**:
@@ -17,11 +17,10 @@
 //!   Aggregate operations (striped writes, broadcasts) clamp each
 //!   individual `wait` and each backoff sleep to the *remaining*
 //!   budget instead of stacking per-call timeouts N deep.
-//! * [`CircuitBreaker`] — consecutive-failure counter per endpoint:
-//!   after `threshold` straight transport failures the breaker opens
-//!   and callers fail fast with [`GkfsError::Unavailable`] instead of
-//!   burning their deadline on a daemon that is gone; after a cooldown
-//!   a single half-open probe decides whether to close it again.
+//!
+//! The third part of clean failure, failing fast on a daemon that is
+//! gone, is each node's circuit breaker, which lives in its failure
+//! detector record ([`crate::health`]).
 //!
 //! What is considered retryable lives on the error type itself
 //! ([`GkfsError::is_retryable`]); *when* a retry is semantically safe
@@ -30,9 +29,7 @@
 //!
 //! [`GkfsError`]: crate::error::GkfsError
 //! [`GkfsError::is_retryable`]: crate::error::GkfsError::is_retryable
-//! [`GkfsError::Unavailable`]: crate::error::GkfsError::Unavailable
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 /// Bounded exponential backoff with deterministic seeded jitter.
@@ -154,160 +151,6 @@ impl Deadline {
     }
 }
 
-/// Circuit breaker state, in the classic three-state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Normal operation; failures are counted.
-    Closed,
-    /// Failing fast; no requests pass until the cooldown elapses.
-    Open,
-    /// Cooldown elapsed; exactly one probe request is in flight.
-    HalfOpen,
-}
-
-impl std::fmt::Display for BreakerState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BreakerState::Closed => write!(f, "closed"),
-            BreakerState::Open => write!(f, "open"),
-            BreakerState::HalfOpen => write!(f, "half-open"),
-        }
-    }
-}
-
-const STATE_CLOSED: u8 = 0;
-const STATE_OPEN: u8 = 1;
-const STATE_HALF_OPEN: u8 = 2;
-
-/// Per-endpoint consecutive-failure circuit breaker.
-///
-/// Lock-free (atomics only) so it sits on the RPC fast path without
-/// joining the ranked lock hierarchy. Time is measured against a
-/// per-breaker epoch `Instant`, never the wall clock.
-#[derive(Debug)]
-pub struct CircuitBreaker {
-    threshold: u32,
-    cooldown: Duration,
-    epoch: Instant,
-    consecutive: AtomicU32,
-    state: AtomicU8,
-    open_until_nanos: AtomicU64,
-}
-
-impl CircuitBreaker {
-    /// A breaker that opens after `threshold` consecutive failures and
-    /// probes again `cooldown` later. `threshold == 0` disables it.
-    pub fn new(threshold: u32, cooldown: Duration) -> CircuitBreaker {
-        CircuitBreaker {
-            threshold,
-            cooldown,
-            epoch: Instant::now(),
-            consecutive: AtomicU32::new(0),
-            state: AtomicU8::new(STATE_CLOSED),
-            open_until_nanos: AtomicU64::new(0),
-        }
-    }
-
-    fn now_nanos(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// May a request proceed? `false` means fail fast with
-    /// [`Unavailable`]. At most one caller per cooldown window wins
-    /// the half-open probe slot.
-    ///
-    /// [`Unavailable`]: crate::error::GkfsError::Unavailable
-    pub fn allow(&self) -> bool {
-        if self.threshold == 0 {
-            return true;
-        }
-        match self.state.load(Ordering::Acquire) {
-            STATE_CLOSED => true,
-            STATE_OPEN => {
-                if self.now_nanos() >= self.open_until_nanos.load(Ordering::Acquire) {
-                    // Cooldown over: exactly one CAS winner probes. The
-                    // probe itself gets a cooldown-sized window to
-                    // resolve (see the half-open arm below).
-                    if self
-                        .state
-                        .compare_exchange(
-                            STATE_OPEN,
-                            STATE_HALF_OPEN,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        self.open_until_nanos.store(
-                            self.now_nanos() + self.cooldown.as_nanos() as u64,
-                            Ordering::Release,
-                        );
-                        true
-                    } else {
-                        false
-                    }
-                } else {
-                    false
-                }
-            }
-            _ => {
-                // Half-open: a probe is in flight. If its owner never
-                // resolved it (the reply future was dropped), the
-                // breaker must not wedge — after another cooldown the
-                // probe slot is forfeit and one new caller claims it.
-                let until = self.open_until_nanos.load(Ordering::Acquire);
-                let now = self.now_nanos();
-                now >= until
-                    && self
-                        .open_until_nanos
-                        .compare_exchange(
-                            until,
-                            now + self.cooldown.as_nanos() as u64,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-            }
-        }
-    }
-
-    /// Record a successful request: closes the breaker, resets counts.
-    pub fn record_success(&self) {
-        self.consecutive.store(0, Ordering::Release);
-        self.state.store(STATE_CLOSED, Ordering::Release);
-    }
-
-    /// Record a transport-level failure. Application errors from a
-    /// daemon that *answered* (NotFound, Exists, …) must not be fed
-    /// here — a daemon that responds is healthy.
-    pub fn record_failure(&self) {
-        if self.threshold == 0 {
-            return;
-        }
-        let failures = self.consecutive.fetch_add(1, Ordering::AcqRel) + 1;
-        let state = self.state.load(Ordering::Acquire);
-        if state == STATE_HALF_OPEN || failures >= self.threshold {
-            self.open_until_nanos
-                .store(self.now_nanos() + self.cooldown.as_nanos() as u64, Ordering::Release);
-            self.state.store(STATE_OPEN, Ordering::Release);
-        }
-    }
-
-    /// Current state (for health reporting; racy by nature).
-    pub fn state(&self) -> BreakerState {
-        match self.state.load(Ordering::Acquire) {
-            STATE_OPEN => BreakerState::Open,
-            STATE_HALF_OPEN => BreakerState::HalfOpen,
-            _ => BreakerState::Closed,
-        }
-    }
-
-    /// Consecutive transport failures since the last success.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive.load(Ordering::Acquire)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,70 +232,5 @@ mod tests {
         assert!(!never.expired());
         assert_eq!(never.clamp(Duration::from_secs(7)), Duration::from_secs(7));
         assert_eq!(never.remaining(), None);
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "real-clock cooldown windows are meaningless at interpreter speed")]
-    fn breaker_opens_half_opens_and_closes() {
-        let b = CircuitBreaker::new(3, Duration::from_millis(30));
-        assert_eq!(b.state(), BreakerState::Closed);
-        for _ in 0..3 {
-            assert!(b.allow());
-            b.record_failure();
-        }
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow(), "open breaker fails fast");
-        std::thread::sleep(Duration::from_millis(40));
-        // Exactly one probe wins after cooldown.
-        assert!(b.allow());
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.allow(), "only one half-open probe at a time");
-        b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.consecutive_failures(), 0);
-        assert!(b.allow());
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "real-clock cooldown windows are meaningless at interpreter speed")]
-    fn breaker_reopens_on_failed_probe() {
-        let b = CircuitBreaker::new(2, Duration::from_millis(20));
-        b.record_failure();
-        b.record_failure();
-        assert_eq!(b.state(), BreakerState::Open);
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(b.allow());
-        b.record_failure(); // probe failed
-        assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow());
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "real-clock cooldown windows are meaningless at interpreter speed")]
-    fn abandoned_probe_does_not_wedge_breaker() {
-        // A caller that wins the half-open probe slot and then drops
-        // its reply future without recording an outcome must not leave
-        // the breaker half-open forever.
-        let b = CircuitBreaker::new(1, Duration::from_millis(20));
-        b.record_failure();
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(b.allow(), "first probe claims the slot");
-        assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.allow(), "slot is taken for a cooldown window");
-        // ... the probe owner vanishes ...
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(b.allow(), "forfeited probe slot reopens");
-        b.record_success();
-        assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn zero_threshold_disables_breaker() {
-        let b = CircuitBreaker::new(0, Duration::from_millis(1));
-        for _ in 0..100 {
-            b.record_failure();
-            assert!(b.allow());
-        }
-        assert_eq!(b.state(), BreakerState::Closed);
     }
 }

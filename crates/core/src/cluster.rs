@@ -13,7 +13,7 @@
 //!   process for testing while still exercising the full wire path.
 
 use gkfs_client::GekkoClient;
-use gkfs_common::{ClusterConfig, DaemonConfig, GkfsError, Result};
+use gkfs_common::{ClusterConfig, DaemonConfig, Result};
 use gkfs_daemon::Daemon;
 use gkfs_rpc::transport::SwitchEndpoint;
 use gkfs_rpc::{Endpoint, EndpointOptions, TcpEndpoint};
@@ -314,27 +314,16 @@ fn dial(addrs: &[String], lazy: bool) -> Result<Vec<Arc<dyn Endpoint>>> {
 }
 
 /// Mount a live TCP deployment named the way every command-line tool
-/// names it: `hosts` is a comma-separated address list, or a file with
-/// one address per line — `gkfs-daemon`'s own `LISTENING <addr>` lines
-/// are accepted as they are. `configure` receives a [`ClusterConfig`]
-/// sized to the address count and adds what all clients of the
-/// deployment must agree on (chunk size, replication, caches).
+/// names it ([`gkfs_common::config::parse_hosts`]: a comma-separated
+/// address list, or a file of `gkfs-daemon`'s `LISTENING <addr>`
+/// lines). `configure` receives a [`ClusterConfig`] sized to the
+/// address count and adds what all clients of the deployment must
+/// agree on (chunk size, replication, caches).
 pub fn mount_hosts(
     hosts: &str,
     configure: impl FnOnce(ClusterConfig) -> ClusterConfig,
 ) -> Result<GekkoClient> {
-    let addrs: Vec<String> = if std::path::Path::new(hosts).exists() {
-        std::fs::read_to_string(hosts)?
-            .lines()
-            .map(|l| l.trim().trim_start_matches("LISTENING").trim().to_string())
-            .filter(|l| !l.is_empty())
-            .collect()
-    } else {
-        hosts.split(',').map(|s| s.trim().to_string()).collect()
-    };
-    if addrs.is_empty() {
-        return Err(GkfsError::InvalidArgument("no daemon addresses".into()));
-    }
+    let addrs = gkfs_common::config::parse_hosts(hosts)?;
     let config = configure(ClusterConfig::new(addrs.len()));
     // Replicated mounts tolerate a daemon that is down right now —
     // reads fail over and writes divert, which is the point of

@@ -43,22 +43,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Parse `--peers`: a comma-separated list, or a hosts file of
-/// `LISTENING <addr>` lines (what launchers scrape from daemon
-/// stdout) — the same formats `gkfs-cli --hosts` accepts.
-fn parse_peers(spec: &str) -> Vec<String> {
-    if std::path::Path::new(spec).exists() {
-        std::fs::read_to_string(spec)
-            .unwrap_or_default()
-            .lines()
-            .map(|l| l.trim().trim_start_matches("LISTENING").trim().to_string())
-            .filter(|l| !l.is_empty())
-            .collect()
-    } else {
-        spec.split(',').map(|s| s.trim().to_string()).collect()
-    }
-}
-
 /// Dial one peer, retrying briefly while the cluster is still
 /// launching (the daemons of a job start concurrently, so a peer's
 /// listener may come up seconds after ours — waiting here lets the
@@ -157,7 +141,13 @@ fn main() {
     // The client must mount with the same node order and replica
     // count, so placement agrees across the system.
     if let Some(spec) = peers_spec {
-        let addrs = parse_peers(&spec);
+        let addrs = match gkfs_common::config::parse_hosts(&spec) {
+            Ok(addrs) => addrs,
+            Err(e) => {
+                eprintln!("gkfs-daemon: --peers {spec}: {e}");
+                std::process::exit(2);
+            }
+        };
         let id = match self_id {
             Some(id) if id < addrs.len() => id,
             _ => {

@@ -310,17 +310,18 @@ impl ReplicationManager {
             }
             self.counters.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
             let req = HeartbeatReq { from: self.self_id as u64, seq };
-            match ep
+            let reply = ep
                 .call(op::Heartbeat::request(&req))
-                .and_then(op::Heartbeat::reply)
-            {
+                .and_then(op::Heartbeat::reply);
+            self.detector.record(node, &reply);
+            match reply {
                 Ok(hb) => {
                     gkfs_common::gkfs_debug!(
                         "repl[{}]: probe {node} ok epoch {:#x}",
                         self.self_id,
                         hb.epoch
                     );
-                    if self.detector.record_ok_epoch(node, hb.epoch) {
+                    if self.detector.record_epoch(node, hb.epoch) {
                         gkfs_common::gkfs_info!(
                             "repl[{}]: node {node} restarted (epoch flip)",
                             self.self_id
@@ -329,7 +330,6 @@ impl ReplicationManager {
                 }
                 Err(e) => {
                     gkfs_common::gkfs_debug!("repl[{}]: probe {node} failed: {e}", self.self_id);
-                    self.detector.record_failure(node);
                 }
             }
         }
@@ -511,18 +511,11 @@ impl ReplicationManager {
             if self.stop.load(Ordering::Relaxed) {
                 return Err(GkfsError::ShuttingDown);
             }
-            match ep.call(req.clone()).and_then(|r| r.into_result()) {
-                Ok(_) => {
-                    self.detector.record_ok(dst);
-                    return Ok(());
-                }
+            let reply = ep.call(req.clone()).and_then(|r| r.into_result());
+            self.detector.record(dst, &reply);
+            match reply {
+                Ok(_) => return Ok(()),
                 Err(e) => {
-                    if e.is_node_down() {
-                        self.detector.record_failure(dst);
-                    } else {
-                        // The peer answered — it is alive, it refused.
-                        self.detector.record_ok(dst);
-                    }
                     let retryable = e.is_retryable();
                     last = e;
                     if !retryable {

@@ -204,10 +204,12 @@ echo "==> create/unlink churn, release (a remove forgets what its create put)"
 cargo test -p gkfs-daemon --release -q --lib create_unlink_churn_leaves_the_store_empty
 
 echo "==> chaos suite, release (seeded fault injection under workloads)"
-# Deterministic chaos: mdtest/smallfile-shaped workloads under seeded
+# Seeded chaos: mdtest/smallfile-shaped workloads under seeded
 # drop/delay/duplicate/corrupt/reset injection, plus a TCP proxy with
 # mid-workload connection severing. Seeds are fixed in
-# tests/tests/chaos.rs, so a red run reproduces exactly. Release mode:
+# tests/tests/chaos.rs, so a red run replays the same fault decisions;
+# thread interleaving and the injected delays still run on real threads
+# in real time, so the run itself may not repeat. Release mode:
 # the suite is timeout-bound and debug-mode handler overhead distorts
 # the deadline-bound assertions.
 cargo test -p gkfs-integration --release --test chaos -- --test-threads=2
