@@ -485,7 +485,7 @@ mod tests {
     use crate::client::testing::{cluster, cluster_with};
     use gkfs_common::{ClusterConfig, OpenFlags};
     use gkfs_daemon::Daemon;
-    use gkfs_rpc::{Endpoint, Opcode};
+    use gkfs_rpc::{Endpoint, Fate, Link, Opcode, Until};
     use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
@@ -584,86 +584,63 @@ mod tests {
         h.close().unwrap();
     }
 
-    /// A daemon doctored per opcode: everything it is asked is logged,
-    /// `slow` ops answer `delay` late (the others at once), and
-    /// `refused` ones come back as an application error, which nothing
-    /// retries.
-    struct Doctored {
-        inner: Arc<dyn Endpoint>,
-        slow: Vec<Opcode>,
-        delay: Duration,
+    /// What a node is scripted to do, per opcode: everything it is asked
+    /// is logged, and `refused` ops come back as an application error,
+    /// which nothing retries.
+    #[derive(Default)]
+    struct Script {
         refused: Mutex<Vec<Opcode>>,
         asked: Mutex<Vec<Opcode>>,
-        repliers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     }
 
-    impl Doctored {
-        fn new(inner: Arc<dyn Endpoint>, slow: &[Opcode], delay_ms: u64) -> Arc<Doctored> {
-            Arc::new(Doctored {
-                inner,
-                slow: slow.to_vec(),
-                delay: Duration::from_millis(delay_ms),
-                refused: Mutex::default(),
-                asked: Mutex::default(),
-                repliers: Mutex::default(),
-            })
-        }
-    }
+    /// A node's link, and what it is scripted to do.
+    type Scripted = (Arc<Link>, Arc<Script>);
 
-    impl Endpoint for Doctored {
-        fn submit(&self, req: gkfs_rpc::Request) -> Result<gkfs_rpc::ReplyHandle> {
-            self.asked.lock().unwrap().push(req.opcode);
-            if self.refused.lock().unwrap().contains(&req.opcode) {
-                let refusal = GkfsError::InvalidArgument(format!("{:?} refused", req.opcode));
-                return Ok(gkfs_rpc::ReplyHandle::ready(Ok(gkfs_rpc::Response::err(refusal))));
-            }
-            if !self.slow.contains(&req.opcode) {
-                return self.inner.submit(req);
-            }
-            let (tx, rx) = std::sync::mpsc::sync_channel(1);
-            let (inner, delay) = (Arc::clone(&self.inner), self.delay);
-            self.repliers.lock().unwrap().push(std::thread::spawn(move || {
-                std::thread::sleep(delay);
-                let _ = tx.send(inner.call(req));
-            }));
-            Ok(gkfs_rpc::ReplyHandle::pending(rx))
-        }
-    }
-
-    impl Drop for Doctored {
-        fn drop(&mut self) {
-            for t in self.repliers.lock().unwrap().drain(..) {
-                let _ = t.join();
-            }
-        }
-    }
-
-    /// `nodes` daemons behind [`Doctored`] endpoints slow on `slow`.
+    /// `nodes` daemons behind scripted links, on which `slow` ops are
+    /// delivered `delay_ms` late (the others at once).
     fn doctored_cluster(
         config: &ClusterConfig,
         slow: &[Opcode],
         delay_ms: u64,
-    ) -> (Vec<Arc<Daemon>>, Vec<Arc<Doctored>>, GekkoClient) {
+    ) -> (Vec<Arc<Daemon>>, Vec<Scripted>, GekkoClient) {
         let daemons: Vec<Arc<Daemon>> = (0..config.nodes)
             .map(|_| Daemon::spawn(gkfs_common::DaemonConfig::default()).unwrap())
             .collect();
         let doctored: Vec<_> = daemons
             .iter()
-            .map(|d| Doctored::new(d.endpoint(), slow, delay_ms))
+            .map(|d| {
+                let (script, slow) = (Arc::new(Script::default()), slow.to_vec());
+                let on = Arc::clone(&script);
+                let link = Link::with_rule(d.endpoint(), move |req, _| {
+                    on.asked.lock().unwrap().push(req.opcode);
+                    if on.refused.lock().unwrap().contains(&req.opcode) {
+                        let refusal = GkfsError::InvalidArgument(format!("{:?} refused", req.opcode));
+                        Fate::Answer(gkfs_rpc::Response::err(refusal))
+                    } else if slow.contains(&req.opcode) {
+                        Fate::HoldRequest(Until::Elapsed(Duration::from_millis(delay_ms)))
+                    } else {
+                        Fate::Pass
+                    }
+                });
+                (link, script)
+            })
             .collect();
-        let endpoints = doctored.iter().map(|d| Arc::clone(d) as Arc<dyn Endpoint>).collect();
-        let client = GekkoClient::mount(endpoints, config).unwrap();
+        let client = GekkoClient::mount(links(&doctored), config).unwrap();
         (daemons, doctored, client)
     }
 
-    fn refuse(doctored: &[Arc<Doctored>], ops: &[Opcode]) {
-        for d in doctored {
-            *d.refused.lock().unwrap() = ops.to_vec();
+    fn links(doctored: &[Scripted]) -> Vec<Arc<dyn Endpoint>> {
+        doctored.iter().map(|(link, _)| Arc::clone(link) as Arc<dyn Endpoint>).collect()
+    }
+
+    fn refuse(doctored: &[Scripted], ops: &[Opcode]) {
+        for (_, script) in doctored {
+            *script.refused.lock().unwrap() = ops.to_vec();
         }
     }
 
-    fn asked(doctored: &[Arc<Doctored>]) -> Vec<Opcode> {
-        doctored.iter().flat_map(|d| d.asked.lock().unwrap().clone()).collect()
+    fn asked(doctored: &[Scripted]) -> Vec<Opcode> {
+        doctored.iter().flat_map(|(_, script)| script.asked.lock().unwrap().clone()).collect()
     }
 
     /// A path whose chunk 1 is placed apart from its metadata, and the
@@ -803,10 +780,9 @@ mod tests {
         let config = ClusterConfig::new(3).with_write_back(64 * 1024);
         let (daemons, doctored, _c) = doctored_cluster(&config, &[], 0);
         let broken = 2;
-        doctored[broken].refused.lock().unwrap().push(Opcode::WriteFile);
+        doctored[broken].1.refused.lock().unwrap().push(Opcode::WriteFile);
         for round in 0..6 {
-            let endpoints = doctored.iter().map(|d| Arc::clone(d) as Arc<dyn Endpoint>).collect();
-            let c = GekkoClient::mount(endpoints, &config).unwrap();
+            let c = GekkoClient::mount(links(&doctored), &config).unwrap();
             let on_broken = |p: &String| c.placement.chunk_primary(p, 0) == broken;
             let mut names = (0..).map(|i| format!("/r{round}-{i}"));
             let bad = names.by_ref().find(on_broken).unwrap();

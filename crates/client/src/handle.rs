@@ -849,44 +849,11 @@ mod tests {
         assert_eq!(rpcs(&back), base + 2, "the open, and a read of the daemons under the run");
     }
 
-    /// Serves every request at once, and holds the reply of the next
-    /// request of each opcode in `armed` back until
-    /// [`HeldReplies::release`]: a call whose answer is on its way while
-    /// the test does something else to the path.
-    struct HeldReplies {
-        inner: Arc<dyn Endpoint>,
-        armed: std::sync::Mutex<Vec<gkfs_rpc::Opcode>>,
-        served: std::sync::mpsc::Sender<()>,
-        parked: std::sync::Mutex<Vec<(gkfs_rpc::Opcode, Parked)>>,
-    }
-
-    type Answer = gkfs_common::Result<gkfs_rpc::Response>;
-    type Parked = (std::sync::mpsc::SyncSender<Answer>, Answer);
-
-    impl Endpoint for HeldReplies {
-        fn submit(&self, req: gkfs_rpc::Request) -> gkfs_common::Result<gkfs_rpc::ReplyHandle> {
-            let opcode = req.opcode;
-            let mut armed = self.armed.lock().unwrap();
-            let Some(at) = armed.iter().position(|op| *op == opcode) else {
-                return self.inner.submit(req);
-            };
-            armed.remove(at);
-            drop(armed);
-            let answer = self.inner.call(req);
-            let (tx, rx) = std::sync::mpsc::sync_channel(1);
-            self.parked.lock().unwrap().push((opcode, (tx, answer)));
-            self.served.send(()).unwrap();
-            Ok(gkfs_rpc::ReplyHandle::pending(rx))
-        }
-    }
-
-    fn release(held: &[Arc<HeldReplies>], opcode: gkfs_rpc::Opcode) {
-        for e in held {
-            let mut parked = e.parked.lock().unwrap();
-            while let Some(at) = parked.iter().position(|(op, _)| *op == opcode) {
-                let (_, (tx, answer)) = parked.remove(at);
-                tx.send(answer).unwrap();
-            }
+    /// Wait until `gate` holds `n` replies: the calls they answer were
+    /// served, and their answers are on their way.
+    fn until_held(gate: &gkfs_rpc::Gate, n: usize) {
+        while gate.held() < n {
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
 
@@ -898,23 +865,30 @@ mod tests {
         // this mount itself replaced — or an older open's over a newer
         // one's.
         use gkfs_rpc::Opcode::{OpenFile as OPEN, WriteFile as WRITE};
+        use gkfs_rpc::{Fate, Gate, Link, Until};
         for case in ["a write acknowledged first", "a write acknowledged after", "a newer open"] {
             let daemons: Vec<Arc<Daemon>> =
                 (0..2).map(|_| Daemon::spawn(gkfs_common::DaemonConfig::default()).unwrap()).collect();
-            let (served_tx, served) = std::sync::mpsc::channel();
-            let held: Vec<Arc<HeldReplies>> = daemons
+            // Each node holds the reply of the next request of each
+            // opcode it is armed with, at that opcode's gate.
+            let (opens, writes) = (Gate::new(), Gate::new());
+            let armed: Vec<Arc<std::sync::Mutex<Vec<gkfs_rpc::Opcode>>>> = (0..2).map(|_| Default::default()).collect();
+            let eps = daemons
                 .iter()
-                .map(|d| {
-                    Arc::new(HeldReplies {
-                        inner: d.endpoint(),
-                        armed: Default::default(),
-                        served: served_tx.clone(),
-                        parked: Default::default(),
-                    })
+                .zip(&armed)
+                .map(|(d, armed)| {
+                    let (armed, opens, writes) = (Arc::clone(armed), Arc::clone(&opens), Arc::clone(&writes));
+                    Link::with_rule(d.endpoint(), move |req, _| {
+                        let mut armed = armed.lock().unwrap();
+                        let Some(at) = armed.iter().position(|op| *op == req.opcode) else {
+                            return Fate::Pass;
+                        };
+                        armed.remove(at);
+                        Fate::HoldReply(Until::Opened(Arc::clone(if req.opcode == OPEN { &opens } else { &writes })))
+                    }) as Arc<dyn Endpoint>
                 })
                 .collect();
-            let arm = |ops: &[gkfs_rpc::Opcode]| held.iter().for_each(|e| *e.armed.lock().unwrap() = ops.to_vec());
-            let eps = held.iter().map(|e| Arc::clone(e) as Arc<dyn Endpoint>).collect();
+            let arm = |ops: &[gkfs_rpc::Opcode]| armed.iter().for_each(|a| *a.lock().unwrap() = ops.to_vec());
             let c = GekkoClient::mount(eps, &ClusterConfig::new(2).with_write_back(64 * 1024)).unwrap();
             let other = GekkoClient::mount(daemons.iter().map(|d| d.endpoint()).collect(), &ClusterConfig::new(2)).unwrap();
             let w = c.open_handle("/f", OpenFlags::WRONLY.with_create()).unwrap();
@@ -924,22 +898,22 @@ mod tests {
             std::thread::scope(|s| {
                 arm(&[OPEN, WRITE]);
                 let opener = s.spawn(|| c.open_handle("/f", OpenFlags::RDONLY).unwrap());
-                served.recv().unwrap();
+                until_held(&opens, 1);
                 let r = match case {
                     "a write acknowledged first" => {
                         arm(&[]);
                         write();
-                        release(&held, OPEN);
+                        opens.open();
                         opener.join().unwrap()
                     }
                     "a write acknowledged after" => {
                         // Applied at the daemon behind the open's read,
                         // still unacknowledged when the open returns.
                         let writer = s.spawn(write);
-                        served.recv().unwrap();
-                        release(&held, OPEN);
+                        until_held(&writes, 1);
+                        opens.open();
                         let r = opener.join().unwrap();
-                        release(&held, WRITE);
+                        writes.open();
                         writer.join().unwrap();
                         r
                     }
@@ -950,7 +924,7 @@ mod tests {
                         theirs.close().unwrap();
                         let newer = c.open_handle("/f", OpenFlags::RDONLY).unwrap();
                         assert_eq!(newer.pread(0, 64).unwrap(), b"NEW bytes");
-                        release(&held, OPEN);
+                        opens.open();
                         opener.join().unwrap()
                     }
                 };
@@ -1084,17 +1058,18 @@ mod tests {
         // own first delivery: acknowledged once, `Ok`, bytes present.
         // (Unmarked, the retry was refused: a close that had worked
         // reported `Exists`.)
-        use gkfs_rpc::testing::FlakyEndpoint;
+        use gkfs_rpc::{Fate, Link};
         let daemons: Vec<Arc<Daemon>> =
             (0..2).map(|_| Daemon::spawn(gkfs_common::DaemonConfig::default()).unwrap()).collect();
-        let flaky: Vec<Arc<FlakyEndpoint>> =
-            daemons.iter().map(|d| FlakyEndpoint::new_reply_path(d.endpoint(), 2)).collect();
+        let lost = Fate::FailReply(GkfsError::Rpc("injected reply fault".into()));
+        let flaky: Vec<Arc<Link>> =
+            daemons.iter().map(|d| Link::with_rule(d.endpoint(), lost.clone().every(2))).collect();
         let eps = flaky.iter().map(|e| Arc::clone(e) as Arc<dyn Endpoint>).collect();
         let config = ClusterConfig::new(2).with_write_back(64 * 1024);
         let c = GekkoClient::mount(eps, &config).unwrap();
         let owner = c.placement.meta_primary("/lost");
         // Make the owner's next call the one that loses its reply.
-        if flaky[owner].calls().is_multiple_of(2) {
+        if flaky[owner].submitted().is_multiple_of(2) {
             c.ring.ping_nb(owner).unwrap().wait().unwrap();
         }
         let h = c.open_handle("/lost", EXCL).unwrap();

@@ -778,7 +778,7 @@ mod tests {
     use super::*;
     use gkfs_common::DaemonConfig;
     use gkfs_daemon_for_tests::{make_ring, make_ring_of, make_sleepy_ring};
-    use gkfs_rpc::testing::{DeadEndpoint, FlakyEndpoint};
+    use gkfs_rpc::{Fate, Link};
 
     /// Test-only helper building a ring of real in-process daemons.
     mod gkfs_daemon_for_tests {
@@ -797,6 +797,12 @@ mod tests {
             // Keep server alive by leaking its Arc into the endpoint
             // (endpoint holds the server internally).
             server.endpoint()
+        }
+
+        /// A daemon that refuses every submission.
+        pub fn dead() -> Arc<dyn Endpoint> {
+            let refusal = GkfsError::Rpc("daemon unreachable".into());
+            Link::with_rule(fake_daemon(), move |_, _| Fate::Refuse(refusal.clone()))
         }
 
         pub fn make_ring(n: usize) -> DaemonRing {
@@ -916,8 +922,10 @@ mod tests {
     fn retry_absorbs_flaky_submissions() {
         // Every 2nd submission errors; 4 attempts make each ping
         // reliable. Health counters record the recovery.
-        let flaky: Arc<dyn Endpoint> =
-            FlakyEndpoint::new(gkfs_daemon_for_tests::fake_daemon(), 2);
+        let flaky: Arc<dyn Endpoint> = Link::with_rule(
+            gkfs_daemon_for_tests::fake_daemon(),
+            Fate::Refuse(GkfsError::Rpc("injected fault".into())).every(2),
+        );
         let ring = make_ring_of(vec![flaky], test_retry(4));
         for _ in 0..10 {
             ping(&ring, 0).unwrap();
@@ -930,8 +938,10 @@ mod tests {
 
     #[test]
     fn disabled_retry_restores_single_attempt_semantics() {
-        let flaky: Arc<dyn Endpoint> =
-            FlakyEndpoint::new(gkfs_daemon_for_tests::fake_daemon(), 2);
+        let flaky: Arc<dyn Endpoint> = Link::with_rule(
+            gkfs_daemon_for_tests::fake_daemon(),
+            Fate::Refuse(GkfsError::Rpc("injected fault".into())).every(2),
+        );
         let ring = make_ring_of(vec![flaky], RetryConfig::disabled());
         let outcomes: Vec<bool> = (0..6).map(|_| ping(&ring, 0).is_ok()).collect();
         assert_eq!(outcomes, vec![true, false, true, false, true, false]);
@@ -963,8 +973,10 @@ mod tests {
         let server = gkfs_rpc::RpcServer::new(reg, 1);
         // Reply-path fault every 2nd call; a ping consumes call #1 so
         // the create's first attempt is the one that loses its reply.
-        let flaky: Arc<dyn Endpoint> =
-            FlakyEndpoint::new_reply_path(server.endpoint(), 2);
+        let flaky: Arc<dyn Endpoint> = Link::with_rule(
+            server.endpoint(),
+            Fate::FailReply(GkfsError::Rpc("injected reply fault".into())).every(2),
+        );
         let ring = make_ring_of(vec![flaky], test_retry(4));
         ping(&ring, 0).unwrap();
         let create = MetaOp::Create(CreateReq {
@@ -1090,7 +1102,7 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_consecutive_failures_and_recovers() {
-        let dead: Arc<dyn Endpoint> = Arc::new(DeadEndpoint);
+        let dead = gkfs_daemon_for_tests::dead();
         let cfg = RetryConfig {
             max_attempts: 1,
             breaker_threshold: 3,
@@ -1150,9 +1162,11 @@ mod tests {
         // anything and charged it again — one fault, two strikes, and a
         // `breaker_threshold` of 2 opened on a single lost reply. Both
         // places a window can meet a failure: the reply, the submission.
-        let lost_reply: Arc<dyn Endpoint> =
-            FlakyEndpoint::new_reply_path(gkfs_daemon_for_tests::fake_daemon(), 1);
-        for severed in [lost_reply, Arc::new(DeadEndpoint)] {
+        let lost_reply: Arc<dyn Endpoint> = Link::with_rule(
+            gkfs_daemon_for_tests::fake_daemon(),
+            Fate::FailReply(GkfsError::Rpc("injected reply fault".into())).every(1),
+        );
+        for severed in [lost_reply, gkfs_daemon_for_tests::dead()] {
             let cfg = RetryConfig { breaker_threshold: 2, ..test_retry(1) };
             let ring = make_ring_of(vec![severed], cfg);
             let pending = match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(50))) {
@@ -1207,7 +1221,7 @@ mod tests {
 
     #[test]
     fn hedge_on_dead_node_is_a_genuine_failure() {
-        let dead: Arc<dyn Endpoint> = Arc::new(DeadEndpoint);
+        let dead = gkfs_daemon_for_tests::dead();
         let ring = make_ring_of(vec![dead], test_retry(1));
         match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(5))) {
             Hedge::Pending(_) => {}
@@ -1229,7 +1243,7 @@ mod tests {
 
     #[test]
     fn detector_sees_rpc_outcomes() {
-        let dead: Arc<dyn Endpoint> = Arc::new(DeadEndpoint);
+        let dead = gkfs_daemon_for_tests::dead();
         let repl = ReplicationConfig {
             suspect_after_ms: 10,
             dead_after_ms: 30,
@@ -1247,7 +1261,7 @@ mod tests {
         // Endless retryable failures against a 150 ms operation
         // deadline: the wait must stop near the deadline, not burn
         // max_attempts × timeout.
-        let dead: Arc<dyn Endpoint> = Arc::new(DeadEndpoint);
+        let dead = gkfs_daemon_for_tests::dead();
         let cfg = RetryConfig {
             max_attempts: 1_000,
             base_backoff_ms: 5,

@@ -25,8 +25,7 @@ use gkfs_common::config::{ReplicationConfig, RetryConfig};
 use gkfs_common::{ClusterConfig, FileKind, GkfsError};
 use gkfs_daemon::Daemon;
 use gkfs_rpc::proto::{CreateReq, MetaOp, PathReq, TruncateMetaReq};
-use gkfs_rpc::testing::FlakyEndpoint;
-use gkfs_rpc::Endpoint;
+use gkfs_rpc::{Endpoint, Fate, Link};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -128,7 +127,8 @@ fn fast_retry(max_attempts: u32) -> RetryConfig {
 /// exactly once, end to end through the bulk client APIs.
 fn check_batch_exactly_once(fail_every: u64, n_files: usize) -> Result<(), String> {
     let daemon = Daemon::spawn(gkfs_common::DaemonConfig::default()).unwrap();
-    let flaky: Arc<dyn Endpoint> = FlakyEndpoint::new_reply_path(daemon.endpoint(), fail_every);
+    let lost = Fate::FailReply(GkfsError::Rpc("injected reply fault".into()));
+    let flaky: Arc<dyn Endpoint> = Link::with_rule(daemon.endpoint(), lost.every(fail_every));
     let config = ClusterConfig::new(1).with_retry(fast_retry(4));
     let client = GekkoClient::mount(vec![flaky], &config).map_err(|e| format!("mount: {e}"))?;
     let clean = DaemonRing::new(

@@ -19,11 +19,7 @@ use gkfs_client::DaemonRing;
 use gkfs_common::config::{ReplicationConfig, RetryConfig};
 use gkfs_common::{FileKind, GkfsError, Metadata};
 use gkfs_rpc::proto::{op, CreateReq, MetaOp, PathReq};
-use gkfs_rpc::testing::FlakyEndpoint;
-use gkfs_rpc::{
-    ChaosConfig, ChaosEndpoint, Endpoint, EndpointOptions, HandlerRegistry, Opcode, Response,
-    RpcServer,
-};
+use gkfs_rpc::{Endpoint, EndpointOptions, Fate, HandlerRegistry, Link, Opcode, Response, RpcServer};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,15 +44,9 @@ fn check_deadline_bound(
     let ep = server.endpoint_with(
         EndpointOptions::new().with_timeout(Duration::from_millis(timeout_ms)),
     );
-    // drop_request = 1.0 → a black hole: the handler never sees the
-    // request, every wait times out.
-    let black_hole = ChaosEndpoint::new(
-        ep,
-        ChaosConfig {
-            drop_request: 1.0,
-            ..ChaosConfig::quiet(0xD0_0D)
-        },
-    );
+    // A black hole: the handler never sees the request, every wait
+    // times out.
+    let black_hole = Link::with_rule(ep, |_, _| Fate::LoseRequest);
     let ring = DaemonRing::new(
         vec![black_hole as Arc<dyn Endpoint>],
         RetryConfig {
@@ -145,8 +135,8 @@ fn fast_retry(max_attempts: u32) -> RetryConfig {
 /// genuine duplicate from a clean client fails.
 fn check_exactly_once(fail_every: u64, n_ops: usize) -> Result<(), String> {
     let daemon = counting_daemon();
-    let flaky: Arc<dyn Endpoint> =
-        FlakyEndpoint::new_reply_path(daemon.server.endpoint(), fail_every);
+    let lost = Fate::FailReply(GkfsError::Rpc("injected reply fault".into()));
+    let flaky: Arc<dyn Endpoint> = Link::with_rule(daemon.server.endpoint(), lost.every(fail_every));
     let repl = ReplicationConfig::default();
     let ring = DaemonRing::new(vec![flaky], fast_retry(4), &repl);
     let clean = DaemonRing::new(vec![daemon.server.endpoint()], fast_retry(1), &repl);

@@ -119,11 +119,11 @@ pub mod rank {
         /// may grow the record it found; whatever must be sent is taken
         /// out and the guard dropped before any RPC (GKL002).
         CLIENT_LOCAL_FILE = 214;
-        /// A switchable endpoint's target slot (`SwitchEndpoint`): held
-        /// only to clone the inner `Arc`, but ranked above every RPC lock
-        /// so a submit made under it (tests, careless callers) still
-        /// descends.
-        REPL_ENDPOINT = 196;
+        /// A link's slot (`gkfs_rpc::Link`: its target and its rule):
+        /// held only to clone both out, never across a submit or a rule,
+        /// but ranked above every RPC lock so a submit made under it
+        /// (careless callers) still descends.
+        LINK_SLOT = 196;
         /// The daemon's TCP-server slot.
         DAEMON_TCP = 190;
         /// The replication manager's peer/heartbeat state. Above the RPC
@@ -156,9 +156,10 @@ pub mod rank {
         RPC_HANDLER_QUEUE = 170;
         /// A chaos proxy's list of live connections (test harness).
         CHAOS_CONNS = 166;
-        /// A chaos endpoint's parked never-completing replies.
-        CHAOS_PARKED = 164;
-        /// A chaos endpoint's/proxy's seeded PRNG state (leaf).
+        /// A link gate's held messages (`gkfs_rpc::Gate`): taken out
+        /// under it, released after the guard drops.
+        LINK_GATE = 164;
+        /// A chaos rule's/proxy's seeded PRNG state (leaf).
         CHAOS_RNG = 162;
         /// The daemon chunk I/O pool's work queue (the other `TaskPool`
         /// instance). Above the storage ranks: a pool worker takes a job

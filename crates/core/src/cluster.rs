@@ -15,8 +15,7 @@
 use gkfs_client::GekkoClient;
 use gkfs_common::{ClusterConfig, DaemonConfig, Result};
 use gkfs_daemon::Daemon;
-use gkfs_rpc::transport::SwitchEndpoint;
-use gkfs_rpc::{Endpoint, EndpointOptions, TcpEndpoint};
+use gkfs_rpc::{Endpoint, EndpointOptions, Link, TcpEndpoint};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,13 +23,11 @@ use std::time::{Duration, Instant};
 /// An in-process GekkoFS deployment.
 pub struct Cluster {
     daemons: Vec<Arc<Daemon>>,
-    /// With replication enabled, one stable [`SwitchEndpoint`] per node
-    /// sits between every holder (clients *and* peer daemons) and the
-    /// node's current process, so [`Cluster::rejoin`] can re-point the
-    /// whole system at a restarted daemon with one swap. Empty when
-    /// replication is off — the plain path keeps its zero-indirection
-    /// endpoints.
-    switches: Vec<Arc<SwitchEndpoint>>,
+    /// One [`Link`] per node between every holder (clients *and* peer
+    /// daemons) and the node's current process: [`Cluster::rejoin`]
+    /// re-points the whole system at a restarted daemon with one swap,
+    /// and a test scripts a misbehaving node with a rule on it.
+    links: Vec<Arc<Link>>,
     /// Per-node daemon configuration, kept for respawning on rejoin.
     daemon_configs: Vec<DaemonConfig>,
     config: ClusterConfig,
@@ -70,14 +67,10 @@ impl Cluster {
             ep.call(gkfs_rpc::Request::new(gkfs_rpc::Opcode::Ping, bytes::Bytes::new()))?
                 .into_result()?;
         }
-        let switches: Vec<Arc<SwitchEndpoint>> = if config.replication.enabled() {
-            daemons.iter().map(|d| SwitchEndpoint::new(d.endpoint())).collect()
-        } else {
-            Vec::new()
-        };
+        let links: Vec<Arc<Link>> = daemons.iter().map(|d| Link::new(d.endpoint())).collect();
         if config.replication.enabled() {
             for (i, d) in daemons.iter().enumerate() {
-                d.join_cluster(i, Self::peer_endpoints(&switches, i), &config);
+                d.join_cluster(i, Self::peer_endpoints(&links, i), &config);
             }
             // Epoch exchange: each manager's worker starts probing the
             // moment it joins, so the early probes of daemons joined
@@ -97,7 +90,7 @@ impl Cluster {
         let deploy_time = start.elapsed();
         Ok(Cluster {
             daemons,
-            switches,
+            links,
             daemon_configs,
             config,
             deploy_time,
@@ -105,21 +98,12 @@ impl Cluster {
     }
 
     /// The peer-endpoint table daemon `self_id` joins with: every
-    /// node's switch, `None` at its own slot.
-    fn peer_endpoints(
-        switches: &[Arc<SwitchEndpoint>],
-        self_id: usize,
-    ) -> Vec<Option<Arc<dyn Endpoint>>> {
-        switches
+    /// node's link, `None` at its own slot.
+    fn peer_endpoints(links: &[Arc<Link>], self_id: usize) -> Vec<Option<Arc<dyn Endpoint>>> {
+        links
             .iter()
             .enumerate()
-            .map(|(j, sw)| {
-                if j == self_id {
-                    None
-                } else {
-                    Some(sw.clone() as Arc<dyn Endpoint>)
-                }
-            })
+            .map(|(j, link)| (j != self_id).then(|| link.clone() as Arc<dyn Endpoint>))
             .collect()
     }
 
@@ -152,13 +136,9 @@ impl Cluster {
     /// process in a real deployment; tests mount several to model
     /// multiple ranks).
     pub fn mount(&self) -> Result<GekkoClient> {
-        // With replication, clients hold the switch endpoints so a
-        // rejoined daemon becomes reachable without a remount.
-        let endpoints: Vec<Arc<dyn Endpoint>> = if self.switches.is_empty() {
-            self.daemons.iter().map(|d| d.endpoint()).collect()
-        } else {
-            self.switches.iter().map(|sw| sw.clone() as Arc<dyn Endpoint>).collect()
-        };
+        // Clients hold the links, so a rejoined daemon becomes
+        // reachable without a remount.
+        let endpoints = self.links.iter().map(|link| link.clone() as Arc<dyn Endpoint>).collect();
         GekkoClient::mount(endpoints, &self.config)
     }
 
@@ -167,8 +147,14 @@ impl Cluster {
         &self.daemons[node]
     }
 
+    /// The link every holder reaches daemon `node` through: a rule set
+    /// on it scripts what every mount and peer sees of the node.
+    pub fn link(&self, node: usize) -> &Arc<Link> {
+        &self.links[node]
+    }
+
     /// Kill daemon `node` in place: an orderly process death. Its
-    /// switch keeps pointing at the dead endpoint, so every holder
+    /// link keeps pointing at the dead endpoint, so every holder
     /// fails fast ([`gkfs_common::GkfsError::ShuttingDown`]) until
     /// [`Cluster::rejoin`] swaps in a replacement — exactly what a
     /// crashed remote daemon looks like to the rest of the system.
@@ -177,31 +163,31 @@ impl Cluster {
     }
 
     /// Restart daemon `node` from its original configuration and splice
-    /// it back into the cluster: swap every holder's switch to the new
-    /// process and start its replication manager (fresh epoch — peers
-    /// see the restart and drain data back). In-memory daemons come
-    /// back *empty*, like the paper's ephemeral node-local burst
-    /// buffers; disk-backed daemons reopen their state.
+    /// it back into the cluster: swap every holder's link to the new
+    /// process and, with replication, start its replication manager
+    /// (fresh epoch — peers see the restart and drain data back).
+    /// In-memory daemons come back *empty*, like the paper's ephemeral
+    /// node-local burst buffers; disk-backed daemons reopen their state.
     pub fn rejoin(&mut self, node: usize) -> Result<()> {
         let d = Daemon::spawn(self.daemon_configs[node].clone())?;
         d.endpoint()
             .call(gkfs_rpc::Request::new(gkfs_rpc::Opcode::Ping, bytes::Bytes::new()))?
             .into_result()?;
-        if let Some(sw) = self.switches.get(node) {
-            // Join BEFORE swapping the switch: once peers can reach the
+        if self.config.replication.enabled() {
+            // Join BEFORE swapping the link: once peers can reach the
             // new daemon its heartbeat replies must already carry the
             // new epoch. A probe landing in the gap would see epoch 0
             // ("not fully up"), which the detector tolerates (it never
             // overwrites a remembered incarnation) — but closing the
             // window keeps the restart visible on the first probe.
-            d.join_cluster(node, Self::peer_endpoints(&self.switches, node), &self.config);
-            sw.swap(d.endpoint());
-            // Same epoch exchange as deployment: the newcomer learns
-            // its peers' incarnations immediately instead of waiting a
-            // worker cycle.
-            if let Some(m) = d.replication() {
-                m.prime();
-            }
+            d.join_cluster(node, Self::peer_endpoints(&self.links, node), &self.config);
+        }
+        self.links[node].swap(d.endpoint());
+        // Same epoch exchange as deployment: the newcomer learns its
+        // peers' incarnations immediately instead of waiting a worker
+        // cycle.
+        if let Some(m) = d.replication() {
+            m.prime();
         }
         self.daemons[node] = d;
         Ok(())

@@ -30,17 +30,13 @@ pub const READDIR_DEFAULT_PAGE: usize = 4096;
 
 /// Merge operator over encoded [`Metadata`] values. Operands are
 /// `(candidate_size: u64, mtime_ns: u64)` pairs; folding keeps the
-/// maximum size and latest mtime. A merge against a missing base
-/// produces a plain file record (`ctime_ns: 0`) so the fold stays
-/// total. When the size update raced *ahead* of a remove, the remove
-/// takes that record away — it forgets the memtable entry, or writes a
-/// tombstone where an older level may hold the path, with the same
-/// outcome — and nothing is resurrected. A size update that arrives
-/// *after* the remove does bring back a bare entry: the paper's
-/// accepted relaxation for a *remote* client's late update (no
-/// distributed locking, §III-A). A client never does this
-/// to itself — its own unlink discards the size update and write-back
-/// run it still holds for the path (`gkfs_client::filemap::LocalFile`).
+/// maximum size and latest mtime. **A size update never creates an
+/// entry**: against a missing base the fold comes to nothing, which the
+/// store reads as absent. So a size update that lands after a remove —
+/// a remote client's late update, or this client's own write racing its
+/// unlink — leaves the path removed; one that raced *ahead* of the
+/// remove is taken away with the entry. An entry is born only by a
+/// create (`step`) or a replica install (`install_replica`).
 #[derive(Debug, Default)]
 pub struct MetaSizeMergeOperator;
 
@@ -50,17 +46,15 @@ pub fn encode_size_operand(size: u64, mtime_ns: u64) -> Vec<u8> {
 }
 
 impl MergeOperator for MetaSizeMergeOperator {
-    fn full_merge(&self, _key: &[u8], base: Option<&[u8]>, operands: &[Vec<u8>]) -> Vec<u8> {
-        let mut meta = base
-            .and_then(|b| Metadata::decode(b).ok())
-            .unwrap_or_else(|| Metadata::new_file(0));
+    fn full_merge(&self, _key: &[u8], base: Option<&[u8]>, operands: &[Vec<u8>]) -> Option<Vec<u8>> {
+        let mut meta = Metadata::decode(base?).unwrap_or_else(|_| Metadata::new_file(0));
         for op in operands {
             if let Ok((size, mtime)) = <(u64, u64)>::decode(op) {
                 meta.size = meta.size.max(size);
                 meta.mtime_ns = meta.mtime_ns.max(mtime);
             }
         }
-        meta.encode()
+        Some(meta.encode())
     }
 }
 
@@ -302,17 +296,17 @@ impl MetadataBackend {
         Ok(())
     }
 
-    /// Every `(path, metadata)` entry held by this daemon — the full
-    /// walk the re-replication driver runs when a peer dies or rejoins.
-    pub fn scan_all(&self) -> Result<Vec<(String, Metadata)>> {
-        let mut out = Vec::new();
-        for (k, v) in self.db.scan_prefix(b"")? {
-            let path = std::str::from_utf8(&k)
-                .map_err(|e| GkfsError::Corruption(format!("non-utf8 key: {e}")))?
-                .to_string();
-            out.push((path, Metadata::decode(&v)?));
-        }
-        Ok(out)
+    /// Hand `visit` every `(path, metadata)` entry held by this daemon,
+    /// in path order — the walk the re-replication driver runs when a
+    /// peer dies or rejoins. It holds a step of the store, not the
+    /// namespace: what `visit` keeps is the caller's.
+    pub fn walk(&self, mut visit: impl FnMut(&str, Metadata)) -> Result<()> {
+        self.db.scan_prefix_with(b"", b"", |k, v| {
+            let path = std::str::from_utf8(k)
+                .map_err(|e| GkfsError::Corruption(format!("non-utf8 key: {e}")))?;
+            visit(path, Metadata::decode(v)?);
+            Ok(true)
+        })
     }
 
     /// Total entries held by this daemon.
@@ -459,20 +453,21 @@ mod tests {
 
     #[test]
     fn merge_racing_remove_is_shadowed() {
-        // A size update applied after a remove must not resurrect the
-        // file for long: the operator materializes a record, but the
-        // usual sequence is update-then-remove, where the remove wins
-        // (it forgets the entry, or writes a tombstone where an older
-        // level may hold the path; either reads as absent). Verify the
-        // remove-then-update edge produces a record (fold stays total)
-        // that a second remove clears.
+        // A size update never creates an entry. Update-then-remove: the
+        // remove wins (it forgets the entry, or writes a tombstone where
+        // an older level may hold the path). Remove-then-update: the
+        // update's fold finds no base and comes to nothing, so the path
+        // stays removed — in the memtable, and once flushed.
         let b = backend();
         create(&b, "/f", &Metadata::new_file(0), true).unwrap();
         remove(&b, "/f").unwrap();
         b.update_size("/f", 77, 1).unwrap();
-        assert_eq!(stat(&b, "/f").unwrap().size, 77);
-        remove(&b, "/f").unwrap();
         assert_eq!(stat(&b, "/f"), Err(GkfsError::NotFound));
+        b.update_size("/never", 5, 1).unwrap();
+        b.db.flush().unwrap();
+        assert_eq!(stat(&b, "/f"), Err(GkfsError::NotFound));
+        assert_eq!(stat(&b, "/never"), Err(GkfsError::NotFound));
+        assert_eq!(b.entry_count().unwrap(), 0);
     }
 
     #[test]
@@ -504,8 +499,8 @@ mod tests {
         create(&b, "/a", &Metadata::new_file(0), true).unwrap();
         create(&b, "/d", &Metadata::new_dir(0), true).unwrap();
         create(&b, "/d/x", &Metadata::new_file(0), true).unwrap();
-        let mut paths: Vec<String> = b.scan_all().unwrap().into_iter().map(|(p, _)| p).collect();
-        paths.sort();
+        let mut paths: Vec<String> = Vec::new();
+        b.walk(|p, _| paths.push(p.to_string())).unwrap();
         assert_eq!(paths, vec!["/a", "/d", "/d/x"]);
     }
 

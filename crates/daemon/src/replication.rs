@@ -396,14 +396,15 @@ impl ReplicationManager {
         }
 
         // Collect the work first so the gauge reflects the full walk.
-        let metas = self.backends.meta.scan_all().unwrap_or_default();
+        // The walk keeps only the copies this daemon owes.
         let mut meta_jobs: Vec<(String, Metadata, usize)> = Vec::new();
-        for (path, meta) in metas {
-            let set = self.dist.metadata_replicas(&path, replicas);
+        let walked = self.backends.meta.walk(|path, meta| {
+            let set = self.dist.metadata_replicas(path, replicas);
             if let Some(dst) = self.push_target(&set, target, repair, &dead, nodes) {
-                meta_jobs.push((path, meta, dst));
+                meta_jobs.push((path.to_string(), meta, dst));
             }
-        }
+        });
+        let mut complete = walked.is_ok();
         let mut chunk_jobs: Vec<(String, u64, u64, usize)> = Vec::new();
         for (path, _) in self.backends.data.list_paths().unwrap_or_default() {
             for (chunk_id, len) in self.backends.data.list_chunks(&path).unwrap_or_default() {
@@ -415,7 +416,7 @@ impl ReplicationManager {
         }
         let total = (meta_jobs.len() + chunk_jobs.len()) as u64;
         if total == 0 {
-            return true;
+            return complete;
         }
         self.counters.under_replicated_chunks.fetch_add(total, Ordering::Relaxed);
         gkfs_common::gkfs_info!(
@@ -426,7 +427,6 @@ impl ReplicationManager {
             chunk_jobs.len()
         );
 
-        let mut complete = true;
         for (path, meta, dst) in meta_jobs {
             if self.push_meta(dst, &path, &meta).is_ok() {
                 self.counters.repl_meta_copied.fetch_add(1, Ordering::Relaxed);

@@ -256,7 +256,8 @@ fn persisted_values_encode_to_their_pinned_bytes() {
         b"/k",
         Some(&unhex("01efbeadde00000000a00100007b00000000000000c801000000000000")),
         &[unhex("00000000020000000d0c0b0a00000000")],
-    );
+    )
+    .unwrap();
     assert_eq!(Metadata::decode(&merged).unwrap().size, 1 << 33);
     assert_eq!(Metadata::decode(&merged).unwrap().mtime_ns, 0x0A0B_0C0D);
 }

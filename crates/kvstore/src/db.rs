@@ -768,7 +768,7 @@ impl Db {
     /// Total number of live keys: a counting walk, whose memory is a
     /// step of each memtable (a daemon answers its statistics RPC with
     /// this, on whichever handler thread is free). A pending merge makes
-    /// its key live whatever the base. Not a snapshot under concurrent
+    /// its key live when its fold does. Not a snapshot under concurrent
     /// writes: the active memtable is read a step at a time.
     pub fn len(&self) -> Result<usize> {
         let mut live = 0;
@@ -970,7 +970,7 @@ impl DbInner {
         // The operator wants operands oldest first.
         let operands: Vec<Vec<u8>> = runs.into_iter().rev().flatten().collect();
         let op = require(&self.opts.merge_operator)?;
-        Ok(Some(op.full_merge(key, base.as_deref(), &operands)))
+        Ok(op.full_merge(key, base.as_deref(), &operands))
     }
 
     /// The one range walk: every key under `prefix` in `ver` from
@@ -1037,7 +1037,7 @@ impl DbInner {
                 // The operator wants operands oldest first.
                 let operands: Vec<Vec<u8>> = runs.into_iter().rev().flatten().cloned().collect();
                 merged = require(&self.opts.merge_operator)?.full_merge(key, base, &operands);
-                Some(merged.as_slice())
+                merged.as_deref()
             };
             if !visit(key, value)? {
                 return Ok(());
@@ -1216,10 +1216,12 @@ impl DbInner {
                 match v {
                     Value::Put(val) => builder.add(Tag::Put, k, val),
                     Value::Delete => builder.add(Tag::Delete, k, b""),
+                    // Frozen: the same entries as the pass above. A fold
+                    // that came to nothing is absent, and writes nothing.
                     Value::Merge(_) => {
-                        // Frozen: the same entries as the pass above.
-                        let val = merged.next().flatten().expect("one value per stacked entry");
-                        builder.add(Tag::Put, k, &val);
+                        if let Some(val) = merged.next().expect("one value per stacked entry") {
+                            builder.add(Tag::Put, k, &val);
+                        }
                     }
                 }
             }

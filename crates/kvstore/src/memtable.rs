@@ -109,8 +109,15 @@ impl MemTable {
         self.charge(&key, operand.len());
         let operands = std::slice::from_ref(&operand);
         match self.map.get_mut(key.as_slice()) {
-            Some(Value::Put(base)) => *base = op.full_merge(&key, Some(base), operands),
-            Some(entry @ Value::Delete) => *entry = Value::Put(op.full_merge(&key, None, operands)),
+            Some(entry @ (Value::Put(_) | Value::Delete)) => {
+                let base = match &*entry {
+                    Value::Put(v) => Some(v.as_slice()),
+                    _ => None,
+                };
+                // A fold that comes to nothing reads as absent: onto a
+                // delete, the delete stands.
+                *entry = op.full_merge(&key, base, operands).map_or(Value::Delete, Value::Put);
+            }
             Some(Value::Merge(ops)) => ops.push(operand),
             None => {
                 self.map.insert(key, Value::Merge(vec![operand]));

@@ -12,10 +12,12 @@
 /// `full_merge` combines the (optional) base value with a sequence of
 /// operands recorded since. Operands are passed oldest-first. The
 /// operator must be deterministic; associativity lets the store fold
-/// partial runs during compaction.
+/// partial runs during compaction. A fold may come to nothing: `None`
+/// reads as absent, exactly as a delete does, so an operator can refuse
+/// to make a key live that had no base.
 pub trait MergeOperator: Send + Sync {
-    /// Fold `operands` (oldest first) onto `base`.
-    fn full_merge(&self, key: &[u8], base: Option<&[u8]>, operands: &[Vec<u8>]) -> Vec<u8>;
+    /// Fold `operands` (oldest first) onto `base`; `None` is absent.
+    fn full_merge(&self, key: &[u8], base: Option<&[u8]>, operands: &[Vec<u8>]) -> Option<Vec<u8>>;
 }
 
 /// Merge operator treating values as little-endian `u64` counters and
@@ -33,12 +35,12 @@ fn read_u64_or_zero(v: &[u8]) -> u64 {
 }
 
 impl MergeOperator for Add64MergeOperator {
-    fn full_merge(&self, _key: &[u8], base: Option<&[u8]>, operands: &[Vec<u8>]) -> Vec<u8> {
+    fn full_merge(&self, _key: &[u8], base: Option<&[u8]>, operands: &[Vec<u8>]) -> Option<Vec<u8>> {
         let mut acc = base.map(read_u64_or_zero).unwrap_or(0);
         for op in operands {
             acc = acc.wrapping_add(read_u64_or_zero(op));
         }
-        acc.to_le_bytes().to_vec()
+        Some(acc.to_le_bytes().to_vec())
     }
 }
 
@@ -49,12 +51,12 @@ impl MergeOperator for Add64MergeOperator {
 pub struct Max64MergeOperator;
 
 impl MergeOperator for Max64MergeOperator {
-    fn full_merge(&self, _key: &[u8], base: Option<&[u8]>, operands: &[Vec<u8>]) -> Vec<u8> {
+    fn full_merge(&self, _key: &[u8], base: Option<&[u8]>, operands: &[Vec<u8>]) -> Option<Vec<u8>> {
         let mut acc = base.map(read_u64_or_zero).unwrap_or(0);
         for op in operands {
             acc = acc.max(read_u64_or_zero(op));
         }
-        acc.to_le_bytes().to_vec()
+        Some(acc.to_le_bytes().to_vec())
     }
 }
 
@@ -70,14 +72,14 @@ mod tests {
             Some(&5u64.to_le_bytes()),
             &[3u64.to_le_bytes().to_vec(), 7u64.to_le_bytes().to_vec()],
         );
-        assert_eq!(u64::from_le_bytes(r.try_into().unwrap()), 15);
+        assert_eq!(u64::from_le_bytes(r.unwrap().try_into().unwrap()), 15);
     }
 
     #[test]
     fn add64_without_base() {
         let op = Add64MergeOperator;
         let r = op.full_merge(b"k", None, &[10u64.to_le_bytes().to_vec()]);
-        assert_eq!(u64::from_le_bytes(r.try_into().unwrap()), 10);
+        assert_eq!(u64::from_le_bytes(r.unwrap().try_into().unwrap()), 10);
     }
 
     #[test]
@@ -88,13 +90,13 @@ mod tests {
             Some(&100u64.to_le_bytes()),
             &[50u64.to_le_bytes().to_vec(), 300u64.to_le_bytes().to_vec()],
         );
-        assert_eq!(u64::from_le_bytes(r.try_into().unwrap()), 300);
+        assert_eq!(u64::from_le_bytes(r.unwrap().try_into().unwrap()), 300);
     }
 
     #[test]
     fn malformed_operand_treated_as_zero() {
         let op = Add64MergeOperator;
         let r = op.full_merge(b"k", Some(b"bad"), &[b"bad2".to_vec()]);
-        assert_eq!(u64::from_le_bytes(r.try_into().unwrap()), 0);
+        assert_eq!(u64::from_le_bytes(r.unwrap().try_into().unwrap()), 0);
     }
 }

@@ -3,12 +3,12 @@
 //! GekkoFS trades resilience for speed, so the property the chaos
 //! suite defends is **clean failure**: under injected faults every
 //! operation either completes or returns a typed error within its
-//! deadline — no hangs, no panics, no silent corruption. Two
-//! injectors, matching the two places a fault can live:
+//! deadline — no hangs, no panics, no silent corruption. One seeded
+//! draw ([`ChaosConfig`]), two places a fault can live:
 //!
-//! * [`ChaosEndpoint`] wraps any [`Endpoint`] and injects faults at
-//!   the submit/wait boundary — usable with the in-process transport,
-//!   so cluster-level chaos tests run fast and fully deterministic.
+//! * [`ChaosConfig::rule`] is the draw as a [`Link`](crate::Link) rule:
+//!   faults at the submit/wait boundary of the in-process transport, so
+//!   cluster-level chaos tests run fast and fully deterministic.
 //! * [`ChaosListener`] is a TCP man-in-the-middle proxy: it frame-
 //!   aligns the real wire protocol and drops, delays, duplicates,
 //!   corrupts, or resets actual bytes, exercising the CRC check and
@@ -19,15 +19,14 @@
 //! (Injected *delays* sleep real time, but their occurrence and
 //! length are drawn from the seed.)
 
-use crate::message::{Request, Response};
-use crate::transport::{Endpoint, ReplyHandle};
+use crate::link::Fate;
+use crate::message::Request;
 use gkfs_common::lock::{rank, OrderedMutex};
 use gkfs_common::retry::splitmix64;
 use gkfs_common::{GkfsError, Result};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -96,6 +95,39 @@ impl ChaosConfig {
             reset: 0.02,
             delay: 0.10,
             max_delay: Duration::from_millis(10),
+        }
+    }
+
+    /// The seeded draw as a [`Link`](crate::Link) rule, counting what
+    /// it injects into `stats`. Each submission consumes a fixed number
+    /// of draws, so fault placement depends only on the seed and the
+    /// submission order. A reset or a corrupt frame refuses the
+    /// submission with the typed error the transport would raise (a
+    /// corrupted frame never reaches the application: the CRC catches
+    /// it); a delay stalls the submitter before the fault.
+    pub fn rule(self, stats: Arc<ChaosStats>) -> impl Fn(&Request, u64) -> Fate + Send + Sync {
+        let rng = OrderedMutex::new(rank::CHAOS_RNG, self.seed);
+        move |_, _| {
+            let decision = decide(&self, &mut rng.lock());
+            let refuse = |e, count| (Fate::Refuse(e), Some(count));
+            let (fate, count) = match decision.fault {
+                Fault::None => (Fate::Pass, None),
+                Fault::Reset => {
+                    refuse(GkfsError::Rpc("chaos: connection reset".into()), &stats.resets)
+                }
+                Fault::Corrupt => {
+                    refuse(GkfsError::Corruption("chaos: corrupted frame".into()), &stats.corruptions)
+                }
+                Fault::DropRequest => (Fate::LoseRequest, Some(&stats.dropped_requests)),
+                Fault::DropReply => (Fate::LoseReply, Some(&stats.dropped_replies)),
+                Fault::Duplicate => (Fate::Twice, Some(&stats.duplicates)),
+            };
+            if let Some(n) = count {
+                n.fetch_add(1, Ordering::Relaxed);
+            }
+            let Some(pause) = decision.delay else { return fate };
+            stats.delays.fetch_add(1, Ordering::Relaxed);
+            Fate::Stall(pause, Box::new(fate))
         }
     }
 }
@@ -181,109 +213,6 @@ fn decide(cfg: &ChaosConfig, state: &mut u64) -> Decision {
         None
     };
     Decision { fault, delay }
-}
-
-/// Endpoint-boundary fault injector. Wraps any [`Endpoint`]; each
-/// submission consumes a fixed number of PRNG draws, so fault
-/// placement depends only on the seed and the submission order.
-pub struct ChaosEndpoint {
-    inner: Arc<dyn Endpoint>,
-    cfg: ChaosConfig,
-    rng: OrderedMutex<u64>,
-    /// Senders for handles whose reply was "lost": keeping the sender
-    /// alive keeps the channel open, so the waiter times out (as it
-    /// would on a real lost reply) instead of seeing a disconnect.
-    parked: OrderedMutex<Vec<SyncSender<Result<Response>>>>,
-    stats: Arc<ChaosStats>,
-}
-
-/// Cap on parked senders; beyond this the oldest are released (their
-/// waiters have long since timed out).
-const MAX_PARKED: usize = 1024;
-
-impl ChaosEndpoint {
-    /// Wrap `inner` with the fault policy in `cfg`.
-    pub fn new(inner: Arc<dyn Endpoint>, cfg: ChaosConfig) -> Arc<ChaosEndpoint> {
-        Arc::new(ChaosEndpoint {
-            inner,
-            rng: OrderedMutex::new(rank::CHAOS_RNG, cfg.seed),
-            parked: OrderedMutex::new(rank::CHAOS_PARKED, Vec::new()),
-            cfg,
-            stats: Arc::new(ChaosStats::default()),
-        })
-    }
-
-    /// Injection counters.
-    pub fn stats(&self) -> &ChaosStats {
-        &self.stats
-    }
-
-    /// A handle that will never complete: the waiter burns its
-    /// timeout, exactly like a request or reply lost on the wire.
-    fn lost(&self) -> ReplyHandle {
-        let (tx, rx) = sync_channel::<Result<Response>>(1);
-        {
-            let mut p = self.parked.lock();
-            p.push(tx);
-            if p.len() > MAX_PARKED {
-                p.drain(..MAX_PARKED / 2);
-            }
-        }
-        ReplyHandle::pending(rx)
-    }
-}
-
-impl Endpoint for ChaosEndpoint {
-    fn submit(&self, req: Request) -> Result<ReplyHandle> {
-        let decision = {
-            let mut state = self.rng.lock();
-            decide(&self.cfg, &mut state)
-        };
-        if let Some(d) = decision.delay {
-            self.stats.delays.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(d);
-        }
-        match decision.fault {
-            Fault::None => self.inner.submit(req),
-            Fault::Reset => {
-                self.stats.resets.fetch_add(1, Ordering::Relaxed);
-                Err(GkfsError::Rpc("chaos: connection reset".into()))
-            }
-            Fault::Corrupt => {
-                // Post-CRC semantics: a corrupted frame never reaches
-                // the application; it is caught by the checksum and
-                // surfaces as a typed Corruption error.
-                self.stats.corruptions.fetch_add(1, Ordering::Relaxed);
-                Err(GkfsError::Corruption("chaos: corrupted frame".into()))
-            }
-            Fault::DropRequest => {
-                self.stats.dropped_requests.fetch_add(1, Ordering::Relaxed);
-                Ok(self.lost())
-            }
-            Fault::DropReply => {
-                // The op is applied — only the reply vanishes. This is
-                // the case idempotency-aware retry exists for.
-                self.stats.dropped_replies.fetch_add(1, Ordering::Relaxed);
-                let _ = self.inner.submit(req)?;
-                Ok(self.lost())
-            }
-            Fault::Duplicate => {
-                self.stats.duplicates.fetch_add(1, Ordering::Relaxed);
-                let dup = self.inner.submit(req.clone());
-                let real = self.inner.submit(req)?;
-                drop(dup);
-                Ok(real)
-            }
-        }
-    }
-
-    fn timeout(&self) -> Duration {
-        self.inner.timeout()
-    }
-
-    fn reconnects(&self) -> u64 {
-        self.inner.reconnects()
-    }
 }
 
 /// Wire-level chaos: a TCP proxy between clients and one daemon that
@@ -381,17 +310,9 @@ fn pump(
                     break;
                 }
             }
-            Fault::DropRequest => match dir {
-                PumpDir::ClientToDaemon => {
-                    stats.dropped_requests.fetch_add(1, Ordering::Relaxed);
-                }
-                PumpDir::DaemonToClient => {
-                    stats.dropped_replies.fetch_add(1, Ordering::Relaxed);
-                }
-            },
-            Fault::DropReply => match dir {
-                // The draw order is shared; map the class onto this
-                // pump's direction so both directions lose frames.
+            // The draw order is shared; both classes map onto this
+            // pump's direction, so both directions lose frames.
+            Fault::DropRequest | Fault::DropReply => match dir {
                 PumpDir::ClientToDaemon => {
                     stats.dropped_requests.fetch_add(1, Ordering::Relaxed);
                 }
@@ -535,6 +456,8 @@ mod tests {
     use crate::handler::HandlerRegistry;
     use crate::message::Opcode;
     use crate::transport::inproc::RpcServer;
+    use crate::message::Response;
+    use crate::transport::Endpoint;
     use crate::transport::tcp::{TcpEndpoint, TcpServer};
 
     fn echo_registry() -> HandlerRegistry {
@@ -563,20 +486,26 @@ mod tests {
         assert!(differs);
     }
 
+    /// A link under `cfg`'s draw, and the draw's counters.
+    fn chaos_link(server: &Arc<RpcServer>, cfg: ChaosConfig) -> (Arc<crate::Link>, Arc<ChaosStats>) {
+        let stats = Arc::new(ChaosStats::default());
+        (crate::Link::with_rule(server.endpoint(), cfg.rule(stats.clone())), stats)
+    }
+
     #[test]
     fn quiet_config_injects_nothing() {
         let server = RpcServer::new(echo_registry(), 2);
-        let ep = ChaosEndpoint::new(server.endpoint(), ChaosConfig::quiet(7));
+        let (ep, stats) = chaos_link(&server, ChaosConfig::quiet(7));
         for _ in 0..200 {
             ep.call(Request::new(Opcode::Ping, &b"x"[..])).unwrap();
         }
-        assert_eq!(ep.stats().total(), 0);
+        assert_eq!(stats.total(), 0);
     }
 
     #[test]
     fn chaos_endpoint_faults_are_typed_and_bounded() {
         let server = RpcServer::new(echo_registry(), 2);
-        let ep = ChaosEndpoint::new(server.endpoint(), ChaosConfig::heavy(1));
+        let (ep, stats) = chaos_link(&server, ChaosConfig::heavy(1));
         let mut oks = 0u32;
         let mut errs = 0u32;
         for _ in 0..300 {
@@ -596,7 +525,7 @@ mod tests {
         }
         assert!(oks > 0, "heavy chaos must still let most ops through");
         assert!(errs > 0, "heavy chaos must inject something in 300 ops");
-        assert!(ep.stats().total() > 0);
+        assert!(stats.total() > 0);
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //!   the waiting client thread reads its own reply (see
 //!   [`transport::tcp`]).
 //!
+//! * [`link`] — the one [`Endpoint`] that wraps another: a swappable
+//!   target (a node's restarted process) plus an optional rule that
+//!   decides each request's fate — how the tests script a misbehaving
+//!   daemon.
+//!
 //! The daemon registers handlers and serves; the client holds one
 //! [`Endpoint`] per daemon. The endpoint API is
 //! submission/completion, Margo's own shape: a nonblocking
@@ -41,16 +46,18 @@
 
 pub mod chaos;
 pub mod handler;
+pub mod link;
 pub mod message;
 pub mod proto;
 pub mod stats;
 pub mod testing;
 pub mod transport;
 
-pub use chaos::{ChaosConfig, ChaosEndpoint, ChaosListener, ChaosStats};
+pub use chaos::{ChaosConfig, ChaosListener, ChaosStats};
 pub use handler::{Handler, HandlerFn, HandlerRegistry};
+pub use link::{Fate, Gate, Link, Rule, Until};
 pub use message::{Opcode, Request, Response, Status};
 pub use stats::{RpcStats, WaitStats};
 pub use transport::inproc::{InprocEndpoint, RpcServer};
 pub use transport::tcp::{TcpEndpoint, TcpServer};
-pub use transport::{Endpoint, EndpointOptions, ReplyHandle, SwitchEndpoint, DEFAULT_TIMEOUT};
+pub use transport::{Endpoint, EndpointOptions, ReplyHandle, DEFAULT_TIMEOUT};

@@ -1,17 +1,12 @@
-//! Test doubles for fault injection.
+//! Test support: a handler that answers out of order.
 //!
-//! GekkoFS is explicitly *not* fault tolerant (§III-A discussion — a
-//! temporary FS trades resilience for speed), so the property worth
-//! testing is not recovery but **clean surfacing**: when a daemon
-//! misbehaves, clients must get errors, not hangs, corruption, or
-//! panics. These wrappers inject failures at the endpoint boundary.
+//! Scripted faults live on the one seam between a holder and a daemon,
+//! [`Link`](crate::Link) with a rule; this module's tests are that
+//! rule's table. What stays here is what a link cannot do: make a
+//! server answer pipelined requests out of submission order.
 
 use crate::handler::HandlerRegistry;
-use crate::message::{Opcode, Request, Response};
-use crate::transport::{Endpoint, ReplyHandle};
-use gkfs_common::{GkfsError, Result};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::message::{Opcode, Response};
 use std::time::Duration;
 
 /// Register a "sleepy echo" handler on `opcode`: each request sleeps
@@ -41,189 +36,168 @@ pub fn sleepy_body(delay_ms: u16, tag: &[u8]) -> Vec<u8> {
     body
 }
 
-/// Fails every `fail_every`-th call with an RPC error (1 = every call).
-///
-/// Two injection points, mirroring where a real network loses things:
-///
-/// * **submit-path** ([`FlakyEndpoint::new`]): the submission itself
-///   errors; the daemon never sees the request.
-/// * **reply-path** ([`FlakyEndpoint::new_reply_path`]): the request
-///   is *delivered and applied* by the daemon, but the reply is lost
-///   and the waiter gets an error. This is the case that makes blind
-///   retry of non-idempotent operations dangerous — a retried create
-///   can find its own first attempt already applied — so the retry
-///   layer's idempotency handling is tested against exactly this.
-pub struct FlakyEndpoint {
-    inner: Arc<dyn Endpoint>,
-    fail_every: u64,
-    fail_replies: bool,
-    calls: AtomicU64,
-}
-
-impl FlakyEndpoint {
-    /// Wrap `inner`, failing every `fail_every`-th **submission**.
-    pub fn new(inner: Arc<dyn Endpoint>, fail_every: u64) -> Arc<FlakyEndpoint> {
-        assert!(fail_every >= 1);
-        Arc::new(FlakyEndpoint {
-            inner,
-            fail_every,
-            fail_replies: false,
-            calls: AtomicU64::new(0),
-        })
-    }
-
-    /// Wrap `inner`, losing every `fail_every`-th **reply**: the
-    /// request is forwarded (and applied) but its wait fails.
-    pub fn new_reply_path(inner: Arc<dyn Endpoint>, fail_every: u64) -> Arc<FlakyEndpoint> {
-        assert!(fail_every >= 1);
-        Arc::new(FlakyEndpoint {
-            inner,
-            fail_every,
-            fail_replies: true,
-            calls: AtomicU64::new(0),
-        })
-    }
-
-    /// Calls attempted so far (including failed ones).
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-}
-
-impl Endpoint for FlakyEndpoint {
-    fn submit(&self, req: Request) -> Result<ReplyHandle> {
-        let n = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(self.fail_every) {
-            if self.fail_replies {
-                // Deliver the request for real — the daemon applies
-                // it — then lose the reply. Dropping the inner handle
-                // reaps its pending slot; the caller's wait sees a
-                // retryable error, as with a reply lost on the wire.
-                let _ = self.inner.submit(req)?;
-                return Ok(ReplyHandle::ready(Err(GkfsError::Rpc(
-                    "injected reply fault".into(),
-                ))));
-            }
-            return Err(GkfsError::Rpc("injected fault".into()));
-        }
-        self.inner.submit(req)
-    }
-
-    fn timeout(&self) -> Duration {
-        self.inner.timeout()
-    }
-
-    fn reconnects(&self) -> u64 {
-        self.inner.reconnects()
-    }
-}
-
-/// Delays every submission by a fixed amount before forwarding — a
-/// slow or congested daemon (the delay sits on the submission path,
-/// so even nonblocking callers feel it, like a full send queue).
-pub struct SlowEndpoint {
-    inner: Arc<dyn Endpoint>,
-    delay: Duration,
-}
-
-impl SlowEndpoint {
-    /// Wrap `inner` with the injection policy.
-    pub fn new(inner: Arc<dyn Endpoint>, delay: Duration) -> Arc<SlowEndpoint> {
-        Arc::new(SlowEndpoint { inner, delay })
-    }
-}
-
-impl Endpoint for SlowEndpoint {
-    fn submit(&self, req: Request) -> Result<ReplyHandle> {
-        std::thread::sleep(self.delay);
-        self.inner.submit(req)
-    }
-
-    fn timeout(&self) -> Duration {
-        self.inner.timeout()
-    }
-}
-
-/// Refuses everything — a dead daemon.
-pub struct DeadEndpoint;
-
-impl Endpoint for DeadEndpoint {
-    fn submit(&self, _req: Request) -> Result<ReplyHandle> {
-        Err(GkfsError::Rpc("daemon unreachable".into()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::{Fate, Gate, Link, Until};
+    use crate::message::{Request, Status};
     use crate::transport::inproc::RpcServer;
-    use crate::transport::EndpointOptions;
+    use crate::transport::{Endpoint, EndpointOptions};
+    use gkfs_common::GkfsError;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
 
-    fn echo() -> Arc<RpcServer> {
-        let mut reg = HandlerRegistry::new();
-        reg.register_fn(Opcode::Ping, |req| Response::ok(req.body));
-        RpcServer::new(reg, 1)
+    /// What a submitter sees of one request.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Sees {
+        /// The target's reply, as it sent it.
+        Reply,
+        /// A reply the link rewrote.
+        Rewritten,
+        /// An application error inside an `Ok` reply.
+        AppError,
+        /// `submit` failed with an RPC error.
+        SubmitError,
+        /// The wait failed at once with an RPC error.
+        ReplyError,
+        /// The wait ran out its timeout.
+        Timeout,
+    }
+    use Sees::*;
+
+    /// One rule outcome: the fate of every `every`-th request (the
+    /// others pass), and what that does to the row's requests, sent one
+    /// after another over one link to a counting echo.
+    struct Row {
+        fate: fn(&Arc<Gate>) -> Fate,
+        every: u64,
+        /// What the submitter sees, request by request.
+        sees: &'static [Sees],
+        /// Handler runs once every request is answered or given up.
+        runs: u64,
+        /// For a held message: handler runs while it is held. The reply
+        /// must not arrive before the gate opens (or the hold elapses).
+        held: Option<u64>,
+        /// The least time from a submit to its outcome.
+        takes: Duration,
     }
 
-    #[test]
-    fn flaky_fails_on_schedule() {
-        let server = echo();
-        let flaky = FlakyEndpoint::new(server.endpoint(), 3);
-        let mut outcomes = Vec::new();
-        for _ in 0..9 {
-            outcomes.push(flaky.call(Request::new(Opcode::Ping, &b""[..])).is_ok());
-        }
-        assert_eq!(
-            outcomes,
-            vec![true, true, false, true, true, false, true, true, false]
-        );
-        assert_eq!(flaky.calls(), 9);
-    }
+    /// A link's wait, where a timeout is expected.
+    const TIMEOUT: Duration = Duration::from_millis(200);
+    /// How long [`Until::Elapsed`] holds a message.
+    const HOLD: Duration = Duration::from_millis(50);
+    /// How long [`Fate::Stall`] stalls a submitter.
+    const STALL: Duration = Duration::from_millis(20);
 
-    #[test]
-    fn flaky_reply_path_applies_op_but_loses_reply() {
-        // The property that motivates idempotency-aware retry: the
-        // caller sees a failure, yet the daemon executed the request.
-        let applied = Arc::new(AtomicU64::new(0));
-        let counter = applied.clone();
+    fn check(row: Row) {
+        let runs = Arc::new(AtomicU64::new(0));
         let mut reg = HandlerRegistry::new();
+        let counter = Arc::clone(&runs);
         reg.register_fn(Opcode::Ping, move |req| {
             counter.fetch_add(1, Ordering::Relaxed);
             Response::ok(req.body)
         });
-        let server = RpcServer::new(reg, 1);
-        let flaky = FlakyEndpoint::new_reply_path(server.endpoint(), 2);
-
-        assert!(flaky.call(Request::new(Opcode::Ping, &b""[..])).is_ok());
-        let second = flaky.call(Request::new(Opcode::Ping, &b""[..]));
-        assert!(matches!(second, Err(GkfsError::Rpc(_))));
-
-        // Both requests reached the daemon despite the second's error.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while applied.load(Ordering::Relaxed) < 2 && std::time::Instant::now() < deadline {
+        let server = RpcServer::new(reg, 2);
+        let gate = Gate::new();
+        let target = server.endpoint_with(EndpointOptions::new().with_timeout(TIMEOUT));
+        let link = Link::with_rule(target, (row.fate)(&gate).every(row.every));
+        let mut seen = Vec::new();
+        for _ in row.sees {
+            let t0 = Instant::now();
+            let outcome = match link.submit(Request::new(Opcode::Ping, &b"x"[..])) {
+                Err(e) => {
+                    assert!(matches!(e, GkfsError::Rpc(_)), "{e:?}");
+                    SubmitError
+                }
+                Ok(mut handle) => {
+                    if let Some(before) = row.held {
+                        assert!(handle.wait_within(Duration::from_millis(20)).is_none(), "arrived while held");
+                        assert_eq!(runs.load(Ordering::Relaxed), before, "handler runs while held");
+                        gate.open();
+                    }
+                    match handle.wait(link.timeout()) {
+                        Ok(resp) if resp.status != Status::Ok => AppError,
+                        Ok(resp) if &resp.body[..] == b"x" => Reply,
+                        Ok(_) => Rewritten,
+                        Err(GkfsError::Timeout) => Timeout,
+                        Err(e) => {
+                            assert!(matches!(e, GkfsError::Rpc(_)), "{e:?}");
+                            assert!(t0.elapsed() < TIMEOUT / 2, "a failed reply fails at once");
+                            ReplyError
+                        }
+                    }
+                }
+            };
+            assert!(t0.elapsed() >= row.takes, "{outcome:?} after {:?}", t0.elapsed());
+            seen.push(outcome);
+        }
+        assert_eq!(seen, row.sees);
+        assert_eq!(link.submitted(), row.sees.len() as u64);
+        // A duplicate or a lost reply's delivery may still be running.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while runs.load(Ordering::Relaxed) < row.runs && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(applied.load(Ordering::Relaxed), 2, "lost-reply op must still apply");
+        assert_eq!(runs.load(Ordering::Relaxed), row.runs, "handler runs");
     }
 
-    #[test]
-    fn dead_endpoint_always_errors() {
-        let dead = DeadEndpoint;
-        for _ in 0..3 {
-            assert!(matches!(
-                dead.call(Request::new(Opcode::Ping, &b""[..])),
-                Err(GkfsError::Rpc(_))
-            ));
-        }
+    /// One `#[test]` per row, named by the row.
+    macro_rules! table {
+        ($($name:ident: $row:expr;)*) => { $(#[test] fn $name() { check($row) })* };
     }
 
-    #[test]
-    fn slow_endpoint_delays_but_succeeds() {
-        let server = echo();
-        let slow = SlowEndpoint::new(server.endpoint(), Duration::from_millis(20));
-        let t0 = std::time::Instant::now();
-        slow.call(Request::new(Opcode::Ping, &b"x"[..])).unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(20));
+    const NOW: Duration = Duration::ZERO;
+    fn rpc(what: &str) -> GkfsError {
+        GkfsError::Rpc(what.into())
+    }
+
+    table! {
+        pass_delivers_once: Row { fate: |_| Fate::Pass, every: 1, sees: &[Reply], runs: 1, held: None, takes: NOW };
+        dead_endpoint_always_errors: Row {
+            fate: |_| Fate::Refuse(rpc("daemon unreachable")), every: 1,
+            sees: &[SubmitError, SubmitError, SubmitError], runs: 0, held: None, takes: NOW,
+        };
+        flaky_fails_on_schedule: Row {
+            fate: |_| Fate::Refuse(rpc("injected fault")), every: 3,
+            sees: &[Reply, Reply, SubmitError, Reply, Reply, SubmitError, Reply, Reply, SubmitError],
+            runs: 6, held: None, takes: NOW,
+        };
+        answer_refuses_without_delivering: Row {
+            fate: |_| Fate::Answer(Response::err(GkfsError::InvalidArgument("refused".into()))), every: 1,
+            sees: &[AppError], runs: 0, held: None, takes: NOW,
+        };
+        // The property that motivates idempotency-aware retry: the
+        // caller sees a failure, yet the daemon executed the request.
+        flaky_reply_path_applies_op_but_loses_reply: Row {
+            fate: |_| Fate::FailReply(rpc("injected reply fault")), every: 2,
+            sees: &[Reply, ReplyError], runs: 2, held: None, takes: NOW,
+        };
+        lose_request_times_out_undelivered: Row {
+            fate: |_| Fate::LoseRequest, every: 1, sees: &[Timeout], runs: 0, held: None, takes: TIMEOUT,
+        };
+        lose_reply_times_out_delivered: Row {
+            fate: |_| Fate::LoseReply, every: 1, sees: &[Timeout], runs: 1, held: None, takes: TIMEOUT,
+        };
+        twice_delivers_twice_and_answers_once: Row {
+            fate: |_| Fate::Twice, every: 1, sees: &[Reply], runs: 2, held: None, takes: NOW,
+        };
+        slow_endpoint_delays_but_succeeds: Row {
+            fate: |_| Fate::Stall(STALL, Box::new(Fate::Pass)), every: 1, sees: &[Reply], runs: 1, held: None, takes: STALL,
+        };
+        held_request_is_delivered_when_the_gate_opens: Row {
+            fate: |g| Fate::HoldRequest(Until::Opened(g.clone())), every: 1, sees: &[Reply], runs: 1, held: Some(0), takes: NOW,
+        };
+        held_request_is_delivered_when_its_hold_elapses: Row {
+            fate: |_| Fate::HoldRequest(Until::Elapsed(HOLD)), every: 1, sees: &[Reply], runs: 1, held: Some(0), takes: HOLD,
+        };
+        held_reply_is_answered_when_the_gate_opens: Row {
+            fate: |g| Fate::HoldReply(Until::Opened(g.clone())), every: 1, sees: &[Reply], runs: 1, held: Some(1), takes: NOW,
+        };
+        rewrite_changes_the_reply: Row {
+            fate: |_| Fate::Rewrite(|resp| resp.body = bytes::Bytes::from_static(b"rot")), every: 1,
+            sees: &[Rewritten], runs: 1, held: None, takes: NOW,
+        };
     }
 
     #[test]

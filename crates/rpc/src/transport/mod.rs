@@ -15,8 +15,9 @@
 //! submit-all-then-wait-all enables.
 //!
 //! A reply reaches its waiter one of two ways. The in-process transport
-//! (and test doubles) send it over a one-shot `std::sync::mpsc` channel
-//! ([`ReplyHandle::pending`] takes the receiving end). A TCP connection
+//! (and a link's held messages) sends it over a one-shot
+//! `std::sync::mpsc` channel ([`ReplyHandle::pending`] takes the
+//! receiving end). A TCP connection
 //! keeps one completion table instead, and the waiter itself reads the
 //! socket when it is the only one who could be waiting ([`tcp`]). On the
 //! daemon side both transports serve requests through [`Handlers`]: the
@@ -184,10 +185,12 @@ enum ReplySource {
         rx: Receiver<Result<Response>>,
         disconnect: GkfsError,
     },
-    /// Result was known at submission time (test doubles, fast errors).
+    /// Result was known at submission time (a link's rule, fast errors).
     Ready(Result<Response>),
     /// A slot in a TCP connection's completion table.
     Slot(tcp::Ticket),
+    /// Never completes: the request or its reply was lost on purpose.
+    Lost,
 }
 
 /// An in-flight RPC: the completion half of [`Endpoint::submit`].
@@ -217,11 +220,17 @@ impl ReplyHandle {
         }
     }
 
-    /// A handle whose outcome is already known (test doubles).
+    /// A handle whose outcome is already known (a link's rule).
     pub fn ready(result: Result<Response>) -> ReplyHandle {
         ReplyHandle {
             source: ReplySource::Ready(result),
         }
+    }
+
+    /// A handle whose reply never comes: every wait runs out its
+    /// window, as on a request or reply lost on the wire.
+    pub fn lost() -> ReplyHandle {
+        ReplyHandle { source: ReplySource::Lost }
     }
 
     /// A handle on a slot of a TCP connection's completion table.
@@ -265,6 +274,10 @@ impl ReplyHandle {
                 Err(RecvTimeoutError::Timeout) => None,
             },
             ReplySource::Slot(ticket) => ticket.wait_within(window),
+            ReplySource::Lost => {
+                std::thread::sleep(window);
+                None
+            }
         }
     }
 
@@ -321,8 +334,8 @@ pub trait Endpoint: Send + Sync {
     }
 
     /// How many times this endpoint has re-established its underlying
-    /// connection. Transports without a connection (in-process, test
-    /// doubles) report zero forever.
+    /// connection. The in-process transport, which has none, reports
+    /// zero forever.
     fn reconnects(&self) -> u64 {
         0
     }
@@ -350,60 +363,6 @@ pub fn concat_segments(segments: &[&[u8]]) -> bytes::Bytes {
 /// difference is exact under any concurrency.
 pub fn gather_copy_bytes() -> u64 {
     GATHER_COPY_BYTES.with(|c| c.get())
-}
-
-/// An endpoint whose target can be swapped at runtime — the client's
-/// (and peer daemons') stable handle to a node that may die and be
-/// replaced by a fresh process. `swap` points every holder at the new
-/// daemon's endpoint without re-plumbing the mount: exactly what a
-/// kill/rejoin schedule needs, and the in-process analogue of a TCP
-/// endpoint redialing a restarted server.
-pub struct SwitchEndpoint {
-    target: gkfs_common::OrderedRwLock<std::sync::Arc<dyn Endpoint>>,
-    swaps: std::sync::atomic::AtomicU64,
-}
-
-impl SwitchEndpoint {
-    /// Wrap `initial` as the current target.
-    pub fn new(initial: std::sync::Arc<dyn Endpoint>) -> std::sync::Arc<SwitchEndpoint> {
-        std::sync::Arc::new(SwitchEndpoint {
-            target: gkfs_common::OrderedRwLock::new(
-                gkfs_common::lock::rank::REPL_ENDPOINT,
-                initial,
-            ),
-            swaps: std::sync::atomic::AtomicU64::new(0),
-        })
-    }
-
-    /// Point every holder of this endpoint at `next` (a restarted
-    /// daemon). In-flight requests against the old target complete or
-    /// fail against it; only new submissions see `next`.
-    pub fn swap(&self, next: std::sync::Arc<dyn Endpoint>) {
-        *self.target.write() = next;
-        self.swaps
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    fn current(&self) -> std::sync::Arc<dyn Endpoint> {
-        // Clone out and drop the guard before any transport work: the
-        // submit below must not run under the target lock (GKL002).
-        self.target.read().clone()
-    }
-}
-
-impl Endpoint for SwitchEndpoint {
-    fn submit(&self, req: Request) -> Result<ReplyHandle> {
-        self.current().submit(req)
-    }
-
-    fn timeout(&self) -> Duration {
-        self.current().timeout()
-    }
-
-    fn reconnects(&self) -> u64 {
-        self.swaps.load(std::sync::atomic::Ordering::Relaxed)
-            + self.current().reconnects()
-    }
 }
 
 #[cfg(test)]
@@ -494,7 +453,7 @@ mod tests {
                 Ok(ReplyHandle::ready(Ok(Response::ok(self.0))))
             }
         }
-        let sw = SwitchEndpoint::new(Arc::new(Fixed(b"old")));
+        let sw = crate::Link::new(Arc::new(Fixed(b"old")));
         let r = sw.submit(Request::new(Opcode::Ping, Vec::new())).unwrap();
         assert_eq!(&r.wait(Duration::from_secs(1)).unwrap().body[..], b"old");
         sw.swap(Arc::new(Fixed(b"new")));

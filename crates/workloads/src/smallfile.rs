@@ -154,24 +154,15 @@ pub fn run_smallfile(
 mod tests {
     use super::*;
     use gekkofs::{Cluster, ClusterConfig};
-    use gkfs_rpc::{Endpoint, Opcode, ReplyHandle, Request};
+    use gkfs_rpc::{Fate, Opcode, Response};
     use std::sync::Arc;
 
-    /// A transport that silently damages read payloads: the first byte
-    /// of every `ReadChunks` reply arrives inverted.
-    struct BitRot(Arc<dyn Endpoint>);
-
-    impl Endpoint for BitRot {
-        fn submit(&self, req: Request) -> Result<ReplyHandle> {
-            let read = req.opcode == Opcode::ReadChunks;
-            let mut reply = self.0.submit(req)?.wait(self.0.timeout());
-            if let (true, Ok(resp)) = (read, &mut reply) {
-                let mut bulk = resp.bulk.to_vec();
-                bulk[0] ^= 0xFF;
-                resp.bulk = bulk.into();
-            }
-            Ok(ReplyHandle::ready(reply))
-        }
+    /// Silent damage in transit: the first byte of a read's payload
+    /// arrives inverted.
+    fn rot(resp: &mut Response) {
+        let mut bulk = resp.bulk.to_vec();
+        bulk[0] ^= 0xFF;
+        resp.bulk = bulk.into();
     }
 
     /// The scan phase is the workload's only check that what was
@@ -182,12 +173,14 @@ mod tests {
     #[test]
     fn scan_fails_the_run_on_a_corrupted_read() {
         let cluster = Cluster::deploy(ClusterConfig::new(2).with_chunk_size(8 * 1024)).unwrap();
-        let rotten = || {
-            let endpoints = (0..cluster.nodes())
-                .map(|n| Arc::new(BitRot(cluster.daemon(n).endpoint())) as Arc<dyn Endpoint>)
-                .collect();
-            GekkoClient::mount(endpoints, cluster.config())
-        };
+        for n in 0..cluster.nodes() {
+            let reads = |req: &gkfs_rpc::Request, _| match req.opcode {
+                Opcode::ReadChunks => Fate::Rewrite(rot),
+                _ => Fate::Pass,
+            };
+            cluster.link(n).set_rule(Some(Arc::new(reads)));
+        }
+        let rotten = || cluster.mount();
         let cfg = SmallFileConfig {
             processes: 2,
             files_per_process: 10,

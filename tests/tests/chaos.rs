@@ -16,7 +16,7 @@ use gekkofs::{
     ReplicationConfig, RetryConfig,
 };
 use gkfs_common::distributor::{repair_target, Distributor};
-use gkfs_rpc::{ChaosConfig, ChaosEndpoint, ChaosListener, Endpoint, EndpointOptions, TcpEndpoint};
+use gkfs_rpc::{ChaosConfig, ChaosListener, ChaosStats, Endpoint, EndpointOptions, Link, TcpEndpoint};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,27 +54,24 @@ fn daemons(n: usize) -> Vec<Arc<Daemon>> {
         .collect()
 }
 
-/// Wrap each daemon's in-process endpoint in a seeded chaos injector.
+/// Reach each daemon's in-process endpoint through a link under a
+/// seeded chaos rule; the links, and each rule's counters.
 fn chaos_endpoints(
     ds: &[Arc<Daemon>],
     cfg: impl Fn(u64) -> ChaosConfig,
     seed: u64,
-) -> (Vec<Arc<dyn Endpoint>>, Vec<Arc<ChaosEndpoint>>) {
-    let injectors: Vec<Arc<ChaosEndpoint>> = ds
-        .iter()
+) -> (Vec<Arc<dyn Endpoint>>, Vec<Arc<ChaosStats>>) {
+    ds.iter()
         .enumerate()
         .map(|(node, d)| {
             let ep = d.endpoint_with(EndpointOptions::new().with_timeout(CHAOS_TIMEOUT));
+            let stats = Arc::new(ChaosStats::default());
             // Distinct stream per node so faults do not march in
             // lockstep across the cluster.
-            ChaosEndpoint::new(ep, cfg(seed ^ ((node as u64) << 32)))
+            let rule = cfg(seed ^ ((node as u64) << 32)).rule(stats.clone());
+            (Link::with_rule(ep, rule) as Arc<dyn Endpoint>, stats)
         })
-        .collect();
-    let endpoints = injectors
-        .iter()
-        .map(|e| e.clone() as Arc<dyn Endpoint>)
-        .collect();
-    (endpoints, injectors)
+        .unzip()
 }
 
 /// Run `op`, asserting it resolves inside the structural deadline
@@ -130,7 +127,7 @@ fn mdtest_workload_under_light_chaos_is_bounded_and_fsck_clean() {
              ({} created, {failed} failures)",
             created.len()
         );
-        let injected: u64 = injectors.iter().map(|i| i.stats().total()).sum();
+        let injected: u64 = injectors.iter().map(|i| i.total()).sum();
         assert!(injected > 0, "seed {seed:#x}: chaos never fired");
 
         // Post-chaos: a clean client sees a consistent namespace.
@@ -204,7 +201,7 @@ fn smallfile_data_under_heavy_chaos_never_silently_corrupts() {
             verified > 0,
             "seed {seed:#x}: heavy chaos should still let some reads through"
         );
-        let injected: u64 = injectors.iter().map(|i| i.stats().total()).sum();
+        let injected: u64 = injectors.iter().map(|i| i.total()).sum();
         assert!(injected > 0, "seed {seed:#x}: chaos never fired");
 
         // Best-effort cleanup under chaos, then consistency check from a
@@ -279,7 +276,7 @@ fn forced_write_back_flush_under_chaos_lands_fully_or_errors() {
                 acked.push((p, data));
             }
         }
-        let injected: u64 = injectors.iter().map(|i| i.stats().total()).sum();
+        let injected: u64 = injectors.iter().map(|i| i.total()).sum();
         assert!(injected > 0, "seed {seed:#x}: chaos never fired");
 
         // Judge acked flushes from a clean client: size and bytes must
@@ -609,7 +606,7 @@ fn a_small_file_frame_whose_reply_is_dropped_is_acknowledged_once_with_its_bytes
         }
         let dropped: u64 = injectors
             .iter()
-            .map(|i| i.stats().dropped_replies.load(std::sync::atomic::Ordering::Relaxed))
+            .map(|i| i.dropped_replies.load(std::sync::atomic::Ordering::Relaxed))
             .sum();
         assert!(dropped > 0, "seed {seed:#x}: no reply was dropped");
 
@@ -944,8 +941,7 @@ fn chaos_fault_stream_is_deterministic_per_seed() {
         }
         let stats: Vec<u64> = injectors
             .iter()
-            .flat_map(|i| {
-                let s = i.stats();
+            .flat_map(|s| {
                 [
                     s.dropped_requests.load(std::sync::atomic::Ordering::Relaxed),
                     s.dropped_replies.load(std::sync::atomic::Ordering::Relaxed),

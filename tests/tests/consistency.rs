@@ -251,6 +251,33 @@ fn a_held_update_repairs_another_clients_truncate_at_close() {
     cluster.shutdown();
 }
 
+#[test]
+fn another_clients_late_size_update_leaves_an_unlinked_path_absent() {
+    // B's write leaves its size update in the §IV-B buffer; A unlinks
+    // the path; B's close sends the update after the remove. A size
+    // update never creates an entry: the path stays gone to `stat`,
+    // `readdir` and `fsck`. (It used to come back as a bare record —
+    // `ctime_ns: 0`, listed, and owning B's bytes, so fsck saw nothing
+    // wrong.) The unlink removed the bytes it knew of, none: B's chunk
+    // is an orphan now, which fsck reports and purges like any other.
+    let cluster = Cluster::deploy(ClusterConfig::new(2).with_size_cache(100)).unwrap();
+    let a = cluster.mount().unwrap();
+    let b = cluster.mount().unwrap();
+    let h = b.open_handle("/late", OpenFlags::WRONLY.with_create()).unwrap();
+    h.pwrite(0, &[5u8; 500]).unwrap();
+    assert_eq!(a.stat("/late").unwrap().size, 0, "the update is still in B's buffer");
+    a.unlink("/late").unwrap();
+    h.close().unwrap();
+    assert!(matches!(a.stat("/late"), Err(GkfsError::NotFound)));
+    assert_eq!(a.readdir("/").unwrap(), vec![]);
+    let report = a.fsck().unwrap();
+    assert_eq!(report.files_checked, 0, "{report:?}");
+    assert!(report.orphan_chunks.iter().all(|(_, p)| p == "/late"), "{report:?}");
+    a.fsck_purge(&report).unwrap();
+    assert!(a.fsck().unwrap().is_clean());
+    cluster.shutdown();
+}
+
 /// The mount configurations that differ in what an open path holds
 /// back from the daemons: nothing, size updates (§IV-B), bytes.
 fn buffering_configs() -> [ClusterConfig; 3] {

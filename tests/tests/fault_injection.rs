@@ -14,8 +14,7 @@
 
 use gekkofs::{ClusterConfig, Daemon, DaemonConfig, GekkoClient, GkfsError};
 use gkfs_common::config::RetryConfig;
-use gkfs_rpc::testing::{DeadEndpoint, FlakyEndpoint, SlowEndpoint};
-use gkfs_rpc::Endpoint;
+use gkfs_rpc::{Endpoint, Fate, Link};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -25,11 +24,21 @@ fn daemons(n: usize) -> Vec<Arc<Daemon>> {
         .collect()
 }
 
+/// `d` behind a link that refuses everything: a dead daemon.
+fn dead(d: &Arc<Daemon>) -> Arc<dyn Endpoint> {
+    Link::with_rule(d.endpoint(), |_, _| Fate::Refuse(GkfsError::Rpc("daemon unreachable".into())))
+}
+
+/// `d` behind a link that refuses every `n`-th submission.
+fn flaky(d: &Arc<Daemon>, n: u64) -> Arc<dyn Endpoint> {
+    Link::with_rule(d.endpoint(), Fate::Refuse(GkfsError::Rpc("injected fault".into())).every(n))
+}
+
 #[test]
 fn one_dead_daemon_partitions_cleanly() {
     let ds = daemons(4);
     let mut endpoints: Vec<Arc<dyn Endpoint>> = ds.iter().map(|d| d.endpoint()).collect();
-    endpoints[1] = Arc::new(DeadEndpoint);
+    endpoints[1] = dead(&ds[1]);
     let fs = GekkoClient::mount(endpoints, &ClusterConfig::new(4))
         .or_else(|_| {
             // If the root directory happens to live on the dead node,
@@ -37,7 +46,7 @@ fn one_dead_daemon_partitions_cleanly() {
             // the dead endpoint elsewhere for the rest of the test.
             let mut endpoints: Vec<Arc<dyn Endpoint>> =
                 ds.iter().map(|d| d.endpoint()).collect();
-            endpoints[2] = Arc::new(DeadEndpoint);
+            endpoints[2] = dead(&ds[2]);
             GekkoClient::mount(endpoints, &ClusterConfig::new(4))
         })
         .expect("root owner cannot be on two different dead nodes");
@@ -85,9 +94,7 @@ fn flaky_daemon_faults_are_absorbed_by_retry() {
     // through), which is exactly the shape the retry layer absorbs:
     // with the default 4-attempt policy no operation should ever
     // surface an error, and nothing may be corrupted along the way.
-    let flaky = FlakyEndpoint::new(ds[0].endpoint(), 5);
-    let endpoints: Vec<Arc<dyn Endpoint>> =
-        vec![flaky as Arc<dyn Endpoint>, ds[1].endpoint()];
+    let endpoints: Vec<Arc<dyn Endpoint>> = vec![flaky(&ds[0], 5), ds[1].endpoint()];
     let fs = GekkoClient::mount(endpoints, &ClusterConfig::new(2))
         .expect("mount retries past a transient fault");
 
@@ -116,17 +123,15 @@ fn disabled_retry_preserves_first_failure_surfacing() {
     // Applications that want the paper's original semantics — every
     // transport fault surfaces immediately — can opt out.
     let ds = daemons(2);
-    let flaky = FlakyEndpoint::new(ds[0].endpoint(), 5);
-    let endpoints: Vec<Arc<dyn Endpoint>> =
-        vec![flaky.clone() as Arc<dyn Endpoint>, ds[1].endpoint()];
+    let flaky = flaky(&ds[0], 5);
+    let endpoints: Vec<Arc<dyn Endpoint>> = vec![flaky.clone(), ds[1].endpoint()];
     let config = ClusterConfig::new(2).with_retry(RetryConfig::disabled());
     let fs = match GekkoClient::mount(endpoints, &config) {
         Ok(fs) => fs,
         Err(GkfsError::Rpc(_)) => {
             // Mount's root-create happened to hit an injected fault —
             // acceptable surfacing; remount (counter has advanced).
-            let endpoints: Vec<Arc<dyn Endpoint>> =
-                vec![flaky.clone() as Arc<dyn Endpoint>, ds[1].endpoint()];
+            let endpoints: Vec<Arc<dyn Endpoint>> = vec![flaky.clone(), ds[1].endpoint()];
             GekkoClient::mount(endpoints, &config).unwrap()
         }
         Err(e) => panic!("unexpected mount failure: {e}"),
@@ -154,7 +159,7 @@ fn disabled_retry_preserves_first_failure_surfacing() {
 fn slow_daemon_slows_but_completes() {
     let ds = daemons(2);
     let endpoints: Vec<Arc<dyn Endpoint>> = vec![
-        SlowEndpoint::new(ds[0].endpoint(), Duration::from_millis(5)),
+        Link::with_rule(ds[0].endpoint(), |_, _| Fate::Stall(Duration::from_millis(5), Box::new(Fate::Pass))),
         ds[1].endpoint(),
     ];
     let fs = GekkoClient::mount(endpoints, &ClusterConfig::new(2)).unwrap();
@@ -175,7 +180,7 @@ fn write_failure_reports_but_size_not_silently_wrong() {
     // disabled so every injected fault reaches the caller — the
     // acknowledged-bytes invariant must hold under the worst surfacing.
     let ds = daemons(2);
-    let flaky = FlakyEndpoint::new(ds[0].endpoint(), 2); // every 2nd call dies
+    let flaky = flaky(&ds[0], 2); // every 2nd call dies
     let endpoints: Vec<Arc<dyn Endpoint>> = vec![flaky, ds[1].endpoint()];
     let config = ClusterConfig::new(2)
         .with_chunk_size(4096)

@@ -12,7 +12,7 @@
 
 use gekkofs::{ClusterConfig, Daemon, DaemonConfig, GekkoClient, OpenFlags, RetryConfig};
 use gkfs_integration::payload;
-use gkfs_rpc::{ChaosConfig, ChaosEndpoint, Endpoint, EndpointOptions};
+use gkfs_rpc::{ChaosConfig, ChaosStats, Endpoint, EndpointOptions, Link};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -113,16 +113,18 @@ fn parallel_storage_stress_under_chaos_seeds() {
         let dir = temp_dir(&format!("chaos-{seed:x}"));
         let _ = std::fs::remove_dir_all(&dir);
         let ds = disk_daemons(&dir, 3);
-        let injectors: Vec<Arc<ChaosEndpoint>> = ds
+        let (injectors, stats): (Vec<Arc<Link>>, Vec<Arc<ChaosStats>>) = ds
             .iter()
             .enumerate()
             .map(|(node, d)| {
                 let ep = d.endpoint_with(
                     EndpointOptions::new().with_timeout(Duration::from_millis(150)),
                 );
-                ChaosEndpoint::new(ep, ChaosConfig::light(seed ^ ((node as u64) << 32)))
+                let stats = Arc::new(ChaosStats::default());
+                let chaos = ChaosConfig::light(seed ^ ((node as u64) << 32)).rule(stats.clone());
+                (Link::with_rule(ep, chaos), stats)
             })
-            .collect();
+            .unzip();
         let retry = RetryConfig {
             max_attempts: 6,
             base_backoff_ms: 2,
@@ -182,7 +184,7 @@ fn parallel_storage_stress_under_chaos_seeds() {
             }
         });
 
-        let injected: u64 = injectors.iter().map(|i| i.stats().total()).sum();
+        let injected: u64 = stats.iter().map(|s| s.total()).sum();
         assert!(injected > 0, "seed {seed:#x}: chaos never fired");
         assert!(
             verified.load(std::sync::atomic::Ordering::Relaxed) > 0,

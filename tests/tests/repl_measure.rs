@@ -16,7 +16,7 @@
 
 use gekkofs::{Cluster, ClusterConfig, GekkoClient, OpenFlags, ReplicationConfig};
 use gkfs_common::Distributor;
-use gkfs_rpc::Endpoint;
+use gkfs_rpc::{Endpoint, Fate, Link, Until};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -159,31 +159,6 @@ fn pread_latencies(
     v
 }
 
-/// Endpoint whose replies are late but whose submission is instant:
-/// the latency lands in the *wait*, where the hedge timer runs.
-/// (`ChaosEndpoint`'s delay fault sleeps inside `submit`, which blocks
-/// the hedging thread itself — wrong regime for this measurement.)
-struct SlowEndpoint {
-    inner: Arc<dyn Endpoint>,
-    delay: Duration,
-}
-
-impl Endpoint for SlowEndpoint {
-    fn submit(&self, req: gkfs_rpc::Request) -> gkfs_common::Result<gkfs_rpc::ReplyHandle> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        let inner = self.inner.clone();
-        let delay = self.delay;
-        std::thread::spawn(move || {
-            std::thread::sleep(delay);
-            let _ = tx.send(inner.call(req));
-        });
-        Ok(gkfs_rpc::ReplyHandle::pending(rx))
-    }
-    fn timeout(&self) -> Duration {
-        self.inner.timeout()
-    }
-}
-
 /// Hedged-read latency across failure regimes: all replicas alive,
 /// primary freshly killed, primary marked Dead, and a slow-but-alive
 /// primary with and without hedging.
@@ -220,11 +195,15 @@ fn measure_hedged_read_tail() {
     let cluster = Cluster::deploy(cfg.clone()).unwrap();
     let fs = cluster.mount().unwrap();
     let files = write_files(&fs, 24, 2 * CHUNK as usize);
+    // Its replies are late but its submission is instant: the latency
+    // lands in the *wait*, where the hedge timer runs. (A stall would
+    // block the hedging thread itself — wrong regime for this
+    // measurement.)
     let delayed: Vec<Arc<dyn Endpoint>> = (0..3)
         .map(|n| -> Arc<dyn Endpoint> {
             let ep = cluster.daemon(n).endpoint();
             if n == 2 {
-                Arc::new(SlowEndpoint { inner: ep, delay: SLOW })
+                Link::with_rule(ep, |_, _| Fate::HoldRequest(Until::Elapsed(SLOW)))
             } else {
                 ep
             }

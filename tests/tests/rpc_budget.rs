@@ -44,10 +44,9 @@
 
 use gekkofs::{Cluster, ClusterConfig, Daemon, GekkoClient, OpenFlags, ReplicationConfig};
 use gkfs_common::{DaemonConfig, Distributor};
-use gkfs_rpc::{Endpoint, Opcode, ReplyHandle, Request, Response, TcpEndpoint};
+use gkfs_rpc::{Endpoint, Fate, Gate, Link, Opcode, Request, TcpEndpoint, Until};
 use gkfs_workloads::{run_mdtest, MdtestConfig, MetaMode};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex};
 
 /// Pre-handle protocol cost per mdtest-small file (itemized above).
@@ -557,7 +556,7 @@ fn known_size_unlink_names_its_chunks_and_reads_no_directory() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// What the gated endpoints of one client share: while `armed` is
+/// What the gated links of one client share: while `armed` is
 /// `n > 0`, requests are logged and held at the door — no reply moves —
 /// until the `n`-th arrives, whichever daemon it is for; then all are
 /// served, in submission order. A client that awaits any leg before it
@@ -566,37 +565,38 @@ fn known_size_unlink_names_its_chunks_and_reads_no_directory() {
 /// *is* "every leg's submit preceded every wait", and it is a count,
 /// not a clock. (A [`ReplyHandle`] has no hook to log its first `wait`
 /// with; withholding the reply observes the same order from outside.)
-#[derive(Default)]
-struct Gate {
+///
+/// [`ReplyHandle`]: gkfs_rpc::ReplyHandle
+struct Door {
     armed: usize,
-    held: Vec<HeldLeg>,
+    /// Requests held so far, at `gate`.
+    held: usize,
+    gate: Arc<Gate>,
     log: Vec<Opcode>,
 }
 
-/// A request at the door: the daemon it is for, and where its reply goes.
-type HeldLeg = (Arc<dyn Endpoint>, Request, SyncSender<gkfs_common::Result<Response>>);
-
-struct Gated {
-    inner: Arc<dyn Endpoint>,
-    gate: Arc<Mutex<Gate>>,
-}
-
-impl Endpoint for Gated {
-    fn submit(&self, req: Request) -> gkfs_common::Result<ReplyHandle> {
-        let mut gate = self.gate.lock().unwrap();
-        if gate.armed == 0 {
-            return self.inner.submit(req);
-        }
-        gate.log.push(req.opcode);
-        let (tx, rx) = sync_channel(1);
-        gate.held.push((Arc::clone(&self.inner), req, tx));
-        if gate.held.len() == gate.armed {
-            gate.armed = 0;
-            for (daemon, req, tx) in gate.held.drain(..) {
-                let _ = tx.send(daemon.call(req));
+impl Door {
+    /// The rule of a link through `door`.
+    fn rule(door: &Arc<Mutex<Door>>) -> impl Fn(&Request, u64) -> Fate + Send + Sync + 'static {
+        let door = Arc::clone(door);
+        move |req, _| {
+            let mut door = door.lock().unwrap();
+            if door.armed == 0 {
+                return Fate::Pass;
             }
+            door.log.push(req.opcode);
+            door.held += 1;
+            if door.held < door.armed {
+                return Fate::HoldRequest(Until::Opened(Arc::clone(&door.gate)));
+            }
+            // The n-th: the held legs are served first, in order, then
+            // this one.
+            (door.armed, door.held) = (0, 0);
+            let gate = Arc::clone(&door.gate);
+            drop(door);
+            gate.open();
+            Fate::Pass
         }
-        Ok(ReplyHandle::pending(rx))
     }
 }
 
@@ -620,24 +620,21 @@ impl Endpoint for Gated {
 fn every_leg_of_a_write_is_submitted_before_any_is_awaited() {
     const CHUNK: u64 = 64 * 1024;
     let cluster = Cluster::deploy(ClusterConfig::new(2).with_chunk_size(CHUNK)).unwrap();
-    let gate = Arc::new(Mutex::new(Gate::default()));
+    let door = Arc::new(Mutex::new(Door { armed: 0, held: 0, gate: Gate::new(), log: Vec::new() }));
     let mount = |config: ClusterConfig| {
         let endpoints = (0..2)
-            .map(|n| {
-                let inner = cluster.daemon(n).endpoint();
-                Arc::new(Gated { inner, gate: Arc::clone(&gate) }) as Arc<dyn Endpoint>
-            })
+            .map(|n| Link::with_rule(cluster.daemon(n).endpoint(), Door::rule(&door)) as Arc<dyn Endpoint>)
             .collect();
         // A leg awaited too early costs two seconds, not thirty.
         GekkoClient::mount(endpoints, &config.with_chunk_size(CHUNK).with_op_deadline_ms(2_000)).unwrap()
     };
     // Run `op` with its first `legs` requests held; what was held.
     let legs_of = |legs: usize, op: &mut dyn FnMut()| -> Vec<Opcode> {
-        gate.lock().unwrap().armed = legs;
+        door.lock().unwrap().armed = legs;
         op();
-        let mut gate = gate.lock().unwrap();
-        assert!(gate.held.is_empty(), "fewer than {legs} legs left");
-        std::mem::take(&mut gate.log)
+        let mut door = door.lock().unwrap();
+        assert_eq!(door.held, 0, "fewer than {legs} legs left");
+        std::mem::take(&mut door.log)
     };
     // Where the first chunk of `path` placed apart from its metadata
     // starts.
@@ -695,13 +692,13 @@ fn every_leg_of_a_write_is_submitted_before_any_is_awaited() {
     let at = far("/overlap/unborn-1");
     let h = back.open_handle("/overlap/unborn-1", excl).unwrap();
     h.pwrite(at, &buf[..512]).unwrap();
-    gate.lock().unwrap().armed = 2;
+    door.lock().unwrap().armed = 2;
     assert!(matches!(h.close(), Err(gekkofs::GkfsError::Timeout)));
     {
-        let mut gate = gate.lock().unwrap();
-        assert_eq!(std::mem::take(&mut gate.log), [Opcode::WriteFile], "one leg left, and no other");
-        gate.armed = 0;
-        gate.held.clear();
+        let mut door = door.lock().unwrap();
+        assert_eq!(std::mem::take(&mut door.log), [Opcode::WriteFile], "one leg left, and no other");
+        // The held create is never delivered: its gate goes unopened.
+        (door.armed, door.held, door.gate) = (0, 0, Gate::new());
     }
 
     let plain = cluster.mount().unwrap();
