@@ -133,9 +133,17 @@ pub mod rank {
         REPL_STATE = 188;
         /// The re-replication driver's task backlog.
         REPL_BACKLOG = 186;
-        /// The TCP server's accept-thread handle.
-        RPC_ACCEPT = 184;
-        /// The TCP server's list of open connections.
+        /// Who serves a TCP server's progress loop (`tcp::server::Lead`:
+        /// whether the leader is parked, the standby's place, the thread
+        /// count). A takeover holds it while it closes the old leader's
+        /// busy window and takes that window's connection out of the
+        /// epoll set, so [`RPC_CONNS`] comes inside.
+        RPC_LOOP = 184;
+        /// A TCP server's listening socket, held for one nonblocking
+        /// `accept` and by the shutdown that closes it.
+        RPC_LISTENER = 182;
+        /// A TCP server's open connections; a connection enters and
+        /// leaves the epoll set under it.
         RPC_CONNS = 180;
         /// A TCP endpoint's connection slot (live connection + redial
         /// backoff state); held across a frame write, acquires
@@ -143,6 +151,10 @@ pub mod rank {
         RPC_CONN = 178;
         /// A TCP endpoint's (or server connection's) write half.
         RPC_WRITER = 176;
+        /// A TCP server connection's read half: held to pump the socket
+        /// (nonblocking) or take a frame, never across a handler; taken
+        /// under [`RPC_CONNS`] to sever the connection.
+        RPC_PUMP = 174;
         /// A TCP connection's completion table (reply slots, the read
         /// token, the drain flag). Never held across a socket read: a
         /// reader takes the token out, drops the guard, and comes back
@@ -154,6 +166,8 @@ pub mod rank {
         /// write to its socket — descends from the same callers; a handler
         /// runs after its job left the queue, holding nothing.
         RPC_HANDLER_QUEUE = 170;
+        /// A chaos proxy's accept-thread handle (test harness).
+        CHAOS_ACCEPT = 168;
         /// A chaos proxy's list of live connections (test harness).
         CHAOS_CONNS = 166;
         /// A link gate's held messages (`gkfs_rpc::Gate`): taken out

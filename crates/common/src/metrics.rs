@@ -190,16 +190,16 @@ daemon_counters! {
         /// after reading them off the socket (zero while requests are
         /// views of their received frame; zero without a TCP server).
         request_copy_bytes,
-        /// Requests a TCP connection thread dispatched and answered
-        /// itself.
+        /// Requests a TCP server's progress loop dispatched and
+        /// answered itself.
         served_inline,
         /// Requests the TCP server queued on the handler pool.
         served_pooled,
-        /// Waits of a TCP connection thread whose next request came
-        /// while it polled the socket.
+        /// Waits of a TCP server's loop that found their event while
+        /// it polled its epoll set.
         spun,
-        /// Polling windows of a TCP connection thread that ran out
-        /// before the next request came.
+        /// Polling windows of a TCP server's loop that ran out before
+        /// any event came.
         spin_expired,
     }
 }

@@ -406,7 +406,7 @@ impl ChaosListener {
         Ok(Arc::new(ChaosListener {
             addr,
             shutting_down,
-            accept_thread: OrderedMutex::new(rank::RPC_ACCEPT, Some(accept)),
+            accept_thread: OrderedMutex::new(rank::CHAOS_ACCEPT, Some(accept)),
             chaos_conns,
             stats,
         }))

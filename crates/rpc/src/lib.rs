@@ -22,7 +22,7 @@
 //!   `gkfs_common::TaskPool`, whose fixed set of worker threads
 //!   executes them concurrently. Argobots ULTs are user-level and OS
 //!   threads are not, so over TCP a small point op skips both
-//!   hand-offs: the connection thread that read it answers it, and
+//!   hand-offs: the daemon's progress loop that read it answers it, and
 //!   the waiting client thread reads its own reply (see
 //!   [`transport::tcp`]).
 //!

@@ -197,7 +197,7 @@ rpc_table! {
 /// Most bytes an [`op::OpenFile`] reply carries, whatever the request
 /// asks: a reply bulk of this size is still a small frame
 /// ([`SMALL_FRAME`] bounds `ReadChunks`' inline replies the same way),
-/// so the daemon serves it on the connection thread and the client's
+/// so the daemon serves it on its progress loop and the client's
 /// waiter reads it itself.
 pub const HEAD_MAX: u64 = SMALL_FRAME as u64;
 

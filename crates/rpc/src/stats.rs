@@ -20,18 +20,27 @@ pub struct RpcStats {
     /// reading them off the socket — zero while requests are decoded as
     /// views of the received frame.
     pub request_copy_bytes: AtomicU64,
-    /// Requests a TCP connection thread dispatched and answered itself
-    /// (no thread hand-off on the daemon).
+    /// Requests a TCP server's progress loop dispatched and answered
+    /// itself (no thread hand-off on the daemon).
     pub served_inline: AtomicU64,
     /// Requests queued on the handler pool — every in-process request,
     /// and over TCP whatever the inline rule turned away.
     pub served_pooled: AtomicU64,
-    /// Waits of a TCP connection thread for its next request whose
-    /// bytes came while it polled the socket (no wake-up on the daemon).
+    /// Waits of a TCP server's loop that found their event while
+    /// polling its epoll set (no wake-up on the daemon).
     pub spun: AtomicU64,
-    /// Polling windows of a TCP connection thread that ran out before
-    /// the next request came; it blocked after.
+    /// Polling windows of a TCP server's loop that ran out before any
+    /// event came; the loop parked after.
     pub spin_expired: AtomicU64,
+    /// Times a TCP server's standby took the loop over from a leader
+    /// whose busy window (an inline handler, its reply's write, an
+    /// enqueue on a full handler queue) outlasted a tick. Not on the
+    /// wire.
+    pub takeovers: AtomicU64,
+    /// `accept` calls of a TCP server that failed (`EMFILE`, ...); each
+    /// takes the listener out of the loop's set for a tick. Not on the
+    /// wire.
+    pub accept_errors: AtomicU64,
 }
 
 /// How the waiters of one [`TcpEndpoint`](crate::TcpEndpoint) got their

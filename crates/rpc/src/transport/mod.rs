@@ -23,8 +23,8 @@
 //! daemon side both transports serve requests through [`Handlers`]: the
 //! registry, its counters and the handler pool, with the one "dispatch,
 //! record, deliver" routine — and the one rule
-//! ([`Handlers::runs_inline`]) by which a TCP connection thread answers
-//! a small point op itself instead of queueing it.
+//! ([`Handlers::runs_inline`]) by which a TCP server's progress loop
+//! answers a small point op itself instead of queueing it.
 
 use crate::handler::HandlerRegistry;
 use crate::message::{Request, Response, Status};
@@ -84,11 +84,11 @@ impl EndpointOptions {
 /// Queue slots per worker in a daemon's handler pool. With nonblocking
 /// client submission the queue is the only thing bounding a daemon's
 /// memory under overload; once it fills, the enqueuer blocks (the
-/// in-process client, or a TCP connection reader whose stalled socket
-/// then pushes back to the peer) — back-pressure, not OOM.
+/// in-process client, or a TCP server's loop, whose stalled sockets
+/// then push back to the peers) — back-pressure, not OOM.
 pub const SERVER_QUEUE_PER_WORKER: usize = 256;
 
-/// Largest frame payload a TCP connection thread serves itself, and the
+/// Largest frame payload a TCP server's loop serves itself, and the
 /// most bytes a chunk batch may name to count as a point op. Sized for
 /// the small-I/O shapes the paper cares about (an 8 KiB transfer, a
 /// 64-path metadata batch) with room to spare; a 512 KiB chunk is two

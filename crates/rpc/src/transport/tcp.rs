@@ -12,21 +12,24 @@
 //!
 //! Margo splits an RPC between a progress loop and handler ULTs, and
 //! the split is cheap because Argobots ULTs are user-level. Mapped onto
-//! OS threads, each side of the split is a wake-up — connection thread →
+//! OS threads, each side of the split is a wake-up — progress loop →
 //! pool worker on the daemon, reader thread → caller on the client —
 //! around a kvstore point op that takes a fraction of a microsecond. So
 //! a small RPC stays on the threads that already hold it, by two rules,
 //! each decided in one place:
 //!
-//! * **Inline or pool** (daemon; `Handlers::runs_inline`). A connection
-//!   thread reads through one buffer — one `recv` per small frame — and
-//!   dispatches and answers a request itself when its row is a point op
-//!   by its declared [`ServeClass`](crate::proto::ServeClass), its frame
-//!   is small, and the read buffer holds no further frame. Bulk frames,
-//!   rows that may block or scan, and any pipelined burst go to the
-//!   handler pool exactly as before, so a pipelining client still gets
-//!   the pool's parallelism and its bounded queue's back-pressure. The
-//!   in-process transport pools everything.
+//! * **Inline or pool** (daemon; `Handlers::runs_inline`). A daemon
+//!   serves all of its connections from one progress loop ([`server`]),
+//!   which reads each through one buffer — one `recv` per small frame —
+//!   and dispatches and answers a request itself when its row is a
+//!   point op by its declared [`ServeClass`](crate::proto::ServeClass),
+//!   its frame is small, and the read buffer holds no further frame.
+//!   Bulk frames, rows that may block or scan, and any pipelined burst
+//!   go to the handler pool, so a pipelining client still gets the
+//!   pool's parallelism and its bounded queue's back-pressure. An inline
+//!   op that overstays does not hold the other connections up: a
+//!   standby thread takes the loop over. The in-process transport pools
+//!   everything.
 //! * **Lead or follow** (client; `Ticket::wait`). A connection's
 //!   completion state is one table: a slot per request id, the buffered
 //!   read half of the socket as a *token*, a condvar. A waiter whose
@@ -48,32 +51,41 @@
 //!
 //! A lone unary call therefore costs no thread hand-off on either side
 //! where it used to cost four. What remained were the two wake-ups of
-//! the network itself — the request reaching a connection thread
-//! blocked in `read`, the reply reaching a blocked waiter — each on an
-//! idle CPU where ranks and daemons are pinned apart: a 64-byte
-//! ping-pong between two such CPUs (2-vCPU VM) takes 17.8 µs at the
-//! median with both sides blocking, 8.0 µs with both polling.
+//! the network itself — the request reaching a daemon thread blocked in
+//! its wait, the reply reaching a blocked waiter — each on an idle CPU
+//! where ranks and daemons are pinned apart: a 64-byte ping-pong between
+//! two such CPUs (2-vCPU VM) takes 17.8 µs at the median with both
+//! sides blocking, 8.0 µs with both polling.
 //!
-//! **Poll before park** (every reader; `FrameReader::poll`). Mercury can
-//! busy-poll its network layer (`NA_NO_BLOCK`), which pays where a
-//! request is served in far less than a wake-up costs, as a point op is.
-//! So a reader waiting for the first bytes of the next frame on a *hot*
-//! connection — one whose previous frame came within [`SPIN`] (50 µs) of
-//! its reader starting to wait — polls the socket for `min(SPIN, time
-//! left)` first, and blocks as before only when that window runs out,
-//! which leaves the connection cold. A reply inside the window costs no
-//! wake-up; a connection that goes quiet costs one window. Idle,
-//! observer and CLI connections, and those whose gaps are a chunk's
-//! transfer, never poll. The poll is `recv` with `MSG_DONTWAIT`,
-//! nonblocking for that one call: `O_NONBLOCK` belongs to the open file
-//! description, which the write half shares, and a submitter or a pool
-//! job writing a frame meanwhile would meet `EAGAIN` halfway through it.
-//! The poller yields between looks: a node's ranks share one CPU and a
-//! daemon's threads another, and a poll that kept its CPU would starve
-//! the thread it waits for. Nothing is held while polling, so the
-//! lead-or-follow protocol is untouched. [`WaitStats`] and [`RpcStats`]
-//! count the waits the poll served (`spun`) and the windows that ran
-//! out (`spin_expired`).
+//! **Poll before park.** Mercury can busy-poll its network layer
+//! (`NA_NO_BLOCK`), which pays where a request is served in far less
+//! than a wake-up costs, as a point op is. So a reader that is *hot* —
+//! its previous wait found what it waited for within [`SPIN`] (50 µs) —
+//! polls for `min(SPIN, time left)` first, and blocks only when that
+//! window runs out, which leaves it cold. An arrival inside the window
+//! costs no wake-up; going quiet costs one window. The poller yields
+//! between looks: a node's ranks share one CPU and a daemon's threads
+//! another, and a poll that kept its CPU would starve the thread it
+//! waits for. Who is hot is decided per side:
+//!
+//! * the daemon decides from its traffic, not from one connection's: its
+//!   loop polls its epoll set while the daemon is hot, whichever client
+//!   keeps it busy, and a rank's call that reaches it once per
+//!   ~180 µs still finds it polling while the other rank's calls come
+//!   between ([`server`]);
+//! * a client decides per connection (`FrameReader::poll`): a leading
+//!   waiter or the reader thread polls the socket itself. Observer and
+//!   CLI connections, and those whose gaps are a chunk's transfer, never
+//!   poll. Nothing is held while polling, so the lead-or-follow protocol
+//!   is untouched.
+//!
+//! Every poll is nonblocking for its one call — `recv` with
+//! `MSG_DONTWAIT`, `epoll_wait` with a zero timeout — and `O_NONBLOCK`
+//! is never set: it belongs to the open file description, which the
+//! write half shares, and a submitter or a pool job writing a frame
+//! meanwhile would meet `EAGAIN` halfway through it. [`WaitStats`] and
+//! [`RpcStats`](crate::stats::RpcStats) count the waits the poll served
+//! (`spun`) and the windows that ran out (`spin_expired`).
 //!
 //! # Zero-copy framing
 //!
@@ -87,12 +99,14 @@
 //! caller's own buffer ([`Endpoint::submit_gather`]): prefix plus one
 //! borrowed sub-slice per chunk piece, nothing gathered first.
 //!
-//! Inbound, every reader (a server connection, a leading waiter, a
+//! Inbound, every reader (the daemon's loop, a leading waiter, a
 //! client's reader thread) goes through a [`FrameReader`]. A frame that
 //! fits its buffer arrives with the `recv` that found it and is cut out
 //! as one owned buffer; a larger one lands — beyond the few KiB that
 //! came with its header — directly in a single `Vec` reserved to size
-//! and never zeroed. After the CRC check that buffer *is* the message:
+//! and never zeroed. The daemon's loop receives without blocking
+//! (`FrameReader::pump`), so a peer stalled halfway through a frame
+//! holds only its own buffer. After the CRC check that buffer *is* the message:
 //! `decode_owned` hands out `body` and `bulk` as views of it, so a write
 //! payload reaches the chunk store, and a read reply the caller's
 //! result, without another copy.
@@ -120,10 +134,9 @@
 //! stream stays aligned for the next call, and the late reply is read
 //! and dropped by the next reader.
 
-use crate::handler::HandlerRegistry;
 use crate::message::{Request, Response};
-use crate::stats::{RpcStats, WaitStats};
-use crate::transport::{Endpoint, EndpointOptions, Handlers, ReplyHandle, SMALL_FRAME};
+use crate::stats::WaitStats;
+use crate::transport::{Endpoint, EndpointOptions, ReplyHandle, SMALL_FRAME};
 use bytes::Bytes;
 use gkfs_common::crc::crc32;
 use gkfs_common::lock::{self, rank, Condvar, OrderedMutex};
@@ -131,10 +144,15 @@ use gkfs_common::wire::FrameWriter;
 use gkfs_common::{GkfsError, Result};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
+
+#[cfg(target_os = "linux")]
+mod server;
+#[cfg(target_os = "linux")]
+pub use server::TcpServer;
 
 /// Maximum accepted frame: 256 MiB guards against garbage length
 /// prefixes from a confused peer.
@@ -236,17 +254,45 @@ fn timed_out(e: &std::io::Error) -> bool {
 /// middle of a frame would condemn a healthy connection.
 #[cfg(target_os = "linux")]
 fn recv_now(stream: &TcpStream, buf: &mut [u8]) -> std::io::Result<usize> {
+    // SAFETY: `buf` is an exclusively borrowed slice of `buf.len()` bytes.
+    unsafe { recv_into(stream, buf.as_mut_ptr(), buf.len()) }
+}
+
+/// [`recv_now`] into the spare capacity of `frame`, at most up to
+/// `total` bytes in all: the kernel writes straight into the reserved
+/// tail, never zero-filled, which then counts as received.
+#[cfg(target_os = "linux")]
+fn recv_spare(stream: &TcpStream, frame: &mut Vec<u8>, total: usize) -> std::io::Result<usize> {
+    let left = total.saturating_sub(frame.len());
+    let spare = frame.spare_capacity_mut();
+    let want = spare.len().min(left);
+    // SAFETY: the spare capacity is `spare.len()` exclusively borrowed
+    // bytes of `frame`'s allocation; the kernel needs them writable, not
+    // initialised.
+    let got = unsafe { recv_into(stream, spare.as_mut_ptr().cast(), want) }?;
+    // SAFETY: the kernel initialised the `got` bytes past the old
+    // length, all within the capacity.
+    unsafe { frame.set_len(frame.len() + got) };
+    Ok(got)
+}
+
+/// `recv(2)` of up to `len` bytes at `at`, with `MSG_DONTWAIT`.
+///
+/// # Safety
+///
+/// `at` must be valid for writes of `len` bytes (they need not be
+/// initialised) for the duration of the call.
+#[cfg(target_os = "linux")]
+unsafe fn recv_into(stream: &TcpStream, at: *mut u8, len: usize) -> std::io::Result<usize> {
     use std::os::fd::AsRawFd;
     use std::os::raw::{c_int, c_void};
     extern "C" {
         fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
     }
     const MSG_DONTWAIT: c_int = 0x40;
-    // SAFETY: `buf` is an exclusively borrowed, initialised slice of
-    // `buf.len()` bytes, of which the kernel writes at most that many;
-    // the descriptor is `stream`'s, open for the whole call.
-    let got =
-        unsafe { recv(stream.as_raw_fd(), buf.as_mut_ptr().cast(), buf.len(), MSG_DONTWAIT) };
+    // SAFETY: the caller vouches for `at..at + len`; the descriptor is
+    // `stream`'s, open for the whole call.
+    let got = unsafe { recv(stream.as_raw_fd(), at.cast::<c_void>(), len, MSG_DONTWAIT) };
     usize::try_from(got).map_err(|_| std::io::Error::last_os_error())
 }
 
@@ -288,6 +334,10 @@ struct FrameReader<R> {
     /// The last frame's first bytes came within [`SPIN`] of the wait for
     /// them starting: the next wait polls before it blocks.
     hot: bool,
+    /// A frame too large for the buffer, being assembled by
+    /// [`FrameReader::pump`]: its payload length, and its bytes so far
+    /// (payload and trailer) in a `Vec` reserved by [`frame_reserve`].
+    big: Option<(usize, Vec<u8>)>,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -300,6 +350,7 @@ impl<R: Read> FrameReader<R> {
             applied: None,
             stalled: None,
             hot: false,
+            big: None,
         }
     }
 
@@ -356,6 +407,11 @@ impl<R: Read> FrameReader<R> {
     /// but not consumed.
     fn next_len(&mut self, stall: Duration) -> Result<usize> {
         self.need(4, stall)?;
+        self.header()
+    }
+
+    /// Payload length of the buffered frame header at `start`.
+    fn header(&self) -> Result<usize> {
         let head = &self.buf[self.start..];
         let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
         if len > MAX_FRAME {
@@ -385,11 +441,7 @@ impl<R: Read> FrameReader<R> {
         let total = len + 4;
         if self.holds(len) {
             self.need(4 + total, stall)?;
-            let (payload, rest) = self.buf[self.start + 4..self.end].split_at(len);
-            check_crc(payload, rest)?;
-            let frame = Bytes::copy_from_slice(payload);
-            self.start += 4 + total;
-            return Ok(frame);
+            return self.cut(len);
         }
         self.start += 4;
         let mut frame = Vec::with_capacity(frame_reserve(len));
@@ -416,6 +468,49 @@ impl<R: Read> FrameReader<R> {
         frame.truncate(len);
         Ok(Bytes::from(frame))
     }
+
+    /// Cut the whole buffered frame of `len` payload bytes at `start`
+    /// out as one owned buffer, trailer verified.
+    fn cut(&mut self, len: usize) -> Result<Bytes> {
+        let (payload, rest) = self.buf[self.start + 4..self.end].split_at(len);
+        check_crc(payload, rest)?;
+        let frame = Bytes::copy_from_slice(payload);
+        self.start += len + 8;
+        Ok(frame)
+    }
+
+    /// The next frame received whole — trailer verified and cut off —
+    /// or `None` while it is still arriving. Never receives: the
+    /// daemon's loop receives through [`FrameReader::pump`]. A frame too
+    /// large for the buffer moves here into a `Vec` reserved to its size
+    /// (what came with its header is copied once), which the pump fills
+    /// and which becomes the `Bytes` without another copy.
+    fn take_frame(&mut self) -> Result<Option<Bytes>> {
+        if let Some((len, frame)) = &self.big {
+            if frame.len() < len + 4 {
+                return Ok(None);
+            }
+            let (len, mut frame) = self.big.take().unwrap_or_default();
+            check_crc(&frame[..len], &frame[len..])?;
+            frame.truncate(len);
+            return Ok(Some(Bytes::from(frame)));
+        }
+        if self.buffered() < 4 {
+            return Ok(None);
+        }
+        let len = self.header()?;
+        if self.holds(len) {
+            return if self.buffered() < len + 8 { Ok(None) } else { self.cut(len).map(Some) };
+        }
+        // Not even the trailer fits behind the header in the buffer, so
+        // what is buffered is part of this frame and nothing else.
+        self.start += 4;
+        let mut frame = Vec::with_capacity(frame_reserve(len));
+        frame.extend_from_slice(&self.buf[self.start..self.end]);
+        self.start = self.end;
+        self.big = Some((len, frame));
+        Ok(None)
+    }
 }
 
 /// Every frame `stream` holds, read the way a connection reads them,
@@ -435,6 +530,60 @@ pub fn read_frames(stream: impl Read) -> (Vec<Bytes>, GkfsError) {
 }
 
 impl FrameReader<TcpStream> {
+    /// Receive what the socket holds now, without blocking — into the
+    /// read buffer, or into the frame being assembled past it (until it
+    /// is whole or the socket is drained) — for
+    /// [`FrameReader::take_frame`] to take. The daemon's loop reads
+    /// through this alone: a peer stalled halfway through a frame holds
+    /// only its own buffer. `O_NONBLOCK` is never set ([`recv_now`]). An
+    /// error — end of stream included — condemns the connection.
+    #[cfg(target_os = "linux")]
+    fn pump(&mut self) -> Result<()> {
+        if let Some((len, frame)) = &mut self.big {
+            let total = *len + 4;
+            while frame.len() < total {
+                if frame.len() == frame.capacity() {
+                    frame.reserve((total - frame.len()).min(FRAME_RESERVE_MAX));
+                }
+                match recv_spare(&self.stream, frame, total) {
+                    Ok(0) => {
+                        return Err(GkfsError::Rpc(format!(
+                            "connection lost: peer closed {} bytes into a {len}-byte frame",
+                            frame.len()
+                        )))
+                    }
+                    Ok(_) => {}
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) => return Err(lost(e)),
+                }
+            }
+            return Ok(());
+        }
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        } else if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        // `take_frame` leaves at most a part of a frame that fits.
+        debug_assert!(self.end < self.buf.len());
+        loop {
+            match recv_now(&self.stream, &mut self.buf[self.end..]) {
+                Ok(0) => return Err(closed_err()),
+                Ok(got) => {
+                    self.end += got;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) => return Err(lost(e)),
+            }
+        }
+    }
+
     /// On a frame boundary, wait up to `wait` (`None`: as long as it
     /// takes — a server socket has no receive timeout) for the first
     /// bytes of the next frame. `Ok(false)`: nothing came, and the stream
@@ -524,213 +673,6 @@ fn copied_out_of(frame: &Bytes, part: &Bytes) -> usize {
     } else {
         part.len()
     }
-}
-
-/// A server's accepted sockets, by accept order.
-type Conns = Arc<OrderedMutex<HashMap<u64, TcpStream>>>;
-
-/// A TCP daemon listener: accepts connections and serves their
-/// requests — on the connection's own thread or on a handler pool, by
-/// `Handlers::runs_inline`.
-pub struct TcpServer {
-    addr: SocketAddr,
-    shutting_down: Arc<AtomicBool>,
-    handlers: Arc<Handlers>,
-    accept_thread: OrderedMutex<Option<std::thread::JoinHandle<()>>>,
-    /// A clone of every connection being served, closed forcibly on
-    /// shutdown so that clients of a stopped daemon see errors instead
-    /// of a silently still-working ghost server. A connection's entry
-    /// leaves with its thread.
-    conns: Conns,
-}
-
-impl TcpServer {
-    /// Bind `addr` (use port 0 for an OS-assigned port; the actual
-    /// address is available via [`TcpServer::local_addr`]) and start
-    /// serving. The handler pool queue is bounded
-    /// ([`SERVER_QUEUE_PER_WORKER`](crate::transport::SERVER_QUEUE_PER_WORKER)
-    /// slots per worker): when pipelining
-    /// clients outrun the daemon, connection readers stall on the full
-    /// queue and TCP flow control pushes back to the submitters
-    /// instead of the queue growing without bound.
-    pub fn bind(
-        addr: &str,
-        registry: HandlerRegistry,
-        handler_threads: usize,
-    ) -> Result<Arc<TcpServer>> {
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| GkfsError::Rpc(format!("bind {addr}: {e}")))?;
-        let local = listener.local_addr().map_err(|e| GkfsError::Rpc(e.to_string()))?;
-        let shutting_down = Arc::new(AtomicBool::new(false));
-        let handlers = Arc::new(Handlers::new(registry, handler_threads));
-        let conns: Conns = Arc::new(OrderedMutex::new(rank::RPC_CONNS, HashMap::new()));
-
-        let accept = {
-            let shutting_down = shutting_down.clone();
-            let handlers = handlers.clone();
-            let conns = conns.clone();
-            std::thread::Builder::new()
-                .name("gkfs-tcp-accept".into())
-                .spawn(move || {
-                    for (serial, conn) in (0u64..).zip(listener.incoming()) {
-                        if shutting_down.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        // Responses are small framed messages: Nagle
-                        // plus delayed ACKs would add milliseconds per
-                        // round trip.
-                        stream.set_nodelay(true).ok();
-                        if let Ok(clone) = stream.try_clone() {
-                            conns.lock().insert(serial, clone);
-                        }
-                        let serving = {
-                            let handlers = handlers.clone();
-                            let shutting_down = shutting_down.clone();
-                            let conns = conns.clone();
-                            move || {
-                                serve_connection(stream, &handlers, &shutting_down);
-                                conns.lock().remove(&serial);
-                            }
-                        };
-                        // Thread exhaustion: dropping the stream hangs
-                        // up on the peer (it can retry) instead of
-                        // killing the accept loop for everyone.
-                        let spawned = std::thread::Builder::new()
-                            .name("gkfs-tcp-conn".into())
-                            .spawn(serving);
-                        if spawned.is_err() {
-                            conns.lock().remove(&serial);
-                        }
-                    }
-                })
-                .map_err(|e| GkfsError::Rpc(format!("spawn accept thread: {e}")))?
-        };
-
-        Ok(Arc::new(TcpServer {
-            addr: local,
-            shutting_down,
-            handlers,
-            accept_thread: OrderedMutex::new(rank::RPC_ACCEPT, Some(accept)),
-            conns,
-        }))
-    }
-
-    /// The bound address (useful after binding port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stats.
-    pub fn stats(&self) -> &RpcStats {
-        &self.handlers.stats
-    }
-
-    /// A shared handle to the same counters as [`TcpServer::stats`],
-    /// for a daemon that reports them in its own statistics.
-    pub fn stats_handle(&self) -> Arc<RpcStats> {
-        Arc::clone(&self.handlers.stats)
-    }
-
-    /// Connections being served right now (diagnostics; the fd-leak
-    /// test asserts closed ones leave).
-    pub fn open_connections(&self) -> usize {
-        self.conns.lock().len()
-    }
-
-    /// Forcibly sever every established connection while the server
-    /// keeps listening — the moral equivalent of a transient network
-    /// partition or a middlebox reset. Clients see their in-flight
-    /// requests fail with a retryable error and reconnect on the next
-    /// submit. Used by the chaos and robustness tests.
-    pub fn sever_connections(&self) {
-        for (_, c) in self.conns.lock().drain() {
-            let _ = c.shutdown(Shutdown::Both);
-        }
-    }
-
-    /// Stop accepting and wind down. In-flight requests on open
-    /// connections complete; new connections are rejected.
-    pub fn shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the accept loop with a dummy connection. The handle
-        // comes out of the lock before the join: an `if let` on
-        // `.lock().take()` would hold the guard for the accept loop's
-        // whole wind-down (GKL002).
-        let _ = TcpStream::connect(self.addr);
-        let accept = self.accept_thread.lock().take();
-        if let Some(t) = accept {
-            lock::assert_unguarded("join");
-            let _ = t.join();
-        }
-        // Sever every established connection: a stopped daemon must
-        // look stopped to its clients.
-        self.sever_connections();
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn serve_connection(stream: TcpStream, handlers: &Arc<Handlers>, shutting_down: &AtomicBool) {
-    let stats = &handlers.stats;
-    let writer = Arc::new(OrderedMutex::new(
-        rank::RPC_WRITER,
-        match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        },
-    ));
-    // A server socket has no receive timeout, so the reader never
-    // stalls: it blocks until the peer sends or hangs up — after a poll,
-    // on a hot connection.
-    let mut reader = FrameReader::new(stream);
-    let spins = [&stats.spun, &stats.spin_expired];
-    // A read error means peer closed, stream damaged, or checksum
-    // mismatch: the stream offset is untrustworthy either way, so drop
-    // the connection and let the client reconnect.
-    while let Ok(frame) = reader
-        .poll(None, spins)
-        .and_then(|_| reader.read_frame(Duration::MAX))
-    {
-        let req = match Request::decode_owned(&frame) {
-            Ok(r) => r,
-            Err(_) => break, // unparseable frame: protocol broken, drop
-        };
-        stats.request_copy_bytes.fetch_add(
-            (copied_out_of(&frame, &req.body) + copied_out_of(&frame, &req.bulk)) as u64,
-            Ordering::Relaxed,
-        );
-        if shutting_down.load(Ordering::SeqCst) {
-            let mut resp = Response::err(GkfsError::ShuttingDown);
-            resp.id = req.id;
-            let _ = write_response(&mut writer.lock(), &resp);
-            continue;
-        }
-        stats.record_request(req.body.len(), req.bulk.len());
-        if handlers.runs_inline(&req, frame.len(), reader.buffered() > 0) {
-            let resp = handlers.serve_inline(req);
-            let _ = write_response(&mut writer.lock(), &resp);
-        } else {
-            let writer = writer.clone();
-            handlers.serve(req, move |resp| {
-                let _ = write_response(&mut writer.lock(), &resp);
-            });
-        }
-    }
-    // The accept loop parked a clone of this socket in the server's
-    // `conns` (for forcible severing) and pool jobs may still hold the
-    // write half, so dropping our handles does not close the fd. Shut
-    // the socket down explicitly: a stream this loop abandoned (EOF,
-    // corrupt frame, protocol break) must look closed to the peer
-    // *now* — the client fails its in-flight requests fast and
-    // reconnects.
-    let _ = reader.stream.shutdown(Shutdown::Both);
 }
 
 thread_local! {
@@ -1338,7 +1280,7 @@ impl TcpEndpoint {
 }
 
 impl Drop for TcpEndpoint {
-    /// Hang up: the peer's connection thread sees EOF and leaves, the
+    /// Hang up: the daemon's loop sees EOF and drops the connection, the
     /// parked reader thread exits, handles still out fail as closed.
     fn drop(&mut self) {
         let live = self.conn.lock().live.take();
@@ -1373,10 +1315,13 @@ impl Endpoint for TcpEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handler::HandlerRegistry;
     use crate::message::Opcode;
     use crate::Status;
     use bytes::Bytes;
     use std::io::Write;
+    use std::net::TcpListener;
+    use std::sync::atomic::AtomicBool;
 
     fn echo_registry() -> HandlerRegistry {
         let mut reg = HandlerRegistry::new();
@@ -1397,8 +1342,8 @@ mod tests {
     fn nodelay_set_on_both_ends() {
         let server = TcpServer::bind("127.0.0.1:0", echo_registry(), 1).unwrap();
         let ep = TcpEndpoint::connect(&server.local_addr().to_string()).unwrap();
-        // One call guarantees the accept loop has parked the accepted
-        // socket's clone in `conns`.
+        // One call guarantees the loop has registered the accepted
+        // socket in `conns`.
         ep.call(Request::new(Opcode::Ping, &b"x"[..])).unwrap();
         // Dialed side: the live connection's write half.
         {
@@ -1406,13 +1351,13 @@ mod tests {
             let live = s.live.as_ref().expect("connection is live");
             assert!(live.writer.nodelay().unwrap(), "dialed socket must be TCP_NODELAY");
         }
-        // Accepted side: the server's parked clone shares the fd (and
-        // therefore the socket options) with the serving stream.
+        // Accepted side: the write half shares the socket (and
+        // therefore the socket options) with the read half.
         {
-            let conns = server.conns.lock();
+            let conns = server.shared.conns.lock();
             assert!(!conns.is_empty());
             for c in conns.values() {
-                assert!(c.nodelay().unwrap(), "accepted socket must be TCP_NODELAY");
+                assert!(c.writer.lock().nodelay().unwrap(), "accepted socket must be TCP_NODELAY");
             }
         }
         server.shutdown();
@@ -1626,10 +1571,10 @@ mod tests {
         let pong = ep.call(Request::new(Opcode::Ping, &b"still here"[..])).unwrap();
         assert_eq!(&pong.body[..], b"still here");
         assert_eq!(ep.reconnects(), 0);
-        assert_eq!(server.handlers.pool.workers(), 1);
+        assert_eq!(server.shared.handlers.pool.workers(), 1);
         // `dispatch` stopped the unwind; the pool's own guard (second
         // line of defence) never had to.
-        assert_eq!(server.handlers.pool.panics(), 0);
+        assert_eq!(server.shared.handlers.pool.panics(), 0);
         let st = server.stats();
         assert_eq!(st.requests.load(Ordering::Relaxed), 2);
         assert_eq!(st.responses.load(Ordering::Relaxed), 2);
@@ -1792,7 +1737,7 @@ mod tests {
     }
 
     /// `echo_registry` plus an echo under `Create`, a point op: answered
-    /// on the connection thread, its reply read by its waiter.
+    /// on the daemon's loop, its reply read by its waiter.
     fn point_echo_registry() -> HandlerRegistry {
         let mut reg = echo_registry();
         reg.register_fn(Opcode::Create, |req| Response::ok(req.body));
@@ -1822,7 +1767,7 @@ mod tests {
         // socket buffers hold, written while the other half polls would
         // meet `EAGAIN` halfway and condemn the connection — on the
         // client a submitter writes while a leader polls, on the daemon
-        // a pool job writes the echo while the connection thread polls.
+        // a pool job writes the echo while the daemon's loop polls.
         // (A daemon's torn reply shows as the client's reader stalling
         // inside the frame: the timeout bounds how long that takes.)
         let server = TcpServer::bind("127.0.0.1:0", point_echo_registry(), 2).unwrap();
@@ -1849,8 +1794,8 @@ mod tests {
             });
             for round in 0..16 {
                 // A small call first: the echo's frame then follows a
-                // reply at once, and the daemon's connection thread is
-                // hot — polling — when the pool job starts its write.
+                // reply at once, and the daemon's loop is hot — polling
+                // — when the pool job starts its write.
                 point_echo(&ep, round);
                 let resp = ep
                     .submit_gather(

@@ -10,7 +10,7 @@ use gkfs_rpc::{
     EndpointOptions, HandlerRegistry, Opcode, ReplyHandle, Request, RpcServer, TcpEndpoint,
     TcpServer,
 };
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -130,7 +130,7 @@ fn reader_death_fails_submitted_handles_fast() {
     let t0 = std::time::Instant::now();
     match h.wait(Duration::from_secs(30)) {
         Err(e @ GkfsError::Rpc(_)) => assert!(e.is_retryable()),
-        // The connection thread may read the frame just after the
+        // The daemon's loop may read the frame just after the
         // shutdown flag is set and answer ShuttingDown before the
         // sever lands — also a fast, typed, retryable outcome.
         Ok(resp) if matches!(resp.status, gkfs_rpc::Status::Err(GkfsError::ShuttingDown)) => {}
@@ -157,7 +157,7 @@ fn reader_death_fails_submitted_handles_fast() {
 }
 
 /// A registry whose `Stat` row — a point op by its declared class, so a
-/// TCP server runs it on the connection thread — is the sleepy echo.
+/// TCP server runs it on the daemon's loop — is the sleepy echo.
 fn sleepy_point_registry() -> HandlerRegistry {
     let mut reg = HandlerRegistry::new();
     register_sleepy_echo(&mut reg, Opcode::Stat);
@@ -265,9 +265,9 @@ fn corrupt_frame_fails_every_in_flight_slot_with_corruption() {
     fake.join().unwrap();
 }
 
-/// Running a point op on its connection's thread makes a slow handler
-/// that connection's problem only: another connection's thread, and the
-/// pool, are as free as they were.
+/// Running a point op on the daemon's loop makes a slow handler that
+/// connection's problem only: the standby takes the loop over, and
+/// another connection, and the pool, are as free as they were.
 #[test]
 fn a_slow_inline_handler_delays_only_its_own_connection() {
     let server = TcpServer::bind("127.0.0.1:0", sleepy_point_registry(), 1).unwrap();
@@ -289,8 +289,139 @@ fn a_slow_inline_handler_delays_only_its_own_connection() {
     let resp = stuck.wait(Duration::from_secs(10)).unwrap();
     assert_eq!(&resp.body[2..], b"slow");
     let st = server.stats();
-    assert_eq!(st.served_inline.load(Ordering::Relaxed), 11, "all of it ran on connection threads");
+    assert_eq!(st.served_inline.load(Ordering::Relaxed), 11, "all of it ran on the loop");
     assert_eq!(st.served_pooled.load(Ordering::Relaxed), 0);
+    server.shutdown();
+}
+
+/// `req` numbered `id` as a client puts it on the wire: length, payload,
+/// checksum.
+fn wire_image(mut req: Request, id: u64) -> Vec<u8> {
+    req.id = id;
+    let payload = req.encode();
+    let mut fw = gkfs_common::wire::FrameWriter::new();
+    fw.segment(&payload);
+    let mut image = Vec::new();
+    fw.write_to(&mut image).unwrap();
+    image
+}
+
+/// One response frame off a raw socket.
+fn read_response(stream: &mut std::net::TcpStream) -> gkfs_rpc::Response {
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).unwrap();
+    let mut frame = vec![0u8; u32::from_le_bytes(len) as usize + 4];
+    stream.read_exact(&mut frame).unwrap();
+    frame.truncate(frame.len() - 4);
+    gkfs_rpc::Response::decode_owned(&Bytes::from(frame)).unwrap()
+}
+
+/// Ten small calls on a connection of their own, and how long they took.
+fn ten_calls(addr: &str) -> Duration {
+    let ep = TcpEndpoint::connect(addr).unwrap();
+    let t0 = Instant::now();
+    for i in 0..10 {
+        let resp = ep.call(sleepy_stat(0, format!("f{i}").as_bytes())).unwrap();
+        assert_eq!(&resp.body[2..], format!("f{i}").as_bytes());
+    }
+    t0.elapsed()
+}
+
+/// A client that pipelines point ops and never reads a reply stalls the
+/// daemon's writes to it — the inline reply's, the pool's — and then the
+/// loop's enqueue on the full handler queue. Each is a busy window the
+/// standby takes over, so another connection is not held up.
+#[test]
+fn a_client_that_never_reads_its_replies_delays_no_other_connection() {
+    let server = TcpServer::bind("127.0.0.1:0", sleepy_point_registry(), 1).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut hog = std::net::TcpStream::connect(&addr).unwrap();
+    hog.set_write_timeout(Some(Duration::from_millis(200))).unwrap();
+    // 8 KiB bodies, echoed: the replies fill the socket buffers fast.
+    let t0 = Instant::now();
+    for id in 0.. {
+        let image = wire_image(sleepy_stat(0, &[7u8; 8192]), id);
+        if let Err(e) = hog.write_all(&image) {
+            assert!(matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut), "{e}");
+            break;
+        }
+        assert!(t0.elapsed() < Duration::from_secs(60), "the daemon never stopped reading");
+    }
+    let took = ten_calls(&addr);
+    assert!(took < Duration::from_millis(400), "ten calls waited for a client that reads nothing: {took:?}");
+    assert!(server.stats().takeovers.load(Ordering::Relaxed) >= 1);
+    drop(hog);
+    server.shutdown();
+}
+
+/// The loop assembles frames without blocking: a peer that stops halfway
+/// through a 1 MiB frame holds only its own buffer, and the frame still
+/// decodes when the rest comes.
+#[test]
+fn a_peer_stalled_inside_a_frame_delays_no_other_connection() {
+    let server = TcpServer::bind("127.0.0.1:0", sleepy_point_registry(), 1).unwrap();
+    let addr = server.local_addr().to_string();
+    let bulk: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+    let image = wire_image(sleepy_stat(0, b"half").with_bulk(Bytes::from(bulk.clone())), 9);
+    let mut half = std::net::TcpStream::connect(&addr).unwrap();
+    half.write_all(&image[..image.len() / 2]).unwrap();
+    std::thread::sleep(Duration::from_millis(50)); // the loop has the first half
+    let took = ten_calls(&addr);
+    assert!(took < Duration::from_millis(400), "ten calls waited for a stalled frame: {took:?}");
+    half.write_all(&image[image.len() / 2..]).unwrap();
+    let resp = read_response(&mut half);
+    assert_eq!(resp.id, 9);
+    assert_eq!(&resp.body[2..], b"half");
+    assert!(resp.bulk == bulk, "the frame came back whole");
+    server.shutdown();
+}
+
+/// The loop serves every connection: idle clients cost the daemon no
+/// thread each.
+#[test]
+fn sixty_four_idle_connections_are_served_by_two_threads() {
+    let server = TcpServer::bind("127.0.0.1:0", sleepy_point_registry(), 4).unwrap();
+    let addr = server.local_addr().to_string();
+    let idle: Vec<_> = (0..64)
+        .map(|i| {
+            let ep = TcpEndpoint::connect(&addr).unwrap();
+            ep.call(sleepy_stat(0, format!("c{i}").as_bytes())).unwrap();
+            ep
+        })
+        .collect();
+    assert_eq!(server.open_connections(), 64);
+    // A thread descheduled inside a busy window on a loaded machine may
+    // be taken over; the count settles back once its op returns.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.serving_threads() != 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.serving_threads(), 2, "the loop and its standby");
+    drop(idle);
+    server.shutdown();
+}
+
+/// The standby ticks only while the loop is awake: a daemon without
+/// frames has no timer wake-ups.
+#[test]
+fn an_idle_servers_standby_does_not_tick() {
+    let server = TcpServer::bind("127.0.0.1:0", sleepy_point_registry(), 1).unwrap();
+    ten_calls(&server.local_addr().to_string());
+    // The loop parks once its poll runs out; the standby sees it at the
+    // end of its tick and sleeps: wait for the count to hold still.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut last = server.standby_ticks();
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = server.standby_ticks();
+        if now == last || Instant::now() > deadline {
+            break;
+        }
+        last = now;
+    }
+    let before = server.standby_ticks();
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(server.standby_ticks(), before, "the standby of an idle daemon ticked");
     server.shutdown();
 }
 

@@ -36,7 +36,7 @@ echo "==> cargo test -q (debug: lock-rank descent and blocking under a guard che
 # the wire-count bound.
 cargo test -q
 
-echo "==> schedule models, release (taskpool protocol, tcp leader/follower, kvstore rotation hand-off)"
+echo "==> schedule models, release (taskpool protocol, tcp leader/follower, tcp loop takeover, kvstore rotation hand-off)"
 # The loom-style explorers (gkfs_common::model) run every interleaving
 # their preemption bound admits; release mode keeps the exploration in
 # the seconds. Bound 3 matches loom's CI default — raise it locally
@@ -58,7 +58,7 @@ fi
 echo "==> bench smoke (compile + run benches in test mode)"
 # Every bench body once, in release. For the TCP transport that is each
 # of its three routes: the lone call (`rpc/tcp_roundtrip*`: read by its
-# waiter, the point op also served on the connection thread, both ends
+# waiter, the point op also served on the daemon's loop, both ends
 # hot so that each finds the other's frame by polling rather than a
 # wake-up), the pipelined burst (`rpc/tcp_outstanding`: handler pool,
 # reader thread) and the fan-out (`rpc/fanout_8daemons`: one thread,
@@ -105,7 +105,7 @@ echo "==> client RPC budget + TCP thread hand-off gates (counts, not wall-clock)
 # budget or drops under the 2x-vs-old-protocol acceptance bound. RPC
 # counts are deterministic, so this gate is noise-free even on loaded
 # CI machines. Same file, same kind of number: over TCP a unary mdtest
-# run must show every metadata RPC served on its connection thread and
+# run must show every metadata RPC served on the daemon's loop and
 # read by its waiter (0 thread hand-offs per RPC), while a 512 KiB
 # chunk write, a pipelined burst and a two-daemon fan-out keep the
 # handler pool / reader-thread route. And one count from the store: an
@@ -124,7 +124,7 @@ echo "==> client RPC budget + TCP thread hand-off gates (counts, not wall-clock)
 # write-through mount, 3 on both for a file one byte over what an open
 # reply carries, an O_RDWR open holds nothing, a file the daemons have
 # not been told of is read at 0 frames — and over TCP that open is served
-# on the connection thread and its reply, 4 KiB or the 16 KiB most it
+# on the daemon's loop and its reply, 4 KiB or the 16 KiB most it
 # carries, read by its waiter. And the shuffled-write row
 # (shuffled_writes_send_only_the_size_updates_that_grow_the_file): on a
 # write-through mount 1 024 seeded-shuffled 8 KiB pwrites to one file
@@ -133,14 +133,23 @@ echo "==> client RPC budget + TCP thread hand-off gates (counts, not wall-clock)
 # most one more, and the same writes in sequence still send 1 024.
 cargo test -p gkfs-integration --release --test rpc_budget
 
-echo "==> TCP poll-before-park, release (the hot rule; the write half stays blocking)"
-# A reader of a hot connection polls for a 50 µs window before it
-# blocks. Counted, not timed: a connection answered 5 ms late never
-# polls, back-to-back round trips poll on both ends, a connection left
-# idle expires at most one window per side; and a frame larger than the
-# socket buffers, written while the other half polls, blocks rather
-# than fails. Only release timing keeps round trips inside the window.
+echo "==> TCP poll-before-park and the daemon's loop, release (the hot rule; the write half stays blocking; nothing stalls the loop)"
+# A hot reader — a client's connection, the daemon's loop — polls for a
+# 50 µs window before it blocks. Counted, not timed: a connection
+# answered 5 ms late never polls, back-to-back round trips poll on both
+# ends, a connection left idle expires at most one window per side; and
+# a frame larger than the socket buffers, written while the other half
+# polls, blocks rather than fails. Then what the daemon's one loop must
+# not do (pipelining.rs): a slow inline op, a client that never reads
+# its replies, or a peer stalled halfway through a 1 MiB frame delays
+# another connection's ten calls by less than 400 ms; 64 idle
+# connections are served by two threads; an idle daemon's standby does
+# not tick. And a failed accept (EMFILE) takes the listener out of the
+# loop's set for a tick instead of spinning (accept_errors.rs, a
+# process of its own). Only release timing keeps round trips inside the
+# window and makes the 400 ms bounds tight.
 cargo test -p gkfs-rpc --release --lib poll_
+cargo test -p gkfs-rpc --release --test pipelining --test accept_errors
 
 echo "==> chunk-store layout gates, release (one inode per chunk; a write racing an unlink never fails)"
 # Counts again: 3000 one-chunk files are 3000 inodes under at most 1024

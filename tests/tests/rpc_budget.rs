@@ -38,7 +38,7 @@
 //! (`RpcStats::{served_inline, served_pooled}`) and who read its reply
 //! on the client (`WaitStats::{waits_led, waits_followed,
 //! reader_drains}`). A unary metadata RPC must cost zero thread
-//! hand-offs (it cost four: connection thread → pool worker, reader
+//! hand-offs (it cost four: progress loop → pool worker, reader
 //! thread → caller); bulk, pipelined and fan-out traffic must keep the
 //! handler pool and the reader thread.
 
@@ -798,7 +798,7 @@ impl TcpRig {
 
 /// The tentpole's acceptance count: a unary mdtest run over TCP — every
 /// create, stat and remove one metadata RPC — is served on the
-/// connection threads and read by the waiting rank threads. Zero
+/// daemons' loops and read by the waiting rank threads. Zero
 /// hand-offs per RPC on either side, exactly, not on average.
 #[test]
 fn unary_metadata_rpcs_cost_no_thread_hand_off_over_tcp() {
@@ -818,7 +818,7 @@ fn unary_metadata_rpcs_cost_no_thread_hand_off_over_tcp() {
     // The timed phases' RPCs plus the set-up's mkdirs — metadata RPCs
     // all, and every one of them both ways:
     assert!(inline >= run.rpcs_issued && run.rpcs_issued == 3 * 400);
-    assert_eq!(pooled, 0, "every metadata RPC runs on the connection thread that read it");
+    assert_eq!(pooled, 0, "every metadata RPC runs on the loop that read it");
     assert_eq!(led, inline, "every reply is read by the thread that waits for it");
     assert_eq!((followed, drains), (0, 0), "no reader thread was woken, nobody followed");
     rig.shutdown();
@@ -826,7 +826,7 @@ fn unary_metadata_rpcs_cost_no_thread_hand_off_over_tcp() {
 
 /// The small-file ingest of a write-back mount, over TCP: one frame on
 /// one connection — create, 4 KiB and size — small enough to be served
-/// on the connection thread that read it, its reply read by the rank
+/// on the daemon's loop that read it, its reply read by the rank
 /// thread that waits for it. (It was three RPCs on two connections, the
 /// second round a fan-out through the reader threads: 1/1/1.) And the
 /// open that reads it back, the same way.
@@ -845,7 +845,7 @@ fn a_small_files_ingest_is_one_inline_frame_read_by_its_waiter_over_tcp() {
     });
     assert_eq!(hand_offs, [1, 0, 1, 0, 0], "[inline, pooled, led, followed, drains]");
     // Reading it back: the open is one `OpenFile`, a point op served on
-    // the connection thread, whose reply — the entry and the 4 KiB — is
+    // the daemon's loop, whose reply — the entry and the 4 KiB — is
     // a small frame its waiter reads itself; the read moves nothing.
     // The largest file an open reply carries goes the same way.
     let big = fs.open_handle("/ingest/head-max", OpenFlags::WRONLY.with_create()).unwrap();
