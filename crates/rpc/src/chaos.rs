@@ -21,10 +21,13 @@
 
 use crate::link::Fate;
 use crate::message::Request;
+use crate::transport::tcp::FrameReader;
 use gkfs_common::lock::{rank, OrderedMutex};
 use gkfs_common::retry::splitmix64;
+use gkfs_common::wire::FrameWriter;
 use gkfs_common::{GkfsError, Result};
-use std::io::{Read, Write};
+use std::collections::HashMap;
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -218,49 +221,44 @@ fn decide(cfg: &ChaosConfig, state: &mut u64) -> Decision {
 /// Wire-level chaos: a TCP proxy between clients and one daemon that
 /// injects faults into real frames. Faults on the client→daemon pump
 /// use the request-side probabilities; daemon→client uses the
-/// reply-side ones. A corrupt fault flips one payload byte and leaves
-/// the frame CRC alone, so the receiver's checksum must catch it.
+/// reply-side ones. It frames with the transport's own reader and
+/// writer: a frame is received — its checksum checked — by a
+/// `FrameReader` and sent on by a [`FrameWriter`]. A corrupt fault
+/// flips a payload byte of the encoded frame after its checksum is
+/// computed, so the receiver's check must catch it.
 pub struct ChaosListener {
     addr: SocketAddr,
     shutting_down: Arc<AtomicBool>,
     accept_thread: OrderedMutex<Option<std::thread::JoinHandle<()>>>,
-    chaos_conns: Arc<OrderedMutex<Vec<TcpStream>>>,
+    chaos_conns: Arc<Proxied>,
     stats: Arc<ChaosStats>,
 }
 
-/// Read one raw frame (len + payload + crc) without interpreting it.
-/// Returns the payload and the frame's crc bytes.
-fn read_raw_frame(stream: &mut TcpStream) -> std::io::Result<(Vec<u8>, [u8; 4])> {
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    // Same ceiling the real transport enforces: the proxy must not be
-    // the one component a garbage length can make allocate 4 GiB.
-    if len > MAX_PROXIED_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "chaos: frame length exceeds proxy cap",
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    let mut crc = [0u8; 4];
-    stream.read_exact(&mut crc)?;
-    Ok((payload, crc))
+/// The connections being proxied, by serial: the client's stream and
+/// the daemon's, kept to sever them.
+type Proxied = OrderedMutex<HashMap<u64, [TcpStream; 2]>>;
+
+/// One proxied connection's entry in [`Proxied`], shared by its two
+/// pumps: it leaves when the last of them ends.
+struct Entry {
+    serial: u64,
+    conns: Arc<Proxied>,
 }
 
-/// Largest frame the chaos proxy will buffer — matches the transport's
-/// own `MAX_FRAME` so the proxy never rejects a frame the endpoint
-/// would accept.
-const MAX_PROXIED_FRAME: usize = 256 * 1024 * 1024;
+impl Entry {
+    /// Shut both streams of the connection down, which ends the other
+    /// pump too (nothing to do once severed).
+    fn sever(&self) {
+        for s in self.conns.lock().get(&self.serial).into_iter().flatten() {
+            let _ = s.shutdown(std::net::Shutdown::Both);
+        }
+    }
+}
 
-fn write_raw_frame(stream: &mut TcpStream, payload: &[u8], crc: [u8; 4]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| std::io::Error::other("proxied frame length exceeds u32"))?;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(payload)?;
-    stream.write_all(&crc)?;
-    Ok(())
+impl Drop for Entry {
+    fn drop(&mut self) {
+        self.conns.lock().remove(&self.serial);
+    }
 }
 
 /// Which direction a pump moves bytes; selects the fault classes.
@@ -270,73 +268,69 @@ enum PumpDir {
     DaemonToClient,
 }
 
+/// Send `payload` on as one frame, `copies` times, or corrupted once.
+fn forward(
+    to: &mut TcpStream,
+    payload: &[u8],
+    copies: usize,
+    corrupt: bool,
+) -> std::io::Result<()> {
+    let mut fw = FrameWriter::new();
+    fw.segment(payload);
+    if corrupt {
+        let mut wire = Vec::with_capacity(payload.len() + 8);
+        fw.write_to(&mut wire)?;
+        wire[4 + payload.len() / 2] ^= 0x40;
+        return to.write_all(&wire);
+    }
+    (0..copies).try_for_each(|_| fw.write_to(to))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn pump(
-    mut from: TcpStream,
+    from: TcpStream,
     mut to: TcpStream,
     dir: PumpDir,
     cfg: ChaosConfig,
     rng: Arc<OrderedMutex<u64>>,
     stats: Arc<ChaosStats>,
     shutting_down: Arc<AtomicBool>,
+    entry: Arc<Entry>,
 ) {
-    loop {
-        if shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok((mut payload, crc)) = read_raw_frame(&mut from) else {
+    let mut frames = FrameReader::new(from);
+    while !shutting_down.load(Ordering::SeqCst) {
+        // The proxy's streams have no receive timeout: no stall bound.
+        let Ok(Some(payload)) = frames.next_frame(Duration::MAX, false) else {
             break;
         };
-        let decision = {
-            let mut state = rng.lock();
-            decide(&cfg, &mut state)
-        };
+        let decision = decide(&cfg, &mut rng.lock());
         if let Some(d) = decision.delay {
             stats.delays.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(d);
         }
-        match decision.fault {
+        let (counter, copies) = match decision.fault {
             Fault::Reset => {
                 stats.resets.fetch_add(1, Ordering::Relaxed);
                 break;
             }
-            Fault::Corrupt => {
-                stats.corruptions.fetch_add(1, Ordering::Relaxed);
-                if !payload.is_empty() {
-                    let idx = payload.len() / 2;
-                    payload[idx] ^= 0x40;
-                }
-                if write_raw_frame(&mut to, &payload, crc).is_err() {
-                    break;
-                }
-            }
+            Fault::Corrupt => (Some(&stats.corruptions), 1),
             // The draw order is shared; both classes map onto this
             // pump's direction, so both directions lose frames.
             Fault::DropRequest | Fault::DropReply => match dir {
-                PumpDir::ClientToDaemon => {
-                    stats.dropped_requests.fetch_add(1, Ordering::Relaxed);
-                }
-                PumpDir::DaemonToClient => {
-                    stats.dropped_replies.fetch_add(1, Ordering::Relaxed);
-                }
+                PumpDir::ClientToDaemon => (Some(&stats.dropped_requests), 0),
+                PumpDir::DaemonToClient => (Some(&stats.dropped_replies), 0),
             },
-            Fault::Duplicate => {
-                stats.duplicates.fetch_add(1, Ordering::Relaxed);
-                if write_raw_frame(&mut to, &payload, crc).is_err()
-                    || write_raw_frame(&mut to, &payload, crc).is_err()
-                {
-                    break;
-                }
-            }
-            Fault::None => {
-                if write_raw_frame(&mut to, &payload, crc).is_err() {
-                    break;
-                }
-            }
+            Fault::Duplicate => (Some(&stats.duplicates), 2),
+            Fault::None => (None, 1),
+        };
+        if let Some(n) = counter {
+            n.fetch_add(1, Ordering::Relaxed);
+        }
+        if forward(&mut to, &payload, copies, decision.fault == Fault::Corrupt).is_err() {
+            break;
         }
     }
-    let _ = from.shutdown(std::net::Shutdown::Both);
-    let _ = to.shutdown(std::net::Shutdown::Both);
+    entry.sever();
 }
 
 impl ChaosListener {
@@ -351,8 +345,7 @@ impl ChaosListener {
         let shutting_down = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ChaosStats::default());
         let rng = Arc::new(OrderedMutex::new(rank::CHAOS_RNG, cfg.seed));
-        let chaos_conns: Arc<OrderedMutex<Vec<TcpStream>>> =
-            Arc::new(OrderedMutex::new(rank::CHAOS_CONNS, Vec::new()));
+        let chaos_conns = Arc::new(OrderedMutex::new(rank::CHAOS_CONNS, HashMap::new()));
 
         let accept = {
             let shutting_down = shutting_down.clone();
@@ -362,7 +355,7 @@ impl ChaosListener {
             std::thread::Builder::new()
                 .name("gkfs-chaos-accept".into())
                 .spawn(move || {
-                    for conn in listener.incoming() {
+                    for (serial, conn) in (0..).zip(listener.incoming()) {
                         if shutting_down.load(Ordering::SeqCst) {
                             break;
                         }
@@ -374,18 +367,19 @@ impl ChaosListener {
                             continue;
                         };
                         daemon.set_nodelay(true).ok();
-                        let (Ok(c2), Ok(d2)) = (client.try_clone(), daemon.try_clone()) else {
+                        let (Ok(c2), Ok(d2), Ok(c3), Ok(d3)) = (
+                            client.try_clone(),
+                            daemon.try_clone(),
+                            client.try_clone(),
+                            daemon.try_clone(),
+                        ) else {
                             continue;
                         };
-                        {
-                            let mut cs = chaos_conns.lock();
-                            if let Ok(c) = client.try_clone() {
-                                cs.push(c);
-                            }
-                            if let Ok(d) = daemon.try_clone() {
-                                cs.push(d);
-                            }
-                        }
+                        chaos_conns.lock().insert(serial, [c3, d3]);
+                        let entry = Arc::new(Entry {
+                            serial,
+                            conns: Arc::clone(&chaos_conns),
+                        });
                         for (from, to, dir, name) in [
                             (client, daemon, PumpDir::ClientToDaemon, "gkfs-chaos-up"),
                             (d2, c2, PumpDir::DaemonToClient, "gkfs-chaos-down"),
@@ -394,9 +388,12 @@ impl ChaosListener {
                             let rng = rng.clone();
                             let stats = stats.clone();
                             let shutting_down = shutting_down.clone();
-                            let _ = std::thread::Builder::new().name(name.into()).spawn(
-                                move || pump(from, to, dir, cfg, rng, stats, shutting_down),
-                            );
+                            let entry = Arc::clone(&entry);
+                            let _ = std::thread::Builder::new()
+                                .name(name.into())
+                                .spawn(move || {
+                                    pump(from, to, dir, cfg, rng, stats, shutting_down, entry)
+                                });
                         }
                     }
                 })
@@ -425,7 +422,7 @@ impl ChaosListener {
     /// Sever every proxied connection (both halves) without stopping
     /// the proxy — a full network blip.
     pub fn sever_connections(&self) {
-        for c in self.chaos_conns.lock().drain(..) {
+        for c in self.chaos_conns.lock().drain().flat_map(|(_, pair)| pair) {
             let _ = c.shutdown(std::net::Shutdown::Both);
         }
     }

@@ -99,17 +99,22 @@
 //! caller's own buffer ([`Endpoint::submit_gather`]): prefix plus one
 //! borrowed sub-slice per chunk piece, nothing gathered first.
 //!
-//! Inbound, every reader (the daemon's loop, a leading waiter, a
-//! client's reader thread) goes through a [`FrameReader`]. A frame that
-//! fits its buffer arrives with the `recv` that found it and is cut out
-//! as one owned buffer; a larger one lands — beyond the few KiB that
-//! came with its header — directly in a single `Vec` reserved to size
-//! and never zeroed. The daemon's loop receives without blocking
-//! (`FrameReader::pump`), so a peer stalled halfway through a frame
-//! holds only its own buffer. After the CRC check that buffer *is* the message:
-//! `decode_owned` hands out `body` and `bulk` as views of it, so a write
-//! payload reaches the chunk store, and a read reply the caller's
-//! result, without another copy.
+//! Inbound, every byte off a socket — the daemon's loop, a leading
+//! waiter, a client's reader thread, the chaos proxy — goes through one
+//! assembler, a [`FrameReader`]: `fill` receives a step of bytes, and
+//! `take_frame` is the one place a header is parsed, a checksum checked
+//! and a frame cut. A frame that fits the read buffer arrives with the
+//! `recv` that found it and is cut out as one owned buffer; a larger one
+//! lands — beyond the few KiB that came with its header — directly in a
+//! single `Vec` reserved to size and never zeroed. The receive has two
+//! [`Mode`]s: the daemon's loop never blocks (`MSG_DONTWAIT`), so a peer
+//! stalled halfway through a frame holds only its own buffer; a client's
+//! reader blocks up to its socket's receive-timeout tick. The fuzzer
+//! drives the same assembler in both modes (`read_frames`). After the
+//! CRC check the frame's buffer *is* the message: `decode_owned` hands
+//! out `body` and `bulk` as views of it, so a write payload reaches the
+//! chunk store, and a read reply the caller's result, without another
+//! copy.
 //!
 //! # Failure semantics
 //!
@@ -129,7 +134,8 @@
 //! A wait gives up only on a frame boundary: the socket's receive
 //! timeout is a short tick, a reader that sees it fire (or its poll's
 //! window run out) before the first byte of a frame checks its deadline,
-//! and one that sees it fire inside a frame keeps reading. So
+//! and one that sees it fire inside a frame keeps receiving in blocking
+//! steps — these rules are the client's, on top of the assembler. So
 //! `wait(timeout)` returns `Timeout` on time, its slot is reaped, the
 //! stream stays aligned for the next call, and the late reply is read
 //! and dropped by the next reader.
@@ -143,7 +149,7 @@ use gkfs_common::lock::{self, rank, Condvar, OrderedMutex};
 use gkfs_common::wire::FrameWriter;
 use gkfs_common::{GkfsError, Result};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read};
+use std::io::ErrorKind;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -181,8 +187,8 @@ const WAIT_TICK: Duration = Duration::from_millis(100);
 /// park").
 const SPIN: Duration = Duration::from_micros(50);
 
-/// Whether readers poll at all: [`recv_now`] is Linux's. Elsewhere a
-/// reader blocks as it always did.
+/// Whether readers poll at all: a nonblocking receive is Linux's
+/// (`MSG_DONTWAIT`). Elsewhere a reader blocks as it always did.
 const POLLS: bool = cfg!(target_os = "linux");
 
 /// One sleep of a follower whose timeout is too large to be a deadline
@@ -242,63 +248,66 @@ fn closed_err() -> GkfsError {
     GkfsError::Rpc("connection closed".into())
 }
 
-/// A receive timeout (`SO_RCVTIMEO` reports either kind).
+/// A receive that found nothing: a receive timeout (`SO_RCVTIMEO`
+/// reports either kind) or a drained socket.
 fn timed_out(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
-/// What the socket holds right now, or `WouldBlock`: `recv(2)` with
-/// `MSG_DONTWAIT`, nonblocking for this one call. `O_NONBLOCK` is not an
-/// option: it belongs to the open file description, which the
-/// `try_clone`d write half shares, and a writer that met `EAGAIN` in the
-/// middle of a frame would condemn a healthy connection.
-#[cfg(target_os = "linux")]
-fn recv_now(stream: &TcpStream, buf: &mut [u8]) -> std::io::Result<usize> {
-    // SAFETY: `buf` is an exclusively borrowed slice of `buf.len()` bytes.
-    unsafe { recv_into(stream, buf.as_mut_ptr(), buf.len()) }
+/// How a receive waits for bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mode {
+    /// Not at all: what the socket holds now, or `WouldBlock`. The
+    /// daemon's loop, and a client reader's poll.
+    Nonblocking,
+    /// Until bytes come or the socket's receive timeout fires: a
+    /// client's leading waiter or reader thread.
+    Blocking,
 }
 
-/// [`recv_now`] into the spare capacity of `frame`, at most up to
-/// `total` bytes in all: the kernel writes straight into the reserved
-/// tail, never zero-filled, which then counts as received.
-#[cfg(target_os = "linux")]
-fn recv_spare(stream: &TcpStream, frame: &mut Vec<u8>, total: usize) -> std::io::Result<usize> {
-    let left = total.saturating_sub(frame.len());
-    let spare = frame.spare_capacity_mut();
-    let want = spare.len().min(left);
-    // SAFETY: the spare capacity is `spare.len()` exclusively borrowed
-    // bytes of `frame`'s allocation; the kernel needs them writable, not
-    // initialised.
-    let got = unsafe { recv_into(stream, spare.as_mut_ptr().cast(), want) }?;
-    // SAFETY: the kernel initialised the `got` bytes past the old
-    // length, all within the capacity.
-    unsafe { frame.set_len(frame.len() + got) };
-    Ok(got)
+/// Where a [`FrameReader`] receives from: a [`TcpStream`], or — so that
+/// a test can substitute its byte source — anything that hands out
+/// bytes the way one does.
+pub trait Recv {
+    /// Receive at most `max` bytes (no more than `into`'s spare
+    /// capacity) onto the end of `into`, waiting as `mode` says. `Ok(0)`
+    /// is the end of the stream; `WouldBlock` or `TimedOut`, nothing
+    /// came.
+    fn recv(&mut self, into: &mut Vec<u8>, max: usize, mode: Mode) -> std::io::Result<usize>;
 }
 
-/// `recv(2)` of up to `len` bytes at `at`, with `MSG_DONTWAIT`.
-///
-/// # Safety
-///
-/// `at` must be valid for writes of `len` bytes (they need not be
-/// initialised) for the duration of the call.
-#[cfg(target_os = "linux")]
-unsafe fn recv_into(stream: &TcpStream, at: *mut u8, len: usize) -> std::io::Result<usize> {
-    use std::os::fd::AsRawFd;
-    use std::os::raw::{c_int, c_void};
-    extern "C" {
-        fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+impl Recv for TcpStream {
+    /// `recv(2)` straight into `into`'s spare capacity, which is never
+    /// zero-filled, with `MSG_DONTWAIT` in [`Mode::Nonblocking`].
+    /// `O_NONBLOCK` is not an option: it belongs to the open file
+    /// description, which the `try_clone`d write half shares, and a
+    /// writer that met `EAGAIN` in the middle of a frame would condemn a
+    /// healthy connection.
+    fn recv(&mut self, into: &mut Vec<u8>, max: usize, mode: Mode) -> std::io::Result<usize> {
+        use std::os::fd::AsRawFd;
+        use std::os::raw::{c_int, c_void};
+        extern "C" {
+            fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
+        }
+        const MSG_DONTWAIT: c_int = 0x40; // Linux's value
+        let flags = match mode {
+            Mode::Blocking => 0,
+            Mode::Nonblocking if POLLS => MSG_DONTWAIT,
+            Mode::Nonblocking => return Err(ErrorKind::WouldBlock.into()),
+        };
+        let spare = into.spare_capacity_mut();
+        let want = spare.len().min(max);
+        // SAFETY: the spare capacity is `want` or more exclusively
+        // borrowed bytes of `into`'s allocation, which the kernel needs
+        // writable, not initialised; the descriptor is this stream's,
+        // open for the whole call.
+        let got = unsafe { recv(self.as_raw_fd(), spare.as_mut_ptr().cast(), want, flags) };
+        let got = usize::try_from(got).map_err(|_| std::io::Error::last_os_error())?;
+        // SAFETY: the kernel initialised the `got` bytes past the old
+        // length, all within the capacity.
+        unsafe { into.set_len(into.len() + got) };
+        Ok(got)
     }
-    const MSG_DONTWAIT: c_int = 0x40;
-    // SAFETY: the caller vouches for `at..at + len`; the descriptor is
-    // `stream`'s, open for the whole call.
-    let got = unsafe { recv(stream.as_raw_fd(), at.cast::<c_void>(), len, MSG_DONTWAIT) };
-    usize::try_from(got).map_err(|_| std::io::Error::last_os_error())
-}
-
-#[cfg(not(target_os = "linux"))]
-fn recv_now(_: &TcpStream, _: &mut [u8]) -> std::io::Result<usize> {
-    Err(ErrorKind::WouldBlock.into())
 }
 
 /// Verify a frame's trailing checksum. A mismatch surfaces as
@@ -317,15 +326,17 @@ fn check_crc(payload: &[u8], trailer: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// The read half of a connection: the stream behind one buffer of
-/// [`READ_BUF`] bytes, read a frame at a time. Counterpart of
+/// The read half of a connection and the one frame assembler: every
+/// reader — the daemon's loop, a leading waiter, a client's reader
+/// thread, the chaos proxy — receives through [`FrameReader::fill`] and
+/// cuts frames with [`FrameReader::take_frame`]. Counterpart of
 /// [`write_frame_segments`].
-struct FrameReader<R> {
+pub(crate) struct FrameReader<R> {
     stream: R,
-    buf: Box<[u8]>,
-    /// `buf[start..end]` has been received and not yet consumed.
+    /// Bytes received into a buffer of [`READ_BUF`] bytes' capacity;
+    /// `buf[start..]` is not consumed yet.
+    buf: Vec<u8>,
     start: usize,
-    end: usize,
     /// The receive timeout the socket has now (`None`: it blocks).
     applied: Option<Duration>,
     /// When a receive first timed out inside the frame being read;
@@ -334,19 +345,18 @@ struct FrameReader<R> {
     /// The last frame's first bytes came within [`SPIN`] of the wait for
     /// them starting: the next wait polls before it blocks.
     hot: bool,
-    /// A frame too large for the buffer, being assembled by
-    /// [`FrameReader::pump`]: its payload length, and its bytes so far
-    /// (payload and trailer) in a `Vec` reserved by [`frame_reserve`].
+    /// A frame too large for the buffer, being assembled: its payload
+    /// length, and its bytes so far (payload and trailer) in a `Vec`
+    /// reserved by [`frame_reserve`].
     big: Option<(usize, Vec<u8>)>,
 }
 
-impl<R: Read> FrameReader<R> {
-    fn new(stream: R) -> FrameReader<R> {
+impl<R: Recv> FrameReader<R> {
+    pub(crate) fn new(stream: R) -> FrameReader<R> {
         FrameReader {
             stream,
-            buf: vec![0u8; READ_BUF].into_boxed_slice(),
+            buf: Vec::with_capacity(READ_BUF),
             start: 0,
-            end: 0,
             applied: None,
             stalled: None,
             hot: false,
@@ -357,7 +367,7 @@ impl<R: Read> FrameReader<R> {
     /// Bytes received beyond what has been consumed: after a frame was
     /// taken, whether the peer had already sent more.
     fn buffered(&self) -> usize {
-        self.end - self.start
+        self.buf.len() - self.start
     }
 
     /// A receive timed out inside a frame: keep reading, unless nothing
@@ -373,118 +383,81 @@ impl<R: Read> FrameReader<R> {
         Ok(())
     }
 
-    /// Receive until `n` bytes are buffered (`n` fits the buffer).
-    fn need(&mut self, n: usize, stall: Duration) -> Result<()> {
-        if self.buffered() >= n {
-            return Ok(());
+    /// Receive one step of bytes for [`FrameReader::take_frame`] to
+    /// take: one `recv` into the read buffer, or into the spare capacity
+    /// of the large frame being assembled — nonblocking, until it is
+    /// whole or the socket is drained, so that the daemon's loop takes a
+    /// chunk-sized frame in one event. Whether bytes came: `false` is a
+    /// drained socket or a receive timeout. Only [`Mode::Blocking`] may
+    /// block, so only it asserts that no guard is held: the daemon's loop
+    /// fills under `RPC_PUMP`. An error — end of stream included —
+    /// condemns the connection.
+    fn fill(&mut self, mode: Mode) -> Result<bool> {
+        if mode == Mode::Blocking {
+            lock::assert_unguarded("FrameReader::fill");
         }
-        if self.start > 0 {
-            self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
-        }
-        while self.end < n {
-            match self.stream.read(&mut self.buf[self.end..]) {
+        let (into, total, until_whole) = match &mut self.big {
+            Some((len, frame)) => (frame, *len + 4, mode == Mode::Nonblocking),
+            None => {
+                self.buf.drain(..self.start);
+                self.start = 0;
+                (&mut self.buf, READ_BUF, false)
+            }
+        };
+        // `take_frame` leaves a part of a frame at most.
+        debug_assert!(into.len() < total);
+        let mut came = false;
+        loop {
+            // A large frame grows as its bytes arrive (the read buffer
+            // is never full here).
+            if into.len() == into.capacity() {
+                into.reserve((total - into.len()).min(FRAME_RESERVE_MAX));
+            }
+            let max = (total - into.len()).min(into.capacity() - into.len());
+            match self.stream.recv(into, max, mode) {
+                Ok(0) if into.is_empty() => return Err(closed_err()),
                 Ok(0) => {
                     return Err(GkfsError::Rpc(format!(
-                        "connection lost: peer closed with {} of {n} bytes received",
-                        self.end
+                        "connection lost: peer closed {} bytes into a frame",
+                        into.len()
                     )))
                 }
-                Ok(got) => {
-                    self.end += got;
-                    self.stalled = None;
-                }
+                Ok(_) if until_whole && into.len() < total => came = true,
+                Ok(_) => return Ok(true),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if timed_out(&e) => self.stall(stall)?,
+                Err(e) if timed_out(&e) => return Ok(came),
                 Err(e) => return Err(lost(e)),
             }
         }
-        Ok(())
     }
 
-    /// Payload length of the frame the stream is at, its header received
-    /// but not consumed.
-    fn next_len(&mut self, stall: Duration) -> Result<usize> {
-        self.need(4, stall)?;
-        self.header()
-    }
-
-    /// Payload length of the buffered frame header at `start`.
-    fn header(&self) -> Result<usize> {
-        let head = &self.buf[self.start..];
+    /// Payload length of the frame whose header is at the front of the
+    /// buffer, once all four bytes of it are.
+    fn header(&self) -> Result<Option<usize>> {
+        let Some(head) = self.buf.get(self.start..self.start + 4) else {
+            return Ok(None);
+        };
         let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
         if len > MAX_FRAME {
             return Err(GkfsError::Rpc(format!("frame too large: {len}")));
         }
-        Ok(len as usize)
+        Ok(Some(len as usize))
     }
 
     /// Whether a frame of `len` payload bytes goes through the buffer
     /// (header, payload and trailer fit it) rather than into a buffer
     /// of its own.
     fn holds(&self, len: usize) -> bool {
-        len + 8 <= self.buf.len()
-    }
-
-    /// Read one frame and return its payload as an owned buffer, trailer
-    /// verified and cut off. A frame that fits the buffer usually came
-    /// whole with the one `recv` that found its header; a larger one is
-    /// received — past what that `recv` brought along — straight into a
-    /// `Vec` reserved by [`frame_reserve`], spare capacity the kernel
-    /// fills directly, never zeroed first, which becomes the `Bytes`
-    /// without a copy. Returns only on a frame boundary or with an error
-    /// that condemns the connection (`stall`: see [`FrameReader::stall`]).
-    fn read_frame(&mut self, stall: Duration) -> Result<Bytes> {
-        lock::assert_unguarded("FrameReader::read_frame");
-        let len = self.next_len(stall)?;
-        let total = len + 4;
-        if self.holds(len) {
-            self.need(4 + total, stall)?;
-            return self.cut(len);
-        }
-        self.start += 4;
-        let mut frame = Vec::with_capacity(frame_reserve(len));
-        let have = self.buffered().min(total);
-        frame.extend_from_slice(&self.buf[self.start..self.start + have]);
-        self.start += have;
-        while frame.len() < total {
-            let left = (total - frame.len()) as u64;
-            // Bytes received before an error stay appended to `frame`,
-            // so a timed-out read resumes where it stopped.
-            match (&mut self.stream).take(left).read_to_end(&mut frame) {
-                Ok(0) => {
-                    return Err(GkfsError::Rpc(format!(
-                        "connection lost: peer closed {} bytes into a {len}-byte frame",
-                        frame.len()
-                    )))
-                }
-                Ok(_) => self.stalled = None,
-                Err(e) if timed_out(&e) => self.stall(stall)?,
-                Err(e) => return Err(lost(e)),
-            }
-        }
-        check_crc(&frame[..len], &frame[len..])?;
-        frame.truncate(len);
-        Ok(Bytes::from(frame))
-    }
-
-    /// Cut the whole buffered frame of `len` payload bytes at `start`
-    /// out as one owned buffer, trailer verified.
-    fn cut(&mut self, len: usize) -> Result<Bytes> {
-        let (payload, rest) = self.buf[self.start + 4..self.end].split_at(len);
-        check_crc(payload, rest)?;
-        let frame = Bytes::copy_from_slice(payload);
-        self.start += len + 8;
-        Ok(frame)
+        len + 8 <= READ_BUF
     }
 
     /// The next frame received whole — trailer verified and cut off —
-    /// or `None` while it is still arriving. Never receives: the
-    /// daemon's loop receives through [`FrameReader::pump`]. A frame too
-    /// large for the buffer moves here into a `Vec` reserved to its size
-    /// (what came with its header is copied once), which the pump fills
-    /// and which becomes the `Bytes` without another copy.
+    /// or `None` while it is still arriving; the one place a frame is
+    /// cut. A frame that fits the buffer is copied out of it as one
+    /// owned buffer. A larger one moves here into a `Vec` reserved to its
+    /// size (what came with its header is copied once), which
+    /// [`FrameReader::fill`] fills and which becomes the `Bytes` without
+    /// another copy.
     fn take_frame(&mut self) -> Result<Option<Bytes>> {
         if let Some((len, frame)) = &self.big {
             if frame.len() < len + 4 {
@@ -495,146 +468,122 @@ impl<R: Read> FrameReader<R> {
             frame.truncate(len);
             return Ok(Some(Bytes::from(frame)));
         }
-        if self.buffered() < 4 {
+        let Some(len) = self.header()? else {
             return Ok(None);
-        }
-        let len = self.header()?;
+        };
         if self.holds(len) {
-            return if self.buffered() < len + 8 { Ok(None) } else { self.cut(len).map(Some) };
+            if self.buffered() < len + 8 {
+                return Ok(None);
+            }
+            let (payload, rest) = self.buf[self.start + 4..].split_at(len);
+            check_crc(payload, &rest[..4])?;
+            let frame = Bytes::copy_from_slice(payload);
+            self.start += len + 8;
+            return Ok(Some(frame));
         }
         // Not even the trailer fits behind the header in the buffer, so
         // what is buffered is part of this frame and nothing else.
-        self.start += 4;
         let mut frame = Vec::with_capacity(frame_reserve(len));
-        frame.extend_from_slice(&self.buf[self.start..self.end]);
-        self.start = self.end;
+        frame.extend_from_slice(&self.buf[self.start + 4..]);
+        self.start = self.buf.len();
         self.big = Some((len, frame));
         Ok(None)
     }
+
+    /// Receive in blocking steps until the frame at the front is whole,
+    /// and take it: a client's reading of a frame whose first bytes its
+    /// poll found. With `leave_large`, a frame too large for the buffer
+    /// is left where it is — its header read, nothing allocated — and
+    /// `None` returned. Returns only on a frame boundary or with an error
+    /// that condemns the connection: a receive timeout inside the frame
+    /// keeps reading, until nothing has arrived for `stall`.
+    pub(crate) fn next_frame(
+        &mut self,
+        stall: Duration,
+        leave_large: bool,
+    ) -> Result<Option<Bytes>> {
+        loop {
+            if leave_large && self.header()?.is_some_and(|len| !self.holds(len)) {
+                return Ok(None);
+            }
+            if let Some(frame) = self.take_frame()? {
+                return Ok(Some(frame));
+            }
+            if self.fill(Mode::Blocking)? {
+                self.stalled = None;
+            } else {
+                self.stall(stall)?;
+            }
+        }
+    }
 }
 
-/// Every frame `stream` holds, read the way a connection reads them,
-/// and the error that ended the reading — at a clean end of stream, the
-/// `Rpc` of a peer that closed on a frame boundary. For the decoder
-/// fuzzer (`tests/fuzz_wire.rs`), which has bytes and no socket.
+/// Every frame `stream` holds, assembled the way a connection in `mode`
+/// assembles them — blocking, a frame at a time as a client's reader
+/// does; nonblocking, a step and then every frame it completed as the
+/// daemon's loop does — and the error that ended the reading: at a
+/// clean end of stream, the `Rpc` of a peer that closed on a frame
+/// boundary. For the decoder fuzzer (`tests/fuzz_wire.rs`), which has
+/// bytes and no socket.
 #[doc(hidden)]
-pub fn read_frames(stream: impl Read) -> (Vec<Bytes>, GkfsError) {
+pub fn read_frames(stream: impl Recv, mode: Mode) -> (Vec<Bytes>, GkfsError) {
     let mut reader = FrameReader::new(stream);
     let mut frames = Vec::new();
     loop {
-        match reader.read_frame(Duration::ZERO) {
-            Ok(frame) => frames.push(frame),
-            Err(cause) => return (frames, cause),
+        let step = match mode {
+            Mode::Blocking => reader
+                .next_frame(Duration::ZERO, false)
+                .map(|f| frames.extend(f)),
+            Mode::Nonblocking => reader.fill(mode).and_then(|_| {
+                while let Some(frame) = reader.take_frame()? {
+                    frames.push(frame);
+                }
+                Ok(())
+            }),
+        };
+        if let Err(cause) = step {
+            return (frames, cause);
         }
     }
 }
 
 impl FrameReader<TcpStream> {
-    /// Receive what the socket holds now, without blocking — into the
-    /// read buffer, or into the frame being assembled past it (until it
-    /// is whole or the socket is drained) — for
-    /// [`FrameReader::take_frame`] to take. The daemon's loop reads
-    /// through this alone: a peer stalled halfway through a frame holds
-    /// only its own buffer. `O_NONBLOCK` is never set ([`recv_now`]). An
-    /// error — end of stream included — condemns the connection.
-    #[cfg(target_os = "linux")]
-    fn pump(&mut self) -> Result<()> {
-        if let Some((len, frame)) = &mut self.big {
-            let total = *len + 4;
-            while frame.len() < total {
-                if frame.len() == frame.capacity() {
-                    frame.reserve((total - frame.len()).min(FRAME_RESERVE_MAX));
-                }
-                match recv_spare(&self.stream, frame, total) {
-                    Ok(0) => {
-                        return Err(GkfsError::Rpc(format!(
-                            "connection lost: peer closed {} bytes into a {len}-byte frame",
-                            frame.len()
-                        )))
-                    }
-                    Ok(_) => {}
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) => return Err(lost(e)),
-                }
-            }
-            return Ok(());
-        }
-        if self.start == self.end {
-            self.start = 0;
-            self.end = 0;
-        } else if self.start > 0 {
-            self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
-        }
-        // `take_frame` leaves at most a part of a frame that fits.
-        debug_assert!(self.end < self.buf.len());
-        loop {
-            match recv_now(&self.stream, &mut self.buf[self.end..]) {
-                Ok(0) => return Err(closed_err()),
-                Ok(got) => {
-                    self.end += got;
-                    return Ok(());
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                Err(e) => return Err(lost(e)),
-            }
-        }
-    }
-
-    /// On a frame boundary, wait up to `wait` (`None`: as long as it
-    /// takes — a server socket has no receive timeout) for the first
-    /// bytes of the next frame. `Ok(false)`: nothing came, and the stream
-    /// is still on the boundary — the one place a reader may walk away
-    /// from it.
+    /// On a frame boundary, wait up to `wait` for the first bytes of the
+    /// next frame. `Ok(false)`: nothing came, and the stream is still on
+    /// the boundary — the one place a reader may walk away from it.
     ///
-    /// Every reader waits here, so here is where poll or park is decided:
-    /// on a hot connection the wait first polls the socket for
+    /// Every client reader waits here, so here is where poll or park is
+    /// decided: on a hot connection the wait first polls the socket for
     /// `min(SPIN, wait)` and blocks only if that window runs out, which
     /// leaves the connection cold; a wait whose bytes came within
     /// [`SPIN`] of its start leaves it hot. `spun` and `expired` count
     /// the polls that found bytes and the windows that ran out.
-    fn poll(&mut self, wait: Option<Duration>, [spun, expired]: [&AtomicU64; 2]) -> Result<bool> {
+    fn poll(&mut self, wait: Duration, [spun, expired]: [&AtomicU64; 2]) -> Result<bool> {
         if self.buffered() > 0 {
             return Ok(true);
         }
-        self.start = 0;
-        self.end = 0;
         let began = Instant::now();
         if self.hot {
-            let window = wait.map_or(SPIN, |w| w.min(SPIN));
-            if self.spin(began, window)? {
+            if self.spin(began, wait.min(SPIN))? {
                 spun.fetch_add(1, Ordering::Relaxed);
                 return Ok(true);
             }
             expired.fetch_add(1, Ordering::Relaxed);
             self.hot = false;
-            if wait.is_some_and(|w| w <= SPIN) {
+            if wait <= SPIN {
                 return Ok(false);
             }
         }
-        if let Some(wait) = wait {
-            let wait = wait.max(Duration::from_millis(1));
-            if self.applied != Some(wait) {
-                self.stream.set_read_timeout(Some(wait)).map_err(lost)?;
-                self.applied = Some(wait);
-            }
+        let wait = wait.max(Duration::from_millis(1));
+        if self.applied != Some(wait) {
+            self.stream.set_read_timeout(Some(wait)).map_err(lost)?;
+            self.applied = Some(wait);
         }
-        loop {
-            match self.stream.read(&mut self.buf) {
-                Ok(0) => return Err(closed_err()),
-                Ok(got) => {
-                    self.end = got;
-                    self.hot = POLLS && began.elapsed() <= SPIN;
-                    return Ok(true);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if timed_out(&e) => return Ok(false),
-                Err(e) => return Err(lost(e)),
-            }
+        let came = self.fill(Mode::Blocking)?;
+        if came {
+            self.hot = POLLS && began.elapsed() <= SPIN;
         }
+        Ok(came)
     }
 
     /// Look at the socket without blocking until bytes come or `window`
@@ -644,14 +593,8 @@ impl FrameReader<TcpStream> {
     /// would starve the very thread it waits for.
     fn spin(&mut self, began: Instant, window: Duration) -> Result<bool> {
         loop {
-            match recv_now(&self.stream, &mut self.buf) {
-                Ok(0) => return Err(closed_err()),
-                Ok(got) => {
-                    self.end = got;
-                    return Ok(true);
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
-                Err(e) => return Err(lost(e)),
+            if self.fill(Mode::Nonblocking)? {
+                return Ok(true);
             }
             if began.elapsed() >= window {
                 return Ok(false);
@@ -872,10 +815,19 @@ impl Completions {
         [&self.stats.spun, &self.stats.spin_expired]
     }
 
-    /// One frame off the socket, as a response.
-    fn read_reply(&self, reader: &mut FrameReader<TcpStream>) -> Result<Response> {
-        let frame = reader.read_frame(self.stall)?;
+    /// The frame whose first bytes the reader's poll found, as a
+    /// response; `None` for a frame too large for the read buffer, left
+    /// unread, when `leave_large`.
+    fn read_reply(
+        &self,
+        reader: &mut FrameReader<TcpStream>,
+        leave_large: bool,
+    ) -> Result<Option<Response>> {
+        let Some(frame) = reader.next_frame(self.stall, leave_large)? else {
+            return Ok(None);
+        };
         Response::decode_owned(&frame)
+            .map(Some)
             .map_err(|e| GkfsError::Corruption(format!("undecodable response frame: {e}")))
     }
 
@@ -898,14 +850,12 @@ impl Completions {
             if left.is_zero() {
                 return Ok(Led::TimedOut);
             }
-            if !reader.poll(Some(left.min(WAIT_TICK)), self.spins())? {
+            if !reader.poll(left.min(WAIT_TICK), self.spins())? {
                 continue;
             }
-            let len = reader.next_len(self.stall)?;
-            if hand_over && !reader.holds(len) {
+            let Some(resp) = self.read_reply(reader, hand_over)? else {
                 return Ok(Led::Large);
-            }
-            let resp = self.read_reply(reader)?;
+            };
             if resp.id == id {
                 return Ok(Led::Mine(resp));
             }
@@ -931,9 +881,13 @@ impl Completions {
             };
             while t.waiting > 0 {
                 drop(t);
-                let step = reader
-                    .poll(Some(WAIT_TICK), self.spins())
-                    .and_then(|got| got.then(|| self.read_reply(&mut reader)).transpose());
+                let step = reader.poll(WAIT_TICK, self.spins()).and_then(|got| {
+                    if got {
+                        self.read_reply(&mut reader, false)
+                    } else {
+                        Ok(None)
+                    }
+                });
                 match step {
                     Ok(reply) => {
                         t = self.pending.lock();
@@ -1319,7 +1273,7 @@ mod tests {
     use crate::message::Opcode;
     use crate::Status;
     use bytes::Bytes;
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::net::TcpListener;
     use std::sync::atomic::AtomicBool;
 
@@ -1363,10 +1317,52 @@ mod tests {
         server.shutdown();
     }
 
-    /// One frame off any byte source (no receive timeouts there, so
-    /// no stall bound either).
-    fn read_frame(r: &mut FrameReader<impl Read>) -> Result<Bytes> {
-        r.read_frame(Duration::MAX)
+    /// The receive modes every frame-reader test runs in.
+    const MODES: [Mode; 2] = [Mode::Blocking, Mode::Nonblocking];
+
+    /// Bytes handed out the way a socket hands them out in the mode
+    /// asked for: blocking, as many as fit; nonblocking, the same but
+    /// with `WouldBlock` between receives — a socket the daemon's loop
+    /// found drained until its next event.
+    struct Wire {
+        data: Vec<u8>,
+        at: usize,
+        gap: bool,
+    }
+
+    fn wire(data: Vec<u8>) -> Wire {
+        Wire { data, at: 0, gap: true }
+    }
+
+    impl Recv for Wire {
+        fn recv(&mut self, into: &mut Vec<u8>, max: usize, mode: Mode) -> std::io::Result<usize> {
+            self.gap = !self.gap;
+            if mode == Mode::Nonblocking && self.gap {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let n = max.min(self.data.len() - self.at);
+            into.extend_from_slice(&self.data[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// One frame off `r`, received in `mode` — nonblocking as the
+    /// daemon's loop receives: a step, then whatever frame it completed,
+    /// and again while none did. No receive timeouts here, so no stall
+    /// bound either.
+    fn read_frame(r: &mut FrameReader<impl Recv>, mode: Mode) -> Result<Bytes> {
+        match mode {
+            Mode::Blocking => Ok(r.next_frame(Duration::MAX, false)?.expect("a whole frame")),
+            Mode::Nonblocking => loop {
+                if let Some(frame) = r.take_frame()? {
+                    return Ok(frame);
+                }
+                if !r.fill(mode)? {
+                    std::thread::yield_now();
+                }
+            },
+        }
     }
 
     /// `[len][payload][crc]` as one buffer — the reference wire image.
@@ -1391,13 +1387,15 @@ mod tests {
 
     #[test]
     fn read_frame_takes_a_whole_frame_and_leaves_the_next() {
-        let mut stream = framed(b"first");
-        stream.extend_from_slice(&framed(&[7u8; 100_000]));
-        let mut r = FrameReader::new(std::io::Cursor::new(stream));
-        assert_eq!(&read_frame(&mut r).unwrap()[..], b"first");
-        assert_eq!(read_frame(&mut r).unwrap(), vec![7u8; 100_000]);
-        // Clean EOF between frames is connection loss, not corruption.
-        assert!(matches!(read_frame(&mut r), Err(GkfsError::Rpc(_))));
+        for mode in MODES {
+            let mut stream = framed(b"first");
+            stream.extend_from_slice(&framed(&[7u8; 100_000]));
+            let mut r = FrameReader::new(wire(stream));
+            assert_eq!(&read_frame(&mut r, mode).unwrap()[..], b"first");
+            assert_eq!(read_frame(&mut r, mode).unwrap(), vec![7u8; 100_000]);
+            // Clean EOF between frames is connection loss, not corruption.
+            assert!(matches!(read_frame(&mut r, mode), Err(GkfsError::Rpc(_))));
+        }
     }
 
     #[test]
@@ -1405,24 +1403,28 @@ mod tests {
         let payload: Vec<u8> = (0..FRAME_RESERVE_MAX + 70_000)
             .map(|i| u8::try_from(i % 253).unwrap())
             .collect();
-        let mut r = FrameReader::new(std::io::Cursor::new(framed(&payload)));
-        assert_eq!(read_frame(&mut r).unwrap(), payload);
+        for mode in MODES {
+            let mut r = FrameReader::new(wire(framed(&payload)));
+            assert_eq!(read_frame(&mut r, mode).unwrap(), payload);
+        }
     }
 
     #[test]
     fn flipped_trailer_is_corruption_and_short_frame_is_connection_loss() {
-        let mut bad = framed(b"payload");
-        *bad.last_mut().unwrap() ^= 0x40;
-        assert!(matches!(
-            read_frame(&mut FrameReader::new(std::io::Cursor::new(bad))),
-            Err(GkfsError::Corruption(_))
-        ));
-        let mut cut = framed(b"payload");
-        cut.truncate(cut.len() - 3);
-        assert!(matches!(
-            read_frame(&mut FrameReader::new(std::io::Cursor::new(cut))),
-            Err(GkfsError::Rpc(_))
-        ));
+        for mode in MODES {
+            let mut bad = framed(b"payload");
+            *bad.last_mut().unwrap() ^= 0x40;
+            assert!(matches!(
+                read_frame(&mut FrameReader::new(wire(bad)), mode),
+                Err(GkfsError::Corruption(_))
+            ));
+            let mut cut = framed(b"payload");
+            cut.truncate(cut.len() - 3);
+            assert!(matches!(
+                read_frame(&mut FrameReader::new(wire(cut)), mode),
+                Err(GkfsError::Rpc(_))
+            ));
+        }
     }
 
     #[test]
@@ -1451,19 +1453,21 @@ mod tests {
     #[test]
     fn frame_dribbled_one_byte_per_write_still_decodes() {
         let server = TcpServer::bind("127.0.0.1:0", echo_registry(), 1).unwrap();
-        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-        raw.set_nodelay(true).unwrap();
-        let mut req =
-            Request::new(Opcode::Ping, &b"drip"[..]).with_bulk(Bytes::from(vec![9u8; 300]));
-        req.id = 77;
-        for byte in framed(&req.encode()) {
-            raw.write_all(&[byte]).unwrap();
+        for mode in MODES {
+            let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+            raw.set_nodelay(true).unwrap();
+            let mut req =
+                Request::new(Opcode::Ping, &b"drip"[..]).with_bulk(Bytes::from(vec![9u8; 300]));
+            req.id = 77;
+            for byte in framed(&req.encode()) {
+                raw.write_all(&[byte]).unwrap();
+            }
+            let mut raw = FrameReader::new(raw);
+            let resp = Response::decode_owned(&read_frame(&mut raw, mode).unwrap()).unwrap();
+            assert_eq!(resp.id, 77);
+            assert_eq!(&resp.body[..], b"drip");
+            assert_eq!(resp.bulk, vec![9u8; 300]);
         }
-        let mut raw = FrameReader::new(raw);
-        let resp = Response::decode_owned(&read_frame(&mut raw).unwrap()).unwrap();
-        assert_eq!(resp.id, 77);
-        assert_eq!(&resp.body[..], b"drip");
-        assert_eq!(resp.bulk, vec![9u8; 300]);
         server.shutdown();
     }
 

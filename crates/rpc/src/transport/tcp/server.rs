@@ -4,7 +4,8 @@
 //!
 //! The listener and every accepted socket sit in one epoll set. The
 //! thread that *leads* the loop waits on the set, assembles frames
-//! without blocking ([`FrameReader::pump`]), answers whatever
+//! without blocking (`FrameReader::fill` in [`Mode::Nonblocking`], the
+//! transport's one frame assembler), answers whatever
 //! `Handlers::runs_inline` admits itself and queues everything else on
 //! the handler pool. Whether it polls or parks is decided from the
 //! daemon's traffic, not from one connection's: the loop is *hot* when
@@ -41,7 +42,7 @@
 //!
 //! Linux only: the loop calls epoll through `extern "C"`.
 
-use super::{copied_out_of, write_response, FrameReader, SPIN};
+use super::{copied_out_of, write_response, FrameReader, Mode, SPIN};
 use crate::handler::HandlerRegistry;
 use crate::message::{Request, Response};
 use crate::stats::RpcStats;
@@ -329,13 +330,13 @@ impl Shared {
         n
     }
 
-    /// Pump `conn` and serve every frame that came whole. `lead` is the
+    /// Receive what `conn` holds and serve every frame that came whole. `lead` is the
     /// leader's window word; a thread that is not leading (or stops
     /// leading on the way — `false` is returned) serves without windows,
     /// off the loop. An error condemns the connection.
     fn serve(&self, conn: &Arc<Conn>, mut lead: Option<&mut u64>) -> bool {
-        let pumped = conn.reader.lock().pump();
-        let broken = pumped.is_err()
+        let filled = conn.reader.lock().fill(Mode::Nonblocking);
+        let broken = filled.is_err()
             || loop {
                 match conn.next() {
                     Ok(Some((frame, more))) => {

@@ -1,11 +1,16 @@
-//! A closed connection costs the daemon nothing for life. Its own test
-//! binary: the file-descriptor count is the process's, and no other
-//! test may be opening sockets while it is compared.
+//! A closed connection costs the daemon — and the chaos proxy in front
+//! of one — nothing for life. Its own test binary: the file-descriptor
+//! count is the process's, and no other test may be opening sockets
+//! while it is compared, so the tests here take turns.
 
 use bytes::Bytes;
 use gkfs_rpc::transport::Endpoint;
-use gkfs_rpc::{HandlerRegistry, Opcode, Request, Response, TcpEndpoint, TcpServer};
+use gkfs_rpc::{ChaosConfig, ChaosListener, HandlerRegistry, Opcode, Request, Response, TcpEndpoint, TcpServer};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// Held by each test for its whole run.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn open_fds() -> usize {
     std::fs::read_dir("/proc/self/fd").map_or(0, |d| d.count())
@@ -13,6 +18,7 @@ fn open_fds() -> usize {
 
 #[test]
 fn closed_connections_leave_no_entry_and_no_fd_behind() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let mut reg = HandlerRegistry::new();
     reg.register_fn(Opcode::Ping, |req| Response::ok(req.body));
     let server = TcpServer::bind("127.0.0.1:0", reg, 2).unwrap();
@@ -53,5 +59,48 @@ fn closed_connections_leave_no_entry_and_no_fd_behind() {
         "200 connect/ping/drop cycles grew /proc/self/fd from {before} to {}",
         open_fds()
     );
+    server.shutdown();
+}
+
+/// The same cycles through a quiet chaos proxy: when both of a proxied
+/// connection's pumps have ended, the proxy keeps neither of its
+/// streams.
+#[test]
+fn proxied_connections_leave_no_fd_behind() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let mut reg = HandlerRegistry::new();
+    reg.register_fn(Opcode::Ping, |req| Response::ok(req.body));
+    let server = TcpServer::bind("127.0.0.1:0", reg, 2).unwrap();
+    let proxy = ChaosListener::spawn(server.local_addr(), ChaosConfig::quiet(3)).unwrap();
+    let addr = proxy.local_addr().to_string();
+    let cycle = |i: usize| {
+        let ep = TcpEndpoint::connect(&addr).unwrap();
+        let resp = ep
+            .call(Request::new(Opcode::Ping, Bytes::from(format!("p{i}"))))
+            .unwrap();
+        assert_eq!(&resp.body[..], format!("p{i}").as_bytes());
+    };
+    // Until the daemon has seen every proxied connection end — the
+    // proxy hung up on it — and the pumps and readers have let go.
+    let settle = |what: &str, before: usize| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.open_connections() > 0 || open_fds() > before {
+            assert!(
+                Instant::now() < deadline,
+                "{what}: {} daemon entries stay, /proc/self/fd grew from {before} to {}",
+                server.open_connections(),
+                open_fds()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    cycle(0);
+    settle("warm-up", usize::MAX);
+    let before = open_fds();
+    for i in 1..=100 {
+        cycle(i);
+    }
+    settle("100 proxied cycles", before);
+    proxy.shutdown();
     server.shutdown();
 }

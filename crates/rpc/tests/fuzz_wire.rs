@@ -2,7 +2,9 @@
 //! socket: every row of the RPC table in both directions
 //! (`<R::Req as Wire>::decode`, `<R::Resp as Wire>::decode`),
 //! `Request::decode_owned` / `Response::decode_owned`, and the TCP
-//! transport's frame reader (`tcp::read_frames`).
+//! transport's one frame assembler (`tcp::read_frames`) in both of its
+//! receive modes: blocking, as a client's reader receives, and
+//! nonblocking, as the daemon's loop does.
 //!
 //! The corpus is the bytes `crates/daemon/tests/wire_golden.rs` pins —
 //! copied here as hex, row by row; the first thing every row does is
@@ -14,7 +16,8 @@
 //! and has seeded bits flipped and bytes spliced. A stream of framed
 //! messages is, besides, delivered split at every byte and a byte at a
 //! time, given forged length prefixes, and has every bit of a CRC
-//! trailer flipped.
+//! trailer flipped — every such row once per receive mode, the
+//! nonblocking one finding the socket drained between pieces.
 //!
 //! Asserted for every row: no panic; a failure is a typed `Corruption`
 //! (a message body) or `Corruption`/`Rpc` (a frame, a stream); the
@@ -35,9 +38,9 @@ use gkfs_common::crc::crc32;
 use gkfs_common::retry::splitmix64;
 use gkfs_common::{GkfsError, Result};
 use gkfs_rpc::proto::{op, Opcode, Rpc, Wire};
-use gkfs_rpc::transport::tcp::read_frames;
+use gkfs_rpc::transport::tcp::{read_frames, Mode, Recv};
 use gkfs_rpc::{Request, Response};
-use std::io::Read;
+use std::io::ErrorKind;
 
 #[path = "../../kvstore/tests/fuzz_harness/mod.rs"]
 mod fuzz_harness;
@@ -344,17 +347,23 @@ fn envelope(payload: &[u8]) -> Vec<u8> {
 }
 
 /// A stream that arrives in pieces: `first` bytes, then `then` at a
-/// time.
+/// time. A nonblocking receive finds it drained (`WouldBlock`) between
+/// pieces, as the daemon's loop finds a socket between events.
 struct Pieces<'a> {
     data: &'a [u8],
     first: usize,
     then: usize,
+    gap: bool,
 }
 
-impl Read for Pieces<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.first.min(buf.len()).min(self.data.len());
-        buf[..n].copy_from_slice(&self.data[..n]);
+impl Recv for Pieces<'_> {
+    fn recv(&mut self, into: &mut Vec<u8>, max: usize, mode: Mode) -> std::io::Result<usize> {
+        self.gap = !self.gap;
+        if mode == Mode::Nonblocking && self.gap {
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        let n = self.first.min(max).min(self.data.len());
+        into.extend_from_slice(&self.data[..n]);
         self.data = &self.data[n..];
         self.first = self.then;
         Ok(n)
@@ -369,14 +378,21 @@ fn stream_budget(len: usize) -> usize {
     (4 << 20) + (64 << 10) + 4 * len
 }
 
-/// Read `stream` in the given pieces; the frames it yields must be the
-/// first of `sent`, in order — all of them when `whole` — and reading
-/// must end in a typed error. A mutation can spell one frame nobody
-/// sent and the checksum cannot refuse: the empty one (eight zero
-/// bytes; no message decodes from it), which is passed over.
+/// Read `stream` in the given pieces, in each receive mode; the frames
+/// it yields must be the first of `sent`, in order — all of them when
+/// `whole` — and reading must end in a typed error. A mutation can
+/// spell one frame nobody sent and the checksum cannot refuse: the
+/// empty one (eight zero bytes; no message decodes from it), which is
+/// passed over.
 fn check_stream(row: &str, stream: &[u8], first: usize, then: usize, sent: &[Vec<u8>], whole: bool) {
-    let pieces = Pieces { data: stream, first, then };
-    let (read, peak) = measured(|| read_frames(pieces));
+    for mode in [Mode::Blocking, Mode::Nonblocking] {
+        check_stream_in(&format!("{row} ({mode:?})"), mode, stream, first, then, sent, whole);
+    }
+}
+
+fn check_stream_in(row: &str, mode: Mode, stream: &[u8], first: usize, then: usize, sent: &[Vec<u8>], whole: bool) {
+    let pieces = Pieces { data: stream, first, then, gap: true };
+    let (read, peak) = measured(|| read_frames(pieces, mode));
     let (frames, cause) = read.unwrap_or_else(|()| fail(row, format_args!("the frame reader panicked")));
     if peak > stream_budget(stream.len()) {
         fail(row, format_args!("allocated {peak} bytes reading {}", stream.len()));

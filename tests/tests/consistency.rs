@@ -2,9 +2,13 @@
 //! strong consistency for single-file operations, eventual consistency
 //! for directory listings, documented relaxations for everything else.
 
-use gekkofs::{Cluster, ClusterConfig, GkfsError, OpenFlags};
+use gekkofs::{Cluster, ClusterConfig, GekkoClient, GkfsError, OpenFlags};
+use gkfs_common::Distributor;
 use gkfs_integration::payload;
+use gkfs_rpc::{Endpoint, Fate, Gate, Link, Opcode, Request, Until};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 #[test]
 fn single_file_ops_are_strongly_consistent_across_clients() {
@@ -389,4 +393,60 @@ fn recreating_an_unlinked_path_gets_a_fresh_record() {
         assert_eq!(fs.stat("/re").unwrap().size, 3);
         cluster.shutdown();
     }
+}
+
+/// DESIGN.md "A write is one fan-out": a write's size update leaves
+/// with its data, so another client's `stat` can see the new size
+/// before the bytes are at the chunk owner, and a read of that range
+/// then returns zeros, never other bytes. The window is forced with
+/// gates, on a chunk the hash places apart from the metadata: the data
+/// leg waits at one, and the size update — applied at the metadata
+/// owner — has its reply held at another, so the write is not yet
+/// acknowledged while B looks.
+#[test]
+fn a_stat_can_see_a_size_before_its_bytes_and_the_range_reads_zeros() {
+    const CHUNK: u64 = 64 * 1024;
+    let config = ClusterConfig::new(2).with_chunk_size(CHUNK);
+    let cluster = Cluster::deploy(config.clone()).unwrap();
+    let (data, size) = (Gate::new(), Gate::new());
+    let rule = {
+        let (data, size) = (Arc::clone(&data), Arc::clone(&size));
+        move |req: &Request, _| match req.opcode {
+            Opcode::WriteChunks => Fate::HoldRequest(Until::Opened(Arc::clone(&data))),
+            Opcode::UpdateSize => Fate::HoldReply(Until::Opened(Arc::clone(&size))),
+            _ => Fate::Pass,
+        }
+    };
+    let links = (0..2)
+        .map(|n| Link::with_rule(cluster.daemon(n).endpoint(), rule.clone()) as Arc<dyn Endpoint>)
+        .collect();
+    let a = GekkoClient::mount(links, &config).unwrap();
+    let b = cluster.mount().unwrap();
+    let path = "/window/size-first";
+    let placed = Distributor::new(2);
+    let chunk = (1..).find(|&c| placed.locate_chunk(path, c) != placed.locate_metadata(path)).unwrap();
+    let (at, bytes) = (chunk * CHUNK, [0x5Au8; 8192]);
+    let h = a.open_handle(path, OpenFlags::WRONLY.with_create()).unwrap();
+    std::thread::scope(|s| {
+        let write = s.spawn(|| h.pwrite(at, &bytes));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while data.held() == 0 || size.held() == 0 {
+            assert!(!write.is_finished(), "the write returned with a leg held");
+            assert!(Instant::now() < deadline, "the legs never reached their gates");
+            std::thread::yield_now();
+        }
+        assert_eq!(b.stat(path).unwrap().size, at + 8192, "the size is visible before its bytes");
+        let hb = b.open_handle(path, OpenFlags::RDONLY).unwrap();
+        assert_eq!(hb.pread(at, 8192).unwrap(), vec![0u8; 8192], "the range reads as zeros");
+        hb.close().unwrap();
+        assert!(!write.is_finished(), "acknowledged before its data landed");
+        data.open();
+        size.open();
+        assert_eq!(write.join().unwrap().unwrap(), bytes.len(), "acknowledged once both legs landed");
+    });
+    h.close().unwrap();
+    let hb = b.open_handle(path, OpenFlags::RDONLY).unwrap();
+    assert_eq!(hb.pread(at, 8192).unwrap(), bytes);
+    hb.close().unwrap();
+    cluster.shutdown();
 }
