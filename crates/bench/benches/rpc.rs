@@ -156,8 +156,9 @@ fn bench_fanout(c: &mut Criterion) {
         }
     };
     group.bench_function("pipelined_submit_wait", |b| b.iter(|| pipelined(&eps)));
-    // The same fan-out over sockets: one thread holds eight handles, so
-    // every reply comes through its connection's reader thread.
+    // The same fan-out over sockets: one thread holds eight handles and
+    // its waits read every reply themselves, each leading its leg's
+    // connection as a lone call does.
     let tcp_servers: Vec<Arc<TcpServer>> = (0..8)
         .map(|_| TcpServer::bind("127.0.0.1:0", busy_registry(), 2).unwrap())
         .collect();

@@ -53,8 +53,9 @@ pub struct WaitStats {
     /// Waits served by another reader — a leading waiter or the
     /// connection's reader thread parked the reply in their slot.
     pub waits_followed: AtomicU64,
-    /// Times the parked reader thread was asked to drain a connection
-    /// because a thread overlapped submissions.
+    /// Large-frame hand-offs: times a leading waiter came upon a frame
+    /// too large for its read buffer and left it to the connection's
+    /// parked reader thread, which reads that one frame.
     pub reader_drains: AtomicU64,
     /// Reads of the next reply — by a leading waiter or the reader
     /// thread — whose bytes came while the reader polled the socket (no

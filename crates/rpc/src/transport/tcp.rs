@@ -32,26 +32,25 @@
 //!   everything.
 //! * **Lead or follow** (client; `Ticket::wait`). A connection's
 //!   completion state is one table: a slot per request id, the buffered
-//!   read half of the socket as a *token*, a condvar. A waiter whose
-//!   handle is its thread's only outstanding one takes the token and
-//!   reads frames itself until its reply arrives (the *leader*); replies
-//!   for other ids are parked in their slots and their waiters woken. A
-//!   waiter that finds the token taken *follows* on the condvar and is
-//!   promoted when the leader leaves. The per-connection reader
-//!   thread is still there, but parked (and not even started before it
-//!   is first needed): it is asked to drain the connection only when a
-//!   thread overlaps submissions — it already holds an un-waited handle
-//!   when it submits or waits, i.e. a fan-out — which is the old route
-//!   unchanged. A leader that comes upon a
-//!   frame too large for the read buffer leaves it to the reader thread
-//!   the same way, so a large frame is never read by a waiter: a chunk
-//!   read's reply next to the caller's own result buffer on one
+//!   read half of the socket as a *token*, a condvar. A waiter that
+//!   finds the token free takes it and reads frames itself until its
+//!   reply arrives (the *leader*); replies for other ids are parked in
+//!   their slots and their waiters woken. A waiter that finds the token
+//!   taken *follows* on the condvar and is promoted when the leader
+//!   leaves. A fan-out's waiter is no different: whatever else its
+//!   thread holds, it leads its leg's connection as a lone call does,
+//!   as a Margo caller drives progress in `margo_wait`. One frame is
+//!   never read by a waiter: a leader that comes upon a frame too large
+//!   for the read buffer leaves it to the connection's reader thread
+//!   (parked, and not even started before it is first needed), which
+//!   reads that one frame, parks its reply and hands the token back. A
+//!   chunk read's reply next to the caller's own result buffer on one
 //!   thread's allocator arena crosses glibc's trim threshold on every
 //!   call, which costs more than the hand-off saves.
 //!
-//! A lone unary call therefore costs no thread hand-off on either side
-//! where it used to cost four. What remained were the two wake-ups of
-//! the network itself — the request reaching a daemon thread blocked in
+//! A small call, alone or a leg of a fan-out, therefore costs no thread
+//! hand-off on either side where it used to cost four. What remained
+//! were the two wake-ups of the network itself — the request reaching a daemon thread blocked in
 //! its wait, the reply reaching a blocked waiter — each on an idle CPU
 //! where ranks and daemons are pinned apart: a 64-byte ping-pong between
 //! two such CPUs (2-vCPU VM) takes 17.8 µs at the median with both
@@ -74,7 +73,7 @@
 //!   ~180 µs still finds it polling while the other rank's calls come
 //!   between ([`server`]);
 //! * a client decides per connection (`FrameReader::poll`): a leading
-//!   waiter or the reader thread polls the socket itself. Observer and
+//!   waiter polls the socket itself. Observer and
 //!   CLI connections, and those whose gaps are a chunk's transfer, never
 //!   poll. Nothing is held while polling, so the lead-or-follow protocol
 //!   is untouched.
@@ -151,7 +150,7 @@ use gkfs_common::{GkfsError, Result};
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -618,13 +617,6 @@ fn copied_out_of(frame: &Bytes, part: &Bytes) -> usize {
     }
 }
 
-thread_local! {
-    /// Handles this thread has submitted over TCP and nobody has waited
-    /// on or dropped yet. Shared with each handle, so one that is waited
-    /// on elsewhere still settles its submitter's count.
-    static HELD: Arc<AtomicUsize> = Arc::new(AtomicUsize::new(0));
-}
-
 /// What a connection's completion table holds.
 struct Table {
     /// A slot per request in flight: `None` until its reply — or the
@@ -636,9 +628,9 @@ struct Table {
     /// waiter or the reader thread has it, and for good once the
     /// connection is dead.
     reader: Option<FrameReader<TcpStream>>,
-    /// The reader thread has been asked to drain the connection and
-    /// does (or will, once it gets the token) until nothing is waiting;
-    /// while set, waiters follow.
+    /// A leader left the reader thread the large frame at the head of
+    /// the stream ([`Led::Large`]); the thread reads it (once it gets
+    /// the token) and clears this. While set, waiters follow.
     draining: bool,
     /// Waiters asleep on `replies`.
     followers: usize,
@@ -658,8 +650,8 @@ impl Table {
     }
 
     /// Take the read token if it is there and this kind of reader may
-    /// have it: the reader thread while the connection is draining, a
-    /// waiter while it is not.
+    /// have it: the reader thread while a large frame is left to it, a
+    /// waiter while none is.
     fn token(&mut self, reader_thread: bool) -> Option<FrameReader<TcpStream>> {
         if self.draining == reader_thread {
             self.reader.take()
@@ -676,12 +668,12 @@ struct Completions {
     pending: OrderedMutex<Table>,
     /// Followers wait here for their slot to fill or the token to free.
     replies: Condvar,
-    /// The reader thread waits here to be asked to drain.
+    /// The reader thread waits here for a large frame.
     drain: Condvar,
     /// Whether the connection has a reader thread, once somebody needed
-    /// one: a connection that only ever carries lone small calls (a
-    /// handshake, a CLI command) never pays for it. `false`: it could
-    /// not be started, and waiters keep reading for themselves.
+    /// one: a connection whose replies are all small (metadata calls, a
+    /// CLI command) never pays for it. `false`: it could not be
+    /// started, and waiters read large frames for themselves.
     reader_thread: OnceLock<bool>,
     /// The endpoint's connection slot and this connection's generation
     /// in it, to retire the connection when its stream fails. Weak: the
@@ -733,18 +725,16 @@ impl Completions {
     }
 
     /// Hand the token back and pass the reading on: to the reader
-    /// thread if it was asked to drain, else to a follower — if anything
-    /// is left to read at all.
+    /// thread if a large frame is left to it, else to a follower — if
+    /// anything is left to read at all.
     fn release(&self, t: &mut Table, reader: FrameReader<TcpStream>) {
         if t.dead.is_some() {
             return; // condemned meanwhile: the token goes with it
         }
         t.reader = Some(reader);
-        if t.waiting == 0 {
-            t.draining = false;
-        } else if t.draining {
+        if t.draining {
             self.drain.notify_one();
-        } else if t.followers > 0 {
+        } else if t.waiting > 0 && t.followers > 0 {
             self.replies.notify_all();
         }
     }
@@ -760,18 +750,6 @@ impl Completions {
                 .spawn(move || parked.run_reader())
                 .is_ok()
         })
-    }
-
-    /// Ask the reader thread ([`Completions::start_reader`] came first)
-    /// to read this connection until nothing is waiting. Notifies
-    /// unconditionally: a reader that went to sleep with the flag
-    /// already set must still hear a new request.
-    fn request_drain(&self, t: &mut Table) {
-        if !t.draining {
-            t.draining = true;
-            self.stats.reader_drains.fetch_add(1, Ordering::Relaxed);
-        }
-        self.drain.notify_one();
     }
 
     /// The connection is finished: fail every reply still awaited with
@@ -810,12 +788,8 @@ impl Completions {
         self.condemn(cause);
     }
 
-    /// Where this connection's readers count their polls.
-    fn spins(&self) -> [&AtomicU64; 2] {
-        [&self.stats.spun, &self.stats.spin_expired]
-    }
-
-    /// The frame whose first bytes the reader's poll found, as a
+    /// The frame whose first bytes are buffered — a leader's poll found
+    /// them, or a leader left them to the reader thread — as a
     /// response; `None` for a frame too large for the read buffer, left
     /// unread, when `leave_large`.
     fn read_reply(
@@ -850,7 +824,8 @@ impl Completions {
             if left.is_zero() {
                 return Ok(Led::TimedOut);
             }
-            if !reader.poll(left.min(WAIT_TICK), self.spins())? {
+            let spins = [&self.stats.spun, &self.stats.spin_expired];
+            if !reader.poll(left.min(WAIT_TICK), spins)? {
                 continue;
             }
             let Some(resp) = self.read_reply(reader, hand_over)? else {
@@ -863,41 +838,29 @@ impl Completions {
         }
     }
 
-    /// The connection's reader thread: parked until it is asked to drain,
-    /// then the reader every connection used to have — it reads replies into their slots
-    /// until none is awaited and parks again.
+    /// The connection's reader thread: parked until a leader leaves it
+    /// a large frame, whose header is buffered already, so it reads that
+    /// one frame without a poll, parks the reply and hands the token back.
     fn run_reader(&self) {
         let mut t = self.pending.lock();
         loop {
             if t.dead.is_some() {
                 return;
             }
-            if t.waiting == 0 {
-                t.draining = false;
-            }
             let Some(mut reader) = t.token(true) else {
                 t.wait(&self.drain);
                 continue;
             };
-            while t.waiting > 0 {
-                drop(t);
-                let step = reader.poll(WAIT_TICK, self.spins()).and_then(|got| {
-                    if got {
-                        self.read_reply(&mut reader, false)
-                    } else {
-                        Ok(None)
-                    }
-                });
-                match step {
-                    Ok(reply) => {
-                        t = self.pending.lock();
-                        if let Some(resp) = reply {
-                            self.park(&mut t, resp);
-                        }
-                    }
-                    Err(cause) => return self.fail(cause),
-                }
+            drop(t);
+            let reply = match self.read_reply(&mut reader, false) {
+                Ok(reply) => reply,
+                Err(cause) => return self.fail(cause),
+            };
+            t = self.pending.lock();
+            if let Some(resp) = reply {
+                self.park(&mut t, resp);
             }
+            t.draining = false;
             self.release(&mut t, reader);
         }
     }
@@ -908,31 +871,26 @@ impl Completions {
 pub(crate) struct Ticket {
     done: Arc<Completions>,
     id: u64,
-    /// The submitting thread's [`HELD`] count, this handle included.
-    held: Arc<AtomicUsize>,
     /// The slot is gone from the table already (a finished `wait`).
     settled: bool,
 }
 
 impl Ticket {
     /// Wait for the reply — the lead-or-follow rule, the only one. The
-    /// waiter reads the socket itself (*leads*) when the token is free,
-    /// the reader thread has not been asked to drain, and this handle is
-    /// its submitter's only outstanding one; otherwise it *follows*: it
-    /// sleeps until a reader parks its reply or the token frees up. A
-    /// waiter that holds other un-waited handles is in a fan-out, and
-    /// asks the reader thread to drain instead of reading itself; so
-    /// does a leader that comes upon a large frame ([`Led::Large`]).
-    /// `None` is `timeout` passing with the reply still awaited: the
-    /// slot stays, for a later wait or for `Drop` to give up.
+    /// waiter reads the socket itself (*leads*) when the token is free
+    /// and no large frame is left to the reader thread, whatever else
+    /// its thread holds; otherwise it *follows*: it sleeps until a
+    /// reader parks its reply or the token frees up. A leader that comes
+    /// upon a large frame ([`Led::Large`]) leaves it to the reader
+    /// thread and follows. `None` is `timeout` passing with the reply
+    /// still awaited: the slot stays, for a later wait or for `Drop` to
+    /// give up.
     pub(crate) fn wait_within(&mut self, timeout: Duration) -> Option<Result<Response>> {
         let done = &*self.done;
         let deadline = Instant::now().checked_add(timeout);
         let mut led = false;
-        // A waiter whose thread holds other un-waited handles is in a
-        // fan-out: the reader thread's business, if there can be one.
-        let fan_out = self.held.load(Ordering::Relaxed) > 1 && self.done.start_reader();
-        // Large frames are too, until it turns out there cannot.
+        // Large frames are the reader thread's, until it turns out there
+        // cannot be one.
         let mut hand_over = true;
         let mut t = done.pending.lock();
         let outcome = loop {
@@ -947,9 +905,6 @@ impl Ticket {
             if left.is_zero() {
                 break None;
             }
-            if fan_out {
-                done.request_drain(&mut t);
-            }
             if let Some(mut reader) = t.token(false) {
                 drop(t);
                 let turn = done.lead(&mut reader, self.id, deadline, hand_over);
@@ -960,7 +915,8 @@ impl Ticket {
                 match turn {
                     Ok(Led::Large) => {
                         if hand_over {
-                            done.request_drain(&mut t);
+                            t.draining = true;
+                            done.stats.reader_drains.fetch_add(1, Ordering::Relaxed);
                         }
                         done.release(&mut t, reader);
                     }
@@ -998,7 +954,6 @@ impl Ticket {
 
 impl Drop for Ticket {
     fn drop(&mut self) {
-        self.held.fetch_sub(1, Ordering::Relaxed);
         if !self.settled {
             self.done.pending.lock().forget(self.id);
         }
@@ -1157,10 +1112,8 @@ impl TcpEndpoint {
         let ticket = Ticket {
             done: Arc::clone(&live.done),
             id,
-            held: HELD.with(Arc::clone),
             settled: false,
         };
-        let overlapped = ticket.held.fetch_add(1, Ordering::Relaxed) > 0;
         if let Err(e) = write_frame_segments(&mut live.writer, prefix, bulk) {
             // An established connection broke mid-write: clear it and
             // allow an immediate re-dial (backoff only gates dials
@@ -1171,11 +1124,6 @@ impl TcpEndpoint {
             s.next_dial = None;
             ticket.done.condemn(e.clone());
             return Err(e);
-        }
-        // A thread that already holds an un-waited handle is fanning
-        // out: this connection's replies go the reader thread's way.
-        if overlapped && ticket.done.start_reader() {
-            ticket.done.request_drain(&mut ticket.done.pending.lock());
         }
         Ok(ReplyHandle::slot(ticket))
     }
@@ -1905,34 +1853,42 @@ mod tests {
 /// (`gkfs_common::model`), next to the task pool's.
 ///
 /// Transcribes the state machines above — a waiter (`Ticket::wait`:
-/// lead, follow, time out), a dropped handle (`Ticket::drop`), the
-/// parked reader thread (`Completions::reader_thread`, which the
-/// endpoint's `Drop` lets go once every wait has returned) — against
-/// replies, or a broken stream, already on the wire when the window
-/// opens: what the kernel does while a reader blocks is not this
-/// protocol's business. Every critical section of the `pending` lock is one atomic
-/// step (the lock makes it one); a socket read is a step of its own
-/// with no lock held. Both condvars are modelled explicitly: a sleeper
-/// runs again only after a notify reaches it (or its own deadline
-/// passes), so a wake-up the code fails to send shows as a deadlock.
-/// Checked over every interleaving the preemption bound admits:
+/// lead, follow, time out, leave a large frame to the reader thread),
+/// a dropped handle (`Ticket::drop`), the parked reader thread
+/// (`Completions::run_reader`: one large frame, then the token back,
+/// let go by the endpoint's `Drop` once every wait has returned) —
+/// against replies, or a broken stream, already on the wire when the
+/// window opens: what the kernel does while a reader blocks is not this
+/// protocol's business. A fan-out is one thread's waits in turn, each
+/// led or followed by the same rule as a lone call's. Every critical
+/// section of the `pending` lock is one atomic step (the lock makes it
+/// one); a socket read is a step of its own with no lock held. Both
+/// condvars are modelled explicitly: a sleeper runs again only after a
+/// notify reaches it (or its own deadline passes), so a wake-up the code
+/// fails to send shows as a deadlock. Checked over every interleaving
+/// the preemption bound admits:
 ///
 /// * no lost wake-up: a waiter whose reply was parked always runs, and
 ///   every wait returns exactly once;
 /// * a follower is promoted when the leader leaves with replies still
-///   awaited; a fan-out hands the reading to the reader thread and gets
-///   it back;
+///   awaited; a fan-out's waits read their own replies and never wake
+///   the reader thread;
 /// * the late reply to a timed-out or dropped handle is discarded and
 ///   its slot is not leaked;
 /// * a dead connection fails every awaited slot exactly once, and a
 ///   reply parked before the failure is still delivered;
 /// * a leader that meets a frame too large for the read buffer leaves
-///   it unread, the reader thread takes it, nobody is stranded;
+///   it unread, the reader thread reads that one frame and hands the
+///   token back, nobody is stranded — also when the frame's handle was
+///   dropped, so that parking it wakes nobody;
 /// * the read token is never duplicated or lost while the connection
 ///   lives.
 ///
-/// A deliberately broken variant — a leader that returns the token
-/// without notifying — is caught as the deadlock it is.
+/// Three deliberately broken variants are caught as the deadlocks they
+/// are: a leader that returns the token without notifying, a reader
+/// thread that leaves `draining` set after its frame (nobody leads
+/// again), and a reader thread whose release after its frame wakes no
+/// follower.
 #[cfg(test)]
 mod model {
     use gkfs_common::model::{Explorer, Model, Step};
@@ -1952,6 +1908,16 @@ mod model {
         /// the reader thread.
         Large(usize),
         Broken,
+    }
+
+    /// The reader thread as `run_reader` is, or broken after its frame.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Reader {
+        Sound,
+        /// Leaves `draining` set.
+        KeepsDraining,
+        /// Hands the token back without notifying.
+        SilentRelease,
     }
 
     #[derive(Default)]
@@ -1982,7 +1948,8 @@ mod model {
         discarded: Vec<usize>,
         /// Failures parked, per condemnation sweep.
         failures: Vec<usize>,
-        drain_requests: usize,
+        /// Large frames left to the reader thread (`reader_drains`).
+        hand_overs: usize,
     }
 
     type Thread = Box<dyn FnMut(&mut S) -> Step>;
@@ -2033,22 +2000,11 @@ mod model {
             }
             assert!(!self.token, "two read tokens");
             self.token = true;
-            if self.waiting == 0 {
-                self.draining = false;
-            } else if notify && self.draining {
+            if notify && self.draining {
                 self.notify_drain();
-            } else if notify && self.followers > 0 {
+            } else if notify && self.waiting > 0 && self.followers > 0 {
                 self.notify_replies();
             }
-        }
-
-        /// `Completions::request_drain`: notifies unconditionally.
-        fn request_drain(&mut self) {
-            if !self.draining {
-                self.draining = true;
-                self.drain_requests += 1;
-            }
-            self.notify_drain();
         }
 
         /// `Completions::condemn`.
@@ -2082,21 +2038,37 @@ mod model {
     }
 
     /// `ReplyHandle::wait` for slot `id` (registered before the window
-    /// opens; `overlapped`: its thread holds another un-waited handle).
-    fn waiter(id: usize, overlapped: bool, notify_on_release: bool) -> Thread {
-        waits(id, overlapped, notify_on_release, false)
+    /// opens).
+    fn waiter(id: usize, notify_on_release: bool) -> Thread {
+        waits(id, notify_on_release, false)
     }
 
     /// A hedge's two looks at slot `id`: a `wait_within` whose window
     /// may pass, then a wait without a deadline on the same handle.
     fn hedged_waiter(id: usize) -> Thread {
-        waits(id, false, true, true)
+        waits(id, true, true)
+    }
+
+    /// One thread's waits, `first`'s to its end and then `then`'s: a
+    /// fan-out, whose thread holds both handles before it waits on
+    /// either.
+    fn in_turn(mut first: Thread, mut then: Thread) -> Thread {
+        let mut first_done = false;
+        Box::new(move |s| {
+            if !first_done {
+                match first(s) {
+                    Step::Done => first_done = true,
+                    step => return step,
+                }
+            }
+            then(s)
+        })
     }
 
     /// `Ticket::wait_within` for slot `id`, and what follows a window
     /// that passed: the handle's drop (`ReplyHandle::wait`), or with
     /// `rewait` a second, unbounded wait.
-    fn waits(id: usize, overlapped: bool, notify_on_release: bool, rewait: bool) -> Thread {
+    fn waits(id: usize, notify_on_release: bool, rewait: bool) -> Thread {
         #[derive(Clone, Copy)]
         enum At {
             Top,
@@ -2138,19 +2110,15 @@ mod model {
                         }
                         None => unreachable!("slot {id} vanished under its waiter"),
                         Some(None) if s.expired.contains(&id) => at = At::Expired,
+                        Some(None) if !s.draining && s.token => {
+                            s.token = false;
+                            s.reading += 1;
+                            at = At::Leading;
+                        }
                         Some(None) => {
-                            if overlapped {
-                                s.request_drain();
-                            }
-                            if !s.draining && s.token {
-                                s.token = false;
-                                s.reading += 1;
-                                at = At::Leading;
-                            } else {
-                                s.followers += 1;
-                                s.asleep.push(id);
-                                at = At::Asleep;
-                            }
+                            s.followers += 1;
+                            s.asleep.push(id);
+                            at = At::Asleep;
                         }
                     }
                 }
@@ -2169,7 +2137,8 @@ mod model {
                     };
                 }
                 At::HandOver => {
-                    s.request_drain();
+                    s.draining = true;
+                    s.hand_overs += 1;
                     s.release(notify_on_release);
                     at = At::Top;
                 }
@@ -2225,16 +2194,17 @@ mod model {
         })
     }
 
-    /// `Completions::reader_thread`. Asleep with all `waits` waits
+    /// `Completions::run_reader`. Asleep with all `waits` waits
     /// returned, it is let go (`Drop for TcpEndpoint` condemns the
-    /// connection) — so a wait that never returns leaves every thread
-    /// blocked, which the explorer reports as the deadlock it is.
-    fn reader(waits: usize) -> Thread {
+    /// connection) — so a wait that never returns, or a reader that
+    /// never gives the token back, leaves every thread blocked, which
+    /// the explorer reports as the deadlock it is.
+    fn reader(waits: usize, variant: Reader) -> Thread {
         #[derive(Clone, Copy)]
         enum At {
             Parked,
             Asleep,
-            Poll,
+            Read,
             Park(usize),
             Done,
         }
@@ -2252,31 +2222,19 @@ mod model {
                     s.reader_asleep = false;
                     at = At::Parked;
                 }
-                At::Parked => {
-                    if s.dead {
-                        at = At::Done;
-                    } else {
-                        if s.waiting == 0 {
-                            s.draining = false;
-                        }
-                        if s.draining && s.token {
-                            s.token = false;
-                            s.reading += 1;
-                            at = At::Poll;
-                        } else {
-                            s.reader_asleep = true;
-                            at = At::Asleep;
-                        }
-                    }
+                At::Parked if s.dead => at = At::Done,
+                At::Parked if s.draining && s.token => {
+                    s.token = false;
+                    s.reading += 1;
+                    at = At::Read;
                 }
-                At::Poll => {
-                    // The `while t.waiting > 0` loop, lock dropped: a
-                    // tick with nothing awaited any more ends it.
-                    if s.waiting == 0 {
-                        s.release(true);
-                        at = At::Parked;
-                        return Step::Ran;
-                    }
+                At::Parked => {
+                    s.reader_asleep = true;
+                    at = At::Asleep;
+                }
+                At::Read => {
+                    // `read_reply(.., false)`, lock dropped: the frame
+                    // whose header the leader left buffered.
                     at = match s.recv(false) {
                         None => return Step::Blocked,
                         Some(Wire::Reply(id) | Wire::Large(id)) => At::Park(id),
@@ -2289,7 +2247,11 @@ mod model {
                 }
                 At::Park(id) => {
                     s.park(id);
-                    at = At::Poll;
+                    if variant != Reader::KeepsDraining {
+                        s.draining = false;
+                    }
+                    s.release(variant != Reader::SilentRelease);
+                    at = At::Parked;
                 }
                 At::Done => return Step::Done,
             }
@@ -2310,17 +2272,29 @@ mod model {
     }
 
     /// A connection with `ids` in flight and `wire` on its way, the
-    /// reader thread parked, `threads` (of which `waits` are waiters)
-    /// around it; `check` sees the final state after the structural
-    /// invariants.
+    /// reader thread parked, `threads` (which make `waits` waits between
+    /// them) around it; `check` sees the final state after the
+    /// structural invariants.
     fn connection(
+        ids: &[usize],
+        wire: &[Wire],
+        waits: usize,
+        threads: Vec<Thread>,
+        check: impl Fn(&S) + 'static,
+    ) -> Model<S> {
+        connection_with(Reader::Sound, ids, wire, waits, threads, check)
+    }
+
+    /// [`connection`] with the reader thread as `variant`.
+    fn connection_with(
+        variant: Reader,
         ids: &[usize],
         wire: &[Wire],
         waits: usize,
         mut threads: Vec<Thread>,
         check: impl Fn(&S) + 'static,
     ) -> Model<S> {
-        threads.push(reader(waits));
+        threads.push(reader(waits, variant));
         Model {
             state: S {
                 slots: ids.iter().map(|&id| (id, None)).collect(),
@@ -2336,6 +2310,7 @@ mod model {
                 assert!(s.asleep.is_empty(), "a follower is still asleep");
                 assert_eq!(s.reading, 0, "somebody still holds the token");
                 assert!(s.token != s.dead, "a live connection keeps its token, a dead one none");
+                assert!(s.dead || !s.draining, "a large frame is still left to the reader");
                 assert_eq!(s.returned.len(), waits, "each wait returns once: {:?}", s.returned);
                 for id in &s.failures {
                     let times = s.failures.iter().filter(|f| *f == id).count();
@@ -2353,6 +2328,16 @@ mod model {
         *outcome
     }
 
+    /// Explore `model`, which must fail, and the explorer's message.
+    fn caught(name: &str, model: impl Fn() -> Model<S>) -> String {
+        let explore = std::panic::AssertUnwindSafe(|| Explorer::new().explore(name, model));
+        let caught = std::panic::catch_unwind(explore);
+        *caught
+            .expect_err("the broken variant must be caught")
+            .downcast::<String>()
+            .expect("the explorer panics with a message")
+    }
+
     #[test]
     fn two_lone_waiters_lead_park_and_promote() {
         // Replies arrive in the other order: whoever leads first parks
@@ -2362,12 +2347,12 @@ mod model {
                 &[1, 2],
                 &[Wire::Reply(2), Wire::Reply(1)],
                 2,
-                vec![waiter(1, false, true), waiter(2, false, true)],
+                vec![waiter(1, true), waiter(2, true)],
                 |s| {
                     assert_eq!(outcome(s, 1), Outcome::Reply);
                     assert_eq!(outcome(s, 2), Outcome::Reply);
                     assert!(s.discarded.is_empty() && s.failures.is_empty());
-                    assert_eq!(s.drain_requests, 0, "lone calls never wake the reader thread");
+                    assert_eq!(s.hand_overs, 0, "small replies never wake the reader thread");
                 },
             )
         });
@@ -2376,64 +2361,109 @@ mod model {
 
     #[test]
     fn a_leader_that_leaves_without_notifying_strands_its_follower() {
-        let caught = std::panic::catch_unwind(|| {
-            Explorer::new().explore("tcp-lead-follow-silent-release", || {
-                connection(
-                    &[1, 2],
-                    &[Wire::Reply(1), Wire::Reply(2)],
-                    2,
-                    vec![waiter(1, false, false), waiter(2, false, false)],
-                    |_| {},
-                )
-            })
-        });
-        let msg = *caught
-            .expect_err("the silent release must be caught")
-            .downcast::<String>()
-            .expect("the explorer panics with a message");
-        assert!(msg.contains("deadlock"), "{msg}");
-    }
-
-    #[test]
-    fn a_fan_out_hands_the_reading_to_the_reader_thread() {
-        // Waiter 1's thread holds another handle: it asks for a drain
-        // and follows; waiter 2 is a lone call on the same connection.
-        Explorer::new().explore("tcp-fan-out-drain", || {
+        let msg = caught("tcp-lead-follow-silent-release", || {
             connection(
                 &[1, 2],
                 &[Wire::Reply(1), Wire::Reply(2)],
                 2,
-                vec![waiter(1, true, true), waiter(2, false, true)],
+                vec![waiter(1, false), waiter(2, false)],
+                |_| {},
+            )
+        });
+        assert!(msg.contains("deadlock"), "{msg}");
+    }
+
+    #[test]
+    fn a_fan_out_s_waits_lead_their_connection_in_turn() {
+        // One thread holds handles 1 and 2 and waits on them in turn; a
+        // lone call, 3, shares the connection. The fan-out's first wait
+        // leads or follows as the lone call's does, parking 2 if it
+        // reads it; its second finds 2 parked or leads for it.
+        let stats = Explorer::new().explore("tcp-fan-out-in-turn", || {
+            connection(
+                &[1, 2, 3],
+                &[Wire::Reply(2), Wire::Reply(3), Wire::Reply(1)],
+                3,
+                vec![in_turn(waiter(1, true), waiter(2, true)), waiter(3, true)],
                 |s| {
-                    assert_eq!(outcome(s, 1), Outcome::Reply);
-                    assert_eq!(outcome(s, 2), Outcome::Reply);
-                    assert!(s.drain_requests <= 1, "one burst, one drain request");
-                    assert!(!s.draining, "the drain ends with the burst");
+                    for id in [1, 2, 3] {
+                        assert_eq!(outcome(s, id), Outcome::Reply);
+                    }
+                    assert!(s.discarded.is_empty() && s.failures.is_empty());
+                    assert_eq!(s.hand_overs, 0, "a fan-out never wakes the reader thread");
                 },
             )
         });
+        assert!(stats.schedules > 10, "{stats:?}: exploration must branch");
+    }
+
+    /// Waiter 1's reply is large, waiter 2's small and behind it.
+    fn large_then_small(variant: Reader) -> Model<S> {
+        connection_with(
+            variant,
+            &[1, 2],
+            &[Wire::Large(1), Wire::Reply(2)],
+            2,
+            vec![waiter(1, true), waiter(2, true)],
+            |s| {
+                assert_eq!(outcome(s, 1), Outcome::Reply);
+                assert_eq!(outcome(s, 2), Outcome::Reply);
+                assert_eq!(s.hand_overs, 1, "the large frame went the reader thread's way once");
+                assert!(s.discarded.is_empty() && s.failures.is_empty());
+            },
+        )
     }
 
     #[test]
     fn a_leader_leaves_a_large_frame_to_the_reader_thread() {
-        // Waiter 1's reply is large, waiter 2's small and behind it:
-        // whoever leads stops at the large frame, the reader thread
-        // reads it (and what follows, while anything is awaited), and
-        // both waiters are served.
-        Explorer::new().explore("tcp-large-frame-hand-over", || {
-            connection(
-                &[1, 2],
-                &[Wire::Large(1), Wire::Reply(2)],
-                2,
-                vec![waiter(1, false, true), waiter(2, false, true)],
-                |s| {
-                    assert_eq!(outcome(s, 1), Outcome::Reply);
-                    assert_eq!(outcome(s, 2), Outcome::Reply);
-                    assert!(s.drain_requests >= 1, "the large frame went the reader thread's way");
-                    assert!(s.discarded.is_empty() && s.failures.is_empty());
-                },
-            )
+        // Whoever leads stops at the large frame, the reader thread
+        // reads that one frame and hands the token back, and the small
+        // reply behind it is read by a waiter.
+        Explorer::new().explore("tcp-large-frame-hand-over", || large_then_small(Reader::Sound));
+    }
+
+    #[test]
+    fn a_reader_that_keeps_draining_after_its_frame_is_caught() {
+        // With `draining` left set no waiter may lead again: the reader
+        // keeps the reading, and once the wire is quiet it holds the
+        // token for good.
+        let msg = caught("tcp-reader-keeps-draining", || {
+            large_then_small(Reader::KeepsDraining)
         });
+        assert!(msg.contains("deadlock"), "{msg}");
+    }
+
+    /// Handle 1 is dropped un-waited, its reply large; waiter 2's small
+    /// reply is behind it.
+    fn dropped_large_then_small(variant: Reader) -> Model<S> {
+        connection_with(
+            variant,
+            &[1, 2],
+            &[Wire::Large(1), Wire::Reply(2)],
+            1,
+            vec![dropper(1), waiter(2, true)],
+            |s| {
+                assert_eq!(outcome(s, 2), Outcome::Reply);
+                // Parked before the drop, or dropped on arrival.
+                assert!(s.discarded.is_empty() || s.discarded == vec![1]);
+                assert_eq!(s.hand_overs, 1);
+            },
+        )
+    }
+
+    #[test]
+    fn a_dropped_handle_s_large_reply_passes_the_token_on() {
+        // Parking the large reply wakes nobody — its slot is gone — so
+        // it is the reader's release that promotes waiter 2.
+        Explorer::new().explore("tcp-dropped-large", || dropped_large_then_small(Reader::Sound));
+    }
+
+    #[test]
+    fn a_reader_whose_release_wakes_no_follower_is_caught() {
+        let msg = caught("tcp-reader-silent-release", || {
+            dropped_large_then_small(Reader::SilentRelease)
+        });
+        assert!(msg.contains("deadlock"), "{msg}");
     }
 
     #[test]
@@ -2446,7 +2476,7 @@ mod model {
                 &[1, 2],
                 &[Wire::Reply(1), Wire::Reply(2)],
                 2,
-                vec![waiter(1, false, true), waiter(2, false, true), clock(1)],
+                vec![waiter(1, true), waiter(2, true), clock(1)],
                 |s| {
                     assert_eq!(outcome(s, 2), Outcome::Reply);
                     match outcome(s, 1) {
@@ -2469,7 +2499,7 @@ mod model {
                 &[1, 2],
                 &[Wire::Reply(1), Wire::Reply(2)],
                 2,
-                vec![hedged_waiter(1), waiter(2, false, true), clock(1)],
+                vec![hedged_waiter(1), waiter(2, true), clock(1)],
                 |s| {
                     assert_eq!(outcome(s, 1), Outcome::Reply);
                     assert_eq!(outcome(s, 2), Outcome::Reply);
@@ -2486,7 +2516,7 @@ mod model {
                 &[1, 2],
                 &[Wire::Reply(1), Wire::Reply(2)],
                 1,
-                vec![dropper(1), waiter(2, false, true)],
+                vec![dropper(1), waiter(2, true)],
                 |s| {
                     assert_eq!(outcome(s, 2), Outcome::Reply);
                     // Parked before the drop, or dropped on arrival:
@@ -2500,20 +2530,23 @@ mod model {
 
     #[test]
     fn a_dead_connection_fails_every_awaited_slot_exactly_once() {
-        // Reply 2 is on the wire ahead of the break: it is delivered;
-        // slot 1 is failed — once, whoever held the token.
-        Explorer::new().explore("tcp-broken-stream", || {
-            connection(
-                &[1, 2],
-                &[Wire::Reply(2), Wire::Broken],
-                2,
-                vec![waiter(1, false, true), waiter(2, true, true)],
-                |s| {
-                    assert_eq!(outcome(s, 2), Outcome::Reply);
-                    assert_eq!(outcome(s, 1), Outcome::Failed);
-                    assert_eq!(s.failures, vec![1]);
-                },
-            )
-        });
+        // Reply 2 is on the wire ahead of the break — small, or large
+        // and read by the reader thread: it is delivered; slot 1 is
+        // failed — once, whoever held the token.
+        for first in [Wire::Reply(2), Wire::Large(2)] {
+            Explorer::new().explore("tcp-broken-stream", || {
+                connection(
+                    &[1, 2],
+                    &[first, Wire::Broken],
+                    2,
+                    vec![waiter(1, true), waiter(2, true)],
+                    |s| {
+                        assert_eq!(outcome(s, 2), Outcome::Reply);
+                        assert_eq!(outcome(s, 1), Outcome::Failed);
+                        assert_eq!(s.failures, vec![1]);
+                    },
+                )
+            });
+        }
     }
 }

@@ -48,8 +48,9 @@ fn closed_connections_leave_no_entry_and_no_fd_behind() {
         cycle(i);
     }
     settle("200 cycles");
-    // The client's parked reader threads let go of their sockets as
-    // they exit; give the last ones the same grace.
+    // A ping's reply is read by its waiter: no client reader thread is
+    // started, and a dropped endpoint closes both halves of its socket
+    // itself. The grace is for a slow box.
     let deadline = Instant::now() + Duration::from_secs(10);
     while open_fds() > before && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));

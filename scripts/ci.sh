@@ -56,13 +56,14 @@ else
 fi
 
 echo "==> bench smoke (compile + run benches in test mode)"
-# Every bench body once, in release. For the TCP transport that is each
-# of its three routes: the lone call (`rpc/tcp_roundtrip*`: read by its
-# waiter, the point op also served on the daemon's loop, both ends
-# hot so that each finds the other's frame by polling rather than a
-# wake-up), the pipelined burst (`rpc/tcp_outstanding`: handler pool,
-# reader thread) and the fan-out (`rpc/fanout_8daemons`: one thread,
-# eight handles).
+# Every bench body once, in release. For the TCP transport that is the
+# lone call (`rpc/tcp_roundtrip*`: read by its waiter, the point op also
+# served on the daemon's loop, both ends hot so that each finds the
+# other's frame by polling rather than a wake-up), the pipelined burst
+# (`rpc/tcp_outstanding`: handler pool, replies read by their waiters)
+# and the fan-out (`rpc/fanout_8daemons`: one thread, eight handles,
+# each leg read by its waiter). Only a chunk-sized reply goes through a
+# connection's reader thread.
 cargo bench -p gkfs-bench --bench rpc -- --test
 
 echo "==> evaluation tools (every figure at its smallest size; CSV series byte for byte)"

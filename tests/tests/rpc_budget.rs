@@ -39,8 +39,9 @@
 //! on the client (`WaitStats::{waits_led, waits_followed,
 //! reader_drains}`). A unary metadata RPC must cost zero thread
 //! hand-offs (it cost four: progress loop → pool worker, reader
-//! thread → caller); bulk, pipelined and fan-out traffic must keep the
-//! handler pool and the reader thread.
+//! thread → caller); bulk and pipelined traffic must keep the handler
+//! pool, a fan-out's replies are read by its waiters, and only a
+//! chunk-sized reply goes to the reader thread.
 
 use gekkofs::{Cluster, ClusterConfig, Daemon, GekkoClient, OpenFlags, ReplicationConfig};
 use gkfs_common::{DaemonConfig, Distributor};
@@ -864,12 +865,14 @@ fn a_small_files_ingest_is_one_inline_frame_read_by_its_waiter_over_tcp() {
     rig.shutdown();
 }
 
-/// The other half of the gate: what must *not* run to completion. A
-/// 512 KiB chunk write, a pipelined burst and a two-daemon read fan-out
-/// take the handler pool on the daemon and, where a thread overlaps
-/// submissions, the reader thread on the client — the routes they had.
+/// The other half of the gate: what must *not* run to completion on
+/// the daemon. A 512 KiB chunk write, a pipelined burst and a
+/// two-daemon read fan-out take the handler pool there. On the client
+/// every wait leads or follows by the one rule, whatever else its
+/// thread holds, and only a chunk-sized reply is left to the reader
+/// thread.
 #[test]
-fn bulk_pipelined_and_fan_out_traffic_keeps_the_pool_and_the_reader_route() {
+fn bulk_pipelined_and_fan_out_traffic_keeps_the_pool_and_reads_its_own_replies() {
     const CHUNK: u64 = 512 * 1024;
     let rig = TcpRig::deploy(CHUNK);
     let fs = rig.mount().unwrap();
@@ -878,18 +881,14 @@ fn bulk_pipelined_and_fan_out_traffic_keeps_the_pool_and_the_reader_route() {
         .unwrap();
     let data: Vec<u8> = (0..8 * CHUNK).map(|i| (i % 239) as u8).collect();
 
-    // One chunk placed apart from its metadata, two legs in flight: the
-    // size leg is submitted first and alone, the data leg finds its
-    // thread already holding a handle — a fan-out by the rule of
-    // `tcp.rs` — so its connection's reader thread is asked to drain
-    // and the data leg's waiter follows it. The size leg's waiter is by
-    // then its thread's only handle on a connection nobody drains, and
-    // it leads; its frame arrived alone, so the daemon ran it inline.
-    // (The serial order read 2 led / 0 followed / 0 drains here.) One
-    // chunk placed *with* its metadata — chunk 0 always, chunk 1 here
-    // by the hash's chance — is one frame carrying bytes and size: one
-    // connection, one handle, read by its waiter, and pooled on the
-    // daemon for the 512 KiB it names.
+    // One chunk placed apart from its metadata, two legs in flight on
+    // two connections: each leg's waiter leads its own connection and
+    // reads its small reply itself. The size leg's frame arrived alone,
+    // so the daemon ran it inline; the data leg's names 512 KiB and was
+    // pooled. One chunk placed *with* its metadata — chunk 0 always,
+    // chunk 1 here by the hash's chance — is one frame carrying bytes
+    // and size: one connection, one handle, read by its waiter, and
+    // pooled on the daemon for the 512 KiB it names.
     let placed = Distributor::new(rig.config.nodes);
     let route_with_legs = |apart: bool| {
         (0..)
@@ -903,7 +902,7 @@ fn bulk_pipelined_and_fan_out_traffic_keeps_the_pool_and_the_reader_route() {
             .unwrap();
         let hand_offs = rig.during(|| assert_eq!(h.pwrite(CHUNK, &data[..CHUNK as usize]).unwrap(), CHUNK as usize));
         if apart {
-            assert_eq!(hand_offs, [1, 1, 1, 1, 1], "WriteChunks pooled, UpdateSize inline");
+            assert_eq!(hand_offs, [1, 1, 2, 0, 0], "WriteChunks pooled, UpdateSize inline");
         } else {
             assert_eq!(hand_offs, [0, 1, 1, 0, 0], "one WriteFile, pooled");
         }
@@ -921,21 +920,23 @@ fn bulk_pipelined_and_fan_out_traffic_keeps_the_pool_and_the_reader_route() {
     assert_eq!((led, followed, drains), (0, 1, 1));
 
     // Eight chunks over two daemons, written then read back: fan-outs.
-    // Every batch names megabytes (pooled), and the submitting thread
-    // holds several handles at once, so the reader threads take the
-    // replies; the rank thread reads none of them itself.
+    // Every batch names megabytes (pooled). Each leg's reply is a large
+    // frame, so each leg's waiter leaves it to its connection's reader
+    // thread and follows: one hand-off per leg, not per burst.
     h.pwrite(0, &data).unwrap();
     let mut back = Vec::new();
     let [inline, pooled, led, followed, drains] =
         rig.during(|| back = h.pread(0, data.len()).unwrap());
     assert_eq!(back, data);
     assert_eq!((inline, pooled), (0, 2), "one ReadChunks per daemon, both pooled");
-    assert_eq!((led, followed), (0, 2), "fan-out replies arrive through the reader threads");
-    assert!(drains >= 1, "the reader threads were called on");
+    assert_eq!((led, followed), (0, 2), "chunk-sized replies arrive through the reader threads");
+    assert_eq!(drains, 2, "one large frame per leg");
     h.close().unwrap();
 
     // A 32-deep burst of point ops from one thread on one connection:
-    // the client side is a fan-out by the same rule (nothing led).
+    // each wait leads for its reply or finds it parked by an earlier
+    // leader (then it counts as followed, which depends on timing); the
+    // reader thread is never woken.
     let ep = TcpEndpoint::connect(&rig.addrs[0]).unwrap();
     rig.endpoints.lock().unwrap().push(ep.clone());
     let stat = || {
@@ -948,8 +949,8 @@ fn bulk_pipelined_and_fan_out_traffic_keeps_the_pool_and_the_reader_route() {
             handle.wait(std::time::Duration::from_secs(10)).unwrap();
         }
     });
-    assert_eq!((led, followed), (0, 32));
-    assert!(drains >= 1);
+    assert_eq!(led + followed, 32);
+    assert_eq!(drains, 0, "small replies are read by their waiters");
     // On the daemon, whether a frame of a burst finds another behind it
     // in the read buffer depends on how the bytes arrive; 32 frames in
     // one segment make it certain for all but the last.

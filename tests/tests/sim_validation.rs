@@ -24,6 +24,12 @@
 //! at all; what it reports (aggregate throughput against node count)
 //! depends on the spread, which is the same. `results/*.csv` are byte
 //! for byte what they were.
+//!
+//! The real-FS orderings are wall-clock measurements on a box that runs
+//! the rest of the suite beside them, so each side is measured
+//! [`RUNS`] times, the two sides alternately, and the medians are
+//! compared: one run that a burst of other work slowed cannot invert
+//! an ordering on its own.
 
 use gekkofs::{Cluster, ClusterConfig};
 use gkfs_sim::{
@@ -31,6 +37,32 @@ use gkfs_sim::{
     SharedFileMode, SystemKind,
 };
 use gkfs_workloads::{run_ior, run_mdtest, IorConfig, MdtestConfig};
+
+/// Runs per side of a real-FS comparison.
+const RUNS: usize = 3;
+
+fn median(mut of: Vec<f64>) -> f64 {
+    of.sort_by(f64::total_cmp);
+    of[of.len() / 2]
+}
+
+/// The medians of [`RUNS`] measurements of `a` and of `b`, taken
+/// alternately — `a` first on even turns, `b` on odd ones — so that a
+/// slow spell of the box falls on both sides. Each is passed the turn,
+/// which names its run's work directory.
+fn alternately(mut a: impl FnMut(usize) -> f64, mut b: impl FnMut(usize) -> f64) -> (f64, f64) {
+    let (mut of_a, mut of_b) = (Vec::new(), Vec::new());
+    for turn in 0..RUNS {
+        if turn % 2 == 0 {
+            of_a.push(a(turn));
+            of_b.push(b(turn));
+        } else {
+            of_b.push(b(turn));
+            of_a.push(a(turn));
+        }
+    }
+    (median(of_a), median(of_b))
+}
 
 #[test]
 fn scaling_mechanism_validated_spreading_real_throughput_sim() {
@@ -43,17 +75,23 @@ fn scaling_mechanism_validated_spreading_real_throughput_sim() {
     // scaling in the calibrated simulator where each node has its own
     // resources.
     let cluster = Cluster::deploy(ClusterConfig::new(8)).unwrap();
-    let r = run_mdtest(
-        || cluster.mount(),
-        &MdtestConfig {
-            processes: 8,
-            files_per_process: 500,
-            work_dir: "/v".into(),
-            ..MdtestConfig::default()
-        },
-    )
-    .unwrap();
-    // (a) during the stat phase the files existed; verify placement
+    let cluster1 = Cluster::deploy(ClusterConfig::new(1)).unwrap();
+    let creates = |cluster: &Cluster, turn: usize| {
+        run_mdtest(
+            || cluster.mount(),
+            &MdtestConfig {
+                processes: 8,
+                files_per_process: 500,
+                work_dir: format!("/v{turn}"),
+                ..MdtestConfig::default()
+            },
+        )
+        .unwrap()
+        .creates_per_sec()
+    };
+    // Both cluster sizes, alternately (see `alternately`).
+    let (eight, one) = alternately(|turn| creates(&cluster, turn), |turn| creates(&cluster1, turn));
+    // (a) during the stat phases the files existed; verify placement
     // balance via daemon KV put counts (files were spread).
     let fs = cluster.mount().unwrap();
     let stats = fs.cluster_stats().unwrap();
@@ -66,27 +104,14 @@ fn scaling_mechanism_validated_spreading_real_throughput_sim() {
     );
     // Lax floor: this is a liveness check, not a perf bar — CI boxes
     // share cores with the whole test run and absolute rates swing 10x.
-    assert!(r.creates_per_sec() > 1_000.0, "sanity: real FS is functional");
+    assert!(eight > 1_000.0, "sanity: real FS is functional");
     cluster.shutdown();
+    cluster1.shutdown();
 
     // (b) adding daemons must not collapse throughput.
-    let cluster1 = Cluster::deploy(ClusterConfig::new(1)).unwrap();
-    let r1 = run_mdtest(
-        || cluster1.mount(),
-        &MdtestConfig {
-            processes: 8,
-            files_per_process: 500,
-            work_dir: "/v".into(),
-            ..MdtestConfig::default()
-        },
-    )
-    .unwrap();
-    cluster1.shutdown();
     assert!(
-        r.creates_per_sec() > r1.creates_per_sec() * 0.5,
-        "8 nodes {:.0} vs 1 node {:.0}",
-        r.creates_per_sec(),
-        r1.creates_per_sec()
+        eight > one * 0.5,
+        "8 nodes {eight:.0} vs 1 node {one:.0} (medians of {RUNS} runs)"
     );
 
     // (c) with per-node resources (the simulator), scaling is linear.
@@ -107,25 +132,31 @@ fn both_show_create_faster_than_remove() {
     // round trip, then every chunk holder's — as it is in the
     // simulator; on zero-byte files both are one round trip and the
     // order is scheduler noise.
+    // Each run's stat phase comes before its remove phase, so RUNS runs
+    // measure the two alternately.
     let cluster = Cluster::deploy(ClusterConfig::new(4).with_chunk_size(1024)).unwrap();
-    let r = run_mdtest(
-        || cluster.mount(),
-        &MdtestConfig {
-            processes: 4,
-            files_per_process: 250,
-            work_dir: "/o".into(),
-            file_size: 4096,
-            transfer_size: 4096,
-            ..MdtestConfig::default()
-        },
-    )
-    .unwrap();
+    let runs: Vec<_> = (0..RUNS)
+        .map(|turn| {
+            run_mdtest(
+                || cluster.mount(),
+                &MdtestConfig {
+                    processes: 4,
+                    files_per_process: 250,
+                    work_dir: format!("/o{turn}"),
+                    file_size: 4096,
+                    transfer_size: 4096,
+                    ..MdtestConfig::default()
+                },
+            )
+            .unwrap()
+        })
+        .collect();
     cluster.shutdown();
+    let stat = median(runs.iter().map(|r| r.stats_per_sec()).collect());
+    let remove = median(runs.iter().map(|r| r.removes_per_sec()).collect());
     assert!(
-        r.stats_per_sec() > r.removes_per_sec(),
-        "real: stat {:.0} should beat remove {:.0}",
-        r.stats_per_sec(),
-        r.removes_per_sec()
+        stat > remove,
+        "real: stat {stat:.0} should beat remove {remove:.0} (medians of {RUNS} runs)"
     );
 
     // ...matches the simulator's ordering (and the paper's Fig. 2:
@@ -141,7 +172,7 @@ fn both_show_create_faster_than_remove() {
 #[test]
 fn both_show_large_transfers_beating_small() {
     let cluster = Cluster::deploy(ClusterConfig::new(4)).unwrap();
-    let run = |xfer: u64| {
+    let run = |xfer: u64, turn: usize| {
         let r = run_ior(
             || cluster.mount(),
             &IorConfig {
@@ -150,16 +181,18 @@ fn both_show_large_transfers_beating_small() {
                 block_size: 4 * 1024 * 1024,
                 file_per_process: true,
                 random: false,
-                work_dir: format!("/x{xfer}"),
+                work_dir: format!("/x{xfer}-{turn}"),
             },
         )
         .unwrap();
         r.write_mib_per_sec()
     };
-    let small = run(8 * 1024);
-    let large = run(1024 * 1024);
+    let (small, large) = alternately(|turn| run(8 * 1024, turn), |turn| run(1024 * 1024, turn));
     cluster.shutdown();
-    assert!(large > small, "real: 1 MiB {large:.0} vs 8 KiB {small:.0}");
+    assert!(
+        large > small,
+        "real: 1 MiB {large:.0} vs 8 KiB {small:.0} (medians of {RUNS} runs)"
+    );
 
     let sim = |xfer: u64| {
         let mut cfg = IorSimConfig::new(4, IorPhase::Write, xfer);
