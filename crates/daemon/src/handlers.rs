@@ -252,7 +252,7 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
             b.tcp_stats.get().map_or(0, |s| f(s).load(Relaxed))
         };
         let mut r = DaemonStatsResp {
-            meta_entries: b.meta.entry_count()? as u64,
+            meta_entries: b.meta.entry_count(),
             replication_factor: repl.map_or(1, |m| m.replicas() as u64),
             request_copy_bytes: tcp(|s| &s.request_copy_bytes),
             served_inline: tcp(|s| &s.served_inline),

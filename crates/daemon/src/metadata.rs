@@ -19,7 +19,7 @@ use gkfs_common::{GkfsError, Metadata, Result};
 use gkfs_kvstore::{Db, DbOptions, MergeOperator, WriteBatch};
 use gkfs_rpc::proto::{MetaOp, MetaVerdict};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 /// Default `readdir` page size when the client asks for the daemon
@@ -92,6 +92,10 @@ pub struct MetadataBackend {
     db: Arc<Db>,
     /// The store appends every commit to a write-ahead log.
     logged: bool,
+    /// Entries held: one walk at open, then every committed birth and
+    /// death. Signed, because two frames' counts land after their commits
+    /// in either order, so a death may be counted before its birth.
+    entries: AtomicI64,
 }
 
 impl MetadataBackend {
@@ -101,10 +105,7 @@ impl MetadataBackend {
             merge_operator: Some(Arc::new(MetaSizeMergeOperator)),
             ..DbOptions::default()
         };
-        Ok(MetadataBackend {
-            db: Db::open_memory(opts)?,
-            logged: false,
-        })
+        Self::over(Db::open_memory(opts)?, false)
     }
 
     /// Build over a KV store persisted under `dir`, with WAL as asked.
@@ -114,9 +115,16 @@ impl MetadataBackend {
             wal,
             ..DbOptions::default()
         };
+        Self::over(Db::open_dir(dir, opts)?, wal)
+    }
+
+    /// Serve `db`, counting its entries once.
+    fn over(db: Arc<Db>, logged: bool) -> Result<MetadataBackend> {
+        let entries = AtomicI64::new(i64::try_from(db.len()?).unwrap_or(i64::MAX));
         Ok(MetadataBackend {
-            db: Db::open_dir(dir, opts)?,
-            logged: wal,
+            db,
+            logged,
+            entries,
         })
     }
 
@@ -199,8 +207,10 @@ impl MetadataBackend {
 
     /// Run `ops` in order through [`step`], each seeing its frame
     /// predecessors through a frame-local overlay, reading entries the
-    /// frame has not touched through `get`. Returns the per-op verdicts
-    /// and every staged mutation as one [`WriteBatch`].
+    /// frame has not touched through `get`. Returns the per-op verdicts,
+    /// every staged mutation as one [`WriteBatch`], and the entries the
+    /// batch adds: its births (an entry over `None`) less its deaths
+    /// (`None` over an entry).
     ///
     /// Scratch is sized to the frame: the batch and the overlay hold
     /// one slot per mutating op, and a frame of one or one that writes
@@ -210,20 +220,23 @@ impl MetadataBackend {
     fn interpret(
         ops: &[MetaOp],
         get: impl Fn(&[u8]) -> Result<Option<Vec<u8>>>,
-    ) -> Result<(Vec<MetaVerdict>, WriteBatch)> {
+    ) -> Result<(Vec<MetaVerdict>, WriteBatch, i64)> {
         let writes = ops.iter().filter(|op| op.is_write()).count();
         let mut overlay: Option<HashMap<&str, Option<Metadata>>> =
             (ops.len() > 1 && writes > 0).then(|| HashMap::with_capacity(writes));
         let mut batch = WriteBatch::with_capacity(writes);
         let mut verdicts = Vec::with_capacity(ops.len());
+        let mut born = 0;
         for op in ops {
             let path = op.path();
             let current = match overlay.as_ref().and_then(|o| o.get(path)) {
                 Some(seen) => seen.clone(),
                 None => get(path.as_bytes())?.map(|v| Metadata::decode(&v)).transpose()?,
             };
+            let was = current.is_some();
             let (verdict, next) = step(current, op);
             if let Some(next) = next {
+                born += i64::from(next.is_some()) - i64::from(was);
                 match &next {
                     Some(meta) => batch.put(path.as_bytes(), meta.encode()),
                     None => batch.delete(path.as_bytes()),
@@ -234,7 +247,7 @@ impl MetadataBackend {
             }
             verdicts.push(verdict);
         }
-        Ok((verdicts, batch))
+        Ok((verdicts, batch, born))
     }
 
     /// Apply a frame of metadata ops as one group — the only way an
@@ -253,15 +266,18 @@ impl MetadataBackend {
     ///
     /// Per-op failures (`Exists`, `NotFound`, `IsDirectory`, …) are
     /// the op's own verdict and never poison frame-mates; only
-    /// infrastructure errors (KV store I/O) fail the whole call.
+    /// infrastructure errors (KV store I/O) fail the whole call. The
+    /// entries the frame made or removed are counted once it committed.
     fn run(&self, ops: &[MetaOp]) -> Result<(Vec<MetaVerdict>, bool)> {
         if !ops.iter().any(MetaOp::is_write) {
             return Ok((Self::interpret(ops, |k| self.db.get(k))?.0, false));
         }
-        self.db.write_with(|view| {
-            let (verdicts, batch) = Self::interpret(ops, |k| view.get(k))?;
-            Ok(((verdicts, !batch.is_empty()), batch))
-        })
+        let (verdicts, committed, born) = self.db.write_with(|view| {
+            let (verdicts, batch, born) = Self::interpret(ops, |k| view.get(k))?;
+            Ok(((verdicts, !batch.is_empty(), born), batch))
+        })?;
+        self.entries.fetch_add(born, Ordering::Relaxed);
+        Ok((verdicts, committed))
     }
 
     /// One `BatchMeta` frame: [`MetadataBackend::run`] plus the bulk
@@ -289,7 +305,9 @@ impl MetadataBackend {
     /// retry pushes classified retryable.
     pub fn install_replica(&self, path: &str, meta: &Metadata) -> Result<()> {
         let inserted = self.db.put_if_absent(path.as_bytes(), &meta.encode())?;
-        if !inserted {
+        if inserted {
+            self.entries.fetch_add(1, Ordering::Relaxed);
+        } else {
             self.db
                 .merge(path.as_bytes(), &encode_size_operand(meta.size, meta.mtime_ns))?;
         }
@@ -309,9 +327,10 @@ impl MetadataBackend {
         })
     }
 
-    /// Total entries held by this daemon.
-    pub fn entry_count(&self) -> Result<usize> {
-        self.db.len()
+    /// Total entries held by this daemon, counted as they are made and
+    /// removed rather than walked.
+    pub fn entry_count(&self) -> u64 {
+        u64::try_from(self.entries.load(Ordering::Relaxed)).unwrap_or(0)
     }
 }
 
@@ -467,7 +486,7 @@ mod tests {
         b.db.flush().unwrap();
         assert_eq!(stat(&b, "/f"), Err(GkfsError::NotFound));
         assert_eq!(stat(&b, "/never"), Err(GkfsError::NotFound));
-        assert_eq!(b.entry_count().unwrap(), 0);
+        assert_eq!(b.entry_count(), 0);
     }
 
     #[test]
@@ -621,7 +640,7 @@ mod tests {
             }
         }
         assert_eq!(b.db().stats().kv_flushes.load(Ordering::Relaxed), 0, "flushes");
-        assert_eq!(b.entry_count().unwrap(), 0);
+        assert_eq!(b.entry_count(), 0);
         assert_eq!(b.db().level_shape(), (0, 0, 0, 0), "(memtable keys, frozen, L0, L1)");
     }
 

@@ -2,8 +2,8 @@
 //! only by a remove: a size update never makes one. Random create /
 //! remove / size update / replica install, with forced flushes,
 //! compactions and reopens in between; after every step the paths a
-//! full walk lists — and the store's live-key count — are exactly the
-//! model's.
+//! full walk lists, the store's live-key count and the backend's entry
+//! counter are exactly the model's.
 
 use gkfs_common::{FileKind, GkfsError, Metadata};
 use gkfs_daemon::MetadataBackend;
@@ -87,7 +87,8 @@ fn run(steps: &[Step], dir: &Path) -> Result<(), TestCaseError> {
         })
         .unwrap();
         prop_assert_eq!(&listed, &model, "step {}: {:?}", i, step);
-        prop_assert_eq!(b.entry_count().unwrap(), model.len(), "step {}: {:?}", i, step);
+        prop_assert_eq!(b.entry_count(), model.len() as u64, "step {}: {:?}", i, step);
+        prop_assert_eq!(b.db().len().unwrap(), model.len(), "step {}: {:?}", i, step);
     }
     b.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(dir);

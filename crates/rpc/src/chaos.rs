@@ -299,8 +299,8 @@ fn pump(
 ) {
     let mut frames = FrameReader::new(from);
     while !shutting_down.load(Ordering::SeqCst) {
-        // The proxy's streams have no receive timeout: no stall bound.
-        let Ok(Some(payload)) = frames.next_frame(Duration::MAX, false) else {
+        // The proxy waits inside a frame as long as it takes.
+        let Ok(Some(payload)) = frames.next_frame(None, false) else {
             break;
         };
         let decision = decide(&cfg, &mut rng.lock());

@@ -12,10 +12,6 @@ pub struct RpcStats {
     pub responses: AtomicU64,
     /// Responses carrying an error status.
     pub errors: AtomicU64,
-    /// Header/body bytes moved.
-    pub body_bytes: AtomicU64,
-    /// Bulk payload bytes moved.
-    pub bulk_bytes: AtomicU64,
     /// Request body/bulk bytes a byte-stream server copied again after
     /// reading them off the socket — zero while requests are decoded as
     /// views of the received frame.
@@ -68,20 +64,16 @@ pub struct WaitStats {
 
 impl RpcStats {
     /// Record request.
-    pub fn record_request(&self, body: usize, bulk: usize) {
+    pub fn record_request(&self) {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        self.body_bytes.fetch_add(body as u64, Ordering::Relaxed);
-        self.bulk_bytes.fetch_add(bulk as u64, Ordering::Relaxed);
     }
 
     /// Record response.
-    pub fn record_response(&self, ok: bool, body: usize, bulk: usize) {
+    pub fn record_response(&self, ok: bool) {
         self.responses.fetch_add(1, Ordering::Relaxed);
         if !ok {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
-        self.body_bytes.fetch_add(body as u64, Ordering::Relaxed);
-        self.bulk_bytes.fetch_add(bulk as u64, Ordering::Relaxed);
     }
 }
 
@@ -92,13 +84,11 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = RpcStats::default();
-        s.record_request(10, 100);
-        s.record_response(true, 5, 0);
-        s.record_response(false, 0, 0);
+        s.record_request();
+        s.record_response(true);
+        s.record_response(false);
         assert_eq!(s.requests.load(Ordering::Relaxed), 1);
         assert_eq!(s.responses.load(Ordering::Relaxed), 2);
         assert_eq!(s.errors.load(Ordering::Relaxed), 1);
-        assert_eq!(s.body_bytes.load(Ordering::Relaxed), 15);
-        assert_eq!(s.bulk_bytes.load(Ordering::Relaxed), 100);
     }
 }

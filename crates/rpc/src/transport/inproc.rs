@@ -92,7 +92,7 @@ impl Endpoint for InprocEndpoint {
             return Err(GkfsError::ShuttingDown);
         }
         req.id = self.server.next_id.fetch_add(1, Ordering::Relaxed);
-        self.server.handlers.stats.record_request(req.body.len(), req.bulk.len());
+        self.server.handlers.stats.record_request();
 
         let (tx, rx) = std::sync::mpsc::sync_channel::<Result<Response>>(1);
         self.server.handlers.serve(req, move |resp| {

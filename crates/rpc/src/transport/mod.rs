@@ -113,11 +113,7 @@ pub(crate) struct Handlers {
 /// Dispatch `req` and record its response.
 fn run(registry: &HandlerRegistry, stats: &RpcStats, req: Request) -> Response {
     let resp = registry.dispatch(req);
-    stats.record_response(
-        matches!(resp.status, Status::Ok),
-        resp.body.len(),
-        resp.bulk.len(),
-    );
+    stats.record_response(matches!(resp.status, Status::Ok));
     resp
 }
 

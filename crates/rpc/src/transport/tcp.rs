@@ -7,6 +7,8 @@
 //! does over its network plugins). Submission is nonblocking: `submit`
 //! registers a slot in the connection's completion table and writes the
 //! frame; replies fill slots in whatever order the daemon finishes them.
+//! Linux only: the transport receives and waits through `recv(2)`,
+//! `poll(2)` and `epoll(7)`, called by `extern "C"`.
 //!
 //! # Run to completion
 //!
@@ -60,12 +62,15 @@
 //! (`NA_NO_BLOCK`), which pays where a request is served in far less
 //! than a wake-up costs, as a point op is. So a reader that is *hot* —
 //! its previous wait found what it waited for within [`SPIN`] (50 µs) —
-//! polls for `min(SPIN, time left)` first, and blocks only when that
+//! polls for `min(SPIN, time left)` first, and parks only when that
 //! window runs out, which leaves it cold. An arrival inside the window
 //! costs no wake-up; going quiet costs one window. The poller yields
 //! between looks: a node's ranks share one CPU and a daemon's threads
 //! another, and a poll that kept its CPU would starve the thread it
-//! waits for. Who is hot is decided per side:
+//! waits for. These mechanics are one function, `poll_or_park`; each
+//! side brings its look — the daemon's loop `epoll_wait` on its set, a
+//! client a `recv`, and `poll(2)` on its socket before it parks
+//! ([`Recv::wait`]). Who is hot is decided per side:
 //!
 //! * the daemon decides from its traffic, not from one connection's: its
 //!   loop polls its epoll set while the daemon is hot, whichever client
@@ -78,11 +83,12 @@
 //!   poll. Nothing is held while polling, so the lead-or-follow protocol
 //!   is untouched.
 //!
-//! Every poll is nonblocking for its one call — `recv` with
-//! `MSG_DONTWAIT`, `epoll_wait` with a zero timeout — and `O_NONBLOCK`
-//! is never set: it belongs to the open file description, which the
-//! write half shares, and a submitter or a pool job writing a frame
-//! meanwhile would meet `EAGAIN` halfway through it. [`WaitStats`] and
+//! Every receive is nonblocking for its one call — `recv` with
+//! `MSG_DONTWAIT`, a look with `epoll_wait` at a zero timeout — and a
+//! reader that must wait waits on readiness, never inside a receive.
+//! `O_NONBLOCK` is never set: it belongs to the open file description,
+//! which the write half shares, and a submitter or a pool job writing a
+//! frame meanwhile would meet `EAGAIN` halfway through it. [`WaitStats`] and
 //! [`RpcStats`](crate::stats::RpcStats) count the waits the poll served
 //! (`spun`) and the windows that ran out (`spin_expired`).
 //!
@@ -105,11 +111,12 @@
 //! and a frame cut. A frame that fits the read buffer arrives with the
 //! `recv` that found it and is cut out as one owned buffer; a larger one
 //! lands — beyond the few KiB that came with its header — directly in a
-//! single `Vec` reserved to size and never zeroed. The receive has two
-//! [`Mode`]s: the daemon's loop never blocks (`MSG_DONTWAIT`), so a peer
-//! stalled halfway through a frame holds only its own buffer; a client's
-//! reader blocks up to its socket's receive-timeout tick. The fuzzer
-//! drives the same assembler in both modes (`read_frames`). After the
+//! single `Vec` reserved to size and never zeroed. `fill` never blocks
+//! (`MSG_DONTWAIT`): it takes what is there — a large frame until it is
+//! whole or the socket is drained — so a peer stalled halfway through a
+//! frame holds only its own buffer, and a reader with nothing to take
+//! waits for readiness before it looks again. The fuzzer drives the
+//! same assembler (`read_frames`). After the
 //! CRC check the frame's buffer *is* the message: `decode_owned` hands
 //! out `body` and `bulk` as views of it, so a write payload reaches the
 //! chunk store, and a read reply the caller's result, without another
@@ -130,11 +137,11 @@
 //! satisfy `GkfsError::is_retryable`, which is what lets the client
 //! retry layer ride through a daemon restart transparently.
 //!
-//! A wait gives up only on a frame boundary: the socket's receive
-//! timeout is a short tick, a reader that sees it fire (or its poll's
-//! window run out) before the first byte of a frame checks its deadline,
-//! and one that sees it fire inside a frame keeps receiving in blocking
-//! steps — these rules are the client's, on top of the assembler. So
+//! A wait gives up only on a frame boundary: between frames a reader
+//! waits on readiness for no longer than it has left, and inside a
+//! frame it waits for the rest — up to the endpoint's timeout at a
+//! time, after which the peer counts as gone and the connection is
+//! condemned. These rules are the client's, on top of the assembler. So
 //! `wait(timeout)` returns `Timeout` on time, its slot is reaped, the
 //! stream stays aligned for the next call, and the late reply is read
 //! and dropped by the next reader.
@@ -150,13 +157,13 @@ use gkfs_common::{GkfsError, Result};
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{Shutdown, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::raw::{c_int, c_short, c_ulong, c_void};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-#[cfg(target_os = "linux")]
 mod server;
-#[cfg(target_os = "linux")]
 pub use server::TcpServer;
 
 /// Maximum accepted frame: 256 MiB guards against garbage length
@@ -174,21 +181,11 @@ const FRAME_RESERVE_MAX: usize = 4 * 1024 * 1024;
 /// trailer, and a little more so that a frame pipelined behind it shows.
 const READ_BUF: usize = SMALL_FRAME + 512;
 
-/// Receive timeout of a client socket while somebody reads it: how
-/// often a reader with nothing arriving looks at its deadline. Fixed,
-/// so that the steady state never pays a `setsockopt`; only a wait with
-/// less than a tick left sets the remainder.
-const WAIT_TICK: Duration = Duration::from_millis(100);
-
-/// How long a reader of a hot connection polls its socket for the next
-/// frame before it blocks: a few small-RPC round trips on loopback, far
+/// How long a hot reader — a client's connection, a daemon's loop —
+/// polls before it parks: a few small-RPC round trips on loopback, far
 /// below what a chunk-sized frame takes (module docs, "Poll before
 /// park").
 const SPIN: Duration = Duration::from_micros(50);
-
-/// Whether readers poll at all: a nonblocking receive is Linux's
-/// (`MSG_DONTWAIT`). Elsewhere a reader blocks as it always did.
-const POLLS: bool = cfg!(target_os = "linux");
 
 /// One sleep of a follower whose timeout is too large to be a deadline
 /// (it re-checks and sleeps again).
@@ -247,66 +244,136 @@ fn closed_err() -> GkfsError {
     GkfsError::Rpc("connection closed".into())
 }
 
-/// A receive that found nothing: a receive timeout (`SO_RCVTIMEO`
-/// reports either kind) or a drained socket.
-fn timed_out(e: &std::io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-}
-
-/// How a receive waits for bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mode {
-    /// Not at all: what the socket holds now, or `WouldBlock`. The
-    /// daemon's loop, and a client reader's poll.
-    Nonblocking,
-    /// Until bytes come or the socket's receive timeout fires: a
-    /// client's leading waiter or reader thread.
-    Blocking,
+/// A `poll(2)` or `epoll_wait(2)` timeout: `within` rounded up to whole
+/// milliseconds — a wait with time left must not spin at zero — and
+/// `None`, as long as it takes, as -1.
+fn timeout_ms(within: Option<Duration>) -> c_int {
+    within.map_or(-1, |t| {
+        c_int::try_from(t.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX)
+    })
 }
 
 /// Where a [`FrameReader`] receives from: a [`TcpStream`], or — so that
 /// a test can substitute its byte source — anything that hands out
 /// bytes the way one does.
 pub trait Recv {
-    /// Receive at most `max` bytes (no more than `into`'s spare
-    /// capacity) onto the end of `into`, waiting as `mode` says. `Ok(0)`
-    /// is the end of the stream; `WouldBlock` or `TimedOut`, nothing
-    /// came.
-    fn recv(&mut self, into: &mut Vec<u8>, max: usize, mode: Mode) -> std::io::Result<usize>;
+    /// Receive what is there now, at most `max` bytes (no more than
+    /// `into`'s spare capacity), onto the end of `into`, without
+    /// waiting. `Ok(0)` is the end of the stream; `WouldBlock`, nothing
+    /// is there yet.
+    fn recv(&mut self, into: &mut Vec<u8>, max: usize) -> std::io::Result<usize>;
+
+    /// Wait up to `within` (`None`: as long as it takes) for something
+    /// to receive — bytes, or the peer's hang-up, which the next `recv`
+    /// reports — and say whether it came. A wait cut short by a signal
+    /// says `true` too: the `recv` after it finds nothing, and the
+    /// caller waits again.
+    fn wait(&mut self, within: Option<Duration>) -> std::io::Result<bool>;
 }
 
 impl Recv for TcpStream {
-    /// `recv(2)` straight into `into`'s spare capacity, which is never
-    /// zero-filled, with `MSG_DONTWAIT` in [`Mode::Nonblocking`].
-    /// `O_NONBLOCK` is not an option: it belongs to the open file
-    /// description, which the `try_clone`d write half shares, and a
-    /// writer that met `EAGAIN` in the middle of a frame would condemn a
-    /// healthy connection.
-    fn recv(&mut self, into: &mut Vec<u8>, max: usize, mode: Mode) -> std::io::Result<usize> {
-        use std::os::fd::AsRawFd;
-        use std::os::raw::{c_int, c_void};
+    /// `recv(2)` with `MSG_DONTWAIT` straight into `into`'s spare
+    /// capacity, which is never zero-filled. `O_NONBLOCK` is not an
+    /// option: it belongs to the open file description, which the
+    /// `try_clone`d write half shares, and a writer that met `EAGAIN`
+    /// in the middle of a frame would condemn a healthy connection.
+    fn recv(&mut self, into: &mut Vec<u8>, max: usize) -> std::io::Result<usize> {
         extern "C" {
             fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
         }
-        const MSG_DONTWAIT: c_int = 0x40; // Linux's value
-        let flags = match mode {
-            Mode::Blocking => 0,
-            Mode::Nonblocking if POLLS => MSG_DONTWAIT,
-            Mode::Nonblocking => return Err(ErrorKind::WouldBlock.into()),
-        };
+        const MSG_DONTWAIT: c_int = 0x40;
         let spare = into.spare_capacity_mut();
         let want = spare.len().min(max);
         // SAFETY: the spare capacity is `want` or more exclusively
         // borrowed bytes of `into`'s allocation, which the kernel needs
         // writable, not initialised; the descriptor is this stream's,
         // open for the whole call.
-        let got = unsafe { recv(self.as_raw_fd(), spare.as_mut_ptr().cast(), want, flags) };
+        let got = unsafe { recv(self.as_raw_fd(), spare.as_mut_ptr().cast(), want, MSG_DONTWAIT) };
         let got = usize::try_from(got).map_err(|_| std::io::Error::last_os_error())?;
         // SAFETY: the kernel initialised the `got` bytes past the old
         // length, all within the capacity.
         unsafe { into.set_len(into.len() + got) };
         Ok(got)
     }
+
+    /// One `poll(2)` on the descriptor: no descriptor of its own and no
+    /// registration, where an epoll instance per connection would need
+    /// both. The one place a client's reader blocks, so the one place it
+    /// asserts that no guard is held.
+    fn wait(&mut self, within: Option<Duration>) -> std::io::Result<bool> {
+        lock::assert_unguarded("Recv::wait");
+        #[repr(C)]
+        struct PollFd {
+            fd: c_int,
+            events: c_short,
+            revents: c_short,
+        }
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+        }
+        const POLLIN: c_short = 0x1;
+        let mut fd = PollFd {
+            fd: self.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        // SAFETY: one `pollfd`, exclusively borrowed for the call; a
+        // hang-up or an error is reported whatever `events` asks.
+        match unsafe { poll(&mut fd, 1, timeout_ms(within)) } {
+            0 => Ok(false),
+            n if n > 0 => Ok(true),
+            _ => match std::io::Error::last_os_error() {
+                e if e.kind() == ErrorKind::Interrupted => Ok(true),
+                e => Err(e),
+            },
+        }
+    }
+}
+
+/// Poll before park, written once (module docs): wait up to `within`
+/// (`None`: as long as it takes) for what `look` finds, on `on`. A
+/// *hot* reader first looks without blocking for `min(SPIN, within)`,
+/// yielding between looks — its CPU is shared with the thread it waits
+/// for — and counts the wait in `spun` when a look finds it, or the
+/// window in `expired` when none does. Then it, or a cold reader,
+/// parks: `park` blocks for what is left of `within` and looks. A reader
+/// is hot after a wait whose find came within [`SPIN`] of its start.
+/// Which reader is hot is its caller's: the daemon's loop
+/// (`server::Shared::wait`, looking with `epoll_wait` on its set) keeps
+/// one flag per daemon, a client (`FrameReader::poll`, looking with
+/// `recv` and parking in [`Recv::wait`]) one per connection.
+fn poll_or_park<S: ?Sized, T, E>(
+    on: &mut S,
+    hot: &mut bool,
+    within: Option<Duration>,
+    [spun, expired]: [&AtomicU64; 2],
+    mut look: impl FnMut(&mut S) -> std::result::Result<Option<T>, E>,
+    park: impl FnOnce(&mut S, Option<Duration>) -> std::result::Result<Option<T>, E>,
+) -> std::result::Result<Option<T>, E> {
+    let began = Instant::now();
+    let mut left = within;
+    if *hot {
+        let window = within.map_or(SPIN, |w| w.min(SPIN));
+        loop {
+            if let Some(found) = look(on)? {
+                spun.fetch_add(1, Ordering::Relaxed);
+                return Ok(Some(found));
+            }
+            if began.elapsed() >= window {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        expired.fetch_add(1, Ordering::Relaxed);
+        *hot = false;
+        left = within.map(|w| w.saturating_sub(began.elapsed()));
+        if left == Some(Duration::ZERO) {
+            return Ok(None);
+        }
+    }
+    let found = park(on, left)?;
+    *hot = found.is_some() && began.elapsed() <= SPIN;
+    Ok(found)
 }
 
 /// Verify a frame's trailing checksum. A mismatch surfaces as
@@ -336,13 +403,8 @@ pub(crate) struct FrameReader<R> {
     /// `buf[start..]` is not consumed yet.
     buf: Vec<u8>,
     start: usize,
-    /// The receive timeout the socket has now (`None`: it blocks).
-    applied: Option<Duration>,
-    /// When a receive first timed out inside the frame being read;
-    /// cleared by the next byte.
-    stalled: Option<Instant>,
     /// The last frame's first bytes came within [`SPIN`] of the wait for
-    /// them starting: the next wait polls before it blocks.
+    /// them starting: the next wait polls before it parks.
     hot: bool,
     /// A frame too large for the buffer, being assembled: its payload
     /// length, and its bytes so far (payload and trailer) in a `Vec`
@@ -356,8 +418,6 @@ impl<R: Recv> FrameReader<R> {
             stream,
             buf: Vec::with_capacity(READ_BUF),
             start: 0,
-            applied: None,
-            stalled: None,
             hot: false,
             big: None,
         }
@@ -369,34 +429,16 @@ impl<R: Recv> FrameReader<R> {
         self.buf.len() - self.start
     }
 
-    /// A receive timed out inside a frame: keep reading, unless nothing
-    /// has arrived for `stall` — then the peer is gone in all but name
-    /// and the connection is condemned rather than left mid-frame.
-    fn stall(&mut self, stall: Duration) -> Result<()> {
-        let since = *self.stalled.get_or_insert_with(Instant::now);
-        if since.elapsed() >= stall {
-            return Err(GkfsError::Rpc(format!(
-                "connection lost: peer stalled {stall:?} inside a frame"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Receive one step of bytes for [`FrameReader::take_frame`] to
-    /// take: one `recv` into the read buffer, or into the spare capacity
-    /// of the large frame being assembled — nonblocking, until it is
-    /// whole or the socket is drained, so that the daemon's loop takes a
-    /// chunk-sized frame in one event. Whether bytes came: `false` is a
-    /// drained socket or a receive timeout. Only [`Mode::Blocking`] may
-    /// block, so only it asserts that no guard is held: the daemon's loop
-    /// fills under `RPC_PUMP`. An error — end of stream included —
-    /// condemns the connection.
-    fn fill(&mut self, mode: Mode) -> Result<bool> {
-        if mode == Mode::Blocking {
-            lock::assert_unguarded("FrameReader::fill");
-        }
+    /// Receive what the socket holds for [`FrameReader::take_frame`] to
+    /// take, without waiting: one `recv` into the read buffer, or into
+    /// the spare capacity of the large frame being assembled until it is
+    /// whole or the socket is drained, so that a chunk-sized frame is
+    /// taken in one look. Whether bytes came: `false` is a drained
+    /// socket. An error — end of stream included — condemns the
+    /// connection.
+    fn fill(&mut self) -> Result<bool> {
         let (into, total, until_whole) = match &mut self.big {
-            Some((len, frame)) => (frame, *len + 4, mode == Mode::Nonblocking),
+            Some((len, frame)) => (frame, *len + 4, true),
             None => {
                 self.buf.drain(..self.start);
                 self.start = 0;
@@ -413,7 +455,7 @@ impl<R: Recv> FrameReader<R> {
                 into.reserve((total - into.len()).min(FRAME_RESERVE_MAX));
             }
             let max = (total - into.len()).min(into.capacity() - into.len());
-            match self.stream.recv(into, max, mode) {
+            match self.stream.recv(into, max) {
                 Ok(0) if into.is_empty() => return Err(closed_err()),
                 Ok(0) => {
                     return Err(GkfsError::Rpc(format!(
@@ -424,7 +466,7 @@ impl<R: Recv> FrameReader<R> {
                 Ok(_) if until_whole && into.len() < total => came = true,
                 Ok(_) => return Ok(true),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if timed_out(&e) => return Ok(came),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(came),
                 Err(e) => return Err(lost(e)),
             }
         }
@@ -489,16 +531,17 @@ impl<R: Recv> FrameReader<R> {
         Ok(None)
     }
 
-    /// Receive in blocking steps until the frame at the front is whole,
-    /// and take it: a client's reading of a frame whose first bytes its
-    /// poll found. With `leave_large`, a frame too large for the buffer
-    /// is left where it is — its header read, nothing allocated — and
-    /// `None` returned. Returns only on a frame boundary or with an error
-    /// that condemns the connection: a receive timeout inside the frame
-    /// keeps reading, until nothing has arrived for `stall`.
+    /// Receive until the frame at the front is whole, and take it: a
+    /// client's reading of a frame whose first bytes its poll found.
+    /// With `leave_large`, a frame too large for the buffer is left
+    /// where it is — its header read, nothing allocated — and `None`
+    /// returned. Returns only on a frame boundary or with an error that
+    /// condemns the connection: inside a frame the reader waits up to
+    /// `stall` (`None`: as long as it takes) at a time for more, and a
+    /// wait that runs out means the peer is gone in all but name.
     pub(crate) fn next_frame(
         &mut self,
-        stall: Duration,
+        stall: Option<Duration>,
         leave_large: bool,
     ) -> Result<Option<Bytes>> {
         loop {
@@ -508,97 +551,55 @@ impl<R: Recv> FrameReader<R> {
             if let Some(frame) = self.take_frame()? {
                 return Ok(Some(frame));
             }
-            if self.fill(Mode::Blocking)? {
-                self.stalled = None;
-            } else {
-                self.stall(stall)?;
+            if !self.fill()? && !self.stream.wait(stall).map_err(lost)? {
+                return Err(GkfsError::Rpc(format!(
+                    "connection lost: peer stalled {:?} inside a frame",
+                    stall.unwrap_or_default()
+                )));
             }
         }
     }
-}
 
-/// Every frame `stream` holds, assembled the way a connection in `mode`
-/// assembles them — blocking, a frame at a time as a client's reader
-/// does; nonblocking, a step and then every frame it completed as the
-/// daemon's loop does — and the error that ended the reading: at a
-/// clean end of stream, the `Rpc` of a peer that closed on a frame
-/// boundary. For the decoder fuzzer (`tests/fuzz_wire.rs`), which has
-/// bytes and no socket.
-#[doc(hidden)]
-pub fn read_frames(stream: impl Recv, mode: Mode) -> (Vec<Bytes>, GkfsError) {
-    let mut reader = FrameReader::new(stream);
-    let mut frames = Vec::new();
-    loop {
-        let step = match mode {
-            Mode::Blocking => reader
-                .next_frame(Duration::ZERO, false)
-                .map(|f| frames.extend(f)),
-            Mode::Nonblocking => reader.fill(mode).and_then(|_| {
-                while let Some(frame) = reader.take_frame()? {
-                    frames.push(frame);
-                }
-                Ok(())
-            }),
-        };
-        if let Err(cause) = step {
-            return (frames, cause);
-        }
-    }
-}
-
-impl FrameReader<TcpStream> {
-    /// On a frame boundary, wait up to `wait` for the first bytes of the
-    /// next frame. `Ok(false)`: nothing came, and the stream is still on
-    /// the boundary — the one place a reader may walk away from it.
-    ///
-    /// Every client reader waits here, so here is where poll or park is
-    /// decided: on a hot connection the wait first polls the socket for
-    /// `min(SPIN, wait)` and blocks only if that window runs out, which
-    /// leaves the connection cold; a wait whose bytes came within
-    /// [`SPIN`] of its start leaves it hot. `spun` and `expired` count
-    /// the polls that found bytes and the windows that ran out.
-    fn poll(&mut self, wait: Duration, [spun, expired]: [&AtomicU64; 2]) -> Result<bool> {
+    /// On a frame boundary, wait up to `within` (`None`: as long as it
+    /// takes) for the first bytes of the next frame. `Ok(false)`:
+    /// nothing came, and the stream is still on the boundary — the one
+    /// place a reader may walk away from it. Every client reader waits
+    /// here, by [`poll_or_park`] with this connection's own hot flag: it
+    /// looks with a `recv`, and parks in [`Recv::wait`] before one.
+    /// `spun` and `expired` count the polls that found bytes and the
+    /// windows that ran out.
+    fn poll(&mut self, within: Option<Duration>, spins: [&AtomicU64; 2]) -> Result<bool> {
         if self.buffered() > 0 {
             return Ok(true);
         }
-        let began = Instant::now();
-        if self.hot {
-            if self.spin(began, wait.min(SPIN))? {
-                spun.fetch_add(1, Ordering::Relaxed);
-                return Ok(true);
-            }
-            expired.fetch_add(1, Ordering::Relaxed);
-            self.hot = false;
-            if wait <= SPIN {
-                return Ok(false);
-            }
-        }
-        let wait = wait.max(Duration::from_millis(1));
-        if self.applied != Some(wait) {
-            self.stream.set_read_timeout(Some(wait)).map_err(lost)?;
-            self.applied = Some(wait);
-        }
-        let came = self.fill(Mode::Blocking)?;
-        if came {
-            self.hot = POLLS && began.elapsed() <= SPIN;
-        }
-        Ok(came)
+        let mut hot = self.hot;
+        let came: Result<_> = poll_or_park(
+            self,
+            &mut hot,
+            within,
+            spins,
+            |r| Ok(r.fill()?.then_some(())),
+            |r, left| Ok((r.stream.wait(left).map_err(lost)? && r.fill()?).then_some(())),
+        );
+        self.hot = hot;
+        Ok(came?.is_some())
     }
+}
 
-    /// Look at the socket without blocking until bytes come or `window`
-    /// has passed since `began`; whether they came. The poller yields
-    /// between looks: on a node its CPU is shared — a client's ranks
-    /// share one, a daemon's threads another — and a poll that kept it
-    /// would starve the very thread it waits for.
-    fn spin(&mut self, began: Instant, window: Duration) -> Result<bool> {
-        loop {
-            if self.fill(Mode::Nonblocking)? {
-                return Ok(true);
-            }
-            if began.elapsed() >= window {
-                return Ok(false);
-            }
-            std::thread::yield_now();
+/// Every frame `stream` holds, assembled as a client's reader assembles
+/// them — a frame at a time, receiving what is there and waiting when
+/// nothing is — and the error that ended the reading: at a clean end of
+/// stream, the `Rpc` of a peer that closed on a frame boundary. For the
+/// decoder fuzzer (`tests/fuzz_wire.rs`), which has bytes and no
+/// socket.
+#[doc(hidden)]
+pub fn read_frames(stream: impl Recv) -> (Vec<Bytes>, GkfsError) {
+    let mut reader = FrameReader::new(stream);
+    let mut frames = Vec::new();
+    loop {
+        match reader.next_frame(None, false) {
+            Ok(frame) => frames.extend(frame),
+            Err(cause) => return (frames, cause),
         }
     }
 }
@@ -797,7 +798,7 @@ impl Completions {
         reader: &mut FrameReader<TcpStream>,
         leave_large: bool,
     ) -> Result<Option<Response>> {
-        let Some(frame) = reader.next_frame(self.stall, leave_large)? else {
+        let Some(frame) = reader.next_frame(Some(self.stall), leave_large)? else {
             return Ok(None);
         };
         Response::decode_owned(&frame)
@@ -816,16 +817,13 @@ impl Completions {
         deadline: Option<Instant>,
         hand_over: bool,
     ) -> Result<Led> {
+        let spins = [&self.stats.spun, &self.stats.spin_expired];
         loop {
-            let left = match deadline {
-                Some(at) => at.saturating_duration_since(Instant::now()),
-                None => WAIT_TICK,
-            };
-            if left.is_zero() {
+            let left = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
                 return Ok(Led::TimedOut);
             }
-            let spins = [&self.stats.spun, &self.stats.spin_expired];
-            if !reader.poll(left.min(WAIT_TICK), spins)? {
+            if !reader.poll(left, spins)? {
                 continue;
             }
             let Some(resp) = self.read_reply(reader, hand_over)? else {
@@ -1265,13 +1263,9 @@ mod tests {
         server.shutdown();
     }
 
-    /// The receive modes every frame-reader test runs in.
-    const MODES: [Mode; 2] = [Mode::Blocking, Mode::Nonblocking];
-
-    /// Bytes handed out the way a socket hands them out in the mode
-    /// asked for: blocking, as many as fit; nonblocking, the same but
-    /// with `WouldBlock` between receives — a socket the daemon's loop
-    /// found drained until its next event.
+    /// Bytes handed out the way a socket hands them out: as many as
+    /// fit, with `WouldBlock` between receives — a socket found drained
+    /// until its next wait, which finds more.
     struct Wire {
         data: Vec<u8>,
         at: usize,
@@ -1283,9 +1277,9 @@ mod tests {
     }
 
     impl Recv for Wire {
-        fn recv(&mut self, into: &mut Vec<u8>, max: usize, mode: Mode) -> std::io::Result<usize> {
+        fn recv(&mut self, into: &mut Vec<u8>, max: usize) -> std::io::Result<usize> {
             self.gap = !self.gap;
-            if mode == Mode::Nonblocking && self.gap {
+            if self.gap {
                 return Err(ErrorKind::WouldBlock.into());
             }
             let n = max.min(self.data.len() - self.at);
@@ -1293,24 +1287,15 @@ mod tests {
             self.at += n;
             Ok(n)
         }
+
+        fn wait(&mut self, _: Option<Duration>) -> std::io::Result<bool> {
+            Ok(true)
+        }
     }
 
-    /// One frame off `r`, received in `mode` — nonblocking as the
-    /// daemon's loop receives: a step, then whatever frame it completed,
-    /// and again while none did. No receive timeouts here, so no stall
-    /// bound either.
-    fn read_frame(r: &mut FrameReader<impl Recv>, mode: Mode) -> Result<Bytes> {
-        match mode {
-            Mode::Blocking => Ok(r.next_frame(Duration::MAX, false)?.expect("a whole frame")),
-            Mode::Nonblocking => loop {
-                if let Some(frame) = r.take_frame()? {
-                    return Ok(frame);
-                }
-                if !r.fill(mode)? {
-                    std::thread::yield_now();
-                }
-            },
-        }
+    /// One frame off `r`, waiting inside it as long as it takes.
+    fn read_frame(r: &mut FrameReader<impl Recv>) -> Result<Bytes> {
+        Ok(r.next_frame(None, false)?.expect("a whole frame"))
     }
 
     /// `[len][payload][crc]` as one buffer — the reference wire image.
@@ -1335,15 +1320,13 @@ mod tests {
 
     #[test]
     fn read_frame_takes_a_whole_frame_and_leaves_the_next() {
-        for mode in MODES {
-            let mut stream = framed(b"first");
-            stream.extend_from_slice(&framed(&[7u8; 100_000]));
-            let mut r = FrameReader::new(wire(stream));
-            assert_eq!(&read_frame(&mut r, mode).unwrap()[..], b"first");
-            assert_eq!(read_frame(&mut r, mode).unwrap(), vec![7u8; 100_000]);
-            // Clean EOF between frames is connection loss, not corruption.
-            assert!(matches!(read_frame(&mut r, mode), Err(GkfsError::Rpc(_))));
-        }
+        let mut stream = framed(b"first");
+        stream.extend_from_slice(&framed(&[7u8; 100_000]));
+        let mut r = FrameReader::new(wire(stream));
+        assert_eq!(&read_frame(&mut r).unwrap()[..], b"first");
+        assert_eq!(read_frame(&mut r).unwrap(), vec![7u8; 100_000]);
+        // Clean EOF between frames is connection loss, not corruption.
+        assert!(matches!(read_frame(&mut r), Err(GkfsError::Rpc(_))));
     }
 
     #[test]
@@ -1351,28 +1334,24 @@ mod tests {
         let payload: Vec<u8> = (0..FRAME_RESERVE_MAX + 70_000)
             .map(|i| u8::try_from(i % 253).unwrap())
             .collect();
-        for mode in MODES {
-            let mut r = FrameReader::new(wire(framed(&payload)));
-            assert_eq!(read_frame(&mut r, mode).unwrap(), payload);
-        }
+        let mut r = FrameReader::new(wire(framed(&payload)));
+        assert_eq!(read_frame(&mut r).unwrap(), payload);
     }
 
     #[test]
     fn flipped_trailer_is_corruption_and_short_frame_is_connection_loss() {
-        for mode in MODES {
-            let mut bad = framed(b"payload");
-            *bad.last_mut().unwrap() ^= 0x40;
-            assert!(matches!(
-                read_frame(&mut FrameReader::new(wire(bad)), mode),
-                Err(GkfsError::Corruption(_))
-            ));
-            let mut cut = framed(b"payload");
-            cut.truncate(cut.len() - 3);
-            assert!(matches!(
-                read_frame(&mut FrameReader::new(wire(cut)), mode),
-                Err(GkfsError::Rpc(_))
-            ));
-        }
+        let mut bad = framed(b"payload");
+        *bad.last_mut().unwrap() ^= 0x40;
+        assert!(matches!(
+            read_frame(&mut FrameReader::new(wire(bad))),
+            Err(GkfsError::Corruption(_))
+        ));
+        let mut cut = framed(b"payload");
+        cut.truncate(cut.len() - 3);
+        assert!(matches!(
+            read_frame(&mut FrameReader::new(wire(cut))),
+            Err(GkfsError::Rpc(_))
+        ));
     }
 
     #[test]
@@ -1401,21 +1380,19 @@ mod tests {
     #[test]
     fn frame_dribbled_one_byte_per_write_still_decodes() {
         let server = TcpServer::bind("127.0.0.1:0", echo_registry(), 1).unwrap();
-        for mode in MODES {
-            let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-            raw.set_nodelay(true).unwrap();
-            let mut req =
-                Request::new(Opcode::Ping, &b"drip"[..]).with_bulk(Bytes::from(vec![9u8; 300]));
-            req.id = 77;
-            for byte in framed(&req.encode()) {
-                raw.write_all(&[byte]).unwrap();
-            }
-            let mut raw = FrameReader::new(raw);
-            let resp = Response::decode_owned(&read_frame(&mut raw, mode).unwrap()).unwrap();
-            assert_eq!(resp.id, 77);
-            assert_eq!(&resp.body[..], b"drip");
-            assert_eq!(resp.bulk, vec![9u8; 300]);
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_nodelay(true).unwrap();
+        let mut req =
+            Request::new(Opcode::Ping, &b"drip"[..]).with_bulk(Bytes::from(vec![9u8; 300]));
+        req.id = 77;
+        for byte in framed(&req.encode()) {
+            raw.write_all(&[byte]).unwrap();
         }
+        let mut raw = FrameReader::new(raw);
+        let resp = Response::decode_owned(&read_frame(&mut raw).unwrap()).unwrap();
+        assert_eq!(resp.id, 77);
+        assert_eq!(&resp.body[..], b"drip");
+        assert_eq!(resp.bulk, vec![9u8; 300]);
         server.shutdown();
     }
 
@@ -1711,7 +1688,6 @@ mod tests {
         [&w.spun, &w.spin_expired, &s.spun, &s.spin_expired].map(|c| c.load(Ordering::Relaxed))
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn poll_leaves_the_writer_half_blocking() {
         // `O_NONBLOCK` set for a poll would be set on the write half too
@@ -1765,7 +1741,6 @@ mod tests {
         server.shutdown();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn poll_on_one_half_never_makes_the_other_nonblocking() {
         // The test above with its timing pinned: while the read half
@@ -1781,8 +1756,11 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 polling.wait();
-                let came = reader.spin(Instant::now(), Duration::from_millis(150)).unwrap();
-                assert!(!came, "nothing was sent to the polling half");
+                let began = Instant::now();
+                while began.elapsed() < Duration::from_millis(150) {
+                    assert!(!reader.fill().unwrap(), "nothing was sent to the polling half");
+                    std::thread::yield_now();
+                }
             });
             let drain = s.spawn(|| {
                 std::thread::sleep(Duration::from_millis(50));
@@ -1797,6 +1775,59 @@ mod tests {
             wrote.expect("the write half blocked until the peer read");
             assert_eq!(drain.join().unwrap(), big.len() + 8);
         });
+    }
+
+    #[test]
+    fn a_wait_leaves_the_socket_without_a_receive_timeout() {
+        // A reader waits on readiness, never under a socket receive
+        // timeout: neither a wait that ran out nor one that was served
+        // leaves one on the connection's read half.
+        let mut reg = echo_registry();
+        reg.register_fn(Opcode::ReadDir, |req| {
+            std::thread::sleep(Duration::from_millis(200));
+            Response::ok(req.body)
+        });
+        let server = TcpServer::bind("127.0.0.1:0", reg, 2).unwrap();
+        let ep = TcpEndpoint::connect(&server.local_addr().to_string()).unwrap();
+        let late = ep.submit(Request::new(Opcode::ReadDir, &b"late"[..])).unwrap();
+        let waited = late.wait(Duration::from_millis(30));
+        assert!(matches!(waited, Err(GkfsError::Timeout)), "{waited:?}");
+        let served = ep.call(Request::new(Opcode::Ping, &b"served"[..])).unwrap();
+        assert_eq!(&served.body[..], b"served");
+        let s = ep.conn.lock();
+        let t = s.live.as_ref().expect("connection is live").done.pending.lock();
+        let reader = t.reader.as_ref().expect("the read token is back");
+        assert_eq!(reader.stream.read_timeout().unwrap(), None);
+        drop(t);
+        drop(s);
+        server.shutdown();
+    }
+
+    #[test]
+    fn wait_says_whether_the_socket_became_readable() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut far, _) = listener.accept().unwrap();
+        let mut got = Vec::with_capacity(16);
+        // Silence: `false`, once its time is up.
+        let began = Instant::now();
+        assert!(!near.wait(Some(Duration::from_millis(30))).unwrap());
+        assert!(began.elapsed() >= Duration::from_millis(30));
+        let drained = near.recv(&mut got, 16).unwrap_err();
+        assert_eq!(drained.kind(), ErrorKind::WouldBlock);
+        // Bytes: `true`, and the receive takes them.
+        far.write_all(b"bytes").unwrap();
+        assert!(near.wait(Some(Duration::from_secs(10))).unwrap());
+        assert_eq!(near.recv(&mut got, 16).unwrap(), 5);
+        // The peer's hang-up: `true`, and the receive reports the end.
+        drop(far);
+        assert!(near.wait(None).unwrap());
+        assert_eq!(near.recv(&mut got, 16).unwrap(), 0);
+        assert_eq!(got, b"bytes");
+        // Time left is never rounded down to a spin.
+        assert_eq!(timeout_ms(Some(Duration::from_micros(1))), 1);
+        assert_eq!(timeout_ms(Some(Duration::ZERO)), 0);
+        assert_eq!(timeout_ms(None), -1);
     }
 
     #[test]
@@ -1819,7 +1850,6 @@ mod tests {
         server.shutdown();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn poll_serves_a_hot_connection_and_parks_an_idle_one() {
         let server = TcpServer::bind("127.0.0.1:0", point_echo_registry(), 1).unwrap();

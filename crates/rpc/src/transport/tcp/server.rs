@@ -4,14 +4,13 @@
 //!
 //! The listener and every accepted socket sit in one epoll set. The
 //! thread that *leads* the loop waits on the set, assembles frames
-//! without blocking (`FrameReader::fill` in [`Mode::Nonblocking`], the
-//! transport's one frame assembler), answers whatever
-//! `Handlers::runs_inline` admits itself and queues everything else on
-//! the handler pool. Whether it polls or parks is decided from the
-//! daemon's traffic, not from one connection's: the loop is *hot* when
-//! its previous wait found an event within [`SPIN`], and a hot loop
-//! polls the set for `SPIN` (`epoll_wait` with a zero timeout,
-//! `yield_now` between looks) before it blocks.
+//! without blocking (`FrameReader::fill`, the transport's one frame
+//! assembler), answers whatever `Handlers::runs_inline` admits itself
+//! and queues everything else on the handler pool. It polls before it
+//! parks by the client's rule and through the same function
+//! (`poll_or_park`), looking with `epoll_wait` at a zero timeout; what
+//! is its own is who is hot — the loop, from the daemon's traffic, not
+//! one connection's.
 //!
 //! # Takeover
 //!
@@ -42,7 +41,7 @@
 //!
 //! Linux only: the loop calls epoll through `extern "C"`.
 
-use super::{copied_out_of, write_response, FrameReader, Mode, SPIN};
+use super::{copied_out_of, poll_or_park, write_response, FrameReader};
 use crate::handler::HandlerRegistry;
 use crate::message::{Request, Response};
 use crate::stats::RpcStats;
@@ -51,6 +50,7 @@ use bytes::Bytes;
 use gkfs_common::lock::{rank, Condvar, OrderedMutex};
 use gkfs_common::{GkfsError, Result};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -75,6 +75,7 @@ const WAKE: u64 = u64::MAX - 1;
 
 /// epoll(7), the calls the loop makes.
 mod epoll {
+    use crate::transport::tcp::timeout_ms;
     use std::io;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
     use std::os::raw::c_int;
@@ -148,10 +149,7 @@ mod epoll {
         /// how many were written to the front of `events`. An
         /// interrupted wait reports none.
         pub(super) fn wait(&self, events: &mut [Event], timeout: Option<Duration>) -> usize {
-            let ms = timeout.map_or(-1, |t| {
-                // Round up: a wait with time left must not spin at zero.
-                c_int::try_from(t.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX)
-            });
+            let ms = timeout_ms(timeout);
             let max = c_int::try_from(events.len()).unwrap_or(c_int::MAX);
             // SAFETY: `events` is an exclusively borrowed array of `max`
             // events, of which the kernel writes at most that many.
@@ -295,39 +293,37 @@ impl Shared {
         }
     }
 
-    /// One wait of the loop — poll or park, the loop's decision: a hot
-    /// loop polls the set for [`SPIN`] first; one that found nothing, or
-    /// was cold, says it is parked and blocks. It is hot after a wait
-    /// that found an event within `SPIN` of its start.
+    /// One wait of the loop — poll or park ([`poll_or_park`]), decided
+    /// by the loop's own hot flag: it looks with `epoll_wait` on its set,
+    /// and before it blocks there it says it is parked. It waits until a
+    /// listener that sat out a failed accept is due back in the set, if
+    /// one is, else as long as it takes.
     fn wait(&self, hot: &mut bool, events: &mut [epoll::Event]) -> usize {
         let listener_back = self.listener_due();
-        let began = Instant::now();
-        if *hot {
-            loop {
-                let n = self.epoll.wait(events, Some(Duration::ZERO));
-                if n > 0 {
-                    self.stats().spun.fetch_add(1, Ordering::Relaxed);
-                    return n;
+        let stats = self.stats();
+        let ready = |events: &mut [epoll::Event], within| {
+            let n = self.epoll.wait(events, within);
+            Ok::<_, Infallible>((n > 0).then_some(n))
+        };
+        let Ok(n) = poll_or_park(
+            events,
+            hot,
+            listener_back,
+            [&stats.spun, &stats.spin_expired],
+            |events| ready(events, Some(Duration::ZERO)),
+            |events, left| {
+                self.lead.lock().parked = true;
+                let n = ready(events, left);
+                let mut l = self.lead.lock();
+                l.parked = false;
+                if l.asleep {
+                    l.asleep = false;
+                    self.watch.notify_all();
                 }
-                if began.elapsed() >= SPIN {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            self.stats().spin_expired.fetch_add(1, Ordering::Relaxed);
-        }
-        self.lead.lock().parked = true;
-        let n = self.epoll.wait(events, listener_back);
-        {
-            let mut l = self.lead.lock();
-            l.parked = false;
-            if l.asleep {
-                l.asleep = false;
-                self.watch.notify_all();
-            }
-        }
-        *hot = began.elapsed() <= SPIN;
-        n
+                n
+            },
+        );
+        n.unwrap_or(0)
     }
 
     /// Receive what `conn` holds and serve every frame that came whole. `lead` is the
@@ -335,7 +331,7 @@ impl Shared {
     /// leading on the way — `false` is returned) serves without windows,
     /// off the loop. An error condemns the connection.
     fn serve(&self, conn: &Arc<Conn>, mut lead: Option<&mut u64>) -> bool {
-        let filled = conn.reader.lock().fill(Mode::Nonblocking);
+        let filled = conn.reader.lock().fill();
         let broken = filled.is_err()
             || loop {
                 match conn.next() {
@@ -376,7 +372,7 @@ impl Shared {
             self.busy(lead, conn.serial, || conn.reply(&resp));
             return Ok(());
         }
-        stats.record_request(req.body.len(), req.bulk.len());
+        stats.record_request();
         let handlers = &self.handlers;
         if handlers.runs_inline(&req, frame.len(), more_buffered) {
             self.busy(lead, conn.serial, || {

@@ -3,6 +3,7 @@
 //! descriptor, which no other test may see.
 
 use bytes::Bytes;
+use gkfs_rpc::transport::tcp::Recv;
 use gkfs_rpc::transport::Endpoint;
 use gkfs_rpc::{HandlerRegistry, Opcode, Request, Response, TcpEndpoint, TcpServer};
 use std::io::Read;
@@ -89,9 +90,8 @@ fn an_accept_error_takes_the_listener_out_for_a_tick_and_the_connection_is_serve
     let payload = req.encode();
     fw.segment(&payload);
     fw.write_to(&mut client).unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
+    let answered = client.wait(Some(Duration::from_secs(10))).unwrap();
+    assert!(answered, "no answer within 10 s");
     let mut len = [0u8; 4];
     client.read_exact(&mut len).unwrap();
     let mut frame = vec![0u8; u32::from_le_bytes(len) as usize + 4];

@@ -2,9 +2,10 @@
 //! socket: every row of the RPC table in both directions
 //! (`<R::Req as Wire>::decode`, `<R::Resp as Wire>::decode`),
 //! `Request::decode_owned` / `Response::decode_owned`, and the TCP
-//! transport's one frame assembler (`tcp::read_frames`) in both of its
-//! receive modes: blocking, as a client's reader receives, and
-//! nonblocking, as the daemon's loop does.
+//! transport's one frame assembler (`tcp::read_frames`), which every
+//! reader — the daemon's loop and a client alike — drives the same way:
+//! it receives what is there without waiting, and waits for readiness
+//! when nothing is.
 //!
 //! The corpus is the bytes `crates/daemon/tests/wire_golden.rs` pins —
 //! copied here as hex, row by row; the first thing every row does is
@@ -16,8 +17,8 @@
 //! and has seeded bits flipped and bytes spliced. A stream of framed
 //! messages is, besides, delivered split at every byte and a byte at a
 //! time, given forged length prefixes, and has every bit of a CRC
-//! trailer flipped — every such row once per receive mode, the
-//! nonblocking one finding the socket drained between pieces.
+//! trailer flipped — every such row finding the socket drained between
+//! pieces, as a reader finds a socket between waits.
 //!
 //! Asserted for every row: no panic; a failure is a typed `Corruption`
 //! (a message body) or `Corruption`/`Rpc` (a frame, a stream); the
@@ -38,9 +39,10 @@ use gkfs_common::crc::crc32;
 use gkfs_common::retry::splitmix64;
 use gkfs_common::{GkfsError, Result};
 use gkfs_rpc::proto::{op, Opcode, Rpc, Wire};
-use gkfs_rpc::transport::tcp::{read_frames, Mode, Recv};
+use gkfs_rpc::transport::tcp::{read_frames, Recv};
 use gkfs_rpc::{Request, Response};
 use std::io::ErrorKind;
+use std::time::Duration;
 
 #[path = "../../kvstore/tests/fuzz_harness/mod.rs"]
 mod fuzz_harness;
@@ -347,8 +349,8 @@ fn envelope(payload: &[u8]) -> Vec<u8> {
 }
 
 /// A stream that arrives in pieces: `first` bytes, then `then` at a
-/// time. A nonblocking receive finds it drained (`WouldBlock`) between
-/// pieces, as the daemon's loop finds a socket between events.
+/// time. A receive finds it drained (`WouldBlock`) between pieces, as a
+/// reader finds a socket between waits; a wait always finds the next.
 struct Pieces<'a> {
     data: &'a [u8],
     first: usize,
@@ -357,9 +359,9 @@ struct Pieces<'a> {
 }
 
 impl Recv for Pieces<'_> {
-    fn recv(&mut self, into: &mut Vec<u8>, max: usize, mode: Mode) -> std::io::Result<usize> {
+    fn recv(&mut self, into: &mut Vec<u8>, max: usize) -> std::io::Result<usize> {
         self.gap = !self.gap;
-        if mode == Mode::Nonblocking && self.gap {
+        if self.gap {
             return Err(ErrorKind::WouldBlock.into());
         }
         let n = self.first.min(max).min(self.data.len());
@@ -367,6 +369,10 @@ impl Recv for Pieces<'_> {
         self.data = &self.data[n..];
         self.first = self.then;
         Ok(n)
+    }
+
+    fn wait(&mut self, _: Option<Duration>) -> std::io::Result<bool> {
+        Ok(true)
     }
 }
 
@@ -378,21 +384,15 @@ fn stream_budget(len: usize) -> usize {
     (4 << 20) + (64 << 10) + 4 * len
 }
 
-/// Read `stream` in the given pieces, in each receive mode; the frames
+/// Read `stream` in the given pieces; the frames
 /// it yields must be the first of `sent`, in order — all of them when
 /// `whole` — and reading must end in a typed error. A mutation can
 /// spell one frame nobody sent and the checksum cannot refuse: the
 /// empty one (eight zero bytes; no message decodes from it), which is
 /// passed over.
 fn check_stream(row: &str, stream: &[u8], first: usize, then: usize, sent: &[Vec<u8>], whole: bool) {
-    for mode in [Mode::Blocking, Mode::Nonblocking] {
-        check_stream_in(&format!("{row} ({mode:?})"), mode, stream, first, then, sent, whole);
-    }
-}
-
-fn check_stream_in(row: &str, mode: Mode, stream: &[u8], first: usize, then: usize, sent: &[Vec<u8>], whole: bool) {
     let pieces = Pieces { data: stream, first, then, gap: true };
-    let (read, peak) = measured(|| read_frames(pieces, mode));
+    let (read, peak) = measured(|| read_frames(pieces));
     let (frames, cause) = read.unwrap_or_else(|()| fail(row, format_args!("the frame reader panicked")));
     if peak > stream_budget(stream.len()) {
         fail(row, format_args!("allocated {peak} bytes reading {}", stream.len()));

@@ -199,9 +199,8 @@ cargo test -p gkfs-kvstore --release -q
 cargo test -p gkfs-kvstore --release -q --test fuzz_decoders -- --ignored
 # The same for what comes off a socket (crates/rpc/tests/fuzz_wire.rs,
 # on the same harness): every RPC body, both frame kinds and the TCP
-# frame assembler, whose stream rows run in both receive modes —
-# blocking as a client reads, nonblocking as the daemon's loop does —
-# seeded rows at 100x, ~3 s.
+# frame assembler, whose stream rows find the socket drained between
+# pieces as every reader does — seeded rows at 100x, ~3 s.
 cargo test -p gkfs-rpc --release -q --test fuzz_wire -- --ignored
 
 echo "==> one-winner race, release (a batched exclusive create is atomic)"
