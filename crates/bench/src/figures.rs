@@ -417,7 +417,7 @@ fn distribution(_smoke: bool) -> Vec<Table> {
 /// collapses the engine to fully synchronous serial I/O and is the
 /// baseline row; reads are one `pread` per chunk through a cached
 /// descriptor on every engine, out of a warm page cache, so the rows
-/// mostly measure how well completion fan-out overlaps *independent*
+/// mostly measure how well the segment fan-out overlaps *independent*
 /// clients. Client and I/O thread counts stop at
 /// the cores this machine has: beyond that they contend for the same
 /// CPUs and a cell is scheduler noise, not overlap.
@@ -437,8 +437,7 @@ fn batch_grid(smoke: bool) -> Vec<Table> {
             let tag = format!("gkfs-grid-{}-{label}-{io_threads}", std::process::id());
             let dir = std::env::temp_dir().join(tag);
             let _ = std::fs::remove_dir_all(&dir);
-            let backend = if io_threads == 0 { IoBackend::Serial } else { IoBackend::Pool };
-            let storage = FileChunkStorage::open_with(&dir, backend, io_threads, 64).unwrap();
+            let storage = FileChunkStorage::open_with(&dir, IoBackend::Auto, io_threads, 64).unwrap();
             let cell = |&c: &usize| grid_cell(&storage, chunks, op_len, c, (rounds, iters));
             let mut row: Vec<f64> = clients.iter().map(cell).collect();
             row.push((chunks * op_len) as f64 / MIB as f64 / (row[row.len() - 1] * 1e-6));

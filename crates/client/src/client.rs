@@ -206,7 +206,7 @@ impl GekkoClient {
 
     /// Flush all buffered state (unmount): every open path's
     /// write-back run, buffered size update and unsent create
-    /// ([`GekkoClient::flush_files`]).
+    /// (`GekkoClient::flush_files`).
     pub fn flush_all(&self) -> Result<()> {
         self.flush_files(&mut self.files.locals())
     }

@@ -5,7 +5,7 @@
 //! book"). All placement decisions happen above, in
 //! [`crate::client::GekkoClient`]; this layer names a row of the RPC
 //! table ([`gkfs_rpc::proto::op`]) and a typed request, and
-//! [`DaemonRing::unary_attempt`] encodes, sends and decodes for every
+//! `DaemonRing::unary_attempt` encodes, sends and decodes for every
 //! row alike — and, since the retry layer, also owns **when a failed
 //! RPC is tried again**:
 //!
@@ -530,7 +530,7 @@ impl DaemonRing {
     /// would answer inside a `BatchMeta` frame — the entry for a stat
     /// or a remove, nothing otherwise. Creates and removes are not
     /// idempotent, so a retried attempt is judged by
-    /// [`lost_reply_verdict`] (the `O_EXCL` ambiguity that implies under
+    /// `lost_reply_verdict` (the `O_EXCL` ambiguity that implies under
     /// connection loss is documented in DESIGN.md "Fault model").
     pub fn meta_nb(
         &self,
@@ -619,7 +619,7 @@ impl DaemonRing {
     ///
     /// A retried frame stays idempotent **per op**: verdicts travel
     /// inside an `Ok` frame where the frame-level `tolerate` hook never
-    /// sees them, so the decoder applies [`lost_reply_verdict`] at op
+    /// sees them, so the decoder applies `lost_reply_verdict` at op
     /// granularity. The ops are shared, not copied, between the
     /// replicas of one fan-out.
     pub fn batch_meta_nb(
@@ -679,7 +679,7 @@ impl DaemonRing {
     /// ([`WriteFileReq`]). A frame carrying a create says so when it is
     /// sent again: the daemon cannot tell a replay from a first
     /// delivery, and this row's replay must write its bytes even though
-    /// its create now finds the entry ([`lost_reply_verdict`]'s rule
+    /// its create now finds the entry (`lost_reply_verdict`'s rule
     /// for `Create`, applied by the daemon because the bytes are there).
     pub fn write_file_nb<'a>(
         &self,

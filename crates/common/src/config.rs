@@ -10,21 +10,16 @@ use std::path::PathBuf;
 /// The chunk size used throughout the paper's evaluation: 512 KiB.
 pub const DEFAULT_CHUNK_SIZE: u64 = 512 * 1024;
 
-/// Which engine drives a file chunk store's batches — the argument of
-/// `FileChunkStorage::open_with`. Daemons always open with `Auto`; the
-/// explicit variants exist for tools that compare the engines
-/// (`batch_grid`, the storage tests).
+/// The batch-engine argument of `FileChunkStorage::open_with`. It has
+/// one value: the number of I/O threads the store is opened with picks
+/// the engine (the task-pool fan-out, or serial with zero threads). It
+/// stays because the benchmark's probes (`ledger/src/probes.rs`) name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoBackend {
     /// The task-pool fan-out, or the serial engine when the store is
     /// opened with zero I/O threads.
     #[default]
     Auto,
-    /// Run every batch serially on the submitting thread.
-    Serial,
-    /// Fan batch segments out over a `TaskPool` of pread/pwrite
-    /// workers (the Argobots-ULT stand-in).
-    Pool,
 }
 
 /// Per-daemon configuration.

@@ -2,7 +2,7 @@
 //!
 //! GekkoFS daemons run unattended on compute nodes, so operational
 //! visibility matters (the authors built a whole tracing framework for
-//! storage systems [37]). This is a deliberately small substitute: a
+//! storage systems \[37\]). This is a deliberately small substitute: a
 //! global level (initialized from `GKFS_LOG`, overridable in code) and
 //! three macros writing single-line records to stderr. The disabled
 //! path is one relaxed atomic load.

@@ -2,14 +2,15 @@
 //!
 //! Paper §III-B: a daemon splits each I/O request into its chunks and
 //! hands every chunk to an Argobots user-level thread so chunk I/O
-//! overlaps. Earlier revisions did that fan-out here, in the daemon;
-//! the parallelism now lives *inside* the storage backend behind the
-//! completion-based [`ChunkStorage::submit_batch`] API, so direct
-//! storage users (benches, tools, future RDMA paths) get the same
-//! overlap and the daemon is a thin adapter:
+//! overlaps. Here that fan-out lives *inside* the storage backend,
+//! behind [`ChunkStorage::submit_batch`], which runs a batch's segments
+//! side by side and returns when all of them are done. Direct storage
+//! users (benches, tools) get the same overlap, and the daemon is a
+//! thin adapter:
 //!
 //! * validate the wire-controlled geometry (size cap, dense layout),
-//! * submit the batch and wait on its [`BatchCompletion`],
+//! * run the batch and take its result
+//!   ([`BatchCompletion::wait`](gkfs_storage::BatchCompletion::wait)),
 //! * compact the read reply for the wire.
 //!
 //! Read replies are scatter/gather end to end: storage allocates one
@@ -114,7 +115,7 @@ mod tests {
             ("mem", Arc::new(MemChunkStorage::new()), None),
             (
                 "file-pool",
-                Arc::new(FileChunkStorage::open_with(&dir, IoBackend::Pool, 4, 64).unwrap()),
+                Arc::new(FileChunkStorage::open_with(&dir, IoBackend::Auto, 4, 64).unwrap()),
                 Some(dir),
             ),
         ]
@@ -172,13 +173,13 @@ mod tests {
             (
                 "serial",
                 Arc::new(
-                    FileChunkStorage::open_with(dir.join("s"), IoBackend::Serial, 0, 0).unwrap(),
+                    FileChunkStorage::open_with(dir.join("s"), IoBackend::Auto, 0, 0).unwrap(),
                 ),
             ),
             (
                 "pool",
                 Arc::new(
-                    FileChunkStorage::open_with(dir.join("p"), IoBackend::Pool, 4, 64).unwrap(),
+                    FileChunkStorage::open_with(dir.join("p"), IoBackend::Auto, 4, 64).unwrap(),
                 ),
             ),
         ];
@@ -318,7 +319,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gkfs-eng-conc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let storage: Arc<dyn ChunkStorage> =
-            Arc::new(FileChunkStorage::open_with(&dir, IoBackend::Pool, 4, 64).unwrap());
+            Arc::new(FileChunkStorage::open_with(&dir, IoBackend::Auto, 4, 64).unwrap());
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let storage = storage.clone();

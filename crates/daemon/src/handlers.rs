@@ -535,7 +535,7 @@ mod tests {
     fn open_file_answers_the_entry_and_the_bytes_it_vouches_for() {
         let dir = std::env::temp_dir().join(format!("gkfs-open-file-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let file_store = FileChunkStorage::open_with(&dir, IoBackend::Serial, 0, 0).unwrap();
+        let file_store = FileChunkStorage::open_with(&dir, IoBackend::Auto, 0, 0).unwrap();
         for data in [
             Arc::new(MemChunkStorage::new()) as Arc<dyn ChunkStorage>,
             Arc::new(file_store),

@@ -280,7 +280,7 @@ impl MetadataBackend {
         Ok((verdicts, committed))
     }
 
-    /// One `BatchMeta` frame: [`MetadataBackend::run`] plus the bulk
+    /// One `BatchMeta` frame: `MetadataBackend::run` plus the bulk
     /// plane's counters, kept in the store's block.
     pub fn apply(&self, ops: &[MetaOp]) -> Result<Vec<MetaVerdict>> {
         let (verdicts, committed) = self.run(ops)?;

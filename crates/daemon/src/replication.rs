@@ -26,7 +26,7 @@
 //!
 //! Leadership is per object (the first live set member pushes) and
 //! falls over: any death re-enqueues every outstanding repair and
-//! drain-back target ([`plan_recovery`]), so a leader dying mid-walk
+//! drain-back target (`plan_recovery`), so a leader dying mid-walk
 //! hands its remaining pushes to the next live member instead of
 //! orphaning them.
 

@@ -25,15 +25,15 @@
 //!
 //! Versions are immutable: installing a rotation, flush or compaction
 //! result edits a *copy* of the version and swaps the pointer
-//! ([`DbInner::install`], the only place it moves), so an in-flight
+//! (`DbInner::install`, the only place it moves), so an in-flight
 //! read keeps a consistent view (the removed imm and its new table
 //! never both appear, and never both disappear).
 //!
 //! **One walk reads a version.** The order of a version's sources —
 //! active memtable, frozen memtables newest first, L0 newest first, L1
 //! — and what `Put` / `Delete` / `Merge` mean along it are known to
-//! two functions: [`DbInner::lookup`] (one key, newest to oldest,
-//! stopping at the first `Put` or `Delete`) and [`DbInner::merge_walk`]
+//! two functions: `DbInner::lookup` (one key, newest to oldest,
+//! stopping at the first `Put` or `Delete`) and `DbInner::merge_walk`
 //! (a key range in key order, every source stepped side by side, each
 //! key decided the way `lookup` decides it). `get`, the
 //! conditional-write view, `scan_prefix`, `len`, compaction and the
@@ -43,7 +43,7 @@
 //! **A tombstone only over an older source.** A delete records a
 //! tombstone only where a source older than the active memtable may
 //! hold its key; otherwise it forgets the key's memtable entry, which
-//! reads the same ([`Version::older_may_hold`] says why). Create/remove
+//! reads the same (`Version::older_may_hold` says why). Create/remove
 //! churn thus leaves the memtable as empty as it found it.
 //!
 //! Merge operands that cannot be folded in the memtable are resolved
@@ -53,7 +53,7 @@
 //! that memtable is already in the table levels.
 //!
 //! **One wait.** A foreground thread sleeps on background progress in
-//! [`DbInner::wait_bg`] only (frozen-memtable backlog, L0 at the stall
+//! `DbInner::wait_bg` only (frozen-memtable backlog, L0 at the stall
 //! threshold, `flush()`); see there for why it needs no timeout.
 //!
 //! Durability across the background window relies on two pieces: the

@@ -20,10 +20,10 @@
 //! receiving end). A TCP connection
 //! keeps one completion table instead, and the waiter itself reads the
 //! socket when it is the only one who could be waiting ([`tcp`]). On the
-//! daemon side both transports serve requests through [`Handlers`]: the
+//! daemon side both transports serve requests through `Handlers`: the
 //! registry, its counters and the handler pool, with the one "dispatch,
 //! record, deliver" routine — and the one rule
-//! ([`Handlers::runs_inline`]) by which a TCP server's progress loop
+//! (`Handlers::runs_inline`) by which a TCP server's progress loop
 //! answers a small point op itself instead of queueing it.
 
 use crate::handler::HandlerRegistry;

@@ -21,7 +21,7 @@
 //! each decided in one place:
 //!
 //! * **Inline or pool** (daemon; `Handlers::runs_inline`). A daemon
-//!   serves all of its connections from one progress loop ([`server`]),
+//!   serves all of its connections from one progress loop (`server`),
 //!   which reads each through one buffer — one `recv` per small frame —
 //!   and dispatches and answers a request itself when its row is a
 //!   point op by its declared [`ServeClass`](crate::proto::ServeClass),
@@ -61,7 +61,7 @@
 //! **Poll before park.** Mercury can busy-poll its network layer
 //! (`NA_NO_BLOCK`), which pays where a request is served in far less
 //! than a wake-up costs, as a point op is. So a reader that is *hot* —
-//! its previous wait found what it waited for within [`SPIN`] (50 µs) —
+//! its previous wait found what it waited for within `SPIN` (50 µs) —
 //! polls for `min(SPIN, time left)` first, and parks only when that
 //! window runs out, which leaves it cold. An arrival inside the window
 //! costs no wake-up; going quiet costs one window. The poller yields
@@ -76,9 +76,10 @@
 //!   loop polls its epoll set while the daemon is hot, whichever client
 //!   keeps it busy, and a rank's call that reaches it once per
 //!   ~180 µs still finds it polling while the other rank's calls come
-//!   between ([`server`]);
-//! * a client decides per connection (`FrameReader::poll`): a leading
-//!   waiter polls the socket itself. Observer and
+//!   between (`server`);
+//! * a client decides per connection (a flag on its read token, which
+//!   `FrameReader::poll` reads and sets): a leading waiter polls the
+//!   socket itself. Observer and
 //!   CLI connections, and those whose gaps are a chunk's transfer, never
 //!   poll. Nothing is held while polling, so the lead-or-follow protocol
 //!   is untouched.
@@ -106,7 +107,7 @@
 //!
 //! Inbound, every byte off a socket — the daemon's loop, a leading
 //! waiter, a client's reader thread, the chaos proxy — goes through one
-//! assembler, a [`FrameReader`]: `fill` receives a step of bytes, and
+//! assembler, a `FrameReader`: `fill` receives a step of bytes, and
 //! `take_frame` is the one place a header is parsed, a checksum checked
 //! and a frame cut. A frame that fits the read buffer arrives with the
 //! `recv` that found it and is cut out as one owned buffer; a larger one
@@ -253,7 +254,7 @@ fn timeout_ms(within: Option<Duration>) -> c_int {
     })
 }
 
-/// Where a [`FrameReader`] receives from: a [`TcpStream`], or — so that
+/// Where a `FrameReader` receives from: a [`TcpStream`], or — so that
 /// a test can substitute its byte source — anything that hands out
 /// bytes the way one does.
 pub trait Recv {
@@ -341,7 +342,8 @@ impl Recv for TcpStream {
 /// Which reader is hot is its caller's: the daemon's loop
 /// (`server::Shared::wait`, looking with `epoll_wait` on its set) keeps
 /// one flag per daemon, a client (`FrameReader::poll`, looking with
-/// `recv` and parking in [`Recv::wait`]) one per connection.
+/// `recv` and parking in [`Recv::wait`]) one per connection, on its
+/// read [`Token`].
 fn poll_or_park<S: ?Sized, T, E>(
     on: &mut S,
     hot: &mut bool,
@@ -403,9 +405,6 @@ pub(crate) struct FrameReader<R> {
     /// `buf[start..]` is not consumed yet.
     buf: Vec<u8>,
     start: usize,
-    /// The last frame's first bytes came within [`SPIN`] of the wait for
-    /// them starting: the next wait polls before it parks.
-    hot: bool,
     /// A frame too large for the buffer, being assembled: its payload
     /// length, and its bytes so far (payload and trailer) in a `Vec`
     /// reserved by [`frame_reserve`].
@@ -418,7 +417,6 @@ impl<R: Recv> FrameReader<R> {
             stream,
             buf: Vec::with_capacity(READ_BUF),
             start: 0,
-            hot: false,
             big: None,
         }
     }
@@ -564,24 +562,27 @@ impl<R: Recv> FrameReader<R> {
     /// takes) for the first bytes of the next frame. `Ok(false)`:
     /// nothing came, and the stream is still on the boundary — the one
     /// place a reader may walk away from it. Every client reader waits
-    /// here, by [`poll_or_park`] with this connection's own hot flag: it
-    /// looks with a `recv`, and parks in [`Recv::wait`] before one.
-    /// `spun` and `expired` count the polls that found bytes and the
-    /// windows that ran out.
-    fn poll(&mut self, within: Option<Duration>, spins: [&AtomicU64; 2]) -> Result<bool> {
+    /// here, by [`poll_or_park`] with the hot flag of this connection's
+    /// [`Token`]: it looks with a `recv`, and parks in [`Recv::wait`]
+    /// before one. `spun` and `expired` count the polls that found bytes
+    /// and the windows that ran out.
+    fn poll(
+        &mut self,
+        hot: &mut bool,
+        within: Option<Duration>,
+        spins: [&AtomicU64; 2],
+    ) -> Result<bool> {
         if self.buffered() > 0 {
             return Ok(true);
         }
-        let mut hot = self.hot;
         let came: Result<_> = poll_or_park(
             self,
-            &mut hot,
+            hot,
             within,
             spins,
             |r| Ok(r.fill()?.then_some(())),
             |r, left| Ok((r.stream.wait(left).map_err(lost)? && r.fill()?).then_some(())),
         );
-        self.hot = hot;
         Ok(came?.is_some())
     }
 }
@@ -618,6 +619,16 @@ fn copied_out_of(frame: &Bytes, part: &Bytes) -> usize {
     }
 }
 
+/// A client connection's read token: the read half of its socket, and
+/// whether the connection is hot — its last frame's first bytes came
+/// within [`SPIN`] of the wait for them starting, so the next wait
+/// polls before it parks. The flag travels with the token, from leader
+/// to leader.
+struct Token {
+    reader: FrameReader<TcpStream>,
+    hot: bool,
+}
+
 /// What a connection's completion table holds.
 struct Table {
     /// A slot per request in flight: `None` until its reply — or the
@@ -628,7 +639,7 @@ struct Table {
     /// The read half of the socket — the token. `None` while a leading
     /// waiter or the reader thread has it, and for good once the
     /// connection is dead.
-    reader: Option<FrameReader<TcpStream>>,
+    reader: Option<Token>,
     /// A leader left the reader thread the large frame at the head of
     /// the stream ([`Led::Large`]); the thread reads it (once it gets
     /// the token) and clears this. While set, waiters follow.
@@ -653,7 +664,7 @@ impl Table {
     /// Take the read token if it is there and this kind of reader may
     /// have it: the reader thread while a large frame is left to it, a
     /// waiter while none is.
-    fn token(&mut self, reader_thread: bool) -> Option<FrameReader<TcpStream>> {
+    fn token(&mut self, reader_thread: bool) -> Option<Token> {
         if self.draining == reader_thread {
             self.reader.take()
         } else {
@@ -728,11 +739,11 @@ impl Completions {
     /// Hand the token back and pass the reading on: to the reader
     /// thread if a large frame is left to it, else to a follower — if
     /// anything is left to read at all.
-    fn release(&self, t: &mut Table, reader: FrameReader<TcpStream>) {
+    fn release(&self, t: &mut Table, token: Token) {
         if t.dead.is_some() {
             return; // condemned meanwhile: the token goes with it
         }
-        t.reader = Some(reader);
+        t.reader = Some(token);
         if t.draining {
             self.drain.notify_one();
         } else if t.waiting > 0 && t.followers > 0 {
@@ -812,7 +823,7 @@ impl Completions {
     /// slot. No lock is held while reading.
     fn lead(
         &self,
-        reader: &mut FrameReader<TcpStream>,
+        token: &mut Token,
         id: u64,
         deadline: Option<Instant>,
         hand_over: bool,
@@ -823,10 +834,10 @@ impl Completions {
             if left == Some(Duration::ZERO) {
                 return Ok(Led::TimedOut);
             }
-            if !reader.poll(left, spins)? {
+            if !token.reader.poll(&mut token.hot, left, spins)? {
                 continue;
             }
-            let Some(resp) = self.read_reply(reader, hand_over)? else {
+            let Some(resp) = self.read_reply(&mut token.reader, hand_over)? else {
                 return Ok(Led::Large);
             };
             if resp.id == id {
@@ -845,12 +856,12 @@ impl Completions {
             if t.dead.is_some() {
                 return;
             }
-            let Some(mut reader) = t.token(true) else {
+            let Some(mut token) = t.token(true) else {
                 t.wait(&self.drain);
                 continue;
             };
             drop(t);
-            let reply = match self.read_reply(&mut reader, false) {
+            let reply = match self.read_reply(&mut token.reader, false) {
                 Ok(reply) => reply,
                 Err(cause) => return self.fail(cause),
             };
@@ -859,7 +870,7 @@ impl Completions {
                 self.park(&mut t, resp);
             }
             t.draining = false;
-            self.release(&mut t, reader);
+            self.release(&mut t, token);
         }
     }
 }
@@ -903,9 +914,9 @@ impl Ticket {
             if left.is_zero() {
                 break None;
             }
-            if let Some(mut reader) = t.token(false) {
+            if let Some(mut token) = t.token(false) {
                 drop(t);
-                let turn = done.lead(&mut reader, self.id, deadline, hand_over);
+                let turn = done.lead(&mut token, self.id, deadline, hand_over);
                 if matches!(turn, Ok(Led::Large)) {
                     hand_over = self.done.start_reader();
                 }
@@ -916,14 +927,14 @@ impl Ticket {
                             t.draining = true;
                             done.stats.reader_drains.fetch_add(1, Ordering::Relaxed);
                         }
-                        done.release(&mut t, reader);
+                        done.release(&mut t, token);
                     }
                     Ok(mine) => {
                         led = true;
                         if matches!(mine, Led::Mine(_)) {
                             t.forget(self.id);
                         }
-                        done.release(&mut t, reader);
+                        done.release(&mut t, token);
                         break match mine {
                             Led::Mine(resp) => Some(Ok(resp)),
                             _ => None,
@@ -931,7 +942,7 @@ impl Ticket {
                     }
                     Err(cause) => {
                         drop(t);
-                        drop(reader);
+                        drop(token);
                         done.fail(cause);
                         t = done.pending.lock();
                     }
@@ -1068,7 +1079,7 @@ impl TcpEndpoint {
                 Table {
                     slots: HashMap::new(),
                     waiting: 0,
-                    reader: Some(FrameReader::new(reader)),
+                    reader: Some(Token { reader: FrameReader::new(reader), hot: false }),
                     draining: false,
                     followers: 0,
                     dead: None,
@@ -1796,8 +1807,8 @@ mod tests {
         assert_eq!(&served.body[..], b"served");
         let s = ep.conn.lock();
         let t = s.live.as_ref().expect("connection is live").done.pending.lock();
-        let reader = t.reader.as_ref().expect("the read token is back");
-        assert_eq!(reader.stream.read_timeout().unwrap(), None);
+        let token = t.reader.as_ref().expect("the read token is back");
+        assert_eq!(token.reader.stream.read_timeout().unwrap(), None);
         drop(t);
         drop(s);
         server.shutdown();

@@ -61,17 +61,17 @@
 //!
 //! # Batch I/O engines
 //!
-//! Batches ([`ChunkStorage::submit_batch`], the only data-I/O entry
-//! point) execute on one of two engines, selected at open time
-//! ([`FileChunkStorage::open_with`]):
+//! A batch ([`ChunkStorage::submit_batch`], the only data-I/O entry
+//! point) runs to completion before the call returns, on one of two
+//! engines that the number of I/O threads given to
+//! [`FileChunkStorage::open_with`] selects:
 //!
-//! * **Serial** — every batch runs on the calling thread and the
-//!   completion is ready on return.
-//! * **Pool** — batches are cut into contiguous *segments* (aligned to
-//!   same-chunk runs so coalescing is never split) and every segment
-//!   is dispatched to a [`TaskPool`] of pread/pwrite workers; the call
-//!   returns immediately and the completion gathers the segments. A
-//!   batch that is a single segment runs inline.
+//! * **Serial** (0 threads) — every batch runs on the calling thread.
+//! * **Pool** — a batch is cut into contiguous *segments* (aligned to
+//!   same-chunk runs so coalescing is never split), every segment is
+//!   dispatched to a [`TaskPool`] of pread/pwrite workers, and the
+//!   calling thread waits for them all. A batch that is a single
+//!   segment runs on the calling thread.
 //!
 //! Saturation degrades gracefully: when the pool queue is full the
 //! submitting thread runs the segment itself (caller-runs), so
@@ -79,7 +79,8 @@
 //! bound.
 
 use crate::{check_write_windows, segment, to_usize, validate_dense_layout};
-use crate::{BatchCompletion, BatchOp, BatchOutput, BatchPayload, ChunkStorage, SegmentResult};
+use crate::{BatchCompletion, BatchOp, BatchOutput, BatchPayload, ChunkStorage};
+use bytes::Bytes;
 use gkfs_common::hash::fnv1a64;
 use gkfs_common::lock::{rank, OrderedMutex};
 use gkfs_common::metrics::DaemonCounters;
@@ -91,6 +92,7 @@ use std::mem::MaybeUninit;
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_void};
 use std::os::unix::fs::FileExt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
@@ -317,9 +319,9 @@ struct SendPtr(*mut MaybeUninit<u8>);
 // The pointer is only ever turned into one segment's own window, and
 // windows of distinct segments are disjoint by construction (dense
 // running-sum `buf_offset` layout, checked before fan-out).
-// SAFETY: disjoint windows + the buffer outlives every task — it is
-// parked inside the `BatchCompletion`, whose `wait`/`Drop` block until
-// all tasks report or provably die.
+// SAFETY: disjoint windows + the buffer outlives every task — it lives
+// in `read_batch`'s frame, and `run_segments` returns only after every
+// task has sent its result or dropped its sender.
 unsafe impl Send for SendPtr {}
 
 impl Inner {
@@ -527,27 +529,26 @@ fn rebase(ops: &[BatchOp], win_start: u64) -> Vec<BatchOp> {
 }
 
 impl FileChunkStorage {
-    /// Open (creating if needed) a chunk store under `root` with the
-    /// default engine ([`IoBackend::Auto`]: a task pool sized to the
-    /// machine).
+    /// Open (creating if needed) a chunk store under `root` with a task
+    /// pool sized to the machine.
     pub fn open(root: impl Into<PathBuf>) -> Result<FileChunkStorage> {
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         Self::open_with(root, IoBackend::Auto, threads, 64)
     }
 
-    /// Open a chunk store under `root` with an explicit batch engine.
-    /// `threads`/`queue_depth` size the task pool; `threads == 0`
-    /// selects the serial engine whatever `backend` says.
+    /// Open a chunk store under `root`. `threads`/`queue_depth` size
+    /// the task pool; `threads == 0` selects the serial engine.
+    /// [`IoBackend`] has the one value `Auto`.
     pub fn open_with(
         root: impl Into<PathBuf>,
-        backend: IoBackend,
+        _backend: IoBackend,
         threads: usize,
         queue_depth: usize,
     ) -> Result<FileChunkStorage> {
         let chunk_root = root.into().join("chunks");
         fs::create_dir_all(&chunk_root)?;
         let depth = queue_depth.max(threads);
-        let pool = (backend != IoBackend::Serial && threads > 0)
+        let pool = (threads > 0)
             .then(|| TaskPool::new("chunk-io", threads, depth, rank::DAEMON_CHUNK_QUEUE));
         Ok(FileChunkStorage {
             inner: Arc::new(Inner {
@@ -569,20 +570,6 @@ impl FileChunkStorage {
         }
     }
 
-    /// Submit `job` to the pool, running it inline on overflow, and
-    /// count which way it went.
-    fn dispatch(&self, pool: &TaskPool, job: Box<dyn FnOnce() + Send>) {
-        match pool.try_submit(job) {
-            Ok(()) => {
-                self.inner.stats.chunk_tasks_spawned.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(job) => {
-                self.inner.stats.chunk_inline_runs.fetch_add(1, Ordering::Relaxed);
-                job(); // caller-runs: the submitting thread absorbs overflow
-            }
-        }
-    }
-
     /// The pool and the batch's segments when the batch fans out: the
     /// pool engine with more than one segment. Everything else — the
     /// serial engine, or a batch that is one same-chunk run — executes
@@ -592,108 +579,125 @@ impl FileChunkStorage {
         let segs = segment(ops, pool.workers().max(1));
         (segs.len() > 1).then_some((pool, segs))
     }
-}
 
-impl ChunkStorage for FileChunkStorage {
-    fn submit_batch(&self, path: &str, ops: &[BatchOp], payload: BatchPayload) -> BatchCompletion {
-        match payload {
-            BatchPayload::Write(bulk) => {
-                if let Err(e) = check_write_windows(ops, bulk.len()) {
-                    return BatchCompletion::ready(Err(e));
+    /// Run a fanned-out batch's segment jobs to completion and return
+    /// their lens in op order. Each job goes to the pool or, when its
+    /// queue is full, runs here (caller-runs) under `catch_unwind`, as a
+    /// pool worker runs it. Either way this returns only once every job
+    /// has sent its result or dropped its sender — what lets a read's
+    /// jobs write into a buffer of the caller's frame ([`SendPtr`]). The
+    /// first failed segment in op order gives the error, and a segment
+    /// that ended without a result (a panic, on either thread) fails as
+    /// lost.
+    fn run_segments<F>(&self, pool: &TaskPool, jobs: Vec<F>) -> Result<Vec<u64>>
+    where
+        F: FnOnce() -> Result<Vec<u64>> + Send + 'static,
+    {
+        gkfs_common::lock::assert_unguarded("FileChunkStorage::submit_batch");
+        let stats = &self.inner.stats;
+        let mut results = vec![None; jobs.len()];
+        let (tx, rx) = mpsc::channel();
+        for (i, job) in jobs.into_iter().enumerate() {
+            let tx = tx.clone();
+            let job = move || {
+                let _ = tx.send((i, job()));
+            };
+            match pool.try_submit(Box::new(job)) {
+                Ok(()) => {
+                    stats.chunk_tasks_spawned.fetch_add(1, Ordering::Relaxed);
                 }
-                let Some((pool, segs)) = self.fan_out(ops) else {
-                    return BatchCompletion::ready(
-                        self.inner.write_runs(path, ops, &bulk).map(|()| BatchOutput::default()),
-                    );
-                };
-                let (tx, rx) = mpsc::channel::<SegmentResult>();
-                for (seg_idx, &(start, end)) in segs.iter().enumerate() {
-                    let inner = self.inner.clone();
-                    let path = path.to_string();
-                    let seg_ops = ops[start..end].to_vec();
-                    let bulk = bulk.clone();
-                    let tx = tx.clone();
-                    self.dispatch(
-                        pool,
-                        Box::new(move || {
-                            // Windows keep their original offsets into
-                            // the shared refcounted bulk — no copy.
-                            let res = inner.write_runs(&path, &seg_ops, &bulk).map(|()| Vec::new());
-                            let _ = tx.send((seg_idx, res));
-                        }),
-                    );
+                Err(job) => {
+                    // caller-runs: the submitting thread absorbs
+                    // overflow, and a panic stays inside the job.
+                    stats.chunk_inline_runs.fetch_add(1, Ordering::Relaxed);
+                    let _ = catch_unwind(AssertUnwindSafe(job));
                 }
-                // SAFETY: no reply buffer: its length stays 0.
-                unsafe { BatchCompletion::pending(rx, segs.len(), Vec::new(), 0, segs.len()) }
             }
-            BatchPayload::Read => {
-                let total = match validate_dense_layout(ops) {
-                    Ok(t) => t,
-                    Err(e) => return BatchCompletion::ready(Err(e)),
-                };
-                // Allocated, not zeroed: each run is read straight into
-                // its window and only what a read did not reach is
-                // zero-filled (`read_runs`); the length covers the
-                // bytes once every window is written.
-                let total = to_usize(total);
-                let mut data = Vec::with_capacity(total);
-                let Some((pool, segs)) = self.fan_out(ops) else {
-                    let res = self
-                        .inner
-                        .read_runs(path, ops, &mut data.spare_capacity_mut()[..total])
-                        .map(|lens| {
-                            // SAFETY: `read_runs` returned `Ok`, so it
-                            // initialised every byte of the window it
-                            // was given — the first `total` of `data`'s
-                            // capacity.
-                            unsafe { data.set_len(total) };
-                            BatchOutput { data, lens }
-                        });
-                    return BatchCompletion::ready(res);
-                };
+        }
+        drop(tx);
+        for (i, res) in rx.iter().take(results.len()) {
+            results[i] = Some(res);
+        }
+        let lost = || GkfsError::Rpc("chunk batch task lost without result".into());
+        let mut lens = Vec::new();
+        for res in results {
+            lens.extend(res.ok_or_else(lost)??);
+        }
+        Ok(lens)
+    }
+
+    fn write_batch(&self, path: &str, ops: &[BatchOp], bulk: Bytes) -> Result<BatchOutput> {
+        check_write_windows(ops, bulk.len())?;
+        let Some((pool, segs)) = self.fan_out(ops) else {
+            self.inner.write_runs(path, ops, &bulk)?;
+            return Ok(BatchOutput::default());
+        };
+        let jobs = segs
+            .iter()
+            .map(|&(start, end)| {
+                let (inner, path, bulk) = (self.inner.clone(), path.to_string(), bulk.clone());
+                let seg_ops = ops[start..end].to_vec();
+                // Windows keep their original offsets into the shared
+                // refcounted bulk — no copy.
+                move || inner.write_runs(&path, &seg_ops, &bulk).map(|()| Vec::new())
+            })
+            .collect();
+        self.run_segments(pool, jobs)?;
+        Ok(BatchOutput::default())
+    }
+
+    fn read_batch(&self, path: &str, ops: &[BatchOp]) -> Result<BatchOutput> {
+        // Allocated, not zeroed: each run is read straight into its
+        // window and only what a read did not reach is zero-filled
+        // (`read_runs`); the length covers the bytes once every window
+        // is written.
+        let total = to_usize(validate_dense_layout(ops)?);
+        let mut data = Vec::with_capacity(total);
+        let lens = match self.fan_out(ops) {
+            None => self.inner.read_runs(path, ops, &mut data.spare_capacity_mut()[..total])?,
+            Some((pool, segs)) => {
                 let base = SendPtr(data.spare_capacity_mut().as_mut_ptr());
-                let (tx, rx) = mpsc::channel::<SegmentResult>();
-                for (seg_idx, &(start, end)) in segs.iter().enumerate() {
-                    // Window bounds come straight from the validated
-                    // dense layout (no re-summing that could diverge
-                    // from `total`).
-                    let win_start = to_usize(ops[start].buf_offset);
-                    let win_end = if end < ops.len() {
-                        to_usize(ops[end].buf_offset)
-                    } else {
-                        total
-                    };
-                    let win_len = win_end - win_start;
-                    let seg_ops = rebase(&ops[start..end], win_start as u64);
-                    // The completion owns the allocation (moving the Vec
-                    // leaves heap storage in place); its wait/Drop block
-                    // until every task reported.
-                    // SAFETY: in bounds: the window ends at or before
-                    // `total`, the allocation's capacity.
-                    let win = unsafe { SendPtr(base.0.add(win_start)) };
-                    let inner = self.inner.clone();
-                    let path = path.to_string();
-                    let tx = tx.clone();
-                    self.dispatch(
-                        pool,
-                        Box::new(move || {
+                let jobs = segs
+                    .iter()
+                    .map(|&(start, end)| {
+                        // Window bounds come straight from the validated
+                        // dense layout (no re-summing that could diverge
+                        // from `total`).
+                        let win_start = to_usize(ops[start].buf_offset);
+                        let win_len = ops.get(end).map_or(total, |o| to_usize(o.buf_offset)) - win_start;
+                        // SAFETY: in bounds: the window ends at or before
+                        // `total`, the allocation's capacity.
+                        let win = unsafe { SendPtr(base.0.add(win_start)) };
+                        let (inner, path) = (self.inner.clone(), path.to_string());
+                        let seg_ops = rebase(&ops[start..end], win_start as u64);
+                        move || {
                             let win = win;
                             // SAFETY: exclusive window; see `SendPtr`.
                             // Typed as uninitialised bytes until
                             // `read_runs` has written every one.
                             let buf = unsafe { std::slice::from_raw_parts_mut(win.0, win_len) };
-                            let res = inner.read_runs(&path, &seg_ops, buf);
-                            let _ = tx.send((seg_idx, res));
-                        }),
-                    );
-                }
-                // SAFETY: a segment reports `Ok` only once `read_runs`
-                // initialised its whole window, and the windows tile
-                // `[0, total)` — the first starts at the layout's 0, each
-                // ends where the next begins, the last at `total`.
-                unsafe { BatchCompletion::pending(rx, segs.len(), data, total, segs.len()) }
+                            inner.read_runs(&path, &seg_ops, buf)
+                        }
+                    })
+                    .collect();
+                self.run_segments(pool, jobs)?
             }
-        }
+        };
+        // SAFETY: `read_runs` returned `Ok` for every window it was given,
+        // so it initialised each, and the windows tile `[0, total)` — the
+        // first starts at the layout's 0, each ends where the next
+        // begins, the last at `total`, the allocation's capacity.
+        unsafe { data.set_len(total) };
+        Ok(BatchOutput { data, lens })
+    }
+}
+
+impl ChunkStorage for FileChunkStorage {
+    fn submit_batch(&self, path: &str, ops: &[BatchOp], payload: BatchPayload) -> BatchCompletion {
+        BatchCompletion::ready(match payload {
+            BatchPayload::Write(bulk) => self.write_batch(path, ops, bulk),
+            BatchPayload::Read => self.read_batch(path, ops),
+        })
     }
 
     fn remove_chunks(&self, path: &str, ids: &[u64]) -> Result<()> {
@@ -1135,8 +1139,8 @@ mod tests {
         let base = std::env::temp_dir().join(format!("gkfs-fcs-engines-{}", std::process::id()));
         let _ = fs::remove_dir_all(&base);
         let stores = vec![
-            ("serial", FileChunkStorage::open_with(base.join("s"), IoBackend::Serial, 0, 0).unwrap()),
-            ("pool", FileChunkStorage::open_with(base.join("p"), IoBackend::Pool, 4, 64).unwrap()),
+            ("serial", FileChunkStorage::open_with(base.join("s"), IoBackend::Auto, 0, 0).unwrap()),
+            ("pool", FileChunkStorage::open_with(base.join("p"), IoBackend::Auto, 4, 64).unwrap()),
         ];
         for (name, s) in &stores {
             assert_eq!(s.engine_name(), *name);
@@ -1162,22 +1166,24 @@ mod tests {
         let _ = fs::remove_dir_all(&base);
     }
 
-    /// The pool engine's completion API overlaps segments; results
-    /// must still be byte-identical and op-ordered, and errors must
-    /// surface (not hang) when waited or dropped.
+    /// The pool engine fans a batch's segments out over its workers and
+    /// returns once all of them are done: every segment's read is
+    /// counted before `wait` is called, and the results are
+    /// byte-identical and op-ordered.
     #[test]
-    fn pool_submit_batch_completes_out_of_line() {
+    fn pool_submit_batch_returns_finished() {
         let dir = std::env::temp_dir().join(format!("gkfs-fcs-submit-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let s = FileChunkStorage::open_with(&dir, IoBackend::Pool, 4, 64).unwrap();
+        let s = FileChunkStorage::open_with(&dir, IoBackend::Auto, 4, 64).unwrap();
         assert_eq!(s.engine_name(), "pool");
         let ops = layout(&[(0, 0, 4096), (1, 0, 4096), (2, 0, 4096), (3, 0, 4096)]);
         let bulk: Vec<u8> = (0..4 * 4096u32).map(|i| (i % 239) as u8).collect();
-        // Submit the write, then immediately submit the read: wait on
-        // the write completion first, then the read must see it all.
         let wc = s.submit_batch("/cmpl", &ops, BatchPayload::Write(Bytes::from(bulk.clone())));
         wc.wait().unwrap();
+        let reads = || s.stats().storage_read_ops.load(Ordering::Relaxed);
+        let before = reads();
         let rc = s.submit_batch("/cmpl", &ops, BatchPayload::Read);
+        assert_eq!(reads() - before, 4, "every segment read before `wait`");
         let out = rc.wait().unwrap();
         assert_eq!(out.lens, vec![4096; 4]);
         assert_eq!(out.data, bulk);
@@ -1186,11 +1192,37 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A segment's error on the pool path is the batch's typed error:
+    /// a multi-segment write to a path no chunk file name can carry
+    /// fails with the first segment's `InvalidArgument`, neither a hang
+    /// nor a lost task.
+    #[test]
+    fn pool_segment_error_is_the_batch_error() {
+        let dir = std::env::temp_dir().join(format!("gkfs-fcs-segerr-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let s = FileChunkStorage::open_with(&dir, IoBackend::Auto, 4, 64).unwrap();
+        let long = format!("/{}", "x".repeat(MAX_ESCAPED_LEN));
+        let ops = layout(&[(0, 0, 64), (1, 0, 64), (2, 0, 64), (3, 0, 64)]);
+        assert_eq!(s.fan_out(&ops).map(|(_, segs)| segs.len()), Some(4), "a fanned-out batch");
+        let bulk = Bytes::from(vec![7u8; 4 * 64]);
+        match s.submit_batch(&long, &ops, BatchPayload::Write(bulk)).wait() {
+            Err(GkfsError::InvalidArgument(why)) => {
+                assert!(why.contains(&MAX_ESCAPED_LEN.to_string()), "{why}")
+            }
+            other => panic!("expected InvalidArgument, got {other:?}"),
+        }
+        let stats = s.stats();
+        let segments = stats.chunk_tasks_spawned.load(Ordering::Relaxed)
+            + stats.chunk_inline_runs.load(Ordering::Relaxed);
+        assert_eq!(segments, 4, "every segment ran");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn zero_thread_pool_collapses_to_serial() {
         let dir = std::env::temp_dir().join(format!("gkfs-fcs-serial0-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let s = FileChunkStorage::open_with(&dir, IoBackend::Pool, 0, 0).unwrap();
+        let s = FileChunkStorage::open_with(&dir, IoBackend::Auto, 0, 0).unwrap();
         assert_eq!(s.engine_name(), "serial");
         s.write_chunk("/z", 0, 0, b"ok").unwrap();
         assert_eq!(s.read_chunk("/z", 0, 0, 2).unwrap(), b"ok");

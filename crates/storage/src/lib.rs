@@ -27,7 +27,6 @@ pub use mem::MemChunkStorage;
 
 use bytes::Bytes;
 use gkfs_common::{GkfsError, Result};
-use std::sync::mpsc;
 
 /// Reject batches whose buffer would exceed this (a malformed or
 /// hostile request, not a real stripe: clients cap far below it).
@@ -125,7 +124,7 @@ pub enum BatchPayload {
     /// Write: op windows index into this buffer. Shared by refcount so
     /// a backend may hand it to worker threads without copying.
     Write(Bytes),
-    /// Read: the completion allocates and owns the reply buffer.
+    /// Read: the backend allocates the reply buffer.
     Read,
 }
 
@@ -140,146 +139,24 @@ pub struct BatchOutput {
     pub lens: Vec<u64>,
 }
 
-/// Per-segment completion message a backend's in-flight tasks post:
-/// `(segment index, op-ordered lens or the segment's error)`.
-pub type SegmentResult = (usize, Result<Vec<u64>>);
-
-/// In-flight handle for a submitted batch.
-///
-/// [`wait`](BatchCompletion::wait) blocks until every outstanding
-/// segment has completed and yields the assembled [`BatchOutput`].
-/// Dropping an unawaited completion also blocks until the backend's
-/// tasks are done: the completion owns the reply buffer those tasks
-/// scatter into, so it must never be freed out from under them.
+/// A finished batch: its [`BatchOutput`], or the first error in op
+/// order. [`ChunkStorage::submit_batch`] returns only once every
+/// segment of the batch is done, so [`wait`](BatchCompletion::wait)
+/// never blocks: it hands the result over.
 #[must_use = "a batch's output and its first error arrive only through `wait`"]
 pub struct BatchCompletion {
-    state: CompletionState,
-}
-
-enum CompletionState {
-    Ready(Option<Result<BatchOutput>>),
-    Pending(PendingBatch),
-}
-
-struct PendingBatch {
-    rx: mpsc::Receiver<SegmentResult>,
-    outstanding: usize,
-    /// The shared reply buffer in-flight tasks write into (empty for
-    /// writes): allocated, its length 0 until every segment reported
-    /// success. Owned here so it outlives every task; heap storage
-    /// stays put when the completion itself moves.
-    data: Vec<u8>,
-    /// The length `data` takes once every segment has reported success.
-    filled: usize,
-    /// Per-segment lens, indexed by segment.
-    seg_lens: Vec<Option<Vec<u64>>>,
-}
-
-impl PendingBatch {
-    /// Receive until every outstanding segment reported (or provably
-    /// died). Returns the error with the lowest segment index (op
-    /// order); a closed channel with results missing means a task died
-    /// without reporting — surfaced as an error, never a hang or a
-    /// partial reply.
-    fn drain(&mut self) -> Result<()> {
-        gkfs_common::lock::assert_unguarded("BatchCompletion::wait");
-        let mut first_err: Option<(usize, GkfsError)> = None;
-        while self.outstanding > 0 {
-            match self.rx.recv() {
-                Ok((idx, Ok(lens))) => {
-                    self.seg_lens[idx] = Some(lens);
-                    self.outstanding -= 1;
-                }
-                Ok((idx, Err(e))) => {
-                    if first_err.as_ref().is_none_or(|(i, _)| idx < *i) {
-                        first_err = Some((idx, e));
-                    }
-                    self.outstanding -= 1;
-                }
-                Err(_) => {
-                    self.outstanding = 0;
-                    return Err(first_err.map(|(_, e)| e).unwrap_or_else(|| {
-                        GkfsError::Rpc("chunk batch task lost without result".into())
-                    }));
-                }
-            }
-        }
-        match first_err.take() {
-            None => Ok(()),
-            Some((_, e)) => Err(e),
-        }
-    }
+    res: Result<BatchOutput>,
 }
 
 impl BatchCompletion {
-    /// A completion that finished synchronously.
+    /// A completion holding `res`.
     pub fn ready(res: Result<BatchOutput>) -> BatchCompletion {
-        BatchCompletion {
-            state: CompletionState::Ready(Some(res)),
-        }
+        BatchCompletion { res }
     }
 
-    /// A completion gathering `outstanding` segment results from `rx`,
-    /// owning the reply buffer `data` (empty for writes) that those
-    /// segments scatter into — into its capacity: it takes the length
-    /// `filled` when every segment has reported success, and stays
-    /// empty otherwise. `segments` is the total segment count.
-    ///
-    /// # Safety
-    ///
-    /// `filled` ≤ `data`'s capacity; once every segment has reported
-    /// `Ok`, the first `filled` bytes of the allocation are initialised.
-    pub(crate) unsafe fn pending(
-        rx: mpsc::Receiver<SegmentResult>,
-        outstanding: usize,
-        data: Vec<u8>,
-        filled: usize,
-        segments: usize,
-    ) -> BatchCompletion {
-        BatchCompletion {
-            state: CompletionState::Pending(PendingBatch {
-                rx,
-                outstanding,
-                data,
-                filled,
-                seg_lens: vec![None; segments],
-            }),
-        }
-    }
-
-    /// Block until the batch completes; returns the assembled output
-    /// or the first error in op order.
-    pub fn wait(mut self) -> Result<BatchOutput> {
-        match &mut self.state {
-            CompletionState::Ready(res) => res
-                .take()
-                .unwrap_or_else(|| Err(GkfsError::Rpc("batch completion already taken".into()))),
-            CompletionState::Pending(p) => {
-                p.drain()?;
-                // SAFETY: every segment reported `Ok`, so by `pending`'s
-                // contract the first `filled` bytes are initialised and
-                // within capacity.
-                unsafe { p.data.set_len(p.filled) };
-                let mut lens = Vec::new();
-                for seg in &mut p.seg_lens {
-                    lens.extend(std::mem::take(seg).unwrap_or_default());
-                }
-                Ok(BatchOutput {
-                    data: std::mem::take(&mut p.data),
-                    lens,
-                })
-            }
-        }
-    }
-}
-
-impl Drop for BatchCompletion {
-    fn drop(&mut self) {
-        if let CompletionState::Pending(p) = &mut self.state {
-            // Tasks may still be scattering into `data`; block until
-            // every sender is accounted for before freeing it.
-            let _ = p.drain();
-        }
+    /// The assembled output, or the first error in op order.
+    pub fn wait(self) -> Result<BatchOutput> {
+        self.res
     }
 }
 
@@ -289,16 +166,15 @@ impl Drop for BatchCompletion {
 /// derive their own internal naming. All methods are thread-safe: the
 /// RPC handler pool calls them concurrently.
 pub trait ChunkStorage: Send + Sync {
-    /// Submit a batch for completion-based execution and return an
-    /// in-flight handle — the one data-I/O entry point every backend
-    /// implements. Writes pull their bytes from the payload's
-    /// refcounted buffer at each op's `buf_offset` window (the windows
-    /// only have to fit the payload); reads require the dense
-    /// running-sum layout and scatter into a buffer the returned
-    /// completion owns, the tail of a short op's window zero.
-    /// Backends may coalesce ops that are contiguous in both the chunk
-    /// and the buffer, and a backend with an I/O engine overlaps the
-    /// batch's segments and completes asynchronously.
+    /// Run a batch to completion and return its result — the one
+    /// data-I/O entry point every backend implements. Writes pull their
+    /// bytes from the payload's refcounted buffer at each op's
+    /// `buf_offset` window (the windows only have to fit the payload);
+    /// reads require the dense running-sum layout and scatter into one
+    /// reply buffer, the tail of a short op's window zero. Backends may
+    /// coalesce ops that are contiguous in both the chunk and the
+    /// buffer, and a backend with an I/O engine overlaps the batch's
+    /// segments with each other before it returns.
     fn submit_batch(&self, path: &str, ops: &[BatchOp], payload: BatchPayload) -> BatchCompletion;
 
     /// Write `data` into chunk `chunk_id` of `path` at byte `offset`
@@ -748,22 +624,6 @@ mod contract_tests {
                 s.submit_batch("/bad", &holey, BatchPayload::Read).wait().is_err(),
                 "{name}"
             );
-        }
-    }
-
-    #[test]
-    fn dropping_unawaited_completion_is_safe() {
-        for (name, s) in storages() {
-            let ops = layout_ops(&[(0, 0, 4096), (1, 0, 4096), (2, 0, 4096), (3, 0, 4096)]);
-            let bulk = Bytes::from(vec![0x5Au8; 4 * 4096]);
-            s.submit_batch("/drop", &ops, BatchPayload::Write(bulk)).wait().unwrap();
-            for _ in 0..8 {
-                // Drop without waiting: must block in Drop until every
-                // in-flight task is done, then free the buffer.
-                drop(s.submit_batch("/drop", &ops, BatchPayload::Read));
-            }
-            let out = s.submit_batch("/drop", &ops, BatchPayload::Read).wait().unwrap();
-            assert_eq!(out.lens, vec![4096; 4], "{name}");
         }
     }
 

@@ -6,8 +6,8 @@
 //! writers of *different* files off each other's locks; a batch runs
 //! on the calling thread under one acquisition of its file's shard
 //! lock (the ops are memcpys — re-acquiring the lock per op would cost
-//! more than it overlaps), so [`ChunkStorage::submit_batch`] completes
-//! synchronously: parallel fan-out only pays off on the file backend
+//! more than it overlaps): [`ChunkStorage::submit_batch`] never fans a
+//! batch out, since parallel fan-out only pays off on the file backend
 //! (see EXPERIMENTS.md).
 
 use crate::{check_write_windows, to_usize, validate_dense_layout};

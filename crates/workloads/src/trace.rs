@@ -1,7 +1,7 @@
 //! I/O trace replay.
 //!
 //! The GekkoFS authors come from storage-system tracing (the paper
-//! cites their Spectrum Scale tracing study [37]), and burst-buffer
+//! cites their Spectrum Scale tracing study \[37\]), and burst-buffer
 //! evaluation in practice means replaying *application* I/O traces,
 //! not just synthetic kernels. This module defines a minimal
 //! line-oriented trace format, a parser, a recorder-style writer, and

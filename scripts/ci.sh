@@ -26,6 +26,11 @@ echo "==> cargo clippy -- -D warnings (unwrap/expect in rpc/daemon/client, wall 
 # completion types (DESIGN.md "Static analysis").
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (every intra-doc link resolves; public docs link only public items)"
+# A private item is named in a plain code span, not linked, and a
+# citation such as \[37\] is escaped so rustdoc does not read it as one.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release
 
