@@ -102,6 +102,15 @@ gkfs_common::counters! {
         /// byte over the in-process transport (which must own what it
         /// hands to the handler thread).
         pub write_gather_copy_bytes: Arc<AtomicU64>,
+        /// Bytes of read results the client wrote itself rather than
+        /// receiving them into place: copies out of a reply that arrived
+        /// as a buffer, the zeros of holes and short tails, a small
+        /// file's bytes held since its open, buffered write-back bytes
+        /// laid over the daemons'. Zero for a dense chunk-sized read over
+        /// TCP, whose waiter receives the reply's bulk straight into the
+        /// result; every byte over the in-process transport, which hands
+        /// the reply over as a buffer.
+        pub read_assembly_copy_bytes: AtomicU64,
     }
 }
 

@@ -2,25 +2,31 @@
 //! every piece's write set, with its size update — and, for a file the
 //! daemons have not been told of, its create — riding the data legs
 //! that reach the file's metadata owner: one fan-out, one deadline, one
-//! wait. And a read gathered back down each piece's replica chain.
+//! wait. And a read gathered back down each piece's replica chain,
+//! its bytes landing where the caller wants them.
 
 use crate::client::{now_ns, GekkoClient};
 use crate::filemap::{LocalFile, Riders, SizeUpdate};
-use crate::rpc::{ChunkReadReply, Hedge, ReplyFuture};
+use crate::rpc::{Hedge, ReplyFuture};
 use crate::writeback::WbRun;
-use bytes::Bytes;
 use gkfs_common::chunk::chunk_range;
 use gkfs_common::distributor::NodeId;
 use gkfs_common::retry::Deadline;
 use gkfs_common::{GkfsError, Result};
 use gkfs_rpc::proto::{ChunkBatchReq, ChunkOp, WriteFileReq};
+use gkfs_rpc::Landing;
 use std::collections::HashMap;
+use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// One daemon's share of a write: its chunk ops and, in the same
 /// order, the sub-slices of the caller's buffer they carry.
 type NodeBatch<'a> = (Vec<ChunkOp>, Vec<&'a [u8]>);
+
+/// One read chain's share of a read: its chunk ops and, in the same
+/// order, the windows of the result their bytes land in.
+type ReadBatch<'o> = (Vec<ChunkOp>, Vec<&'o mut [MaybeUninit<u8>]>);
 
 /// Add chunk-piece `p` of the write buffer `data` to `node`'s batch:
 /// the op and, at the same index, the segment carrying its bytes.
@@ -226,30 +232,35 @@ impl GekkoClient {
         self.finish_write(self.submit_write(local, offset, data, false)?)
     }
 
-    /// The raw scatter-gather read of `[offset, offset + len)`; the
-    /// caller has already clamped `len` to EOF. Holes read as zeros.
+    /// The raw scatter-gather read of `out.len()` bytes at `offset`;
+    /// the caller has already clamped the length to EOF. On success
+    /// every byte of `out` is initialised: each op's bytes landed in its
+    /// piece's window of `out`, holes and short tails zero-filled in
+    /// place. On an error its contents are unspecified.
     ///
     /// Grouping is by **primary** node (not by whichever member a
     /// batch happens to be sent to): all chunks sharing a primary share
     /// one read chain (`Placement::read_chain`), so a whole batch
     /// fails over together. Each batch first goes to its chain's first
-    /// member; see [`GekkoClient::read_chain`] for how it moves on.
-    pub(crate) fn read_scatter(&self, path: &str, offset: u64, effective: u64) -> Result<Vec<u8>> {
-        let pieces = chunk_range(self.layout, offset, effective);
-        // Each op travels with the index of its piece, which is where
-        // its bytes go in the result (pieces are in buffer order).
-        let mut per_primary: HashMap<NodeId, Vec<(usize, ChunkOp)>> = HashMap::new();
-        for (i, p) in pieces.iter().enumerate() {
-            let node = self.placement.chunk_primary(path, p.chunk_id);
-            per_primary.entry(node).or_default().push((
-                i,
-                ChunkOp {
-                    chunk_id: p.chunk_id,
-                    offset: p.offset,
-                    len: p.len,
-                },
-            ));
+    /// member; see [`GekkoClient::read_chain`] for how it moves on. A
+    /// batch's windows need not be adjacent: a read over two daemons
+    /// interleaves them.
+    pub(crate) fn read_scatter(&self, path: &str, offset: u64, out: &mut [MaybeUninit<u8>]) -> Result<()> {
+        let pieces = chunk_range(self.layout, offset, out.len() as u64);
+        // Each op travels with its piece's window of the result (pieces
+        // are in buffer order and tile it).
+        let mut per_primary: HashMap<NodeId, ReadBatch<'_>> = HashMap::new();
+        let mut rest = out;
+        for p in &pieces {
+            let (window, after) = std::mem::take(&mut rest).split_at_mut(p.len as usize);
+            rest = after;
+            let (ops, windows) = per_primary.entry(self.placement.chunk_primary(path, p.chunk_id)).or_default();
+            ops.push(ChunkOp { chunk_id: p.chunk_id, offset: p.offset, len: p.len });
+            windows.push(window);
         }
+        // Every byte of `out` is some piece's: the zero-fill below then
+        // reaches every byte no reply did.
+        assert!(rest.is_empty(), "chunk pieces tile the read");
 
         // The gather submits one read batch per group before waiting
         // on any reply, so every daemon streams its chunks back
@@ -257,108 +268,61 @@ impl GekkoClient {
         let deadline = self.ring.op_deadline();
         let inflight: Vec<_> = per_primary
             .into_iter()
-            .map(|(primary, batch)| {
-                let ops: Vec<ChunkOp> = batch.iter().map(|(_, op)| *op).collect();
+            .map(|(primary, (ops, windows))| {
                 let chain = self.placement.read_chain(primary);
-                let first = self.ring.read_chunks_nb(chain[0], path, ops);
-                (batch, chain, first)
+                let first = self.ring.read_chunks_nb(chain[0], path, ops.clone());
+                (ops, Landing::new(windows), chain, first)
             })
             .collect();
-        // What each piece resolved to: a view into the reply frame
-        // that carried it.
-        let mut found: Vec<Option<Bytes>> = vec![None; pieces.len()];
-        for (batch, chain, first) in inflight {
-            self.read_chain(path, &batch, &chain, first, deadline, &mut found)?;
+        // Bytes the client wrote into the result itself: copies of
+        // replies that were not received into place, and zeros.
+        let mut assembled = 0;
+        for (ops, mut land, chain, first) in inflight {
+            self.read_chain(path, &ops, &chain, first, deadline, &mut land)?;
+            assembled += land.copied() + land.zero_fill();
         }
-        // Assemble front to back: returned bytes are appended once into
-        // capacity reserved up front, and only what no daemon returned —
-        // holes and short tails — is zero-filled.
-        let mut out = Vec::with_capacity(effective as usize);
-        for (p, data) in pieces.iter().zip(&found) {
-            if let Some(data) = data {
-                out.extend_from_slice(data);
-            }
-            out.resize((p.buf_offset + p.len) as usize, 0);
-        }
-        Ok(out)
-    }
-
-    /// Merge one daemon's reply into the read's per-piece resolution:
-    /// each op the daemon holds a chunk for resolves its piece to the
-    /// view of the reply bulk that carries its bytes (a refcount, not a
-    /// copy); ops the daemon flagged *absent* stay unresolved for the
-    /// next chain member. The reply's bulk is dense in op order
-    /// regardless of resolution, so the cursor always advances by
-    /// `lens[i]`.
-    pub(crate) fn absorb_read(
-        batch: &[(usize, ChunkOp)],
-        reply: &ChunkReadReply,
-        found: &mut [Option<Bytes>],
-    ) -> Result<()> {
-        if reply.lens.len() != batch.len() {
-            return Err(GkfsError::Rpc(format!(
-                "read reply has {} lens for {} ops",
-                reply.lens.len(),
-                batch.len()
-            )));
-        }
-        let mut cursor = 0usize;
-        for (i, (piece, op)) in batch.iter().enumerate() {
-            let got = reply.lens[i] as usize;
-            if reply.lens[i] > op.len || cursor + got > reply.bulk.len() {
-                return Err(GkfsError::Rpc(format!(
-                    "read reply overruns op for chunk {} ({got} bytes)",
-                    op.chunk_id
-                )));
-            }
-            if !reply.missing[i] && found[*piece].is_none() {
-                found[*piece] = Some(reply.bulk.slice(cursor..cursor + got));
-            }
-            cursor += got;
-        }
+        self.stats.read_assembly_copy_bytes.fetch_add(assembled, Ordering::Relaxed);
         Ok(())
     }
 
     /// Drive one read batch down its replica chain, merging replies
-    /// **per op**: a member that holds a chunk resolves those ops in
-    /// place; ops it flags absent (no chunk behind them — a
-    /// rejoined-empty replica that missed the write, or a genuine
-    /// hole) stay open for the next member, so an empty replica can
-    /// never shadow data a sibling still holds. `first` is the
+    /// **per op** in `land`: a member that holds a chunk resolves those
+    /// ops — its bytes land in their windows; ops it flags absent (no
+    /// chunk behind them — a rejoined-empty replica that missed the
+    /// write, or a genuine hole) stay open for the next member, whose
+    /// bytes land in the same windows, so an empty replica can never
+    /// shadow data a sibling still holds. `first` is the
     /// already-submitted request to `chain[0]`. Each member but the
     /// last gets a hedge window (`Placement::hedge_after`; one full
     /// endpoint timeout when hedging is off); a window expiry moves on
     /// to the next member *without* recording a breaker failure
     /// against the slow node (see [`ReplyFuture::wait_hedge`]), keeping
     /// every still-pending future to be driven with the full remaining
-    /// deadline once the chain is exhausted. The last member — the only
-    /// one, with replication off — has nobody to hedge to and spends
-    /// the whole budget.
+    /// deadline once the chain is exhausted; an op one of them resolved
+    /// lands nothing from the others. The last member — the only one,
+    /// with replication off — has nobody to hedge to and spends the
+    /// whole budget.
     ///
-    /// Each op resolves `found[piece]`, the slot of the piece it
-    /// reads. Ops no member resolved leave theirs `None`: if every
-    /// chain member answered — all flagged the chunk absent — the hole
-    /// is authoritative and the caller zero-fills it. If any member was
-    /// unreachable the
-    /// read fails with that member's error instead: the data may live
-    /// exactly there, and an error beats silently returning zeros for
-    /// an acknowledged write.
+    /// Ops no member resolved stay open: if every chain member
+    /// answered — all flagged the chunk absent — the hole is
+    /// authoritative and the caller zero-fills it. If any member was
+    /// unreachable the read fails with that member's error instead: the
+    /// data may live exactly there, and an error beats silently
+    /// returning zeros for an acknowledged write.
     pub(crate) fn read_chain(
         &self,
         path: &str,
-        batch: &[(usize, ChunkOp)],
+        ops: &[ChunkOp],
         chain: &[NodeId],
-        first: Result<ReplyFuture<'_, ChunkReadReply>>,
+        first: Result<ReplyFuture<'_, ()>>,
         deadline: Deadline,
-        found: &mut [Option<Bytes>],
+        land: &mut Landing<'_>,
     ) -> Result<()> {
-        let all_resolved =
-            |found: &[Option<Bytes>]| batch.iter().all(|(piece, _)| found[*piece].is_some());
         let hedge = self.placement.hedge_after();
         // Every hedge-expired future is kept and driven below — for
         // the authoritative-hole rule each chain member must be heard
         // from (or count as an error), not just the earliest.
-        let mut pending: Vec<ReplyFuture<'_, ChunkReadReply>> = Vec::new();
+        let mut pending: Vec<ReplyFuture<'_, ()>> = Vec::new();
         let mut last_err: Option<GkfsError> = None;
         let mut fut_res = first;
         let mut idx = 0usize;
@@ -368,18 +332,13 @@ impl GekkoClient {
                     let last = idx + 1 == chain.len();
                     if last && pending.is_empty() {
                         // Nothing left to hedge to: spend the budget.
-                        match fut.wait_deadline(deadline) {
-                            Ok(reply) => Self::absorb_read(batch, &reply, found)?,
-                            Err(e) => last_err = Some(e),
+                        if let Err(e) = fut.wait_landing(deadline, land) {
+                            last_err = Some(e);
                         }
                     } else {
-                        match fut.wait_hedge(hedge) {
-                            Hedge::Ready(Ok(reply)) => {
-                                Self::absorb_read(batch, &reply, found)?;
-                                if all_resolved(found) {
-                                    return Ok(());
-                                }
-                            }
+                        match fut.wait_hedge(hedge, Some(&mut *land)) {
+                            Hedge::Ready(Ok(())) if land.done() => return Ok(()),
+                            Hedge::Ready(Ok(())) => {}
                             Hedge::Ready(Err(e)) => last_err = Some(e),
                             Hedge::Pending(p) => pending.push(p),
                         }
@@ -391,21 +350,19 @@ impl GekkoClient {
             if idx == chain.len() {
                 break;
             }
-            let ops: Vec<ChunkOp> = batch.iter().map(|&(_, op)| op).collect();
-            fut_res = self.ring.read_chunks_nb(chain[idx], path, ops);
+            fut_res = self.ring.read_chunks_nb(chain[idx], path, ops.to_vec());
         }
         for p in pending {
-            if all_resolved(found) {
+            if land.done() {
                 break;
             }
-            match p.wait_deadline(deadline) {
-                Ok(reply) => Self::absorb_read(batch, &reply, found)?,
-                Err(e) => last_err = Some(e),
+            if let Err(e) = p.wait_landing(deadline, land) {
+                last_err = Some(e);
             }
         }
         match last_err {
             // A member that may hold the data never answered.
-            Some(e) if !all_resolved(found) => Err(e),
+            Some(e) if !land.done() => Err(e),
             // All resolved, or every member answered and the
             // unresolved ops are holes.
             _ => Ok(()),

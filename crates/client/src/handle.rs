@@ -9,6 +9,7 @@ use crate::meta_frames::create_op;
 use gkfs_common::path as gpath;
 use gkfs_common::{FileKind, GkfsError, Metadata, OpenFlags, Result};
 use gkfs_rpc::proto::NewFile;
+use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -158,6 +159,16 @@ impl GekkoClient {
         self.handle(fd)?.pread(offset, len)
     }
 
+    /// [`GekkoClient::read`] into `buf`: the bytes read, at its front.
+    pub fn read_into(&self, fd: i32, buf: &mut [u8]) -> Result<usize> {
+        self.handle(fd)?.read_into(buf)
+    }
+
+    /// [`GekkoClient::pread`] into `buf`: the bytes read, at its front.
+    pub fn pread_into(&self, fd: i32, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        self.handle(fd)?.pread_into(offset, buf)
+    }
+
     /// Flush this descriptor's write-back buffer and buffered size
     /// updates to the daemons.
     pub fn fsync(&self, fd: i32) -> Result<()> {
@@ -294,6 +305,43 @@ impl FileHandle<'_> {
     /// anywhere in a file the daemons have not been told of (nothing
     /// but holes below the run), no daemon is asked.
     pub fn pread(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        let result = &mut out;
+        let n = self.read_at(offset, len, move |n| {
+            result.reserve_exact(n);
+            &mut result.spare_capacity_mut()[..n]
+        })?;
+        // SAFETY: `read_at` returned `n`, so every byte of the `n` it
+        // was given — the vector's first `n` bytes of capacity — landed
+        // or was written.
+        unsafe { out.set_len(n) };
+        Ok(out)
+    }
+
+    /// [`FileHandle::pread`] into `buf`, the caller's own memory: a
+    /// chunk read's bytes land there straight off the socket. Returns
+    /// how many bytes were read, at the front of `buf`; past them `buf`
+    /// is as it was. On an error — a corrupt reply included — the
+    /// contents of `buf` are unspecified.
+    pub fn pread_into(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        let len = buf.len();
+        // SAFETY: `MaybeUninit<u8>` has `u8`'s layout, and a read writes
+        // initialised bytes only — received, copied or zeros — so `buf`
+        // stays initialised whatever becomes of the read.
+        let out = unsafe { &mut *(std::ptr::from_mut(buf) as *mut [MaybeUninit<u8>]) };
+        self.read_at(offset, len, move |n| &mut out[..n])
+    }
+
+    /// The read of [`FileHandle::pread`] and [`FileHandle::pread_into`]:
+    /// up to `len` bytes at `offset` into the buffer `out` gives for as
+    /// many as EOF allows, and that count. Every byte of that buffer is
+    /// initialised on success.
+    fn read_at<'o>(
+        &self,
+        offset: u64,
+        len: usize,
+        out: impl FnOnce(usize) -> &'o mut [MaybeUninit<u8>],
+    ) -> Result<usize> {
         let c = self.client;
         if !self.file.flags.read {
             return Err(GkfsError::BadFileDescriptor);
@@ -311,33 +359,50 @@ impl FileHandle<'_> {
             .size_cache_hits
             .fetch_add(1, Ordering::Relaxed);
         if offset >= size || len == 0 {
-            return Ok(Vec::new());
+            return Ok(0);
         }
-        let effective = (len as u64).min(size - offset);
-        let mut out = match held {
+        let effective = (len as u64).min(size - offset) as usize;
+        let out = out(effective);
+        let mut assembled = 0;
+        match held {
             Some(held) => {
-                let mut out = Vec::with_capacity(effective as usize);
-                out.extend_from_slice(&held);
-                out.resize(effective as usize, 0);
-                out
+                let (bytes, zeros) = out.split_at_mut(held.len());
+                bytes.write_copy_of_slice(&held);
+                zeros.fill(MaybeUninit::new(0));
+                assembled += effective;
             }
-            None => c.read_scatter(self.path(), offset, effective)?,
-        };
+            None => c.read_scatter(self.path(), offset, out)?,
+        }
         if let Some(run) = overlay {
             // Within the result: `size` covers the run's end, so the
             // overlap with `[offset, offset + len)` ends inside
             // `[offset, offset + effective)`.
             let dst = (run.start - offset) as usize;
-            out[dst..dst + run.data.len()].copy_from_slice(&run.data);
+            out[dst..dst + run.data.len()].write_copy_of_slice(&run.data);
+            assembled += run.data.len();
         }
+        c.stats.read_assembly_copy_bytes.fetch_add(assembled as u64, Ordering::Relaxed);
         c.stats
             .bytes_read
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
-        Ok(out)
+            .fetch_add(effective as u64, Ordering::Relaxed);
+        Ok(effective)
     }
 
     /// Read from the current offset, advancing by the bytes returned.
     pub fn read(&self, len: usize) -> Result<Vec<u8>> {
+        let (start, claimed) = self.claim_read(len)?;
+        self.pread(start, claimed)
+    }
+
+    /// [`FileHandle::read`] into `buf`, as [`FileHandle::pread_into`]
+    /// reads: the bytes read, at its front.
+    pub fn read_into(&self, buf: &mut [u8]) -> Result<usize> {
+        let (start, claimed) = self.claim_read(buf.len())?;
+        self.pread_into(start, &mut buf[..claimed])
+    }
+
+    /// Claim up to `len` bytes at the current offset, advancing it.
+    fn claim_read(&self, len: usize) -> Result<(u64, usize)> {
         if !self.file.flags.read {
             return Err(GkfsError::BadFileDescriptor);
         }
@@ -345,7 +410,7 @@ impl FileHandle<'_> {
             return Err(GkfsError::IsDirectory);
         }
         let (start, claimed) = self.file.claim_read(len as u64, self.file.local.size());
-        self.pread(start, claimed as usize)
+        Ok((start, claimed as usize))
     }
 
     /// Reposition the handle. `SEEK_END` resolves against the record's

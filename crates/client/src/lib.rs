@@ -52,4 +52,4 @@ pub mod writeback;
 pub use client::{ClientStats, FileHandle, FsckReport, GekkoClient};
 pub use filemap::{FileMap, OpenFile};
 pub use placement::Placement;
-pub use rpc::{ChunkReadReply, DaemonRing, Hedge, NodeHealthSnapshot, ReplyFuture};
+pub use rpc::{DaemonRing, Hedge, NodeHealthSnapshot, ReplyFuture};

@@ -46,7 +46,7 @@ use gkfs_common::{
     ReplicationConfig, Result, RetryConfig,
 };
 use gkfs_rpc::proto::*;
-use gkfs_rpc::{Endpoint, ReplyHandle, Request, Response};
+use gkfs_rpc::{Endpoint, Landing, ReplyHandle, Request, Response};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -167,6 +167,18 @@ impl<'a, T> ReplyFuture<'a, T> {
     /// operations (striped writes, broadcasts) that share one budget
     /// across the whole fan-out.
     pub fn wait_deadline(self, deadline: Deadline) -> Result<T> {
+        self.settle(deadline, None)
+    }
+
+    /// [`ReplyFuture::wait_deadline`] for a chunk read, whose bulk —
+    /// every attempt's — lands in `land`'s windows
+    /// ([`ReplyHandle::land_within`]).
+    pub fn wait_landing(self, deadline: Deadline, land: &mut Landing<'_>) -> Result<T> {
+        self.settle(deadline, Some(land))
+    }
+
+    /// The wait, with `land` the windows a chunk read's bulk lands in.
+    fn settle(self, deadline: Deadline, mut land: Option<&mut Landing<'_>>) -> Result<T> {
         let ReplyFuture {
             state,
             mut charged,
@@ -184,9 +196,9 @@ impl<'a, T> ReplyFuture<'a, T> {
         let mut attempt: u32 = 0;
         let mut pending = state;
         loop {
-            let outcome: Result<T> = pending.and_then(|handle| {
-                let resp = handle.wait(deadline.clamp(timeout))?.into_result()?;
-                decode(resp, attempt)
+            let outcome: Result<T> = pending.and_then(|mut handle| {
+                let got = wait_on(&mut handle, deadline.clamp(timeout), land.as_deref_mut());
+                decode(got.unwrap_or(Err(GkfsError::Timeout))?.into_result()?, attempt)
             });
             // One fault, one strike: whatever a hedge window already
             // charged is not charged again; a fresh attempt's outcome is.
@@ -244,11 +256,13 @@ impl<'a, T> ReplyFuture<'a, T> {
     /// detector's rule. One that indicts the node — a transport failure
     /// in the reply or the submission, a shutting-down daemon, a
     /// breaker denial — is left in the future, marked as charged, for
-    /// `wait_deadline` to retry while the caller fails over.
-    pub fn wait_hedge(mut self, window: Option<Duration>) -> Hedge<'a, T> {
+    /// `wait_deadline` to retry while the caller fails over. With
+    /// `land`, a chunk read's bulk lands in its windows, as
+    /// [`ReplyFuture::wait_landing`]'s does.
+    pub fn wait_hedge(mut self, window: Option<Duration>, land: Option<&mut Landing<'_>>) -> Hedge<'a, T> {
         let window = self.deadline.clamp(window.unwrap_or(self.timeout));
         let out = match &mut self.state {
-            Ok(handle) => match handle.wait_within(window) {
+            Ok(handle) => match wait_on(handle, window, land) {
                 None => return Hedge::Pending(self),
                 Some(got) => got.and_then(Response::into_result).and_then(|r| (self.decode)(r, 0)),
             },
@@ -267,22 +281,13 @@ impl<'a, T> ReplyFuture<'a, T> {
     }
 }
 
-/// One daemon's answer to a chunk-read batch: per-op byte counts,
-/// per-op *absent* flags, and the dense concatenated data.
-///
-/// `missing[i]` is the daemon saying "I hold no chunk behind op `i`"
-/// — for a replica that can mean "I missed the write" (rejoined empty,
-/// not yet drained back), which is very different from a short read of
-/// a chunk it does hold (a hole, authoritatively zero). Callers must
-/// fail over to another replica on `missing`, never zero-fill.
-#[derive(Debug, Clone)]
-pub struct ChunkReadReply {
-    /// Bytes returned for each op (0 ≤ `lens[i]` ≤ `ops[i].len`).
-    pub lens: Vec<u64>,
-    /// Whether the daemon holds no chunk at all behind each op.
-    pub missing: Vec<bool>,
-    /// The ops' data, concatenated in op order (`lens[i]` bytes each).
-    pub bulk: Bytes,
+/// Wait up to `window` on `handle`, landing a chunk read's bulk in
+/// `land` when there are windows for it.
+fn wait_on(handle: &mut ReplyHandle, window: Duration, land: Option<&mut Landing<'_>>) -> Option<Result<Response>> {
+    match land {
+        Some(land) => handle.land_within(window, land),
+        None => handle.wait_within(window),
+    }
 }
 
 /// The set of daemon endpoints, indexed by [`NodeId`], plus the
@@ -697,33 +702,17 @@ impl DaemonRing {
         self.attempt::<op::WriteFile, _>(node, first, again, bulk, None, |(), _, _| Ok(()))
     }
 
-    /// Read one batch of chunks (read gather); returns per-op lengths,
-    /// per-op absent-chunk flags, and the concatenated data.
-    pub fn read_chunks_nb(
-        &self,
-        node: NodeId,
-        path: &str,
-        ops: Vec<ChunkOp>,
-    ) -> Result<ReplyFuture<'static, ChunkReadReply>> {
-        let n_ops = ops.len();
-        let req = ChunkBatchReq {
-            path: path.to_string(),
-            ops,
-        };
-        self.unary_attempt::<op::ReadChunks, _>(node, &req, Vec::new(), None, move |r, bulk, _| {
-            if r.lens.len() != n_ops {
-                return Err(GkfsError::Rpc(format!(
-                    "read reply shape mismatch: {} ops, {} lens",
-                    n_ops,
-                    r.lens.len()
-                )));
-            }
-            Ok(ChunkReadReply {
-                lens: r.lens,
-                missing: r.missing,
-                bulk,
-            })
-        })
+    /// Read one batch of chunks (read gather). The reply's bytes land
+    /// where the wait says ([`ReplyFuture::wait_landing`]): per op, its
+    /// window of the caller's result — unless the daemon flags the op
+    /// *absent*, holding no chunk behind it, which for a replica can
+    /// mean "I missed the write" (rejoined empty, not yet drained back):
+    /// very different from a short read of a chunk it does hold (a
+    /// hole, authoritatively zero). Callers fail over to another replica
+    /// on an absent op, never zero-fill it.
+    pub fn read_chunks_nb(&self, node: NodeId, path: &str, ops: Vec<ChunkOp>) -> Result<ReplyFuture<'static, ()>> {
+        let req = ChunkBatchReq { path: path.to_string(), ops };
+        self.unary_attempt::<op::ReadChunks, _>(node, &req, Vec::new(), None, |_, _, _| Ok(()))
     }
 
     /// Remove chunks `ids` of `path` from `node` (unlink fan-out); no
@@ -1139,7 +1128,7 @@ mod tests {
         // wins the race says nothing about this node being down).
         let ring = make_sleepy_ring(1, 120);
         let fut = ring.ping_nb(0).unwrap();
-        let pending = match fut.wait_hedge(Some(Duration::from_millis(10))) {
+        let pending = match fut.wait_hedge(Some(Duration::from_millis(10)), None) {
             Hedge::Pending(fut) => fut,
             Hedge::Ready(_) => panic!("120 ms handler must out-sleep a 10 ms hedge window"),
         };
@@ -1169,7 +1158,7 @@ mod tests {
         for severed in [lost_reply, gkfs_daemon_for_tests::dead()] {
             let cfg = RetryConfig { breaker_threshold: 2, ..test_retry(1) };
             let ring = make_ring_of(vec![severed], cfg);
-            let pending = match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(50))) {
+            let pending = match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(50)), None) {
                 Hedge::Pending(fut) => fut,
                 Hedge::Ready(r) => panic!("a severed member must stay pending: {:?}", r.err()),
             };
@@ -1197,7 +1186,7 @@ mod tests {
         });
         let server = gkfs_rpc::RpcServer::new(reg, 1);
         let ring = make_ring_of(vec![server.endpoint()], RetryConfig::disabled());
-        let pending = match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(10))) {
+        let pending = match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(10)), None) {
             Hedge::Pending(fut) => fut,
             Hedge::Ready(_) => panic!("120 ms handler must out-sleep a 10 ms hedge window"),
         };
@@ -1213,7 +1202,7 @@ mod tests {
         // up to the endpoint timeout — the future never comes back
         // pending the way it does under a 10 ms window above.
         let ring = make_sleepy_ring(1, 120);
-        match ring.ping_nb(0).unwrap().wait_hedge(None) {
+        match ring.ping_nb(0).unwrap().wait_hedge(None, None) {
             Hedge::Ready(r) => r.unwrap(),
             Hedge::Pending(_) => panic!("no window, yet the wait gave up on a live node"),
         }
@@ -1223,7 +1212,7 @@ mod tests {
     fn hedge_on_dead_node_is_a_genuine_failure() {
         let dead = gkfs_daemon_for_tests::dead();
         let ring = make_ring_of(vec![dead], test_retry(1));
-        match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(5))) {
+        match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(5)), None) {
             Hedge::Pending(_) => {}
             Hedge::Ready(r) => panic!("dead endpoint must stay pending: {:?}", r.err()),
         }
@@ -1234,7 +1223,7 @@ mod tests {
     #[test]
     fn hedge_completes_within_window() {
         let ring = make_ring(1);
-        match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(2_000))) {
+        match ring.ping_nb(0).unwrap().wait_hedge(Some(Duration::from_millis(2_000)), None) {
             Hedge::Ready(r) => r.unwrap(),
             Hedge::Pending(_) => panic!("fast reply must complete inside the window"),
         }

@@ -173,6 +173,21 @@ pub unsafe extern "C" fn gkfs_write(fd: c_int, buf: *const u8, count: usize) -> 
     }))
 }
 
+/// The application's read buffer: `count` bytes at `buf`, which the
+/// read lands in — a chunk's bytes straight off the socket — with no
+/// copy in between. `buf` is non-null unless `count` is zero.
+///
+/// # Safety
+/// As `gkfs_read`'s: `buf` points to at least `count` writable bytes.
+unsafe fn app_buffer<'a>(buf: *mut u8, count: usize) -> &'a mut [u8] {
+    if count == 0 {
+        return &mut [];
+    }
+    // SAFETY: non-null with `count > 0` (the callers check), and the
+    // caller guarantees `count` writable bytes.
+    unsafe { std::slice::from_raw_parts_mut(buf, count) }
+}
+
 /// `read(2)`-alike.
 ///
 /// # Safety
@@ -183,11 +198,9 @@ pub unsafe extern "C" fn gkfs_read(fd: c_int, buf: *mut u8, count: usize) -> isi
         if buf.is_null() && count > 0 {
             return Err(GkfsError::InvalidArgument("NULL buffer".into()));
         }
-        let data = c.read(fd, count)?;
-        // SAFETY: `buf` is non-null (checked above), the caller
-        // guarantees `count` writable bytes, and `data.len() <= count`.
-        unsafe { std::slice::from_raw_parts_mut(buf, data.len()) }.copy_from_slice(&data);
-        Ok(data.len() as isize)
+        // SAFETY: `buf` is non-null or `count` zero (checked above), and
+        // the caller guarantees `count` writable bytes behind it.
+        c.read_into(fd, unsafe { app_buffer(buf, count) }).map(|n| n as isize)
     }))
 }
 
@@ -218,11 +231,9 @@ pub unsafe extern "C" fn gkfs_pread(fd: c_int, buf: *mut u8, count: usize, offse
         if buf.is_null() && count > 0 {
             return Err(GkfsError::InvalidArgument("NULL buffer".into()));
         }
-        let data = c.pread(fd, offset, count)?;
-        // SAFETY: `buf` is non-null (checked above), the caller
-        // guarantees `count` writable bytes, and `data.len() <= count`.
-        unsafe { std::slice::from_raw_parts_mut(buf, data.len()) }.copy_from_slice(&data);
-        Ok(data.len() as isize)
+        // SAFETY: `buf` is non-null or `count` zero (checked above), and
+        // the caller guarantees `count` writable bytes behind it.
+        c.pread_into(fd, offset, unsafe { app_buffer(buf, count) }).map(|n| n as isize)
     }))
 }
 

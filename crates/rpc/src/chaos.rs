@@ -300,7 +300,7 @@ fn pump(
     let mut frames = FrameReader::new(from);
     while !shutting_down.load(Ordering::SeqCst) {
         // The proxy waits inside a frame as long as it takes.
-        let Ok(Some(payload)) = frames.next_frame(None, false) else {
+        let Ok(payload) = frames.next_frame(None) else {
             break;
         };
         let decision = decide(&cfg, &mut rng.lock());

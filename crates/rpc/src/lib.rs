@@ -60,4 +60,4 @@ pub use message::{Opcode, Request, Response, Status};
 pub use stats::{RpcStats, WaitStats};
 pub use transport::inproc::{InprocEndpoint, RpcServer};
 pub use transport::tcp::{TcpEndpoint, TcpServer};
-pub use transport::{Endpoint, EndpointOptions, ReplyHandle, DEFAULT_TIMEOUT};
+pub use transport::{Endpoint, EndpointOptions, Landing, ReplyHandle, DEFAULT_TIMEOUT};

@@ -191,17 +191,43 @@ impl Response {
     /// body and bulk out of `frame` instead of copying field-by-field.
     pub fn decode_owned(frame: &Bytes) -> Result<Response> {
         let mut d = Decoder::new(frame);
-        let id = d.u64()?;
-        let code = d.u32()?;
-        let detail = d.str()?.to_string();
-        let status = if code == 0 {
-            Status::Ok
-        } else {
-            Status::Err(GkfsError::from_code(code, &detail))
-        };
+        let (id, status) = decode_head(&mut d)?;
         let (body, bulk) = slice_body_bulk(frame, d)?;
         Ok(Response { id, status, body, bulk })
     }
+
+    /// The *prefix* of a reply frame of `payload` bytes — id, status,
+    /// body, bulk length — decoded from its first bytes, `head`, and
+    /// how many of them it took; the bulk, the rest of the payload, is
+    /// left out (`bulk` is empty) for a receiver that lands it where it
+    /// belongs. Fails on a prefix `head` does not hold whole, and on one
+    /// whose bulk length disagrees with `payload`.
+    pub(crate) fn decode_prefix(head: &[u8], payload: usize) -> Result<(Response, usize)> {
+        let mut d = Decoder::new(head);
+        let (id, status) = decode_head(&mut d)?;
+        let body = Bytes::copy_from_slice(d.bytes()?);
+        let bulk = d.u32()? as usize;
+        let prefix = d.position();
+        if prefix + bulk != payload {
+            return Err(GkfsError::Corruption(format!(
+                "a {payload}-byte reply frame announces {bulk} bulk bytes after a {prefix}-byte prefix"
+            )));
+        }
+        Ok((Response { id, status, body, bulk: Bytes::new() }, prefix))
+    }
+}
+
+/// A reply's id and status, the front of every reply frame.
+fn decode_head(d: &mut Decoder<'_>) -> Result<(u64, Status)> {
+    let id = d.u64()?;
+    let code = d.u32()?;
+    let detail = d.str()?;
+    let status = if code == 0 {
+        Status::Ok
+    } else {
+        Status::Err(GkfsError::from_code(code, detail))
+    };
+    Ok((id, status))
 }
 
 #[cfg(test)]

@@ -46,19 +46,14 @@ pub struct WaitStats {
     /// Waits that read the socket themselves (took the read token at
     /// least once): no thread hand-off on the client.
     pub waits_led: AtomicU64,
-    /// Waits served by another reader — a leading waiter or the
-    /// connection's reader thread parked the reply in their slot.
+    /// Waits served by another reader: a leading waiter parked the
+    /// reply in their slot.
     pub waits_followed: AtomicU64,
-    /// Large-frame hand-offs: times a leading waiter came upon a frame
-    /// too large for its read buffer and left it to the connection's
-    /// parked reader thread, which reads that one frame.
-    pub reader_drains: AtomicU64,
-    /// Reads of the next reply — by a leading waiter or the reader
-    /// thread — whose bytes came while the reader polled the socket (no
-    /// wake-up on the client).
+    /// Reads of the next reply by a leading waiter whose bytes came
+    /// while it polled the socket (no wake-up on the client).
     pub spun: AtomicU64,
-    /// Polling windows of those readers that ran out before the next
-    /// reply came; the reader blocked after.
+    /// Polling windows of those waiters that ran out before the next
+    /// reply came; the waiter blocked after.
     pub spin_expired: AtomicU64,
 }
 

@@ -19,7 +19,9 @@
 //! `std::sync::mpsc` channel ([`ReplyHandle::pending`] takes the
 //! receiving end). A TCP connection
 //! keeps one completion table instead, and the waiter itself reads the
-//! socket when it is the only one who could be waiting ([`tcp`]). On the
+//! socket when it is the only one who could be waiting ([`tcp`]) — a
+//! chunk read's waiter receiving the reply's bulk straight into its
+//! result ([`ReplyHandle::land_within`], [`Landing`]). On the
 //! daemon side both transports serve requests through `Handlers`: the
 //! registry, its counters and the handler pool, with the one "dispatch,
 //! record, deliver" routine — and the one rule
@@ -38,7 +40,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub mod inproc;
+mod landing;
 pub mod tcp;
+
+pub use landing::Landing;
 
 /// Default per-call timeout used by [`EndpointOptions::default`].
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -269,12 +274,28 @@ impl ReplyHandle {
                 Err(RecvTimeoutError::Disconnected) => Some(Err(disconnect.clone())),
                 Err(RecvTimeoutError::Timeout) => None,
             },
-            ReplySource::Slot(ticket) => ticket.wait_within(window),
+            ReplySource::Slot(ticket) => ticket.wait_within(window, None),
             ReplySource::Lost => {
                 std::thread::sleep(window);
                 None
             }
         }
+    }
+
+    /// [`ReplyHandle::wait_within`] for a `ReadChunks` reply, whose bulk
+    /// lands in `land`'s windows instead of the response, which comes
+    /// back with its bulk empty. A TCP waiter that reads its own reply
+    /// receives the bulk straight into the windows; any other reply —
+    /// parked by another TCP reader, held by a link, the in-process
+    /// transport's — is copied in once, and the copy counted
+    /// ([`Landing::copied`]). On an error nothing is resolved, though a
+    /// window may hold part of a reply.
+    pub fn land_within(&mut self, window: Duration, land: &mut Landing<'_>) -> Option<Result<Response>> {
+        if let ReplySource::Slot(ticket) = &mut self.source {
+            lock::assert_unguarded("ReplyHandle::land_within");
+            return ticket.wait_within(window, Some(land));
+        }
+        Some(self.wait_within(window)?.and_then(|resp| land.absorb(resp)))
     }
 
     /// Block until the response arrives, as

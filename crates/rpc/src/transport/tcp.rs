@@ -41,17 +41,14 @@
 //!   taken *follows* on the condvar and is promoted when the leader
 //!   leaves. A fan-out's waiter is no different: whatever else its
 //!   thread holds, it leads its leg's connection as a lone call does,
-//!   as a Margo caller drives progress in `margo_wait`. One frame is
-//!   never read by a waiter: a leader that comes upon a frame too large
-//!   for the read buffer leaves it to the connection's reader thread
-//!   (parked, and not even started before it is first needed), which
-//!   reads that one frame, parks its reply and hands the token back. A
-//!   chunk read's reply next to the caller's own result buffer on one
-//!   thread's allocator arena crosses glibc's trim threshold on every
-//!   call, which costs more than the hand-off saves.
+//!   as a Margo caller drives progress in `margo_wait`. Every frame is
+//!   read by a waiter, a chunk read's reply too, which its own waiter
+//!   receives straight into its result ("Landing" below): no client
+//!   thread allocates a chunk-sized buffer for it, so no client thread
+//!   exists to read one.
 //!
-//! A small call, alone or a leg of a fan-out, therefore costs no thread
-//! hand-off on either side where it used to cost four. What remained
+//! A call, alone or a leg of a fan-out, therefore costs no thread
+//! hand-off on either side where a small one used to cost four. What remained
 //! were the two wake-ups of the network itself — the request reaching a daemon thread blocked in
 //! its wait, the reply reaching a blocked waiter — each on an idle CPU
 //! where ranks and daemons are pinned apart: a 64-byte ping-pong between
@@ -106,8 +103,8 @@
 //! borrowed sub-slice per chunk piece, nothing gathered first.
 //!
 //! Inbound, every byte off a socket — the daemon's loop, a leading
-//! waiter, a client's reader thread, the chaos proxy — goes through one
-//! assembler, a `FrameReader`: `fill` receives a step of bytes, and
+//! waiter, the chaos proxy — goes through one assembler, a
+//! `FrameReader`: `fill` receives a step of bytes, and
 //! `take_frame` is the one place a header is parsed, a checksum checked
 //! and a frame cut. A frame that fits the read buffer arrives with the
 //! `recv` that found it and is cut out as one owned buffer; a larger one
@@ -120,8 +117,25 @@
 //! same assembler (`read_frames`). After the
 //! CRC check the frame's buffer *is* the message: `decode_owned` hands
 //! out `body` and `bulk` as views of it, so a write payload reaches the
-//! chunk store, and a read reply the caller's result, without another
-//! copy.
+//! chunk store without another copy.
+//!
+//! **Landing.** A chunk read's reply need not be a buffer at all: its
+//! waiter knows where each op's bytes belong in its result (a
+//! [`Landing`]), and the reply's body — per op, a length and an absent
+//! flag — arrives before its bulk. So a leader whose own reply is at the
+//! head of the stream, too large for the read buffer, takes the prefix
+//! from the read buffer and receives each run of the bulk straight into
+//! its op's window, checksumming the bytes as they land
+//! (`FrameReader::land`): kernel → result, no copy in user space but the
+//! few KiB that came with the header. Bytes no window wants — an absent
+//! op's, one an earlier reply resolved — go through the read buffer and
+//! are dropped, as is the whole of a large frame whose slot is gone. A
+//! leader lands only a frame that carries its own id, on its own thread,
+//! into its own buffer: another waiter's reply is read into a buffer and
+//! parked as any other, and its waiter copies it in, as it copies a
+//! small frame's or the in-process transport's reply (counted,
+//! [`Landing::copied`]). No pointer crosses threads, and a waiter that
+//! timed out has nothing to revoke.
 //!
 //! # Failure semantics
 //!
@@ -147,21 +161,22 @@
 //! stream stays aligned for the next call, and the late reply is read
 //! and dropped by the next reader.
 
-use crate::message::{Request, Response};
+use crate::message::{Request, Response, Status};
 use crate::stats::WaitStats;
-use crate::transport::{Endpoint, EndpointOptions, ReplyHandle, SMALL_FRAME};
+use crate::transport::{Endpoint, EndpointOptions, Landing, ReplyHandle, SMALL_FRAME};
 use bytes::Bytes;
-use gkfs_common::crc::crc32;
+use gkfs_common::crc::{crc32, crc32_update};
 use gkfs_common::lock::{self, rank, Condvar, OrderedMutex};
 use gkfs_common::wire::FrameWriter;
 use gkfs_common::{GkfsError, Result};
 use std::collections::HashMap;
 use std::io::ErrorKind;
+use std::mem::MaybeUninit;
 use std::net::{Shutdown, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_short, c_ulong, c_void};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 mod server;
@@ -245,6 +260,21 @@ fn closed_err() -> GkfsError {
     GkfsError::Rpc("connection closed".into())
 }
 
+/// A peer that sent part of a frame and then nothing for `stall`.
+fn stalled(stall: Option<Duration>) -> GkfsError {
+    GkfsError::Rpc(format!(
+        "connection lost: peer stalled {:?} inside a frame",
+        stall.unwrap_or_default()
+    ))
+}
+
+/// A reply frame as its message; a frame that passed its checksum and
+/// does not decode is corruption all the same.
+fn decode_reply(frame: &Bytes) -> Result<Response> {
+    Response::decode_owned(frame)
+        .map_err(|e| GkfsError::Corruption(format!("undecodable response frame: {e}")))
+}
+
 /// A `poll(2)` or `epoll_wait(2)` timeout: `within` rounded up to whole
 /// milliseconds — a wait with time left must not spin at zero — and
 /// `None`, as long as it takes, as -1.
@@ -257,12 +287,17 @@ fn timeout_ms(within: Option<Duration>) -> c_int {
 /// Where a `FrameReader` receives from: a [`TcpStream`], or — so that
 /// a test can substitute its byte source — anything that hands out
 /// bytes the way one does.
-pub trait Recv {
-    /// Receive what is there now, at most `max` bytes (no more than
-    /// `into`'s spare capacity), onto the end of `into`, without
-    /// waiting. `Ok(0)` is the end of the stream; `WouldBlock`, nothing
-    /// is there yet.
-    fn recv(&mut self, into: &mut Vec<u8>, max: usize) -> std::io::Result<usize>;
+///
+/// # Safety
+///
+/// `recv` returning `Ok(n)` promises `n <= into.len()` and that it
+/// initialised the first `n` bytes of `into`: a receiver lands bytes in
+/// a caller's result on that word.
+pub unsafe trait Recv {
+    /// Receive what is there now, at most `into.len()` bytes, to the
+    /// front of `into`, without waiting. `Ok(0)` is the end of the
+    /// stream; `WouldBlock`, nothing is there yet.
+    fn recv(&mut self, into: &mut [MaybeUninit<u8>]) -> std::io::Result<usize>;
 
     /// Wait up to `within` (`None`: as long as it takes) for something
     /// to receive — bytes, or the peer's hang-up, which the next `recv`
@@ -272,29 +307,24 @@ pub trait Recv {
     fn wait(&mut self, within: Option<Duration>) -> std::io::Result<bool>;
 }
 
-impl Recv for TcpStream {
-    /// `recv(2)` with `MSG_DONTWAIT` straight into `into`'s spare
-    /// capacity, which is never zero-filled. `O_NONBLOCK` is not an
-    /// option: it belongs to the open file description, which the
-    /// `try_clone`d write half shares, and a writer that met `EAGAIN`
-    /// in the middle of a frame would condemn a healthy connection.
-    fn recv(&mut self, into: &mut Vec<u8>, max: usize) -> std::io::Result<usize> {
+// SAFETY: `recv(2)` writes at most the `len` bytes it is given and
+// says how many it wrote.
+unsafe impl Recv for TcpStream {
+    /// `recv(2)` with `MSG_DONTWAIT` straight into `into`, which is
+    /// never zero-filled. `O_NONBLOCK` is not an option: it belongs to
+    /// the open file description, which the `try_clone`d write half
+    /// shares, and a writer that met `EAGAIN` in the middle of a frame
+    /// would condemn a healthy connection.
+    fn recv(&mut self, into: &mut [MaybeUninit<u8>]) -> std::io::Result<usize> {
         extern "C" {
             fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
         }
         const MSG_DONTWAIT: c_int = 0x40;
-        let spare = into.spare_capacity_mut();
-        let want = spare.len().min(max);
-        // SAFETY: the spare capacity is `want` or more exclusively
-        // borrowed bytes of `into`'s allocation, which the kernel needs
-        // writable, not initialised; the descriptor is this stream's,
-        // open for the whole call.
-        let got = unsafe { recv(self.as_raw_fd(), spare.as_mut_ptr().cast(), want, MSG_DONTWAIT) };
-        let got = usize::try_from(got).map_err(|_| std::io::Error::last_os_error())?;
-        // SAFETY: the kernel initialised the `got` bytes past the old
-        // length, all within the capacity.
-        unsafe { into.set_len(into.len() + got) };
-        Ok(got)
+        // SAFETY: `into` is `into.len()` exclusively borrowed bytes,
+        // which the kernel needs writable, not initialised; the
+        // descriptor is this stream's, open for the whole call.
+        let got = unsafe { recv(self.as_raw_fd(), into.as_mut_ptr().cast(), into.len(), MSG_DONTWAIT) };
+        usize::try_from(got).map_err(|_| std::io::Error::last_os_error())
     }
 
     /// One `poll(2)` on the descriptor: no descriptor of its own and no
@@ -329,6 +359,29 @@ impl Recv for TcpStream {
             },
         }
     }
+}
+
+/// The one receive primitive: `r.recv` into `into`, and the bytes it
+/// received, now initialised, as the front of `into`.
+fn recv_into<'b>(r: &mut impl Recv, into: &'b mut [MaybeUninit<u8>]) -> std::io::Result<&'b mut [u8]> {
+    let n = r.recv(into)?;
+    let got = &mut into[..n];
+    // SAFETY: `Recv`'s contract — `recv` initialised the `n` bytes it
+    // reported, within `into`.
+    Ok(unsafe { got.assume_init_mut() })
+}
+
+/// [`recv_into`] onto the end of `into`, at most `max` bytes and no
+/// more than its spare capacity: the receive of a buffer that grows as
+/// bytes arrive.
+fn recv_vec(r: &mut impl Recv, into: &mut Vec<u8>, max: usize) -> std::io::Result<usize> {
+    let spare = into.spare_capacity_mut();
+    let want = spare.len().min(max);
+    let got = recv_into(r, &mut spare[..want])?.len();
+    // SAFETY: the receive initialised the `got` bytes past the old
+    // length, all within the capacity.
+    unsafe { into.set_len(into.len() + got) };
+    Ok(got)
 }
 
 /// Poll before park, written once (module docs): wait up to `within`
@@ -378,14 +431,13 @@ fn poll_or_park<S: ?Sized, T, E>(
     Ok(found)
 }
 
-/// Verify a frame's trailing checksum. A mismatch surfaces as
-/// [`GkfsError::Corruption`], which the caller must treat as fatal for
-/// the connection: after a bad frame the stream offset can no longer be
-/// trusted, so the only way to resynchronize is to drop the connection
-/// and reconnect.
-fn check_crc(payload: &[u8], trailer: &[u8]) -> Result<()> {
+/// Verify a frame's trailing checksum against `got`, the CRC of its
+/// payload. A mismatch surfaces as [`GkfsError::Corruption`], which the
+/// caller must treat as fatal for the connection: after a bad frame the
+/// stream offset can no longer be trusted, so the only way to
+/// resynchronize is to drop the connection and reconnect.
+fn check_crc(got: u32, trailer: &[u8]) -> Result<()> {
     let want = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let got = crc32(payload);
     if got != want {
         return Err(GkfsError::Corruption(format!(
             "tcp frame crc mismatch: computed {got:#010x}, frame says {want:#010x}"
@@ -395,10 +447,10 @@ fn check_crc(payload: &[u8], trailer: &[u8]) -> Result<()> {
 }
 
 /// The read half of a connection and the one frame assembler: every
-/// reader — the daemon's loop, a leading waiter, a client's reader
-/// thread, the chaos proxy — receives through [`FrameReader::fill`] and
-/// cuts frames with [`FrameReader::take_frame`]. Counterpart of
-/// [`write_frame_segments`].
+/// reader — the daemon's loop, a leading waiter, the chaos proxy —
+/// receives through [`FrameReader::fill`] and cuts frames with
+/// [`FrameReader::take_frame`], or a waiter lands its own reply with
+/// [`FrameReader::land`]. Counterpart of [`write_frame_segments`].
 pub(crate) struct FrameReader<R> {
     stream: R,
     /// Bytes received into a buffer of [`READ_BUF`] bytes' capacity;
@@ -452,8 +504,7 @@ impl<R: Recv> FrameReader<R> {
             if into.len() == into.capacity() {
                 into.reserve((total - into.len()).min(FRAME_RESERVE_MAX));
             }
-            let max = (total - into.len()).min(into.capacity() - into.len());
-            match self.stream.recv(into, max) {
+            match recv_vec(&mut self.stream, into, total - into.len()) {
                 Ok(0) if into.is_empty() => return Err(closed_err()),
                 Ok(0) => {
                     return Err(GkfsError::Rpc(format!(
@@ -503,7 +554,7 @@ impl<R: Recv> FrameReader<R> {
                 return Ok(None);
             }
             let (len, mut frame) = self.big.take().unwrap_or_default();
-            check_crc(&frame[..len], &frame[len..])?;
+            check_crc(crc32(&frame[..len]), &frame[len..])?;
             frame.truncate(len);
             return Ok(Some(Bytes::from(frame)));
         }
@@ -515,7 +566,7 @@ impl<R: Recv> FrameReader<R> {
                 return Ok(None);
             }
             let (payload, rest) = self.buf[self.start + 4..].split_at(len);
-            check_crc(payload, &rest[..4])?;
+            check_crc(crc32(payload), &rest[..4])?;
             let frame = Bytes::copy_from_slice(payload);
             self.start += len + 8;
             return Ok(Some(frame));
@@ -529,33 +580,158 @@ impl<R: Recv> FrameReader<R> {
         Ok(None)
     }
 
+    /// Receive more of the frame at the front, or wait for it: inside a
+    /// frame the reader waits up to `stall` (`None`: as long as it
+    /// takes) at a time, and a wait that runs out means the peer is gone
+    /// in all but name.
+    fn more(&mut self, stall: Option<Duration>) -> Result<()> {
+        if self.fill()? || self.stream.wait(stall).map_err(lost)? {
+            return Ok(());
+        }
+        Err(stalled(stall))
+    }
+
     /// Receive until the frame at the front is whole, and take it: a
     /// client's reading of a frame whose first bytes its poll found.
-    /// With `leave_large`, a frame too large for the buffer is left
-    /// where it is — its header read, nothing allocated — and `None`
-    /// returned. Returns only on a frame boundary or with an error that
-    /// condemns the connection: inside a frame the reader waits up to
-    /// `stall` (`None`: as long as it takes) at a time for more, and a
-    /// wait that runs out means the peer is gone in all but name.
-    pub(crate) fn next_frame(
-        &mut self,
-        stall: Option<Duration>,
-        leave_large: bool,
-    ) -> Result<Option<Bytes>> {
+    /// Returns only on a frame boundary or with an error that condemns
+    /// the connection ([`FrameReader::more`]).
+    pub(crate) fn next_frame(&mut self, stall: Option<Duration>) -> Result<Bytes> {
         loop {
-            if leave_large && self.header()?.is_some_and(|len| !self.holds(len)) {
-                return Ok(None);
-            }
             if let Some(frame) = self.take_frame()? {
-                return Ok(Some(frame));
+                return Ok(frame);
             }
-            if !self.fill()? && !self.stream.wait(stall).map_err(lost)? {
-                return Err(GkfsError::Rpc(format!(
-                    "connection lost: peer stalled {:?} inside a frame",
-                    stall.unwrap_or_default()
-                )));
+            self.more(stall)?;
+        }
+    }
+
+    /// Receive until the frame at the front shows its payload length
+    /// and — for a frame that does not go through the read buffer — the
+    /// id a reply's first eight bytes carry: whose the frame is, before
+    /// any of it is taken.
+    fn head(&mut self, stall: Option<Duration>) -> Result<(usize, Option<u64>)> {
+        loop {
+            if let Some(len) = self.header()? {
+                if self.holds(len) {
+                    return Ok((len, None));
+                }
+                if let Some(id) = self.buf.get(self.start + 4..self.start + 12) {
+                    let mut le = [0u8; 8];
+                    le.copy_from_slice(id);
+                    return Ok((len, Some(u64::from_le_bytes(le))));
+                }
+            }
+            self.more(stall)?;
+        }
+    }
+
+    /// Receive the frame at the front — a `ReadChunks` reply of `len`
+    /// payload bytes, too many for the read buffer, whose header
+    /// [`FrameReader::head`] read — landing its bulk in `land`'s
+    /// windows: the prefix (id, status, body) from the read buffer, then
+    /// each run of the bulk straight into its op's window or, dropped,
+    /// through the read buffer, the checksum computed over the bytes as they land; the
+    /// reply comes back with its bulk empty. The outer error condemns
+    /// the connection (a lost stream, a bad checksum). The inner one is
+    /// the call's: a reply that disagrees with its batch is received
+    /// whole, through the read buffer, and lands nothing; the stream stays
+    /// aligned. A prefix the read buffer cannot hold takes a buffer of
+    /// its own with the rest of the frame, and its bulk is copied in.
+    fn land(&mut self, len: usize, stall: Option<Duration>, land: &mut Landing<'_>) -> Result<Result<Response>> {
+        let (resp, prefix) = loop {
+            match Response::decode_prefix(&self.buf[self.start + 4..], len) {
+                Ok(parsed) => break parsed,
+                Err(_) if self.buffered() < READ_BUF => self.more(stall)?,
+                Err(_) => return Ok(land.absorb(decode_reply(&self.next_frame(stall)?)?)),
+            }
+        };
+        let mut crc = crc32(&self.buf[self.start + 4..self.start + 4 + prefix]);
+        self.start += 4 + prefix;
+        let bulk = len - prefix;
+        let plan = if resp.status == Status::Ok { land.plan(&resp.body, bulk) } else { Ok(vec![(bulk, None)]) };
+        let (runs, verdict) = match plan {
+            Ok(runs) => (runs, Ok(())),
+            Err(e) => (vec![(bulk, None)], Err(e)),
+        };
+        for &(n, op) in &runs {
+            match op {
+                Some(op) => self.receive(land.window(op, n), &mut crc, stall)?,
+                None => self.skip(n, &mut crc, stall)?,
             }
         }
+        self.trailer(crc, stall)?;
+        Ok(verdict.map(|()| {
+            land.commit(&runs);
+            resp
+        }))
+    }
+
+    /// Receive the frame at the front — `len` payload bytes, too many
+    /// for the read buffer, whose header [`FrameReader::head`] read —
+    /// through the read buffer, check it and drop it: a reply nobody
+    /// waits for costs no buffer.
+    fn discard(&mut self, len: usize, stall: Option<Duration>) -> Result<()> {
+        self.start += 4;
+        let mut crc = 0;
+        self.skip(len, &mut crc, stall)?;
+        self.trailer(crc, stall)
+    }
+
+    /// Receive the next `dst.len()` bytes of the frame being read into
+    /// `dst`, adding them to `crc`: what came with the header is copied
+    /// out of the read buffer, the rest received straight into `dst`.
+    fn receive(&mut self, dst: &mut [MaybeUninit<u8>], crc: &mut u32, stall: Option<Duration>) -> Result<()> {
+        let held = self.buffered().min(dst.len());
+        let (now, mut rest) = dst.split_at_mut(held);
+        *crc = crc32_update(*crc, now.write_copy_of_slice(&self.buf[self.start..self.start + held]));
+        self.start += held;
+        while !rest.is_empty() {
+            let n = match recv_into(&mut self.stream, &mut *rest) {
+                Ok([]) => return Err(GkfsError::Rpc("connection lost: peer closed inside a frame".into())),
+                Ok(got) => {
+                    *crc = crc32_update(*crc, got);
+                    got.len()
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => 0,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    if !self.stream.wait(stall).map_err(lost)? {
+                        return Err(stalled(stall));
+                    }
+                    0
+                }
+                Err(e) => return Err(lost(e)),
+            };
+            rest = &mut std::mem::take(&mut rest)[n..];
+        }
+        Ok(())
+    }
+
+    /// Receive the next `n` bytes of the frame being read, adding them
+    /// to `crc`, and drop them: through the read buffer, [`READ_BUF`]
+    /// bytes at a time, so that nothing is allocated for bytes nobody
+    /// wants. What arrives behind them stays buffered.
+    fn skip(&mut self, mut n: usize, crc: &mut u32, stall: Option<Duration>) -> Result<()> {
+        loop {
+            let take = self.buffered().min(n);
+            *crc = crc32_update(*crc, &self.buf[self.start..self.start + take]);
+            self.start += take;
+            n -= take;
+            if n == 0 {
+                return Ok(());
+            }
+            self.more(stall)?;
+        }
+    }
+
+    /// Receive the trailer of the frame being read, whose payload's CRC
+    /// is `crc`, and check it. What arrives behind it stays buffered for
+    /// the next frame.
+    fn trailer(&mut self, crc: u32, stall: Option<Duration>) -> Result<()> {
+        while self.buffered() < 4 {
+            self.more(stall)?;
+        }
+        let at = self.start;
+        self.start += 4;
+        check_crc(crc, &self.buf[at..at + 4])
     }
 
     /// On a frame boundary, wait up to `within` (`None`: as long as it
@@ -598,11 +774,39 @@ pub fn read_frames(stream: impl Recv) -> (Vec<Bytes>, GkfsError) {
     let mut reader = FrameReader::new(stream);
     let mut frames = Vec::new();
     loop {
-        match reader.next_frame(None, false) {
-            Ok(frame) => frames.extend(frame),
+        match reader.next_frame(None) {
+            Ok(frame) => frames.push(frame),
             Err(cause) => return (frames, cause),
         }
     }
+}
+
+/// The one frame `stream` holds, a `ReadChunks` reply, landed as its
+/// waiter lands it: op `i` of the batch into the `caps[i]` bytes of
+/// `into` that follow op `i - 1`'s (`caps` must fit `into`), and what
+/// each op landed; or the error that ended the reading. A frame that
+/// fits the read buffer is copied in, as its waiter copies it. For the
+/// landing fuzzer (`tests/fuzz_wire.rs`), which keeps guard bytes around
+/// `into`.
+#[doc(hidden)]
+pub fn land_frame(stream: impl Recv, caps: &[usize], into: &mut [u8]) -> Result<Vec<Option<usize>>> {
+    // SAFETY: `MaybeUninit<u8>` has `u8`'s layout, and a `Landing`
+    // writes initialised bytes only, so `into` stays initialised.
+    let mut rest = unsafe { &mut *(std::ptr::from_mut(into) as *mut [MaybeUninit<u8>]) };
+    let mut windows = Vec::with_capacity(caps.len());
+    for &cap in caps {
+        let (window, after) = std::mem::take(&mut rest).split_at_mut(cap);
+        windows.push(window);
+        rest = after;
+    }
+    let mut land = Landing::new(windows);
+    let mut reader = FrameReader::new(stream);
+    let resp = match reader.head(None)? {
+        (len, Some(_)) => reader.land(len, None, &mut land)??,
+        (_, None) => land.absorb(decode_reply(&reader.next_frame(None)?)?)?,
+    };
+    resp.into_result()?;
+    Ok(land.landed().to_vec())
 }
 
 /// Bytes of `part` that lie outside `frame`'s buffer: what a decoder
@@ -637,17 +841,12 @@ struct Table {
     /// Slots still `None`: the replies somebody has to read.
     waiting: usize,
     /// The read half of the socket — the token. `None` while a leading
-    /// waiter or the reader thread has it, and for good once the
-    /// connection is dead.
+    /// waiter has it, and for good once the connection is dead.
     reader: Option<Token>,
-    /// A leader left the reader thread the large frame at the head of
-    /// the stream ([`Led::Large`]); the thread reads it (once it gets
-    /// the token) and clears this. While set, waiters follow.
-    draining: bool,
     /// Waiters asleep on `replies`.
     followers: usize,
     /// Why the connection is finished, once it is. No slot is accepted
-    /// after; the reader thread exits.
+    /// after.
     dead: Option<GkfsError>,
 }
 
@@ -660,17 +859,6 @@ impl Table {
             self.waiting -= 1;
         }
     }
-
-    /// Take the read token if it is there and this kind of reader may
-    /// have it: the reader thread while a large frame is left to it, a
-    /// waiter while none is.
-    fn token(&mut self, reader_thread: bool) -> Option<Token> {
-        if self.draining == reader_thread {
-            self.reader.take()
-        } else {
-            None
-        }
-    }
 }
 
 /// Completion state of one live connection generation. Each generation
@@ -680,13 +868,6 @@ struct Completions {
     pending: OrderedMutex<Table>,
     /// Followers wait here for their slot to fill or the token to free.
     replies: Condvar,
-    /// The reader thread waits here for a large frame.
-    drain: Condvar,
-    /// Whether the connection has a reader thread, once somebody needed
-    /// one: a connection whose replies are all small (metadata calls, a
-    /// CLI command) never pays for it. `false`: it could not be
-    /// started, and waiters read large frames for themselves.
-    reader_thread: OnceLock<bool>,
     /// The endpoint's connection slot and this connection's generation
     /// in it, to retire the connection when its stream fails. Weak: the
     /// slot owns this table, not the reverse.
@@ -700,16 +881,20 @@ struct Completions {
 
 /// How a leading waiter's turn at the socket ended.
 enum Led {
-    /// With its own reply.
-    Mine(Response),
+    /// With its own reply — landed, when the wait had windows for it —
+    /// or the error that reply earned the call.
+    Mine(Result<Response>),
     /// With its deadline, on a frame boundary.
     TimedOut,
-    /// At a frame that does not go through the read buffer — a chunk
-    /// read's reply, whoever it is for. Reading it here would put its
-    /// buffer on the waiting thread's allocator arena, next to the
-    /// caller's own result buffer; it is the reader thread's to read,
-    /// as every large frame was before waiters read at all.
-    Large,
+}
+
+/// `resp`, landed in `land` if the wait has windows for it: a reply
+/// that reached its waiter as a buffer is copied in ([`Landing`]).
+fn settle(resp: Response, land: Option<&mut Landing<'_>>) -> Result<Response> {
+    match land {
+        Some(land) => land.absorb(resp),
+        None => Ok(resp),
+    }
 }
 
 impl Completions {
@@ -724,6 +909,11 @@ impl Completions {
         Ok(())
     }
 
+    /// Whether a waiter still wants the reply to `id`.
+    fn awaited(&self, id: u64) -> bool {
+        matches!(self.pending.lock().slots.get(&id), Some(None))
+    }
+
     /// Park a reply read off the socket in its slot and wake its waiter.
     /// A reply nobody waits for any more is dropped here.
     fn park(&self, t: &mut Table, resp: Response) {
@@ -736,32 +926,16 @@ impl Completions {
         }
     }
 
-    /// Hand the token back and pass the reading on: to the reader
-    /// thread if a large frame is left to it, else to a follower — if
+    /// Hand the token back and pass the reading on to a follower, if
     /// anything is left to read at all.
     fn release(&self, t: &mut Table, token: Token) {
         if t.dead.is_some() {
             return; // condemned meanwhile: the token goes with it
         }
         t.reader = Some(token);
-        if t.draining {
-            self.drain.notify_one();
-        } else if t.waiting > 0 && t.followers > 0 {
+        if t.waiting > 0 && t.followers > 0 {
             self.replies.notify_all();
         }
-    }
-
-    /// Start the connection's reader thread if nobody has yet (with no
-    /// lock held: the thread's first act is to take `pending`). Whether
-    /// there is one to ask.
-    fn start_reader(self: &Arc<Self>) -> bool {
-        *self.reader_thread.get_or_init(|| {
-            let parked = Arc::clone(self);
-            std::thread::Builder::new()
-                .name("gkfs-tcp-reader".into())
-                .spawn(move || parked.run_reader())
-                .is_ok()
-        })
     }
 
     /// The connection is finished: fail every reply still awaited with
@@ -780,7 +954,6 @@ impl Completions {
         t.dead = Some(cause);
         drop(t);
         self.replies.notify_all();
-        self.drain.notify_all();
     }
 
     /// The stream failed under whoever held the token: retire this
@@ -800,35 +973,23 @@ impl Completions {
         self.condemn(cause);
     }
 
-    /// The frame whose first bytes are buffered — a leader's poll found
-    /// them, or a leader left them to the reader thread — as a
-    /// response; `None` for a frame too large for the read buffer, left
-    /// unread, when `leave_large`.
-    fn read_reply(
-        &self,
-        reader: &mut FrameReader<TcpStream>,
-        leave_large: bool,
-    ) -> Result<Option<Response>> {
-        let Some(frame) = reader.next_frame(Some(self.stall), leave_large)? else {
-            return Ok(None);
-        };
-        Response::decode_owned(&frame)
-            .map(Some)
-            .map_err(|e| GkfsError::Corruption(format!("undecodable response frame: {e}")))
-    }
-
-    /// Read the socket until the reply to `id` arrives, `deadline`
-    /// passes on a frame boundary, or a frame too large for the read
-    /// buffer comes up (left unread), parking every other reply in its
-    /// slot. No lock is held while reading.
+    /// Read the socket until the reply to `id` arrives or `deadline`
+    /// passes on a frame boundary, parking every other reply in its
+    /// slot. Each frame is read by what it is: one that fits the read
+    /// buffer is cut from it; a larger one that is this wait's own
+    /// reply lands in `land`'s windows when the wait has them; one a
+    /// waiter still wants is read into a buffer of its own; one whose
+    /// slot is gone is dropped through the read buffer. No lock is held
+    /// while reading.
     fn lead(
         &self,
         token: &mut Token,
         id: u64,
         deadline: Option<Instant>,
-        hand_over: bool,
+        mut land: Option<&mut Landing<'_>>,
     ) -> Result<Led> {
         let spins = [&self.stats.spun, &self.stats.spin_expired];
+        let stall = Some(self.stall);
         loop {
             let left = deadline.map(|at| at.saturating_duration_since(Instant::now()));
             if left == Some(Duration::ZERO) {
@@ -837,40 +998,22 @@ impl Completions {
             if !token.reader.poll(&mut token.hot, left, spins)? {
                 continue;
             }
-            let Some(resp) = self.read_reply(&mut token.reader, hand_over)? else {
-                return Ok(Led::Large);
+            let reader = &mut token.reader;
+            let resp = match reader.head(stall)? {
+                (len, Some(of)) if of == id => match land.as_deref_mut() {
+                    Some(land) => return Ok(Led::Mine(reader.land(len, stall, land)?)),
+                    None => decode_reply(&reader.next_frame(stall)?)?,
+                },
+                (len, Some(of)) if !self.awaited(of) => {
+                    reader.discard(len, stall)?;
+                    continue;
+                }
+                _ => decode_reply(&reader.next_frame(stall)?)?,
             };
             if resp.id == id {
-                return Ok(Led::Mine(resp));
+                return Ok(Led::Mine(settle(resp, land)));
             }
             self.park(&mut self.pending.lock(), resp);
-        }
-    }
-
-    /// The connection's reader thread: parked until a leader leaves it
-    /// a large frame, whose header is buffered already, so it reads that
-    /// one frame without a poll, parks the reply and hands the token back.
-    fn run_reader(&self) {
-        let mut t = self.pending.lock();
-        loop {
-            if t.dead.is_some() {
-                return;
-            }
-            let Some(mut token) = t.token(true) else {
-                t.wait(&self.drain);
-                continue;
-            };
-            drop(t);
-            let reply = match self.read_reply(&mut token.reader, false) {
-                Ok(reply) => reply,
-                Err(cause) => return self.fail(cause),
-            };
-            t = self.pending.lock();
-            if let Some(resp) = reply {
-                self.park(&mut t, resp);
-            }
-            t.draining = false;
-            self.release(&mut t, token);
         }
     }
 }
@@ -886,58 +1029,60 @@ pub(crate) struct Ticket {
 
 impl Ticket {
     /// Wait for the reply — the lead-or-follow rule, the only one. The
-    /// waiter reads the socket itself (*leads*) when the token is free
-    /// and no large frame is left to the reader thread, whatever else
-    /// its thread holds; otherwise it *follows*: it sleeps until a
-    /// reader parks its reply or the token frees up. A leader that comes
-    /// upon a large frame ([`Led::Large`]) leaves it to the reader
-    /// thread and follows. `None` is `timeout` passing with the reply
-    /// still awaited: the slot stays, for a later wait or for `Drop` to
-    /// give up.
-    pub(crate) fn wait_within(&mut self, timeout: Duration) -> Option<Result<Response>> {
+    /// waiter reads the socket itself (*leads*) when the token is free,
+    /// whatever else its thread holds; otherwise it *follows*: it sleeps
+    /// until a reader parks its reply or the token frees up. With
+    /// `land`, the reply's bulk lands in its windows: received there
+    /// when this wait reads its reply itself, copied there from the
+    /// buffer another reader parked. `None` is `timeout` passing with
+    /// the reply still awaited: the slot stays, for a later wait or for
+    /// `Drop` to give up.
+    pub(crate) fn wait_within(
+        &mut self,
+        timeout: Duration,
+        mut land: Option<&mut Landing<'_>>,
+    ) -> Option<Result<Response>> {
         let done = &*self.done;
         let deadline = Instant::now().checked_add(timeout);
         let mut led = false;
-        // Large frames are the reader thread's, until it turns out there
-        // cannot be one.
-        let mut hand_over = true;
         let mut t = done.pending.lock();
         let outcome = loop {
             match t.slots.get(&self.id).map(Option::is_some) {
-                Some(true) => break t.slots.remove(&self.id).flatten(),
+                Some(true) => {
+                    // Parked by another reader: its buffer is copied in
+                    // below, with no lock held.
+                    let parked = t.slots.remove(&self.id).flatten();
+                    drop(t);
+                    break parked.map(|got| got.and_then(|resp| settle(resp, land)));
+                }
                 Some(false) => {}
-                None => break Some(Err(closed_err())),
+                None => {
+                    drop(t);
+                    break Some(Err(closed_err()));
+                }
             }
             let left = deadline.map_or(WAIT_FOREVER, |at| {
                 at.saturating_duration_since(Instant::now())
             });
             if left.is_zero() {
+                drop(t);
                 break None;
             }
-            if let Some(mut token) = t.token(false) {
+            if let Some(mut token) = t.reader.take() {
                 drop(t);
-                let turn = done.lead(&mut token, self.id, deadline, hand_over);
-                if matches!(turn, Ok(Led::Large)) {
-                    hand_over = self.done.start_reader();
-                }
+                let turn = done.lead(&mut token, self.id, deadline, land.as_deref_mut());
                 t = done.pending.lock();
                 match turn {
-                    Ok(Led::Large) => {
-                        if hand_over {
-                            t.draining = true;
-                            done.stats.reader_drains.fetch_add(1, Ordering::Relaxed);
-                        }
-                        done.release(&mut t, token);
-                    }
-                    Ok(mine) => {
+                    Ok(turn) => {
                         led = true;
-                        if matches!(mine, Led::Mine(_)) {
+                        if matches!(turn, Led::Mine(_)) {
                             t.forget(self.id);
                         }
                         done.release(&mut t, token);
-                        break match mine {
-                            Led::Mine(resp) => Some(Ok(resp)),
-                            _ => None,
+                        drop(t);
+                        break match turn {
+                            Led::Mine(got) => Some(got),
+                            Led::TimedOut => None,
                         };
                     }
                     Err(cause) => {
@@ -953,7 +1098,6 @@ impl Ticket {
                 t.followers -= 1;
             }
         };
-        drop(t);
         self.settled = outcome.is_some();
         let by = if led { &done.stats.waits_led } else { &done.stats.waits_followed };
         by.fetch_add(1, Ordering::Relaxed);
@@ -1056,16 +1200,13 @@ impl TcpEndpoint {
         s.live.as_ref().map_or(0, |c| c.done.pending.lock().slots.len())
     }
 
-    /// How this endpoint's waits were served: led, followed, and how
-    /// often the reader thread was called on.
+    /// How this endpoint's waits were served: led or followed, and how
+    /// often a poll found the reply.
     pub fn wait_stats(&self) -> &WaitStats {
         &self.waits
     }
 
-    /// Dial the daemon as connection generation `gen`. The reader
-    /// thread the connection may get later owns only its completion
-    /// table — not the endpoint — and exits when the connection is
-    /// condemned, which dropping the endpoint does.
+    /// Dial the daemon as connection generation `gen`.
     fn dial(&self, gen: u64) -> Result<LiveConn> {
         let stream = TcpStream::connect(&self.addr)
             .map_err(|e| GkfsError::Rpc(format!("connect {}: {e}", self.addr)))?;
@@ -1080,14 +1221,11 @@ impl TcpEndpoint {
                     slots: HashMap::new(),
                     waiting: 0,
                     reader: Some(Token { reader: FrameReader::new(reader), hot: false }),
-                    draining: false,
                     followers: 0,
                     dead: None,
                 },
             ),
             replies: Condvar::new(),
-            drain: Condvar::new(),
-            reader_thread: OnceLock::new(),
             conn: Arc::downgrade(&self.conn),
             gen,
             stall: self.timeout,
@@ -1191,8 +1329,8 @@ impl TcpEndpoint {
 }
 
 impl Drop for TcpEndpoint {
-    /// Hang up: the daemon's loop sees EOF and drops the connection, the
-    /// parked reader thread exits, handles still out fail as closed.
+    /// Hang up: the daemon's loop sees EOF and drops the connection,
+    /// handles still out fail as closed.
     fn drop(&mut self) {
         let live = self.conn.lock().live.take();
         if let Some(live) = live {
@@ -1287,14 +1425,15 @@ mod tests {
         Wire { data, at: 0, gap: true }
     }
 
-    impl Recv for Wire {
-        fn recv(&mut self, into: &mut Vec<u8>, max: usize) -> std::io::Result<usize> {
+    // SAFETY: `recv` initialises the `n <= into.len()` bytes it reports.
+    unsafe impl Recv for Wire {
+        fn recv(&mut self, into: &mut [MaybeUninit<u8>]) -> std::io::Result<usize> {
             self.gap = !self.gap;
             if self.gap {
                 return Err(ErrorKind::WouldBlock.into());
             }
-            let n = max.min(self.data.len() - self.at);
-            into.extend_from_slice(&self.data[self.at..self.at + n]);
+            let n = into.len().min(self.data.len() - self.at);
+            into[..n].write_copy_of_slice(&self.data[self.at..self.at + n]);
             self.at += n;
             Ok(n)
         }
@@ -1306,7 +1445,7 @@ mod tests {
 
     /// One frame off `r`, waiting inside it as long as it takes.
     fn read_frame(r: &mut FrameReader<impl Recv>) -> Result<Bytes> {
-        Ok(r.next_frame(None, false)?.expect("a whole frame"))
+        r.next_frame(None)
     }
 
     /// `[len][payload][crc]` as one buffer — the reference wire image.
@@ -1588,12 +1727,96 @@ mod tests {
             .call(Request::new(Opcode::Ping, &b""[..]).with_bulk(bulk.clone()))
             .unwrap();
         assert_eq!(resp.bulk, bulk);
-        // The lone caller took the token, saw a frame that does not go
-        // through the read buffer, and left it to the reader thread.
+        // The lone caller took the token and read the frame itself,
+        // though it does not go through the read buffer.
         let waits = ep.wait_stats();
-        assert_eq!(waits.waits_led.load(Ordering::Relaxed), 0);
-        assert_eq!(waits.waits_followed.load(Ordering::Relaxed), 1);
-        assert_eq!(waits.reader_drains.load(Ordering::Relaxed), 1);
+        assert_eq!(waits.waits_led.load(Ordering::Relaxed), 1);
+        assert_eq!(waits.waits_followed.load(Ordering::Relaxed), 0);
+        server.shutdown();
+    }
+
+    /// A server whose `ReadChunks` answers every op of the batch with
+    /// its whole length of `i % 251` bytes, after `delay` per op.
+    fn chunk_server(delay: Duration) -> Arc<TcpServer> {
+        use crate::proto::{op, ChunkBatchReq, ReadChunksResp};
+        let mut reg = echo_registry();
+        reg.serve_bulk::<op::ReadChunks>(move |batch: ChunkBatchReq, _| {
+            std::thread::sleep(delay * u32::try_from(batch.ops.len()).unwrap());
+            let lens: Vec<u64> = batch.ops.iter().map(|o| o.len).collect();
+            let total = usize::try_from(lens.iter().sum::<u64>()).unwrap();
+            let bulk: Vec<u8> = (0..total).map(|i| u8::try_from(i % 251).unwrap()).collect();
+            let missing = vec![false; lens.len()];
+            Ok((ReadChunksResp { lens, missing }, bulk.into()))
+        });
+        TcpServer::bind("127.0.0.1:0", reg, 2).unwrap()
+    }
+
+    /// A `ReadChunks` of `lens.len()` ops of those lengths.
+    fn read_req(lens: &[u64]) -> Request {
+        use crate::proto::{op, ChunkBatchReq, ChunkOp, Rpc};
+        let ops = lens.iter().map(|&len| ChunkOp { chunk_id: 0, offset: 0, len }).collect();
+        op::ReadChunks::request(&ChunkBatchReq { path: "/f".into(), ops })
+    }
+
+    /// `out`, every byte of which a landing and a zero-fill wrote.
+    fn init(out: &[MaybeUninit<u8>]) -> &[u8] {
+        // SAFETY: the caller zero-filled what did not land.
+        unsafe { out.assume_init_ref() }
+    }
+
+    #[test]
+    fn a_waiter_lands_its_own_chunk_reply_in_its_windows() {
+        let server = chunk_server(Duration::ZERO);
+        let ep = TcpEndpoint::connect(&server.local_addr().to_string()).unwrap();
+        // Two ops whose windows are swapped in the result: the landing
+        // follows the windows, not the bulk's order.
+        let mut out = vec![MaybeUninit::uninit(); 300_000];
+        let (first, second) = out.split_at_mut(100_000);
+        let mut land = Landing::new(vec![second, first]);
+        let mut h = ep.submit(read_req(&[200_000, 100_000])).unwrap();
+        let resp = h.land_within(Duration::from_secs(10), &mut land).unwrap().unwrap();
+        assert!(resp.bulk.is_empty());
+        assert_eq!(land.zero_fill(), 0);
+        assert_eq!((land.landed(), land.copied()), (&[Some(200_000), Some(100_000)][..], 0));
+        drop(land);
+        let want: Vec<u8> = (0..300_000).map(|i| u8::try_from(i % 251).unwrap()).collect();
+        assert_eq!(&init(&out)[100_000..], &want[..200_000]);
+        assert_eq!(&init(&out)[..100_000], &want[200_000..]);
+        let waits = ep.wait_stats();
+        assert_eq!(waits.waits_led.load(Ordering::Relaxed), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_reply_another_leader_read_is_copied_in_once() {
+        // Both requests are served late, the second (two ops) later
+        // than the first; while the first's waiter is not yet waiting
+        // (the token free), the second's lead reads the first reply
+        // into a buffer and parks it.
+        let server = chunk_server(Duration::from_millis(100));
+        let ep = TcpEndpoint::connect(&server.local_addr().to_string()).unwrap();
+        let mut first = ep.submit(read_req(&[64 * 1024])).unwrap();
+        let second = ep.submit(read_req(&[1, 1])).unwrap();
+        second.wait(Duration::from_secs(10)).unwrap();
+        let mut out = vec![MaybeUninit::uninit(); 64 * 1024];
+        let mut land = Landing::new(vec![&mut out[..]]);
+        first.land_within(Duration::from_secs(10), &mut land).unwrap().unwrap();
+        assert_eq!((land.landed(), land.copied()), (&[Some(64 * 1024)][..], 64 * 1024));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_large_reply_whose_slot_is_gone_is_dropped_and_the_stream_stays_aligned() {
+        let server = chunk_server(Duration::from_millis(50));
+        let ep = TcpEndpoint::connect(&server.local_addr().to_string()).unwrap();
+        let late = ep.submit(read_req(&[512 * 1024])).unwrap();
+        assert!(matches!(late.wait(Duration::from_millis(5)), Err(GkfsError::Timeout)));
+        // The next call reads the late 512 KiB reply first, through the
+        // read buffer, then its own.
+        std::thread::sleep(Duration::from_millis(100));
+        let resp = ep.call(Request::new(Opcode::Ping, &b"after"[..])).unwrap();
+        assert_eq!(&resp.body[..], b"after");
+        assert_eq!((ep.reconnects(), ep.pending_len()), (0, 0));
         server.shutdown();
     }
 
@@ -1824,16 +2047,16 @@ mod tests {
         let began = Instant::now();
         assert!(!near.wait(Some(Duration::from_millis(30))).unwrap());
         assert!(began.elapsed() >= Duration::from_millis(30));
-        let drained = near.recv(&mut got, 16).unwrap_err();
+        let drained = recv_vec(&mut near, &mut got, 16).unwrap_err();
         assert_eq!(drained.kind(), ErrorKind::WouldBlock);
         // Bytes: `true`, and the receive takes them.
         far.write_all(b"bytes").unwrap();
         assert!(near.wait(Some(Duration::from_secs(10))).unwrap());
-        assert_eq!(near.recv(&mut got, 16).unwrap(), 5);
+        assert_eq!(recv_vec(&mut near, &mut got, 16).unwrap(), 5);
         // The peer's hang-up: `true`, and the receive reports the end.
         drop(far);
         assert!(near.wait(None).unwrap());
-        assert_eq!(near.recv(&mut got, 16).unwrap(), 0);
+        assert_eq!(recv_vec(&mut near, &mut got, 16).unwrap(), 0);
         assert_eq!(got, b"bytes");
         // Time left is never rounded down to a spin.
         assert_eq!(timeout_ms(Some(Duration::from_micros(1))), 1);
@@ -1894,42 +2117,40 @@ mod tests {
 /// (`gkfs_common::model`), next to the task pool's.
 ///
 /// Transcribes the state machines above — a waiter (`Ticket::wait`:
-/// lead, follow, time out, leave a large frame to the reader thread),
-/// a dropped handle (`Ticket::drop`), the parked reader thread
-/// (`Completions::run_reader`: one large frame, then the token back,
-/// let go by the endpoint's `Drop` once every wait has returned) —
+/// lead, follow, time out) and a dropped handle (`Ticket::drop`) —
 /// against replies, or a broken stream, already on the wire when the
 /// window opens: what the kernel does while a reader blocks is not this
-/// protocol's business. A fan-out is one thread's waits in turn, each
-/// led or followed by the same rule as a lone call's. Every critical
-/// section of the `pending` lock is one atomic step (the lock makes it
-/// one); a socket read is a step of its own with no lock held. Both
-/// condvars are modelled explicitly: a sleeper runs again only after a
-/// notify reaches it (or its own deadline passes), so a wake-up the code
-/// fails to send shows as a deadlock. Checked over every interleaving
-/// the preemption bound admits:
+/// protocol's business, and neither is how a leader receives a frame
+/// (cut from the read buffer, landed, read into a buffer, dropped
+/// through the read buffer) — all of it happens with no lock held, between
+/// taking the token and the next critical section. What the protocol
+/// does decide is modelled: a large frame for another id is read and
+/// parked only if its slot is awaited when the leader looks (a critical
+/// section of its own), and dropped otherwise. A fan-out is one thread's
+/// waits in turn, each led or followed by the same rule as a lone
+/// call's. Every critical section of the `pending` lock is one atomic
+/// step (the lock makes it one); a socket read is a step of its own with
+/// no lock held. The condvar is modelled explicitly: a sleeper runs again
+/// only after a notify reaches it (or its own deadline passes), so a
+/// wake-up the code fails to send shows as a deadlock. Checked over
+/// every interleaving the preemption bound admits:
 ///
 /// * no lost wake-up: a waiter whose reply was parked always runs, and
 ///   every wait returns exactly once;
 /// * a follower is promoted when the leader leaves with replies still
-///   awaited; a fan-out's waits read their own replies and never wake
-///   the reader thread;
+///   awaited; a fan-out's waits read their own replies;
 /// * the late reply to a timed-out or dropped handle is discarded and
-///   its slot is not leaked;
+///   its slot is not leaked — a large one also when its slot goes
+///   between the leader's look and its park;
 /// * a dead connection fails every awaited slot exactly once, and a
 ///   reply parked before the failure is still delivered;
-/// * a leader that meets a frame too large for the read buffer leaves
-///   it unread, the reader thread reads that one frame and hands the
-///   token back, nobody is stranded — also when the frame's handle was
-///   dropped, so that parking it wakes nobody;
 /// * the read token is never duplicated or lost while the connection
 ///   lives.
 ///
-/// Three deliberately broken variants are caught as the deadlocks they
-/// are: a leader that returns the token without notifying, a reader
-/// thread that leaves `draining` set after its frame (nobody leads
-/// again), and a reader thread whose release after its frame wakes no
-/// follower.
+/// Three deliberately broken waiters are caught: two that lead at once
+/// (one leads without taking the token), a follower never woken (a
+/// leader parks its reply without notifying) and a leader that returns
+/// the token without notifying — the last two as the deadlocks they are.
 #[cfg(test)]
 mod model {
     use gkfs_common::model::{Explorer, Model, Step};
@@ -1945,18 +2166,19 @@ mod model {
     #[derive(Clone, Copy, PartialEq, Debug)]
     enum Wire {
         Reply(usize),
-        /// A reply too large for the read buffer: a leader leaves it to
-        /// the reader thread.
+        /// A reply too large for the read buffer.
         Large(usize),
         Broken,
     }
 
-    /// The reader thread as `run_reader` is, or broken after its frame.
+    /// A waiter as `Ticket::wait_within` is, or broken in one place.
     #[derive(Clone, Copy, PartialEq)]
-    enum Reader {
+    enum Waiter {
         Sound,
-        /// Leaves `draining` set.
-        KeepsDraining,
+        /// Leads without taking the token.
+        SharesToken,
+        /// Parks another's reply without notifying.
+        SilentPark,
         /// Hands the token back without notifying.
         SilentRelease,
     }
@@ -1970,15 +2192,11 @@ mod model {
         token: bool,
         /// Somebody reads the socket right now (at most one may).
         reading: usize,
-        draining: bool,
         followers: usize,
         dead: bool,
         /// Waiters asleep on `replies`, and those a notify has reached.
         asleep: Vec<usize>,
         woken: Vec<usize>,
-        /// The reader thread asleep on `drain`, and notified.
-        reader_asleep: bool,
-        reader_woken: bool,
         /// Bytes on their way to the client, oldest first.
         wire: Vec<Wire>,
         /// Deadlines that have passed.
@@ -1989,8 +2207,6 @@ mod model {
         discarded: Vec<usize>,
         /// Failures parked, per condemnation sweep.
         failures: Vec<usize>,
-        /// Large frames left to the reader thread (`reader_drains`).
-        hand_overs: usize,
     }
 
     type Thread = Box<dyn FnMut(&mut S) -> Step>;
@@ -2013,19 +2229,13 @@ mod model {
             self.woken.append(&mut self.asleep);
         }
 
-        fn notify_drain(&mut self) {
-            if self.reader_asleep {
-                self.reader_woken = true;
-            }
-        }
-
-        /// `Completions::park`.
-        fn park(&mut self, id: usize) {
+        /// `Completions::park`; `notify: false` is the broken variant.
+        fn park(&mut self, id: usize, notify: bool) {
             match self.slot(id) {
                 Some(slot @ None) => {
                     *slot = Some(Outcome::Reply);
                     self.waiting -= 1;
-                    if self.followers > 0 {
+                    if notify && self.followers > 0 {
                         self.notify_replies();
                     }
                 }
@@ -2041,9 +2251,7 @@ mod model {
             }
             assert!(!self.token, "two read tokens");
             self.token = true;
-            if notify && self.draining {
-                self.notify_drain();
-            } else if notify && self.waiting > 0 && self.followers > 0 {
+            if notify && self.waiting > 0 && self.followers > 0 {
                 self.notify_replies();
             }
         }
@@ -2061,33 +2269,26 @@ mod model {
             self.token = false;
             self.dead = true;
             self.notify_replies();
-            self.notify_drain();
         }
 
         /// One read of the socket by whoever holds the token: the next
-        /// thing on the wire, or `None` while nothing has arrived. A
-        /// leader (`small_only`) looks at a large frame's header and
-        /// leaves the frame where it is.
-        fn recv(&mut self, small_only: bool) -> Option<Wire> {
+        /// thing on the wire, or `None` while nothing has arrived.
+        fn recv(&mut self) -> Option<Wire> {
             assert_eq!(self.reading, 1, "the socket has exactly one reader");
-            match self.wire.first() {
-                None => None,
-                Some(&large @ Wire::Large(_)) if small_only => Some(large),
-                Some(_) => Some(self.wire.remove(0)),
-            }
+            (!self.wire.is_empty()).then(|| self.wire.remove(0))
         }
     }
 
     /// `ReplyHandle::wait` for slot `id` (registered before the window
     /// opens).
-    fn waiter(id: usize, notify_on_release: bool) -> Thread {
-        waits(id, notify_on_release, false)
+    fn waiter(id: usize) -> Thread {
+        waits(id, Waiter::Sound, false)
     }
 
     /// A hedge's two looks at slot `id`: a `wait_within` whose window
     /// may pass, then a wait without a deadline on the same handle.
     fn hedged_waiter(id: usize) -> Thread {
-        waits(id, true, true)
+        waits(id, Waiter::Sound, true)
     }
 
     /// One thread's waits, `first`'s to its end and then `then`'s: a
@@ -2106,20 +2307,20 @@ mod model {
         })
     }
 
-    /// `Ticket::wait_within` for slot `id`, and what follows a window
-    /// that passed: the handle's drop (`ReplyHandle::wait`), or with
-    /// `rewait` a second, unbounded wait.
-    fn waits(id: usize, notify_on_release: bool, rewait: bool) -> Thread {
+    /// `Ticket::wait_within` for slot `id`, as `variant`, and what
+    /// follows a window that passed: the handle's drop
+    /// (`ReplyHandle::wait`), or with `rewait` a second, unbounded wait.
+    fn waits(id: usize, variant: Waiter, rewait: bool) -> Thread {
         #[derive(Clone, Copy)]
         enum At {
             Top,
             Asleep,
             Leading,
+            Look(usize),
             Park(usize),
             Mine,
             LedTimeout,
             Expired,
-            HandOver,
             Fail,
             Done,
         }
@@ -2151,8 +2352,8 @@ mod model {
                         }
                         None => unreachable!("slot {id} vanished under its waiter"),
                         Some(None) if s.expired.contains(&id) => at = At::Expired,
-                        Some(None) if !s.draining && s.token => {
-                            s.token = false;
+                        Some(None) if s.token => {
+                            s.token = variant == Waiter::SharesToken;
                             s.reading += 1;
                             at = At::Leading;
                         }
@@ -2169,32 +2370,36 @@ mod model {
                         at = At::LedTimeout;
                         return Step::Ran;
                     }
-                    at = match s.recv(true) {
+                    at = match s.recv() {
                         None => return Step::Blocked,
-                        Some(Wire::Reply(got)) if got == id => At::Mine,
+                        Some(Wire::Reply(got) | Wire::Large(got)) if got == id => At::Mine,
                         Some(Wire::Reply(other)) => At::Park(other),
-                        Some(Wire::Large(_)) => At::HandOver,
+                        Some(Wire::Large(other)) => At::Look(other),
                         Some(Wire::Broken) => At::Fail,
                     };
                 }
-                At::HandOver => {
-                    s.draining = true;
-                    s.hand_overs += 1;
-                    s.release(notify_on_release);
-                    at = At::Top;
+                At::Look(other) => {
+                    // `Completions::awaited`: read into a buffer and
+                    // parked, or dropped through the read buffer.
+                    if matches!(s.slot(other), Some(None)) {
+                        at = At::Park(other);
+                    } else {
+                        s.discarded.push(other);
+                        at = At::Leading;
+                    }
                 }
                 At::Park(other) => {
-                    s.park(other);
+                    s.park(other, variant != Waiter::SilentPark);
                     at = At::Leading;
                 }
                 At::Mine => {
                     s.forget(id);
-                    s.release(notify_on_release);
+                    s.release(variant != Waiter::SilentRelease);
                     s.returned.push((id, Outcome::Reply));
                     at = At::Done;
                 }
                 At::LedTimeout => {
-                    s.release(notify_on_release);
+                    s.release(variant != Waiter::SilentRelease);
                     at = At::Expired;
                 }
                 At::Expired if rewait => {
@@ -2235,71 +2440,6 @@ mod model {
         })
     }
 
-    /// `Completions::run_reader`. Asleep with all `waits` waits
-    /// returned, it is let go (`Drop for TcpEndpoint` condemns the
-    /// connection) — so a wait that never returns, or a reader that
-    /// never gives the token back, leaves every thread blocked, which
-    /// the explorer reports as the deadlock it is.
-    fn reader(waits: usize, variant: Reader) -> Thread {
-        #[derive(Clone, Copy)]
-        enum At {
-            Parked,
-            Asleep,
-            Read,
-            Park(usize),
-            Done,
-        }
-        let mut at = At::Parked;
-        Box::new(move |s| {
-            match at {
-                At::Asleep => {
-                    if s.returned.len() == waits {
-                        return Step::Done;
-                    }
-                    if !s.reader_woken {
-                        return Step::Blocked;
-                    }
-                    s.reader_woken = false;
-                    s.reader_asleep = false;
-                    at = At::Parked;
-                }
-                At::Parked if s.dead => at = At::Done,
-                At::Parked if s.draining && s.token => {
-                    s.token = false;
-                    s.reading += 1;
-                    at = At::Read;
-                }
-                At::Parked => {
-                    s.reader_asleep = true;
-                    at = At::Asleep;
-                }
-                At::Read => {
-                    // `read_reply(.., false)`, lock dropped: the frame
-                    // whose header the leader left buffered.
-                    at = match s.recv(false) {
-                        None => return Step::Blocked,
-                        Some(Wire::Reply(id) | Wire::Large(id)) => At::Park(id),
-                        Some(Wire::Broken) => {
-                            s.reading -= 1;
-                            s.condemn();
-                            At::Done
-                        }
-                    };
-                }
-                At::Park(id) => {
-                    s.park(id);
-                    if variant != Reader::KeepsDraining {
-                        s.draining = false;
-                    }
-                    s.release(variant != Reader::SilentRelease);
-                    at = At::Parked;
-                }
-                At::Done => return Step::Done,
-            }
-            Step::Ran
-        })
-    }
-
     /// A deadline passing, whenever the schedule says.
     fn clock(id: usize) -> Thread {
         let mut fired = false;
@@ -2312,10 +2452,11 @@ mod model {
         })
     }
 
-    /// A connection with `ids` in flight and `wire` on its way, the
-    /// reader thread parked, `threads` (which make `waits` waits between
-    /// them) around it; `check` sees the final state after the
-    /// structural invariants.
+    /// A connection with `ids` in flight and `wire` on its way,
+    /// `threads` (which make `waits` waits between them) around it;
+    /// `check` sees the final state after the structural invariants. A
+    /// wait that never returns leaves every thread blocked, which the
+    /// explorer reports as the deadlock it is.
     fn connection(
         ids: &[usize],
         wire: &[Wire],
@@ -2323,19 +2464,6 @@ mod model {
         threads: Vec<Thread>,
         check: impl Fn(&S) + 'static,
     ) -> Model<S> {
-        connection_with(Reader::Sound, ids, wire, waits, threads, check)
-    }
-
-    /// [`connection`] with the reader thread as `variant`.
-    fn connection_with(
-        variant: Reader,
-        ids: &[usize],
-        wire: &[Wire],
-        waits: usize,
-        mut threads: Vec<Thread>,
-        check: impl Fn(&S) + 'static,
-    ) -> Model<S> {
-        threads.push(reader(waits, variant));
         Model {
             state: S {
                 slots: ids.iter().map(|&id| (id, None)).collect(),
@@ -2351,7 +2479,6 @@ mod model {
                 assert!(s.asleep.is_empty(), "a follower is still asleep");
                 assert_eq!(s.reading, 0, "somebody still holds the token");
                 assert!(s.token != s.dead, "a live connection keeps its token, a dead one none");
-                assert!(s.dead || !s.draining, "a large frame is still left to the reader");
                 assert_eq!(s.returned.len(), waits, "each wait returns once: {:?}", s.returned);
                 for id in &s.failures {
                     let times = s.failures.iter().filter(|f| *f == id).count();
@@ -2372,32 +2499,47 @@ mod model {
     /// Explore `model`, which must fail, and the explorer's message.
     fn caught(name: &str, model: impl Fn() -> Model<S>) -> String {
         let explore = std::panic::AssertUnwindSafe(|| Explorer::new().explore(name, model));
-        let caught = std::panic::catch_unwind(explore);
-        *caught
-            .expect_err("the broken variant must be caught")
-            .downcast::<String>()
-            .expect("the explorer panics with a message")
+        let caught = std::panic::catch_unwind(explore).expect_err("the broken variant must be caught");
+        match caught.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(other) => other.downcast::<&str>().expect("a panic with a message").to_string(),
+        }
+    }
+
+    /// Two lone waiters, replies on the wire in the other order, both
+    /// waiters as `variant`.
+    fn two_waiters(variant: Waiter) -> Model<S> {
+        connection(
+            &[1, 2],
+            &[Wire::Reply(2), Wire::Reply(1)],
+            2,
+            vec![waits(1, variant, false), waits(2, variant, false)],
+            |s| {
+                assert_eq!(outcome(s, 1), Outcome::Reply);
+                assert_eq!(outcome(s, 2), Outcome::Reply);
+                assert!(s.discarded.is_empty() && s.failures.is_empty());
+            },
+        )
     }
 
     #[test]
     fn two_lone_waiters_lead_park_and_promote() {
-        // Replies arrive in the other order: whoever leads first parks
-        // the other's reply, or is followed and then succeeded by it.
-        let stats = Explorer::new().explore("tcp-lead-follow", || {
-            connection(
-                &[1, 2],
-                &[Wire::Reply(2), Wire::Reply(1)],
-                2,
-                vec![waiter(1, true), waiter(2, true)],
-                |s| {
-                    assert_eq!(outcome(s, 1), Outcome::Reply);
-                    assert_eq!(outcome(s, 2), Outcome::Reply);
-                    assert!(s.discarded.is_empty() && s.failures.is_empty());
-                    assert_eq!(s.hand_overs, 0, "small replies never wake the reader thread");
-                },
-            )
-        });
+        // Whoever leads first parks the other's reply, or is followed
+        // and then succeeded by it.
+        let stats = Explorer::new().explore("tcp-lead-follow", || two_waiters(Waiter::Sound));
         assert!(stats.schedules > 10, "{stats:?}: exploration must branch");
+    }
+
+    #[test]
+    fn two_leaders_at_once_are_caught() {
+        let msg = caught("tcp-two-leaders", || two_waiters(Waiter::SharesToken));
+        assert!(msg.contains("exactly one reader") || msg.contains("two read tokens"), "{msg}");
+    }
+
+    #[test]
+    fn a_follower_whose_parked_reply_wakes_nobody_is_caught() {
+        let msg = caught("tcp-silent-park", || two_waiters(Waiter::SilentPark));
+        assert!(msg.contains("deadlock"), "{msg}");
     }
 
     #[test]
@@ -2407,7 +2549,7 @@ mod model {
                 &[1, 2],
                 &[Wire::Reply(1), Wire::Reply(2)],
                 2,
-                vec![waiter(1, false), waiter(2, false)],
+                vec![waits(1, Waiter::SilentRelease, false), waits(2, Waiter::SilentRelease, false)],
                 |_| {},
             )
         });
@@ -2419,92 +2561,23 @@ mod model {
         // One thread holds handles 1 and 2 and waits on them in turn; a
         // lone call, 3, shares the connection. The fan-out's first wait
         // leads or follows as the lone call's does, parking 2 if it
-        // reads it; its second finds 2 parked or leads for it.
+        // reads it; its second finds 2 parked or leads for it. Replies
+        // 2 and 1 are chunk-sized, as a striped read's legs are.
         let stats = Explorer::new().explore("tcp-fan-out-in-turn", || {
             connection(
                 &[1, 2, 3],
-                &[Wire::Reply(2), Wire::Reply(3), Wire::Reply(1)],
+                &[Wire::Large(2), Wire::Reply(3), Wire::Large(1)],
                 3,
-                vec![in_turn(waiter(1, true), waiter(2, true)), waiter(3, true)],
+                vec![in_turn(waiter(1), waiter(2)), waiter(3)],
                 |s| {
                     for id in [1, 2, 3] {
                         assert_eq!(outcome(s, id), Outcome::Reply);
                     }
                     assert!(s.discarded.is_empty() && s.failures.is_empty());
-                    assert_eq!(s.hand_overs, 0, "a fan-out never wakes the reader thread");
                 },
             )
         });
         assert!(stats.schedules > 10, "{stats:?}: exploration must branch");
-    }
-
-    /// Waiter 1's reply is large, waiter 2's small and behind it.
-    fn large_then_small(variant: Reader) -> Model<S> {
-        connection_with(
-            variant,
-            &[1, 2],
-            &[Wire::Large(1), Wire::Reply(2)],
-            2,
-            vec![waiter(1, true), waiter(2, true)],
-            |s| {
-                assert_eq!(outcome(s, 1), Outcome::Reply);
-                assert_eq!(outcome(s, 2), Outcome::Reply);
-                assert_eq!(s.hand_overs, 1, "the large frame went the reader thread's way once");
-                assert!(s.discarded.is_empty() && s.failures.is_empty());
-            },
-        )
-    }
-
-    #[test]
-    fn a_leader_leaves_a_large_frame_to_the_reader_thread() {
-        // Whoever leads stops at the large frame, the reader thread
-        // reads that one frame and hands the token back, and the small
-        // reply behind it is read by a waiter.
-        Explorer::new().explore("tcp-large-frame-hand-over", || large_then_small(Reader::Sound));
-    }
-
-    #[test]
-    fn a_reader_that_keeps_draining_after_its_frame_is_caught() {
-        // With `draining` left set no waiter may lead again: the reader
-        // keeps the reading, and once the wire is quiet it holds the
-        // token for good.
-        let msg = caught("tcp-reader-keeps-draining", || {
-            large_then_small(Reader::KeepsDraining)
-        });
-        assert!(msg.contains("deadlock"), "{msg}");
-    }
-
-    /// Handle 1 is dropped un-waited, its reply large; waiter 2's small
-    /// reply is behind it.
-    fn dropped_large_then_small(variant: Reader) -> Model<S> {
-        connection_with(
-            variant,
-            &[1, 2],
-            &[Wire::Large(1), Wire::Reply(2)],
-            1,
-            vec![dropper(1), waiter(2, true)],
-            |s| {
-                assert_eq!(outcome(s, 2), Outcome::Reply);
-                // Parked before the drop, or dropped on arrival.
-                assert!(s.discarded.is_empty() || s.discarded == vec![1]);
-                assert_eq!(s.hand_overs, 1);
-            },
-        )
-    }
-
-    #[test]
-    fn a_dropped_handle_s_large_reply_passes_the_token_on() {
-        // Parking the large reply wakes nobody — its slot is gone — so
-        // it is the reader's release that promotes waiter 2.
-        Explorer::new().explore("tcp-dropped-large", || dropped_large_then_small(Reader::Sound));
-    }
-
-    #[test]
-    fn a_reader_whose_release_wakes_no_follower_is_caught() {
-        let msg = caught("tcp-reader-silent-release", || {
-            dropped_large_then_small(Reader::SilentRelease)
-        });
-        assert!(msg.contains("deadlock"), "{msg}");
     }
 
     #[test]
@@ -2517,7 +2590,7 @@ mod model {
                 &[1, 2],
                 &[Wire::Reply(1), Wire::Reply(2)],
                 2,
-                vec![waiter(1, true), waiter(2, true), clock(1)],
+                vec![waiter(1), waiter(2), clock(1)],
                 |s| {
                     assert_eq!(outcome(s, 2), Outcome::Reply);
                     match outcome(s, 1) {
@@ -2540,7 +2613,7 @@ mod model {
                 &[1, 2],
                 &[Wire::Reply(1), Wire::Reply(2)],
                 2,
-                vec![hedged_waiter(1), waiter(2, true), clock(1)],
+                vec![hedged_waiter(1), waiter(2), clock(1)],
                 |s| {
                     assert_eq!(outcome(s, 1), Outcome::Reply);
                     assert_eq!(outcome(s, 2), Outcome::Reply);
@@ -2552,16 +2625,38 @@ mod model {
 
     #[test]
     fn a_dropped_handle_s_reply_is_discarded() {
+        // Reply 1's slot is gone when it is read, or goes after it was
+        // parked; either way nobody is handed it, and waiter 2 — asleep
+        // behind the reader that drops it — is still promoted.
         Explorer::new().explore("tcp-dropped-handle", || {
             connection(
                 &[1, 2],
                 &[Wire::Reply(1), Wire::Reply(2)],
                 1,
-                vec![dropper(1), waiter(2, true)],
+                vec![dropper(1), waiter(2)],
                 |s| {
                     assert_eq!(outcome(s, 2), Outcome::Reply);
-                    // Parked before the drop, or dropped on arrival:
-                    // either way nobody is handed it.
+                    assert!(s.discarded.is_empty() || s.discarded == vec![1]);
+                    assert!(s.failures.is_empty());
+                },
+            )
+        });
+    }
+
+    #[test]
+    fn a_dropped_handle_s_large_reply_passes_the_token_on() {
+        // Handle 1 is dropped un-waited, its reply large: the leader
+        // that meets it drops it — or parks it, if the slot was still
+        // there when it looked, and the drop takes it with the slot —
+        // and reads on; waiter 2 gets its reply, led or followed.
+        Explorer::new().explore("tcp-dropped-large", || {
+            connection(
+                &[1, 2],
+                &[Wire::Large(1), Wire::Reply(2)],
+                1,
+                vec![dropper(1), waiter(2)],
+                |s| {
+                    assert_eq!(outcome(s, 2), Outcome::Reply);
                     assert!(s.discarded.is_empty() || s.discarded == vec![1]);
                     assert!(s.failures.is_empty());
                 },
@@ -2572,15 +2667,15 @@ mod model {
     #[test]
     fn a_dead_connection_fails_every_awaited_slot_exactly_once() {
         // Reply 2 is on the wire ahead of the break — small, or large
-        // and read by the reader thread: it is delivered; slot 1 is
-        // failed — once, whoever held the token.
+        // and read by its own waiter or parked by the other's: it is
+        // delivered; slot 1 is failed — once, whoever held the token.
         for first in [Wire::Reply(2), Wire::Large(2)] {
             Explorer::new().explore("tcp-broken-stream", || {
                 connection(
                     &[1, 2],
                     &[first, Wire::Broken],
                     2,
-                    vec![waiter(1, true), waiter(2, true)],
+                    vec![waiter(1), waiter(2)],
                     |s| {
                         assert_eq!(outcome(s, 2), Outcome::Reply);
                         assert_eq!(outcome(s, 1), Outcome::Failed);

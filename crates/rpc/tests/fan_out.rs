@@ -2,10 +2,10 @@
 //! request to each of several daemons before it waits on any, as a
 //! striped read or write does; each wait then leads its leg's
 //! connection (or finds its reply parked by an earlier leader) exactly
-//! as a lone call does, and no connection's reader thread is started.
-//! Only a chunk-sized reply goes to one. Its own test binary: the
-//! thread census is the process's, and no other test may be starting
-//! reader threads while it is taken.
+//! as a lone call does. A chunk-sized reply is read by its waiter too:
+//! no client thread is ever started to read a connection. Its own test
+//! binary: the thread census is the process's, and no other test may be
+//! starting threads while it is taken.
 
 #![cfg(target_os = "linux")]
 
@@ -19,23 +19,18 @@ use std::time::Duration;
 const DAEMONS: usize = 4;
 const ROUNDS: usize = 50;
 
-/// Threads of this process named `gkfs-tcp-reader`.
-fn reader_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .unwrap()
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|name| name.trim_end() == "gkfs-tcp-reader")
-        .count()
+/// Threads of this process.
+fn threads() -> usize {
+    std::fs::read_dir("/proc/self/task").unwrap().count()
 }
 
-/// `[waits_led, waits_followed, reader_drains]` summed over `eps`.
-fn waits(eps: &[Arc<TcpEndpoint>]) -> [u64; 3] {
-    let mut sum = [0; 3];
+/// `[waits_led, waits_followed]` summed over `eps`.
+fn waits(eps: &[Arc<TcpEndpoint>]) -> [u64; 2] {
+    let mut sum = [0; 2];
     for ep in eps {
         let w = ep.wait_stats();
         sum[0] += w.waits_led.load(Ordering::Relaxed);
         sum[1] += w.waits_followed.load(Ordering::Relaxed);
-        sum[2] += w.reader_drains.load(Ordering::Relaxed);
     }
     sum
 }
@@ -53,7 +48,7 @@ fn a_fan_out_s_waits_read_their_own_replies_and_start_no_reader_thread() {
         .iter()
         .map(|s| TcpEndpoint::connect(&s.local_addr().to_string()).unwrap())
         .collect();
-    assert_eq!(reader_threads(), 0);
+    let before = threads();
 
     for round in 0..ROUNDS {
         let legs: Vec<(Vec<u8>, ReplyHandle)> = eps
@@ -69,20 +64,19 @@ fn a_fan_out_s_waits_read_their_own_replies_and_start_no_reader_thread() {
             assert_eq!(&h.wait(Duration::from_secs(10)).unwrap().body[..], &body[..]);
         }
     }
-    let [led, followed, drains] = waits(&eps);
+    let [led, followed] = waits(&eps);
     assert_eq!(led + followed, (ROUNDS * DAEMONS) as u64, "every wait counted once");
-    assert_eq!(drains, 0, "no leg of a fan-out was handed to a reader thread");
-    assert_eq!(reader_threads(), 0, "a fan-out starts no reader thread");
+    assert_eq!(threads(), before, "a fan-out starts no thread");
 
-    // A chunk-sized reply is the one frame a waiter leaves to the reader
-    // thread: exactly one starts, for that connection, and is asked once.
+    // A chunk-sized reply is read by its waiter as any other: the lone
+    // call leads, and still no thread starts.
     let chunk = Bytes::from((0..512 * 1024).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
     let resp = eps[0]
         .call(Request::new(Opcode::Ping, &b"chunk"[..]).with_bulk(chunk.clone()))
         .unwrap();
     assert_eq!(resp.bulk, chunk);
-    assert_eq!(waits(&eps)[2], 1, "one large frame, one hand-off");
-    assert_eq!(reader_threads(), 1, "one reader thread, for the connection that needed it");
+    assert_eq!(waits(&eps), [led + 1, followed], "the chunk's waiter read it");
+    assert_eq!(threads(), before, "no thread, for the connection with a large reply either");
 
     drop(eps);
     for s in servers {

@@ -48,9 +48,9 @@ fn closed_connections_leave_no_entry_and_no_fd_behind() {
         cycle(i);
     }
     settle("200 cycles");
-    // A ping's reply is read by its waiter: no client reader thread is
-    // started, and a dropped endpoint closes both halves of its socket
-    // itself. The grace is for a slow box.
+    // A ping's reply is read by its waiter — every reply is — and a
+    // dropped endpoint closes both halves of its socket itself. The
+    // grace is for a slow box.
     let deadline = Instant::now() + Duration::from_secs(10);
     while open_fds() > before && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));

@@ -1,11 +1,13 @@
 //! Seeded mutation fuzz over everything this crate decodes off a
 //! socket: every row of the RPC table in both directions
 //! (`<R::Req as Wire>::decode`, `<R::Resp as Wire>::decode`),
-//! `Request::decode_owned` / `Response::decode_owned`, and the TCP
+//! `Request::decode_owned` / `Response::decode_owned`, the TCP
 //! transport's one frame assembler (`tcp::read_frames`), which every
 //! reader — the daemon's loop and a client alike — drives the same way:
 //! it receives what is there without waiting, and waits for readiness
-//! when nothing is.
+//! when nothing is; and the receive by which a chunk read's waiter lands
+//! its reply's bulk in its result (`tcp::land_frame`), whose windows
+//! sit between guard bytes that no row may touch.
 //!
 //! The corpus is the bytes `crates/daemon/tests/wire_golden.rs` pins —
 //! copied here as hex, row by row; the first thing every row does is
@@ -38,10 +40,11 @@ use bytes::Bytes;
 use gkfs_common::crc::crc32;
 use gkfs_common::retry::splitmix64;
 use gkfs_common::{GkfsError, Result};
-use gkfs_rpc::proto::{op, Opcode, Rpc, Wire};
-use gkfs_rpc::transport::tcp::{read_frames, Recv};
+use gkfs_rpc::proto::{op, Opcode, ReadChunksResp, Rpc, Wire};
+use gkfs_rpc::transport::tcp::{land_frame, read_frames, Recv};
 use gkfs_rpc::{Request, Response};
 use std::io::ErrorKind;
+use std::mem::MaybeUninit;
 use std::time::Duration;
 
 #[path = "../../kvstore/tests/fuzz_harness/mod.rs"]
@@ -358,14 +361,15 @@ struct Pieces<'a> {
     gap: bool,
 }
 
-impl Recv for Pieces<'_> {
-    fn recv(&mut self, into: &mut Vec<u8>, max: usize) -> std::io::Result<usize> {
+// SAFETY: `recv` initialises the `n <= into.len()` bytes it reports.
+unsafe impl Recv for Pieces<'_> {
+    fn recv(&mut self, into: &mut [MaybeUninit<u8>]) -> std::io::Result<usize> {
         self.gap = !self.gap;
         if self.gap {
             return Err(ErrorKind::WouldBlock.into());
         }
-        let n = self.first.min(max).min(self.data.len());
-        into.extend_from_slice(&self.data[..n]);
+        let n = self.first.min(into.len()).min(self.data.len());
+        into[..n].write_copy_of_slice(&self.data[..n]);
         self.data = &self.data[n..];
         self.first = self.then;
         Ok(n)
@@ -449,6 +453,109 @@ fn fuzz_streams(seed: u64, scale: usize) {
     }
 }
 
+// ---- landing ---------------------------------------------------------
+
+/// The windows of the landing rows: three ops, larger than the read
+/// buffer between them, so that most of each reply is received
+/// straight into its windows.
+const CAPS: [usize; 3] = [24_000, 8_000, 20_000];
+
+/// Bytes on either side of the windows, which no landing may touch.
+const GUARD: usize = 64;
+const GUARD_BYTE: u8 = 0xC3;
+
+/// A `ReadChunks` reply frame, enveloped: these lens and absent flags,
+/// and a bulk of `bulk` patterned bytes.
+fn read_reply(lens: &[u64], missing: &[bool], bulk: usize) -> Vec<u8> {
+    let body = ReadChunksResp { lens: lens.to_vec(), missing: missing.to_vec() }.encode();
+    let data: Vec<u8> = (0..bulk).map(|i| (i % 251) as u8).collect();
+    let mut resp = Response::ok(body).with_bulk(data);
+    resp.id = 7;
+    envelope(&resp.encode())
+}
+
+/// Land `stream`, in the given pieces, in [`CAPS`]'s windows between
+/// guard bytes. No panic, no byte outside the windows, no allocation
+/// beyond a stream's budget; the landing either yields `want` — what
+/// each op landed, and the bulk it landed, op after op — or, with
+/// `want` `None`, ends in a typed `Rpc` or `Corruption` error. With
+/// `any`, either outcome passes (a mutation may leave the frame as it
+/// was).
+fn check_landing(row: &str, stream: &[u8], first: usize, then: usize, want: Option<&[Option<usize>]>, any: bool) {
+    let total: usize = CAPS.iter().sum();
+    let mut buf = vec![GUARD_BYTE; total + 2 * GUARD];
+    let pieces = Pieces { data: stream, first, then, gap: true };
+    let (out, peak) = measured(|| land_frame(pieces, &CAPS, &mut buf[GUARD..GUARD + total]));
+    let out = out.unwrap_or_else(|()| fail(row, format_args!("the landing panicked")));
+    if peak > stream_budget(stream.len()) {
+        fail(row, format_args!("allocated {peak} bytes landing {}", stream.len()));
+    }
+    if buf[..GUARD].iter().chain(&buf[GUARD + total..]).any(|&b| b != GUARD_BYTE) {
+        fail(row, format_args!("a byte landed outside the windows"));
+    }
+    match (out, want) {
+        (Ok(landed), Some(want)) => {
+            if landed != want {
+                fail(row, format_args!("landed {landed:?}, not {want:?}"));
+            }
+            let mut at = 0;
+            let mut window = GUARD;
+            for (got, cap) in landed.iter().zip(CAPS) {
+                let n = got.unwrap_or(0);
+                if buf[window..window + n].iter().enumerate().any(|(i, &b)| b != ((at + i) % 251) as u8) {
+                    fail(row, format_args!("the window at {window} holds other bytes than were sent"));
+                }
+                at += n;
+                window += cap;
+            }
+        }
+        (Ok(landed), None) if !any => fail(row, format_args!("landed {landed:?} from a reply it must refuse")),
+        (Err(GkfsError::Rpc(_) | GkfsError::Corruption(_)), None) => {}
+        (Err(e), None) if any => fail(row, format_args!("ended with {e:?}, not Rpc or Corruption")),
+        (Ok(_), None) => {}
+        (Err(e), _) => fail(row, format_args!("ended with {e:?}")),
+    }
+}
+
+fn fuzz_landing(seed: u64, scale: usize) {
+    // The genuine reply: op 0 whole, op 1 absent, op 2 short.
+    let good = read_reply(&[24_000, 0, 13_000], &[false, true, false], 37_000);
+    let landed = [Some(24_000), None, Some(13_000)];
+    check_landing("landing", &good, usize::MAX, usize::MAX, Some(&landed), false);
+    check_landing("landing: a byte at a time", &good, 1, 1, Some(&landed), false);
+    for at in (1..good.len()).step_by(997).chain([4, 8, 12, 40, good.len() - 4, good.len() - 1]) {
+        check_landing(&format!("landing: split at {at}"), &good, at, usize::MAX, Some(&landed), false);
+        check_landing(&format!("landing: {at} at a time"), &good, at, at, Some(&landed), false);
+    }
+    // Replies that disagree with their batch, each checksummed: refused.
+    for (name, lens, missing, bulk) in [
+        ("more bulk than the windows hold", [24_000, 0, 24_000], [false, true, false], 48_000),
+        ("lens that disagree with the bulk", [24_000, 0, 13_000], [false, true, false], 40_000),
+        ("an absent op that carries bytes", [24_000, 100, 13_000], [false, true, false], 37_100),
+        ("a count of lens other than the ops'", [24_000, 0, 0], [false, true, false], 24_000),
+    ] {
+        let lens = if name.starts_with("a count") { &lens[..2] } else { &lens[..] };
+        let stream = read_reply(lens, &missing[..lens.len()], bulk);
+        check_landing(&format!("landing: {name}"), &stream, usize::MAX, usize::MAX, None, false);
+        check_landing(&format!("landing: {name}, 1000 at a time"), &stream, 1000, 1000, None, false);
+    }
+    // A torn trailer, and a flipped byte anywhere: the read buffer's
+    // head, a window's direct receive, the trailer.
+    for cut in 1..=4 {
+        check_landing(&format!("landing: trailer torn by {cut}"), &good[..good.len() - cut], usize::MAX, usize::MAX, None, false);
+    }
+    for at in [60, 5_000, 20_000, 30_000, good.len() - 10, good.len() - 2] {
+        let mut flipped = good.clone();
+        flipped[at] ^= 0x10;
+        check_landing(&format!("landing: byte {at} flipped"), &flipped, usize::MAX, usize::MAX, None, false);
+        check_landing(&format!("landing: byte {at} flipped, 4096 at a time"), &flipped, 4096, 4096, None, false);
+    }
+    let fields = (0..64).chain((64..good.len()).step_by(1009));
+    mutations(&good, fields, good.len().div_ceil(256), 200 * scale, seed, |what, bytes| {
+        check_landing(&format!("landing: {what}"), bytes, usize::MAX, usize::MAX, None, true);
+    });
+}
+
 // ---- the run ---------------------------------------------------------
 
 /// `scale` multiplies the seeded rows; the exhaustive rows (every
@@ -460,6 +567,7 @@ fn fuzz(seed: u64, scale: usize) {
     }
     fuzz_frames(seed, scale);
     fuzz_streams(seed, scale);
+    fuzz_landing(seed, scale);
 }
 
 #[test]

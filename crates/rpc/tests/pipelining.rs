@@ -195,7 +195,6 @@ fn led_wait_times_out_on_time_and_the_connection_serves_the_next_call() {
     let waits = ep.wait_stats();
     assert_eq!(waits.waits_led.load(Ordering::Relaxed), 2, "both waits read for themselves");
     assert_eq!(waits.waits_followed.load(Ordering::Relaxed), 0);
-    assert_eq!(waits.reader_drains.load(Ordering::Relaxed), 0);
     assert_eq!(server.stats().served_inline.load(Ordering::Relaxed), 2);
     server.shutdown();
 }

@@ -67,8 +67,8 @@ echo "==> bench smoke (compile + run benches in test mode)"
 # other's frame by polling rather than a wake-up), the pipelined burst
 # (`rpc/tcp_outstanding`: handler pool, replies read by their waiters)
 # and the fan-out (`rpc/fanout_8daemons`: one thread, eight handles,
-# each leg read by its waiter). Only a chunk-sized reply goes through a
-# connection's reader thread.
+# each leg read by its waiter). Every reply is read by a waiter; the
+# client starts no thread to read a connection.
 cargo bench -p gkfs-bench --bench rpc -- --test
 
 echo "==> evaluation tools (every figure at its smallest size; CSV series byte for byte)"
@@ -114,7 +114,8 @@ echo "==> client RPC budget + TCP thread hand-off gates (counts, not wall-clock)
 # run must show every metadata RPC served on the daemon's loop and
 # read by its waiter (0 thread hand-offs per RPC), while a 512 KiB
 # chunk write, a pipelined burst and a two-daemon fan-out keep the
-# handler pool / reader-thread route. And one count from the store: an
+# handler pool; a chunk read's reply, alone or a fan-out's leg, is read
+# by its own waiter straight into its result. And one count from the store: an
 # unlink of a known size names its chunk ids end to end, so no daemon
 # enumerates a directory for it. Since chunk 0 lives with the inode the
 # same file holds the small-file gate: a write-back ingest of a 4 KiB

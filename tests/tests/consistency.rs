@@ -450,3 +450,71 @@ fn a_stat_can_see_a_size_before_its_bytes_and_the_range_reads_zeros() {
     hb.close().unwrap();
     cluster.shutdown();
 }
+
+/// The window a read racing an in-place truncate has, forced with a gate:
+/// client A's `ReadChunks` over a range above a cut is held at its
+/// links while client B cuts the file in place below that range
+/// (inside a chunk, whose file is trimmed, not removed), grows it back
+/// past the range and writes a few new bytes into it. Once the gate
+/// opens, A's read is served from the file as it is now: every byte it
+/// returns is the file's byte now or zero — never a byte the cut
+/// removed, which a cut that left the boundary chunk's old tail in
+/// place would hand back.
+#[test]
+fn a_read_held_across_a_cut_and_a_regrow_reads_the_file_or_zeros() {
+    const CHUNK: u64 = 64 * 1024;
+    let config = ClusterConfig::new(2).with_chunk_size(CHUNK);
+    // Chunk files on disk: the cut is a file's, trimmed in place.
+    let root = std::env::temp_dir().join(format!("gkfs-it-cut-{}", std::process::id()));
+    let cluster = Cluster::deploy_on_disk(config.clone(), &root).unwrap();
+    let gate = Gate::new();
+    let rule = {
+        let gate = Arc::clone(&gate);
+        move |req: &Request, _| match req.opcode {
+            Opcode::ReadChunks => Fate::HoldRequest(Until::Opened(Arc::clone(&gate))),
+            _ => Fate::Pass,
+        }
+    };
+    let links = (0..2)
+        .map(|n| Link::with_rule(cluster.daemon(n).endpoint(), rule.clone()) as Arc<dyn Endpoint>)
+        .collect();
+    let a = GekkoClient::mount(links, &config).unwrap();
+    let b = cluster.mount().unwrap();
+    let path = "/window/cut-and-regrow";
+    let old = vec![0xAAu8; 4 * CHUNK as usize];
+    let hb = b.open_handle(path, OpenFlags::RDWR.with_create()).unwrap();
+    hb.pwrite(0, &old).unwrap();
+    // The cut falls inside chunk 1; the read covers the rest of chunk 1
+    // and all of chunk 2, on whichever daemons hold them.
+    let (cut, from, to) = (CHUNK + 1000, CHUNK + 2000, 3 * CHUNK);
+    let placed = Distributor::new(2);
+    let legs = (1..3).map(|c| placed.locate_chunk(path, c)).collect::<std::collections::HashSet<_>>().len();
+    let ha = a.open_handle(path, OpenFlags::RDONLY).unwrap();
+    let fresh = [0x5Bu8; 8192];
+    std::thread::scope(|s| {
+        let read = s.spawn(|| ha.pread(from, (to - from) as usize));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while gate.held() < legs {
+            assert!(!read.is_finished(), "the read returned with a leg held");
+            assert!(Instant::now() < deadline, "the read's legs never reached the gate");
+            std::thread::yield_now();
+        }
+        hb.truncate(cut).unwrap();
+        hb.truncate(4 * CHUNK).unwrap();
+        hb.pwrite(2 * CHUNK, &fresh).unwrap();
+        gate.open();
+        let got = read.join().unwrap().unwrap();
+        // What the file holds above the cut now: zeros, and the new bytes.
+        let mut file = vec![0u8; (to - from) as usize];
+        file[(2 * CHUNK - from) as usize..][..fresh.len()].copy_from_slice(&fresh);
+        assert_eq!(got.len(), file.len());
+        for (i, (&g, &f)) in got.iter().zip(&file).enumerate() {
+            assert!(g == f || g == 0, "byte {} reads {g:#x} where the file holds {f:#x}", from + i as u64);
+        }
+        assert!(hb.pread(from, file.len()).unwrap() == file, "read unheld, the file is as written");
+    });
+    ha.close().unwrap();
+    hb.close().unwrap();
+    cluster.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
+}

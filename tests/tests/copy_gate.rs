@@ -20,10 +20,20 @@
 //! (`DaemonStatsResp::request_copy_bytes == 0`). The control is the
 //! in-process transport, which has to own what it hands to a handler
 //! thread and therefore copies every written byte exactly once.
+//!
+//! And the read direction: a chunk read's reply over TCP is received
+//! by its waiter straight into the caller's buffer — the `Vec` a handle
+//! returns, or the application's own through the C ABI — so the client
+//! writes none of the result's bytes itself
+//! (`ClientStats::read_assembly_copy_bytes == 0`); a short read writes
+//! its zero-fill and nothing else. The control is again the in-process
+//! transport, which hands every reply over as a buffer, copied in whole.
 
 use gekkofs::{Cluster, OpenFlags, TcpCluster};
 use gkfs_common::ClusterConfig;
+use std::ffi::CString;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 const CHUNK: u64 = 64 * 1024;
 
@@ -189,6 +199,77 @@ fn tcp_striped_writes_copy_zero_bytes() {
         fs.stats().write_gather_copy_bytes.load(Ordering::Relaxed),
         written,
         "in-process writes copy each byte exactly once"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn tcp_chunk_reads_land_in_the_callers_buffer_and_copy_zero_bytes() {
+    const READ_CHUNK: usize = 512 * 1024;
+    let config = ClusterConfig::new(2).with_chunk_size(READ_CHUNK as u64);
+    let data: Vec<u8> = (0..4 * READ_CHUNK).map(|i| (i % 241) as u8).collect();
+    let cluster = TcpCluster::deploy(config.clone()).unwrap();
+    let fs = Arc::new(cluster.mount().unwrap());
+    let copied = || fs.stats().read_assembly_copy_bytes.load(Ordering::Relaxed);
+    let h = fs.open_handle("/gate/read", OpenFlags::RDWR.with_create()).unwrap();
+    h.pwrite(0, &data).unwrap();
+    h.flush().unwrap();
+
+    // Dense reads: one chunk, four over both daemons, and two chunks'
+    // worth unaligned — into a `Vec`, and into the caller's slice.
+    for (off, len) in [(0, READ_CHUNK), (0, 4 * READ_CHUNK), (READ_CHUNK + 99, 2 * READ_CHUNK)] {
+        assert_eq!(h.pread(off as u64, len).unwrap(), data[off..off + len]);
+    }
+    let mut buf = vec![0u8; READ_CHUNK];
+    assert_eq!(h.pread_into(READ_CHUNK as u64, &mut buf).unwrap(), READ_CHUNK);
+    assert_eq!(buf, data[READ_CHUNK..2 * READ_CHUNK]);
+    h.close().unwrap();
+    assert_eq!(copied(), 0, "a dense chunk read copies nothing into its result");
+
+    // `gkfs_pread` lands in the application's buffer.
+    gkfs_posix::install_client(Arc::clone(&fs));
+    let path = CString::new("/gate/read").unwrap();
+    let mut app = vec![0u8; 2 * READ_CHUNK];
+    // SAFETY: a live NUL-terminated path, and a buffer of the length
+    // passed with it.
+    let read = unsafe {
+        let fd = gkfs_posix::gkfs_open(path.as_ptr(), 0, 0);
+        assert!(fd >= 0, "open");
+        let n = gkfs_posix::gkfs_pread(fd, app.as_mut_ptr(), app.len(), READ_CHUNK as u64);
+        assert_eq!(gkfs_posix::gkfs_close(fd), 0);
+        n
+    };
+    gkfs_posix::uninstall_client();
+    assert_eq!(read, app.len() as isize);
+    assert_eq!(app, data[READ_CHUNK..3 * READ_CHUNK]);
+    assert_eq!(copied(), 0, "gkfs_pread copies nothing either");
+
+    // A short read: the file grown past its bytes, its last chunk and
+    // the hole behind it read at once. The hole's 1000 bytes are
+    // zero-filled in place; the chunk before them lands.
+    let grown = (4 * READ_CHUNK + 1000) as u64;
+    fs.truncate("/gate/read", grown).unwrap();
+    let r = fs.open_handle("/gate/read", OpenFlags::RDONLY).unwrap();
+    let tail = r.pread(3 * READ_CHUNK as u64, READ_CHUNK + 1000).unwrap();
+    assert_eq!((&tail[..READ_CHUNK], &tail[READ_CHUNK..]), (&data[3 * READ_CHUNK..], &[0u8; 1000][..]));
+    r.close().unwrap();
+    assert_eq!(copied(), 1000, "a short read writes its zero-fill and nothing else");
+    drop(fs);
+    cluster.shutdown();
+
+    // Control: over the in-process transport every reply is a buffer,
+    // and every byte of the result a copy.
+    let cluster = Cluster::deploy(config).unwrap();
+    let fs = cluster.mount().unwrap();
+    let h = fs.open_handle("/gate/read", OpenFlags::RDWR.with_create()).unwrap();
+    h.pwrite(0, &data).unwrap();
+    h.flush().unwrap();
+    assert_eq!(h.pread(0, data.len()).unwrap(), data);
+    h.close().unwrap();
+    assert_eq!(
+        fs.stats().read_assembly_copy_bytes.load(Ordering::Relaxed),
+        data.len() as u64,
+        "in-process reads copy each byte exactly once"
     );
     cluster.shutdown();
 }

@@ -36,12 +36,12 @@
 //! The same file holds the **thread hand-off gate** of the TCP
 //! transport, also stated in counts: where a request ran on the daemon
 //! (`RpcStats::{served_inline, served_pooled}`) and who read its reply
-//! on the client (`WaitStats::{waits_led, waits_followed,
-//! reader_drains}`). A unary metadata RPC must cost zero thread
-//! hand-offs (it cost four: progress loop → pool worker, reader
-//! thread → caller); bulk and pipelined traffic must keep the handler
-//! pool, a fan-out's replies are read by its waiters, and only a
-//! chunk-sized reply goes to the reader thread.
+//! on the client (`WaitStats::{waits_led, waits_followed}`). A unary
+//! metadata RPC must cost zero thread hand-offs (it cost four: progress
+//! loop → pool worker, reader thread → caller); bulk and pipelined
+//! traffic must keep the handler pool, and every reply — a fan-out's,
+//! a chunk-sized one — is read by a waiter, a chunk read's by its own,
+//! straight into its result.
 
 use gekkofs::{Cluster, ClusterConfig, Daemon, GekkoClient, OpenFlags, ReplicationConfig};
 use gkfs_common::{DaemonConfig, Distributor};
@@ -750,8 +750,8 @@ struct TcpRig {
     endpoints: Mutex<Vec<Arc<TcpEndpoint>>>,
 }
 
-/// `[served_inline, served_pooled, waits_led, waits_followed, reader_drains]`.
-type HandOffs = [u64; 5];
+/// `[served_inline, served_pooled, waits_led, waits_followed]`.
+type HandOffs = [u64; 4];
 
 impl TcpRig {
     fn deploy(chunk_size: u64) -> TcpRig {
@@ -796,7 +796,7 @@ impl TcpRig {
     /// The counters now, summed over both daemons and every endpoint
     /// mounted so far.
     fn hand_offs(&self) -> HandOffs {
-        let mut sum = [0u64; 5];
+        let mut sum = [0u64; 4];
         for d in &self.daemons {
             let st = d.backends().tcp_stats.get().expect("daemon serves tcp");
             sum[0] += st.served_inline.load(Ordering::Relaxed);
@@ -806,7 +806,6 @@ impl TcpRig {
             let w = ep.wait_stats();
             sum[2] += w.waits_led.load(Ordering::Relaxed);
             sum[3] += w.waits_followed.load(Ordering::Relaxed);
-            sum[4] += w.reader_drains.load(Ordering::Relaxed);
         }
         sum
     }
@@ -842,7 +841,7 @@ fn unary_metadata_rpcs_cost_no_thread_hand_off_over_tcp() {
         ..MdtestConfig::default()
     };
     let mut run = None;
-    let [inline, pooled, led, followed, drains] =
+    let [inline, pooled, led, followed] =
         rig.during(|| run = Some(run_mdtest(|| rig.mount(), &cfg).unwrap()));
     let run = run.unwrap();
     assert_eq!(run.rpcs_per_file(), 3.0, "create, stat, remove: one RPC each");
@@ -851,7 +850,7 @@ fn unary_metadata_rpcs_cost_no_thread_hand_off_over_tcp() {
     assert!(inline >= run.rpcs_issued && run.rpcs_issued == 3 * 400);
     assert_eq!(pooled, 0, "every metadata RPC runs on the loop that read it");
     assert_eq!(led, inline, "every reply is read by the thread that waits for it");
-    assert_eq!((followed, drains), (0, 0), "no reader thread was woken, nobody followed");
+    assert_eq!(followed, 0, "nobody followed");
     rig.shutdown();
 }
 
@@ -874,7 +873,7 @@ fn a_small_files_ingest_is_one_inline_frame_read_by_its_waiter_over_tcp() {
         }
         h.close().unwrap();
     });
-    assert_eq!(hand_offs, [1, 0, 1, 0, 0], "[inline, pooled, led, followed, drains]");
+    assert_eq!(hand_offs, [1, 0, 1, 0], "[inline, pooled, led, followed]");
     // Reading it back: the open is one `OpenFile`, a point op served on
     // the daemon's loop, whose reply — the entry and the 4 KiB — is
     // a small frame its waiter reads itself; the read moves nothing.
@@ -885,12 +884,12 @@ fn a_small_files_ingest_is_one_inline_frame_read_by_its_waiter_over_tcp() {
     for (path, size) in [("/ingest/small", 4096), ("/ingest/head-max", gkfs_rpc::proto::HEAD_MAX as usize)] {
         let mut h = None;
         let hand_offs = rig.during(|| h = Some(fs.open_handle(path, OpenFlags::RDONLY).unwrap()));
-        assert_eq!(hand_offs, [1, 0, 1, 0, 0], "{path}: the open");
+        assert_eq!(hand_offs, [1, 0, 1, 0], "{path}: the open");
         let hand_offs = rig.during(|| assert_eq!(h.unwrap().pread(0, size).unwrap().len(), size));
-        assert_eq!(hand_offs, [0; 5], "{path}: its read was in the open's reply");
+        assert_eq!(hand_offs, [0; 4], "{path}: its read was in the open's reply");
     }
     let hand_offs = rig.during(|| fs.unlink("/ingest/small").unwrap());
-    assert_eq!(hand_offs, [1, 0, 1, 0, 0], "and its unlink one RemoveMeta, the same way");
+    assert_eq!(hand_offs, [1, 0, 1, 0], "and its unlink one RemoveMeta, the same way");
     drop(fs);
     rig.shutdown();
 }
@@ -899,8 +898,7 @@ fn a_small_files_ingest_is_one_inline_frame_read_by_its_waiter_over_tcp() {
 /// the daemon. A 512 KiB chunk write, a pipelined burst and a
 /// two-daemon read fan-out take the handler pool there. On the client
 /// every wait leads or follows by the one rule, whatever else its
-/// thread holds, and only a chunk-sized reply is left to the reader
-/// thread.
+/// thread holds, and a chunk read's waiter lands its own reply.
 #[test]
 fn bulk_pipelined_and_fan_out_traffic_keeps_the_pool_and_reads_its_own_replies() {
     const CHUNK: u64 = 512 * 1024;
@@ -932,55 +930,52 @@ fn bulk_pipelined_and_fan_out_traffic_keeps_the_pool_and_reads_its_own_replies()
             .unwrap();
         let hand_offs = rig.during(|| assert_eq!(h.pwrite(CHUNK, &data[..CHUNK as usize]).unwrap(), CHUNK as usize));
         if apart {
-            assert_eq!(hand_offs, [1, 1, 2, 0, 0], "WriteChunks pooled, UpdateSize inline");
+            assert_eq!(hand_offs, [1, 1, 2, 0], "WriteChunks pooled, UpdateSize inline");
         } else {
-            assert_eq!(hand_offs, [0, 1, 1, 0, 0], "one WriteFile, pooled");
+            assert_eq!(hand_offs, [0, 1, 1, 0], "one WriteFile, pooled");
         }
         h.close().unwrap();
     }
     h.pwrite(0, &data[..CHUNK as usize]).unwrap();
 
-    // Read back alone, the chunk's reply is a large frame: the waiter
-    // that finds it at the head of the stream leaves it to the reader
-    // thread, so no waiting thread ever holds a chunk-sized frame.
-    let [inline, pooled, led, followed, drains] = rig.during(|| {
+    // Read back alone, the chunk's reply is a large frame, which the
+    // waiter finds at the head of the stream and lands in its result.
+    let landed = fs.stats().read_assembly_copy_bytes.load(Ordering::Relaxed);
+    let [inline, pooled, led, followed] = rig.during(|| {
         assert_eq!(h.pread(0, CHUNK as usize).unwrap(), data[..CHUNK as usize]);
     });
     assert_eq!((inline, pooled), (0, 1), "a ReadChunks naming 512 KiB is pooled");
-    assert_eq!((led, followed, drains), (0, 1, 1));
+    assert_eq!((led, followed), (1, 0), "its waiter read it");
 
     // Eight chunks over two daemons, written then read back: fan-outs.
     // Every batch names megabytes (pooled). Each leg's reply is a large
-    // frame, so each leg's waiter leaves it to its connection's reader
-    // thread and follows: one hand-off per leg, not per burst.
+    // frame, which each leg's waiter lands itself, its windows four
+    // chunks of the result interleaved with the other leg's.
     h.pwrite(0, &data).unwrap();
     let mut back = Vec::new();
-    let [inline, pooled, led, followed, drains] =
-        rig.during(|| back = h.pread(0, data.len()).unwrap());
+    let [inline, pooled, led, followed] = rig.during(|| back = h.pread(0, data.len()).unwrap());
     assert_eq!(back, data);
     assert_eq!((inline, pooled), (0, 2), "one ReadChunks per daemon, both pooled");
-    assert_eq!((led, followed), (0, 2), "chunk-sized replies arrive through the reader threads");
-    assert_eq!(drains, 2, "one large frame per leg");
+    assert_eq!((led, followed), (2, 0), "each leg's waiter read its own reply");
+    assert_eq!(fs.stats().read_assembly_copy_bytes.load(Ordering::Relaxed), landed, "and copied none of it");
     h.close().unwrap();
 
     // A 32-deep burst of point ops from one thread on one connection:
     // each wait leads for its reply or finds it parked by an earlier
-    // leader (then it counts as followed, which depends on timing); the
-    // reader thread is never woken.
+    // leader (then it counts as followed, which depends on timing).
     let ep = TcpEndpoint::connect(&rig.addrs[0]).unwrap();
     rig.endpoints.lock().unwrap().push(ep.clone());
     let stat = || {
         use gkfs_rpc::proto::{op, PathReq, Rpc};
         op::Stat::request(&PathReq::new("/routes"))
     };
-    let [_, _, led, followed, drains] = rig.during(|| {
+    let [_, _, led, followed] = rig.during(|| {
         let burst: Vec<_> = (0..32).map(|_| ep.submit(stat()).unwrap()).collect();
         for handle in burst {
             handle.wait(std::time::Duration::from_secs(10)).unwrap();
         }
     });
     assert_eq!(led + followed, 32);
-    assert_eq!(drains, 0, "small replies are read by their waiters");
     // On the daemon, whether a frame of a burst finds another behind it
     // in the read buffer depends on how the bytes arrive; 32 frames in
     // one segment make it certain for all but the last.
