@@ -14,10 +14,15 @@
 //!   distribution, storage backends, end-to-end client I/O, and the
 //!   DESIGN.md ablations (chunk size, distributor choice, handler pool
 //!   width, bloom filters).
+//! * **The `gkfs-bench` binary**: `gkfs-bench pairs` runs the ledger
+//!   benchmark's parent/change alternation with a same-session A/A
+//!   series and writes its verdicts ([`pairs`]).
 
 #![warn(missing_docs)]
 
 pub mod figures;
+pub mod json;
+pub mod pairs;
 
 use std::fmt::Display;
 

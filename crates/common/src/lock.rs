@@ -166,6 +166,12 @@ pub mod rank {
         /// write to its socket — descends from the same callers; a handler
         /// runs after its job left the queue, holding nothing.
         RPC_HANDLER_QUEUE = 170;
+        /// A TCP server's free chunk buffers (`tcp::server::ChunkBufs`):
+        /// one pop or push, taken under [`RPC_PUMP`] when a large frame
+        /// starts, and under [`RPC_CONNS`] or [`RPC_HANDLER_QUEUE`]
+        /// where a dropped connection or job gives its buffer back.
+        /// A leaf.
+        RPC_CHUNK_BUFS = 169;
         /// A chaos proxy's accept-thread handle (test harness).
         CHAOS_ACCEPT = 168;
         /// A chaos proxy's list of live connections (test harness).

@@ -3,29 +3,33 @@
 //! Paper §III-B: a daemon splits each I/O request into its chunks and
 //! hands every chunk to an Argobots user-level thread so chunk I/O
 //! overlaps. Here that fan-out lives *inside* the storage backend,
-//! behind [`ChunkStorage::submit_batch`], which runs a batch's segments
-//! side by side and returns when all of them are done. Direct storage
-//! users (benches, tools) get the same overlap, and the daemon is a
-//! thin adapter:
+//! behind [`ChunkStorage::write_batch`] and [`ChunkStorage::read_batch`],
+//! which run a batch's segments side by side and return when all of
+//! them are done. Direct storage users (benches, tools) get the same
+//! overlap, and the daemon is a thin adapter: a write goes to the store
+//! as its handler borrowed it — from the frame it was received in — and
+//! a read here is
 //!
 //! * validate the wire-controlled geometry (size cap, dense layout),
-//! * run the batch and take its result
-//!   ([`BatchCompletion::wait`](gkfs_storage::BatchCompletion::wait)),
-//! * compact the read reply for the wire.
+//! * run the batch into the reply buffer the handler was lent,
+//! * compact the reply for the wire.
 //!
-//! Read replies are scatter/gather end to end: storage allocates one
-//! reply buffer and its segment tasks read their bytes directly into
-//! disjoint windows — no per-op concatenation, and no zero-fill ahead
-//! of the reads (storage zeroes only what a read did not reach, so the
-//! tail of a short op's window reads zero here). Only a short read (EOF
-//! inside the batch) forces compaction copies here, and those are
-//! counted in the store's `read_reply_copy_bytes` so the "no-copy on
-//! the happy path" claim is checkable from `gkfs-cli df` (and gated in
-//! CI).
+//! Read replies are scatter/gather end to end: the reply buffer is
+//! *lent*, not allocated — over TCP one of the daemon's chunk buffers
+//! (`gkfs_rpc::transport::tcp`, "Chunk buffers"), which goes back to
+//! its set once the reply is written; in-process a fresh `Vec` that
+//! becomes the response's bulk. The store's segment tasks read their
+//! bytes directly into disjoint windows of it — no per-op
+//! concatenation, and no zero-fill ahead of the reads (storage zeroes
+//! only what a read did not reach, so the tail of a short op's window
+//! reads zero here, whatever the buffer held for an earlier request).
+//! Only a short read (EOF inside the batch) forces compaction copies
+//! here, and those are counted in the store's `read_reply_copy_bytes`
+//! so the "no-copy on the happy path" claim is checkable from
+//! `gkfs-cli df` (and gated in CI).
 
-use bytes::Bytes;
 use gkfs_common::{GkfsError, Result};
-use gkfs_storage::{BatchOp, BatchPayload, ChunkStorage};
+use gkfs_storage::{BatchOp, ChunkStorage};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -34,35 +38,21 @@ use std::sync::Arc;
 /// Mirrors the storage layer's own batch cap.
 pub const MAX_READ_BATCH_BYTES: u64 = gkfs_storage::MAX_BATCH_BYTES;
 
-/// Execute a write batch. `bulk` is shared by reference count — the
-/// storage backend's segment tasks never copy the payload.
-pub fn write_batch(
-    storage: &Arc<dyn ChunkStorage>,
-    path: &str,
-    ops: &[BatchOp],
-    bulk: &Bytes,
-) -> Result<()> {
-    storage
-        .submit_batch(path, ops, BatchPayload::Write(bulk.clone()))
-        .wait()
-        .map(|_| ())
-}
-
-/// Execute a read batch; returns `(bulk, per-op lens)` with the bulk
-/// already compacted to the dense concatenation the wire contract
-/// requires.
+/// Execute a read batch into `out`, the lent reply buffer, compacted to
+/// the dense concatenation the wire contract requires; returns the
+/// per-op lens.
 pub fn read_batch(
     storage: &Arc<dyn ChunkStorage>,
     path: &str,
     ops: &[BatchOp],
-) -> Result<(Vec<u8>, Vec<u64>)> {
+    out: &mut Vec<u8>,
+) -> Result<Vec<u64>> {
     // Wire-controlled lens: validate before any allocation so a hostile
     // batch can't force a huge allocation. The storage layer re-checks
     // (its API is public), but the daemon owns the error the client
     // sees.
     gkfs_storage::validate_dense_layout(ops)?;
-    let out = storage.submit_batch(path, ops, BatchPayload::Read).wait()?;
-    let (mut bulk, lens) = (out.data, out.lens);
+    let lens = storage.read_batch(path, ops, out)?;
     if lens.len() != ops.len() {
         return Err(GkfsError::Rpc("storage returned mismatched batch lens".into()));
     }
@@ -74,13 +64,13 @@ pub fn read_batch(
         let n = n as usize;
         let planned = op.buf_offset as usize;
         if planned != dense && n > 0 {
-            bulk.copy_within(planned..planned + n, dense);
+            out.copy_within(planned..planned + n, dense);
             storage.stats().read_reply_copy_bytes.fetch_add(n as u64, Ordering::Relaxed);
         }
         dense += n;
     }
-    bulk.truncate(dense);
-    Ok((bulk, lens))
+    out.truncate(dense);
+    Ok(lens)
 }
 
 #[cfg(test)]
@@ -88,6 +78,13 @@ mod tests {
     use super::*;
     use gkfs_common::IoBackend;
     use gkfs_storage::{FileChunkStorage, MemChunkStorage};
+
+    /// A read into a fresh buffer, as the in-process transport lends one.
+    fn read(storage: &Arc<dyn ChunkStorage>, path: &str, ops: &[BatchOp]) -> Result<(Vec<u8>, Vec<u64>)> {
+        let mut out = Vec::new();
+        let lens = read_batch(storage, path, ops, &mut out)?;
+        Ok((out, lens))
+    }
 
     fn copies(storage: &Arc<dyn ChunkStorage>) -> u64 {
         storage.stats().read_reply_copy_bytes.load(Ordering::Relaxed)
@@ -126,8 +123,8 @@ mod tests {
         for (name, storage, dir) in storages("rt") {
             let ops = layout(&[(0, 0, 64), (1, 0, 64), (2, 0, 64), (3, 0, 64)]);
             let bulk: Vec<u8> = (0..256u32).map(|i| (i % 251) as u8).collect();
-            write_batch(&storage, "/e", &ops, &Bytes::from(bulk.clone())).unwrap();
-            let (out, lens) = read_batch(&storage, "/e", &ops).unwrap();
+            storage.write_batch("/e", &ops, &bulk).unwrap();
+            let (out, lens) = read(&storage, "/e", &ops).unwrap();
             assert_eq!(lens, vec![64; 4], "{name}");
             assert_eq!(out, bulk, "{name}");
             assert_eq!(copies(&storage), 0, "full-length reads must not compact");
@@ -145,7 +142,7 @@ mod tests {
             storage.write_chunk("/s", 0, 0, &[1u8; 16]).unwrap();
             storage.write_chunk("/s", 1, 0, &[2u8; 32]).unwrap();
             let ops = layout(&[(0, 0, 32), (1, 0, 32)]);
-            let (out, lens) = read_batch(&storage, "/s", &ops).unwrap();
+            let (out, lens) = read(&storage, "/s", &ops).unwrap();
             assert_eq!(lens, vec![16, 32], "{name}");
             assert_eq!(out.len(), 48, "dense reply: no hole ({name})");
             assert_eq!(&out[..16], &[1u8; 16], "{name}");
@@ -158,12 +155,12 @@ mod tests {
     }
 
     /// A chunk read returns only bytes it read, or zeros — on both file
-    /// engines, with the allocator primed before every read by freeing a
-    /// buffer of the batch's size full of `0xA5`, which the reply buffer
-    /// (allocated unzeroed on this thread) then tends to reuse. Per batch:
-    /// every byte of the store's buffer is the chunk file's or a zero,
-    /// `lens` are exact, and the compacted reply is the dense
-    /// concatenation, `read_reply_copy_bytes` counting what compaction moved.
+    /// engines, into a lent buffer that held `0xA5` in every byte before
+    /// every batch, as a recycled reply buffer holds an earlier
+    /// request's bytes. Per batch: every byte of the store's buffer is
+    /// the chunk file's or a zero, `lens` are exact, and the compacted
+    /// reply is the dense concatenation, `read_reply_copy_bytes`
+    /// counting what compaction moved.
     #[test]
     fn a_chunk_read_returns_only_bytes_it_read_or_zeros() {
         const K: u64 = 4096;
@@ -236,18 +233,19 @@ mod tests {
                     .map(|o| file_bytes(o.chunk_id, o.offset, o.len))
                     .collect();
                 let total = ops.iter().map(|o| o.len as usize).sum::<usize>();
-                let prime = || drop(std::hint::black_box(vec![0xA5u8; total]));
+                let mut lent = Vec::new();
+                let fill = |lent: &mut Vec<u8>| {
+                    lent.clear();
+                    lent.resize(total, 0xA5);
+                };
 
-                prime();
-                let out = storage
-                    .submit_batch("/u", &ops, BatchPayload::Read)
-                    .wait()
-                    .unwrap();
+                fill(&mut lent);
+                let got = storage.read_batch("/u", &ops, &mut lent).unwrap();
                 let lens: Vec<u64> = want.iter().map(|w| w.len() as u64).collect();
-                assert_eq!(out.lens, lens, "{name} {specs:?}");
-                assert_eq!(out.data.len(), total, "{name} {specs:?}");
+                assert_eq!(got, lens, "{name} {specs:?}");
+                assert_eq!(lent.len(), total, "{name} {specs:?}");
                 for (op, w) in ops.iter().zip(&want) {
-                    let window = &out.data[op.buf_offset as usize..][..op.len as usize];
+                    let window = &lent[op.buf_offset as usize..][..op.len as usize];
                     assert_eq!(
                         &window[..w.len()],
                         &w[..],
@@ -259,11 +257,11 @@ mod tests {
                     );
                 }
 
-                prime();
+                fill(&mut lent);
                 let before = copies(storage);
-                let (dense, lens) = read_batch(storage, "/u", &ops).unwrap();
-                assert_eq!(dense, want.concat(), "{name} {specs:?}: the dense reply");
-                assert_eq!(lens, out.lens, "{name} {specs:?}");
+                let got = read_batch(storage, "/u", &ops, &mut lent).unwrap();
+                assert_eq!(lent, want.concat(), "{name} {specs:?}: the dense reply");
+                assert_eq!(got, lens, "{name} {specs:?}");
                 assert_eq!(
                     copies(storage) - before,
                     moved,
@@ -283,7 +281,7 @@ mod tests {
         let storage: Arc<dyn ChunkStorage> = Arc::new(MemChunkStorage::new());
         let ops = layout(&[(0, 0, MAX_READ_BATCH_BYTES + 1)]);
         assert!(matches!(
-            read_batch(&storage, "/big", &ops),
+            read(&storage, "/big", &ops),
             Err(GkfsError::InvalidArgument(_))
         ));
     }
@@ -299,7 +297,7 @@ mod tests {
             BatchOp { chunk_id: 1, offset: 0, len: 3, buf_offset: u64::MAX },
         ];
         assert!(matches!(
-            read_batch(&storage, "/wrap", &ops),
+            read(&storage, "/wrap", &ops),
             Err(GkfsError::InvalidArgument(_))
         ));
     }
@@ -309,7 +307,7 @@ mod tests {
         let storage: Arc<dyn ChunkStorage> = Arc::new(MemChunkStorage::new());
         let ops = vec![BatchOp { chunk_id: 0, offset: 0, len: 8, buf_offset: 4 }];
         assert!(matches!(
-            read_batch(&storage, "/hole", &ops),
+            read(&storage, "/hole", &ops),
             Err(GkfsError::InvalidArgument(_))
         ));
     }
@@ -326,10 +324,10 @@ mod tests {
                 s.spawn(move || {
                     let path = format!("/t{t}");
                     let ops = layout(&[(0, 0, 128), (1, 0, 128), (2, 0, 128)]);
-                    let bulk = Bytes::from(vec![t as u8; 384]);
+                    let bulk = vec![t as u8; 384];
                     for _ in 0..20 {
-                        write_batch(&storage, &path, &ops, &bulk).unwrap();
-                        let (out, lens) = read_batch(&storage, &path, &ops).unwrap();
+                        storage.write_batch(&path, &ops, &bulk).unwrap();
+                        let (out, lens) = read(&storage, &path, &ops).unwrap();
                         assert_eq!(lens, vec![128; 3]);
                         assert!(out.iter().all(|&b| b == t as u8));
                     }

@@ -7,9 +7,8 @@
 //! error-to-response mapping around them. Handlers run concurrently on
 //! the daemon's pool; all synchronization lives in the backends.
 
-use crate::engine::{read_batch, write_batch};
+use crate::engine::read_batch;
 use crate::metadata::MetadataBackend;
-use bytes::Bytes;
 use gkfs_common::{FileKind, GkfsError, Metadata, Result};
 use gkfs_rpc::proto::*;
 use gkfs_rpc::{HandlerRegistry, Opcode, Request, Response};
@@ -127,11 +126,10 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
     });
 
     let b = backends.clone();
-    reg.serve_bulk::<op::WriteChunks>(move |r, bulk| {
+    reg.serve_bulk::<op::WriteChunks>(move |r, bulk, _| {
         check_bulk_len(&r, bulk.len())?;
         let ops = layout_batch(&r.ops)?;
-        write_batch(&b.data, &r.path, &ops, &bulk)?;
-        Ok(((), Bytes::new()))
+        b.data.write_batch(&r.path, &ops, bulk)
     });
 
     // The three existing calls in the only safe order. The create goes
@@ -142,7 +140,7 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
     // write. The size goes last: bytes before size, so a stat never
     // sees a size this frame has not written the bytes for.
     let b = backends.clone();
-    reg.serve_bulk::<op::WriteFile>(move |r, bulk| {
+    reg.serve_bulk::<op::WriteFile>(move |r, bulk, _| {
         check_bulk_len(&r.batch, bulk.len())?;
         let ops = layout_batch(&r.batch.ops)?;
         let path = r.batch.path;
@@ -156,18 +154,18 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
             }
         }
         if !ops.is_empty() {
-            write_batch(&b.data, &path, &ops, &bulk)?;
+            b.data.write_batch(&path, &ops, bulk)?;
         }
         if let Some(SizeCandidate { size, mtime_ns }) = r.size {
             b.meta.update_size(&path, size, mtime_ns)?;
         }
-        Ok(((), Bytes::new()))
+        Ok(())
     });
 
     let b = backends.clone();
-    reg.serve_bulk::<op::ReadChunks>(move |r, _| {
+    reg.serve_bulk::<op::ReadChunks>(move |r, _, out| {
         let ops = layout_batch(&r.ops)?;
-        let (bulk, lens) = read_batch(&b.data, &r.path, &ops)?;
+        let lens = read_batch(&b.data, &r.path, &ops, out)?;
         // Absent vs hole: a short op on a chunk this daemon
         // holds is an authoritative hole/EOF; a short op on a
         // chunk it does NOT hold means this replica missed the
@@ -180,7 +178,7 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
             .zip(&ops)
             .map(|(&l, op)| Ok(l < op.len && !b.data.holds(&r.path, op.chunk_id)?))
             .collect::<Result<_>>()?;
-        Ok((ReadChunksResp { lens, missing }, bulk.into()))
+        Ok(ReadChunksResp { lens, missing })
     });
 
     // `Stat`, then `ReadChunks` of the whole file out of chunk 0 — which
@@ -190,16 +188,16 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
     // (zeros up to the size the entry states), short from one it does
     // not hold vouches for nothing.
     let b = backends.clone();
-    reg.serve_bulk::<op::OpenFile>(move |r, _| {
+    reg.serve_bulk::<op::OpenFile>(move |r, _, out| {
         let meta = entry(b.meta.apply_one(MetaOp::Stat(PathReq::new(r.path.as_str()))))?;
         if meta.is_dir() || meta.size == 0 || meta.size > r.head_max.min(HEAD_MAX) {
-            return Ok((OpenFileResp { meta, held: true }, Bytes::new()));
+            return Ok(OpenFileResp { meta, held: true });
         }
         let whole = [BatchOp { chunk_id: 0, offset: 0, len: meta.size, buf_offset: 0 }];
-        let (mut file, lens) = read_batch(&b.data, &r.path, &whole)?;
+        let lens = read_batch(&b.data, &r.path, &whole, out)?;
         let held = lens[0] == meta.size || b.data.holds(&r.path, 0)?;
-        file.resize(if held { meta.size as usize } else { 0 }, 0);
-        Ok((OpenFileResp { meta, held }, file.into()))
+        out.resize(if held { meta.size as usize } else { 0 }, 0);
+        Ok(OpenFileResp { meta, held })
     });
 
     let b = backends.clone();
@@ -276,6 +274,7 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use gkfs_common::{FileKind, IoBackend};
     use gkfs_storage::{ChunkStorage, FileChunkStorage, MemChunkStorage};
 

@@ -7,8 +7,18 @@
 //! turns its error into an error response, so a handler never touches a
 //! codec. The registry is immutable after construction and shared
 //! read-only across the handler pool, so dispatch is lock-free.
+//!
+//! A typed row *borrows* its request: the body and the bulk are slices
+//! of wherever the transport holds them, and a row that answers with a
+//! bulk ([`HandlerRegistry::serve_bulk`]) writes it into a buffer the
+//! caller lends. [`HandlerRegistry::dispatch`] lends a fresh `Vec` and
+//! moves it into the response; a TCP daemon lends one of its chunk
+//! buffers instead and sends the reply's bulk from there, so a chunk
+//! read's reply is never a buffer allocated, and freed, per request.
+//! Rows registered with [`HandlerRegistry::register_fn`] own their
+//! [`Request`].
 
-use crate::message::{Opcode, Request, Response};
+use crate::message::{Opcode, Request, Response, Status};
 use crate::proto::{body_of, Rpc, Wire};
 use bytes::Bytes;
 use gkfs_common::{GkfsError, Result};
@@ -35,10 +45,24 @@ where
     }
 }
 
+/// A typed row: request body and bulk borrowed, the reply's bulk
+/// written into the lent buffer; the reply's body, or its error.
+type Typed = dyn Fn(&[u8], &[u8], &mut Vec<u8>) -> Result<Bytes> + Send + Sync;
+
+/// One row of the table.
+enum Row {
+    /// [`HandlerRegistry::register`]: owns its request.
+    Owned(Arc<dyn Handler>),
+    /// [`HandlerRegistry::serve`] (`bulk: false`) and
+    /// [`HandlerRegistry::serve_bulk`] (`bulk: true`, may answer with a
+    /// bulk): borrows it.
+    Typed { serve: Box<Typed>, bulk: bool },
+}
+
 /// Immutable opcode → handler table.
 #[derive(Default)]
 pub struct HandlerRegistry {
-    table: HashMap<u16, Arc<dyn Handler>>,
+    table: HashMap<u16, Row>,
     /// The daemon's metadata store keeps a write-ahead log, so a group
     /// apply may wait on the device (what turns `ServeClass::Group`
     /// rows over to the handler pool).
@@ -62,11 +86,15 @@ impl HandlerRegistry {
         self.logged_store
     }
 
+    fn insert(&mut self, opcode: Opcode, row: Row) {
+        let prev = self.table.insert(opcode as u16, row);
+        assert!(prev.is_none(), "duplicate handler for {opcode:?}");
+    }
+
     /// Register `handler` for `opcode`. Panics on double registration —
     /// that is a daemon construction bug.
     pub fn register(&mut self, opcode: Opcode, handler: Arc<dyn Handler>) {
-        let prev = self.table.insert(opcode as u16, handler);
-        assert!(prev.is_none(), "duplicate handler for {opcode:?}");
+        self.insert(opcode, Row::Owned(handler));
     }
 
     /// Convenience: register a closure.
@@ -84,23 +112,35 @@ impl HandlerRegistry {
         &mut self,
         f: impl Fn(R::Req) -> Result<R::Resp> + Send + Sync + 'static,
     ) {
-        self.serve_bulk::<R>(move |req, _| Ok((f(req)?, Bytes::new())));
+        let serve = move |body: &[u8], _: &[u8], _: &mut Vec<u8>| Ok(body_of(&f(R::Req::decode(body)?)?));
+        self.insert(R::OP, Row::Typed { serve: Box::new(serve), bulk: false });
     }
 
     /// [`HandlerRegistry::serve`] for the rows that move chunk data:
-    /// `f` also receives the request's bulk payload and returns the
-    /// reply's.
+    /// `f` also borrows the request's bulk payload, and writes the
+    /// reply's into the buffer it is lent — empty when `f` is called,
+    /// and sent only with an `Ok`.
     pub fn serve_bulk<R: Rpc>(
         &mut self,
-        f: impl Fn(R::Req, Bytes) -> Result<(R::Resp, Bytes)> + Send + Sync + 'static,
+        f: impl Fn(R::Req, &[u8], &mut Vec<u8>) -> Result<R::Resp> + Send + Sync + 'static,
     ) {
-        self.register_fn(R::OP, move |req| {
-            R::Req::decode(&req.body)
-                .and_then(|typed| f(typed, req.bulk))
-                .map_or_else(Response::err, |(resp, bulk)| {
-                    Response::ok(body_of(&resp)).with_bulk(bulk)
-                })
-        });
+        let serve = move |body: &[u8], bulk: &[u8], out: &mut Vec<u8>| {
+            Ok(body_of(&f(R::Req::decode(body)?, bulk, out)?))
+        };
+        self.insert(R::OP, Row::Typed { serve: Box::new(serve), bulk: true });
+    }
+
+    /// Whether `opcode`'s row borrows its request, and so can be served
+    /// from a frame that stays where it was received
+    /// ([`HandlerRegistry::dispatch_lent`]).
+    pub(crate) fn borrows(&self, opcode: Opcode) -> bool {
+        matches!(self.table.get(&(opcode as u16)), Some(Row::Typed { .. }))
+    }
+
+    /// Whether `opcode`'s row may answer with a bulk written into a lent
+    /// buffer.
+    pub(crate) fn lends_bulk(&self, opcode: Opcode) -> bool {
+        matches!(self.table.get(&(opcode as u16)), Some(Row::Typed { bulk: true, .. }))
     }
 
     /// Dispatch a request. Unknown opcodes produce an error response
@@ -108,29 +148,36 @@ impl HandlerRegistry {
     /// a handler that panics: the unwind stops here and the caller gets
     /// an answer carrying its request id instead of waiting out its
     /// timeout. The error is [`GkfsError::Io`], which is not retryable —
-    /// the same frame would panic the same way again.
+    /// the same frame would panic the same way again. A typed row is
+    /// lent a fresh buffer, which becomes the response's bulk as it is.
     pub fn dispatch(&self, req: Request) -> Response {
-        let id = req.id;
-        let mut resp = match self.table.get(&(req.opcode as u16)) {
-            Some(h) => {
-                let opcode = req.opcode;
-                catch_unwind(AssertUnwindSafe(|| h.handle(req))).unwrap_or_else(|panic| {
-                    let what = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".into());
-                    gkfs_common::gkfs_warn!("handler for {opcode:?} panicked: {what}");
-                    Response::err(GkfsError::Io(format!("handler panicked: {what}")))
-                })
-            }
-            None => Response::err(GkfsError::Rpc(format!(
-                "no handler registered for {:?}",
-                req.opcode
-            ))),
-        };
-        resp.id = id;
+        let row = self.table.get(&(req.opcode as u16));
+        if let Some(Row::Owned(h)) = row {
+            return answered(req.opcode, req.id, || h.handle(req));
+        }
+        let mut out = Vec::new();
+        let mut resp = lend(row, req.opcode, req.id, &req.body, &req.bulk, &mut out);
+        if !out.is_empty() {
+            resp.bulk = out.into();
+        }
         resp
+    }
+
+    /// [`HandlerRegistry::dispatch`] of a request given as borrowed
+    /// views — `body` and `bulk` — lending a typed row `out` for the
+    /// reply's bulk, which stays there (the response's own bulk is
+    /// empty) and is empty unless the reply is `Ok`. For a row that
+    /// [`borrows`](HandlerRegistry::borrows); any other answers as an
+    /// unregistered one does.
+    pub(crate) fn dispatch_lent(
+        &self,
+        opcode: Opcode,
+        id: u64,
+        body: &[u8],
+        bulk: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Response {
+        lend(self.table.get(&(opcode as u16)), opcode, id, body, bulk, out)
     }
 
     /// Number of registered handlers.
@@ -142,6 +189,41 @@ impl HandlerRegistry {
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
     }
+}
+
+/// Serve a request on `row` — a typed row; anything else is an error —
+/// lending it `out` ([`HandlerRegistry::dispatch_lent`]).
+fn lend(row: Option<&Row>, opcode: Opcode, id: u64, body: &[u8], bulk: &[u8], out: &mut Vec<u8>) -> Response {
+    out.clear();
+    let resp = match row {
+        Some(Row::Typed { serve, .. }) => answered(opcode, id, || {
+            serve(body, bulk, &mut *out).map_or_else(Response::err, Response::ok)
+        }),
+        _ => Response {
+            id,
+            ..Response::err(GkfsError::Rpc(format!("no handler registered for {opcode:?}")))
+        },
+    };
+    if resp.status != Status::Ok {
+        out.clear();
+    }
+    resp
+}
+
+/// `run`'s response, carrying request `id` — or, if the handler
+/// panicked, the error response that stands in for it.
+fn answered(opcode: Opcode, id: u64, run: impl FnOnce() -> Response) -> Response {
+    let mut resp = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|panic| {
+        let what = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        gkfs_common::gkfs_warn!("handler for {opcode:?} panicked: {what}");
+        Response::err(GkfsError::Io(format!("handler panicked: {what}")))
+    });
+    resp.id = id;
+    resp
 }
 
 #[cfg(test)]

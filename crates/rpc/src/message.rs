@@ -11,6 +11,7 @@
 use bytes::Bytes;
 use gkfs_common::wire::{Decoder, Encoder};
 use gkfs_common::{GkfsError, Result};
+use std::ops::Range;
 
 pub use crate::proto::Opcode;
 
@@ -78,27 +79,48 @@ impl Request {
     /// field-by-field, so a transport that reads a whole frame into one
     /// buffer can hand large payloads onward without a per-field copy.
     pub fn decode_owned(frame: &Bytes) -> Result<Request> {
+        let head = Request::decode_head(frame)?;
+        Ok(Request {
+            opcode: head.opcode,
+            id: head.id,
+            body: frame.slice(head.body),
+            bulk: frame.slice(head.bulk),
+        })
+    }
+
+    /// The request a frame holds, decoded in place: opcode, id, and
+    /// where its body and its bulk lie in `frame` — the mirror of
+    /// [`Response::decode_prefix`], for a server that keeps the frame
+    /// in a buffer it lends and serves the request from borrowed views.
+    pub(crate) fn decode_head(frame: &[u8]) -> Result<RequestHead> {
         let mut d = Decoder::new(frame);
         let opcode = Opcode::from_u16(d.u16()?)?;
         let id = d.u64()?;
-        let (body, bulk) = slice_body_bulk(frame, d)?;
-        Ok(Request { opcode, id, body, bulk })
+        let (body, bulk) = body_and_bulk(d)?;
+        Ok(RequestHead { opcode, id, body, bulk })
     }
 }
 
+/// A request frame decoded in place ([`Request::decode_head`]).
+pub(crate) struct RequestHead {
+    pub(crate) opcode: Opcode,
+    pub(crate) id: u64,
+    /// Where the body lies in the frame.
+    pub(crate) body: Range<usize>,
+    /// Where the bulk lies in the frame: the rest of it.
+    pub(crate) bulk: Range<usize>,
+}
+
 /// The tail both frame kinds share — length-prefixed body, then
-/// length-prefixed bulk, then nothing — as views into `frame`'s own
-/// allocation rather than copies.
-fn slice_body_bulk(frame: &Bytes, mut d: Decoder<'_>) -> Result<(Bytes, Bytes)> {
+/// length-prefixed bulk, then nothing — as ranges of the frame, for
+/// views into its own allocation rather than copies.
+fn body_and_bulk(mut d: Decoder<'_>) -> Result<(Range<usize>, Range<usize>)> {
     let body_len = d.bytes()?.len();
     let body_end = d.position();
     let bulk_len = d.bytes()?.len();
     let bulk_end = d.position();
     d.finish()?;
-    Ok((
-        frame.slice(body_end - body_len..body_end),
-        frame.slice(bulk_end - bulk_len..bulk_end),
-    ))
+    Ok((body_end - body_len..body_end, bulk_end - bulk_len..bulk_end))
 }
 
 /// Response status: OK or a [`GkfsError`] wire code.
@@ -170,6 +192,13 @@ impl Response {
     /// scatter-gather buffer is passed to the transport as a borrowed
     /// slice and never re-buffered.
     pub fn encode_prefix(&self) -> Vec<u8> {
+        self.encode_prefix_for(self.bulk.len())
+    }
+
+    /// [`Response::encode_prefix`] announcing `bulk_len` bulk bytes —
+    /// for a server whose handler wrote the reply's bulk into a buffer
+    /// it lent, never into `self.bulk`.
+    pub(crate) fn encode_prefix_for(&self, bulk_len: usize) -> Vec<u8> {
         let mut e = Encoder::with_capacity(self.body.len() + 32);
         e.u64(self.id);
         match &self.status {
@@ -183,7 +212,7 @@ impl Response {
             }
         }
         e.bytes(&self.body);
-        e.count(self.bulk.len());
+        e.count(bulk_len);
         e.into_vec()
     }
 
@@ -192,8 +221,8 @@ impl Response {
     pub fn decode_owned(frame: &Bytes) -> Result<Response> {
         let mut d = Decoder::new(frame);
         let (id, status) = decode_head(&mut d)?;
-        let (body, bulk) = slice_body_bulk(frame, d)?;
-        Ok(Response { id, status, body, bulk })
+        let (body, bulk) = body_and_bulk(d)?;
+        Ok(Response { id, status, body: frame.slice(body), bulk: frame.slice(bulk) })
     }
 
     /// The *prefix* of a reply frame of `payload` bytes — id, status,

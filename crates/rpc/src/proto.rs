@@ -14,9 +14,10 @@
 //! ([`ReadChunksResp`], [`MetaOpResult`]) say why they are irregular.
 //!
 //! Bulk data (chunk contents) never appears here — it rides the frame's
-//! out-of-band bulk payload as a *borrowed* `Bytes` handle all the way
-//! to the transport: in-proc passes it by refcount, TCP hands it to
-//! [`gkfs_common::wire::FrameWriter`] as a vectored segment. Keeping
+//! out-of-band bulk payload, borrowed all the way to the transport:
+//! in-proc passes it by refcount, TCP hands it to
+//! [`gkfs_common::wire::FrameWriter`] as a vectored segment, and a TCP
+//! daemon's handler borrows it from the buffer it was received in. Keeping
 //! chunk bytes out of these bodies is what makes the daemon's zero-copy
 //! reply shape (`read_reply_copy_bytes == 0`) possible.
 

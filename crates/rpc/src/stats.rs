@@ -37,6 +37,12 @@ pub struct RpcStats {
     /// takes the listener out of the loop's set for a tick. Not on the
     /// wire.
     pub accept_errors: AtomicU64,
+    /// Chunk buffers a TCP server's set had to allocate because none
+    /// was free: an inbound frame larger than
+    /// [`SMALL_FRAME`](crate::transport::SMALL_FRAME), or a pool job's
+    /// reply bulk. At most the set's bound while its traffic stays
+    /// within it. Not on the wire.
+    pub chunk_bufs_fresh: AtomicU64,
 }
 
 /// How the waiters of one [`TcpEndpoint`](crate::TcpEndpoint) got their

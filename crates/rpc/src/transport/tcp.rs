@@ -109,15 +109,18 @@
 //! and a frame cut. A frame that fits the read buffer arrives with the
 //! `recv` that found it and is cut out as one owned buffer; a larger one
 //! lands — beyond the few KiB that came with its header — directly in a
-//! single `Vec` reserved to size and never zeroed. `fill` never blocks
-//! (`MSG_DONTWAIT`): it takes what is there — a large frame until it is
-//! whole or the socket is drained — so a peer stalled halfway through a
-//! frame holds only its own buffer, and a reader with nothing to take
-//! waits for readiness before it looks again. The fuzzer drives the
-//! same assembler (`read_frames`). After the
-//! CRC check the frame's buffer *is* the message: `decode_owned` hands
-//! out `body` and `bulk` as views of it, so a write payload reaches the
-//! chunk store without another copy.
+//! single buffer never zeroed: on a daemon one of its chunk buffers,
+//! which every frame larger than [`SMALL_FRAME`] takes (`server`,
+//! "Chunk buffers"), elsewhere a `Vec` reserved to size. `fill` never
+//! blocks (`MSG_DONTWAIT`): it takes what is there — a large frame until
+//! it is whole or the socket is drained — so a peer stalled halfway
+//! through a frame holds only its own buffer, and a reader with nothing
+//! to take waits for readiness before it looks again. The fuzzer drives
+//! the same assembler (`read_frames`). After the CRC check the frame's
+//! buffer *is* the message: `decode_owned` hands out `body` and `bulk` as
+//! views of it, or — a daemon's chunk frame — its handler borrows them
+//! from the buffer, so a write payload reaches the chunk store without
+//! another copy.
 //!
 //! **Landing.** A chunk read's reply need not be a buffer at all: its
 //! waiter knows where each op's bytes belong in its result (a
@@ -180,6 +183,7 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 mod server;
+use server::{ChunkBuf, ChunkBufs};
 pub use server::TcpServer;
 
 /// Maximum accepted frame: 256 MiB guards against garbage length
@@ -190,7 +194,9 @@ const MAX_FRAME: u32 = 256 * 1024 * 1024;
 /// The length prefix is only a claim: a peer that announces
 /// [`MAX_FRAME`] and hangs up must not have bought 256 MiB. Frames up
 /// to this size — every chunk batch of a default deployment — land in
-/// an exactly-sized buffer; larger ones grow with the bytes received.
+/// a buffer that holds them; larger ones grow with the bytes received.
+/// It is also the capacity of a daemon's chunk buffers (`server`),
+/// whose untouched pages are never resident.
 const FRAME_RESERVE_MAX: usize = 4 * 1024 * 1024;
 
 /// A connection's read buffer: a small frame with its header and
@@ -235,13 +241,6 @@ fn write_frame_segments(stream: &mut TcpStream, prefix: &[u8], bulk: &[&[u8]]) -
         )));
     }
     fw.write_to(stream).map_err(lost)
-}
-
-/// Write one response frame: encoded prefix plus the bulk payload as a
-/// borrowed slice. A `ReadChunks` reply's scatter-gather buffer goes
-/// from here straight to the socket.
-fn write_response(stream: &mut TcpStream, resp: &Response) -> Result<()> {
-    write_frame_segments(stream, &resp.encode_prefix(), &[&resp.bulk])
 }
 
 /// Initial capacity for the buffer receiving a frame whose header
@@ -457,10 +456,14 @@ pub(crate) struct FrameReader<R> {
     /// `buf[start..]` is not consumed yet.
     buf: Vec<u8>,
     start: usize,
-    /// A frame too large for the buffer, being assembled: its payload
-    /// length, and its bytes so far (payload and trailer) in a `Vec`
-    /// reserved by [`frame_reserve`].
-    big: Option<(usize, Vec<u8>)>,
+    /// A frame that does not go through the buffer, being assembled:
+    /// its payload length, and its bytes so far (payload and trailer)
+    /// in a buffer of its own — one of `bufs`, or else a `Vec` reserved
+    /// by [`frame_reserve`].
+    big: Option<(usize, ChunkBuf)>,
+    /// A daemon's chunk buffers, which every frame larger than
+    /// [`SMALL_FRAME`] is received into (`server`); `None` on a client.
+    bufs: Option<Arc<ChunkBufs>>,
 }
 
 impl<R: Recv> FrameReader<R> {
@@ -470,7 +473,16 @@ impl<R: Recv> FrameReader<R> {
             buf: Vec::with_capacity(READ_BUF),
             start: 0,
             big: None,
+            bufs: None,
         }
+    }
+
+    /// A daemon connection's reader: frames larger than [`SMALL_FRAME`]
+    /// land in a buffer of `bufs`, which goes back to the set when the
+    /// frame's job is done with it — or with this reader, if its
+    /// connection ends inside the frame.
+    pub(crate) fn lending(stream: R, bufs: Arc<ChunkBufs>) -> FrameReader<R> {
+        FrameReader { bufs: Some(bufs), ..FrameReader::new(stream) }
     }
 
     /// Bytes received beyond what has been consumed: after a frame was
@@ -488,7 +500,7 @@ impl<R: Recv> FrameReader<R> {
     /// connection.
     fn fill(&mut self) -> Result<bool> {
         let (into, total, until_whole) = match &mut self.big {
-            Some((len, frame)) => (frame, *len + 4, true),
+            Some((len, frame)) => (&mut **frame, *len + 4, true),
             None => {
                 self.buf.drain(..self.start);
                 self.start = 0;
@@ -535,49 +547,55 @@ impl<R: Recv> FrameReader<R> {
     }
 
     /// Whether a frame of `len` payload bytes goes through the buffer
-    /// (header, payload and trailer fit it) rather than into a buffer
-    /// of its own.
+    /// (header, payload and trailer fit it, and on a daemon it is no
+    /// larger than [`SMALL_FRAME`]) rather than into a buffer of its
+    /// own.
     fn holds(&self, len: usize) -> bool {
-        len + 8 <= READ_BUF
+        len + 8 <= READ_BUF && (self.bufs.is_none() || len <= SMALL_FRAME)
     }
 
     /// The next frame received whole — trailer verified and cut off —
     /// or `None` while it is still arriving; the one place a frame is
     /// cut. A frame that fits the buffer is copied out of it as one
-    /// owned buffer. A larger one moves here into a `Vec` reserved to its
-    /// size (what came with its header is copied once), which
-    /// [`FrameReader::fill`] fills and which becomes the `Bytes` without
+    /// owned buffer. A larger one moves here into a buffer of its own —
+    /// one of the daemon's chunk buffers, or a `Vec` reserved to its
+    /// size — (what came with its header is copied once), which
+    /// [`FrameReader::fill`] fills and which is handed on without
     /// another copy.
-    fn take_frame(&mut self) -> Result<Option<Bytes>> {
-        if let Some((len, frame)) = &self.big {
-            if frame.len() < len + 4 {
+    fn take_frame(&mut self) -> Result<Option<ChunkBuf>> {
+        if self.big.is_none() {
+            let Some(len) = self.header()? else {
                 return Ok(None);
+            };
+            if self.holds(len) {
+                if self.buffered() < len + 8 {
+                    return Ok(None);
+                }
+                let (payload, rest) = self.buf[self.start + 4..].split_at(len);
+                check_crc(crc32(payload), &rest[..4])?;
+                let frame = ChunkBuf::own(payload.to_vec());
+                self.start += len + 8;
+                return Ok(Some(frame));
             }
-            let (len, mut frame) = self.big.take().unwrap_or_default();
-            check_crc(crc32(&frame[..len]), &frame[len..])?;
-            frame.truncate(len);
-            return Ok(Some(Bytes::from(frame)));
+            let mut frame = match &self.bufs {
+                Some(bufs) => bufs.take(),
+                None => ChunkBuf::own(Vec::with_capacity(frame_reserve(len))),
+            };
+            let came = (self.buffered() - 4).min(len + 4);
+            frame.extend_from_slice(&self.buf[self.start + 4..][..came]);
+            self.start += 4 + came;
+            self.big = Some((len, frame));
         }
-        let Some(len) = self.header()? else {
+        match &self.big {
+            Some((len, frame)) if frame.len() == len + 4 => {}
+            _ => return Ok(None),
+        }
+        let Some((len, mut frame)) = self.big.take() else {
             return Ok(None);
         };
-        if self.holds(len) {
-            if self.buffered() < len + 8 {
-                return Ok(None);
-            }
-            let (payload, rest) = self.buf[self.start + 4..].split_at(len);
-            check_crc(crc32(payload), &rest[..4])?;
-            let frame = Bytes::copy_from_slice(payload);
-            self.start += len + 8;
-            return Ok(Some(frame));
-        }
-        // Not even the trailer fits behind the header in the buffer, so
-        // what is buffered is part of this frame and nothing else.
-        let mut frame = Vec::with_capacity(frame_reserve(len));
-        frame.extend_from_slice(&self.buf[self.start + 4..]);
-        self.start = self.buf.len();
-        self.big = Some((len, frame));
-        Ok(None)
+        check_crc(crc32(&frame[..len]), &frame[len..])?;
+        frame.truncate(len);
+        Ok(Some(frame))
     }
 
     /// Receive more of the frame at the front, or wait for it: inside a
@@ -598,7 +616,7 @@ impl<R: Recv> FrameReader<R> {
     pub(crate) fn next_frame(&mut self, stall: Option<Duration>) -> Result<Bytes> {
         loop {
             if let Some(frame) = self.take_frame()? {
-                return Ok(frame);
+                return Ok(Bytes::from(frame.detach()));
             }
             self.more(stall)?;
         }
@@ -1740,13 +1758,13 @@ mod tests {
     fn chunk_server(delay: Duration) -> Arc<TcpServer> {
         use crate::proto::{op, ChunkBatchReq, ReadChunksResp};
         let mut reg = echo_registry();
-        reg.serve_bulk::<op::ReadChunks>(move |batch: ChunkBatchReq, _| {
+        reg.serve_bulk::<op::ReadChunks>(move |batch: ChunkBatchReq, _, out| {
             std::thread::sleep(delay * u32::try_from(batch.ops.len()).unwrap());
             let lens: Vec<u64> = batch.ops.iter().map(|o| o.len).collect();
             let total = usize::try_from(lens.iter().sum::<u64>()).unwrap();
-            let bulk: Vec<u8> = (0..total).map(|i| u8::try_from(i % 251).unwrap()).collect();
+            out.extend((0..total).map(|i| u8::try_from(i % 251).unwrap()));
             let missing = vec![false; lens.len()];
-            Ok((ReadChunksResp { lens, missing }, bulk.into()))
+            Ok(ReadChunksResp { lens, missing })
         });
         TcpServer::bind("127.0.0.1:0", reg, 2).unwrap()
     }

@@ -39,13 +39,48 @@
 //!
 //! `tcp::server::model` explores this protocol.
 //!
+//! # Chunk buffers
+//!
+//! A daemon runs beside the application on its node, so what it keeps
+//! resident is memory the job does not get. A buffer of a chunk's size
+//! that a thread allocates and frees is not given back to the system:
+//! glibc keeps it in that thread's arena, and every thread that ever
+//! held one keeps its own. So a chunk-sized buffer is never allocated
+//! per request here. Each server owns one bounded set of them
+//! ([`ChunkBufs`]): `Vec`s of [`FRAME_RESERVE_MAX`] capacity, whose
+//! pages become resident only where bytes were written, at most the
+//! handler pool's workers plus two of them kept free. A buffer comes
+//! from the set in two places and goes back when its [`ChunkBuf`]
+//! drops:
+//!
+//! * **Inbound.** The loop's `FrameReader` receives every frame larger
+//!   than [`SMALL_FRAME`] into a set buffer. Such a frame always goes to
+//!   the pool, and the job owns it: its request is decoded in place
+//!   (`Request::decode_head`) and a typed row borrows body and bulk from
+//!   it — a chunk write's payload goes from the frame to the chunk
+//!   store. The buffer goes back once the handler returns, before the
+//!   reply is written; a connection that ends inside the frame gives it
+//!   back with its reader. A frame for a row that owns its request
+//!   (`register_fn`) becomes that request and is not recycled.
+//! * **Reply.** A pool job lends a row that may answer with a bulk
+//!   (`serve_bulk`) a set buffer, into which the handler writes the
+//!   reply's bulk — a chunk read lands there from the chunk files — and
+//!   from which the reply is written ([`write_frame_segments`]); then it
+//!   goes back. Inline requests are small by the inline rule, and their
+//!   replies are allocated as before.
+//!
+//! Neither kind of buffer ever becomes a `Bytes`, which could not hand
+//! its `Vec` back. A set that is empty allocates (`chunk_bufs_fresh`),
+//! and one that is full drops what comes back, so a burst costs
+//! allocations, never a wait.
+//!
 //! Linux only: the loop calls epoll through `extern "C"`.
 
-use super::{copied_out_of, poll_or_park, write_response, FrameReader};
+use super::{copied_out_of, poll_or_park, write_frame_segments, FrameReader, FRAME_RESERVE_MAX};
 use crate::handler::HandlerRegistry;
-use crate::message::{Request, Response};
+use crate::message::{Request, RequestHead, Response, Status};
 use crate::stats::RpcStats;
-use crate::transport::Handlers;
+use crate::transport::{Handlers, SMALL_FRAME};
 use bytes::Bytes;
 use gkfs_common::lock::{rank, Condvar, OrderedMutex};
 use gkfs_common::{GkfsError, Result};
@@ -53,6 +88,7 @@ use std::collections::HashMap;
 use std::convert::Infallible;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::{Deref, DerefMut};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -159,6 +195,126 @@ mod epoll {
     }
 }
 
+/// A server's set of chunk buffers (module docs, "Chunk buffers").
+pub(crate) struct ChunkBufs {
+    /// Free buffers, each empty and of [`FRAME_RESERVE_MAX`] capacity.
+    free: OrderedMutex<Vec<Vec<u8>>>,
+    /// Most buffers kept free.
+    keep: usize,
+    stats: Arc<RpcStats>,
+}
+
+impl ChunkBufs {
+    fn new(keep: usize, stats: Arc<RpcStats>) -> ChunkBufs {
+        ChunkBufs {
+            free: OrderedMutex::new(rank::RPC_CHUNK_BUFS, Vec::with_capacity(keep)),
+            keep,
+            stats,
+        }
+    }
+
+    /// A free buffer, or a fresh one (counted) when none is.
+    pub(super) fn take(self: &Arc<Self>) -> ChunkBuf {
+        let free = self.free.lock().pop();
+        let buf = free.unwrap_or_else(|| {
+            self.stats.chunk_bufs_fresh.fetch_add(1, Ordering::Relaxed);
+            Vec::with_capacity(FRAME_RESERVE_MAX)
+        });
+        ChunkBuf { buf, home: Some(Arc::clone(self)) }
+    }
+
+    /// Keep `buf` for the next [`ChunkBufs::take`] — unless the set is
+    /// full, or `buf` grew past the reserve (a frame larger than it).
+    /// The last buffer given back is the first taken, so the pages the
+    /// set keeps resident are as few buffers' as its traffic needs at
+    /// once.
+    fn give(&self, mut buf: Vec<u8>) {
+        if buf.capacity() != FRAME_RESERVE_MAX {
+            return;
+        }
+        buf.clear();
+        let mut free = self.free.lock();
+        if free.len() < self.keep {
+            free.push(buf);
+        }
+    }
+}
+
+/// A buffer a frame or a reply's bulk is received or written into: one
+/// of a server's [`ChunkBufs`], which it goes back to when dropped, or
+/// a `Vec` of its own.
+pub(crate) struct ChunkBuf {
+    buf: Vec<u8>,
+    home: Option<Arc<ChunkBufs>>,
+}
+
+impl ChunkBuf {
+    /// `buf`, belonging to no set.
+    pub(super) fn own(buf: Vec<u8>) -> ChunkBuf {
+        ChunkBuf { buf, home: None }
+    }
+
+    /// The bytes, out of the set for good.
+    pub(super) fn detach(mut self) -> Vec<u8> {
+        self.home = None;
+        std::mem::take(&mut self.buf)
+    }
+}
+
+impl Deref for ChunkBuf {
+    type Target = Vec<u8>;
+
+    fn deref(&self) -> &Vec<u8> {
+        &self.buf
+    }
+}
+
+impl DerefMut for ChunkBuf {
+    fn deref_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+}
+
+impl Drop for ChunkBuf {
+    fn drop(&mut self) {
+        if let Some(home) = self.home.take() {
+            home.give(std::mem::take(&mut self.buf));
+        }
+    }
+}
+
+/// What a pool job serves.
+enum Inbound {
+    /// A request that owns its body and bulk.
+    Request(Request),
+    /// A frame in a set buffer, its request decoded in place, for a row
+    /// that borrows.
+    Frame(ChunkBuf, RequestHead),
+}
+
+impl Inbound {
+    fn id(&self) -> u64 {
+        match self {
+            Inbound::Request(req) => req.id,
+            Inbound::Frame(_, head) => head.id,
+        }
+    }
+
+    /// Serve it through `registry`, lending a borrowing row `out` for
+    /// the reply's bulk. The frame, if it is one, goes back to its set
+    /// here, before the reply is written.
+    fn serve(self, registry: &HandlerRegistry, out: &mut Vec<u8>) -> Response {
+        match self {
+            Inbound::Request(req) if !registry.borrows(req.opcode) => registry.dispatch(req),
+            Inbound::Request(req) => registry.dispatch_lent(req.opcode, req.id, &req.body, &req.bulk, out),
+            Inbound::Frame(frame, head) => {
+                let (body, bulk) = (&frame[head.body], &frame[head.bulk]);
+                registry.dispatch_lent(head.opcode, head.id, body, bulk, out)
+            }
+        }
+    }
+}
+
 /// One accepted connection.
 pub(super) struct Conn {
     serial: u64,
@@ -177,15 +333,18 @@ pub(super) struct Conn {
 impl Conn {
     /// The next frame the reader holds whole, and whether more bytes
     /// are buffered behind it.
-    fn next(&self) -> Result<Option<(Bytes, bool)>> {
+    fn next(&self) -> Result<Option<(ChunkBuf, bool)>> {
         let mut reader = self.reader.lock();
         Ok(reader
             .take_frame()?
             .map(|frame| (frame, reader.buffered() > 0)))
     }
 
-    fn reply(&self, resp: &Response) {
-        let _ = write_response(&mut self.writer.lock(), resp);
+    /// Write `resp`, whose bulk is its own or `lent` — the one that is
+    /// not empty.
+    fn reply(&self, resp: &Response, lent: &[u8]) {
+        let prefix = resp.encode_prefix_for(resp.bulk.len() + lent.len());
+        let _ = write_frame_segments(&mut self.writer.lock(), &prefix, &[&resp.bulk, lent]);
     }
 }
 
@@ -222,6 +381,8 @@ pub(super) struct Shared {
     /// wakes a parked leader.
     wake: (UnixStream, UnixStream),
     pub(super) handlers: Arc<Handlers>,
+    /// The chunk buffers of this server's inbound frames and replies.
+    bufs: Arc<ChunkBufs>,
     shutting_down: AtomicBool,
     /// Every connection being served, by serial, for lookup by event
     /// token and for severing. A connection is in the epoll set only
@@ -356,35 +517,66 @@ impl Shared {
     fn dispatch(
         &self,
         conn: &Arc<Conn>,
-        frame: Bytes,
+        frame: ChunkBuf,
         more_buffered: bool,
         lead: &mut Option<&mut u64>,
     ) -> Result<()> {
+        let frame_len = frame.len();
+        let inbound = match frame_len > SMALL_FRAME {
+            true => match Request::decode_head(&frame)? {
+                head if self.handlers.registry.borrows(head.opcode) => Inbound::Frame(frame, head),
+                _ => self.owned(frame)?,
+            },
+            false => self.owned(frame)?,
+        };
+        if self.shutting_down.load(Ordering::SeqCst) {
+            let resp = Response { id: inbound.id(), ..Response::err(GkfsError::ShuttingDown) };
+            self.busy(lead, conn.serial, || conn.reply(&resp, &[]));
+            return Ok(());
+        }
+        self.stats().record_request();
+        let handlers = &self.handlers;
+        match inbound {
+            Inbound::Request(req) if handlers.runs_inline(&req, frame_len, more_buffered) => {
+                self.busy(lead, conn.serial, || conn.reply(&handlers.serve_inline(req), &[]));
+            }
+            inbound => self.busy(lead, conn.serial, || self.queue(conn, inbound)),
+        }
+        Ok(())
+    }
+
+    /// `frame`'s request, owning its body and bulk as views of it.
+    fn owned(&self, frame: ChunkBuf) -> Result<Inbound> {
+        let frame = Bytes::from(frame.detach());
         let req = Request::decode_owned(&frame)?;
-        let stats = self.stats();
-        stats.request_copy_bytes.fetch_add(
+        self.stats().request_copy_bytes.fetch_add(
             (copied_out_of(&frame, &req.body) + copied_out_of(&frame, &req.bulk)) as u64,
             Ordering::Relaxed,
         );
-        if self.shutting_down.load(Ordering::SeqCst) {
-            let mut resp = Response::err(GkfsError::ShuttingDown);
-            resp.id = req.id;
-            self.busy(lead, conn.serial, || conn.reply(&resp));
-            return Ok(());
-        }
-        stats.record_request();
+        Ok(Inbound::Request(req))
+    }
+
+    /// Queue `inbound` for a handler thread — blocking while the queue
+    /// is full — which serves it, lending its row a chunk buffer for the
+    /// reply's bulk when the row may answer with one, and writes the
+    /// reply. A frame that came in a set buffer carried its bulk in, and
+    /// no row of the table answers one with a bulk (a write's reply is
+    /// empty): it is lent an empty `Vec`, so a row that did would
+    /// allocate its reply rather than hold a second set buffer.
+    fn queue(&self, conn: &Arc<Conn>, inbound: Inbound) {
         let handlers = &self.handlers;
-        if handlers.runs_inline(&req, frame.len(), more_buffered) {
-            self.busy(lead, conn.serial, || {
-                conn.reply(&handlers.serve_inline(req))
-            });
-        } else {
-            let to = Arc::clone(conn);
-            self.busy(lead, conn.serial, || {
-                handlers.serve(req, move |resp| to.reply(&resp))
-            });
-        }
-        Ok(())
+        handlers.stats.served_pooled.fetch_add(1, Ordering::Relaxed);
+        let (registry, stats) = (Arc::clone(&handlers.registry), Arc::clone(&handlers.stats));
+        let (bufs, conn) = (Arc::clone(&self.bufs), Arc::clone(conn));
+        handlers.pool.submit(move || {
+            let mut out = match &inbound {
+                Inbound::Request(req) if registry.lends_bulk(req.opcode) => bufs.take(),
+                _ => ChunkBuf::own(Vec::new()),
+            };
+            let resp = inbound.serve(&registry, &mut out);
+            stats.record_response(resp.status == Status::Ok);
+            conn.reply(&resp, &out);
+        });
     }
 
     /// Run `op` — something that may block — inside a busy window of
@@ -549,7 +741,7 @@ impl Shared {
         let conn = Arc::new(Conn {
             serial,
             fd: stream.as_raw_fd(),
-            reader: OrderedMutex::new(rank::RPC_PUMP, FrameReader::new(stream)),
+            reader: OrderedMutex::new(rank::RPC_PUMP, FrameReader::lending(stream, Arc::clone(&self.bufs))),
             writer: OrderedMutex::new(rank::RPC_WRITER, writer),
         });
         let mut conns = self.conns.lock();
@@ -611,6 +803,9 @@ impl TcpServer {
             .add(wake.0.as_raw_fd(), WAKE)
             .map_err(|e| rpc("epoll for", e))?;
         let handlers = Arc::new(Handlers::new(registry, handler_threads));
+        // Every worker's frame and reply buffer could be out at once;
+        // two more cover the loop's next frame meanwhile.
+        let bufs = Arc::new(ChunkBufs::new(handlers.pool.workers() + 2, Arc::clone(&handlers.stats)));
         let shared = Arc::new(Shared {
             epoll,
             listener: OrderedMutex::new(
@@ -624,6 +819,7 @@ impl TcpServer {
             wake,
             max_threads: 1 + handlers.pool.workers(),
             handlers,
+            bufs,
             shutting_down: AtomicBool::new(false),
             conns: OrderedMutex::new(rank::RPC_CONNS, HashMap::new()),
             serials: AtomicU64::new(0),
@@ -690,6 +886,21 @@ impl TcpServer {
     /// loop is awake (diagnostics).
     pub fn standby_ticks(&self) -> u64 {
         self.shared.ticks.load(Ordering::Relaxed)
+    }
+
+    /// Chunk buffers this server's set has allocated so far
+    /// ([`RpcStats::chunk_bufs_fresh`]; module docs, "Chunk buffers").
+    pub fn chunk_bufs_fresh(&self) -> u64 {
+        self.stats().chunk_bufs_fresh.load(Ordering::Relaxed)
+    }
+
+    /// Chunk buffers the set holds free right now, and the most it
+    /// keeps (diagnostics: a buffer lost or given back twice shows as a
+    /// count that disagrees with the allocations once the server is
+    /// idle).
+    pub fn chunk_bufs_free(&self) -> (usize, usize) {
+        let bufs = &self.shared.bufs;
+        (bufs.free.lock().len(), bufs.keep)
     }
 
     /// Forcibly sever every established connection while the server

@@ -210,3 +210,100 @@ fn peer_death_mid_vectored_write_fails_cleanly_then_reconnects() {
     assert!(ep.reconnects() >= 1, "recovery must re-dial, not reuse the dead socket");
     server.shutdown();
 }
+
+/// A server whose `WriteChunks` keeps the last batch's bulk — the bytes
+/// as the handler borrowed them from the frame's chunk buffer — and the
+/// frame a `WriteChunks` of `bulk` is on the wire, whole.
+mod chunk_frames {
+    use super::*;
+    use gkfs_common::crc::crc32;
+    use gkfs_rpc::proto::{op, ChunkBatchReq, ChunkOp, Rpc};
+    use std::sync::{Arc, Mutex};
+
+    pub const MIB: usize = 1 << 20;
+
+    pub fn landing_server() -> (Arc<TcpServer>, Arc<Mutex<Vec<u8>>>) {
+        let landed = Arc::new(Mutex::new(Vec::new()));
+        let mut reg = echo_registry();
+        let store = Arc::clone(&landed);
+        reg.serve_bulk::<op::WriteChunks>(move |_, bulk, _| {
+            *store.lock().unwrap() = bulk.to_vec();
+            Ok(())
+        });
+        (TcpServer::bind("127.0.0.1:0", reg, 1).unwrap(), landed)
+    }
+
+    pub fn write_req(bulk: &[u8]) -> Request {
+        let ops = vec![ChunkOp { chunk_id: 0, offset: 0, len: bulk.len() as u64 }];
+        op::WriteChunks::request(&ChunkBatchReq { path: "/f".into(), ops }).with_bulk(bulk.to_vec())
+    }
+
+    /// `req` framed: length, payload, checksum.
+    pub fn framed(req: &Request) -> Vec<u8> {
+        let payload = req.encode();
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame
+    }
+}
+
+/// Three 1 MiB `WriteChunks` frames go wrong inside their bulk, which a
+/// daemon receives into one of its chunk buffers: torn (the rest of the
+/// frame is the next frame's bytes, so its checksum fails), a flipped
+/// bulk byte, and a peer that hangs up halfway through the bulk. Each
+/// condemns its own connection only — a healthy connection opened
+/// before them serves on, never re-dialled — and the next 1 MiB write
+/// on a fresh connection lands exactly its bytes. Afterwards the set
+/// holds every buffer it ever allocated, and no more than its bound:
+/// none was lost with a condemned connection (each row would have
+/// allocated afresh), none given back twice (the free count would
+/// exceed the allocations).
+#[test]
+fn a_chunk_frame_broken_inside_its_bulk_condemns_only_its_connection_and_keeps_its_buffer() {
+    use chunk_frames::*;
+    use std::io::Read;
+    let (server, landed) = landing_server();
+    let addr = server.local_addr().to_string();
+    let healthy = TcpEndpoint::connect(&addr).unwrap();
+    healthy.call(Request::new(Opcode::Ping, &b"up"[..])).unwrap();
+    let frame = framed(&write_req(&vec![0x77; MIB]));
+    let half = frame.len() / 2;
+    let mut flipped = frame.clone();
+    flipped[half] ^= 0x10;
+    let rows: [(&str, Vec<u8>, bool); 3] = [
+        ("torn", [&frame[..half], &frame[..]].concat(), false),
+        ("flipped bulk byte", flipped, false),
+        ("hang-up inside the bulk", frame[..half].to_vec(), true),
+    ];
+    for (round, (row, bytes, hang_up)) in rows.into_iter().enumerate() {
+        let mut raw = TcpStream::connect(&addr).unwrap();
+        raw.write_all(&bytes).unwrap();
+        if hang_up {
+            raw.shutdown(std::net::Shutdown::Write).unwrap();
+        }
+        // The daemon shuts a condemned connection down: end of stream.
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(raw.read(&mut [0u8; 64]).unwrap(), 0, "{row}: the connection is condemned");
+
+        let data: Vec<u8> = (0..MIB).map(|i| (i % 253) as u8 ^ round as u8).collect();
+        let fresh = TcpEndpoint::connect(&addr).unwrap();
+        fresh.call(write_req(&data)).unwrap().into_result().unwrap();
+        assert!(*landed.lock().unwrap() == data, "{row}: the next write lands exactly its bytes");
+        healthy.call(Request::new(Opcode::Ping, &b"still"[..])).unwrap();
+    }
+    assert_eq!(healthy.reconnects(), 0, "only the broken frames' connections were condemned");
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let (free, keep) = loop {
+        let (free, keep) = server.chunk_bufs_free();
+        if free as u64 == server.chunk_bufs_fresh() || std::time::Instant::now() > deadline {
+            break (free, keep);
+        }
+        std::thread::yield_now();
+    };
+    assert_eq!(free as u64, server.chunk_bufs_fresh(), "every buffer is back, and back once");
+    assert!(free <= keep, "{free} free buffers, bound {keep}");
+    assert!(server.chunk_bufs_fresh() <= 2, "a condemned frame's buffer was reused, not lost");
+    server.shutdown();
+}

@@ -35,10 +35,11 @@
 //! `set_len` cuts it — one `pread`, `pwrite` or `ftruncate` per
 //! coalesced run, with no seek races between tasks sharing the
 //! descriptor. A read costs the daemon the kernel's copy and nothing
-//! more: the reply buffer is allocated, not zeroed, each run is read
-//! straight into its window of it, and only what the read did not reach
+//! more: the caller's buffer is not zeroed first — each run is read
+//! straight into its window, and only what the read did not reach
 //! (EOF inside the run, a chunk with no file) is zero-filled before the
-//! buffer's length covers it. A read racing a cut never faults or fails:
+//! buffer's length covers it, so a recycled buffer never shows what it
+//! held before. A read racing a cut never faults or fails:
 //! it sees the file before or after it, and only if a write is
 //! re-extending the chunk at the same moment can it see, above the
 //! cut, zeros the cut left behind — what POSIX gives a `pread` racing
@@ -61,8 +62,8 @@
 //!
 //! # Batch I/O engines
 //!
-//! A batch ([`ChunkStorage::submit_batch`], the only data-I/O entry
-//! point) runs to completion before the call returns, on one of two
+//! A batch ([`ChunkStorage::write_batch`], [`ChunkStorage::read_batch`])
+//! runs to completion before the call returns, on one of two
 //! engines that the number of I/O threads given to
 //! [`FileChunkStorage::open_with`] selects:
 //!
@@ -79,8 +80,7 @@
 //! bound.
 
 use crate::{check_write_windows, segment, to_usize, validate_dense_layout};
-use crate::{BatchCompletion, BatchOp, BatchOutput, BatchPayload, ChunkStorage};
-use bytes::Bytes;
+use crate::{BatchOp, ChunkStorage};
 use gkfs_common::hash::fnv1a64;
 use gkfs_common::lock::{rank, OrderedMutex};
 use gkfs_common::metrics::DaemonCounters;
@@ -311,18 +311,22 @@ fn read_into(file: &fs::File, mut offset: u64, buf: &mut [MaybeUninit<u8>]) -> R
     Ok(done)
 }
 
-/// Base of a shared reply buffer's allocation, made sendable so segment
-/// tasks can carry their window — this pointer plus a length, bytes not
-/// yet initialised — across threads.
-struct SendPtr(*mut MaybeUninit<u8>);
+/// A batch's borrowed buffer made sendable, so that segment tasks can
+/// carry it across threads: the base of a read's destination, which a
+/// task turns into its own window — this pointer plus a length, bytes
+/// not yet initialised — or a write's whole payload, which every task
+/// only reads.
+struct SendPtr<T: ?Sized>(*mut T);
 
-// The pointer is only ever turned into one segment's own window, and
-// windows of distinct segments are disjoint by construction (dense
-// running-sum `buf_offset` layout, checked before fan-out).
-// SAFETY: disjoint windows + the buffer outlives every task — it lives
-// in `read_batch`'s frame, and `run_segments` returns only after every
-// task has sent its result or dropped its sender.
-unsafe impl Send for SendPtr {}
+// A read's pointer is only ever turned into one segment's own window,
+// and windows of distinct segments are disjoint by construction (dense
+// running-sum `buf_offset` layout, checked before fan-out); a write's
+// payload is shared and only read.
+// SAFETY: disjoint windows or shared reads + the buffer outlives every
+// task — it is borrowed for the whole `read_batch` or `write_batch`
+// call, and `run_segments` returns only after every task has sent its
+// result or dropped its sender.
+unsafe impl<T: ?Sized> Send for SendPtr<T> {}
 
 impl Inner {
     /// The shard directory holding every chunk of `path`. FNV-1a is
@@ -584,8 +588,9 @@ impl FileChunkStorage {
     /// their lens in op order. Each job goes to the pool or, when its
     /// queue is full, runs here (caller-runs) under `catch_unwind`, as a
     /// pool worker runs it. Either way this returns only once every job
-    /// has sent its result or dropped its sender — what lets a read's
-    /// jobs write into a buffer of the caller's frame ([`SendPtr`]). The
+    /// has sent its result or dropped its sender — what lets a batch's
+    /// jobs borrow the caller's buffer ([`SendPtr`]): a read's jobs
+    /// write into it, a write's read from it. The
     /// first failed segment in op order gives the error, and a segment
     /// that ended without a result (a panic, on either thread) fails as
     /// lost.
@@ -593,7 +598,7 @@ impl FileChunkStorage {
     where
         F: FnOnce() -> Result<Vec<u64>> + Send + 'static,
     {
-        gkfs_common::lock::assert_unguarded("FileChunkStorage::submit_batch");
+        gkfs_common::lock::assert_unguarded("FileChunkStorage batch");
         let stats = &self.inner.stats;
         let mut results = vec![None; jobs.len()];
         let (tx, rx) = mpsc::channel();
@@ -626,37 +631,46 @@ impl FileChunkStorage {
         Ok(lens)
     }
 
-    fn write_batch(&self, path: &str, ops: &[BatchOp], bulk: Bytes) -> Result<BatchOutput> {
+}
+
+impl ChunkStorage for FileChunkStorage {
+    fn write_batch(&self, path: &str, ops: &[BatchOp], bulk: &[u8]) -> Result<()> {
         check_write_windows(ops, bulk.len())?;
         let Some((pool, segs)) = self.fan_out(ops) else {
-            self.inner.write_runs(path, ops, &bulk)?;
-            return Ok(BatchOutput::default());
+            return self.inner.write_runs(path, ops, bulk);
         };
+        let payload = std::ptr::from_ref(bulk).cast_mut();
         let jobs = segs
             .iter()
             .map(|&(start, end)| {
-                let (inner, path, bulk) = (self.inner.clone(), path.to_string(), bulk.clone());
+                let (inner, path) = (self.inner.clone(), path.to_string());
                 let seg_ops = ops[start..end].to_vec();
+                let payload = SendPtr(payload);
                 // Windows keep their original offsets into the shared
-                // refcounted bulk — no copy.
-                move || inner.write_runs(&path, &seg_ops, &bulk).map(|()| Vec::new())
+                // payload — no copy.
+                move || {
+                    let payload = payload;
+                    // SAFETY: only read, and borrowed until every job
+                    // has run or been dropped; see `SendPtr`.
+                    let bulk = unsafe { &*payload.0 };
+                    inner.write_runs(&path, &seg_ops, bulk).map(|()| Vec::new())
+                }
             })
             .collect();
-        self.run_segments(pool, jobs)?;
-        Ok(BatchOutput::default())
+        self.run_segments(pool, jobs).map(drop)
     }
 
-    fn read_batch(&self, path: &str, ops: &[BatchOp]) -> Result<BatchOutput> {
-        // Allocated, not zeroed: each run is read straight into its
-        // window and only what a read did not reach is zero-filled
-        // (`read_runs`); the length covers the bytes once every window
-        // is written.
+    fn read_batch(&self, path: &str, ops: &[BatchOp], out: &mut Vec<u8>) -> Result<Vec<u64>> {
+        // Not zeroed: each run is read straight into its window and
+        // only what a read did not reach is zero-filled (`read_runs`);
+        // the length covers the bytes once every window is written.
         let total = to_usize(validate_dense_layout(ops)?);
-        let mut data = Vec::with_capacity(total);
+        out.clear();
+        out.reserve(total);
         let lens = match self.fan_out(ops) {
-            None => self.inner.read_runs(path, ops, &mut data.spare_capacity_mut()[..total])?,
+            None => self.inner.read_runs(path, ops, &mut out.spare_capacity_mut()[..total])?,
             Some((pool, segs)) => {
-                let base = SendPtr(data.spare_capacity_mut().as_mut_ptr());
+                let base = out.spare_capacity_mut().as_mut_ptr();
                 let jobs = segs
                     .iter()
                     .map(|&(start, end)| {
@@ -666,8 +680,8 @@ impl FileChunkStorage {
                         let win_start = to_usize(ops[start].buf_offset);
                         let win_len = ops.get(end).map_or(total, |o| to_usize(o.buf_offset)) - win_start;
                         // SAFETY: in bounds: the window ends at or before
-                        // `total`, the allocation's capacity.
-                        let win = unsafe { SendPtr(base.0.add(win_start)) };
+                        // `total`, within the capacity reserved above.
+                        let win = SendPtr(unsafe { base.add(win_start) });
                         let (inner, path) = (self.inner.clone(), path.to_string());
                         let seg_ops = rebase(&ops[start..end], win_start as u64);
                         move || {
@@ -686,18 +700,9 @@ impl FileChunkStorage {
         // SAFETY: `read_runs` returned `Ok` for every window it was given,
         // so it initialised each, and the windows tile `[0, total)` — the
         // first starts at the layout's 0, each ends where the next
-        // begins, the last at `total`, the allocation's capacity.
-        unsafe { data.set_len(total) };
-        Ok(BatchOutput { data, lens })
-    }
-}
-
-impl ChunkStorage for FileChunkStorage {
-    fn submit_batch(&self, path: &str, ops: &[BatchOp], payload: BatchPayload) -> BatchCompletion {
-        BatchCompletion::ready(match payload {
-            BatchPayload::Write(bulk) => self.write_batch(path, ops, bulk),
-            BatchPayload::Read => self.read_batch(path, ops),
-        })
+        // begins, the last at `total`, within the capacity.
+        unsafe { out.set_len(total) };
+        Ok(lens)
     }
 
     fn remove_chunks(&self, path: &str, ids: &[u64]) -> Result<()> {
@@ -777,6 +782,7 @@ impl ChunkStorage for FileChunkStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BatchPayload;
     use bytes::Bytes;
     use proptest::prelude::*;
 

@@ -121,10 +121,9 @@ pub(crate) fn to_usize(n: u64) -> usize {
 
 /// Direction and payload of a [`ChunkStorage::submit_batch`] call.
 pub enum BatchPayload {
-    /// Write: op windows index into this buffer. Shared by refcount so
-    /// a backend may hand it to worker threads without copying.
+    /// Write: op windows index into this buffer.
     Write(Bytes),
-    /// Read: the backend allocates the reply buffer.
+    /// Read: the call allocates the reply buffer.
     Read,
 }
 
@@ -165,30 +164,50 @@ impl BatchCompletion {
 /// `path` is the file's canonical GekkoFS path (`/a/b`); implementations
 /// derive their own internal naming. All methods are thread-safe: the
 /// RPC handler pool calls them concurrently.
+///
+/// The two batch primitives borrow their buffers — a write's payload,
+/// a read's destination — so a caller that recycles its buffers (a TCP
+/// daemon's chunk buffers) keeps them; [`ChunkStorage::submit_batch`]
+/// is the owned form over both. Every data-I/O call runs a batch to
+/// completion before it returns. Backends may coalesce ops that are
+/// contiguous in both the chunk and the buffer, and a backend with an
+/// I/O engine overlaps the batch's segments with each other.
 pub trait ChunkStorage: Send + Sync {
-    /// Run a batch to completion and return its result — the one
-    /// data-I/O entry point every backend implements. Writes pull their
-    /// bytes from the payload's refcounted buffer at each op's
-    /// `buf_offset` window (the windows only have to fit the payload);
-    /// reads require the dense running-sum layout and scatter into one
-    /// reply buffer, the tail of a short op's window zero. Backends may
-    /// coalesce ops that are contiguous in both the chunk and the
-    /// buffer, and a backend with an I/O engine overlaps the batch's
-    /// segments with each other before it returns.
-    fn submit_batch(&self, path: &str, ops: &[BatchOp], payload: BatchPayload) -> BatchCompletion;
+    /// Write a batch: each op's bytes are `bulk`'s window at its
+    /// `buf_offset` (the windows only have to fit `bulk`).
+    fn write_batch(&self, path: &str, ops: &[BatchOp], bulk: &[u8]) -> Result<()>;
+
+    /// Read a batch into `out`, which is cleared and then holds the
+    /// batch's total: each op's bytes in its window, the tail of a
+    /// short op's window zero — whatever `out` held before, within its
+    /// length or beyond it. Requires the dense running-sum layout.
+    /// `out`'s capacity is used as it is when it suffices. Returns the
+    /// bytes read per op, in op order.
+    fn read_batch(&self, path: &str, ops: &[BatchOp], out: &mut Vec<u8>) -> Result<Vec<u64>>;
+
+    /// The owned form of the two batch primitives: a write from the
+    /// payload's buffer, or a read into a buffer the call allocates.
+    fn submit_batch(&self, path: &str, ops: &[BatchOp], payload: BatchPayload) -> BatchCompletion {
+        BatchCompletion::ready(match payload {
+            BatchPayload::Write(bulk) => self.write_batch(path, ops, &bulk).map(|()| BatchOutput::default()),
+            BatchPayload::Read => {
+                let mut data = Vec::new();
+                self.read_batch(path, ops, &mut data).map(|lens| BatchOutput { data, lens })
+            }
+        })
+    }
 
     /// Write `data` into chunk `chunk_id` of `path` at byte `offset`
-    /// within the chunk — a one-op [`ChunkStorage::submit_batch`].
+    /// within the chunk — a one-op [`ChunkStorage::write_batch`].
     /// Creates the chunk if missing; zero-fills any gap between the
     /// current chunk end and `offset`.
     fn write_chunk(&self, path: &str, chunk_id: u64, offset: u64, data: &[u8]) -> Result<()> {
         let op = BatchOp { chunk_id, offset, len: data.len() as u64, buf_offset: 0 };
-        let payload = BatchPayload::Write(Bytes::copy_from_slice(data));
-        self.submit_batch(path, &[op], payload).wait().map(|_| ())
+        self.write_batch(path, &[op], data)
     }
 
     /// Read up to `len` bytes from chunk `chunk_id` at `offset` — a
-    /// one-op [`ChunkStorage::submit_batch`]. Returns the bytes
+    /// one-op [`ChunkStorage::read_batch`]. Returns the bytes
     /// actually present: a short (possibly empty) vector if the chunk
     /// is missing or shorter than requested. The client layer turns
     /// short reads into zero-fill or EOF based on the file size from
@@ -196,9 +215,10 @@ pub trait ChunkStorage: Send + Sync {
     /// clamped to the batch cap rather than rejected by it.
     fn read_chunk(&self, path: &str, chunk_id: u64, offset: u64, len: u64) -> Result<Vec<u8>> {
         let op = BatchOp { chunk_id, offset, len: len.min(MAX_BATCH_BYTES), buf_offset: 0 };
-        let mut out = self.submit_batch(path, &[op], BatchPayload::Read).wait()?;
-        out.data.truncate(to_usize(out.lens.first().copied().unwrap_or(0)));
-        Ok(out.data)
+        let mut data = Vec::new();
+        let lens = self.read_batch(path, &[op], &mut data)?;
+        data.truncate(to_usize(lens.first().copied().unwrap_or(0)));
+        Ok(data)
     }
 
     /// Remove chunks `ids` of `path`; an **empty** list means whatever

@@ -6,12 +6,11 @@
 //! writers of *different* files off each other's locks; a batch runs
 //! on the calling thread under one acquisition of its file's shard
 //! lock (the ops are memcpys — re-acquiring the lock per op would cost
-//! more than it overlaps): [`ChunkStorage::submit_batch`] never fans a
-//! batch out, since parallel fan-out only pays off on the file backend
-//! (see EXPERIMENTS.md).
+//! more than it overlaps): a batch is never fanned out, since parallel
+//! fan-out only pays off on the file backend (see EXPERIMENTS.md).
 
 use crate::{check_write_windows, to_usize, validate_dense_layout};
-use crate::{BatchCompletion, BatchOp, BatchOutput, BatchPayload, ChunkStorage};
+use crate::{BatchOp, ChunkStorage};
 use gkfs_common::hash::fnv1a64;
 use gkfs_common::Result;
 use gkfs_common::lock::{rank, OrderedRwLock};
@@ -106,18 +105,17 @@ impl MemChunkStorage {
 }
 
 impl ChunkStorage for MemChunkStorage {
-    fn submit_batch(&self, path: &str, ops: &[BatchOp], payload: BatchPayload) -> BatchCompletion {
-        BatchCompletion::ready(match payload {
-            BatchPayload::Write(bulk) => check_write_windows(ops, bulk.len()).map(|()| {
-                self.write_ops(path, ops, &bulk);
-                BatchOutput::default()
-            }),
-            BatchPayload::Read => validate_dense_layout(ops).map(|total| {
-                let mut data = vec![0u8; to_usize(total)];
-                let lens = self.read_ops(path, ops, &mut data);
-                BatchOutput { data, lens }
-            }),
-        })
+    fn write_batch(&self, path: &str, ops: &[BatchOp], bulk: &[u8]) -> Result<()> {
+        check_write_windows(ops, bulk.len())?;
+        self.write_ops(path, ops, bulk);
+        Ok(())
+    }
+
+    fn read_batch(&self, path: &str, ops: &[BatchOp], out: &mut Vec<u8>) -> Result<Vec<u64>> {
+        let total = to_usize(validate_dense_layout(ops)?);
+        out.clear();
+        out.resize(total, 0);
+        Ok(self.read_ops(path, ops, out))
     }
 
     fn remove_chunks(&self, path: &str, ids: &[u64]) -> Result<()> {

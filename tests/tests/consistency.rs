@@ -518,3 +518,56 @@ fn a_read_held_across_a_cut_and_a_regrow_reads_the_file_or_zeros() {
     cluster.shutdown();
     std::fs::remove_dir_all(&root).unwrap();
 }
+
+/// DESIGN.md "The unborn contract": a write-back mount's
+/// `open(O_CREAT|O_EXCL)` is published by its first flush, and when the
+/// path was taken meanwhile that flush reports `Exists` and writes
+/// nothing anywhere. The window is forced with a gate: A's flush — one
+/// `WriteFile` frame carrying the create, the bytes and the size — is
+/// held at A's link while B creates the path and writes it; then the
+/// gate opens. The daemon runs the create first and stops the frame
+/// with its refusal, storage untouched, so the path reads exactly B's
+/// bytes. A daemon that wrote before it created would have put A's
+/// bytes under B's size.
+#[test]
+fn a_write_back_exclusive_create_taken_before_its_flush_is_refused_there_and_writes_nothing() {
+    let config = ClusterConfig::new(2).with_write_back(65536);
+    let cluster = Cluster::deploy(config.clone()).unwrap();
+    let gate = Gate::new();
+    let rule = {
+        let gate = Arc::clone(&gate);
+        move |req: &Request, _| match req.opcode {
+            Opcode::WriteFile => Fate::HoldRequest(Until::Opened(Arc::clone(&gate))),
+            _ => Fate::Pass,
+        }
+    };
+    let links = (0..2)
+        .map(|n| Link::with_rule(cluster.daemon(n).endpoint(), rule.clone()) as Arc<dyn Endpoint>)
+        .collect();
+    let a = GekkoClient::mount(links, &config).unwrap();
+    let b = GekkoClient::mount((0..2).map(|n| cluster.daemon(n).endpoint()).collect(), &ClusterConfig::new(2)).unwrap();
+    let path = "/window/excl-at-flush";
+    let exclusive = OpenFlags::WRONLY.with_create().with_exclusive();
+    let ha = a.open_handle(path, exclusive).unwrap();
+    ha.pwrite(0, b"AAAAAAAA").unwrap();
+    std::thread::scope(|s| {
+        let flush = s.spawn(|| ha.close());
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while gate.held() == 0 {
+            assert!(!flush.is_finished(), "the flush returned with its frame held");
+            assert!(Instant::now() < deadline, "the flush never reached the gate");
+            std::thread::yield_now();
+        }
+        let hb = b.open_handle(path, exclusive).unwrap();
+        hb.pwrite(0, b"BBBB").unwrap();
+        hb.close().unwrap();
+        gate.open();
+        assert_eq!(flush.join().unwrap(), Err(GkfsError::Exists), "the flush reports the refusal");
+    });
+    assert_eq!(b.stat(path).unwrap().size, 4, "the winner's size");
+    let hb = b.open_handle(path, OpenFlags::RDONLY).unwrap();
+    assert_eq!(hb.pread(0, 64).unwrap(), b"BBBB", "exactly the winner's bytes");
+    hb.close().unwrap();
+    assert_eq!(a.stat(path).unwrap().size, 4);
+    cluster.shutdown();
+}

@@ -246,3 +246,53 @@ fn large_striped_file_integrity() {
     assert_eq!(with_data, 8, "1 MB over 8 KiB chunks must hit all 8 nodes");
     cluster.shutdown();
 }
+
+/// A daemon's chunk buffers are recycled, and a recycled buffer never
+/// carries one request's bytes into another's reply. Client A writes
+/// and reads 1 MiB of `0x5A` through a daemon on disk, whose chunk
+/// buffers then hold those bytes; client B, through the same daemon,
+/// reads its own file: an absent chunk, a sparse hole, a short tail
+/// inside a chunk file, a chunk past EOF of every file but inside the
+/// size. Every byte B reads is one it wrote, or zero.
+#[test]
+fn a_recycled_chunk_buffer_never_carries_another_clients_bytes() {
+    const CHUNK: u64 = 512 * 1024;
+    let root = std::env::temp_dir().join(format!("gkfs-it-recycled-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let daemon = gekkofs::Daemon::spawn(gekkofs::DaemonConfig {
+        root_dir: Some(root.clone()),
+        chunk_size: CHUNK,
+        ..gekkofs::DaemonConfig::default()
+    })
+    .unwrap();
+    let addrs = [daemon.serve_tcp("127.0.0.1:0").unwrap()];
+    let config = ClusterConfig::new(1).with_chunk_size(CHUNK);
+
+    let a = TcpCluster::mount_remote(&addrs, &config).unwrap();
+    let secret = vec![0x5Au8; 1 << 20];
+    let ha = a.open_handle("/a", OpenFlags::RDWR.with_create()).unwrap();
+    ha.pwrite(0, &secret).unwrap();
+    for _ in 0..4 {
+        assert!(ha.pread(0, secret.len()).unwrap() == secret);
+    }
+    ha.close().unwrap();
+
+    let b = TcpCluster::mount_remote(&addrs, &config).unwrap();
+    let hb = b.open_handle("/b", OpenFlags::RDWR.with_create()).unwrap();
+    // Chunk 0 never written; chunk 1 a hole up to 300 000, then B's 16
+    // bytes and the file's end; the size then covers chunk 2 as well.
+    let (at, mine) = (CHUNK + 300_000, [0x11u8; 16]);
+    hb.pwrite(at, &mine).unwrap();
+    hb.truncate(3 * CHUNK).unwrap();
+    let mut want = vec![0u8; 3 * CHUNK as usize];
+    want[at as usize..at as usize + mine.len()].copy_from_slice(&mine);
+    for (from, len) in [(0, 3 * CHUNK), (0, CHUNK), (CHUNK, 300_000), (at, CHUNK - 300_000), (2 * CHUNK, CHUNK)] {
+        let got = hb.pread(from, len as usize).unwrap();
+        let leaked = got.iter().filter(|&&byte| byte == 0x5A).count();
+        assert_eq!(leaked, 0, "[{from}, +{len}): {leaked} bytes of another client's file");
+        assert!(got == want[from as usize..][..len as usize], "[{from}, +{len}): B's bytes or zeros");
+    }
+    hb.close().unwrap();
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
