@@ -10,7 +10,8 @@
 //!
 //! Without `--change` it runs the A/A series alone. Each binary is copied
 //! into a directory of its own under `--work` (default
-//! `target/gkfs-bench-pairs`), where the ledger keeps its scratch. The
+//! `target/gkfs-bench-pairs`), and each run links it into a fresh
+//! directory under `--work/run`, where the ledger keeps its scratch. The
 //! `--out` file holds every run's result line and rusage and every
 //! cell's verdict; the table goes to stdout, and one line per run to
 //! stderr while the session runs.

@@ -4,10 +4,12 @@
 //! changes move a cell, so a ratio means something only beside what the
 //! same session makes of no change at all. This runs the parent's and
 //! the change's ledger binaries in alternation — pair *k* runs both on
-//! seed `seed + k`, the parent first on odd pairs (1, 3, …) — each from
-//! a directory of its own, and after every real pair an A/A pair: the
-//! parent against a copy of its own binary in a third directory,
-//! alternated the same way. It keeps every run's raw result line and
+//! seed `seed + k`, the parent first on odd pairs (1, 3, …) — and after
+//! every real pair an A/A pair: the parent against a copy of its own
+//! binary, alternated the same way. Every run starts in a fresh
+//! directory of its own (the ledger keeps its scratch beside its
+//! executable), so no run meets the file-system history another run
+//! left — the deleted inodes a small-file workload steps over. It keeps every run's raw result line and
 //! the child's `wait4` rusage, and judges each cell (workload × metric
 //! of `BENCHMARK.json`'s `end_to_end`) from the per-pair ratios:
 //!
@@ -329,7 +331,7 @@ pub struct Plan {
     pub seconds: u64,
     /// Pair `k` runs seed `seed + k`.
     pub seed: u64,
-    /// Where each binary gets a directory of its own.
+    /// Where each binary, and each run, gets a directory of its own.
     pub work: PathBuf,
 }
 
@@ -383,14 +385,15 @@ fn run_one(dir: &Path, workload: &str, seed: u64, seconds: u64) -> Result<(Json,
 /// Run `plan`: every real and A/A pair of every workload, interleaved.
 /// `progress` is told of each run as it finishes.
 pub fn run(plan: &Plan, mut progress: impl FnMut(&Run)) -> Result<Vec<Run>, String> {
+    let io = |p: &Path, e: std::io::Error| format!("{}: {e}", p.display());
     let mut dirs = vec![(Side::Parent, &plan.parent), (Side::Copy, &plan.parent)];
     dirs.extend(plan.change.as_ref().map(|c| (Side::Change, c)));
     let mut home = BTreeMap::new();
     for (side, bin) in dirs {
         let dir = plan.work.join(side.name());
-        std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        std::fs::copy(bin, dir.join("gkfs-ledger")).map_err(|e| format!("{}: {e}", bin.display()))?;
-        home.insert(side.name(), dir);
+        std::fs::create_dir_all(&dir).map_err(|e| io(&dir, e))?;
+        std::fs::copy(bin, dir.join("gkfs-ledger")).map_err(|e| io(bin, e))?;
+        home.insert(side.name(), dir.join("gkfs-ledger"));
     }
     let mut runs = Vec::new();
     for w in &plan.workloads {
@@ -403,7 +406,14 @@ pub fn run(plan: &Plan, mut progress: impl FnMut(&Run)) -> Result<Vec<Run>, Stri
                     _ => [other, Side::Parent],
                 };
                 for side in order {
-                    let (line, usage) = run_one(&home[side.name()], w, seed, plan.seconds)?;
+                    // The side's binary, linked into a directory made
+                    // for this run and removed after it.
+                    let dir = plan.work.join("run").join(format!("{w}.{pair}.{}.{}", u8::from(aa), side.name()));
+                    let _ = std::fs::remove_dir_all(&dir);
+                    std::fs::create_dir_all(&dir).map_err(|e| io(&dir, e))?;
+                    std::fs::hard_link(&home[side.name()], dir.join("gkfs-ledger")).map_err(|e| io(&dir, e))?;
+                    let (line, usage) = run_one(&dir, w, seed, plan.seconds)?;
+                    std::fs::remove_dir_all(&dir).map_err(|e| io(&dir, e))?;
                     let run = Run { workload: w.clone(), pair, aa, side, seed, line, usage };
                     progress(&run);
                     runs.push(run);

@@ -37,12 +37,11 @@ pub struct DaemonConfig {
     /// trades durability for speed — GekkoFS data is ephemeral by
     /// design, so both settings are legitimate.
     pub kv_wal: bool,
-    /// Workers in the chunk I/O task pool (Argobots ULT stand-in,
-    /// §III-B): per-chunk ops of one batch fan out over these threads.
-    /// `0` runs every batch serially on its handler thread.
+    /// Not read by a daemon: its chunk segments run on its handler
+    /// pool. Only the ledger's storage probe sizes a store's own pool
+    /// with it (ROADMAP item 4(e) deletes it).
     pub chunk_io_threads: usize,
-    /// Bound on queued chunk tasks; at saturation the handler runs
-    /// tasks inline (caller-runs degradation) instead of queuing more.
+    /// Not read by a daemon; the queue depth of that probe's pool.
     pub chunk_queue_depth: usize,
 }
 

@@ -60,5 +60,5 @@ pub use error::{GkfsError, Result};
 pub use health::{BreakerState, FailureDetector, Liveness, NodeRecord, Transition};
 pub use lock::{LockRank, OrderedMutex, OrderedRwLock};
 pub use retry::{Deadline, RetryPolicy};
-pub use taskpool::TaskPool;
+pub use taskpool::{PoolHandle, TaskPool};
 pub use types::{FileKind, Metadata, OpenFlags};

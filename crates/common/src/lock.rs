@@ -124,7 +124,9 @@ pub mod rank {
         /// but ranked above every RPC lock so a submit made under it
         /// (careless callers) still descends.
         LINK_SLOT = 196;
-        /// The daemon's TCP-server slot.
+        /// The daemon's TCP-server slot, held while `serve_tcp` binds
+        /// (the server's own ranks come inside) so that a second call
+        /// finds the first.
         DAEMON_TCP = 190;
         /// The replication manager's peer/heartbeat state. Above the RPC
         /// ranks (probes may submit while the manager is mid-cycle, never
@@ -160,11 +162,14 @@ pub mod rank {
         /// reader takes the token out, drops the guard, and comes back
         /// with what it read.
         RPC_PENDING = 172;
-        /// A daemon's RPC handler pool's work queue (`TaskPool` instance
-        /// of both transports). Below the connection ranks so a submit —
-        /// which on the in-process transport enqueues here where TCP would
-        /// write to its socket — descends from the same callers; a handler
-        /// runs after its job left the queue, holding nothing.
+        /// A `TaskPool`'s work queue: a daemon's one pool, which both
+        /// transports' requests and its chunk store's segments run on
+        /// (and the pool a store opened on its own keeps). Below the
+        /// connection ranks so a submit — which on the in-process
+        /// transport enqueues here where TCP would write to its socket —
+        /// descends from the same callers; a job runs after it left the
+        /// queue, holding nothing, and a batch takes its segments back
+        /// holding nothing.
         RPC_HANDLER_QUEUE = 170;
         /// A TCP server's free chunk buffers (`tcp::server::ChunkBufs`):
         /// one pop or push, taken under [`RPC_PUMP`] when a large frame
@@ -181,11 +186,6 @@ pub mod rank {
         LINK_GATE = 164;
         /// A chaos rule's/proxy's seeded PRNG state (leaf).
         CHAOS_RNG = 162;
-        /// The daemon chunk I/O pool's work queue (the other `TaskPool`
-        /// instance). Above the storage ranks: a pool worker takes a job
-        /// off the queue and then runs storage code, never the other way
-        /// around.
-        DAEMON_CHUNK_QUEUE = 156;
         /// One shard of the in-memory chunk store.
         STORAGE_SHARD = 150;
         /// One shard of the file chunk store's open-fd cache. Below

@@ -148,10 +148,11 @@ daemon_counters! {
         storage_read_ops,
         /// Bytes read from chunks.
         storage_read_bytes,
-        /// Chunk tasks run on the I/O pool's workers.
+        /// Segments of a fanned-out chunk batch that a pool worker ran.
         chunk_tasks_spawned,
-        /// Chunk tasks run inline on the submitting thread (pool
-        /// saturated, or serial mode).
+        /// Segments of a fanned-out chunk batch that its own waiter ran:
+        /// the one it keeps, one the queue had no room for, or one no
+        /// worker had started when it came to wait.
         chunk_inline_runs,
         /// Open-fd cache hits in the chunk store.
         fd_cache_hits,

@@ -5,32 +5,40 @@
 //! tasklet — so requests are served concurrently and per-chunk I/O
 //! overlaps. We model an Argobots pool with a small set of OS threads
 //! behind a bounded FIFO queue, and the workspace has exactly this one
-//! implementation of it. It has two instances per daemon, which differ
-//! only in what a submitter does when the queue is full:
+//! implementation of it. A daemon has one instance, its handler pool,
+//! and two kinds of submitter, which differ only in what they do when
+//! the queue is full:
 //!
-//! * the **RPC handler pool** (`gkfs-rpc`, both transports) calls
-//!   [`TaskPool::submit`], which *blocks* until a worker makes room.
-//!   The submitter there is a TCP connection's thread (for the
-//!   requests it does not run to completion itself) or an in-process
-//!   client: stalling it is the point — the socket stops
-//!   being read, TCP flow control pushes back to the peer, and a
-//!   daemon's memory under overload is bounded by the queue depth.
-//! * the **chunk I/O pool** (`gkfs-storage`) calls
-//!   [`TaskPool::try_submit`], which *bounces*: a full queue hands the
-//!   job back and the caller — already a handler thread with the data
-//!   in hand — runs it inline. Under overload chunk I/O degrades to
-//!   the serial execution it had before the pool existed.
+//! * the transports (`gkfs-rpc`: the TCP loop, an in-process client)
+//!   call [`PoolHandle::submit`], which *blocks* until a worker makes
+//!   room. Stalling them is the point — the socket stops being read,
+//!   TCP flow control pushes back to the peer, and a daemon's memory
+//!   under overload is bounded by the queue depth.
+//! * a chunk batch (`gkfs-storage`) offers its segments with
+//!   [`PoolHandle::join`], which *bounces* a job the queue has no room
+//!   for back to the caller — already a handler with the data in hand —
+//!   to run itself, and which takes back, and runs, every segment no
+//!   worker has started before it waits for the rest
+//!   (help-while-waiting): a handler never waits behind a queue it
+//!   stands in front of, so batches complete even when every worker is
+//!   a handler waiting on one.
 //!
 //! Either way a job is never dropped: with no live worker (a pool of
 //! zero threads, every spawn failed, shut down) both calls fall back to
 //! caller-runs. Jobs are panic-isolated — a job that unwinds is counted
 //! and the worker survives — and the protocol is model-checked below.
+//!
+//! A job must not own the joining half of the pool it runs on: the last
+//! owner of a [`TaskPool`] joins its workers. What a job may hold is a
+//! [`PoolHandle`] (the pool's queue, without its workers) — how a
+//! daemon's chunk store, which its handlers own, reaches the pool.
 
 use crate::lock::{self, Condvar, LockRank, OrderedMutex};
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 /// A unit of work. Results travel out through whatever channel the
@@ -38,12 +46,21 @@ use std::thread::JoinHandle;
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Queue {
-    jobs: VecDeque<Job>,
+    /// Jobs with the tag of the [`PoolHandle::join`] that offered them
+    /// (0: a plain submission).
+    jobs: VecDeque<(u64, Job)>,
     shutdown: bool,
     /// Submitters asleep on `room`. Counted under the queue lock, so a
     /// worker that pops with `blocked == 0` can skip the notify: a
     /// submitter either registered before the pop or sees its result.
     blocked: usize,
+    /// Workers that popped a job and have not come back for the next.
+    /// The others — live but not busy: starting, on their way back, or
+    /// waiting on `cv`, where each push wakes one — pop without waiting
+    /// for any job to end, so the first `live - busy` jobs on the queue
+    /// are each about to be popped by one of them; a job further back
+    /// waits for a running job to end.
+    busy: usize,
 }
 
 struct Shared {
@@ -54,11 +71,15 @@ struct Shared {
     /// down (blocked submitters wait here).
     room: Condvar,
     depth: usize,
-    /// Jobs accepted onto the queue (ran on a pool worker).
+    /// Jobs accepted onto the queue and not taken back (ran on a pool
+    /// worker).
     spawned: AtomicU64,
     /// Jobs handed back to the submitter (queue full on `try_submit`,
-    /// no live worker, or shutting down) and run on its thread.
+    /// no live worker, or shutting down) or taken back by their `join`,
+    /// and run on its thread.
     inline: AtomicU64,
+    /// The next `join`'s tag.
+    tags: AtomicU64,
     /// Jobs that panicked on a worker (caught; the worker survives).
     panicked: AtomicU64,
     /// Workers currently alive. Jobs are panic-isolated, so this only
@@ -68,10 +89,29 @@ struct Shared {
     live: AtomicUsize,
 }
 
-/// Fixed-size worker pool over a bounded FIFO queue.
+/// Fixed-size worker pool over a bounded FIFO queue: the owner, whose
+/// drop shuts the pool down and joins its workers. Everything else it
+/// does is its [`PoolHandle`]'s.
 pub struct TaskPool {
-    shared: Arc<Shared>,
+    handle: PoolHandle,
     workers: Vec<JoinHandle<()>>,
+}
+
+/// A pool's queue without its workers: it submits, and dropping it
+/// joins nothing. Once the pool is shut down every submission runs on
+/// its caller.
+#[derive(Clone)]
+pub struct PoolHandle {
+    shared: Arc<Shared>,
+    workers: usize,
+}
+
+impl Deref for TaskPool {
+    type Target = PoolHandle;
+
+    fn deref(&self) -> &PoolHandle {
+        &self.handle
+    }
 }
 
 impl TaskPool {
@@ -89,6 +129,7 @@ impl TaskPool {
                     jobs: VecDeque::new(),
                     shutdown: false,
                     blocked: 0,
+                    busy: 0,
                 },
             ),
             cv: Condvar::new(),
@@ -96,6 +137,7 @@ impl TaskPool {
             depth: depth.max(1),
             spawned: AtomicU64::new(0),
             inline: AtomicU64::new(0),
+            tags: AtomicU64::new(1),
             panicked: AtomicU64::new(0),
             live: AtomicUsize::new(0),
         });
@@ -111,14 +153,24 @@ impl TaskPool {
             }
         }
         shared.live.store(workers.len(), Ordering::Release);
-        TaskPool { shared, workers }
+        TaskPool {
+            handle: PoolHandle { shared, workers: workers.len() },
+            workers,
+        }
     }
 
+    /// A handle on this pool that does not join it.
+    pub fn handle(&self) -> PoolHandle {
+        self.handle.clone()
+    }
+}
+
+impl PoolHandle {
     /// Hand `job` to the pool, or hand it back if the pool cannot take
     /// it right now (queue full, no workers, shutting down). The caller
     /// must then run it inline — the job is never dropped.
     pub fn try_submit(&self, job: Job) -> std::result::Result<(), Job> {
-        self.enqueue(job, false).map_or(Ok(()), Err)
+        self.enqueue(0, job, false).map_or(Ok(()), Err)
     }
 
     /// Hand `job` to the pool, blocking while the queue is full
@@ -126,14 +178,69 @@ impl TaskPool {
     /// threads, every spawn failed, shutting down — the job runs on the
     /// calling thread instead: degraded throughput, never a lost job.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        if let Some(job) = self.enqueue(Box::new(job), true) {
+        if let Some(job) = self.enqueue(0, Box::new(job), true) {
             job();
         }
     }
 
+    /// Run `jobs` to completion, fork–join, and return each one's
+    /// result in order — `None` for a job that panicked — with how many
+    /// of them a pool worker ran. The first runs on the calling thread;
+    /// the others are offered to the pool as [`PoolHandle::try_submit`]
+    /// offers a job, and one the queue hands back runs here too. Then
+    /// the caller takes back every one of its jobs still queued that no
+    /// idle worker is about to pop, and runs it (help-while-waiting), so
+    /// it waits only for jobs a worker has started or is on its way to
+    /// start — never behind a queue it stands in front of, which is
+    /// what lets a pool's own workers call this: with every worker such
+    /// a caller, each still finishes its jobs. Returns once every job
+    /// has run or unwound, so the jobs may borrow what the caller keeps
+    /// alive for the call.
+    pub fn join<R, F>(&self, jobs: Vec<F>) -> (Vec<Option<R>>, usize)
+    where
+        R: Send + 'static,
+        F: FnOnce() -> R + Send + 'static,
+    {
+        lock::assert_unguarded("PoolHandle::join");
+        let (n, tag) = (jobs.len(), self.shared.tags.fetch_add(1, Ordering::Relaxed));
+        let (tx, rx) = mpsc::channel();
+        let mut here = Vec::new();
+        for (i, job) in jobs.into_iter().enumerate() {
+            let tx = tx.clone();
+            let job: Job = Box::new(move || drop(tx.send((i, job()))));
+            here.extend(if i == 0 { Some(job) } else { self.enqueue(tag, job, false) });
+        }
+        drop(tx);
+        let offered = n - run_here(here);
+        let by_workers = offered - run_here(self.take_back(tag));
+        // Every job has sent its result or dropped its sender once the
+        // ones the workers started end.
+        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        rx.into_iter().for_each(|(i, result)| results[i] = Some(result));
+        (results, by_workers)
+    }
+
+    /// Take the jobs tagged `tag` off the queue, in queue order, but for
+    /// those among the first `live - busy`, which idle workers are about
+    /// to pop.
+    fn take_back(&self, tag: u64) -> Vec<Job> {
+        let shared = &*self.shared;
+        let mut q = shared.work_queue.lock();
+        let idle = shared.live.load(Ordering::Acquire).saturating_sub(q.busy).min(q.jobs.len());
+        let (mine, rest): (Vec<_>, Vec<_>) = q.jobs.drain(idle..).partition(|(t, _)| *t == tag);
+        q.jobs.extend(rest);
+        let n = mine.len() as u64;
+        shared.spawned.fetch_sub(n, Ordering::Relaxed);
+        shared.inline.fetch_add(n, Ordering::Relaxed);
+        if n > 0 && q.blocked > 0 {
+            shared.room.notify_all();
+        }
+        mine.into_iter().map(|(_, job)| job).collect()
+    }
+
     /// The one queueing routine: `None` if the job went onto the queue,
     /// the job back if the caller has to run it.
-    fn enqueue(&self, job: Job, wait_for_room: bool) -> Option<Job> {
+    fn enqueue(&self, tag: u64, job: Job, wait_for_room: bool) -> Option<Job> {
         let shared = &*self.shared;
         let mut q = shared.work_queue.lock();
         loop {
@@ -141,9 +248,11 @@ impl TaskPool {
                 break;
             }
             if q.jobs.len() < shared.depth {
-                q.jobs.push_back(job);
-                drop(q);
+                q.jobs.push_back((tag, job));
+                // Under the lock, so a `take_back` that finds the job
+                // finds it counted.
                 shared.spawned.fetch_add(1, Ordering::Relaxed);
+                drop(q);
                 shared.cv.notify_one();
                 return None;
             }
@@ -161,7 +270,7 @@ impl TaskPool {
 
     /// Worker count (0 means pure inline mode).
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.workers
     }
 
     /// `(jobs run on a worker, jobs run by their submitter)`.
@@ -181,18 +290,27 @@ impl TaskPool {
 
 impl Drop for TaskPool {
     fn drop(&mut self) {
+        let shared = &self.handle.shared;
         {
-            let mut q = self.shared.work_queue.lock();
+            let mut q = shared.work_queue.lock();
             q.shutdown = true;
         }
-        self.shared.cv.notify_all();
-        self.shared.room.notify_all();
+        shared.cv.notify_all();
+        shared.room.notify_all();
         // Join outside any guard (workers drain remaining jobs first).
         for handle in self.workers.drain(..) {
             lock::assert_unguarded("join");
             let _ = handle.join();
         }
     }
+}
+
+/// Run `jobs` on the calling thread, each panic-isolated as a worker
+/// runs it; how many there were.
+fn run_here(jobs: Vec<Job>) -> usize {
+    let n = jobs.len();
+    jobs.into_iter().for_each(|job| drop(catch_unwind(AssertUnwindSafe(job))));
+    n
 }
 
 fn worker_loop(shared: &Shared) {
@@ -211,11 +329,17 @@ fn worker_loop(shared: &Shared) {
         }
     }
     let _live = LiveGuard(shared);
+    // Whether this worker is counted in `busy`, by the job it just ran.
+    let mut back_from_a_job = false;
     loop {
         let job = {
             let mut q = shared.work_queue.lock();
+            if back_from_a_job {
+                q.busy -= 1;
+            }
             loop {
-                if let Some(job) = q.jobs.pop_front() {
+                if let Some((_, job)) = q.jobs.pop_front() {
+                    q.busy += 1;
                     if q.blocked > 0 {
                         shared.room.notify_one();
                     }
@@ -239,6 +363,7 @@ fn worker_loop(shared: &Shared) {
                     shared.panicked.fetch_add(1, Ordering::Relaxed);
                     crate::gkfs_warn!("task pool job panicked; worker continues");
                 }
+                back_from_a_job = true;
             }
             None => return,
         }
@@ -587,6 +712,230 @@ mod model {
     }
 }
 
+/// Schedule-exploration model of [`PoolHandle::join`]'s
+/// help-while-waiting (`crate::model`), beside `model`'s exploration of
+/// the queue protocol: one worker, one waiter, two segments. The waiter
+/// offers segment 1 (`enqueue`), runs segment 0, takes back what no
+/// idle worker is about to pop (`take_back`), runs it, and waits for
+/// every segment's result; the worker is `worker_loop` with its `busy`
+/// count, and starts idle, busy with another job it finishes at any
+/// point, or busy running the waiter's own job until it returns — the
+/// pool whose only worker is a handler waiting on its batch. Then the
+/// pool shuts down. Checked over
+/// every interleaving: each segment runs exactly once, nothing is left
+/// queued, the waiter returns only once both ran, and nothing
+/// deadlocks.
+#[cfg(test)]
+mod join_model {
+    use crate::model::{Explorer, Model, Step};
+
+    #[derive(Default)]
+    struct S {
+        locked: bool,
+        queue: Vec<usize>,
+        /// `Queue::busy`; the pool has one live worker.
+        busy: usize,
+        shutdown: bool,
+        /// Segment runs, in order, by whoever ran them.
+        ran: Vec<usize>,
+        /// Results sent (the waiter's channel).
+        sent: usize,
+        returned: bool,
+    }
+
+    type Thread = Box<dyn FnMut(&mut S) -> Step>;
+
+    /// What the waiter does once its own segment is done.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Help {
+        /// `take_back`: remove, under the lock, its jobs past the first
+        /// `live - busy`, then run them.
+        TakeBack,
+        /// The broken waiter that sleeps while its segment is queued.
+        Sleep,
+        /// The broken claim: see a job queued under the lock, run it
+        /// after releasing the lock, and only then take it off the
+        /// queue — a worker may pop it in between.
+        LookThenTake,
+    }
+
+    fn lock(s: &mut S) -> bool {
+        !std::mem::replace(&mut s.locked, true)
+    }
+
+    fn waiter(help: Help) -> Thread {
+        let (mut step, mut mine) = (0u8, Vec::<usize>::new());
+        Box::new(move |s| match step {
+            0 | 3 if !lock(s) => Step::Blocked,
+            0 => {
+                step = 1;
+                Step::Ran
+            }
+            1 => {
+                s.queue.push(1);
+                s.locked = false;
+                step = 2;
+                Step::Ran
+            }
+            2 => {
+                s.ran.push(0);
+                s.sent += 1;
+                step = 3;
+                Step::Ran
+            }
+            3 => {
+                // Locked: look past the jobs idle workers will pop.
+                let keep = (1 - s.busy).min(s.queue.len());
+                match help {
+                    Help::TakeBack => mine = s.queue.split_off(keep),
+                    Help::Sleep => {}
+                    Help::LookThenTake => mine = s.queue[keep..].to_vec(),
+                }
+                s.locked = false;
+                step = 4;
+                Step::Ran
+            }
+            4 => {
+                if let Some(&job) = mine.first() {
+                    s.ran.push(job);
+                    s.sent += 1;
+                    if help == Help::LookThenTake {
+                        s.queue.retain(|&j| j != job);
+                    }
+                    mine.remove(0);
+                    return Step::Ran;
+                }
+                step = 5;
+                Step::Ran
+            }
+            5 if s.sent < 2 => Step::Blocked,
+            5 => {
+                s.returned = true;
+                step = 9;
+                Step::Ran
+            }
+            _ => Step::Done,
+        })
+    }
+
+    /// What the one worker is doing when the waiter starts.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Start {
+        Idle,
+        /// Running another job, which ends at any point.
+        Busy,
+        /// Running the waiter's job: it comes back once the waiter
+        /// returns.
+        IsWaiter,
+    }
+
+    /// `worker_loop`, from `start`.
+    fn worker(start: Start) -> Thread {
+        let (mut step, mut job, mut back) = (0u8, 0usize, start != Start::Idle);
+        Box::new(move |s| match step {
+            0 if start == Start::IsWaiter && !s.returned => Step::Blocked,
+            0 | 4 if !lock(s) => Step::Blocked,
+            0 | 4 => {
+                if std::mem::take(&mut back) {
+                    s.busy -= 1;
+                }
+                step = 1;
+                Step::Ran
+            }
+            1 => {
+                // Locked: pop, exit, or wait.
+                s.locked = false;
+                if !s.queue.is_empty() {
+                    job = s.queue.remove(0);
+                    s.busy += 1;
+                    step = 2;
+                } else if s.shutdown {
+                    step = 9;
+                } else {
+                    step = 3;
+                }
+                Step::Ran
+            }
+            2 => {
+                s.ran.push(job);
+                s.sent += 1;
+                back = true;
+                step = 0;
+                Step::Ran
+            }
+            // Asleep on `cv` until a push or the shutdown.
+            3 if s.queue.is_empty() && !s.shutdown => Step::Blocked,
+            3 => {
+                step = 4;
+                Step::Ran
+            }
+            _ => Step::Done,
+        })
+    }
+
+    /// The pool's owner dropping it once the waiter's job returned.
+    fn shutdowner() -> Thread {
+        let mut step = 0u8;
+        Box::new(move |s| match step {
+            0 if !s.returned || !lock(s) => Step::Blocked,
+            0 => {
+                s.shutdown = true;
+                s.locked = false;
+                step = 9;
+                Step::Ran
+            }
+            _ => Step::Done,
+        })
+    }
+
+    fn join_model(help: Help, start: Start) -> Model<S> {
+        Model {
+            state: S { busy: usize::from(start != Start::Idle), ..S::default() },
+            threads: vec![waiter(help), worker(start), shutdowner()],
+            check: Box::new(|s| {
+                assert!(!s.locked, "queue lock leaked");
+                assert!(s.queue.is_empty(), "segment left on the queue: {:?}", s.queue);
+                let mut ran = s.ran.clone();
+                ran.sort_unstable();
+                assert_eq!(ran, [0, 1], "each segment runs exactly once (ran {:?})", s.ran);
+            }),
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "exhaustive schedule exploration is too slow interpreted")]
+    fn help_while_waiting_holds_under_exploration() {
+        for start in [Start::Idle, Start::Busy, Start::IsWaiter] {
+            let stats = Explorer::new().explore("join", || join_model(Help::TakeBack, start));
+            assert!(stats.schedules > 10, "{stats:?}: exploration must branch");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "exhaustive schedule exploration is too slow interpreted")]
+    fn model_catches_a_waiter_that_sleeps_on_its_queued_segment() {
+        // On a pool whose only worker is the waiter, nothing else will
+        // ever pop the segment it left queued.
+        let r = std::panic::catch_unwind(|| {
+            Explorer::new().explore("join-sleep", || join_model(Help::Sleep, Start::IsWaiter))
+        });
+        let why = r.expect_err("a waiter asleep on its own queued segment must deadlock");
+        assert!(format!("{:?}", why.downcast_ref::<String>()).contains("deadlock"), "{why:?}");
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "exhaustive schedule exploration is too slow interpreted")]
+    fn model_catches_a_lost_claim() {
+        // The worker comes back from another job between the look and
+        // the take, and pops what the waiter is about to run.
+        let r = std::panic::catch_unwind(|| {
+            Explorer::new().explore("join-lost-claim", || join_model(Help::LookThenTake, Start::Busy))
+        });
+        let why = r.expect_err("a claim released before it is taken must run a segment twice");
+        assert!(format!("{:?}", why.downcast_ref::<String>()).contains("exactly once"), "{why:?}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,7 +944,7 @@ mod tests {
     use std::sync::mpsc;
 
     fn pool(threads: usize, depth: usize) -> TaskPool {
-        TaskPool::new("t", threads, depth, rank::DAEMON_CHUNK_QUEUE)
+        TaskPool::new("t", threads, depth, rank::RPC_HANDLER_QUEUE)
     }
 
     /// Park the pool's one worker on a gate; returns the gate's sender.

@@ -1,24 +1,29 @@
 //! Daemon lifecycle.
 //!
-//! A [`Daemon`] owns the two backends and an RPC server. It can be
-//! reached in-process (zero-copy endpoints for the in-process cluster)
-//! and/or over TCP (separate processes / machines). The paper stresses
-//! cheap deployment — *"can be easily deployed in under 20 seconds on
-//! a 512 node cluster"* — which here means construction is just
-//! opening the backends and spawning the handler pool.
+//! A [`Daemon`] owns the two backends and one [`Handlers`]: a registry,
+//! its counters and a pool of `handler_threads` workers — the stand-in
+//! for the paper's one Argobots runtime, which both its RPC handlers
+//! and its per-chunk I/O tasks run on. It can be reached in-process
+//! (zero-copy endpoints for the in-process cluster) and/or over TCP
+//! (separate processes / machines), both served by those handlers, and
+//! its chunk store's segments run on the same workers. The paper
+//! stresses cheap deployment — *"can be easily deployed in under 20
+//! seconds on a 512 node cluster"* — which here means construction is
+//! just opening the backends and spawning the handler pool.
 
 use crate::handlers::{build_registry, Backends};
 use crate::metadata::MetadataBackend;
 use gkfs_common::lock::{rank, OrderedMutex};
-use gkfs_common::{DaemonConfig, Result};
+use gkfs_common::{DaemonConfig, GkfsError, PoolHandle, Result};
 use gkfs_rpc::transport::tcp::TcpServer;
-use gkfs_rpc::{Endpoint, RpcServer};
+use gkfs_rpc::{handler_pool, Endpoint, Handlers, RpcServer, RpcStats};
 use gkfs_storage::{ChunkStorage, FileChunkStorage, MemChunkStorage};
 use std::sync::Arc;
 
 /// One GekkoFS daemon: metadata KV store + chunk storage + RPC server.
 pub struct Daemon {
     backends: Arc<Backends>,
+    handlers: Arc<Handlers>,
     rpc: Arc<RpcServer>,
     tcp: OrderedMutex<Option<Arc<TcpServer>>>,
     config: DaemonConfig,
@@ -30,46 +35,48 @@ impl Daemon {
     /// store and chunk files live under the given directory (the
     /// node-local SSD in the paper's deployment).
     pub fn spawn(config: DaemonConfig) -> Result<Arc<Daemon>> {
+        let pool = handler_pool(config.handler_threads);
         let (meta, data): (MetadataBackend, Arc<dyn ChunkStorage>) = match &config.root_dir {
             None => (
                 MetadataBackend::open_memory()?,
                 Arc::new(MemChunkStorage::new()),
             ),
             Some(root) => {
-                // Size the storage I/O pool like the paper sizes
-                // Argobots execution streams: a fixed set bounded by
-                // the machine, never oversubscribing kernel threads.
+                // A batch is cut into no more segments than there are
+                // workers to run them and cores to run those on — the
+                // paper sizes Argobots execution streams by the
+                // machine, never oversubscribing kernel threads.
                 let cores = std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(1);
                 (
                     MetadataBackend::open_dir(root.join("metadata"), config.kv_wal)?,
-                    Arc::new(FileChunkStorage::open_with(
+                    Arc::new(FileChunkStorage::on_pool(
                         root.join("data"),
-                        gkfs_common::IoBackend::Auto,
-                        config.chunk_io_threads.min(cores),
-                        config.chunk_queue_depth,
+                        Some(pool.handle()),
+                        pool.workers().min(cores),
                     )?),
                 )
             }
         };
+        let stats = Arc::new(RpcStats::default());
         let backends = Arc::new(Backends {
             meta,
             data,
             repl: Default::default(),
-            tcp_stats: Default::default(),
+            rpc: stats.clone(),
         });
-        let registry = build_registry(backends.clone());
-        let rpc = RpcServer::new(registry, config.handler_threads);
+        let handlers = Handlers::new(build_registry(backends.clone()), pool, stats);
+        let rpc = RpcServer::on(handlers.clone());
         gkfs_common::gkfs_info!(
-            "daemon up: root={:?} handlers={} chunk={} chunk_io={}",
+            "daemon up: root={:?} handlers={} chunk={}",
             config.root_dir,
             config.handler_threads,
-            config.chunk_size,
-            config.chunk_io_threads
+            config.chunk_size
         );
         Ok(Arc::new(Daemon {
             backends,
+            handlers,
             rpc,
             tcp: OrderedMutex::new(rank::DAEMON_TCP, None),
             config,
@@ -91,17 +98,19 @@ impl Daemon {
         self.rpc.endpoint_with(opts)
     }
 
-    /// Additionally serve TCP on `addr` (e.g. `"127.0.0.1:0"`).
-    /// Returns the bound address.
+    /// Additionally serve TCP on `addr` (e.g. `"127.0.0.1:0"`), through
+    /// the handlers the in-process endpoints reach. Returns the bound
+    /// address. A daemon serves one TCP listener: a second call is
+    /// refused with [`GkfsError::Exists`] and leaves the first as it is.
     pub fn serve_tcp(self: &Arc<Daemon>, addr: &str) -> Result<std::net::SocketAddr> {
-        let registry = build_registry(self.backends.clone());
-        let server = TcpServer::bind(addr, registry, self.config.handler_threads)?;
+        let mut tcp = self.tcp.lock();
+        if tcp.is_some() {
+            return Err(GkfsError::Exists);
+        }
+        let server = TcpServer::bind_on(addr, self.handlers.clone())?;
         let bound = server.local_addr();
-        // First server wins: its counters are the ones `DaemonStats`
-        // reports.
-        let _ = self.backends.tcp_stats.set(server.stats_handle());
+        *tcp = Some(server);
         gkfs_common::gkfs_info!("daemon listening on {bound}");
-        *self.tcp.lock() = Some(server);
         Ok(bound)
     }
 
@@ -137,6 +146,18 @@ impl Daemon {
     /// The daemon's backends (tests, stats collection).
     pub fn backends(&self) -> &Arc<Backends> {
         &self.backends
+    }
+
+    /// The counters of every request this daemon served, in-process and
+    /// over TCP (what `DaemonStats` reports of the transports).
+    pub fn rpc_stats(&self) -> &RpcStats {
+        self.handlers.stats()
+    }
+
+    /// The daemon's one worker pool, through a handle that does not join
+    /// it (diagnostics: its counters outlive the daemon).
+    pub fn pool(&self) -> PoolHandle {
+        self.handlers.pool()
     }
 
     /// The daemon's configuration.
@@ -211,6 +232,40 @@ mod tests {
             ep2.call(Request::new(Opcode::Ping, Vec::new())),
             Err(GkfsError::ShuttingDown)
         ));
+    }
+
+    #[test]
+    fn a_second_serve_tcp_is_refused_and_the_first_listener_keeps_serving() {
+        let d = Daemon::spawn(DaemonConfig::default()).unwrap();
+        let first = d.serve_tcp("127.0.0.1:0").unwrap();
+        assert_eq!(d.serve_tcp("127.0.0.1:0"), Err(GkfsError::Exists));
+        let ep = gkfs_rpc::TcpEndpoint::connect(&first.to_string()).unwrap();
+        let pong = ep.call(Request::new(Opcode::Ping, &b"still here"[..])).unwrap();
+        assert_eq!(&pong.into_result().unwrap().body[..], b"still here");
+        d.shutdown();
+    }
+
+    /// One daemon, one set of counters: what its in-process endpoint and
+    /// its TCP listener serve both reach `DaemonStats`.
+    #[test]
+    fn daemon_stats_count_both_transports() {
+        let dir = std::env::temp_dir().join(format!("gkfs-daemon-stats-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = Daemon::spawn(DaemonConfig { root_dir: Some(dir.clone()), ..DaemonConfig::default() }).unwrap();
+        let tcp = gkfs_rpc::TcpEndpoint::connect(&d.serve_tcp("127.0.0.1:0").unwrap().to_string()).unwrap();
+        let create = |path: &str| CreateReq { path: path.into(), kind: FileKind::File, mode: 0o644, exclusive: true, now_ns: 0 };
+        for i in 0..3 {
+            op::Create::reply(d.endpoint().call(op::Create::request(&create(&format!("/in{i}")))).unwrap()).unwrap();
+        }
+        for i in 0..5 {
+            op::Create::reply(tcp.call(op::Create::request(&create(&format!("/tcp{i}")))).unwrap()).unwrap();
+        }
+        // `DaemonStats` is pooled, and counted before it runs.
+        let stats = op::DaemonStats::reply(tcp.call(op::DaemonStats::request(&())).unwrap()).unwrap();
+        assert_eq!((stats.served_inline, stats.served_pooled, stats.meta_entries), (5, 3 + 1, 8));
+        assert_eq!(d.rpc_stats().served_pooled.load(std::sync::atomic::Ordering::Relaxed), 4);
+        d.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! request/response types and the two backends (metadata, chunk
 //! storage); [`HandlerRegistry::serve`] does the decoding, encoding and
 //! error-to-response mapping around them. Handlers run concurrently on
-//! the daemon's pool; all synchronization lives in the backends.
+//! the daemon's handler pool; all synchronization lives in the backends.
 
 use crate::engine::read_batch;
 use crate::metadata::MetadataBackend;
@@ -24,9 +24,8 @@ pub struct Backends {
     /// Replication manager, installed by `Daemon::join_cluster` after
     /// the registry is built (empty on unreplicated daemons).
     pub repl: std::sync::OnceLock<Arc<crate::replication::ReplicationManager>>,
-    /// Counters of the daemon's TCP server, installed by
-    /// `Daemon::serve_tcp` (empty on in-process-only daemons).
-    pub tcp_stats: std::sync::OnceLock<Arc<gkfs_rpc::RpcStats>>,
+    /// The counters of the daemon's handlers, both transports'.
+    pub rpc: Arc<gkfs_rpc::RpcStats>,
 }
 
 /// Wire ops → batch ops with the running-sum buffer layout the engine
@@ -244,19 +243,16 @@ pub fn build_registry(backends: Arc<Backends>) -> HandlerRegistry {
 
     let b = backends;
     reg.serve::<op::DaemonStats>(move |()| {
-        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-        let repl = b.repl.get();
-        let tcp = |f: fn(&gkfs_rpc::RpcStats) -> &AtomicU64| {
-            b.tcp_stats.get().map_or(0, |s| f(s).load(Relaxed))
-        };
+        use std::sync::atomic::Ordering::Relaxed;
+        let (repl, rpc) = (b.repl.get(), &b.rpc);
         let mut r = DaemonStatsResp {
             meta_entries: b.meta.entry_count(),
             replication_factor: repl.map_or(1, |m| m.replicas() as u64),
-            request_copy_bytes: tcp(|s| &s.request_copy_bytes),
-            served_inline: tcp(|s| &s.served_inline),
-            served_pooled: tcp(|s| &s.served_pooled),
-            spun: tcp(|s| &s.spun),
-            spin_expired: tcp(|s| &s.spin_expired),
+            request_copy_bytes: rpc.request_copy_bytes.load(Relaxed),
+            served_inline: rpc.served_inline.load(Relaxed),
+            served_pooled: rpc.served_pooled.load(Relaxed),
+            spun: rpc.spun.load(Relaxed),
+            spin_expired: rpc.spin_expired.load(Relaxed),
             liveness: repl.map(|m| m.liveness_bytes()).unwrap_or_default(),
             ..DaemonStatsResp::default()
         };
@@ -291,7 +287,7 @@ mod tests {
             meta: MetadataBackend::open_memory().unwrap(),
             data,
             repl: Default::default(),
-            tcp_stats: Default::default(),
+            rpc: Default::default(),
         })
     }
 

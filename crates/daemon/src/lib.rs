@@ -12,7 +12,8 @@
 //!   read-free.
 //! * [`handlers`] — the RPC handler set, one per opcode.
 //! * [`engine`] — the chunk task engine: per-chunk fan-out of data
-//!   batches over a bounded I/O pool (the Argobots ULT model, §III-B).
+//!   batches over the daemon's handler pool (the Argobots ULT model,
+//!   §III-B).
 //! * [`daemon`] — daemon lifecycle: construction, in-process endpoint
 //!   creation, TCP serving, shutdown.
 //! * [`replication`] — N-way replication: heartbeat probing, failure

@@ -16,11 +16,11 @@
 //! * [`transport`] — two interchangeable transports behind the
 //!   [`Endpoint`] trait: in-process channels (used by tests, the
 //!   in-process cluster, and benchmarks) and real TCP sockets with
-//!   request-id correlation and connection reuse. Both serve through
-//!   the same handler pool (Margo handler xstreams backed by
-//!   Argobots): the transport's progress side enqueues requests on a
-//!   `gkfs_common::TaskPool`, whose fixed set of worker threads
-//!   executes them concurrently. Argobots ULTs are user-level and OS
+//!   request-id correlation and connection reuse. A daemon serves both
+//!   through one [`Handlers`] and its handler pool (Margo handler
+//!   xstreams backed by Argobots): the transport's progress side
+//!   enqueues requests on a `gkfs_common::TaskPool`, whose fixed set of
+//!   worker threads executes them concurrently. Argobots ULTs are user-level and OS
 //!   threads are not, so over TCP a small point op skips both
 //!   hand-offs: the daemon's progress loop that read it answers it, and
 //!   the waiting client thread reads its own reply (see
@@ -60,4 +60,4 @@ pub use message::{Opcode, Request, Response, Status};
 pub use stats::{RpcStats, WaitStats};
 pub use transport::inproc::{InprocEndpoint, RpcServer};
 pub use transport::tcp::{TcpEndpoint, TcpServer};
-pub use transport::{Endpoint, EndpointOptions, Landing, ReplyHandle, DEFAULT_TIMEOUT};
+pub use transport::{handler_pool, Endpoint, EndpointOptions, Handlers, Landing, ReplyHandle, DEFAULT_TIMEOUT};

@@ -22,29 +22,35 @@
 use crate::handler::HandlerRegistry;
 use crate::message::{Request, Response};
 use crate::stats::RpcStats;
-use crate::transport::{Endpoint, EndpointOptions, Handlers, ReplyHandle};
+use crate::transport::{handler_pool, Endpoint, EndpointOptions, Handlers, ReplyHandle};
 use gkfs_common::{GkfsError, Result};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Server half: the registry plus its handler pool. One per daemon.
+/// Server half: the daemon's [`Handlers`], reached in-process. One per
+/// daemon.
 pub struct RpcServer {
-    handlers: Handlers,
+    handlers: Arc<Handlers>,
     shutting_down: AtomicBool,
     next_id: AtomicU64,
 }
 
 impl RpcServer {
-    /// Construct over a registry with `handler_threads` workers. The
-    /// pool queue is bounded (see
+    /// Construct over a registry with `handler_threads` workers of its
+    /// own ([`RpcServer::on`] over a fresh [`handler_pool`]).
+    pub fn new(registry: HandlerRegistry, handler_threads: usize) -> Arc<RpcServer> {
+        RpcServer::on(Handlers::new(registry, handler_pool(handler_threads), Default::default()))
+    }
+
+    /// Serve `handlers` in-process. The pool queue is bounded (see
     /// [`SERVER_QUEUE_PER_WORKER`](crate::transport::SERVER_QUEUE_PER_WORKER)):
     /// once nonblocking clients have that many submissions
     /// outstanding, further `submit`s block until workers drain the
     /// backlog — back-pressure instead of unbounded queue growth.
-    pub fn new(registry: HandlerRegistry, handler_threads: usize) -> Arc<RpcServer> {
+    pub fn on(handlers: Arc<Handlers>) -> Arc<RpcServer> {
         Arc::new(RpcServer {
-            handlers: Handlers::new(registry, handler_threads),
+            handlers,
             shutting_down: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
         })

@@ -22,11 +22,12 @@
 //! socket when it is the only one who could be waiting ([`tcp`]) — a
 //! chunk read's waiter receiving the reply's bulk straight into its
 //! result ([`ReplyHandle::land_within`], [`Landing`]). On the
-//! daemon side both transports serve requests through `Handlers`: the
-//! registry, its counters and the handler pool, with the one "dispatch,
-//! record, deliver" routine — and the one rule
+//! daemon side both transports serve requests through one
+//! [`Handlers`]: the registry, its counters and the handler pool, with
+//! the one "dispatch, record, deliver" routine — and the one rule
 //! (`Handlers::runs_inline`) by which a TCP server's progress loop
-//! answers a small point op itself instead of queueing it.
+//! answers a small point op itself instead of queueing it. A daemon
+//! builds it once and serves both transports from it.
 
 use crate::handler::HandlerRegistry;
 use crate::message::{Request, Response, Status};
@@ -106,13 +107,26 @@ pub const SMALL_FRAME: usize = 16 * 1024;
 /// threads is the *handling* side, sized statically as GekkoFS daemons
 /// do (paper §IV). Margo's hand-off between the two is a user-level
 /// context switch; here it is an OS-thread wake-up, so the TCP progress
-/// side keeps the requests [`Handlers::runs_inline`] admits.
-pub(crate) struct Handlers {
+/// side keeps the requests `Handlers::runs_inline` admits. A daemon has
+/// one: its in-process server and its TCP server are bound on it
+/// ([`RpcServer::on`](crate::RpcServer::on),
+/// [`TcpServer::bind_on`](crate::TcpServer::bind_on)), and its chunk
+/// store runs its segments on the same pool.
+pub struct Handlers {
     // Shared with the queued jobs one by one: a job must not own the
     // pool it runs on (the last owner joins the workers).
     registry: Arc<HandlerRegistry>,
     pub(crate) stats: Arc<RpcStats>,
     pub(crate) pool: TaskPool,
+}
+
+/// A handler pool of `threads` workers (min 1) behind a queue of
+/// [`SERVER_QUEUE_PER_WORKER`] slots each — what [`Handlers::new`]
+/// takes, made first when something the registry captures (a daemon's
+/// chunk store) runs on it too.
+pub fn handler_pool(threads: usize) -> TaskPool {
+    let threads = threads.max(1);
+    TaskPool::new("handler", threads, threads * SERVER_QUEUE_PER_WORKER, rank::RPC_HANDLER_QUEUE)
 }
 
 /// Dispatch `req` and record its response.
@@ -123,20 +137,21 @@ fn run(registry: &HandlerRegistry, stats: &RpcStats, req: Request) -> Response {
 }
 
 impl Handlers {
-    /// `handler_threads` workers (min 1) behind a queue of
-    /// [`SERVER_QUEUE_PER_WORKER`] slots each.
-    pub(crate) fn new(registry: HandlerRegistry, handler_threads: usize) -> Handlers {
-        let threads = handler_threads.max(1);
-        Handlers {
-            registry: Arc::new(registry),
-            stats: Arc::new(RpcStats::default()),
-            pool: TaskPool::new(
-                "handler",
-                threads,
-                threads * SERVER_QUEUE_PER_WORKER,
-                rank::RPC_HANDLER_QUEUE,
-            ),
-        }
+    /// Serve `registry` on `pool` ([`handler_pool`]), counting into
+    /// `stats`.
+    pub fn new(registry: HandlerRegistry, pool: TaskPool, stats: Arc<RpcStats>) -> Arc<Handlers> {
+        Arc::new(Handlers { registry: Arc::new(registry), stats, pool })
+    }
+
+    /// The counters of every request served here, over either
+    /// transport.
+    pub fn stats(&self) -> &RpcStats {
+        &self.stats
+    }
+
+    /// The pool, through a handle that does not join it.
+    pub fn pool(&self) -> gkfs_common::PoolHandle {
+        self.pool.handle()
     }
 
     /// The inline-or-pool rule of a byte-stream server, the only one:
@@ -432,7 +447,7 @@ mod tests {
         };
         let point = Request::new(Opcode::Stat, Vec::new());
         let group = Request::new(Opcode::BatchMeta, Vec::new());
-        let h = Handlers::new(HandlerRegistry::new(), 1);
+        let h = Handlers::new(HandlerRegistry::new(), handler_pool(1), Default::default());
         assert!(h.runs_inline(&point, 64, false));
         assert!(!h.runs_inline(&point, 64, true), "a frame is pipelined behind it");
         assert!(!h.runs_inline(&point, SMALL_FRAME + 1, false), "not a small frame");
@@ -457,7 +472,7 @@ mod tests {
         // device: pooled. Point rows stay.
         let mut logged = HandlerRegistry::new();
         logged.logged_store(true);
-        let h = Handlers::new(logged, 1);
+        let h = Handlers::new(logged, handler_pool(1), Default::default());
         assert!(!h.runs_inline(&group, 4096, false));
         assert!(h.runs_inline(&point, 64, false));
     }

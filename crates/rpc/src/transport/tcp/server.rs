@@ -80,7 +80,7 @@ use super::{copied_out_of, poll_or_park, write_frame_segments, FrameReader, FRAM
 use crate::handler::HandlerRegistry;
 use crate::message::{Request, RequestHead, Response, Status};
 use crate::stats::RpcStats;
-use crate::transport::{Handlers, SMALL_FRAME};
+use crate::transport::{handler_pool, Handlers, SMALL_FRAME};
 use bytes::Bytes;
 use gkfs_common::lock::{rank, Condvar, OrderedMutex};
 use gkfs_common::{GkfsError, Result};
@@ -772,18 +772,25 @@ pub struct TcpServer {
 
 impl TcpServer {
     /// Bind `addr` (use port 0 for an OS-assigned port; the actual
-    /// address is available via [`TcpServer::local_addr`]) and start
-    /// serving. The handler pool queue is bounded
-    /// ([`SERVER_QUEUE_PER_WORKER`](crate::transport::SERVER_QUEUE_PER_WORKER)
-    /// slots per worker): when pipelining clients outrun the daemon, the
-    /// loop stalls on the full queue — inside a busy window, so the
-    /// standby takes over — and TCP flow control pushes back to the
-    /// submitters instead of the queue growing without bound.
+    /// address is available via [`TcpServer::local_addr`]) and serve
+    /// `registry` on `handler_threads` workers of its own
+    /// ([`TcpServer::bind_on`] over a fresh [`handler_pool`]).
     pub fn bind(
         addr: &str,
         registry: HandlerRegistry,
         handler_threads: usize,
     ) -> Result<Arc<TcpServer>> {
+        TcpServer::bind_on(addr, Handlers::new(registry, handler_pool(handler_threads), Default::default()))
+    }
+
+    /// Bind `addr` and serve `handlers` — a daemon's, which its
+    /// in-process server shares. The handler pool queue is bounded
+    /// ([`SERVER_QUEUE_PER_WORKER`](crate::transport::SERVER_QUEUE_PER_WORKER)
+    /// slots per worker): when pipelining clients outrun the daemon, the
+    /// loop stalls on the full queue — inside a busy window, so the
+    /// standby takes over — and TCP flow control pushes back to the
+    /// submitters instead of the queue growing without bound.
+    pub fn bind_on(addr: &str, handlers: Arc<Handlers>) -> Result<Arc<TcpServer>> {
         let rpc = |what: &str, e: std::io::Error| GkfsError::Rpc(format!("{what} {addr}: {e}"));
         let listener = TcpListener::bind(addr).map_err(|e| rpc("bind", e))?;
         let local = listener.local_addr().map_err(|e| rpc("bind", e))?;
@@ -802,7 +809,6 @@ impl TcpServer {
         epoll
             .add(wake.0.as_raw_fd(), WAKE)
             .map_err(|e| rpc("epoll for", e))?;
-        let handlers = Arc::new(Handlers::new(registry, handler_threads));
         // Every worker's frame and reply buffer could be out at once;
         // two more cover the loop's next frame meanwhile.
         let bufs = Arc::new(ChunkBufs::new(handlers.pool.workers() + 2, Arc::clone(&handlers.stats)));
@@ -858,15 +864,10 @@ impl TcpServer {
         self.addr
     }
 
-    /// Stats.
+    /// The counters of the [`Handlers`] it serves — a daemon's, which
+    /// count its in-process requests too.
     pub fn stats(&self) -> &RpcStats {
         self.shared.stats()
-    }
-
-    /// A shared handle to the same counters as [`TcpServer::stats`],
-    /// for a daemon that reports them in its own statistics.
-    pub fn stats_handle(&self) -> Arc<RpcStats> {
-        Arc::clone(&self.shared.handlers.stats)
     }
 
     /// Connections being served right now (diagnostics; the fd-leak

@@ -63,28 +63,32 @@
 //! # Batch I/O engines
 //!
 //! A batch ([`ChunkStorage::write_batch`], [`ChunkStorage::read_batch`])
-//! runs to completion before the call returns, on one of two
-//! engines that the number of I/O threads given to
-//! [`FileChunkStorage::open_with`] selects:
+//! runs to completion before the call returns, on one of two engines:
 //!
-//! * **Serial** (0 threads) — every batch runs on the calling thread.
+//! * **Serial** — every batch runs on the calling thread: a store
+//!   opened with 0 threads.
 //! * **Pool** — a batch is cut into contiguous *segments* (aligned to
-//!   same-chunk runs so coalescing is never split), every segment is
-//!   dispatched to a [`TaskPool`] of pread/pwrite workers, and the
-//!   calling thread waits for them all. A batch that is a single
-//!   segment runs on the calling thread.
+//!   same-chunk runs so coalescing is never split), at most as many as
+//!   the store was given, and they run fork–join on a [`TaskPool`]
+//!   ([`PoolHandle::join`]): the calling thread runs the first, offers
+//!   the others, and runs every one no worker has started before it
+//!   waits for the rest. A daemon's store runs on the daemon's handler
+//!   pool ([`FileChunkStorage::on_pool`]), whose workers are the
+//!   handlers that call it; [`FileChunkStorage::open_with`] starts a
+//!   pool for the store alone. A batch that is a single segment runs on
+//!   the calling thread.
 //!
-//! Saturation degrades gracefully: when the pool queue is full the
-//! submitting thread runs the segment itself (caller-runs), so
+//! Saturation degrades gracefully: when the pool queue is full, or every
+//! worker is busy, the calling thread runs the segments itself, so
 //! overload collapses to serial behavior instead of queuing without
-//! bound.
+//! bound or waiting behind the queue.
 
 use crate::{check_write_windows, segment, to_usize, validate_dense_layout};
 use crate::{BatchOp, ChunkStorage};
 use gkfs_common::hash::fnv1a64;
 use gkfs_common::lock::{rank, OrderedMutex};
 use gkfs_common::metrics::DaemonCounters;
-use gkfs_common::{GkfsError, IoBackend, Result, TaskPool};
+use gkfs_common::{GkfsError, IoBackend, PoolHandle, Result, TaskPool};
 use std::collections::HashMap;
 use std::fs;
 use std::io::ErrorKind;
@@ -92,10 +96,9 @@ use std::mem::MaybeUninit;
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_void};
 use std::os::unix::fs::FileExt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// Shard directories under `chunks/`. A constant, sized on a
 /// journal-less ext4 (EXPERIMENTS.md "PR 21"): a chunk file's inode is
@@ -209,8 +212,13 @@ struct Inner {
 /// Chunk store rooted at a directory on the node-local file system.
 pub struct FileChunkStorage {
     inner: Arc<Inner>,
-    /// The pool engine's workers; `None` is the serial engine.
-    pool: Option<TaskPool>,
+    /// The pool a batch's segments run on and the most segments a batch
+    /// is cut into; `None` is the serial engine.
+    pool: Option<(PoolHandle, usize)>,
+    /// The workers [`FileChunkStorage::open_with`] started for this
+    /// store alone, joined when it drops. A daemon's store has none: its
+    /// handlers own it, so it must not own the pool they run on.
+    _own: Option<TaskPool>,
 }
 
 /// Escape a GekkoFS path into one file-name-safe component.
@@ -324,8 +332,8 @@ struct SendPtr<T: ?Sized>(*mut T);
 // payload is shared and only read.
 // SAFETY: disjoint windows or shared reads + the buffer outlives every
 // task — it is borrowed for the whole `read_batch` or `write_batch`
-// call, and `run_segments` returns only after every task has sent its
-// result or dropped its sender.
+// call, and `run_segments` returns only after every task has run or
+// unwound (`PoolHandle::join`).
 unsafe impl<T: ?Sized> Send for SendPtr<T> {}
 
 impl Inner {
@@ -540,20 +548,30 @@ impl FileChunkStorage {
         Self::open_with(root, IoBackend::Auto, threads, 64)
     }
 
-    /// Open a chunk store under `root`. `threads`/`queue_depth` size
-    /// the task pool; `threads == 0` selects the serial engine.
-    /// [`IoBackend`] has the one value `Auto`.
+    /// Open a chunk store under `root` with a task pool of its own:
+    /// `threads` workers, which is also the most segments a batch is cut
+    /// into, and `queue_depth` slots; `threads == 0` selects the serial
+    /// engine. [`IoBackend`] has the one value `Auto`.
     pub fn open_with(
         root: impl Into<PathBuf>,
         _backend: IoBackend,
         threads: usize,
         queue_depth: usize,
     ) -> Result<FileChunkStorage> {
+        let own = (threads > 0).then(|| {
+            TaskPool::new("chunk-io", threads, queue_depth.max(threads), rank::RPC_HANDLER_QUEUE)
+        });
+        let store = Self::on_pool(root, own.as_ref().map(TaskPool::handle), threads)?;
+        Ok(FileChunkStorage { _own: own, ..store })
+    }
+
+    /// Open a chunk store under `root` whose batches run on `pool` — a
+    /// daemon's handler pool, reached through a handle that does not
+    /// join it — cut into at most `segments` segments each; `None`, or
+    /// fewer than two segments, selects the serial engine.
+    pub fn on_pool(root: impl Into<PathBuf>, pool: Option<PoolHandle>, segments: usize) -> Result<FileChunkStorage> {
         let chunk_root = root.into().join("chunks");
         fs::create_dir_all(&chunk_root)?;
-        let depth = queue_depth.max(threads);
-        let pool = (threads > 0)
-            .then(|| TaskPool::new("chunk-io", threads, depth, rank::DAEMON_CHUNK_QUEUE));
         Ok(FileChunkStorage {
             inner: Arc::new(Inner {
                 chunk_root,
@@ -562,7 +580,8 @@ impl FileChunkStorage {
                     .collect(),
                 stats: DaemonCounters::default(),
             }),
-            pool,
+            pool: pool.filter(|_| segments > 0).map(|p| (p, segments)),
+            _own: None,
         })
     }
 
@@ -578,51 +597,27 @@ impl FileChunkStorage {
     /// pool engine with more than one segment. Everything else — the
     /// serial engine, or a batch that is one same-chunk run — executes
     /// on the calling thread.
-    fn fan_out(&self, ops: &[BatchOp]) -> Option<(&TaskPool, Vec<(usize, usize)>)> {
-        let pool = self.pool.as_ref()?;
-        let segs = segment(ops, pool.workers().max(1));
+    fn fan_out(&self, ops: &[BatchOp]) -> Option<(&PoolHandle, Vec<(usize, usize)>)> {
+        let (pool, segments) = self.pool.as_ref()?;
+        let segs = segment(ops, *segments);
         (segs.len() > 1).then_some((pool, segs))
     }
 
-    /// Run a fanned-out batch's segment jobs to completion and return
-    /// their lens in op order. Each job goes to the pool or, when its
-    /// queue is full, runs here (caller-runs) under `catch_unwind`, as a
-    /// pool worker runs it. Either way this returns only once every job
-    /// has sent its result or dropped its sender — what lets a batch's
-    /// jobs borrow the caller's buffer ([`SendPtr`]): a read's jobs
-    /// write into it, a write's read from it. The
-    /// first failed segment in op order gives the error, and a segment
-    /// that ended without a result (a panic, on either thread) fails as
-    /// lost.
-    fn run_segments<F>(&self, pool: &TaskPool, jobs: Vec<F>) -> Result<Vec<u64>>
+    /// Run a fanned-out batch's segment jobs to completion
+    /// ([`PoolHandle::join`]) and return their lens in op order. It
+    /// returns only once every job has run — what lets a batch's jobs
+    /// borrow the caller's buffer ([`SendPtr`]): a read's jobs write into
+    /// it, a write's read from it. The first failed segment in op order
+    /// gives the error, and a segment that panicked fails as lost.
+    fn run_segments<F>(&self, pool: &PoolHandle, jobs: Vec<F>) -> Result<Vec<u64>>
     where
         F: FnOnce() -> Result<Vec<u64>> + Send + 'static,
     {
-        gkfs_common::lock::assert_unguarded("FileChunkStorage batch");
+        let n = jobs.len() as u64;
+        let (results, by_workers) = pool.join(jobs);
         let stats = &self.inner.stats;
-        let mut results = vec![None; jobs.len()];
-        let (tx, rx) = mpsc::channel();
-        for (i, job) in jobs.into_iter().enumerate() {
-            let tx = tx.clone();
-            let job = move || {
-                let _ = tx.send((i, job()));
-            };
-            match pool.try_submit(Box::new(job)) {
-                Ok(()) => {
-                    stats.chunk_tasks_spawned.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(job) => {
-                    // caller-runs: the submitting thread absorbs
-                    // overflow, and a panic stays inside the job.
-                    stats.chunk_inline_runs.fetch_add(1, Ordering::Relaxed);
-                    let _ = catch_unwind(AssertUnwindSafe(job));
-                }
-            }
-        }
-        drop(tx);
-        for (i, res) in rx.iter().take(results.len()) {
-            results[i] = Some(res);
-        }
+        stats.chunk_tasks_spawned.fetch_add(by_workers as u64, Ordering::Relaxed);
+        stats.chunk_inline_runs.fetch_add(n - by_workers as u64, Ordering::Relaxed);
         let lost = || GkfsError::Rpc("chunk batch task lost without result".into());
         let mut lens = Vec::new();
         for res in results {
@@ -630,7 +625,6 @@ impl FileChunkStorage {
         }
         Ok(lens)
     }
-
 }
 
 impl ChunkStorage for FileChunkStorage {
@@ -1221,6 +1215,51 @@ mod tests {
         let segments = stats.chunk_tasks_spawned.load(Ordering::Relaxed)
             + stats.chunk_inline_runs.load(Ordering::Relaxed);
         assert_eq!(segments, 4, "every segment ran");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Help-while-waiting, live: N handlers — every worker of an
+    /// N-worker pool — each run a multi-segment batch at once on a store
+    /// that runs its segments on that same pool. No worker is free to
+    /// pop a segment, so each waiter takes back and runs its own; every
+    /// batch completes, and no segment ran on a worker.
+    #[test]
+    fn batches_complete_when_every_worker_of_their_pool_waits_on_one() {
+        const N: u8 = 3;
+        let dir = std::env::temp_dir().join(format!("gkfs-fcs-helpwait-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let pool = TaskPool::new("t", N.into(), 64, rank::RPC_HANDLER_QUEUE);
+        let s = Arc::new(FileChunkStorage::on_pool(&dir, Some(pool.handle()), N.into()).unwrap());
+        let (busy, done) = (Arc::new(std::sync::Barrier::new(N.into())), Arc::new(std::sync::Barrier::new(N.into())));
+        let (tx, rx) = std::sync::mpsc::channel();
+        for t in 0..N {
+            let (s, busy, done, tx) = (s.clone(), busy.clone(), done.clone(), tx.clone());
+            pool.submit(move || {
+                let path = format!("/w{t}");
+                let ops = layout(&[(0, 0, 512), (1, 0, 512), (2, 0, 512)]);
+                busy.wait();
+                let wrote = s.write_batch(&path, &ops, &[t; 1536]);
+                let mut out = Vec::new();
+                let read = s.read_batch(&path, &ops, &mut out);
+                done.wait();
+                tx.send((t, wrote, read, out)).unwrap();
+            });
+        }
+        for _ in 0..N {
+            let Ok((t, wrote, read, out)) = rx.recv_timeout(std::time::Duration::from_secs(20)) else {
+                // Its workers wait forever: a drop would join them.
+                std::mem::forget(pool);
+                panic!("a batch waits behind its own queue");
+            };
+            wrote.unwrap();
+            assert_eq!(read.unwrap(), vec![512; 3]);
+            assert_eq!(out, [t; 1536]);
+        }
+        let stats = s.stats();
+        assert_eq!(stats.chunk_tasks_spawned.load(Ordering::Relaxed), 0, "no worker was free");
+        assert_eq!(stats.chunk_inline_runs.load(Ordering::Relaxed), u64::from(N) * 2 * 3, "each waiter ran its own");
+        assert_eq!(pool.panics(), 0);
+        drop(pool);
         fs::remove_dir_all(&dir).unwrap();
     }
 

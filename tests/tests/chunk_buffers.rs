@@ -26,7 +26,7 @@ fn threads() -> usize {
 
 /// Buffers daemon `d`'s set has allocated.
 fn fresh(d: &Daemon) -> u64 {
-    d.backends().tcp_stats.get().unwrap().chunk_bufs_fresh.load(Ordering::Relaxed)
+    d.rpc_stats().chunk_bufs_fresh.load(Ordering::Relaxed)
 }
 
 #[test]
@@ -49,7 +49,7 @@ fn two_hundred_mib_writes_and_reads_allocate_at_most_the_sets_bound_and_no_threa
     h.close().unwrap();
 
     for (n, d) in daemons.iter().enumerate() {
-        let stats = d.backends().tcp_stats.get().unwrap();
+        let stats = d.rpc_stats();
         assert!(stats.served_pooled.load(Ordering::Relaxed) >= 200, "daemon {n} served chunk frames");
         let bound = d.config().handler_threads as u64 + 2;
         assert!(fresh(d) <= bound, "daemon {n}: {} fresh chunk buffers, bound {bound}", fresh(d));

@@ -798,7 +798,7 @@ impl TcpRig {
     fn hand_offs(&self) -> HandOffs {
         let mut sum = [0u64; 4];
         for d in &self.daemons {
-            let st = d.backends().tcp_stats.get().expect("daemon serves tcp");
+            let st = d.rpc_stats();
             sum[0] += st.served_inline.load(Ordering::Relaxed);
             sum[1] += st.served_pooled.load(Ordering::Relaxed);
         }
