@@ -39,6 +39,9 @@ pub enum Verdict {
     Improved,
     /// Worse than the parent by more than the metric's bound.
     Regressed,
+    /// Worse than the parent and outside the A/A band on the bad side,
+    /// but inside the bound.
+    Worse,
     /// Outside the A/A band but short of a gain or a loss.
     Unchanged,
     /// Inside the A/A band, or the parent's runs spread wider than the
@@ -54,6 +57,7 @@ impl Verdict {
         match self {
             Verdict::Improved => "improved",
             Verdict::Regressed => "regressed",
+            Verdict::Worse => "worse",
             Verdict::Unchanged => "unchanged",
             Verdict::Unresolved => "unresolved",
             Verdict::AaOnly => "aa-only",
@@ -175,7 +179,8 @@ fn sorted(mut v: Vec<f64>) -> Vec<f64> {
 /// 4. it lies inside the A/A band → [`Verdict::Unresolved`];
 /// 5. it is better, in ≥ 9 of 10 pairs, by more than the spread →
 ///    [`Verdict::Improved`];
-/// 6. otherwise [`Verdict::Unchanged`].
+/// 6. it is worse, beyond the band's bad edge → [`Verdict::Worse`];
+/// 7. otherwise [`Verdict::Unchanged`].
 pub fn judge(metric: &Metric, ratios: &[f64], aa: &[f64], spread: f64, won: usize) -> Verdict {
     if ratios.is_empty() {
         return Verdict::AaOnly;
@@ -183,6 +188,10 @@ pub fn judge(metric: &Metric, ratios: &[f64], aa: &[f64], spread: f64, won: usiz
     let median = quantile(&sorted(ratios.to_vec()), 0.5);
     let gain = if metric.higher { median - 1.0 } else { 1.0 - median };
     let band = sorted(aa.to_vec());
+    let beyond_bad_edge = match metric.higher {
+        true => band.first().is_some_and(|&lo| median < lo),
+        false => band.last().is_some_and(|&hi| median > hi),
+    };
     if spread > metric.bound {
         Verdict::Unresolved
     } else if -gain > metric.bound {
@@ -191,6 +200,8 @@ pub fn judge(metric: &Metric, ratios: &[f64], aa: &[f64], spread: f64, won: usiz
         Verdict::Unresolved
     } else if gain > spread && won * 10 >= ratios.len() * 9 {
         Verdict::Improved
+    } else if gain < 0.0 && beyond_bad_edge {
+        Verdict::Worse
     } else {
         Verdict::Unchanged
     }
@@ -584,9 +595,10 @@ mod tests {
         assert_eq!(judge(rss, &better, &[0.98, 1.02], 0.01, 8), Verdict::Unchanged);
         assert_eq!(judge(rss, &better, &[0.98, 1.02], 0.35, 10), Verdict::Unresolved);
         assert_eq!(judge(rss, &[0.9; 10], &[0.95, 1.05], 0.2, 10), Verdict::Unchanged);
-        // Worse within the bound and outside the band: unchanged; past
-        // the bound: regressed, band or no band.
-        assert_eq!(judge(rss, &[1.2; 10], &[0.98, 1.02], 0.01, 0), Verdict::Unchanged);
+        // Worse within the bound and outside the band: worse; past the
+        // bound: regressed, band or no band.
+        assert_eq!(judge(rss, &[1.2; 10], &[0.98, 1.02], 0.01, 0), Verdict::Worse);
+        assert_eq!(judge(&bench()[1], &[0.85; 10], &[0.95, 1.05], 0.01, 0), Verdict::Worse);
         assert_eq!(judge(rss, &[1.3; 10], &[0.6, 1.4], 0.01, 0), Verdict::Regressed);
         assert_eq!(judge(rss, &[], &[0.98, 1.02], 0.01, 0), Verdict::AaOnly);
     }

@@ -192,11 +192,10 @@ pub mod rank {
         /// `STORAGE_SHARD` so a backend that layered both could resolve
         /// fds while holding a chunk shard (leaf in practice).
         STORAGE_FD_SHARD = 146;
-        /// The kvstore's background-thread handles.
+        /// The kvstore's background-thread handle.
         KV_THREADS = 130;
-        /// Serializes compactions.
-        KV_COMPACTION = 120;
-        /// Serializes manifest writers (flush vs compaction installs).
+        /// Serializes the kvstore's background work: one flush or
+        /// compaction at a time, from its first table to its manifest.
         KV_MANIFEST = 116;
         /// Background-work coordination state (`WorkState`).
         KV_WORK = 112;

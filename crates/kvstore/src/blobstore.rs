@@ -262,10 +262,11 @@ impl BlobStore for FsBlobStore {
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(data)?;
-            // A compaction writes its tables under `KV_COMPACTION`, and
-            // a manifest is written under `KV_MANIFEST`: it must be
-            // durable before the WAL segments it retires are pruned.
-            lock::blocking_under("sync_data", &[rank::KV_COMPACTION, rank::KV_MANIFEST]);
+            // Background work writes its tables and its manifest under
+            // `KV_MANIFEST`, one flush or compaction at a time: a
+            // manifest must be durable before the WAL segments it
+            // retires are pruned.
+            lock::blocking_under("sync_data", &[rank::KV_MANIFEST]);
             f.sync_data()?;
         }
         fs::rename(&tmp, self.blob_path(name))?;

@@ -9,12 +9,13 @@
 //!   budget it is frozen into an *immutable memtable* and replaced by
 //!   a fresh one — a pointer swap, not an I/O. The frozen table stays
 //!   readable until its SSTable lands.
-//! * **Background flush**: a dedicated thread builds SSTables from
-//!   immutable memtables (oldest first) and installs them in L0.
-//! * **Background compaction**: a second thread merges L0+L1 into a
-//!   fresh L1 run. Foreground writers are only *slowed* (then
-//!   *stalled*) when L0 grows past configurable thresholds —
-//!   RocksDB's `level0_slowdown/stop_writes_trigger`.
+//! * **Background work**: one thread per store, `gkfs-kv`, as in
+//!   LevelDB. Each turn it flushes the oldest immutable memtable into
+//!   an L0 SSTable if one is queued; only when none is does it merge
+//!   L0+L1 into a fresh L1 run (on request, or at the L0 trigger).
+//!   Foreground writers are only *slowed* (then *stalled*) when L0
+//!   grows past configurable thresholds — RocksDB's
+//!   `level0_slowdown/stop_writes_trigger`.
 //! * **Reads** clone an [`Arc`] snapshot of
 //!   `{memtable, imm, l0, l1}` (a *version*) and search entirely
 //!   outside the version lock, so scans and point reads never contend
@@ -36,8 +37,8 @@
 //! stopping at the first `Put` or `Delete`) and `DbInner::merge_walk`
 //! (a key range in key order, every source stepped side by side, each
 //! key decided the way `lookup` decides it). `get`, the
-//! conditional-write view, `scan_prefix`, `len`, compaction and the
-//! flusher's merge resolution are calls of those two. A walk holds a
+//! conditional-write view, `scan_prefix`, `len`, compaction and a
+//! flush's merge resolution are calls of those two. A walk holds a
 //! step of each memtable, never the range it walks.
 //!
 //! **A tombstone only over an older source.** A delete records a
@@ -49,8 +50,8 @@
 //! Merge operands that cannot be folded in the memtable are resolved
 //! at **flush time** by the same lookup, started below the memtable
 //! being flushed, so SSTables only ever contain `Put`/`Delete`
-//! entries. The single FIFO flusher guarantees every source older than
-//! that memtable is already in the table levels.
+//! entries. Flushes run one at a time, oldest first, so every source
+//! older than that memtable is already in the table levels.
 //!
 //! **One wait.** A foreground thread sleeps on background progress in
 //! `DbInner::wait_bg` only (frozen-memtable backlog, L0 at the stall
@@ -65,7 +66,7 @@
 //! re-applies (non-idempotent) records that already reached a table.
 //!
 //! Lock order (to stay deadlock-free), outermost to innermost:
-//! `threads` → `compaction_lock` → `manifest_lock` → `work` →
+//! `thread` → `manifest_lock` → `work` →
 //! `version` → active memtable → frozen memtables → group-commit
 //! state. Every lock is an [`OrderedMutex`]/[`OrderedRwLock`] carrying
 //! its `gkfs_common::lock::rank::KV_*` rank: debug builds assert the
@@ -101,7 +102,7 @@ pub struct DbOptions {
     /// Number of L0 tables that triggers a background compaction.
     pub l0_compaction_trigger: usize,
     /// L0 table count at which writers are briefly slowed down to let
-    /// the compactor catch up.
+    /// compaction catch up.
     pub l0_slowdown_threshold: usize,
     /// L0 table count at which writers stall until compaction brings
     /// it back down.
@@ -420,27 +421,21 @@ impl GroupCommit {
     }
 }
 
-/// Coordination state for the background threads.
+/// Coordination state for the background thread.
 #[derive(Default)]
 struct WorkState {
-    /// Background threads must exit.
+    /// The background thread must exit.
     stop: bool,
     /// When stopping: finish all queued flushes first (clean
     /// shutdown). Without it, a stop is crash-like and the WAL covers
     /// the loss.
     drain: bool,
-    /// The compactor should run a compaction even below the trigger.
+    /// Run a compaction even below the trigger, once no frozen
+    /// memtable is queued.
     compact_requested: bool,
-    /// First error a background thread hit; poisons foreground
+    /// First error background work hit; poisons foreground
     /// flush/stall paths so it surfaces instead of hanging them.
     bg_error: Option<GkfsError>,
-}
-
-/// The background thread a foreground wait depends on.
-#[derive(Clone, Copy, PartialEq)]
-enum Bg {
-    Flusher,
-    Compactor,
 }
 
 struct DbInner {
@@ -453,14 +448,14 @@ struct DbInner {
     /// Highest sequence number resolved into an SSTable (mirrors the
     /// manifest); replay skips records at or below it.
     flushed_seq: AtomicU64,
-    /// Serializes manifest writers (flush installs vs compaction
-    /// installs).
+    /// Serializes background work — a flush or a compaction, from its
+    /// first table to its manifest — so its holder is the one writer
+    /// of the table levels: the background thread while it runs, and
+    /// inline callers after a stop or in an explicit [`Db::compact`].
     manifest_lock: OrderedMutex<()>,
-    /// Serializes compactions (background vs explicit `compact()`).
-    compaction_lock: OrderedMutex<()>,
     work: OrderedMutex<WorkState>,
-    /// Wakes background threads (new imm, compaction request, stop).
-    /// Notified only with `work` held.
+    /// Wakes the background thread (new imm, compaction request,
+    /// stop). Notified only with `work` held.
     work_cv: Condvar,
     /// Wakes foreground threads in [`DbInner::wait_bg`]. Notified only
     /// with `work` held.
@@ -468,12 +463,12 @@ struct DbInner {
 }
 
 /// An embedded LSM key-value store, shared via `Arc`. Dropping the
-/// last handle stops the background threads *without* draining
+/// last handle stops the background thread *without* draining
 /// (crash-equivalent; the WAL covers acknowledged writes) — call
 /// [`Db::shutdown`] for a clean drain.
 pub struct Db {
     inner: Arc<DbInner>,
-    threads: OrderedMutex<Vec<std::thread::JoinHandle<()>>>,
+    thread: OrderedMutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 const MANIFEST: &str = "MANIFEST";
@@ -542,8 +537,7 @@ impl Version {
 
 impl Db {
     /// Open a database over an arbitrary blob store, recovering any
-    /// existing manifest and WAL, and start the background flush and
-    /// compaction threads.
+    /// existing manifest and WAL, and start its background thread.
     pub fn open(store: Arc<dyn BlobStore>, opts: DbOptions) -> Result<Arc<Db>> {
         let mut levels: [Vec<Arc<TableHandle>>; 2] = Default::default();
         let mut max_id = 0u64;
@@ -609,7 +603,6 @@ impl Db {
             gc: GroupCommit::new(next_seq),
             flushed_seq: AtomicU64::new(flushed_seq),
             manifest_lock: OrderedMutex::new(rank::KV_MANIFEST, ()),
-            compaction_lock: OrderedMutex::new(rank::KV_COMPACTION, ()),
             work: OrderedMutex::new(rank::KV_WORK, WorkState::default()),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
@@ -617,26 +610,22 @@ impl Db {
 
         // A background thread that unwinds leaves its error behind, as
         // one that returns `Err` does: `wait_bg` has no timeout, and a
-        // writer waiting on a dead thread would wait forever.
-        let spawn = |name: &'static str, run: fn(&DbInner)| {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name(name.into())
-                .spawn(move || {
-                    if std::panic::catch_unwind(AssertUnwindSafe(|| run(&inner))).is_err() {
-                        inner.set_bg_error(GkfsError::Io(format!("{name} panicked")));
-                    }
-                })
-                .expect("spawn kvstore background thread")
-        };
-        let threads = vec![
-            spawn("gkfs-kv-flush", flusher_loop),
-            spawn("gkfs-kv-compact", compactor_loop),
-        ];
+        // writer waiting on a dead thread would wait forever. The error
+        // names the job it died in.
+        let bg = Arc::clone(&inner);
+        let thread = std::thread::Builder::new()
+            .name("gkfs-kv".into())
+            .spawn(move || {
+                let mut job = "";
+                if std::panic::catch_unwind(AssertUnwindSafe(|| background_loop(&bg, &mut job))).is_err() {
+                    bg.set_bg_error(GkfsError::Io(format!("gkfs-kv-{job} panicked")));
+                }
+            })
+            .expect("spawn kvstore background thread");
 
         Ok(Arc::new(Db {
             inner,
-            threads: OrderedMutex::new(rank::KV_THREADS, threads),
+            thread: OrderedMutex::new(rank::KV_THREADS, Some(thread)),
         }))
     }
 
@@ -788,26 +777,27 @@ impl Db {
     /// has been flushed to L0 (normally all automatic/background).
     pub fn flush(&self) -> Result<()> {
         self.inner.rotate(true)?;
-        self.inner.wait_bg(Bg::Flusher, false, |ver| ver.imm.is_empty())
+        self.inner.wait_bg(false, |ver| ver.imm.is_empty())
     }
 
     /// Flush, then run a full compaction synchronously.
     pub fn compact(&self) -> Result<()> {
         self.flush()?;
+        let _bg = self.inner.manifest_lock.lock();
         self.inner.compact_once()
     }
 
-    /// Drain all background work and stop the worker threads: after
+    /// Drain all background work and stop the background thread: after
     /// this returns every accepted write is in an SSTable (or sealed
-    /// WAL segment) and the manifest is current. Surfaces any error a
-    /// background thread hit. Later writes fall back to inline
+    /// WAL segment) and the manifest is current. Surfaces any error
+    /// background work hit. Later writes fall back to inline
     /// flush/compaction.
     pub fn shutdown(&self) -> Result<()> {
         self.inner.work.lock().drain = true;
-        // Seal the active memtable so the flusher drains it too.
+        // Seal the active memtable so the thread drains it too.
         self.inner.rotate(true)?;
-        self.stop_workers();
-        // If the flusher bailed early (error), finish its work inline.
+        self.stop_thread();
+        // If the thread bailed early (error), finish its flushes inline.
         self.inner.drain_imms_inline()?;
         let err = self.inner.work.lock().bg_error.take();
         match err {
@@ -816,20 +806,20 @@ impl Db {
         }
     }
 
-    /// Tell the background threads to exit (finishing queued flushes
-    /// first if `drain` is set) and join them.
-    fn stop_workers(&self) {
+    /// Tell the background thread to exit (finishing queued flushes
+    /// first if `drain` is set) and join it.
+    fn stop_thread(&self) {
         {
             let mut w = self.inner.work.lock();
             w.stop = true;
             self.inner.work_cv.notify_all();
             self.inner.done_cv.notify_all();
         }
-        // Take the handles out first: joining while holding the
-        // `threads` guard would block every other shutdown/drop racer
-        // on the lock for the workers' whole runtime (GKL002).
-        let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for t in handles {
+        // Take the handle out first: joining while holding the
+        // `thread` guard would block every other shutdown/drop racer
+        // on the lock for the thread's whole runtime (GKL002).
+        let handle = self.thread.lock().take();
+        if let Some(t) = handle {
             lock::assert_unguarded("join");
             let _ = t.join();
         }
@@ -849,7 +839,7 @@ impl Drop for Db {
     /// via the WAL (when enabled) exactly as they would a real crash;
     /// `shutdown()` is the clean path.
     fn drop(&mut self) {
-        self.stop_workers();
+        self.stop_thread();
     }
 }
 
@@ -919,7 +909,7 @@ impl DbInner {
     /// first, L0 newest first, then L1 — stacking merge operands until
     /// a `Put`, a `Delete` or the end of the walk gives them a base.
     /// A reader passes the active memtable's entry and all of
-    /// `ver.imm`; the flusher passes the entry being flushed and no
+    /// `ver.imm`; a flush passes the entry being flushed and no
     /// `imms`, because the memtable it flushes is the oldest.
     fn lookup(
         &self,
@@ -929,7 +919,7 @@ impl DbInner {
         key: &[u8],
     ) -> Result<Option<Vec<u8>>> {
         // Ordered as a walk that reads a frozen memtable, whatever
-        // `imms` holds: the flusher, which passes none, must not call
+        // `imms` holds: a flush, which passes none, must not call
         // it under the guard of the memtable it flushes either.
         lock::assert_may_acquire(rank::KV_MEMTABLE_FROZEN);
         // Operand runs, newest source first; `base` is `Some` once a
@@ -1051,25 +1041,30 @@ impl DbInner {
     /// The one place a foreground thread sleeps on background progress:
     /// until `until` holds of the current version. A background error
     /// surfaces instead of a wait on a thread that cannot progress, and
-    /// once the threads are stopped the awaited work is done inline.
-    /// A `writer` held up here — waiting, or doing the work inline — is
-    /// back-pressure and counts one stall and its duration; an explicit
-    /// [`Db::flush`] asked to wait and counts nothing.
+    /// once the thread is stopped the caller does the work itself, one
+    /// `background_work` step at a time. A `writer` held up here —
+    /// waiting, or doing the work inline — is back-pressure and counts
+    /// one stall and its duration; an explicit [`Db::flush`] asked to
+    /// wait and counts nothing.
     ///
     /// No timeout: `until` is checked with `work` held, and everything
-    /// that can change its answer — a flush or compaction installing a
+    /// that can change its answer — background work installing a
     /// version, a background error, a stop — notifies `done_cv` with
     /// `work` held *after* the change (`notify_done`, `set_bg_error`,
-    /// `stop_workers`), so a wake-up cannot fall between the check and
-    /// the sleep. The same argument covers the background threads'
-    /// idle waits on `work_cv`; `db::model` explores it.
-    fn wait_bg(&self, on: Bg, writer: bool, until: impl Fn(&Version) -> bool) -> Result<()> {
+    /// `stop_thread`), so a wake-up cannot fall between the check and
+    /// the sleep. The same argument covers the background thread's idle
+    /// wait on `work_cv`; `db::model` explores both.
+    fn wait_bg(&self, writer: bool, until: impl Fn(&Version) -> bool) -> Result<()> {
         let mut stalled = None;
         let mut w = self.work.lock();
         let res = loop {
-            if until(&self.version.read()) {
-                break Ok(());
-            }
+            let queued = {
+                let ver = self.version.read();
+                if until(&ver) {
+                    break Ok(());
+                }
+                !ver.imm.is_empty()
+            };
             if let Some(e) = &w.bg_error {
                 break Err(e.clone());
             }
@@ -1079,14 +1074,18 @@ impl DbInner {
             }
             if w.stop {
                 drop(w);
-                break match on {
-                    Bg::Flusher => self.drain_imms_inline(),
-                    Bg::Compactor => self.compact_once(),
-                };
+                match self.background_work(true) {
+                    Ok(true) => {}
+                    Ok(false) => break Ok(()),
+                    Err(e) => break Err(e),
+                }
+                w = self.work.lock();
+                continue;
             }
-            // The awaited thread may be idle: below the compaction
-            // trigger only a request moves the compactor.
-            w.compact_requested |= on == Bg::Compactor;
+            // With no frozen memtable queued, what the caller awaits is
+            // a compaction, and below the trigger only a request moves
+            // the idle thread to one.
+            w.compact_requested |= !queued;
             self.work_cv.notify_all();
             w.wait(&self.done_cv);
         };
@@ -1099,12 +1098,11 @@ impl DbInner {
 
     /// L0 backpressure, applied before any write lock is taken: slow
     /// writers down as L0 grows, stop them at the stall threshold
-    /// until the background compactor catches up. Both count as
-    /// stalls.
+    /// until a compaction catches up. Both count as stalls.
     fn write_pressure(&self) -> Result<()> {
         let l0 = self.snapshot().l0.len();
         if l0 >= self.opts.l0_stall_threshold {
-            self.wait_bg(Bg::Compactor, true, |ver| ver.l0.len() < self.opts.l0_stall_threshold)?;
+            self.wait_bg(true, |ver| ver.l0.len() < self.opts.l0_stall_threshold)?;
         } else if l0 >= self.opts.l0_slowdown_threshold {
             // Each sleep is one stall of the time it asks for; no
             // clock is read.
@@ -1137,11 +1135,11 @@ impl DbInner {
     }
 
     /// Swap the active memtable for a fresh one, freezing the old one
-    /// onto the immutable list for the background flusher. Writers
+    /// onto the immutable list for the background thread. Writers
     /// block only for this pointer swap — never for SSTable I/O —
     /// unless the frozen backlog is full.
     fn rotate(&self, force: bool) -> Result<()> {
-        self.wait_bg(Bg::Flusher, true, |ver| ver.imm.len() < self.opts.max_imm_memtables)?;
+        self.wait_bg(true, |ver| ver.imm.len() < self.opts.max_imm_memtables)?;
         self.install(|ver| {
             {
                 let mem = ver.mem.read();
@@ -1171,7 +1169,7 @@ impl DbInner {
             w.stop
         };
         if stopped {
-            // Background threads are gone: flush inline instead.
+            // The background thread is gone: flush inline instead.
             self.drain_imms_inline()?;
         }
         Ok(())
@@ -1186,15 +1184,17 @@ impl DbInner {
     }
 
     /// Build the oldest immutable memtable's SSTable and install it in
-    /// L0. All I/O happens outside the version lock; the write lock is
-    /// held only for the pointer swap that atomically retires the imm
-    /// and publishes its table.
+    /// L0. The caller holds `manifest_lock`, so flushes run one at a
+    /// time and `imm` stays the oldest until its install. All I/O
+    /// happens outside the version lock; the write lock is held only
+    /// for the pointer swap that atomically retires the imm and
+    /// publishes its table.
     fn flush_imm(&self, imm: &Arc<ImmMem>) -> Result<()> {
         let base = self.snapshot();
         // Operands still stacked in this memtable resolve against the
-        // table levels, so tables never contain merge records. The
-        // FIFO flusher guarantees every source older than this
-        // memtable is already in `base`'s L0/L1: no `imms` to ask. A
+        // table levels, so tables never contain merge records. Flushes
+        // run oldest first, so every source older than this memtable
+        // is already in `base`'s L0/L1: no `imms` to ask. A
         // pass of its own, because the build below holds the frozen
         // memtable's guard and `lookup` is the function that takes
         // those: with no `imms` it takes none, but its lock order is
@@ -1227,38 +1227,28 @@ impl DbInner {
             }
         }
         let table = self.add_table(builder)?;
-        let installed = {
-            let _manifest = self.manifest_lock.lock();
-            let ids = self.install(|ver| {
-                let queued = ver.imm.len();
-                ver.imm.retain(|i| !Arc::ptr_eq(i, imm));
-                ver.l0.push(table.clone());
-                Ok(ver.imm.len() < queued)
-            })?;
-            if let Some(ids) = &ids {
-                self.stats.kv_flushes.fetch_add(1, Ordering::Relaxed);
-                self.flushed_seq.fetch_max(imm.max_seq, Ordering::SeqCst);
-                self.write_manifest(ids)?;
-            }
-            ids.is_some()
-        };
-        if !installed {
-            // Someone else (the inline shutdown drain) flushed this
-            // imm while we were building: discard the duplicate.
-            self.store.delete_blob(&table_name(table.id))
-        } else if self.opts.wal {
+        let ids = self.install(|ver| {
+            let oldest = ver.imm.remove(0);
+            debug_assert!(Arc::ptr_eq(&oldest, imm), "flushes run oldest first");
+            ver.l0.push(table);
+            Ok(true)
+        })?;
+        self.stats.kv_flushes.fetch_add(1, Ordering::Relaxed);
+        self.flushed_seq.fetch_max(imm.max_seq, Ordering::SeqCst);
+        self.write_manifest(&ids.expect("this edit never declines"))?;
+        if self.opts.wal {
             // The segment's records are all in the table now.
-            self.store.drop_logs_through(imm.wal_segment)
-        } else {
-            Ok(())
+            self.store.drop_logs_through(imm.wal_segment)?;
         }
+        Ok(())
     }
 
-    /// One full L0+L1 → L1 compaction. `compaction_lock` serializes
-    /// compactions; the version write lock is held only for the final
-    /// pointer swap, so foreground traffic continues throughout.
+    /// One full L0+L1 → L1 compaction, which serves any request for
+    /// one. The caller holds `manifest_lock`; the version write lock is
+    /// held only for the final pointer swap, so foreground traffic
+    /// continues throughout.
     fn compact_once(&self) -> Result<()> {
-        let _c = self.compaction_lock.lock();
+        self.work.lock().compact_requested = false;
         let base = self.snapshot();
         if base.l0.is_empty() && base.l1.len() <= 1 {
             return Ok(());
@@ -1289,17 +1279,12 @@ impl DbInner {
         }
 
         let inputs: HashSet<u64> = base.l0.iter().chain(&base.l1).map(|t| t.id).collect();
-        {
-            let _manifest = self.manifest_lock.lock();
-            // L0 tables flushed while we were compacting stay: they
-            // are strictly newer than every input.
-            let ids = self.install(|ver| {
-                ver.l0.retain(|t| !inputs.contains(&t.id));
-                ver.l1 = new_l1;
-                Ok(true)
-            })?;
-            self.write_manifest(&ids.expect("this edit never declines"))?;
-        }
+        let ids = self.install(|ver| {
+            ver.l0.retain(|t| !inputs.contains(&t.id));
+            ver.l1 = new_l1;
+            Ok(true)
+        })?;
+        self.write_manifest(&ids.expect("this edit never declines"))?;
         // Safe even with old-snapshot readers alive: `Table` keeps the
         // blob bytes in memory via `Arc`.
         for id in inputs {
@@ -1309,19 +1294,34 @@ impl DbInner {
         Ok(())
     }
 
-    fn drain_imms_inline(&self) -> Result<()> {
-        // The version read guard must not outlive this statement: a
-        // `while let` header temporary would keep it alive across
-        // `flush_imm`, which re-acquires `version` (read, then write
-        // for the install) — a same-thread read→write self-deadlock.
-        // The debug-build rank checker flags exactly this shape.
-        loop {
-            let imm = self.version.read().imm.first().cloned();
-            match imm {
-                Some(imm) => self.flush_imm(&imm)?,
-                None => return Ok(()),
+    /// One unit of background work, the only one there is — run by the
+    /// background thread, and after a stop by `wait_bg`, `rotate` and
+    /// `shutdown`'s drain: flush the oldest frozen memtable if one is
+    /// queued, else compact if `compact`. Under `manifest_lock`, so
+    /// flushes land one at a time, oldest first, and never beside a
+    /// compaction. Answers whether there was work.
+    fn background_work(&self, compact: bool) -> Result<bool> {
+        let _bg = self.manifest_lock.lock();
+        // The version read guard must not outlive this statement: kept
+        // across `flush_imm`, which re-acquires `version` (read, then
+        // write for the install), it would be a same-thread read→write
+        // self-deadlock. The debug-build rank checker flags this shape.
+        let imm = self.version.read().imm.first().cloned();
+        match imm {
+            Some(imm) => {
+                self.flush_imm(&imm)?;
+                self.notify_done();
             }
+            None if compact => self.compact_once()?,
+            None => return Ok(false),
         }
+        Ok(true)
+    }
+
+    /// Flush every frozen memtable on the caller's thread.
+    fn drain_imms_inline(&self) -> Result<()> {
+        while self.background_work(false)? {}
+        Ok(())
     }
 
     /// Write the manifest: `flushed_seq` watermark + table ids per
@@ -1340,67 +1340,44 @@ impl DbInner {
     }
 }
 
-/// Background flush thread: retire frozen memtables oldest-first.
-fn flusher_loop(inner: &DbInner) {
+/// The background thread: each turn, one unit of background work —
+/// the oldest frozen memtable's flush while one is queued, else a
+/// compaction once one is requested (a stalled writer, an L0 slowdown)
+/// or L0 is at the trigger; idle otherwise. `job` names the unit in
+/// flight, for the error a panic leaves.
+fn background_loop(inner: &DbInner, job: &mut &'static str) {
     loop {
-        let (imm, stop) = {
+        let (compact, stop) = {
             let mut w = inner.work.lock();
             loop {
-                // Looked at with `work` held: rotation notifies
-                // `work_cv` holding it, so a new imm cannot slip
-                // between this look and the sleep.
-                let imm = inner.version.read().imm.first().cloned();
-                match imm {
-                    Some(imm) if !w.stop || w.drain => break (imm, w.stop),
-                    // Nothing to do, or a crash-style stop: the WAL
-                    // covers what is still frozen.
-                    _ if w.stop => return,
-                    _ => w.wait(&inner.work_cv),
+                // Looked at with `work` held: a rotation, a request and
+                // a stop notify `work_cv` holding it, so none can slip
+                // between this look and the sleep. L0 grows only by
+                // this thread's own flushes.
+                let (queued, l0) = {
+                    let ver = inner.version.read();
+                    (!ver.imm.is_empty(), ver.l0.len())
+                };
+                if queued && (!w.stop || w.drain) {
+                    break (false, w.stop);
                 }
-            }
-        };
-        match inner.flush_imm(&imm) {
-            Ok(()) => {
-                inner.notify_done();
-                if inner.version.read().l0.len() >= inner.opts.l0_compaction_trigger {
-                    inner.request_compaction();
+                // Nothing to flush, or a crash-style stop: the WAL
+                // covers what is still frozen. A stop compacts nothing.
+                if w.stop {
+                    return;
                 }
-            }
-            Err(e) => {
-                inner.set_bg_error(e);
-                if stop {
-                    return; // don't spin during shutdown
+                if w.compact_requested || l0 >= inner.opts.l0_compaction_trigger {
+                    break (true, false);
                 }
-                lock::assert_unguarded("sleep");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
-}
-
-/// Background compaction thread: runs when requested (a stalled
-/// writer, an explicit nudge) or when L0 reaches the trigger, and
-/// keeps L0 from growing unboundedly.
-fn compactor_loop(inner: &DbInner) {
-    loop {
-        {
-            let mut w = inner.work.lock();
-            // L0 only grows by a flush, and the flusher requests a
-            // compaction (notifying with `work` held) once it is at
-            // the trigger — no growth can slip past this wait.
-            while !w.stop
-                && !w.compact_requested
-                && inner.version.read().l0.len() < inner.opts.l0_compaction_trigger
-            {
                 w.wait(&inner.work_cv);
             }
-            if w.stop {
-                return;
-            }
-            w.compact_requested = false;
-        }
-        if let Err(e) = inner.compact_once() {
+        };
+        *job = if compact { "compact" } else { "flush" };
+        if let Err(e) = inner.background_work(compact) {
             inner.set_bg_error(e);
+            if stop {
+                return; // don't spin during shutdown
+            }
             lock::assert_unguarded("sleep");
             std::thread::sleep(Duration::from_millis(10));
         }
@@ -1489,34 +1466,50 @@ fn table_name(id: u64) -> String {
     format!("sst-{id:012}.sst")
 }
 
-/// Schedule-exploration model (see `gkfs_common::model`) of the one
-/// hand-off this module runs without a timeout: a writer rotating
+/// Schedule-exploration model (see `gkfs_common::model`) of the
+/// hand-offs this module runs without a timeout, around its one
+/// background thread and that thread's two jobs: a writer rotating
 /// against a full frozen-memtable backlog ([`DbInner::wait_bg`] then
-/// [`DbInner::install`]) ↔ the flusher retiring memtables and going
-/// idle ↔ a stop. One step per shared-memory access; both condvars'
-/// wake-ups are modelled explicitly (a sleeper runs again only once a
-/// notify has named it), so a notify that lands between a predicate
-/// check and the sleep it guards shows up as a deadlock.
+/// [`DbInner::install`]) ↔ the thread flushing and going idle ↔ a stop;
+/// and a writer stalled at `l0_stall_threshold` (`wait_bg` again, whose
+/// compaction only a request starts) ↔ the same thread flushing first,
+/// then compacting ↔ the writer's own stop. Two models, because one
+/// with both writers is past the explorer's cap. One step per
+/// shared-memory access; both condvars' wake-ups are modelled
+/// explicitly (a sleeper runs again only once a notify has named it),
+/// so a notify that lands between a predicate check and the sleep it
+/// guards shows up as a deadlock.
 #[cfg(test)]
 mod model {
     use gkfs_common::model::{Explorer, Model, Step};
 
     /// `max_imm_memtables`.
     const MAX_IMM: usize = 1;
-    const FLUSHER: usize = 99;
+    /// `l0_stall_threshold`, and L0 as the window opens.
+    const L0_STALL: usize = 1;
+    /// `l0_compaction_trigger`, above any L0 the model reaches (the
+    /// stall plus a table per flush): only a request compacts.
+    const L0_TRIGGER: usize = 8;
+    const STALLED: usize = 98;
+    const BG: usize = 99;
 
     #[derive(Default)]
     struct S {
         /// The `work` mutex.
         locked: bool,
-        /// `version.imm.len()`; every look at it is its own step.
+        /// `version.imm.len()` and `version.l0.len()`; every look at
+        /// them is its own step.
         imm: usize,
+        l0: usize,
+        compact_requested: bool,
         stop: bool,
         /// Threads asleep on `done_cv` / `work_cv`, and those a notify
         /// has reached.
         done_sleepers: Vec<usize>,
         work_sleepers: Vec<usize>,
         woken: Vec<usize>,
+        /// Rotating writers, and how many returned.
+        writers: usize,
         rotated: usize,
         flushed: usize,
     }
@@ -1529,159 +1522,188 @@ mod model {
         s.woken.extend(reached);
     }
 
-    fn lock(s: &mut S) -> bool {
-        !std::mem::replace(&mut s.locked, true)
-    }
-
-    /// A sleeper's two halves after `Condvar::wait` released the lock:
-    /// stay blocked until a notify names `id`, then retake the lock.
-    fn wake(s: &mut S, id: usize) -> bool {
-        match s.woken.iter().position(|&w| w == id) {
-            Some(pos) => {
-                s.woken.remove(pos);
-                true
-            }
-            None => false,
+    /// Take `work` — as sleeper `id`, only once a notify has named it
+    /// (`Condvar::wait`'s second half). A take and the look after it
+    /// are one step: the take touches nothing a thread reads without
+    /// `work`.
+    fn take(s: &mut S, sleeper: Option<usize>) -> bool {
+        if s.locked {
+            return false;
         }
+        if let Some(id) = sleeper {
+            let Some(pos) = s.woken.iter().position(|&w| w == id) else { return false };
+            s.woken.remove(pos);
+        }
+        s.locked = true;
+        true
     }
 
-    /// `rotate`: `wait_bg(Flusher, imm < MAX_IMM)`, `install` the
-    /// frozen memtable, notify `work_cv` with `work` held.
-    fn writer(id: usize) -> Thread {
-        let mut step = 0u8;
+    /// `background_work(compact)`'s look and its flush or compaction as
+    /// one step (its callers run under `manifest_lock`, one at a time),
+    /// with no notify: what an inline caller runs after a stop.
+    fn work_inline(s: &mut S, compact: bool) -> bool {
+        if s.imm > 0 {
+            s.imm -= 1;
+            s.l0 += 1;
+            s.flushed += 1;
+        } else if compact {
+            s.compact_requested = false;
+            s.l0 = 0;
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// `wait_bg(until)` on thread `id`, then the steps of `tail` in
+    /// turn (one answering `false` is blocked).
+    fn waiter(id: usize, until: fn(&S) -> bool, tail: &'static [fn(&mut S) -> bool]) -> Thread {
+        let (mut step, mut at, mut queued) = (0u8, 0usize, false);
         Box::new(move |s| {
             match step {
-                // wait_bg: lock `work`; retaken after a wake-up too.
-                0 | 4 => {
-                    if !lock(s) {
+                // Take `work` (first, after an inline step, after a
+                // wake-up) and look at the predicate and the queue with
+                // it held (one version read).
+                0 | 3 => {
+                    if !take(s, (step == 3).then_some(id)) {
                         return Step::Blocked;
                     }
-                    step = 1;
-                }
-                // The predicate, looked at with `work` held.
-                1 => {
-                    if s.imm < MAX_IMM {
+                    queued = s.imm > 0;
+                    if until(s) {
                         s.locked = false;
-                        step = 5;
+                        step = 4;
                     } else if s.stop {
                         s.locked = false;
-                        step = 2;
+                        step = 1;
                     } else {
-                        step = 3;
+                        step = 2;
                     }
                 }
-                // Stopped: drain inline.
+                // Stopped: one unit of the thread's work, inline.
+                1 => step = if work_inline(s, true) { 0 } else { 4 },
+                // Ask for a compaction when nothing is queued, nudge
+                // the thread, then sleep on `done_cv` — the wait
+                // releases `work` atomically with going to sleep.
                 2 => {
-                    s.flushed += std::mem::take(&mut s.imm);
-                    step = 5;
-                }
-                // Nudge the flusher, then sleep on `done_cv` — the
-                // wait releases `work` atomically with going to sleep.
-                3 => {
+                    s.compact_requested |= !queued;
                     notify_all(s, false);
                     s.done_sleepers.push(id);
                     s.locked = false;
-                    step = 10;
+                    step = 3;
                 }
-                10 => {
-                    if !wake(s, id) {
+                _ => {
+                    let Some(next) = tail.get(at) else { return Step::Done };
+                    if !next(s) {
                         return Step::Blocked;
                     }
-                    step = 4;
+                    at += 1;
                 }
-                // install: the version write lock makes this one step.
-                5 => {
-                    s.imm += 1;
-                    step = 6;
-                }
-                // Tell the flusher, holding `work` (lock, notify and
-                // unlock touch nothing else: one step).
-                6 => {
-                    if s.locked {
-                        return Step::Blocked;
-                    }
-                    notify_all(s, false);
-                    s.rotated += 1;
-                    step = 7;
-                }
-                _ => return Step::Done,
             }
             Step::Ran
         })
     }
 
-    /// `flusher_loop` with `drain` set. `locked_notify = false` is the
-    /// tempting-but-wrong `notify_done` that skips taking `work`.
-    fn flusher(locked_notify: bool) -> Thread {
+    /// `rotate` after its wait: `install` the frozen memtable (the
+    /// version write lock makes that one step), then tell the thread
+    /// holding `work` (lock, notify and unlock touch nothing else: one
+    /// step).
+    const ROTATE: &[fn(&mut S) -> bool] = &[
+        |s| {
+            s.imm += 1;
+            true
+        },
+        |s| {
+            if s.locked {
+                return false;
+            }
+            notify_all(s, false);
+            s.rotated += 1;
+            true
+        },
+    ];
+
+    /// `shutdown`'s stop, once the rotations have returned (what a
+    /// caller's own sequencing gives, and what turns a lost wake-up into
+    /// a visible deadlock): set `stop` and notify both condvars with
+    /// `work` held.
+    fn stop(s: &mut S) -> bool {
+        if s.rotated < s.writers || s.locked {
+            return false;
+        }
+        s.stop = true;
+        notify_all(s, false);
+        notify_all(s, true);
+        true
+    }
+
+    fn stopper() -> Thread {
+        let mut stopped = false;
+        Box::new(move |s| match stopped {
+            true => Step::Done,
+            false if stop(s) => {
+                stopped = true;
+                Step::Ran
+            }
+            false => Step::Blocked,
+        })
+    }
+
+    /// `background_loop` with `drain` set. `locked_notify = false` is
+    /// the tempting-but-wrong `notify_done` that skips taking `work`;
+    /// `sees_requests = false` an idle check that looks at the trigger
+    /// alone.
+    fn background(locked_notify: bool, sees_requests: bool) -> Thread {
         let mut step = 0u8;
         Box::new(move |s| {
             match step {
+                // Take `work` and look with it held: flush (even when
+                // stopped: a draining stop), exit, compact, or sleep.
                 0 | 6 => {
-                    if !lock(s) {
+                    if !take(s, (step == 6).then_some(BG)) {
                         return Step::Blocked;
                     }
-                    step = 1;
-                }
-                // Look at the queue with `work` held: flush, exit, or
-                // sleep on `work_cv` (releasing `work` atomically).
-                1 => {
-                    s.locked = false;
+                    let compact = (sees_requests && s.compact_requested) || s.l0 >= L0_TRIGGER;
                     if s.imm > 0 {
-                        step = 2;
+                        s.locked = false;
+                        step = 1;
                     } else if s.stop {
+                        s.locked = false;
                         step = 9;
+                    } else if compact {
+                        s.locked = false;
+                        step = 2;
                     } else {
-                        s.locked = true;
                         step = 5;
                     }
                 }
-                5 => {
-                    s.work_sleepers.push(FLUSHER);
-                    s.locked = false;
-                    step = 10;
-                }
-                10 => {
-                    if !wake(s, FLUSHER) {
+                // background_work(false): a flush if one is queued.
+                1 => step = if work_inline(s, false) { 4 } else { 0 },
+                // background_work(true): the look under `manifest_lock`
+                // flushes a memtable queued since, else compacts.
+                2 => step = if work_inline(s, false) { 4 } else { 3 },
+                // compact_once: the request is served (under `work`)
+                // and the install empties L0.
+                3 => {
+                    if s.locked {
                         return Step::Blocked;
                     }
-                    step = 6;
-                }
-                // flush_imm's install.
-                2 => {
-                    s.imm -= 1;
-                    s.flushed += 1;
-                    step = 3;
+                    s.compact_requested = false;
+                    s.l0 = 0;
+                    step = 4;
                 }
                 // notify_done: with `work` held, or not caring.
-                3 => {
+                4 => {
                     if locked_notify && s.locked {
                         return Step::Blocked;
                     }
                     notify_all(s, true);
                     step = 0;
                 }
-                _ => return Step::Done,
-            }
-            Step::Ran
-        })
-    }
-
-    /// `shutdown`'s stop, once `writers` rotations have returned (what
-    /// a caller's own sequencing gives, and what turns a lost wake-up
-    /// into a visible deadlock): set `stop` and notify both condvars
-    /// with `work` held.
-    fn stopper(writers: usize) -> Thread {
-        let mut step = 0u8;
-        Box::new(move |s| {
-            match step {
-                0 => {
-                    if s.rotated < writers || s.locked {
-                        return Step::Blocked;
-                    }
-                    s.stop = true;
-                    notify_all(s, false);
-                    notify_all(s, true);
-                    step = 1;
+                // Sleep on `work_cv`, releasing `work` atomically.
+                5 => {
+                    s.work_sleepers.push(BG);
+                    s.locked = false;
+                    step = 6;
                 }
                 _ => return Step::Done,
             }
@@ -1689,20 +1711,36 @@ mod model {
         })
     }
 
-    /// `writers` rotations, the flusher and a stop, with the backlog
+    /// `writers` rotations, the thread and a stop, with the backlog
     /// already full (a rotation that won the race before this window
     /// opens) — so the first writer to look must stall.
     fn handoff(writers: usize, locked_notify: bool) -> Model<S> {
-        let mut threads: Vec<Thread> = (0..writers).map(writer).collect();
-        threads.push(flusher(locked_notify));
-        threads.push(stopper(writers));
+        let mut threads: Vec<Thread> = (0..writers).map(|id| waiter(id, |s| s.imm < MAX_IMM, ROTATE)).collect();
+        threads.push(background(locked_notify, true));
+        threads.push(stopper());
         Model {
-            state: S { imm: MAX_IMM, ..S::default() },
+            state: S { writers, imm: MAX_IMM, ..S::default() },
             threads,
             check: Box::new(move |s| {
                 assert!(!s.locked, "`work` leaked");
                 assert_eq!(s.rotated, writers, "a rotation did not return");
                 assert_eq!((s.imm, s.flushed), (0, MAX_IMM + writers), "a draining stop flushes all");
+                assert!(s.done_sleepers.is_empty() && s.work_sleepers.is_empty());
+            }),
+        }
+    }
+
+    /// A writer stalled at the L0 threshold with a frozen memtable
+    /// still queued, then stopping the store, and the thread: the
+    /// flush goes first, and only the writer's request (asked once
+    /// nothing is queued) starts the compaction that lets it through.
+    fn stall(sees_requests: bool) -> Model<S> {
+        Model {
+            state: S { imm: 1, l0: L0_STALL, ..S::default() },
+            threads: vec![waiter(STALLED, |s| s.l0 < L0_STALL, &[stop]), background(true, sees_requests)],
+            check: Box::new(|s| {
+                assert!(!s.locked, "`work` leaked");
+                assert_eq!((s.imm, s.flushed, s.l0), (0, 1, 0), "flushed, then compacted");
                 assert!(s.done_sleepers.is_empty() && s.work_sleepers.is_empty());
             }),
         }
@@ -1724,6 +1762,24 @@ mod model {
             Explorer::new().explore("kv-handoff-unlocked-notify", || handoff(1, false))
         });
         assert!(r.is_err(), "a notify that skips `work` must deadlock the model");
+    }
+
+    #[test]
+    fn a_stalled_write_is_compacted_by_the_flushing_thread() {
+        let stats = Explorer::new().explore("kv-stall", || stall(true));
+        assert!(stats.schedules > 10, "{stats:?}: exploration must branch");
+        eprintln!("kv-stall: {stats:?}");
+    }
+
+    #[test]
+    fn model_catches_an_idle_check_that_ignores_a_request() {
+        // Below the trigger, the writer stalled on L0 has only its
+        // request to move the thread: an idle check that does not look
+        // at it leaves the thread asleep and the writer waiting.
+        let r = std::panic::catch_unwind(|| {
+            Explorer::new().explore("kv-stall-deaf-idle", || stall(false))
+        });
+        assert!(r.is_err(), "an idle check that ignores `compact_requested` must deadlock the model");
     }
 }
 
@@ -2200,9 +2256,10 @@ mod tests {
     }
 
     /// A background thread that panics fails the writers waiting on it
-    /// rather than leaving them to wait forever: the flusher dies on its
-    /// first table, and a writer held up by the full frozen backlog gets
-    /// the error. Behind a timeout, so that a hang fails the test.
+    /// rather than leaving them to wait forever: the thread dies on its
+    /// first flush's table, and a writer held up by the full frozen
+    /// backlog gets the error, which names the job. Behind a timeout, so
+    /// that a hang fails the test.
     #[test]
     fn a_background_panic_fails_writers_instead_of_hanging_them() {
         let (tx, rx) = std::sync::mpsc::channel();
@@ -2373,16 +2430,18 @@ mod tests {
     }
 
     /// A delete leaves a tombstone exactly where an older source may
-    /// hold its key — a frozen memtable (the flusher parked), L0, L1 —
+    /// hold its key — a frozen memtable (the flush parked), L0, L1 —
     /// and forgets the entry of a key that only the active memtable
     /// holds, or that a frozen tombstone already shadows. Either way
     /// every reading is `None`, before and after a flush and a
-    /// compaction.
+    /// compaction, and after a crash-style reopen at each of those
+    /// points: the first replays the deletes from the WAL, each asking
+    /// the recovered levels as its live twin asked its version.
     #[test]
     fn a_delete_leaves_a_tombstone_only_over_an_older_source() {
         let store = Arc::new(SlowStore::new(Duration::ZERO, Duration::ZERO));
-        let opts = DbOptions { l0_compaction_trigger: 100, max_imm_memtables: 8, ..small_opts() };
-        let db = Db::open(store.clone(), opts).unwrap();
+        let opts = DbOptions { wal: true, l0_compaction_trigger: 100, max_imm_memtables: 8, ..small_opts() };
+        let mut db = Db::open(store.clone(), opts.clone()).unwrap();
         db.put(b"/l1", b"v").unwrap();
         db.compact().unwrap();
         db.put(b"/l0", b"v").unwrap();
@@ -2412,18 +2471,28 @@ mod tests {
                 assert_eq!(mem.get(k.as_bytes()), None, "nothing below holds {k}");
             }
         }
-        let check = |when: &str| {
+        let check = |db: &Db, when: &str| {
             for k in ["/l1", "/l0", "/frozen", "/active", "/shadowed"] {
                 assert_eq!(db.get(k.as_bytes()).unwrap(), None, "get {k} {when}");
             }
             assert_eq!(db.len().unwrap(), 0, "len {when}");
         };
-        check("across the levels");
+        let reopen = |db: Arc<Db>| {
+            drop(db);
+            Db::open(store.clone(), opts.clone()).unwrap()
+        };
+        check(&db, "across the levels");
         drop(gate);
+        db = reopen(db);
+        check(&db, "after a reopen");
         db.flush().unwrap();
-        check("after a flush");
+        check(&db, "after a flush");
+        db = reopen(db);
+        check(&db, "after a flush and a reopen");
         db.compact().unwrap();
-        check("after a compaction");
+        check(&db, "after a compaction");
+        db = reopen(db);
+        check(&db, "after a compaction and a reopen");
     }
 
     /// A walk holds no store lock while its visitor runs: with a

@@ -24,7 +24,7 @@ thread_local! {
 }
 
 /// Counts per thread, so the test harness's other threads and the
-/// store's background threads do not show up in a row's figure.
+/// store's background thread do not show up in a row's figure.
 struct Counting;
 
 // SAFETY: every request is passed to `System` unchanged; the counters

@@ -3,7 +3,7 @@
 //! The background flush/compaction engine acknowledges a write once it
 //! is in the WAL and the memtable — long before its SSTable exists.
 //! Dropping the `Db` handle without `shutdown()` is crash-equivalent:
-//! background threads stop without draining, so frozen memtables die
+//! the background thread stops without draining, so frozen memtables die
 //! mid-flight. Every acknowledged operation must still be visible
 //! after reopen, reconstructed from the manifest, the `flushed_seq`
 //! watermark, and WAL segment replay — with group-commit `sync` on and

@@ -1,6 +1,6 @@
 //! A table costs its blocks, not its entries: building one of 10 000
 //! metadata-sized entries (a 17-byte path, a 29-byte record) allocates
-//! per block on the building thread — the flusher's or the compactor's,
+//! per block on the building thread — the store's background thread,
 //! on the vCPU the daemon's handlers share — not per entry (the
 //! per-thread counting allocator of the decoder fuzzers).
 

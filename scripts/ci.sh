@@ -60,6 +60,24 @@ else
   echo "miri unavailable (nightly component not installed); skipping — ci.yml's miri job covers this"
 fi
 
+echo "==> AddressSanitizer, nightly (every workspace test over real sockets and disks, doctests included)"
+# The unsafe code Miri cannot reach — receives into MaybeUninit windows
+# of a caller's result, the storage engine's SendPtr windows, recycled
+# chunk buffers — runs under ASan in every test of the workspace. Its
+# own target directory, since a sanitized build shares no artifact with
+# the others. Doctests run too: RUSTDOCFLAGS carries the flag (without
+# it they fail to link, `__asan_*` undefined). Leak detection is off
+# (ROADMAP item 27, step 2). Without a nightly toolchain the stage
+# skips, as the Miri stage does. About 4 min from cold on 2 vCPUs.
+if cargo +nightly --version >/dev/null 2>&1; then
+  asan_start=$SECONDS
+  RUSTFLAGS=-Zsanitizer=address RUSTDOCFLAGS=-Zsanitizer=address ASAN_OPTIONS=detect_leaks=0 \
+    cargo +nightly test -q --target x86_64-unknown-linux-gnu --workspace --target-dir target/asan
+  echo "asan: $((SECONDS - asan_start)) s"
+else
+  echo "nightly toolchain unavailable; skipping the AddressSanitizer stage"
+fi
+
 echo "==> bench smoke (compile + run benches in test mode)"
 # Every bench body once, in release. For the TCP transport that is the
 # lone call (`rpc/tcp_roundtrip*`: read by its waiter, the point op also

@@ -1,12 +1,13 @@
 //! One pool per daemon. A disk-backed daemon runs `handler_threads`
 //! workers — which serve its in-process endpoint, its TCP listener and
-//! its chunk store's segments alike — plus its store's flush and
-//! compaction threads, and a TCP listener adds its loop and standby;
-//! nothing else. And no job owns the pool it runs on: a daemon dropped
-//! right after a multi-segment batch, or after `shutdown`, leaves no
-//! thread behind and no panic on its pool. Counted from
-//! `/proc/self/task`. Its own test binary: the census is the process's,
-//! and the tests here take it one at a time.
+//! its chunk store's segments alike — plus its store's one background
+//! thread, which flushes and compacts, and a TCP listener adds its loop
+//! and standby; nothing else. And no job owns the pool it runs on: a
+//! daemon dropped right after a multi-segment batch, or after
+//! `shutdown`, leaves no thread behind and no panic on its pool.
+//! Counted from `/proc/self/task`, by the daemon's own thread names:
+//! the test harness's threads come and go on their own schedule. Its
+//! own test binary, and the tests here take the census one at a time.
 
 #![cfg(target_os = "linux")]
 
@@ -43,13 +44,19 @@ fn settles(done: impl Fn(&[String]) -> bool) -> bool {
     true
 }
 
-fn settles_at(n: usize) -> bool {
-    settles(|t| t.len() == n)
-}
-
 /// Threads named `prefix*`.
 fn named(threads: &[String], prefix: &str) -> usize {
     threads.iter().filter(|n| n.starts_with(prefix)).count()
+}
+
+/// A daemon's threads: its pool's workers, its TCP loop and standby,
+/// its store's background thread.
+fn daemons(threads: &[String]) -> usize {
+    ["gkfs-handler-", "gkfs-tcp-loop", "gkfs-kv"].iter().map(|p| named(threads, p)).sum()
+}
+
+fn settles_at(n: usize) -> bool {
+    settles(|t| daemons(t) == n)
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -68,19 +75,20 @@ fn disk_daemon(dir: &std::path::Path) -> std::sync::Arc<Daemon> {
 fn a_daemon_runs_one_pool_for_both_transports_and_its_chunk_segments() {
     let _census = CENSUS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = scratch("census");
-    let before = threads().len();
+    assert!(settles_at(0), "{:?}", threads());
     let d = disk_daemon(&dir);
     let handlers = d.config().handler_threads;
-    assert_eq!(threads().len() - before, handlers + 2, "handlers, kv flush and compaction: {:?}", threads());
+    assert!(settles_at(handlers + 1), "handlers and the store's background thread: {:?}", threads());
+    assert_eq!(named(&threads(), "gkfs-kv"), 1, "{:?}", threads());
     d.serve_tcp("127.0.0.1:0").unwrap();
     assert!(settles(|t| named(t, "gkfs-handler-") == handlers && named(t, "gkfs-tcp-loop") == 2), "{:?}", threads());
     let census = threads();
-    assert_eq!(census.len() - before, handlers + 2 + 2, "and the loop and its standby: {census:?}");
-    assert_eq!(named(&census, "gkfs-kv-"), 2, "{census:?}");
+    assert_eq!(daemons(&census), handlers + 1 + 2, "and the loop and its standby: {census:?}");
+    assert_eq!(named(&census, "gkfs-kv"), 1, "{census:?}");
     assert_eq!(named(&census, "gkfs-chunk-io"), 0, "{census:?}");
     d.shutdown();
     drop(d);
-    assert!(settles_at(before), "{:?}", threads());
+    assert!(settles_at(0), "{:?}", threads());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -90,7 +98,7 @@ fn a_daemon_dropped_after_a_batch_or_a_shutdown_leaves_no_thread_and_no_pool_pan
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     for shut_down_first in [false, true] {
         let dir = scratch("drop");
-        let before = threads().len();
+        assert!(settles_at(0), "{:?}", threads());
         let d = disk_daemon(&dir);
         let pool = d.pool();
         let ep = d.endpoint();
@@ -107,7 +115,7 @@ fn a_daemon_dropped_after_a_batch_or_a_shutdown_leaves_no_thread_and_no_pool_pan
             d.shutdown();
         }
         drop((ep, d));
-        assert!(settles_at(before), "shut down first: {shut_down_first}: {:?}", threads());
+        assert!(settles_at(0), "shut down first: {shut_down_first}: {:?}", threads());
         assert_eq!(pool.panics(), 0, "shut down first: {shut_down_first}");
         assert_eq!(pool.workers(), DaemonConfig::default().handler_threads);
         std::fs::remove_dir_all(&dir).unwrap();
