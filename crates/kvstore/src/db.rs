@@ -12,7 +12,10 @@
 //! * **Background work**: one thread per store, `gkfs-kv`, as in
 //!   LevelDB. Each turn it flushes the oldest immutable memtable into
 //!   an L0 SSTable if one is queued; only when none is does it merge
-//!   L0+L1 into a fresh L1 run (on request, or at the L0 trigger).
+//!   L0+L1 into a fresh L1 run (on request, or at the L0 trigger), and
+//!   that merge flushes a memtable frozen meanwhile between its output
+//!   tables, as LevelDB's does, so a flush waits for one output table
+//!   rather than the whole compaction.
 //!   Foreground writers are only *slowed* (then *stalled*) when L0
 //!   grows past configurable thresholds — RocksDB's
 //!   `level0_slowdown/stop_writes_trigger`.
@@ -784,7 +787,7 @@ impl Db {
     pub fn compact(&self) -> Result<()> {
         self.flush()?;
         let _bg = self.inner.manifest_lock.lock();
-        self.inner.compact_once()
+        self.inner.compact_once().map(drop)
     }
 
     /// Drain all background work and stop the background thread: after
@@ -1244,14 +1247,15 @@ impl DbInner {
     }
 
     /// One full L0+L1 → L1 compaction, which serves any request for
-    /// one. The caller holds `manifest_lock`; the version write lock is
-    /// held only for the final pointer swap, so foreground traffic
-    /// continues throughout.
-    fn compact_once(&self) -> Result<()> {
+    /// one; answers whether there was anything to compact. The caller
+    /// holds `manifest_lock`; the version write lock is held only for
+    /// the final pointer swap, so foreground traffic continues
+    /// throughout.
+    fn compact_once(&self) -> Result<bool> {
         self.work.lock().compact_requested = false;
         let base = self.snapshot();
         if base.l0.is_empty() && base.l1.len() <= 1 {
-            return Ok(());
+            return Ok(false);
         }
         self.stats.kv_compactions.fetch_add(1, Ordering::Relaxed);
 
@@ -1271,6 +1275,11 @@ impl DbInner {
             if bytes >= TARGET_TABLE_BYTES {
                 new_l1.push(self.add_table(std::mem::take(&mut builder))?);
                 bytes = 0;
+                // As LevelDB does between its compaction outputs: a
+                // memtable frozen since the walk began waits for one
+                // output table, not for the whole compaction. Its table
+                // is newer than every input, and the install keeps it.
+                self.flush_queued()?;
             }
             Ok(true)
         })?;
@@ -1291,30 +1300,39 @@ impl DbInner {
             self.store.delete_blob(&table_name(id))?;
         }
         self.notify_done();
-        Ok(())
+        Ok(true)
     }
 
     /// One unit of background work, the only one there is — run by the
     /// background thread, and after a stop by `wait_bg`, `rotate` and
     /// `shutdown`'s drain: flush the oldest frozen memtable if one is
     /// queued, else compact if `compact`. Under `manifest_lock`, so
-    /// flushes land one at a time, oldest first, and never beside a
-    /// compaction. Answers whether there was work.
+    /// flushes land one at a time, oldest first, and a compaction runs
+    /// them itself between its output tables. Answers whether there was
+    /// work.
     fn background_work(&self, compact: bool) -> Result<bool> {
         let _bg = self.manifest_lock.lock();
+        if self.flush_queued()? {
+            return Ok(true);
+        }
+        if compact {
+            return self.compact_once();
+        }
+        Ok(false)
+    }
+
+    /// Flush the oldest frozen memtable, if one is queued, and wake the
+    /// foreground threads waiting on it; answers whether one was. The
+    /// caller holds `manifest_lock`.
+    fn flush_queued(&self) -> Result<bool> {
         // The version read guard must not outlive this statement: kept
         // across `flush_imm`, which re-acquires `version` (read, then
         // write for the install), it would be a same-thread read→write
         // self-deadlock. The debug-build rank checker flags this shape.
         let imm = self.version.read().imm.first().cloned();
-        match imm {
-            Some(imm) => {
-                self.flush_imm(&imm)?;
-                self.notify_done();
-            }
-            None if compact => self.compact_once()?,
-            None => return Ok(false),
-        }
+        let Some(imm) = imm else { return Ok(false) };
+        self.flush_imm(&imm)?;
+        self.notify_done();
         Ok(true)
     }
 
@@ -2193,6 +2211,45 @@ mod tests {
         gate: std::sync::RwLock<()>,
         /// Set, every table write panics.
         panic_tables: std::sync::atomic::AtomicBool,
+        turnstile: Turnstile,
+    }
+
+    /// Parks every table write of at least `min` bytes (0: none) until
+    /// the test lets it through, one arrival at a time.
+    #[derive(Default)]
+    struct Turnstile {
+        min: AtomicU64,
+        /// Writes arrived, writes let through.
+        count: std::sync::Mutex<(u64, u64)>,
+        cv: std::sync::Condvar,
+    }
+
+    impl Turnstile {
+        fn pass(&self, len: usize) {
+            let min = self.min.load(Ordering::Relaxed);
+            if min == 0 || (len as u64) < min {
+                return;
+            }
+            let mut c = self.count.lock().unwrap();
+            c.0 += 1;
+            let me = c.0;
+            self.cv.notify_all();
+            while c.1 < me {
+                c = self.cv.wait(c).unwrap();
+            }
+        }
+        /// Wait until `n` writes have arrived.
+        fn arrived(&self, n: u64) {
+            let mut c = self.count.lock().unwrap();
+            while c.0 < n {
+                c = self.cv.wait(c).unwrap();
+            }
+        }
+        /// Let the first `n` arrivals through.
+        fn let_through(&self, n: u64) {
+            self.count.lock().unwrap().1 = n;
+            self.cv.notify_all();
+        }
     }
 
     impl SlowStore {
@@ -2205,6 +2262,7 @@ mod tests {
                 fail_syncs: AtomicU64::new(0),
                 gate: std::sync::RwLock::new(()),
                 panic_tables: Default::default(),
+                turnstile: Turnstile::default(),
             }
         }
     }
@@ -2214,6 +2272,7 @@ mod tests {
             if name.starts_with("sst-") {
                 assert!(!self.panic_tables.load(Ordering::Relaxed), "injected table write panic");
                 drop(self.gate.read());
+                self.turnstile.pass(data.len());
                 std::thread::sleep(self.table_delay);
             }
             self.inner.put_blob(name, data)
@@ -2321,6 +2380,69 @@ mod tests {
         }
         for i in 0..20 {
             assert!(db.get(format!("/during/{i:02}").as_bytes()).unwrap().is_some());
+        }
+    }
+
+    /// A memtable frozen while a compaction runs is flushed between the
+    /// compaction's output tables, as LevelDB does: a rotation against
+    /// a full backlog gets through while the compaction is still parked
+    /// on its next output, and the install keeps the table flushed
+    /// meanwhile. Behind a timeout, so that a rotation that waits for
+    /// the whole compaction fails the test rather than hanging it.
+    #[test]
+    fn a_rotation_gets_through_a_running_compaction() {
+        const MIB: usize = 1 << 20;
+        let store = Arc::new(SlowStore::new(Duration::ZERO, Duration::ZERO));
+        // A compaction's full outputs are 8 MiB; every flush here is one
+        // 1 MiB value.
+        store.turnstile.min.store(4 * MIB as u64, Ordering::Relaxed);
+        let opts = DbOptions {
+            memtable_bytes: MIB / 2,
+            l0_compaction_trigger: 16,
+            l0_slowdown_threshold: 100,
+            l0_stall_threshold: 100,
+            max_imm_memtables: 1,
+            ..DbOptions::default()
+        };
+        let db = Db::open(store.clone(), opts).unwrap();
+        let value = |i: usize| vec![i as u8; MIB];
+        // Every put rotates. The 16th flush puts L0 at the trigger, and
+        // the thread's compaction parks on the first of its two outputs.
+        for i in 0..16 {
+            db.put(format!("/old/{i:02}").as_bytes(), &value(i)).unwrap();
+        }
+        store.turnstile.arrived(1);
+        let stalls = || db.stats().kv_stalls.load(Ordering::Relaxed);
+        let before = stalls();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let writer = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                // The first put freezes its memtable; the second rotates
+                // against the full backlog.
+                for i in 0..2 {
+                    db.put(format!("/new/{i}").as_bytes(), &value(100 + i)).unwrap();
+                }
+                tx.send(()).unwrap();
+            })
+        };
+        while stalls() == before {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        store.turnstile.let_through(1);
+        let got = rx.recv_timeout(Duration::from_secs(20));
+        let shape = db.level_shape();
+        store.turnstile.let_through(u64::MAX);
+        assert!(got.is_ok(), "the rotation waited for the whole compaction");
+        assert_eq!(shape, (0, 1, 17, 0), "/new/0 flushed, the compaction not yet installed");
+        writer.join().unwrap();
+        db.shutdown().unwrap();
+        assert_eq!(db.level_shape(), (0, 0, 2, 2), "the install kept the tables flushed meanwhile");
+        for i in 0..16 {
+            assert_eq!(db.get(format!("/old/{i:02}").as_bytes()).unwrap(), Some(value(i)));
+        }
+        for i in 0..2 {
+            assert_eq!(db.get(format!("/new/{i}").as_bytes()).unwrap(), Some(value(100 + i)));
         }
     }
 

@@ -11,11 +11,11 @@
 //!    writers share one append/fsync via **group commit**,
 //! 2. insert into a sorted in-memory [`memtable`],
 //! 3. on memtable-full, swap in a fresh memtable and hand the frozen
-//!    one to a **background flush thread** as an immutable memtable
-//!    (still readable) until its sorted table ([`sstable`], with
-//!    per-table bloom filters from [`bloom`]) lands in L0,
-//! 4. compact L0 into L1 on a **background compaction thread**, with
-//!    configurable L0 slowdown/stall backpressure ([`db`]).
+//!    one to the store's one **background thread** as an immutable
+//!    memtable (still readable) until its sorted table ([`sstable`],
+//!    with per-table bloom filters from [`bloom`]) lands in L0,
+//! 4. compact L0 into L1 on the same thread when no flush is queued,
+//!    with configurable L0 slowdown/stall backpressure ([`db`]).
 //!
 //! Foreground writers never wait for flush or compaction I/O — they
 //! block only for the memtable pointer swap, the same property that

@@ -5,9 +5,10 @@
 //! and standby; nothing else. And no job owns the pool it runs on: a
 //! daemon dropped right after a multi-segment batch, or after
 //! `shutdown`, leaves no thread behind and no panic on its pool.
-//! Counted from `/proc/self/task`, by the daemon's own thread names:
-//! the test harness's threads come and go on their own schedule. Its
-//! own test binary, and the tests here take the census one at a time.
+//! Counted from `/proc/self/task`, by the daemon's own thread names
+//! (every `gkfs-*` thread, each of them one of the kinds above): the
+//! test harness's threads come and go on their own schedule. Its own
+//! test binary, and the tests here take the census one at a time.
 
 #![cfg(target_os = "linux")]
 
@@ -49,14 +50,20 @@ fn named(threads: &[String], prefix: &str) -> usize {
     threads.iter().filter(|n| n.starts_with(prefix)).count()
 }
 
-/// A daemon's threads: its pool's workers, its TCP loop and standby,
-/// its store's background thread.
+/// The daemons' threads: every `gkfs-*` thread.
 fn daemons(threads: &[String]) -> usize {
+    named(threads, "gkfs-")
+}
+
+/// Of those, its pool's workers, its TCP loop and standby, its store's
+/// background thread.
+fn known(threads: &[String]) -> usize {
     ["gkfs-handler-", "gkfs-tcp-loop", "gkfs-kv"].iter().map(|p| named(threads, p)).sum()
 }
 
+/// The daemons' threads settle at `n`, and each is of a known kind.
 fn settles_at(n: usize) -> bool {
-    settles(|t| daemons(t) == n)
+    settles(|t| daemons(t) == n && known(t) == n)
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -84,6 +91,7 @@ fn a_daemon_runs_one_pool_for_both_transports_and_its_chunk_segments() {
     assert!(settles(|t| named(t, "gkfs-handler-") == handlers && named(t, "gkfs-tcp-loop") == 2), "{:?}", threads());
     let census = threads();
     assert_eq!(daemons(&census), handlers + 1 + 2, "and the loop and its standby: {census:?}");
+    assert_eq!(known(&census), daemons(&census), "nothing else: {census:?}");
     assert_eq!(named(&census, "gkfs-kv"), 1, "{census:?}");
     assert_eq!(named(&census, "gkfs-chunk-io"), 0, "{census:?}");
     d.shutdown();
